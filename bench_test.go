@@ -9,7 +9,6 @@ package oocphylo
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"oocphylo/internal/experiments"
@@ -111,59 +110,6 @@ func BenchmarkFigure5(b *testing.B) {
 		b.ReportMetric(float64(r.OOCLRUIO.Milliseconds()), "ooc-io-ms"+suffix)
 		b.ReportMetric(float64(r.MajorFaults), "faults"+suffix)
 	}
-}
-
-// BenchmarkStoreLayout ablates the paper's single-file versus
-// several-files observation (§3.2: "performance differences ...
-// minimal"): the identical miss/swap workload against one backing file
-// and against four.
-func BenchmarkStoreLayout(b *testing.B) {
-	d, err := sim.NewDataset(sim.Config{Taxa: 48, Sites: 200, GammaAlpha: 0.8, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	n := d.Tree.NumInner()
-	run := func(b *testing.B, mk func(dir string) (ooc.Store, error)) {
-		dir := b.TempDir()
-		store, err := mk(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer store.Close()
-		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: vecLen,
-			Slots:    ooc.SlotsForFraction(0.25, n),
-			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		t := d.Tree.Clone()
-		e, err := plf.New(t, d.Patterns, d.Model, mgr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := e.FullTraversal(t.Edges[0]); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.LogLikelihoodAt(t.Edges[0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("SingleFile", func(b *testing.B) {
-		run(b, func(dir string) (ooc.Store, error) {
-			return ooc.NewFileStore(filepath.Join(dir, "v.bin"), n, vecLen)
-		})
-	})
-	b.Run("FourFiles", func(b *testing.B) {
-		run(b, func(dir string) (ooc.Store, error) {
-			return ooc.NewMultiFileStore(filepath.Join(dir, "v"), 4, n, vecLen)
-		})
-	})
 }
 
 // BenchmarkWriteBackPolicy ablates the always-write swap of the paper

@@ -271,16 +271,20 @@ func run(args []string, out *os.File) error {
 	if o.precision == plf.PrecisionF32 {
 		fmt.Fprintf(out, "Precision: float32 compute (%d B per ancestral vector, half of f64)\n", vecLen*8)
 	}
-	prov, mgr, cs, tier, cleanup, err := buildProvider(o, t, vecLen, resumeMan, out)
+	prov, mgr, st, err := buildProvider(o, t, vecLen, resumeMan, out)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer st.Close()
 	if mgr != nil {
+		// Deferred after st.Close, so it runs first: the manager drains the
+		// async pipeline (joining in-flight fetches and queued write-backs)
+		// before the store goes away.
+		defer mgr.Close()
 		mgr.Instrument(reg, tr)
 	}
-	ooc.InstrumentChecksumStore(reg, cs)
-	ooc.InstrumentTieredStore(reg, tier)
+	ooc.InstrumentChecksumStore(reg, st.Checksum)
+	ooc.InstrumentTieredStore(reg, st.Tier)
 
 	e, err := plf.NewWithPrecision(t, pats, m, prov, o.precision)
 	if err != nil {
@@ -331,8 +335,8 @@ func run(args []string, out *os.File) error {
 		// manifest let -resume validate it, and the Search block carries
 		// the counters for exact resume.
 		writeCkpt := func(p search.Progress) error {
-			st := checkpoint.Capture(t, m, p.LnL, p.Round)
-			st.Search = &checkpoint.SearchProgress{
+			ck := checkpoint.Capture(t, m, p.LnL, p.Round)
+			ck.Search = &checkpoint.SearchProgress{
 				StartLnL:     p.StartLnL,
 				LastImproved: p.LastImproved,
 				MovesApplied: p.MovesApplied,
@@ -344,14 +348,14 @@ func run(args []string, out *os.File) error {
 					return err
 				}
 			}
-			if cs != nil {
+			if cs := st.Checksum; cs != nil {
 				if err := cs.Sync(); err != nil {
 					return err
 				}
 				man := cs.Manifest()
-				st.Store = &man
+				ck.Store = &man
 			}
-			return checkpoint.Save(o.checkpoint, st)
+			return checkpoint.Save(o.checkpoint, ck)
 		}
 		if o.checkpoint != "" {
 			var lastCkpt time.Time
@@ -688,21 +692,19 @@ func buildStartTree(kind string, pats *bio.Patterns, seed int64) (*tree.Tree, er
 }
 
 // buildProvider returns the vector provider: in-memory when no limit is
-// set, otherwise the out-of-core manager over a backing file. With
-// -verify-store the file store is wrapped in a ChecksumStore (sidecar
-// at <backing>.sum) and the *ooc.ChecksumStore return is non-nil so
-// checkpoints can carry the store manifest. A resume with an explicit
-// -backing path revalidates an existing file against the checkpoint's
-// manifest and falls back to a fresh file when validation fails.
-func buildProvider(o options, t *tree.Tree, vecLen int, man *ooc.Manifest, out *os.File) (plf.VectorProvider, *ooc.Manager, *ooc.ChecksumStore, *ooc.TieredStore, func(), error) {
+// set, otherwise the out-of-core manager over the store stack the flags
+// describe (ooc.OpenStack: -backing file or -store remote:// behind a
+// cache tier, -verify-store checksums, -resume adoption against the
+// checkpoint's manifest man, -crashpoint). The returned stack is never
+// nil — empty for in-memory runs — and the caller closes the manager,
+// then the stack.
+func buildProvider(o options, t *tree.Tree, vecLen int, man *ooc.Manifest, out *os.File) (plf.VectorProvider, *ooc.Manager, *ooc.Stack, error) {
 	n := t.NumInner()
-	noop := func() {}
-	// Validate the strategy name up front so a typo fails even when the
-	// data happens to fit in the limit.
-	switch strings.ToLower(o.strategy) {
-	case "random", "rand", "lru", "lfu", "topological", "topo":
-	default:
-		return nil, nil, nil, nil, noop, fmt.Errorf("unknown strategy %q", o.strategy)
+	// Built up front so a mistyped name fails even when the data happens
+	// to fit in the limit.
+	strat, err := ooc.StrategyByName(o.strategy, n, t, o.seed+1)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	need := int64(n) * int64(vecLen) * 8
 	if o.memLimit <= 0 || need <= o.memLimit {
@@ -712,66 +714,38 @@ func buildProvider(o options, t *tree.Tree, vecLen int, man *ooc.Manifest, out *
 		if o.store != "" {
 			fmt.Fprintf(out, "Note: -store %s unused — all vectors fit in RAM (set -L to go out of core)\n", o.store)
 		}
-		return plf.NewInMemoryProvider(n, vecLen), nil, nil, nil, noop, nil
+		return plf.NewInMemoryProvider(n, vecLen), nil, &ooc.Stack{}, nil
 	}
 	slots := int(o.memLimit / (int64(vecLen) * 8))
 	if slots < ooc.MinSlots {
-		return nil, nil, nil, nil, noop, fmt.Errorf(
+		return nil, nil, nil, fmt.Errorf(
 			"memory limit %d B holds only %d vectors of %d B; the PLF needs at least %d (m >= 3)",
 			o.memLimit, slots, vecLen*8, ooc.MinSlots)
 	}
-	var strat ooc.Strategy
-	switch strings.ToLower(o.strategy) {
-	case "random", "rand":
-		strat = ooc.NewRandom(rand.New(rand.NewSource(o.seed + 1)))
-	case "lru":
-		strat = ooc.NewLRU(n)
-	case "lfu":
-		strat = ooc.NewLFU(n)
-	case "topological", "topo":
-		strat = ooc.NewTopological(t)
-	default:
-		return nil, nil, nil, nil, noop, fmt.Errorf("unknown strategy %q", o.strategy)
+	if o.store != "" && !ooc.IsRemoteURL(o.store) {
+		return nil, nil, nil, fmt.Errorf("-store %q: want a remote://host:port/object URL (local runs use -backing)", o.store)
 	}
-	var (
-		store   ooc.Store
-		cs      *ooc.ChecksumStore
-		tier    *ooc.TieredStore
-		path    string
-		err     error
-		cleanup = noop
-	)
-	if o.store != "" {
-		store, cs, tier, cleanup, err = openRemoteStore(o, n, vecLen, man, out)
-		path = o.store
-	} else {
-		path = o.backing
-		if path == "" {
-			f, ferr := os.CreateTemp("", "oocraxml-vectors-*.bin")
-			if ferr != nil {
-				return nil, nil, nil, nil, noop, ferr
-			}
-			path = f.Name()
-			f.Close()
-			p := path
-			cleanup = func() {
-				os.Remove(p)
-				if o.verifyStore {
-					os.Remove(p + ".sum")
-				}
-			}
-		}
-		store, cs, err = openStore(o, path, n, vecLen, man, out)
-	}
+	st, err := ooc.OpenStack(ooc.StackSpec{
+		TieredConfig: ooc.TieredConfig{
+			NumVectors: n, VectorLen: vecLen,
+			CacheDir: o.cacheDir, Lanes: o.remoteLanes,
+			RemoteDeadline: o.remoteDeadline, HedgeAfter: o.hedgeAfter, SpillDir: o.spillDir,
+		},
+		URL: o.store, Path: o.backing, CacheBytes: o.cacheBytes,
+		Verify: o.verifyStore,
+		// A resume adopts what the interrupted run left under an explicit
+		// -backing or -store; a temp file has nothing to adopt.
+		Adopt:    o.resume != "" && (o.backing != "" || o.store != ""),
+		Manifest: man, Precision: o.precision,
+		CrashAfter: o.crashAfter,
+	})
 	if err != nil {
-		cleanup()
-		return nil, nil, nil, nil, noop, err
+		return nil, nil, nil, err
+	}
+	for _, note := range st.Notes {
+		fmt.Fprintln(out, note)
 	}
 	if o.crashAfter > 0 {
-		// The crashpoint wraps the outermost store, so the scheduled kill
-		// fires before either the data write or its checksum lands — the
-		// torn state a real power cut leaves behind.
-		store = ooc.NewCrashStore(store, o.crashAfter)
 		fmt.Fprintf(out, "Crashpoint armed: exit %d at vector I/O #%d\n", ooc.CrashExitCode, o.crashAfter)
 	}
 	mgr, err := ooc.NewManager(ooc.Config{
@@ -780,19 +754,18 @@ func buildProvider(o options, t *tree.Tree, vecLen int, man *ooc.Manifest, out *
 		Slots:        slots,
 		Strategy:     strat,
 		ReadSkipping: !o.noReadSkip,
-		Store:        store,
+		Store:        st.Store,
 		Async:        o.async,
 		IOWorkers:    o.ioWorkers,
 		Retry:        ooc.RetryPolicy{Max: o.ioRetries},
 	})
 	if err != nil {
-		store.Close()
-		cleanup()
-		return nil, nil, nil, nil, noop, err
+		st.Close()
+		return nil, nil, nil, err
 	}
-	where := "backing file " + path
+	where := "backing file " + st.Spec.Path
 	if o.store != "" {
-		where = "remote store " + path
+		where = "remote store " + o.store
 	}
 	fmt.Fprintf(out, "Out-of-core: %d of %d vectors in RAM (%.1f%%), strategy %s, %s\n",
 		slots, n, 100*float64(slots)/float64(n), strat.Name(), where)
@@ -808,214 +781,10 @@ func buildProvider(o options, t *tree.Tree, vecLen int, man *ooc.Manifest, out *
 		}
 		fmt.Fprintf(out, "Async pipeline: %d fetch workers, prefetch depth %d\n", workers, depth)
 	}
-	if o.verifyStore && o.store == "" {
-		fmt.Fprintf(out, "Integrity: checksum sidecar %s.sum, %d I/O retries\n", path, o.ioRetries)
+	if o.verifyStore {
+		fmt.Fprintf(out, "Integrity: checksum sidecar %s, %d I/O retries\n", st.Spec.Sidecar, o.ioRetries)
 	}
-	closer := cleanup
-	// Close the manager first: it drains the async pipeline (joining
-	// in-flight fetches and queued write-backs) before the store goes
-	// away. Closing the (possibly checksum-wrapped) store closes the
-	// whole wrapper chain down to the backing file.
-	return mgr, mgr, cs, tier, func() { mgr.Close(); store.Close(); closer() }, nil
-}
-
-// openStore opens the backing store for buildProvider, reusing and
-// validating an existing backing file on resume and wrapping it in a
-// ChecksumStore when -verify-store is set.
-func openStore(o options, path string, n, vecLen int, man *ooc.Manifest, out *os.File) (ooc.Store, *ooc.ChecksumStore, error) {
-	// A checkpoint manifest at the wrong element precision is a hard
-	// error, not a rebuild: the stored vectors and the run's carrier
-	// geometry disagree element-for-element, so silently rebuilding
-	// would hide that the user resumed the wrong run.
-	if man != nil {
-		storePrec := man.Precision
-		if storePrec == "" {
-			storePrec = plf.PrecisionF64
-		}
-		if storePrec != o.precision {
-			return nil, nil, &ooc.PrecisionMismatchError{Store: man.Precision, Run: o.precision}
-		}
-	}
-	// Resume with an explicit backing path: try to adopt the existing
-	// file instead of truncating it. Any other validation failure falls
-	// back to a fresh file — every vector is recomputable, so a rebuild
-	// only costs I/O, never correctness.
-	if o.resume != "" && o.backing != "" {
-		fs, err := ooc.OpenFileStore(path, n, vecLen)
-		switch {
-		case err != nil:
-			fmt.Fprintf(out, "Backing file %s not reusable (%v); creating fresh\n", path, err)
-		case !o.verifyStore:
-			return fs, nil, nil
-		default:
-			cs, err := ooc.OpenChecksumStore(fs, path+".sum", n, vecLen)
-			if err != nil {
-				fmt.Fprintf(out, "Checksum sidecar for %s not reusable (%v); rebuilding store\n", path, err)
-				fs.Close()
-			} else {
-				cs.SetPrecision(o.precision)
-				if man != nil {
-					if err := cs.VerifyManifest(*man); err != nil {
-						if ooc.IsPrecisionMismatch(err) {
-							cs.Close()
-							return nil, nil, err
-						}
-						fmt.Fprintf(out, "Backing file %s fails checkpoint manifest validation (%v); rebuilding store\n", path, err)
-						cs.Close() // closes fs too
-					} else {
-						fmt.Fprintf(out, "Backing file %s validated against checkpoint manifest\n", path)
-						return cs, cs, nil
-					}
-				} else {
-					return cs, cs, nil
-				}
-			}
-		}
-	}
-	fs, err := ooc.NewFileStore(path, n, vecLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !o.verifyStore {
-		return fs, nil, nil
-	}
-	cs, err := ooc.NewChecksumStore(fs, path+".sum", n, vecLen)
-	if err != nil {
-		fs.Close()
-		return nil, nil, err
-	}
-	cs.SetPrecision(o.precision)
-	return cs, cs, nil
-}
-
-// openRemoteStore builds the tiered stack for -store remote://: an
-// ObjectStore on the remote endpoint behind a local write-back cache
-// in -cache-dir, with the optional -verify-store checksum sidecar kept
-// in the cache dir — local, so remote bytes are verified end-to-end on
-// every read. The returned cleanup closes the remote connection (the
-// tier does not own it) and removes a temporary cache dir; callers run
-// it after closing the returned store.
-func openRemoteStore(o options, n, vecLen int, man *ooc.Manifest, out *os.File) (ooc.Store, *ooc.ChecksumStore, *ooc.TieredStore, func(), error) {
-	noop := func() {}
-	if !ooc.IsRemoteURL(o.store) {
-		return nil, nil, nil, noop, fmt.Errorf("-store %q: want a remote://host:port/object URL (local runs use -backing)", o.store)
-	}
-	if _, err := ooc.ParseRemoteURL(o.store); err != nil {
-		return nil, nil, nil, noop, err
-	}
-	if man != nil {
-		storePrec := man.Precision
-		if storePrec == "" {
-			storePrec = plf.PrecisionF64
-		}
-		if storePrec != o.precision {
-			return nil, nil, nil, noop, &ooc.PrecisionMismatchError{Store: man.Precision, Run: o.precision}
-		}
-	}
-	obj, err := ooc.OpenObjectStore(o.store, n, vecLen)
-	if err == nil {
-		fmt.Fprintf(out, "Adopting existing remote object %s\n", o.store)
-	} else if obj, err = ooc.NewObjectStore(o.store, n, vecLen); err != nil {
-		return nil, nil, nil, noop, fmt.Errorf("remote store %s: %w", o.store, err)
-	}
-	cacheDir, rmCache := o.cacheDir, noop
-	if cacheDir == "" {
-		dir, derr := os.MkdirTemp("", "oocraxml-cache-*")
-		if derr != nil {
-			obj.Close()
-			return nil, nil, nil, noop, derr
-		}
-		cacheDir = dir
-		rmCache = func() { os.RemoveAll(dir) }
-	} else if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		obj.Close()
-		return nil, nil, nil, noop, err
-	}
-	closer := func() { obj.Close(); rmCache() }
-	tcfg := ooc.TieredConfig{
-		NumVectors: n, VectorLen: vecLen,
-		CacheDir:     cacheDir,
-		CacheVectors: cacheVectorBudget(o.cacheBytes, n, vecLen),
-		Lanes:        o.remoteLanes,
-		// Network fault tolerance: a per-attempt deadline and jittered
-		// retry budget distinct from -io-retries (disk), a breaker that
-		// flips the engine into cache+recompute degraded mode, optional
-		// tail hedging, and a spill journal for dirty evictions the
-		// remote cannot take.
-		RemoteDeadline: o.remoteDeadline,
-		RemoteRetry:    ooc.RetryPolicy{Max: 3},
-		Breaker:        ooc.BreakerConfig{Threshold: 5},
-		HedgeAfter:     o.hedgeAfter,
-		SpillDir:       o.spillDir,
-	}
-	ts, err := ooc.NewTieredStore(obj, tcfg)
-	if err != nil {
-		closer()
-		return nil, nil, nil, noop, err
-	}
-	if ts.WarmStart() {
-		fmt.Fprintf(out, "Warm start: adopted the cache tier left in %s\n", cacheDir)
-	}
-	fmt.Fprintf(out, "Cache tier: %d of %d vectors under %s, %d remote lanes\n",
-		tcfg.CacheVectors, n, cacheDir, tcfg.Lanes)
-	if !o.verifyStore {
-		return ts, nil, ts, closer, nil
-	}
-	sum := filepath.Join(cacheDir, "vectors.sum")
-	// Resume: try to adopt the existing sidecar against the checkpoint
-	// manifest, exactly like a local backing file. Any validation
-	// failure short of a precision mismatch rebuilds the sidecar —
-	// every vector is recomputable, so that costs I/O, not correctness.
-	if o.resume != "" && man != nil {
-		cs, cerr := ooc.OpenChecksumStore(ts, sum, n, vecLen)
-		if cerr != nil {
-			fmt.Fprintf(out, "Checksum sidecar %s not reusable (%v); rebuilding\n", sum, cerr)
-		} else {
-			cs.SetPrecision(o.precision)
-			verr := cs.VerifyManifest(*man)
-			switch {
-			case verr == nil:
-				fmt.Fprintf(out, "Remote store %s validated against checkpoint manifest\n", o.store)
-				return cs, cs, ts, closer, nil
-			case ooc.IsPrecisionMismatch(verr):
-				cs.Close()
-				closer()
-				return nil, nil, nil, noop, verr
-			default:
-				fmt.Fprintf(out, "Remote store fails checkpoint manifest validation (%v); rebuilding store\n", verr)
-				cs.Close() // closes ts too
-				if ts, err = ooc.NewTieredStore(obj, tcfg); err != nil {
-					closer()
-					return nil, nil, nil, noop, err
-				}
-			}
-		}
-	}
-	cs, err := ooc.NewChecksumStore(ts, sum, n, vecLen)
-	if err != nil {
-		ts.Close()
-		closer()
-		return nil, nil, nil, noop, err
-	}
-	cs.SetPrecision(o.precision)
-	fmt.Fprintf(out, "Integrity: checksum sidecar %s, %d I/O retries\n", sum, o.ioRetries)
-	return cs, cs, ts, closer, nil
-}
-
-// cacheVectorBudget converts -cache-bytes into cache-tier slots,
-// defaulting to "hold everything" and flooring at one vector.
-func cacheVectorBudget(budget int64, n, vecLen int) int {
-	if budget <= 0 {
-		return n
-	}
-	cv := int(budget / (int64(vecLen) * 8))
-	if cv < 1 {
-		cv = 1
-	}
-	if cv > n {
-		cv = n
-	}
-	return cv
+	return mgr, mgr, st, nil
 }
 
 // runBootstrap infers o.bootstraps replicate trees (parsimony stepwise-

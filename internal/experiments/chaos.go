@@ -162,42 +162,30 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	obj, err := ooc.NewObjectStore(srv.ObjectURL("soak"), w.nVec, w.vecLen)
-	if err != nil {
-		return nil, err
-	}
-	defer obj.Close()
-	obj.SetDeadline(cfg.RemoteDeadline)
-	cacheDir := filepath.Join(dir, "cache")
-	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		return nil, err
-	}
 	cacheVecs := int(cfg.CacheFraction*float64(w.nVec) + 0.5)
 	if cacheVecs < 1 {
 		cacheVecs = 1
 	}
-	ts, err := ooc.NewTieredStore(obj, ooc.TieredConfig{
-		NumVectors: w.nVec, VectorLen: w.vecLen,
-		CacheDir: cacheDir, CacheVectors: cacheVecs,
-		Lanes:          cfg.Lanes,
-		RemoteDeadline: cfg.RemoteDeadline,
-		RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: rand.New(rand.NewSource(cfg.Workload.Seed + 7)).Float64},
-		Breaker:        cfg.Breaker,
-		HedgeAfter:     cfg.HedgeAfter,
+	st, err := ooc.OpenStack(ooc.StackSpec{
+		TieredConfig: ooc.TieredConfig{
+			NumVectors: w.nVec, VectorLen: w.vecLen,
+			CacheDir: filepath.Join(dir, "cache"), CacheVectors: cacheVecs,
+			Lanes:          cfg.Lanes,
+			RemoteDeadline: cfg.RemoteDeadline,
+			RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: rand.New(rand.NewSource(cfg.Workload.Seed + 7)).Float64},
+			Breaker:        cfg.Breaker,
+			HedgeAfter:     cfg.HedgeAfter,
+		},
+		URL: srv.ObjectURL("soak"), Verify: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	cs, err := ooc.NewChecksumStore(ts, filepath.Join(dir, "soak.sum"), w.nVec, w.vecLen)
-	if err != nil {
-		ts.Close()
-		return nil, err
-	}
+	defer st.Close()
 
 	chaos.Enable()
-	chaotic, recov, degraded, err := runChaosArm(w, cs)
+	chaotic, recov, degraded, err := runChaosArm(w, st.Store)
 	if err != nil {
-		cs.Close()
 		return nil, fmt.Errorf("experiments: chaos arm: %w", err)
 	}
 
@@ -208,18 +196,16 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	// lost write-backs.
 	chaos.Disable()
 	rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err = ProbeChaosRecovery(rctx, ts)
+	err = ProbeChaosRecovery(rctx, st.Tier)
 	rcancel()
 	if err != nil {
-		cs.Close()
 		return nil, fmt.Errorf("experiments: breaker never reclosed after recovery: %w", err)
 	}
-	if err := ts.Sync(); err != nil {
-		cs.Close()
+	if err := st.Tier.Sync(); err != nil {
 		return nil, fmt.Errorf("experiments: post-recovery sync: %w", err)
 	}
-	res.Tier = ts.Stats()
-	if err := cs.Close(); err != nil {
+	res.Tier = st.Tier.Stats()
+	if err := st.Close(); err != nil {
 		return nil, fmt.Errorf("experiments: close: %w", err)
 	}
 	res.ChaosElapsed = chaotic.Elapsed

@@ -38,22 +38,6 @@ import (
 // plotting order.
 var StrategyNames = []string{"Topological", "LFU", "RAND", "LRU"}
 
-// NewStrategy instantiates a replacement strategy by name for a tree
-// with numVectors ancestral vectors.
-func NewStrategy(name string, numVectors int, t *tree.Tree, seed int64) (ooc.Strategy, error) {
-	switch name {
-	case "RAND":
-		return ooc.NewRandom(rand.New(rand.NewSource(seed))), nil
-	case "LRU":
-		return ooc.NewLRU(numVectors), nil
-	case "LFU":
-		return ooc.NewLFU(numVectors), nil
-	case "Topological":
-		return ooc.NewTopological(t), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown strategy %q", name)
-}
-
 // SearchWorkloadConfig describes the Figures 2-4 workload: an ML tree
 // search on a simulated dataset of the paper's dimensions.
 type SearchWorkloadConfig struct {
@@ -121,7 +105,7 @@ func runSearchWorkload(cfg SearchWorkloadConfig, strategyName string, slots int,
 		return res, err
 	}
 	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	strat, err := NewStrategy(strategyName, start.NumInner(), start, cfg.Seed+2)
+	strat, err := ooc.StrategyByName(strategyName, start.NumInner(), start, cfg.Seed+2)
 	if err != nil {
 		return res, err
 	}

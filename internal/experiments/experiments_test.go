@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"oocphylo/internal/ooc"
 )
 
 // Small dimensions keep the suite fast; the assertions are about the
@@ -166,7 +168,7 @@ func TestFigure5Shapes(t *testing.T) {
 }
 
 func TestNewStrategyUnknown(t *testing.T) {
-	if _, err := NewStrategy("FIFO", 10, nil, 1); err == nil {
+	if _, err := ooc.StrategyByName("FIFO", 10, nil, 1); err == nil {
 		t.Error("unknown strategy must error")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
@@ -145,26 +144,21 @@ func runRecoveryWorkload(cfg RecoveryConfig, d *sim.Dataset, async, faulted bool
 	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
 	n := d.Tree.NumInner()
 	slots := ooc.SlotsForFraction(cfg.Fraction, n)
-	var base ooc.Store = ooc.NewMemStore(n, vecLen)
-	var fstore *ooc.FaultStore
+	spec := ooc.StackSpec{
+		TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen},
+		Base:         ooc.NewMemStore(n, vecLen), Verify: true,
+	}
 	if faulted {
-		fstore = ooc.NewFaultStore(base, cfg.Faults)
-		base = fstore
+		spec.Fault = &cfg.Faults
 	}
-	side, err := os.CreateTemp("", "oocphylo-recovery-*.sum")
+	st, err := ooc.OpenStack(spec)
 	if err != nil {
 		return r, err
 	}
-	sidePath := side.Name()
-	side.Close()
-	defer os.Remove(sidePath)
-	cs, err := ooc.NewChecksumStore(base, sidePath, n, vecLen)
-	if err != nil {
-		return r, err
-	}
+	defer st.Close()
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: vecLen, Slots: slots,
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: cs,
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store,
 		Async: async, IOWorkers: cfg.Workers, WriteBuffers: cfg.WriteBuffers,
 		Retry: ooc.RetryPolicy{Max: cfg.Retries},
 	})
@@ -184,16 +178,16 @@ func runRecoveryWorkload(cfg RecoveryConfig, d *sim.Dataset, async, faulted bool
 	if err := mgr.Close(); err != nil {
 		return r, err
 	}
-	if err := cs.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		return r, err
 	}
 	r.lnl = lnl
 	r.newviews = e.Stats.Newviews
 	r.recoveries = e.Stats.Recoveries
 	r.pipe = mgr.PipelineStats()
-	r.detected = cs.CorruptReads()
-	if fstore != nil {
-		r.faults = fstore.Stats()
+	r.detected = st.Checksum.CorruptReads()
+	if st.Fault != nil {
+		r.faults = st.Fault.Stats()
 	}
 	return r, nil
 }

@@ -129,7 +129,7 @@ func RunResizeAblation(cfg ResizeAblationConfig) ([]ResizePhaseRow, error) {
 	sched := shrinkSchedule(startSlots, cfg.MinSlots)
 	var out []ResizePhaseRow
 	for _, name := range StrategyNames {
-		strat, err := NewStrategy(name, n, start, cfg.Seed+2)
+		strat, err := ooc.StrategyByName(name, n, start, cfg.Seed+2)
 		if err != nil {
 			return nil, err
 		}

@@ -247,26 +247,20 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 			return nil, err
 		}
 		runTiered := func(arm, object, cacheDir string, cacheFrac float64, policy time.Duration) (TierAblationRow, error) {
-			var obj *ooc.ObjectStore
-			obj, err := ooc.OpenObjectStore(srv.ObjectURL(object), w.nVec, w.vecLen)
-			if err != nil {
-				obj, err = ooc.NewObjectStore(srv.ObjectURL(object), w.nVec, w.vecLen)
-			}
-			if err != nil {
-				return TierAblationRow{}, err
-			}
-			defer obj.Close()
-			ts, err := ooc.NewTieredStore(obj, ooc.TieredConfig{
-				NumVectors: w.nVec, VectorLen: w.vecLen,
-				CacheDir: cacheDir, CacheVectors: cacheVecs(cacheFrac),
-				Lanes: cfg.Lanes, EstRTT: rtt,
+			st, err := ooc.OpenStack(ooc.StackSpec{
+				TieredConfig: ooc.TieredConfig{
+					NumVectors: w.nVec, VectorLen: w.vecLen,
+					CacheDir: cacheDir, CacheVectors: cacheVecs(cacheFrac),
+					Lanes: cfg.Lanes, EstRTT: rtt,
+				},
+				URL: srv.ObjectURL(object),
 			})
 			if err != nil {
 				return TierAblationRow{}, err
 			}
-			row, rerr := w.run(ts, cfg.Async, policy)
-			tst := ts.Stats()
-			if cerr := ts.Close(); cerr != nil && rerr == nil {
+			row, rerr := w.run(st.Store, cfg.Async, policy)
+			tst := st.Tier.Stats()
+			if cerr := st.Close(); cerr != nil && rerr == nil {
 				rerr = cerr
 			}
 			if rerr != nil {

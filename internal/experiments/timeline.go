@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"oocphylo/internal/obs"
@@ -102,29 +101,26 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
 	n := d.Tree.NumInner()
 
-	var base ooc.Store = ooc.NewMemStore(n, vecLen)
+	spec := ooc.StackSpec{
+		TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen},
+		Base:         ooc.NewMemStore(n, vecLen), Verify: true,
+	}
 	if cfg.WithFaults {
-		base = ooc.NewFaultStore(base, ooc.FaultConfig{
+		spec.Fault = &ooc.FaultConfig{
 			Seed:     cfg.Seed + 99,
 			PReadErr: 0.02, MaxReadErrs: 4,
 			PBitFlip: 0.10, MaxBitFlips: 3,
-		})
+		}
 	}
-	side, err := os.CreateTemp("", "oocphylo-timeline-*.sum")
+	st, err := ooc.OpenStack(spec)
 	if err != nil {
 		return res, err
 	}
-	sidePath := side.Name()
-	side.Close()
-	defer os.Remove(sidePath)
-	cs, err := ooc.NewChecksumStore(base, sidePath, n, vecLen)
-	if err != nil {
-		return res, err
-	}
+	defer st.Close()
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: vecLen,
 		Slots:    ooc.SlotsForFraction(cfg.Fraction, n),
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: cs,
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store,
 		Async: true, IOWorkers: cfg.Workers, WriteBuffers: cfg.WriteBuffers,
 		Retry: ooc.RetryPolicy{Max: 8},
 	})
@@ -140,7 +136,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(cfg.TraceCapacity)
 	mgr.Instrument(reg, tr)
-	ooc.InstrumentChecksumStore(reg, cs)
+	ooc.InstrumentChecksumStore(reg, st.Checksum)
 	e.Instrument(reg, tr)
 	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
 
@@ -151,7 +147,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	if err := mgr.Close(); err != nil {
 		return res, err
 	}
-	if err := cs.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		return res, err
 	}
 	if traceW != nil {

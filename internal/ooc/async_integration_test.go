@@ -135,21 +135,15 @@ func TestAsyncEquivalenceSPRSearch(t *testing.T) {
 
 // TestAsyncPipelineOnRealFiles is the -race integration test required
 // by the issue: the full pipeline (worker goroutines, write-back queue,
-// joins) over an actual on-disk MultiFileStore, verified against a
-// synchronous FileStore run of the same workload.
+// joins) over an actual on-disk FileStore, verified against a
+// synchronous run of the same workload.
 func TestAsyncPipelineOnRealFiles(t *testing.T) {
 	run := func(async bool) (float64, []float64, ooc.Stats) {
 		const n, sites, seed = 20, 100, 31
 		tr, pats, mdl := buildCase(t, n, sites, seed)
 		inner := tr.NumInner()
 		vecLen := plf.VectorLength(mdl, pats.NumPatterns())
-		var store ooc.Store
-		var err error
-		if async {
-			store, err = ooc.NewMultiFileStore(filepath.Join(t.TempDir(), "vec.bin"), 3, inner, vecLen)
-		} else {
-			store, err = ooc.NewFileStore(filepath.Join(t.TempDir(), "vec.bin"), inner, vecLen)
-		}
+		store, err := ooc.NewFileStore(filepath.Join(t.TempDir(), "vec.bin"), inner, vecLen)
 		if err != nil {
 			t.Fatal(err)
 		}

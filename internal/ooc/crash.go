@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"os"
 	"sync/atomic"
-	"time"
 )
 
 // CrashExitCode is the exit status of a fired crashpoint — distinct
@@ -79,6 +78,9 @@ func (s *CrashStore) WriteVector(vi int, src []float64) error {
 // Close implements Store.
 func (s *CrashStore) Close() error { return s.inner.Close() }
 
+// Unwrap implements Unwrapper.
+func (s *CrashStore) Unwrap() Store { return s.inner }
+
 // CrashPoint returns the deterministic operation count for crash cycle
 // `cycle` of a seeded kill schedule: a base that doubles per cycle —
 // so later crashes land deeper into the (partially resumed) run —
@@ -95,12 +97,3 @@ func CrashPoint(seed int64, cycle int, base, jitter int64) int64 {
 	}
 	return n
 }
-
-// Sync forwards to the inner store.
-func (s *CrashStore) Sync() error { return SyncStore(s.inner) }
-
-// FetchCost forwards to the inner store.
-func (s *CrashStore) FetchCost(vi int) (time.Duration, bool) { return StoreFetchCost(s.inner, vi) }
-
-// MemOverheadBytes forwards to the inner store.
-func (s *CrashStore) MemOverheadBytes() int64 { return StoreMemOverhead(s.inner) }

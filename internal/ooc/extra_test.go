@@ -1,98 +1,10 @@
 package ooc
 
 import (
-	"math"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"oocphylo/internal/iosim"
 )
-
-func TestFIFOStrategyOrder(t *testing.T) {
-	s := NewFIFO(5)
-	s.Touch(2)
-	s.Touch(0)
-	s.Touch(4)
-	s.Touch(2) // re-touch must NOT refresh FIFO order
-	if v := s.PickVictim([]int{0, 2, 4}, 1); v != 1 {
-		t.Errorf("FIFO picked index %d, want 1 (item 2, inserted first)", v)
-	}
-	// Item 2 re-enters after eviction: it is now youngest.
-	s.Touch(2)
-	if v := s.PickVictim([]int{0, 2, 4}, 1); v != 0 {
-		t.Errorf("after reinsertion, item 0 is oldest; picked %d", v)
-	}
-	s.Reset()
-	if s.next != 0 {
-		t.Error("reset incomplete")
-	}
-	if s.Name() != "FIFO" {
-		t.Error("name wrong")
-	}
-}
-
-func TestClockStrategySecondChance(t *testing.T) {
-	s := NewClock(5)
-	cands := []int{0, 1, 2}
-	s.Touch(0)
-	s.Touch(1)
-	s.Touch(2)
-	// All referenced: the first sweep clears 0,1,2 then picks 0.
-	if v := s.PickVictim(cands, 3); cands[v] != 0 {
-		t.Errorf("clock picked %d, want 0 after full sweep", cands[v])
-	}
-	// 1 and 2 now have cleared bits; hand is past 0.
-	s.Touch(1) // give 1 a second chance
-	if v := s.PickVictim(cands, 3); cands[v] != 2 {
-		t.Errorf("clock picked %d, want 2 (1 was re-referenced)", cands[v])
-	}
-	s.Reset()
-	if s.hand != 0 {
-		t.Error("reset incomplete")
-	}
-	if s.Name() != "CLOCK" {
-		t.Error("name wrong")
-	}
-}
-
-func TestExtraStrategiesDriveManagerCorrectly(t *testing.T) {
-	for _, strat := range []Strategy{NewFIFO(20), NewClock(20)} {
-		m, err := NewManager(Config{
-			NumVectors: 20, VectorLen: 4, Slots: 5,
-			Strategy: strat, Store: NewMemStore(20, 4),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		shadow := make([][4]float64, 20)
-		for op := 0; op < 400; op++ {
-			vi := rng.Intn(20)
-			write := rng.Intn(2) == 0
-			v, err := m.Vector(vi, write)
-			if err != nil {
-				t.Fatalf("%s: %v", strat.Name(), err)
-			}
-			if !write {
-				for j := range v {
-					if v[j] != shadow[vi][j] {
-						t.Fatalf("%s: corruption at vector %d", strat.Name(), vi)
-					}
-				}
-			} else {
-				for j := range v {
-					v[j] = float64(op + j)
-					shadow[vi][j] = v[j]
-				}
-			}
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("%s: %v", strat.Name(), err)
-			}
-		}
-	}
-}
 
 func TestPrefetchStagesAndCounts(t *testing.T) {
 	m := testManager(t, 10, 4, 4, NewLRU(10), true)
@@ -168,48 +80,6 @@ func TestPrefetchRespectsPins(t *testing.T) {
 		if !m.Resident(vi) {
 			t.Error("pinned vector lost")
 		}
-	}
-}
-
-func TestFloat32FileStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f32.bin")
-	s, err := NewFloat32FileStore(path, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	src := []float64{1.5, -2.25, 0.1, 1e30, 3.25e-12}
-	if err := s.WriteVector(1, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 5)
-	if err := s.ReadVector(1, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		rel := math.Abs(dst[i]-src[i]) / math.Max(math.Abs(src[i]), 1e-300)
-		if rel > 1e-6 {
-			t.Errorf("pos %d: %v -> %v (rel err %v)", i, src[i], dst[i], rel)
-		}
-	}
-	// Exactly representable values survive bit-exact.
-	if dst[0] != 1.5 || dst[1] != -2.25 {
-		t.Error("representable values must round trip exactly")
-	}
-	// Bounds and size validation.
-	if err := s.ReadVector(3, dst); err == nil {
-		t.Error("out of range read must fail")
-	}
-	if err := s.WriteVector(0, make([]float64, 4)); err == nil {
-		t.Error("short write must fail")
-	}
-	// The file is half the size of a double-precision store.
-	fi, err := osStat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi != 3*5*4 {
-		t.Errorf("file size %d, want %d", fi, 3*5*4)
 	}
 }
 
@@ -305,13 +175,4 @@ func TestTieredStoreWithSimulatedRemote(t *testing.T) {
 	if st := ts.Stats(); st.CacheHits != 8 {
 		t.Errorf("cache hits = %d, want 8", st.CacheHits)
 	}
-}
-
-// osStat returns the file size (helper keeping the test import list tidy).
-func osStat(path string) (int64, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
 }

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // FaultConfig parameterises a FaultStore. Probabilities are per
@@ -140,11 +139,5 @@ func (s *FaultStore) WriteVector(vi int, src []float64) error {
 // Close implements Store.
 func (s *FaultStore) Close() error { return s.inner.Close() }
 
-// Sync forwards to the inner store.
-func (s *FaultStore) Sync() error { return SyncStore(s.inner) }
-
-// FetchCost forwards to the inner store.
-func (s *FaultStore) FetchCost(vi int) (time.Duration, bool) { return StoreFetchCost(s.inner, vi) }
-
-// MemOverheadBytes forwards to the inner store.
-func (s *FaultStore) MemOverheadBytes() int64 { return StoreMemOverhead(s.inner) }
+// Unwrap implements Unwrapper.
+func (s *FaultStore) Unwrap() Store { return s.inner }

@@ -242,7 +242,6 @@ func vectorChecksum(v []float64) uint64 {
 type ChecksumStore struct {
 	inner  Store
 	f      *os.File
-	path   string
 	n      int
 	vecLen int
 	// precision tags the element precision recorded in the manifest
@@ -271,17 +270,19 @@ func NewChecksumStore(inner Store, sidecarPath string, numVectors, vecLen int) (
 		f.Close()
 		return nil, fmt.Errorf("ooc: sizing checksum sidecar: %w", err)
 	}
-	s := &ChecksumStore{
-		inner: inner, f: f, path: sidecarPath,
-		n: numVectors, vecLen: vecLen,
-		sums: make([]uint64, numVectors),
-		gens: make([]uint64, numVectors),
-	}
+	s := newChecksumStore(inner, f, numVectors, vecLen)
 	if err := s.writeHeader(); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return s, nil
+}
+
+func newChecksumStore(inner Store, f *os.File, n, vecLen int) *ChecksumStore {
+	return &ChecksumStore{
+		inner: inner, f: f, n: n, vecLen: vecLen,
+		sums: make([]uint64, n), gens: make([]uint64, n),
+	}
 }
 
 // OpenChecksumStore loads an existing sidecar, validating that its
@@ -292,12 +293,7 @@ func OpenChecksumStore(inner Store, sidecarPath string, numVectors, vecLen int) 
 	if err != nil {
 		return nil, fmt.Errorf("ooc: opening checksum sidecar: %w", err)
 	}
-	s := &ChecksumStore{
-		inner: inner, f: f, path: sidecarPath,
-		n: numVectors, vecLen: vecLen,
-		sums: make([]uint64, numVectors),
-		gens: make([]uint64, numVectors),
-	}
+	s := newChecksumStore(inner, f, numVectors, vecLen)
 	hdr := make([]byte, sidecarHeaderSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		f.Close()
@@ -492,23 +488,14 @@ func (s *ChecksumStore) Sync() error {
 	return SyncStore(s.inner)
 }
 
-// FetchCost forwards the fetch-vs-recompute estimate to the inner
-// store; verification adds no transfer cost.
-func (s *ChecksumStore) FetchCost(vi int) (time.Duration, bool) {
-	return StoreFetchCost(s.inner, vi)
-}
-
 // MemOverheadBytes reports the checksum tables (16 bytes per vector)
 // plus whatever the inner store tracks.
 func (s *ChecksumStore) MemOverheadBytes() int64 {
 	return int64(s.n)*16 + StoreMemOverhead(s.inner)
 }
 
-// Degraded forwards the inner store's degraded signal (remote circuit
-// open), so the planner sees it through the checksum wrapper.
-func (s *ChecksumStore) Degraded() bool {
-	return StoreDegraded(s.inner)
-}
+// Unwrap implements Unwrapper.
+func (s *ChecksumStore) Unwrap() Store { return s.inner }
 
 // Close implements Store: it seals the sidecar (so OpenChecksumStore
 // accepts it later) and closes the inner store.

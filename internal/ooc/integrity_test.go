@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -227,72 +226,6 @@ func TestRetryPolicyTransient(t *testing.T) {
 	always := fmt.Errorf("still down: %w", ErrTransientIO)
 	if err := rp.run(nil, func() error { return always }); !IsTransient(err) {
 		t.Fatalf("got %v, want transient after exhaustion", err)
-	}
-}
-
-func TestMultiFileStoreExactDivisionSizing(t *testing.T) {
-	dir := t.TempDir()
-	// 8 vectors over 4 files divides exactly: 2 vectors per file, no
-	// over-allocation.
-	n, nf, vl := 8, 4, 4
-	ms, err := NewMultiFileStore(filepath.Join(dir, "v.bin"), nf, n, vl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-	buf := make([]float64, vl)
-	for vi := 0; vi < n; vi++ {
-		fillVec(buf, vi)
-		if err := ms.WriteVector(vi, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]float64, vl)
-	for vi := 0; vi < n; vi++ {
-		if err := ms.ReadVector(vi, got); err != nil {
-			t.Fatal(err)
-		}
-		fillVec(buf, vi)
-		for i := range buf {
-			if got[i] != buf[i] {
-				t.Fatalf("vector %d: got %v want %v", vi, got, buf)
-			}
-		}
-	}
-	for i := 0; i < nf; i++ {
-		fi, err := os.Stat(fmt.Sprintf("%s.%d", filepath.Join(dir, "v.bin"), i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(n/nf) * int64(vl) * 8
-		if fi.Size() != want {
-			t.Errorf("file %d holds %d bytes, want %d (exact division over-allocated)", i, fi.Size(), want)
-		}
-	}
-}
-
-func TestMultiFileStoreErrorReportsGlobalIndex(t *testing.T) {
-	ms, err := NewMultiFileStore(filepath.Join(t.TempDir(), "v.bin"), 3, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-range accesses must name the global vector id.
-	if err := ms.ReadVector(13, make([]float64, 4)); err == nil {
-		t.Fatal("out-of-range read succeeded")
-	} else if !strings.Contains(err.Error(), "13") {
-		t.Errorf("read error %q does not name the global index 13", err)
-	}
-	if err := ms.WriteVector(-1, make([]float64, 4)); err == nil {
-		t.Fatal("negative write succeeded")
-	}
-	// An I/O error from a per-file store must be wrapped with the
-	// GLOBAL index: vector 5 lives in file 2 at per-file index 1, and
-	// the old code reported "vector 1".
-	ms.Close()
-	if err := ms.ReadVector(5, make([]float64, 4)); err == nil {
-		t.Fatal("read on closed store succeeded")
-	} else if !strings.Contains(err.Error(), "vector 5") {
-		t.Errorf("read error %q does not carry the global index (want \"vector 5\")", err)
 	}
 }
 

@@ -394,3 +394,33 @@ func TestRandomStrategyIsSeedDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStrategyByName pins the one factory every caller shares: names
+// are case-insensitive with the CLI's short aliases, and the seed
+// reaches Random unchanged so figure numbers keep their stream.
+func TestStrategyByName(t *testing.T) {
+	tr, err := tree.ParseNewick("((a:1,b:1):1,c:1,d:1);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"random": "RAND", "RAND": "RAND", "lru": "LRU", "LFU": "LFU",
+		"Topological": "Topological", "topo": "Topological",
+	} {
+		s, err := StrategyByName(name, 8, tr, 1)
+		if err != nil || s.Name() != want {
+			t.Errorf("StrategyByName(%q) = %v, %v; want %s", name, s, err, want)
+		}
+	}
+	if _, err := StrategyByName("fifo", 8, nil, 1); err == nil {
+		t.Error("unknown strategy must error")
+	}
+	byName, _ := StrategyByName("rand", 8, nil, 9)
+	direct := NewRandom(rand.New(rand.NewSource(9)))
+	cand := []int{3, 5, 7, 9, 11}
+	for i := 0; i < 50; i++ {
+		if byName.PickVictim(cand, 0) != direct.PickVictim(cand, 0) {
+			t.Fatal("StrategyByName must seed Random with exactly the seed it is given")
+		}
+	}
+}

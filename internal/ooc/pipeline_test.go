@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"oocphylo/internal/tree"
 )
 
 // gateStore blocks every WriteVector until the gate channel is closed,
@@ -200,7 +202,16 @@ func TestAsyncFailedPrefetchUnmapsVector(t *testing.T) {
 // contents, every counter matches, and the flushed stores agree.
 func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 	const n, vecLen, slots, ops = 32, 16, 8, 3000
-	for _, strategyName := range []string{"LRU", "LFU", "RAND", "FIFO"} {
+	// n inner nodes need n+2 tips: the Topological case walks a real tree.
+	names := make([]string, n+2)
+	for i := range names {
+		names[i] = fmt.Sprintf("t%d", i)
+	}
+	topo, err := tree.RandomTopology(names, rand.New(rand.NewSource(99)), 0.05, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategyName := range []string{"LRU", "LFU", "RAND", "Topological"} {
 		for _, wb := range []WriteBackPolicy{WriteBackAlways, WriteBackDirty} {
 			name := fmt.Sprintf("%s/wb=%d", strategyName, wb)
 			t.Run(name, func(t *testing.T) {
@@ -210,8 +221,8 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 						return NewLRU(n)
 					case "LFU":
 						return NewLFU(n)
-					case "FIFO":
-						return NewFIFO(n)
+					case "Topological":
+						return NewTopological(topo)
 					default:
 						return NewRandom(rand.New(rand.NewSource(1234)))
 					}
@@ -356,7 +367,7 @@ func TestPrefetchSkippedDoesNotTouchStrategy(t *testing.T) {
 	}
 }
 
-// TestFileStoreConcurrentAccess hammers a FileStore (and MultiFileStore)
+// TestFileStoreConcurrentAccess hammers a FileStore
 // with concurrent distinct-vector traffic — the satellite fix replacing
 // the shared scratch buffer. Run under -race this fails loudly on any
 // shared codec state.
@@ -368,16 +379,6 @@ func TestFileStoreConcurrentAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores["FileStore"] = fs
-	mfs, err := NewMultiFileStore(filepath.Join(t.TempDir(), "multi.bin"), 4, n, vecLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["MultiFileStore"] = mfs
-	f32, err := NewFloat32FileStore(filepath.Join(t.TempDir(), "f32.bin"), n, vecLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores["Float32FileStore"] = f32
 
 	for name, store := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -391,8 +392,6 @@ func TestFileStoreConcurrentAccess(t *testing.T) {
 					buf := make([]float64, vecLen)
 					for vi := w; vi < n; vi += workers {
 						for i := range buf {
-							// Values exactly representable in float32 so the
-							// single-precision store round-trips them too.
 							buf[i] = float64(vi*vecLen + i)
 						}
 						if err := store.WriteVector(vi, buf); err != nil {

@@ -31,18 +31,45 @@ type MemOverheader interface {
 	MemOverheadBytes() int64
 }
 
-// StoreFetchCost queries s's fetch cost, reporting (0, false) — local,
-// free — when s has no estimate.
+// Unwrapper is implemented by wrapper stores that add behaviour to one
+// inner Store (injection, simulation, checksums). The capability helpers
+// below walk the Unwrap chain, so a wrapper forwards nothing: it
+// implements a capability only when it contributes to it, and then
+// queries its inner store through the same helper.
+type Unwrapper interface {
+	Unwrap() Store
+}
+
+// storeAs returns the first store down s's Unwrap chain implementing T.
+func storeAs[T any](s Store) (T, bool) {
+	for s != nil {
+		if t, ok := s.(T); ok {
+			return t, true
+		}
+		u, ok := s.(Unwrapper)
+		if !ok {
+			break
+		}
+		s = u.Unwrap()
+	}
+	var zero T
+	return zero, false
+}
+
+// StoreFetchCost queries the fetch cost of the first FetchCoster down
+// s's Unwrap chain, reporting (0, false) — local, free — when none has
+// an estimate.
 func StoreFetchCost(s Store, vi int) (time.Duration, bool) {
-	if fc, ok := s.(FetchCoster); ok {
+	if fc, ok := storeAs[FetchCoster](s); ok {
 		return fc.FetchCost(vi)
 	}
 	return 0, false
 }
 
-// StoreMemOverhead queries s's memory overhead (0 when untracked).
+// StoreMemOverhead queries the memory overhead of the first
+// MemOverheader down s's Unwrap chain (0 when untracked).
 func StoreMemOverhead(s Store) int64 {
-	if mo, ok := s.(MemOverheader); ok {
+	if mo, ok := storeAs[MemOverheader](s); ok {
 		return mo.MemOverheadBytes()
 	}
 	return 0
@@ -57,11 +84,10 @@ type Degrader interface {
 	Degraded() bool
 }
 
-// StoreDegraded queries s's degraded signal (false when untracked).
-// Wrapper stores forward Degraded through this helper so the signal
-// crosses checksum and instrumentation layers.
+// StoreDegraded queries the degraded signal of the first Degrader down
+// s's Unwrap chain (false when untracked).
 func StoreDegraded(s Store) bool {
-	if d, ok := s.(Degrader); ok {
+	if d, ok := storeAs[Degrader](s); ok {
 		return d.Degraded()
 	}
 	return false
@@ -90,11 +116,11 @@ type Syncer interface {
 	Sync() error
 }
 
-// SyncStore syncs s if it implements Syncer, else does nothing. Wrapper
-// stores forward Sync to their inner store through this helper, so a
-// sync request reaches every layer that has one.
+// SyncStore syncs the first Syncer down s's Unwrap chain, else does
+// nothing. A Syncer with an inner store syncs it through this helper
+// after itself, so a sync request reaches every layer that has one.
 func SyncStore(s Store) error {
-	if sy, ok := s.(Syncer); ok {
+	if sy, ok := storeAs[Syncer](s); ok {
 		return sy.Sync()
 	}
 	return nil

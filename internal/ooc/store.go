@@ -167,12 +167,16 @@ func NewFileStore(path string, numVectors, vecLen int) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("ooc: sizing backing file: %w", err)
 	}
+	return newFileStore(f, numVectors, vecLen), nil
+}
+
+func newFileStore(f *os.File, numVectors, vecLen int) *FileStore {
 	s := &FileStore{f: f, vecLen: vecLen, n: numVectors}
 	s.codecs.New = func() any {
 		b := make([]byte, vecLen*8)
 		return &b
 	}
-	return s, nil
+	return s
 }
 
 // OpenFileStore opens an existing backing file without truncating it,
@@ -193,12 +197,7 @@ func OpenFileStore(path string, numVectors, vecLen int) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("ooc: backing file %s is %d bytes, geometry needs %d", path, info.Size(), want)
 	}
-	s := &FileStore{f: f, vecLen: vecLen, n: numVectors}
-	s.codecs.New = func() any {
-		b := make([]byte, vecLen*8)
-		return &b
-	}
-	return s, nil
+	return newFileStore(f, numVectors, vecLen), nil
 }
 
 // ReadVector implements Store via a single positioned read.
@@ -350,78 +349,5 @@ func (s *SimStore) WriteVector(vi int, src []float64) error {
 // Close implements Store.
 func (s *SimStore) Close() error { return s.Inner.Close() }
 
-// Sync forwards to the inner store.
-func (s *SimStore) Sync() error { return SyncStore(s.Inner) }
-
-// FetchCost forwards to the inner store.
-func (s *SimStore) FetchCost(vi int) (time.Duration, bool) { return StoreFetchCost(s.Inner, vi) }
-
-// MemOverheadBytes forwards to the inner store.
-func (s *SimStore) MemOverheadBytes() int64 { return StoreMemOverhead(s.Inner) }
-
-// MultiFileStore spreads vectors round-robin over several backing files.
-// The paper found single-file and multi-file performance to differ only
-// minimally (§3.2); this implementation exists so that ablation can be
-// reproduced (BenchmarkStoreLayout).
-type MultiFileStore struct {
-	files []*FileStore
-	n     int
-}
-
-// NewMultiFileStore creates numFiles backing files named
-// path.0, path.1, ... with vectors assigned round-robin.
-func NewMultiFileStore(path string, numFiles, numVectors, vecLen int) (*MultiFileStore, error) {
-	if numFiles < 1 {
-		return nil, fmt.Errorf("ooc: need at least one file, got %d", numFiles)
-	}
-	m := &MultiFileStore{n: numVectors}
-	for i := 0; i < numFiles; i++ {
-		// File i holds vectors i, i+numFiles, i+2·numFiles, ... — size it
-		// exactly rather than over-allocating a full extra vector per
-		// file when the division is even.
-		per := (numVectors - i + numFiles - 1) / numFiles
-		fs, err := NewFileStore(fmt.Sprintf("%s.%d", path, i), per, vecLen)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.files = append(m.files, fs)
-	}
-	return m, nil
-}
-
-// ReadVector implements Store. Errors from the per-file stores carry
-// the per-file index, so they are wrapped with the global one.
-func (m *MultiFileStore) ReadVector(vi int, dst []float64) error {
-	if vi < 0 || vi >= m.n {
-		return fmt.Errorf("ooc: multi-file store read out of range: %d", vi)
-	}
-	fi := vi % len(m.files)
-	if err := m.files[fi].ReadVector(vi/len(m.files), dst); err != nil {
-		return fmt.Errorf("ooc: multi-file store, vector %d (file %d): %w", vi, fi, err)
-	}
-	return nil
-}
-
-// WriteVector implements Store; see ReadVector for the error wrapping.
-func (m *MultiFileStore) WriteVector(vi int, src []float64) error {
-	if vi < 0 || vi >= m.n {
-		return fmt.Errorf("ooc: multi-file store write out of range: %d", vi)
-	}
-	fi := vi % len(m.files)
-	if err := m.files[fi].WriteVector(vi/len(m.files), src); err != nil {
-		return fmt.Errorf("ooc: multi-file store, vector %d (file %d): %w", vi, fi, err)
-	}
-	return nil
-}
-
-// Close implements Store; it closes every underlying file.
-func (m *MultiFileStore) Close() error {
-	var first error
-	for _, f := range m.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Unwrap implements Unwrapper.
+func (s *SimStore) Unwrap() Store { return s.Inner }

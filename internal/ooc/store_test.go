@@ -118,33 +118,6 @@ func TestFileStoreErrors(t *testing.T) {
 	}
 }
 
-func TestMultiFileStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "multi")
-	s, err := NewMultiFileStore(path, 3, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for vi := 0; vi < 10; vi++ {
-		src := []float64{float64(vi), 1, 2, 3}
-		if err := s.WriteVector(vi, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := make([]float64, 4)
-	for vi := 0; vi < 10; vi++ {
-		if err := s.ReadVector(vi, dst); err != nil {
-			t.Fatal(err)
-		}
-		if dst[0] != float64(vi) {
-			t.Fatalf("vector %d corrupted: %v", vi, dst)
-		}
-	}
-	if _, err := NewMultiFileStore(path, 0, 10, 4); err == nil {
-		t.Error("zero files must fail")
-	}
-}
-
 func TestSimStoreChargesClock(t *testing.T) {
 	var clock iosim.Clock
 	dev := iosim.Device{Name: "test", Latency: time.Millisecond, Bandwidth: 8e6} // 1 MB = 125ms

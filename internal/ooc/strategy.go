@@ -1,7 +1,9 @@
 package ooc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 
 	"oocphylo/internal/tree"
 )
@@ -23,6 +25,24 @@ type Strategy interface {
 	PickVictim(candidates []int, requested int) int
 	// Reset clears policy state.
 	Reset()
+}
+
+// StrategyByName instantiates one of the paper's four replacement
+// strategies for n vectors by its case-insensitive name: random (alias
+// rand), lru, lfu, or topological (alias topo) over tree t. seed drives
+// only Random.
+func StrategyByName(name string, n int, t *tree.Tree, seed int64) (Strategy, error) {
+	switch strings.ToLower(name) {
+	case "random", "rand":
+		return NewRandom(rand.New(rand.NewSource(seed))), nil
+	case "lru":
+		return NewLRU(n), nil
+	case "lfu":
+		return NewLFU(n), nil
+	case "topological", "topo":
+		return NewTopological(t), nil
+	}
+	return nil, fmt.Errorf("ooc: unknown strategy %q", name)
 }
 
 // RandomStrategy evicts a uniformly random evictable vector — the

@@ -373,66 +373,40 @@ func (s *TieredStore) noteBreakerTransition(from, to BreakerState) {
 // either way: it only ever describes a cleanly closed cache, so its
 // absence is the crash marker.
 func (s *TieredStore) openCache() error {
-	cachePath := filepath.Join(s.cfg.CacheDir, "cache.vec")
-	sumPath := cachePath + ".sum"
 	idxPath := filepath.Join(s.cfg.CacheDir, tierIndexName)
-
-	if idx, ok := s.loadIndex(idxPath); ok {
-		os.Remove(idxPath)
-		if fs, err := OpenFileStore(cachePath, s.cfg.CacheVectors, s.cfg.VectorLen); err == nil {
-			if cs, err := OpenChecksumStore(fs, sumPath, s.cfg.CacheVectors, s.cfg.VectorLen); err == nil {
-				if err := cs.VerifyManifest(idx.Manifest); err == nil {
-					s.cache = cs
-					s.warm = true
-					for slot, vi := range idx.Slots {
-						s.viOf[slot] = vi
-						if vi >= 0 {
-							s.slotOf[vi] = slot
-						} else {
-							s.free = append(s.free, slot)
-						}
-					}
-					return nil
-				}
-				cs.Close()
-			} else {
-				fs.Close()
-			}
+	idx, ok := s.loadIndex(idxPath)
+	os.Remove(idxPath)
+	st, err := OpenStack(StackSpec{
+		TieredConfig: TieredConfig{NumVectors: s.cfg.CacheVectors, VectorLen: s.cfg.VectorLen},
+		Path:         filepath.Join(s.cfg.CacheDir, "cache.vec"),
+		Verify:       true, Adopt: ok, Manifest: &idx.Manifest,
+	})
+	if err != nil {
+		return err
+	}
+	s.cache, s.warm = st.Checksum, st.Adopted
+	for slot := s.cfg.CacheVectors - 1; slot >= 0; slot-- {
+		if s.warm && idx.Slots[slot] >= 0 {
+			s.viOf[slot] = idx.Slots[slot]
+			s.slotOf[idx.Slots[slot]] = slot
+		} else {
+			s.free = append(s.free, slot)
 		}
-	} else {
-		os.Remove(idxPath)
-	}
-
-	fs, err := NewFileStore(cachePath, s.cfg.CacheVectors, s.cfg.VectorLen)
-	if err != nil {
-		return err
-	}
-	cs, err := NewChecksumStore(fs, sumPath, s.cfg.CacheVectors, s.cfg.VectorLen)
-	if err != nil {
-		fs.Close()
-		return err
-	}
-	s.cache = cs
-	for i := s.cfg.CacheVectors - 1; i >= 0; i-- {
-		s.free = append(s.free, i)
 	}
 	return nil
 }
 
-func (s *TieredStore) loadIndex(path string) (*tierIndex, bool) {
+// loadIndex reads the warm index; ok reports that it parsed and matches
+// this store's geometry (the zero index otherwise).
+func (s *TieredStore) loadIndex(path string) (idx tierIndex, ok bool) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
+	if err != nil || json.Unmarshal(data, &idx) != nil ||
+		idx.NumVectors != s.cfg.NumVectors || idx.VectorLen != s.cfg.VectorLen ||
+		idx.CacheVectors != s.cfg.CacheVectors || len(idx.Slots) != s.cfg.CacheVectors ||
+		idx.Manifest.Precision != "" { // the cache sidecar is never precision-tagged
+		return tierIndex{}, false
 	}
-	var idx tierIndex
-	if json.Unmarshal(data, &idx) != nil {
-		return nil, false
-	}
-	if idx.NumVectors != s.cfg.NumVectors || idx.VectorLen != s.cfg.VectorLen ||
-		idx.CacheVectors != s.cfg.CacheVectors || len(idx.Slots) != s.cfg.CacheVectors {
-		return nil, false
-	}
-	return &idx, true
+	return idx, true
 }
 
 // WarmStart reports whether the cache was adopted from a previous run.

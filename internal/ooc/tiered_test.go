@@ -280,7 +280,7 @@ func TestTieredStoreFetchCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, rem := cs.FetchCost(7); !rem || d <= 0 {
+	if d, rem := StoreFetchCost(cs, 7); !rem || d <= 0 {
 		t.Errorf("wrapped FetchCost = (%v, %v), want forwarded remote cost", d, rem)
 	}
 	if cs.MemOverheadBytes() <= ts.MemOverheadBytes() {

@@ -1,0 +1,72 @@
+package ooc
+
+import (
+	"path/filepath"
+	"testing"
+	"time"
+
+	"oocphylo/internal/iosim"
+)
+
+// capStore is an innermost store implementing all four optional
+// capabilities with recognisable answers.
+type capStore struct {
+	*MemStore
+	synced int
+}
+
+func (c *capStore) Sync() error                         { c.synced++; return nil }
+func (c *capStore) FetchCost(int) (time.Duration, bool) { return 7 * time.Millisecond, true }
+func (c *capStore) MemOverheadBytes() int64             { return 1000 }
+func (c *capStore) Degraded() bool                      { return true }
+
+// TestCapabilitiesCrossWrappers is the wrapper × capability table: every
+// wrapper store must let Sync, FetchCost, MemOverheadBytes and Degraded
+// of the store beneath it through, alone and stacked in OpenStack's
+// order. Degraded is the row with teeth: a fault-injected or
+// crashpoint-armed tier must still report its open breaker, or the
+// planner never flips to recompute.
+func TestCapabilitiesCrossWrappers(t *testing.T) {
+	const n, vecLen = 4, 3
+	checksum := func(inner Store) Store {
+		cs, err := NewChecksumStore(inner, filepath.Join(t.TempDir(), "v.sum"), n, vecLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	var clock iosim.Clock
+	wrappers := []struct {
+		name string
+		wrap func(Store) Store
+		// own is the overhead the wrapper itself contributes.
+		own int64
+	}{
+		{"Sim", func(s Store) Store { return NewSimStore(s, iosim.Device{}, &clock) }, 0},
+		{"Fault", func(s Store) Store { return NewFaultStore(s, FaultConfig{}) }, 0},
+		{"Crash", func(s Store) Store { return NewCrashStore(s, 0) }, 0},
+		{"Checksum", checksum, 16 * n},
+		{"Crash(Checksum(Fault))", func(s Store) Store {
+			return NewCrashStore(checksum(NewFaultStore(s, FaultConfig{})), 0)
+		}, 16 * n},
+	}
+	for _, w := range wrappers {
+		t.Run(w.name, func(t *testing.T) {
+			fake := &capStore{MemStore: NewMemStore(n, vecLen)}
+			s := w.wrap(fake)
+			defer s.Close()
+			if err := SyncStore(s); err != nil || fake.synced != 1 {
+				t.Errorf("Sync: err %v, reached the inner store %d times, want 1", err, fake.synced)
+			}
+			if d, remote := StoreFetchCost(s, 1); d != 7*time.Millisecond || !remote {
+				t.Errorf("FetchCost = (%v, %v), want the inner store's (7ms, true)", d, remote)
+			}
+			if got := StoreMemOverhead(s); got != 1000+w.own {
+				t.Errorf("MemOverhead = %d, want %d", got, 1000+w.own)
+			}
+			if !StoreDegraded(s) {
+				t.Error("Degraded did not cross the wrapper")
+			}
+		})
+	}
+}

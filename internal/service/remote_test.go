@@ -1,14 +1,17 @@
 package service
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
+	"oocphylo/internal/plf"
 )
 
 // TestServiceRemoteStoreParkRevive pins the tiered-storage revive
@@ -187,5 +190,65 @@ func TestServiceRemoteStoreNamespace(t *testing.T) {
 	}
 	if got := rsrv.Size("plf.ns.vec"); got <= 0 {
 		t.Fatalf("namespaced remote object empty after park: %d bytes", got)
+	}
+}
+
+// TestServiceRemoteRevivePrecisionMismatchKeepsObject pins the order of
+// the revive checks: a session parked at f64 and revived at f32 has a
+// different carrier length, so opening its remote object would fail the
+// geometry probe and re-create (truncate) it. The typed "rerun at the
+// store's precision" error must come back with the parked vectors it
+// points the user to still intact.
+func TestServiceRemoteRevivePrecisionMismatchKeepsObject(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, vecBytes, need := writeTestAlignment(t, dir, 20, 300, 23)
+	rsrv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	srv, err := NewServer(ServerConfig{DataDir: dir, StoreURL: "remote://" + rsrv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cfg := baseSession("prec", alnPath)
+	cfg.MemLimit = need / 4 // out of core at f32's half-size vectors too
+	ses, err := srv.CreateSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ParkSession("prec"); err != nil {
+		t.Fatal(err)
+	}
+
+	size := rsrv.Size("prec.vec")
+	n, vecLen := int(size/vecBytes), int(vecBytes/8)
+	vectors := func() []float64 {
+		obj, err := ooc.OpenObjectStore(rsrv.ObjectURL("prec.vec"), n, vecLen)
+		if err != nil {
+			t.Fatalf("parked object no longer opens at its geometry: %v", err)
+		}
+		defer obj.Close()
+		all := make([]float64, n*vecLen)
+		if err := obj.ReadRange(context.Background(), 0, n, all); err != nil {
+			t.Fatal(err)
+		}
+		return all
+	}
+	before := vectors()
+
+	ses.cfg.Precision = plf.PrecisionF32 // the session is parked: nothing reads cfg until the revive below
+	if _, err := ses.Evaluate(EvalSpec{Edge: 1}); !ooc.IsPrecisionMismatch(err) {
+		t.Fatalf("revive at the wrong precision: err = %v, want a precision mismatch", err)
+	}
+	if got := rsrv.Size("prec.vec"); got != size {
+		t.Fatalf("parked object resized by the refused revive: %d -> %d bytes", size, got)
+	}
+	if !reflect.DeepEqual(vectors(), before) {
+		t.Error("parked vectors changed by the refused revive")
 	}
 }

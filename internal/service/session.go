@@ -104,16 +104,8 @@ type Session struct {
 	t     *tree.Tree
 	eng   *plf.Engine
 	mgr   *ooc.Manager
-	cs    *ooc.ChecksumStore
-	store ooc.Store
-	// remote is the object-store tier under a tiered stack (nil for
-	// local backing files). TieredStore.Close does not close it — the
-	// session owns it and closes it last. tier is the tiered store
-	// itself (nil for local backing files): the cost-attribution
-	// snapshots read its counters and traced requests set its span.
-	remote ooc.Store
-	tier   *ooc.TieredStore
-	wd     *ooc.Watchdog
+	stack *ooc.Stack // store stack under mgr; nil in-core and while parked
+	wd    *ooc.Watchdog
 
 	batcher *Batcher
 	mx      sessionMetrics
@@ -481,18 +473,18 @@ func (s *Session) setupEngine(t *tree.Tree, m *model.Model, man *ooc.Manifest) e
 		if slots > n {
 			slots = n
 		}
-		strat, err := newStrategy(s.cfg.Strategy, n, t, s.cfg.Seed)
+		strat, err := ooc.StrategyByName(s.cfg.Strategy, n, t, s.cfg.Seed+1)
 		if err != nil {
 			return err
 		}
-		store, cs, err := s.openStore(n, vecLen, man)
+		st, err := s.openStack(n, vecLen, man, precision)
 		if err != nil {
 			return err
 		}
 		// A tiered store's cache index and in-flight buffers live on the
 		// same heap as the slots: charge them against the grant so the
 		// session's true footprint stays inside it.
-		if ov := ooc.StoreMemOverhead(store); ov > 0 {
+		if ov := ooc.StoreMemOverhead(st.Store); ov > 0 {
 			slots = int((grant - ov) / vecBytes)
 			if slots < ooc.MinSlots {
 				slots = ooc.MinSlots
@@ -503,15 +495,17 @@ func (s *Session) setupEngine(t *tree.Tree, m *model.Model, man *ooc.Manifest) e
 		}
 		mgr, err := ooc.NewManager(ooc.Config{
 			NumVectors: n, VectorLen: vecLen, Slots: slots,
-			Strategy: strat, ReadSkipping: true, Store: store,
+			Strategy: strat, ReadSkipping: true, Store: st.Store,
 			Retry:      ooc.RetryPolicy{Max: 3},
 			SyncWrites: true,
 		})
 		if err != nil {
-			store.Close()
+			st.Close()
 			return err
 		}
-		s.mgr, s.cs, s.store = mgr, cs, store
+		s.mu.Lock()
+		s.mgr, s.stack = mgr, st
+		s.mu.Unlock()
 		prov = mgr
 	} else {
 		prov = plf.NewInMemoryProvider(n, vecLen)
@@ -561,54 +555,40 @@ func (s *Session) setupEngine(t *tree.Tree, m *model.Model, man *ooc.Manifest) e
 	return nil
 }
 
-// openStore opens the session's checksummed backing file: adopting and
-// validating the parked file against the checkpoint manifest when one
-// is supplied, creating a fresh pair otherwise (every vector is
-// recomputable, so a failed adoption costs I/O, never correctness).
-func (s *Session) openStore(n, vecLen int, man *ooc.Manifest) (ooc.Store, *ooc.ChecksumStore, error) {
-	precision := s.cfg.Precision
-	if precision == "" {
-		precision = plf.PrecisionF64
+// openStack opens the session's checksummed store stack: the backing
+// file under DataDir, or — when the daemon has a StoreURL — the
+// session's remote object behind a write-back cache under
+// DataDir/<name>.cache. The sidecar stays local either way, so a park
+// checkpoint's manifest verifies a revived session's remote vectors
+// exactly like a local backing file. A non-nil man adopts and validates
+// the parked state; failed adoption rebuilds (every vector is
+// recomputable, so it costs I/O, never correctness).
+func (s *Session) openStack(n, vecLen int, man *ooc.Manifest, precision string) (*ooc.Stack, error) {
+	spec := ooc.StackSpec{
+		TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen},
+		Path:         s.vecPath, Sidecar: s.vecPath + ".sum",
+		Verify: true, Adopt: man != nil, Manifest: man, Precision: precision,
 	}
-	if s.srv.cfg.StoreURL != "" {
-		return s.openRemoteStore(n, vecLen, man, precision)
-	}
-	if man != nil {
-		storePrec := man.Precision
-		if storePrec == "" {
-			storePrec = plf.PrecisionF64
-		}
-		if storePrec != precision {
-			return nil, nil, &ooc.PrecisionMismatchError{Store: man.Precision, Run: precision}
-		}
-		fs, err := ooc.OpenFileStore(s.vecPath, n, vecLen)
-		if err == nil {
-			cs, cerr := ooc.OpenChecksumStore(fs, s.vecPath+".sum", n, vecLen)
-			if cerr == nil {
-				cs.SetPrecision(precision)
-				if verr := cs.VerifyManifest(*man); verr == nil {
-					return cs, cs, nil
-				} else if ooc.IsPrecisionMismatch(verr) {
-					cs.Close()
-					return nil, nil, verr
-				}
-				cs.Close() // validation failed: rebuild below
-			} else {
-				fs.Close()
-			}
+	if cfg := s.srv.cfg; cfg.StoreURL != "" {
+		spec.URL = sessionObjectURL(cfg.StoreURL, s.name)
+		spec.CacheDir = filepath.Join(cfg.DataDir, s.name+".cache")
+		spec.CacheBytes, spec.Lanes = cfg.CacheBytes, cfg.RemoteLanes
+		spec.RemoteDeadline, spec.HedgeAfter = cfg.RemoteDeadline, cfg.HedgeAfter
+		if cfg.SpillDir != "" {
+			spec.SpillDir = filepath.Join(cfg.SpillDir, s.name+".spill")
 		}
 	}
-	fs, err := ooc.NewFileStore(s.vecPath, n, vecLen)
+	st, err := ooc.OpenStack(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("service: session %q store: %w", s.name, err)
 	}
-	cs, err := ooc.NewChecksumStore(fs, s.vecPath+".sum", n, vecLen)
-	if err != nil {
-		fs.Close()
-		return nil, nil, err
-	}
-	cs.SetPrecision(precision)
-	return cs, cs, nil
+	// Per-session tier counters on the daemon's /debug/vars. A revive
+	// builds a fresh TieredStore; re-instrumenting registers the same
+	// named instruments (the registry is idempotent by name) and a newer
+	// publisher, which runs after — and therefore overrides — the stale
+	// one from the parked incarnation.
+	ooc.InstrumentTieredStoreAs(s.srv.reg, st.Tier, "svc.session."+s.name+".tier.")
+	return st, nil
 }
 
 // sessionObjectURL maps the daemon's configured store endpoint to the
@@ -623,141 +603,6 @@ func sessionObjectURL(storeURL, name string) string {
 		return "remote://" + host + "/" + ns + "." + name + ".vec"
 	}
 	return base + "/" + name + ".vec"
-}
-
-// openRemoteStore builds the session's tiered stack: an ObjectStore on
-// the daemon's remote endpoint (object <name>.vec), a local write-back
-// cache under DataDir/<name>.cache, and an outer ChecksumStore whose
-// sidecar stays local — so a park checkpoint's manifest verifies a
-// revived session's remote vectors exactly like a local backing file.
-func (s *Session) openRemoteStore(n, vecLen int, man *ooc.Manifest, precision string) (ooc.Store, *ooc.ChecksumStore, error) {
-	url := sessionObjectURL(s.srv.cfg.StoreURL, s.name)
-	if _, err := ooc.ParseRemoteURL(url); err != nil {
-		return nil, nil, err
-	}
-	obj, err := ooc.OpenObjectStore(url, n, vecLen)
-	if err != nil {
-		if obj, err = ooc.NewObjectStore(url, n, vecLen); err != nil {
-			return nil, nil, fmt.Errorf("service: remote store %s: %w", url, err)
-		}
-	}
-	tcfg := ooc.TieredConfig{
-		NumVectors: n, VectorLen: vecLen,
-		CacheDir:     filepath.Join(s.srv.cfg.DataDir, s.name+".cache"),
-		CacheVectors: remoteCacheVectors(s.srv.cfg.CacheBytes, n, vecLen),
-		Lanes:        s.srv.cfg.RemoteLanes,
-		// The fault-tolerance stack: per-attempt deadlines, a jittered
-		// retry budget for the network (distinct from the disk policy the
-		// manager runs), a circuit breaker so a dead remote fails fast
-		// into degraded mode, tail hedging, and the write-back spill
-		// journal that absorbs dirty evictions during outages.
-		RemoteDeadline: s.srv.cfg.RemoteDeadline,
-		RemoteRetry:    ooc.RetryPolicy{Max: 3},
-		Breaker:        ooc.BreakerConfig{Threshold: 5},
-		HedgeAfter:     s.srv.cfg.HedgeAfter,
-	}
-	if s.srv.cfg.SpillDir != "" {
-		tcfg.SpillDir = filepath.Join(s.srv.cfg.SpillDir, s.name+".spill")
-	}
-	if err := os.MkdirAll(tcfg.CacheDir, 0o755); err != nil {
-		obj.Close()
-		return nil, nil, err
-	}
-	ts, err := ooc.NewTieredStore(obj, tcfg)
-	if err != nil {
-		obj.Close()
-		return nil, nil, err
-	}
-	if man != nil {
-		storePrec := man.Precision
-		if storePrec == "" {
-			storePrec = plf.PrecisionF64
-		}
-		if storePrec != precision {
-			ts.Close()
-			obj.Close()
-			return nil, nil, &ooc.PrecisionMismatchError{Store: man.Precision, Run: precision}
-		}
-		cs, cerr := ooc.OpenChecksumStore(ts, s.vecPath+".sum", n, vecLen)
-		if cerr == nil {
-			cs.SetPrecision(precision)
-			if verr := cs.VerifyManifest(*man); verr == nil {
-				s.remote = obj
-				s.instrumentTier(ts)
-				return cs, cs, nil
-			} else if ooc.IsPrecisionMismatch(verr) {
-				cs.Close()
-				obj.Close()
-				return nil, nil, verr
-			}
-		}
-		// Adoption failed: the Close above (or the failed open) tore the
-		// tier down — rebuild it for the fresh path. Every vector is
-		// recomputable, so this costs I/O, never correctness.
-		if cerr == nil {
-			cs.Close()
-		} else {
-			ts.Close()
-		}
-		if ts, err = ooc.NewTieredStore(obj, tcfg); err != nil {
-			obj.Close()
-			return nil, nil, err
-		}
-	}
-	cs, err := ooc.NewChecksumStore(ts, s.vecPath+".sum", n, vecLen)
-	if err != nil {
-		ts.Close()
-		obj.Close()
-		return nil, nil, err
-	}
-	cs.SetPrecision(precision)
-	s.remote = obj
-	s.instrumentTier(ts)
-	return cs, cs, nil
-}
-
-// instrumentTier exports the session's tier counters under a
-// per-session prefix on the daemon's /debug/vars. A revive builds a
-// fresh TieredStore; re-instrumenting registers the same named
-// instruments (the registry is idempotent by name) and a newer
-// publisher, which runs after — and therefore overrides — the stale
-// one from the parked incarnation.
-func (s *Session) instrumentTier(ts *ooc.TieredStore) {
-	s.mu.Lock()
-	s.tier = ts
-	s.mu.Unlock()
-	ooc.InstrumentTieredStoreAs(s.srv.reg, ts, "svc.session."+s.name+".tier.")
-}
-
-// remoteCacheVectors converts a byte budget into cache-tier slots,
-// defaulting to "hold everything" and flooring at one vector.
-func remoteCacheVectors(budget int64, n, vecLen int) int {
-	if budget <= 0 {
-		return n
-	}
-	cv := int(budget / (int64(vecLen) * 8))
-	if cv < 1 {
-		cv = 1
-	}
-	if cv > n {
-		cv = n
-	}
-	return cv
-}
-
-// newStrategy builds a replacement strategy by name.
-func newStrategy(name string, n int, t *tree.Tree, seed int64) (ooc.Strategy, error) {
-	switch strings.ToLower(name) {
-	case "random", "rand":
-		return ooc.NewRandom(rand.New(rand.NewSource(seed + 1))), nil
-	case "lru":
-		return ooc.NewLRU(n), nil
-	case "lfu":
-		return ooc.NewLFU(n), nil
-	case "topological", "topo":
-		return ooc.NewTopological(t), nil
-	}
-	return nil, fmt.Errorf("service: unknown strategy %q", name)
 }
 
 // ensureLive revives a parked session from its checkpoint. Runs on the
@@ -828,11 +673,11 @@ func (s *Session) park() error {
 			return err
 		}
 	}
-	if s.cs != nil {
-		if err := s.cs.Sync(); err != nil {
+	if s.stack != nil {
+		if err := s.stack.Checksum.Sync(); err != nil {
 			return err
 		}
-		man := s.cs.Manifest()
+		man := s.stack.Checksum.Manifest()
 		ck.Store = &man
 	}
 	if err := checkpoint.Save(s.ckptPath, ck); err != nil {
@@ -859,20 +704,17 @@ func (s *Session) shutdownEngine() {
 	s.mu.Unlock()
 }
 
-// closeProvider tears down manager and store (manager first: it drains
-// in-flight I/O before the store goes away).
+// closeProvider tears down manager and store stack (manager first: it
+// drains in-flight I/O before the stores go away).
 func (s *Session) closeProvider() {
 	if s.mgr != nil {
 		s.mgr.Close()
 	}
-	if s.store != nil {
-		s.store.Close()
-	}
-	if s.remote != nil {
-		s.remote.Close()
+	if s.stack != nil {
+		s.stack.Close()
 	}
 	s.mu.Lock()
-	s.mgr, s.cs, s.store, s.remote, s.tier = nil, nil, nil, nil, nil
+	s.mgr, s.stack = nil, nil
 	s.mu.Unlock()
 }
 
@@ -1007,8 +849,8 @@ func (s *Session) attachSpans(sp *obs.Span) {
 	if s.eng != nil {
 		s.eng.SetSpan(sp)
 	}
-	if s.tier != nil {
-		s.tier.SetSpan(sp)
+	if tier := s.tierStore(); tier != nil {
+		tier.SetSpan(sp)
 	}
 }
 
@@ -1027,8 +869,8 @@ func (s *Session) costSnapshot() costSnapshot {
 	if s.mgr != nil {
 		snap.mgr = s.mgr.Stats()
 	}
-	if s.tier != nil {
-		snap.tier = s.tier.Stats()
+	if tier := s.tierStore(); tier != nil {
+		snap.tier = tier.Stats()
 		snap.hasTier = true
 	}
 	if s.eng != nil {
@@ -1106,9 +948,7 @@ func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) 
 // shedding: whether the session runs a tiered store at all, whether its
 // circuit breaker is open (degraded), and the spill journal's depth.
 func (s *Session) tierHealth() (hasTier, degraded bool, journalDepth int64) {
-	s.mu.Lock()
-	tier := s.tier
-	s.mu.Unlock()
+	tier := s.tierStore()
 	if tier == nil {
 		return false, false, 0
 	}
@@ -1121,7 +961,10 @@ func (s *Session) tierHealth() (hasTier, degraded bool, journalDepth int64) {
 func (s *Session) tierStore() *ooc.TieredStore {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tier
+	if s.stack == nil {
+		return nil
+	}
+	return s.stack.Tier
 }
 
 // Newview forces a fresh full engine pass (invalidate + complete

@@ -93,7 +93,7 @@ func TestServiceTracedEvaluateEndToEnd(t *testing.T) {
 		t.Fatal("session lost")
 	}
 	ms := ses.mgr.Stats()
-	ts := ses.tier.Stats()
+	ts := ses.tierStore().Stats()
 	if total.VectorsFaulted > ms.Misses {
 		t.Errorf("attributed faults %d exceed manager misses %d", total.VectorsFaulted, ms.Misses)
 	}
