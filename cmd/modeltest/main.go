@@ -14,7 +14,7 @@ import (
 	"math"
 	"os"
 
-	"oocphylo/internal/bio"
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/modelsel"
 	"oocphylo/internal/tree"
 )
@@ -41,21 +41,11 @@ func run(args []string, out *os.File) error {
 		fs.Usage()
 		return fmt.Errorf("an alignment (-s) is required")
 	}
-	f, err := os.Open(*alignPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var aln *bio.Alignment
+	spec := analysis.Spec{Path: *alignPath}
 	if *fastaIn {
-		aln, err = bio.ReadFASTA(f, bio.NewDNAAlphabet())
-	} else {
-		aln, err = bio.ReadPhylip(f, bio.NewDNAAlphabet())
+		spec.Format = "fasta"
 	}
-	if err != nil {
-		return err
-	}
-	pats, err := bio.Compress(aln)
+	_, pats, err := analysis.Load(spec)
 	if err != nil {
 		return err
 	}

@@ -31,41 +31,34 @@ import (
 	"syscall"
 	"time"
 
+	"oocphylo/internal/ooc"
 	"oocphylo/internal/service"
 )
 
-func runServe(args []string, out *os.File) error {
+// serveFlags declares the daemon's flag set, bound straight into its
+// config (the store flags through the binder `run` shares).
+func serveFlags() (*flag.FlagSet, *string, *service.ServerConfig, *ooc.StackSpec) {
 	fs := flag.NewFlagSet("oocraxml serve", flag.ContinueOnError)
+	cfg, store := &service.ServerConfig{}, &ooc.StackSpec{}
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	dataDir := fs.String("data", "oocraxml-data", "data directory: per-session alignments, checkpoints and out-of-core backing files")
-	memBudget := fs.Int64("server-budget", 0, "global ancestral-vector budget in bytes across all active sessions (0 = unlimited); admission rejects sessions whose memory floor does not fit, and out-of-core slot pools are squeezed proportionally")
-	batchMax := fs.Int("batch-max", service.DefaultMaxBatch, "flush a coalesced evaluate batch at this many requests")
-	batchWait := fs.Duration("batch-wait", service.DefaultMaxWait, "flush a coalesced evaluate batch this long after its first request")
-	idle := fs.Duration("idle-park", 0, "park sessions with no request for this long (0 = never)")
-	storeURL := fs.String("store", "", "remote object-store endpoint (remote://host:port, or remote://host:port/namespace to share one server between daemons): out-of-core sessions keep their vectors there behind a per-session write-back cache in -data")
-	cacheBytes := fs.Int64("cache-bytes", 0, "per-session byte budget for the local cache tier with -store (0 = room for every vector)")
-	remoteLanes := fs.Int("remote-lanes", 2, "parallel remote fetch lanes per session with -store")
-	remoteDeadline := fs.Duration("remote-deadline", 0, "deadline per remote store request attempt with -store (0 = none); expiries are retried with jittered backoff, then trip the circuit breaker")
-	hedgeAfter := fs.Duration("hedge-after", 0, "launch a duplicate remote read when the first is still in flight after this long with -store (0 = no hedging)")
-	spillDir := fs.String("spill-dir", "", "directory for per-session write-back spill journals with -store (default: the session cache directory in -data); absorbs dirty evictions during remote outages, replayed on recovery")
-	reqTimeout := fs.Duration("request-timeout", 0, "end-to-end deadline per /v1 request (0 = none); expiry answers 503 + Retry-After")
+	fs.StringVar(&cfg.DataDir, "data", "oocraxml-data", "data directory: per-session alignments, checkpoints and out-of-core backing files")
+	fs.Int64Var(&cfg.MemBudget, "server-budget", 0, "global ancestral-vector budget in bytes across all active sessions (0 = unlimited); admission rejects sessions whose memory floor does not fit, and out-of-core slot pools are squeezed proportionally")
+	fs.IntVar(&cfg.Batch.MaxBatch, "batch-max", service.DefaultMaxBatch, "flush a coalesced evaluate batch at this many requests")
+	fs.DurationVar(&cfg.Batch.MaxWait, "batch-wait", service.DefaultMaxWait, "flush a coalesced evaluate batch this long after its first request")
+	fs.DurationVar(&cfg.IdleTimeout, "idle-park", 0, "park sessions with no request for this long (0 = never)")
+	bindStore(fs, store, "remote object-store endpoint (remote://host:port, or remote://host:port/namespace to share one server between daemons): out-of-core sessions keep their vectors there behind a per-session write-back cache in -data")
+	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "end-to-end deadline per /v1 request (0 = none); expiry answers 503 + Retry-After")
+	return fs, addr, cfg, store
+}
+
+func runServe(args []string, out *os.File) error {
+	fs, addr, cfg, store := serveFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	srv, err := service.NewServer(service.ServerConfig{
-		DataDir:        *dataDir,
-		MemBudget:      *memBudget,
-		Batch:          service.BatcherConfig{MaxBatch: *batchMax, MaxWait: *batchWait},
-		IdleTimeout:    *idle,
-		StoreURL:       *storeURL,
-		CacheBytes:     *cacheBytes,
-		RemoteLanes:    *remoteLanes,
-		RemoteDeadline: *remoteDeadline,
-		HedgeAfter:     *hedgeAfter,
-		SpillDir:       *spillDir,
-		RequestTimeout: *reqTimeout,
-	})
+	cfg.StoreURL, cfg.CacheBytes, cfg.RemoteLanes = store.URL, store.CacheBytes, store.Lanes
+	cfg.RemoteDeadline, cfg.HedgeAfter, cfg.SpillDir = store.RemoteDeadline, store.HedgeAfter, store.SpillDir
+	srv, err := service.NewServer(*cfg)
 	if err != nil {
 		return err
 	}
@@ -77,9 +70,9 @@ func runServe(args []string, out *os.File) error {
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	fmt.Fprintf(out, "oocraxml daemon on http://%s/ (sessions under /v1/, debug under /debug/)\n", ln.Addr())
-	fmt.Fprintf(out, "Data directory: %s\n", *dataDir)
-	if *storeURL != "" {
-		fmt.Fprintf(out, "Vector store: %s (%d lanes, per-session cache in %s)\n", *storeURL, *remoteLanes, *dataDir)
+	fmt.Fprintf(out, "Data directory: %s\n", cfg.DataDir)
+	if cfg.StoreURL != "" {
+		fmt.Fprintf(out, "Vector store: %s (%d lanes, per-session cache in %s)\n", cfg.StoreURL, cfg.RemoteLanes, cfg.DataDir)
 	}
 	if adopted := srv.Sessions(); len(adopted) > 0 {
 		names := make([]string, 0, len(adopted))
@@ -114,73 +107,44 @@ func runServe(args []string, out *os.File) error {
 	return nil
 }
 
+// clientFlags starts a client operation's flag set with what every
+// operation takes.
+func clientFlags(op string) (fs *flag.FlagSet, addr, name *string) {
+	fs = flag.NewFlagSet("oocraxml client "+op, flag.ContinueOnError)
+	addr = fs.String("addr", "127.0.0.1:8080", "daemon address")
+	name = fs.String("name", "", "session name")
+	return fs, addr, name
+}
+
 func runClient(args []string, out *os.File) error {
 	if len(args) == 0 {
 		return fmt.Errorf("client: need an operation: create, list, info, eval, newview, optimize, park, delete, tree")
 	}
 	op, rest := args[0], args[1:]
-	fs := flag.NewFlagSet("oocraxml client "+op, flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "daemon address")
-	name := fs.String("name", "", "session name")
+	fs, addr, name := clientFlags(op)
 
 	switch op {
 	case "create":
-		alignPath := fs.String("s", "", "alignment file (read locally, sent inline)")
-		fasta := fs.Bool("fasta", false, "alignment is FASTA rather than PHYLIP")
-		aa := fs.Bool("aa", false, "amino-acid data (default DNA)")
-		modelName := fs.String("m", "GTR", "substitution model: JC, K80, HKY, GTR (DNA); POISSON (AA)")
-		kappa := fs.Float64("kappa", 2.0, "transition/transversion ratio for K80/HKY")
-		alpha := fs.Float64("a", 1.0, "Gamma shape parameter (0 disables rate heterogeneity)")
-		cats := fs.Int("c", 4, "number of discrete Gamma rate categories")
-		pinv := fs.Float64("pinv", 0, "proportion of invariant sites (+I)")
-		uniform := fs.Bool("uniform-freqs", false, "use uniform base frequencies instead of empirical")
-		treePath := fs.String("t", "", "starting/fixed tree file (Newick, read locally)")
-		start := fs.String("start", "parsimony", "starting tree when -t is absent: parsimony, nj or random")
-		seed := fs.Int64("seed", 42, "random seed")
-		memLimit := fs.Int64("L", 0, "session ancestral-vector RAM quota in bytes (0 = in-core)")
-		strategy := fs.String("strategy", "lru", "out-of-core replacement strategy: random, lru, lfu, topological")
-		threads := fs.Int("threads", 1, "PLF kernel worker goroutines")
-		kernel := fs.String("kernel", "", "PLF compute kernels: auto, blocked or generic")
-		precision := fs.String("precision", "", "compute precision: f64 or f32")
+		sf := bindSpec(fs)
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		if *alignPath == "" {
+		cfg := sf.resolve()
+		if cfg.Path == "" {
 			return fmt.Errorf("client create: an alignment (-s) is required")
 		}
-		alnData, err := os.ReadFile(*alignPath)
+		// -s and -t name files on this host: send their contents.
+		alnData, err := os.ReadFile(cfg.Path)
 		if err != nil {
 			return err
 		}
-		cfg := service.SessionConfig{
-			Name:         *name,
-			Alignment:    string(alnData),
-			Model:        *modelName,
-			Kappa:        *kappa,
-			Alpha:        *alpha,
-			Cats:         *cats,
-			PInv:         *pinv,
-			UniformFreqs: *uniform,
-			StartTree:    *start,
-			Seed:         *seed,
-			MemLimit:     *memLimit,
-			Strategy:     *strategy,
-			Workers:      *threads,
-			Kernel:       *kernel,
-			Precision:    *precision,
-		}
-		if *fasta {
-			cfg.Format = "fasta"
-		}
-		if *aa {
-			cfg.DataType = "aa"
-		}
-		if *treePath != "" {
-			nwk, err := os.ReadFile(*treePath)
+		cfg.Name, cfg.Alignment, cfg.Path = *name, string(alnData), ""
+		if cfg.TreePath != "" {
+			nwk, err := os.ReadFile(cfg.TreePath)
 			if err != nil {
 				return err
 			}
-			cfg.Newick = string(nwk)
+			cfg.Newick, cfg.TreePath = string(nwk), ""
 		}
 		info, err := service.NewClient(*addr).CreateSession(cfg)
 		if err != nil {

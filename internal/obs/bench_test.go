@@ -8,8 +8,8 @@ import (
 // The disabled-path cost model: an uninstrumented layer holds nil
 // instruments, so the hot path pays one nil check per call site and
 // never reads the clock. These benchmarks put numbers on that claim —
-// the end-to-end ≤2% bound is measured by cmd/benchsmoke (obs-off vs
-// the instrumented build) and recorded in BENCH_4.json.
+// the end-to-end bound is measured by experiments.RunObsOverhead
+// (obs-off vs the instrumented build, bit-identical lnL enforced).
 
 // kernelStandIn is a small compute unit standing in for per-site kernel
 // work, so the relative overhead numbers resemble a real call site

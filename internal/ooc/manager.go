@@ -100,9 +100,6 @@ type Config struct {
 	// IOWorkers is the number of background fetch goroutines servicing
 	// the prefetch queue (default 2). Only used when Async is set.
 	IOWorkers int
-	// FetchQueue bounds the number of prefetches waiting for a worker
-	// (default 2*IOWorkers). Prefetch blocks when the queue is full.
-	FetchQueue int
 	// WriteBuffers is the number of spare slot buffers backing
 	// asynchronous write-back (default 2). An eviction blocks only when
 	// all spares are already in the write queue. Each buffer costs
@@ -123,6 +120,10 @@ type Config struct {
 	SyncWrites bool
 }
 
+// fetchQueuePerWorker bounds the prefetches waiting for a fetch worker
+// at this many per worker; Prefetch blocks when the queue is full.
+const fetchQueuePerWorker = 2
+
 // SlotsForFraction returns m = max(MinSlots, round(f*n)) capped at n —
 // the paper's parameterisation of available RAM.
 func SlotsForFraction(f float64, n int) int {
@@ -134,6 +135,23 @@ func SlotsForFraction(f float64, n int) int {
 		m = n
 	}
 	return m
+}
+
+// SlotsForBytes returns the m a byte grant buys — the paper's -L rule.
+// overhead is what the store itself keeps on the same heap (a tiered
+// store's cache index and in-flight buffers, see StoreMemOverhead); it
+// is charged first, the rest is divided into whole vectors of vecBytes,
+// and the result is floored at MinSlots and capped at n, so a grant too
+// small for three vectors still yields a pool the PLF can run in.
+func SlotsForBytes(grant, overhead, vecBytes int64, n int) int {
+	m := (grant - overhead) / vecBytes
+	if m < MinSlots {
+		m = MinSlots
+	}
+	if m > int64(n) {
+		m = int64(n)
+	}
+	return int(m)
 }
 
 // Manager is the out-of-core ancestral-vector manager: it implements
@@ -249,14 +267,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		if cfg.IOWorkers < 1 {
 			cfg.IOWorkers = 2
 		}
-		if cfg.FetchQueue < 1 {
-			cfg.FetchQueue = 2 * cfg.IOWorkers
-		}
 		if cfg.WriteBuffers < 1 {
 			cfg.WriteBuffers = 2
 		}
 		m.cfg = cfg
-		m.pipe = newPipeline(cfg.Store, cfg.VectorLen, cfg.IOWorkers, cfg.FetchQueue, cfg.WriteBuffers, cfg.Retry, &m.retried)
+		m.pipe = newPipeline(cfg.Store, cfg.VectorLen, cfg.IOWorkers, fetchQueuePerWorker*cfg.IOWorkers, cfg.WriteBuffers, cfg.Retry, &m.retried)
 		m.inflight = make([]*fetchReq, cfg.Slots)
 		m.pipeStats.Enabled = true
 	}

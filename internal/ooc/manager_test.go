@@ -255,6 +255,34 @@ func TestSlotsForFraction(t *testing.T) {
 	}
 }
 
+// TestSlotsForBytes pins the -L rule: grant × store overhead × n, with
+// the MinSlots floor and the cap at n.
+func TestSlotsForBytes(t *testing.T) {
+	const vecBytes = 1000
+	cases := []struct {
+		grant, overhead int64
+		n, want         int
+	}{
+		{10_000, 0, 100, 10},
+		{10_999, 0, 100, 10}, // whole vectors only
+		{10_000, 2_000, 100, 8},
+		{10_000, 2_001, 100, 7}, // overhead is charged before dividing
+		{3_000, 0, 100, 3},
+		{2_999, 0, 100, 3},       // floor at MinSlots
+		{10_000, 9_000, 100, 3},  // overhead eats all but one vector: floor
+		{10_000, 50_000, 100, 3}, // overhead beyond the grant: floor, not negative
+		{0, 0, 100, 3},
+		{200_000, 0, 100, 100},      // cap at n
+		{200_000, 99_000, 100, 100}, // still capped with overhead charged
+		{200_000, 0, 2, 2},          // n below the floor: everything resident
+	}
+	for _, c := range cases {
+		if got := SlotsForBytes(c.grant, c.overhead, vecBytes, c.n); got != c.want {
+			t.Errorf("SlotsForBytes(%d, %d, %d, %d) = %d, want %d", c.grant, c.overhead, vecBytes, c.n, got, c.want)
+		}
+	}
+}
+
 func TestRandomisedOpsKeepInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

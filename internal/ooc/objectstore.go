@@ -27,9 +27,6 @@ import (
 	"oocphylo/internal/obs"
 )
 
-// IsRemoteURL reports whether s names a remote object (remote://…).
-func IsRemoteURL(s string) bool { return strings.HasPrefix(s, "remote://") }
-
 // ParseRemoteURL splits remote://host:port/object into the HTTP
 // endpoint (http://host:port/o/object) it maps to.
 func ParseRemoteURL(raw string) (endpoint string, err error) {

@@ -23,9 +23,6 @@ func TestParseRemoteURL(t *testing.T) {
 			t.Errorf("ParseRemoteURL(%q) should fail", bad)
 		}
 	}
-	if !IsRemoteURL("remote://h:1/o") || IsRemoteURL("/tmp/x.vec") {
-		t.Error("IsRemoteURL misclassifies")
-	}
 }
 
 func TestObjectStoreRoundTrip(t *testing.T) {

@@ -14,6 +14,7 @@ package ooc
 // error, raised before any store is opened (opening can truncate).
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,6 +59,29 @@ type StackSpec struct {
 	// I/O, above every layer, so neither data nor checksum lands.
 	Fault      *FaultConfig
 	CrashAfter int64
+}
+
+// Remove deletes what a stack opened from spec keeps on local disk
+// between runs: the backing file, or for a URL stack the cache and spill
+// directories (the tier creates both and owns everything in them), and
+// the sidecar. Call it only once no stack over spec is open. Paths the
+// spec leaves empty were temps that Close already removed; the remote
+// object is not touched.
+func (spec StackSpec) Remove() error {
+	paths := []string{spec.Path, spec.Sidecar}
+	switch {
+	case spec.URL != "":
+		paths = []string{spec.CacheDir, spec.SpillDir, spec.Sidecar}
+	case spec.Sidecar == "" && spec.Path != "":
+		paths = append(paths, spec.Path+".sum")
+	}
+	var errs []error
+	for _, p := range paths {
+		if p != "" {
+			errs = append(errs, os.RemoveAll(p))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Stack is an opened store stack. Store is the outermost layer — what a

@@ -47,6 +47,10 @@ import (
 	"oocphylo/internal/obs"
 )
 
+// maxCoalesce caps how many adjacent vectors one ranged remote read or
+// write-back may carry.
+const maxCoalesce = 16
+
 // TieredConfig configures a TieredStore.
 type TieredConfig struct {
 	// NumVectors and VectorLen fix the store geometry (float64 carrier
@@ -59,9 +63,6 @@ type TieredConfig struct {
 	CacheVectors int
 	// Lanes is the number of parallel remote fetch lanes (default 2).
 	Lanes int
-	// MaxCoalesce caps how many adjacent vectors one ranged remote read
-	// may carry (default 16).
-	MaxCoalesce int
 	// EstRTT seeds the fetch-cost estimate before any remote request
 	// has been observed (default 5ms). The live EWMA replaces it.
 	EstRTT time.Duration
@@ -106,9 +107,6 @@ func (c *TieredConfig) fill() error {
 	}
 	if c.Lanes < 1 {
 		c.Lanes = 2
-	}
-	if c.MaxCoalesce < 1 {
-		c.MaxCoalesce = 16
 	}
 	if c.EstRTT <= 0 {
 		c.EstRTT = defaultRemoteCost
@@ -608,7 +606,7 @@ func (s *TieredStore) Sync() error {
 	var first error
 	for i := 0; i < len(dirties); {
 		j := i + 1
-		for j < len(dirties) && j-i < s.cfg.MaxCoalesce && dirties[j].vi == dirties[j-1].vi+1 {
+		for j < len(dirties) && j-i < maxCoalesce && dirties[j].vi == dirties[j-1].vi+1 {
 			j++
 		}
 		buf := make([]float64, (j-i)*vecLen)
@@ -740,7 +738,7 @@ func (s *TieredStore) MemOverheadBytes() int64 {
 	n += int64(len(s.inflight)) * (mapEntry + int64(s.cfg.VectorLen)*8)
 	s.fmu.Unlock()
 	n += int64(s.cfg.CacheVectors) * (8 + 8 + 1) // viOf, stamp, dirty
-	n += int64(s.cfg.Lanes) * int64(s.cfg.MaxCoalesce) * int64(s.cfg.VectorLen) * 8
+	n += int64(s.cfg.Lanes) * int64(maxCoalesce) * int64(s.cfg.VectorLen) * 8
 	if s.journal != nil {
 		n += s.journal.MemBytes()
 	}
@@ -780,7 +778,7 @@ func (s *TieredStore) lane() {
 		sort.Slice(s.queue, func(i, j int) bool { return s.queue[i].vi < s.queue[j].vi })
 		run := []*tierFetch{s.queue[0]}
 		i := 1
-		for i < len(s.queue) && len(run) < s.cfg.MaxCoalesce && s.queue[i].vi == run[len(run)-1].vi+1 {
+		for i < len(s.queue) && len(run) < maxCoalesce && s.queue[i].vi == run[len(run)-1].vi+1 {
 			run = append(run, s.queue[i])
 			i++
 		}

@@ -19,23 +19,21 @@ import (
 	"sync"
 )
 
+const (
+	// shrinkFraction is the slot fraction dropped per over-budget
+	// sample; growFraction the fraction regained per under-budget sample
+	// (growing back cautiously avoids shrink/grow thrash).
+	shrinkFraction, growFraction = 0.25, 0.125
+	// growBelow is the hysteresis gate: the pool regrows only while
+	// HeapAlloc < growBelow*SoftBudget.
+	growBelow = 0.5
+)
+
 // WatchdogConfig configures a memory Watchdog.
 type WatchdogConfig struct {
 	// SoftBudget is the heap budget in bytes the watchdog steers
 	// HeapAlloc towards; required (> 0).
 	SoftBudget int64
-	// MinSlots and MaxSlots clamp the slot counts the watchdog may
-	// request. Defaults: the package floor MinSlots, and the manager's
-	// slot count at NewWatchdog time.
-	MinSlots, MaxSlots int
-	// ShrinkFraction is the slot fraction dropped per over-budget
-	// sample (default 0.25); GrowFraction the fraction regained per
-	// under-budget sample (default 0.125 — growing back cautiously
-	// avoids shrink/grow thrash).
-	ShrinkFraction, GrowFraction float64
-	// GrowBelow is the hysteresis gate: the pool regrows only while
-	// HeapAlloc < GrowBelow*SoftBudget (default 0.5).
-	GrowBelow float64
 	// CheckEvery is the number of Check calls per ReadMemStats sample
 	// (default 64): reading mem stats stops the world briefly, so it
 	// must not run on every newview.
@@ -70,14 +68,16 @@ type Watchdog struct {
 	mgr   *Manager
 	cfg   WatchdogConfig
 	calls int
+	// maxSlots is the regrow ceiling; the shrink floor is MinSlots.
+	maxSlots int
 
 	mu    sync.Mutex
 	stats WatchdogStats
 }
 
 // NewWatchdog validates cfg and binds a watchdog to mgr. The manager's
-// current slot count becomes the default MaxSlots (the watchdog never
-// grows beyond what the operator originally granted).
+// current slot count becomes the regrow ceiling (the watchdog never
+// grows beyond what the operator granted; see SetMaxSlots).
 func NewWatchdog(mgr *Manager, cfg WatchdogConfig) (*Watchdog, error) {
 	if mgr == nil {
 		return nil, errors.New("ooc: watchdog needs a manager")
@@ -85,31 +85,20 @@ func NewWatchdog(mgr *Manager, cfg WatchdogConfig) (*Watchdog, error) {
 	if cfg.SoftBudget <= 0 {
 		return nil, errors.New("ooc: watchdog needs a positive soft budget")
 	}
-	if cfg.MinSlots < MinSlots {
-		cfg.MinSlots = MinSlots
-	}
-	if cfg.MaxSlots <= 0 {
-		cfg.MaxSlots = mgr.Slots()
-	}
-	if cfg.MaxSlots < cfg.MinSlots {
-		cfg.MaxSlots = cfg.MinSlots
-	}
-	if cfg.ShrinkFraction <= 0 || cfg.ShrinkFraction >= 1 {
-		cfg.ShrinkFraction = 0.25
-	}
-	if cfg.GrowFraction <= 0 || cfg.GrowFraction >= 1 {
-		cfg.GrowFraction = 0.125
-	}
-	if cfg.GrowBelow <= 0 || cfg.GrowBelow >= 1 {
-		cfg.GrowBelow = 0.5
-	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 64
 	}
 	if cfg.ReadMem == nil {
 		cfg.ReadMem = runtime.ReadMemStats
 	}
-	return &Watchdog{mgr: mgr, cfg: cfg}, nil
+	return &Watchdog{mgr: mgr, cfg: cfg, maxSlots: max(mgr.Slots(), MinSlots)}, nil
+}
+
+// SetMaxSlots moves the regrow ceiling, for an operator grant that
+// changed under a live watchdog. Like Check, it must be called from the
+// manager's API goroutine.
+func (w *Watchdog) SetMaxSlots(n int) {
+	w.maxSlots = max(n, MinSlots)
 }
 
 // Check is the safe-point hook: every CheckEvery-th call samples the
@@ -137,10 +126,10 @@ func (w *Watchdog) Check(pinned ...int) error {
 	}
 	target := cur
 	switch {
-	case int64(ms.HeapAlloc) > budget && cur > w.cfg.MinSlots:
-		target = cur - step(cur, w.cfg.ShrinkFraction)
-		if target < w.cfg.MinSlots {
-			target = w.cfg.MinSlots
+	case int64(ms.HeapAlloc) > budget && cur > MinSlots:
+		target = cur - step(cur, shrinkFraction)
+		if target < MinSlots {
+			target = MinSlots
 		}
 		// The pinned working set bounds how far one step may go.
 		if target <= len(pinned) {
@@ -149,10 +138,10 @@ func (w *Watchdog) Check(pinned ...int) error {
 		if target >= cur {
 			target = cur
 		}
-	case float64(ms.HeapAlloc) < w.cfg.GrowBelow*float64(budget) && cur < w.cfg.MaxSlots:
-		target = cur + step(cur, w.cfg.GrowFraction)
-		if target > w.cfg.MaxSlots {
-			target = w.cfg.MaxSlots
+	case float64(ms.HeapAlloc) < growBelow*float64(budget) && cur < w.maxSlots:
+		target = cur + step(cur, growFraction)
+		if target > w.maxSlots {
+			target = w.maxSlots
 		}
 	}
 	// Record the sample before propagating any Resize error: a failed

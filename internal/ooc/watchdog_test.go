@@ -186,3 +186,36 @@ func TestWatchdogRecordsFailedResize(t *testing.T) {
 		t.Errorf("Samples = %d, Failures = %d after second failure, want 2, 2", ws.Samples, ws.Failures)
 	}
 }
+
+// TestWatchdogSetMaxSlots: a changed grant moves the regrow ceiling —
+// the pool grows to the new ceiling and no further, and a ceiling below
+// the floor is held at MinSlots.
+func TestWatchdogSetMaxSlots(t *testing.T) {
+	m := testManager(t, 16, 4, 8, NewLRU(16), false)
+	defer m.Close()
+	wd, err := NewWatchdog(m, WatchdogConfig{
+		SoftBudget: 1000,
+		CheckEvery: 1,
+		ReadMem:    scriptedMem(10), // far under budget forever
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ ceiling, start, want int }{
+		{11, 8, 11},
+		{1, MinSlots, MinSlots},
+	} {
+		if err := m.Resize(c.start); err != nil {
+			t.Fatal(err)
+		}
+		wd.SetMaxSlots(c.ceiling)
+		for i := 0; i < 10; i++ {
+			if err := wd.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := m.Slots(); got != c.want {
+			t.Errorf("ceiling %d from %d slots: pool at %d, want %d", c.ceiling, c.start, got, c.want)
+		}
+	}
+}

@@ -252,3 +252,59 @@ func TestServiceRemoteRevivePrecisionMismatchKeepsObject(t *testing.T) {
 		t.Error("parked vectors changed by the refused revive")
 	}
 }
+
+// TestServiceDeleteRemovesEveryLocalFile pins session deletion against
+// what the session's store stack put on local disk: after DELETE, the
+// data and spill directories hold nothing of the session's — active or
+// parked at the time, local file or remote store behind a cache tier.
+func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
+	for _, medium := range []string{"local", "remote"} {
+		for _, parked := range []bool{false, true} {
+			medium, parked := medium, parked
+			t.Run(medium+map[bool]string{false: "/active", true: "/parked"}[parked], func(t *testing.T) {
+				dir := t.TempDir()
+				alnPath, _, need := writeTestAlignment(t, dir, 12, 300, 31)
+				scfg := ServerConfig{DataDir: filepath.Join(dir, "data")}
+				if medium == "remote" {
+					rsrv, err := remote.NewServer(remote.ServerConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer rsrv.Close()
+					scfg.StoreURL = "remote://" + rsrv.Addr()
+					scfg.SpillDir = filepath.Join(dir, "spill")
+				}
+				srv := newTestServer(t, scfg)
+				cfg := baseSession("gone", alnPath)
+				cfg.MemLimit = need / 2
+				ses, err := srv.CreateSession(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil {
+					t.Fatal(err)
+				}
+				if parked {
+					if err := srv.ParkSession("gone"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := srv.DeleteSession("gone"); err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range []string{scfg.DataDir, scfg.SpillDir} {
+					if d == "" {
+						continue
+					}
+					ents, err := os.ReadDir(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range ents {
+						t.Errorf("delete left %s behind", filepath.Join(d, e.Name()))
+					}
+				}
+			})
+		}
+	}
+}

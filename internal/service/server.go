@@ -465,7 +465,7 @@ func (s *Server) reaper() {
 
 // CreateSession validates, registers and builds a session.
 func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
-	cfg.fill()
+	cfg.Fill()
 	if !validName(cfg.Name) {
 		return nil, fmt.Errorf("service: invalid session name %q (letters, digits, '.', '_', '-'; max 64)", cfg.Name)
 	}

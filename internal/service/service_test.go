@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/bio"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
@@ -40,12 +41,12 @@ func writeTestAlignment(t *testing.T, dir string, taxa, sites int, seed int64) (
 		t.Fatal(err)
 	}
 	cfg := SessionConfig{Model: "GTR", Alpha: 1, Cats: 4}
-	cfg.fill()
-	m, err := buildModel(cfg, pats)
+	cfg.Fill()
+	in, err := analysis.Build(cfg, pats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecLen, err := plf.CarrierLength(m, pats.NumPatterns(), plf.PrecisionF64)
+	vecLen, err := plf.CarrierLength(in.Model, pats.NumPatterns(), plf.PrecisionF64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,20 +20,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/bio"
 	"oocphylo/internal/checkpoint"
-	"oocphylo/internal/distance"
-	"oocphylo/internal/model"
 	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
-	"oocphylo/internal/parsimony"
 	"oocphylo/internal/plf"
 	"oocphylo/internal/search"
 	"oocphylo/internal/tree"
@@ -78,18 +75,14 @@ type Session struct {
 
 	alnPath  string // persisted alignment (phylip) for restart revives
 	ckptPath string // park checkpoint
-	vecPath  string // out-of-core backing file (sidecar at .sum)
 
 	mu       sync.Mutex
 	state    sessionState
 	lastUsed time.Time
-	// memory shape, set by setupEngine and read by the governor
-	outOfCore bool
-	nVecs     int
-	vecBytes  int64 // bytes per ancestral vector
-	needBytes int64 // nVecs * vecBytes (the in-core footprint)
-	quota     int64 // configured vector quota (== needBytes when in-core)
-	grant     int64 // what the governor currently allows
+	// memory shape, set by bringUp and read by the governor; it outlives
+	// the run it was computed for, so a parked session still reports it
+	size  analysis.Sizing
+	grant int64 // what the governor currently allows
 	// activity ledger (survives park/revive)
 	lnl            float64
 	round          int
@@ -97,15 +90,10 @@ type Session struct {
 	parks, revives int64
 	resizes        int64
 
-	// engine state: owned by the loop goroutine, pointers mirrored
-	// under mu for the metrics publisher.
-	pats  *bio.Patterns
-	m     *model.Model
-	t     *tree.Tree
-	eng   *plf.Engine
-	mgr   *ooc.Manager
-	stack *ooc.Stack // store stack under mgr; nil in-core and while parked
-	wd    *ooc.Watchdog
+	// engine state: owned by the loop goroutine, the pointers written
+	// under mu for the metrics publisher. run is nil while parked.
+	pats *bio.Patterns
+	run  *analysis.Run
 
 	batcher *Batcher
 	mx      sessionMetrics
@@ -132,7 +120,6 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 		quit:     make(chan struct{}),
 		alnPath:  filepath.Join(srv.cfg.DataDir, cfg.Name+".aln"),
 		ckptPath: filepath.Join(srv.cfg.DataDir, cfg.Name+".ckpt"),
-		vecPath:  filepath.Join(srv.cfg.DataDir, cfg.Name+".vec"),
 		lastUsed: time.Now(),
 		state:    stateParked, // nothing live until build/revive
 	}
@@ -204,17 +191,26 @@ func (s *Session) publish() {
 	} else {
 		s.mx.parked.Set(0)
 	}
-	if s.mgr != nil {
-		s.mx.slots.Set(int64(s.mgr.Slots()))
-		st := s.mgr.Stats()
+	if mgr := s.manager(); mgr != nil {
+		s.mx.slots.Set(int64(mgr.Slots()))
+		st := mgr.Stats()
 		s.mx.oocRequests.Set(st.Requests)
 		s.mx.oocMisses.Set(st.Misses)
+		if wd := s.run.Watchdog; wd != nil {
+			s.mx.wdFailures.Set(wd.Stats().Failures)
+		}
 	} else {
 		s.mx.slots.Set(0)
 	}
-	if s.wd != nil {
-		s.mx.wdFailures.Set(s.wd.Stats().Failures)
+}
+
+// manager returns the live out-of-core manager, nil in-core or parked.
+// Callers hold mu or run on the loop goroutine.
+func (s *Session) manager() *ooc.Manager {
+	if s.run == nil {
+		return nil
 	}
+	return s.run.Manager
 }
 
 // info snapshots the status document.
@@ -224,8 +220,8 @@ func (s *Session) infoSnapshot() SessionInfo {
 	in := SessionInfo{
 		Name:       s.name,
 		State:      s.state.String(),
-		OutOfCore:  s.outOfCore,
-		QuotaBytes: s.quota,
+		OutOfCore:  s.size.OutOfCore,
+		QuotaBytes: s.size.Quota,
 		GrantBytes: s.grant,
 		LnL:        s.lnl,
 		LnLBits:    FormatLnLBits(s.lnl),
@@ -240,8 +236,8 @@ func (s *Session) infoSnapshot() SessionInfo {
 		in.Sites = s.pats.TotalSites()
 		in.Patterns = s.pats.NumPatterns()
 	}
-	if s.mgr != nil {
-		in.Slots = s.mgr.Slots()
+	if mgr := s.manager(); mgr != nil {
+		in.Slots = mgr.Slots()
 	}
 	return in
 }
@@ -251,17 +247,17 @@ func (s *Session) infoSnapshot() SessionInfo {
 func (s *Session) memShape() (active, outOfCore bool, quota, need, vecBytes int64, nVecs int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state == stateActive, s.outOfCore, s.quota, s.needBytes, s.vecBytes, s.nVecs
+	return s.state == stateActive, s.size.OutOfCore, s.size.Quota, s.size.Need, s.size.VecBytes, s.size.NumVectors
 }
 
 // ---------------------------------------------------------------------
 // Build (create-time) and revive (park checkpoint) — both end in
-// setupEngine, the single place an engine comes to life.
+// bringUp, which runs the shared analysis.Size → admit → analysis.Open.
 
-// build parses the alignment, constructs model and starting tree, and
+// build loads the alignment, constructs model and starting tree, and
 // brings the engine up. Runs on the loop goroutine at create time.
 func (s *Session) build() error {
-	aln, err := s.readAlignment()
+	aln, pats, err := analysis.Load(s.cfg)
 	if err != nil {
 		return err
 	}
@@ -278,15 +274,7 @@ func (s *Session) build() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	pats, err := bio.Compress(aln)
-	if err != nil {
-		return err
-	}
-	m, err := buildModel(s.cfg, pats)
-	if err != nil {
-		return err
-	}
-	t, err := s.buildTree(pats)
+	in, err := analysis.Build(s.cfg, pats)
 	if err != nil {
 		return err
 	}
@@ -296,280 +284,70 @@ func (s *Session) build() error {
 	// revive rebuilds its tree via ParseNewick — so the FIRST build must
 	// walk the parse representation too, or the session's bits would
 	// change across its first park/revive cycle.
-	t, err = tree.ParseNewick(tree.WriteNewick(t))
+	in.Tree, err = tree.ParseNewick(tree.WriteNewick(in.Tree))
 	if err != nil {
 		return err
 	}
+	return s.bringUp(in, nil)
+}
+
+// bringUp sizes the vector set, asks the governor for admission, opens
+// the run and activates the session. man, when non-nil, is a park
+// checkpoint's store manifest: the parked vectors are adopted and
+// validated instead of rebuilt, so a revive reuses them byte-for-byte
+// (failed adoption rebuilds — every vector is recomputable, so it costs
+// I/O, never correctness).
+func (s *Session) bringUp(in *analysis.Inputs, man *ooc.Manifest) error {
+	sz, err := analysis.Size(s.cfg, in)
+	if err != nil {
+		return err
+	}
+	grant, err := s.srv.admit(s, sz.OutOfCore, sz.Quota, sz.VecBytes)
+	if err != nil {
+		return err
+	}
+	stack := s.stackSpec()
+	stack.Adopt = man != nil
+	run, err := analysis.Open(s.cfg, analysis.Options{
+		Retries: 3,
+		// A park must survive the machine, not just the daemon.
+		SyncWrites: true,
+		// The watchdog arbitrates the GLOBAL soft heap budget from inside
+		// whichever session is computing: overshoot observed at this
+		// session's safe points sheds this session's slots first, bounded
+		// below by the floor and above by the governor's grant.
+		MemBudget: s.srv.cfg.MemBudget,
+		Stack:     stack,
+	}, in, sz, grant, man)
+	if err != nil {
+		return fmt.Errorf("service: session %q: %w", s.name, err)
+	}
+	// Per-session tier counters on the daemon's /debug/vars. A revive
+	// builds a fresh TieredStore; re-instrumenting registers the same
+	// named instruments (the registry is idempotent by name) and a newer
+	// publisher, which runs after — and therefore overrides — the stale
+	// one from the parked incarnation.
+	ooc.InstrumentTieredStoreAs(s.srv.reg, run.Stack.Tier, "svc.session."+s.name+".tier.")
 	s.mu.Lock()
-	s.pats = pats
-	s.mu.Unlock()
-	return s.setupEngine(t, m, nil)
-}
-
-// readAlignment loads the session's alignment from the inline text or
-// the server-side path.
-func (s *Session) readAlignment() (*bio.Alignment, error) {
-	dtype := bio.DNA
-	if strings.EqualFold(s.cfg.DataType, "aa") {
-		dtype = bio.AA
-	}
-	alphabet := bio.NewAlphabet(dtype)
-	var r *strings.Reader
-	switch {
-	case s.cfg.Alignment != "":
-		r = strings.NewReader(s.cfg.Alignment)
-	case s.cfg.Path != "":
-		data, err := os.ReadFile(s.cfg.Path)
-		if err != nil {
-			return nil, err
-		}
-		r = strings.NewReader(string(data))
-	default:
-		return nil, fmt.Errorf("service: session %q has neither inline alignment nor path", s.name)
-	}
-	if strings.EqualFold(s.cfg.Format, "fasta") {
-		return bio.ReadFASTA(r, alphabet)
-	}
-	return bio.ReadPhylip(r, alphabet)
-}
-
-// loadPatterns re-reads the persisted alignment — the restart-revive
-// path, where the in-memory patterns of the original daemon are gone.
-func (s *Session) loadPatterns() error {
-	dtype := bio.DNA
-	if strings.EqualFold(s.cfg.DataType, "aa") {
-		dtype = bio.AA
-	}
-	f, err := os.Open(s.alnPath)
-	if err != nil {
-		return fmt.Errorf("service: session %q alignment: %w", s.name, err)
-	}
-	defer f.Close()
-	aln, err := bio.ReadPhylip(f, bio.NewAlphabet(dtype))
-	if err != nil {
-		return err
-	}
-	pats, err := bio.Compress(aln)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.pats = pats
-	s.mu.Unlock()
-	return nil
-}
-
-// buildModel mirrors the CLI's model construction so a session
-// evaluates bit-identically to a one-shot run with the same flags.
-func buildModel(cfg SessionConfig, pats *bio.Patterns) (*model.Model, error) {
-	freqs := pats.BaseFrequencies()
-	if cfg.UniformFreqs {
-		for i := range freqs {
-			freqs[i] = 1 / float64(len(freqs))
-		}
-	}
-	var m *model.Model
-	var err error
-	switch strings.ToUpper(cfg.Model) {
-	case "JC", "POISSON":
-		m, err = model.NewJC(pats.Alphabet.States)
-	case "K80":
-		m, err = model.NewK80(cfg.Kappa)
-	case "HKY":
-		m, err = model.NewHKY(freqs, cfg.Kappa)
-	case "GTR":
-		if pats.Alphabet.States != 4 {
-			return nil, fmt.Errorf("service: GTR is DNA-only; use POISSON for protein data")
-		}
-		m, err = model.NewGTR(freqs, []float64{1, 1, 1, 1, 1, 1}, 4)
-	default:
-		return nil, fmt.Errorf("service: unknown model %q", cfg.Model)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Alpha > 0 && cfg.Cats > 1 {
-		if err := m.SetGamma(cfg.Alpha, cfg.Cats); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.PInv > 0 {
-		if err := m.SetInvariant(cfg.PInv); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// buildTree parses or constructs the starting topology.
-func (s *Session) buildTree(pats *bio.Patterns) (*tree.Tree, error) {
-	newick := s.cfg.Newick
-	if newick == "" && s.cfg.TreePath != "" {
-		data, err := os.ReadFile(s.cfg.TreePath)
-		if err != nil {
-			return nil, err
-		}
-		newick = string(data)
-	}
-	if newick != "" {
-		t, err := tree.ParseNewick(newick)
-		if err != nil {
-			return nil, err
-		}
-		if t.NumTips != pats.NumTaxa() {
-			return nil, fmt.Errorf("service: tree has %d tips, alignment %d taxa", t.NumTips, pats.NumTaxa())
-		}
-		return t, nil
-	}
-	switch strings.ToLower(s.cfg.StartTree) {
-	case "parsimony", "mp":
-		return parsimony.StepwiseAddition(pats, rand.New(rand.NewSource(s.cfg.Seed)))
-	case "nj":
-		return distance.NJTree(pats)
-	case "random", "rand":
-		return tree.RandomTopology(pats.Names, rand.New(rand.NewSource(s.cfg.Seed)), 0.05, 0.15)
-	}
-	return nil, fmt.Errorf("service: unknown start_tree %q", s.cfg.StartTree)
-}
-
-// setupEngine sizes the vector set, asks the governor for admission,
-// builds the provider (in-memory, or an out-of-core manager over a
-// checksummed backing file) and the engine, and activates the session.
-// man, when non-nil, is a park checkpoint's store manifest: the backing
-// file is adopted and validated instead of rebuilt, so a revive reuses
-// the parked vectors byte-for-byte.
-func (s *Session) setupEngine(t *tree.Tree, m *model.Model, man *ooc.Manifest) error {
-	precision := s.cfg.Precision
-	if precision == "" {
-		precision = plf.PrecisionF64
-	}
-	vecLen, err := plf.CarrierLength(m, s.pats.NumPatterns(), precision)
-	if err != nil {
-		return err
-	}
-	n := t.NumInner()
-	vecBytes := int64(vecLen) * 8
-	need := int64(n) * vecBytes
-	outOfCore := s.cfg.MemLimit > 0 && need > s.cfg.MemLimit
-	quota := need
-	if outOfCore {
-		quota = s.cfg.MemLimit
-		if quota < int64(ooc.MinSlots)*vecBytes {
-			return fmt.Errorf("service: mem_limit %d B holds fewer than %d vectors of %d B (m >= 3)",
-				quota, ooc.MinSlots, vecBytes)
-		}
-	}
-	grant, err := s.srv.admit(s, outOfCore, quota, vecBytes)
-	if err != nil {
-		return err
-	}
-
-	var prov plf.VectorProvider
-	if outOfCore {
-		slots := int(grant / vecBytes)
-		if slots < ooc.MinSlots {
-			slots = ooc.MinSlots
-		}
-		if slots > n {
-			slots = n
-		}
-		strat, err := ooc.StrategyByName(s.cfg.Strategy, n, t, s.cfg.Seed+1)
-		if err != nil {
-			return err
-		}
-		st, err := s.openStack(n, vecLen, man, precision)
-		if err != nil {
-			return err
-		}
-		// A tiered store's cache index and in-flight buffers live on the
-		// same heap as the slots: charge them against the grant so the
-		// session's true footprint stays inside it.
-		if ov := ooc.StoreMemOverhead(st.Store); ov > 0 {
-			slots = int((grant - ov) / vecBytes)
-			if slots < ooc.MinSlots {
-				slots = ooc.MinSlots
-			}
-			if slots > n {
-				slots = n
-			}
-		}
-		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: vecLen, Slots: slots,
-			Strategy: strat, ReadSkipping: true, Store: st.Store,
-			Retry:      ooc.RetryPolicy{Max: 3},
-			SyncWrites: true,
-		})
-		if err != nil {
-			st.Close()
-			return err
-		}
-		s.mu.Lock()
-		s.mgr, s.stack = mgr, st
-		s.mu.Unlock()
-		prov = mgr
-	} else {
-		prov = plf.NewInMemoryProvider(n, vecLen)
-	}
-
-	eng, err := plf.NewWithPrecision(t, s.pats, m, prov, precision)
-	if err != nil {
-		s.closeProvider()
-		return err
-	}
-	kernel := s.cfg.Kernel
-	if kernel == "" {
-		kernel = plf.KernelAuto
-	}
-	if err := eng.SetKernel(kernel); err != nil {
-		eng.Close()
-		s.closeProvider()
-		return err
-	}
-	eng.SetWorkers(s.cfg.Workers)
-
-	// The watchdog arbitrates the GLOBAL soft heap budget from inside
-	// whichever session is computing: overshoot observed at this
-	// session's safe points sheds this session's slots first, bounded
-	// below by the floor and above by the governor's grant.
-	if s.srv.cfg.MemBudget > 0 && s.mgr != nil {
-		maxSlots := s.mgr.Slots()
-		wd, err := ooc.NewWatchdog(s.mgr, ooc.WatchdogConfig{
-			SoftBudget: s.srv.cfg.MemBudget,
-			MaxSlots:   maxSlots,
-		})
-		if err != nil {
-			eng.Close()
-			s.closeProvider()
-			return err
-		}
-		s.wd = wd
-		eng.SetSafePoint(func() error { return wd.Check() })
-	}
-
-	s.mu.Lock()
-	s.t, s.m, s.eng = t, m, eng
-	s.outOfCore, s.nVecs, s.vecBytes, s.needBytes = outOfCore, n, vecBytes, need
-	s.quota, s.grant = quota, grant
+	s.pats, s.run = in.Patterns, run
+	s.size, s.grant = sz, grant
 	s.state = stateActive
 	s.mu.Unlock()
 	return nil
 }
 
-// openStack opens the session's checksummed store stack: the backing
-// file under DataDir, or — when the daemon has a StoreURL — the
+// stackSpec describes the session's checksummed store stack: the
+// backing file under DataDir, or — when the daemon has a StoreURL — the
 // session's remote object behind a write-back cache under
 // DataDir/<name>.cache. The sidecar stays local either way, so a park
 // checkpoint's manifest verifies a revived session's remote vectors
-// exactly like a local backing file. A non-nil man adopts and validates
-// the parked state; failed adoption rebuilds (every vector is
-// recomputable, so it costs I/O, never correctness).
-func (s *Session) openStack(n, vecLen int, man *ooc.Manifest, precision string) (*ooc.Stack, error) {
-	spec := ooc.StackSpec{
-		TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen},
-		Path:         s.vecPath, Sidecar: s.vecPath + ".sum",
-		Verify: true, Adopt: man != nil, Manifest: man, Precision: precision,
-	}
-	if cfg := s.srv.cfg; cfg.StoreURL != "" {
+// exactly like a local backing file. Opening and deleting the session's
+// store both start from this one description.
+func (s *Session) stackSpec() ooc.StackSpec {
+	cfg := s.srv.cfg
+	vecPath := filepath.Join(cfg.DataDir, s.name+".vec")
+	spec := ooc.StackSpec{Path: vecPath, Sidecar: vecPath + ".sum", Verify: true}
+	if cfg.StoreURL != "" {
 		spec.URL = sessionObjectURL(cfg.StoreURL, s.name)
 		spec.CacheDir = filepath.Join(cfg.DataDir, s.name+".cache")
 		spec.CacheBytes, spec.Lanes = cfg.CacheBytes, cfg.RemoteLanes
@@ -578,17 +356,7 @@ func (s *Session) openStack(n, vecLen int, man *ooc.Manifest, precision string) 
 			spec.SpillDir = filepath.Join(cfg.SpillDir, s.name+".spill")
 		}
 	}
-	st, err := ooc.OpenStack(spec)
-	if err != nil {
-		return nil, fmt.Errorf("service: session %q store: %w", s.name, err)
-	}
-	// Per-session tier counters on the daemon's /debug/vars. A revive
-	// builds a fresh TieredStore; re-instrumenting registers the same
-	// named instruments (the registry is idempotent by name) and a newer
-	// publisher, which runs after — and therefore overrides — the stale
-	// one from the parked incarnation.
-	ooc.InstrumentTieredStoreAs(s.srv.reg, st.Tier, "svc.session."+s.name+".tier.")
-	return st, nil
+	return spec
 }
 
 // sessionObjectURL maps the daemon's configured store endpoint to the
@@ -625,15 +393,16 @@ func (s *Session) ensureLive() error {
 	if err != nil {
 		return fmt.Errorf("service: reviving %q: %w", s.name, err)
 	}
-	if s.pats == nil {
-		if err := s.loadPatterns(); err != nil {
-			return err
+	pats := s.pats
+	if pats == nil {
+		// A restarted daemon: the patterns of the one that parked the
+		// session are gone, the alignment it persisted is not.
+		_, pats, err = analysis.Load(analysis.Spec{Path: s.alnPath, DataType: s.cfg.DataType})
+		if err != nil {
+			return fmt.Errorf("service: session %q alignment: %w", s.name, err)
 		}
 	}
-	if t.NumTips != s.pats.NumTaxa() {
-		return fmt.Errorf("service: checkpoint tree has %d tips, alignment %d taxa", t.NumTips, s.pats.NumTaxa())
-	}
-	if err := s.setupEngine(t, m, ck.Store); err != nil {
+	if err := s.bringUp(&analysis.Inputs{Patterns: pats, Model: m, Tree: t}, ck.Store); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -656,10 +425,10 @@ func (s *Session) park() error {
 		s.mu.Unlock()
 		return nil
 	}
-	t, m, lnl, round := s.t, s.m, s.lnl, s.round
+	lnl, round := s.lnl, s.round
 	s.mu.Unlock()
 
-	ck := checkpoint.Capture(t, m, lnl, round)
+	ck := checkpoint.Capture(s.run.Engine.T, s.run.Engine.M, lnl, round)
 	cfgJSON, err := json.Marshal(s.cfg)
 	if err != nil {
 		return err
@@ -668,19 +437,7 @@ func (s *Session) park() error {
 		"service.session": s.name,
 		"service.config":  string(cfgJSON),
 	}
-	if s.mgr != nil {
-		if err := s.mgr.Flush(); err != nil {
-			return err
-		}
-	}
-	if s.stack != nil {
-		if err := s.stack.Checksum.Sync(); err != nil {
-			return err
-		}
-		man := s.stack.Checksum.Manifest()
-		ck.Store = &man
-	}
-	if err := checkpoint.Save(s.ckptPath, ck); err != nil {
+	if err := s.run.Snapshot(s.ckptPath, ck); err != nil {
 		return err
 	}
 	s.shutdownEngine()
@@ -695,26 +452,12 @@ func (s *Session) park() error {
 
 // shutdownEngine releases every live resource. Loop goroutine only.
 func (s *Session) shutdownEngine() {
-	if s.eng != nil {
-		s.eng.Close()
+	if s.run == nil {
+		return
 	}
-	s.closeProvider()
+	s.run.Close()
 	s.mu.Lock()
-	s.eng, s.wd, s.t, s.m = nil, nil, nil, nil
-	s.mu.Unlock()
-}
-
-// closeProvider tears down manager and store stack (manager first: it
-// drains in-flight I/O before the stores go away).
-func (s *Session) closeProvider() {
-	if s.mgr != nil {
-		s.mgr.Close()
-	}
-	if s.stack != nil {
-		s.stack.Close()
-	}
-	s.mu.Lock()
-	s.mgr, s.stack = nil, nil
+	s.run = nil
 	s.mu.Unlock()
 }
 
@@ -733,8 +476,7 @@ func (s *Session) close(remove bool) {
 	if remove {
 		os.Remove(s.alnPath)
 		os.Remove(s.ckptPath)
-		os.Remove(s.vecPath)
-		os.Remove(s.vecPath + ".sum")
+		s.stackSpec().Remove()
 	}
 }
 
@@ -846,8 +588,8 @@ func (s *Session) execBatch(batch []*evalJob) {
 // batch. Loop goroutine only; the tier's fetch lanes capture the
 // current span per enqueued miss, so the hand-off is race-free.
 func (s *Session) attachSpans(sp *obs.Span) {
-	if s.eng != nil {
-		s.eng.SetSpan(sp)
+	if s.run != nil {
+		s.run.Engine.SetSpan(sp)
 	}
 	if tier := s.tierStore(); tier != nil {
 		tier.SetSpan(sp)
@@ -866,15 +608,15 @@ type costSnapshot struct {
 
 func (s *Session) costSnapshot() costSnapshot {
 	var snap costSnapshot
-	if s.mgr != nil {
-		snap.mgr = s.mgr.Stats()
+	if mgr := s.manager(); mgr != nil {
+		snap.mgr = mgr.Stats()
 	}
 	if tier := s.tierStore(); tier != nil {
 		snap.tier = tier.Stats()
 		snap.hasTier = true
 	}
-	if s.eng != nil {
-		snap.eng = s.eng.Stats
+	if s.run != nil {
+		snap.eng = s.run.Engine.Stats
 	}
 	return snap
 }
@@ -905,17 +647,18 @@ func (after costSnapshot) sub(before costSnapshot) obs.Cost {
 
 // evalOne answers one evaluate spec. Loop goroutine, engine live.
 func (s *Session) evalOne(spec EvalSpec) (float64, error) {
-	if spec.Edge < 0 || spec.Edge >= len(s.t.Edges) {
-		return 0, fmt.Errorf("service: edge %d out of range [0,%d)", spec.Edge, len(s.t.Edges))
+	eng := s.run.Engine
+	if spec.Edge < 0 || spec.Edge >= len(eng.T.Edges) {
+		return 0, fmt.Errorf("service: edge %d out of range [0,%d)", spec.Edge, len(eng.T.Edges))
 	}
-	edge := s.t.Edges[spec.Edge]
+	edge := eng.T.Edges[spec.Edge]
 	if spec.Full {
-		s.eng.InvalidateAll()
+		eng.InvalidateAll()
 	}
 	if spec.Length != nil {
-		return s.eng.EvaluateAtLength(edge, *spec.Length)
+		return eng.EvaluateAtLength(edge, *spec.Length)
 	}
-	lnl, err := s.eng.LogLikelihoodAt(edge)
+	lnl, err := eng.LogLikelihoodAt(edge)
 	if err == nil {
 		s.mu.Lock()
 		s.lnl = lnl
@@ -926,19 +669,15 @@ func (s *Session) evalOne(spec EvalSpec) (float64, error) {
 
 // Evaluate submits one request through the coalescing batcher.
 func (s *Session) Evaluate(spec EvalSpec) (EvalReply, error) {
-	return s.EvaluateTraced(spec, nil)
+	return s.EvaluateCtx(context.Background(), spec, nil)
 }
 
-// EvaluateTraced is Evaluate under a server-side request span: the
-// batch executor parents its engine/store spans beneath sp and fills
-// the reply's trace id and cost ledger.
-func (s *Session) EvaluateTraced(spec EvalSpec, sp *obs.Span) (EvalReply, error) {
-	return s.EvaluateCtx(context.Background(), spec, sp)
-}
-
-// EvaluateCtx is EvaluateTraced under the request's context: when the
-// server enforces a request deadline, a batch stuck behind a struggling
-// remote tier stops blocking the HTTP handler at that deadline.
+// EvaluateCtx is Evaluate under a server-side request span and the
+// request's context: the batch executor parents its engine/store spans
+// beneath sp and fills the reply's trace id and cost ledger, and when
+// the server enforces a request deadline, a batch stuck behind a
+// struggling remote tier stops blocking the HTTP handler at that
+// deadline.
 func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) (EvalReply, error) {
 	s.touch()
 	return s.batcher.SubmitCtx(ctx, spec, sp)
@@ -961,10 +700,10 @@ func (s *Session) tierHealth() (hasTier, degraded bool, journalDepth int64) {
 func (s *Session) tierStore() *ooc.TieredStore {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stack == nil {
+	if s.run == nil {
 		return nil
 	}
-	return s.stack.Tier
+	return s.run.Stack.Tier
 }
 
 // Newview forces a fresh full engine pass (invalidate + complete
@@ -1000,14 +739,14 @@ func (s *Session) Optimize(spec OptimizeSpec) (OptimizeReply, error) {
 		if err := s.ensureLive(); err != nil {
 			return err
 		}
-		lnl, err := search.New(s.eng, search.Options{}).SmoothBranches(spec.Passes, spec.Eps)
+		lnl, err := search.New(s.run.Engine, search.Options{}).SmoothBranches(spec.Passes, spec.Eps)
 		if err != nil {
 			return err
 		}
 		s.mu.Lock()
 		s.lnl = lnl
 		s.round++
-		newick := tree.WriteNewick(s.t)
+		newick := tree.WriteNewick(s.run.Engine.T)
 		s.mu.Unlock()
 		rep = OptimizeReply{Session: s.name, LnL: lnl, LnLBits: FormatLnLBits(lnl), Newick: newick}
 		return nil
@@ -1023,62 +762,33 @@ func (s *Session) Tree() (string, error) {
 		if err := s.ensureLive(); err != nil {
 			return err
 		}
-		nwk = tree.WriteNewick(s.t)
+		nwk = tree.WriteNewick(s.run.Engine.T)
 		return nil
 	})
 	return nwk, err
 }
 
-// resizeTo is the governor's enforcement hook: clamp target to the
-// session's legal range and resize the live pool. The watchdog is
-// rebuilt so its regrow ceiling tracks the new grant instead of the
-// stale one. Parked/in-core sessions ignore the call.
+// resizeTo is the governor's enforcement hook: resize the live pool to
+// what the grant buys (the watchdog's regrow ceiling follows it).
+// Parked/in-core sessions ignore the call.
 func (s *Session) resizeTo(grant int64) {
 	_ = s.do(func() error {
-		s.mu.Lock()
-		active := s.state == stateActive
-		vecBytes, n := s.vecBytes, s.nVecs
-		s.mu.Unlock()
-		if !active || s.mgr == nil || vecBytes == 0 {
+		if s.run == nil {
 			return nil
 		}
-		eff := grant
-		if ov := s.mgr.MemOverheadBytes(); ov > 0 && ov < eff {
-			eff -= ov
-		}
-		target := int(eff / vecBytes)
-		if target < ooc.MinSlots {
-			target = ooc.MinSlots
-		}
-		if target > n {
-			target = n
-		}
-		if target == s.mgr.Slots() {
-			s.mu.Lock()
-			s.grant = grant
-			s.mu.Unlock()
-			return nil
-		}
-		if err := s.mgr.Resize(target); err != nil {
+		resized, err := s.run.Resize(grant)
+		if err != nil {
 			return err
-		}
-		if s.srv.cfg.MemBudget > 0 {
-			wd, err := ooc.NewWatchdog(s.mgr, ooc.WatchdogConfig{
-				SoftBudget: s.srv.cfg.MemBudget,
-				MaxSlots:   target,
-			})
-			if err == nil {
-				s.mu.Lock()
-				s.wd = wd
-				s.mu.Unlock()
-				s.eng.SetSafePoint(func() error { return wd.Check() })
-			}
 		}
 		s.mu.Lock()
 		s.grant = grant
-		s.resizes++
+		if resized {
+			s.resizes++
+		}
 		s.mu.Unlock()
-		s.srv.noteResize()
+		if resized {
+			s.srv.noteResize()
+		}
 		return nil
 	})
 }

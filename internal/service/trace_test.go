@@ -92,7 +92,7 @@ func TestServiceTracedEvaluateEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("session lost")
 	}
-	ms := ses.mgr.Stats()
+	ms := ses.run.Manager.Stats()
 	ts := ses.tierStore().Stats()
 	if total.VectorsFaulted > ms.Misses {
 		t.Errorf("attributed faults %d exceed manager misses %d", total.VectorsFaulted, ms.Misses)

@@ -11,97 +11,17 @@ import (
 	"math"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/obs"
 )
 
 // SessionConfig describes a named session: alignment + model + tree,
 // plus its resource quota. It is submitted at creation and persisted in
 // the session's park checkpoint so a restarted daemon can revive the
-// session on the next request.
-type SessionConfig struct {
-	// Name identifies the session in URLs and on the /debug endpoint.
-	// Letters, digits, '.', '_' and '-' only (it names files on disk).
-	Name string `json:"name"`
-
-	// Alignment is the inline alignment text; Path is a server-side
-	// file instead. Exactly one must be set.
-	Alignment string `json:"alignment,omitempty"`
-	Path      string `json:"path,omitempty"`
-	// Format is "phylip" (default) or "fasta".
-	Format string `json:"format,omitempty"`
-	// DataType is "dna" (default) or "aa".
-	DataType string `json:"data_type,omitempty"`
-
-	// Model selects the substitution model: JC, K80, HKY, GTR (default)
-	// for DNA, POISSON for protein.
-	Model string `json:"model,omitempty"`
-	// Kappa is the K80/HKY transition/transversion ratio (default 2).
-	Kappa float64 `json:"kappa,omitempty"`
-	// Alpha enables Γ rate heterogeneity when > 0, over Cats categories
-	// (default 4).
-	Alpha float64 `json:"alpha,omitempty"`
-	Cats  int     `json:"cats,omitempty"`
-	// PInv is the +I invariant-sites proportion (0 = disabled).
-	PInv float64 `json:"pinv,omitempty"`
-	// UniformFreqs uses uniform instead of empirical base frequencies.
-	UniformFreqs bool `json:"uniform_freqs,omitempty"`
-
-	// Newick is the starting/fixed tree; TreePath a server-side file;
-	// when both are empty StartTree picks the construction ("parsimony"
-	// default, "nj" or "random", seeded by Seed).
-	Newick    string `json:"newick,omitempty"`
-	TreePath  string `json:"tree_path,omitempty"`
-	StartTree string `json:"start_tree,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-
-	// MemLimit is the session's ancestral-vector RAM quota in bytes —
-	// the paper's -L per tenant. 0, or a quota covering every vector,
-	// runs the session in RAM; otherwise the vectors live behind an
-	// out-of-core manager whose slot pool the daemon resizes to keep
-	// all tenants inside the global -mem-budget.
-	MemLimit int64 `json:"mem_limit,omitempty"`
-	// Strategy is the replacement strategy for out-of-core sessions
-	// (random, lru (default), lfu, topological).
-	Strategy string `json:"strategy,omitempty"`
-
-	// Workers sets the PLF kernel worker goroutines (default 1; results
-	// are identical for any value). Kernel and Precision mirror the CLI
-	// flags (default auto / f64).
-	Workers   int    `json:"workers,omitempty"`
-	Kernel    string `json:"kernel,omitempty"`
-	Precision string `json:"precision,omitempty"`
-}
-
-// fill applies the CLI-compatible defaults in place.
-func (c *SessionConfig) fill() {
-	if c.Format == "" {
-		c.Format = "phylip"
-	}
-	if c.DataType == "" {
-		c.DataType = "dna"
-	}
-	if c.Model == "" {
-		c.Model = "GTR"
-	}
-	if c.Kappa <= 0 {
-		c.Kappa = 2.0
-	}
-	if c.Cats <= 0 {
-		c.Cats = 4
-	}
-	if c.StartTree == "" {
-		c.StartTree = "parsimony"
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Strategy == "" {
-		c.Strategy = "lru"
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-}
+// session on the next request. It is the analysis package's Spec — the
+// same document the one-shot CLI fills from its flags — so a session
+// evaluates bit-identically to a one-shot run.
+type SessionConfig = analysis.Spec
 
 // validName reports whether name is safe to use in URLs and filenames.
 func validName(name string) bool {
