@@ -18,9 +18,9 @@
 //	               evaluates in shared engine passes vs N independent
 //	               passes, bit-identical lnL (not in the paper)
 //	-fig tiers  tiered vector storage: local FileStore baseline vs
-//	            cold / warm / recompute-policy arms over a remote
-//	            object store behind a write-back cache, per injected
-//	            RTT; bit-identical lnL (not in the paper)
+//	            cold / warm arms over a remote object store behind a
+//	            write-back cache, per injected RTT; bit-identical lnL
+//	            (not in the paper)
 //	-fig timeline  Chrome trace of a fully instrumented run (compute +
 //	               I/O worker lanes); explicit only — it writes the
 //	               trace JSON to -trace-out, not stdout

@@ -38,7 +38,7 @@ func bindSpec(fs *flag.FlagSet) *specFlags {
 	fs.Int64Var(&c.MemLimit, "L", 0, "ancestral-vector RAM limit in bytes (0 = all in RAM)")
 	fs.StringVar(&c.Strategy, "strategy", "lru", "replacement strategy: random, lru, lfu, topological")
 	fs.IntVar(&c.Workers, "threads", 1, "PLF kernel worker goroutines (results are identical for any value)")
-	fs.StringVar(&c.Kernel, "kernel", plf.KernelAuto, "PLF compute kernels: auto (specialised where available), blocked or generic; results are bit-identical either way")
+	fs.StringVar(&c.Kernel, "kernel", plf.KernelAuto, "PLF compute kernels: auto (specialised where available) or generic; results are bit-identical either way")
 	fs.StringVar(&c.Precision, "precision", plf.PrecisionF64, "compute precision: f64 (default) or f32 (halves vector memory and store bandwidth; results are bit-identical within a precision, approximate across)")
 	return f
 }

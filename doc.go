@@ -8,6 +8,6 @@
 // pluggable replacement strategies, pinning and read skipping.
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-versus-measured record. The benchmarks
-// in bench_test.go regenerate every figure of the paper's evaluation.
+// EXPERIMENTS.md for the paper-versus-measured record. cmd/figures
+// regenerates every figure of the paper's evaluation.
 package oocphylo

@@ -37,8 +37,8 @@ type AsyncAblationConfig struct {
 	// transfer time into real sleeping so overlap is observable.
 	Device   iosim.Device
 	Realtime float64
-	// Workers and WriteBuffers configure the pipeline.
-	Workers, WriteBuffers int
+	// Workers is the number of the pipeline's fetch goroutines.
+	Workers int
 	// Depths are the prefetch depths to sweep (default {1, 2, 4}).
 	Depths []int
 }
@@ -72,9 +72,6 @@ func (c *AsyncAblationConfig) fill() {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.WriteBuffers == 0 {
-		c.WriteBuffers = 2
 	}
 	if len(c.Depths) == 0 {
 		c.Depths = []int{1, 2, 4}
@@ -132,7 +129,7 @@ func asyncAblationRun(cfg AsyncAblationConfig, d *sim.Dataset, depth int, async 
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: vecLen, Slots: slots,
 		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store,
-		Async: async, IOWorkers: cfg.Workers, WriteBuffers: cfg.WriteBuffers,
+		Async: async, IOWorkers: cfg.Workers,
 	})
 	if err != nil {
 		return r, err

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"oocphylo/internal/iosim"
@@ -139,7 +140,7 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, err := w.run(fs, false, 0)
+	clean, err := w.run(fs, false)
 	fs.Close()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: clean arm: %w", err)
@@ -166,13 +167,22 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	if cacheVecs < 1 {
 		cacheVecs = 1
 	}
+	// The tier retries from its fetch lanes, its journal drain and the
+	// caller's goroutine at once, so the seeded jitter source is locked.
+	var jitterMu sync.Mutex
+	jitterSrc := rand.New(rand.NewSource(cfg.Workload.Seed + 7))
+	jitter := func() float64 {
+		jitterMu.Lock()
+		defer jitterMu.Unlock()
+		return jitterSrc.Float64()
+	}
 	st, err := ooc.OpenStack(ooc.StackSpec{
 		TieredConfig: ooc.TieredConfig{
 			NumVectors: w.nVec, VectorLen: w.vecLen,
 			CacheDir: filepath.Join(dir, "cache"), CacheVectors: cacheVecs,
 			Lanes:          cfg.Lanes,
 			RemoteDeadline: cfg.RemoteDeadline,
-			RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: rand.New(rand.NewSource(cfg.Workload.Seed + 7)).Float64},
+			RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: jitter},
 			Breaker:        cfg.Breaker,
 			HedgeAfter:     cfg.HedgeAfter,
 		},

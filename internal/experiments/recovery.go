@@ -38,8 +38,8 @@ type RecoveryConfig struct {
 	// burst can never outlast the retry loop (the caps make recovery
 	// equivalence deterministic rather than merely probable).
 	Retries int
-	// Workers and WriteBuffers configure the async pipeline.
-	Workers, WriteBuffers int
+	// Workers is the number of the async pipeline's fetch goroutines.
+	Workers int
 }
 
 func (c *RecoveryConfig) fill() {
@@ -75,9 +75,6 @@ func (c *RecoveryConfig) fill() {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.WriteBuffers == 0 {
-		c.WriteBuffers = 2
 	}
 }
 
@@ -159,7 +156,7 @@ func runRecoveryWorkload(cfg RecoveryConfig, d *sim.Dataset, async, faulted bool
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: vecLen, Slots: slots,
 		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store,
-		Async: async, IOWorkers: cfg.Workers, WriteBuffers: cfg.WriteBuffers,
+		Async: async, IOWorkers: cfg.Workers,
 		Retry: ooc.RetryPolicy{Max: cfg.Retries},
 	})
 	if err != nil {

@@ -2,10 +2,9 @@ package experiments
 
 // Tiered-storage ablation: the same deterministic tree search run over
 // (a) a plain local FileStore, (b) a TieredStore with a cold local
-// cache in front of a latency-injected loopback remote, (c) the same
-// tiered stack reopened warm, and (d) a deliberately small cache with
-// the engine's fetch-vs-recompute policy enabled — each at a sweep of
-// injected round-trip times. The likelihood is bit-identical across
+// cache in front of a latency-injected loopback remote, and (c) the
+// same tiered stack reopened warm — each at a sweep of injected
+// round-trip times. The likelihood is bit-identical across
 // every arm (enforced here, not merely reported); what moves is where
 // vector reads are served from and what that costs in wall-clock.
 
@@ -41,10 +40,6 @@ type TierAblationConfig struct {
 	// of the vector count (default 0.35: the cache cannot hold the
 	// working set, so some reads go remote).
 	ColdCacheFraction float64
-	// RecomputeCacheFraction sizes the recompute arm's cache (default
-	// 0.15) — starved enough that the policy has remote reads to
-	// convert.
-	RecomputeCacheFraction float64
 	// Lanes is the tiered store's remote fan-out (default 2).
 	Lanes int
 	// Async runs the manager's background I/O pipeline (the results
@@ -71,9 +66,6 @@ func (c *TierAblationConfig) fill() {
 	if c.ColdCacheFraction == 0 {
 		c.ColdCacheFraction = 0.35
 	}
-	if c.RecomputeCacheFraction == 0 {
-		c.RecomputeCacheFraction = 0.15
-	}
 	if c.Lanes == 0 {
 		c.Lanes = 2
 	}
@@ -83,7 +75,7 @@ func (c *TierAblationConfig) fill() {
 type TierAblationRow struct {
 	// RTT is the injected remote round-trip time (0 for the local arm).
 	RTT time.Duration
-	// Arm is "local", "cold", "warm" or "recompute".
+	// Arm is "local", "cold" or "warm".
 	Arm string
 	// Elapsed is the search wall-clock.
 	Elapsed time.Duration
@@ -95,12 +87,9 @@ type TierAblationRow struct {
 	Manager ooc.Stats
 	// Tier holds the tiered store's counters (zero for the local arm).
 	Tier ooc.TierStats
-	// PolicyRecomputes counts fetches the engine converted into local
-	// newviews (recompute arm only).
-	PolicyRecomputes int64
 	// LocalFraction is the share of vector-read demand served without a
-	// remote trip: cache hits, skipped reads and policy recomputes over
-	// all demand. 1.0 for the local arm.
+	// remote trip: cache hits and skipped reads over all demand. 1.0
+	// for the local arm.
 	LocalFraction float64
 }
 
@@ -142,7 +131,7 @@ func newTierWorkload(cfg SearchWorkloadConfig, memFraction float64) (*tierWorklo
 // run executes the search over store and returns the measurement. The
 // tree is rebuilt per run (the search mutates topology), so every arm
 // replays the identical operation sequence.
-func (w *tierWorkload) run(store ooc.Store, async bool, policy time.Duration) (TierAblationRow, error) {
+func (w *tierWorkload) run(store ooc.Store, async bool) (TierAblationRow, error) {
 	var row TierAblationRow
 	names := make([]string, w.data.Tree.NumTips)
 	for i := range names {
@@ -164,9 +153,6 @@ func (w *tierWorkload) run(store ooc.Store, async bool, policy time.Duration) (T
 	if err != nil {
 		return row, err
 	}
-	if policy > 0 {
-		e.EnableRecomputePolicy(policy)
-	}
 	t0 := time.Now()
 	sr, err := search.New(e, search.Options{
 		SPRRadius: w.cfg.SPRRadius, MaxRounds: w.cfg.Rounds,
@@ -184,21 +170,20 @@ func (w *tierWorkload) run(store ooc.Store, async bool, policy time.Duration) (T
 	row.LnL = sr.LnL
 	row.Slots = w.slots
 	row.Manager = mgr.Stats()
-	row.PolicyRecomputes = e.Stats.PolicyRecomputes
 	return row, nil
 }
 
 // localFraction computes the share of read demand served without a
 // remote round trip.
-func localFraction(mst ooc.Stats, tst ooc.TierStats, policy int64) float64 {
-	demand := mst.Reads + mst.SkippedReads + policy
+func localFraction(mst ooc.Stats, tst ooc.TierStats) float64 {
+	demand := mst.Reads + mst.SkippedReads
 	if demand == 0 {
 		return 1
 	}
 	return 1 - float64(tst.RemoteVectorsRead)/float64(demand)
 }
 
-// RunTierAblation runs the four arms at each configured RTT. It fails —
+// RunTierAblation runs the three arms at each configured RTT. It fails —
 // rather than returning misleading rows — if any arm's likelihood
 // diverges from the local baseline, or if the warm arm's served-locally
 // fraction drops below 70%.
@@ -222,7 +207,7 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	local, err := w.run(fs, cfg.Async, 0)
+	local, err := w.run(fs, cfg.Async)
 	fs.Close()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: local arm: %w", err)
@@ -246,19 +231,19 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		runTiered := func(arm, object, cacheDir string, cacheFrac float64, policy time.Duration) (TierAblationRow, error) {
+		runTiered := func(arm, object, cacheDir string, cacheFrac float64) (TierAblationRow, error) {
 			st, err := ooc.OpenStack(ooc.StackSpec{
 				TieredConfig: ooc.TieredConfig{
 					NumVectors: w.nVec, VectorLen: w.vecLen,
 					CacheDir: cacheDir, CacheVectors: cacheVecs(cacheFrac),
-					Lanes: cfg.Lanes, EstRTT: rtt,
+					Lanes: cfg.Lanes,
 				},
 				URL: srv.ObjectURL(object),
 			})
 			if err != nil {
 				return TierAblationRow{}, err
 			}
-			row, rerr := w.run(st.Store, cfg.Async, policy)
+			row, rerr := w.run(st.Store, cfg.Async)
 			tst := st.Tier.Stats()
 			if cerr := st.Close(); cerr != nil && rerr == nil {
 				rerr = cerr
@@ -269,7 +254,7 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 			row.Arm = arm
 			row.RTT = rtt
 			row.Tier = tst
-			row.LocalFraction = localFraction(row.Manager, tst, row.PolicyRecomputes)
+			row.LocalFraction = localFraction(row.Manager, tst)
 			return row, nil
 		}
 
@@ -278,7 +263,7 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 			os.MkdirAll(d, 0o755)
 			return d
 		}
-		cold, err := runTiered("cold", fmt.Sprintf("cold-%d", ri), armDir("cold"), cfg.ColdCacheFraction, 0)
+		cold, err := runTiered("cold", fmt.Sprintf("cold-%d", ri), armDir("cold"), cfg.ColdCacheFraction)
 		if err != nil {
 			return nil, err
 		}
@@ -288,10 +273,10 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 		// then the measured run reopens the same cache directory.
 		warmDir := armDir("warm")
 		warmObj := fmt.Sprintf("warm-%d", ri)
-		if _, err := runTiered("warm-prime", warmObj, warmDir, 1.0, 0); err != nil {
+		if _, err := runTiered("warm-prime", warmObj, warmDir, 1.0); err != nil {
 			return nil, err
 		}
-		warm, err := runTiered("warm", warmObj, warmDir, 1.0, 0)
+		warm, err := runTiered("warm", warmObj, warmDir, 1.0)
 		if err != nil {
 			return nil, err
 		}
@@ -299,17 +284,11 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 			return nil, fmt.Errorf("experiments: warm arm at %v did not adopt the primed cache", rtt)
 		}
 		rows = append(rows, warm)
-
-		rec, err := runTiered("recompute", fmt.Sprintf("rec-%d", ri), armDir("rec"), cfg.RecomputeCacheFraction, rtt/2)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, rec)
 		srv.Close()
 
 		// Acceptance counters: every arm bit-identical; the warm cache
-		// serves (or the policy skips) at least 70% of read demand.
-		for _, r := range []TierAblationRow{cold, warm, rec} {
+		// serves at least 70% of read demand.
+		for _, r := range []TierAblationRow{cold, warm} {
 			if r.LnL != local.LnL {
 				return nil, fmt.Errorf("experiments: %s arm at %v diverged: %.10f != %.10f",
 					r.Arm, rtt, r.LnL, local.LnL)
@@ -333,17 +312,17 @@ func WriteTierTable(w io.Writer, rows []TierAblationRow, cfg TierAblationConfig)
 	cfg.fill()
 	fmt.Fprintf(w, "Tiered storage ablation: %d taxa, %d sites, f=%.2f, lanes=%d, async=%v\n",
 		cfg.Workload.Taxa, cfg.Workload.Sites, cfg.MemFraction, cfg.Lanes, cfg.Async)
-	fmt.Fprintf(w, "%-10s %8s %10s %9s %9s %9s %9s %8s %7s\n",
-		"arm", "rtt", "elapsed", "cacheHit", "cacheMiss", "remVecRd", "coalesced", "policy", "local%")
+	fmt.Fprintf(w, "%-10s %8s %10s %9s %9s %9s %9s %7s\n",
+		"arm", "rtt", "elapsed", "cacheHit", "cacheMiss", "remVecRd", "coalesced", "local%")
 	var base time.Duration
 	for _, r := range rows {
 		if r.Arm == "local" {
 			base = r.Elapsed
 		}
-		fmt.Fprintf(w, "%-10s %8s %10s %9d %9d %9d %9d %8d %6.1f%%",
+		fmt.Fprintf(w, "%-10s %8s %10s %9d %9d %9d %9d %6.1f%%",
 			r.Arm, r.RTT, r.Elapsed.Round(time.Millisecond),
 			r.Tier.CacheHits, r.Tier.CacheMisses, r.Tier.RemoteVectorsRead,
-			r.Tier.Coalesced, r.PolicyRecomputes, 100*r.LocalFraction)
+			r.Tier.Coalesced, 100*r.LocalFraction)
 		if base > 0 {
 			fmt.Fprintf(w, "  (%.2fx)", float64(r.Elapsed)/float64(base))
 		}

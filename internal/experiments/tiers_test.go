@@ -17,7 +17,7 @@ func smallTierConfig() TierAblationConfig {
 	}
 }
 
-// TestTierAblationArms runs the full four-arm ablation at one injected
+// TestTierAblationArms runs the full three-arm ablation at one injected
 // RTT. RunTierAblation itself enforces the acceptance counters: every
 // arm bit-identical to the local FileStore baseline and the warm arm
 // serving >= 70% of read demand without a remote trip.
@@ -26,9 +26,9 @@ func TestTierAblationArms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// local + (cold, warm, recompute) per RTT.
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
+	// local + (cold, warm) per RTT.
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	byArm := map[string]TierAblationRow{}
 	for _, r := range rows {
@@ -47,38 +47,12 @@ func TestTierAblationArms(t *testing.T) {
 	}
 	var sb strings.Builder
 	WriteTierTable(&sb, rows, smallTierConfig())
-	for _, want := range []string{"local", "cold", "warm", "recompute", "lnL identical"} {
+	for _, want := range []string{"local", "cold", "warm", "lnL identical"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, sb.String())
 		}
 	}
 	t.Logf("\n%s", sb.String())
-}
-
-// TestTierAblationRecomputePolicyFires checks the recompute arm at a
-// punishing RTT: the policy must convert at least one remote fetch and
-// the likelihood must still match bit-for-bit (RunTierAblation errors
-// otherwise).
-func TestTierAblationRecomputePolicyFires(t *testing.T) {
-	cfg := smallTierConfig()
-	cfg.Workload.Taxa = 16
-	cfg.Workload.Sites = 60
-	cfg.Workload.SPRRadius = 2
-	cfg.RTTs = []time.Duration{8 * time.Millisecond}
-	cfg.RecomputeCacheFraction = 0.1
-	rows, err := RunTierAblation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Arm == "recompute" {
-			if r.PolicyRecomputes == 0 {
-				t.Errorf("policy never fired on a starved cache at 20ms RTT: %+v", r)
-			}
-			return
-		}
-	}
-	t.Fatal("no recompute row")
 }
 
 // TestTierAblationAsyncPipeline is the differential arm of the suite:

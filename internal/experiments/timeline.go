@@ -34,8 +34,8 @@ type TimelineConfig struct {
 	// traversal (the vector-lifecycle-rich workload from the recovery
 	// ablation).
 	Rounds int
-	// Workers and WriteBuffers configure the async pipeline.
-	Workers, WriteBuffers int
+	// Workers is the number of the async pipeline's fetch goroutines.
+	Workers int
 	// TraceCapacity bounds the event ring (default 65536 — enough to
 	// keep the whole run at the default geometry).
 	TraceCapacity int
@@ -62,9 +62,6 @@ func (c *TimelineConfig) fill() {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.WriteBuffers == 0 {
-		c.WriteBuffers = 2
 	}
 	if c.TraceCapacity == 0 {
 		c.TraceCapacity = 65536
@@ -121,7 +118,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 		NumVectors: n, VectorLen: vecLen,
 		Slots:    ooc.SlotsForFraction(cfg.Fraction, n),
 		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store,
-		Async: true, IOWorkers: cfg.Workers, WriteBuffers: cfg.WriteBuffers,
+		Async: true, IOWorkers: cfg.Workers,
 		Retry: ooc.RetryPolicy{Max: 8},
 	})
 	if err != nil {

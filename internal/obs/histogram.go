@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // LatencyBuckets is the default bucket layout for latency histograms:
@@ -64,14 +63,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations.

@@ -6,7 +6,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -132,8 +131,8 @@ type Cost struct {
 	BytesRemote int64 `json:"bytes_remote,omitempty"`
 	// BytesPushed: dirty write-back bytes pushed to the remote store.
 	BytesPushed int64 `json:"bytes_pushed,omitempty"`
-	// Recomputes counts vectors the recompute policy chose to rebuild
-	// instead of fetching; Newviews the ancestral vectors computed.
+	// Recomputes counts vectors degraded mode rebuilt locally instead
+	// of fetching; Newviews the ancestral vectors computed.
 	Recomputes int64 `json:"recomputes,omitempty"`
 	Newviews   int64 `json:"newviews,omitempty"`
 	// PCacheHits counts P-matrix cache hits.
@@ -296,14 +295,6 @@ func (sp *Span) Traceparent() string {
 		return ""
 	}
 	return FormatTraceparent(sp.trace, sp.id)
-}
-
-// Ledger returns the trace's shared cost ledger (nil for nil).
-func (sp *Span) Ledger() *CostLedger {
-	if sp == nil {
-		return nil
-	}
-	return sp.ledger
 }
 
 // AddCost merges d into the trace's cost ledger.
@@ -633,18 +624,6 @@ func (c *SpanCollector) Trace(id string) (TraceView, bool) {
 	copy(spans, rec.spans)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	return TraceView{TraceID: t.String(), Cost: rec.ledger.Snapshot(), Spans: spans}, true
-}
-
-// WriteTraceJSON writes one trace's document ({"error": ...} with a
-// false return when unknown).
-func (c *SpanCollector) WriteTraceJSON(w io.Writer, id string) (bool, error) {
-	view, ok := c.Trace(id)
-	if !ok {
-		return false, json.NewEncoder(w).Encode(map[string]string{"error": "unknown trace " + id})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return true, enc.Encode(view)
 }
 
 // WriteChromeTrace writes the merged span-aware Chrome trace_event

@@ -27,7 +27,7 @@ func asyncCase(t *testing.T, strategyName string, f float64, readSkip, async boo
 		Strategy:     strategyFor(strategyName, inner, tr, seed),
 		ReadSkipping: readSkip,
 		Store:        ooc.NewMemStore(inner, vecLen),
-		Async:        async, IOWorkers: 2, WriteBuffers: 2,
+		Async:        async, IOWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestAsyncPipelineOnRealFiles(t *testing.T) {
 			Strategy:     ooc.NewLRU(inner),
 			ReadSkipping: true,
 			Store:        store,
-			Async:        async, IOWorkers: 3, WriteBuffers: 2,
+			Async:        async, IOWorkers: 3,
 		})
 		if err != nil {
 			t.Fatal(err)

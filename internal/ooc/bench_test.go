@@ -133,7 +133,7 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 			Strategy:     NewLRU(n),
 			ReadSkipping: true,
 			Store:        store,
-			Async:        async, IOWorkers: 2, WriteBuffers: 2,
+			Async:        async, IOWorkers: 2,
 		})
 		if err != nil {
 			b.Fatal(err)

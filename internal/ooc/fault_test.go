@@ -299,8 +299,8 @@ func TestFaultAsyncEvictDropsFailedStageIn(t *testing.T) {
 	fs := NewFaultStore(base, FaultConfig{Seed: 9, PReadErr: 1, MaxReadErrs: 1})
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-		ReadSkipping: true, WriteBack: WriteBackAlways,
-		Store: fs, Async: true, IOWorkers: 1,
+		ReadSkipping: true,
+		Store:        fs, Async: true, IOWorkers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -138,7 +138,7 @@ func TestTieredStoreJournalAbsorbsDirtyEvictions(t *testing.T) {
 	if ts.Stats().JournalHits == 0 {
 		t.Error("read of an evicted vector did not hit the journal")
 	}
-	// Journaled vectors price as local for the recompute policy.
+	// Journaled vectors count as local for the degraded-mode planner.
 	if _, remote := ts.FetchCost(0); remote {
 		t.Error("journaled vector priced as remote")
 	}

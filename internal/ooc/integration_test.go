@@ -222,7 +222,6 @@ func TestOOCWriteBackDirtyCorrect(t *testing.T) {
 		Slots:        ooc.SlotsForFraction(0.3, trB.NumInner()),
 		Strategy:     ooc.NewLRU(trB.NumInner()),
 		ReadSkipping: true,
-		WriteBack:    ooc.WriteBackDirty,
 		Store:        ooc.NewMemStore(trB.NumInner(), vecLen),
 	})
 	if err != nil {
@@ -234,11 +233,11 @@ func TestOOCWriteBackDirtyCorrect(t *testing.T) {
 	}
 	gotLnl, _ := workload(t, eB, trB)
 	if gotLnl != wantLnl {
-		t.Errorf("WriteBackDirty lnL %v differs from standard %v", gotLnl, wantLnl)
+		t.Errorf("dirty-only write-back lnL %v differs from standard %v", gotLnl, wantLnl)
 	}
 	st := mgr.Stats()
 	if st.SkippedWrites == 0 {
-		t.Error("dirty-tracking never skipped a write; ablation is vacuous")
+		t.Error("dirty-tracking never skipped a write; the check is vacuous")
 	}
 }
 

@@ -122,7 +122,9 @@ type RetryPolicy struct {
 	// doubling would wake every remote lane at the same instant after a
 	// shared outage — a synchronized retry storm — so jitter is always
 	// on; nil uses the (goroutine-safe) global math/rand source, tests
-	// inject a seeded func to stay deterministic.
+	// inject a seeded func to stay deterministic. A policy handed to a
+	// TieredStore is run from several goroutines at once, so a func
+	// injected there must be safe for concurrent use.
 	Rand func() float64
 }
 

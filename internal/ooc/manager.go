@@ -16,20 +16,6 @@ import (
 // (§3.2, "we must ensure that m >= 3").
 const MinSlots = 3
 
-// WriteBackPolicy controls when an evicted vector is written to the
-// backing store.
-type WriteBackPolicy int
-
-const (
-	// WriteBackAlways writes every evicted vector — the paper's swap
-	// semantics (evict = write old + read new).
-	WriteBackAlways WriteBackPolicy = iota
-	// WriteBackDirty writes only vectors modified since they were
-	// faulted in. Not in the paper; implemented as the natural
-	// extension ablated in the benchmarks.
-	WriteBackDirty
-)
-
 // Stats holds the manager's access counters — the quantities plotted in
 // the paper's Figures 2-4.
 type Stats struct {
@@ -46,7 +32,8 @@ type Stats struct {
 	SkippedReads int64
 	// Writes counts vectors written back to the store.
 	Writes int64
-	// SkippedWrites counts evictions elided by WriteBackDirty.
+	// SkippedWrites counts write-backs elided because the vector was not
+	// modified since it was faulted in (evictions and Flush alike).
 	SkippedWrites int64
 	// BytesRead and BytesWritten total the store traffic.
 	BytesRead, BytesWritten int64
@@ -84,8 +71,6 @@ type Config struct {
 	Strategy Strategy
 	// ReadSkipping enables §3.4's write-intent read elision.
 	ReadSkipping bool
-	// WriteBack selects the eviction write policy.
-	WriteBack WriteBackPolicy
 	// Store is the backing storage; required.
 	Store Store
 
@@ -100,11 +85,6 @@ type Config struct {
 	// IOWorkers is the number of background fetch goroutines servicing
 	// the prefetch queue (default 2). Only used when Async is set.
 	IOWorkers int
-	// WriteBuffers is the number of spare slot buffers backing
-	// asynchronous write-back (default 2). An eviction blocks only when
-	// all spares are already in the write queue. Each buffer costs
-	// VectorLen float64s on top of the Slots budget.
-	WriteBuffers int
 
 	// Retry governs re-issuing store operations that fail with a
 	// transient error (ErrTransientIO) — capped exponential backoff on
@@ -123,6 +103,12 @@ type Config struct {
 // fetchQueuePerWorker bounds the prefetches waiting for a fetch worker
 // at this many per worker; Prefetch blocks when the queue is full.
 const fetchQueuePerWorker = 2
+
+// writeBuffers is the number of spare slot buffers backing asynchronous
+// write-back. An eviction blocks only when all spares are already in
+// the write queue. Each buffer costs VectorLen float64s on top of the
+// Slots budget.
+const writeBuffers = 2
 
 // SlotsForFraction returns m = max(MinSlots, round(f*n)) capped at n —
 // the paper's parameterisation of available RAM.
@@ -189,7 +175,8 @@ type Manager struct {
 	// itemvector: RAM address vs file offset; offsets here are implicit,
 	// vector vi lives at file position vi).
 	itemSlot []int
-	// dirty marks slots written since fault-in (used by WriteBackDirty).
+	// dirty marks slots written since fault-in; only those are written
+	// back.
 	dirty []bool
 	// prefetched marks slots staged by Prefetch and not yet demanded.
 	prefetched []bool
@@ -267,11 +254,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		if cfg.IOWorkers < 1 {
 			cfg.IOWorkers = 2
 		}
-		if cfg.WriteBuffers < 1 {
-			cfg.WriteBuffers = 2
-		}
 		m.cfg = cfg
-		m.pipe = newPipeline(cfg.Store, cfg.VectorLen, cfg.IOWorkers, fetchQueuePerWorker*cfg.IOWorkers, cfg.WriteBuffers, cfg.Retry, &m.retried)
+		m.pipe = newPipeline(cfg.Store, cfg.VectorLen, cfg.IOWorkers, fetchQueuePerWorker*cfg.IOWorkers, cfg.Retry, &m.retried)
 		m.inflight = make([]*fetchReq, cfg.Slots)
 		m.pipeStats.Enabled = true
 	}
@@ -426,12 +410,10 @@ func (m *Manager) Resident(vi int) bool {
 	return vi >= 0 && vi < len(m.itemSlot) && m.itemSlot[vi] >= 0
 }
 
-// FetchCost implements the fetch-vs-recompute oracle over the slot
-// pool: a resident vector is free and local; anything else costs
-// whatever the backing store estimates (zero/local for stores that do
-// not track latency). The engine's recompute policy consults this to
-// decide whether re-deriving a vector from its children beats paying a
-// remote round trip for it.
+// FetchCost implements FetchCoster over the slot pool: a resident
+// vector is local; anything else is whatever the backing store says
+// (local for stores with no remote tier). The engine's degraded-mode
+// planner consults this to find the reads it must recompute instead.
 func (m *Manager) FetchCost(vi int) (time.Duration, bool) {
 	if m.Resident(vi) {
 		return 0, false
@@ -608,7 +590,7 @@ func (m *Manager) pickVictim(requested int, pinned []int) (victim, slot int, err
 	return m.candidates[pick], m.slotOf[pick], nil
 }
 
-// evict writes the victim back (subject to the write-back policy) and
+// evict writes the victim back if it was modified since fault-in and
 // releases its slot. Under the async pipeline the write is queued to
 // the writer goroutine and a spare buffer is patched into the slot, so
 // the call returns without waiting for the store.
@@ -638,8 +620,8 @@ func (m *Manager) evict(victim, slot int) error {
 		}
 	}
 	// A clean slot's content matches the store (it was faulted in by a
-	// read and never modified), so WriteBackDirty may skip it safely.
-	if m.cfg.WriteBack == WriteBackAlways || m.dirty[slot] {
+	// read and never modified), so its write-back is skipped.
+	if m.dirty[slot] {
 		var ws time.Time
 		if m.mx.on || m.span != nil {
 			ws = time.Now()
@@ -708,8 +690,8 @@ func (m *Manager) asyncWriteBack(victim, slot int) error {
 	return nil
 }
 
-// Flush writes every resident vector to the store (used before closing
-// or when handing the store to another consumer). Under the async
+// Flush writes every modified resident vector to the store (used before
+// closing or when handing the store to another consumer). Under the async
 // pipeline it is a full barrier: every in-flight fetch is joined and
 // the write queue is drained first, so queued (older) write-backs land
 // before the resident (newest) data below.
@@ -721,6 +703,10 @@ func (m *Manager) Flush() error {
 	}
 	for s, it := range m.slotItem {
 		if it < 0 {
+			continue
+		}
+		if !m.dirty[s] {
+			m.stats.SkippedWrites++
 			continue
 		}
 		if err := m.stall(func() error { return m.storeWrite(it, m.slots[s]) }); err != nil {

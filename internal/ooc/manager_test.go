@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,40 +150,96 @@ func TestReadSkipping(t *testing.T) {
 	}
 }
 
+// TestWriteBackDirtySkipsCleanEvictions pins the one write-back rule —
+// a vector reaches the store iff it was modified since it was faulted
+// in — on each of the three paths that can write one back: eviction,
+// Resize shrink and Flush, sync and async.
 func TestWriteBackDirtySkipsCleanEvictions(t *testing.T) {
-	n, vl := 10, 4
-	m, err := NewManager(Config{
-		NumVectors: n, VectorLen: vl, Slots: 3,
-		Strategy:  NewLRU(n),
-		WriteBack: WriteBackDirty,
-		Store:     NewMemStore(n, vl),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write all vectors once (forces dirty evictions)...
-	for vi := 0; vi < n; vi++ {
-		v, _ := m.Vector(vi, true)
-		v[0] = float64(vi)
-	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	before := m.Stats().SkippedWrites
-	// ...then only read: evictions should now skip the write-back.
-	for round := 0; round < 3; round++ {
-		for vi := 0; vi < n; vi++ {
-			v, err := m.Vector(vi, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v[0] != float64(vi) {
-				t.Fatalf("vector %d corrupted: %v", vi, v[0])
-			}
+	const n, vl = 10, 4
+	for _, async := range []bool{false, true} {
+		for _, write := range []bool{false, true} {
+			async, write := async, write
+			t.Run(fmt.Sprintf("async=%v/write=%v", async, write), func(t *testing.T) {
+				store := NewMemStore(n, vl)
+				for vi := 0; vi < n; vi++ {
+					if err := store.WriteVector(vi, []float64{float64(vi), 0, 0, 0}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m, err := NewManager(Config{
+					NumVectors: n, VectorLen: vl, Slots: 4,
+					Strategy: NewLRU(n), Store: store, Async: async,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				// get faults vi in (or hits it); with intent it also
+				// modifies the vector, which is what makes it dirty.
+				get := func(vi int, intent bool) {
+					t.Helper()
+					v, err := m.Vector(vi, intent)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v[0] != float64(vi) {
+						t.Fatalf("vector %d holds %v", vi, v[0])
+					}
+					if intent {
+						v[1]++
+					}
+				}
+				// step runs f, which writes back exactly one vector under
+				// test, and checks where that write-back was ledgered.
+				step := func(name string, f func() error) {
+					t.Helper()
+					before := m.Stats()
+					if err := f(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					after := m.Stats()
+					wantW, wantS := int64(0), int64(1)
+					if write {
+						wantW, wantS = 1, 0
+					}
+					if dw, ds := after.Writes-before.Writes, after.SkippedWrites-before.SkippedWrites; dw != wantW || ds != wantS {
+						t.Errorf("%s: Writes +%d SkippedWrites +%d, want +%d +%d", name, dw, ds, wantW, wantS)
+					}
+				}
+
+				get(0, write) // the only resident
+				step("flush", m.Flush)
+
+				get(0, write) // hit; dirty again under write intent
+				for vi := 1; vi <= 3; vi++ {
+					get(vi, false)
+				}
+				step("evict", func() error { _, err := m.Vector(4, false); return err }) // LRU victim: 0
+
+				get(5, write) // evicts clean 1
+				for vi := 2; vi <= 4; vi++ {
+					get(vi, false) // hits, so 5 becomes the LRU victim
+				}
+				step("shrink", func() error { return m.Resize(3) })
+
+				// What was modified — and only that — is in the store.
+				if err := m.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]float64, vl)
+				for vi, want := range map[int]float64{0: 2, 5: 1, 2: 0} {
+					if !write {
+						want = 0
+					}
+					if err := store.ReadVector(vi, got); err != nil {
+						t.Fatal(err)
+					}
+					if got[0] != float64(vi) || got[1] != want {
+						t.Errorf("store vector %d = %v, want [%d %v 0 0]", vi, got, vi, want)
+					}
+				}
+			})
 		}
-	}
-	if m.Stats().SkippedWrites <= before {
-		t.Error("clean evictions should skip write-back under WriteBackDirty")
 	}
 }
 
@@ -301,7 +358,6 @@ func TestRandomisedOpsKeepInvariantsProperty(t *testing.T) {
 			NumVectors: n, VectorLen: 3, Slots: slots,
 			Strategy:     strat,
 			ReadSkipping: rng.Intn(2) == 0,
-			WriteBack:    WriteBackPolicy(rng.Intn(2)),
 			Store:        NewMemStore(n, 3),
 		})
 		if err != nil {

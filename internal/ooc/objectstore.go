@@ -21,8 +21,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"oocphylo/internal/obs"
 )
@@ -51,25 +49,7 @@ type ObjectStore struct {
 	n        int
 	vecLen   int
 	client   *http.Client
-
-	// latNanos is an EWMA of observed per-request latency, feeding
-	// FetchCost when no tier sits in front to measure it instead.
-	latNanos atomic.Int64
-
-	// deadlineNanos bounds each request (0 = none); see SetDeadline.
-	deadlineNanos atomic.Int64
 }
-
-// SetDeadline bounds every subsequent request to d (0 removes the
-// bound). A stalled or partitioned backend then costs one deadline per
-// attempt instead of an unbounded hang; the resulting timeout error is
-// wrapped transient, so retry budgets and the circuit breaker see it
-// like any other failed attempt.
-func (s *ObjectStore) SetDeadline(d time.Duration) { s.deadlineNanos.Store(int64(d)) }
-
-// defaultRemoteCost stands in for the request latency before any
-// request has been observed.
-const defaultRemoteCost = 5 * time.Millisecond
 
 // NewObjectStore creates (truncating) the remote object for numVectors
 // vectors of vecLen float64s and returns a store over it.
@@ -151,11 +131,10 @@ func (s *ObjectStore) ReadRange(ctx context.Context, vi, count int, dst []float6
 	}
 	from := int64(vi) * int64(s.vecLen) * 8
 	to := from + int64(count)*int64(s.vecLen)*8 - 1
-	req, cancel, err := s.newRequest(ctx, http.MethodGet, "", nil)
+	req, err := s.newRequest(ctx, http.MethodGet, "", nil)
 	if err != nil {
 		return err
 	}
-	defer cancel()
 	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", from, to))
 	// An active span makes this GET a traced child hop: the traceparent
 	// header carries the trace into the remote store's own spans.
@@ -167,7 +146,6 @@ func (s *ObjectStore) ReadRange(ctx context.Context, vi, count int, dst []float6
 		req.Header.Set("traceparent", child.Traceparent())
 		defer child.End()
 	}
-	start := time.Now()
 	resp, err := s.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("ooc: remote read [%d,%d): %w (%v)", vi, vi+count, ErrTransientIO, err)
@@ -182,7 +160,6 @@ func (s *ObjectStore) ReadRange(ctx context.Context, vi, count int, dst []float6
 	if err := decodeVectors(resp.Body, dst); err != nil {
 		return fmt.Errorf("ooc: remote read [%d,%d): %w (%v)", vi, vi+count, ErrTransientIO, err)
 	}
-	s.observeLatency(time.Since(start))
 	return nil
 }
 
@@ -193,11 +170,10 @@ func (s *ObjectStore) WriteRange(ctx context.Context, vi, count int, src []float
 	}
 	from := int64(vi) * int64(s.vecLen) * 8
 	to := from + int64(count)*int64(s.vecLen)*8 - 1
-	req, cancel, err := s.newRequest(ctx, http.MethodPut, "", encodeVectors(src))
+	req, err := s.newRequest(ctx, http.MethodPut, "", encodeVectors(src))
 	if err != nil {
 		return err
 	}
-	defer cancel()
 	req.Header.Set("Content-Range", fmt.Sprintf("bytes %d-%d/*", from, to))
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		child := sp.StartChild("remote.put")
@@ -207,12 +183,7 @@ func (s *ObjectStore) WriteRange(ctx context.Context, vi, count int, src []float
 		req.Header.Set("traceparent", child.Traceparent())
 		defer child.End()
 	}
-	start := time.Now()
-	if err := s.do(req, func(code int) error { return s.httpErr("write", vi, count, code) }); err != nil {
-		return err
-	}
-	s.observeLatency(time.Since(start))
-	return nil
+	return s.do(req, func(code int) error { return s.httpErr("write", vi, count, code) })
 }
 
 // Close implements Store.
@@ -221,50 +192,11 @@ func (s *ObjectStore) Close() error {
 	return nil
 }
 
-// FetchCost reports the estimated cost of fetching any one vector: the
-// latency EWMA observed over this store's own requests (a default
-// before the first request lands). The bool is always true — every
-// vector here is a network round trip away.
-func (s *ObjectStore) FetchCost(vi int) (time.Duration, bool) {
-	if d := time.Duration(s.latNanos.Load()); d > 0 {
-		return d, true
-	}
-	return defaultRemoteCost, true
-}
-
-// EstLatency returns the per-request latency EWMA (0 before any
-// request completes).
-func (s *ObjectStore) EstLatency() time.Duration {
-	return time.Duration(s.latNanos.Load())
-}
-
-func (s *ObjectStore) observeLatency(d time.Duration) {
-	for {
-		old := s.latNanos.Load()
-		next := int64(d)
-		if old > 0 {
-			next = old + (int64(d)-old)/4 // EWMA, alpha = 1/4
-		}
-		if s.latNanos.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (s *ObjectStore) newRequest(ctx context.Context, method, query string, body io.Reader) (*http.Request, context.CancelFunc, error) {
+func (s *ObjectStore) newRequest(ctx context.Context, method, query string, body io.Reader) (*http.Request, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cancel := context.CancelFunc(func() {})
-	if d := time.Duration(s.deadlineNanos.Load()); d > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, s.endpoint+query, body)
-	if err != nil {
-		cancel()
-		return nil, nil, err
-	}
-	return req, cancel, nil
+	return http.NewRequestWithContext(ctx, method, s.endpoint+query, body)
 }
 
 // do runs a request expecting a 2xx reply with no interesting body.

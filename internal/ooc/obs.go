@@ -200,22 +200,21 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		journalHits, journalAppends, journalReplayed      *obs.Counter
 		journalDepth, journalBytes, degraded              *obs.Gauge
 		breakerState                                      *obs.Gauge
-		estRTT                                            *obs.FloatGauge
 	}
 	c := mirrors{
-		cacheHits:    reg.Counter(prefix + "cache_hits"),
-		cacheMisses:  reg.Counter(prefix + "cache_misses"),
-		remoteReads:  reg.Counter(prefix + "remote_reads"),
-		remoteWrites: reg.Counter(prefix + "remote_writes"),
-		remoteVecsR:  reg.Counter(prefix + "remote_vectors_read"),
-		remoteVecsW:  reg.Counter(prefix + "remote_vectors_written"),
-		bytesCache:   reg.Counter(prefix + "bytes_from_cache"),
-		bytesFetched: reg.Counter(prefix + "bytes_fetched"),
-		bytesPushed:  reg.Counter(prefix + "bytes_pushed"),
-		coalesced:    reg.Counter(prefix + "coalesced"),
-		singleFlight: reg.Counter(prefix + "single_flight"),
-		evictions:    reg.Counter(prefix + "evictions"),
-		dirtyWB:      reg.Counter(prefix + "dirty_writebacks"),
+		cacheHits:       reg.Counter(prefix + "cache_hits"),
+		cacheMisses:     reg.Counter(prefix + "cache_misses"),
+		remoteReads:     reg.Counter(prefix + "remote_reads"),
+		remoteWrites:    reg.Counter(prefix + "remote_writes"),
+		remoteVecsR:     reg.Counter(prefix + "remote_vectors_read"),
+		remoteVecsW:     reg.Counter(prefix + "remote_vectors_written"),
+		bytesCache:      reg.Counter(prefix + "bytes_from_cache"),
+		bytesFetched:    reg.Counter(prefix + "bytes_fetched"),
+		bytesPushed:     reg.Counter(prefix + "bytes_pushed"),
+		coalesced:       reg.Counter(prefix + "coalesced"),
+		singleFlight:    reg.Counter(prefix + "single_flight"),
+		evictions:       reg.Counter(prefix + "evictions"),
+		dirtyWB:         reg.Counter(prefix + "dirty_writebacks"),
 		remoteErrors:    reg.Counter(prefix + "remote_errors"),
 		remoteRetries:   reg.Counter(prefix + "remote_retries"),
 		breakerOpens:    reg.Counter(prefix + "breaker_opens"),
@@ -229,7 +228,6 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		breakerState:    reg.Gauge(prefix + "breaker_state"),
 		journalBytes:    reg.Gauge(prefix + "journal_bytes"),
 		degraded:        reg.Gauge(prefix + "degraded"),
-		estRTT:          reg.FloatGauge(prefix + "est_rtt_seconds"),
 	}
 	reg.AddPublisher(func() {
 		st := ts.Stats()
@@ -267,7 +265,6 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		} else {
 			c.degraded.Set(0)
 		}
-		c.estRTT.Set(st.EstRTT.Seconds())
 	})
 	if ts.Breaker() != nil {
 		reg.SetInfo(prefix+"breaker", "enabled")

@@ -160,19 +160,19 @@ type pipeline struct {
 	stop sync.Once
 }
 
-func newPipeline(store Store, vecLen, workers, queue, spareBufs int, retry RetryPolicy, retried *atomic.Int64) *pipeline {
+func newPipeline(store Store, vecLen, workers, queue int, retry RetryPolicy, retried *atomic.Int64) *pipeline {
 	p := &pipeline{
 		store:   store,
 		vecLen:  vecLen,
 		fetchCh: make(chan *fetchReq, queue),
-		writeCh: make(chan *writeReq, spareBufs),
-		spares:  make(chan []float64, spareBufs),
+		writeCh: make(chan *writeReq, writeBuffers),
+		spares:  make(chan []float64, writeBuffers),
 		pending: make(map[int]*writeReq),
 		retry:   retry,
 		retried: retried,
 	}
 	p.writerTID = int32(workers + 1)
-	for i := 0; i < spareBufs; i++ {
+	for i := 0; i < writeBuffers; i++ {
 		p.spares <- make([]float64, vecLen)
 	}
 	for i := 0; i < workers; i++ {

@@ -14,11 +14,11 @@ import (
 	"time"
 )
 
-// FetchCoster estimates what a demand read of vector vi would cost.
-// The bool reports whether the vector is "remote" — not servable from
-// a local tier — which is what makes recomputing it from resident
-// children worth considering (the plf engine's fetch-vs-recompute
-// policy matches this method structurally).
+// FetchCoster reports whether a demand read of vector vi is "remote" —
+// not servable from a local tier. Only the bool is consulted (the plf
+// engine's degraded-mode planner matches this method structurally and
+// recomputes remote reads while the tier is unavailable); implementers
+// return a zero duration.
 type FetchCoster interface {
 	FetchCost(vi int) (time.Duration, bool)
 }
@@ -56,9 +56,8 @@ func storeAs[T any](s Store) (T, bool) {
 	return zero, false
 }
 
-// StoreFetchCost queries the fetch cost of the first FetchCoster down
-// s's Unwrap chain, reporting (0, false) — local, free — when none has
-// an estimate.
+// StoreFetchCost queries the first FetchCoster down s's Unwrap chain,
+// reporting (0, false) — local — when there is none.
 func StoreFetchCost(s Store, vi int) (time.Duration, bool) {
 	if fc, ok := storeAs[FetchCoster](s); ok {
 		return fc.FetchCost(vi)
@@ -77,9 +76,9 @@ func StoreMemOverhead(s Store) int64 {
 
 // Degrader is implemented by stores that can report their remote
 // backend as temporarily unavailable (circuit breaker open). While
-// degraded, the plf engine flips its fetch-vs-recompute policy so
-// every valid-but-remote read becomes a local recompute, and the
-// service layer reports not-ready on /readyz.
+// degraded, the plf engine's planner turns every valid-but-remote read
+// into a local recompute, and the service layer reports not-ready on
+// /readyz.
 type Degrader interface {
 	Degraded() bool
 }

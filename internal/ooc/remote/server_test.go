@@ -187,79 +187,94 @@ func TestServerConcurrentRanges(t *testing.T) {
 
 // TestServerChaosInjection drives each injected fault kind through the
 // HTTP surface and pins the server's core safety rule: stored objects
-// are never mutated by injection, whatever the GET path returned.
+// are never mutated by injection, whatever the GET path returned. One
+// server per fault kind — a live server's config is never reassigned;
+// the device is switched off and on through its own locked setters.
 func TestServerChaosInjection(t *testing.T) {
-	chaos := iosim.NewChaos(iosim.ChaosConfig{})
-	chaos.Disable()
-	s, err := NewServer(ServerConfig{Chaos: chaos})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	base := "http://" + s.Addr() + "/o/chaos"
+	const payload = "ABCDEFGHIJKLMNOP"
+	for _, tc := range []struct {
+		name string
+		cfg  iosim.ChaosConfig
+		// get checks what a faulted GET returned.
+		get func(t *testing.T, body string, code int, err error)
+		// putFails marks kinds whose PUT verdict degrades to a drop.
+		putFails bool
+	}{
+		{name: "error", cfg: iosim.ChaosConfig{ErrorProb: 1},
+			get: func(t *testing.T, _ string, code int, _ error) {
+				if code != http.StatusServiceUnavailable {
+					t.Errorf("FaultError GET: HTTP %d, want 503", code)
+				}
+			}},
+		{name: "drop", cfg: iosim.ChaosConfig{DropProb: 1},
+			get: func(t *testing.T, _ string, _ int, err error) {
+				if err == nil {
+					t.Error("FaultDrop GET completed")
+				}
+			}},
+		{name: "corrupt", cfg: iosim.ChaosConfig{CorruptProb: 1}, putFails: true,
+			get: func(t *testing.T, body string, code int, err error) {
+				if err != nil || code != http.StatusPartialContent {
+					t.Fatalf("FaultCorrupt GET: HTTP %d err %v", code, err)
+				}
+				if body == payload {
+					t.Error("FaultCorrupt returned pristine bytes")
+				}
+			}},
+		{name: "truncate", cfg: iosim.ChaosConfig{TruncateProb: 1}, putFails: true,
+			get: func(t *testing.T, body string, _ int, _ error) {
+				if body == payload {
+					t.Error("FaultTruncate returned the full body")
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chaos := iosim.NewChaos(tc.cfg)
+			chaos.Disable()
+			s, err := NewServer(ServerConfig{Chaos: chaos})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			base := "http://" + s.Addr() + "/o/chaos"
+			put := func() int {
+				req, _ := http.NewRequest(http.MethodPut, base, strings.NewReader(payload))
+				req.Header.Set("Content-Range", "bytes 0-15/*")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					return -1
+				}
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			get := func() (string, int, error) {
+				req, _ := http.NewRequest(http.MethodGet, base, nil)
+				req.Header.Set("Range", "bytes=0-15")
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					return "", 0, err
+				}
+				body, rerr := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				return string(body), resp.StatusCode, rerr
+			}
+			if code := put(); code != http.StatusOK {
+				t.Fatalf("clean PUT: HTTP %d", code)
+			}
 
-	payload := "ABCDEFGHIJKLMNOP"
-	put := func() int {
-		req, _ := http.NewRequest(http.MethodPut, base, strings.NewReader(payload))
-		req.Header.Set("Content-Range", "bytes 0-15/*")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return -1
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	get := func() (string, int, error) {
-		req, _ := http.NewRequest(http.MethodGet, base, nil)
-		req.Header.Set("Range", "bytes=0-15")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return "", 0, err
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return string(body), resp.StatusCode, rerr
-	}
-	if code := put(); code != http.StatusOK {
-		t.Fatalf("clean PUT: HTTP %d", code)
-	}
-	chaos.Enable()
+			chaos.Enable()
+			body, code, err := get()
+			tc.get(t, body, code, err)
+			// A corrupt or truncate verdict on a PUT degrades to a drop,
+			// so the stored object survives it unscathed.
+			if tc.putFails && put() == http.StatusOK {
+				t.Errorf("faulted PUT succeeded (must degrade to drop)")
+			}
+			chaos.Disable()
 
-	// 503 burst: the request fails without touching the object.
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{ErrorProb: 1})
-	if _, code, _ := get(); code != http.StatusServiceUnavailable {
-		t.Errorf("FaultError GET: HTTP %d, want 503", code)
-	}
-
-	// Connection drop: the client sees a transport error, not a body.
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{DropProb: 1})
-	if _, _, err := get(); err == nil {
-		t.Error("FaultDrop GET completed")
-	}
-
-	// Corrupt: the GET body differs from the stored bytes...
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{CorruptProb: 1})
-	if body, code, err := get(); err != nil || code != http.StatusPartialContent {
-		t.Fatalf("FaultCorrupt GET: HTTP %d err %v", code, err)
-	} else if body == payload {
-		t.Error("FaultCorrupt returned pristine bytes")
-	}
-
-	// ...and a corrupt-verdict PUT degrades to a drop, so the stored
-	// object survives both unscathed.
-	if code := put(); code == http.StatusOK {
-		t.Error("FaultCorrupt PUT succeeded (must degrade to drop)")
-	}
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{TruncateProb: 1})
-	if body, _, _ := get(); body == payload {
-		t.Error("FaultTruncate returned the full body")
-	}
-	if code := put(); code == http.StatusOK {
-		t.Error("FaultTruncate PUT succeeded (must degrade to drop)")
-	}
-
-	s.cfg.Chaos = nil
-	if body, code, err := get(); err != nil || code != http.StatusPartialContent || body != payload {
-		t.Errorf("object mutated by injection: %q HTTP %d err %v", body, code, err)
+			if body, code, err := get(); err != nil || code != http.StatusPartialContent || body != payload {
+				t.Errorf("object mutated by injection: %q HTTP %d err %v", body, code, err)
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@ package ooc
 // between operations:
 //
 //   - Shrink evicts via the active replacement strategy — the same
-//     code path as a demand miss, so write-back policy, read-skipping
+//     code path as a demand miss, so the write-back rule, read-skipping
 //     ledgers and strategy state all behave exactly as if the evicted
 //     vectors had lost a normal replacement decision. Pinned vectors
 //     are never chosen; in-flight async stage-ins are drained first so

@@ -63,9 +63,6 @@ type TieredConfig struct {
 	CacheVectors int
 	// Lanes is the number of parallel remote fetch lanes (default 2).
 	Lanes int
-	// EstRTT seeds the fetch-cost estimate before any remote request
-	// has been observed (default 5ms). The live EWMA replaces it.
-	EstRTT time.Duration
 
 	// --- Network fault tolerance (the remote tier treated as an
 	// unreliable network service, not a slow disk) ---
@@ -108,9 +105,6 @@ func (c *TieredConfig) fill() error {
 	if c.Lanes < 1 {
 		c.Lanes = 2
 	}
-	if c.EstRTT <= 0 {
-		c.EstRTT = defaultRemoteCost
-	}
 	if c.SpillDir == "" {
 		c.SpillDir = c.CacheDir
 	}
@@ -141,8 +135,6 @@ type TierStats struct {
 	// WarmStart reports whether the cache was adopted from a previous
 	// cleanly closed run.
 	WarmStart bool
-	// EstRTT is the live remote-latency estimate (EWMA over requests).
-	EstRTT time.Duration
 
 	// --- Network fault tolerance ---
 
@@ -226,8 +218,7 @@ type TieredStore struct {
 	closed   bool
 	lanes    sync.WaitGroup
 
-	warm     bool
-	latNanos atomic.Int64
+	warm bool
 
 	// breaker (nil unless configured) guards every remote request;
 	// journal absorbs dirty write-backs the remote cannot take.
@@ -343,10 +334,6 @@ const spillJournalName = "spill.jrnl"
 // configured), for instrumentation and tests.
 func (s *TieredStore) Breaker() *Breaker { return s.breaker }
 
-// Journal exposes the write-back spill journal, for instrumentation
-// and tests.
-func (s *TieredStore) Journal() *SpillJournal { return s.journal }
-
 // Degraded implements Degrader: true while the breaker is anything but
 // closed — the remote tier is presumed unavailable, the engine planner
 // flips valid-but-remote reads into local recomputes, and the service
@@ -446,7 +433,6 @@ func (s *TieredStore) Stats() TierStats {
 		Evictions:            s.st.evictions.Load(),
 		DirtyWritebacks:      s.st.dirtyWritebacks.Load(),
 		WarmStart:            s.warm,
-		EstRTT:               time.Duration(s.latNanos.Load()),
 		RemoteErrors:         s.st.remoteErrors.Load(),
 		RemoteRetries:        s.retriedRemote.Load(),
 		Hedges:               s.st.hedges.Load(),
@@ -703,9 +689,8 @@ func (s *TieredStore) writeIndex() error {
 	return os.Rename(tmp, path)
 }
 
-// FetchCost implements the engine's fetch-vs-recompute hook: a cached
-// (or write-back-pending) vector costs nothing remote; anything else
-// costs one remote round trip at the live latency estimate.
+// FetchCost implements FetchCoster: a cached, write-back-pending or
+// journaled vector is local; anything else is a remote round trip.
 func (s *TieredStore) FetchCost(vi int) (time.Duration, bool) {
 	s.mu.Lock()
 	_, cached := s.slotOf[vi]
@@ -716,13 +701,7 @@ func (s *TieredStore) FetchCost(vi int) (time.Duration, bool) {
 	if !cached && s.journal != nil && s.journal.Has(vi) {
 		cached = true // journal payloads are served locally
 	}
-	if cached {
-		return 0, false
-	}
-	if d := time.Duration(s.latNanos.Load()); d > 0 {
-		return d, true
-	}
-	return s.cfg.EstRTT, true
+	return 0, !cached
 }
 
 // MemOverheadBytes estimates the tier's heap footprint beyond the
@@ -837,28 +816,14 @@ func (s *TieredStore) lane() {
 	}
 }
 
-// remoteObserved charges one remote round trip to the latency EWMA and
-// to the instrumented histogram, when one is attached.
+// remoteObserved charges one remote round trip to the instrumented
+// latency histogram, when one is attached.
 func (s *TieredStore) remoteObserved(d time.Duration) {
-	s.observeLatency(d)
 	s.fmu.Lock()
 	obs := s.remoteLatObs
 	s.fmu.Unlock()
 	if obs != nil {
 		obs(d.Seconds())
-	}
-}
-
-func (s *TieredStore) observeLatency(d time.Duration) {
-	for {
-		old := s.latNanos.Load()
-		next := int64(d)
-		if old > 0 {
-			next = old + (int64(d)-old)/4
-		}
-		if s.latNanos.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 

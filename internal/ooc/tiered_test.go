@@ -266,10 +266,10 @@ func TestTieredStoreFetchCost(t *testing.T) {
 	if d, rem := ts.FetchCost(1); rem || d != 0 {
 		t.Errorf("cached vector FetchCost = (%v, %v), want (0, local)", d, rem)
 	}
-	if d, rem := ts.FetchCost(7); !rem || d <= 0 {
-		t.Errorf("uncached vector FetchCost = (%v, %v), want remote with positive cost", d, rem)
+	if _, rem := ts.FetchCost(7); !rem {
+		t.Error("uncached vector FetchCost reports local, want remote")
 	}
-	// The cost estimate forwards through a ChecksumStore wrapper.
+	// The answer forwards through a ChecksumStore wrapper.
 	dir := t.TempDir()
 	fs, err := NewFileStore(filepath.Join(dir, "x.vec"), n, vecLen)
 	if err != nil {
@@ -280,8 +280,8 @@ func TestTieredStoreFetchCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, rem := StoreFetchCost(cs, 7); !rem || d <= 0 {
-		t.Errorf("wrapped FetchCost = (%v, %v), want forwarded remote cost", d, rem)
+	if _, rem := StoreFetchCost(cs, 7); !rem {
+		t.Error("wrapped FetchCost reports local, want the tier's remote")
 	}
 	if cs.MemOverheadBytes() <= ts.MemOverheadBytes() {
 		t.Error("checksum wrapper must add its table overhead to the inner store's")

@@ -1,8 +1,8 @@
 package plf
 
 // Degraded-mode tests: a provider whose remote tier is unavailable
-// (circuit breaker open) must flip the recompute policy so every
-// valid-but-remote read becomes a local newview, and a read that fails
+// (circuit breaker open) must turn every valid-but-remote read into a
+// local newview, and a read that fails
 // mid-pass with a FailedVector error must be absorbed by the recovery
 // path — in both cases with a bit-identical likelihood.
 
@@ -77,10 +77,9 @@ func outageRig(t *testing.T, seed int64, taxa int) (*tree.Tree, *Engine, *outage
 	return tr, e, prov
 }
 
-// TestDegradedModeConvertsRemoteReads pins the breaker-open policy
-// flip: while Degraded, every valid-but-remote read is converted to a
-// local recompute — even with the cost-threshold policy disabled — and
-// the likelihood does not move a bit.
+// TestDegradedModeConvertsRemoteReads pins the breaker-open plan
+// conversion: while Degraded, every valid-but-remote read is converted
+// to a local recompute and the likelihood does not move a bit.
 func TestDegradedModeConvertsRemoteReads(t *testing.T) {
 	tr, e, prov := outageRig(t, 31, 16)
 	want, err := e.LogLikelihood()
@@ -88,8 +87,7 @@ func TestDegradedModeConvertsRemoteReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Outage: all vectors priced remote, breaker open. No
-	// EnableRecomputePolicy call — degraded mode must not depend on it.
+	// Outage: all vectors remote, breaker open.
 	for vi := 0; vi < tr.NumInner(); vi++ {
 		prov.cost[vi] = 20 * time.Millisecond
 	}

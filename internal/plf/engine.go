@@ -47,15 +47,11 @@ type Stats struct {
 	// of its children, so corruption costs extra newviews, not the
 	// run).
 	Recoveries int64
-	// PolicyRecomputes counts valid vectors the fetch-vs-recompute
-	// policy chose to recompute locally instead of fetching from a
-	// remote store tier (see EnableRecomputePolicy).
-	PolicyRecomputes int64
-	// DegradedRecomputes counts the subset of PolicyRecomputes forced
-	// by degraded mode: the provider's remote tier was unavailable
-	// (circuit breaker open), so valid-but-remote reads were converted
-	// to local recomputes unconditionally to keep the engine answering
-	// bit-identically from cache plus recompute.
+	// DegradedRecomputes counts valid vectors recomputed locally
+	// instead of fetched because the provider's remote tier was
+	// unavailable (circuit breaker open): valid-but-remote reads are
+	// converted to recomputes unconditionally to keep the engine
+	// answering bit-identically from cache plus recompute.
 	DegradedRecomputes int64
 	// PCacheHits / PCacheMisses count branch-length transition-matrix
 	// cache lookups (see pcache.go); PCacheDrops counts wholesale
@@ -107,9 +103,6 @@ type Engine struct {
 	// prefetchDepth is how many future plan steps to stage inputs for
 	// (see SetPrefetchDepth); values < 1 behave as 1.
 	prefetchDepth int
-	// recomputeThresh is the fetch-vs-recompute policy threshold (see
-	// EnableRecomputePolicy); <= 0 disables the policy.
-	recomputeThresh time.Duration
 	// workers is the PLF kernel fan-out (see SetWorkers); pool is the
 	// persistent goroutine pool serving it when workers > 1.
 	workers int

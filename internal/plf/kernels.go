@@ -25,13 +25,8 @@ import (
 const (
 	// KernelAuto picks the fastest kernel set for the engine's model
 	// dimensions: DNA-unrolled for 4 states, the protein set for 20,
-	// the cache-blocked generic set otherwise.
+	// the generic loops (with the transition-matrix cache) otherwise.
 	KernelAuto = "auto"
-	// KernelBlocked forces the cache-blocked generic set: the
-	// arbitrary-k kernels that interleave four output-state
-	// accumulation chains per pass (see kernels_aa.go). Bit-identical
-	// to the generic loops for every k.
-	KernelBlocked = "blocked"
 	// KernelGeneric forces the generic loops and disables the
 	// transition-matrix cache — the exact legacy compute path, kept as
 	// the differential-testing baseline.
@@ -97,18 +92,16 @@ func selectKernelSet[F Float](mode string, nStates int) (kernelSet[F], error) {
 		case 20:
 			return aaKernels[F]{}, nil
 		}
-		return blockedKernels[F]{}, nil
-	case KernelBlocked:
-		return blockedKernels[F]{}, nil
+		return genericKernels[F]{}, nil
 	case KernelGeneric:
 		return genericKernels[F]{}, nil
 	}
-	return nil, fmt.Errorf("plf: unknown kernel mode %q (want %q, %q or %q)",
-		mode, KernelAuto, KernelBlocked, KernelGeneric)
+	return nil, fmt.Errorf("plf: unknown kernel mode %q (want %q or %q)",
+		mode, KernelAuto, KernelGeneric)
 }
 
-// SetKernel selects the compute-kernel set by mode (KernelAuto,
-// KernelBlocked or KernelGeneric). KernelGeneric restores the exact
+// SetKernel selects the compute-kernel set by mode (KernelAuto or
+// KernelGeneric). KernelGeneric restores the exact
 // legacy path: generic loops and no transition-matrix cache. Switching
 // kernels never changes results — the differential tests enforce
 // bit-identical vectors and likelihoods between modes.
@@ -138,7 +131,7 @@ func setKernel[F Float](e *Engine, cs *compute[F], mode string) error {
 func (e *Engine) KernelMode() string { return e.kernelMode }
 
 // KernelName reports which kernel set is actually active ("dna4",
-// "aa20", "blocked" or "generic") — under KernelAuto this depends on
+// "aa20" or "generic") — under KernelAuto this depends on
 // the model's state count.
 func (e *Engine) KernelName() string {
 	if e.c32 != nil {
@@ -161,7 +154,7 @@ func (e *Engine) pcacheEnabled() bool {
 // specialised kernel must reproduce bit-for-bit.
 type genericKernels[F Float] struct{}
 
-func (genericKernels[F]) name() string                                 { return "generic" }
+func (genericKernels[F]) name() string                                    { return "generic" }
 func (genericKernels[F]) prepareNewview(*Engine, *compute[F], *nvArgs[F]) {}
 
 func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {

@@ -1,9 +1,8 @@
 package plf
 
-// Protein (k=20) and cache-blocked generic kernels — "Throughput
-// round 2". The generic loops compute each output state's matrix-vector
-// sum in its own pass: one accumulation chain at a time, fully
-// serialised through the floating-point add latency. These kernels keep
+// Protein (k=20) kernels — "Throughput round 2". The generic loops
+// compute each output state's matrix-vector sum in its own pass: one
+// accumulation chain at a time, fully serialised through the floating-point add latency. These kernels keep
 // every chain's operation sequence EXACTLY as the generic kernel runs
 // it (zero-initialised accumulator, += terms in ascending j) but
 // interleave four independent chains per pass (eight in the
@@ -15,10 +14,9 @@ package plf
 // the bounds checks the generic slice indexing pays per element.
 //
 // aaKernels hard-codes k=20 so the s/j trip counts are compile-time
-// constants; blockedKernels is the same scheme for arbitrary k with a
-// scalar remainder loop (in generic order) when k%4 != 0. The tip×tip
-// case reuses the DNA set's mask-pair product-table trick, guarded by
-// prodTTMaxEntries because nm² can be large for proteins.
+// constants. The tip×tip case reuses the DNA set's mask-pair
+// product-table trick, guarded by prodTTMaxEntries because nm² can be
+// large for proteins.
 
 // prodTTMaxEntries caps the tip×tip product table (elements, not
 // bytes): C·nm²·k beyond this skips the table and computes each
@@ -402,341 +400,6 @@ func (aaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi in
 				dst[kk+1] = left[kk+1] * a1
 				dst[kk+2] = left[kk+2] * a2
 				dst[kk+3] = left[kk+3] * a3
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// blockedKernels: the same interleaved-chain scheme for arbitrary k,
-// with a scalar remainder loop (generic order) when k % 4 != 0.
-
-type blockedKernels[F Float] struct{}
-
-func (blockedKernels[F]) name() string { return "blocked" }
-
-func (blockedKernels[F]) prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F]) {
-	prepareProdTT(e, cs, a, e.nStates)
-}
-
-func (blockedKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
-	switch {
-	case a.codeL != nil && a.codeR != nil:
-		newviewTT(e, cs, a, e.nStates, lo, hi)
-	case a.codeL != nil:
-		blkNewviewTI(e, cs, a, a.codeL, a.tsL, a.xr, a.pmR, a.scr, lo, hi)
-	case a.codeR != nil:
-		blkNewviewTI(e, cs, a, a.codeR, a.tsR, a.xl, a.pmL, a.scl, lo, hi)
-	default:
-		blkNewviewII(e, cs, a, lo, hi)
-	}
-}
-
-// blkMatVecTip: dst[s] = tb[s]·(P·src)[s] for one k-state block.
-func blkMatVecTip[F Float](k int, p, src, tb, dst []F, blockMax F) F {
-	src = src[:k]
-	s := 0
-	for ; s+4 <= k; s += 4 {
-		r0 := p[s*k:][:k]
-		r1 := p[(s+1)*k:][:k]
-		r2 := p[(s+2)*k:][:k]
-		r3 := p[(s+3)*k:][:k]
-		var a0, a1, a2, a3 F
-		for j := 0; j < k; j++ {
-			xj := src[j]
-			a0 += r0[j] * xj
-			a1 += r1[j] * xj
-			a2 += r2[j] * xj
-			a3 += r3[j] * xj
-		}
-		v0 := tb[s] * a0
-		dst[s] = v0
-		if v0 > blockMax {
-			blockMax = v0
-		}
-		v1 := tb[s+1] * a1
-		dst[s+1] = v1
-		if v1 > blockMax {
-			blockMax = v1
-		}
-		v2 := tb[s+2] * a2
-		dst[s+2] = v2
-		if v2 > blockMax {
-			blockMax = v2
-		}
-		v3 := tb[s+3] * a3
-		dst[s+3] = v3
-		if v3 > blockMax {
-			blockMax = v3
-		}
-	}
-	for ; s < k; s++ {
-		row := p[s*k:][:k]
-		acc := F(0)
-		for j := 0; j < k; j++ {
-			acc += row[j] * src[j]
-		}
-		v := tb[s] * acc
-		dst[s] = v
-		if v > blockMax {
-			blockMax = v
-		}
-	}
-	return blockMax
-}
-
-func blkNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], code []uint16, ts, x, pm []F, sc []int32, lo, hi int) {
-	k, C, nm := e.nStates, e.nCat, a.nm
-	k2 := k * k
-	stride := C * k
-	xp, scp := a.xp, a.scp
-	for i := lo; i < hi; i++ {
-		base := i * stride
-		mi := int(code[i]) * k
-		blockMax := F(0)
-		for c := 0; c < C; c++ {
-			o := base + c*k
-			blockMax = blkMatVecTip(k,
-				pm[c*k2:], x[o:], ts[c*nm*k+mi:], xp[o:], blockMax)
-		}
-		scaleTail(xp[base:base+stride], scp, i, sc[i], blockMax, cs.minLik, cs.scaleFac, cs.flush)
-	}
-}
-
-// blkNewviewIICat: one k-state inner×inner category block, eight
-// chains per pass with a scalar remainder.
-func blkNewviewIICat[F Float](k int, pl, pr, l, r, dst []F, blockMax F) F {
-	l = l[:k]
-	r = r[:k]
-	s := 0
-	for ; s+4 <= k; s += 4 {
-		pl0 := pl[s*k:][:k]
-		pl1 := pl[(s+1)*k:][:k]
-		pl2 := pl[(s+2)*k:][:k]
-		pl3 := pl[(s+3)*k:][:k]
-		pr0 := pr[s*k:][:k]
-		pr1 := pr[(s+1)*k:][:k]
-		pr2 := pr[(s+2)*k:][:k]
-		pr3 := pr[(s+3)*k:][:k]
-		var la0, la1, la2, la3, ra0, ra1, ra2, ra3 F
-		for j := 0; j < k; j++ {
-			lj := l[j]
-			rj := r[j]
-			la0 += pl0[j] * lj
-			la1 += pl1[j] * lj
-			la2 += pl2[j] * lj
-			la3 += pl3[j] * lj
-			ra0 += pr0[j] * rj
-			ra1 += pr1[j] * rj
-			ra2 += pr2[j] * rj
-			ra3 += pr3[j] * rj
-		}
-		v0 := la0 * ra0
-		dst[s] = v0
-		if v0 > blockMax {
-			blockMax = v0
-		}
-		v1 := la1 * ra1
-		dst[s+1] = v1
-		if v1 > blockMax {
-			blockMax = v1
-		}
-		v2 := la2 * ra2
-		dst[s+2] = v2
-		if v2 > blockMax {
-			blockMax = v2
-		}
-		v3 := la3 * ra3
-		dst[s+3] = v3
-		if v3 > blockMax {
-			blockMax = v3
-		}
-	}
-	for ; s < k; s++ {
-		plr := pl[s*k:][:k]
-		prr := pr[s*k:][:k]
-		var la, ra F
-		for j := 0; j < k; j++ {
-			la += plr[j] * l[j]
-		}
-		for j := 0; j < k; j++ {
-			ra += prr[j] * r[j]
-		}
-		v := la * ra
-		dst[s] = v
-		if v > blockMax {
-			blockMax = v
-		}
-	}
-	return blockMax
-}
-
-func blkNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
-	k, C := e.nStates, e.nCat
-	k2 := k * k
-	stride := C * k
-	xl, xr, xp := a.xl, a.xr, a.xp
-	scl, scr, scp := a.scl, a.scr, a.scp
-	for i := lo; i < hi; i++ {
-		base := i * stride
-		blockMax := F(0)
-		for c := 0; c < C; c++ {
-			o := base + c*k
-			blockMax = blkNewviewIICat(k,
-				a.pmL[c*k2:], a.pmR[c*k2:], xl[o:], xr[o:], xp[o:], blockMax)
-		}
-		scaleTail(xp[base:base+stride], scp, i, scl[i]+scr[i], blockMax, cs.minLik, cs.scaleFac, cs.flush)
-	}
-}
-
-func (blockedKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int) {
-	k, C, nm := e.nStates, e.nCat, a.nm
-	k2 := k * k
-	stride := C * k
-	freqs := cs.freqs
-	catW := F(1) / F(C)
-	contrib := a.contrib
-	var ra [32]F
-	for i := lo; i < hi; i++ {
-		var cnt int32
-		if a.scp != nil {
-			cnt += a.scp[i]
-		}
-		if a.scq != nil {
-			cnt += a.scq[i]
-		}
-		base := i * stride
-		site := F(0)
-		for c := 0; c < C; c++ {
-			o := base + c*k
-			if a.codeQ != nil {
-				copy(ra[:k], a.tsQ[c*nm*k+int(a.codeQ[i])*k:][:k])
-			} else {
-				blkMatVec(k, a.pmQ[c*k2:], a.xq[o:], ra[:k])
-			}
-			f := F(0)
-			if a.codeP != nil {
-				ind := cs.tipInd[int(a.codeP[i])*k:][:k]
-				for s := 0; s < k; s++ {
-					f += freqs[s] * ind[s] * ra[s]
-				}
-			} else {
-				src := a.xp[o:][:k]
-				for s := 0; s < k; s++ {
-					f += freqs[s] * src[s] * ra[s]
-				}
-			}
-			site += f
-		}
-		site *= catW
-		contrib[i] = siteTerm(e, cs, i, site, cnt)
-	}
-}
-
-// blkMatVec fills dst = P·src for one k-state block.
-func blkMatVec[F Float](k int, p, src, dst []F) {
-	src = src[:k]
-	s := 0
-	for ; s+4 <= k; s += 4 {
-		r0 := p[s*k:][:k]
-		r1 := p[(s+1)*k:][:k]
-		r2 := p[(s+2)*k:][:k]
-		r3 := p[(s+3)*k:][:k]
-		var a0, a1, a2, a3 F
-		for j := 0; j < k; j++ {
-			xj := src[j]
-			a0 += r0[j] * xj
-			a1 += r1[j] * xj
-			a2 += r2[j] * xj
-			a3 += r3[j] * xj
-		}
-		dst[s] = a0
-		dst[s+1] = a1
-		dst[s+2] = a2
-		dst[s+3] = a3
-	}
-	for ; s < k; s++ {
-		row := p[s*k:][:k]
-		acc := F(0)
-		for j := 0; j < k; j++ {
-			acc += row[j] * src[j]
-		}
-		dst[s] = acc
-	}
-}
-
-func (blockedKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi int) {
-	k, C := e.nStates, e.nCat
-	stride := C * k
-	freqs := cs.freqs
-	ev, iv := cs.evec, cs.ievec
-	xp, xq := a.xp, a.xq
-	codeP, codeQ := a.codeP, a.codeQ
-	sumTab := cs.sumTab
-	var left [32]F
-	for i := lo; i < hi; i++ {
-		base := i * stride
-		for c := 0; c < C; c++ {
-			o := base + c*k
-			var ls []F
-			if codeP != nil {
-				ls = cs.tipInd[int(codeP[i])*k:][:k]
-			} else {
-				ls = xp[o:][:k]
-			}
-			for kk := 0; kk < k; kk++ {
-				left[kk] = 0
-			}
-			for s := 0; s < k; s++ {
-				w := freqs[s] * ls[s]
-				if w == 0 {
-					continue
-				}
-				row := ev[s*k:][:k]
-				kk := 0
-				for ; kk+4 <= k; kk += 4 {
-					left[kk] += w * row[kk]
-					left[kk+1] += w * row[kk+1]
-					left[kk+2] += w * row[kk+2]
-					left[kk+3] += w * row[kk+3]
-				}
-				for ; kk < k; kk++ {
-					left[kk] += w * row[kk]
-				}
-			}
-			var rs []F
-			if codeQ != nil {
-				rs = cs.tipInd[int(codeQ[i])*k:][:k]
-			} else {
-				rs = xq[o:][:k]
-			}
-			dst := sumTab[o:][:k]
-			kk := 0
-			for ; kk+4 <= k; kk += 4 {
-				r0 := iv[kk*k:][:k]
-				r1 := iv[(kk+1)*k:][:k]
-				r2 := iv[(kk+2)*k:][:k]
-				r3 := iv[(kk+3)*k:][:k]
-				var a0, a1, a2, a3 F
-				for j := 0; j < k; j++ {
-					xj := rs[j]
-					a0 += r0[j] * xj
-					a1 += r1[j] * xj
-					a2 += r2[j] * xj
-					a3 += r3[j] * xj
-				}
-				dst[kk] = left[kk] * a0
-				dst[kk+1] = left[kk+1] * a1
-				dst[kk+2] = left[kk+2] * a2
-				dst[kk+3] = left[kk+3] * a3
-			}
-			for ; kk < k; kk++ {
-				row := iv[kk*k:][:k]
-				acc := F(0)
-				for j := 0; j < k; j++ {
-					acc += row[j] * rs[j]
-				}
-				dst[kk] = left[kk] * acc
 			}
 		}
 	}

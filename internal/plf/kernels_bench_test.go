@@ -142,7 +142,6 @@ func benchSetupAA20(b *testing.B, mode, prec string) (*Engine, *tree.Tree) {
 func BenchmarkNewviewAA20(b *testing.B) {
 	for _, bc := range []struct{ mode, prec string }{
 		{KernelGeneric, PrecisionF64},
-		{KernelBlocked, PrecisionF64},
 		{KernelAuto, PrecisionF64},
 		{KernelAuto, PrecisionF32},
 	} {

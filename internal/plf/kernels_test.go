@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"oocphylo/internal/bio"
@@ -86,13 +87,10 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 	}{
 		{bio.DNA, 1, 3, 300, KernelAuto, PrecisionF64, "dna4"},
 		{bio.DNA, 4, 3, 300, KernelAuto, PrecisionF64, "dna4"},
-		{bio.DNA, 4, 1, 300, KernelBlocked, PrecisionF64, "blocked"},
 		{bio.AA, 1, 1, 80, KernelAuto, PrecisionF64, "aa20"},
 		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF64, "aa20"},
-		{bio.AA, 4, 1, 80, KernelBlocked, PrecisionF64, "blocked"},
 		{bio.DNA, 4, 1, 300, KernelAuto, PrecisionF32, "dna4"},
 		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF32, "aa20"},
-		{bio.AA, 4, 1, 80, KernelBlocked, PrecisionF32, "blocked"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -342,20 +340,20 @@ func TestKernelAutoSelection(t *testing.T) {
 	if !e2.pcacheEnabled() {
 		t.Fatal("auto mode must enable the P cache")
 	}
-	if err := e2.SetKernel(KernelBlocked); err != nil {
-		t.Fatal(err)
-	}
-	if e2.KernelName() != "blocked" || !e2.pcacheEnabled() {
-		t.Fatalf("KernelBlocked must select the blocked set with the P cache, got %q", e2.KernelName())
+	if err := e2.SetKernel("blocked"); err == nil ||
+		!strings.Contains(err.Error(), KernelAuto) || !strings.Contains(err.Error(), KernelGeneric) {
+		t.Fatalf("a removed kernel mode must be rejected naming auto and generic, got %v", err)
 	}
 
-	// A state count with no specialised set falls back to blocked under
-	// auto (binary characters: 2 states).
-	bin2, err := selectKernelSet[float64](KernelAuto, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bin2.name() != "blocked" {
-		t.Fatalf("auto for k=2 must pick blocked, got %q", bin2.name())
+	// auto specialises exactly the two alphabets internal/bio has; every
+	// other state count runs the generic loops.
+	for k, want := range map[int]string{2: "generic", 4: "dna4", 5: "generic", 20: "aa20", 61: "generic"} {
+		ks, err := selectKernelSet[float64](KernelAuto, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ks.name() != want {
+			t.Errorf("auto for k=%d picked %q, want %q", k, ks.name(), want)
+		}
 	}
 }

@@ -188,27 +188,6 @@ func (s *Searcher) SmoothBranches(passes int, eps float64) (float64, error) {
 	return lnl, nil
 }
 
-// DFSEdges returns all branches in depth-first visitation order
-// starting from the tree's first edge. The order is deterministic.
-func DFSEdges(t *tree.Tree) []*tree.Edge {
-	out := make([]*tree.Edge, 0, len(t.Edges))
-	seen := make([]bool, len(t.Edges))
-	var walk func(n *tree.Node)
-	walk = func(n *tree.Node) {
-		for _, e := range n.Adj {
-			if seen[e.Index] {
-				continue
-			}
-			seen[e.Index] = true
-			out = append(out, e)
-			walk(e.Other(n))
-		}
-	}
-	walk(t.Edges[0].N[0])
-	walk(t.Edges[0].N[1])
-	return out
-}
-
 // OptimizeAlpha Brent-optimises the Γ shape parameter in [0.02, 100].
 // Every trial re-discretises the rates and requires a full traversal —
 // the paper's §4.3 rationale for its full-traversal benchmark workload.

@@ -151,11 +151,6 @@ func (c *Client) once(method, path string, in, out any) (err error, backoff time
 	return json.Unmarshal(data, out), 0, false
 }
 
-// Health pings /healthz.
-func (c *Client) Health() error {
-	return c.do(http.MethodGet, "/healthz", nil, nil)
-}
-
 // CreateSession registers a new session.
 func (c *Client) CreateSession(cfg SessionConfig) (SessionInfo, error) {
 	var info SessionInfo

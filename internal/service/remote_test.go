@@ -94,7 +94,7 @@ func TestServiceRemoteStoreParkRevive(t *testing.T) {
 // during the run, and the session still answers correctly.
 func TestServiceRemoteStoreCacheBytes(t *testing.T) {
 	dir := t.TempDir()
-	alnPath, vecBytes, need := writeTestAlignment(t, dir, 12, 300, 19)
+	alnPath, vecBytes, need := writeTestAlignment(t, dir, 40, 200, 19)
 
 	rsrv, err := remote.NewServer(remote.ServerConfig{})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestServiceRemoteStoreCacheBytes(t *testing.T) {
 	defer srv.Close()
 
 	cfg := baseSession("tiny", alnPath)
-	cfg.MemLimit = need / 2
+	cfg.MemLimit = need / 4
 	ses, err := srv.CreateSession(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +139,24 @@ func TestServiceRemoteStoreCacheBytes(t *testing.T) {
 	}
 	if got.LnLBits != want.LnLBits {
 		t.Errorf("starved cache changed the likelihood: %s != %s", got.LnLBits, want.LnLBits)
+	}
+
+	// Partial evaluates mostly read. A vector nobody recomputed is never
+	// PUT: each newview dirties one vector, and a dirty vector is pushed
+	// at most once, so bytes pushed are bounded by newviews.
+	const edges = 2*40 - 3
+	for i := 1; i <= 40; i++ {
+		if _, err := ses.Evaluate(EvalSpec{Edge: (i * 7) % edges}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := ses.costSnapshot() // every reply is in: the loop goroutine is idle
+	if snap.tier.BytesPushed == 0 {
+		t.Error("a four-vector cache never pushed an eviction remote")
+	}
+	if bound := snap.eng.Newviews * vecBytes; snap.tier.BytesPushed > bound {
+		t.Errorf("pushed %d bytes for %d newviews of %d bytes (bound %d): unmodified vectors were written back",
+			snap.tier.BytesPushed, snap.eng.Newviews, vecBytes, bound)
 	}
 }
 

@@ -628,7 +628,7 @@ func (s *Session) costSnapshot() costSnapshot {
 func (after costSnapshot) sub(before costSnapshot) obs.Cost {
 	c := obs.Cost{
 		VectorsFaulted: after.mgr.Misses - before.mgr.Misses,
-		Recomputes:     after.eng.PolicyRecomputes - before.eng.PolicyRecomputes,
+		Recomputes:     after.eng.DegradedRecomputes - before.eng.DegradedRecomputes,
 		Newviews:       after.eng.Newviews - before.eng.Newviews,
 		PCacheHits:     after.eng.PCacheHits - before.eng.PCacheHits,
 	}

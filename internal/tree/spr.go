@@ -71,12 +71,6 @@ func PruneSubtree(t *Tree, u, v *Node) (*Prune, error) {
 // candidate scans.
 func (p *Prune) MergedEdge() *Edge { return p.merged }
 
-// Junction returns the inner node travelling with the pruned subtree.
-func (p *Prune) Junction() *Node { return p.u }
-
-// SubtreeRoot returns the root of the pruned subtree.
-func (p *Prune) SubtreeRoot() *Node { return p.v }
-
 // Regraft inserts the pruned subtree into edge g = {x, y} of the
 // remaining tree, splitting it into {x, u} and {u, y} with half the
 // original length each (the lazy-SPR default; the optimiser adjusts the

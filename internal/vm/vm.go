@@ -146,21 +146,6 @@ func New(cfg Config) (*PagedMemory, error) {
 	return m, nil
 }
 
-// Frames returns the physical frame budget.
-func (m *PagedMemory) Frames() int { return m.free + m.residentCount() }
-
-func (m *PagedMemory) residentCount() int {
-	// O(1) alternative would track a counter; Frames is only called by
-	// tests and reports.
-	c := 0
-	for _, r := range m.resident {
-		if r {
-			c++
-		}
-	}
-	return c
-}
-
 // Stats returns the counters.
 func (m *PagedMemory) Stats() Stats { return m.stats }
 
