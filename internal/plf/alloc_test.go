@@ -63,7 +63,8 @@ func TestHotPathAllocs(t *testing.T) {
 				{"LogLikelihoodAt", func() { e.LogLikelihoodAt(edge) }},
 				{"EvaluateAtLength", func() { e.EvaluateAtLength(edge, 0.1) }},
 				{"OptimizeBranch", func() { e.OptimizeBranch(edge) }},
-				{"sumTableValues", func() { e.sumTableValues(0.05) }},
+				{"sumTableValues", func() { e.sumTableValues(0.05, true) }},
+				{"sumTableValues derivative-only", func() { e.sumTableValues(0.05, false) }},
 			}
 			for _, c := range checks {
 				if n := testing.AllocsPerRun(100, c.fn); n != 0 {

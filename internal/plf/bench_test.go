@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"oocphylo/internal/bio"
+	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
 
@@ -65,20 +66,86 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimizeBranch(b *testing.B) {
-	e, tr := benchSetup(b, 64, 500, true, bio.DNA)
-	if _, err := e.LogLikelihood(); err != nil {
+// derivBenchRows are the model shapes the derivative path specialises
+// on: state count (the width of the exponential tables) and sum-table
+// element type.
+var derivBenchRows = []struct {
+	name        string
+	aa          bool
+	prec        string
+	taxa, sites int
+}{
+	{"DNA_f64", false, PrecisionF64, 64, 500},
+	{"DNA_f32", false, PrecisionF32, 64, 500},
+	{"AA_f64", true, PrecisionF64, 32, 150},
+	{"AA_f32", true, PrecisionF32, 32, 150},
+}
+
+// derivBenchSetup builds an engine on data simulated down its own tree
+// under Γ4, with the sum table of one inner branch built. A random
+// alignment would not do here: with no signal every branch's optimum
+// runs to the length cap and Newton spends its whole iteration budget,
+// which no search does.
+func derivBenchSetup(b *testing.B, aa bool, prec string, taxa, sites int) (*Engine, *tree.Edge) {
+	b.Helper()
+	ds, err := sim.NewDataset(sim.Config{Taxa: taxa, Sites: sites, GammaAlpha: 0.7, Seed: 7, AA: aa})
+	if err != nil {
 		b.Fatal(err)
 	}
-	edge := tr.Edges[3]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.OptimizeBranch(edge); err != nil {
-			b.Fatal(err)
+	e := newEngineP(b, ds.Tree, ds.Patterns, ds.Model, prec)
+	edge := ds.Tree.Edges[6]
+	if err := e.prepareSumTable(edge); err != nil {
+		b.Fatal(err)
+	}
+	return e, edge
+}
+
+// BenchmarkOptimizeBranch measures one whole branch optimisation —
+// traversal check, sum table, Newton passes — restarted from a third
+// of the generating length every iteration, so each one runs the same
+// solver trajectory (about seven iterations, a search's typical call).
+func BenchmarkOptimizeBranch(b *testing.B) {
+	for _, r := range derivBenchRows {
+		b.Run(r.name, func(b *testing.B) {
+			e, edge := derivBenchSetup(b, r.aa, r.prec, r.taxa, r.sites)
+			start := edge.Length / 3
+			iters := e.Stats.NewtonIters
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				edge.Length = start
+				if _, err := e.OptimizeBranch(edge); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(e.Stats.NewtonIters-iters)/float64(b.N), "newton-iters/op")
+		})
+	}
+}
+
+// BenchmarkSumTableValues isolates one derivative pass over a built sum
+// table: the full pass OptimizeBranch prices its end points with, and
+// the derivative-only pass its Newton iterations run.
+func BenchmarkSumTableValues(b *testing.B) {
+	for _, r := range derivBenchRows {
+		for _, wantLnL := range []bool{true, false} {
+			name := r.name + "/full"
+			if !wantLnL {
+				name = r.name + "/derivs"
+			}
+			b.Run(name, func(b *testing.B) {
+				e, _ := derivBenchSetup(b, r.aa, r.prec, r.taxa, r.sites)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink, _, _ = e.sumTableValues(0.05+float64(i&7)*0.01, wantLnL)
+				}
+			})
 		}
 	}
 }
+
+var benchSink float64
 
 func BenchmarkPartialTraversalWalk(b *testing.B) {
 	// Evaluating every edge in sequence: the partial-traversal fast path.

@@ -32,15 +32,15 @@ type compute[F Float] struct {
 	tipInd []F
 
 	// Scratch buffers, reused across steps (the former engine fields).
-	pL, pR   []F // nCat × k² transition matrices (cache-off path)
-	pTmp     []float64
-	tipSumL  []F // nCat × nm × k (cache-off path)
-	tipSumR  []F
-	prodTT   []F // tip×tip mask-pair product table (lazily sized)
-	sumTab   []F // nPat × nCat × k derivative sum table
-	nv       nvArgs[F]
-	ev       evArgs[F]
-	sa       sumArgs[F]
+	pL, pR  []F // nCat × k² transition matrices (cache-off path)
+	pTmp    []float64
+	tipSumL []F // nCat × nm × k (cache-off path)
+	tipSumR []F
+	prodTT  []F // tip×tip mask-pair product table (lazily sized)
+	sumTab  []F // nPat × nCat × k derivative sum table
+	nv      nvArgs[F]
+	ev      evArgs[F]
+	sa      sumArgs[F]
 
 	// Pre-bound parallelFor bodies: building these closures once per
 	// engine keeps the newview/evaluate/sum-table hot paths free of
@@ -50,9 +50,15 @@ type compute[F Float] struct {
 	evBody func(lo, hi int)
 	saBody func(lo, hi int)
 	svBody func(lo, hi int)
-	// svT is the branch-length argument of the sum-table value pass,
-	// staged here so svBody needs no per-call closure.
-	svT float64
+	// svExp[c·k+s] = exp(λ_s·r_c·t) and svLR[c·k+s] = λ_s·r_c for the
+	// branch length of the current sum-table value pass: nCat × k each,
+	// filled by sumTableValuesF before it fans out and read-only to the
+	// workers. Owning them here sizes them to the model (no state-count
+	// ceiling) and fills them once per pass, not per pattern or per chunk.
+	// svLnL says whether the pass needs the per-pattern log-likelihood
+	// term (always under +I, whose derivative weights come from it).
+	svExp, svLR []float64
+	svLnL       bool
 }
 
 // newCompute builds the precision-typed half of an engine.
@@ -77,11 +83,13 @@ func newCompute[F Float](e *Engine) *compute[F] {
 	cs.tipSumL = make([]F, e.nCat*len(e.maskList)*e.nStates)
 	cs.tipSumR = make([]F, e.nCat*len(e.maskList)*e.nStates)
 	cs.sumTab = make([]F, e.nPat*e.nCat*e.nStates)
+	cs.svExp = make([]float64, e.nCat*e.nStates)
+	cs.svLR = make([]float64, e.nCat*e.nStates)
 	cs.tipInd = asF[F](nil, e.tipInd)
 	cs.nvBody = func(lo, hi int) { cs.kern.newview(e, cs, &cs.nv, lo, hi) }
 	cs.evBody = func(lo, hi int) { cs.kern.evaluate(e, cs, &cs.ev, lo, hi) }
 	cs.saBody = func(lo, hi int) { cs.kern.sumTable(e, cs, &cs.sa, lo, hi) }
-	cs.svBody = func(lo, hi int) { sumTableTerms(e, cs, cs.svT, lo, hi) }
+	cs.svBody = func(lo, hi int) { sumTableTerms(e, cs, lo, hi) }
 	return cs
 }
 

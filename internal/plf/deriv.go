@@ -21,11 +21,23 @@ import (
 //
 //	A_ick = (Σ_s π_s·x_p[s]·V[s,k]) · (Σ_j V⁻¹[k,j]·x_q[j]) ,
 //
-// so a Newton iteration on t costs O(nPat·nCat·k) with no further
-// vector accesses — which is why branch optimisation touches only the
-// two endpoint vectors, the access-locality property the paper leans on
-// in §4.2. (RAxML's sumGAMMA/coreGTRGAMMA functions implement the same
-// factorisation.)
+// so once the table is built, branch optimisation needs no further
+// vector accesses — which is why it touches only the two endpoint
+// vectors, the access-locality property the paper leans on in §4.2.
+// (RAxML's sumGAMMA/coreGTRGAMMA functions implement the same
+// factorisation, at the same cost.)
+//
+// Cost of one pass (sumTableValues at one t): the nCat·k exponentials
+// e^{λ_k·r_c·t} and rates λ_k·r_c depend on no pattern, so they are
+// computed once into compute-owned tables before the pattern loop fans
+// out; each pattern then costs nCat·k multiply-adds, two divisions and —
+// only when the pass's lnL is consumed, or under +I — one logarithm.
+// Newton iterations consume (d1, d2) alone and run derivative-only;
+// OptimizeBranch's starting-point pass doubles as its first iteration.
+// No result bit depends on any of this: the hoisted factors are the
+// same float64 expressions evaluated once instead of nPat times, summed
+// per pattern in one fixed order (categories outer, states inner), and
+// deriv_test.go pins it against a per-pattern-exp oracle.
 //
 // In f32 mode the sum table itself is float32 (it scales with nPat like
 // a vector), but the exponentials and every Newton-side term run in
@@ -109,16 +121,29 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 // sumTableValues returns (lnL, dlnL/dt, d²lnL/dt²) at branch length t
 // from the current sum table. Workers fill per-pattern terms; the
 // reduction is sequential in pattern order, so results are
-// bit-identical for any worker count.
-func (e *Engine) sumTableValues(t float64) (lnl, d1, d2 float64) {
+// bit-identical for any worker count. With wantLnL false and no +I the
+// pass skips the per-pattern logarithm and lnl comes back 0; d1 and d2
+// are the same bits either way.
+func (e *Engine) sumTableValues(t float64, wantLnL bool) (lnl, d1, d2 float64) {
 	if e.c32 != nil {
-		return sumTableValuesF(e, e.c32, t)
+		return sumTableValuesF(e, e.c32, t, wantLnL)
 	}
-	return sumTableValuesF(e, e.c64, t)
+	return sumTableValuesF(e, e.c64, t, wantLnL)
 }
 
-func sumTableValuesF[F Float](e *Engine, cs *compute[F], t float64) (lnl, d1, d2 float64) {
-	cs.svT = t
+func sumTableValuesF[F Float](e *Engine, cs *compute[F], t float64, wantLnL bool) (lnl, d1, d2 float64) {
+	cs.svLnL = wantLnL || e.M.PInv > 0
+	k := e.nStates
+	if len(cs.svExp) != e.nCat*k || len(cs.svLR) != e.nCat*k {
+		panic("plf: sum-table exponential tables not sized nCat×nStates")
+	}
+	for c, r := range e.M.Rates[:e.nCat] {
+		for kk, ev := range e.M.Eval[:k] {
+			lr := ev * r
+			cs.svLR[c*k+kk] = lr
+			cs.svExp[c*k+kk] = math.Exp(lr * t)
+		}
+	}
 	e.parallelFor(e.nPat, cs.svBody)
 	terms := e.siteBuf[:3*e.nPat]
 	for i := 0; i < e.nPat; i++ {
@@ -130,33 +155,23 @@ func sumTableValuesF[F Float](e *Engine, cs *compute[F], t float64) (lnl, d1, d2
 }
 
 // sumTableTerms fills the per-pattern (lnL, d1, d2) terms for patterns
-// [lo, hi) at branch length t — the parallelFor body of
+// [lo, hi) from the pass's exponential tables — the parallelFor body of
 // sumTableValues, pre-bound on the compute as svBody. Sum-table entries
 // widen to float64 before the exponential-weighted accumulation, so
 // only the table itself carries reduced precision in f32 mode.
-func sumTableTerms[F Float](e *Engine, cs *compute[F], t float64, lo, hi int) {
-	k, C := e.nStates, e.nCat
-	rates := e.M.Rates
-	eval := e.M.Eval
-	catW := 1.0 / float64(C)
+func sumTableTerms[F Float](e *Engine, cs *compute[F], lo, hi int) {
+	ck := e.nCat * e.nStates
+	catW := 1.0 / float64(e.nCat)
 	terms := e.siteBuf
-	var expbuf [32]float64
+	ex, lrs := cs.svExp[:ck], cs.svLR[:ck]
 	for i := lo; i < hi; i++ {
-		base := i * C * k
+		tab := cs.sumTab[i*ck : (i+1)*ck]
 		var f, fp, fpp float64
-		for c := 0; c < C; c++ {
-			r := rates[c]
-			for kk := 0; kk < k; kk++ {
-				expbuf[kk] = math.Exp(eval[kk] * r * t)
-			}
-			tab := cs.sumTab[base+c*k : base+(c+1)*k]
-			for kk := 0; kk < k; kk++ {
-				lr := eval[kk] * r
-				a := float64(tab[kk]) * expbuf[kk]
-				f += a
-				fp += a * lr
-				fpp += a * lr * lr
-			}
+		for j, lr := range lrs {
+			a := float64(tab[j]) * ex[j]
+			f += a
+			fp += a * lr
+			fpp += a * lr * lr
 		}
 		f *= catW
 		fp *= catW
@@ -165,13 +180,17 @@ func sumTableTerms[F Float](e *Engine, cs *compute[F], t float64, lo, hi int) {
 			f = math.SmallestNonzeroFloat64
 		}
 		w := e.weights[i]
-		lnGamma := math.Log(f) - float64(e.sumTabSc[i])*cs.logScale
 		gp, gpp := fp/f, fpp/f
 		// +I mixture: the invariant component is branch-length
 		// independent, so derivatives pick up the Γ-component
 		// posterior weight q (1 when the mixture is off).
-		q := gammaWeight(lnGamma, e.M.PInv, e.linv[i])
-		terms[3*i] = w * mixInvariant(lnGamma, e.M.PInv, e.linv[i])
+		q, ln := 1.0, 0.0
+		if cs.svLnL {
+			lnGamma := math.Log(f) - float64(e.sumTabSc[i])*cs.logScale
+			q = gammaWeight(lnGamma, e.M.PInv, e.linv[i])
+			ln = mixInvariant(lnGamma, e.M.PInv, e.linv[i])
+		}
+		terms[3*i] = w * ln
 		terms[3*i+1] = w * q * gp
 		terms[3*i+2] = w * (q*gpp - q*gp*q*gp)
 	}
@@ -209,9 +228,14 @@ func (e *Engine) OptimizeBranch(edge *tree.Edge) (float64, error) {
 		return 0, err
 	}
 	t0 := edge.Length
-	lnl0, _, _ := e.sumTableValues(t0)
+	// The starting-point pass also yields the derivatives of Newton's
+	// first iteration when the solver starts at t0 itself (t0 within the
+	// bounds); fdfFn consumes them.
+	var lnl0 float64
+	lnl0, e.nrD1, e.nrD2 = e.sumTableValues(t0, true)
+	e.nrT = t0
 	t1, _ := mathx.Newton(e.fdfFn, t0, tree.MinBranchLength, tree.MaxBranchLength, 1e-8, 32)
-	lnl1, _, _ := e.sumTableValues(t1)
+	lnl1, _, _ := e.sumTableValues(t1, true)
 	if lnl1 >= lnl0 {
 		edge.Length = t1
 		return lnl1, nil
@@ -226,6 +250,6 @@ func (e *Engine) EvaluateAtLength(edge *tree.Edge, t float64) (float64, error) {
 	if err := e.prepareSumTable(edge); err != nil {
 		return 0, err
 	}
-	lnl, _, _ := e.sumTableValues(t)
+	lnl, _, _ := e.sumTableValues(t, true)
 	return lnl, nil
 }

@@ -130,6 +130,10 @@ type Engine struct {
 	// fdfFn is the Newton objective OptimizeBranch hands to the solver,
 	// bound once here so branch optimisation allocates nothing per call.
 	fdfFn func(t float64) (d1, d2 float64)
+	// nrD1/nrD2 are the derivatives OptimizeBranch's starting-point pass
+	// produced at nrT from the sum table its Newton run then iterates
+	// on, so fdfFn serves them whenever the solver asks at that t.
+	nrT, nrD1, nrD2 float64
 
 	Stats Stats
 	// eobs holds the observability instruments (see obs.go); the zero
@@ -269,7 +273,10 @@ func NewWithPrecision(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov Vec
 	e.fdfFn = func(t float64) (float64, float64) {
 		e.Stats.NewtonIters++
 		e.eobs.newtonIters.Inc()
-		_, d1, d2 := e.sumTableValues(t)
+		d1, d2 := e.nrD1, e.nrD2
+		if t != e.nrT {
+			_, d1, d2 = e.sumTableValues(t, false)
+		}
 		if d2 >= 0 {
 			// Convex region: a raw Newton step would move away from the
 			// maximum. Signal an unusable derivative so the solver takes

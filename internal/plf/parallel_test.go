@@ -47,7 +47,7 @@ func TestParallelBitIdentical(t *testing.T) {
 		if err := e.buildSumTable(edge); err != nil {
 			t.Fatal(err)
 		}
-		_, d1, d2 := e.sumTableValues(edge.Length)
+		_, d1, d2 := e.sumTableValues(edge.Length, true)
 		if _, err := e.OptimizeBranch(edge); err != nil {
 			t.Fatal(err)
 		}

@@ -83,14 +83,14 @@ func TestInvariantDerivativesMatchFiniteDifferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bt := range []float64{0.05, 0.3, 1.0} {
-		_, d1, d2 := e.sumTableValues(bt)
+		_, d1, d2 := e.sumTableValues(bt, true)
 		const h1, h2 = 1e-6, 1e-4
-		lp, _, _ := e.sumTableValues(bt + h1)
-		lm, _, _ := e.sumTableValues(bt - h1)
+		lp, _, _ := e.sumTableValues(bt+h1, true)
+		lm, _, _ := e.sumTableValues(bt-h1, true)
 		fd1 := (lp - lm) / (2 * h1)
-		lp2, _, _ := e.sumTableValues(bt + h2)
-		lm2, _, _ := e.sumTableValues(bt - h2)
-		l0, _, _ := e.sumTableValues(bt)
+		lp2, _, _ := e.sumTableValues(bt+h2, true)
+		lm2, _, _ := e.sumTableValues(bt-h2, true)
+		l0, _, _ := e.sumTableValues(bt, true)
 		fd2 := (lp2 - 2*l0 + lm2) / (h2 * h2)
 		if math.Abs(d1-fd1) > 1e-4*(1+math.Abs(fd1)) {
 			t.Errorf("t=%v: d1 = %v, finite diff %v", bt, d1, fd1)
