@@ -212,10 +212,7 @@ func run(args []string) error {
 			Workload: experiments.SearchWorkloadConfig{Seed: *seed},
 		}
 		if *full {
-			// The acceptance workload: a 128-taxon search, warm cache
-			// within 1.25x of the local FileStore baseline at 10 ms RTT.
 			tcfg.Workload.Taxa, tcfg.Workload.Sites = 128, 1200
-			tcfg.CheckWallClock = true
 		} else {
 			tcfg.Workload.Taxa, tcfg.Workload.Sites = 32, 120
 			tcfg.Workload.SPRRadius, tcfg.Workload.Rounds = 3, 1

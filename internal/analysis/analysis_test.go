@@ -11,6 +11,7 @@ import (
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/checkpoint"
+	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
 	"oocphylo/internal/sim"
@@ -51,15 +52,21 @@ func openFilesUnder(dir string) []string {
 }
 
 // TestOpen is the seam's table: where the vectors live × whether the
-// run is fresh or resumed from a Snapshot. It pins the provider kind,
+// run is fresh or resumed from a Snapshot (a caller-built Base medium —
+// the experiments' MemStore and SimStore, opened async here — is fresh
+// only: it does not outlive its process). It pins the provider kind,
 // the slot count the grant buys (store overhead charged), the watchdog,
 // that a Snapshot's manifest validates the store on reopen and resumes
 // bit-identically, and that Close releases every file and removes
 // exactly the temps the run created.
 func TestOpen(t *testing.T) {
-	for _, medium := range []string{"ram", "local", "remote"} {
+	for _, medium := range []string{"ram", "local", "remote", "mem", "sim"} {
 		for _, resumed := range []bool{false, true} {
 			medium, resumed := medium, resumed
+			base := medium == "mem" || medium == "sim"
+			if base && resumed {
+				continue
+			}
 			t.Run(medium+map[bool]string{false: "/fresh", true: "/resumed"}[resumed], func(t *testing.T) {
 				dir := t.TempDir()
 				tmp := filepath.Join(dir, "tmp")
@@ -69,6 +76,7 @@ func TestOpen(t *testing.T) {
 				t.Setenv("TMPDIR", tmp)
 
 				spec := testSpec(t, 12, 300, 7)
+				var simClock iosim.Clock
 				opts := Options{Retries: 3, MemBudget: 1 << 40, Stack: ooc.StackSpec{Verify: true}}
 				if medium == "remote" {
 					srv, err := remote.NewServer(remote.ServerConfig{})
@@ -92,6 +100,13 @@ func TestOpen(t *testing.T) {
 						t.Fatal(err)
 					}
 					spec.MemLimit = 5*full.VecBytes + full.VecBytes/2
+					if base {
+						opts.Stack.Base = ooc.NewMemStore(full.NumVectors, full.VecLen)
+						opts.Async = true
+					}
+					if medium == "sim" {
+						opts.Stack.Base = ooc.NewSimStore(opts.Stack.Base, iosim.HDD(), &simClock)
+					}
 				}
 				sz, err := Size(spec, in)
 				if err != nil {
@@ -177,6 +192,16 @@ func TestOpen(t *testing.T) {
 				}
 				if resumed && math.Float64bits(lnl) != wantBits {
 					t.Errorf("resumed lnL %016x, snapshot run %016x", math.Float64bits(lnl), wantBits)
+				}
+				if base {
+					// Async implies prefetch, and Base is the medium the
+					// vectors actually went to.
+					if pf := r.Manager.PrefetchStats(); !r.Manager.PipelineStats().Enabled || pf.Issued == 0 {
+						t.Errorf("async run staged nothing: %+v", pf)
+					}
+					if w := r.Manager.Stats().Writes; w == 0 || (medium == "sim") != (simClock.Elapsed() > 0) {
+						t.Errorf("%d write-backs, simulated device time %v", w, simClock.Elapsed())
+					}
 				}
 				if err := r.Close(); err != nil {
 					t.Fatal(err)

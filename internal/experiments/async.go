@@ -5,9 +5,9 @@ import (
 	"io"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
-	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
 )
 
@@ -27,18 +27,12 @@ type AsyncAblationConfig struct {
 	Taxa, Sites int
 	// Seed fixes the dataset.
 	Seed int64
-	// GammaAlpha sets rate heterogeneity (Γ4, as elsewhere).
-	GammaAlpha float64
 	// Traversals is the number of full traversals (Figure 5 uses 5).
 	Traversals int
-	// Fraction is the memory fraction f (slots = f·n).
-	Fraction float64
 	// Device models the backing store; Realtime scales its modelled
 	// transfer time into real sleeping so overlap is observable.
 	Device   iosim.Device
 	Realtime float64
-	// Workers is the number of the pipeline's fetch goroutines.
-	Workers int
 	// Depths are the prefetch depths to sweep (default {1, 2, 4}).
 	Depths []int
 }
@@ -53,14 +47,8 @@ func (c *AsyncAblationConfig) fill() {
 	if c.Sites == 0 {
 		c.Sites = 1024
 	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
-	}
 	if c.Traversals == 0 {
 		c.Traversals = 5
-	}
-	if c.Fraction == 0 {
-		c.Fraction = 0.25
 	}
 	if c.Device.Name == "" {
 		// A fast-SSD-like device: enough latency for stalls to dominate
@@ -69,9 +57,6 @@ func (c *AsyncAblationConfig) fill() {
 	}
 	if c.Realtime == 0 {
 		c.Realtime = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
 	}
 	if len(c.Depths) == 0 {
 		c.Depths = []int{1, 2, 4}
@@ -108,52 +93,24 @@ func (r AsyncAblationRow) StallReduction() float64 {
 	return 1 - float64(r.AsyncStall)/float64(r.SyncStall)
 }
 
-// ablationRun is one execution of the full-traversal workload.
-type ablationRun struct {
-	lnl   float64
-	stats ooc.Stats
-	pf    ooc.PrefetchStats
-	pipe  ooc.PipelineStats
-	wall  time.Duration
-}
-
-// asyncAblationRun executes the full-traversal workload once.
-func asyncAblationRun(cfg AsyncAblationConfig, d *sim.Dataset, depth int, async bool) (ablationRun, error) {
-	var r ablationRun
-	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	n := d.Tree.NumInner()
-	slots := ooc.SlotsForFraction(cfg.Fraction, n)
+// asyncAblationRun executes the full-traversal workload once and
+// returns the closed run for its counters; wall runs to the end of
+// Close, when the pipeline has drained.
+func asyncAblationRun(cfg AsyncAblationConfig, w *workload, depth int, async bool) (lnl float64, wall time.Duration, r *analysis.Run, err error) {
 	var clock iosim.Clock
-	store := ooc.NewSimStore(ooc.NewMemStore(n, vecLen), cfg.Device, &clock)
+	store := ooc.NewSimStore(w.memStore(), cfg.Device, &clock)
 	store.Realtime = cfg.Realtime
-	mgr, err := ooc.NewManager(ooc.Config{
-		NumVectors: n, VectorLen: vecLen, Slots: slots,
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store,
-		Async: async, IOWorkers: cfg.Workers,
+	var start time.Time
+	r, err = w.run(arm{
+		Fraction: pagingFraction, Prefetch: true, PrefetchDepth: depth,
+		Async: async, IOWorkers: ioWorkers,
+		Stack: ooc.StackSpec{Base: store},
+	}, func(r *analysis.Run) (err error) {
+		start = time.Now()
+		lnl, _, err = fullTraversalWorkload(r.Engine, cfg.Traversals)
+		return err
 	})
-	if err != nil {
-		return r, err
-	}
-	e, err := plf.New(d.Tree.Clone(), d.Patterns, d.Model, mgr)
-	if err != nil {
-		return r, err
-	}
-	e.EnablePrefetch(true)
-	e.SetPrefetchDepth(depth)
-	start := time.Now()
-	lnl, _, err := fullTraversalWorkload(e, e.T, cfg.Traversals)
-	if err != nil {
-		return r, err
-	}
-	if err := mgr.Close(); err != nil {
-		return r, err
-	}
-	r.wall = time.Since(start)
-	r.lnl = lnl
-	r.stats = mgr.Stats()
-	r.pf = mgr.PrefetchStats()
-	r.pipe = mgr.PipelineStats()
-	return r, nil
+	return lnl, time.Since(start), r, err
 }
 
 // RunAsyncAblation sweeps the configured prefetch depths, running each
@@ -162,39 +119,38 @@ func asyncAblationRun(cfg AsyncAblationConfig, d *sim.Dataset, depth int, async 
 // correctness bar.
 func RunAsyncAblation(cfg AsyncAblationConfig) ([]AsyncAblationRow, error) {
 	cfg.fill()
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, false)
 	if err != nil {
 		return nil, err
 	}
 	var out []AsyncAblationRow
 	for _, depth := range cfg.Depths {
-		s, err := asyncAblationRun(cfg, d, depth, false)
+		sLnL, sWall, s, err := asyncAblationRun(cfg, w, depth, false)
 		if err != nil {
 			return nil, fmt.Errorf("sync depth %d: %w", depth, err)
 		}
-		a, err := asyncAblationRun(cfg, d, depth, true)
+		aLnL, aWall, a, err := asyncAblationRun(cfg, w, depth, true)
 		if err != nil {
 			return nil, fmt.Errorf("async depth %d: %w", depth, err)
 		}
-		if s.lnl != a.lnl {
-			return nil, fmt.Errorf("depth %d: likelihood diverged: sync %v, async %v", depth, s.lnl, a.lnl)
+		if sLnL != aLnL {
+			return nil, fmt.Errorf("depth %d: likelihood diverged: sync %v, async %v", depth, sLnL, aLnL)
 		}
-		if s.stats != a.stats {
-			return nil, fmt.Errorf("depth %d: manager counters diverged: sync %+v, async %+v", depth, s.stats, a.stats)
+		stats, pf := a.Manager.Stats(), a.Manager.PrefetchStats()
+		if ss := s.Manager.Stats(); ss != stats {
+			return nil, fmt.Errorf("depth %d: manager counters diverged: sync %+v, async %+v", depth, ss, stats)
 		}
-		if s.pf != a.pf {
-			return nil, fmt.Errorf("depth %d: prefetch counters diverged: sync %+v, async %+v", depth, s.pf, a.pf)
+		if spf := s.Manager.PrefetchStats(); spf != pf {
+			return nil, fmt.Errorf("depth %d: prefetch counters diverged: sync %+v, async %+v", depth, spf, pf)
 		}
 		out = append(out, AsyncAblationRow{
 			Depth:     depth,
-			SyncStall: s.pipe.StallTime, AsyncStall: a.pipe.StallTime,
-			SyncWall: s.wall, AsyncWall: a.wall,
-			Misses: a.stats.Misses, Reads: a.stats.Reads,
-			Prefetch: a.pf,
-			Pipeline: a.pipe,
-			LnL:      a.lnl,
+			SyncStall: s.Manager.PipelineStats().StallTime, AsyncStall: a.Manager.PipelineStats().StallTime,
+			SyncWall: sWall, AsyncWall: aWall,
+			Misses: stats.Misses, Reads: stats.Reads,
+			Prefetch: pf,
+			Pipeline: a.Manager.PipelineStats(),
+			LnL:      aLnL,
 		})
 	}
 	return out, nil
@@ -204,7 +160,7 @@ func RunAsyncAblation(cfg AsyncAblationConfig) ([]AsyncAblationRow, error) {
 func WriteAsyncAblationTable(w io.Writer, rows []AsyncAblationRow, cfg AsyncAblationConfig) {
 	cfg.fill()
 	fmt.Fprintf(w, "Async ablation: %d full traversals, %d taxa × %d sites, f=%.2f, device %s, %d workers\n",
-		cfg.Traversals, cfg.Taxa, cfg.Sites, cfg.Fraction, cfg.Device.Name, cfg.Workers)
+		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction, cfg.Device.Name, ioWorkers)
 	fmt.Fprintf(w, "%6s %12s %12s %8s %12s %12s %8s %8s %8s %8s %14s\n",
 		"depth", "sync-stall", "async-stall", "hidden", "sync-wall", "async-wall", "misses", "pf-reads", "pf-hits", "joined", "lnL")
 	for _, r := range rows {

@@ -30,14 +30,10 @@ type BatchingAblationConfig struct {
 	// Taxa and Sites set the dataset dimensions (defaults 64 × 400 —
 	// big enough that a full traversal dominates a single evaluate).
 	Taxa, Sites int
-	// GammaAlpha sets the simulated rate heterogeneity (default 0.8).
-	GammaAlpha float64
 	// Seed fixes the dataset and starting tree.
 	Seed int64
 	// Requests is the concurrent client count N (default 8).
 	Requests int
-	// Edge is the evaluation edge index (default 0).
-	Edge int
 	// DataDir is the service data directory (required; the daemon
 	// persists session files there).
 	DataDir string
@@ -49,9 +45,6 @@ func (c *BatchingAblationConfig) fill() {
 	}
 	if c.Sites == 0 {
 		c.Sites = 400
-	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
 	}
 	if c.Requests == 0 {
 		c.Requests = 8
@@ -87,9 +80,7 @@ func RunBatchingAblation(cfg BatchingAblationConfig) (*BatchingAblationResult, e
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("experiments: batching ablation needs a DataDir")
 	}
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +89,7 @@ func RunBatchingAblation(cfg BatchingAblationConfig) (*BatchingAblationResult, e
 	if err != nil {
 		return nil, err
 	}
-	if err := bio.WritePhylip(f, d.Alignment); err != nil {
+	if err := bio.WritePhylip(f, w.data.Alignment); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -119,7 +110,7 @@ func RunBatchingAblation(cfg BatchingAblationConfig) (*BatchingAblationResult, e
 
 	newSession := func(name string) (*service.Session, error) {
 		return srv.CreateSession(service.SessionConfig{
-			Name: name, Path: alnPath, Model: "GTR", Alpha: cfg.GammaAlpha, Cats: 4, Seed: cfg.Seed,
+			Name: name, Path: alnPath, Model: "GTR", Alpha: gammaAlpha, Cats: 4, Seed: cfg.Seed,
 		})
 	}
 
@@ -132,7 +123,7 @@ func RunBatchingAblation(cfg BatchingAblationConfig) (*BatchingAblationResult, e
 	res := &BatchingAblationResult{Requests: cfg.Requests}
 	var bits string
 	for i := 0; i < cfg.Requests; i++ {
-		rep, err := indep.Evaluate(service.EvalSpec{Edge: cfg.Edge, Full: true})
+		rep, err := indep.Evaluate(service.EvalSpec{Full: true})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: independent request %d: %w", i, err)
 		}
@@ -158,7 +149,7 @@ func RunBatchingAblation(cfg BatchingAblationConfig) (*BatchingAblationResult, e
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			replies[i], errs[i] = coal.Evaluate(service.EvalSpec{Edge: cfg.Edge})
+			replies[i], errs[i] = coal.Evaluate(service.EvalSpec{})
 		}(i)
 	}
 	wg.Wait()

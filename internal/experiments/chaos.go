@@ -21,17 +21,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
-	"oocphylo/internal/plf"
-	"oocphylo/internal/search"
-	"oocphylo/internal/tree"
 )
 
 // ChaosSoakConfig configures RunChaosSoak.
@@ -39,14 +35,6 @@ type ChaosSoakConfig struct {
 	// Workload is the shared search workload (defaults as in the tier
 	// ablation: 128 taxa).
 	Workload SearchWorkloadConfig
-	// MemFraction sets the manager's RAM-slot fraction (default 0.25).
-	MemFraction float64
-	// CacheFraction sizes the local cache tier as a fraction of the
-	// vector count (default 0.35 — small enough that remote traffic,
-	// and therefore injected faults, actually happen).
-	CacheFraction float64
-	// Lanes is the tiered store's remote fan-out (default 2).
-	Lanes int
 	// Chaos is the fault mix. Zero-valued fields get soak defaults: a
 	// few percent each of drops, stalls, truncations, 503s and corrupt
 	// bodies, plus a partition flap schedule (40 healthy requests, then
@@ -57,26 +45,10 @@ type ChaosSoakConfig struct {
 	RemoteDeadline time.Duration
 	// HedgeAfter launches the tail hedge (default 50ms).
 	HedgeAfter time.Duration
-	// Breaker is the circuit-breaker config (default threshold 4,
-	// cooldown 100ms — short, so the soak exercises several
-	// open/half-open/closed cycles inside one search).
-	Breaker ooc.BreakerConfig
-	// Dir is the scratch directory (default: fresh temp dir, removed
-	// afterwards).
-	Dir string
 }
 
 func (c *ChaosSoakConfig) fill() {
 	c.Workload.fill()
-	if c.MemFraction == 0 {
-		c.MemFraction = 0.25
-	}
-	if c.CacheFraction == 0 {
-		c.CacheFraction = 0.35
-	}
-	if c.Lanes == 0 {
-		c.Lanes = 2
-	}
 	ch := &c.Chaos
 	if ch.DropProb == 0 && ch.StallProb == 0 && ch.TruncateProb == 0 &&
 		ch.ErrorProb == 0 && ch.CorruptProb == 0 {
@@ -95,10 +67,11 @@ func (c *ChaosSoakConfig) fill() {
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 50 * time.Millisecond
 	}
-	if c.Breaker.Threshold == 0 {
-		c.Breaker = ooc.BreakerConfig{Threshold: 4, Cooldown: 100 * time.Millisecond}
-	}
 }
+
+// chaosBreaker trips early and cools down fast, so the soak exercises
+// several open/half-open/closed cycles inside one search.
+var chaosBreaker = ooc.BreakerConfig{Threshold: 4, Cooldown: 100 * time.Millisecond}
 
 // ChaosSoakResult reports what the soak survived.
 type ChaosSoakResult struct {
@@ -119,29 +92,19 @@ type ChaosSoakResult struct {
 }
 
 // RunChaosSoak runs both arms and enforces the acceptance conditions.
+// Memory fraction, cache size (small enough that remote traffic, and
+// therefore injected faults, actually happen) and lane count are the
+// tier ablation's cold arm.
 func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	cfg.fill()
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "chaos"); err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-	}
-	w, err := newTierWorkload(cfg.Workload, cfg.MemFraction)
+	w, err := newSearchWorkload(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
 	res := &ChaosSoakResult{}
 
 	// Clean arm: plain local backing file, the reference bits.
-	fs, err := ooc.NewFileStore(filepath.Join(dir, "clean.vec"), w.nVec, w.vecLen)
-	if err != nil {
-		return nil, err
-	}
-	clean, err := w.run(fs, false)
-	fs.Close()
+	clean, err := runTierArm(w, cfg.Workload, ooc.StackSpec{}, false)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: clean arm: %w", err)
 	}
@@ -163,10 +126,6 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	cacheVecs := int(cfg.CacheFraction*float64(w.nVec) + 0.5)
-	if cacheVecs < 1 {
-		cacheVecs = 1
-	}
 	// The tier retries from its fetch lanes, its journal drain and the
 	// caller's goroutine at once, so the seeded jitter source is locked.
 	var jitterMu sync.Mutex
@@ -176,57 +135,60 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		defer jitterMu.Unlock()
 		return jitterSrc.Float64()
 	}
-	st, err := ooc.OpenStack(ooc.StackSpec{
-		TieredConfig: ooc.TieredConfig{
-			NumVectors: w.nVec, VectorLen: w.vecLen,
-			CacheDir: filepath.Join(dir, "cache"), CacheVectors: cacheVecs,
-			Lanes:          cfg.Lanes,
-			RemoteDeadline: cfg.RemoteDeadline,
-			RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: jitter},
-			Breaker:        cfg.Breaker,
-			HedgeAfter:     cfg.HedgeAfter,
+	var chaosLnL float64
+	_, err = w.run(arm{
+		Fraction: tierMemFraction,
+		Stack: ooc.StackSpec{
+			TieredConfig: ooc.TieredConfig{
+				CacheVectors:   cacheVectors(tierColdCacheFraction, w.tree.NumInner()),
+				Lanes:          tierLanes,
+				RemoteDeadline: cfg.RemoteDeadline,
+				RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: jitter},
+				Breaker:        chaosBreaker,
+				HedgeAfter:     cfg.HedgeAfter,
+			},
+			URL: srv.ObjectURL("soak"), Verify: true,
 		},
-		URL: srv.ObjectURL("soak"), Verify: true,
+	}, func(r *analysis.Run) (err error) {
+		chaos.Enable()
+		t0 := time.Now()
+		if chaosLnL, err = searchWorkload(r.Engine, cfg.Workload); err != nil {
+			return fmt.Errorf("chaos arm: %w", err)
+		}
+		if err = r.Manager.Flush(); err != nil {
+			return fmt.Errorf("chaos arm: %w", err)
+		}
+		res.ChaosElapsed = time.Since(t0)
+		res.Recoveries = r.Engine.Stats.Recoveries
+		res.DegradedRecomputes = r.Engine.Stats.DegradedRecomputes
+
+		// Recovery phase: lift every fault, probe until the breaker
+		// recloses (the workload has stopped, so nothing else feeds the
+		// half-open probe), then flush. The spill journal must replay
+		// whatever outages forced it to absorb and drain to empty — zero
+		// lost write-backs.
+		chaos.Disable()
+		rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer rcancel()
+		tier := r.Stack.Tier
+		if err := ProbeChaosRecovery(rctx, tier); err != nil {
+			return fmt.Errorf("breaker never reclosed after recovery: %w", err)
+		}
+		if err := tier.Sync(); err != nil {
+			return fmt.Errorf("post-recovery sync: %w", err)
+		}
+		res.Tier = tier.Stats()
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	defer st.Close()
-
-	chaos.Enable()
-	chaotic, recov, degraded, err := runChaosArm(w, st.Store)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos arm: %w", err)
-	}
-
-	// Recovery phase: lift every fault, probe until the breaker
-	// recloses (the workload has stopped, so nothing else feeds the
-	// half-open probe), then flush. The spill journal must replay
-	// whatever outages forced it to absorb and drain to empty — zero
-	// lost write-backs.
-	chaos.Disable()
-	rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err = ProbeChaosRecovery(rctx, st.Tier)
-	rcancel()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: breaker never reclosed after recovery: %w", err)
-	}
-	if err := st.Tier.Sync(); err != nil {
-		return nil, fmt.Errorf("experiments: post-recovery sync: %w", err)
-	}
-	res.Tier = st.Tier.Stats()
-	if err := st.Close(); err != nil {
-		return nil, fmt.Errorf("experiments: close: %w", err)
-	}
-	res.ChaosElapsed = chaotic.Elapsed
 	res.Chaos = chaos.Stats()
-	res.Recoveries = recov
-	res.DegradedRecomputes = degraded
 
 	// Acceptance.
-	if chaotic.LnL != clean.LnL {
+	if chaosLnL != clean.LnL {
 		return nil, fmt.Errorf("experiments: chaos soak diverged: %.12f != clean %.12f",
-			chaotic.LnL, clean.LnL)
+			chaosLnL, clean.LnL)
 	}
 	injected := res.Chaos.Drops + res.Chaos.Stalls + res.Chaos.Truncations +
 		res.Chaos.Errors + res.Chaos.Corruptions + res.Chaos.Partitioned
@@ -244,51 +206,6 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, fmt.Errorf("experiments: journal still holds %d vectors after recovery", res.Tier.JournalDepth)
 	}
 	return res, nil
-}
-
-// runChaosArm replays the identical search over the chaotic stack and
-// returns the row plus the engine's recovery ledger.
-func runChaosArm(w *tierWorkload, store ooc.Store) (TierAblationRow, int64, int64, error) {
-	var row TierAblationRow
-	names := make([]string, w.data.Tree.NumTips)
-	for i := range names {
-		names[i] = w.data.Tree.Nodes[i].Name
-	}
-	start, err := tree.RandomTopology(names, rand.New(rand.NewSource(w.cfg.Seed+1)), 0.05, 0.15)
-	if err != nil {
-		return row, 0, 0, err
-	}
-	mgr, err := ooc.NewManager(ooc.Config{
-		NumVectors: w.nVec, VectorLen: w.vecLen, Slots: w.slots,
-		Strategy: ooc.NewLRU(w.nVec), ReadSkipping: true,
-		Store: store,
-	})
-	if err != nil {
-		return row, 0, 0, err
-	}
-	e, err := plf.New(start, w.data.Patterns, w.data.Model, mgr)
-	if err != nil {
-		mgr.Close()
-		return row, 0, 0, err
-	}
-	t0 := time.Now()
-	sr, err := search.New(e, search.Options{
-		SPRRadius: w.cfg.SPRRadius, MaxRounds: w.cfg.Rounds,
-	}).Run()
-	if err != nil {
-		mgr.Close()
-		return row, 0, 0, err
-	}
-	if err := mgr.Flush(); err != nil {
-		mgr.Close()
-		return row, 0, 0, err
-	}
-	if err := mgr.Close(); err != nil {
-		return row, 0, 0, err
-	}
-	row.Elapsed = time.Since(t0)
-	row.LnL = sr.LnL
-	return row, e.Stats.Recoveries, e.Stats.DegradedRecomputes, nil
 }
 
 // ProbeChaosRecovery drives a degraded tier back to closed: called
@@ -312,7 +229,7 @@ func WriteChaosTable(wr io.Writer, res *ChaosSoakResult, cfg ChaosSoakConfig) {
 	cfg.fill()
 	fmt.Fprintf(wr, "Chaos soak: %d taxa, %d sites, seed %d, deadline %v, hedge %v, breaker %d/%v\n",
 		cfg.Workload.Taxa, cfg.Workload.Sites, cfg.Chaos.Seed,
-		cfg.RemoteDeadline, cfg.HedgeAfter, cfg.Breaker.Threshold, cfg.Breaker.Cooldown)
+		cfg.RemoteDeadline, cfg.HedgeAfter, chaosBreaker.Threshold, chaosBreaker.Cooldown)
 	fmt.Fprintf(wr, "  lnL %.6f bit-identical to clean run (clean %v, chaos %v, %.2fx)\n",
 		res.LnL, res.CleanElapsed.Round(time.Millisecond), res.ChaosElapsed.Round(time.Millisecond),
 		float64(res.ChaosElapsed)/float64(res.CleanElapsed))

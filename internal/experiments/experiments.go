@@ -16,21 +16,25 @@
 // 1-32 GB footprints for Figure 5) run in minutes; the defaults used by
 // `go test -bench` are scaled down but preserve every ratio the figures
 // turn on (the f values and the footprint/RAM over-subscription span).
+//
+// Every run is brought to life the way oocraxml brings one to life: a
+// workload (workload.go: one simulated dataset and start tree) opens
+// each arm through analysis.Size and analysis.Open. The one exception
+// is Figure 5's paging baseline, which is the paper's and not ours.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
 	"sort"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
-	"oocphylo/internal/search"
 	"oocphylo/internal/sim"
-	"oocphylo/internal/tree"
 	"oocphylo/internal/vm"
 )
 
@@ -48,9 +52,6 @@ type SearchWorkloadConfig struct {
 	Seed int64
 	// SPRRadius and Rounds bound the search effort.
 	SPRRadius, Rounds int
-	// GammaAlpha sets the simulated rate heterogeneity (Γ4 model, like
-	// the paper's runs).
-	GammaAlpha float64
 }
 
 func (c *SearchWorkloadConfig) fill() {
@@ -65,9 +66,6 @@ func (c *SearchWorkloadConfig) fill() {
 	}
 	if c.Rounds == 0 {
 		c.Rounds = 2
-	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
 	}
 }
 
@@ -85,53 +83,29 @@ type MissRateResult struct {
 	LnL float64
 }
 
-// runSearchWorkload runs the standard tree-search workload over an OOC
-// manager with the given strategy and slot count and returns the
-// counters.
-func runSearchWorkload(cfg SearchWorkloadConfig, strategyName string, slots int, readSkip bool) (MissRateResult, error) {
-	var res MissRateResult
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
+// newSearchWorkload simulates cfg's dataset and its random start tree.
+func newSearchWorkload(cfg SearchWorkloadConfig) (*workload, error) {
+	return newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, true)
+}
+
+// runSearchWorkload runs the standard tree-search workload out of core
+// at memory fraction f over an in-RAM store and returns the counters.
+func runSearchWorkload(w *workload, cfg SearchWorkloadConfig, strategyName string, f float64, readSkip bool) (MissRateResult, error) {
+	res := MissRateResult{Strategy: strategyName, F: f}
+	r, err := w.run(arm{
+		Fraction: f, Strategy: strategyName, NoReadSkipping: !readSkip,
+		Stack: ooc.StackSpec{Base: w.memStore()},
+	}, func(r *analysis.Run) (err error) {
+		res.LnL, err = searchWorkload(r.Engine, cfg)
+		return err
 	})
 	if err != nil {
 		return res, err
 	}
-	names := make([]string, d.Tree.NumTips)
-	for i := range names {
-		names[i] = d.Tree.Nodes[i].Name
+	if r.Manager != nil { // a fraction that holds every vector runs in RAM
+		res.Slots = r.Manager.Slots()
+		res.Stats = r.Manager.Stats()
 	}
-	start, err := tree.RandomTopology(names, rand.New(rand.NewSource(cfg.Seed+1)), 0.05, 0.15)
-	if err != nil {
-		return res, err
-	}
-	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	strat, err := ooc.StrategyByName(strategyName, start.NumInner(), start, cfg.Seed+2)
-	if err != nil {
-		return res, err
-	}
-	mgr, err := ooc.NewManager(ooc.Config{
-		NumVectors:   start.NumInner(),
-		VectorLen:    vecLen,
-		Slots:        slots,
-		Strategy:     strat,
-		ReadSkipping: readSkip,
-		Store:        ooc.NewMemStore(start.NumInner(), vecLen),
-	})
-	if err != nil {
-		return res, err
-	}
-	e, err := plf.New(start, d.Patterns, d.Model, mgr)
-	if err != nil {
-		return res, err
-	}
-	sr, err := search.New(e, search.Options{SPRRadius: cfg.SPRRadius, MaxRounds: cfg.Rounds}).Run()
-	if err != nil {
-		return res, err
-	}
-	res.Strategy = strategyName
-	res.Slots = slots
-	res.Stats = mgr.Stats()
-	res.LnL = sr.LnL
 	return res, nil
 }
 
@@ -143,15 +117,17 @@ func RunFigure2(cfg SearchWorkloadConfig, fractions []float64, readSkip bool) ([
 	if len(fractions) == 0 {
 		fractions = []float64{0.25, 0.50, 0.75}
 	}
+	w, err := newSearchWorkload(cfg)
+	if err != nil {
+		return nil, err
+	}
 	var out []MissRateResult
 	for _, name := range StrategyNames {
 		for _, f := range fractions {
-			slots := ooc.SlotsForFraction(f, cfg.Taxa-2)
-			r, err := runSearchWorkload(cfg, name, slots, readSkip)
+			r, err := runSearchWorkload(w, cfg, name, f, readSkip)
 			if err != nil {
 				return nil, fmt.Errorf("strategy %s f=%v: %w", name, f, err)
 			}
-			r.F = f
 			out = append(out, r)
 		}
 	}
@@ -169,25 +145,23 @@ func RunFigure4(cfg SearchWorkloadConfig, startF float64, minSlots int) ([]MissR
 	if minSlots < ooc.MinSlots {
 		minSlots = 5 // the paper's smallest configuration
 	}
-	n := cfg.Taxa - 2
+	w, err := newSearchWorkload(cfg)
+	if err != nil {
+		return nil, err
+	}
+	floorF := float64(minSlots) / float64(w.tree.NumInner())
 	var out []MissRateResult
-	prevSlots := -1
 	for f := startF; ; f /= 2 {
-		slots := int(f*float64(n) + 0.5)
-		if slots < minSlots {
-			slots = minSlots
-		}
-		if slots == prevSlots {
-			break
-		}
-		prevSlots = slots
-		r, err := runSearchWorkload(cfg, "RAND", slots, false)
+		r, err := runSearchWorkload(w, cfg, "RAND", math.Max(f, floorF), false)
 		if err != nil {
 			return nil, err
 		}
+		if len(out) > 0 && r.Slots == out[len(out)-1].Slots {
+			break
+		}
 		r.F = f
 		out = append(out, r)
-		if slots == minSlots {
+		if r.Slots == minSlots {
 			break
 		}
 	}
@@ -225,22 +199,20 @@ type Figure5Config struct {
 	// vectors; the standard version pages against this budget (paper:
 	// 2 GB machine).
 	RAMBytes int64
-	// OOCBytes is the out-of-core manager's slot budget (paper: the OOC
-	// runs were confined to 1 GB via -L on the 2 GB machine). Defaults
-	// to RAMBytes/2.
-	OOCBytes int64
-	// Traversals is the number of full tree traversals (paper: 5; the
-	// -f z workload).
-	Traversals int
-	// Device models the swap/backing disk.
-	Device iosim.Device
 	// Seed fixes the simulated dataset.
 	Seed int64
-	// GammaAlpha sets rate heterogeneity (Γ4, as in the paper).
-	GammaAlpha float64
-	// Readahead is the paging simulator's readahead window.
-	Readahead int
 }
+
+// figure5Traversals is the paper's -f z workload: five full traversals.
+const figure5Traversals = 5
+
+// figure5Device is the one modelled disk both designs are charged
+// against: the pager's swap and the out-of-core backing file.
+var figure5Device = iosim.HDD()
+
+// oocBytes is the out-of-core runs' -L: half the machine, as the paper
+// confined its runs to 1 GB on the 2 GB machine.
+func (c Figure5Config) oocBytes() int64 { return c.RAMBytes / 2 }
 
 func (c *Figure5Config) fill() {
 	if c.Taxa == 0 {
@@ -252,18 +224,6 @@ func (c *Figure5Config) fill() {
 	}
 	if c.RAMBytes == 0 {
 		c.RAMBytes = 24 << 20
-	}
-	if c.OOCBytes == 0 {
-		c.OOCBytes = c.RAMBytes / 2
-	}
-	if c.Traversals == 0 {
-		c.Traversals = 5
-	}
-	if c.Device.Name == "" {
-		c.Device = iosim.HDD()
-	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
 	}
 	if len(c.Widths) == 0 {
 		// Footprint sweep crossing the RAM budget, mirroring the paper's
@@ -304,24 +264,6 @@ func (r Figure5Row) OOCLRUTotal() time.Duration { return r.OOCLRUIO + r.OOCLRUCo
 // OOCRandTotal returns modelled I/O plus measured compute.
 func (r Figure5Row) OOCRandTotal() time.Duration { return r.OOCRandIO + r.OOCRandCompute }
 
-// fullTraversalWorkload runs k full tree traversals plus an evaluation,
-// returning the final log-likelihood and the measured compute time.
-func fullTraversalWorkload(e *plf.Engine, t *tree.Tree, k int) (float64, time.Duration, error) {
-	startT := time.Now()
-	var lnl float64
-	for i := 0; i < k; i++ {
-		if err := e.FullTraversal(t.Edges[0]); err != nil {
-			return 0, 0, err
-		}
-		var err error
-		lnl, err = e.LogLikelihoodAt(t.Edges[0])
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return lnl, time.Since(startT), nil
-}
-
 // RunFigure5 reproduces Figure 5: for each alignment width, the same
 // five-full-traversal workload is executed three times — standard
 // storage over simulated OS paging, and out-of-core with LRU and with
@@ -341,23 +283,22 @@ func RunFigure5(cfg Figure5Config) ([]Figure5Row, error) {
 }
 
 func runFigure5Row(cfg Figure5Config, width int) (Figure5Row, error) {
-	var row Figure5Row
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: width, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-	})
+	row := Figure5Row{Sites: width}
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: width, Seed: cfg.Seed}, false)
 	if err != nil {
 		return row, err
 	}
+	d, dev := w.data, figure5Device
 	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
 	n := d.Tree.NumInner()
-	row.Sites = width
 	row.FootprintBytes = int64(n) * int64(vecLen) * 8
 	row.OverSubscription = float64(row.FootprintBytes) / float64(cfg.RAMBytes)
 
-	// Standard version under simulated paging.
+	// Standard version under simulated paging: the paper's baseline, the
+	// one arm that is not a configuration we ship, hence built by hand.
 	{
 		var clock iosim.Clock
-		prov, err := vm.NewPagedProvider(n, vecLen, cfg.RAMBytes, cfg.Device, &clock, cfg.Readahead)
+		prov, err := vm.NewPagedProvider(n, vecLen, cfg.RAMBytes, dev, &clock, vm.DefaultReadahead)
 		if err != nil {
 			return row, err
 		}
@@ -365,7 +306,7 @@ func runFigure5Row(cfg Figure5Config, width int) (Figure5Row, error) {
 		if err != nil {
 			return row, err
 		}
-		lnl, compute, err := fullTraversalWorkload(e, e.T, cfg.Traversals)
+		lnl, compute, err := fullTraversalWorkload(e, figure5Traversals)
 		if err != nil {
 			return row, err
 		}
@@ -376,41 +317,29 @@ func runFigure5Row(cfg Figure5Config, width int) (Figure5Row, error) {
 	}
 
 	// Out-of-core runs (the paper plots LRU and Random), confined to the
-	// smaller OOC budget like the paper's -L flag.
-	slots := int(cfg.OOCBytes / (int64(vecLen) * 8))
-	if slots < ooc.MinSlots {
-		slots = ooc.MinSlots
-	}
-	runOOC := func(strat ooc.Strategy) (time.Duration, time.Duration, int64, float64, error) {
+	// smaller OOC budget like the paper's -L flag. A width whose vectors
+	// all fit that budget runs in RAM, as it would under oocraxml -L.
+	runOOC := func(strategy string) (io, compute time.Duration, misses int64, lnl float64, err error) {
 		var clock iosim.Clock
-		store := ooc.NewSimStore(ooc.NewMemStore(n, vecLen), cfg.Device, &clock)
-		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: vecLen, Slots: slots,
-			Strategy: strat, ReadSkipping: true, Store: store,
+		r, err := w.run(arm{
+			Bytes: cfg.oocBytes(), Strategy: strategy, Seed: cfg.Seed + 8,
+			Stack: ooc.StackSpec{Base: ooc.NewSimStore(w.memStore(), dev, &clock)},
+		}, func(r *analysis.Run) (err error) {
+			lnl, compute, err = fullTraversalWorkload(r.Engine, figure5Traversals)
+			return err
 		})
-		if err != nil {
-			return 0, 0, 0, 0, err
+		if err == nil && r.Manager != nil {
+			misses = r.Manager.Stats().Misses
 		}
-		e, err := plf.New(d.Tree.Clone(), d.Patterns, d.Model, mgr)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		lnl, compute, err := fullTraversalWorkload(e, e.T, cfg.Traversals)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		return clock.Elapsed(), compute, mgr.Stats().Misses, lnl, nil
+		return clock.Elapsed(), compute, misses, lnl, err
 	}
-	io1, c1, m1, l1, err := runOOC(ooc.NewLRU(n))
-	if err != nil {
+	var l1, l2 float64
+	if row.OOCLRUIO, row.OOCLRUCompute, row.OOCLRUMisses, l1, err = runOOC("LRU"); err != nil {
 		return row, err
 	}
-	row.OOCLRUIO, row.OOCLRUCompute, row.OOCLRUMisses = io1, c1, m1
-	io2, c2, m2, l2, err := runOOC(ooc.NewRandom(rand.New(rand.NewSource(cfg.Seed + 9))))
-	if err != nil {
+	if row.OOCRandIO, row.OOCRandCompute, row.OOCRandMisses, l2, err = runOOC("RAND"); err != nil {
 		return row, err
 	}
-	row.OOCRandIO, row.OOCRandCompute, row.OOCRandMisses = io2, c2, m2
 	row.LnLOOC = l1
 	if l1 != row.LnLStandard || l2 != row.LnLStandard {
 		return row, fmt.Errorf("correctness violation: standard %v, ooc lru %v, ooc rand %v",
@@ -423,7 +352,7 @@ func runFigure5Row(cfg Figure5Config, width int) (Figure5Row, error) {
 func WriteFigure5Table(w io.Writer, rows []Figure5Row, cfg Figure5Config) {
 	cfg.fill()
 	fmt.Fprintf(w, "Figure 5: %d full traversals, %d taxa, machine RAM %d MiB, OOC limit %d MiB, device %s\n",
-		cfg.Traversals, cfg.Taxa, cfg.RAMBytes>>20, cfg.OOCBytes>>20, cfg.Device.Name)
+		figure5Traversals, cfg.Taxa, cfg.RAMBytes>>20, cfg.oocBytes()>>20, figure5Device.Name)
 	fmt.Fprintf(w, "%8s %12s %8s %14s %14s %14s %12s %10s\n",
 		"sites", "footprint", "over", "standard", "ooc-lru", "ooc-rand", "pagefaults", "speedup")
 	for _, r := range rows {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"oocphylo/internal/ooc"
@@ -12,8 +13,16 @@ import (
 // *shapes* the paper reports, which hold at any scale.
 var testCfg = SearchWorkloadConfig{Taxa: 40, Sites: 80, Seed: 7, Rounds: 1, SPRRadius: 4}
 
+// The three search sweeps run once each, for the shape tests and the
+// golden table alike.
+var (
+	figure2Rows = sync.OnceValues(func() ([]MissRateResult, error) { return RunFigure2(testCfg, nil, false) })
+	figure3Rows = sync.OnceValues(func() ([]MissRateResult, error) { return RunFigure2(testCfg, []float64{0.25}, true) })
+	figure4Rows = sync.OnceValues(func() ([]MissRateResult, error) { return RunFigure4(testCfg, 0.75, 5) })
+)
+
 func TestFigure2Shapes(t *testing.T) {
-	results, err := RunFigure2(testCfg, nil, false)
+	results, err := figure2Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +76,22 @@ func avgMiss(rs []MissRateResult) float64 {
 }
 
 func TestFigure3ReadSkippingLowersReads(t *testing.T) {
-	plain, err := RunFigure2(testCfg, []float64{0.25}, false)
+	all, err := figure2Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped, err := RunFigure2(testCfg, []float64{0.25}, true)
+	var plain []MissRateResult
+	for _, r := range all {
+		if r.F == 0.25 {
+			plain = append(plain, r)
+		}
+	}
+	skipped, err := figure3Rows()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(plain) != len(skipped) {
+		t.Fatalf("%d plain rows at f=0.25, %d with read skipping", len(plain), len(skipped))
 	}
 	for i := range plain {
 		if skipped[i].LnL != plain[i].LnL {
@@ -90,7 +108,7 @@ func TestFigure3ReadSkippingLowersReads(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	results, err := RunFigure4(testCfg, 0.75, 5)
+	results, err := figure4Rows()
 	if err != nil {
 		t.Fatal(err)
 	}

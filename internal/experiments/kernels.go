@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
 )
@@ -26,13 +27,8 @@ type KernelAblationConfig struct {
 	Taxa, Sites int
 	// Seed fixes the dataset.
 	Seed int64
-	// GammaAlpha sets rate heterogeneity (Γ4, the c=4 fast-path shape).
-	GammaAlpha float64
 	// Traversals is the number of full traversals in the newview phase.
 	Traversals int
-	// Workers is the PLF worker count (default 1, the acceptance
-	// criterion's configuration).
-	Workers int
 	// AA switches the dataset to protein (k=20), ablating the aa20
 	// kernel set instead of dna4. Sites defaults lower (500) since each
 	// protein pattern carries 25x the arithmetic of a DNA pattern.
@@ -50,14 +46,8 @@ func (c *KernelAblationConfig) fill() {
 			c.Sites = 2000
 		}
 	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
-	}
 	if c.Traversals == 0 {
 		c.Traversals = 5
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 }
 
@@ -92,60 +82,53 @@ type kernelPhaseResult struct {
 // given kernel mode. Both modes run the identical operation sequence on
 // identical inputs (tree clones share branch lengths; OptimizeBranch
 // mutates only the clone), so per-phase results must agree to the bit.
-func runKernelPhases(cfg KernelAblationConfig, d *sim.Dataset, mode string) (kernelPhaseResult, error) {
+func runKernelPhases(cfg KernelAblationConfig, w *workload, mode string) (kernelPhaseResult, error) {
 	var r kernelPhaseResult
-	t := d.Tree.Clone()
-	prov := plf.NewInMemoryProvider(t.NumInner(), plf.VectorLength(d.Model, d.Patterns.NumPatterns()))
-	e, err := plf.New(t, d.Patterns, d.Model, prov)
-	if err != nil {
-		return r, err
-	}
-	if err := e.SetKernel(mode); err != nil {
-		return r, err
-	}
-	e.SetWorkers(cfg.Workers)
-	defer e.Close()
+	_, err := w.run(arm{Kernel: mode}, func(run *analysis.Run) error {
+		e, t := run.Engine, run.Engine.T
 
-	// Phase 1 — newview: k full traversals (the Figure-5 workload).
-	start := time.Now()
-	lnl, _, err := fullTraversalWorkload(e, t, cfg.Traversals)
-	if err != nil {
-		return r, err
-	}
-	r.wall[0] = time.Since(start)
-	r.lnl[0] = lnl
-
-	// Phase 2 — evaluate: walk every edge, evaluating at each (partial
-	// traversals keep newview work minimal, so evaluate dominates).
-	start = time.Now()
-	sum := 0.0
-	for _, edge := range t.Edges {
-		l, err := e.LogLikelihoodAt(edge)
+		// Phase 1 — newview: k full traversals (the Figure-5 workload).
+		start := time.Now()
+		lnl, _, err := fullTraversalWorkload(e, cfg.Traversals)
 		if err != nil {
-			return r, err
+			return err
 		}
-		sum += l
-	}
-	r.wall[1] = time.Since(start)
-	r.lnl[1] = sum
+		r.wall[0] = time.Since(start)
+		r.lnl[0] = lnl
 
-	// Phase 3 — deriv: Newton-optimise every edge once (sum table
-	// construction plus iteration).
-	start = time.Now()
-	sum = 0.0
-	for _, edge := range t.Edges {
-		l, err := e.OptimizeBranch(edge)
-		if err != nil {
-			return r, err
+		// Phase 2 — evaluate: walk every edge, evaluating at each (partial
+		// traversals keep newview work minimal, so evaluate dominates).
+		start = time.Now()
+		sum := 0.0
+		for _, edge := range t.Edges {
+			l, err := e.LogLikelihoodAt(edge)
+			if err != nil {
+				return err
+			}
+			sum += l
 		}
-		sum += l
-	}
-	r.wall[2] = time.Since(start)
-	r.lnl[2] = sum
+		r.wall[1] = time.Since(start)
+		r.lnl[1] = sum
 
-	r.stats = e.Stats
-	r.kernel = e.KernelName()
-	return r, nil
+		// Phase 3 — deriv: Newton-optimise every edge once (sum table
+		// construction plus iteration).
+		start = time.Now()
+		sum = 0.0
+		for _, edge := range t.Edges {
+			l, err := e.OptimizeBranch(edge)
+			if err != nil {
+				return err
+			}
+			sum += l
+		}
+		r.wall[2] = time.Since(start)
+		r.lnl[2] = sum
+
+		r.stats = e.Stats
+		r.kernel = e.KernelName()
+		return nil
+	})
+	return r, err
 }
 
 // KernelAblationResult bundles the phase rows with the cache counters of
@@ -172,18 +155,15 @@ func (res KernelAblationResult) HitRate() float64 {
 // fails if any phase's likelihood checksum differs by a single bit.
 func RunKernelAblation(cfg KernelAblationConfig) (*KernelAblationResult, error) {
 	cfg.fill()
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-		AA: cfg.AA,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed, AA: cfg.AA}, false)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := runKernelPhases(cfg, d, plf.KernelGeneric)
+	gen, err := runKernelPhases(cfg, w, plf.KernelGeneric)
 	if err != nil {
 		return nil, fmt.Errorf("generic kernels: %w", err)
 	}
-	auto, err := runKernelPhases(cfg, d, plf.KernelAuto)
+	auto, err := runKernelPhases(cfg, w, plf.KernelAuto)
 	if err != nil {
 		return nil, fmt.Errorf("auto kernels: %w", err)
 	}
@@ -218,8 +198,8 @@ func WriteKernelAblationTable(w io.Writer, res *KernelAblationResult, cfg Kernel
 	if cfg.AA {
 		data = "protein Poisson+Γ4"
 	}
-	fmt.Fprintf(w, "Kernel ablation: %d taxa × %d sites %s, %d traversals, %d worker(s), kernel %s\n",
-		cfg.Taxa, cfg.Sites, data, cfg.Traversals, cfg.Workers, res.Kernel)
+	fmt.Fprintf(w, "Kernel ablation: %d taxa × %d sites %s, %d traversals, 1 worker(s), kernel %s\n",
+		cfg.Taxa, cfg.Sites, data, cfg.Traversals, res.Kernel)
 	fmt.Fprintf(w, "%10s %12s %12s %8s %16s\n", "phase", "generic", res.Kernel, "speedup", "lnL (identical)")
 	for _, r := range res.Rows {
 		fmt.Fprintf(w, "%10s %12v %12v %7.2fx %16.2f\n",

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
@@ -40,12 +39,8 @@ type PrecisionAblationConfig struct {
 	Taxa, Sites int
 	// Seed fixes the dataset.
 	Seed int64
-	// GammaAlpha sets rate heterogeneity.
-	GammaAlpha float64
 	// AA switches to protein data.
 	AA bool
-	// Fraction is the out-of-core RAM fraction for the async f32 run.
-	Fraction float64
 	// Workers is the PLF worker count for the async run.
 	Workers int
 }
@@ -60,12 +55,6 @@ func (c *PrecisionAblationConfig) fill() {
 		} else {
 			c.Sites = 1500
 		}
-	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
-	}
-	if c.Fraction == 0 {
-		c.Fraction = 0.4
 	}
 	if c.Workers == 0 {
 		c.Workers = 4
@@ -91,82 +80,43 @@ type PrecisionAblationResult struct {
 	Kernel string
 }
 
+// precisionFraction is the out-of-core RAM fraction of the async f32
+// run and of the stores whose manifests are read.
+const precisionFraction = 0.4
+
 // runPrecision runs one in-memory engine at the given precision:
 // full-traversal likelihood plus a Newton pass over every edge.
-func runPrecision(cfg PrecisionAblationConfig, d *sim.Dataset, prec string) (lnl, opt float64, kernel string, err error) {
-	t := d.Tree.Clone()
-	cl, err := plf.CarrierLength(d.Model, d.Patterns.NumPatterns(), prec)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	prov := plf.NewInMemoryProvider(t.NumInner(), cl)
-	e, err := plf.NewWithPrecision(t, d.Patterns, d.Model, prov, prec)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	defer e.Close()
-	lnl, err = e.LogLikelihood()
-	if err != nil {
-		return 0, 0, "", err
-	}
-	for _, edge := range t.Edges {
-		opt, err = e.OptimizeBranch(edge)
-		if err != nil {
-			return 0, 0, "", err
+func runPrecision(w *workload, prec string) (lnl, opt float64, kernel string, err error) {
+	_, err = w.run(arm{Precision: prec}, func(r *analysis.Run) (err error) {
+		e := r.Engine
+		if lnl, err = e.LogLikelihood(); err != nil {
+			return err
 		}
-	}
-	return lnl, opt, e.KernelName(), nil
-}
-
-// manifestVecBytes reports the per-vector payload a checksummed store
-// at the given precision writes, straight from its manifest.
-func manifestVecBytes(d *sim.Dataset, n int, prec string) (int, error) {
-	cl, err := plf.CarrierLength(d.Model, d.Patterns.NumPatterns(), prec)
-	if err != nil {
-		return 0, err
-	}
-	dir, err := os.MkdirTemp("", "oocphylo-precision-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	cs, err := ooc.NewChecksumStore(ooc.NewMemStore(n, cl), filepath.Join(dir, "v.sum"), n, cl)
-	if err != nil {
-		return 0, err
-	}
-	defer cs.Close()
-	cs.SetPrecision(prec)
-	man := cs.Manifest()
-	if got := normManifestPrecision(man.Precision); got != prec {
-		return 0, fmt.Errorf("manifest precision %q, want %q", man.Precision, prec)
-	}
-	return man.VectorLen * 8, nil
-}
-
-func normManifestPrecision(p string) string {
-	if p == "" {
-		return plf.PrecisionF64
-	}
-	return p
+		for _, edge := range e.T.Edges {
+			if opt, err = e.OptimizeBranch(edge); err != nil {
+				return err
+			}
+		}
+		kernel = e.KernelName()
+		return nil
+	})
+	return lnl, opt, kernel, err
 }
 
 // RunPrecisionAblation measures the f32 trade and enforces its
 // contracts: sync/async f32 bit-identity and the accuracy budget.
 func RunPrecisionAblation(cfg PrecisionAblationConfig) (*PrecisionAblationResult, error) {
 	cfg.fill()
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-		AA: cfg.AA,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed, AA: cfg.AA}, false)
 	if err != nil {
 		return nil, err
 	}
 	res := &PrecisionAblationResult{}
-	res.LnL64, res.Opt64, _, err = runPrecision(cfg, d, plf.PrecisionF64)
+	res.LnL64, res.Opt64, _, err = runPrecision(w, plf.PrecisionF64)
 	if err != nil {
 		return nil, fmt.Errorf("f64 run: %w", err)
 	}
-	res.LnL32, res.Opt32, res.Kernel, err = runPrecision(cfg, d, plf.PrecisionF32)
+	res.LnL32, res.Opt32, res.Kernel, err = runPrecision(w, plf.PrecisionF32)
 	if err != nil {
 		return nil, fmt.Errorf("f32 run: %w", err)
 	}
@@ -177,46 +127,23 @@ func RunPrecisionAblation(cfg PrecisionAblationConfig) (*PrecisionAblationResult
 	}
 
 	// Async out-of-core f32: same dataset through a checksummed store
-	// with prefetching workers. Must reproduce the sync bits exactly.
-	t := d.Tree.Clone()
-	n := t.NumInner()
-	cl, err := plf.CarrierLength(d.Model, d.Patterns.NumPatterns(), plf.PrecisionF32)
-	if err != nil {
-		return nil, err
+	// with prefetching workers. Must reproduce the sync bits exactly. The
+	// stores' manifests say what a vector costs on disk at each precision
+	// (the f64 one is opened for nothing else).
+	outOfCore := func(prec string, body func(*analysis.Run) error) (vecBytes int, err error) {
+		r, err := w.run(arm{
+			Fraction: precisionFraction, Precision: prec, Workers: cfg.Workers,
+			Async: true, Stack: ooc.StackSpec{Verify: true},
+		}, body)
+		if err != nil {
+			return 0, err
+		}
+		return r.Stack.Checksum.Manifest().VectorLen * 8, nil
 	}
-	dir, err := os.MkdirTemp("", "oocphylo-precision-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	store, err := ooc.NewChecksumStore(ooc.NewMemStore(n, cl), filepath.Join(dir, "async.sum"), n, cl)
-	if err != nil {
-		return nil, err
-	}
-	store.SetPrecision(plf.PrecisionF32)
-	mgr, err := ooc.NewManager(ooc.Config{
-		NumVectors: n, VectorLen: cl,
-		Slots:        ooc.SlotsForFraction(cfg.Fraction, n),
-		Strategy:     ooc.NewLRU(n),
-		ReadSkipping: true,
-		Store:        store,
-		Async:        true,
+	res.VecBytes32, err = outOfCore(plf.PrecisionF32, func(r *analysis.Run) (err error) {
+		res.LnL32Async, err = r.Engine.LogLikelihood()
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	e, err := plf.NewWithPrecision(t, d.Patterns, d.Model, mgr, plf.PrecisionF32)
-	if err != nil {
-		mgr.Close()
-		return nil, err
-	}
-	e.EnablePrefetch(true)
-	e.SetWorkers(cfg.Workers)
-	res.LnL32Async, err = e.LogLikelihood()
-	e.Close()
-	if cerr := mgr.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return nil, fmt.Errorf("f32 async run: %w", err)
 	}
@@ -224,12 +151,7 @@ func RunPrecisionAblation(cfg PrecisionAblationConfig) (*PrecisionAblationResult
 		return nil, fmt.Errorf("f32 sync/async divergence: %.17g vs %.17g",
 			res.LnL32, res.LnL32Async)
 	}
-
-	res.VecBytes64, err = manifestVecBytes(d, n, plf.PrecisionF64)
-	if err != nil {
-		return nil, err
-	}
-	res.VecBytes32, err = manifestVecBytes(d, n, plf.PrecisionF32)
+	res.VecBytes64, err = outOfCore(plf.PrecisionF64, func(*analysis.Run) error { return nil })
 	if err != nil {
 		return nil, err
 	}

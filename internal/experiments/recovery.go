@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/ooc"
-	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
 )
 
@@ -25,12 +25,8 @@ type RecoveryConfig struct {
 	Taxa, Sites int
 	// Seed fixes the dataset (and, offset, the fault sequence).
 	Seed int64
-	// GammaAlpha sets rate heterogeneity.
-	GammaAlpha float64
 	// Traversals is the number of full traversals.
 	Traversals int
-	// Fraction is the memory fraction f (slots = f·n).
-	Fraction float64
 	// Faults is the injection plan for the faulted runs.
 	Faults ooc.FaultConfig
 	// Retries configures the manager's transient-error retry budget. It
@@ -38,8 +34,6 @@ type RecoveryConfig struct {
 	// burst can never outlast the retry loop (the caps make recovery
 	// equivalence deterministic rather than merely probable).
 	Retries int
-	// Workers is the number of the async pipeline's fetch goroutines.
-	Workers int
 }
 
 func (c *RecoveryConfig) fill() {
@@ -49,14 +43,8 @@ func (c *RecoveryConfig) fill() {
 	if c.Sites == 0 {
 		c.Sites = 256
 	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
-	}
 	if c.Traversals == 0 {
 		c.Traversals = 3
-	}
-	if c.Fraction == 0 {
-		c.Fraction = 0.25
 	}
 	if c.Faults == (ooc.FaultConfig{}) {
 		c.Faults = ooc.FaultConfig{
@@ -72,9 +60,6 @@ func (c *RecoveryConfig) fill() {
 	}
 	if c.Retries == 0 {
 		c.Retries = 8
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
 	}
 }
 
@@ -99,94 +84,19 @@ type RecoveryRow struct {
 	ExtraNewviews int64
 }
 
-// recoveryRun is one execution of the workload over a (possibly
-// faulted) checksummed store.
-type recoveryRun struct {
-	lnl        float64
-	newviews   int64
-	recoveries int64
-	pipe       ooc.PipelineStats
-	detected   int64
-	faults     ooc.FaultStats
-}
-
-// edgeSweepWorkload is the recovery ablation's access pattern: one full
-// traversal, then per round a likelihood evaluation at every second
-// edge. Unlike the pure full-traversal workload (where read skipping
-// plus post-order locality means vectors are almost never read back),
-// the edge hops constantly re-orient subtrees and fault stored vectors
-// in with read intent — exactly the path where torn writes and bit
-// flips must be detected and healed.
-func edgeSweepWorkload(e *plf.Engine, rounds int) (float64, error) {
-	if err := e.FullTraversal(e.T.Edges[0]); err != nil {
-		return 0, err
-	}
-	var lnl float64
-	for s := 0; s < rounds; s++ {
-		for i := 0; i < len(e.T.Edges); i += 2 {
-			l, err := e.LogLikelihoodAt(e.T.Edges[i])
-			if err != nil {
-				return 0, err
-			}
-			lnl = l
-		}
-	}
-	return lnl, nil
-}
-
 // runRecoveryWorkload executes the edge-sweep workload once over
-// Manager → ChecksumStore → [FaultStore →] MemStore.
-func runRecoveryWorkload(cfg RecoveryConfig, d *sim.Dataset, async, faulted bool) (recoveryRun, error) {
-	var r recoveryRun
-	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	n := d.Tree.NumInner()
-	slots := ooc.SlotsForFraction(cfg.Fraction, n)
-	spec := ooc.StackSpec{
-		TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen},
-		Base:         ooc.NewMemStore(n, vecLen), Verify: true,
-	}
-	if faulted {
-		spec.Fault = &cfg.Faults
-	}
-	st, err := ooc.OpenStack(spec)
-	if err != nil {
-		return r, err
-	}
-	defer st.Close()
-	mgr, err := ooc.NewManager(ooc.Config{
-		NumVectors: n, VectorLen: vecLen, Slots: slots,
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store,
-		Async: async, IOWorkers: cfg.Workers,
-		Retry: ooc.RetryPolicy{Max: cfg.Retries},
+// Manager → ChecksumStore → [FaultStore →] MemStore and returns the
+// closed run for its counters.
+func runRecoveryWorkload(cfg RecoveryConfig, w *workload, async bool, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
+	r, err = w.run(arm{
+		Fraction: pagingFraction, Prefetch: true, PrefetchDepth: 1,
+		Async: async, IOWorkers: ioWorkers, Retries: cfg.Retries,
+		Stack: ooc.StackSpec{Base: w.memStore(), Verify: true, Fault: faults},
+	}, func(r *analysis.Run) (err error) {
+		lnl, err = edgeSweepWorkload(r.Engine, cfg.Traversals)
+		return err
 	})
-	if err != nil {
-		return r, err
-	}
-	e, err := plf.New(d.Tree.Clone(), d.Patterns, d.Model, mgr)
-	if err != nil {
-		return r, err
-	}
-	e.EnablePrefetch(true)
-	e.SetPrefetchDepth(1)
-	lnl, err := edgeSweepWorkload(e, cfg.Traversals)
-	if err != nil {
-		return r, err
-	}
-	if err := mgr.Close(); err != nil {
-		return r, err
-	}
-	if err := st.Close(); err != nil {
-		return r, err
-	}
-	r.lnl = lnl
-	r.newviews = e.Stats.Newviews
-	r.recoveries = e.Stats.Recoveries
-	r.pipe = mgr.PipelineStats()
-	r.detected = st.Checksum.CorruptReads()
-	if st.Fault != nil {
-		r.faults = st.Fault.Stats()
-	}
-	return r, nil
+	return lnl, r, err
 }
 
 // RunRecoveryAblation runs the workload clean and faulted for both the
@@ -194,35 +104,34 @@ func runRecoveryWorkload(cfg RecoveryConfig, d *sim.Dataset, async, faulted bool
 // does not reproduce its clean run's log-likelihood bit for bit.
 func RunRecoveryAblation(cfg RecoveryConfig) ([]RecoveryRow, error) {
 	cfg.fill()
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, false)
 	if err != nil {
 		return nil, err
 	}
 	var out []RecoveryRow
 	for _, async := range []bool{false, true} {
-		clean, err := runRecoveryWorkload(cfg, d, async, false)
+		cleanLnL, clean, err := runRecoveryWorkload(cfg, w, async, nil)
 		if err != nil {
 			return nil, fmt.Errorf("clean async=%v: %w", async, err)
 		}
-		faulted, err := runRecoveryWorkload(cfg, d, async, true)
+		lnl, faulted, err := runRecoveryWorkload(cfg, w, async, &cfg.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("faulted async=%v: %w", async, err)
 		}
-		if clean.lnl != faulted.lnl {
+		if cleanLnL != lnl {
 			return nil, fmt.Errorf("async=%v: recovery changed the answer: clean lnL %v, faulted %v",
-				async, clean.lnl, faulted.lnl)
+				async, cleanLnL, lnl)
 		}
+		pipe := faulted.Manager.PipelineStats()
 		out = append(out, RecoveryRow{
 			Async:   async,
-			LnL:     faulted.lnl,
-			Faults:  faulted.faults,
-			Retries: faulted.pipe.Retries, CorruptReads: faulted.pipe.CorruptReads,
-			DroppedWritebacks: faulted.pipe.DroppedWritebacks,
-			Detected:          faulted.detected,
-			Recoveries:        faulted.recoveries,
-			ExtraNewviews:     faulted.newviews - clean.newviews,
+			LnL:     lnl,
+			Faults:  faulted.Stack.Fault.Stats(),
+			Retries: pipe.Retries, CorruptReads: pipe.CorruptReads,
+			DroppedWritebacks: pipe.DroppedWritebacks,
+			Detected:          faulted.Stack.Checksum.CorruptReads(),
+			Recoveries:        faulted.Engine.Stats.Recoveries,
+			ExtraNewviews:     faulted.Engine.Stats.Newviews - clean.Engine.Stats.Newviews,
 		})
 	}
 	return out, nil
@@ -232,7 +141,7 @@ func RunRecoveryAblation(cfg RecoveryConfig) ([]RecoveryRow, error) {
 func WriteRecoveryTable(w io.Writer, rows []RecoveryRow, cfg RecoveryConfig) {
 	cfg.fill()
 	fmt.Fprintf(w, "Recovery ablation: %d full traversals, %d taxa × %d sites, f=%.2f, retries %d\n",
-		cfg.Traversals, cfg.Taxa, cfg.Sites, cfg.Fraction, cfg.Retries)
+		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction, cfg.Retries)
 	fmt.Fprintf(w, "%6s %5s %5s %5s %5s %8s %8s %8s %10s %8s %14s\n",
 		"mode", "eio-r", "eio-w", "torn", "flips", "retries", "corrupt", "dropped", "recovered", "+nv", "lnL")
 	for _, r := range rows {

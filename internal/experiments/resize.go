@@ -14,13 +14,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/ooc"
-	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
-	"oocphylo/internal/tree"
 )
 
 // ResizeAblationConfig describes the mid-run shrink experiment.
@@ -29,17 +27,14 @@ type ResizeAblationConfig struct {
 	Taxa, Sites int
 	// Seed fixes dataset and starting tree.
 	Seed int64
-	// GammaAlpha sets the simulated rate heterogeneity.
-	GammaAlpha float64
-	// StartF is the memory fraction the run begins with (default 0.75);
-	// the pool is halved in place until MinSlots.
-	StartF float64
 	// TraversalsPerPhase is the number of full tree traversals executed
 	// at each slot count (default 2).
 	TraversalsPerPhase int
-	// MinSlots floors the shrink trajectory (default ooc.MinSlots).
-	MinSlots int
 }
+
+// resizeStartF is the memory fraction a run begins with; the pool is
+// halved in place from there down to ooc.MinSlots.
+const resizeStartF = 0.75
 
 func (c *ResizeAblationConfig) fill() {
 	if c.Taxa == 0 {
@@ -48,17 +43,8 @@ func (c *ResizeAblationConfig) fill() {
 	if c.Sites == 0 {
 		c.Sites = 200
 	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
-	}
-	if c.StartF == 0 {
-		c.StartF = 0.75
-	}
 	if c.TraversalsPerPhase == 0 {
 		c.TraversalsPerPhase = 2
-	}
-	if c.MinSlots < ooc.MinSlots {
-		c.MinSlots = ooc.MinSlots
 	}
 }
 
@@ -98,87 +84,58 @@ func shrinkSchedule(start, floor int) []int {
 // all-in-RAM reference; a single differing bit is an error.
 func RunResizeAblation(cfg ResizeAblationConfig) ([]ResizePhaseRow, error) {
 	cfg.fill()
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, true)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, d.Tree.NumTips)
-	for i := range names {
-		names[i] = d.Tree.Nodes[i].Name
-	}
-	start, err := tree.RandomTopology(names, rand.New(rand.NewSource(cfg.Seed+1)), 0.05, 0.15)
-	if err != nil {
-		return nil, err
-	}
-	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	n := start.NumInner()
 
 	// All-in-RAM reference likelihood.
-	ref, err := plf.New(start.Clone(), d.Patterns, d.Model, plf.NewInMemoryProvider(n, vecLen))
-	if err != nil {
-		return nil, err
-	}
-	refLnL, err := ref.LogLikelihoodAt(ref.T.Edges[0])
-	if err != nil {
+	var refLnL float64
+	if _, err := w.run(arm{}, func(r *analysis.Run) (err error) {
+		refLnL, err = r.Engine.LogLikelihoodAt(r.Engine.T.Edges[0])
+		return err
+	}); err != nil {
 		return nil, err
 	}
 
-	startSlots := ooc.SlotsForFraction(cfg.StartF, n)
-	sched := shrinkSchedule(startSlots, cfg.MinSlots)
+	sched := shrinkSchedule(ooc.SlotsForFraction(resizeStartF, w.tree.NumInner()), ooc.MinSlots)
 	var out []ResizePhaseRow
 	for _, name := range StrategyNames {
-		strat, err := ooc.StrategyByName(name, n, start, cfg.Seed+2)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: vecLen, Slots: startSlots,
-			Strategy: strat, ReadSkipping: true,
-			Store: ooc.NewMemStore(n, vecLen),
+		_, err := w.run(arm{
+			Fraction: resizeStartF, Strategy: name,
+			Stack: ooc.StackSpec{Base: w.memStore()},
+		}, func(r *analysis.Run) error {
+			var prev ooc.Stats
+			for phase, slots := range sched {
+				if _, err := r.Resize(int64(slots) * r.Sizing.VecBytes); err != nil {
+					return fmt.Errorf("%s phase %d: %w", name, phase, err)
+				}
+				lnl, _, err := fullTraversalWorkload(r.Engine, cfg.TraversalsPerPhase)
+				if err != nil {
+					return err
+				}
+				if math.Float64bits(lnl) != math.Float64bits(refLnL) {
+					return fmt.Errorf("%s at %d slots: lnL %.17g != reference %.17g",
+						name, slots, lnl, refLnL)
+				}
+				cur := r.Manager.Stats()
+				row := ResizePhaseRow{
+					Strategy: name, Phase: phase, Slots: r.Manager.Slots(),
+					Requests: cur.Requests - prev.Requests,
+					Misses:   cur.Misses - prev.Misses,
+					LnL:      lnl,
+				}
+				if row.Requests > 0 {
+					row.MissRate = float64(row.Misses) / float64(row.Requests)
+				}
+				prev = cur
+				out = append(out, row)
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		e, err := plf.New(start.Clone(), d.Patterns, d.Model, mgr)
-		if err != nil {
-			return nil, err
-		}
-		var prev ooc.Stats
-		for phase, slots := range sched {
-			if phase > 0 {
-				if err := mgr.Resize(slots); err != nil {
-					return nil, fmt.Errorf("%s phase %d: %w", name, phase, err)
-				}
-			}
-			var lnl float64
-			for k := 0; k < cfg.TraversalsPerPhase; k++ {
-				if err := e.FullTraversal(e.T.Edges[0]); err != nil {
-					return nil, err
-				}
-				if lnl, err = e.LogLikelihoodAt(e.T.Edges[0]); err != nil {
-					return nil, err
-				}
-			}
-			if math.Float64bits(lnl) != math.Float64bits(refLnL) {
-				return nil, fmt.Errorf("%s at %d slots: lnL %.17g != reference %.17g",
-					name, slots, lnl, refLnL)
-			}
-			cur := mgr.Stats()
-			row := ResizePhaseRow{
-				Strategy: name, Phase: phase, Slots: slots,
-				Requests: cur.Requests - prev.Requests,
-				Misses:   cur.Misses - prev.Misses,
-				LnL:      lnl,
-			}
-			if row.Requests > 0 {
-				row.MissRate = float64(row.Misses) / float64(row.Requests)
-			}
-			prev = cur
-			out = append(out, row)
-		}
-		mgr.Close()
 	}
 	return out, nil
 }
@@ -218,73 +175,47 @@ func RunResizeOverhead(cfg ResizeAblationConfig, traversals int) (*ResizeOverhea
 	if traversals <= 0 {
 		traversals = 6
 	}
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, true)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, d.Tree.NumTips)
-	for i := range names {
-		names[i] = d.Tree.Nodes[i].Name
-	}
-	start, err := tree.RandomTopology(names, rand.New(rand.NewSource(cfg.Seed+1)), 0.05, 0.15)
-	if err != nil {
-		return nil, err
-	}
-	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	n := start.NumInner()
-	slots := ooc.SlotsForFraction(cfg.StartF, n)
-	low := slots / 2
-	if low < cfg.MinSlots {
-		low = cfg.MinSlots
-	}
+	slots := ooc.SlotsForFraction(resizeStartF, w.tree.NumInner())
+	res := &ResizeOverheadResult{Slots: slots, Low: max(slots/2, ooc.MinSlots)}
 
-	run := func(oscillate bool) (float64, time.Duration, int, ooc.Stats, error) {
-		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: vecLen, Slots: slots,
-			Strategy: ooc.NewLRU(n), ReadSkipping: true,
-			Store: ooc.NewMemStore(n, vecLen),
+	run := func(oscillate bool) (lnl float64, wall time.Duration, stats ooc.Stats, err error) {
+		r, err := w.run(arm{
+			Fraction: resizeStartF, Stack: ooc.StackSpec{Base: w.memStore()},
+		}, func(r *analysis.Run) (err error) {
+			begin := time.Now()
+			for k := 0; k < traversals; k++ {
+				if oscillate && k > 0 {
+					// Shrink-and-regrow between traversals: the traversal
+					// itself always runs at full width, so any extra time is
+					// the resize machinery plus the re-faults it caused.
+					for _, m := range []int{res.Low, res.Slots} {
+						if _, err = r.Resize(int64(m) * r.Sizing.VecBytes); err != nil {
+							return err
+						}
+						res.Resizes++
+					}
+				}
+				if lnl, _, err = fullTraversalWorkload(r.Engine, 1); err != nil {
+					return err
+				}
+			}
+			wall = time.Since(begin)
+			return nil
 		})
 		if err != nil {
-			return 0, 0, 0, ooc.Stats{}, err
+			return 0, 0, stats, err
 		}
-		defer mgr.Close()
-		e, err := plf.New(start.Clone(), d.Patterns, d.Model, mgr)
-		if err != nil {
-			return 0, 0, 0, ooc.Stats{}, err
-		}
-		resizes := 0
-		begin := time.Now()
-		var lnl float64
-		for k := 0; k < traversals; k++ {
-			if oscillate && k > 0 {
-				// Shrink-and-regrow between traversals: the traversal
-				// itself always runs at full width, so any extra time is
-				// the resize machinery plus the re-faults it caused.
-				if err := mgr.Resize(low); err != nil {
-					return 0, 0, 0, ooc.Stats{}, err
-				}
-				if err := mgr.Resize(slots); err != nil {
-					return 0, 0, 0, ooc.Stats{}, err
-				}
-				resizes += 2
-			}
-			if err := e.FullTraversal(e.T.Edges[0]); err != nil {
-				return 0, 0, 0, ooc.Stats{}, err
-			}
-			if lnl, err = e.LogLikelihoodAt(e.T.Edges[0]); err != nil {
-				return 0, 0, 0, ooc.Stats{}, err
-			}
-		}
-		return lnl, time.Since(begin), resizes, mgr.Stats(), nil
+		return lnl, wall, r.Manager.Stats(), nil
 	}
 
-	res := &ResizeOverheadResult{Slots: slots, Low: low}
-	if res.FixedLnL, res.FixedTime, _, res.FixedStats, err = run(false); err != nil {
+	if res.FixedLnL, res.FixedTime, res.FixedStats, err = run(false); err != nil {
 		return nil, err
 	}
-	if res.ResizeLnL, res.ResizeTime, res.Resizes, res.ResizeStats, err = run(true); err != nil {
+	if res.ResizeLnL, res.ResizeTime, res.ResizeStats, err = run(true); err != nil {
 		return nil, err
 	}
 	if math.Float64bits(res.ResizeLnL) != math.Float64bits(res.FixedLnL) {
@@ -298,7 +229,7 @@ func RunResizeOverhead(cfg ResizeAblationConfig, traversals int) (*ResizeOverhea
 func WriteResizeTable(w io.Writer, rows []ResizePhaseRow, cfg ResizeAblationConfig) {
 	cfg.fill()
 	fmt.Fprintf(w, "Live pool shrink trajectory (%d taxa, %d sites, start f=%.2f, %d traversals/phase)\n",
-		cfg.Taxa, cfg.Sites, cfg.StartF, cfg.TraversalsPerPhase)
+		cfg.Taxa, cfg.Sites, resizeStartF, cfg.TraversalsPerPhase)
 	fmt.Fprintf(w, "%-12s %6s %6s %10s %10s %8s %14s\n",
 		"strategy", "phase", "slots", "requests", "misses", "miss%", "lnL")
 	for _, r := range rows {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"oocphylo/internal/ooc"
 )
 
 func TestRunResizeAblationSmall(t *testing.T) {
@@ -31,7 +33,7 @@ func TestRunResizeAblationSmall(t *testing.T) {
 			}
 		}
 		last := seq[len(seq)-1]
-		if last.Slots != cfg.MinSlots && last.Slots != 3 {
+		if last.Slots != ooc.MinSlots {
 			t.Errorf("%s: trajectory ends at %d slots, want the floor", name, last.Slots)
 		}
 		for _, r := range seq {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -17,12 +18,31 @@ func smallTierConfig() TierAblationConfig {
 	}
 }
 
+// tierRows runs the ablation once per manager flavour for every test
+// that reads its rows (the arms are latency-bound: seconds, not
+// milliseconds).
+var tierRowsOnce = [2]func() ([]TierAblationRow, error){
+	sync.OnceValues(func() ([]TierAblationRow, error) { return RunTierAblation(smallTierConfig()) }),
+	sync.OnceValues(func() ([]TierAblationRow, error) {
+		cfg := smallTierConfig()
+		cfg.Async = true
+		return RunTierAblation(cfg)
+	}),
+}
+
+func tierRows(async bool) ([]TierAblationRow, error) {
+	if async {
+		return tierRowsOnce[1]()
+	}
+	return tierRowsOnce[0]()
+}
+
 // TestTierAblationArms runs the full three-arm ablation at one injected
 // RTT. RunTierAblation itself enforces the acceptance counters: every
 // arm bit-identical to the local FileStore baseline and the warm arm
 // serving >= 70% of read demand without a remote trip.
 func TestTierAblationArms(t *testing.T) {
-	rows, err := RunTierAblation(smallTierConfig())
+	rows, err := tierRows(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +79,7 @@ func TestTierAblationArms(t *testing.T) {
 // the async I/O pipeline over the tiered stack must be bit-identical
 // too (RunTierAblation compares against the async local baseline).
 func TestTierAblationAsyncPipeline(t *testing.T) {
-	cfg := smallTierConfig()
-	cfg.Async = true
-	if _, err := RunTierAblation(cfg); err != nil {
+	if _, err := tierRows(true); err != nil {
 		t.Fatal(err)
 	}
 }

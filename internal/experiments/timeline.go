@@ -5,9 +5,9 @@ import (
 	"io"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
-	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
 )
 
@@ -26,19 +26,10 @@ type TimelineConfig struct {
 	Taxa, Sites int
 	// Seed fixes the dataset and fault sequence.
 	Seed int64
-	// GammaAlpha sets rate heterogeneity.
-	GammaAlpha float64
-	// Fraction is the memory fraction f (slots = f·n).
-	Fraction float64
 	// Rounds is the number of edge-sweep rounds after the initial full
 	// traversal (the vector-lifecycle-rich workload from the recovery
 	// ablation).
 	Rounds int
-	// Workers is the number of the async pipeline's fetch goroutines.
-	Workers int
-	// TraceCapacity bounds the event ring (default 65536 — enough to
-	// keep the whole run at the default geometry).
-	TraceCapacity int
 	// WithFaults injects transient I/O faults and bit flips so the
 	// timeline shows recovery events, not just steady-state paging.
 	WithFaults bool
@@ -51,20 +42,8 @@ func (c *TimelineConfig) fill() {
 	if c.Sites == 0 {
 		c.Sites = 256
 	}
-	if c.GammaAlpha == 0 {
-		c.GammaAlpha = 0.8
-	}
-	if c.Fraction == 0 {
-		c.Fraction = 0.25
-	}
 	if c.Rounds == 0 {
 		c.Rounds = 2
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-	if c.TraceCapacity == 0 {
-		c.TraceCapacity = 65536
 	}
 }
 
@@ -84,67 +63,38 @@ type TimelineResult struct {
 	Snapshot *obs.Snapshot
 }
 
+// traceCapacity bounds the event ring: enough to keep a whole run at
+// the default geometry.
+const traceCapacity = 65536
+
 // RunTimeline executes the instrumented workload and writes the Chrome
 // trace JSON to traceW.
 func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	var res TimelineResult
 	cfg.fill()
-	d, err := sim.NewDataset(sim.Config{
-		Taxa: cfg.Taxa, Sites: cfg.Sites, GammaAlpha: cfg.GammaAlpha, Seed: cfg.Seed,
-	})
+	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, false)
 	if err != nil {
 		return res, err
 	}
-	vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-	n := d.Tree.NumInner()
-
-	spec := ooc.StackSpec{
-		TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen},
-		Base:         ooc.NewMemStore(n, vecLen), Verify: true,
-	}
+	stack := ooc.StackSpec{Base: w.memStore(), Verify: true}
 	if cfg.WithFaults {
-		spec.Fault = &ooc.FaultConfig{
+		stack.Fault = &ooc.FaultConfig{
 			Seed:     cfg.Seed + 99,
 			PReadErr: 0.02, MaxReadErrs: 4,
 			PBitFlip: 0.10, MaxBitFlips: 3,
 		}
 	}
-	st, err := ooc.OpenStack(spec)
-	if err != nil {
-		return res, err
-	}
-	defer st.Close()
-	mgr, err := ooc.NewManager(ooc.Config{
-		NumVectors: n, VectorLen: vecLen,
-		Slots:    ooc.SlotsForFraction(cfg.Fraction, n),
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store,
-		Async: true, IOWorkers: cfg.Workers,
-		Retry: ooc.RetryPolicy{Max: 8},
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(traceCapacity)
+	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
+	r, err := w.run(arm{
+		Fraction: pagingFraction, Async: true, IOWorkers: ioWorkers, Retries: 8,
+		Stack: stack, Registry: reg, Tracer: tr,
+	}, func(r *analysis.Run) (err error) {
+		res.LnL, err = edgeSweepWorkload(r.Engine, cfg.Rounds)
+		return err
 	})
 	if err != nil {
-		return res, err
-	}
-	e, err := plf.New(d.Tree.Clone(), d.Patterns, d.Model, mgr)
-	if err != nil {
-		return res, err
-	}
-	e.EnablePrefetch(true)
-
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(cfg.TraceCapacity)
-	mgr.Instrument(reg, tr)
-	ooc.InstrumentChecksumStore(reg, st.Checksum)
-	e.Instrument(reg, tr)
-	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
-
-	lnl, err := edgeSweepWorkload(e, cfg.Rounds)
-	if err != nil {
-		return res, err
-	}
-	if err := mgr.Close(); err != nil {
-		return res, err
-	}
-	if err := st.Close(); err != nil {
 		return res, err
 	}
 	if traceW != nil {
@@ -152,10 +102,9 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 			return res, err
 		}
 	}
-	res.LnL = lnl
 	res.Events = tr.Len()
 	res.Dropped = tr.Dropped()
-	res.Recoveries = e.Stats.Recoveries
+	res.Recoveries = r.Engine.Stats.Recoveries
 	res.Snapshot = reg.Snapshot()
 	return res, nil
 }
@@ -208,59 +157,38 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 	if reps == 0 {
 		reps = 3
 	}
-	d, err := sim.NewDataset(sim.Config{Taxa: taxa, Sites: sites, GammaAlpha: 0.8, Seed: seed})
+	w, err := newWorkload(sim.Config{Taxa: taxa, Sites: sites, Seed: seed}, false)
 	if err != nil {
 		return res, err
 	}
-	run := func(arm int) (float64, time.Duration, error) {
-		vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-		n := d.Tree.NumInner()
-		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: vecLen,
-			Slots:    ooc.SlotsForFraction(0.25, n),
-			Strategy: ooc.NewLRU(n), ReadSkipping: true,
-			Store: ooc.NewMemStore(n, vecLen),
-			Async: true, IOWorkers: 2,
+	run := func(obsArm int) (lnl float64, wall time.Duration, err error) {
+		a := arm{
+			Fraction: pagingFraction, Async: true, IOWorkers: ioWorkers,
+			Stack: ooc.StackSpec{Base: w.memStore()},
+		}
+		if obsArm >= obsArmOn {
+			a.Registry, a.Tracer = obs.NewRegistry(), obs.NewTracer(traceCapacity)
+		}
+		_, err = w.run(a, func(r *analysis.Run) (err error) {
+			if obsArm == obsArmSpans {
+				col := obs.NewSpanCollector(8)
+				root := col.StartTrace("workload")
+				r.Engine.SetSpan(root)
+				defer func() {
+					root.End()
+					res.SpanCount = col.Total()
+				}()
+			}
+			lnl, wall, err = fullTraversalWorkload(r.Engine, traversals)
+			return err
 		})
-		if err != nil {
-			return 0, 0, err
-		}
-		t := d.Tree.Clone()
-		e, err := plf.New(t, d.Patterns, d.Model, mgr)
-		if err != nil {
-			return 0, 0, err
-		}
-		e.EnablePrefetch(true)
-		var root *obs.Span
-		if arm >= obsArmOn {
-			reg := obs.NewRegistry()
-			tr := obs.NewTracer(65536)
-			mgr.Instrument(reg, tr)
-			e.Instrument(reg, tr)
-		}
-		if arm == obsArmSpans {
-			col := obs.NewSpanCollector(8)
-			root = col.StartTrace("workload")
-			e.SetSpan(root)
-			defer func() {
-				root.End()
-				res.SpanCount = col.Total()
-			}()
-		}
-		lnl, wall, err := fullTraversalWorkload(e, t, traversals)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := mgr.Close(); err != nil {
-			return 0, 0, err
-		}
-		return lnl, wall, nil
+		return lnl, wall, err
 	}
-	best := func(arm int) (float64, float64, error) {
+	best := func(obsArm int) (float64, float64, error) {
 		bestWall := time.Duration(0)
 		var lnl float64
 		for i := 0; i < reps; i++ {
-			l, wall, err := run(arm)
+			l, wall, err := run(obsArm)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -302,7 +230,7 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 func WriteTimelineSummary(w io.Writer, cfg TimelineConfig, res TimelineResult) {
 	cfg.fill()
 	fmt.Fprintf(w, "# Timeline trace: %d taxa, %d sites, f=%.2f, %d fetch workers, faults=%v\n",
-		cfg.Taxa, cfg.Sites, cfg.Fraction, cfg.Workers, cfg.WithFaults)
+		cfg.Taxa, cfg.Sites, pagingFraction, ioWorkers, cfg.WithFaults)
 	fmt.Fprintf(w, "final lnL      %.6f\n", res.LnL)
 	fmt.Fprintf(w, "trace events   %d (dropped %d)\n", res.Events, res.Dropped)
 	fmt.Fprintf(w, "recoveries     %d\n", res.Recoveries)

@@ -142,7 +142,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Error("nil registry must hand out nil instruments")
 	}
 	r.SetInfo("k", "v")
-	r.AddPublisher(func() {})
+	r.AddPublisher("", func() {})
 	if s := r.Snapshot(); s == nil {
 		t.Error("nil registry Snapshot must return an empty snapshot")
 	}

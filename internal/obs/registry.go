@@ -21,8 +21,11 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -150,7 +153,14 @@ type Registry struct {
 	fgauges    map[string]*FloatGauge
 	hists      map[string]*Histogram
 	info       map[string]string
-	publishers []func()
+	publishers []publisher
+}
+
+// publisher is a mirror function and the instrument-name prefix it
+// publishes under.
+type publisher struct {
+	prefix string
+	f      func()
 }
 
 // NewRegistry returns an empty registry.
@@ -245,13 +255,48 @@ func (r *Registry) SetInfo(key, value string) {
 // still live on the debug endpoint. Publishers must only touch
 // pre-resolved instruments (they run outside the registry lock but may
 // be called from any goroutine, concurrently with instrumentation).
-func (r *Registry) AddPublisher(f func()) {
+//
+// prefix is the name prefix of the instruments f sets. It is the
+// publisher's identity: registering under a prefix already taken
+// replaces the earlier function (a revived session's new store takes
+// over from the closed one instead of being published beside it), and
+// Remove drops it with its instruments.
+func (r *Registry) AddPublisher(prefix string, f func()) {
 	if r == nil || f == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.publishers = append(r.publishers, f)
+	for i := range r.publishers {
+		if r.publishers[i].prefix == prefix {
+			r.publishers[i].f = f
+			return
+		}
+	}
+	r.publishers = append(r.publishers, publisher{prefix, f})
+}
+
+// Remove drops every instrument and info key named under prefix and
+// every publisher registered under it, so what they referenced can be
+// collected. Instruments handed out earlier keep working, unexported.
+func (r *Registry) Remove(prefix string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.publishers = slices.DeleteFunc(r.publishers, func(p publisher) bool {
+		return strings.HasPrefix(p.prefix, prefix)
+	})
+	dropUnder(r.counters, prefix)
+	dropUnder(r.gauges, prefix)
+	dropUnder(r.fgauges, prefix)
+	dropUnder(r.hists, prefix)
+	dropUnder(r.info, prefix)
+}
+
+func dropUnder[V any](m map[string]V, prefix string) {
+	maps.DeleteFunc(m, func(name string, _ V) bool { return strings.HasPrefix(name, prefix) })
 }
 
 // GaugeValue is a gauge snapshot.
@@ -279,13 +324,12 @@ func (r *Registry) Snapshot() *Snapshot {
 		return &Snapshot{}
 	}
 	r.mu.Lock()
-	pubs := make([]func(), len(r.publishers))
-	copy(pubs, r.publishers)
+	pubs := slices.Clone(r.publishers)
 	r.mu.Unlock()
 	// Publishers run outside the lock: they may take layer locks (e.g.
 	// the ooc manager's stats mutex) that must never nest inside r.mu.
-	for _, f := range pubs {
-		f()
+	for _, p := range pubs {
+		p.f()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

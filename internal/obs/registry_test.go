@@ -45,7 +45,7 @@ func TestSnapshotAndPublishers(t *testing.T) {
 
 	published := 0
 	mirror := r.Counter("ooc.mirrored")
-	r.AddPublisher(func() { published++; mirror.Set(int64(published)) })
+	r.AddPublisher("ooc.mirrored", func() { published++; mirror.Set(int64(published)) })
 
 	s := r.Snapshot()
 	if published != 1 {
@@ -65,6 +65,40 @@ func TestSnapshotAndPublishers(t *testing.T) {
 	}
 	if s.Info["kernel"] != "dna4" {
 		t.Errorf("info: %v", s.Info)
+	}
+}
+
+// TestPublisherReplaceAndRemove pins a publisher's identity to its
+// prefix: re-registering replaces, and Remove takes the publishers and
+// names under a prefix — and nothing beside them — out of the registry.
+func TestPublisherReplaceAndRemove(t *testing.T) {
+	r := NewRegistry()
+	ran := map[string]int{}
+	for _, who := range []string{"stale", "live"} {
+		r.AddPublisher("svc.session.a.tier.", func() { ran[who]++ })
+	}
+	r.AddPublisher("svc.session.a.", func() { ran["a"]++ })
+	r.AddPublisher("svc.session.ab.", func() { ran["ab"]++ })
+	r.Counter("svc.session.a.tier.hits").Inc()
+	r.Gauge("svc.session.a.slots").Set(3)
+	r.Histogram("svc.session.a.tier.seconds", nil).Observe(1)
+	r.SetInfo("svc.session.a.tier.breaker", "enabled")
+	r.FloatGauge("svc.session.ab.lnl").Set(-1)
+	r.Snapshot()
+	if ran["stale"] != 0 || ran["live"] != 1 {
+		t.Fatalf("same-prefix publisher not replaced: %v", ran)
+	}
+
+	r.Remove("svc.session.a.")
+	s := r.Snapshot()
+	if ran["live"] != 1 || ran["a"] != 1 || ran["ab"] != 2 {
+		t.Errorf("publisher runs after Remove: %v", ran)
+	}
+	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Info); n != 0 {
+		t.Errorf("Remove left %d names behind: %+v", n, s)
+	}
+	if _, ok := s.FloatGauges["svc.session.ab.lnl"]; !ok {
+		t.Error("Remove took a neighbour's instrument")
 	}
 }
 

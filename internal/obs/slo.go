@@ -263,7 +263,7 @@ func (e *SLOEvaluator) Publish(reg *Registry) {
 		gauges[st.cfg.Name] = g
 	}
 	e.mu.Unlock()
-	reg.AddPublisher(func() {
+	reg.AddPublisher("slo.", func() {
 		rep := e.Report()
 		for _, s := range rep.SLOs {
 			g, ok := gauges[s.Name]

@@ -745,7 +745,7 @@ func RegisterTracerMetrics(reg *Registry, tr *Tracer, col *SpanCollector) {
 	spanDropped := reg.Counter("obs.spans.dropped")
 	spanTotal := reg.Counter("obs.spans.total")
 	spanTraces := reg.Gauge("obs.spans.traces")
-	reg.AddPublisher(func() {
+	reg.AddPublisher("obs.", func() {
 		ringDropped.Set(tr.Dropped())
 		ringTotal.Set(tr.Total())
 		ringLen.Set(int64(tr.Len()))

@@ -128,7 +128,7 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 		joinWait:      reg.FloatGauge("pipe.join_wait_seconds"),
 		bufWait:       reg.FloatGauge("pipe.buffer_wait_seconds"),
 	}
-	reg.AddPublisher(func() {
+	reg.AddPublisher("ooc.", func() {
 		st := m.Stats()
 		pf := m.PrefetchStats()
 		ps := m.PipelineStats()
@@ -229,7 +229,7 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		journalBytes:    reg.Gauge(prefix + "journal_bytes"),
 		degraded:        reg.Gauge(prefix + "degraded"),
 	}
-	reg.AddPublisher(func() {
+	reg.AddPublisher(prefix, func() {
 		st := ts.Stats()
 		c.cacheHits.Set(st.CacheHits)
 		c.cacheMisses.Set(st.CacheMisses)
@@ -284,5 +284,5 @@ func InstrumentChecksumStore(reg *obs.Registry, cs *ChecksumStore) {
 		return
 	}
 	c := reg.Counter("ooc.checksum_corrupt_reads")
-	reg.AddPublisher(func() { c.Set(cs.CorruptReads()) })
+	reg.AddPublisher("ooc.checksum_corrupt_reads", func() { c.Set(cs.CorruptReads()) })
 }

@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -324,5 +327,90 @@ func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestServiceRegistryDoesNotLeak pins the daemon's registry to its live
+// sessions: a revive's freshly instrumented tier replaces the parked
+// incarnation's publisher instead of joining it (which kept every
+// closed TieredStore reachable and polled on every scrape), and a
+// deleted session takes its publishers and every svc.session.<name>.*
+// name with it.
+func TestServiceRegistryDoesNotLeak(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, _, need := writeTestAlignment(t, dir, 12, 300, 17)
+	rsrv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	srv := newTestServer(t, ServerConfig{DataDir: filepath.Join(dir, "data"), StoreURL: "remote://" + rsrv.Addr()})
+	// The registry does not export its publisher list; its length is all
+	// this test needs of it.
+	publishers := func() int {
+		return reflect.ValueOf(srv.reg).Elem().FieldByName("publishers").Len()
+	}
+	idle := publishers()
+
+	cfg := baseSession("leaky", alnPath)
+	cfg.MemLimit = need / 2
+	ses, err := srv.CreateSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil {
+		t.Fatal(err)
+	}
+	live := publishers()
+	if live != idle+2 {
+		t.Fatalf("%d publishers with one remote session, want %d (session + tier)", live, idle+2)
+	}
+	names := func() (under []string) {
+		snap := srv.reg.Snapshot()
+		for _, m := range []any{snap.Counters, snap.Gauges, snap.FloatGauges, snap.Histograms, snap.Info} {
+			for _, k := range reflect.ValueOf(m).MapKeys() {
+				if strings.HasPrefix(k.String(), "svc.session.leaky.") {
+					under = append(under, k.String())
+				}
+			}
+		}
+		sort.Strings(under)
+		return under
+	}
+	exported := names()
+	for _, want := range []string{"svc.session.leaky.ooc_requests", "svc.session.leaky.tier.cache_hits", "svc.session.leaky.tier.remote_seconds"} {
+		if !slices.Contains(exported, want) {
+			t.Errorf("live session does not export %s", want)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if err := srv.ParkSession("leaky"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := publishers(); got != live {
+			t.Fatalf("%d publishers after %d park/revive cycles, want %d", got, i+1, live)
+		}
+	}
+	revived := names() // may add tier.warm_start: the cache was adopted
+	for _, want := range exported {
+		if !slices.Contains(revived, want) {
+			t.Errorf("revived session no longer exports %s", want)
+		}
+	}
+	if got := srv.reg.Snapshot().Counters["svc.session.leaky.tier.cache_hits"]; got == 0 {
+		t.Error("revived tier's publisher is not the one publishing: cache_hits = 0")
+	}
+
+	if err := srv.DeleteSession("leaky"); err != nil {
+		t.Fatal(err)
+	}
+	if got := publishers(); got != idle {
+		t.Errorf("%d publishers after delete, want %d", got, idle)
+	}
+	if left := names(); len(left) != 0 {
+		t.Errorf("delete left %d names behind, first %s", len(left), left[0])
 	}
 }

@@ -108,7 +108,6 @@ func IsAdmissionError(err error) bool {
 type Server struct {
 	cfg   ServerConfig
 	reg   *obs.Registry
-	tr    *obs.Tracer
 	spans *obs.SpanCollector
 	slo   *obs.SLOEvaluator
 
@@ -132,7 +131,7 @@ type Server struct {
 }
 
 // NewServer builds the daemon: creates DataDir, wires the registry and
-// tracer, and adopts any parked sessions a previous daemon left there.
+// span collector, and adopts any parked sessions a previous daemon left there.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("service: DataDir is required")
@@ -151,7 +150,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
-		tr:       obs.NewTracer(1 << 16),
 		spans:    obs.NewSpanCollector(256),
 		sessions: make(map[string]*Session),
 	}
@@ -172,8 +170,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.mxReqSeconds = s.reg.Histogram("svc.request_seconds",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
 	s.reg.SetInfo("svc.mem_budget", fmt.Sprintf("%d", cfg.MemBudget))
-	s.reg.AddPublisher(s.publish)
-	obs.RegisterTracerMetrics(s.reg, s.tr, s.spans)
+	s.reg.AddPublisher("svc.", s.publish)
+	// No event ring: sessions trace through spans only.
+	obs.RegisterTracerMetrics(s.reg, nil, s.spans)
 
 	// The daemon's SLOs: request availability (non-5xx ratio) and
 	// latency (requests answered inside 500 ms — a bucket bound of the
@@ -528,6 +527,7 @@ func (s *Server) DeleteSession(name string) error {
 	}
 	ses.batcher.Close()
 	ses.close(true)
+	s.reg.Remove(metricsPrefix(name))
 	s.rebalance()
 	return nil
 }
@@ -576,7 +576,7 @@ func (s *Server) Close() error {
 // traced middleware: always metered (the SLO inputs), and span-recorded
 // when the request carries a W3C traceparent header.
 func (s *Server) Handler() http.Handler {
-	mux := obs.NewMux(s.reg, s.tr, obs.WithSpans(s.spans), obs.WithSLO(s.slo))
+	mux := obs.NewMux(s.reg, nil, obs.WithSpans(s.spans), obs.WithSLO(s.slo))
 	// /healthz is pure liveness: the process is up and serving. /readyz
 	// additionally asks whether the daemon can serve at full fidelity —
 	// a session whose remote tier is circuit-open still ANSWERS

@@ -124,7 +124,7 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 		state:    stateParked, // nothing live until build/revive
 	}
 	reg := srv.reg
-	p := "svc.session." + cfg.Name + "."
+	p := metricsPrefix(cfg.Name)
 	s.mx = sessionMetrics{
 		evals:       reg.Counter(p + "evals"),
 		batches:     reg.Counter(p + "batches"),
@@ -138,11 +138,15 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 		parked:      reg.Gauge(p + "parked"),
 		lnl:         reg.FloatGauge(p + "lnl"),
 	}
-	reg.AddPublisher(s.publish)
+	reg.AddPublisher(p, s.publish)
 	go s.loop()
 	s.batcher = newBatcher(srv.cfg.Batch, s.execBatch)
 	return s
 }
+
+// metricsPrefix is the registry name prefix of everything a session
+// exports; DeleteSession removes what is under it.
+func metricsPrefix(session string) string { return "svc.session." + session + "." }
 
 // loop runs jobs one at a time until quit.
 func (s *Session) loop() {
@@ -323,11 +327,10 @@ func (s *Session) bringUp(in *analysis.Inputs, man *ooc.Manifest) error {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}
 	// Per-session tier counters on the daemon's /debug/vars. A revive
-	// builds a fresh TieredStore; re-instrumenting registers the same
-	// named instruments (the registry is idempotent by name) and a newer
-	// publisher, which runs after — and therefore overrides — the stale
-	// one from the parked incarnation.
-	ooc.InstrumentTieredStoreAs(s.srv.reg, run.Stack.Tier, "svc.session."+s.name+".tier.")
+	// builds a fresh TieredStore; re-instrumenting finds the same named
+	// instruments (the registry is idempotent by name) and its publisher
+	// replaces the parked incarnation's, releasing the closed store.
+	ooc.InstrumentTieredStoreAs(s.srv.reg, run.Stack.Tier, metricsPrefix(s.name)+"tier.")
 	s.mu.Lock()
 	s.pats, s.run = in.Patterns, run
 	s.size, s.grant = sz, grant
