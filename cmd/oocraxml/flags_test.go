@@ -14,7 +14,8 @@ import (
 
 // TestFlagSurfaceUnchanged diffs the accepted flag names and effective
 // defaults of run, serve and client create against testdata/flags.golden,
-// captured from the commit before the flags moved into shared binders.
+// captured from the commit before the flags moved into shared binders
+// (a flag deleted since is deleted from the golden in the same diff).
 // The one difference: client create now shows -kernel/-precision as
 // auto/f64, which is what the empty strings it used to show meant.
 func TestFlagSurfaceUnchanged(t *testing.T) {

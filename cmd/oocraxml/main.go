@@ -25,14 +25,14 @@
 // backing file against. -io-retries bounds the exponential-backoff
 // retries for transient I/O errors.
 //
-// -report (alias -stats) prints one consolidated statistics report at
+// -stats prints one consolidated statistics report at
 // the end of the run, sourced from the metrics registry that
 // instruments every layer. -http ADDR additionally serves the live
 // debug endpoint while the run is in flight:
 //
-//	oocraxml -s data.phy -f z -k 100 -L 50000000 -async -http 127.0.0.1:8080 -report
+//	oocraxml -s data.phy -f z -k 100 -L 50000000 -async -http 127.0.0.1:8080 -stats
 //	curl localhost:8080/debug/vars    # JSON metrics snapshot
-//	curl localhost:8080/debug/report  # the same report -report prints
+//	curl localhost:8080/debug/report  # the same report -stats prints
 //	curl localhost:8080/debug/trace   # Chrome trace of the vector lifecycle
 package main
 
@@ -124,8 +124,7 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.BoolVar(&how.Stack.Verify, "verify-store", false, "maintain a per-vector checksum sidecar next to the backing file and verify every read (corrupt vectors are recomputed, not fatal)")
 	fs.IntVar(&how.Retries, "io-retries", 3, "retries with exponential backoff for transient backing-store I/O errors")
 	fs.StringVar(&o.outTree, "w", "", "write the result tree to this file (default stdout)")
-	fs.BoolVar(&o.printStats, "report", false, "print the consolidated per-layer statistics report")
-	fs.BoolVar(&o.printStats, "stats", false, "alias for -report (the historical flag name)")
+	fs.BoolVar(&o.printStats, "stats", false, "print the consolidated per-layer statistics report")
 	fs.StringVar(&o.httpAddr, "http", "", "serve the live /debug endpoint (vars, report, trace, pprof) on this address, e.g. :8080 or 127.0.0.1:0")
 	fs.BoolVar(&o.lnlBits, "lnl-bits", false, "additionally print the final log likelihood's raw float64 bit pattern (hex) for bit-for-bit comparisons")
 	return fs, o, sf, how

@@ -296,7 +296,7 @@ func lnlLine(t *testing.T, out string) string {
 func TestReportFlagConsolidated(t *testing.T) {
 	phy, nwk := writeTestData(t)
 	out, err := capture(t, "-s", phy, "-t", nwk, "-f", "z", "-k", "2",
-		"-L", "5000", "-strategy", "lru", "-async", "-report")
+		"-L", "5000", "-strategy", "lru", "-async", "-stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestReportFlagConsolidated(t *testing.T) {
 func TestHTTPFlag(t *testing.T) {
 	phy, nwk := writeTestData(t)
 	out, err := capture(t, "-s", phy, "-t", nwk, "-f", "z", "-k", "2",
-		"-L", "5000", "-http", "127.0.0.1:0", "-report")
+		"-L", "5000", "-http", "127.0.0.1:0", "-stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestRemoteStoreFlagMatchesLocal(t *testing.T) {
 	}
 	rem, err := capture(t, "-s", phy, "-t", nwk, "-f", "e", "-m", "JC", "-a", "0",
 		"-L", "1200", "-lnl-bits",
-		"-store", "remote://"+rsrv.Addr()+"/vecs", "-remote-lanes", "2")
+		"-store", "remote://"+rsrv.Addr()+"/vecs")
 	if err != nil {
 		t.Fatal(err)
 	}

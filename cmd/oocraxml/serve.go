@@ -56,8 +56,8 @@ func runServe(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg.StoreURL, cfg.CacheBytes, cfg.RemoteLanes = store.URL, store.CacheBytes, store.Lanes
-	cfg.RemoteDeadline, cfg.HedgeAfter, cfg.SpillDir = store.RemoteDeadline, store.HedgeAfter, store.SpillDir
+	cfg.StoreURL, cfg.CacheBytes = store.URL, store.CacheBytes
+	cfg.RemoteDeadline, cfg.SpillDir = store.RemoteDeadline, store.SpillDir
 	srv, err := service.NewServer(*cfg)
 	if err != nil {
 		return err
@@ -72,7 +72,7 @@ func runServe(args []string, out *os.File) error {
 	fmt.Fprintf(out, "oocraxml daemon on http://%s/ (sessions under /v1/, debug under /debug/)\n", ln.Addr())
 	fmt.Fprintf(out, "Data directory: %s\n", cfg.DataDir)
 	if cfg.StoreURL != "" {
-		fmt.Fprintf(out, "Vector store: %s (%d lanes, per-session cache in %s)\n", cfg.StoreURL, cfg.RemoteLanes, cfg.DataDir)
+		fmt.Fprintf(out, "Vector store: %s (per-session cache in %s)\n", cfg.StoreURL, cfg.DataDir)
 	}
 	if adopted := srv.Sessions(); len(adopted) > 0 {
 		names := make([]string, 0, len(adopted))

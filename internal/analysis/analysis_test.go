@@ -168,16 +168,12 @@ func TestOpen(t *testing.T) {
 					t.Errorf("store stack open = %t, want %t", r.Stack.Store != nil, sz.OutOfCore)
 				}
 				if hasMgr {
-					// Over a local file the store keeps a few bytes per vector
-					// (the checksum table) and the quota buys its five
-					// vectors; a tier's lane buffers alone outweigh the
-					// quota, so there the pool sits on the floor.
-					wantSlots, ov := 5, r.Manager.MemOverheadBytes()
-					if hasTier {
-						wantSlots = ooc.MinSlots
-					}
-					if (ov > sz.Quota) != hasTier || r.Manager.Slots() != wantSlots {
-						t.Errorf("%d slots with %d B store overhead, want %d", r.Manager.Slots(), ov, wantSlots)
+					// Every store keeps only a few bytes per vector (the
+					// checksum table; a tier's placement maps — it owns no
+					// vector-sized buffer), so under any medium the quota
+					// buys its five vectors.
+					if ov := r.Manager.MemOverheadBytes(); ov >= sz.VecBytes/2 || r.Manager.Slots() != 5 {
+						t.Errorf("%d slots with %d B store overhead, want 5", r.Manager.Slots(), ov)
 					}
 				}
 				if resumed && sz.OutOfCore {

@@ -8,7 +8,7 @@ package experiments
 // mid-body truncations, 503 bursts, corrupt payloads, and a scheduled
 // partition that flaps the remote up and down for whole request
 // windows. The fault-tolerance stack underneath the engine — jittered
-// retries, per-request deadlines, hedged reads, the circuit breaker,
+// retries, per-request deadlines, the circuit breaker,
 // degraded-mode recompute, and the crash-safe write-back spill
 // journal — must turn all of that into nothing more than extra local
 // compute: the soak FAILS unless the chaotic run finishes with
@@ -41,10 +41,8 @@ type ChaosSoakConfig struct {
 	// 12 dropped wholesale, repeating).
 	Chaos iosim.ChaosConfig
 	// RemoteDeadline bounds each remote attempt (default 250ms — a
-	// stalled request trips it instead of hanging the lane).
+	// stalled request trips it instead of hanging the reader).
 	RemoteDeadline time.Duration
-	// HedgeAfter launches the tail hedge (default 50ms).
-	HedgeAfter time.Duration
 }
 
 func (c *ChaosSoakConfig) fill() {
@@ -64,9 +62,6 @@ func (c *ChaosSoakConfig) fill() {
 	if c.RemoteDeadline == 0 {
 		c.RemoteDeadline = 250 * time.Millisecond
 	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 50 * time.Millisecond
-	}
 }
 
 // chaosBreaker trips early and cools down fast, so the soak exercises
@@ -83,7 +78,7 @@ type ChaosSoakResult struct {
 	// Chaos counts what the fault injector actually did.
 	Chaos iosim.ChaosStats
 	// Tier is the chaotic arm's tier counter snapshot (breaker trips,
-	// hedges, journal traffic, retries).
+	// journal traffic, retries).
 	Tier ooc.TierStats
 	// Recoveries counts engine-level read recoveries (unreadable or
 	// corrupt vectors converted to recomputes); DegradedRecomputes the
@@ -92,9 +87,9 @@ type ChaosSoakResult struct {
 }
 
 // RunChaosSoak runs both arms and enforces the acceptance conditions.
-// Memory fraction, cache size (small enough that remote traffic, and
-// therefore injected faults, actually happen) and lane count are the
-// tier ablation's cold arm.
+// Memory fraction and cache size (small enough that remote traffic, and
+// therefore injected faults, actually happen) are the tier ablation's
+// cold arm.
 func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	cfg.fill()
 	w, err := newSearchWorkload(cfg.Workload)
@@ -126,8 +121,8 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	// The tier retries from its fetch lanes, its journal drain and the
-	// caller's goroutine at once, so the seeded jitter source is locked.
+	// The tier retries from its journal drain and its callers'
+	// goroutines at once, so the seeded jitter source is locked.
 	var jitterMu sync.Mutex
 	jitterSrc := rand.New(rand.NewSource(cfg.Workload.Seed + 7))
 	jitter := func() float64 {
@@ -141,11 +136,9 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		Stack: ooc.StackSpec{
 			TieredConfig: ooc.TieredConfig{
 				CacheVectors:   cacheVectors(tierColdCacheFraction, w.tree.NumInner()),
-				Lanes:          tierLanes,
 				RemoteDeadline: cfg.RemoteDeadline,
 				RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: jitter},
 				Breaker:        chaosBreaker,
-				HedgeAfter:     cfg.HedgeAfter,
 			},
 			URL: srv.ObjectURL("soak"), Verify: true,
 		},
@@ -227,9 +220,9 @@ func ProbeChaosRecovery(ctx context.Context, ts *ooc.TieredStore) error {
 // WriteChaosTable renders the soak result.
 func WriteChaosTable(wr io.Writer, res *ChaosSoakResult, cfg ChaosSoakConfig) {
 	cfg.fill()
-	fmt.Fprintf(wr, "Chaos soak: %d taxa, %d sites, seed %d, deadline %v, hedge %v, breaker %d/%v\n",
+	fmt.Fprintf(wr, "Chaos soak: %d taxa, %d sites, seed %d, deadline %v, breaker %d/%v\n",
 		cfg.Workload.Taxa, cfg.Workload.Sites, cfg.Chaos.Seed,
-		cfg.RemoteDeadline, cfg.HedgeAfter, chaosBreaker.Threshold, chaosBreaker.Cooldown)
+		cfg.RemoteDeadline, chaosBreaker.Threshold, chaosBreaker.Cooldown)
 	fmt.Fprintf(wr, "  lnL %.6f bit-identical to clean run (clean %v, chaos %v, %.2fx)\n",
 		res.LnL, res.CleanElapsed.Round(time.Millisecond), res.ChaosElapsed.Round(time.Millisecond),
 		float64(res.ChaosElapsed)/float64(res.CleanElapsed))
@@ -237,8 +230,8 @@ func WriteChaosTable(wr io.Writer, res *ChaosSoakResult, cfg ChaosSoakConfig) {
 	fmt.Fprintf(wr, "  injected: %d drops, %d stalls, %d truncations, %d 5xx, %d corruptions, %d partitioned of %d requests\n",
 		c.Drops, c.Stalls, c.Truncations, c.Errors, c.Corruptions, c.Partitioned, c.Requests)
 	t := res.Tier
-	fmt.Fprintf(wr, "  survived: %d remote errors, %d retries, %d breaker opens, %d short-circuits, %d hedges (%d won)\n",
-		t.RemoteErrors, t.RemoteRetries, t.BreakerOpens, t.ShortCircuits, t.Hedges, t.HedgeWins)
+	fmt.Fprintf(wr, "  survived: %d remote errors, %d retries, %d breaker opens, %d short-circuits\n",
+		t.RemoteErrors, t.RemoteRetries, t.BreakerOpens, t.ShortCircuits)
 	fmt.Fprintf(wr, "  journal: %d absorbed, %d replayed, depth %d after recovery; %d journal-served reads\n",
 		t.JournalAppends, t.JournalReplayed, t.JournalDepth, t.JournalHits)
 	fmt.Fprintf(wr, "  engine: %d read recoveries, %d degraded-mode recomputes\n",

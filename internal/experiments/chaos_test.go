@@ -25,7 +25,6 @@ func smallChaosConfig() ChaosSoakConfig {
 			PartitionEvery: 12, PartitionFor: 10,
 		},
 		RemoteDeadline: 100 * time.Millisecond,
-		HedgeAfter:     20 * time.Millisecond,
 	}
 }
 

@@ -25,8 +25,8 @@ const goldenPath = "testdata/tables.golden"
 func bits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
 
 // tierCounts are the tier counters a synchronous manager drives in a
-// fixed order; the rest of TierStats (bytes follow from these, hedges
-// and retries from the clock) is left out.
+// fixed order; the rest of TierStats (bytes follow from these, retries
+// from the clock) is left out.
 func tierCounts(t ooc.TierStats) string {
 	return fmt.Sprintf("hit=%d miss=%d rreq=%d rvec=%d wvec=%d evict=%d dirty=%d warm=%v",
 		t.CacheHits, t.CacheMisses, t.RemoteReads, t.RemoteVectorsRead,

@@ -42,8 +42,6 @@ const (
 	// tierColdCacheFraction sizes the cold arm's local cache: it cannot
 	// hold the working set, so some reads go remote.
 	tierColdCacheFraction = 0.35
-	// tierLanes is the tiered store's remote fan-out.
-	tierLanes = 2
 )
 
 // cacheVectors is the cache-tier size holding frac of n vectors.
@@ -117,8 +115,7 @@ func localFraction(mst ooc.Stats, tst ooc.TierStats) float64 {
 }
 
 // RunTierAblation runs the three arms at each configured RTT, all under
-// the same -L quota — so the remote arms run in the smaller pool that
-// quota buys once the tier's lane buffers are charged to it. It fails —
+// the same -L quota. It fails —
 // rather than returning misleading rows — if any arm's likelihood
 // diverges from the local baseline, or if the warm arm's served-locally
 // fraction drops below 70%.
@@ -157,7 +154,6 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 				TieredConfig: ooc.TieredConfig{
 					CacheDir:     filepath.Join(dir, state),
 					CacheVectors: cacheVectors(cacheFrac, w.tree.NumInner()),
-					Lanes:        tierLanes,
 				},
 				URL: srv.ObjectURL(state),
 			}, cfg.Async)
@@ -208,8 +204,8 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 // WriteTierTable renders the ablation rows.
 func WriteTierTable(w io.Writer, rows []TierAblationRow, cfg TierAblationConfig) {
 	cfg.fill()
-	fmt.Fprintf(w, "Tiered storage ablation: %d taxa, %d sites, f=%.2f, lanes=%d, async=%v\n",
-		cfg.Workload.Taxa, cfg.Workload.Sites, tierMemFraction, tierLanes, cfg.Async)
+	fmt.Fprintf(w, "Tiered storage ablation: %d taxa, %d sites, f=%.2f, async=%v\n",
+		cfg.Workload.Taxa, cfg.Workload.Sites, tierMemFraction, cfg.Async)
 	fmt.Fprintf(w, "%-10s %8s %6s %10s %9s %9s %9s %9s %7s\n",
 		"arm", "rtt", "slots", "elapsed", "cacheHit", "cacheMiss", "remVecRd", "coalesced", "local%")
 	var base time.Duration

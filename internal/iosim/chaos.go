@@ -23,8 +23,7 @@ const (
 	FaultNone Fault = iota
 	// FaultDrop closes the connection before any response bytes.
 	FaultDrop
-	// FaultStall sleeps before serving (to trip client deadlines and
-	// reward hedged reads).
+	// FaultStall sleeps before serving (to trip client deadlines).
 	FaultStall
 	// FaultTruncate sends roughly half the response body, then drops
 	// the connection (GET only; write paths degrade it to FaultDrop).

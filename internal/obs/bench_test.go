@@ -66,7 +66,7 @@ func BenchmarkHotPathBare(b *testing.B) {
 }
 
 // BenchmarkHotPathDisabled is the instrumented call site with nil
-// instruments — what every run without -http/-report pays. Compare
+// instruments — what every run without -http/-stats pays. Compare
 // against BenchmarkHotPathBare: the delta is the disabled overhead.
 func BenchmarkHotPathDisabled(b *testing.B) {
 	benchHotPath(b, nil, nil, nil)

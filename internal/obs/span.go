@@ -19,7 +19,7 @@ import (
 // traceparent header (client → daemon /v1/* → remote object store), so
 // a single trace follows a request through the session loop, the
 // coalescing batcher, the likelihood engine, the out-of-core manager
-// and the tiered store's cache/remote lanes.
+// and the tiered store's cache and remote requests.
 //
 // Cost model matches the rest of the package: a nil *Span is a no-op
 // on every method, so an untraced request pays one nil check per call
@@ -125,8 +125,8 @@ type Cost struct {
 	// (cache hits under a tiered store, plain store reads otherwise).
 	LocalReads int64 `json:"local_reads,omitempty"`
 	BytesLocal int64 `json:"bytes_local,omitempty"`
-	// RemoteGets/BytesRemote: coalesced remote GET requests and bytes
-	// fetched from the object store.
+	// RemoteGets/BytesRemote: remote GET requests and bytes fetched
+	// from the object store.
 	RemoteGets  int64 `json:"remote_gets,omitempty"`
 	BytesRemote int64 `json:"bytes_remote,omitempty"`
 	// BytesPushed: dirty write-back bytes pushed to the remote store.

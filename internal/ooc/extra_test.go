@@ -87,7 +87,7 @@ func TestTieredStoreCacheAndWriteBack(t *testing.T) {
 	remote := NewMemStore(10, 4)
 	ts, err := NewTieredStore(remote, TieredConfig{
 		NumVectors: 10, VectorLen: 4,
-		CacheDir: t.TempDir(), CacheVectors: 2, Lanes: 1,
+		CacheDir: t.TempDir(), CacheVectors: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestTieredStoreWithSimulatedRemote(t *testing.T) {
 	remote := NewSimStore(NewMemStore(8, 16), iosim.HDD(), &remoteClock)
 	ts, err := NewTieredStore(remote, TieredConfig{
 		NumVectors: 8, VectorLen: 16,
-		CacheDir: t.TempDir(), CacheVectors: 8, Lanes: 1,
+		CacheDir: t.TempDir(), CacheVectors: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

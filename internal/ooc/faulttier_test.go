@@ -2,8 +2,7 @@ package ooc
 
 // Fault-path tests for the tiered store: dirty evictions surviving a
 // permanent remote PUT outage via the spill journal, breaker-driven
-// degraded mode and recovery, hedged reads beating a stalled first
-// request, and the full-jitter retry policy.
+// degraded mode and recovery, and the full-jitter retry policy.
 
 import (
 	"context"
@@ -26,10 +25,6 @@ type flakyRemote struct {
 	failWrites bool
 	reads      atomic.Int64
 	writes     atomic.Int64
-	// readDelay stalls the first firstSlow reads (for hedging tests).
-	readDelay time.Duration
-	firstSlow int64
-	served    atomic.Int64
 }
 
 func newFlakyRemote(vecLen int) *flakyRemote {
@@ -61,11 +56,8 @@ func (r *flakyRemote) Close() error { return nil }
 func (r *flakyRemote) ReadVector(vi int, dst []float64) error {
 	r.reads.Add(1)
 	r.mu.Lock()
-	fail, delay := r.failReads, r.readDelay
+	fail := r.failReads
 	r.mu.Unlock()
-	if delay > 0 && r.served.Add(1) <= r.firstSlow {
-		time.Sleep(delay)
-	}
 	if fail {
 		return fmt.Errorf("flaky remote read %d: %w", vi, ErrTransientIO)
 	}
@@ -106,7 +98,7 @@ func TestTieredStoreJournalAbsorbsDirtyEvictions(t *testing.T) {
 	rem.setFailWrites(true)
 	ts, err := NewTieredStore(rem, TieredConfig{
 		NumVectors: nVec, VectorLen: vecLen,
-		CacheDir: t.TempDir(), CacheVectors: 2, Lanes: 1,
+		CacheDir: t.TempDir(), CacheVectors: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +173,7 @@ func TestTieredStoreBreakerDegradesAndRecovers(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	ts, err := NewTieredStore(rem, TieredConfig{
 		NumVectors: nVec, VectorLen: vecLen,
-		CacheDir: t.TempDir(), CacheVectors: 2, Lanes: 1,
+		CacheDir: t.TempDir(), CacheVectors: 2,
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Second, Now: clk.now},
 	})
 	if err != nil {
@@ -240,51 +232,6 @@ func TestTieredStoreBreakerDegradesAndRecovers(t *testing.T) {
 	}
 	if rem.reads.Load() != reads {
 		t.Error("ProbeRemote touched the backend while healthy")
-	}
-}
-
-// TestTieredStoreHedgedRead stalls the first remote GET long past
-// HedgeAfter: the duplicate request must fire, win, and return correct
-// bytes well before the stalled original would have.
-func TestTieredStoreHedgedRead(t *testing.T) {
-	const vecLen, nVec = 4, 8
-	rem := newFlakyRemote(vecLen)
-	for vi := 0; vi < nVec; vi++ {
-		rem.WriteVector(vi, tierVec(vecLen, vi))
-	}
-	rem.readDelay = 300 * time.Millisecond
-	rem.firstSlow = 1
-	ts, err := NewTieredStore(rem, TieredConfig{
-		NumVectors: nVec, VectorLen: vecLen,
-		CacheDir: t.TempDir(), CacheVectors: 2, Lanes: 1,
-		HedgeAfter: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-
-	dst := make([]float64, vecLen)
-	start := time.Now()
-	if err := ts.ReadVector(5, dst); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	want := tierVec(vecLen, 5)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("pos %d: %v != %v", i, dst[i], want[i])
-		}
-	}
-	st := ts.Stats()
-	if st.Hedges == 0 {
-		t.Fatal("hedge never launched")
-	}
-	if st.HedgeWins == 0 {
-		t.Errorf("hedge launched but did not win (elapsed %v)", elapsed)
-	}
-	if elapsed >= rem.readDelay {
-		t.Errorf("read took %v — waited out the stalled request instead of hedging", elapsed)
 	}
 }
 

@@ -119,7 +119,7 @@ type RetryPolicy struct {
 	Cap time.Duration
 	// Rand supplies the uniform variates for full-jitter backoff: each
 	// sleep is drawn uniformly from (0, envelope]. Deterministic
-	// doubling would wake every remote lane at the same instant after a
+	// doubling would wake every remote caller at the same instant after a
 	// shared outage — a synchronized retry storm — so jitter is always
 	// on; nil uses the (goroutine-safe) global math/rand source, tests
 	// inject a seeded func to stay deterministic. A policy handed to a

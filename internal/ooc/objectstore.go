@@ -6,8 +6,8 @@ package ooc
 // shim): one object holds all n vectors back to back, exactly the
 // FileStore layout, addressed with byte ranges. Every request pays a
 // network round trip, which is why the TieredStore in front of it
-// coalesces adjacent vectors into single ranged requests and runs
-// several lanes concurrently.
+// keeps a local cache and syncs adjacent dirty vectors as single ranged
+// requests.
 //
 // URLs use the scheme remote://host:port/object — see ParseRemoteURL.
 

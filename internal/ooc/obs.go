@@ -172,11 +172,11 @@ func (m *Manager) traceSpan(op obs.EventOp, vi, slot int, start time.Time, dur t
 
 // InstrumentTieredStore exports a tiered store's per-tier counters and
 // remote latency to the registry. Counters (hits, misses, bytes per
-// tier, coalesce/single-flight wins, evictions) follow the mirrored
+// tier, coalesced write-backs, evictions) follow the mirrored
 // pattern — a publisher copies the TierStats snapshot on every debug
 // scrape. Remote request latency is a native histogram fed per request
-// from the fetch lanes and write-back paths, so the debug endpoint
-// reports p50/p90/p99 round-trip times.
+// from the miss and write-back paths, so the debug endpoint reports
+// p50/p90/p99 round-trip times.
 func InstrumentTieredStore(reg *obs.Registry, ts *TieredStore) {
 	InstrumentTieredStoreAs(reg, ts, "tier.")
 }
@@ -192,11 +192,10 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		cacheHits, cacheMisses, remoteReads, remoteWrites *obs.Counter
 		remoteVecsR, remoteVecsW                          *obs.Counter
 		bytesCache, bytesFetched, bytesPushed             *obs.Counter
-		coalesced, singleFlight                           *obs.Counter
+		coalesced                                         *obs.Counter
 		evictions, dirtyWB                                *obs.Counter
 		remoteErrors, remoteRetries                       *obs.Counter
 		breakerOpens, shortCircuits                       *obs.Counter
-		hedges, hedgeWins                                 *obs.Counter
 		journalHits, journalAppends, journalReplayed      *obs.Counter
 		journalDepth, journalBytes, degraded              *obs.Gauge
 		breakerState                                      *obs.Gauge
@@ -212,15 +211,12 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		bytesFetched:    reg.Counter(prefix + "bytes_fetched"),
 		bytesPushed:     reg.Counter(prefix + "bytes_pushed"),
 		coalesced:       reg.Counter(prefix + "coalesced"),
-		singleFlight:    reg.Counter(prefix + "single_flight"),
 		evictions:       reg.Counter(prefix + "evictions"),
 		dirtyWB:         reg.Counter(prefix + "dirty_writebacks"),
 		remoteErrors:    reg.Counter(prefix + "remote_errors"),
 		remoteRetries:   reg.Counter(prefix + "remote_retries"),
 		breakerOpens:    reg.Counter(prefix + "breaker_opens"),
 		shortCircuits:   reg.Counter(prefix + "short_circuits"),
-		hedges:          reg.Counter(prefix + "hedges"),
-		hedgeWins:       reg.Counter(prefix + "hedge_wins"),
 		journalHits:     reg.Counter(prefix + "journal_hits"),
 		journalAppends:  reg.Counter(prefix + "journal_appends"),
 		journalReplayed: reg.Counter(prefix + "journal_replayed"),
@@ -241,15 +237,12 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		c.bytesFetched.Set(st.BytesFetched)
 		c.bytesPushed.Set(st.BytesPushed)
 		c.coalesced.Set(st.Coalesced)
-		c.singleFlight.Set(st.SingleFlight)
 		c.evictions.Set(st.Evictions)
 		c.dirtyWB.Set(st.DirtyWritebacks)
 		c.remoteErrors.Set(st.RemoteErrors)
 		c.remoteRetries.Set(st.RemoteRetries)
 		c.breakerOpens.Set(st.BreakerOpens)
 		c.shortCircuits.Set(st.ShortCircuits)
-		c.hedges.Set(st.Hedges)
-		c.hedgeWins.Set(st.HedgeWins)
 		c.journalHits.Set(st.JournalHits)
 		c.journalAppends.Set(st.JournalAppends)
 		c.journalReplayed.Set(st.JournalReplayed)

@@ -4,9 +4,10 @@ package ooc
 // local file serves one vector per syscall cheaply, but a remote
 // backend pays a full network round trip per request — so the unit of
 // transfer must be allowed to grow. RangeStore extends Store with
-// contiguous multi-vector transfers and context-aware cancellation;
-// TieredStore coalesces adjacent misses into one ReadRange call, and
-// Sync pushes adjacent dirty vectors in one WriteRange.
+// contiguous multi-vector transfers and context-aware cancellation:
+// TieredStore reads a miss as a one-vector ReadRange under its
+// per-attempt deadline, and its Sync pushes adjacent dirty vectors in
+// one WriteRange.
 
 import (
 	"context"

@@ -22,6 +22,7 @@ package remote
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -256,7 +257,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, name string, 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, name string) {
 	if t := r.URL.Query().Get("truncate"); t != "" {
 		size, err := strconv.ParseInt(t, 10, 64)
-		if err != nil || size < 0 {
+		if err != nil || size < 0 || size > maxObjectBytes {
 			http.Error(w, "bad truncate size", http.StatusBadRequest)
 			return
 		}
@@ -310,6 +311,11 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, name string) 
 	w.WriteHeader(http.StatusOK)
 }
 
+// maxObjectBytes bounds what a PUT may size or grow an object to: the
+// number arrives from the network, and an absurd one must be refused,
+// not allocated (or overflowed into a slice index) under the lock.
+const maxObjectBytes = 1 << 40
+
 // parseRange parses "bytes=a-b" (both bounds required — the client
 // always knows its extent).
 func parseRange(h string) (from, to int64, err error) {
@@ -317,20 +323,7 @@ func parseRange(h string) (from, to int64, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("remote: unsupported Range %q", h)
 	}
-	a, b, ok := strings.Cut(spec, "-")
-	if !ok || a == "" || b == "" {
-		return 0, 0, fmt.Errorf("remote: unsupported Range %q", h)
-	}
-	if from, err = strconv.ParseInt(a, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("remote: bad Range %q", h)
-	}
-	if to, err = strconv.ParseInt(b, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("remote: bad Range %q", h)
-	}
-	if from < 0 || to < from {
-		return 0, 0, fmt.Errorf("remote: bad Range %q", h)
-	}
-	return from, to, nil
+	return parseSpan("Range", spec, h)
 }
 
 // parseContentRange parses "bytes a-b/*" (total ignored).
@@ -340,18 +333,24 @@ func parseContentRange(h string) (from, to int64, err error) {
 		return 0, 0, fmt.Errorf("remote: unsupported Content-Range %q", h)
 	}
 	spec, _, _ = strings.Cut(spec, "/")
+	if from, to, err = parseSpan("Content-Range", spec, h); err == nil && to >= maxObjectBytes {
+		return 0, 0, fmt.Errorf("remote: Content-Range %q ends past the %d-byte object limit", h, int64(maxObjectBytes))
+	}
+	return from, to, err
+}
+
+// parseSpan parses "a-b" into 0 <= a <= b with b+1, the exclusive end
+// both handlers compute, still representable. h is the whole header,
+// for the error.
+func parseSpan(kind, spec, h string) (from, to int64, err error) {
 	a, b, ok := strings.Cut(spec, "-")
-	if !ok {
-		return 0, 0, fmt.Errorf("remote: unsupported Content-Range %q", h)
+	if !ok || a == "" || b == "" {
+		return 0, 0, fmt.Errorf("remote: unsupported %s %q", kind, h)
 	}
-	if from, err = strconv.ParseInt(a, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("remote: bad Content-Range %q", h)
-	}
-	if to, err = strconv.ParseInt(b, 10, 64); err != nil {
-		return 0, 0, fmt.Errorf("remote: bad Content-Range %q", h)
-	}
-	if from < 0 || to < from {
-		return 0, 0, fmt.Errorf("remote: bad Content-Range %q", h)
+	from, errA := strconv.ParseInt(a, 10, 64)
+	to, errB := strconv.ParseInt(b, 10, 64)
+	if errA != nil || errB != nil || from < 0 || to < from || to == math.MaxInt64 {
+		return 0, 0, fmt.Errorf("remote: bad %s %q", kind, h)
 	}
 	return from, to, nil
 }

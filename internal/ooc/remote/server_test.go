@@ -278,3 +278,45 @@ func TestServerChaosInjection(t *testing.T) {
 		})
 	}
 }
+
+// TestServerRefusesAbsurdSizes: a PUT whose Content-Range or truncate
+// size would overflow the object's end, or allocate past the object
+// limit, is answered 400 — it used to panic inside the handler with the
+// server's lock held, wedging every later request.
+func TestServerRefusesAbsurdSizes(t *testing.T) {
+	s, err := NewServer(ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := "http://" + s.Addr() + "/o/obj"
+	client := &http.Client{Timeout: 5 * time.Second}
+	for _, tc := range []struct{ query, contentRange string }{
+		{"", "bytes 9223372036854775800-9223372036854775807/*"}, // off+len overflows
+		{"", "bytes 4611686018427387904-4611686018427387911/*"}, // 4 EiB object
+		{"?truncate=4611686018427387904", ""},
+	} {
+		req, _ := http.NewRequest(http.MethodPut, base+tc.query, strings.NewReader("ABCDEFGH"))
+		if tc.contentRange != "" {
+			req.Header.Set("Content-Range", tc.contentRange)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s%s: %v", tc.query, tc.contentRange, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s%s: HTTP %d, want 400", tc.query, tc.contentRange, resp.StatusCode)
+		}
+	}
+	// The server still answers.
+	req, _ := http.NewRequest(http.MethodPut, base+"?truncate=8", nil)
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := s.Size("obj"); resp.StatusCode != http.StatusOK || got != 8 {
+		t.Errorf("after the refused requests: HTTP %d, size %d", resp.StatusCode, got)
+	}
+}

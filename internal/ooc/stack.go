@@ -164,7 +164,7 @@ func OpenStack(spec StackSpec) (st *Stack, err error) {
 		if st.Tier.WarmStart() {
 			st.notef("Warm start: adopted the cache tier left in %s", spec.CacheDir)
 		}
-		st.notef("Cache tier: %d of %d vectors under %s, %d remote lanes", spec.CacheVectors, n, spec.CacheDir, spec.Lanes)
+		st.notef("Cache tier: %d of %d vectors under %s", spec.CacheVectors, n, spec.CacheDir)
 	}
 	if spec.CrashAfter > 0 {
 		st.Store = NewCrashStore(st.Store, spec.CrashAfter)

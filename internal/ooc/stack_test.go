@@ -2,11 +2,14 @@ package ooc
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"oocphylo/internal/ooc/remote"
 )
@@ -245,5 +248,69 @@ func TestOpenStack(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// settledGoroutines returns the process's goroutine count once it has
+// stopped moving. Idle HTTP keep-alive connections hold goroutines at
+// both ends of a loopback object server and exiting goroutines take a
+// moment to go, so idle connections are closed and the count must hold
+// still for 50 ms; a leaked goroutine holds still too, and is counted.
+func settledGoroutines() int {
+	n, still := -1, 0
+	for deadline := time.Now().Add(2 * time.Second); still < 10 && time.Now().Before(deadline); {
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		time.Sleep(5 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now == n {
+			still++
+		} else {
+			n, still = now, 0
+		}
+	}
+	return n
+}
+
+// TestTieredStackStartsNoGoroutine: concurrency is what the callers
+// bring. Opening a URL stack, missing through it and closing it leave
+// the goroutine count where it was.
+func TestTieredStackStartsNoGoroutine(t *testing.T) {
+	const n, vecLen = 6, 5
+	srv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := settledGoroutines()
+	st, err := OpenStack(StackSpec{
+		TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen, CacheVectors: 1},
+		URL:          srv.ObjectURL("obj"), Verify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(); got > base {
+		t.Errorf("%d goroutines with a URL stack open, %d before", got, base)
+	}
+	buf := make([]float64, vecLen)
+	for pass := 0; pass < 2; pass++ { // one-slot cache: the second pass misses
+		for vi := 0; vi < n; vi++ {
+			if pass == 0 {
+				err = st.Store.WriteVector(vi, buf)
+			} else {
+				err = st.Store.ReadVector(vi, buf)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st.Tier.Stats().RemoteReads == 0 {
+		t.Fatal("no read went remote")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(); got > base {
+		t.Errorf("%d goroutines after Stack.Close, %d before OpenStack", got, base)
 	}
 }

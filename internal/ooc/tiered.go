@@ -11,19 +11,15 @@ package ooc
 //	   │ miss / dirty evict   the remote tier BEFORE the slot is reused
 //	   ▼
 //	remote backend          — any Store; ranged (RangeStore) backends
-//	                          get adjacent misses coalesced into one
-//	                          request, issued over N parallel lanes
+//	                          take Sync's adjacent dirty vectors as
+//	                          one request
 //
-// Latency hiding and request economy:
-//
-//   - Single-flight: concurrent misses on the same vector join one
-//     in-flight fetch instead of issuing duplicate remote reads.
-//   - Coalescing: a lane grabs a maximal run of adjacent vector
-//     indices from the miss queue and fetches them with one ranged
-//     request — under load (the async pipeline's fetch workers missing
-//     together) the queue naturally batches.
-//   - Lanes: up to Lanes goroutines keep ranged requests in flight
-//     concurrently, so remote latency overlaps.
+// A miss is one GET on the caller's goroutine, straight into the
+// caller's buffer: the tier starts no goroutine at open and owns no
+// fetch buffer. Concurrency is what the callers bring (the async
+// pipeline's I/O workers), and the manager above already joins a demand
+// read to an in-flight prefetch of the same vector, so the tier never
+// sees two reads of one vector and keeps no dedup layer of its own.
 //
 // Crash safety: a dirty victim is written to the remote tier before
 // its cache slot is reused, so the cache never holds the only copy of
@@ -47,7 +43,7 @@ import (
 	"oocphylo/internal/obs"
 )
 
-// maxCoalesce caps how many adjacent vectors one ranged remote read or
+// maxCoalesce caps how many adjacent dirty vectors one ranged Sync
 // write-back may carry.
 const maxCoalesce = 16
 
@@ -61,8 +57,6 @@ type TieredConfig struct {
 	CacheDir string
 	// CacheVectors bounds the cache tier (in vectors, >= 1).
 	CacheVectors int
-	// Lanes is the number of parallel remote fetch lanes (default 2).
-	Lanes int
 
 	// --- Network fault tolerance (the remote tier treated as an
 	// unreliable network service, not a slow disk) ---
@@ -80,11 +74,6 @@ type TieredConfig struct {
 	// installed only when Breaker.Threshold > 0; without one the tier
 	// keeps the pre-breaker fail-per-request behavior.
 	Breaker BreakerConfig
-	// HedgeAfter launches a second, identical ranged GET when the
-	// first is still in flight after this delay, taking whichever
-	// completes first (0 = no hedging). Reads only — a hedged write
-	// could reorder against its twin.
-	HedgeAfter time.Duration
 	// SpillDir holds the write-back spill journal (default CacheDir).
 	SpillDir string
 }
@@ -101,9 +90,6 @@ func (c *TieredConfig) fill() error {
 	}
 	if c.CacheDir == "" {
 		return fmt.Errorf("ooc: tiered store needs a cache directory")
-	}
-	if c.Lanes < 1 {
-		c.Lanes = 2
 	}
 	if c.SpillDir == "" {
 		c.SpillDir = c.CacheDir
@@ -124,11 +110,9 @@ type TierStats struct {
 	// BytesFromCache and BytesFetched split read traffic by the tier
 	// that served it; BytesPushed is remote write-back volume.
 	BytesFromCache, BytesFetched, BytesPushed int64
-	// Coalesced counts vectors that rode an existing ranged request
-	// instead of costing their own round trip.
+	// Coalesced counts dirty vectors that rode another's ranged Sync
+	// write-back instead of costing their own round trip.
 	Coalesced int64
-	// SingleFlight counts misses that joined an in-flight fetch.
-	SingleFlight int64
 	// Evictions counts cache slots recycled; DirtyWritebacks the subset
 	// that had to push a dirty vector remote first.
 	Evictions, DirtyWritebacks int64
@@ -149,9 +133,6 @@ type TierStats struct {
 	BreakerState  string
 	BreakerOpens  int64
 	ShortCircuits int64
-	// Hedges counts second GETs launched on the tail; HedgeWins the
-	// subset that beat the first request.
-	Hedges, HedgeWins int64
 	// JournalHits counts reads served from the spill journal's pending
 	// payloads; JournalAppends dirty write-backs the journal absorbed;
 	// JournalReplayed records replayed to the remote tier on recovery;
@@ -167,17 +148,6 @@ type TierStats struct {
 	Degraded bool
 }
 
-// tierFetch is one in-flight remote read (single-flight unit). span is
-// the request-scoped span active when the miss was enqueued (nil when
-// untraced); the servicing lane parents its remote spans under it.
-type tierFetch struct {
-	vi   int
-	buf  []float64
-	err  error
-	done chan struct{}
-	span *obs.Span
-}
-
 // tierWB is a dirty victim's payload in flight to the remote tier;
 // reads of the vector are served from buf until the write lands.
 type tierWB struct {
@@ -188,15 +158,16 @@ type tierWB struct {
 
 // TieredStore implements Store over a local write-back cache backed by
 // a remote store. Safe for the Store contract's concurrency (distinct
-// vectors; plus concurrent reads of the same vector, which single-
-// flight turns into one remote request).
+// vectors; plus concurrent reads of the same vector, each of which
+// pays its own remote request).
 type TieredStore struct {
 	remote Store
 	cfg    TieredConfig
 
 	// mu guards the cache tier: placement maps, recency, dirty flags,
 	// pending write-backs and the cache store's I/O. Cache I/O is local
-	// and fast; remote I/O never runs under mu.
+	// and fast; remote I/O runs under mu only in Sync, whose callers are
+	// quiesced.
 	mu     sync.Mutex
 	cache  *ChecksumStore
 	slotOf map[int]int // vi -> cache slot
@@ -206,17 +177,10 @@ type TieredStore struct {
 	now    int64
 	free   []int
 	wb     map[int]*tierWB // vi -> in-flight dirty write-back
-	// firstErr latches the first background write-back failure (lane
-	// admissions have no caller to report to); surfaced by Sync/Close.
+	// firstErr latches the first write-back failure met while admitting
+	// a vector whose read succeeded (the reader gets its data);
+	// surfaced by Sync/Close.
 	firstErr error
-
-	// fmu guards the miss queue and single-flight map.
-	fmu      sync.Mutex
-	fcond    *sync.Cond
-	queue    []*tierFetch
-	inflight map[int]*tierFetch
-	closed   bool
-	lanes    sync.WaitGroup
 
 	warm bool
 
@@ -229,9 +193,12 @@ type TieredStore struct {
 	closing       atomic.Bool
 	bg            sync.WaitGroup
 
+	// remoteLatObs mirrors per-request remote latency into a registry
+	// histogram when instrumented (nil otherwise).
+	remoteLatObs atomic.Pointer[func(seconds float64)]
 	// span is the request-scoped tracing span tier activity is currently
-	// attributed to (nil when untraced). Lanes read it concurrently with
-	// the session loop setting it, hence atomic.
+	// attributed to (nil when untraced). The pipeline's I/O workers read
+	// it concurrently with the session loop setting it, hence atomic.
 	span atomic.Pointer[obs.Span]
 
 	st struct {
@@ -240,16 +207,11 @@ type TieredStore struct {
 		remoteVecsR, remoteVecsW   atomic.Int64
 		bytesCache, bytesFetched   atomic.Int64
 		bytesPushed                atomic.Int64
-		coalesced, singleFlight    atomic.Int64
+		coalesced                  atomic.Int64
 		evictions, dirtyWritebacks atomic.Int64
 		remoteErrors               atomic.Int64
-		hedges, hedgeWins          atomic.Int64
 		journalHits                atomic.Int64
 	}
-
-	// remoteLatObs mirrors per-request remote latency into a registry
-	// histogram when instrumented (nil otherwise). Read under fmu.
-	remoteLatObs func(seconds float64)
 }
 
 const tierIndexName = "cache.idx"
@@ -277,16 +239,14 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		return nil, fmt.Errorf("ooc: creating cache dir: %w", err)
 	}
 	s := &TieredStore{
-		remote:   remote,
-		cfg:      cfg,
-		slotOf:   make(map[int]int),
-		viOf:     make([]int, cfg.CacheVectors),
-		stamp:    make([]int64, cfg.CacheVectors),
-		dirty:    make([]bool, cfg.CacheVectors),
-		wb:       make(map[int]*tierWB),
-		inflight: make(map[int]*tierFetch),
+		remote: remote,
+		cfg:    cfg,
+		slotOf: make(map[int]int),
+		viOf:   make([]int, cfg.CacheVectors),
+		stamp:  make([]int64, cfg.CacheVectors),
+		dirty:  make([]bool, cfg.CacheVectors),
+		wb:     make(map[int]*tierWB),
 	}
-	s.fcond = sync.NewCond(&s.fmu)
 	for i := range s.viOf {
 		s.viOf[i] = -1
 	}
@@ -321,10 +281,6 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		}
 	}
 	s.journal = j
-	for i := 0; i < cfg.Lanes; i++ {
-		s.lanes.Add(1)
-		go s.lane()
-	}
 	return s, nil
 }
 
@@ -399,8 +355,8 @@ func (s *TieredStore) WarmStart() bool { return s.warm }
 
 // SetSpan attributes subsequent tier activity (remote fetch/write-back
 // spans) to the given request span; nil detaches. Safe to call from
-// the session loop while lanes are in flight — a lane parents each
-// remote request under the span captured when its miss was enqueued.
+// the session loop while I/O workers are in flight — each remote
+// request is parented under the span current when it is issued.
 func (s *TieredStore) SetSpan(sp *obs.Span) { s.span.Store(sp) }
 
 // currentSpan returns the active request span (nil when untraced).
@@ -411,9 +367,7 @@ func (s *TieredStore) currentSpan() *obs.Span { return s.span.Load() }
 // uses it to feed a latency histogram without touching the hot path
 // when nothing listens.
 func (s *TieredStore) ObserveRemoteLatency(fn func(seconds float64)) {
-	s.fmu.Lock()
-	s.remoteLatObs = fn
-	s.fmu.Unlock()
+	s.remoteLatObs.Store(&fn)
 }
 
 // Stats snapshots the tier counters.
@@ -429,14 +383,11 @@ func (s *TieredStore) Stats() TierStats {
 		BytesFetched:         s.st.bytesFetched.Load(),
 		BytesPushed:          s.st.bytesPushed.Load(),
 		Coalesced:            s.st.coalesced.Load(),
-		SingleFlight:         s.st.singleFlight.Load(),
 		Evictions:            s.st.evictions.Load(),
 		DirtyWritebacks:      s.st.dirtyWritebacks.Load(),
 		WarmStart:            s.warm,
 		RemoteErrors:         s.st.remoteErrors.Load(),
 		RemoteRetries:        s.retriedRemote.Load(),
-		Hedges:               s.st.hedges.Load(),
-		HedgeWins:            s.st.hedgeWins.Load(),
 		JournalHits:          s.st.journalHits.Load(),
 	}
 	if s.breaker != nil {
@@ -456,8 +407,9 @@ func (s *TieredStore) Stats() TierStats {
 	return ts
 }
 
-// ReadVector implements Store: cache tier first, then a single-flight,
-// possibly coalesced remote fetch.
+// ReadVector implements Store: cache tier, in-flight write-back buffer
+// and spill journal first, then one remote GET on the calling goroutine
+// straight into dst.
 func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 	if vi < 0 || vi >= s.cfg.NumVectors {
 		return fmt.Errorf("ooc: tiered store read out of range: %d", vi)
@@ -505,15 +457,19 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 	}
 
 	s.st.cacheMisses.Add(1)
-	f, joined := s.joinFetch(vi)
-	if joined {
-		s.st.singleFlight.Add(1)
+	err := s.tracedCall(context.Background(), "tier.remote_get", true, vi, 1, dst)
+	s.st.remoteReads.Add(1)
+	if err != nil {
+		return err
 	}
-	<-f.done
-	if f.err != nil {
-		return f.err
+	s.st.remoteVecsR.Add(1)
+	s.st.bytesFetched.Add(int64(len(dst)) * 8)
+	if aerr := s.admit(vi, dst, false); aerr != nil {
+		// The fetch itself succeeded — the reader gets its data; an
+		// admission (eviction write-back) failure is latched for
+		// Sync/Close like a lost pipeline write-back.
+		s.noteErr(aerr)
 	}
-	copy(dst, f.buf)
 	return nil
 }
 
@@ -538,16 +494,11 @@ func (s *TieredStore) WriteVector(vi int, src []float64) error {
 	return s.admit(vi, src, true)
 }
 
-// Close drains the lanes, pushes dirty state remote, seals the cache
-// (sidecar + warm index) and closes it. The remote store stays open —
-// the caller owns it.
+// Close waits out a background journal drain, pushes dirty state
+// remote, seals the cache (sidecar + warm index) and closes it. The
+// remote store stays open — the caller owns it.
 func (s *TieredStore) Close() error {
 	s.closing.Store(true)
-	s.fmu.Lock()
-	s.closed = true
-	s.fcond.Broadcast()
-	s.fmu.Unlock()
-	s.lanes.Wait()
 	s.bg.Wait()
 	first := s.Sync()
 	if s.journal != nil {
@@ -596,21 +547,25 @@ func (s *TieredStore) Sync() error {
 			j++
 		}
 		buf := make([]float64, (j-i)*vecLen)
+		next := j
 		for k := i; k < j; k++ {
-			if err := s.cache.ReadVector(dirties[k].slot, buf[(k-i)*vecLen:(k-i+1)*vecLen]); err != nil && first == nil {
-				first = err
+			if err := s.cache.ReadVector(dirties[k].slot, buf[(k-i)*vecLen:(k-i+1)*vecLen]); err != nil {
+				// Never push bytes known to be corrupt (admit refuses the
+				// same victim): the run ends before the unreadable vector,
+				// which is stepped over and stays dirty, and Sync reports
+				// the error.
+				if first == nil {
+					first = err
+				}
+				j, next = k, k+1
 			}
 		}
-		ctx := context.Background()
-		var syncSpan *obs.Span
-		if sp := s.currentSpan(); sp != nil {
-			syncSpan = sp.StartChild("tier.remote_put")
-			syncSpan.SetAttr("vi", int64(dirties[i].vi))
-			syncSpan.SetAttr("count", int64(j-i))
-			ctx = obs.ContextWithSpan(ctx, syncSpan)
+		if j == i {
+			i = next
+			continue
 		}
-		err := s.remoteCall(ctx, false, dirties[i].vi, j-i, buf)
-		syncSpan.End()
+		buf = buf[:(j-i)*vecLen]
+		err := s.tracedCall(context.Background(), "tier.remote_put", false, dirties[i].vi, j-i, buf)
 		if err != nil {
 			// Remote unavailable mid-sync: spill the run to the journal
 			// instead of failing the sync. Once every vector's newest
@@ -641,7 +596,7 @@ func (s *TieredStore) Sync() error {
 				s.dirty[dirties[k].slot] = false
 			}
 		}
-		i = j
+		i = next
 	}
 	if s.firstErr != nil && first == nil {
 		first = s.firstErr
@@ -705,132 +660,51 @@ func (s *TieredStore) FetchCost(vi int) (time.Duration, bool) {
 }
 
 // MemOverheadBytes estimates the tier's heap footprint beyond the
-// manager's slot pool: placement maps and per-slot metadata, plus the
-// float64 buffers held by in-flight fetches and write-backs. Watchdog
-// and Resize subtract it from the memory budget.
+// manager's slot pool: placement map and per-slot metadata, the
+// journal's index, and the one float64 buffer a dirty write-back holds
+// while in flight. A read holds none — it lands in the caller's slot —
+// so an idle tier's charge does not depend on VectorLen. Watchdog and
+// Resize subtract it from the memory budget.
 func (s *TieredStore) MemOverheadBytes() int64 {
 	const mapEntry = 48 // rough per-entry cost of a map[int]int
 	s.mu.Lock()
 	n := int64(len(s.slotOf))*mapEntry + int64(len(s.wb))*(mapEntry+int64(s.cfg.VectorLen)*8)
 	s.mu.Unlock()
-	s.fmu.Lock()
-	n += int64(len(s.inflight)) * (mapEntry + int64(s.cfg.VectorLen)*8)
-	s.fmu.Unlock()
 	n += int64(s.cfg.CacheVectors) * (8 + 8 + 1) // viOf, stamp, dirty
-	n += int64(s.cfg.Lanes) * int64(maxCoalesce) * int64(s.cfg.VectorLen) * 8
 	if s.journal != nil {
 		n += s.journal.MemBytes()
 	}
 	return n
 }
 
-// joinFetch registers interest in vector vi, joining an in-flight
-// fetch when one exists (single-flight).
-func (s *TieredStore) joinFetch(vi int) (*tierFetch, bool) {
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	if f, ok := s.inflight[vi]; ok {
-		return f, true
+// tracedCall is remoteCall under a child of the active request span
+// (none when untraced), so a traced request shows each round trip it
+// paid for, with the run geometry as attributes.
+func (s *TieredStore) tracedCall(ctx context.Context, name string, read bool, vi, count int, buf []float64) error {
+	var span *obs.Span
+	if sp := s.currentSpan(); sp != nil {
+		span = sp.StartChild(name)
+		span.SetAttr("vi", int64(vi))
+		span.SetAttr("count", int64(count))
+		span.SetAttr("bytes", int64(len(buf))*8)
+		ctx = obs.ContextWithSpan(ctx, span)
 	}
-	f := &tierFetch{vi: vi, buf: make([]float64, s.cfg.VectorLen), done: make(chan struct{}), span: s.currentSpan()}
-	s.inflight[vi] = f
-	s.queue = append(s.queue, f)
-	s.fcond.Signal()
-	return f, false
-}
-
-// lane is one remote fetch worker: it takes a maximal adjacent run
-// from the miss queue, issues one ranged read, admits the results to
-// the cache and wakes the waiters.
-func (s *TieredStore) lane() {
-	defer s.lanes.Done()
-	vecLen := s.cfg.VectorLen
-	for {
-		s.fmu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.fcond.Wait()
-		}
-		if len(s.queue) == 0 {
-			s.fmu.Unlock()
-			return
-		}
-		sort.Slice(s.queue, func(i, j int) bool { return s.queue[i].vi < s.queue[j].vi })
-		run := []*tierFetch{s.queue[0]}
-		i := 1
-		for i < len(s.queue) && len(run) < maxCoalesce && s.queue[i].vi == run[len(run)-1].vi+1 {
-			run = append(run, s.queue[i])
-			i++
-		}
-		s.queue = append(s.queue[:0:0], s.queue[i:]...)
-		if len(s.queue) > 0 {
-			// More work remains: wake a sibling lane so runs overlap.
-			s.fcond.Signal()
-		}
-		s.fmu.Unlock()
-
-		buf := make([]float64, len(run)*vecLen)
-		// Parent the ranged remote read under the first traced miss in
-		// the run: the whole run is one coalesced request, so one span
-		// (with the run geometry as attributes) covers it.
-		var fetchSpan *obs.Span
-		ctx := context.Background()
-		for _, f := range run {
-			if f.span != nil {
-				fetchSpan = f.span.StartChild("tier.remote_get")
-				fetchSpan.SetAttr("vi", int64(run[0].vi))
-				fetchSpan.SetAttr("count", int64(len(run)))
-				fetchSpan.SetAttr("bytes", int64(len(buf))*8)
-				ctx = obs.ContextWithSpan(ctx, fetchSpan)
-				break
-			}
-		}
-		err := s.remoteCall(ctx, true, run[0].vi, len(run), buf)
-		fetchSpan.End()
-		s.st.remoteReads.Add(1)
-		if err == nil {
-			s.st.remoteVecsR.Add(int64(len(run)))
-			s.st.bytesFetched.Add(int64(len(buf)) * 8)
-			s.st.coalesced.Add(int64(len(run) - 1))
-		}
-		for k, f := range run {
-			if err != nil {
-				f.err = err
-				continue
-			}
-			copy(f.buf, buf[k*vecLen:(k+1)*vecLen])
-			if aerr := s.admit(f.vi, f.buf, false); aerr != nil {
-				// The fetch itself succeeded — the waiter gets its data;
-				// an admission (eviction write-back) failure is latched
-				// for Sync/Close like a lost pipeline write-back.
-				s.noteErr(aerr)
-			}
-		}
-		s.fmu.Lock()
-		for _, f := range run {
-			delete(s.inflight, f.vi)
-		}
-		s.fmu.Unlock()
-		for _, f := range run {
-			close(f.done)
-		}
-	}
+	err := s.remoteCall(ctx, read, vi, count, buf)
+	span.End()
+	return err
 }
 
 // remoteObserved charges one remote round trip to the instrumented
 // latency histogram, when one is attached.
 func (s *TieredStore) remoteObserved(d time.Duration) {
-	s.fmu.Lock()
-	obs := s.remoteLatObs
-	s.fmu.Unlock()
-	if obs != nil {
-		obs(d.Seconds())
+	if fn := s.remoteLatObs.Load(); fn != nil && *fn != nil {
+		(*fn)(d.Seconds())
 	}
 }
 
 // remoteCall is the single guarded gateway for remote I/O: circuit
-// breaker admission, a per-attempt deadline, the jittered remote retry
-// budget, and (for reads, when configured) a hedged second request on
-// the tail. buf is read for writes and filled for reads.
+// breaker admission, a per-attempt deadline and the jittered remote
+// retry budget. buf is read for writes and filled for reads.
 func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi, count int, buf []float64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -850,12 +724,9 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi, count int, 
 		}
 		start := time.Now()
 		var err error
-		switch {
-		case read && s.cfg.HedgeAfter > 0:
-			err = s.hedgedRead(actx, vi, count, buf)
-		case read:
+		if read {
 			err = ReadRangeOf(actx, s.remote, s.cfg.VectorLen, vi, count, buf)
-		default:
+		} else {
 			err = WriteRangeOf(actx, s.remote, s.cfg.VectorLen, vi, count, buf)
 		}
 		if cancel != nil {
@@ -884,59 +755,6 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi, count int, 
 		s.maybeDrain()
 	}
 	return err
-}
-
-// hedgedRead races a duplicate ranged GET against a slow first one.
-// Both requests get private buffers — an abandoned loser may still be
-// writing into its buffer when the winner's bytes are returned — and
-// the loser is cancelled via context.
-func (s *TieredStore) hedgedRead(ctx context.Context, vi, count int, dst []float64) error {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		buf   []float64
-		err   error
-		hedge bool
-	}
-	ch := make(chan result, 2)
-	launch := func(hedge bool) {
-		buf := make([]float64, len(dst))
-		go func() {
-			err := ReadRangeOf(hctx, s.remote, s.cfg.VectorLen, vi, count, buf)
-			ch <- result{buf, err, hedge}
-		}()
-	}
-	launch(false)
-	outstanding, hedged := 1, false
-	timer := time.NewTimer(s.cfg.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				outstanding++
-				s.st.hedges.Add(1)
-				launch(true)
-			}
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				copy(dst, r.buf)
-				if r.hedge {
-					s.st.hedgeWins.Add(1)
-				}
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding == 0 {
-				return firstErr
-			}
-		}
-	}
 }
 
 // maybeDrain kicks off a background journal replay when there is
@@ -991,16 +809,7 @@ func (s *TieredStore) drainJournal(ctx context.Context) error {
 		if !s.journal.Snapshot(vi, buf) {
 			continue
 		}
-		rctx := ctx
-		var span *obs.Span
-		if sp := s.currentSpan(); sp != nil {
-			span = sp.StartChild("tier.journal_replay")
-			span.SetAttr("vi", int64(vi))
-			rctx = obs.ContextWithSpan(ctx, span)
-		}
-		err := s.remoteCall(rctx, false, vi, 1, buf)
-		span.End()
-		if err != nil {
+		if err := s.tracedCall(ctx, "tier.journal_replay", false, vi, 1, buf); err != nil {
 			return err
 		}
 		s.st.remoteWrites.Add(1)
@@ -1110,16 +919,7 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 	s.mu.Unlock()
 
 	if pushWB != nil {
-		ctx := context.Background()
-		var wbSpan *obs.Span
-		if sp := s.currentSpan(); sp != nil {
-			wbSpan = sp.StartChild("tier.remote_put")
-			wbSpan.SetAttr("vi", int64(pushWB.vi))
-			wbSpan.SetAttr("bytes", int64(len(pushWB.buf))*8)
-			ctx = obs.ContextWithSpan(ctx, wbSpan)
-		}
-		werr := s.remoteCall(ctx, false, pushWB.vi, 1, pushWB.buf)
-		wbSpan.End()
+		werr := s.tracedCall(context.Background(), "tier.remote_put", false, pushWB.vi, 1, pushWB.buf)
 		if werr == nil {
 			s.st.remoteWrites.Add(1)
 			s.st.remoteVecsW.Add(1)

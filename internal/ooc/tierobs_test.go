@@ -13,7 +13,7 @@ import (
 // the native remote-latency histogram land on a registry snapshot.
 func TestInstrumentTieredStore(t *testing.T) {
 	const n, vecLen = 12, 8
-	ts, _, _ := newTierFixture(t, n, vecLen, 4, 1,
+	ts, _, _ := newTierFixture(t, n, vecLen, 4,
 		iosim.Device{Latency: 2 * time.Millisecond, Bandwidth: 1e9})
 	defer ts.Close()
 	reg := obs.NewRegistry()
@@ -75,7 +75,7 @@ func TestInstrumentTieredStore(t *testing.T) {
 // MemOverheadBytes feeds the watchdog's effective budget.
 func TestManagerSyncWritesAndTierBudget(t *testing.T) {
 	const n, vecLen = 16, 8
-	ts, srv, _ := newTierFixture(t, n, vecLen, 8, 1, iosim.Device{})
+	ts, srv, _ := newTierFixture(t, n, vecLen, 8, iosim.Device{})
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vecLen, Slots: 4,
 		Strategy: NewLRU(n), Store: ts, SyncWrites: true,

@@ -177,7 +177,6 @@ func TestServiceReadyzDegradedCycle(t *testing.T) {
 	srv := newTestServer(t, ServerConfig{
 		DataDir:        dir,
 		StoreURL:       "remote://" + rsrv.Addr(),
-		RemoteLanes:    2,
 		CacheBytes:     4 * vecBytes, // tiny cache: evictions go remote
 		RemoteDeadline: 100 * time.Millisecond,
 		ShedDepth:      1,

@@ -2,9 +2,11 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -35,9 +37,8 @@ func TestServiceRemoteStoreParkRevive(t *testing.T) {
 	}
 	defer rsrv.Close()
 	scfg := ServerConfig{
-		DataDir:     dir,
-		StoreURL:    "remote://" + rsrv.Addr(),
-		RemoteLanes: 2,
+		DataDir:  dir,
+		StoreURL: "remote://" + rsrv.Addr(),
 	}
 
 	srv1, err := NewServer(scfg)
@@ -400,8 +401,17 @@ func TestServiceRegistryDoesNotLeak(t *testing.T) {
 			t.Errorf("revived session no longer exports %s", want)
 		}
 	}
-	if got := srv.reg.Snapshot().Counters["svc.session.leaky.tier.cache_hits"]; got == 0 {
-		t.Error("revived tier's publisher is not the one publishing: cache_hits = 0")
+	// Walk the root across the tree: half the vectors fit the pool, so
+	// whatever its exact size the pass evicts, writes back and re-reads
+	// through the revived tier — and only its publisher can show that.
+	for edge := 0; edge < 2*12-3; edge++ {
+		if _, err := ses.Evaluate(EvalSpec{Edge: edge}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := srv.reg.Snapshot().Counters
+	if c["svc.session.leaky.tier.cache_hits"]+c["svc.session.leaky.tier.cache_misses"]+c["svc.session.leaky.tier.remote_writes"] == 0 {
+		t.Error("revived tier's publisher is not the one publishing: no read or write-back counted")
 	}
 
 	if err := srv.DeleteSession("leaky"); err != nil {
@@ -412,5 +422,72 @@ func TestServiceRegistryDoesNotLeak(t *testing.T) {
 	}
 	if left := names(); len(left) != 0 {
 		t.Errorf("delete left %d names behind, first %s", len(left), left[0])
+	}
+}
+
+// settledGoroutines returns the process's goroutine count once it has
+// stopped moving: idle HTTP keep-alive connections (which hold
+// goroutines at both ends of the loopback object server) are closed,
+// and the count must hold still for 50 ms. A leaked goroutine holds
+// still too, and is counted.
+func settledGoroutines() int {
+	n, still := -1, 0
+	for deadline := time.Now().Add(2 * time.Second); still < 10 && time.Now().Before(deadline); {
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		time.Sleep(5 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now == n {
+			still++
+		} else {
+			n, still = now, 0
+		}
+	}
+	return n
+}
+
+// TestServiceGoroutinesReturnToBaseline: a remote-backed session's
+// goroutines (loop, batcher, pipeline — the tier brings none) are gone
+// once it is deleted, and the daemon's once it is closed.
+func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, _, need := writeTestAlignment(t, dir, 12, 300, 17)
+	rsrv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	base := settledGoroutines()
+	srv, err := NewServer(ServerConfig{DataDir: filepath.Join(dir, "data"), StoreURL: "remote://" + rsrv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	idle := settledGoroutines()
+	session := func(name string) {
+		cfg := baseSession(name, alnPath)
+		cfg.MemLimit = need / 2
+		ses, err := srv.CreateSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	session("gone")
+	if live := settledGoroutines(); live <= idle {
+		t.Fatalf("%d goroutines with a live session, %d without: the check below checks nothing", live, idle)
+	}
+	if err := srv.DeleteSession("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(); got > idle {
+		t.Errorf("%d goroutines after DeleteSession, %d before the session", got, idle)
+	}
+	session("parked-by-close")
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(); got > base {
+		t.Errorf("%d goroutines after Server.Close, %d before NewServer", got, base)
 	}
 }

@@ -66,15 +66,13 @@ type ServerConfig struct {
 	// CacheBytes bounds each session's local cache tier (0 = size the
 	// cache to hold every vector).
 	CacheBytes int64
-	// RemoteLanes is the per-session parallel remote fetch fan-out
-	// (0 = the tiered store's default).
+	// RemoteLanes is accepted and ignored: the tier has no lanes (a miss
+	// is one GET on the caller's goroutine), but bench/serve.go, which
+	// the PRs it judges do not edit, still sets it.
 	RemoteLanes int
 	// RemoteDeadline bounds each remote store request attempt; retries
 	// get a fresh deadline (0 = none). Only meaningful with StoreURL.
 	RemoteDeadline time.Duration
-	// HedgeAfter launches a second identical remote read when the first
-	// is still in flight after this long (0 = no hedging).
-	HedgeAfter time.Duration
 	// SpillDir overrides where each session's write-back spill journal
 	// lives (default: inside the session's cache directory). Point it at
 	// a different disk to keep outage spill off the cache volume.

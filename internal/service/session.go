@@ -353,8 +353,7 @@ func (s *Session) stackSpec() ooc.StackSpec {
 	if cfg.StoreURL != "" {
 		spec.URL = sessionObjectURL(cfg.StoreURL, s.name)
 		spec.CacheDir = filepath.Join(cfg.DataDir, s.name+".cache")
-		spec.CacheBytes, spec.Lanes = cfg.CacheBytes, cfg.RemoteLanes
-		spec.RemoteDeadline, spec.HedgeAfter = cfg.RemoteDeadline, cfg.HedgeAfter
+		spec.CacheBytes, spec.RemoteDeadline = cfg.CacheBytes, cfg.RemoteDeadline
 		if cfg.SpillDir != "" {
 			spec.SpillDir = filepath.Join(cfg.SpillDir, s.name+".spill")
 		}
@@ -588,8 +587,8 @@ func (s *Session) execBatch(batch []*evalJob) {
 
 // attachSpans points the engine (and, through it, the out-of-core
 // manager) and the tiered store at sp for one request's slice of the
-// batch. Loop goroutine only; the tier's fetch lanes capture the
-// current span per enqueued miss, so the hand-off is race-free.
+// batch. Loop goroutine only; the tier loads the current span
+// atomically per remote request, so the hand-off is race-free.
 func (s *Session) attachSpans(sp *obs.Span) {
 	if s.run != nil {
 		s.run.Engine.SetSpan(sp)
