@@ -98,7 +98,7 @@ func TestOneSpecThreeDoors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := analysis.Open(spec, analysis.Options{}, in, sz, sz.Quota, nil)
+	r, err := analysis.Open(spec, analysis.Options{}, in, sz, sz.Quota)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,13 @@
 //	oocraxml -s data.phy -f z -L 50000000 -backing vecs.bin -verify-store -io-retries 5
 //
 // With -verify-store, every vector read from the backing file is
-// verified against a CRC64 sidecar (<backing>.sum); a corrupt vector is
-// recomputed from its children instead of failing the run, and
-// checkpoints record a store manifest that -resume validates the
-// backing file against. -io-retries bounds the exponential-backoff
-// retries for transient I/O errors.
+// verified against the CRC64 recorded (in memory) when this run wrote
+// it; a corrupt vector is recomputed from its children instead of
+// failing the run. -io-retries bounds the exponential-backoff retries
+// for transient I/O errors. A run reads only vectors it wrote: -backing
+// and -cache-dir say where the files go, every run truncates them, and
+// -resume restores tree, model and search position from the checkpoint
+// and recomputes the vectors.
 //
 // -stats prints one consolidated statistics report at
 // the end of the run, sourced from the metrics registry that
@@ -104,9 +106,9 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.StringVar(&sf.spec.AAModel, "aamodel", "", "empirical AA model in PAML .dat format (WAG, LG, ...) for -m PAML")
 	fs.StringVar(&o.mode, "f", "s", "mode: s=search (SPR), n=search (NNI), e=evaluate, z=full traversals")
 	fs.IntVar(&o.traversals, "k", 5, "full traversals for -f z")
-	fs.StringVar(&how.Stack.Path, "backing", "", "backing file for out-of-core vectors (default: temp file)")
+	fs.StringVar(&how.Stack.Path, "backing", "", "backing file for out-of-core vectors, created or truncated (default: temp file, removed on exit)")
 	bindStore(fs, &how.Stack, "vector store URL: remote://host:port/object keeps out-of-core vectors on an object store behind a local write-back cache (default: the -backing file)")
-	fs.StringVar(&how.Stack.CacheDir, "cache-dir", "", "local write-back cache directory for -store remote:// (default: temp dir, removed on exit; a persistent dir warm-starts the next run)")
+	fs.StringVar(&how.Stack.CacheDir, "cache-dir", "", "local write-back cache directory for -store remote:// (default: temp dir, removed on exit); the cache starts cold on every run")
 	fs.BoolVar(&how.NoReadSkipping, "no-read-skipping", false, "disable the read-skipping optimisation")
 	fs.IntVar(&o.sprRadius, "radius", 5, "lazy-SPR rearrangement radius")
 	fs.IntVar(&o.rounds, "rounds", 10, "maximum SPR improvement rounds")
@@ -118,10 +120,10 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.IntVar(&o.bootstraps, "bootstrap", 0, "bootstrap replicates; annotates the result tree with support values")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable checkpoint here after every search round")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", 0, "minimum time between -checkpoint writes (0 = checkpoint every round)")
-	fs.StringVar(&o.resume, "resume", "", "resume tree, model parameters and search progress from this checkpoint")
+	fs.StringVar(&o.resume, "resume", "", "resume tree, model parameters and search progress from this checkpoint (vectors are recomputed, never reloaded)")
 	fs.Int64Var(&how.MemBudget, "mem-budget", 0, "soft heap budget in bytes: a watchdog shrinks/grows the out-of-core slot pool at engine safe points to stay under it (0 = off)")
 	fs.Int64Var(&how.Stack.CrashAfter, "crashpoint", 0, "TESTING: kill the process (exit 3) at the N-th backing-store vector I/O")
-	fs.BoolVar(&how.Stack.Verify, "verify-store", false, "maintain a per-vector checksum sidecar next to the backing file and verify every read (corrupt vectors are recomputed, not fatal)")
+	fs.BoolVar(&how.Stack.Verify, "verify-store", false, "checksum every vector written to the store and verify every read against it (corrupt vectors are recomputed, not fatal)")
 	fs.IntVar(&how.Retries, "io-retries", 3, "retries with exponential backoff for transient backing-store I/O errors")
 	fs.StringVar(&o.outTree, "w", "", "write the result tree to this file (default stdout)")
 	fs.BoolVar(&o.printStats, "stats", false, "print the consolidated per-layer statistics report")
@@ -180,7 +182,6 @@ func run(args []string, out *os.File) error {
 
 	var in *analysis.Inputs
 	var resumeState *checkpoint.State
-	var resumeMan *ooc.Manifest
 	if o.resume != "" {
 		resumeState, err = checkpoint.Load(o.resume)
 		if err != nil {
@@ -191,7 +192,6 @@ func run(args []string, out *os.File) error {
 			return err
 		}
 		in = &analysis.Inputs{Patterns: pats, Model: m, Tree: t}
-		resumeMan = resumeState.Store
 		fmt.Fprintf(out, "Resumed from %s (round %d, lnL %.4f)\n", o.resume, resumeState.Round, resumeState.LnL)
 	} else if in, err = analysis.Build(spec, pats); err != nil {
 		return err
@@ -210,10 +210,7 @@ func run(args []string, out *os.File) error {
 	if spec.Precision == plf.PrecisionF32 {
 		fmt.Fprintf(out, "Precision: float32 compute (%d B per ancestral vector, half of f64)\n", sz.VecBytes)
 	}
-	// A resume adopts what the interrupted run left under an explicit
-	// -backing or -store; a temp file has nothing to adopt.
-	how.Stack.Adopt = o.resume != "" && (how.Stack.Path != "" || how.Stack.URL != "")
-	r, err := analysis.Open(spec, *how, in, sz, sz.Quota, resumeMan)
+	r, err := analysis.Open(spec, *how, in, sz, sz.Quota)
 	if err != nil {
 		return err
 	}
@@ -254,7 +251,7 @@ func run(args []string, out *os.File) error {
 				MovesTested:  p.MovesTested,
 				Alpha:        p.Alpha,
 			}
-			return r.Snapshot(o.checkpoint, ck)
+			return checkpoint.Save(o.checkpoint, ck)
 		}
 		if o.checkpoint != "" {
 			var lastCkpt time.Time
@@ -470,7 +467,7 @@ func writeReport(out io.Writer, reg *obs.Registry, outOfCore bool) {
 }
 
 // printProvider reports where the vectors live: the provider Open chose
-// and the store stack's adoption notes.
+// and the store stack's notes.
 func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *analysis.Run) {
 	n := r.Sizing.NumVectors
 	if r.Manager == nil {
@@ -505,7 +502,7 @@ func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *a
 		fmt.Fprintf(out, "Async pipeline: %d fetch workers, prefetch depth %d\n", workers, max(how.PrefetchDepth, 1))
 	}
 	if how.Stack.Verify {
-		fmt.Fprintf(out, "Integrity: checksum sidecar %s, %d I/O retries\n", r.Stack.Spec.Sidecar, how.Retries)
+		fmt.Fprintf(out, "Integrity: per-vector CRC64 verified on every read, %d I/O retries\n", how.Retries)
 	}
 }
 

@@ -183,19 +183,60 @@ func TestFASTAInput(t *testing.T) {
 	}
 }
 
+// TestCheckpointAndResume checkpoints an out-of-core f64 search over an
+// explicit, verified -backing file and resumes it. A run leaves the
+// backing file and the checkpoint on disk and nothing else; a resume
+// reads none of the old vectors, so (as further inputs) a checkpoint
+// still carrying PR 22's "store" block resumes, and resuming at f32 over
+// the f64 run's backing file is just an f32 run — bit-identical to the
+// same resume over a fresh temp file.
 func TestCheckpointAndResume(t *testing.T) {
 	phy, _ := writeTestData(t)
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	dir := t.TempDir()
+	ckpt, backing := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "run.vec")
 	// A fresh search from a random start should run at least one round
 	// and write the checkpoint.
 	out, err := capture(t, "-s", phy, "-m", "HKY", "-a", "0.8", "-rounds", "3",
-		"-start", "random", "-seed", "1", "-checkpoint", ckpt)
+		"-start", "random", "-seed", "1", "-checkpoint", ckpt,
+		"-L", "5000", "-backing", backing, "-verify-store")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(out, "Out-of-core:") {
+		t.Fatalf("search did not go out of core:\n%s", out)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Skipf("no round completed with an improvement; checkpoint not written (%s)", out)
 	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 {
+		t.Errorf("run left %v; want only run.ckpt and run.vec", ents)
+	}
+
+	// The checkpoint as a pre-PR-23 run would have written it.
+	var doc map[string]any
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["store"] = map[string]any{"num_vectors": 4, "vector_len": 192, "generation": 99, "sum_of_sums": 12345}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckpt2 := filepath.Join(t.TempDir(), "copy.ckpt")
+	if err := os.WriteFile(ckpt2, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	resumed, err := capture(t, "-s", phy, "-resume", ckpt, "-rounds", "1")
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +246,29 @@ func TestCheckpointAndResume(t *testing.T) {
 	}
 	if !strings.Contains(resumed, "Log likelihood:") {
 		t.Error("resumed run did not complete")
+	}
+
+	f32 := []string{"-s", phy, "-rounds", "6", "-precision", "f32", "-L", "2500", "-lnl-bits", "-checkpoint"}
+	over, err := capture(t, append(f32, ckpt, "-resume", ckpt, "-backing", backing, "-verify-store")...)
+	if err != nil {
+		t.Fatalf("f32 resume over the f64 run's backing file: %v\n%s", err, over)
+	}
+	fresh, err := capture(t, append(f32, ckpt2, "-resume", ckpt2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(over, "Out-of-core:") || !strings.Contains(over, "Search:") {
+		t.Errorf("f32 resume did no out-of-core search:\n%s", over)
+	}
+	if ob, fb := lnlBitsLine(over), lnlBitsLine(fresh); ob == "" || ob != fb {
+		t.Errorf("f32 resume over f64 leftovers %q, over a fresh file %q", ob, fb)
+	}
+	lastLine := func(s string) string {
+		lines := strings.Split(strings.TrimSpace(s), "\n")
+		return lines[len(lines)-1]
+	}
+	if lastLine(over) != lastLine(fresh) {
+		t.Errorf("result trees differ:\n%s\n%s", lastLine(over), lastLine(fresh))
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,11 +57,12 @@ func TestRemoteStoreFlagMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestRemoteStoreWarmCacheAndVerify reruns over a persistent -cache-dir
-// with -verify-store: the second run must adopt the cache tier (warm
-// start) and still match the first bit-for-bit. A starved -cache-bytes
-// run over the same object must match too.
-func TestRemoteStoreWarmCacheAndVerify(t *testing.T) {
+// TestRemoteStoreRerunOverCacheDir reruns over a persistent -cache-dir
+// with -verify-store: the second run starts cold over what the first
+// left, matches it bit-for-bit, and the directory holds the cache file
+// and the journal — nothing else. A starved -cache-bytes run over the
+// same object must match too.
+func TestRemoteStoreRerunOverCacheDir(t *testing.T) {
 	phy, nwk := writeTestData(t)
 	rsrv, err := remote.NewServer(remote.ServerConfig{})
 	if err != nil {
@@ -68,7 +70,7 @@ func TestRemoteStoreWarmCacheAndVerify(t *testing.T) {
 	}
 	defer rsrv.Close()
 	cacheDir := filepath.Join(t.TempDir(), "cache")
-	url := "remote://" + rsrv.Addr() + "/warm"
+	url := "remote://" + rsrv.Addr() + "/rerun"
 
 	args := []string{"-s", phy, "-t", nwk, "-f", "e", "-m", "JC", "-a", "0",
 		"-L", "1200", "-lnl-bits", "-verify-store",
@@ -81,11 +83,15 @@ func TestRemoteStoreWarmCacheAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(second, "Warm start:") {
-		t.Errorf("second run over %s did not warm-start:\n%s", cacheDir, second)
-	}
 	if fb, sb := lnlBitsLine(first), lnlBitsLine(second); fb == "" || fb != sb {
-		t.Errorf("warm rerun changed the likelihood:\n%q\n%q", fb, sb)
+		t.Errorf("rerun changed the likelihood:\n%q\n%q", fb, sb)
+	}
+	ents, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 || ents[0].Name() != "cache.vec" || ents[1].Name() != "spill.jrnl" {
+		t.Errorf("cache dir holds %v; want only cache.vec and spill.jrnl", ents)
 	}
 	starved, err := capture(t, "-s", phy, "-t", nwk, "-f", "e", "-m", "JC", "-a", "0",
 		"-L", "1200", "-lnl-bits", "-store", url, "-cache-bytes", "1")

@@ -205,10 +205,13 @@ func TestServeOutOfCoreSession(t *testing.T) {
 	if _, err := client(t, "park", "-addr", addr, "-name", "ooc"); err != nil {
 		t.Fatalf("park: %v", err)
 	}
-	for _, f := range []string{"ooc.ckpt", "ooc.vec", "ooc.vec.sum", "ooc.aln"} {
+	for _, f := range []string{"ooc.ckpt", "ooc.vec", "ooc.aln"} {
 		if _, err := os.Stat(filepath.Join(dataDir, f)); err != nil {
 			t.Errorf("parked session missing %s: %v", f, err)
 		}
+	}
+	if ents, _ := os.ReadDir(dataDir); len(ents) != 3 {
+		t.Errorf("parked session's data dir holds %v; want only the three files above", ents)
 	}
 
 	evalOut2, err := client(t, "eval", "-addr", addr, "-name", "ooc")

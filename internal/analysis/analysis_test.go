@@ -2,18 +2,23 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/checkpoint"
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
+	"oocphylo/internal/search"
 	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
@@ -52,13 +57,15 @@ func openFilesUnder(dir string) []string {
 }
 
 // TestOpen is the seam's table: where the vectors live × whether the
-// run is fresh or resumed from a Snapshot (a caller-built Base medium —
-// the experiments' MemStore and SimStore, opened async here — is fresh
-// only: it does not outlive its process). It pins the provider kind,
-// the slot count the grant buys (store overhead charged), the watchdog,
-// that a Snapshot's manifest validates the store on reopen and resumes
-// bit-identically, and that Close releases every file and removes
-// exactly the temps the run created.
+// run is fresh or resumed from a checkpoint over the files an earlier
+// run left (a caller-built Base medium — the experiments' MemStore and
+// SimStore, opened async here — is fresh only: it does not outlive its
+// process). It pins the provider kind, the slot count the grant buys
+// (store overhead charged), the watchdog, that a resume opens fresh
+// stores over the leftovers and lands bit-identical, that only the
+// vector/cache file, the journal and the checkpoint ever exist, and
+// that Close releases every file and removes exactly the temps the run
+// created.
 func TestOpen(t *testing.T) {
 	for _, medium := range []string{"ram", "local", "remote", "mem", "sim"} {
 		for _, resumed := range []bool{false, true} {
@@ -116,17 +123,16 @@ func TestOpen(t *testing.T) {
 					t.Fatalf("sizing = %+v", sz)
 				}
 
-				var man *ooc.Manifest
 				var wantBits uint64
 				ckpt := filepath.Join(dir, "run.ckpt")
 				if resumed {
 					// The interrupted run: explicit paths, one evaluation,
-					// a snapshot, a clean close.
+					// a checkpoint, a clean close.
 					opts.Stack.Path = filepath.Join(dir, "v.bin")
 					if medium == "remote" {
 						opts.Stack.CacheDir = filepath.Join(dir, "cache")
 					}
-					prev, err := Open(spec, opts, in, sz, sz.Quota, nil)
+					prev, err := Open(spec, opts, in, sz, sz.Quota)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,7 +141,7 @@ func TestOpen(t *testing.T) {
 						t.Fatal(err)
 					}
 					wantBits = math.Float64bits(lnl)
-					if err := prev.Snapshot(ckpt, checkpoint.Capture(in.Tree, in.Model, lnl, 1)); err != nil {
+					if err := checkpoint.Save(ckpt, checkpoint.Capture(in.Tree, in.Model, lnl, 1)); err != nil {
 						t.Fatal(err)
 					}
 					if err := prev.Close(); err != nil {
@@ -150,13 +156,9 @@ func TestOpen(t *testing.T) {
 						t.Fatal(err)
 					}
 					in = &Inputs{Patterns: pats, Model: rm, Tree: rt}
-					man, opts.Stack.Adopt = ck.Store, true
-					if (man != nil) != sz.OutOfCore {
-						t.Fatalf("snapshot manifest = %v for out-of-core = %v", man, sz.OutOfCore)
-					}
 				}
 
-				r, err := Open(spec, opts, in, sz, sz.Quota, man)
+				r, err := Open(spec, opts, in, sz, sz.Quota)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,18 +178,12 @@ func TestOpen(t *testing.T) {
 						t.Errorf("%d slots with %d B store overhead, want 5", r.Manager.Slots(), ov)
 					}
 				}
-				if resumed && sz.OutOfCore {
-					notes := strings.Join(r.Stack.Notes, "\n")
-					if !r.Stack.Adopted || !strings.Contains(notes, "validated against checkpoint manifest") {
-						t.Errorf("snapshot not adopted on reopen (adopted=%v):\n%s", r.Stack.Adopted, notes)
-					}
-				}
 				lnl, err := r.Engine.LogLikelihood()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if resumed && math.Float64bits(lnl) != wantBits {
-					t.Errorf("resumed lnL %016x, snapshot run %016x", math.Float64bits(lnl), wantBits)
+					t.Errorf("resumed lnL %016x, checkpointed run %016x", math.Float64bits(lnl), wantBits)
 				}
 				if base {
 					// Async implies prefetch, and Base is the medium the
@@ -208,17 +204,198 @@ func TestOpen(t *testing.T) {
 				if left, _ := os.ReadDir(tmp); len(left) != 0 {
 					t.Errorf("Close left %d temp entries behind, first %s", len(left), left[0].Name())
 				}
-				if resumed && sz.OutOfCore {
-					kept := opts.Stack.Path
-					if medium == "remote" {
-						kept = opts.Stack.CacheDir
-					}
-					if _, err := os.Stat(kept); err != nil {
-						t.Errorf("Close removed the caller's %s: %v", kept, err)
+				if resumed {
+					// The caller's paths survive Close, and nothing else was
+					// ever created next to them.
+					var files []string
+					filepath.WalkDir(dir, func(path string, d os.DirEntry, _ error) error {
+						if !d.IsDir() {
+							files = append(files, strings.TrimPrefix(path, dir+"/"))
+						}
+						return nil
+					})
+					want := map[string][]string{
+						"ram":    {"run.ckpt"},
+						"local":  {"run.ckpt", "v.bin"},
+						"remote": {"cache/cache.vec", "cache/spill.jrnl", "run.ckpt"},
+					}[medium]
+					if !reflect.DeepEqual(files, want) {
+						t.Errorf("files on disk = %v, want exactly %v", files, want)
 					}
 				}
 			})
 		}
+	}
+}
+
+// guardStore is the medium of TestRunReadsOnlyWhatItWrote: a MemStore
+// pre-filled with NaN, as if an earlier process had left garbage in
+// every vector, that knows which vectors THIS run has written through
+// it. A read of any other vector is foreign: counted, and in strict
+// mode refused. It can also pose as a tier whose remote is down.
+type guardStore struct {
+	*ooc.MemStore
+	strict   bool
+	degraded atomic.Bool
+
+	mu      sync.Mutex // the async pipeline's workers call in concurrently
+	written []bool
+	foreign int
+}
+
+func newGuardStore(n, vecLen int, strict bool) *guardStore {
+	g := &guardStore{MemStore: ooc.NewMemStore(n, vecLen), strict: strict, written: make([]bool, n)}
+	garbage := make([]float64, vecLen)
+	for i := range garbage {
+		garbage[i] = math.NaN()
+	}
+	for vi := 0; vi < n; vi++ {
+		g.MemStore.WriteVector(vi, garbage)
+	}
+	return g
+}
+
+func (g *guardStore) ReadVector(vi int, dst []float64) error {
+	g.mu.Lock()
+	mine := g.written[vi]
+	if !mine {
+		g.foreign++
+	}
+	g.mu.Unlock()
+	if !mine && g.strict {
+		return fmt.Errorf("test: read of vector %d, which this run never wrote", vi)
+	}
+	return g.MemStore.ReadVector(vi, dst)
+}
+
+func (g *guardStore) WriteVector(vi int, src []float64) error {
+	g.mu.Lock()
+	g.written[vi] = true
+	g.mu.Unlock()
+	return g.MemStore.WriteVector(vi, src)
+}
+
+func (g *guardStore) Degraded() bool                      { return g.degraded.Load() }
+func (g *guardStore) FetchCost(int) (time.Duration, bool) { return 0, true }
+
+// TestRunReadsOnlyWhatItWrote pins the invariant the store stack's one
+// rule rests on: an engine never reads a vector before it has written
+// it, so nothing a store held when it was opened can reach a
+// likelihood. Full traversals, partial traversals to every edge, a
+// degraded-mode replan and an SPR search run over a guardStore — sync
+// and async+prefetch, clean and under injected faults with recovery —
+// with zero foreign reads and every likelihood bit-identical to RAM.
+// With read skipping off the write-intent fault-ins do read the NaN
+// garbage; it is overwritten unseen, so that arm asserts bit-identity
+// alone.
+func TestRunReadsOnlyWhatItWrote(t *testing.T) {
+	spec := testSpec(t, 20, 240, 5)
+	_, pats, err := Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// drive returns the bit pattern of every likelihood it computes. Each
+	// arm builds its own inputs: the search rearranges the tree.
+	drive := func(t *testing.T, memFraction float64, opts Options, guard *guardStore) (bits []uint64, r *Run) {
+		t.Helper()
+		in, err := Build(spec, pats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := spec
+		sz, err := Size(spec, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if guard != nil {
+			spec.MemLimit = int64(memFraction * float64(sz.Need))
+			if sz, err = Size(spec, in); err != nil {
+				t.Fatal(err)
+			}
+			opts.Stack.Base = guard
+		}
+		if r, err = Open(spec, opts, in, sz, sz.Quota); err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		e := r.Engine
+		note := func(lnl float64, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits = append(bits, math.Float64bits(lnl))
+		}
+		for i := 0; i < 2; i++ {
+			if err := e.FullTraversal(e.T.Edges[0]); err != nil {
+				t.Fatal(err)
+			}
+			note(e.LogLikelihoodAt(e.T.Edges[0]))
+		}
+		for _, edge := range e.T.Edges {
+			note(e.LogLikelihoodAt(edge))
+		}
+		if guard != nil {
+			// The remote goes away: the planner recomputes every valid
+			// vector that is not resident instead of reading it.
+			guard.degraded.Store(true)
+		}
+		for i := len(e.T.Edges) - 1; i >= 0; i -= 3 {
+			note(e.LogLikelihoodAt(e.T.Edges[i]))
+		}
+		if guard != nil {
+			guard.degraded.Store(false)
+			if e.Stats.DegradedRecomputes == 0 {
+				t.Error("degraded mode replanned nothing")
+			}
+		}
+		sr, err := search.New(e, search.Options{SPRRadius: 3, MaxRounds: 1}).Run()
+		note(sr.LnL, err)
+		return bits, r
+	}
+
+	want, ram := drive(t, 0, Options{}, nil)
+	full := ram.Sizing
+	faults := &ooc.FaultConfig{
+		Seed:     17,
+		PReadErr: 0.05, MaxReadErrs: 6,
+		PWriteErr: 0.05, MaxWriteErrs: 6,
+		PTornWrite: 0.05, MaxTornWrites: 4,
+		PBitFlip: 0.25, MaxBitFlips: 4,
+	}
+	for _, arm := range []struct {
+		name   string
+		opts   Options
+		strict bool
+	}{
+		{"sync", Options{}, true},
+		{"async+prefetch", Options{Async: true, PrefetchDepth: 3}, true},
+		{"sync+faults", Options{Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
+		{"async+prefetch+faults", Options{Async: true, PrefetchDepth: 3, Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
+		{"sync, no read skipping", Options{NoReadSkipping: true}, false},
+		{"async+prefetch, no read skipping", Options{NoReadSkipping: true, Async: true, PrefetchDepth: 3}, false},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			guard := newGuardStore(full.NumVectors, full.VecLen, arm.strict)
+			got, r := drive(t, 0.25, arm.opts, guard)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("likelihoods differ from the in-RAM run:\n got %x\nwant %x", got, want)
+			}
+			if st := r.Manager.Stats(); st.Reads == 0 || st.Writes == 0 {
+				t.Fatalf("the run never went to the store: %+v", st)
+			}
+			if arm.strict && guard.foreign != 0 {
+				t.Errorf("%d reads of vectors the run had not written", guard.foreign)
+			}
+			if !arm.strict && guard.foreign == 0 {
+				t.Error("read skipping is off, yet no never-written vector was read: the arm checks nothing")
+			}
+			if arm.opts.Stack.Fault != nil {
+				if r.Stack.Fault.Stats().Total() == 0 || r.Engine.Stats.Recoveries == 0 {
+					t.Errorf("fault arm: %+v injected, %d recoveries", r.Stack.Fault.Stats(), r.Engine.Stats.Recoveries)
+				}
+			}
+		})
 	}
 }
 
@@ -268,7 +445,7 @@ func TestBuildSizeOpenErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, err := Open(spec, Options{}, in, sz, sz.Quota, nil); err == nil {
+			if r, err := Open(spec, Options{}, in, sz, sz.Quota); err == nil {
 				r.Close()
 				t.Fatal("Open accepted it")
 			}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"oocphylo/internal/checkpoint"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 )
@@ -62,10 +61,11 @@ type Run struct {
 
 // Open brings in to life under spec and opts: the vectors in RAM, or —
 // when sz says out of core — behind a manager whose slot pool is what
-// grant bytes buy over the store stack opts.Stack describes. A non-nil
-// man is the manifest a checkpoint recorded for that store; an adopting
-// stack is validated against it. On error nothing is left open.
-func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64, man *ooc.Manifest) (r *Run, err error) {
+// grant bytes buy over the store stack opts.Stack describes, created
+// fresh. A resume differs only in where in came from (a checkpoint's
+// Restore): the engine starts all-invalid and recomputes every vector
+// before reading it. On error nothing is left open.
+func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, err error) {
 	n := sz.NumVectors
 	// Built before the fits-in-RAM decision, so a mistyped name fails
 	// even when the data happens to fit.
@@ -85,7 +85,6 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64, man *ooc.
 	if sz.OutOfCore {
 		stack := opts.Stack
 		stack.NumVectors, stack.VectorLen = n, sz.VecLen
-		stack.Precision, stack.Manifest = spec.Precision, man
 		var st *ooc.Stack
 		if st, err = ooc.OpenStack(stack); err != nil {
 			return r, err
@@ -96,8 +95,7 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64, man *ooc.
 			Slots:    ooc.SlotsForBytes(grant, ooc.StoreMemOverhead(st.Store), sz.VecBytes, n),
 			Strategy: strat, ReadSkipping: !opts.NoReadSkipping, Store: st.Store,
 			Async: opts.Async, IOWorkers: opts.IOWorkers,
-			Retry:      ooc.RetryPolicy{Max: opts.Retries},
-			SyncWrites: opts.SyncWrites,
+			Retry: ooc.RetryPolicy{Max: opts.Retries},
 		})
 		if err != nil {
 			return r, err
@@ -159,27 +157,6 @@ func (r *Run) Resize(grant int64) (bool, error) {
 		r.Watchdog.SetMaxSlots(target)
 	}
 	return true, nil
-}
-
-// Snapshot makes the run resumable from path: every resident vector is
-// flushed to the store (durably under Options.SyncWrites), a verified
-// stack's sidecar is synced and its manifest recorded in ck, and ck is
-// saved. A later Open handed ck.Store adopts exactly these vectors or,
-// if they do not validate, rebuilds them.
-func (r *Run) Snapshot(path string, ck *checkpoint.State) error {
-	if r.Manager != nil {
-		if err := r.Manager.Flush(); err != nil {
-			return err
-		}
-	}
-	if cs := r.Stack.Checksum; cs != nil {
-		if err := cs.Sync(); err != nil {
-			return err
-		}
-		man := cs.Manifest()
-		ck.Store = &man
-	}
-	return checkpoint.Save(path, ck)
 }
 
 // Close tears the run down: the engine's worker pool, then the manager

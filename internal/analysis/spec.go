@@ -131,17 +131,13 @@ type Options struct {
 	PrefetchDepth int
 	// Retries bounds the backoff retries of a transient store I/O error.
 	Retries int
-	// SyncWrites makes a manager flush durable (fsync, or a full remote
-	// write-back drain), for runs whose Snapshot must survive a crash of
-	// the machine rather than only of the process.
-	SyncWrites bool
 	// MemBudget, when > 0, arms a watchdog that steps an out-of-core
 	// slot pool down and up to hold the process heap near this many
 	// bytes, never regrowing past the grant.
 	MemBudget int64
 	// Stack is the store an out-of-core run opens: medium and paths,
-	// cache tier, verification, adoption, fault injection. Open supplies
-	// the geometry, the precision and the manifest.
+	// cache tier, verification, fault injection. Open supplies the
+	// geometry.
 	Stack ooc.StackSpec
 	// Registry and Tracer, when set, instrument the engine, the manager
 	// and the store layers under their one-run-per-process names.

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 
 	"oocphylo/internal/model"
-	"oocphylo/internal/ooc"
 	"oocphylo/internal/tree"
 )
 
@@ -70,11 +69,6 @@ type State struct {
 	// LnL and Round record progress for reporting.
 	LnL   float64 `json:"lnl"`
 	Round int     `json:"round"`
-	// Store describes the out-of-core backing file the run was using
-	// (geometry, generation, checksum-of-checksums), so a resume can
-	// validate the file instead of trusting it (nil when the run was
-	// in-core or integrity checking was off).
-	Store *ooc.Manifest `json:"store,omitempty"`
 	// Search carries the search-loop position for exact resume (v2;
 	// nil in migrated v1 checkpoints and non-search runs).
 	Search *SearchProgress `json:"search,omitempty"`

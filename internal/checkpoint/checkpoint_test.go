@@ -4,10 +4,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"oocphylo/internal/model"
-	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
@@ -245,38 +245,41 @@ func TestCheckpointRateModelMatrix(t *testing.T) {
 	}
 }
 
-// TestCheckpointStoreManifest round-trips the store-manifest section so
-// a resume can bind the checkpoint to the backing file it was written
-// against.
+// TestCheckpointStoreManifest: checkpoints written before PR 23 carry a
+// "store" block (the backing file's manifest). Nothing reads it any
+// more — a resume recomputes every vector — but such a file must still
+// load and restore, and a re-save simply drops the block.
 func TestCheckpointStoreManifest(t *testing.T) {
-	tr, _ := tree.ParseNewick("(a:0.1,b:0.2,c:0.3);")
-	m, _ := model.NewJC(4)
-	st := Capture(tr, m, -3, 7)
-	st.Store = &ooc.Manifest{NumVectors: 11, VectorLen: 96, Generation: 42, SumOfSums: 0xdeadbeef}
+	legacy := `{
+  "version": 2,
+  "newick": "((a:0.1,b:0.2):0.05,c:0.3,d:0.1);",
+  "states": 4,
+  "freqs": [0.25, 0.25, 0.25, 0.25],
+  "cats": 1,
+  "lnl": -999.5,
+  "round": 4,
+  "store": {"num_vectors": 2, "vector_len": 96, "generation": 42, "sum_of_sums": 3735928559, "precision": "f32"},
+  "search": {"start_lnl": -1300.25, "last_improved": 3, "moves_applied": 5, "moves_tested": 60}
+}`
 	path := filepath.Join(t.TempDir(), "s.ckpt")
-	if err := Save(path, st); err != nil {
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	st, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Store == nil {
-		t.Fatal("store manifest dropped by round-trip")
+	if st.Round != 4 || st.LnL != -999.5 || st.Search == nil || st.Search.MovesTested != 60 {
+		t.Errorf("fields around the store block lost: %+v", st)
 	}
-	if *loaded.Store != *st.Store {
-		t.Errorf("store manifest changed: got %+v, want %+v", *loaded.Store, *st.Store)
+	if tr, m, err := st.Restore(); err != nil || tr.NumTips != 4 || m.States != 4 {
+		t.Errorf("legacy checkpoint does not restore: %v", err)
 	}
-	// A run without integrity checking writes no manifest at all.
-	st2 := Capture(tr, m, -3, 7)
-	if err := Save(path, st2); err != nil {
+	if err := Save(path, st); err != nil {
 		t.Fatal(err)
 	}
-	if loaded, err = Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Store != nil {
-		t.Errorf("in-core checkpoint grew a store manifest: %+v", loaded.Store)
+	if data, _ := os.ReadFile(path); strings.Contains(string(data), `"store"`) {
+		t.Errorf("re-saved checkpoint still carries a store block:\n%s", data)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // runs 2 and 3 must agree bit-for-bit (within-precision determinism is
 // independent of the I/O and threading regime), and run 2 must agree
 // with run 1 to the documented accuracy budget. It also records the
-// manifest-verified store geometry, which is where the bandwidth win
-// shows up: the f32 store holds half the bytes per vector.
+// geometry the out-of-core stores were created with, which is where the
+// bandwidth win shows up: the f32 store holds half the bytes per vector.
 
 // PrecisionAccuracyBudget is the documented |Δ lnL|/|lnL| ceiling for
 // f32 mode. Measured errors sit near 1e-9 (the scaling tail and all
@@ -73,15 +73,15 @@ type PrecisionAblationResult struct {
 	// Opt64 and Opt32 are the optimised log-likelihoods of one Newton
 	// branch pass per precision (the derivative-path accuracy probe).
 	Opt64, Opt32 float64
-	// VecBytes64 and VecBytes32 are the manifest-verified per-vector
-	// store payloads in bytes.
+	// VecBytes64 and VecBytes32 are the per-vector store payloads in
+	// bytes, as the opened runs sized them.
 	VecBytes64, VecBytes32 int
 	// Kernel is the specialised kernel the f32 runs used.
 	Kernel string
 }
 
 // precisionFraction is the out-of-core RAM fraction of the async f32
-// run and of the stores whose manifests are read.
+// run and of the runs whose sizing is read.
 const precisionFraction = 0.4
 
 // runPrecision runs one in-memory engine at the given precision:
@@ -128,8 +128,8 @@ func RunPrecisionAblation(cfg PrecisionAblationConfig) (*PrecisionAblationResult
 
 	// Async out-of-core f32: same dataset through a checksummed store
 	// with prefetching workers. Must reproduce the sync bits exactly. The
-	// stores' manifests say what a vector costs on disk at each precision
-	// (the f64 one is opened for nothing else).
+	// runs' sizing says what a vector costs on disk at each precision (the
+	// f64 one is opened for nothing else).
 	outOfCore := func(prec string, body func(*analysis.Run) error) (vecBytes int, err error) {
 		r, err := w.run(arm{
 			Fraction: precisionFraction, Precision: prec, Workers: cfg.Workers,
@@ -138,7 +138,7 @@ func RunPrecisionAblation(cfg PrecisionAblationConfig) (*PrecisionAblationResult
 		if err != nil {
 			return 0, err
 		}
-		return r.Stack.Checksum.Manifest().VectorLen * 8, nil
+		return int(r.Sizing.VecBytes), nil
 	}
 	res.VecBytes32, err = outOfCore(plf.PrecisionF32, func(r *analysis.Run) (err error) {
 		res.LnL32Async, err = r.Engine.LogLikelihood()

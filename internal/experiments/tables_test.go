@@ -28,9 +28,9 @@ func bits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
 // fixed order; the rest of TierStats (bytes follow from these, retries
 // from the clock) is left out.
 func tierCounts(t ooc.TierStats) string {
-	return fmt.Sprintf("hit=%d miss=%d rreq=%d rvec=%d wvec=%d evict=%d dirty=%d warm=%v",
+	return fmt.Sprintf("hit=%d miss=%d rreq=%d rvec=%d wvec=%d evict=%d dirty=%d",
 		t.CacheHits, t.CacheMisses, t.RemoteReads, t.RemoteVectorsRead,
-		t.RemoteVectorsWritten, t.Evictions, t.DirtyWritebacks, t.WarmStart)
+		t.RemoteVectorsWritten, t.Evictions, t.DirtyWritebacks)
 }
 
 // goldenTables lists every experiment at its test-scale configuration

@@ -1,12 +1,13 @@
 package experiments
 
 // Tiered-storage ablation: the same deterministic tree search run over
-// (a) a plain local FileStore, (b) a TieredStore with a cold local
-// cache in front of a latency-injected loopback remote, and (c) the
-// same tiered stack reopened warm — each at a sweep of injected
-// round-trip times. The likelihood is bit-identical across
-// every arm (enforced here, not merely reported); what moves is where
-// vector reads are served from and what that costs in wall-clock.
+// (a) a plain local FileStore, (b) a TieredStore whose local cache
+// holds 35% of the vectors in front of a latency-injected loopback
+// remote, and (c) the same tiered stack with a cache that holds every
+// vector — each at a sweep of injected round-trip times. Every cache
+// starts cold. The likelihood is bit-identical across every arm
+// (enforced here, not merely reported); what moves is where vector
+// reads are served from and what that costs in wall-clock.
 
 import (
 	"fmt"
@@ -60,7 +61,7 @@ func (c *TierAblationConfig) fill() {
 type TierAblationRow struct {
 	// RTT is the injected remote round-trip time (0 for the local arm).
 	RTT time.Duration
-	// Arm is "local", "cold" or "warm".
+	// Arm is "local", "cold" or "full".
 	Arm string
 	// Elapsed is the search wall-clock.
 	Elapsed time.Duration
@@ -117,7 +118,7 @@ func localFraction(mst ooc.Stats, tst ooc.TierStats) float64 {
 // RunTierAblation runs the three arms at each configured RTT, all under
 // the same -L quota. It fails —
 // rather than returning misleading rows — if any arm's likelihood
-// diverges from the local baseline, or if the warm arm's served-locally
+// diverges from the local baseline, or if the full arm's served-locally
 // fraction drops below 70%.
 func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 	cfg.fill()
@@ -146,10 +147,8 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		// state names the remote object and the cache directory an arm
-		// opens: arms that share it share what the earlier one left.
-		runTiered := func(name, state string, cacheFrac float64) (TierAblationRow, error) {
-			state = fmt.Sprintf("%s-%d", state, ri)
+		runTiered := func(name string, cacheFrac float64) (TierAblationRow, error) {
+			state := fmt.Sprintf("%s-%d", name, ri)
 			row, err := runTierArm(w, cfg.Workload, ooc.StackSpec{
 				TieredConfig: ooc.TieredConfig{
 					CacheDir:     filepath.Join(dir, state),
@@ -164,38 +163,30 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 			return row, nil
 		}
 
-		cold, err := runTiered("cold", "cold", tierColdCacheFraction)
+		cold, err := runTiered("cold", tierColdCacheFraction)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, cold)
-
-		// Warm arm: one untimed priming run populates cache and remote,
-		// then the measured run reopens the same cache directory.
-		if _, err := runTiered("warm-prime", "warm", 1.0); err != nil {
-			return nil, err
-		}
-		warm, err := runTiered("warm", "warm", 1.0)
+		// Full arm: the cache holds every vector, so once the run has
+		// written a vector no read of it leaves the machine.
+		full, err := runTiered("full", 1.0)
 		if err != nil {
 			return nil, err
 		}
-		if !warm.Tier.WarmStart {
-			return nil, fmt.Errorf("experiments: warm arm at %v did not adopt the primed cache", rtt)
-		}
-		rows = append(rows, warm)
+		rows = append(rows, cold, full)
 		srv.Close()
 
-		// Acceptance counters: every arm bit-identical; the warm cache
+		// Acceptance counters: every arm bit-identical; the full cache
 		// serves at least 70% of read demand.
-		for _, r := range []TierAblationRow{cold, warm} {
+		for _, r := range []TierAblationRow{cold, full} {
 			if r.LnL != local.LnL {
 				return nil, fmt.Errorf("experiments: %s arm at %v diverged: %.10f != %.10f",
 					r.Arm, rtt, r.LnL, local.LnL)
 			}
 		}
-		if warm.LocalFraction < 0.70 {
-			return nil, fmt.Errorf("experiments: warm arm at %v served only %.0f%% locally",
-				rtt, 100*warm.LocalFraction)
+		if full.LocalFraction < 0.70 {
+			return nil, fmt.Errorf("experiments: full arm at %v served only %.0f%% locally",
+				rtt, 100*full.LocalFraction)
 		}
 	}
 	return rows, nil

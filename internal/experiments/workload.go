@@ -116,7 +116,7 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 		IOWorkers: a.IOWorkers, PrefetchDepth: a.PrefetchDepth,
 		Retries: a.Retries, Stack: a.Stack,
 		Registry: a.Registry, Tracer: a.Tracer,
-	}, in, sz, sz.Quota, nil)
+	}, in, sz, sz.Quota)
 	if err == nil && opened != nil {
 		opened(a, r)
 	}

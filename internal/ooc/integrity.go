@@ -7,14 +7,12 @@ package ooc
 // torn writes and bit rot are expected events, not exceptions. This
 // file adds the two pieces the store stack needs to survive them:
 //
-//   - ChecksumStore wraps any Store with a per-vector CRC64 +
-//     generation-tag sidecar. Every read is verified against the
+//   - ChecksumStore wraps any Store with an in-memory per-vector
+//     (CRC64, generation) table. Every read is verified against the
 //     checksum recorded at write time; a mismatch surfaces as a typed
 //     *CorruptionError instead of silently poisoning the likelihood.
-//     The sidecar carries a versioned header binding it to the backing
-//     file's geometry, and a manifest (generation, checksum-of-
-//     checksums) that checkpoints can persist so a resumed run can
-//     validate — or decide to rebuild — the backing file.
+//     The table lives and dies with the process: a process reads only
+//     vectors it wrote, so there is nothing to persist.
 //
 //   - RetryPolicy implements capped exponential backoff for transient
 //     I/O errors (ErrTransientIO), used by the manager's synchronous
@@ -35,7 +33,6 @@ import (
 	"hash/crc64"
 	"math"
 	"math/rand"
-	"os"
 	"sync/atomic"
 	"time"
 )
@@ -65,36 +62,6 @@ func (e *CorruptionError) CorruptVector() int { return e.Vector }
 func IsCorruption(err error) bool {
 	var ce *CorruptionError
 	return errors.As(err, &ce)
-}
-
-// PrecisionMismatchError reports a resume attempt whose compute
-// precision does not match the precision the persisted store was
-// written under. The carrier geometry alone cannot catch every such
-// mismatch (an f32 run over 2L patterns has the same carrier length as
-// an f64 run over L), and silently reinterpreting the bytes would
-// decode garbage likelihoods, so the manifest records the element
-// precision and the mismatch is a hard, typed error — unlike geometry
-// mismatches, which fall back to rebuilding the store.
-type PrecisionMismatchError struct {
-	// Store is the precision recorded in the manifest ("" means a
-	// legacy float64 store); Run is the precision of the resuming run.
-	Store, Run string
-}
-
-// Error implements error.
-func (e *PrecisionMismatchError) Error() string {
-	st := e.Store
-	if st == "" {
-		st = "f64 (legacy)"
-	}
-	return fmt.Sprintf("ooc: store precision %s does not match run precision %s; restart without -resume or rerun at the store's precision", st, e.Run)
-}
-
-// IsPrecisionMismatch reports whether err is (or wraps) a
-// *PrecisionMismatchError.
-func IsPrecisionMismatch(err error) bool {
-	var pe *PrecisionMismatchError
-	return errors.As(err, &pe)
 }
 
 // ErrTransientIO marks an I/O failure believed to be transient — worth
@@ -185,35 +152,8 @@ func (rp RetryPolicy) runCtx(ctx context.Context, counter *atomic.Int64, op func
 	return err
 }
 
-// Manifest summarises a ChecksumStore for external persistence: the
-// geometry it is bound to, the write-generation high-water mark, and a
-// checksum over the per-vector checksum table itself. checkpoint.State
-// embeds one so -resume can detect a backing file that does not match
-// the run being resumed.
-type Manifest struct {
-	NumVectors int    `json:"num_vectors"`
-	VectorLen  int    `json:"vector_len"`
-	Generation uint64 `json:"generation"`
-	SumOfSums  uint64 `json:"sum_of_sums"`
-	// Precision is the element precision of the persisted vectors
-	// ("f64" or "f32"); empty in manifests written before the field
-	// existed, which always meant float64. VectorLen is the carrier
-	// length in float64s either way.
-	Precision string `json:"precision,omitempty"`
-}
-
 // crcTable is the ECMA CRC64 table shared by all checksum operations.
 var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// Sidecar layout: a fixed header binding the sidecar to the backing
-// file's geometry, then one 16-byte record (checksum, generation) per
-// vector. Records are written with positioned writes as vectors land;
-// the header's generation and sum-of-sums are refreshed by Sync/Close.
-const (
-	sidecarMagic      = "OOCSUM\x01\n"
-	sidecarHeaderSize = 48
-	sidecarRecordSize = 16
-)
 
 // vectorChecksum hashes a vector's payload in its on-disk (little-
 // endian float64) representation, so the checksum is byte-exact against
@@ -231,132 +171,40 @@ func vectorChecksum(v []float64) uint64 {
 	return h.Sum64()
 }
 
-// ChecksumStore wraps an inner Store with per-vector CRC64 verification
-// and a persistent sidecar file. Reads of a never-written vector are
-// accepted as-is (a fresh backing file legitimately reads zeros); any
-// other read whose payload does not hash to the recorded checksum
-// returns a *CorruptionError.
+// ChecksumStore wraps an inner Store with per-vector CRC64 verification.
+// The (checksum, generation) tables live in memory only — 16 bytes per
+// vector, gone with the process, like every vector they describe. Reads
+// of a never-written vector are accepted as-is (a fresh backing file
+// legitimately reads zeros); any other read whose payload does not hash
+// to the recorded checksum returns a *CorruptionError.
 //
 // Concurrency matches the Store contract: calls on distinct vectors are
-// safe (per-vector state lives at distinct slice indices and distinct
-// sidecar offsets; the generation counter is atomic), concurrent
-// operations on the same vector are the caller's bug.
+// safe (per-vector state lives at distinct slice indices; the
+// generation counter is atomic), concurrent operations on the same
+// vector are the caller's bug.
 type ChecksumStore struct {
 	inner  Store
-	f      *os.File
 	n      int
 	vecLen int
-	// precision tags the element precision recorded in the manifest
-	// (see SetPrecision); "" is treated as "f64" for compatibility with
-	// sidecars and manifests written before the tag existed.
-	precision string
-	sums      []uint64
-	gens      []uint64
-	gen       atomic.Uint64
+	sums   []uint64
+	gens   []uint64
+	gen    atomic.Uint64
 	// CorruptReads counts reads that failed verification.
 	corruptReads atomic.Int64
 }
 
-// NewChecksumStore creates a fresh sidecar at sidecarPath (truncating
-// any previous one) for an inner store holding numVectors vectors of
-// vecLen float64s.
+// NewChecksumStore wraps an inner store holding numVectors vectors of
+// vecLen float64s. sidecarPath is accepted and ignored: the checksums
+// were once mirrored to a file there, and bench/workloads.go still
+// passes one.
 func NewChecksumStore(inner Store, sidecarPath string, numVectors, vecLen int) (*ChecksumStore, error) {
 	if numVectors < 0 || vecLen <= 0 {
 		return nil, fmt.Errorf("ooc: invalid checksum store geometry: %d vectors of %d", numVectors, vecLen)
 	}
-	f, err := os.OpenFile(sidecarPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ooc: creating checksum sidecar: %w", err)
-	}
-	if err := f.Truncate(sidecarHeaderSize + int64(numVectors)*sidecarRecordSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ooc: sizing checksum sidecar: %w", err)
-	}
-	s := newChecksumStore(inner, f, numVectors, vecLen)
-	if err := s.writeHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-func newChecksumStore(inner Store, f *os.File, n, vecLen int) *ChecksumStore {
 	return &ChecksumStore{
-		inner: inner, f: f, n: n, vecLen: vecLen,
-		sums: make([]uint64, n), gens: make([]uint64, n),
-	}
-}
-
-// OpenChecksumStore loads an existing sidecar, validating that its
-// header matches the given geometry and that its record table matches
-// the header's checksum-of-checksums (a cleanly closed sidecar).
-func OpenChecksumStore(inner Store, sidecarPath string, numVectors, vecLen int) (*ChecksumStore, error) {
-	f, err := os.OpenFile(sidecarPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ooc: opening checksum sidecar: %w", err)
-	}
-	s := newChecksumStore(inner, f, numVectors, vecLen)
-	hdr := make([]byte, sidecarHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ooc: reading sidecar header: %w", err)
-	}
-	if string(hdr[:8]) != sidecarMagic {
-		f.Close()
-		return nil, fmt.Errorf("ooc: %s is not a checksum sidecar", sidecarPath)
-	}
-	hn := binary.LittleEndian.Uint64(hdr[8:])
-	hl := binary.LittleEndian.Uint64(hdr[16:])
-	if int(hn) != numVectors || int(hl) != vecLen {
-		f.Close()
-		return nil, fmt.Errorf("ooc: sidecar geometry %dx%d does not match store %dx%d",
-			hn, hl, numVectors, vecLen)
-	}
-	gen := binary.LittleEndian.Uint64(hdr[24:])
-	sos := binary.LittleEndian.Uint64(hdr[32:])
-	recs := make([]byte, numVectors*sidecarRecordSize)
-	if _, err := f.ReadAt(recs, sidecarHeaderSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ooc: reading sidecar records: %w", err)
-	}
-	for i := 0; i < numVectors; i++ {
-		s.sums[i] = binary.LittleEndian.Uint64(recs[i*sidecarRecordSize:])
-		s.gens[i] = binary.LittleEndian.Uint64(recs[i*sidecarRecordSize+8:])
-	}
-	s.gen.Store(gen)
-	if got := s.sumOfSums(); got != sos {
-		f.Close()
-		return nil, fmt.Errorf("ooc: sidecar %s not cleanly closed: checksum-of-checksums %016x, header says %016x",
-			sidecarPath, got, sos)
-	}
-	return s, nil
-}
-
-// writeHeader refreshes the sidecar header from the in-memory state.
-func (s *ChecksumStore) writeHeader() error {
-	hdr := make([]byte, sidecarHeaderSize)
-	copy(hdr, sidecarMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(s.n))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.vecLen))
-	binary.LittleEndian.PutUint64(hdr[24:], s.gen.Load())
-	binary.LittleEndian.PutUint64(hdr[32:], s.sumOfSums())
-	if _, err := s.f.WriteAt(hdr, 0); err != nil {
-		return fmt.Errorf("ooc: writing sidecar header: %w", err)
-	}
-	return nil
-}
-
-// sumOfSums hashes the whole record table — the "checksum of checksums"
-// a checkpoint manifest carries.
-func (s *ChecksumStore) sumOfSums() uint64 {
-	h := crc64.New(crcTable)
-	var rec [sidecarRecordSize]byte
-	for i := range s.sums {
-		binary.LittleEndian.PutUint64(rec[0:], s.sums[i])
-		binary.LittleEndian.PutUint64(rec[8:], s.gens[i])
-		h.Write(rec[:])
-	}
-	return h.Sum64()
+		inner: inner, n: numVectors, vecLen: vecLen,
+		sums: make([]uint64, numVectors), gens: make([]uint64, numVectors),
+	}, nil
 }
 
 // ReadVector implements Store: read through, then verify.
@@ -379,9 +227,9 @@ func (s *ChecksumStore) ReadVector(vi int, dst []float64) error {
 }
 
 // WriteVector implements Store: write through, then record the payload's
-// checksum and a fresh generation tag in memory and in the sidecar. The
-// checksum is computed from the caller's payload (the write intent), so
-// a torn write underneath is caught by the next read.
+// checksum and a fresh generation tag. The checksum is computed from the
+// caller's payload (the write intent), so a torn write underneath is
+// caught by the next read.
 func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 	if vi < 0 || vi >= s.n {
 		return fmt.Errorf("ooc: checksum store write out of range: %d", vi)
@@ -389,72 +237,12 @@ func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 	if err := s.inner.WriteVector(vi, src); err != nil {
 		return err
 	}
-	sum := vectorChecksum(src)
-	gen := s.gen.Add(1)
-	s.sums[vi], s.gens[vi] = sum, gen
-	var rec [sidecarRecordSize]byte
-	binary.LittleEndian.PutUint64(rec[0:], sum)
-	binary.LittleEndian.PutUint64(rec[8:], gen)
-	if _, err := s.f.WriteAt(rec[:], sidecarHeaderSize+int64(vi)*sidecarRecordSize); err != nil {
-		return fmt.Errorf("ooc: writing checksum record for vector %d: %w", vi, err)
-	}
+	s.sums[vi], s.gens[vi] = vectorChecksum(src), s.gen.Add(1)
 	return nil
 }
 
 // CorruptReads returns how many reads failed verification.
 func (s *ChecksumStore) CorruptReads() int64 { return s.corruptReads.Load() }
-
-// SetPrecision records the element precision ("f64" or "f32") of the
-// vectors this store persists; it is carried in the manifest so a
-// resumed run can refuse a store written at the other precision (see
-// PrecisionMismatchError). The default "" reads as f64.
-func (s *ChecksumStore) SetPrecision(p string) { s.precision = p }
-
-// Precision returns the recorded element precision ("" means legacy
-// f64).
-func (s *ChecksumStore) Precision() string { return s.precision }
-
-// Manifest returns the store's current manifest for external
-// persistence (e.g. inside a checkpoint).
-func (s *ChecksumStore) Manifest() Manifest {
-	return Manifest{
-		NumVectors: s.n,
-		VectorLen:  s.vecLen,
-		Generation: s.gen.Load(),
-		SumOfSums:  s.sumOfSums(),
-		Precision:  s.precision,
-	}
-}
-
-// normPrecision maps the legacy empty precision tag to "f64".
-func normPrecision(p string) string {
-	if p == "" {
-		return "f64"
-	}
-	return p
-}
-
-// VerifyManifest checks the store's current state against a previously
-// persisted manifest, returning a descriptive error on any mismatch.
-// A precision mismatch is reported as a typed *PrecisionMismatchError.
-func (s *ChecksumStore) VerifyManifest(m Manifest) error {
-	cur := s.Manifest()
-	if normPrecision(cur.Precision) != normPrecision(m.Precision) {
-		return &PrecisionMismatchError{Store: m.Precision, Run: normPrecision(cur.Precision)}
-	}
-	switch {
-	case cur.NumVectors != m.NumVectors || cur.VectorLen != m.VectorLen:
-		return fmt.Errorf("ooc: store geometry %dx%d does not match manifest %dx%d",
-			cur.NumVectors, cur.VectorLen, m.NumVectors, m.VectorLen)
-	case cur.Generation != m.Generation:
-		return fmt.Errorf("ooc: store generation %d does not match manifest %d",
-			cur.Generation, m.Generation)
-	case cur.SumOfSums != m.SumOfSums:
-		return fmt.Errorf("ooc: store checksum-of-checksums %016x does not match manifest %016x",
-			cur.SumOfSums, m.SumOfSums)
-	}
-	return nil
-}
 
 // Verify scans every written vector against its recorded checksum and
 // returns the indices that fail (nil when the store is clean). Reads go
@@ -476,20 +264,6 @@ func (s *ChecksumStore) Verify() ([]int, error) {
 	return bad, nil
 }
 
-// Sync flushes the sidecar (header refreshed from the current state) to
-// stable storage, then syncs the inner store when it supports it — a
-// checkpoint that persists this store's manifest must know the vectors
-// it describes are durable too.
-func (s *ChecksumStore) Sync() error {
-	if err := s.writeHeader(); err != nil {
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("ooc: syncing sidecar: %w", err)
-	}
-	return SyncStore(s.inner)
-}
-
 // MemOverheadBytes reports the checksum tables (16 bytes per vector)
 // plus whatever the inner store tracks.
 func (s *ChecksumStore) MemOverheadBytes() int64 {
@@ -499,15 +273,5 @@ func (s *ChecksumStore) MemOverheadBytes() int64 {
 // Unwrap implements Unwrapper.
 func (s *ChecksumStore) Unwrap() Store { return s.inner }
 
-// Close implements Store: it seals the sidecar (so OpenChecksumStore
-// accepts it later) and closes the inner store.
-func (s *ChecksumStore) Close() error {
-	first := s.Sync()
-	if err := s.f.Close(); err != nil && first == nil {
-		first = err
-	}
-	if err := s.inner.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
+// Close implements Store.
+func (s *ChecksumStore) Close() error { return s.inner.Close() }

@@ -22,20 +22,18 @@ package ooc
 //	record       : uint32 vi | uint32 count | uint64 seq
 //	               count*8 B payload | uint64 CRC64(header+payload)
 //
-// Appends are fsynced — the journal is the only durable copy of the
-// vector it absorbs. Replay after a crash reads records until the
-// first torn or CRC-failing one (the crash tail) and keeps the highest
-// seq per vector; superseded and replayed records are dropped from the
-// in-memory index but stay in the file until it drains empty, at which
-// point it is truncated back to the header. Replaying a record twice
-// is harmless (remote PUTs are idempotent), so a crash mid-drain
-// re-pushes at worst.
+// Appends are fsynced. Superseded and replayed records are dropped from
+// the in-memory index but stay in the file until it drains empty, at
+// which point it is truncated back to the header. The index is the only
+// reader: a journal file left by an earlier process is reset at open,
+// because its records are that process's vectors and this one reads only
+// what it wrote (a crashed outage-run restarts from a checkpoint and
+// recomputes).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"math"
 	"os"
 	"sort"
@@ -53,7 +51,6 @@ const (
 type SpillJournal struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	nvec int
 	vlen int
 	seq  uint64
@@ -65,11 +62,8 @@ type SpillJournal struct {
 	fileBytes                   int64
 }
 
-// OpenSpillJournal opens (or creates) the journal at path and replays
-// any surviving records into the in-memory index. A journal whose
-// geometry does not match is discarded: it belongs to a different run,
-// and the only caller that can hold stale dirty state (a crashed run)
-// restarts from a checkpoint that recomputes it anyway.
+// OpenSpillJournal creates the journal at path, resetting whatever an
+// earlier process left there to an empty, well-formed file.
 func OpenSpillJournal(path string, numVectors, vecLen int) (*SpillJournal, error) {
 	if numVectors < 1 || vecLen < 1 {
 		return nil, fmt.Errorf("ooc: spill journal geometry %dx%d invalid", numVectors, vecLen)
@@ -78,72 +72,12 @@ func OpenSpillJournal(path string, numVectors, vecLen int) (*SpillJournal, error
 	if err != nil {
 		return nil, fmt.Errorf("ooc: opening spill journal: %w", err)
 	}
-	j := &SpillJournal{
-		f:    f,
-		path: path,
-		nvec: numVectors,
-		vlen: vecLen,
-		live: make(map[int][]float64),
-	}
-	if err := j.replay(); err != nil {
+	j := &SpillJournal{f: f, nvec: numVectors, vlen: vecLen}
+	if err := j.reset(); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return j, nil
-}
-
-// replay scans the file, keeping the newest valid record per vector
-// and truncating any crash tail (torn or CRC-failing suffix).
-func (j *SpillJournal) replay() error {
-	info, err := j.f.Stat()
-	if err != nil {
-		return err
-	}
-	if info.Size() < spillHeaderSize {
-		return j.reset()
-	}
-	hdr := make([]byte, spillHeaderSize)
-	if _, err := j.f.ReadAt(hdr, 0); err != nil {
-		return j.reset()
-	}
-	if string(hdr[:8]) != spillMagic ||
-		binary.LittleEndian.Uint32(hdr[8:]) != uint32(j.nvec) ||
-		binary.LittleEndian.Uint32(hdr[12:]) != uint32(j.vlen) {
-		return j.reset()
-	}
-	off := int64(spillHeaderSize)
-	rec := make([]byte, spillRecHdrSize+j.vlen*8+8)
-	for off+int64(len(rec)) <= info.Size() {
-		if _, err := j.f.ReadAt(rec, off); err != nil {
-			break
-		}
-		vi := int(binary.LittleEndian.Uint32(rec[0:]))
-		count := int(binary.LittleEndian.Uint32(rec[4:]))
-		seq := binary.LittleEndian.Uint64(rec[8:])
-		sum := binary.LittleEndian.Uint64(rec[len(rec)-8:])
-		if vi < 0 || vi >= j.nvec || count != j.vlen ||
-			crc64.Checksum(rec[:len(rec)-8], crcTable) != sum {
-			break
-		}
-		buf := make([]float64, j.vlen)
-		for i := range buf {
-			buf[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[spillRecHdrSize+i*8:]))
-		}
-		j.live[vi] = buf
-		if seq >= j.seq {
-			j.seq = seq + 1
-		}
-		off += int64(len(rec))
-	}
-	// Drop the crash tail so new appends land on a clean boundary.
-	if off < info.Size() {
-		if err := j.f.Truncate(off); err != nil {
-			return err
-		}
-	}
-	j.fileBytes = off
-	_, err = j.f.Seek(off, io.SeekStart)
-	return err
 }
 
 // reset truncates the journal to an empty, well-formed state.
@@ -161,18 +95,7 @@ func (j *SpillJournal) reset() error {
 		return err
 	}
 	j.fileBytes = spillHeaderSize
-	if _, err := j.f.Seek(spillHeaderSize, io.SeekStart); err != nil {
-		return err
-	}
 	return j.f.Sync()
-}
-
-// Reset discards every journaled record (used on cache cold start: the
-// entries belong to a run whose state is being rebuilt from scratch).
-func (j *SpillJournal) Reset() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.reset()
 }
 
 // Append absorbs data as the newest copy of vector vi. The record is
@@ -313,8 +236,7 @@ func (j *SpillJournal) MemBytes() int64 {
 	return n
 }
 
-// Close closes the journal file. Pending entries stay on disk and are
-// replayed by the next open.
+// Close closes the journal file.
 func (j *SpillJournal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

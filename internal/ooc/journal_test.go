@@ -69,115 +69,69 @@ func TestSpillJournalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpillJournalReplayAfterReopen(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir, 8, 4)
-	j.Append(2, journalVec(4, 2))
-	j.Append(6, journalVec(4, 6))
-	j.Append(2, journalVec(4, 99)) // supersedes the first record for vi 2
-	j.Close()
-
-	j2 := openTestJournal(t, dir, 8, 4)
-	defer j2.Close()
-	if got := j2.Pending(); len(got) != 2 || got[0] != 2 || got[1] != 6 {
-		t.Fatalf("Pending after reopen = %v, want [2 6]", got)
-	}
-	dst := make([]float64, 4)
-	j2.Snapshot(2, dst)
-	want := journalVec(4, 99)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("pos %d: %v != %v (replay must keep the newest seq)", i, dst[i], want[i])
-		}
-	}
-	// New appends after a replay must not collide with replayed seqs.
-	if err := j2.Append(6, journalVec(4, 7)); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	j3 := openTestJournal(t, dir, 8, 4)
-	defer j3.Close()
-	j3.Snapshot(6, dst)
-	if dst[0] != journalVec(4, 7)[0] {
-		t.Error("post-replay append lost after second reopen")
-	}
-}
-
-func TestSpillJournalCrashTailTruncated(t *testing.T) {
+// checkReopenResets appends under geometry 8x4, closes, lets damage
+// loose on the file and reopens at vector length vlen: the journal's
+// records were the vectors of the process that appended them, so the
+// reopen must come up empty with the file back at its header, and new
+// appends must land on that clean boundary.
+func checkReopenResets(t *testing.T, vlen int, damage func(path string, size int64) error) {
+	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spill.jrnl")
 	j := openTestJournal(t, dir, 8, 4)
-	j.Append(1, journalVec(4, 1))
 	j.Append(2, journalVec(4, 2))
+	j.Append(6, journalVec(4, 6))
 	j.Close()
-
-	// Simulate a torn final record: chop off its trailing CRC bytes.
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-5); err != nil {
-		t.Fatal(err)
+	if damage != nil {
+		if err := damage(path, info.Size()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	j2 := openTestJournal(t, dir, 8, 4)
+
+	j2 := openTestJournal(t, dir, 8, vlen)
 	defer j2.Close()
-	if got := j2.Pending(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Pending after torn tail = %v, want [1]", got)
+	if j2.Depth() != 0 || j2.Has(2) {
+		t.Fatalf("reopened journal holds %v from the earlier process", j2.Pending())
 	}
-	// The tail is gone from the file too, so new appends land cleanly.
-	if err := j2.Append(3, journalVec(4, 3)); err != nil {
+	if info, err = os.Stat(path); err != nil || info.Size() != spillHeaderSize {
+		t.Fatalf("reopened journal is %d bytes (err %v), want header-only %d", info.Size(), err, spillHeaderSize)
+	}
+	if err := j2.Append(3, journalVec(vlen, 3)); err != nil {
 		t.Fatal(err)
 	}
-	j2.Close()
-	j3 := openTestJournal(t, dir, 8, 4)
-	defer j3.Close()
-	if got := j3.Pending(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Pending after recovery append = %v, want [1 3]", got)
+	dst := make([]float64, vlen)
+	if !j2.Snapshot(3, dst) || dst[0] != journalVec(vlen, 3)[0] {
+		t.Error("append after reopen not served back")
 	}
 }
 
+// A cleanly closed journal with pending records.
+func TestSpillJournalReopenResets(t *testing.T) { checkReopenResets(t, 4, nil) }
+
+// A crashed process's torn final record goes with everything else.
+func TestSpillJournalCrashTailTruncated(t *testing.T) {
+	checkReopenResets(t, 4, func(path string, size int64) error { return os.Truncate(path, size-5) })
+}
+
+// So does a record whose payload rotted on disk.
 func TestSpillJournalCorruptRecordDropped(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "spill.jrnl")
-	j := openTestJournal(t, dir, 8, 4)
-	j.Append(1, journalVec(4, 1))
-	j.Append(2, journalVec(4, 2))
-	j.Close()
-
-	// Flip a payload byte in the LAST record: its CRC fails, so replay
-	// keeps the first record and truncates from the damage on.
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, _ := f.Stat()
-	recSize := int64(spillRecHdrSize + 4*8 + 8)
-	if _, err := f.WriteAt([]byte{0xFF}, info.Size()-recSize+spillRecHdrSize); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	j2 := openTestJournal(t, dir, 8, 4)
-	defer j2.Close()
-	if got := j2.Pending(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Pending after corrupt record = %v, want [1]", got)
-	}
+	checkReopenResets(t, 4, func(path string, size int64) error {
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		_, err = f.WriteAt([]byte{0xFF}, size-(4*8+8)) // first payload byte of the last record
+		return err
+	})
 }
 
-func TestSpillJournalGeometryMismatchResets(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir, 8, 4)
-	j.Append(1, journalVec(4, 1))
-	j.Close()
-
-	// Same path, different geometry: the journal belongs to another run
-	// and must come up empty rather than replay foreign bytes.
-	j2 := openTestJournal(t, dir, 8, 6)
-	defer j2.Close()
-	if j2.Depth() != 0 {
-		t.Fatalf("geometry-mismatched journal replayed %d vectors", j2.Depth())
-	}
-}
+// Same path, different geometry.
+func TestSpillJournalGeometryMismatchResets(t *testing.T) { checkReopenResets(t, 6, nil) }
 
 func TestSpillJournalDrainTruncatesToHeader(t *testing.T) {
 	dir := t.TempDir()

@@ -91,13 +91,6 @@ type Config struct {
 	// the synchronous demand path and in the async pipeline workers
 	// alike. The zero value disables retries.
 	Retry RetryPolicy
-
-	// SyncWrites asks Flush to also push the backing store's own
-	// buffers to stable storage (fsync for a FileStore, a full
-	// write-back drain for a TieredStore) before returning. Checkpoint
-	// and park paths set this so "flushed" means "durable", not merely
-	// "handed to the store".
-	SyncWrites bool
 }
 
 // fetchQueuePerWorker bounds the prefetches waiting for a fetch worker
@@ -348,8 +341,21 @@ func (m *Manager) stall(f func() error) error {
 	return err
 }
 
+// unreadable applies the one rule for a read the store cannot serve
+// right now — retries exhausted on transient I/O, or the remote circuit
+// open: the error is wrapped in a VectorReadError so the engine can
+// recompute vector vi instead of failing the pass. Anything else (nil
+// included) passes through.
+func unreadable(vi int, err error) error {
+	if err != nil && (IsTransient(err) || IsCircuitOpen(err)) {
+		return &VectorReadError{Vi: vi, Err: err}
+	}
+	return err
+}
+
 // joinSlot waits for the background fetch still filling slot s (if
-// any) and returns its error. The wait is charged as stall time. A
+// any) and returns its error, under the same rule as a demand read. The
+// wait is charged as stall time. A
 // successful join is where a background prefetch lands in the ledgers:
 // Reads/BytesRead must reflect fetches that completed, not fetches that
 // were merely enqueued, so that a failed fetch leaves the counters
@@ -373,26 +379,20 @@ func (m *Manager) joinSlot(s int) error {
 		m.traceSpan(obs.OpJoinWait, f.vi, s, start, wait)
 	}
 	m.span.EmitChild("ooc.join_wait", start, wait, obs.Attr{Key: "vid", Int: int64(f.vi)})
-	return f.err
+	return unreadable(f.vi, f.err)
 }
 
 // demandRead reads vi into dst on the compute thread, retrying
 // transient errors per the configured policy. Under the async pipeline
-// it consults the write queue first (read-after-write). A read the
-// store cannot serve right now — retries exhausted on transient I/O,
-// or the remote circuit open — is wrapped in a VectorReadError so the
-// engine can recompute the vector instead of failing the pass.
+// it consults the write queue first (read-after-write). What the store
+// still cannot serve comes back as unreadable.
 func (m *Manager) demandRead(vi int, dst []float64) error {
-	err := m.cfg.Retry.runCtx(m.ctx, &m.retried, func() error {
+	return unreadable(vi, m.cfg.Retry.runCtx(m.ctx, &m.retried, func() error {
 		if m.pipe != nil {
 			return m.pipe.readThrough(vi, dst)
 		}
 		return m.cfg.Store.ReadVector(vi, dst)
-	})
-	if err != nil && (IsTransient(err) || IsCircuitOpen(err)) {
-		return &VectorReadError{Vi: vi, Err: err}
-	}
-	return err
+	}))
 }
 
 // storeWrite writes buf as vector vi on the compute thread, retrying
@@ -715,9 +715,6 @@ func (m *Manager) Flush() error {
 		m.stats.Writes++
 		m.stats.BytesWritten += int64(m.cfg.VectorLen) * 8
 		m.dirty[s] = false
-	}
-	if m.cfg.SyncWrites {
-		return SyncStore(m.cfg.Store)
 	}
 	return nil
 }

@@ -54,10 +54,14 @@ type ObjectStore struct {
 // NewObjectStore creates (truncating) the remote object for numVectors
 // vectors of vecLen float64s and returns a store over it.
 func NewObjectStore(rawURL string, numVectors, vecLen int) (*ObjectStore, error) {
-	s, err := newObjectStore(rawURL, numVectors, vecLen)
+	endpoint, err := ParseRemoteURL(rawURL)
 	if err != nil {
 		return nil, err
 	}
+	if numVectors < 1 || vecLen < 1 {
+		return nil, fmt.Errorf("ooc: remote store geometry %dx%d invalid", numVectors, vecLen)
+	}
+	s := &ObjectStore{endpoint: endpoint, n: numVectors, vecLen: vecLen, client: &http.Client{}}
 	req, err := http.NewRequest(http.MethodPut,
 		s.endpoint+"?truncate="+strconv.FormatInt(s.size(), 10), nil)
 	if err != nil {
@@ -67,49 +71,6 @@ func NewObjectStore(rawURL string, numVectors, vecLen int) (*ObjectStore, error)
 		return nil, fmt.Errorf("ooc: creating remote object: %w", err)
 	}
 	return s, nil
-}
-
-// OpenObjectStore opens an existing remote object, validating that its
-// size matches the expected geometry (the FileStore resume contract).
-func OpenObjectStore(rawURL string, numVectors, vecLen int) (*ObjectStore, error) {
-	s, err := newObjectStore(rawURL, numVectors, vecLen)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodHead, s.endpoint, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("ooc: probing remote object: %w (%v)", ErrTransientIO, err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("ooc: remote object %s: HTTP %d", rawURL, resp.StatusCode)
-	}
-	if resp.ContentLength != s.size() {
-		return nil, fmt.Errorf("ooc: remote object %s is %d bytes, geometry needs %d",
-			rawURL, resp.ContentLength, s.size())
-	}
-	return s, nil
-}
-
-func newObjectStore(rawURL string, numVectors, vecLen int) (*ObjectStore, error) {
-	endpoint, err := ParseRemoteURL(rawURL)
-	if err != nil {
-		return nil, err
-	}
-	if numVectors < 1 || vecLen < 1 {
-		return nil, fmt.Errorf("ooc: remote store geometry %dx%d invalid", numVectors, vecLen)
-	}
-	return &ObjectStore{
-		endpoint: endpoint,
-		n:        numVectors,
-		vecLen:   vecLen,
-		client:   &http.Client{},
-	}, nil
 }
 
 func (s *ObjectStore) size() int64 { return int64(s.n) * int64(s.vecLen) * 8 }

@@ -88,27 +88,6 @@ func TestObjectStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestObjectStoreOpenValidatesGeometry(t *testing.T) {
-	srv, err := remote.NewServer(remote.ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	url := srv.ObjectURL("geom")
-	if _, err := NewObjectStore(url, 4, 8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenObjectStore(url, 4, 8); err != nil {
-		t.Errorf("matching geometry must open: %v", err)
-	}
-	if _, err := OpenObjectStore(url, 5, 8); err == nil {
-		t.Error("size mismatch must fail")
-	}
-	if _, err := OpenObjectStore(srv.ObjectURL("absent"), 4, 8); err == nil {
-		t.Error("missing object must fail")
-	}
-}
-
 func TestObjectStoreTransientErrors(t *testing.T) {
 	srv, err := remote.NewServer(remote.ServerConfig{})
 	if err != nil {

@@ -264,9 +264,6 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 	}
 	h := reg.Histogram(prefix+"remote_seconds", nil)
 	ts.ObserveRemoteLatency(h.Observe)
-	if ts.WarmStart() {
-		reg.SetInfo(prefix+"warm_start", "true")
-	}
 }
 
 // InstrumentChecksumStore mirrors a checksum store's verification

@@ -109,9 +109,7 @@ type RangeStore interface {
 }
 
 // Syncer is implemented by stores that can force buffered state to
-// stable storage (FileStore fsync, ChecksumStore sidecar flush,
-// TieredStore dirty write-back). Manager.Flush calls it when
-// Config.SyncWrites is set, and the service park path relies on it.
+// stable storage (FileStore fsync, TieredStore dirty write-back).
 type Syncer interface {
 	Sync() error
 }

@@ -8,7 +8,6 @@
 //
 // Protocol (all under /o/<name>):
 //
-//	HEAD /o/<name>                     -> 200 + Content-Length, 404 if absent
 //	PUT  /o/<name>?truncate=<bytes>    -> create/resize to <bytes> (zero fill)
 //	PUT  /o/<name>  Content-Range: bytes a-b/*   body = b-a+1 bytes at offset a
 //	GET  /o/<name>  Range: bytes=a-b   -> 206 partial content
@@ -164,18 +163,6 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	switch r.Method {
-	case http.MethodHead:
-		s.mu.Lock()
-		obj, ok := s.objects[name]
-		n := len(obj)
-		s.mu.Unlock()
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Length", strconv.Itoa(n))
-		w.WriteHeader(http.StatusOK)
-
 	case http.MethodGet:
 		s.handleGet(w, r, name, fault)
 

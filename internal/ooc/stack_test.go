@@ -31,33 +31,20 @@ func openFilesUnder(dir string) []string {
 }
 
 // TestOpenStack is the builder's table: {local file, remote loopback} ×
-// {Verify on, off} × what the previous run left behind. It pins the
-// chain shape, the adoption decision and its notes, that a failed
-// adoption still yields a usable fresh stack, that a precision mismatch
-// fails before anything is touched, and that Close releases every file
-// and removes exactly the temp paths OpenStack created.
+// {Verify on, off} × {nothing on disk, a previous stack's leftovers,
+// leftovers written at the other precision — half the vector length}.
+// It pins the chain shape, that leftovers change nothing — the stack
+// opens fresh and cold over them, at whatever geometry it is asked for
+// — that only the vector/cache file and the journal are ever created,
+// and that Close releases every file and removes exactly the temp paths
+// OpenStack created.
 func TestOpenStack(t *testing.T) {
 	const n, vecLen = 6, 5
-	scenarios := []struct {
-		name string
-		// broken scenarios damage the sidecar or manifest and so need Verify.
-		broken bool
-	}{
-		{"fresh", false},
-		{"adopt ok", false},
-		{"sidecar missing", true},
-		{"sidecar not cleanly closed", true},
-		{"manifest generation mismatch", true},
-		{"precision mismatch", false},
-	}
 	for _, medium := range []string{"local", "remote"} {
 		for _, verify := range []bool{true, false} {
-			for _, sc := range scenarios {
-				if sc.broken && !verify {
-					continue
-				}
-				isRemote, sc := medium == "remote", sc
-				t.Run(fmt.Sprintf("%s/verify=%v/%s", medium, verify, sc.name), func(t *testing.T) {
+			for _, scenario := range []string{"fresh", "leftover", "precision mismatch"} {
+				isRemote, leftover := medium == "remote", scenario != "fresh"
+				t.Run(fmt.Sprintf("%s/verify=%v/%s", medium, verify, scenario), func(t *testing.T) {
 					dir := t.TempDir()
 					tmp := filepath.Join(dir, "tmp")
 					if err := os.Mkdir(tmp, 0o755); err != nil {
@@ -68,103 +55,41 @@ func TestOpenStack(t *testing.T) {
 						TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen},
 						Verify:       verify, CrashAfter: 1 << 40,
 					}
-					var srv *remote.Server
 					if isRemote {
-						var err error
-						if srv, err = remote.NewServer(remote.ServerConfig{}); err != nil {
+						srv, err := remote.NewServer(remote.ServerConfig{})
+						if err != nil {
 							t.Fatal(err)
 						}
 						defer srv.Close()
 						spec.URL = srv.ObjectURL("obj")
 					}
-					// snapshot renders the medium's persistent state.
-					snapshot := func() string {
-						if !isRemote {
-							data, err := os.ReadFile(spec.Path)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return string(data)
-						}
-						obj, err := OpenObjectStore(spec.URL, n, vecLen)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer obj.Close()
-						v := make([]float64, vecLen)
-						if err := obj.ReadVector(2, v); err != nil {
-							t.Fatal(err)
-						}
-						return fmt.Sprint(srv.Size("obj"), v)
-					}
 
 					kept := "" // the caller-supplied path Close must leave alone
-					if sc.name != "fresh" {
-						// The previous run: explicit paths, every vector written,
-						// cleanly closed.
+					if leftover {
+						// The previous process: explicit paths, every vector
+						// written, cleanly closed.
 						if kept = filepath.Join(dir, "v.bin"); isRemote {
 							kept = filepath.Join(dir, "cache")
 							spec.CacheDir = kept
 						} else {
 							spec.Path = kept
 						}
-						prev, err := OpenStack(spec)
+						was := spec
+						if scenario == "precision mismatch" {
+							was.VectorLen = (vecLen + 1) / 2 // an f32 run's carrier
+						}
+						prev, err := OpenStack(was)
 						if err != nil {
 							t.Fatal(err)
 						}
 						for vi := 0; vi < n; vi++ {
-							if err := prev.Store.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
+							if err := prev.Store.WriteVector(vi, tierVec(was.VectorLen, vi)); err != nil {
 								t.Fatal(err)
 							}
-						}
-						spec.Adopt = true
-						if verify {
-							if err := prev.Checksum.Sync(); err != nil {
-								t.Fatal(err)
-							}
-							man := prev.Checksum.Manifest()
-							spec.Manifest = &man
 						}
 						if err := prev.Close(); err != nil {
 							t.Fatal(err)
 						}
-						switch sc.name {
-						case "sidecar missing":
-							if err := os.Remove(prev.Spec.Sidecar); err != nil {
-								t.Fatal(err)
-							}
-						case "sidecar not cleanly closed":
-							// Damage the header's checksum-of-checksums.
-							data, err := os.ReadFile(prev.Spec.Sidecar)
-							if err != nil {
-								t.Fatal(err)
-							}
-							data[32] ^= 0xff
-							if err := os.WriteFile(prev.Spec.Sidecar, data, 0o644); err != nil {
-								t.Fatal(err)
-							}
-						case "manifest generation mismatch":
-							spec.Manifest.Generation++
-						case "precision mismatch":
-							if spec.Manifest == nil {
-								spec.Manifest = &Manifest{NumVectors: n, VectorLen: vecLen}
-							}
-							spec.Manifest.Precision = "f32"
-						}
-					}
-
-					if sc.name == "precision mismatch" {
-						before := snapshot()
-						if _, err := OpenStack(spec); !IsPrecisionMismatch(err) {
-							t.Fatalf("err = %v, want a precision mismatch", err)
-						}
-						if after := snapshot(); after != before {
-							t.Error("a precision mismatch modified the stored vectors")
-						}
-						if open := openFilesUnder(dir); len(open) != 0 {
-							t.Errorf("failed open left files open: %v", open)
-						}
-						return
 					}
 
 					st, err := OpenStack(spec)
@@ -195,34 +120,19 @@ func TestOpenStack(t *testing.T) {
 					if (st.Checksum != nil) != verify || (st.Tier != nil) != isRemote || (st.Remote != nil) != isRemote || st.Fault != nil {
 						t.Errorf("layers: checksum %v tier %v remote %v fault %v", st.Checksum != nil, st.Tier != nil, st.Remote != nil, st.Fault != nil)
 					}
-					adoptOK, leftover := sc.name == "adopt ok", sc.name != "fresh"
-					if st.Adopted != adoptOK {
-						t.Errorf("Adopted = %v, want %v", st.Adopted, adoptOK)
-					}
-					if isRemote && st.Tier.WarmStart() != leftover {
-						t.Errorf("WarmStart = %v, want %v", st.Tier.WarmStart(), leftover)
-					}
-					notes := strings.Join(st.Notes, "\n")
-					for sub, want := range map[string]bool{
-						"validated against checkpoint manifest": adoptOK && verify,
-						"not reusable":                          sc.broken,
-						"rebuilding store":                      sc.broken,
-						"Adopting existing remote object":       isRemote && leftover,
-						"Warm start:":                           isRemote && leftover,
-						"Cache tier:":                           isRemote,
-					} {
-						if strings.Contains(notes, sub) != want {
-							t.Errorf("note %q present = %v, want %v; notes:\n%s", sub, !want, want, notes)
-						}
+					if notes := strings.Join(st.Notes, "\n"); isRemote != strings.HasPrefix(notes, "Cache tier:") || strings.Contains(notes, "\n") {
+						t.Errorf("notes = %q, want the cache tier's line over a remote and nothing else", notes)
 					}
 
+					// Fresh and cold whatever was left: the file is truncated,
+					// the cache holds nothing.
 					got := make([]float64, vecLen)
-					if adoptOK {
-						if err := st.Store.ReadVector(2, got); err != nil || !reflect.DeepEqual(got, tierVec(vecLen, 2)) {
-							t.Errorf("adopted vector 2 = %v (err %v), want the previous run's", got, err)
+					if isRemote {
+						if _, remote := st.Tier.FetchCost(2); !remote {
+							t.Error("vector 2 is cached in a tier that was just opened")
 						}
-					} else if verify && st.Checksum.Manifest().Generation != 0 {
-						t.Errorf("sidecar generation %d, want a fresh sidecar", st.Checksum.Manifest().Generation)
+					} else if err := st.Store.ReadVector(2, got); err != nil || !reflect.DeepEqual(got, make([]float64, vecLen)) {
+						t.Errorf("never-written vector 2 = %v (err %v), want a truncated file's zeros", got, err)
 					}
 					if err := st.Store.WriteVector(1, tierVec(vecLen, 77)); err != nil {
 						t.Fatal(err)
@@ -241,8 +151,19 @@ func TestOpenStack(t *testing.T) {
 						t.Errorf("Close left %d temp entries behind", len(ents))
 					}
 					if kept != "" {
-						if _, err := os.Stat(kept); err != nil {
-							t.Errorf("Close removed the caller's %s: %v", kept, err)
+						var files []string
+						filepath.WalkDir(dir, func(path string, d os.DirEntry, _ error) error {
+							if !d.IsDir() {
+								files = append(files, strings.TrimPrefix(path, dir+"/"))
+							}
+							return nil
+						})
+						want := []string{"v.bin"}
+						if isRemote {
+							want = []string{"cache/cache.vec", "cache/spill.jrnl"}
+						}
+						if !reflect.DeepEqual(files, want) {
+							t.Errorf("files on disk after Close = %v, want exactly %v", files, want)
 						}
 					}
 				})

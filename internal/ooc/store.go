@@ -167,37 +167,12 @@ func NewFileStore(path string, numVectors, vecLen int) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("ooc: sizing backing file: %w", err)
 	}
-	return newFileStore(f, numVectors, vecLen), nil
-}
-
-func newFileStore(f *os.File, numVectors, vecLen int) *FileStore {
 	s := &FileStore{f: f, vecLen: vecLen, n: numVectors}
 	s.codecs.New = func() any {
 		b := make([]byte, vecLen*8)
 		return &b
 	}
-	return s
-}
-
-// OpenFileStore opens an existing backing file without truncating it,
-// validating that its size matches the expected geometry. Used when a
-// resumed run wants to keep (and verify) the previous run's vectors.
-func OpenFileStore(path string, numVectors, vecLen int) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ooc: opening backing file: %w", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ooc: sizing backing file: %w", err)
-	}
-	want := int64(numVectors) * int64(vecLen) * 8
-	if info.Size() != want {
-		f.Close()
-		return nil, fmt.Errorf("ooc: backing file %s is %d bytes, geometry needs %d", path, info.Size(), want)
-	}
-	return newFileStore(f, numVectors, vecLen), nil
+	return s, nil
 }
 
 // ReadVector implements Store via a single positioned read.
@@ -259,10 +234,7 @@ func (s *FileStore) WriteVector(vi int, src []float64) error {
 // Close implements Store.
 func (s *FileStore) Close() error { return s.f.Close() }
 
-// Sync forces written vectors to stable storage (fsync). Manager.Flush
-// calls it when Config.SyncWrites is set; without it a write-back that
-// only reached the page cache can be lost on power failure, voiding
-// the cache tier's crash-safety claim.
+// Sync forces written vectors to stable storage (fsync).
 func (s *FileStore) Sync() error { return s.f.Sync() }
 
 // ReadRange implements RangeStore: one positioned read covers all

@@ -6,7 +6,7 @@ package ooc
 //	RAM slots (ooc.Manager)
 //	   │ miss / write-back
 //	   ▼
-//	local write-back cache  — bounded FileStore + CRC64 sidecar in
+//	local write-back cache  — bounded, CRC64-checked FileStore in
 //	   │                      CacheDir; LRU; dirty vectors pushed to
 //	   │ miss / dirty evict   the remote tier BEFORE the slot is reused
 //	   ▼
@@ -23,15 +23,11 @@ package ooc
 //
 // Crash safety: a dirty victim is written to the remote tier before
 // its cache slot is reused, so the cache never holds the only copy of
-// a vector while that copy is being discarded. Warm restarts are
-// opportunistic: Sync/Close persist a cache index bound to the cache
-// sidecar's manifest; on open, any mismatch (torn index, unclean
-// sidecar, geometry change) discards the cache and cold-starts —
-// correctness never depends on the cache surviving.
+// a vector while that copy is being discarded. The cache always starts
+// cold: like every store, it serves only vectors this process wrote.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,8 +48,8 @@ type TieredConfig struct {
 	// NumVectors and VectorLen fix the store geometry (float64 carrier
 	// units, like every other Store).
 	NumVectors, VectorLen int
-	// CacheDir holds the cache file, its checksum sidecar and the warm
-	// index. Created if missing.
+	// CacheDir holds the cache file and, unless SpillDir says otherwise,
+	// the spill journal. Created if missing.
 	CacheDir string
 	// CacheVectors bounds the cache tier (in vectors, >= 1).
 	CacheVectors int
@@ -116,9 +112,6 @@ type TierStats struct {
 	// Evictions counts cache slots recycled; DirtyWritebacks the subset
 	// that had to push a dirty vector remote first.
 	Evictions, DirtyWritebacks int64
-	// WarmStart reports whether the cache was adopted from a previous
-	// cleanly closed run.
-	WarmStart bool
 
 	// --- Network fault tolerance ---
 
@@ -182,8 +175,6 @@ type TieredStore struct {
 	// surfaced by Sync/Close.
 	firstErr error
 
-	warm bool
-
 	// breaker (nil unless configured) guards every remote request;
 	// journal absorbs dirty write-backs the remote cannot take.
 	breaker       *Breaker
@@ -214,23 +205,9 @@ type TieredStore struct {
 	}
 }
 
-const tierIndexName = "cache.idx"
-
-// tierIndex is the warm-restart index persisted next to the cache
-// file. Manifest binds it to the exact sidecar state it was written
-// under; any divergence cold-starts the cache.
-type tierIndex struct {
-	NumVectors   int      `json:"num_vectors"`
-	VectorLen    int      `json:"vector_len"`
-	CacheVectors int      `json:"cache_vectors"`
-	Slots        []int    `json:"slots"` // slot -> vi (-1 = free)
-	Manifest     Manifest `json:"manifest"`
-}
-
-// NewTieredStore opens a tiered store over remote. If CacheDir holds a
-// cleanly closed cache from a previous run with the same geometry it
-// is adopted warm; otherwise the cache starts cold. The remote store
-// is NOT closed by Close — the caller owns it (it may be shared).
+// NewTieredStore opens a tiered store over remote with a fresh, cold
+// cache file in CacheDir. The remote store is NOT closed by Close — the
+// caller owns it (it may be shared).
 func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -247,12 +224,19 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		dirty:  make([]bool, cfg.CacheVectors),
 		wb:     make(map[int]*tierWB),
 	}
-	for i := range s.viOf {
-		s.viOf[i] = -1
+	for slot := cfg.CacheVectors - 1; slot >= 0; slot-- {
+		s.viOf[slot] = -1
+		s.free = append(s.free, slot)
 	}
-	if err := s.openCache(); err != nil {
+	cache, err := OpenStack(StackSpec{
+		TieredConfig: TieredConfig{NumVectors: cfg.CacheVectors, VectorLen: cfg.VectorLen},
+		Path:         filepath.Join(cfg.CacheDir, "cache.vec"),
+		Verify:       true,
+	})
+	if err != nil {
 		return nil, err
 	}
+	s.cache = cache.Checksum
 	if cfg.Breaker.Threshold > 0 {
 		s.breaker = NewBreaker(cfg.Breaker)
 		s.breaker.OnTransition(s.noteBreakerTransition)
@@ -263,24 +247,11 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 			return nil, fmt.Errorf("ooc: creating spill dir: %w", err)
 		}
 	}
-	j, err := OpenSpillJournal(filepath.Join(cfg.SpillDir, spillJournalName), cfg.NumVectors, cfg.VectorLen)
+	s.journal, err = OpenSpillJournal(filepath.Join(cfg.SpillDir, spillJournalName), cfg.NumVectors, cfg.VectorLen)
 	if err != nil {
 		s.cache.Close()
 		return nil, err
 	}
-	if !s.warm && j.Depth() > 0 {
-		// Cold start: the cache (and any journal written alongside it)
-		// belongs to a run whose state is being rebuilt from scratch —
-		// replaying its spilled vectors into the fresh object would
-		// resurrect another run's bytes. A crashed outage-run loses
-		// nothing here: it restarts from a checkpoint and recomputes.
-		if err := j.Reset(); err != nil {
-			j.Close()
-			s.cache.Close()
-			return nil, err
-		}
-	}
-	s.journal = j
 	return s, nil
 }
 
@@ -308,50 +279,6 @@ func (s *TieredStore) noteBreakerTransition(from, to BreakerState) {
 		ev.End()
 	}
 }
-
-// openCache adopts a warm cache when the on-disk index and sidecar
-// agree, else creates a fresh (cold) cache. The index file is removed
-// either way: it only ever describes a cleanly closed cache, so its
-// absence is the crash marker.
-func (s *TieredStore) openCache() error {
-	idxPath := filepath.Join(s.cfg.CacheDir, tierIndexName)
-	idx, ok := s.loadIndex(idxPath)
-	os.Remove(idxPath)
-	st, err := OpenStack(StackSpec{
-		TieredConfig: TieredConfig{NumVectors: s.cfg.CacheVectors, VectorLen: s.cfg.VectorLen},
-		Path:         filepath.Join(s.cfg.CacheDir, "cache.vec"),
-		Verify:       true, Adopt: ok, Manifest: &idx.Manifest,
-	})
-	if err != nil {
-		return err
-	}
-	s.cache, s.warm = st.Checksum, st.Adopted
-	for slot := s.cfg.CacheVectors - 1; slot >= 0; slot-- {
-		if s.warm && idx.Slots[slot] >= 0 {
-			s.viOf[slot] = idx.Slots[slot]
-			s.slotOf[idx.Slots[slot]] = slot
-		} else {
-			s.free = append(s.free, slot)
-		}
-	}
-	return nil
-}
-
-// loadIndex reads the warm index; ok reports that it parsed and matches
-// this store's geometry (the zero index otherwise).
-func (s *TieredStore) loadIndex(path string) (idx tierIndex, ok bool) {
-	data, err := os.ReadFile(path)
-	if err != nil || json.Unmarshal(data, &idx) != nil ||
-		idx.NumVectors != s.cfg.NumVectors || idx.VectorLen != s.cfg.VectorLen ||
-		idx.CacheVectors != s.cfg.CacheVectors || len(idx.Slots) != s.cfg.CacheVectors ||
-		idx.Manifest.Precision != "" { // the cache sidecar is never precision-tagged
-		return tierIndex{}, false
-	}
-	return idx, true
-}
-
-// WarmStart reports whether the cache was adopted from a previous run.
-func (s *TieredStore) WarmStart() bool { return s.warm }
 
 // SetSpan attributes subsequent tier activity (remote fetch/write-back
 // spans) to the given request span; nil detaches. Safe to call from
@@ -385,7 +312,6 @@ func (s *TieredStore) Stats() TierStats {
 		Coalesced:            s.st.coalesced.Load(),
 		Evictions:            s.st.evictions.Load(),
 		DirtyWritebacks:      s.st.dirtyWritebacks.Load(),
-		WarmStart:            s.warm,
 		RemoteErrors:         s.st.remoteErrors.Load(),
 		RemoteRetries:        s.retriedRemote.Load(),
 		JournalHits:          s.st.journalHits.Load(),
@@ -495,8 +421,8 @@ func (s *TieredStore) WriteVector(vi int, src []float64) error {
 }
 
 // Close waits out a background journal drain, pushes dirty state
-// remote, seals the cache (sidecar + warm index) and closes it. The
-// remote store stays open — the caller owns it.
+// remote and closes the cache. The remote store stays open — the caller
+// owns it.
 func (s *TieredStore) Close() error {
 	s.closing.Store(true)
 	s.bg.Wait()
@@ -513,8 +439,7 @@ func (s *TieredStore) Close() error {
 }
 
 // Sync pushes every dirty cached vector to the remote tier (coalescing
-// adjacent runs into ranged writes), syncs the cache file + sidecar,
-// and persists the warm-restart index. Callers must be quiesced (no
+// adjacent runs into ranged writes). Callers must be quiesced (no
 // concurrent reads/writes), the same contract as Manager.Flush.
 func (s *TieredStore) Sync() error {
 	s.mu.Lock()
@@ -611,37 +536,7 @@ func (s *TieredStore) Sync() error {
 	if err := SyncStore(s.remote); err != nil && first == nil && !IsTransient(err) && !IsCircuitOpen(err) {
 		first = err
 	}
-	if err := s.cache.Sync(); err != nil && first == nil {
-		first = err
-	}
-	if first == nil {
-		first = s.writeIndex()
-	}
 	return first
-}
-
-// writeIndex persists the warm-restart index, bound to the sidecar's
-// current manifest, with a temp-file rename so it is atomic.
-func (s *TieredStore) writeIndex() error {
-	s.mu.Lock()
-	idx := tierIndex{
-		NumVectors:   s.cfg.NumVectors,
-		VectorLen:    s.cfg.VectorLen,
-		CacheVectors: s.cfg.CacheVectors,
-		Slots:        append([]int(nil), s.viOf...),
-		Manifest:     s.cache.Manifest(),
-	}
-	s.mu.Unlock()
-	data, err := json.Marshal(idx)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.cfg.CacheDir, tierIndexName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("ooc: writing cache index: %w", err)
-	}
-	return os.Rename(tmp, path)
 }
 
 // FetchCost implements FetchCoster: a cached, write-back-pending or

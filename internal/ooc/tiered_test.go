@@ -104,85 +104,6 @@ func TestTieredStoreCoalescing(t *testing.T) {
 	}
 }
 
-func TestTieredStoreWarmRestart(t *testing.T) {
-	const n, vecLen = 12, 8
-	srv, err := remote.NewServer(remote.ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	obj, err := NewObjectStore(srv.ObjectURL("warm"), n, vecLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cfg := TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: n}
-
-	ts, err := NewTieredStore(obj, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for vi := 0; vi < n; vi++ {
-		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen over the same cache dir: warm — every read is a cache hit.
-	ts2, err := NewTieredStore(obj, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ts2.WarmStart() {
-		t.Fatal("cleanly closed cache should reopen warm")
-	}
-	opsBefore := srv.Clock().Ops()
-	buf := make([]float64, vecLen)
-	for vi := 0; vi < n; vi++ {
-		if err := ts2.ReadVector(vi, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != float64(vi*1000) {
-			t.Fatalf("warm read of vector %d wrong: %v", vi, buf[0])
-		}
-	}
-	if got := srv.Clock().Ops(); got != opsBefore {
-		t.Errorf("warm reads went remote: %d ops before, %d after", opsBefore, got)
-	}
-	if st := ts2.Stats(); st.CacheHits != n {
-		t.Errorf("cache hits = %d, want %d", st.CacheHits, n)
-	}
-	if err := ts2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A torn index (crash marker) cold-starts instead of trusting the
-	// cache — and the data still comes back, from the remote tier.
-	if err := os.WriteFile(filepath.Join(dir, "cache.idx"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ts3, err := NewTieredStore(obj, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts3.WarmStart() {
-		t.Error("torn index must cold-start")
-	}
-	if err := ts3.ReadVector(5, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 5000 {
-		t.Errorf("cold read of vector 5 = %v, want 5000", buf[0])
-	}
-	if st := ts3.Stats(); st.RemoteReads == 0 {
-		t.Error("cold start must fetch from the remote tier")
-	}
-	ts3.Close()
-}
-
 func TestTieredStoreFetchCost(t *testing.T) {
 	const n, vecLen = 10, 4
 	ts, _, _ := newTierFixture(t, n, vecLen, 2, iosim.Device{})
@@ -393,10 +314,10 @@ func TestTieredStoreRefetchesCorruptCleanCopy(t *testing.T) {
 // run seeded random write / read / re-read sequences on disjoint
 // vectors over a cache far smaller than the working set and a
 // latency-injected loopback remote, interleaved (while quiesced) with
-// Sync, Close and warm reopen, and every read is checked against a
-// plain map. Properties: read-your-writes through eviction, write-back
-// and reopen; nothing lost when the cache directory is gone; and a miss
-// is exactly one remote request.
+// Sync, Close and (cold) reopen over the same remote object, and every
+// read is checked against a plain map. Properties: read-your-writes
+// through eviction, write-back and reopen; nothing lost when the cache
+// is gone; and a miss is exactly one remote request.
 func TestTieredStoreModel(t *testing.T) {
 	const n, vecLen, cacheVecs, workers, rounds, steps = 24, 8, 5, 3, 12, 40
 	srv, err := remote.NewServer(remote.ServerConfig{
@@ -411,13 +332,10 @@ func TestTieredStoreModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: t.TempDir(), CacheVectors: cacheVecs}
-	open := func(wantWarm bool) *TieredStore {
+	open := func() *TieredStore {
 		ts, err := NewTieredStore(obj, cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if ts.WarmStart() != wantWarm {
-			t.Fatalf("reopen warm = %v, want %v", ts.WarmStart(), wantWarm)
 		}
 		return ts
 	}
@@ -441,7 +359,7 @@ func TestTieredStoreModel(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(22))
-	ts := open(false)
+	ts := open()
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		for g := 0; g < workers; g++ {
@@ -489,7 +407,7 @@ func TestTieredStoreModel(t *testing.T) {
 			if err := ts.Close(); err != nil {
 				t.Fatal(err)
 			}
-			ts = open(true)
+			ts = open()
 		}
 	}
 	missesAreGets(ts)

@@ -9,9 +9,11 @@ package plf
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"oocphylo/internal/ooc"
 	"oocphylo/internal/tree"
 )
 
@@ -119,24 +121,101 @@ func TestDegradedModeConvertsRemoteReads(t *testing.T) {
 	}
 }
 
+// flakyStore fails the next read of each marked vector once, the way a
+// tiered store does while its circuit is open. Reads arrive from the
+// manager's fetch workers, hence the lock.
+type flakyStore struct {
+	ooc.Store
+	mu       sync.Mutex
+	failOnce map[int]bool
+	failures int
+}
+
+func (s *flakyStore) ReadVector(vi int, dst []float64) error {
+	s.mu.Lock()
+	fail := s.failOnce[vi]
+	if fail {
+		delete(s.failOnce, vi)
+		s.failures++
+	}
+	s.mu.Unlock()
+	if fail {
+		return fmt.Errorf("test: vector %d: %w", vi, ooc.ErrCircuitOpen)
+	}
+	return s.Store.ReadVector(vi, dst)
+}
+
 // TestUnreadableVectorRecoveredMidPass covers the breaker tripping (or
 // retries exhausting) in the middle of a pass: reads failing with a
 // FailedVector error are invalidated and recomputed from their
-// children, and the evaluation still lands bit-identical.
+// children, and the evaluation still lands bit-identical. The sync row
+// fails each read at its own step through a scripted provider; the
+// async row runs a real out-of-core manager whose fetch workers stage
+// the plan's reads, so a failed read surfaces at the join — inside the
+// parent's newview — and must come back under the same rule.
 func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
-	tr, e, prov := outageRig(t, 37, 16)
-	edge := tr.Edges[len(tr.Edges)/3]
+	t.Run("sync", func(t *testing.T) {
+		tr, e, prov := outageRig(t, 37, 16)
+		edge := tr.Edges[len(tr.Edges)/3]
+		failAll := func() {
+			// Every inner vector's next read fails exactly once — the
+			// worst mid-pass outage the recovery budget must absorb
+			// (recomputes ground at tips, which are always local).
+			for vi := 0; vi < tr.NumInner(); vi++ {
+				prov.failOnce[vi] = true
+			}
+		}
+		checkUnreadableRecovered(t, e, edge, edge, failAll, func() int { return prov.failures })
+	})
+	t.Run("async", func(t *testing.T) {
+		tr, e, _ := outageRig(t, 37, 16)
+		n := tr.NumInner()
+		store := &flakyStore{Store: ooc.NewMemStore(n, e.vecLen), failOnce: map[int]bool{}}
+		mgr, err := ooc.NewManager(ooc.Config{
+			NumVectors: n, VectorLen: e.vecLen, Slots: 4,
+			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store, Async: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		if e, err = New(tr, e.P, e.M, mgr); err != nil {
+			t.Fatal(err)
+		}
+		e.EnablePrefetch(true)
+		failAll := func() {
+			store.mu.Lock()
+			for vi := 0; vi < n; vi++ {
+				store.failOnce[vi] = true
+			}
+			store.mu.Unlock()
+		}
+		failures := func() int {
+			store.mu.Lock()
+			defer store.mu.Unlock()
+			return store.failures
+		}
+		// Four slots over fourteen vectors: hopping to the far edge and
+		// back re-reads evicted subtree roots from the store.
+		checkUnreadableRecovered(t, e, tr.Edges[0], tr.Edges[len(tr.Edges)-1], failAll, failures)
+		if mgr.PipelineStats().JoinedFetches == 0 {
+			t.Error("no demand access joined a staged read: the async path was not exercised")
+		}
+	})
+}
+
+// checkUnreadableRecovered evaluates at edge, moves the engine away to
+// via, arms the outage and evaluates at edge again.
+func checkUnreadableRecovered(t *testing.T, e *Engine, edge, via *tree.Edge, failAll func(), failures func() int) {
+	t.Helper()
 	want, err := e.LogLikelihoodAt(edge)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Every inner vector's next read fails exactly once — the worst
-	// mid-pass outage the recovery budget must absorb (recomputes
-	// ground at tips, which are always local).
-	for vi := 0; vi < tr.NumInner(); vi++ {
-		prov.failOnce[vi] = true
+	if _, err := e.LogLikelihoodAt(via); err != nil {
+		t.Fatal(err)
 	}
+	failAll()
 	got, err := e.LogLikelihoodAt(edge)
 	if err != nil {
 		t.Fatalf("pass failed despite recovery path: %v", err)
@@ -144,7 +223,7 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 	if got != want {
 		t.Fatalf("recovered likelihood %v != clean %v (must be bit-identical)", got, want)
 	}
-	if prov.failures == 0 {
+	if failures() == 0 {
 		t.Fatal("injection never fired — the pass read nothing")
 	}
 	if e.Stats.Recoveries == 0 {

@@ -18,13 +18,12 @@ import (
 // The VectorProvider interface stays float64-typed: providers hand out
 // "carrier" pages of float64s and never inspect the elements, so the
 // whole ooc stack (slot manager, async pipeline, file stores, CRC64
-// sidecars, live resizing) works unchanged at either precision. In f32
+// checksums, live resizing) works unchanged at either precision. In f32
 // mode a logical vector of L float32s travels in a carrier of
 // ceil(L/2) float64s — the same bytes, reinterpreted — and the engine
 // views each carrier through vecView. A file store sized on the
 // carrier geometry therefore persists exactly 4·L (+4 if L is odd)
-// bytes per vector: the manifest-visible halving the -precision flag
-// promises.
+// bytes per vector: the halving the -precision flag promises.
 //
 // Determinism contract per precision (the paper's §4.1 exactness
 // criterion, applied mode-wise): within one precision, results are

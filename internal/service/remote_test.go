@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -23,8 +22,8 @@ import (
 // story: a session whose vectors live on a (latency-injected, loopback)
 // object store is parked, the daemon dies, the local cache tier is
 // WIPED — and a fresh daemon over the same data directory still revives
-// the session bit-identically, refetching the vectors from the remote
-// tier under the park manifest's checksums.
+// the session bit-identically: it needs nothing of the parked store,
+// every vector is recomputed.
 func TestServiceRemoteStoreParkRevive(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, vecBytes, need := writeTestAlignment(t, dir, 12, 300, 11)
@@ -58,15 +57,15 @@ func TestServiceRemoteStoreParkRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.Close(); err != nil { // parks: flush + sync through the tier
+	if err := srv1.Close(); err != nil { // parks: checkpoint, then the tier closes
 		t.Fatalf("close: %v", err)
 	}
-	// Park pushed every vector remote.
+	// The object was sized at create and outlives the daemon.
 	if got := rsrv.Size("wan.vec"); got <= 0 {
 		t.Fatalf("remote object empty after park: %d bytes", got)
 	}
 	// The node loses its scratch disk: local cache tier gone. The
-	// checkpoint, sidecar and alignment in DataDir survive.
+	// checkpoint and alignment in DataDir survive.
 	if err := os.RemoveAll(filepath.Join(dir, "wan.cache")); err != nil {
 		t.Fatal(err)
 	}
@@ -215,25 +214,19 @@ func TestServiceRemoteStoreNamespace(t *testing.T) {
 	}
 }
 
-// TestServiceRemoteRevivePrecisionMismatchKeepsObject pins the order of
-// the revive checks: a session parked at f64 and revived at f32 has a
-// different carrier length, so opening its remote object would fail the
-// geometry probe and re-create (truncate) it. The typed "rerun at the
-// store's precision" error must come back with the parked vectors it
-// points the user to still intact.
-func TestServiceRemoteRevivePrecisionMismatchKeepsObject(t *testing.T) {
+// TestServiceRemoteReviveAtOtherPrecision: nothing of a parked session's
+// vectors is reinterpreted on revive — they are recomputed — so a
+// session parked at f64 and revived at f32 is just an f32 run: it
+// answers, bit-identically to a fresh f32 session over the same tree.
+func TestServiceRemoteReviveAtOtherPrecision(t *testing.T) {
 	dir := t.TempDir()
-	alnPath, vecBytes, need := writeTestAlignment(t, dir, 20, 300, 23)
+	alnPath, _, need := writeTestAlignment(t, dir, 20, 300, 23)
 	rsrv, err := remote.NewServer(remote.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rsrv.Close()
-	srv, err := NewServer(ServerConfig{DataDir: dir, StoreURL: "remote://" + rsrv.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTestServer(t, ServerConfig{DataDir: filepath.Join(dir, "data"), StoreURL: "remote://" + rsrv.Addr()})
 	cfg := baseSession("prec", alnPath)
 	cfg.MemLimit = need / 4 // out of core at f32's half-size vectors too
 	ses, err := srv.CreateSession(cfg)
@@ -243,42 +236,41 @@ func TestServiceRemoteRevivePrecisionMismatchKeepsObject(t *testing.T) {
 	if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil {
 		t.Fatal(err)
 	}
+	newick, err := ses.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.ParkSession("prec"); err != nil {
 		t.Fatal(err)
 	}
 
-	size := rsrv.Size("prec.vec")
-	n, vecLen := int(size/vecBytes), int(vecBytes/8)
-	vectors := func() []float64 {
-		obj, err := ooc.OpenObjectStore(rsrv.ObjectURL("prec.vec"), n, vecLen)
-		if err != nil {
-			t.Fatalf("parked object no longer opens at its geometry: %v", err)
-		}
-		defer obj.Close()
-		all := make([]float64, n*vecLen)
-		if err := obj.ReadRange(context.Background(), 0, n, all); err != nil {
-			t.Fatal(err)
-		}
-		return all
-	}
-	before := vectors()
-
 	ses.cfg.Precision = plf.PrecisionF32 // the session is parked: nothing reads cfg until the revive below
-	if _, err := ses.Evaluate(EvalSpec{Edge: 1}); !ooc.IsPrecisionMismatch(err) {
-		t.Fatalf("revive at the wrong precision: err = %v, want a precision mismatch", err)
+	got, err := ses.Evaluate(EvalSpec{Edge: 1})
+	if err != nil {
+		t.Fatalf("revive at the other precision: %v", err)
 	}
-	if got := rsrv.Size("prec.vec"); got != size {
-		t.Fatalf("parked object resized by the refused revive: %d -> %d bytes", size, got)
+	fresh := baseSession("fresh32", alnPath)
+	fresh.MemLimit, fresh.Precision, fresh.Newick = cfg.MemLimit, plf.PrecisionF32, newick
+	fses, err := srv.CreateSession(fresh)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(vectors(), before) {
-		t.Error("parked vectors changed by the refused revive")
+	want, err := fses.Evaluate(EvalSpec{Edge: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LnLBits != want.LnLBits {
+		t.Errorf("f64 park revived at f32: %s, fresh f32 session: %s", got.LnLBits, want.LnLBits)
 	}
 }
 
 // TestServiceDeleteRemovesEveryLocalFile pins session deletion against
-// what the session's store stack put on local disk: after DELETE, the
-// data and spill directories hold nothing of the session's — active or
-// parked at the time, local file or remote store behind a cache tier.
+// what the session's store stack put on local disk: before DELETE the
+// session owns its alignment, its checkpoint once parked, the vector or
+// cache file and the journal — no checksum sidecar, no cache index —
+// and after DELETE the data and spill directories hold nothing of the
+// session's — active or parked at the time, local file or remote store
+// behind a cache tier.
 func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 	for _, medium := range []string{"local", "remote"} {
 		for _, parked := range []bool{false, true} {
@@ -310,6 +302,24 @@ func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 					if err := srv.ParkSession("gone"); err != nil {
 						t.Fatal(err)
 					}
+				}
+				var files []string
+				filepath.WalkDir(dir, func(path string, d os.DirEntry, _ error) error {
+					if rel := strings.TrimPrefix(path, dir+"/"); !d.IsDir() && rel != filepath.Base(alnPath) {
+						files = append(files, rel)
+					}
+					return nil
+				})
+				want := []string{"data/gone.aln", "data/gone.vec"}
+				if medium == "remote" {
+					want = []string{"data/gone.aln", "data/gone.cache/cache.vec", "spill/gone.spill/spill.jrnl"}
+				}
+				if parked {
+					want = append(want, "data/gone.ckpt")
+					sort.Strings(want)
+				}
+				if !reflect.DeepEqual(files, want) {
+					t.Errorf("session files = %v, want exactly %v", files, want)
 				}
 				if err := srv.DeleteSession("gone"); err != nil {
 					t.Fatal(err)
@@ -395,7 +405,7 @@ func TestServiceRegistryDoesNotLeak(t *testing.T) {
 			t.Fatalf("%d publishers after %d park/revive cycles, want %d", got, i+1, live)
 		}
 	}
-	revived := names() // may add tier.warm_start: the cache was adopted
+	revived := names()
 	for _, want := range exported {
 		if !slices.Contains(revived, want) {
 			t.Errorf("revived session no longer exports %s", want)

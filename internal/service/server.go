@@ -43,8 +43,8 @@ import (
 // ServerConfig sizes the daemon.
 type ServerConfig struct {
 	// DataDir holds per-session files: <name>.aln, <name>.ckpt,
-	// <name>.vec(+.sum). Parked sessions found here at startup are
-	// adopted and revived lazily on their next request.
+	// <name>.vec. Parked sessions found here at startup are adopted
+	// and revived lazily on their next request.
 	DataDir string
 	// MemBudget is the global ancestral-vector budget in bytes across
 	// ALL active sessions (0 = unlimited). Admission rejects sessions
@@ -60,8 +60,7 @@ type ServerConfig struct {
 	// StoreURL, when set (remote://host:port), puts every out-of-core
 	// session's vectors on that object store behind a local write-back
 	// cache in DataDir (<name>.cache/). Each session uses the object
-	// <name>.vec; checksum sidecars stay local, so park manifests
-	// verify revived remote vectors exactly as they do local files.
+	// <name>.vec.
 	StoreURL string
 	// CacheBytes bounds each session's local cache tier (0 = size the
 	// cache to hold every vector).

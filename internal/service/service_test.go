@@ -193,9 +193,9 @@ func TestServiceHypotheticalLengthAndFull(t *testing.T) {
 }
 
 // TestServiceParkReviveBitIdentical pins the park/revive cycle for an
-// out-of-core session: park writes a checkpoint + store manifest, the
-// revive adopts the backing file, and the next evaluate returns the
-// exact bits from before the park.
+// out-of-core session: park writes a checkpoint, the revive opens a
+// fresh store over the parked backing file and recomputes, and the next
+// evaluate returns the exact bits from before the park.
 func TestServiceParkReviveBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, vecBytes, need := writeTestAlignment(t, dir, 12, 300, 3)
@@ -232,6 +232,18 @@ func TestServiceParkReviveBitIdentical(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "ooc.ckpt")); err != nil {
 		t.Fatalf("park left no checkpoint: %v", err)
 	}
+	// Nothing in the parked vector file is read again: invert every bit.
+	vec := filepath.Join(dir, "ooc.vec")
+	data, err := os.ReadFile(vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] ^= 0xFF
+	}
+	if err := os.WriteFile(vec, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	after, err := c.Evaluate("ooc", EvalSpec{Edge: 1})
 	if err != nil {
@@ -252,7 +264,7 @@ func TestServiceParkReviveBitIdentical(t *testing.T) {
 // TestServiceRestartAdoptsParkedSessions pins daemon restart: a new
 // server over the same data directory lists the parked session and
 // revives it bit-identically on the next request — RAM state is fully
-// reconstructable from <name>.aln + <name>.ckpt (+ .vec for OOC).
+// reconstructable from <name>.aln + <name>.ckpt.
 func TestServiceRestartAdoptsParkedSessions(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, _, _ := writeTestAlignment(t, dir, 9, 250, 5)

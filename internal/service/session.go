@@ -10,7 +10,7 @@ package service
 // same safe points the governance layer was built around.
 //
 // A session has three states: active (engine live), parked (engine torn
-// down, exact-resume checkpoint + store manifest on disk) and closed.
+// down, exact-resume checkpoint on disk) and closed.
 // Parking is the multi-tenant memory story: an idle tenant costs disk,
 // not RAM, and the next request revives it bit-identically via the
 // checkpoint-v2 resume path (PR 5), re-admitted under whatever budget
@@ -292,16 +292,14 @@ func (s *Session) build() error {
 	if err != nil {
 		return err
 	}
-	return s.bringUp(in, nil)
+	return s.bringUp(in)
 }
 
 // bringUp sizes the vector set, asks the governor for admission, opens
-// the run and activates the session. man, when non-nil, is a park
-// checkpoint's store manifest: the parked vectors are adopted and
-// validated instead of rebuilt, so a revive reuses them byte-for-byte
-// (failed adoption rebuilds — every vector is recomputable, so it costs
-// I/O, never correctness).
-func (s *Session) bringUp(in *analysis.Inputs, man *ooc.Manifest) error {
+// the run over a fresh store and activates the session. A revive enters
+// here exactly like a create: its engine recomputes every vector before
+// reading it.
+func (s *Session) bringUp(in *analysis.Inputs) error {
 	sz, err := analysis.Size(s.cfg, in)
 	if err != nil {
 		return err
@@ -310,19 +308,15 @@ func (s *Session) bringUp(in *analysis.Inputs, man *ooc.Manifest) error {
 	if err != nil {
 		return err
 	}
-	stack := s.stackSpec()
-	stack.Adopt = man != nil
 	run, err := analysis.Open(s.cfg, analysis.Options{
 		Retries: 3,
-		// A park must survive the machine, not just the daemon.
-		SyncWrites: true,
 		// The watchdog arbitrates the GLOBAL soft heap budget from inside
 		// whichever session is computing: overshoot observed at this
 		// session's safe points sheds this session's slots first, bounded
 		// below by the floor and above by the governor's grant.
 		MemBudget: s.srv.cfg.MemBudget,
-		Stack:     stack,
-	}, in, sz, grant, man)
+		Stack:     s.stackSpec(),
+	}, in, sz, grant)
 	if err != nil {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}
@@ -342,14 +336,11 @@ func (s *Session) bringUp(in *analysis.Inputs, man *ooc.Manifest) error {
 // stackSpec describes the session's checksummed store stack: the
 // backing file under DataDir, or — when the daemon has a StoreURL — the
 // session's remote object behind a write-back cache under
-// DataDir/<name>.cache. The sidecar stays local either way, so a park
-// checkpoint's manifest verifies a revived session's remote vectors
-// exactly like a local backing file. Opening and deleting the session's
-// store both start from this one description.
+// DataDir/<name>.cache. Opening and deleting the session's store both
+// start from this one description.
 func (s *Session) stackSpec() ooc.StackSpec {
 	cfg := s.srv.cfg
-	vecPath := filepath.Join(cfg.DataDir, s.name+".vec")
-	spec := ooc.StackSpec{Path: vecPath, Sidecar: vecPath + ".sum", Verify: true}
+	spec := ooc.StackSpec{Path: filepath.Join(cfg.DataDir, s.name+".vec"), Verify: true}
 	if cfg.StoreURL != "" {
 		spec.URL = sessionObjectURL(cfg.StoreURL, s.name)
 		spec.CacheDir = filepath.Join(cfg.DataDir, s.name+".cache")
@@ -404,7 +395,7 @@ func (s *Session) ensureLive() error {
 			return fmt.Errorf("service: session %q alignment: %w", s.name, err)
 		}
 	}
-	if err := s.bringUp(&analysis.Inputs{Patterns: pats, Model: m, Tree: t}, ck.Store); err != nil {
+	if err := s.bringUp(&analysis.Inputs{Patterns: pats, Model: m, Tree: t}); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -418,9 +409,8 @@ func (s *Session) ensureLive() error {
 
 // park checkpoints the session and tears the engine down. Runs on the
 // loop goroutine; a no-op unless active. The checkpoint carries the
-// session config (so a restarted daemon can rebuild the session from
-// disk alone) and, for out-of-core sessions, the store manifest that
-// lets the revive adopt the parked backing file bit-for-bit.
+// session config, so a restarted daemon can rebuild the session from
+// disk alone.
 func (s *Session) park() error {
 	s.mu.Lock()
 	if s.state != stateActive {
@@ -439,7 +429,7 @@ func (s *Session) park() error {
 		"service.session": s.name,
 		"service.config":  string(cfgJSON),
 	}
-	if err := s.run.Snapshot(s.ckptPath, ck); err != nil {
+	if err := checkpoint.Save(s.ckptPath, ck); err != nil {
 		return err
 	}
 	s.shutdownEngine()
