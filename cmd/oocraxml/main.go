@@ -19,7 +19,7 @@
 //	oocraxml -s data.phy -f z -L 50000000 -backing vecs.bin -verify-store -io-retries 5
 //
 // With -verify-store, every vector read from the backing file is
-// verified against the CRC64 recorded (in memory) when this run wrote
+// verified against the CRC-32C recorded (in memory) when this run wrote
 // it; a corrupt vector is recomputed from its children instead of
 // failing the run. -io-retries bounds the exponential-backoff retries
 // for transient I/O errors. A run reads only vectors it wrote: -backing
@@ -502,7 +502,7 @@ func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *a
 		fmt.Fprintf(out, "Async pipeline: %d fetch workers, prefetch depth %d\n", workers, max(how.PrefetchDepth, 1))
 	}
 	if how.Stack.Verify {
-		fmt.Fprintf(out, "Integrity: per-vector CRC64 verified on every read, %d I/O retries\n", how.Retries)
+		fmt.Fprintf(out, "Integrity: per-vector CRC-32C verified on every read, %d I/O retries\n", how.Retries)
 	}
 }
 

@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"fmt"
+	"hash/crc64"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -182,6 +183,42 @@ func BenchmarkFileStoreRoundTrip(b *testing.B) {
 		}
 		if err := store.ReadVector(i%4, buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// checksumVecLens are the vector lengths (in float64s) of the three
+// out-of-core benchmark workloads: 76.8 kB, 128 kB and 153.6 kB.
+var checksumVecLens = []int{9600, 16000, 19200}
+
+var checksumSink uint64
+
+// BenchmarkVectorChecksum prices the sum every verified read and write
+// pays, next to the table-driven hash/crc64 (ECMA) it replaced. The
+// reference row lives here only, so the ratio can be re-derived on any
+// host.
+func BenchmarkVectorChecksum(b *testing.B) {
+	ecma := crc64.MakeTable(crc64.ECMA)
+	sums := []struct {
+		name string
+		sum  func([]float64) uint64
+	}{
+		{"crc32c", func(v []float64) uint64 { return uint64(vectorChecksum(v)) }},
+		{"crc64-reference", func(v []float64) uint64 { return crc64.Checksum(f64Bytes(v), ecma) }},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, vecLen := range checksumVecLens {
+		v := make([]float64, vecLen)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		for _, s := range sums {
+			b.Run(fmt.Sprintf("%s/%.1fkB", s.name, float64(vecLen)*8/1e3), func(b *testing.B) {
+				b.SetBytes(int64(vecLen) * 8)
+				for i := 0; i < b.N; i++ {
+					checksumSink += s.sum(v)
+				}
+			})
 		}
 	}
 }

@@ -8,8 +8,8 @@ package ooc
 // file adds the two pieces the store stack needs to survive them:
 //
 //   - ChecksumStore wraps any Store with an in-memory per-vector
-//     (CRC64, generation) table. Every read is verified against the
-//     checksum recorded at write time; a mismatch surfaces as a typed
+//     CRC-32C table. Every read is verified against the checksum
+//     recorded at write time; a mismatch surfaces as a typed
 //     *CorruptionError instead of silently poisoning the likelihood.
 //     The table lives and dies with the process: a process reads only
 //     vectors it wrote, so there is nothing to persist.
@@ -23,14 +23,20 @@ package ooc
 // al.) means any ancestral vector is recomputable from its children,
 // so the likelihood engine turns a *CorruptionError into a partial
 // re-traversal (see plf.Engine) — extra compute instead of a failed
-// run.
+// run. That is also why a 32-bit code is enough: the sum only has to
+// detect, never to repair, and CRC-32C (Castagnoli) is the code the CPU
+// computes itself (SSE4.2 / ARMv8 CRC instructions behind hash/crc32),
+// so a verified read or write costs memory bandwidth, not a core. It
+// catches every 1–3-bit error in a vector up to 2³¹ bits and every
+// burst of 32 bits or fewer with certainty, anything else with
+// probability 1 − 2⁻³².
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -45,12 +51,12 @@ type CorruptionError struct {
 	Vector int
 	// Want is the checksum recorded at write time; Got what the payload
 	// read back hashes to.
-	Want, Got uint64
+	Want, Got uint32
 }
 
 // Error implements error.
 func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("ooc: vector %d corrupt: checksum %016x, want %016x", e.Vector, e.Got, e.Want)
+	return fmt.Sprintf("ooc: vector %d corrupt: checksum %08x, want %08x", e.Vector, e.Got, e.Want)
 }
 
 // CorruptVector returns the corrupted vector's index. The method (not
@@ -152,46 +158,51 @@ func (rp RetryPolicy) runCtx(ctx context.Context, counter *atomic.Int64, op func
 	return err
 }
 
-// crcTable is the ECMA CRC64 table shared by all checksum operations.
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// crcTable selects CRC-32C (Castagnoli), the polynomial hash/crc32
+// computes with the CPU's CRC instruction; every sum in this package
+// goes through crc32c.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 // vectorChecksum hashes a vector's payload in its on-disk (little-
 // endian float64) representation, so the checksum is byte-exact against
 // what FileStore persists.
-func vectorChecksum(v []float64) uint64 {
+func vectorChecksum(v []float64) uint32 {
 	if hostLittleEndian {
-		return crc64.Checksum(f64Bytes(v), crcTable)
+		return crc32c(f64Bytes(v))
 	}
-	h := crc64.New(crcTable)
+	var sum uint32
 	var buf [8]byte
 	for _, x := range v {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		h.Write(buf[:])
+		sum = crc32.Update(sum, crcTable, buf[:])
 	}
-	return h.Sum64()
+	return sum
 }
 
-// ChecksumStore wraps an inner Store with per-vector CRC64 verification.
-// The (checksum, generation) tables live in memory only — 16 bytes per
-// vector, gone with the process, like every vector they describe. Reads
-// of a never-written vector are accepted as-is (a fresh backing file
+// ChecksumStore wraps an inner Store with per-vector CRC-32C
+// verification. The table lives in memory only — 8 bytes per vector,
+// gone with the process, like every vector it describes. Reads of a
+// never-written vector are accepted as-is (a fresh backing file
 // legitimately reads zeros); any other read whose payload does not hash
 // to the recorded checksum returns a *CorruptionError.
 //
 // Concurrency matches the Store contract: calls on distinct vectors are
-// safe (per-vector state lives at distinct slice indices; the
-// generation counter is atomic), concurrent operations on the same
-// vector are the caller's bug.
+// safe (per-vector state lives at distinct slice indices), concurrent
+// operations on the same vector are the caller's bug.
 type ChecksumStore struct {
-	inner  Store
-	n      int
-	vecLen int
-	sums   []uint64
-	gens   []uint64
-	gen    atomic.Uint64
+	inner Store
+	n     int
+	// sums[vi] is 0 until vi is first written, then sumRecorded|crc32c.
+	sums []uint64
 	// CorruptReads counts reads that failed verification.
 	corruptReads atomic.Int64
 }
+
+// sumRecorded marks a sums entry as set, so a vector whose CRC is 0 is
+// still told apart from one never written.
+const sumRecorded = 1 << 32
 
 // NewChecksumStore wraps an inner store holding numVectors vectors of
 // vecLen float64s. sidecarPath is accepted and ignored: the checksums
@@ -201,10 +212,7 @@ func NewChecksumStore(inner Store, sidecarPath string, numVectors, vecLen int) (
 	if numVectors < 0 || vecLen <= 0 {
 		return nil, fmt.Errorf("ooc: invalid checksum store geometry: %d vectors of %d", numVectors, vecLen)
 	}
-	return &ChecksumStore{
-		inner: inner, n: numVectors, vecLen: vecLen,
-		sums: make([]uint64, numVectors), gens: make([]uint64, numVectors),
-	}, nil
+	return &ChecksumStore{inner: inner, n: numVectors, sums: make([]uint64, numVectors)}, nil
 }
 
 // ReadVector implements Store: read through, then verify.
@@ -215,21 +223,21 @@ func (s *ChecksumStore) ReadVector(vi int, dst []float64) error {
 	if err := s.inner.ReadVector(vi, dst); err != nil {
 		return err
 	}
-	if s.gens[vi] == 0 {
+	want := s.sums[vi]
+	if want == 0 {
 		// Never written: a fresh backing file reads zeros, which is fine.
 		return nil
 	}
-	if got := vectorChecksum(dst); got != s.sums[vi] {
+	if got := vectorChecksum(dst); got != uint32(want) {
 		s.corruptReads.Add(1)
-		return &CorruptionError{Vector: vi, Want: s.sums[vi], Got: got}
+		return &CorruptionError{Vector: vi, Want: uint32(want), Got: got}
 	}
 	return nil
 }
 
 // WriteVector implements Store: write through, then record the payload's
-// checksum and a fresh generation tag. The checksum is computed from the
-// caller's payload (the write intent), so a torn write underneath is
-// caught by the next read.
+// checksum. It is computed from the caller's payload (the write intent),
+// so a torn write underneath is caught by the next read.
 func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 	if vi < 0 || vi >= s.n {
 		return fmt.Errorf("ooc: checksum store write out of range: %d", vi)
@@ -237,37 +245,17 @@ func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 	if err := s.inner.WriteVector(vi, src); err != nil {
 		return err
 	}
-	s.sums[vi], s.gens[vi] = vectorChecksum(src), s.gen.Add(1)
+	s.sums[vi] = sumRecorded | uint64(vectorChecksum(src))
 	return nil
 }
 
 // CorruptReads returns how many reads failed verification.
 func (s *ChecksumStore) CorruptReads() int64 { return s.corruptReads.Load() }
 
-// Verify scans every written vector against its recorded checksum and
-// returns the indices that fail (nil when the store is clean). Reads go
-// straight to the inner store, so Verify also exercises the medium.
-func (s *ChecksumStore) Verify() ([]int, error) {
-	buf := make([]float64, s.vecLen)
-	var bad []int
-	for vi := 0; vi < s.n; vi++ {
-		if s.gens[vi] == 0 {
-			continue
-		}
-		if err := s.inner.ReadVector(vi, buf); err != nil {
-			return bad, err
-		}
-		if vectorChecksum(buf) != s.sums[vi] {
-			bad = append(bad, vi)
-		}
-	}
-	return bad, nil
-}
-
-// MemOverheadBytes reports the checksum tables (16 bytes per vector)
-// plus whatever the inner store tracks.
+// MemOverheadBytes reports the checksum table (8 bytes per vector) plus
+// whatever the inner store tracks.
 func (s *ChecksumStore) MemOverheadBytes() int64 {
-	return int64(s.n)*16 + StoreMemOverhead(s.inner)
+	return int64(s.n)*8 + StoreMemOverhead(s.inner)
 }
 
 // Unwrap implements Unwrapper.

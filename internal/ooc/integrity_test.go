@@ -1,9 +1,11 @@
 package ooc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -151,9 +153,6 @@ func TestChecksumStoreReopen(t *testing.T) {
 	if err := cs2.ReadVector(3, got); err != nil {
 		t.Fatalf("never-written vector after reopen: %v", err)
 	}
-	if bad, err := cs2.Verify(); err != nil || bad != nil {
-		t.Errorf("Verify on fresh tables = %v, %v; want nothing to scan", bad, err)
-	}
 	// Once written through the new store the vector is verified again.
 	fillVec(buf, 3)
 	if err := cs2.WriteVector(3, buf); err != nil {
@@ -165,33 +164,128 @@ func TestChecksumStoreReopen(t *testing.T) {
 	}
 }
 
-func TestChecksumStoreVerifyScan(t *testing.T) {
-	n, vl := 5, 6
-	inner := NewMemStore(n, vl)
-	cs, err := NewChecksumStore(inner, filepath.Join(t.TempDir(), "v.sum"), n, vl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
-	buf := make([]float64, vl)
-	for vi := 0; vi < n; vi++ {
-		fillVec(buf, vi)
-		if err := cs.WriteVector(vi, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bad, err := cs.Verify()
-	if err != nil || len(bad) != 0 {
-		t.Fatalf("clean store: bad=%v err=%v", bad, err)
-	}
-	fillVec(buf, 3)
-	buf[0] = math.Pi
-	if err := inner.WriteVector(3, buf); err != nil {
-		t.Fatal(err)
-	}
-	bad, err = cs.Verify()
-	if err != nil || len(bad) != 1 || bad[0] != 3 {
-		t.Fatalf("after corrupting vector 3: bad=%v err=%v", bad, err)
+// TestChecksumDetectsDamage pins what the 32-bit sum is trusted to
+// catch, at a short vector and at the three benchmark workloads' vector
+// lengths: bit flips, torn and lost writes, scattered multi-bit rot and
+// misdirected writes each come back as a *CorruptionError naming the
+// vector, and a rewrite heals it.
+func TestChecksumDetectsDamage(t *testing.T) {
+	for _, vl := range append([]int{16}, checksumVecLens...) {
+		t.Run(fmt.Sprintf("len%d", vl), func(t *testing.T) {
+			t.Parallel()
+			const n = 3
+			rng := rand.New(rand.NewSource(int64(vl)))
+			inner := NewMemStore(n, vl)
+			cs, err := NewChecksumStore(inner, "", n, vl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cs.Close()
+			fresh := func() []float64 {
+				v := make([]float64, vl)
+				for i := range v {
+					v[i] = math.Float64frombits(rng.Uint64())
+				}
+				return v
+			}
+			vecs := [n][]float64{fresh(), fresh(), fresh()}
+			for vi, v := range vecs {
+				if err := cs.WriteVector(vi, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := make([]float64, vl)
+			var damaged int64
+			detected := func(vi int, what string, args ...any) {
+				t.Helper()
+				damaged++
+				var ce *CorruptionError
+				if err := cs.ReadVector(vi, got); !errors.As(err, &ce) || ce.Vector != vi {
+					t.Fatalf("vector %d, %s: read returned %v, want its *CorruptionError", vi, fmt.Sprintf(what, args...), err)
+				}
+			}
+			clean := func(vi int) {
+				t.Helper()
+				if err := cs.ReadVector(vi, got); err != nil {
+					t.Fatalf("vector %d intact: %v", vi, err)
+				}
+			}
+			// The stored copy of vector 1, as the bytes a medium would hold.
+			stored := f64Bytes(inner.data[1])
+			flip := func(bit int) { stored[bit/8] ^= 1 << (bit % 8) }
+
+			// Single-bit flips: every bit of the short vector, a bit at a
+			// different position of every 16th word of a long one (the
+			// race detector makes each read of a long vector ~0.5 ms).
+			step := 1
+			if vl > 16 {
+				step = 16*64 + 1
+			}
+			for bit := 0; bit < len(stored)*8; bit += step {
+				flip(bit)
+				detected(1, "bit %d flipped", bit)
+				flip(bit)
+			}
+			clean(1)
+
+			// 2-8 scattered bits.
+			for i := 0; i < 10000; i++ {
+				bits := map[int]bool{}
+				for k := 2 + rng.Intn(7); len(bits) < k; {
+					bits[rng.Intn(len(stored)*8)] = true
+				}
+				for b := range bits {
+					flip(b)
+				}
+				detected(1, "bits %v flipped", bits)
+				for b := range bits {
+					flip(b)
+				}
+			}
+			clean(1)
+
+			// Torn writes: the store acknowledged a new payload but only
+			// a prefix of it landed — none of it at cut 0, a lost write —
+			// over a tail of either the old content or zeros (a tail that
+			// happens to equal the new bytes is no damage). Every byte
+			// boundary of the short vector, every 128 bytes of a long one.
+			old := append([]byte(nil), stored...)
+			next := fresh()
+			if err := cs.WriteVector(1, next); err != nil {
+				t.Fatal(err)
+			}
+			clean(1)
+			unit := 1
+			if vl > 16 {
+				unit = 128
+			}
+			for _, tail := range []string{"old", "zeroed"} {
+				copy(stored, old)
+				if tail == "zeroed" {
+					clear(stored)
+				}
+				for cut := 0; cut < len(stored) && !bytes.Equal(stored[cut:], f64Bytes(next)[cut:]); cut += unit {
+					detected(1, "torn at byte %d over a %s tail", cut, tail)
+					copy(stored[cut:cut+unit], f64Bytes(next)[cut:])
+				}
+				clean(1)
+			}
+
+			// A misdirected write: two neighbours land in each other's place.
+			inner.data[0], inner.data[1] = inner.data[1], inner.data[0]
+			detected(0, "swapped with vector 1")
+			detected(1, "swapped with vector 0")
+			clean(2)
+			for vi := 0; vi < 2; vi++ {
+				if err := cs.WriteVector(vi, vecs[vi]); err != nil {
+					t.Fatal(err)
+				}
+				clean(vi)
+			}
+			if cs.CorruptReads() != damaged {
+				t.Errorf("CorruptReads = %d after %d damaged reads", cs.CorruptReads(), damaged)
+			}
+		})
 	}
 }
 

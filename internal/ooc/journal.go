@@ -6,7 +6,7 @@ package ooc
 // during a network outage: the push fails and the cache slot is needed
 // NOW. Rather than latching an error and losing the newest copy of the
 // vector, the eviction appends it to this journal — an append-only,
-// CRC-bound file in the cache directory — and the run keeps going. On
+// CRC-32C-bound file in the cache directory — and the run keeps going. On
 // recovery (a successful probe through the circuit breaker, or Sync)
 // the journal is replayed to the remote tier, newest record per
 // vector, and truncated once empty: zero lost write-backs.
@@ -20,7 +20,7 @@ package ooc
 //
 //	header (16 B): magic "OOCSPL1\n" | uint32 numVectors | uint32 vecLen
 //	record       : uint32 vi | uint32 count | uint64 seq
-//	               count*8 B payload | uint64 CRC64(header+payload)
+//	               count*8 B payload | uint32 CRC-32C(header+payload)
 //
 // Appends are fsynced. Superseded and replayed records are dropped from
 // the in-memory index but stay in the file until it drains empty, at
@@ -33,7 +33,6 @@ package ooc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"math"
 	"os"
 	"sort"
@@ -107,15 +106,14 @@ func (j *SpillJournal) Append(vi int, data []float64) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec := make([]byte, spillRecHdrSize+j.vlen*8+8)
+	rec := make([]byte, spillRecHdrSize+j.vlen*8+4)
 	binary.LittleEndian.PutUint32(rec[0:], uint32(vi))
 	binary.LittleEndian.PutUint32(rec[4:], uint32(j.vlen))
 	binary.LittleEndian.PutUint64(rec[8:], j.seq)
 	for i, x := range data {
 		binary.LittleEndian.PutUint64(rec[spillRecHdrSize+i*8:], math.Float64bits(x))
 	}
-	sum := crc64.Checksum(rec[:len(rec)-8], crcTable)
-	binary.LittleEndian.PutUint64(rec[len(rec)-8:], sum)
+	binary.LittleEndian.PutUint32(rec[len(rec)-4:], crc32c(rec[:len(rec)-4]))
 	if _, err := j.f.WriteAt(rec, j.fileBytes); err != nil {
 		return fmt.Errorf("ooc: spill journal append: %w", err)
 	}

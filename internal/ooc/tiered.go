@@ -6,7 +6,7 @@ package ooc
 //	RAM slots (ooc.Manager)
 //	   │ miss / write-back
 //	   ▼
-//	local write-back cache  — bounded, CRC64-checked FileStore in
+//	local write-back cache  — bounded, CRC-32C-checked FileStore in
 //	   │                      CacheDir; LRU; dirty vectors pushed to
 //	   │ miss / dirty evict   the remote tier BEFORE the slot is reused
 //	   ▼
@@ -685,8 +685,8 @@ func (s *TieredStore) drainNow(ctx context.Context) error {
 }
 
 // drainJournal replays pending journal records to the remote tier —
-// newest copy per vector, CRC-verified at journal open, end-to-end
-// verified by the checksum layer above the tier on the next read.
+// newest copy per vector, from the journal's in-memory index; the
+// checksum layer above the tier verifies them on the next read.
 // Entries superseded by a dirty cache copy are discarded (the cache
 // push carries newer bytes). Stops at the first error, leaving the
 // remainder durable on disk for the next recovery signal.

@@ -45,10 +45,10 @@ func TestCapabilitiesCrossWrappers(t *testing.T) {
 		{"Sim", func(s Store) Store { return NewSimStore(s, iosim.Device{}, &clock) }, 0},
 		{"Fault", func(s Store) Store { return NewFaultStore(s, FaultConfig{}) }, 0},
 		{"Crash", func(s Store) Store { return NewCrashStore(s, 0) }, 0},
-		{"Checksum", checksum, 16 * n},
+		{"Checksum", checksum, 8 * n},
 		{"Crash(Checksum(Fault))", func(s Store) Store {
 			return NewCrashStore(checksum(NewFaultStore(s, FaultConfig{})), 0)
-		}, 16 * n},
+		}, 8 * n},
 	}
 	for _, w := range wrappers {
 		t.Run(w.name, func(t *testing.T) {

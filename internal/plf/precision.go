@@ -17,7 +17,7 @@ import (
 //
 // The VectorProvider interface stays float64-typed: providers hand out
 // "carrier" pages of float64s and never inspect the elements, so the
-// whole ooc stack (slot manager, async pipeline, file stores, CRC64
+// whole ooc stack (slot manager, async pipeline, file stores, CRC-32C
 // checksums, live resizing) works unchanged at either precision. In f32
 // mode a logical vector of L float32s travels in a carrier of
 // ceil(L/2) float64s — the same bytes, reinterpreted — and the engine
