@@ -62,5 +62,4 @@ func bindStore(fs *flag.FlagSet, st *ooc.StackSpec, storeHelp string) {
 	fs.StringVar(&st.URL, "store", "", storeHelp)
 	fs.Int64Var(&st.CacheBytes, "cache-bytes", 0, "byte budget for the local cache tier with -store (0 = room for every vector)")
 	fs.DurationVar(&st.RemoteDeadline, "remote-deadline", 0, "deadline per remote request attempt with -store (0 = none); expiries are retried with jittered backoff, then trip the circuit breaker into degraded (cache+recompute) mode")
-	fs.StringVar(&st.SpillDir, "spill-dir", "", "directory for the write-back spill journal with -store (default: the cache dir); absorbs dirty evictions during remote outages, replayed on recovery")
 }

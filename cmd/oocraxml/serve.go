@@ -57,7 +57,7 @@ func runServe(args []string, out *os.File) error {
 		return err
 	}
 	cfg.StoreURL, cfg.CacheBytes = store.URL, store.CacheBytes
-	cfg.RemoteDeadline, cfg.SpillDir = store.RemoteDeadline, store.SpillDir
+	cfg.RemoteDeadline = store.RemoteDeadline
 	srv, err := service.NewServer(*cfg)
 	if err != nil {
 		return err

@@ -63,7 +63,7 @@ func openFilesUnder(dir string) []string {
 // process). It pins the provider kind, the slot count the grant buys
 // (store overhead charged), the watchdog, that a resume opens fresh
 // stores over the leftovers and lands bit-identical, that only the
-// vector/cache file, the journal and the checkpoint ever exist, and
+// vector/cache file and the checkpoint ever exist, and
 // that Close releases every file and removes exactly the temps the run
 // created.
 func TestOpen(t *testing.T) {
@@ -217,7 +217,7 @@ func TestOpen(t *testing.T) {
 					want := map[string][]string{
 						"ram":    {"run.ckpt"},
 						"local":  {"run.ckpt", "v.bin"},
-						"remote": {"cache/cache.vec", "cache/spill.jrnl", "run.ckpt"},
+						"remote": {"cache/cache.vec", "run.ckpt"},
 					}[medium]
 					if !reflect.DeepEqual(files, want) {
 						t.Errorf("files on disk = %v, want exactly %v", files, want)

@@ -9,12 +9,11 @@ package experiments
 // partition that flaps the remote up and down for whole request
 // windows. The fault-tolerance stack underneath the engine — jittered
 // retries, per-request deadlines, the circuit breaker,
-// degraded-mode recompute, and the crash-safe write-back spill
-// journal — must turn all of that into nothing more than extra local
-// compute: the soak FAILS unless the chaotic run finishes with
-// bit-identical likelihood, the breaker actually tripped (the chaos
-// was real), and after recovery the journal replays every absorbed
-// write-back to the remote store and drains to empty.
+// degraded-mode recompute, and the in-memory spill of write-backs the
+// remote refused — must turn all of that into nothing more than extra
+// local compute: the soak FAILS unless the chaotic run finishes with
+// bit-identical likelihood and the breaker actually tripped (the chaos
+// was real).
 
 import (
 	"context"
@@ -78,7 +77,7 @@ type ChaosSoakResult struct {
 	// Chaos counts what the fault injector actually did.
 	Chaos iosim.ChaosStats
 	// Tier is the chaotic arm's tier counter snapshot (breaker trips,
-	// journal traffic, retries).
+	// spill traffic, retries).
 	Tier ooc.TierStats
 	// Recoveries counts engine-level read recoveries (unreadable or
 	// corrupt vectors converted to recomputes); DegradedRecomputes the
@@ -121,7 +120,7 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	// The tier retries from its journal drain and its callers'
+	// The tier retries from its spill drain and its callers'
 	// goroutines at once, so the seeded jitter source is locked.
 	var jitterMu sync.Mutex
 	jitterSrc := rand.New(rand.NewSource(cfg.Workload.Seed + 7))
@@ -155,20 +154,15 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		res.Recoveries = r.Engine.Stats.Recoveries
 		res.DegradedRecomputes = r.Engine.Stats.DegradedRecomputes
 
-		// Recovery phase: lift every fault, probe until the breaker
+		// Recovery phase: lift every fault and probe until the breaker
 		// recloses (the workload has stopped, so nothing else feeds the
-		// half-open probe), then flush. The spill journal must replay
-		// whatever outages forced it to absorb and drain to empty — zero
-		// lost write-backs.
+		// half-open probe).
 		chaos.Disable()
 		rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer rcancel()
 		tier := r.Stack.Tier
 		if err := ProbeChaosRecovery(rctx, tier); err != nil {
 			return fmt.Errorf("breaker never reclosed after recovery: %w", err)
-		}
-		if err := tier.Sync(); err != nil {
-			return fmt.Errorf("post-recovery sync: %w", err)
 		}
 		res.Tier = tier.Stats()
 		return nil
@@ -190,13 +184,6 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	}
 	if res.Tier.BreakerOpens == 0 {
 		return nil, fmt.Errorf("experiments: breaker never opened despite %d injected faults", injected)
-	}
-	// Zero lost write-backs: every absorbed record was either replayed
-	// to the remote store or superseded by a newer dirty copy that
-	// itself reached the store — depth 0 after a successful Sync is
-	// exactly that invariant.
-	if res.Tier.JournalDepth != 0 {
-		return nil, fmt.Errorf("experiments: journal still holds %d vectors after recovery", res.Tier.JournalDepth)
 	}
 	return res, nil
 }
@@ -232,8 +219,8 @@ func WriteChaosTable(wr io.Writer, res *ChaosSoakResult, cfg ChaosSoakConfig) {
 	t := res.Tier
 	fmt.Fprintf(wr, "  survived: %d remote errors, %d retries, %d breaker opens, %d short-circuits\n",
 		t.RemoteErrors, t.RemoteRetries, t.BreakerOpens, t.ShortCircuits)
-	fmt.Fprintf(wr, "  journal: %d absorbed, %d replayed, depth %d after recovery; %d journal-served reads\n",
-		t.JournalAppends, t.JournalReplayed, t.JournalDepth, t.JournalHits)
+	fmt.Fprintf(wr, "  spill: %d absorbed, %d served, %d replayed\n",
+		t.SpillAppends, t.SpillHits, t.SpillReplayed)
 	fmt.Fprintf(wr, "  engine: %d read recoveries, %d degraded-mode recomputes\n",
 		res.Recoveries, res.DegradedRecomputes)
 }

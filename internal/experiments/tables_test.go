@@ -148,7 +148,7 @@ var goldenTables = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return []string{fmt.Sprintf("lnl=%s journal_depth=%d", bits(r.LnL), r.Tier.JournalDepth)}, nil
+		return []string{fmt.Sprintf("lnl=%s", bits(r.LnL))}, nil
 	}},
 	{"timeline", func() ([]string, error) {
 		var out []string

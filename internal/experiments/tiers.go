@@ -197,17 +197,17 @@ func WriteTierTable(w io.Writer, rows []TierAblationRow, cfg TierAblationConfig)
 	cfg.fill()
 	fmt.Fprintf(w, "Tiered storage ablation: %d taxa, %d sites, f=%.2f, async=%v\n",
 		cfg.Workload.Taxa, cfg.Workload.Sites, tierMemFraction, cfg.Async)
-	fmt.Fprintf(w, "%-10s %8s %6s %10s %9s %9s %9s %9s %7s\n",
-		"arm", "rtt", "slots", "elapsed", "cacheHit", "cacheMiss", "remVecRd", "coalesced", "local%")
+	fmt.Fprintf(w, "%-10s %8s %6s %10s %9s %9s %9s %7s\n",
+		"arm", "rtt", "slots", "elapsed", "cacheHit", "cacheMiss", "remVecRd", "local%")
 	var base time.Duration
 	for _, r := range rows {
 		if r.Arm == "local" {
 			base = r.Elapsed
 		}
-		fmt.Fprintf(w, "%-10s %8s %6d %10s %9d %9d %9d %9d %6.1f%%",
+		fmt.Fprintf(w, "%-10s %8s %6d %10s %9d %9d %9d %6.1f%%",
 			r.Arm, r.RTT, r.Slots, r.Elapsed.Round(time.Millisecond),
 			r.Tier.CacheHits, r.Tier.CacheMisses, r.Tier.RemoteVectorsRead,
-			r.Tier.Coalesced, 100*r.LocalFraction)
+			100*r.LocalFraction)
 		if base > 0 {
 			fmt.Fprintf(w, "  (%.2fx)", float64(r.Elapsed)/float64(base))
 		}

@@ -31,7 +31,7 @@ import (
 // ErrCircuitOpen marks a remote request refused locally because the
 // backend's circuit breaker is open. It is NOT transient: retrying in
 // place would just spin against the breaker — the caller should fall
-// back to degraded mode (recompute, spill journal) and let the
+// back to degraded mode (recompute, in-memory spill) and let the
 // half-open probe discover recovery.
 var ErrCircuitOpen = errors.New("remote circuit open")
 

@@ -1,8 +1,9 @@
 package ooc
 
 // Fault-path tests for the tiered store: dirty evictions surviving a
-// permanent remote PUT outage via the spill journal, breaker-driven
-// degraded mode and recovery, and the full-jitter retry policy.
+// permanent remote PUT outage in the in-memory spill set, the drain's
+// ordering against newer pushes, breaker-driven degraded mode and
+// recovery, and the full-jitter retry policy.
 
 import (
 	"context"
@@ -86,14 +87,27 @@ func (r *flakyRemote) WriteVector(vi int, src []float64) error {
 	return nil
 }
 
-// TestTieredStoreJournalAbsorbsDirtyEvictions is the ISSUE's
-// permanent-PUT-failure case: every dirty eviction during the outage
-// must land in the spill journal (not error, not lose data), reads of
-// journaled vectors must serve the newest bytes, and a healed remote +
-// Sync must drain the journal to depth 0 with the remote holding the
-// newest copy of everything.
-func TestTieredStoreJournalAbsorbsDirtyEvictions(t *testing.T) {
-	const vecLen, nVec = 4, 8
+// waitSpillDrained polls until the background drain has emptied the
+// spill set.
+func waitSpillDrained(t *testing.T, ts *TieredStore) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for ts.Stats().SpillDepth != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("spill never drained: %+v", ts.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTieredStoreSpillServesReadsDuringOutage: during a permanent PUT
+// outage every dirty eviction lands in the in-memory spill set (no
+// error, no lost bytes), reads of spilled vectors return the newest
+// bytes without a remote GET, and the watchdog is charged for them.
+// Once the remote heals, the first successful request starts a drain
+// that empties the set, and a later miss GETs the newest bytes.
+func TestTieredStoreSpillServesReadsDuringOutage(t *testing.T) {
+	const vecLen, nVec, written = 4, 10, 8
 	rem := newFlakyRemote(vecLen)
 	rem.setFailWrites(true)
 	ts, err := NewTieredStore(rem, TieredConfig{
@@ -103,60 +117,160 @@ func TestTieredStoreJournalAbsorbsDirtyEvictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for vi := 0; vi < nVec; vi++ {
+	defer ts.Close()
+	idle := ts.MemOverheadBytes()
+	for vi := 0; vi < written; vi++ {
 		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
 			t.Fatalf("write %d during outage: %v", vi, err)
 		}
 	}
 	st := ts.Stats()
-	if st.JournalAppends == 0 || st.JournalDepth == 0 {
-		t.Fatalf("journal absorbed nothing: %+v", st)
+	if st.SpillAppends != written-2 || st.SpillDepth != written-2 {
+		t.Fatalf("want the %d dirty victims spilled: %+v", written-2, st)
 	}
-	if st.DirtyWritebacks == 0 {
-		t.Fatal("no dirty evictions happened — the cache never filled")
+	if grown, want := ts.MemOverheadBytes()-idle, st.SpillDepth*vecLen*8; grown < want {
+		t.Errorf("overhead grew by %d B, want at least the %d B spilled", grown, want)
 	}
-	// Journaled vectors read back their newest bytes (served locally,
-	// not from the stale remote).
+
+	reads := rem.reads.Load()
 	dst := make([]float64, vecLen)
+	for vi := 0; vi < written-2; vi++ {
+		if err := ts.ReadVector(vi, dst); err != nil {
+			t.Fatal(err)
+		}
+		if want := tierVec(vecLen, vi); dst[0] != want[0] || dst[vecLen-1] != want[vecLen-1] {
+			t.Fatalf("spilled vector %d read %v, want %v", vi, dst, want)
+		}
+		if _, remote := ts.FetchCost(vi); remote {
+			t.Errorf("spilled vector %d priced as remote", vi)
+		}
+	}
+	if got := rem.reads.Load() - reads; got != 0 {
+		t.Errorf("reads of spilled vectors issued %d remote GETs, want 0", got)
+	}
+	if got := ts.Stats().SpillHits; got != written-2 {
+		t.Errorf("SpillHits = %d, want %d", got, written-2)
+	}
+
+	// Heal: the next successful remote request (a miss) starts a drain.
+	rem.setFailWrites(false)
+	if err := ts.ReadVector(nVec-1, dst); err != nil {
+		t.Fatal(err)
+	}
+	waitSpillDrained(t, ts)
+	if st := ts.Stats(); st.SpillReplayed != written-2 {
+		t.Errorf("SpillReplayed = %d, want %d", st.SpillReplayed, written-2)
+	}
+	reads = rem.reads.Load()
 	if err := ts.ReadVector(0, dst); err != nil {
 		t.Fatal(err)
 	}
-	want := tierVec(vecLen, 0)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("journaled read pos %d: %v != %v", i, dst[i], want[i])
+	if rem.reads.Load() != reads+1 {
+		t.Error("a drained vector must be a remote miss")
+	}
+	if want := tierVec(vecLen, 0); dst[0] != want[0] || dst[vecLen-1] != want[vecLen-1] {
+		t.Errorf("drained vector 0 read %v from the remote, want %v", dst, want)
+	}
+}
+
+// gatedRemote holds the first armed PUT of one vector until a later
+// PUT of it has landed (or a timeout passes, for a tier that orders
+// the two itself).
+type gatedRemote struct {
+	*flakyRemote
+	vi      int
+	armed   atomic.Bool
+	puts    atomic.Int32
+	started chan struct{} // the held PUT arrived
+	landed  chan struct{} // a later PUT of vi was stored
+	held    chan struct{} // the held PUT was stored
+}
+
+func (g *gatedRemote) WriteVector(vi int, src []float64) error {
+	if vi != g.vi || !g.armed.Load() {
+		return g.flakyRemote.WriteVector(vi, src)
+	}
+	switch g.puts.Add(1) {
+	case 1:
+		close(g.started)
+		select {
+		case <-g.landed:
+		case <-time.After(200 * time.Millisecond):
+		}
+		defer close(g.held)
+	case 2:
+		defer close(g.landed)
+	}
+	return g.flakyRemote.WriteVector(vi, src)
+}
+
+// TestTieredDrainDoesNotOverwriteNewerPush: a drain PUTting a spilled
+// vector's old bytes must not land after an eviction PUT of newer
+// bytes of the same vector. The remote holds the drain's PUT until the
+// eviction's has landed; the tier must not let the eviction's start
+// before the drain's is done.
+func TestTieredDrainDoesNotOverwriteNewerPush(t *testing.T) {
+	const vecLen, nVec, v = 4, 8, 0
+	rem := &gatedRemote{
+		flakyRemote: newFlakyRemote(vecLen), vi: v,
+		started: make(chan struct{}), landed: make(chan struct{}), held: make(chan struct{}),
+	}
+	ts, err := NewTieredStore(rem, TieredConfig{
+		NumVectors: nVec, VectorLen: vecLen,
+		CacheDir: t.TempDir(), CacheVectors: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	old, newest := tierVec(vecLen, 100), tierVec(vecLen, 200)
+
+	// Spill v's old bytes: its eviction PUT is refused.
+	rem.setFailWrites(true)
+	for _, w := range []struct {
+		vi  int
+		buf []float64
+	}{{v, old}, {1, tierVec(vecLen, 1)}} {
+		if err := ts.WriteVector(w.vi, w.buf); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if ts.Stats().JournalHits == 0 {
-		t.Error("read of an evicted vector did not hit the journal")
-	}
-	// Journaled vectors count as local for the degraded-mode planner.
-	if _, remote := ts.FetchCost(0); remote {
-		t.Error("journaled vector priced as remote")
+	if d := ts.Stats().SpillDepth; d != 1 {
+		t.Fatalf("spill depth %d, want 1", d)
 	}
 
-	// Heal the network: Sync must replay the journal to empty.
+	// Heal; a miss starts the drain, whose PUT of v is held.
 	rem.setFailWrites(false)
-	if err := ts.Sync(); err != nil {
-		t.Fatalf("sync after recovery: %v", err)
-	}
-	st = ts.Stats()
-	if st.JournalDepth != 0 {
-		t.Fatalf("journal depth %d after recovery sync, want 0", st.JournalDepth)
-	}
-	if st.JournalReplayed == 0 {
-		t.Error("nothing replayed despite absorbed evictions")
-	}
-	for vi := 0; vi < nVec; vi++ {
-		got, want := rem.get(vi), tierVec(vecLen, vi)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("remote vector %d pos %d: %v != %v after drain", vi, i, got[i], want[i])
-			}
-		}
-	}
-	if err := ts.Close(); err != nil {
+	rem.armed.Store(true)
+	dst := make([]float64, vecLen)
+	if err := ts.ReadVector(2, dst); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-rem.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the drain never PUT the spilled vector")
+	}
+
+	// Rewrite v, then evict it dirty: the eviction PUT carries the
+	// newest bytes.
+	if err := ts.WriteVector(v, newest); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.WriteVector(3, tierVec(vecLen, 3)); err != nil {
+		t.Fatal(err)
+	}
+	<-rem.held
+	waitSpillDrained(t, ts)
+
+	if got := rem.get(v); got[0] != newest[0] {
+		t.Errorf("remote holds %v for vector %d, want the newest bytes %v", got, v, newest)
+	}
+	if err := ts.ReadVector(v, dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0] != newest[0] {
+		t.Errorf("a fresh read of vector %d returned %v, want the newest bytes %v", v, dst, newest)
 	}
 }
 

@@ -172,7 +172,7 @@ func (m *Manager) traceSpan(op obs.EventOp, vi, slot int, start time.Time, dur t
 
 // InstrumentTieredStore exports a tiered store's per-tier counters and
 // remote latency to the registry. Counters (hits, misses, bytes per
-// tier, coalesced write-backs, evictions) follow the mirrored
+// tier, evictions, spilled write-backs) follow the mirrored
 // pattern — a publisher copies the TierStats snapshot on every debug
 // scrape. Remote request latency is a native histogram fed per request
 // from the miss and write-back paths, so the debug endpoint reports
@@ -192,38 +192,35 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		cacheHits, cacheMisses, remoteReads, remoteWrites *obs.Counter
 		remoteVecsR, remoteVecsW                          *obs.Counter
 		bytesCache, bytesFetched, bytesPushed             *obs.Counter
-		coalesced                                         *obs.Counter
 		evictions, dirtyWB                                *obs.Counter
 		remoteErrors, remoteRetries                       *obs.Counter
 		breakerOpens, shortCircuits                       *obs.Counter
-		journalHits, journalAppends, journalReplayed      *obs.Counter
-		journalDepth, journalBytes, degraded              *obs.Gauge
+		spillHits, spillAppends, spillReplayed            *obs.Counter
+		spillDepth, degraded                              *obs.Gauge
 		breakerState                                      *obs.Gauge
 	}
 	c := mirrors{
-		cacheHits:       reg.Counter(prefix + "cache_hits"),
-		cacheMisses:     reg.Counter(prefix + "cache_misses"),
-		remoteReads:     reg.Counter(prefix + "remote_reads"),
-		remoteWrites:    reg.Counter(prefix + "remote_writes"),
-		remoteVecsR:     reg.Counter(prefix + "remote_vectors_read"),
-		remoteVecsW:     reg.Counter(prefix + "remote_vectors_written"),
-		bytesCache:      reg.Counter(prefix + "bytes_from_cache"),
-		bytesFetched:    reg.Counter(prefix + "bytes_fetched"),
-		bytesPushed:     reg.Counter(prefix + "bytes_pushed"),
-		coalesced:       reg.Counter(prefix + "coalesced"),
-		evictions:       reg.Counter(prefix + "evictions"),
-		dirtyWB:         reg.Counter(prefix + "dirty_writebacks"),
-		remoteErrors:    reg.Counter(prefix + "remote_errors"),
-		remoteRetries:   reg.Counter(prefix + "remote_retries"),
-		breakerOpens:    reg.Counter(prefix + "breaker_opens"),
-		shortCircuits:   reg.Counter(prefix + "short_circuits"),
-		journalHits:     reg.Counter(prefix + "journal_hits"),
-		journalAppends:  reg.Counter(prefix + "journal_appends"),
-		journalReplayed: reg.Counter(prefix + "journal_replayed"),
-		journalDepth:    reg.Gauge(prefix + "journal_depth"),
-		breakerState:    reg.Gauge(prefix + "breaker_state"),
-		journalBytes:    reg.Gauge(prefix + "journal_bytes"),
-		degraded:        reg.Gauge(prefix + "degraded"),
+		cacheHits:     reg.Counter(prefix + "cache_hits"),
+		cacheMisses:   reg.Counter(prefix + "cache_misses"),
+		remoteReads:   reg.Counter(prefix + "remote_reads"),
+		remoteWrites:  reg.Counter(prefix + "remote_writes"),
+		remoteVecsR:   reg.Counter(prefix + "remote_vectors_read"),
+		remoteVecsW:   reg.Counter(prefix + "remote_vectors_written"),
+		bytesCache:    reg.Counter(prefix + "bytes_from_cache"),
+		bytesFetched:  reg.Counter(prefix + "bytes_fetched"),
+		bytesPushed:   reg.Counter(prefix + "bytes_pushed"),
+		evictions:     reg.Counter(prefix + "evictions"),
+		dirtyWB:       reg.Counter(prefix + "dirty_writebacks"),
+		remoteErrors:  reg.Counter(prefix + "remote_errors"),
+		remoteRetries: reg.Counter(prefix + "remote_retries"),
+		breakerOpens:  reg.Counter(prefix + "breaker_opens"),
+		shortCircuits: reg.Counter(prefix + "short_circuits"),
+		spillHits:     reg.Counter(prefix + "spill_hits"),
+		spillAppends:  reg.Counter(prefix + "spill_appends"),
+		spillReplayed: reg.Counter(prefix + "spill_replayed"),
+		spillDepth:    reg.Gauge(prefix + "spill_depth"),
+		breakerState:  reg.Gauge(prefix + "breaker_state"),
+		degraded:      reg.Gauge(prefix + "degraded"),
 	}
 	reg.AddPublisher(prefix, func() {
 		st := ts.Stats()
@@ -236,18 +233,16 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		c.bytesCache.Set(st.BytesFromCache)
 		c.bytesFetched.Set(st.BytesFetched)
 		c.bytesPushed.Set(st.BytesPushed)
-		c.coalesced.Set(st.Coalesced)
 		c.evictions.Set(st.Evictions)
 		c.dirtyWB.Set(st.DirtyWritebacks)
 		c.remoteErrors.Set(st.RemoteErrors)
 		c.remoteRetries.Set(st.RemoteRetries)
 		c.breakerOpens.Set(st.BreakerOpens)
 		c.shortCircuits.Set(st.ShortCircuits)
-		c.journalHits.Set(st.JournalHits)
-		c.journalAppends.Set(st.JournalAppends)
-		c.journalReplayed.Set(st.JournalReplayed)
-		c.journalDepth.Set(st.JournalDepth)
-		c.journalBytes.Set(st.JournalBytes)
+		c.spillHits.Set(st.SpillHits)
+		c.spillAppends.Set(st.SpillAppends)
+		c.spillReplayed.Set(st.SpillReplayed)
+		c.spillDepth.Set(st.SpillDepth)
 		// Breaker position as a numeric gauge (0 closed, 1 open,
 		// 2 half-open) so dashboards can alert on transitions.
 		if b := ts.Breaker(); b != nil {

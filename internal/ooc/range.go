@@ -5,9 +5,8 @@ package ooc
 // backend pays a full network round trip per request — so the unit of
 // transfer must be allowed to grow. RangeStore extends Store with
 // contiguous multi-vector transfers and context-aware cancellation:
-// TieredStore reads a miss as a one-vector ReadRange under its
-// per-attempt deadline, and its Sync pushes adjacent dirty vectors in
-// one WriteRange.
+// TieredStore moves each miss and each write-back as a one-vector range
+// under its per-attempt deadline.
 
 import (
 	"context"
@@ -109,7 +108,9 @@ type RangeStore interface {
 }
 
 // Syncer is implemented by stores that can force buffered state to
-// stable storage (FileStore fsync, TieredStore dirty write-back).
+// stable storage. No store in this module implements it any more: it
+// and SyncStore stay only because the benchmark harness's traced store
+// forwards Sync through SyncStore.
 type Syncer interface {
 	Sync() error
 }

@@ -4,19 +4,18 @@ package ooc
 // caller (CLI, service sessions, experiments) describes what it wants
 // in a StackSpec and OpenStack builds the chain in one fixed order:
 //
-//	Crash → Checksum → Fault → Tiered{cache, journal, breaker} → Object
+//	Crash → Checksum → Fault → Tiered{cache, pend, breaker} → Object
 //	                         └──────────────────────────────────→ File | Base
 //
 // The rule is LvD's, any vector is recomputable, taken to its end: a
 // process reads only vectors it wrote. Every open creates fresh stores
 // (file truncated, remote object sized, checksum tables empty, cache
-// tier cold, a leftover spill journal reset); nothing a previous process
-// left is validated, because nothing of it is ever read — a resumed or
-// revived engine starts all-invalid and recomputes each vector before
-// its first read.
+// tier cold) and Close discards what the run never pushed; nothing a
+// previous process left is validated, because nothing of it is ever
+// read — a resumed or revived engine starts all-invalid and recomputes
+// each vector before its first read.
 
 import (
-	"errors"
 	"fmt"
 	"os"
 )
@@ -52,23 +51,20 @@ type StackSpec struct {
 }
 
 // Remove deletes what a stack opened from spec keeps on local disk
-// between runs: the backing file, or for a URL stack the cache and spill
-// directories (the tier creates both and owns everything in them). Call
-// it only once no stack over spec is open. Paths the spec leaves empty
-// were temps that Close already removed; the remote object is not
+// between runs: the backing file, or for a URL stack the cache
+// directory (the tier creates it and owns everything in it). Call it
+// only once no stack over spec is open. A path the spec leaves empty
+// was a temp that Close already removed; the remote object is not
 // touched.
 func (spec StackSpec) Remove() error {
-	paths := []string{spec.Path}
+	p := spec.Path
 	if spec.URL != "" {
-		paths = []string{spec.CacheDir, spec.SpillDir}
+		p = spec.CacheDir
 	}
-	var errs []error
-	for _, p := range paths {
-		if p != "" {
-			errs = append(errs, os.RemoveAll(p))
-		}
+	if p == "" {
+		return nil
 	}
-	return errors.Join(errs...)
+	return os.RemoveAll(p)
 }
 
 // Stack is an opened store stack. Store is the outermost layer — what a

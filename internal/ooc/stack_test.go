@@ -35,7 +35,7 @@ func openFilesUnder(dir string) []string {
 // leftovers written at the other precision — half the vector length}.
 // It pins the chain shape, that leftovers change nothing — the stack
 // opens fresh and cold over them, at whatever geometry it is asked for
-// — that only the vector/cache file and the journal are ever created,
+// — that only the vector/cache file is ever created,
 // and that Close releases every file and removes exactly the temp paths
 // OpenStack created.
 func TestOpenStack(t *testing.T) {
@@ -160,7 +160,7 @@ func TestOpenStack(t *testing.T) {
 						})
 						want := []string{"v.bin"}
 						if isRemote {
-							want = []string{"cache/cache.vec", "cache/spill.jrnl"}
+							want = []string{"cache/cache.vec"}
 						}
 						if !reflect.DeepEqual(files, want) {
 							t.Errorf("files on disk after Close = %v, want exactly %v", files, want)

@@ -234,9 +234,6 @@ func (s *FileStore) WriteVector(vi int, src []float64) error {
 // Close implements Store.
 func (s *FileStore) Close() error { return s.f.Close() }
 
-// Sync forces written vectors to stable storage (fsync).
-func (s *FileStore) Sync() error { return s.f.Sync() }
-
 // ReadRange implements RangeStore: one positioned read covers all
 // count vectors, since the file layout is already contiguous.
 func (s *FileStore) ReadRange(ctx context.Context, vi, count int, dst []float64) error {

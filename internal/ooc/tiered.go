@@ -7,12 +7,10 @@ package ooc
 //	   │ miss / write-back
 //	   ▼
 //	local write-back cache  — bounded, CRC-32C-checked FileStore in
-//	   │                      CacheDir; LRU; dirty vectors pushed to
-//	   │ miss / dirty evict   the remote tier BEFORE the slot is reused
+//	   │                      CacheDir; LRU; a dirty victim is PUT to
+//	   │ miss / dirty evict   the remote tier BEFORE its slot is reused
 //	   ▼
-//	remote backend          — any Store; ranged (RangeStore) backends
-//	                          take Sync's adjacent dirty vectors as
-//	                          one request
+//	remote backend          — any Store, one vector per request
 //
 // A miss is one GET on the caller's goroutine, straight into the
 // caller's buffer: the tier starts no goroutine at open and owns no
@@ -21,17 +19,19 @@ package ooc
 // read to an in-flight prefetch of the same vector, so the tier never
 // sees two reads of one vector and keeps no dedup layer of its own.
 //
-// Crash safety: a dirty victim is written to the remote tier before
-// its cache slot is reused, so the cache never holds the only copy of
-// a vector while that copy is being discarded. The cache always starts
-// cold: like every store, it serves only vectors this process wrote.
-
+// Read-your-writes is the tier's one promise, and only for the run that
+// wrote: the cache starts cold, Close discards, and nothing is pushed
+// that no reader of this process would fetch. A dirty victim's newest
+// bytes sit in one in-memory map (pend) from the moment its slot is
+// promised away until a PUT of them lands — the eviction's own PUT, or,
+// when the remote refused it, a background drain after the next
+// successful remote call. Reads are served from there; the watchdog is
+// charged for it.
 import (
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,17 +39,12 @@ import (
 	"oocphylo/internal/obs"
 )
 
-// maxCoalesce caps how many adjacent dirty vectors one ranged Sync
-// write-back may carry.
-const maxCoalesce = 16
-
 // TieredConfig configures a TieredStore.
 type TieredConfig struct {
 	// NumVectors and VectorLen fix the store geometry (float64 carrier
 	// units, like every other Store).
 	NumVectors, VectorLen int
-	// CacheDir holds the cache file and, unless SpillDir says otherwise,
-	// the spill journal. Created if missing.
+	// CacheDir holds the cache file. Created if missing.
 	CacheDir string
 	// CacheVectors bounds the cache tier (in vectors, >= 1).
 	CacheVectors int
@@ -70,8 +65,6 @@ type TieredConfig struct {
 	// installed only when Breaker.Threshold > 0; without one the tier
 	// keeps the pre-breaker fail-per-request behavior.
 	Breaker BreakerConfig
-	// SpillDir holds the write-back spill journal (default CacheDir).
-	SpillDir string
 }
 
 func (c *TieredConfig) fill() error {
@@ -87,28 +80,23 @@ func (c *TieredConfig) fill() error {
 	if c.CacheDir == "" {
 		return fmt.Errorf("ooc: tiered store needs a cache directory")
 	}
-	if c.SpillDir == "" {
-		c.SpillDir = c.CacheDir
-	}
 	return nil
 }
 
 // TierStats is a snapshot of the tier counters.
 type TierStats struct {
 	// CacheHits and CacheMisses count reads served by / missing the
-	// local cache tier (a read served from a pending dirty write-back
-	// buffer counts as a hit — it never left the machine).
+	// local cache tier (a read served from an in-flight dirty write-back
+	// counts as a hit — it never left the machine).
 	CacheHits, CacheMisses int64
-	// RemoteReads and RemoteWrites count ranged remote REQUESTS;
-	// RemoteVectorsRead / RemoteVectorsWritten the vectors they carried.
+	// RemoteReads and RemoteWrites count remote REQUESTS;
+	// RemoteVectorsRead / RemoteVectorsWritten the vectors they carried
+	// (one each).
 	RemoteReads, RemoteWrites               int64
 	RemoteVectorsRead, RemoteVectorsWritten int64
 	// BytesFromCache and BytesFetched split read traffic by the tier
 	// that served it; BytesPushed is remote write-back volume.
 	BytesFromCache, BytesFetched, BytesPushed int64
-	// Coalesced counts dirty vectors that rode another's ranged Sync
-	// write-back instead of costing their own round trip.
-	Coalesced int64
 	// Evictions counts cache slots recycled; DirtyWritebacks the subset
 	// that had to push a dirty vector remote first.
 	Evictions, DirtyWritebacks int64
@@ -126,27 +114,41 @@ type TierStats struct {
 	BreakerState  string
 	BreakerOpens  int64
 	ShortCircuits int64
-	// JournalHits counts reads served from the spill journal's pending
-	// payloads; JournalAppends dirty write-backs the journal absorbed;
-	// JournalReplayed records replayed to the remote tier on recovery;
-	// JournalDepth vectors currently pending; JournalBytes the on-disk
-	// journal size.
-	JournalHits     int64
-	JournalAppends  int64
-	JournalReplayed int64
-	JournalDepth    int64
-	JournalBytes    int64
+	// SpillHits counts reads served from spilled victims (dirty
+	// evictions the remote refused, held in memory); SpillAppends the
+	// victims spilled; SpillReplayed those a drain later PUT; SpillDepth
+	// the victims currently held.
+	SpillHits     int64
+	SpillAppends  int64
+	SpillReplayed int64
+	SpillDepth    int64
 	// Degraded reports the breaker not closed: the remote tier is
 	// presumed unavailable and the engine answers from cache+recompute.
 	Degraded bool
 }
 
-// tierWB is a dirty victim's payload in flight to the remote tier;
-// reads of the vector are served from buf until the write lands.
-type tierWB struct {
+// pendWB holds a dirty victim's newest bytes until a PUT of them lands
+// on the remote tier. Reads of the vector are served from buf. done is
+// open exactly while a PUT of buf is in flight — the eviction's own or
+// a drain's, which re-arms it — so a writer of the vector waits on it
+// and remote writes of one vector never overlap.
+type pendWB struct {
 	vi   int
 	buf  []float64
 	done chan struct{}
+	// spilled is set once the eviction's own PUT failed; the entry then
+	// waits for a drain.
+	spilled bool
+}
+
+// pushing reports whether a PUT of w.buf is in flight (caller holds mu).
+func (w *pendWB) pushing() bool {
+	select {
+	case <-w.done:
+		return false
+	default:
+		return true
+	}
 }
 
 // TieredStore implements Store over a local write-back cache backed by
@@ -157,10 +159,9 @@ type TieredStore struct {
 	remote Store
 	cfg    TieredConfig
 
-	// mu guards the cache tier: placement maps, recency, dirty flags,
-	// pending write-backs and the cache store's I/O. Cache I/O is local
-	// and fast; remote I/O runs under mu only in Sync, whose callers are
-	// quiesced.
+	// mu guards the cache tier — placement maps, recency, dirty flags
+	// and the cache store's I/O — and pend. Cache I/O is local and fast;
+	// remote I/O never runs under mu.
 	mu     sync.Mutex
 	cache  *ChecksumStore
 	slotOf map[int]int // vi -> cache slot
@@ -169,16 +170,17 @@ type TieredStore struct {
 	dirty  []bool      // slot -> modified since last remote push
 	now    int64
 	free   []int
-	wb     map[int]*tierWB // vi -> in-flight dirty write-back
+	// pend holds the vectors whose newest bytes are not yet on the
+	// remote tier: dirty victims with a PUT in flight, and spilled ones
+	// the remote refused. A vector is never both cached and pending.
+	pend map[int]*pendWB
 	// firstErr latches the first write-back failure met while admitting
 	// a vector whose read succeeded (the reader gets its data);
-	// surfaced by Sync/Close.
+	// surfaced by Close.
 	firstErr error
 
-	// breaker (nil unless configured) guards every remote request;
-	// journal absorbs dirty write-backs the remote cannot take.
+	// breaker (nil unless configured) guards every remote request.
 	breaker       *Breaker
-	journal       *SpillJournal
 	retriedRemote atomic.Int64
 	drainBusy     atomic.Bool
 	closing       atomic.Bool
@@ -198,10 +200,10 @@ type TieredStore struct {
 		remoteVecsR, remoteVecsW   atomic.Int64
 		bytesCache, bytesFetched   atomic.Int64
 		bytesPushed                atomic.Int64
-		coalesced                  atomic.Int64
 		evictions, dirtyWritebacks atomic.Int64
 		remoteErrors               atomic.Int64
-		journalHits                atomic.Int64
+		spillHits, spillAppends    atomic.Int64
+		spillReplayed, spillDepth  atomic.Int64
 	}
 }
 
@@ -222,7 +224,7 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		viOf:   make([]int, cfg.CacheVectors),
 		stamp:  make([]int64, cfg.CacheVectors),
 		dirty:  make([]bool, cfg.CacheVectors),
-		wb:     make(map[int]*tierWB),
+		pend:   make(map[int]*pendWB),
 	}
 	for slot := cfg.CacheVectors - 1; slot >= 0; slot-- {
 		s.viOf[slot] = -1
@@ -241,21 +243,8 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		s.breaker = NewBreaker(cfg.Breaker)
 		s.breaker.OnTransition(s.noteBreakerTransition)
 	}
-	if cfg.SpillDir != cfg.CacheDir {
-		if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
-			s.cache.Close()
-			return nil, fmt.Errorf("ooc: creating spill dir: %w", err)
-		}
-	}
-	s.journal, err = OpenSpillJournal(filepath.Join(cfg.SpillDir, spillJournalName), cfg.NumVectors, cfg.VectorLen)
-	if err != nil {
-		s.cache.Close()
-		return nil, err
-	}
 	return s, nil
 }
-
-const spillJournalName = "spill.jrnl"
 
 // Breaker exposes the remote tier's circuit breaker (nil when not
 // configured), for instrumentation and tests.
@@ -309,12 +298,14 @@ func (s *TieredStore) Stats() TierStats {
 		BytesFromCache:       s.st.bytesCache.Load(),
 		BytesFetched:         s.st.bytesFetched.Load(),
 		BytesPushed:          s.st.bytesPushed.Load(),
-		Coalesced:            s.st.coalesced.Load(),
 		Evictions:            s.st.evictions.Load(),
 		DirtyWritebacks:      s.st.dirtyWritebacks.Load(),
 		RemoteErrors:         s.st.remoteErrors.Load(),
 		RemoteRetries:        s.retriedRemote.Load(),
-		JournalHits:          s.st.journalHits.Load(),
+		SpillHits:            s.st.spillHits.Load(),
+		SpillAppends:         s.st.spillAppends.Load(),
+		SpillReplayed:        s.st.spillReplayed.Load(),
+		SpillDepth:           s.st.spillDepth.Load(),
 	}
 	if s.breaker != nil {
 		bs := s.breaker.Stats()
@@ -323,19 +314,12 @@ func (s *TieredStore) Stats() TierStats {
 		ts.ShortCircuits = bs.ShortCircuits
 		ts.Degraded = s.Degraded()
 	}
-	if s.journal != nil {
-		js := s.journal.Stats()
-		ts.JournalAppends = js.Appends
-		ts.JournalReplayed = js.Replayed
-		ts.JournalDepth = int64(js.Depth)
-		ts.JournalBytes = js.FileBytes
-	}
 	return ts
 }
 
-// ReadVector implements Store: cache tier, in-flight write-back buffer
-// and spill journal first, then one remote GET on the calling goroutine
-// straight into dst.
+// ReadVector implements Store: cache tier and pending write-backs
+// first, then one remote GET on the calling goroutine straight into
+// dst.
 func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 	if vi < 0 || vi >= s.cfg.NumVectors {
 		return fmt.Errorf("ooc: tiered store read out of range: %d", vi)
@@ -364,26 +348,23 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 			return err
 		}
 	}
-	if w, ok := s.wb[vi]; ok {
-		// Dirty write-back in flight: its buffer is the newest copy.
+	if w, ok := s.pend[vi]; ok {
+		// The remote copy is stale until a PUT of w.buf lands.
 		copy(dst, w.buf)
+		spilled := w.spilled
 		s.mu.Unlock()
-		s.st.cacheHits.Add(1)
+		if spilled {
+			s.st.spillHits.Add(1)
+		} else {
+			s.st.cacheHits.Add(1)
+		}
 		s.st.bytesCache.Add(int64(len(dst)) * 8)
 		return nil
 	}
 	s.mu.Unlock()
 
-	// A journaled vector's newest bytes live here, not remote (the
-	// remote copy is stale until replay): serve locally.
-	if s.journal != nil && s.journal.Snapshot(vi, dst) {
-		s.st.journalHits.Add(1)
-		s.st.bytesCache.Add(int64(len(dst)) * 8)
-		return nil
-	}
-
 	s.st.cacheMisses.Add(1)
-	err := s.tracedCall(context.Background(), "tier.remote_get", true, vi, 1, dst)
+	err := s.tracedCall("tier.remote_get", true, vi, dst)
 	s.st.remoteReads.Add(1)
 	if err != nil {
 		return err
@@ -392,16 +373,16 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 	s.st.bytesFetched.Add(int64(len(dst)) * 8)
 	if aerr := s.admit(vi, dst, false); aerr != nil {
 		// The fetch itself succeeded — the reader gets its data; an
-		// admission (eviction write-back) failure is latched for
-		// Sync/Close like a lost pipeline write-back.
+		// admission failure is latched for Close like a lost pipeline
+		// write-back.
 		s.noteErr(aerr)
 	}
 	return nil
 }
 
 // WriteVector implements Store: write-back semantics — the payload
-// lands dirty in the cache tier and reaches the remote tier on
-// eviction or Sync.
+// lands dirty in the cache tier and reaches the remote tier when it is
+// evicted.
 func (s *TieredStore) WriteVector(vi int, src []float64) error {
 	if vi < 0 || vi >= s.cfg.NumVectors {
 		return fmt.Errorf("ooc: tiered store write out of range: %d", vi)
@@ -409,182 +390,64 @@ func (s *TieredStore) WriteVector(vi int, src []float64) error {
 	if len(src) != s.cfg.VectorLen {
 		return fmt.Errorf("ooc: tiered store write size %d, want %d", len(src), s.cfg.VectorLen)
 	}
-	// A write supersedes any in-flight write-back of the same vector;
-	// wait for it so remote writes of one vector stay ordered.
-	s.mu.Lock()
-	w := s.wb[vi]
-	s.mu.Unlock()
-	if w != nil {
-		<-w.done
-	}
 	return s.admit(vi, src, true)
 }
 
-// Close waits out a background journal drain, pushes dirty state
-// remote and closes the cache. The remote store stays open — the caller
-// owns it.
+// Close waits out a running background drain and closes the cache,
+// discarding whatever was never pushed: nothing after this process
+// reads it. It issues no remote request. The remote store stays open —
+// the caller owns it.
 func (s *TieredStore) Close() error {
 	s.closing.Store(true)
 	s.bg.Wait()
-	first := s.Sync()
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	s.mu.Lock()
+	first := s.firstErr
+	s.mu.Unlock()
 	if err := s.cache.Close(); err != nil && first == nil {
 		first = err
 	}
 	return first
 }
 
-// Sync pushes every dirty cached vector to the remote tier (coalescing
-// adjacent runs into ranged writes). Callers must be quiesced (no
-// concurrent reads/writes), the same contract as Manager.Flush.
-func (s *TieredStore) Sync() error {
-	s.mu.Lock()
-	for {
-		var ch chan struct{}
-		for _, w := range s.wb {
-			ch = w.done
-			break
-		}
-		if ch == nil {
-			break
-		}
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-	}
-	type dv struct{ vi, slot int }
-	var dirties []dv
-	for slot, d := range s.dirty {
-		if d && s.viOf[slot] >= 0 {
-			dirties = append(dirties, dv{s.viOf[slot], slot})
-		}
-	}
-	sort.Slice(dirties, func(i, j int) bool { return dirties[i].vi < dirties[j].vi })
-	vecLen := s.cfg.VectorLen
-	var first error
-	for i := 0; i < len(dirties); {
-		j := i + 1
-		for j < len(dirties) && j-i < maxCoalesce && dirties[j].vi == dirties[j-1].vi+1 {
-			j++
-		}
-		buf := make([]float64, (j-i)*vecLen)
-		next := j
-		for k := i; k < j; k++ {
-			if err := s.cache.ReadVector(dirties[k].slot, buf[(k-i)*vecLen:(k-i+1)*vecLen]); err != nil {
-				// Never push bytes known to be corrupt (admit refuses the
-				// same victim): the run ends before the unreadable vector,
-				// which is stepped over and stays dirty, and Sync reports
-				// the error.
-				if first == nil {
-					first = err
-				}
-				j, next = k, k+1
-			}
-		}
-		if j == i {
-			i = next
-			continue
-		}
-		buf = buf[:(j-i)*vecLen]
-		err := s.tracedCall(context.Background(), "tier.remote_put", false, dirties[i].vi, j-i, buf)
-		if err != nil {
-			// Remote unavailable mid-sync: spill the run to the journal
-			// instead of failing the sync. Once every vector's newest
-			// bytes are durable SOMEWHERE (remote or journal), the sync
-			// has done its job; recovery replays the journal.
-			spilled := s.journal != nil
-			if spilled {
-				for k := i; k < j; k++ {
-					if jerr := s.journal.Append(dirties[k].vi, buf[(k-i)*vecLen:(k-i+1)*vecLen]); jerr != nil {
-						spilled = false
-						break
-					}
-				}
-			}
-			if spilled {
-				for k := i; k < j; k++ {
-					s.dirty[dirties[k].slot] = false
-				}
-			} else if first == nil {
-				first = err
-			}
-		} else {
-			s.st.remoteWrites.Add(1)
-			s.st.remoteVecsW.Add(int64(j - i))
-			s.st.bytesPushed.Add(int64(len(buf)) * 8)
-			s.st.coalesced.Add(int64(j - i - 1))
-			for k := i; k < j; k++ {
-				s.dirty[dirties[k].slot] = false
-			}
-		}
-		i = next
-	}
-	if s.firstErr != nil && first == nil {
-		first = s.firstErr
-	}
-	s.mu.Unlock()
-	// Best-effort journal replay: a healed network empties it here; a
-	// still-down one leaves the entries durable on disk (Sync's job is
-	// durability, not connectivity).
-	if s.journal != nil && s.journal.Depth() > 0 {
-		s.drainNow(context.Background())
-	}
-	if err := SyncStore(s.remote); err != nil && first == nil && !IsTransient(err) && !IsCircuitOpen(err) {
-		first = err
-	}
-	return first
-}
-
-// FetchCost implements FetchCoster: a cached, write-back-pending or
-// journaled vector is local; anything else is a remote round trip.
+// FetchCost implements FetchCoster: a cached or pending vector is
+// local; anything else is a remote round trip.
 func (s *TieredStore) FetchCost(vi int) (time.Duration, bool) {
 	s.mu.Lock()
 	_, cached := s.slotOf[vi]
 	if !cached {
-		_, cached = s.wb[vi]
+		_, cached = s.pend[vi]
 	}
 	s.mu.Unlock()
-	if !cached && s.journal != nil && s.journal.Has(vi) {
-		cached = true // journal payloads are served locally
-	}
 	return 0, !cached
 }
 
 // MemOverheadBytes estimates the tier's heap footprint beyond the
-// manager's slot pool: placement map and per-slot metadata, the
-// journal's index, and the one float64 buffer a dirty write-back holds
-// while in flight. A read holds none — it lands in the caller's slot —
-// so an idle tier's charge does not depend on VectorLen. Watchdog and
-// Resize subtract it from the memory budget.
+// manager's slot pool: placement map and per-slot metadata, and the
+// float64 buffer each pending write-back holds — in flight or spilled.
+// A read holds none — it lands in the caller's slot — so an idle tier's
+// charge does not depend on VectorLen. Watchdog and Resize subtract it
+// from the memory budget.
 func (s *TieredStore) MemOverheadBytes() int64 {
 	const mapEntry = 48 // rough per-entry cost of a map[int]int
 	s.mu.Lock()
-	n := int64(len(s.slotOf))*mapEntry + int64(len(s.wb))*(mapEntry+int64(s.cfg.VectorLen)*8)
+	n := int64(len(s.slotOf))*mapEntry + int64(len(s.pend))*(mapEntry+int64(s.cfg.VectorLen)*8)
 	s.mu.Unlock()
-	n += int64(s.cfg.CacheVectors) * (8 + 8 + 1) // viOf, stamp, dirty
-	if s.journal != nil {
-		n += s.journal.MemBytes()
-	}
-	return n
+	return n + int64(s.cfg.CacheVectors)*(8+8+1) // viOf, stamp, dirty
 }
 
 // tracedCall is remoteCall under a child of the active request span
 // (none when untraced), so a traced request shows each round trip it
-// paid for, with the run geometry as attributes.
-func (s *TieredStore) tracedCall(ctx context.Context, name string, read bool, vi, count int, buf []float64) error {
+// paid for, with the vector as attributes.
+func (s *TieredStore) tracedCall(name string, read bool, vi int, buf []float64) error {
+	ctx := context.Background()
 	var span *obs.Span
 	if sp := s.currentSpan(); sp != nil {
 		span = sp.StartChild(name)
 		span.SetAttr("vi", int64(vi))
-		span.SetAttr("count", int64(count))
 		span.SetAttr("bytes", int64(len(buf))*8)
 		ctx = obs.ContextWithSpan(ctx, span)
 	}
-	err := s.remoteCall(ctx, read, vi, count, buf)
+	err := s.remoteCall(ctx, read, vi, buf)
 	span.End()
 	return err
 }
@@ -597,20 +460,18 @@ func (s *TieredStore) remoteObserved(d time.Duration) {
 	}
 }
 
-// remoteCall is the single guarded gateway for remote I/O: circuit
-// breaker admission, a per-attempt deadline and the jittered remote
-// retry budget. buf is read for writes and filled for reads.
-func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi, count int, buf []float64) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// remoteCall is the single guarded gateway for remote I/O of one
+// vector: circuit breaker admission, a per-attempt deadline and the
+// jittered remote retry budget. buf is read for writes and filled for
+// reads.
+func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []float64) error {
 	opName := "write"
 	if read {
 		opName = "read"
 	}
 	op := func() error {
 		if s.breaker != nil && !s.breaker.Allow() {
-			return fmt.Errorf("ooc: remote %s [%d,%d): %w", opName, vi, vi+count, ErrCircuitOpen)
+			return fmt.Errorf("ooc: remote %s %d: %w", opName, vi, ErrCircuitOpen)
 		}
 		actx := ctx
 		cancel := context.CancelFunc(nil)
@@ -620,9 +481,9 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi, count int, 
 		start := time.Now()
 		var err error
 		if read {
-			err = ReadRangeOf(actx, s.remote, s.cfg.VectorLen, vi, count, buf)
+			err = ReadRangeOf(actx, s.remote, s.cfg.VectorLen, vi, 1, buf)
 		} else {
-			err = WriteRangeOf(actx, s.remote, s.cfg.VectorLen, vi, count, buf)
+			err = WriteRangeOf(actx, s.remote, s.cfg.VectorLen, vi, 1, buf)
 		}
 		if cancel != nil {
 			cancel()
@@ -652,12 +513,23 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi, count int, 
 	return err
 }
 
-// maybeDrain kicks off a background journal replay when there is
-// something to replay and no drain is already running. Called after
-// every successful remote request — the cheapest possible "the
-// network is back" signal.
+// push PUTs a pending write-back's bytes to the remote tier.
+func (s *TieredStore) push(name string, w *pendWB) error {
+	err := s.tracedCall(name, false, w.vi, w.buf)
+	if err == nil {
+		s.st.remoteWrites.Add(1)
+		s.st.remoteVecsW.Add(1)
+		s.st.bytesPushed.Add(int64(len(w.buf)) * 8)
+	}
+	return err
+}
+
+// maybeDrain kicks off a background drain of the spilled write-backs
+// when there are some and no drain is already running. Called after
+// every successful remote request — the cheapest possible "the network
+// is back" signal.
 func (s *TieredStore) maybeDrain() {
-	if s.journal == nil || s.closing.Load() || s.journal.Depth() == 0 {
+	if s.closing.Load() || s.st.spillDepth.Load() == 0 {
 		return
 	}
 	if !s.drainBusy.CompareAndSwap(false, true) {
@@ -667,54 +539,45 @@ func (s *TieredStore) maybeDrain() {
 	go func() {
 		defer s.bg.Done()
 		defer s.drainBusy.Store(false)
-		s.drainJournal(context.Background())
+		s.drainSpill()
 	}()
 }
 
-// drainNow runs a synchronous journal replay, waiting out any
-// background drain first (Sync/Close path — callers are quiesced).
-func (s *TieredStore) drainNow(ctx context.Context) error {
-	if s.journal == nil {
-		return nil
-	}
-	for !s.drainBusy.CompareAndSwap(false, true) {
-		time.Sleep(time.Millisecond)
-	}
-	defer s.drainBusy.Store(false)
-	return s.drainJournal(ctx)
-}
-
-// drainJournal replays pending journal records to the remote tier —
-// newest copy per vector, from the journal's in-memory index; the
-// checksum layer above the tier verifies them on the next read.
-// Entries superseded by a dirty cache copy are discarded (the cache
-// push carries newer bytes). Stops at the first error, leaving the
-// remainder durable on disk for the next recovery signal.
-func (s *TieredStore) drainJournal(ctx context.Context) error {
-	buf := make([]float64, s.cfg.VectorLen)
-	for _, vi := range s.journal.Pending() {
+// drainSpill PUTs spilled write-backs to the remote tier one at a time
+// until none is left, Close begins, or a PUT fails (the next successful
+// remote request retries). While a PUT is in flight its entry's done
+// channel is re-armed, so a concurrent WriteVector of the vector waits
+// for it exactly as for an eviction's PUT.
+func (s *TieredStore) drainSpill() {
+	for !s.closing.Load() {
 		s.mu.Lock()
-		slot, cached := s.slotOf[vi]
-		superseded := cached && s.dirty[slot]
+		var w *pendWB
+		for _, e := range s.pend {
+			if !e.pushing() {
+				w = e
+				break
+			}
+		}
+		if w == nil {
+			s.mu.Unlock()
+			return
+		}
+		w.done = make(chan struct{})
 		s.mu.Unlock()
-		if superseded {
-			s.journal.Discard(vi)
-			continue
+
+		err := s.push("tier.spill_replay", w)
+		s.mu.Lock()
+		if err == nil {
+			delete(s.pend, w.vi)
+			s.st.spillDepth.Add(-1)
+			s.st.spillReplayed.Add(1)
 		}
-		if !s.journal.Snapshot(vi, buf) {
-			continue
-		}
-		if err := s.tracedCall(ctx, "tier.journal_replay", false, vi, 1, buf); err != nil {
-			return err
-		}
-		s.st.remoteWrites.Add(1)
-		s.st.remoteVecsW.Add(1)
-		s.st.bytesPushed.Add(int64(len(buf)) * 8)
-		if err := s.journal.Remove(vi); err != nil {
-			return err
+		close(w.done)
+		s.mu.Unlock()
+		if err != nil {
+			return
 		}
 	}
-	return nil
 }
 
 // ProbeRemote issues one guarded single-vector read and discards the
@@ -727,7 +590,7 @@ func (s *TieredStore) ProbeRemote(ctx context.Context) error {
 		return nil
 	}
 	buf := make([]float64, s.cfg.VectorLen)
-	return s.remoteCall(ctx, true, 0, 1, buf)
+	return s.remoteCall(ctx, true, 0, buf)
 }
 
 func (s *TieredStore) noteErr(err error) {
@@ -739,14 +602,29 @@ func (s *TieredStore) noteErr(err error) {
 }
 
 // admit installs data as vector vi in the cache tier, evicting an LRU
-// victim when full. A dirty victim is copied out under the lock and
-// pushed to the remote tier after it is released — remote-first with
-// respect to slot reuse (the slot's new content is only trusted
-// because the old content is either clean on the remote or carried by
-// the pending write-back buffer that readers consult).
+// victim when full. A dirty victim is copied into pend under the lock
+// and pushed to the remote tier after it is released — readers consult
+// pend, so the slot's new content never hides the victim's newest
+// bytes. A victim the remote refuses stays in pend, spilled, for a
+// later drain.
 func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
-	var pushWB *tierWB
 	s.mu.Lock()
+	if markDirty {
+		// This write supersedes any pending copy of vi: wait out a PUT
+		// of it in flight, so remote writes of one vector stay ordered,
+		// then drop the spilled bytes.
+		for w := s.pend[vi]; w != nil; w = s.pend[vi] {
+			if !w.pushing() {
+				delete(s.pend, vi)
+				s.st.spillDepth.Add(-1)
+				break
+			}
+			done := w.done
+			s.mu.Unlock()
+			<-done
+			s.mu.Lock()
+		}
+	}
 	if slot, ok := s.slotOf[vi]; ok {
 		err := s.cache.WriteVector(slot, data)
 		if err == nil {
@@ -754,17 +632,12 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 			s.stamp[slot] = s.now
 			if markDirty {
 				s.dirty[slot] = true
-				if s.journal != nil {
-					// The dirty cache copy supersedes any journaled
-					// payload; replaying the old bytes would be wasted
-					// (and transiently wrong) work.
-					s.journal.Discard(vi)
-				}
 			}
 		}
 		s.mu.Unlock()
 		return err
 	}
+	var evicted *pendWB
 	var slot int
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -785,11 +658,13 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 		if s.dirty[victim] {
 			wbuf := make([]float64, s.cfg.VectorLen)
 			if err := s.cache.ReadVector(victim, wbuf); err != nil {
+				// Never push bytes known to be corrupt: the victim stays
+				// dirty and cached, and the caller gets the error.
 				s.mu.Unlock()
 				return fmt.Errorf("ooc: evicting dirty vector %d: %w", vvi, err)
 			}
-			pushWB = &tierWB{vi: vvi, buf: wbuf, done: make(chan struct{})}
-			s.wb[vvi] = pushWB
+			evicted = &pendWB{vi: vvi, buf: wbuf, done: make(chan struct{})}
+			s.pend[vvi] = evicted
 			s.st.dirtyWritebacks.Add(1)
 		}
 		delete(s.slotOf, vvi)
@@ -807,39 +682,21 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 		s.now++
 		s.stamp[slot] = s.now
 		s.dirty[slot] = markDirty
-		if markDirty && s.journal != nil {
-			s.journal.Discard(vi)
-		}
 	}
 	s.mu.Unlock()
 
-	if pushWB != nil {
-		werr := s.tracedCall(context.Background(), "tier.remote_put", false, pushWB.vi, 1, pushWB.buf)
-		if werr == nil {
-			s.st.remoteWrites.Add(1)
-			s.st.remoteVecsW.Add(1)
-			s.st.bytesPushed.Add(int64(len(pushWB.buf)) * 8)
-		} else if s.journal != nil {
-			// The remote tier cannot take this vector and its cache
-			// slot is already promised away: the journal absorbs the
-			// only remaining copy, durably, before any reader could
-			// miss both the wb buffer and the journal and fetch the
-			// stale remote bytes. Replayed on recovery.
-			if jerr := s.journal.Append(pushWB.vi, pushWB.buf); jerr == nil {
-				werr = nil
-			} else {
-				werr = fmt.Errorf("ooc: spilling evicted vector %d: %v (remote: %w)", pushWB.vi, jerr, werr)
-			}
-		}
+	if evicted != nil {
+		perr := s.push("tier.remote_put", evicted)
 		s.mu.Lock()
-		if s.wb[pushWB.vi] == pushWB {
-			delete(s.wb, pushWB.vi)
+		if perr == nil {
+			delete(s.pend, evicted.vi)
+		} else {
+			evicted.spilled = true
+			s.st.spillAppends.Add(1)
+			s.st.spillDepth.Add(1)
 		}
+		close(evicted.done)
 		s.mu.Unlock()
-		close(pushWB.done)
-		if werr != nil && err == nil {
-			err = fmt.Errorf("ooc: writing back evicted vector %d: %w", pushWB.vi, werr)
-		}
 	}
 	return err
 }

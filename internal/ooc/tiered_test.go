@@ -76,34 +76,6 @@ func TestTieredStoreRemoteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTieredStoreCoalescing(t *testing.T) {
-	const n, vecLen = 32, 8
-	ts, _, _ := newTierFixture(t, n, vecLen, 8,
-		iosim.Device{Latency: 5 * time.Millisecond, Bandwidth: 1e9})
-	defer ts.Close()
-	for vi := 0; vi < n; vi++ {
-		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ts.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Sync coalesces adjacent dirty vectors into ranged writes: far
-	// fewer remote requests than vectors.
-	st := ts.Stats()
-	if st.RemoteVectorsWritten < int64(n-8) {
-		t.Fatalf("sync should have pushed the dirty vectors: %+v", st)
-	}
-	if st.RemoteWrites >= st.RemoteVectorsWritten {
-		t.Errorf("adjacent dirty vectors should coalesce: %d requests for %d vectors",
-			st.RemoteWrites, st.RemoteVectorsWritten)
-	}
-	if st.Coalesced == 0 {
-		t.Errorf("coalesce counter not advanced: %+v", st)
-	}
-}
-
 func TestTieredStoreFetchCost(t *testing.T) {
 	const n, vecLen = 10, 4
 	ts, _, _ := newTierFixture(t, n, vecLen, 2, iosim.Device{})
@@ -192,7 +164,7 @@ func TestTieredStoreDirtyEvictionSurvivesCacheLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate a crash: no Sync, no Close, cache dir destroyed.
+	// Simulate a crash: no Close, cache dir destroyed.
 	os.RemoveAll(dir)
 	buf := make([]float64, vecLen)
 	for vi := 0; vi < 4; vi++ {
@@ -233,47 +205,49 @@ func flipCacheBit(t *testing.T, ts *TieredStore, dir string, vi, vecLen int) {
 
 // TestTieredSyncDoesNotPushCorruptDirty: a dirty cached vector that
 // fails verification must never become the authoritative remote copy.
-// Sync reports the corruption, pushes the readable neighbours of the
-// run it split, and leaves the remote object's previous bytes in place.
+// Eviction is the tier's only push: the rotted victim is not PUT, the
+// admission that needed its slot returns the corruption, the victim
+// stays dirty, and the remote object keeps its previous bytes.
 func TestTieredSyncDoesNotPushCorruptDirty(t *testing.T) {
 	const n, vecLen = 6, 4
 	rem := NewMemStore(n, vecLen)
 	dir := t.TempDir()
-	ts, err := NewTieredStore(rem, TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: n})
+	ts, err := NewTieredStore(rem, TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for vi := 0; vi < 3; vi++ {
+	defer ts.Close()
+	// Generation 0 of vector 0 reaches the remote by eviction.
+	for _, vi := range []int{0, 1, 2} {
 		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ts.Sync(); err != nil {
+	// Generation 100 of vector 0 is cached dirty, becomes the LRU
+	// victim, and rots.
+	if err := ts.WriteVector(0, tierVec(vecLen, 100)); err != nil {
 		t.Fatal(err)
 	}
-	// Second generation of the adjacent run 0,1,2; the middle one rots.
-	for vi := 0; vi < 3; vi++ {
-		if err := ts.WriteVector(vi, tierVec(vecLen, vi+100)); err != nil {
-			t.Fatal(err)
+	if err := ts.WriteVector(3, tierVec(vecLen, 3)); err != nil {
+		t.Fatal(err)
+	}
+	flipCacheBit(t, ts, dir, 0, vecLen)
+	pushed := ts.Stats().RemoteWrites
+	for try := 0; try < 2; try++ {
+		if err := ts.WriteVector(4, tierVec(vecLen, 4)); !IsCorruption(err) {
+			t.Fatalf("try %d: evicting a rotted dirty vector returned %v, want a corruption error", try, err)
 		}
 	}
-	flipCacheBit(t, ts, dir, 1, vecLen)
-	if err := ts.Sync(); !IsCorruption(err) {
-		t.Fatalf("Sync over a rotted dirty vector returned %v, want a corruption error", err)
+	if got := ts.Stats().RemoteWrites; got != pushed {
+		t.Errorf("%d remote writes after the rot, want none", got-pushed)
 	}
 	buf := make([]float64, vecLen)
-	for vi, gen := range []int{100, 0, 100} {
-		if err := rem.ReadVector(vi, buf); err != nil {
-			t.Fatal(err)
-		}
-		if want := tierVec(vecLen, vi+gen); buf[0] != want[0] || buf[vecLen-1] != want[vecLen-1] {
-			t.Errorf("remote vector %d = %v, want generation %d (%v)", vi, buf, gen, want)
-		}
+	if err := rem.ReadVector(0, buf); err != nil {
+		t.Fatal(err)
 	}
-	if err := ts.Sync(); !IsCorruption(err) {
-		t.Errorf("the unreadable vector must stay dirty: second Sync returned %v", err)
+	if want := tierVec(vecLen, 0); buf[0] != want[0] || buf[vecLen-1] != want[vecLen-1] {
+		t.Errorf("remote vector 0 = %v, want generation 0 (%v)", buf, want)
 	}
-	ts.Close()
 }
 
 // TestTieredStoreRefetchesCorruptCleanCopy: a CLEAN cached copy that
@@ -283,20 +257,25 @@ func TestTieredStoreRefetchesCorruptCleanCopy(t *testing.T) {
 	const n, vecLen = 4, 4
 	rem := NewMemStore(n, vecLen)
 	dir := t.TempDir()
-	ts, err := NewTieredStore(rem, TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: n})
+	ts, err := NewTieredStore(rem, TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ts.Close()
+	// Evict vector 2 dirty, then re-fetch it: the cached copy is clean.
 	want := tierVec(vecLen, 2)
+	buf := make([]float64, vecLen)
 	if err := ts.WriteVector(2, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Sync(); err != nil {
+	if err := ts.WriteVector(3, tierVec(vecLen, 3)); err != nil {
 		t.Fatal(err)
 	}
+	if err := ts.ReadVector(2, buf); err != nil {
+		t.Fatal(err)
+	}
+	before := ts.Stats()
 	flipCacheBit(t, ts, dir, 2, vecLen)
-	buf := make([]float64, vecLen)
 	if err := ts.ReadVector(2, buf); err != nil {
 		t.Fatalf("read of a rotted clean copy: %v", err)
 	}
@@ -305,8 +284,8 @@ func TestTieredStoreRefetchesCorruptCleanCopy(t *testing.T) {
 			t.Fatalf("pos %d: %v != %v", i, buf[i], want[i])
 		}
 	}
-	if st := ts.Stats(); st.RemoteReads != 1 || st.CacheMisses != 1 {
-		t.Errorf("want exactly one refetch: %+v", st)
+	if st := ts.Stats(); st.RemoteReads-before.RemoteReads != 1 || st.CacheMisses-before.CacheMisses != 1 {
+		t.Errorf("want exactly one refetch: %+v -> %+v", before, st)
 	}
 }
 
@@ -314,10 +293,11 @@ func TestTieredStoreRefetchesCorruptCleanCopy(t *testing.T) {
 // run seeded random write / read / re-read sequences on disjoint
 // vectors over a cache far smaller than the working set and a
 // latency-injected loopback remote, interleaved (while quiesced) with
-// Sync, Close and (cold) reopen over the same remote object, and every
-// read is checked against a plain map. Properties: read-your-writes
-// through eviction, write-back and reopen; nothing lost when the cache
-// is gone; and a miss is exactly one remote request.
+// Close and (cold) reopen over the same remote object, and every read
+// is checked against a plain map. A reopened tier is a new incarnation
+// that reads only what it wrote, so the model resets with it.
+// Properties: read-your-writes through eviction and write-back; a miss
+// is exactly one remote request; and Close issues no remote request.
 func TestTieredStoreModel(t *testing.T) {
 	const n, vecLen, cacheVecs, workers, rounds, steps = 24, 8, 5, 3, 12, 40
 	srv, err := remote.NewServer(remote.ServerConfig{
@@ -340,7 +320,7 @@ func TestTieredStoreModel(t *testing.T) {
 		return ts
 	}
 	var mu sync.Mutex // the model is shared; the vectors are not
-	model := make(map[int][]float64)
+	var model map[int][]float64
 	check := func(what string, vi int, got []float64) {
 		mu.Lock()
 		want := model[vi]
@@ -358,8 +338,19 @@ func TestTieredStoreModel(t *testing.T) {
 		}
 	}
 
+	closeSilently := func(ts *TieredStore) {
+		missesAreGets(ts)
+		ops := srv.Clock().Ops()
+		if err := ts.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Clock().Ops() - ops; got != 0 {
+			t.Errorf("Close issued %d remote requests, want 0", got)
+		}
+	}
+
 	rng := rand.New(rand.NewSource(22))
-	ts := open()
+	ts, model := open(), make(map[int][]float64)
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		for g := 0; g < workers; g++ {
@@ -397,29 +388,10 @@ func TestTieredStoreModel(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		switch rng.Intn(3) {
-		case 0:
-			if err := ts.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		case 1:
-			missesAreGets(ts)
-			if err := ts.Close(); err != nil {
-				t.Fatal(err)
-			}
-			ts = open()
+		if rng.Intn(3) == 0 {
+			closeSilently(ts)
+			ts, model = open(), make(map[int][]float64)
 		}
 	}
-	missesAreGets(ts)
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing lost: the remote object alone holds every newest vector.
-	buf := make([]float64, vecLen)
-	for vi := range model {
-		if err := obj.ReadVector(vi, buf); err != nil {
-			t.Fatal(err)
-		}
-		check("remote object after close", vi, buf)
-	}
+	closeSilently(ts)
 }

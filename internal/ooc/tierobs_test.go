@@ -32,9 +32,6 @@ func TestInstrumentTieredStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ts.Sync(); err != nil {
-		t.Fatal(err)
-	}
 
 	s := reg.Snapshot()
 	st := ts.Stats()
@@ -46,7 +43,6 @@ func TestInstrumentTieredStore(t *testing.T) {
 		"tier.remote_vectors_read":    st.RemoteVectorsRead,
 		"tier.bytes_fetched":          st.BytesFetched,
 		"tier.bytes_from_cache":       st.BytesFromCache,
-		"tier.coalesced":              st.Coalesced,
 		"tier.evictions":              st.Evictions,
 		"tier.dirty_writebacks":       st.DirtyWritebacks,
 		"tier.remote_vectors_written": st.RemoteVectorsWritten,
@@ -62,7 +58,7 @@ func TestInstrumentTieredStore(t *testing.T) {
 	if !ok || h.Count == 0 {
 		t.Errorf("remote latency histogram empty: ok=%v count=%d", ok, h.Count)
 	}
-	// Every remote request (reads, eviction write-backs, sync pushes)
+	// Every remote request (reads, eviction write-backs)
 	// must have been observed exactly once.
 	if want := st.RemoteReads + st.RemoteWrites; h.Count != want {
 		t.Errorf("histogram count %d, want %d remote requests", h.Count, want)

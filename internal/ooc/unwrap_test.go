@@ -8,21 +8,19 @@ import (
 	"oocphylo/internal/iosim"
 )
 
-// capStore is an innermost store implementing all four optional
+// capStore is an innermost store implementing the optional
 // capabilities with recognisable answers.
 type capStore struct {
 	*MemStore
-	synced int
 }
 
-func (c *capStore) Sync() error                         { c.synced++; return nil }
 func (c *capStore) FetchCost(int) (time.Duration, bool) { return 7 * time.Millisecond, true }
 func (c *capStore) MemOverheadBytes() int64             { return 1000 }
 func (c *capStore) Degraded() bool                      { return true }
 
 // TestCapabilitiesCrossWrappers is the wrapper × capability table: every
-// wrapper store must let Sync, FetchCost, MemOverheadBytes and Degraded
-// of the store beneath it through, alone and stacked in OpenStack's
+// wrapper store must let FetchCost, MemOverheadBytes and Degraded of
+// the store beneath it through, alone and stacked in OpenStack's
 // order. Degraded is the row with teeth: a fault-injected or
 // crashpoint-armed tier must still report its open breaker, or the
 // planner never flips to recompute.
@@ -55,9 +53,6 @@ func TestCapabilitiesCrossWrappers(t *testing.T) {
 			fake := &capStore{MemStore: NewMemStore(n, vecLen)}
 			s := w.wrap(fake)
 			defer s.Close()
-			if err := SyncStore(s); err != nil || fake.synced != 1 {
-				t.Errorf("Sync: err %v, reached the inner store %d times, want 1", err, fake.synced)
-			}
 			if d, remote := StoreFetchCost(s, 1); d != 7*time.Millisecond || !remote {
 				t.Errorf("FetchCost = (%v, %v), want the inner store's (7ms, true)", d, remote)
 			}

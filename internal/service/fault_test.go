@@ -213,7 +213,7 @@ func TestServiceReadyzDegradedCycle(t *testing.T) {
 	}
 
 	// Partition the remote tier and drive traffic until the breaker
-	// opens and the spill journal starts absorbing dirty evictions.
+	// opens and refused dirty evictions start spilling into memory.
 	chaos.Enable()
 	chaos.SetPartition(true)
 	tier := ses.tierStore()
@@ -230,7 +230,7 @@ func TestServiceReadyzDegradedCycle(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never degraded with journal pressure: %+v", tier.Stats())
+			t.Fatalf("never degraded with spill pressure: %+v", tier.Stats())
 		}
 	}
 

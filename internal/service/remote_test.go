@@ -267,10 +267,10 @@ func TestServiceRemoteReviveAtOtherPrecision(t *testing.T) {
 // TestServiceDeleteRemovesEveryLocalFile pins session deletion against
 // what the session's store stack put on local disk: before DELETE the
 // session owns its alignment, its checkpoint once parked, the vector or
-// cache file and the journal — no checksum sidecar, no cache index —
-// and after DELETE the data and spill directories hold nothing of the
-// session's — active or parked at the time, local file or remote store
-// behind a cache tier.
+// cache file — no checksum sidecar, no cache index, no spill file —
+// and after DELETE the data directory holds nothing of the session's —
+// active or parked at the time, local file or remote store behind a
+// cache tier.
 func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 	for _, medium := range []string{"local", "remote"} {
 		for _, parked := range []bool{false, true} {
@@ -286,7 +286,6 @@ func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 					}
 					defer rsrv.Close()
 					scfg.StoreURL = "remote://" + rsrv.Addr()
-					scfg.SpillDir = filepath.Join(dir, "spill")
 				}
 				srv := newTestServer(t, scfg)
 				cfg := baseSession("gone", alnPath)
@@ -312,7 +311,7 @@ func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 				})
 				want := []string{"data/gone.aln", "data/gone.vec"}
 				if medium == "remote" {
-					want = []string{"data/gone.aln", "data/gone.cache/cache.vec", "spill/gone.spill/spill.jrnl"}
+					want = []string{"data/gone.aln", "data/gone.cache/cache.vec"}
 				}
 				if parked {
 					want = append(want, "data/gone.ckpt")
@@ -324,17 +323,12 @@ func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 				if err := srv.DeleteSession("gone"); err != nil {
 					t.Fatal(err)
 				}
-				for _, d := range []string{scfg.DataDir, scfg.SpillDir} {
-					if d == "" {
-						continue
-					}
-					ents, err := os.ReadDir(d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, e := range ents {
-						t.Errorf("delete left %s behind", filepath.Join(d, e.Name()))
-					}
+				ents, err := os.ReadDir(scfg.DataDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range ents {
+					t.Errorf("delete left %s behind", filepath.Join(scfg.DataDir, e.Name()))
 				}
 			})
 		}

@@ -72,19 +72,15 @@ type ServerConfig struct {
 	// RemoteDeadline bounds each remote store request attempt; retries
 	// get a fresh deadline (0 = none). Only meaningful with StoreURL.
 	RemoteDeadline time.Duration
-	// SpillDir overrides where each session's write-back spill journal
-	// lives (default: inside the session's cache directory). Point it at
-	// a different disk to keep outage spill off the cache volume.
-	SpillDir string
 	// RequestTimeout bounds one /v1 request end-to-end; expiry maps to
 	// 503 + Retry-After (0 = no deadline).
 	RequestTimeout time.Duration
 	// RetryAfter is the hint written on 503 responses (default 1s).
 	RetryAfter time.Duration
-	// ShedDepth is the spill-journal high-water mark: while a session's
-	// remote tier is degraded (circuit open) AND its journal holds at
-	// least this many vectors, new evaluates for it are shed with 503 +
-	// Retry-After instead of piling more dirty state onto local disk.
+	// ShedDepth is the spill high-water mark: while a session's remote
+	// tier is degraded (circuit open) AND it holds at least this many
+	// refused dirty victims in memory, new evaluates for it are shed
+	// with 503 + Retry-After instead of piling on more dirty state.
 	// 0 = half the session's vector count.
 	ShedDepth int
 }
@@ -577,8 +573,8 @@ func (s *Server) Handler() http.Handler {
 	// /healthz is pure liveness: the process is up and serving. /readyz
 	// additionally asks whether the daemon can serve at full fidelity —
 	// a session whose remote tier is circuit-open still ANSWERS
-	// (degraded mode recomputes instead of fetching, the journal absorbs
-	// write-backs), but a load balancer should prefer a replica whose
+	// (degraded mode recomputes instead of fetching, refused write-backs
+	// wait in memory), but a load balancer should prefer a replica whose
 	// remote tier is healthy.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -818,7 +814,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 type readyReply struct {
 	Ready bool `json:"ready"`
 	// Degraded lists sessions whose remote tier is circuit-open. They
-	// still answer (cache + recompute + journal), at reduced fidelity.
+	// still answer (cache + recompute + spill), at reduced fidelity.
 	Degraded []string `json:"degraded,omitempty"`
 }
 
@@ -860,10 +856,10 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 // shouldShed decides whether an evaluate for ses must be refused:
-// only while the session's remote tier is degraded AND its spill
-// journal is past the high-water mark — degraded alone is fine (that
-// is what recompute and the journal are for); deep spill on top of an
-// outage means local disk is absorbing unbounded dirty state.
+// only while the session's remote tier is degraded AND its spill depth
+// is past the high-water mark — degraded alone is fine (that is what
+// recompute and the spill are for); deep spill on top of an outage
+// means memory is absorbing unbounded dirty state.
 func (s *Server) shouldShed(ses *Session) (bool, int64) {
 	hasTier, degraded, depth := ses.tierHealth()
 	if !hasTier || !degraded {

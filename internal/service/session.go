@@ -345,9 +345,6 @@ func (s *Session) stackSpec() ooc.StackSpec {
 		spec.URL = sessionObjectURL(cfg.StoreURL, s.name)
 		spec.CacheDir = filepath.Join(cfg.DataDir, s.name+".cache")
 		spec.CacheBytes, spec.RemoteDeadline = cfg.CacheBytes, cfg.RemoteDeadline
-		if cfg.SpillDir != "" {
-			spec.SpillDir = filepath.Join(cfg.SpillDir, s.name+".spill")
-		}
 	}
 	return spec
 }
@@ -677,14 +674,15 @@ func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) 
 
 // tierHealth reports the remote-tier condition for readiness and load
 // shedding: whether the session runs a tiered store at all, whether its
-// circuit breaker is open (degraded), and the spill journal's depth.
-func (s *Session) tierHealth() (hasTier, degraded bool, journalDepth int64) {
+// circuit breaker is open (degraded), and how many dirty victims the
+// remote refused are held in memory (the spill depth).
+func (s *Session) tierHealth() (hasTier, degraded bool, spillDepth int64) {
 	tier := s.tierStore()
 	if tier == nil {
 		return false, false, 0
 	}
 	st := tier.Stats()
-	return true, st.Degraded, st.JournalDepth
+	return true, st.Degraded, st.SpillDepth
 }
 
 // tierStore returns the live tiered store (nil for local sessions or
