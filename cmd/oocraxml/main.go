@@ -35,7 +35,14 @@
 //	oocraxml -s data.phy -f z -k 100 -L 50000000 -async -http 127.0.0.1:8080 -stats
 //	curl localhost:8080/debug/vars    # JSON metrics snapshot
 //	curl localhost:8080/debug/report  # the same report -stats prints
-//	curl localhost:8080/debug/trace   # Chrome trace of the vector lifecycle
+//	curl localhost:8080/debug/trace   # Chrome trace: compute and I/O worker lanes
+//
+// The trace is the run's spans under one run-long root span: fault-ins,
+// evictions, prefetches and join-waits on the compute lane, pipe.fetch
+// and pipe.write_back on one lane per I/O worker, per-traversal
+// plf.newviews/plf.evaluate, sum tables, recovery markers, search
+// rounds and — over -store remote:// — tier.remote_get/put. Past the
+// collector's per-trace cap the oldest spans are overwritten.
 package main
 
 import (
@@ -151,27 +158,29 @@ func run(args []string, out *os.File) error {
 	defer stopSignals()
 
 	// Observability: one registry feeds both the final report and the
-	// live endpoint; the trace ring only exists when someone can read it
-	// (the endpoint's /debug/trace).
+	// live endpoint; spans are only recorded when someone can read them
+	// (the endpoint's /debug/trace), under a root span spanning the run.
 	var reg *obs.Registry
-	var tr *obs.Tracer
+	var root *obs.Span
 	if o.printStats || o.httpAddr != "" {
 		reg = obs.NewRegistry()
 		reg.SetInfo("run.mode", o.mode)
 	}
 	if o.httpAddr != "" {
-		tr = obs.NewTracer(1 << 16)
-		// Mirror the ring's own health (drops included) into the
+		col := obs.NewSpanCollector(4)
+		// Mirror the collector's own health (drops included) into the
 		// registry so /debug/vars and the report expose it.
-		obs.RegisterTracerMetrics(reg, tr, nil)
-		addr, shutdown, err := obs.Serve(o.httpAddr, reg, tr)
+		obs.RegisterSpanMetrics(reg, col)
+		addr, shutdown, err := obs.Serve(o.httpAddr, reg, col)
 		if err != nil {
 			return err
 		}
 		defer shutdown()
+		root = col.StartTrace("oocraxml")
+		defer root.End()
 		fmt.Fprintf(out, "Debug endpoint: http://%s/ (vars, report, trace, pprof)\n", addr)
 	}
-	how.Registry, how.Tracer = reg, tr
+	how.Registry = reg
 
 	_, pats, err := analysis.Load(spec)
 	if err != nil {
@@ -215,6 +224,7 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	defer r.Close()
+	r.SetSpan(root)
 	printProvider(out, spec, how, r)
 	e, wd := r.Engine, r.Watchdog
 	if wd != nil {
@@ -267,7 +277,7 @@ func run(args []string, out *os.File) error {
 			}
 		}
 		s := search.New(e, opts)
-		s.Instrument(reg, tr)
+		s.Instrument(reg)
 		res, err := s.RunCtx(ctx)
 		var itr *search.Interrupted
 		switch {
@@ -311,7 +321,7 @@ func run(args []string, out *os.File) error {
 		}
 	case "n":
 		s := search.New(e, search.Options{MaxRounds: o.rounds})
-		s.Instrument(reg, tr)
+		s.Instrument(reg)
 		res, err := s.RunNNI()
 		if err != nil {
 			if canceled(err) {

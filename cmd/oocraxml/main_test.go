@@ -398,13 +398,16 @@ func TestHTTPFlag(t *testing.T) {
 	}
 }
 
-// TestHTTPEndpointLive curls /debug/vars while a run is in flight: the
-// server comes up before the alignment loads, so polling from a second
-// goroutine observes it as long as the workload runs for a few
-// milliseconds. If the run wins the race anyway the test skips — the
-// mux round-trips are covered deterministically in internal/obs.
+// TestHTTPEndpointLive curls /debug/vars and /debug/trace while an
+// async run is in flight: the server comes up before the alignment
+// loads, so polling from a second goroutine observes it as long as the
+// workload runs for a few milliseconds. The trace must show the run's
+// fault-ins on the compute row and background fetches on a worker's
+// row. If the run wins the race anyway the test skips — the mux
+// round-trips are covered deterministically in internal/obs.
 func TestHTTPEndpointLive(t *testing.T) {
-	phy, nwk := writeTestData(t)
+	// Large enough that traversals stage reads through the fetch workers.
+	phy, nwk, memLimit := soakDataset(t, t.TempDir(), 24, 64)
 	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
@@ -413,19 +416,47 @@ func TestHTTPEndpointLive(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"-s", phy, "-t", nwk, "-f", "z", "-k", "2000",
-			"-L", "5000", "-strategy", "lru", "-http", "127.0.0.1:0"}, f)
+			"-L", fmt.Sprint(memLimit), "-strategy", "lru", "-async", "-http", "127.0.0.1:0"}, f)
 	}()
-	var body []byte
+	get := func(url string) []byte {
+		resp, err := http.Get(url)
+		if err != nil {
+			return nil
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		return body
+	}
+	var vars []byte
+	var rows map[float64]string
+	var spanRows map[string][]float64
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		data, _ := os.ReadFile(f.Name())
 		if i := strings.Index(string(data), "Debug endpoint: http://"); i >= 0 {
 			addr := strings.Fields(string(data)[i+len("Debug endpoint: "):])[0]
-			resp, err := http.Get(addr + "debug/vars")
-			if err == nil {
-				body, err = io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err == nil && resp.StatusCode == http.StatusOK {
+			if vars == nil {
+				vars = get(addr + "debug/vars")
+			}
+			var doc struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			if vars != nil && json.Unmarshal(get(addr+"debug/trace"), &doc) == nil {
+				rows, spanRows = map[float64]string{}, map[string][]float64{}
+				for _, e := range doc.TraceEvents {
+					tid, _ := e["tid"].(float64)
+					name, _ := e["name"].(string)
+					switch e["ph"] {
+					case "M":
+						rows[tid], _ = e["args"].(map[string]any)["name"].(string)
+					case "X":
+						spanRows[name] = append(spanRows[name], tid)
+					}
+				}
+				if len(spanRows["ooc.fault_in"]) > 0 && len(spanRows["pipe.fetch"]) > 0 {
 					break
 				}
 			}
@@ -439,15 +470,28 @@ func TestHTTPEndpointLive(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if body == nil {
+	if vars == nil {
 		t.Fatal("no /debug/vars response within deadline")
 	}
 	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v\n%s", err, body)
+	if err := json.Unmarshal(vars, &doc); err != nil {
+		t.Fatalf("/debug/vars is not valid JSON: %v\n%s", err, vars)
 	}
 	if _, ok := doc["counters"]; !ok {
-		t.Errorf("/debug/vars missing counters: %s", body)
+		t.Errorf("/debug/vars missing counters: %s", vars)
+	}
+	if len(spanRows["ooc.fault_in"]) == 0 || len(spanRows["pipe.fetch"]) == 0 {
+		t.Fatalf("/debug/trace lacks ooc.fault_in or pipe.fetch spans: %v", rows)
+	}
+	for _, tid := range spanRows["ooc.fault_in"] {
+		if strings.Contains(rows[tid], " lane ") {
+			t.Errorf("ooc.fault_in drawn on %q, want the compute row", rows[tid])
+		}
+	}
+	for _, tid := range spanRows["pipe.fetch"] {
+		if !strings.Contains(rows[tid], " lane ") {
+			t.Errorf("pipe.fetch drawn on %q, want an I/O worker's row", rows[tid])
+		}
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 
+	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 )
@@ -100,7 +101,7 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 		if err != nil {
 			return r, err
 		}
-		r.Manager.Instrument(opts.Registry, opts.Tracer)
+		r.Manager.Instrument(opts.Registry)
 		ooc.InstrumentChecksumStore(opts.Registry, st.Checksum)
 		ooc.InstrumentTieredStore(opts.Registry, st.Tier)
 		prov = r.Manager
@@ -120,7 +121,7 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 	if err = r.Engine.SetKernel(kernel); err != nil {
 		return r, err
 	}
-	r.Engine.Instrument(opts.Registry, opts.Tracer)
+	r.Engine.Instrument(opts.Registry)
 	r.Engine.SetWorkers(spec.Workers)
 	r.Engine.EnablePrefetch(opts.Prefetch || opts.Async)
 	r.Engine.SetPrefetchDepth(opts.PrefetchDepth)
@@ -157,6 +158,17 @@ func (r *Run) Resize(grant int64) (bool, error) {
 		r.Watchdog.SetMaxSlots(target)
 	}
 	return true, nil
+}
+
+// SetSpan attributes the run's work to sp: the engine's (and through
+// it the manager's) child spans, and the tiered store's remote requests
+// when the stack has one. nil detaches. Like every engine call it
+// belongs on the goroutine that drives the engine.
+func (r *Run) SetSpan(sp *obs.Span) {
+	r.Engine.SetSpan(sp)
+	if r.Stack.Tier != nil {
+		r.Stack.Tier.SetSpan(sp)
+	}
 }
 
 // Close tears the run down: the engine's worker pool, then the manager

@@ -139,8 +139,7 @@ type Options struct {
 	// cache tier, verification, fault injection. Open supplies the
 	// geometry.
 	Stack ooc.StackSpec
-	// Registry and Tracer, when set, instrument the engine, the manager
-	// and the store layers under their one-run-per-process names.
+	// Registry, when set, instruments the engine, the manager and the
+	// store layers under their one-run-per-process names.
 	Registry *obs.Registry
-	Tracer   *obs.Tracer
 }

@@ -13,11 +13,12 @@ import (
 
 // Timeline figure — the observability layer's acceptance experiment. A
 // real out-of-core run (async pipeline, checksummed store, optional
-// fault injection) executes fully instrumented, and the trace ring is
-// exported as Chrome trace_event JSON: the compute lane and the I/O
-// worker lanes side by side show prefetch overlap, join-wait residue,
-// background write-backs and (when faults are on) the recovery markers
-// followed by their recompute storms.
+// fault injection) executes fully instrumented under one run-long root
+// span, and the collected spans are exported as Chrome trace_event
+// JSON: the compute lane and the I/O worker lanes side by side show
+// prefetch overlap, join-wait residue, background write-backs and (when
+// faults are on) the recovery markers followed by their recompute
+// storms.
 
 // TimelineConfig describes the traced run.
 type TimelineConfig struct {
@@ -52,20 +53,15 @@ type TimelineResult struct {
 	// LnL is the final log-likelihood (bit-identical to an untraced run
 	// — instrumentation observes, never steers).
 	LnL float64
-	// Events is the number of trace events held; Dropped how many the
-	// ring overwrote.
-	Events  int
-	Dropped int64
+	// Spans is the number of spans the trace holds; Dropped how many
+	// the collector overwrote at its per-trace cap.
+	Spans, Dropped int64
 	// Recoveries is the number of corrupt vectors healed during the run
 	// (only nonzero with WithFaults).
 	Recoveries int64
 	// Snapshot is the full registry state at the end of the run.
 	Snapshot *obs.Snapshot
 }
-
-// traceCapacity bounds the event ring: enough to keep a whole run at
-// the default geometry.
-const traceCapacity = 65536
 
 // RunTimeline executes the instrumented workload and writes the Chrome
 // trace JSON to traceW.
@@ -85,25 +81,29 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 		}
 	}
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(traceCapacity)
+	col := obs.NewSpanCollector(4)
+	root := col.StartTrace("timeline")
 	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
 	r, err := w.run(arm{
 		Fraction: pagingFraction, Async: true, IOWorkers: ioWorkers, Retries: 8,
-		Stack: stack, Registry: reg, Tracer: tr,
+		Stack: stack, Registry: reg,
 	}, func(r *analysis.Run) (err error) {
+		r.SetSpan(root)
 		res.LnL, err = edgeSweepWorkload(r.Engine, cfg.Rounds)
 		return err
 	})
+	// Ended after Close, whose drained write-backs land under it too.
+	root.End()
 	if err != nil {
 		return res, err
 	}
 	if traceW != nil {
-		if err := tr.WriteChromeTrace(traceW); err != nil {
+		if err := obs.WriteChromeTrace(traceW, col); err != nil {
 			return res, err
 		}
 	}
-	res.Events = tr.Len()
-	res.Dropped = tr.Dropped()
+	res.Dropped = col.Dropped()
+	res.Spans = col.Total() - res.Dropped
 	res.Recoveries = r.Engine.Stats.Recoveries
 	res.Snapshot = reg.Snapshot()
 	return res, nil
@@ -113,7 +113,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 // the same workload — the acceptance bound on the obs layer's cost.
 type ObsOverheadResult struct {
 	// OffSeconds and OnSeconds are the best-of-reps wall times without
-	// and with full instrumentation (registry + tracer); SpansSeconds
+	// and with full instrumentation (the registry); SpansSeconds
 	// additionally runs the whole workload under a request span, so
 	// every fault-in, eviction and kernel pass is span-recorded.
 	OffSeconds, OnSeconds float64
@@ -133,16 +133,16 @@ type ObsOverheadResult struct {
 
 // Instrumentation arms of the overhead experiment.
 const (
-	obsArmOff   = iota // no registry, no tracer, nil spans
-	obsArmOn           // registry + tracer (the PR-3 acceptance arm)
-	obsArmSpans        // registry + tracer + a request span over the run
+	obsArmOff   = iota // no registry, nil spans
+	obsArmOn           // registry
+	obsArmSpans        // registry + a root span over the run
 )
 
 // RunObsOverhead measures the end-to-end cost of instrumentation on a
 // full-traversal workload: reps repetitions each way, best wall time
 // kept (minimum is the standard noise-robust choice for micro-scale
-// wall clocks). Three arms: bare, metrics+ring, and metrics+ring with
-// the whole workload under a request span.
+// wall clocks). Three arms: bare, metrics, and metrics with the whole
+// workload under a root span.
 func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadResult, error) {
 	var res ObsOverheadResult
 	if taxa == 0 {
@@ -167,13 +167,13 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 			Stack: ooc.StackSpec{Base: w.memStore()},
 		}
 		if obsArm >= obsArmOn {
-			a.Registry, a.Tracer = obs.NewRegistry(), obs.NewTracer(traceCapacity)
+			a.Registry = obs.NewRegistry()
 		}
 		_, err = w.run(a, func(r *analysis.Run) (err error) {
 			if obsArm == obsArmSpans {
 				col := obs.NewSpanCollector(8)
 				root := col.StartTrace("workload")
-				r.Engine.SetSpan(root)
+				r.SetSpan(root)
 				defer func() {
 					root.End()
 					res.SpanCount = col.Total()
@@ -232,7 +232,7 @@ func WriteTimelineSummary(w io.Writer, cfg TimelineConfig, res TimelineResult) {
 	fmt.Fprintf(w, "# Timeline trace: %d taxa, %d sites, f=%.2f, %d fetch workers, faults=%v\n",
 		cfg.Taxa, cfg.Sites, pagingFraction, ioWorkers, cfg.WithFaults)
 	fmt.Fprintf(w, "final lnL      %.6f\n", res.LnL)
-	fmt.Fprintf(w, "trace events   %d (dropped %d)\n", res.Events, res.Dropped)
+	fmt.Fprintf(w, "trace spans    %d held (dropped %d)\n", res.Spans, res.Dropped)
 	fmt.Fprintf(w, "recoveries     %d\n", res.Recoveries)
 	if res.Snapshot != nil {
 		obs.WriteReport(w, res.Snapshot)

@@ -12,8 +12,8 @@ func TestRunTimelineEmitsValidChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events == 0 {
-		t.Fatal("timeline run recorded no trace events")
+	if res.Spans == 0 {
+		t.Fatal("timeline run recorded no spans")
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`

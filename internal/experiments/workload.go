@@ -81,7 +81,6 @@ type arm struct {
 	// zero value is a temp file.
 	Stack    ooc.StackSpec
 	Registry *obs.Registry
-	Tracer   *obs.Tracer
 }
 
 // open brings a to life over a private clone of the workload's tree,
@@ -115,7 +114,7 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 		Prefetch:       a.Prefetch, Async: a.Async,
 		IOWorkers: a.IOWorkers, PrefetchDepth: a.PrefetchDepth,
 		Retries: a.Retries, Stack: a.Stack,
-		Registry: a.Registry, Tracer: a.Tracer,
+		Registry: a.Registry,
 	}, in, sz, sz.Quota)
 	if err == nil && opened != nil {
 		opened(a, r)

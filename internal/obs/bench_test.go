@@ -23,13 +23,13 @@ func kernelStandIn(buf []float64) float64 {
 	return s
 }
 
-func benchHotPath(b *testing.B, c *Counter, h *Histogram, tr *Tracer) {
+func benchHotPath(b *testing.B, c *Counter, h *Histogram, sp *Span) {
 	buf := make([]float64, 256)
 	for i := range buf {
 		buf[i] = float64(i)
 	}
 	sink := 0.0
-	on := tr.Enabled() || h != nil
+	on := sp != nil || h != nil
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var start time.Time
@@ -41,7 +41,7 @@ func benchHotPath(b *testing.B, c *Counter, h *Histogram, tr *Tracer) {
 		if on {
 			dur := time.Since(start)
 			h.Observe(dur.Seconds())
-			tr.Emit(OpNewview, 0, 1, 1, start, dur)
+			sp.EmitChild("bench.op", start, dur)
 		}
 	}
 	if sink == 12345 {
@@ -73,10 +73,11 @@ func BenchmarkHotPathDisabled(b *testing.B) {
 }
 
 // BenchmarkHotPathEnabled is the fully instrumented call site:
-// counter + latency histogram + trace event per iteration.
+// counter + latency histogram + child span per iteration.
 func BenchmarkHotPathEnabled(b *testing.B) {
 	r := NewRegistry()
-	benchHotPath(b, r.Counter("bench.c"), r.Histogram("bench.h", nil), NewTracer(4096))
+	root := NewSpanCollector(4).StartTrace("bench")
+	benchHotPath(b, r.Counter("bench.c"), r.Histogram("bench.h", nil), root)
 }
 
 func BenchmarkCounterDisabled(b *testing.B) {
@@ -100,11 +101,13 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkTracerEmit(b *testing.B) {
-	tr := NewTracer(4096)
+// BenchmarkSpanEmitChild is one already-finished child span landing in
+// a trace held at its cap — the steady state of a long traced run.
+func BenchmarkSpanEmitChild(b *testing.B) {
+	root := NewSpanCollector(4).StartTrace("bench")
 	start := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Emit(OpNewview, 0, 1, 1, start, time.Microsecond)
+		root.EmitChild("bench.op", start, time.Microsecond, Attr{Key: LaneAttr, Int: 1})
 	}
 }

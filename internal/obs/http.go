@@ -15,7 +15,7 @@ import (
 //	/debug/vars        expvar-style JSON snapshot of the registry
 //	/debug/metrics     Prometheus text exposition of the same snapshot
 //	/debug/report      the consolidated text report (same as -stats)
-//	/debug/trace       Chrome trace_event JSON (ring + collected spans)
+//	/debug/trace       Chrome trace_event JSON of the collected spans
 //	/debug/trace/{id}  one finished trace's spans + cost ledger (JSON)
 //	/debug/slo         SLO burn-rate report (JSON; ?format=text)
 //	/debug/pprof/      the standard net/http/pprof handlers
@@ -23,32 +23,10 @@ import (
 // The handlers only read atomic instruments and locked snapshots, so
 // they are safe to hit while a run is in flight — that is the point.
 
-// MuxOption configures optional debug-mux features.
-type MuxOption func(*muxOpts)
-
-type muxOpts struct {
-	spans *SpanCollector
-	slo   *SLOEvaluator
-}
-
-// WithSpans serves the span collector on /debug/trace (merged with the
-// ring) and /debug/trace/{id}.
-func WithSpans(col *SpanCollector) MuxOption {
-	return func(o *muxOpts) { o.spans = col }
-}
-
-// WithSLO serves the evaluator on /debug/slo.
-func WithSLO(e *SLOEvaluator) MuxOption {
-	return func(o *muxOpts) { o.slo = e }
-}
-
-// NewMux returns an http.ServeMux with the debug routes mounted. reg
-// and tr may be nil (the routes then serve empty documents).
-func NewMux(reg *Registry, tr *Tracer, opts ...MuxOption) *http.ServeMux {
-	var o muxOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+// NewMux returns an http.ServeMux with the debug routes mounted. Every
+// argument may be nil: reg and col then serve empty documents, and
+// /debug/trace/{id} and /debug/slo answer 404.
+func NewMux(reg *Registry, col *SpanCollector, slo *SLOEvaluator) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -68,18 +46,18 @@ func NewMux(reg *Registry, tr *Tracer, opts ...MuxOption) *http.ServeMux {
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := WriteChromeTrace(w, tr, o.spans); err != nil {
+		if err := WriteChromeTrace(w, col); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 	mux.HandleFunc("/debug/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if o.spans == nil {
+		if col == nil {
 			http.Error(w, `{"error":"tracing not enabled"}`, http.StatusNotFound)
 			return
 		}
-		view, found := o.spans.Trace(id)
+		view, found := col.Trace(id)
 		if !found {
 			w.WriteHeader(http.StatusNotFound)
 			fmt.Fprintf(w, "{\"error\":\"unknown trace %s\"}\n", id)
@@ -92,17 +70,17 @@ func NewMux(reg *Registry, tr *Tracer, opts ...MuxOption) *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		if o.slo == nil {
+		if slo == nil {
 			http.Error(w, `{"error":"no SLOs configured"}`, http.StatusNotFound)
 			return
 		}
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			o.slo.WriteText(w)
+			slo.WriteText(w)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := o.slo.WriteJSON(w); err != nil {
+		if err := slo.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -132,12 +110,12 @@ func NewMux(reg *Registry, tr *Tracer, opts ...MuxOption) *http.ServeMux {
 // debug mux in a background goroutine. It returns the bound address
 // (useful with port 0) and a shutdown function that closes the
 // listener and waits for the server to stop.
-func Serve(addr string, reg *Registry, tr *Tracer, opts ...MuxOption) (boundAddr string, shutdown func() error, err error) {
+func Serve(addr string, reg *Registry, col *SpanCollector) (boundAddr string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: NewMux(reg, tr, opts...), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: NewMux(reg, col, nil), ReadHeaderTimeout: 5 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	shutdown = func() error {

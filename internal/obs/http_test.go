@@ -12,11 +12,11 @@ import (
 func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ooc.hits").Add(3)
-	tr := NewTracer(32)
-	tr.SetLaneName(0, "compute")
-	tr.Emit(OpFaultIn, 0, 1, 0, time.Now(), time.Millisecond)
+	col := NewSpanCollector(4)
+	root := col.StartTrace("run")
+	root.EmitChild("ooc.fault_in", time.Now(), time.Millisecond)
 
-	addr, shutdown, err := Serve("127.0.0.1:0", r, tr)
+	addr, shutdown, err := Serve("127.0.0.1:0", r, col)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -69,11 +69,11 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 // TestNewMuxNilInstruments pins the documented nil-safety contract of
-// NewMux: with a nil Registry and a nil Tracer every route must still
+// NewMux: with a nil Registry and a nil collector every route must still
 // answer 200 with an empty (but well-formed) document, because the CLI
 // wires the endpoint unconditionally and only sometimes has a registry.
 func TestNewMuxNilInstruments(t *testing.T) {
-	srv := httptest.NewServer(NewMux(nil, nil))
+	srv := httptest.NewServer(NewMux(nil, nil, nil))
 	defer srv.Close()
 
 	get := func(path string) []byte {
@@ -111,10 +111,10 @@ func TestNewMuxNilInstruments(t *testing.T) {
 		TraceEvents []any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(get("/debug/trace"), &trace); err != nil {
-		t.Errorf("/debug/trace with nil tracer is not JSON: %v", err)
+		t.Errorf("/debug/trace with nil collector is not JSON: %v", err)
 	}
 	if len(trace.TraceEvents) != 0 {
-		t.Errorf("/debug/trace with nil tracer has %d events, want 0", len(trace.TraceEvents))
+		t.Errorf("/debug/trace with nil collector has %d events, want 0", len(trace.TraceEvents))
 	}
 
 	// The index and the pprof routes don't touch the instruments but are

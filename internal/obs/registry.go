@@ -1,9 +1,9 @@
 // Package obs is the repo's unified observability layer: a
 // dependency-free metrics registry (atomic counters, gauges and
-// fixed-bucket latency histograms), a bounded ring of typed
-// vector-lifecycle trace events exportable as Chrome trace JSON, a
-// live HTTP debug endpoint, and a consolidated text report that
-// replaces the per-layer -stats dumps.
+// fixed-bucket latency histograms), spans — request-scoped and
+// vector-lifecycle alike — exportable as Chrome trace JSON, a live
+// HTTP debug endpoint, and a consolidated text report that replaces
+// the per-layer -stats dumps.
 //
 // The paper's entire evaluation (Figures 2-5) is built from counters —
 // miss rates, skipped reads, I/O volume — and the production-scale
@@ -12,7 +12,7 @@
 //
 // Cost model: everything is nil-safe. An uninstrumented layer holds
 // nil instrument pointers and every method on a nil *Counter, *Gauge,
-// *FloatGauge, *Histogram or *Tracer is a no-op, so the disabled hot
+// *FloatGauge or *Histogram is a no-op, so the disabled hot
 // path pays one nil check per call site and never touches the clock
 // (time.Now() call sites are additionally gated on an enabled flag).
 // bench_test.go proves the disabled overhead bound.

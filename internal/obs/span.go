@@ -21,11 +21,17 @@ import (
 // coalescing batcher, the likelihood engine, the out-of-core manager
 // and the tiered store's cache and remote requests.
 //
+// Spans are also the package's one event model below the request: a
+// one-shot run attaches a run-long root span and every layer's fault-in,
+// pipeline transfer and kernel pass lands under it, each background I/O
+// worker's spans tagged with a lane attribute of their own.
+//
 // Cost model matches the rest of the package: a nil *Span is a no-op
 // on every method, so an untraced request pays one nil check per call
 // site and never touches the clock. Finished spans land in a bounded
-// SpanCollector (oldest trace evicted first, drops counted), which
-// backs /debug/trace/{id} and the span-aware Chrome trace export.
+// SpanCollector (oldest trace evicted first, a full trace overwrites
+// its own oldest spans, drops counted), which backs /debug/trace/{id}
+// and the Chrome trace export.
 
 // TraceID is a 128-bit W3C trace id.
 type TraceID [16]byte
@@ -440,11 +446,20 @@ type SpanRecord struct {
 }
 
 // traceRecord is one trace's finished spans plus its shared ledger.
+// Once spans reaches the cap it is a ring whose oldest entry is at head.
 type traceRecord struct {
 	id     TraceID
-	seq    int // stable lane number in the Chrome export
+	seq    int // stable row order in the Chrome export
 	spans  []SpanRecord
+	head   int
 	ledger *CostLedger
+}
+
+// ordered returns a copy of the trace's spans, oldest first.
+func (rec *traceRecord) ordered() []SpanRecord {
+	out := make([]SpanRecord, 0, len(rec.spans))
+	out = append(out, rec.spans[rec.head:]...)
+	return append(out, rec.spans[:rec.head]...)
 }
 
 // TraceView is the /debug/trace/{id} document.
@@ -456,10 +471,11 @@ type TraceView struct {
 
 // SpanCollector holds finished spans grouped by trace, bounded to
 // maxTraces traces of at most maxSpansPerTrace spans each. When full,
-// the oldest trace is evicted; spans beyond a trace's cap (and spans
-// landing after their trace was evicted while newer traces fill the
-// table) are counted as dropped, never silently lost. A nil collector
-// is a no-op, so span creation can be wired unconditionally.
+// the oldest trace is evicted; a trace at its cap overwrites its own
+// oldest span (the tail of a long run is what a timeline reader wants).
+// Both losses, and spans landing after their trace was evicted, are
+// counted as dropped, never silently lost. A nil collector is a no-op,
+// so span creation can be wired unconditionally.
 type SpanCollector struct {
 	mu        sync.Mutex
 	maxTraces int
@@ -565,11 +581,16 @@ func (c *SpanCollector) add(t TraceID, rec SpanRecord) {
 	defer c.mu.Unlock()
 	c.total++
 	tr, ok := c.traces[t]
-	if !ok || len(tr.spans) >= c.maxSpans {
+	switch {
+	case !ok:
 		c.dropped++
-		return
+	case len(tr.spans) < c.maxSpans:
+		tr.spans = append(tr.spans, rec)
+	default:
+		c.dropped++
+		tr.spans[tr.head] = rec
+		tr.head = (tr.head + 1) % len(tr.spans)
 	}
-	tr.spans = append(tr.spans, rec)
 }
 
 // Total returns the number of spans ever finished.
@@ -620,72 +641,99 @@ func (c *SpanCollector) Trace(id string) (TraceView, bool) {
 	if !ok {
 		return TraceView{}, false
 	}
-	spans := make([]SpanRecord, len(rec.spans))
-	copy(spans, rec.spans)
+	spans := rec.ordered()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	return TraceView{TraceID: t.String(), Cost: rec.ledger.Snapshot(), Spans: spans}, true
 }
 
-// WriteChromeTrace writes the merged span-aware Chrome trace_event
-// document: the tracer ring's vector-lifecycle events (pid 1) plus
-// every collected span (pid 2, one lane per trace), with flow arrows
-// ("s"/"f" events) for span links — a batched request's lane points at
-// the shared engine-pass span that executed it. Either argument may be
-// nil.
-func WriteChromeTrace(w io.Writer, tr *Tracer, col *SpanCollector) error {
+// LaneAttr is the span attribute naming the timeline row a span is
+// drawn on within its trace: the compute goroutine's spans carry none
+// (lane 0), a background I/O worker's carry its own lane number.
+const LaneAttr = "lane"
+
+// WriteChromeTrace writes every collected span as Chrome trace_event
+// JSON (the "JSON Object Format": {"traceEvents": [...]}) loadable in
+// chrome://tracing and Perfetto. Each (trace, lane) pair is its own
+// row with thread_name metadata, so a run's compute lane and its I/O
+// worker lanes sit one above the other. Span links become flow arrows
+// ("s"/"f" events) — a batched request's row points at the shared
+// engine-pass span that executed it. col may be nil.
+func WriteChromeTrace(w io.Writer, col *SpanCollector) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
-	first := true
-	if tr != nil {
-		first = tr.writeChromeEvents(bw, first)
-	}
 	if col != nil {
-		first = col.writeChromeSpans(bw, first, tr)
+		col.writeChromeSpans(bw)
 	}
 	fmt.Fprint(bw, "\n]}\n")
 	return bw.Flush()
 }
 
-// writeChromeSpans emits the collected spans and their flow arrows.
-// The timeline shares the tracer's epoch when tr is non-nil so span
-// lanes line up with the vector-lifecycle lanes.
-func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer, first bool, tr *Tracer) bool {
+// spanLane returns s's LaneAttr, 0 when it has none.
+func spanLane(s SpanRecord) int64 {
+	for _, a := range s.Attrs {
+		if a.Key == LaneAttr {
+			return a.Int
+		}
+	}
+	return 0
+}
+
+// writeChromeSpans emits the collected spans, their rows and their flow
+// arrows into an open traceEvents array.
+func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer) {
 	c.mu.Lock()
 	recs := make([]*traceRecord, 0, len(c.traces))
 	for _, t := range c.order {
 		if rec, ok := c.traces[t]; ok {
-			snap := &traceRecord{id: rec.id, seq: rec.seq, ledger: rec.ledger}
-			snap.spans = append(snap.spans, rec.spans...)
-			recs = append(recs, snap)
+			recs = append(recs, &traceRecord{id: rec.id, spans: rec.ordered()})
 		}
 	}
 	c.mu.Unlock()
 
+	// Rows in trace arrival order, lanes ascending within a trace; every
+	// trace has its lane-0 row even before its first span lands.
+	type row struct {
+		trace int
+		lane  int64
+	}
 	var epoch int64 // Unix nanos subtracted from every ts
-	if tr != nil {
-		epoch = tr.Epoch().UnixNano()
-	} else {
-		for _, rec := range recs {
-			for _, s := range rec.spans {
-				if epoch == 0 || s.Start < epoch {
-					epoch = s.Start
-				}
+	tid := make(map[row]int)
+	for i, rec := range recs {
+		tid[row{i, 0}] = 0
+		for _, s := range rec.spans {
+			if epoch == 0 || s.Start < epoch {
+				epoch = s.Start
 			}
+			tid[row{i, spanLane(s)}] = 0
 		}
 	}
+	rows := make([]row, 0, len(tid))
+	for r := range tid {
+		rows = append(rows, r)
+	}
+	sort.Slice(rows, func(a, b int) bool {
+		if rows[a].trace != rows[b].trace {
+			return rows[a].trace < rows[b].trace
+		}
+		return rows[a].lane < rows[b].lane
+	})
+	for i, r := range rows {
+		tid[r] = i
+	}
 
-	// Index span id → (lane, ts) for flow arrow endpoints.
+	// Index span id → (row, ts) for flow arrow endpoints.
 	type spanPos struct {
 		tid int
 		ts  float64
 	}
 	pos := make(map[string]spanPos)
-	for _, rec := range recs {
+	for i, rec := range recs {
 		for _, s := range rec.spans {
-			pos[s.SpanID] = spanPos{tid: rec.seq, ts: float64(s.Start-epoch) / 1e3}
+			pos[s.SpanID] = spanPos{tid: tid[row{i, spanLane(s)}], ts: float64(s.Start-epoch) / 1e3}
 		}
 	}
 
+	first := true
 	emit := func(format string, args ...any) {
 		if !first {
 			fmt.Fprint(bw, ",")
@@ -694,12 +742,17 @@ func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer, first bool, tr *Trace
 		fmt.Fprintf(bw, format, args...)
 	}
 
+	for i, r := range rows {
+		name := "trace " + recs[r.trace].id.String()[:8]
+		if r.lane != 0 {
+			name += fmt.Sprintf(" lane %d", r.lane)
+		}
+		emit("\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%q}}", i, name)
+	}
 	flowID := 0
 	for _, rec := range recs {
-		emit("\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":%d,\"args\":{\"name\":%q}}",
-			rec.seq, "trace "+rec.id.String()[:8])
 		for _, s := range rec.spans {
-			ts := float64(s.Start-epoch) / 1e3
+			p := pos[s.SpanID]
 			var args []byte
 			args = append(args, fmt.Sprintf("{\"span_id\":%q,\"trace_id\":%q", s.SpanID, rec.id.String())...)
 			if s.Parent != "" {
@@ -713,44 +766,36 @@ func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer, first bool, tr *Trace
 				}
 			}
 			args = append(args, '}')
-			emit("\n{\"name\":%q,\"cat\":\"span\",\"ph\":\"X\",\"pid\":2,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}",
-				s.Name, rec.seq, ts, float64(s.Dur)/1e3, args)
+			emit("\n{\"name\":%q,\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}",
+				s.Name, p.tid, p.ts, float64(s.Dur)/1e3, args)
 			for _, link := range s.Links {
 				dst, ok := pos[link]
 				if !ok {
 					continue
 				}
 				flowID++
-				emit("\n{\"name\":\"batch\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,\"pid\":2,\"tid\":%d,\"ts\":%.3f}",
-					flowID, rec.seq, ts)
-				emit("\n{\"name\":\"batch\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"pid\":2,\"tid\":%d,\"ts\":%.3f}",
+				emit("\n{\"name\":\"batch\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
+					flowID, p.tid, p.ts)
+				emit("\n{\"name\":\"batch\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
 					flowID, dst.tid, dst.ts)
 			}
 		}
 	}
-	return first
 }
 
-// RegisterTracerMetrics mirrors the trace ring's and span collector's
-// own health into the registry (obs.* instruments), so silent drops
-// become visible on /debug/vars and in the report. Either tr or col
-// may be nil.
-func RegisterTracerMetrics(reg *Registry, tr *Tracer, col *SpanCollector) {
+// RegisterSpanMetrics mirrors the span collector's own health into the
+// registry (obs.spans.* instruments), so silent drops become visible on
+// /debug/vars and in the report. col may be nil.
+func RegisterSpanMetrics(reg *Registry, col *SpanCollector) {
 	if reg == nil {
 		return
 	}
-	ringDropped := reg.Counter("obs.trace.dropped")
-	ringTotal := reg.Counter("obs.trace.total")
-	ringLen := reg.Gauge("obs.trace.len")
-	spanDropped := reg.Counter("obs.spans.dropped")
-	spanTotal := reg.Counter("obs.spans.total")
-	spanTraces := reg.Gauge("obs.spans.traces")
+	dropped := reg.Counter("obs.spans.dropped")
+	total := reg.Counter("obs.spans.total")
+	traces := reg.Gauge("obs.spans.traces")
 	reg.AddPublisher("obs.", func() {
-		ringDropped.Set(tr.Dropped())
-		ringTotal.Set(tr.Total())
-		ringLen.Set(int64(tr.Len()))
-		spanDropped.Set(col.Dropped())
-		spanTotal.Set(col.Total())
-		spanTraces.Set(int64(col.TraceCount()))
+		dropped.Set(col.Dropped())
+		total.Set(col.Total())
+		traces.Set(int64(col.TraceCount()))
 	})
 }

@@ -154,6 +154,105 @@ func TestSpanCollectorEvictionAndDrops(t *testing.T) {
 	}
 }
 
+// TestSpanCollectorTraceCapKeepsNewest pins the collector's ring
+// behaviour within one trace: past its cap a trace overwrites its own
+// oldest spans, so a long run keeps its tail, and every overwrite is
+// counted as dropped.
+func TestSpanCollectorTraceCapKeepsNewest(t *testing.T) {
+	const extra = 5
+	col := NewSpanCollector(4)
+	root := col.StartTrace("run")
+	base := time.Now()
+	for i := 0; i < DefaultMaxSpansPerTrace+extra; i++ {
+		root.EmitChild("op", base.Add(time.Duration(i)), 0, Attr{Key: "i", Int: int64(i)})
+	}
+	if col.Dropped() != extra {
+		t.Errorf("Dropped=%d, want %d", col.Dropped(), extra)
+	}
+	view, ok := col.Trace(root.TraceID().String())
+	if !ok {
+		t.Fatal("trace missing")
+	}
+	if len(view.Spans) != DefaultMaxSpansPerTrace {
+		t.Fatalf("trace holds %d spans, want the cap %d", len(view.Spans), DefaultMaxSpansPerTrace)
+	}
+	for k, s := range view.Spans {
+		if want := int64(extra + k); s.Attrs[0].Int != want {
+			t.Fatalf("span %d is #%d, want #%d (the newest cap spans, oldest first)", k, s.Attrs[0].Int, want)
+		}
+	}
+}
+
+// TestWriteChromeTrace checks the export's row layout: each (trace,
+// lane) pair gets its own thread_name row, lane-less spans sit on the
+// trace's lane-0 row, and a zero-length span is still a complete event.
+func TestWriteChromeTrace(t *testing.T) {
+	col := NewSpanCollector(4)
+	root := col.StartTrace("run")
+	base := time.Now()
+	root.EmitChild("ooc.fault_in", base, 150*time.Microsecond, Attr{Key: "vid", Int: 7})
+	root.EmitChild("pipe.fetch", base.Add(time.Millisecond), 90*time.Microsecond, Attr{Key: LaneAttr, Int: 1})
+	root.EmitChild("pipe.write_back", base.Add(time.Millisecond), 90*time.Microsecond, Attr{Key: LaneAttr, Int: 3})
+	root.EmitChild("plf.recovery", base.Add(2*time.Millisecond), 0)
+
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, col); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	rows := map[float64]string{}
+	spanRow := map[string]float64{}
+	for _, e := range doc.TraceEvents {
+		tid, _ := e["tid"].(float64)
+		switch e["ph"] {
+		case "M":
+			rows[tid] = e["args"].(map[string]any)["name"].(string)
+		case "X":
+			if _, ok := e["dur"]; !ok {
+				t.Errorf("span event missing dur: %v", e)
+			}
+			spanRow[e["name"].(string)] = tid
+		}
+	}
+	if len(rows) != 3 || len(spanRow) != 4 {
+		t.Fatalf("got %d rows and %d spans, want 3 and 4:\n%s", len(rows), len(spanRow), buf.String())
+	}
+	prefix := "trace " + root.TraceID().String()[:8]
+	for name, want := range map[string]string{
+		"ooc.fault_in":    prefix,
+		"plf.recovery":    prefix,
+		"pipe.fetch":      prefix + " lane 1",
+		"pipe.write_back": prefix + " lane 3",
+	} {
+		if got := rows[spanRow[name]]; got != want {
+			t.Errorf("%s drawn on row %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestWriteChromeTraceNilCollector: the export of nothing is still a
+// valid, empty Chrome trace document.
+func TestWriteChromeTraceNilCollector(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, nil); err != nil {
+		t.Fatalf("nil WriteChromeTrace: %v", err)
+	}
+	var doc struct {
+		TraceEvents []any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("nil collector must still emit valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) != 0 {
+		t.Errorf("nil collector exported %d events", len(doc.TraceEvents))
+	}
+}
+
 func TestStartRemoteChildContinuesTrace(t *testing.T) {
 	col := NewSpanCollector(8)
 	header, traceID := NewTraceparent()
@@ -183,7 +282,7 @@ func TestWriteChromeTraceSpansAndFlows(t *testing.T) {
 	b.End()
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, col); err != nil {
+	if err := WriteChromeTrace(&buf, col); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -212,13 +311,12 @@ func TestWriteChromeTraceSpansAndFlows(t *testing.T) {
 }
 
 // TestConcurrentScrapeSpansAndDrain hammers span creation, Prometheus
-// scraping and ring draining from racing goroutines — the -race
+// scraping and Chrome trace export from racing goroutines — the -race
 // acceptance for the whole exposition path.
 func TestConcurrentScrapeSpansAndDrain(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(64)
 	col := NewSpanCollector(8)
-	RegisterTracerMetrics(reg, tr, col)
+	RegisterSpanMetrics(reg, col)
 	evaluator := NewSLOEvaluator(nil)
 	reqs := reg.Counter("svc.http.requests")
 	errs := reg.Counter("svc.http.errors")
@@ -242,8 +340,8 @@ func TestConcurrentScrapeSpansAndDrain(t *testing.T) {
 				child := sp.StartChild("work")
 				child.AddCost(Cost{Newviews: 1})
 				child.End()
+				sp.EmitChild("ooc.fault_in", time.Now(), time.Microsecond, Attr{Key: LaneAttr, Int: int64(i % 8)})
 				sp.End()
-				tr.Emit(OpFaultIn, int32(i%8), int32(i), 0, time.Now(), time.Microsecond)
 				reqs.Inc()
 			}
 		}(g)
@@ -259,7 +357,7 @@ func TestConcurrentScrapeSpansAndDrain(t *testing.T) {
 					return
 				}
 				var trace bytes.Buffer
-				if err := WriteChromeTrace(&trace, tr, col); err != nil {
+				if err := WriteChromeTrace(&trace, col); err != nil {
 					t.Errorf("WriteChromeTrace: %v", err)
 					return
 				}

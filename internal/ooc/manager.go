@@ -284,10 +284,10 @@ func (m *Manager) SetContext(ctx context.Context) {
 	m.ctx = ctx
 }
 
-// SetSpan attributes subsequent demand-path activity (fault-in,
-// eviction, join-wait child spans) to the given request span; nil
-// detaches. Callers set it around one request's serialized work, the
-// same discipline as SetContext.
+// SetSpan attributes subsequent activity (fault-in, eviction,
+// prefetch and join-wait child spans, and the pipeline transfers queued
+// meanwhile) to the given span; nil detaches. Callers set it around one
+// request's serialized work, the same discipline as SetContext.
 func (m *Manager) SetSpan(sp *obs.Span) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -300,14 +300,6 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// ResetStats zeroes the counters (the strategy state is left intact, so
-// measurement windows can exclude warm-up).
-func (m *Manager) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
 }
 
 // PipelineStats returns a snapshot of the I/O pipeline counters. The
@@ -375,10 +367,7 @@ func (m *Manager) joinSlot(s int) error {
 		m.pstats.Reads++
 		m.stats.BytesRead += int64(m.cfg.VectorLen) * 8
 	}
-	if m.mx.on {
-		m.traceSpan(obs.OpJoinWait, f.vi, s, start, wait)
-	}
-	m.span.EmitChild("ooc.join_wait", start, wait, obs.Attr{Key: "vid", Int: int64(f.vi)})
+	m.spanEvent("ooc.join_wait", f.vi, s, start, wait)
 	return unreadable(f.vi, f.err)
 }
 
@@ -527,9 +516,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	if m.mx.on || m.span != nil {
 		dur := time.Since(missStart)
 		m.mx.faultIn.Observe(dur.Seconds())
-		m.traceSpan(obs.OpFaultIn, vi, slot, missStart, dur)
-		m.span.EmitChild("ooc.fault_in", missStart, dur,
-			obs.Attr{Key: "vid", Int: int64(vi)}, obs.Attr{Key: "slot", Int: int64(slot)})
+		m.spanEvent("ooc.fault_in", vi, slot, missStart, dur)
 	}
 	return m.slots[slot], nil
 }
@@ -623,20 +610,17 @@ func (m *Manager) evict(victim, slot int) error {
 	// read and never modified), so its write-back is skipped.
 	if m.dirty[slot] {
 		var ws time.Time
-		if m.mx.on || m.span != nil {
+		if m.span != nil || (m.mx.on && m.pipe == nil) {
 			ws = time.Now()
 		}
 		if m.pipe != nil {
 			if err := m.asyncWriteBack(victim, slot); err != nil {
 				return err
 			}
-			if m.mx.on || m.span != nil {
+			if m.span != nil {
 				// Async: the span covers only the hand-off (spare wait);
-				// the store write itself lands in pipe.write_back_seconds.
-				dur := time.Since(ws)
-				m.traceSpan(obs.OpEvict, victim, slot, ws, dur)
-				m.span.EmitChild("ooc.evict", ws, dur,
-					obs.Attr{Key: "vid", Int: int64(victim)}, obs.Attr{Key: "slot", Int: int64(slot)})
+				// the store write itself is the writer's pipe.write_back.
+				m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
 			}
 		} else {
 			if err := m.stall(func() error { return m.storeWrite(victim, m.slots[slot]) }); err != nil {
@@ -645,9 +629,7 @@ func (m *Manager) evict(victim, slot int) error {
 			if m.mx.on || m.span != nil {
 				dur := time.Since(ws)
 				m.mx.evictWrite.Observe(dur.Seconds())
-				m.traceSpan(obs.OpEvict, victim, slot, ws, dur)
-				m.span.EmitChild("ooc.evict", ws, dur,
-					obs.Attr{Key: "vid", Int: int64(victim)}, obs.Attr{Key: "slot", Int: int64(slot)})
+				m.spanEvent("ooc.evict", victim, slot, ws, dur)
 			}
 		}
 		m.stats.Writes++
@@ -685,7 +667,7 @@ func (m *Manager) asyncWriteBack(victim, slot int) error {
 	}
 	buf := m.slots[slot]
 	m.slots[slot] = spare
-	m.pipe.enqueueWrite(victim, buf)
+	m.pipe.enqueueWrite(victim, buf, m.span)
 	m.pipeStats.WritesQueued++
 	return nil
 }

@@ -1,15 +1,18 @@
 package ooc
 
 // Observability wiring for the out-of-core manager and its async
-// pipeline. Instrument attaches registry instruments and a trace ring;
-// an uninstrumented manager holds nil instruments, so every obs call
-// on the hot path degrades to a nil-check no-op and no clock is read.
+// pipeline. Instrument attaches registry instruments; an
+// uninstrumented manager holds nil instruments, so every obs call on
+// the hot path degrades to a nil-check no-op and no clock is read.
+// Vector-lifecycle events are spans under whatever span SetSpan
+// attached (spanEvent below, emitTransfer), independent of the
+// registry.
 //
 // Two kinds of signals are exported:
 //
 //   - Native: quantities only observable in the act — fault-in /
-//     eviction / background-I/O latencies (histograms), live queue
-//     depth (gauge) and the vector-lifecycle trace events.
+//     eviction / background-I/O latencies (histograms) and live queue
+//     depth (gauge).
 //   - Mirrored: the Stats/PrefetchStats/PipelineStats counters the
 //     manager maintains anyway. A registry publisher copies them into
 //     counters on every snapshot, so they are live on the debug
@@ -29,17 +32,11 @@ import (
 	"oocphylo/internal/obs"
 )
 
-// Trace lane assignment: the compute thread is lane 0, background
-// fetch workers are lanes 1..IOWorkers, the write-back worker is lane
-// IOWorkers+1.
-const computeLane = 0
-
 // managerObs holds the manager's native instruments. The zero value
 // (all nil, on=false) is the uninstrumented state.
 type managerObs struct {
-	// on gates the time.Now() calls that build spans.
-	on     bool
-	tracer *obs.Tracer
+	// on gates the time.Now() calls the latency histograms need.
+	on bool
 	// faultIn observes the full demand-miss path: slot selection,
 	// eviction and the store read (or its skip).
 	faultIn *obs.Histogram
@@ -53,18 +50,17 @@ type managerObs struct {
 	slots *obs.Gauge
 }
 
-// Instrument attaches reg and tr to the manager (either may be nil).
-// Must be called before the first Vector/Prefetch/Flush operation and
-// at most once; later calls are ignored.
-func (m *Manager) Instrument(reg *obs.Registry, tr *obs.Tracer) {
+// Instrument attaches reg to the manager (nil is a no-op). Must be
+// called before the first Vector/Prefetch/Flush operation and at most
+// once; later calls are ignored.
+func (m *Manager) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.mx.on || (reg == nil && tr == nil) {
+	if m.mx.on || reg == nil {
 		return
 	}
 	m.mx = managerObs{
 		on:         true,
-		tracer:     tr,
 		faultIn:    reg.Histogram("ooc.fault_in_seconds", nil),
 		evictWrite: reg.Histogram("ooc.evict_write_seconds", nil),
 		evictions:  reg.Counter("ooc.evictions_" + strings.ToLower(m.cfg.Strategy.Name())),
@@ -74,9 +70,8 @@ func (m *Manager) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.SetInfo("ooc.strategy", m.cfg.Strategy.Name())
 	reg.SetInfo("ooc.geometry", fmt.Sprintf("%d slots / %d vectors x %d doubles",
 		len(m.slots), m.cfg.NumVectors, m.cfg.VectorLen))
-	tr.SetLaneName(computeLane, "compute")
 	if m.pipe != nil {
-		m.pipe.instrument(reg, tr, m.cfg.IOWorkers)
+		m.pipe.instrument(reg)
 	}
 	m.addStatsPublisher(reg)
 }
@@ -164,10 +159,12 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 	})
 }
 
-// traceSpan emits one manager-side trace event. now is the span start;
-// callers obtain it only when m.mx.on is set.
-func (m *Manager) traceSpan(op obs.EventOp, vi, slot int, start time.Time, dur time.Duration) {
-	m.mx.tracer.Emit(op, computeLane, int32(vi), int32(slot), start, dur)
+// spanEvent records one compute-thread event on vector vi in slot as a
+// child of the attached span (lane 0); a no-op when untraced.
+func (m *Manager) spanEvent(name string, vi, slot int, start time.Time, dur time.Duration) {
+	if m.span != nil {
+		m.span.EmitChild(name, start, dur, obs.Attr{Key: "vid", Int: int64(vi)}, obs.Attr{Key: "slot", Int: int64(slot)})
+	}
 }
 
 // InstrumentTieredStore exports a tiered store's per-tier counters and

@@ -1,14 +1,16 @@
 package ooc
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"oocphylo/internal/obs"
 )
 
-// asyncObsManager builds an instrumented async manager over a MemStore.
-func asyncObsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registry, *obs.Tracer) {
+// asyncObsManager builds an instrumented async manager over a MemStore,
+// traced under a root span whose collector it returns.
+func asyncObsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registry, *obs.SpanCollector) {
 	t.Helper()
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vecLen, Slots: slots,
@@ -20,9 +22,10 @@ func asyncObsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registr
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(1024)
-	m.Instrument(reg, tr)
-	return m, reg, tr
+	m.Instrument(reg)
+	col := obs.NewSpanCollector(4)
+	m.SetSpan(col.StartTrace("test"))
+	return m, reg, col
 }
 
 // TestStatsConcurrentSnapshot is the torn-read regression test: the
@@ -83,10 +86,11 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 
 // TestInstrumentMirrorsCounters checks that a registry snapshot
 // reproduces the manager's own counters and that native instruments
-// (fault-in histogram, trace events) saw the workload.
+// (fault-in histogram) and the attached span saw the workload.
 func TestInstrumentMirrorsCounters(t *testing.T) {
 	const n, vecLen, slots = 16, 32, 4
-	m, reg, tr := asyncObsManager(t, n, vecLen, slots)
+	m, reg, col := asyncObsManager(t, n, vecLen, slots)
+	root := m.span
 	for vi := 0; vi < n; vi++ {
 		if _, err := m.Vector(vi, false); err != nil {
 			t.Fatal(err)
@@ -116,17 +120,27 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	if !ok || h.Count != st.Misses {
 		t.Errorf("fault_in histogram count=%d, want %d misses", h.Count, st.Misses)
 	}
-	if tr.Total() == 0 {
-		t.Error("tracer recorded no events")
+	view, ok := col.Trace(root.TraceID().String())
+	if !ok {
+		t.Fatal("root trace missing from the collector")
 	}
-	// The workload must have produced fault-in spans on the compute lane
-	// and at least one background fetch span on a worker lane.
-	ops := map[obs.EventOp]int{}
-	for _, e := range tr.Events() {
-		ops[e.Op]++
+	// The workload must have produced fault-in and prefetch spans on the
+	// compute lane and at least one background fetch span on a worker's.
+	names := map[string]int{}
+	for _, s := range view.Spans {
+		lane := int64(0)
+		for _, a := range s.Attrs {
+			if a.Key == obs.LaneAttr {
+				lane = a.Int
+			}
+		}
+		if strings.HasPrefix(s.Name, "pipe.") != (lane > 0) {
+			t.Errorf("%s span on lane %d", s.Name, lane)
+		}
+		names[s.Name]++
 	}
-	if ops[obs.OpFaultIn] == 0 || ops[obs.OpPrefetch] == 0 || ops[obs.OpFetch] == 0 {
-		t.Errorf("missing trace ops: %v", ops)
+	if names["ooc.fault_in"] == 0 || names["ooc.prefetch"] == 0 || names["pipe.fetch"] == 0 {
+		t.Errorf("missing spans: %v", names)
 	}
 }
 
@@ -146,8 +160,8 @@ func TestInstrumentIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	m.Instrument(reg, nil)
-	m.Instrument(obs.NewRegistry(), nil) // ignored
+	m.Instrument(reg)
+	m.Instrument(obs.NewRegistry()) // ignored
 	if _, err := m.Vector(1, true); err != nil {
 		t.Fatal(err)
 	}

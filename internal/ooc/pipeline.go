@@ -41,7 +41,6 @@ package ooc
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,8 +100,11 @@ type PipelineStats struct {
 // compute thread before the request is queued and is not touched again
 // until the request is joined.
 type fetchReq struct {
-	vi   int
-	dst  []float64
+	vi  int
+	dst []float64
+	// span is the manager's span at enqueue; the worker's pipe.fetch
+	// span is emitted under it (nil when untraced).
+	span *obs.Span
 	err  error
 	done chan struct{}
 }
@@ -111,8 +113,10 @@ type fetchReq struct {
 // returns to the spare pool only after the write lands and the request
 // is retired from the pending map, so readers can always copy from it.
 type writeReq struct {
-	vi   int
-	buf  []float64
+	vi  int
+	buf []float64
+	// span, as in fetchReq, parents the writer's pipe.write_back span.
+	span *obs.Span
 	done chan struct{}
 }
 
@@ -151,10 +155,9 @@ type pipeline struct {
 	fetchLat *obs.Histogram
 	writeLat *obs.Histogram
 	qdepth   *obs.Gauge
-	tracer   *obs.Tracer
-	// writerTID is the write-back goroutine's trace lane (fetch workers
-	// are lanes 1..workers; see obs.go).
-	writerTID int32
+	// writerLane is the write-back goroutine's obs.LaneAttr. The compute
+	// thread is lane 0 and fetch workers are lanes 1..workers.
+	writerLane int64
 
 	wg   sync.WaitGroup
 	stop sync.Once
@@ -171,39 +174,35 @@ func newPipeline(store Store, vecLen, workers, queue int, retry RetryPolicy, ret
 		retry:   retry,
 		retried: retried,
 	}
-	p.writerTID = int32(workers + 1)
+	p.writerLane = int64(workers + 1)
 	for i := 0; i < writeBuffers; i++ {
 		p.spares <- make([]float64, vecLen)
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
-		go p.fetchWorker(int32(i + 1))
+		go p.fetchWorker(int64(i + 1))
 	}
 	p.wg.Add(1)
 	go p.writeWorker()
 	return p
 }
 
-// instrument attaches registry instruments and trace lanes. Must run on
-// the compute thread before any request is enqueued (the workers pick
-// the fields up through the enqueue's happens-before edge).
-func (p *pipeline) instrument(reg *obs.Registry, tr *obs.Tracer, workers int) {
+// instrument attaches registry instruments. Must run on the compute
+// thread before any request is enqueued (the workers pick the fields up
+// through the enqueue's happens-before edge).
+func (p *pipeline) instrument(reg *obs.Registry) {
 	p.on = true
 	p.fetchLat = reg.Histogram("pipe.fetch_seconds", nil)
 	p.writeLat = reg.Histogram("pipe.write_back_seconds", nil)
 	p.qdepth = reg.Gauge("pipe.queue_depth")
-	p.tracer = tr
-	for i := 1; i <= workers; i++ {
-		tr.SetLaneName(int32(i), fmt.Sprintf("io-fetch-%d", i))
-	}
-	tr.SetLaneName(p.writerTID, "io-writer")
 }
 
-func (p *pipeline) fetchWorker(tid int32) {
+func (p *pipeline) fetchWorker(lane int64) {
 	defer p.wg.Done()
 	for req := range p.fetchCh {
+		timed := p.on || req.span != nil
 		var start time.Time
-		if p.on {
+		if timed {
 			start = time.Now()
 		}
 		req.err = p.retry.run(p.retried, func() error {
@@ -217,10 +216,10 @@ func (p *pipeline) fetchWorker(tid int32) {
 		if req.err == nil {
 			p.overlapped.Add(int64(len(req.dst)) * 8)
 		}
-		if p.on {
+		if timed {
 			dur := time.Since(start)
 			p.fetchLat.Observe(dur.Seconds())
-			p.tracer.Emit(obs.OpFetch, tid, int32(req.vi), -1, start, dur)
+			emitTransfer(req.span, "pipe.fetch", lane, req.vi, start, dur)
 		}
 		p.qdepth.Set(p.depth.Add(-1))
 		close(req.done)
@@ -230,8 +229,9 @@ func (p *pipeline) fetchWorker(tid int32) {
 func (p *pipeline) writeWorker() {
 	defer p.wg.Done()
 	for req := range p.writeCh {
+		timed := p.on || req.span != nil
 		var start time.Time
-		if p.on {
+		if timed {
 			start = time.Now()
 		}
 		err := p.retry.run(p.retried, func() error {
@@ -244,10 +244,10 @@ func (p *pipeline) writeWorker() {
 		} else {
 			p.overlapped.Add(int64(len(req.buf)) * 8)
 		}
-		if p.on {
+		if timed {
 			dur := time.Since(start)
 			p.writeLat.Observe(dur.Seconds())
-			p.tracer.Emit(obs.OpWriteBack, p.writerTID, int32(req.vi), -1, start, dur)
+			emitTransfer(req.span, "pipe.write_back", p.writerLane, req.vi, start, dur)
 		}
 		p.mu.Lock()
 		// Retire only if no newer write superseded this one.
@@ -258,6 +258,14 @@ func (p *pipeline) writeWorker() {
 		p.qdepth.Set(p.depth.Add(-1))
 		close(req.done)
 		p.spares <- req.buf
+	}
+}
+
+// emitTransfer records one worker-side transfer as a child of sp on its
+// lane; a no-op when untraced.
+func emitTransfer(sp *obs.Span, name string, lane int64, vi int, start time.Time, dur time.Duration) {
+	if sp != nil {
+		sp.EmitChild(name, start, dur, obs.Attr{Key: obs.LaneAttr, Int: lane}, obs.Attr{Key: "vid", Int: int64(vi)})
 	}
 }
 
@@ -277,11 +285,12 @@ func (p *pipeline) readThrough(vi int, dst []float64) error {
 	return p.store.ReadVector(vi, dst)
 }
 
-// enqueueFetch queues a background stage-in of vi into dst. Blocks
-// only when the bounded fetch queue is full; a non-nil cancelled ctx
-// aborts that wait and returns ctx's error with no request queued.
-func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64) (*fetchReq, error) {
-	req := &fetchReq{vi: vi, dst: dst, done: make(chan struct{})}
+// enqueueFetch queues a background stage-in of vi into dst, traced
+// under sp. Blocks only when the bounded fetch queue is full; a non-nil
+// cancelled ctx aborts that wait and returns ctx's error with no
+// request queued.
+func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64, sp *obs.Span) (*fetchReq, error) {
+	req := &fetchReq{vi: vi, dst: dst, span: sp, done: make(chan struct{})}
 	p.bumpDepth()
 	if ctx == nil {
 		p.fetchCh <- req
@@ -301,10 +310,10 @@ func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64) (*fe
 	}
 }
 
-// enqueueWrite queues buf as the newest content of vector vi. The
-// caller has already removed buf from the slot array.
-func (p *pipeline) enqueueWrite(vi int, buf []float64) {
-	req := &writeReq{vi: vi, buf: buf, done: make(chan struct{})}
+// enqueueWrite queues buf as the newest content of vector vi, traced
+// under sp. The caller has already removed buf from the slot array.
+func (p *pipeline) enqueueWrite(vi int, buf []float64, sp *obs.Span) {
+	req := &writeReq{vi: vi, buf: buf, span: sp, done: make(chan struct{})}
 	p.mu.Lock()
 	p.pending[vi] = req
 	p.lastWrite = req

@@ -1,10 +1,6 @@
 package ooc
 
-import (
-	"time"
-
-	"oocphylo/internal/obs"
-)
+import "time"
 
 // Prefetching — the paper's §5 future work ("we will assess if
 // pre-fetching can be deployed by means of a prefetch thread"). The
@@ -64,7 +60,7 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	m.cfg.Strategy.Touch(vi)
 	if m.pipe == nil {
 		var ps time.Time
-		if m.mx.on {
+		if m.span != nil {
 			ps = time.Now()
 		}
 		if err := m.stall(func() error { return m.demandRead(vi, m.slots[slot]) }); err != nil {
@@ -78,8 +74,8 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 		// async path mirrors this by accounting at join time (joinSlot).
 		m.pstats.Reads++
 		m.stats.BytesRead += int64(m.cfg.VectorLen) * 8
-		if m.mx.on {
-			m.traceSpan(obs.OpPrefetch, vi, slot, ps, time.Since(ps))
+		if m.span != nil {
+			m.spanEvent("ooc.prefetch", vi, slot, ps, time.Since(ps))
 		}
 		m.slotItem[slot] = vi
 		m.itemSlot[vi] = slot
@@ -92,7 +88,7 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	// context is cancelled during that wait the prefetch is simply
 	// skipped — the slot stays empty and unmapped.
 	start := time.Now()
-	req, err := m.pipe.enqueueFetch(m.ctx, vi, m.slots[slot])
+	req, err := m.pipe.enqueueFetch(m.ctx, vi, m.slots[slot], m.span)
 	wait := time.Since(start)
 	m.pipeStats.StallTime += wait
 	if err != nil {
@@ -104,11 +100,9 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	m.prefetched[slot] = true
 	m.inflight[slot] = req
 	m.pipeStats.FetchesQueued++
-	if m.mx.on {
-		// The span covers only the enqueue; the read itself lands in
-		// pipe.fetch_seconds on the worker's lane.
-		m.traceSpan(obs.OpPrefetch, vi, slot, start, wait)
-	}
+	// The span covers only the enqueue; the read itself is the worker's
+	// pipe.fetch on its own lane.
+	m.spanEvent("ooc.prefetch", vi, slot, start, wait)
 	return nil
 }
 

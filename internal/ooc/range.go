@@ -1,12 +1,12 @@
 package ooc
 
-// Ranged I/O: the storage-side prerequisite for the tiered store. A
-// local file serves one vector per syscall cheaply, but a remote
-// backend pays a full network round trip per request — so the unit of
-// transfer must be allowed to grow. RangeStore extends Store with
-// contiguous multi-vector transfers and context-aware cancellation:
+// Store capabilities beyond ReadVector/WriteVector, each queried down
+// a wrapper chain by one helper. The ranged one exists for its context:
 // TieredStore moves each miss and each write-back as a one-vector range
-// under its per-attempt deadline.
+// so the per-attempt deadline reaches the transport. Of this package's
+// stores only ObjectStore implements RangeStore (one ranged GET or
+// PUT); every other store is served by ReadRangeOf/WriteRangeOf's
+// per-vector fallback, which checks ctx before each vector.
 
 import (
 	"context"

@@ -244,7 +244,7 @@ func TestResizeObsGauge(t *testing.T) {
 	m := testManager(t, 12, 4, 6, NewLRU(12), false)
 	defer m.Close()
 	reg := obs.NewRegistry()
-	m.Instrument(reg, nil)
+	m.Instrument(reg)
 	if err := m.Resize(4); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@
 package ooc
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -113,34 +112,6 @@ func (s *MemStore) WriteVector(vi int, src []float64) error {
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
 
-// ReadRange implements RangeStore as a straight copy loop (RAM has no
-// per-request cost worth batching, but the adapter lets a MemStore
-// stand in for any ranged backend in tests).
-func (s *MemStore) ReadRange(ctx context.Context, vi, count int, dst []float64) error {
-	if err := checkRange(len(s.data), s.vecLen, vi, count, len(dst), "read"); err != nil {
-		return err
-	}
-	for i := 0; i < count; i++ {
-		if err := s.ReadVector(vi+i, dst[i*s.vecLen:(i+1)*s.vecLen]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteRange implements RangeStore.
-func (s *MemStore) WriteRange(ctx context.Context, vi, count int, src []float64) error {
-	if err := checkRange(len(s.data), s.vecLen, vi, count, len(src), "write"); err != nil {
-		return err
-	}
-	for i := 0; i < count; i++ {
-		if err := s.WriteVector(vi+i, src[i*s.vecLen:(i+1)*s.vecLen]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FileStore keeps all vectors contiguously in one binary file — the
 // layout of the paper's proof-of-concept implementation (Figure 1).
 // Positioned reads and writes (pread/pwrite) plus per-call codec
@@ -233,47 +204,6 @@ func (s *FileStore) WriteVector(vi int, src []float64) error {
 
 // Close implements Store.
 func (s *FileStore) Close() error { return s.f.Close() }
-
-// ReadRange implements RangeStore: one positioned read covers all
-// count vectors, since the file layout is already contiguous.
-func (s *FileStore) ReadRange(ctx context.Context, vi, count int, dst []float64) error {
-	if err := checkRange(s.n, s.vecLen, vi, count, len(dst), "read"); err != nil {
-		return err
-	}
-	off := int64(vi) * int64(s.vecLen) * 8
-	if hostLittleEndian {
-		if _, err := s.f.ReadAt(f64Bytes(dst), off); err != nil {
-			return fmt.Errorf("ooc: reading vectors [%d,%d): %w", vi, vi+count, err)
-		}
-		return nil
-	}
-	for i := 0; i < count; i++ {
-		if err := s.ReadVector(vi+i, dst[i*s.vecLen:(i+1)*s.vecLen]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteRange implements RangeStore via one positioned write.
-func (s *FileStore) WriteRange(ctx context.Context, vi, count int, src []float64) error {
-	if err := checkRange(s.n, s.vecLen, vi, count, len(src), "write"); err != nil {
-		return err
-	}
-	off := int64(vi) * int64(s.vecLen) * 8
-	if hostLittleEndian {
-		if _, err := s.f.WriteAt(f64Bytes(src), off); err != nil {
-			return fmt.Errorf("ooc: writing vectors [%d,%d): %w", vi, vi+count, err)
-		}
-		return nil
-	}
-	for i := 0; i < count; i++ {
-		if err := s.WriteVector(vi+i, src[i*s.vecLen:(i+1)*s.vecLen]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // SimStore wraps a Store and charges every transfer to a simulated
 // device clock. It is how the benchmark harness prices out-of-core I/O

@@ -57,8 +57,9 @@ func (e *Engine) buildSumTable(edge *tree.Edge) error {
 func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 	e.Stats.SumTables++
 	e.eobs.sumTables.Inc()
+	timed := e.eobs.on || e.span != nil
 	var stStart time.Time
-	if e.eobs.on {
+	if timed {
 		stStart = time.Now()
 	}
 	cs.syncModel(e)
@@ -110,10 +111,12 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 	}
 
 	e.parallelFor(e.nPat, cs.saBody)
-	if e.eobs.on {
+	if timed {
 		dur := time.Since(stStart)
 		e.eobs.sumTableLat.Observe(dur.Seconds())
-		e.traceSpan(obs.OpSumTable, -1, stStart, dur)
+		if e.span != nil {
+			e.span.EmitChild("plf.sum_table", stStart, dur, obs.Attr{Key: "edge", Int: int64(edge.Index)})
+		}
 	}
 	return nil
 }

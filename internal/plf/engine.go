@@ -376,8 +376,9 @@ func (e *Engine) SetContext(ctx context.Context) {
 	}
 }
 
-// SetSpan attributes subsequent engine work to the given request span:
-// Execute and LogLikelihoodAt emit child spans under it, and the span
+// SetSpan attributes subsequent engine work to the given span: each
+// traversal (plf.newviews), LogLikelihoodAt (plf.evaluate), sum table
+// and corruption recovery is a child span under it, and the span
 // is forwarded to the vector provider when it supports one
 // (ooc.Manager does), so fault-ins and evictions land in the same
 // trace. nil detaches. Same single-goroutine discipline as SetContext.
@@ -387,6 +388,10 @@ func (e *Engine) SetSpan(sp *obs.Span) {
 		p.SetSpan(sp)
 	}
 }
+
+// Span returns the span SetSpan attached (nil when untraced), so a
+// caller driving the engine can emit its own spans beside the engine's.
+func (e *Engine) Span() *obs.Span { return e.span }
 
 // SetSafePoint installs fn to run before every newview call — the
 // point where the engine holds no vector address, so the hook may
@@ -563,9 +568,7 @@ func newviewF[F Float](e *Engine, cs *compute[F], s *tree.Step) error {
 	cs.kern.prepareNewview(e, cs, a)
 	e.parallelFor(e.nPat, cs.nvBody)
 	if e.eobs.on {
-		dur := time.Since(nvStart)
-		e.eobs.newviewLat.Observe(dur.Seconds())
-		e.traceSpan(obs.OpNewview, pvi, nvStart, dur)
+		e.eobs.newviewLat.Observe(time.Since(nvStart).Seconds())
 	}
 	return nil
 }
@@ -610,10 +613,10 @@ func (e *Engine) recoverCorruption(err error, attempts *int, budget int) bool {
 	e.orient[vi+e.T.NumTips] = nil
 	e.Stats.Recoveries++
 	e.eobs.recoveries.Inc()
-	if e.eobs.on {
-		// Instant event: the cost shows up as the extra newviews that
-		// follow, the marker shows *why* they happened.
-		e.traceSpan(obs.OpRecovery, vi, time.Now(), 0)
+	if e.span != nil {
+		// Zero-length marker: the cost shows up as the extra newviews
+		// that follow, the marker shows *why* they happened.
+		e.span.EmitChild("plf.recovery", time.Now(), 0, obs.Attr{Key: "vid", Int: int64(vi)})
 	}
 	return true
 }
@@ -791,9 +794,7 @@ func evaluateF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) (float64, er
 		lnl += c
 	}
 	if e.eobs.on {
-		dur := time.Since(evStart)
-		e.eobs.evalLat.Observe(dur.Seconds())
-		e.traceSpan(obs.OpEvaluate, -1, evStart, dur)
+		e.eobs.evalLat.Observe(time.Since(evStart).Seconds())
 	}
 	return lnl, nil
 }

@@ -6,20 +6,17 @@ package plf
 // publisher reading it from the debug endpoint's goroutine would be a
 // data race. The counters are therefore mirrored natively: every
 // Stats++ site also bumps a nil-safe registry counter, which costs one
-// nil check when uninstrumented and one atomic add when on.
+// nil check when uninstrumented and one atomic add when on. Trace
+// events are spans under the one SetSpan attached (engine.go), not
+// registry instruments.
 
-import (
-	"time"
-
-	"oocphylo/internal/obs"
-)
+import "oocphylo/internal/obs"
 
 // engineObs holds the engine's instruments; the zero value is the
 // uninstrumented state (all nil, on=false).
 type engineObs struct {
 	// on gates the time.Now() calls around kernel invocations.
-	on     bool
-	tracer *obs.Tracer
+	on bool
 	// Mirrors of the Stats struct, updated at the same sites.
 	newviews, evaluations, sumTables *obs.Counter
 	newtonIters, recoveries          *obs.Counter
@@ -29,16 +26,15 @@ type engineObs struct {
 	newviewLat, evalLat, sumTableLat *obs.Histogram
 }
 
-// Instrument attaches reg and tr to the engine (either may be nil).
-// Call it after SetKernel (the kernel name is recorded as run info) and
-// before the first evaluation; at most once.
-func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	if e.eobs.on || (reg == nil && tr == nil) {
+// Instrument attaches reg to the engine (nil is a no-op). Call it
+// after SetKernel (the kernel name is recorded as run info) and before
+// the first evaluation; at most once.
+func (e *Engine) Instrument(reg *obs.Registry) {
+	if e.eobs.on || reg == nil {
 		return
 	}
 	e.eobs = engineObs{
 		on:          true,
-		tracer:      tr,
 		newviews:    reg.Counter("plf.newviews"),
 		evaluations: reg.Counter("plf.evaluations"),
 		sumTables:   reg.Counter("plf.sum_tables"),
@@ -53,10 +49,4 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 	reg.SetInfo("plf.kernel", e.KernelName())
 	reg.SetInfo("plf.kernel_mode", e.KernelMode())
-	tr.SetLaneName(0, "compute")
-}
-
-// traceSpan emits one engine trace event on the compute lane.
-func (e *Engine) traceSpan(op obs.EventOp, vi int, start time.Time, dur time.Duration) {
-	e.eobs.tracer.Emit(op, 0, int32(vi), -1, start, dur)
 }

@@ -6,6 +6,8 @@ package search
 // race), gauges expose live progress: the current log-likelihood and
 // the candidate-evaluation rate of the latest SPR sweep — the numbers
 // an operator watches to decide whether a long run is still moving.
+// Each round is also a search.round span under the span attached to the
+// searcher's engine.
 
 import (
 	"time"
@@ -17,7 +19,6 @@ import (
 // uninstrumented state.
 type searchObs struct {
 	on                       bool
-	tracer                   *obs.Tracer
 	rounds, tested, accepted *obs.Counter
 	// lnl tracks the best log-likelihood so far; movesPerSec is the
 	// candidate-evaluation rate of the latest SPR sweep.
@@ -26,15 +27,14 @@ type searchObs struct {
 	roundLat *obs.Histogram
 }
 
-// Instrument attaches reg and tr to the searcher (either may be nil).
-// Call before Run; at most once.
-func (s *Searcher) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	if s.sobs.on || (reg == nil && tr == nil) {
+// Instrument attaches reg to the searcher (nil is a no-op). Call
+// before Run; at most once.
+func (s *Searcher) Instrument(reg *obs.Registry) {
+	if s.sobs.on || reg == nil {
 		return
 	}
 	s.sobs = searchObs{
 		on:          true,
-		tracer:      tr,
 		rounds:      reg.Counter("search.rounds"),
 		tested:      reg.Counter("search.moves_tested"),
 		accepted:    reg.Counter("search.moves_accepted"),
@@ -44,14 +44,20 @@ func (s *Searcher) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
+// timed reports whether a round's start time is needed: the searcher is
+// instrumented or its engine traced.
+func (s *Searcher) timed() bool { return s.sobs.on || s.E.Span() != nil }
+
 // noteRound records one completed SPR sweep: durations, progress
-// gauges and an OpRound span on the compute lane (VID carries the
-// round number — there is no vector identity at this level).
+// gauges and a search.round span carrying the round number.
 func (s *Searcher) noteRound(round int, res *Result, lnl float64, start time.Time, testedBefore int) {
-	if !s.sobs.on {
+	if !s.timed() {
 		return
 	}
 	dur := time.Since(start)
+	if sp := s.E.Span(); sp != nil {
+		sp.EmitChild("search.round", start, dur, obs.Attr{Key: "round", Int: int64(round)})
+	}
 	s.sobs.rounds.Inc()
 	s.sobs.roundLat.Observe(dur.Seconds())
 	s.sobs.lnl.Set(lnl)
@@ -60,5 +66,4 @@ func (s *Searcher) noteRound(round int, res *Result, lnl float64, start time.Tim
 	if secs := dur.Seconds(); secs > 0 {
 		s.sobs.movesPerSec.Set(float64(res.TestedMoves-testedBefore) / secs)
 	}
-	s.sobs.tracer.Emit(obs.OpRound, 0, int32(round), -1, start, dur)
 }

@@ -295,7 +295,7 @@ func (s *Searcher) RunCtx(ctx context.Context) (*Result, error) {
 		res.Rounds++
 		var roundStart time.Time
 		testedBefore := res.TestedMoves
-		if s.sobs.on {
+		if s.timed() {
 			roundStart = time.Now()
 		}
 		improved, newLnl, err := s.sprRound(ctx, lnl, res)

@@ -102,19 +102,15 @@ func newBatcher(cfg BatcherConfig, exec func([]*evalJob)) *Batcher {
 // Submit enqueues one evaluate request and blocks until its batch has
 // executed. Safe from any goroutine.
 func (b *Batcher) Submit(spec EvalSpec) (EvalReply, error) {
-	return b.SubmitTraced(spec, nil)
+	return b.SubmitCtx(context.Background(), spec, nil)
 }
 
-// SubmitTraced is Submit carrying the request's span (nil = untraced).
-func (b *Batcher) SubmitTraced(spec EvalSpec, sp *obs.Span) (EvalReply, error) {
-	return b.SubmitCtx(context.Background(), spec, sp)
-}
-
-// SubmitCtx is SubmitTraced under a request deadline: when ctx expires
-// before the batch replies, the caller gets ctx.Err() immediately. The
-// job itself still executes with its batch (evaluates are pure, so the
-// orphaned result is simply dropped) — the deadline bounds the CALLER's
-// wait, which is what an HTTP request timeout means.
+// SubmitCtx is Submit carrying the request's span (nil = untraced)
+// under a request deadline: when ctx expires before the batch replies,
+// the caller gets ctx.Err() immediately. The job itself still executes
+// with its batch (evaluates are pure, so the orphaned result is simply
+// dropped) — the deadline bounds the CALLER's wait, which is what an
+// HTTP request timeout means.
 func (b *Batcher) SubmitCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) (EvalReply, error) {
 	j := &evalJob{spec: spec, span: sp, enq: time.Now(), done: make(chan struct{})}
 	select {

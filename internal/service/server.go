@@ -164,8 +164,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
 	s.reg.SetInfo("svc.mem_budget", fmt.Sprintf("%d", cfg.MemBudget))
 	s.reg.AddPublisher("svc.", s.publish)
-	// No event ring: sessions trace through spans only.
-	obs.RegisterTracerMetrics(s.reg, nil, s.spans)
+	obs.RegisterSpanMetrics(s.reg, s.spans)
 
 	// The daemon's SLOs: request availability (non-5xx ratio) and
 	// latency (requests answered inside 500 ms — a bucket bound of the
@@ -569,7 +568,7 @@ func (s *Server) Close() error {
 // traced middleware: always metered (the SLO inputs), and span-recorded
 // when the request carries a W3C traceparent header.
 func (s *Server) Handler() http.Handler {
-	mux := obs.NewMux(s.reg, nil, obs.WithSpans(s.spans), obs.WithSLO(s.slo))
+	mux := obs.NewMux(s.reg, s.spans, s.slo)
 	// /healthz is pure liveness: the process is up and serving. /readyz
 	// additionally asks whether the daemon can serve at full fidelity —
 	// a session whose remote tier is circuit-open still ANSWERS

@@ -481,8 +481,9 @@ func (s *Session) close(remove bool) {
 // in the first traced request's trace (a span cannot have parents in
 // two traces, so the other traced requests record flow LINKS to it —
 // the Chrome export draws the arrows). Around each request's slice of
-// the pass, the engine/manager/tier span hooks point at that request's
-// span, and the before/after movement of the layer counters becomes the
+// the pass, Run.SetSpan points the engine/manager/tier at that
+// request's span (the tier loads it atomically per remote request, so
+// the hand-off is race-free), and the before/after movement of the layer counters becomes the
 // request's cost ledger — exact attribution, because this loop is the
 // only goroutine advancing them.
 func (s *Session) execBatch(batch []*evalJob) {
@@ -504,7 +505,7 @@ func (s *Session) execBatch(batch []*evalJob) {
 		for _, j := range batch {
 			var before costSnapshot
 			if pass != nil {
-				s.attachSpans(j.span)
+				s.run.SetSpan(j.span)
 			}
 			if j.span != nil {
 				j.span.EmitChild("svc.batch_wait", j.enq, execStart.Sub(j.enq))
@@ -541,7 +542,7 @@ func (s *Session) execBatch(batch []*evalJob) {
 			}
 		}
 		if pass != nil {
-			s.attachSpans(nil)
+			s.run.SetSpan(nil)
 			pass.End()
 		}
 		exec := time.Since(execStart).Microseconds()
@@ -569,19 +570,6 @@ func (s *Session) execBatch(batch []*evalJob) {
 				j.err = err
 			}
 		}
-	}
-}
-
-// attachSpans points the engine (and, through it, the out-of-core
-// manager) and the tiered store at sp for one request's slice of the
-// batch. Loop goroutine only; the tier loads the current span
-// atomically per remote request, so the hand-off is race-free.
-func (s *Session) attachSpans(sp *obs.Span) {
-	if s.run != nil {
-		s.run.Engine.SetSpan(sp)
-	}
-	if tier := s.tierStore(); tier != nil {
-		tier.SetSpan(sp)
 	}
 }
 
