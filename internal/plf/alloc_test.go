@@ -9,12 +9,13 @@ import (
 	"oocphylo/internal/tree"
 )
 
-// The buffer-recycling contract: once an engine is warm, the evaluate
-// and derivative entry points allocate nothing. Kernel arguments,
-// parallel-for bodies and the Newton objective are all pre-bound on the
-// engine, so steady-state likelihood work never touches the garbage
-// collector. (Cold paths — first traversal, P-matrix cache fills at new
-// branch lengths — may allocate; that is cache population, not per-call
+// The buffer-recycling contract: once an engine is warm, the traversal,
+// evaluate and derivative entry points allocate nothing. Kernel
+// arguments, parallel-for bodies, the traversal plan, the site-class
+// pair table and the Newton objective are all engine-owned, so
+// steady-state likelihood work never touches the garbage collector.
+// (Cold paths — first traversal, P-matrix cache fills at new branch
+// lengths — may allocate; that is cache population, not per-call
 // garbage.)
 func TestHotPathAllocs(t *testing.T) {
 	cases := []struct {
@@ -60,6 +61,7 @@ func TestHotPathAllocs(t *testing.T) {
 				name string
 				fn   func()
 			}{
+				{"FullTraversal", func() { e.FullTraversal(edge) }},
 				{"LogLikelihoodAt", func() { e.LogLikelihoodAt(edge) }},
 				{"EvaluateAtLength", func() { e.EvaluateAtLength(edge, 0.1) }},
 				{"OptimizeBranch", func() { e.OptimizeBranch(edge) }},

@@ -28,17 +28,38 @@ func benchSetup(b *testing.B, taxa, sites int, gamma bool, dtype bio.DataType) (
 	return e, tr
 }
 
+// BenchmarkFullTraversalDNA runs full traversals over random columns,
+// where sites barely repeat above the cherries, and over data simulated
+// down its own tree (built as derivBenchSetup builds it), where most
+// sites repeat below most nodes. computed-fraction is the share of the
+// site-newviews that were computed rather than shared; patterns/s
+// counts every site-newview, computed or not.
 func BenchmarkFullTraversalDNA(b *testing.B) {
-	e, tr := benchSetup(b, 64, 500, true, bio.DNA)
+	b.Run("random", func(b *testing.B) {
+		e, tr := benchSetup(b, 64, 500, true, bio.DNA)
+		benchFullTraversal(b, e, tr.Edges[0])
+	})
+	b.Run("sim", func(b *testing.B) {
+		ds, err := sim.NewDataset(sim.Config{Taxa: 64, Sites: 500, GammaAlpha: 0.7, Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFullTraversal(b, newEngine(b, ds.Tree, ds.Patterns, ds.Model), ds.Tree.Edges[0])
+	})
+}
+
+func benchFullTraversal(b *testing.B, e *Engine, edge *tree.Edge) {
+	nv, cls := e.Stats.Newviews, e.Stats.ClassesComputed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.FullTraversal(tr.Edges[0]); err != nil {
+		if err := e.FullTraversal(edge); err != nil {
 			b.Fatal(err)
 		}
 	}
-	sitesPerOp := float64(e.nPat * tr.NumInner())
+	sitesPerOp := float64(e.nPat * e.T.NumInner())
 	b.ReportMetric(sitesPerOp*float64(b.N)/b.Elapsed().Seconds(), "patterns/s")
+	b.ReportMetric(float64(e.Stats.ClassesComputed-cls)/float64((e.Stats.Newviews-nv)*int64(e.nPat)), "computed-fraction")
 }
 
 func BenchmarkFullTraversalAA(b *testing.B) {

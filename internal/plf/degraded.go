@@ -7,8 +7,8 @@ package plf
 // the CPU.
 //
 // When the provider reports Degraded() — the remote tier's circuit
-// breaker is open — every remote read WILL fail. After EdgeTraversal
-// emits the minimal step list, every vector the plan would *read* (a
+// breaker is open — every remote read WILL fail. After
+// AppendEdgeTraversal emits the minimal step list, every vector the plan would *read* (a
 // valid inner child not recomputed by the plan, or one of the
 // evaluation edge's own endpoints) that the provider's FetchCost oracle
 // flags as remote is invalidated and recomputed, cascading down until
@@ -37,10 +37,12 @@ type degrader interface {
 	Degraded() bool
 }
 
-// planTraversal builds the minimal plan for edge and, while the
-// provider is degraded, converts its remote reads into recomputes.
+// planTraversal builds the minimal plan for edge into the engine's plan
+// buffer (valid until the next call) and, while the provider is
+// degraded, converts its remote reads into recomputes.
 func (e *Engine) planTraversal(edge *tree.Edge) []tree.Step {
-	steps := tree.EdgeTraversal(e.T, edge, e.orient)
+	e.plan = tree.AppendEdgeTraversal(e.plan[:0], edge, e.orient)
+	steps := e.plan
 	fc, ok := e.prov.(fetchCoster)
 	if !ok {
 		return steps
@@ -59,8 +61,8 @@ func (e *Engine) planTraversal(edge *tree.Edge) []tree.Step {
 			inPlan[steps[i].Node] = true
 		}
 		// The evaluation itself reads the two endpoint vectors, which
-		// EdgeTraversal leaves out of the plan when they are valid. A
-		// valid-but-remote endpoint is just as unreadable while
+		// AppendEdgeTraversal leaves out of the plan when they are valid.
+		// A valid-but-remote endpoint is just as unreadable while
 		// degraded as any planned read — convert it too.
 		for _, end := range []*tree.Node{edge.N[0], edge.N[1]} {
 			if end.IsTip() || inPlan[end] || e.orient[end.Index] == nil {
@@ -91,7 +93,8 @@ func (e *Engine) planTraversal(edge *tree.Edge) []tree.Step {
 		if !changed {
 			break
 		}
-		steps = tree.EdgeTraversal(e.T, edge, e.orient)
+		e.plan = tree.AppendEdgeTraversal(e.plan[:0], edge, e.orient)
+		steps = e.plan
 	}
 	return steps
 }

@@ -66,11 +66,12 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 	a := &cs.sa
 	*a = sumArgs[F]{nm: len(e.maskList)}
 	p, q := edge.N[0], edge.N[1]
+	a.cp, _ = e.classMap(p)
+	a.cq, _ = e.classMap(q)
+	a.tipP, a.tipQ = p.IsTip(), q.IsTip()
 	var buf []float64
 	var err error
-	if p.IsTip() {
-		a.codeP = e.tipCode[p.Index]
-	} else {
+	if !p.IsTip() {
 		np := 0
 		if !q.IsTip() {
 			e.pinsL[0] = e.vi(q)
@@ -82,9 +83,7 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 		}
 		a.xp = vecView[F](buf, e.vecLen)
 	}
-	if q.IsTip() {
-		a.codeQ = e.tipCode[q.Index]
-	} else {
+	if !q.IsTip() {
 		np := 0
 		if !p.IsTip() {
 			e.pinsR[0] = e.vi(p)
@@ -99,14 +98,16 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 	for i := range e.sumTabSc {
 		e.sumTabSc[i] = 0
 	}
-	if a.xp != nil {
-		for i, s := range e.scales[e.vi(p)] {
-			e.sumTabSc[i] += s
+	if !a.tipP {
+		sc := e.scales[e.vi(p)]
+		for i, c := range a.cp {
+			e.sumTabSc[i] += sc[c]
 		}
 	}
-	if a.xq != nil {
-		for i, s := range e.scales[e.vi(q)] {
-			e.sumTabSc[i] += s
+	if !a.tipQ {
+		sc := e.scales[e.vi(q)]
+		for i, c := range a.cq {
+			e.sumTabSc[i] += sc[c]
 		}
 	}
 

@@ -9,6 +9,8 @@ import (
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
+	"oocphylo/internal/obs"
+	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
 
@@ -432,5 +434,39 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if e.Stats.SumTables != 1 || e.Stats.NewtonIters == 0 {
 		t.Errorf("optimizer stats not recorded: %+v", e.Stats)
+	}
+
+	// Site classes: the generic kernels compute every pattern at every
+	// newview; auto computes each distinct subtree pattern once, which on
+	// simulated (repeat-heavy) data is strictly fewer. The registry
+	// mirrors the count.
+	ds, err := sim.NewDataset(sim.Config{Taxa: 24, Sites: 300, GammaAlpha: 0.5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{KernelGeneric, KernelAuto} {
+		e := newEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model)
+		if err := e.SetKernel(mode); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		e.Instrument(reg)
+		if err := e.FullTraversal(e.T.Edges[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.LogLikelihoodAt(e.T.Edges[7]); err != nil {
+			t.Fatal(err)
+		}
+		all := e.Stats.Newviews * int64(ds.Patterns.NumPatterns())
+		got := e.Stats.ClassesComputed
+		if mode == KernelGeneric && got != all {
+			t.Errorf("generic: %d classes computed, want newviews × patterns = %d", got, all)
+		}
+		if mode == KernelAuto && (got <= 0 || got >= all) {
+			t.Errorf("auto: %d classes computed, want in (0, %d) on simulated data", got, all)
+		}
+		if v := reg.Counter("plf.classes_computed").Value(); v != got {
+			t.Errorf("%s: registry plf.classes_computed = %d, Stats %d", mode, v, got)
+		}
 	}
 }

@@ -17,6 +17,15 @@ import (
 // exactness criterion (§4.1) holds across kernels the same way it holds
 // across replacement strategies and worker counts.
 //
+// A newview kernel computes one block per site class of its node (see
+// Engine.classify), reading each child's block through the child's
+// class map; evaluate and the sum table read both endpoints per pattern
+// through theirs. Under KernelAuto a class is a distinct pair of
+// children's classes, computed once however many sites share it; under
+// KernelGeneric every pattern is its own class, so the generic run is
+// repeat-free — every site computed — and bit-identity with it proves
+// the sharing exact.
+//
 // Every set is generic over the compute element type F (float32 or
 // float64); the bit-exactness contract is per precision — see
 // precision.go for the cross-precision semantics.
@@ -27,20 +36,22 @@ const (
 	// dimensions: DNA-unrolled for 4 states, the protein set for 20,
 	// the generic loops (with the transition-matrix cache) otherwise.
 	KernelAuto = "auto"
-	// KernelGeneric forces the generic loops and disables the
-	// transition-matrix cache — the exact legacy compute path, kept as
-	// the differential-testing baseline.
+	// KernelGeneric forces the generic loops, disables the
+	// transition-matrix cache and classifies every pattern as its own
+	// class — the repeat-free legacy compute path, kept as the
+	// differential-testing baseline.
 	KernelGeneric = "generic"
 )
 
 // nvArgs carries the resolved inputs of one newview call to its
-// pattern-block kernels. Tip children are represented by their pattern
-// code row and tip-sum table (code != nil); inner children by their
-// ancestral vector and scale counters.
+// class-block kernels. Output class c is computed from cl[c] and cr[c]:
+// for a tip child (tipL/tipR) its mask code into the tip-sum table, for
+// an inner child the index of its block and scale counter.
 type nvArgs[F Float] struct {
 	xl, xr, xp    []F
 	scl, scr, scp []int32
-	codeL, codeR  []uint16
+	cl, cr        []int32
+	tipL, tipR    bool
 	pmL, pmR      []F // nCat × k² transition matrices
 	tsL, tsR      []F // nCat × nm × k tip-sum tables (tip children)
 	prodTT        []F // nm × nm × nCat × k tip-pair products (tip×tip)
@@ -48,30 +59,36 @@ type nvArgs[F Float] struct {
 }
 
 // evArgs carries the resolved inputs of one evaluate call. q is the
-// endpoint whose data the P matrix is applied across; contrib receives
-// the per-pattern weighted log-likelihood terms (always float64: the
-// logarithmic tail runs in double precision in every mode).
+// endpoint whose data the P matrix is applied across; cp/cq are the
+// endpoints' class maps (per pattern: a tip's mask code, an inner
+// vector's block index); contrib receives the per-pattern weighted
+// log-likelihood terms (always float64: the logarithmic tail runs in
+// double precision in every mode).
 type evArgs[F Float] struct {
-	xp, xq       []F
-	scp, scq     []int32
-	codeP, codeQ []uint16
-	pmQ          []F
-	tsQ          []F
-	contrib      []float64
-	nm           int
+	xp, xq     []F
+	scp, scq   []int32
+	cp, cq     []int32
+	tipP, tipQ bool
+	pmQ        []F
+	tsQ        []F
+	contrib    []float64
+	nm         int
 }
 
-// sumArgs carries the resolved endpoint data of one sum-table build.
+// sumArgs carries the resolved endpoint data of one sum-table build,
+// class maps as in evArgs.
 type sumArgs[F Float] struct {
-	xp, xq       []F
-	codeP, codeQ []uint16
-	nm           int
+	xp, xq     []F
+	cp, cq     []int32
+	tipP, tipQ bool
+	nm         int
 }
 
-// kernelSet is the engine's compute-kernel vtable. Each method
-// processes patterns [lo, hi) and must not touch state outside that
-// block (the parallelFor contract). prepareNewview runs once per
-// newview call before the fan-out, for call-wide precomputation.
+// kernelSet is the engine's compute-kernel vtable. newview processes
+// classes [lo, hi) of its output, evaluate and sumTable patterns
+// [lo, hi); none may touch state outside that block (the parallelFor
+// contract). prepareNewview runs once per newview call before the
+// fan-out, for call-wide precomputation.
 type kernelSet[F Float] interface {
 	name() string
 	prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F])
@@ -101,10 +118,11 @@ func selectKernelSet[F Float](mode string, nStates int) (kernelSet[F], error) {
 }
 
 // SetKernel selects the compute-kernel set by mode (KernelAuto or
-// KernelGeneric). KernelGeneric restores the exact
-// legacy path: generic loops and no transition-matrix cache. Switching
-// kernels never changes results — the differential tests enforce
-// bit-identical vectors and likelihoods between modes.
+// KernelGeneric). KernelGeneric restores the exact repeat-free legacy
+// path: generic loops, every pattern computed, no transition-matrix
+// cache. Switching kernels never changes results — the differential
+// tests enforce bit-identical vectors and likelihoods between modes, and
+// vectors one mode computed stay readable by the other.
 func (e *Engine) SetKernel(mode string) error {
 	if e.c32 != nil {
 		return setKernel(e, e.c32, mode)
@@ -162,22 +180,24 @@ func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi
 	k2 := k * k
 	var la, ra [32]F // k <= 32; fixed scratch avoids allocation
 	for i := lo; i < hi; i++ {
+		l, r := int(a.cl[i]), int(a.cr[i])
 		var cnt int32
-		if a.scl != nil {
-			cnt += a.scl[i]
+		if !a.tipL {
+			cnt += a.scl[l]
 		}
-		if a.scr != nil {
-			cnt += a.scr[i]
+		if !a.tipR {
+			cnt += a.scr[r]
 		}
 		base := i * C * k
+		lb, rb := l*C*k, r*C*k
 		blockMax := F(0)
 		for c := 0; c < C; c++ {
 			// Left factor per state.
-			if a.codeL != nil {
-				off := (c*nm + int(a.codeL[i])) * k
+			if a.tipL {
+				off := (c*nm + l) * k
 				copy(la[:k], a.tsL[off:off+k])
 			} else {
-				src := a.xl[base+c*k : base+(c+1)*k]
+				src := a.xl[lb+c*k : lb+(c+1)*k]
 				p := a.pmL[c*k2 : (c+1)*k2]
 				for s := 0; s < k; s++ {
 					acc := F(0)
@@ -188,11 +208,11 @@ func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi
 					la[s] = acc
 				}
 			}
-			if a.codeR != nil {
-				off := (c*nm + int(a.codeR[i])) * k
+			if a.tipR {
+				off := (c*nm + r) * k
 				copy(ra[:k], a.tsR[off:off+k])
 			} else {
-				src := a.xr[base+c*k : base+(c+1)*k]
+				src := a.xr[rb+c*k : rb+(c+1)*k]
 				p := a.pmR[c*k2 : (c+1)*k2]
 				for s := 0; s < k; s++ {
 					acc := F(0)
@@ -238,22 +258,23 @@ func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, h
 	catW := F(1) / F(C)
 	var ra [32]F
 	for i := lo; i < hi; i++ {
+		p, q := int(a.cp[i]), int(a.cq[i])
 		var cnt int32
-		if a.scp != nil {
-			cnt += a.scp[i]
+		if !a.tipP {
+			cnt += a.scp[p]
 		}
-		if a.scq != nil {
-			cnt += a.scq[i]
+		if !a.tipQ {
+			cnt += a.scq[q]
 		}
-		base := i * C * k
+		pb, qb := p*C*k, q*C*k
 		site := F(0)
 		for c := 0; c < C; c++ {
 			// Right factor: (P x_q) per state, or tip lookup.
-			if a.codeQ != nil {
-				off := (c*nm + int(a.codeQ[i])) * k
+			if a.tipQ {
+				off := (c*nm + q) * k
 				copy(ra[:k], a.tsQ[off:off+k])
 			} else {
-				src := a.xq[base+c*k : base+(c+1)*k]
+				src := a.xq[qb+c*k : qb+(c+1)*k]
 				pm := a.pmQ[c*k2 : (c+1)*k2]
 				for s := 0; s < k; s++ {
 					acc := F(0)
@@ -265,13 +286,13 @@ func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, h
 				}
 			}
 			f := F(0)
-			if a.codeP != nil {
-				ind := cs.tipInd[int(a.codeP[i])*k : (int(a.codeP[i])+1)*k]
+			if a.tipP {
+				ind := cs.tipInd[p*k : (p+1)*k]
 				for s := 0; s < k; s++ {
 					f += freqs[s] * ind[s] * ra[s]
 				}
 			} else {
-				src := a.xp[base+c*k : base+(c+1)*k]
+				src := a.xp[pb+c*k : pb+(c+1)*k]
 				for s := 0; s < k; s++ {
 					f += freqs[s] * src[s] * ra[s]
 				}
@@ -310,14 +331,15 @@ func (genericKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, 
 	evec, ievec := cs.evec, cs.ievec
 	var left, right [32]F
 	for i := lo; i < hi; i++ {
-		base := i * C * k
+		p, q := int(a.cp[i]), int(a.cq[i])
+		base, pb, qb := i*C*k, p*C*k, q*C*k
 		for c := 0; c < C; c++ {
 			// left_k = sum_s pi_s x_p[s] V[s][k]
 			var lsrc []F
-			if a.codeP != nil {
-				lsrc = cs.tipInd[int(a.codeP[i])*k : (int(a.codeP[i])+1)*k]
+			if a.tipP {
+				lsrc = cs.tipInd[p*k : (p+1)*k]
 			} else {
-				lsrc = a.xp[base+c*k : base+(c+1)*k]
+				lsrc = a.xp[pb+c*k : pb+(c+1)*k]
 			}
 			for kk := 0; kk < k; kk++ {
 				left[kk] = 0
@@ -334,10 +356,10 @@ func (genericKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, 
 			}
 			// right_k = sum_j V^-1[k][j] x_q[j]
 			var rsrc []F
-			if a.codeQ != nil {
-				rsrc = cs.tipInd[int(a.codeQ[i])*k : (int(a.codeQ[i])+1)*k]
+			if a.tipQ {
+				rsrc = cs.tipInd[q*k : (q+1)*k]
 			} else {
-				rsrc = a.xq[base+c*k : base+(c+1)*k]
+				rsrc = a.xq[qb+c*k : qb+(c+1)*k]
 			}
 			for kk := 0; kk < k; kk++ {
 				acc := F(0)

@@ -29,7 +29,7 @@ const prodTTMaxEntries = 1 << 21
 // prod[((ml*nm+mr)*C+c)*k+s] = tsL[c,ml,s]·tsR[c,mr,s] into cs.prodTT,
 // or leaves a.prodTT nil when the table would exceed prodTTMaxEntries.
 func prepareProdTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k int) {
-	if a.codeL == nil || a.codeR == nil {
+	if !a.tipL || !a.tipR {
 		return
 	}
 	C, nm := e.nCat, a.nm
@@ -64,11 +64,11 @@ func newviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k, lo, hi int) 
 	C, nm := e.nCat, a.nm
 	stride := C * k
 	xp, scp := a.xp, a.scp
-	codeL, codeR := a.codeL, a.codeR
+	cl, cr := a.cl, a.cr
 	if prod := a.prodTT; prod != nil {
 		for i := lo; i < hi; i++ {
 			dst := xp[i*stride : i*stride+stride]
-			pair := (int(codeL[i])*nm + int(codeR[i])) * stride
+			pair := (int(cl[i])*nm + int(cr[i])) * stride
 			copy(dst, prod[pair:pair+stride])
 			blockMax := F(0)
 			for _, v := range dst {
@@ -83,7 +83,7 @@ func newviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k, lo, hi int) 
 	tsL, tsR := a.tsL, a.tsR
 	for i := lo; i < hi; i++ {
 		base := i * stride
-		ml, mr := int(codeL[i])*k, int(codeR[i])*k
+		ml, mr := int(cl[i])*k, int(cr[i])*k
 		blockMax := F(0)
 		for c := 0; c < C; c++ {
 			l := tsL[c*nm*k+ml:][:k]
@@ -114,12 +114,12 @@ func (aaKernels[F]) prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F]) {
 
 func (aaKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
 	switch {
-	case a.codeL != nil && a.codeR != nil:
+	case a.tipL && a.tipR:
 		newviewTT(e, cs, a, 20, lo, hi)
-	case a.codeL != nil:
-		aaNewviewTI(e, cs, a, a.codeL, a.tsL, a.xr, a.pmR, a.scr, lo, hi)
-	case a.codeR != nil:
-		aaNewviewTI(e, cs, a, a.codeR, a.tsR, a.xl, a.pmL, a.scl, lo, hi)
+	case a.tipL:
+		aaNewviewTI(e, cs, a, a.cl, a.tsL, a.cr, a.xr, a.pmR, a.scr, lo, hi)
+	case a.tipR:
+		aaNewviewTI(e, cs, a, a.cr, a.tsR, a.cl, a.xl, a.pmL, a.scl, lo, hi)
 	default:
 		aaNewviewII(e, cs, a, lo, hi)
 	}
@@ -168,27 +168,29 @@ func aaMatVecTip[F Float](p *[400]F, src, tb, dst *[20]F, blockMax F) F {
 	return blockMax
 }
 
-// aaNewviewTI: one tip child (codes + tip-sum table ts), one inner
-// child (vector x across matrices pm with scales sc).
-func aaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], code []uint16, ts, x, pm []F, sc []int32, lo, hi int) {
+// aaNewviewTI: one tip child (mask codes tc + tip-sum table ts), one
+// inner child (blocks xc of vector x across matrices pm, with scales
+// sc).
+func aaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], tc []int32, ts []F, xc []int32, x, pm []F, sc []int32, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	const k = 20
 	stride := C * k
 	xp, scp := a.xp, a.scp
 	for i := lo; i < hi; i++ {
 		base := i * stride
-		mi := int(code[i]) * k
+		xb := int(xc[i]) * stride
+		mi := int(tc[i]) * k
 		blockMax := F(0)
 		for c := 0; c < C; c++ {
-			o := base + c*k
+			o := c * k
 			blockMax = aaMatVecTip(
 				(*[400]F)(pm[c*400:]),
-				(*[20]F)(x[o:]),
+				(*[20]F)(x[xb+o:]),
 				(*[20]F)(ts[c*nm*k+mi:]),
-				(*[20]F)(xp[o:]),
+				(*[20]F)(xp[base+o:]),
 				blockMax)
 		}
-		scaleTail(xp[base:base+stride], scp, i, sc[i], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, sc[xc[i]], blockMax, cs.minLik, cs.scaleFac, cs.flush)
 	}
 }
 
@@ -249,18 +251,20 @@ func aaNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
 	stride := C * k
 	xl, xr, xp := a.xl, a.xr, a.xp
 	scl, scr, scp := a.scl, a.scr, a.scp
+	cl, cr := a.cl, a.cr
 	pmL, pmR := a.pmL, a.pmR
 	for i := lo; i < hi; i++ {
-		base := i * stride
+		l, r := int(cl[i]), int(cr[i])
+		base, lb, rb := i*stride, l*stride, r*stride
 		blockMax := F(0)
 		for c := 0; c < C; c++ {
-			o := base + c*k
+			o := c * k
 			blockMax = aaNewviewIICat(
 				(*[400]F)(pmL[c*400:]), (*[400]F)(pmR[c*400:]),
-				(*[20]F)(xl[o:]), (*[20]F)(xr[o:]), (*[20]F)(xp[o:]),
+				(*[20]F)(xl[lb+o:]), (*[20]F)(xr[rb+o:]), (*[20]F)(xp[base+o:]),
 				blockMax)
 		}
-		scaleTail(xp[base:base+stride], scp, i, scl[i]+scr[i], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, scl[l]+scr[r], blockMax, cs.minLik, cs.scaleFac, cs.flush)
 	}
 }
 
@@ -296,33 +300,34 @@ func (aaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int
 	contrib := a.contrib
 	var ra [20]F
 	for i := lo; i < hi; i++ {
+		p, q := int(a.cp[i]), int(a.cq[i])
 		var cnt int32
-		if a.scp != nil {
-			cnt += a.scp[i]
+		if !a.tipP {
+			cnt += a.scp[p]
 		}
-		if a.scq != nil {
-			cnt += a.scq[i]
+		if !a.tipQ {
+			cnt += a.scq[q]
 		}
-		base := i * stride
+		pb, qb := p*stride, q*stride
 		site := F(0)
 		for c := 0; c < C; c++ {
-			o := base + c*k
-			if a.codeQ != nil {
-				copy(ra[:], a.tsQ[c*nm*k+int(a.codeQ[i])*k:][:k])
+			o := c * k
+			if a.tipQ {
+				copy(ra[:], a.tsQ[c*nm*k+q*k:][:k])
 			} else {
-				aaMatVec((*[400]F)(a.pmQ[c*400:]), (*[20]F)(a.xq[o:]), &ra)
+				aaMatVec((*[400]F)(a.pmQ[c*400:]), (*[20]F)(a.xq[qb+o:]), &ra)
 			}
 			// The site sum is ONE accumulation chain in the generic
 			// kernel, so it stays a single sequential chain here — only
 			// the independent matrix-vector chains above are interleaved.
 			f := F(0)
-			if a.codeP != nil {
-				ind := (*[20]F)(cs.tipInd[int(a.codeP[i])*k:])
+			if a.tipP {
+				ind := (*[20]F)(cs.tipInd[p*k:])
 				for s := 0; s < k; s++ {
 					f += freqs[s] * ind[s] * ra[s]
 				}
 			} else {
-				src := (*[20]F)(a.xp[o:])
+				src := (*[20]F)(a.xp[pb+o:])
 				for s := 0; s < k; s++ {
 					f += freqs[s] * src[s] * ra[s]
 				}
@@ -342,18 +347,19 @@ func (aaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi in
 	ev := cs.evec
 	iv := cs.ievec
 	xp, xq := a.xp, a.xq
-	codeP, codeQ := a.codeP, a.codeQ
+	cp, cq := a.cp, a.cq
 	sumTab := cs.sumTab
 	var left [20]F
 	for i := lo; i < hi; i++ {
-		base := i * stride
+		p, q := int(cp[i]), int(cq[i])
+		base, pb, qb := i*stride, p*stride, q*stride
 		for c := 0; c < C; c++ {
-			o := base + c*k
+			o := c * k
 			var ls *[20]F
-			if codeP != nil {
-				ls = (*[20]F)(cs.tipInd[int(codeP[i])*k:])
+			if a.tipP {
+				ls = (*[20]F)(cs.tipInd[p*k:])
 			} else {
-				ls = (*[20]F)(xp[o:])
+				ls = (*[20]F)(xp[pb+o:])
 			}
 			// left_k = sum_s pi_s x_p[s] V[s][k]: outer loop over s in
 			// ascending order with the generic w == 0 skip; the inner
@@ -375,14 +381,14 @@ func (aaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi in
 				}
 			}
 			var rs *[20]F
-			if codeQ != nil {
-				rs = (*[20]F)(cs.tipInd[int(codeQ[i])*k:])
+			if a.tipQ {
+				rs = (*[20]F)(cs.tipInd[q*k:])
 			} else {
-				rs = (*[20]F)(xq[o:])
+				rs = (*[20]F)(xq[qb+o:])
 			}
 			// right_k = sum_j V^-1[k][j] x_q[j]: four zero-initialised
 			// chains per pass, ascending j.
-			dst := (*[20]F)(sumTab[o:])
+			dst := (*[20]F)(sumTab[base+o:])
 			for kk := 0; kk < k; kk += 4 {
 				r0 := iv[kk*20 : kk*20+20]
 				r1 := iv[kk*20+20 : kk*20+40]

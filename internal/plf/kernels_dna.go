@@ -40,7 +40,7 @@ func (dnaKernels[F]) name() string { return "dna4" }
 // most C·16·16·4 elements and costs O(nm²·C·4) multiplies per call —
 // amortised over the nPat-pattern loop it replaces.
 func (dnaKernels[F]) prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F]) {
-	if a.codeL == nil || a.codeR == nil {
+	if !a.tipL || !a.tipR {
 		return
 	}
 	C, nm := e.nCat, a.nm
@@ -68,12 +68,12 @@ func (dnaKernels[F]) prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F]) {
 
 func (dnaKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
 	switch {
-	case a.codeL != nil && a.codeR != nil:
+	case a.tipL && a.tipR:
 		dnaNewviewTT(e, cs, a, lo, hi)
-	case a.codeL != nil:
-		dnaNewviewTI(e, cs, a, a.codeL, a.tsL, a.xr, a.pmR, a.scr, lo, hi)
-	case a.codeR != nil:
-		dnaNewviewTI(e, cs, a, a.codeR, a.tsR, a.xl, a.pmL, a.scl, lo, hi)
+	case a.tipL:
+		dnaNewviewTI(e, cs, a, a.cl, a.tsL, a.cr, a.xr, a.pmR, a.scr, lo, hi)
+	case a.tipR:
+		dnaNewviewTI(e, cs, a, a.cr, a.tsR, a.cl, a.xl, a.pmL, a.scl, lo, hi)
 	default:
 		if e.nCat == 4 {
 			dnaNewviewII4(cs, a, lo, hi)
@@ -89,10 +89,10 @@ func dnaNewviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) 
 	C, nm := e.nCat, a.nm
 	stride := C * 4
 	prod, xp, scp := a.prodTT, a.xp, a.scp
-	codeL, codeR := a.codeL, a.codeR
+	cl, cr := a.cl, a.cr
 	for i := lo; i < hi; i++ {
 		dst := xp[i*stride : i*stride+stride]
-		pair := (int(codeL[i])*nm + int(codeR[i])) * stride
+		pair := (int(cl[i])*nm + int(cr[i])) * stride
 		copy(dst, prod[pair:pair+stride])
 		blockMax := F(0)
 		for _, v := range dst {
@@ -104,19 +104,21 @@ func dnaNewviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) 
 	}
 }
 
-// dnaNewviewTI: one tip child (pattern codes + tip-sum table ts) and
-// one inner child (vector x across matrices pm with scales sc).
-func dnaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], code []uint16, ts, x, pm []F, sc []int32, lo, hi int) {
+// dnaNewviewTI: one tip child (mask codes tc + tip-sum table ts) and
+// one inner child (blocks xc of vector x across matrices pm, with
+// scales sc).
+func dnaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], tc []int32, ts []F, xc []int32, x, pm []F, sc []int32, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	stride := C * 4
 	xp, scp := a.xp, a.scp
 	for i := lo; i < hi; i++ {
 		base := i * stride
-		mi := int(code[i]) * 4
+		xb := int(xc[i]) * stride
+		mi := int(tc[i]) * 4
 		blockMax := F(0)
 		for c := 0; c < C; c++ {
 			o := base + c*4
-			src := (*[4]F)(x[o:])
+			src := (*[4]F)(x[xb+c*4:])
 			p := (*[16]F)(pm[c*16:])
 			tb := (*[4]F)(ts[c*nm*4+mi:])
 			x0, x1, x2, x3 := src[0], src[1], src[2], src[3]
@@ -146,7 +148,7 @@ func dnaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], code []uint1
 				blockMax = v3
 			}
 		}
-		scaleTail(xp[base:base+stride], scp, i, sc[i], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, sc[xc[i]], blockMax, cs.minLik, cs.scaleFac, cs.flush)
 	}
 }
 
@@ -192,18 +194,20 @@ func dnaNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) 
 	stride := C * 4
 	xl, xr, xp := a.xl, a.xr, a.xp
 	scl, scr, scp := a.scl, a.scr, a.scp
+	cl, cr := a.cl, a.cr
 	pmL, pmR := a.pmL, a.pmR
 	for i := lo; i < hi; i++ {
-		base := i * stride
+		l, r := int(cl[i]), int(cr[i])
+		base, lb, rb := i*stride, l*stride, r*stride
 		blockMax := F(0)
 		for c := 0; c < C; c++ {
-			o := base + c*4
+			o := c * 4
 			blockMax = dnaNewviewIICat(
 				(*[16]F)(pmL[c*16:]), (*[16]F)(pmR[c*16:]),
-				(*[4]F)(xl[o:]), (*[4]F)(xr[o:]), (*[4]F)(xp[o:]),
+				(*[4]F)(xl[lb+o:]), (*[4]F)(xr[rb+o:]), (*[4]F)(xp[base+o:]),
 				blockMax)
 		}
-		scaleTail(xp[base:base+stride], scp, i, scl[i]+scr[i], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, scl[l]+scr[r], blockMax, cs.minLik, cs.scaleFac, cs.flush)
 	}
 }
 
@@ -212,6 +216,7 @@ func dnaNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) 
 func dnaNewviewII4[F Float](cs *compute[F], a *nvArgs[F], lo, hi int) {
 	xl, xr, xp := a.xl, a.xr, a.xp
 	scl, scr, scp := a.scl, a.scr, a.scp
+	cl, cr := a.cl, a.cr
 	pl0 := (*[16]F)(a.pmL[0:])
 	pl1 := (*[16]F)(a.pmL[16:])
 	pl2 := (*[16]F)(a.pmL[32:])
@@ -221,15 +226,15 @@ func dnaNewviewII4[F Float](cs *compute[F], a *nvArgs[F], lo, hi int) {
 	pr2 := (*[16]F)(a.pmR[32:])
 	pr3 := (*[16]F)(a.pmR[48:])
 	for i := lo; i < hi; i++ {
-		base := i * 16
-		l := xl[base : base+16]
-		r := xr[base : base+16]
-		dst := xp[base : base+16]
+		lc, rc := int(cl[i]), int(cr[i])
+		l := xl[lc*16 : lc*16+16]
+		r := xr[rc*16 : rc*16+16]
+		dst := xp[i*16 : i*16+16]
 		blockMax := dnaNewviewIICat(pl0, pr0, (*[4]F)(l[0:]), (*[4]F)(r[0:]), (*[4]F)(dst[0:]), F(0))
 		blockMax = dnaNewviewIICat(pl1, pr1, (*[4]F)(l[4:]), (*[4]F)(r[4:]), (*[4]F)(dst[4:]), blockMax)
 		blockMax = dnaNewviewIICat(pl2, pr2, (*[4]F)(l[8:]), (*[4]F)(r[8:]), (*[4]F)(dst[8:]), blockMax)
 		blockMax = dnaNewviewIICat(pl3, pr3, (*[4]F)(l[12:]), (*[4]F)(r[12:]), (*[4]F)(dst[12:]), blockMax)
-		scaleTail(dst, scp, i, scl[i]+scr[i], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(dst, scp, i, scl[lc]+scr[rc], blockMax, cs.minLik, cs.scaleFac, cs.flush)
 	}
 }
 
@@ -241,26 +246,27 @@ func (dnaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi in
 	catW := F(1) / F(C)
 	xp, xq := a.xp, a.xq
 	scp, scq := a.scp, a.scq
-	codeP, codeQ := a.codeP, a.codeQ
+	cp, cq := a.cp, a.cq
 	contrib := a.contrib
 	for i := lo; i < hi; i++ {
+		p, q := int(cp[i]), int(cq[i])
 		var cnt int32
-		if scp != nil {
-			cnt += scp[i]
+		if !a.tipP {
+			cnt += scp[p]
 		}
-		if scq != nil {
-			cnt += scq[i]
+		if !a.tipQ {
+			cnt += scq[q]
 		}
-		base := i * stride
+		pb, qb := p*stride, q*stride
 		site := F(0)
 		for c := 0; c < C; c++ {
-			o := base + c*4
+			o := c * 4
 			var r0, r1, r2, r3 F
-			if codeQ != nil {
-				tb := (*[4]F)(a.tsQ[c*nm*4+int(codeQ[i])*4:])
+			if a.tipQ {
+				tb := (*[4]F)(a.tsQ[c*nm*4+q*4:])
 				r0, r1, r2, r3 = tb[0], tb[1], tb[2], tb[3]
 			} else {
-				src := (*[4]F)(xq[o:])
+				src := (*[4]F)(xq[qb+o:])
 				p := (*[16]F)(a.pmQ[c*16:])
 				x0, x1, x2, x3 := src[0], src[1], src[2], src[3]
 				r0 = p[0]*x0 + p[1]*x1 + p[2]*x2 + p[3]*x3
@@ -269,11 +275,11 @@ func (dnaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi in
 				r3 = p[12]*x0 + p[13]*x1 + p[14]*x2 + p[15]*x3
 			}
 			var f F
-			if codeP != nil {
-				ind := (*[4]F)(cs.tipInd[int(codeP[i])*4:])
+			if a.tipP {
+				ind := (*[4]F)(cs.tipInd[p*4:])
 				f = f0*ind[0]*r0 + f1*ind[1]*r1 + f2*ind[2]*r2 + f3*ind[3]*r3
 			} else {
-				src := (*[4]F)(xp[o:])
+				src := (*[4]F)(xp[pb+o:])
 				f = f0*src[0]*r0 + f1*src[1]*r1 + f2*src[2]*r2 + f3*src[3]*r3
 			}
 			site += f
@@ -291,17 +297,18 @@ func (dnaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi i
 	ev := (*[16]F)(cs.evec)
 	iv := (*[16]F)(cs.ievec)
 	xp, xq := a.xp, a.xq
-	codeP, codeQ := a.codeP, a.codeQ
+	cp, cq := a.cp, a.cq
 	sumTab := cs.sumTab
 	for i := lo; i < hi; i++ {
-		base := i * stride
+		p, q := int(cp[i]), int(cq[i])
+		base, pb, qb := i*stride, p*stride, q*stride
 		for c := 0; c < C; c++ {
-			o := base + c*4
+			o := c * 4
 			var ls *[4]F
-			if codeP != nil {
-				ls = (*[4]F)(cs.tipInd[int(codeP[i])*4:])
+			if a.tipP {
+				ls = (*[4]F)(cs.tipInd[p*4:])
 			} else {
-				ls = (*[4]F)(xp[o:])
+				ls = (*[4]F)(xp[pb+o:])
 			}
 			// left_k = sum_s pi_s x_p[s] V[s][k], ascending s, preserving
 			// the generic kernel's w == 0 skip (eigenvectors can be
@@ -332,10 +339,10 @@ func (dnaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi i
 				L3 += w * ev[15]
 			}
 			var rs *[4]F
-			if codeQ != nil {
-				rs = (*[4]F)(cs.tipInd[int(codeQ[i])*4:])
+			if a.tipQ {
+				rs = (*[4]F)(cs.tipInd[q*4:])
 			} else {
-				rs = (*[4]F)(xq[o:])
+				rs = (*[4]F)(xq[qb+o:])
 			}
 			x0, x1, x2, x3 := rs[0], rs[1], rs[2], rs[3]
 			// right_k = sum_j V^-1[k][j] x_q[j]; the ievec rows carry
@@ -360,7 +367,7 @@ func (dnaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi i
 			R3 += iv[13] * x1
 			R3 += iv[14] * x2
 			R3 += iv[15] * x3
-			dst := (*[4]F)(sumTab[o:])
+			dst := (*[4]F)(sumTab[base+o:])
 			dst[0] = L0 * R0
 			dst[1] = L1 * R1
 			dst[2] = L2 * R2

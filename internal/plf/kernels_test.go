@@ -10,13 +10,14 @@ import (
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
 	"oocphylo/internal/ooc"
+	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
 
 // The kernel-dispatch exactness contract: for ANY kernel mode, worker
 // count and provider, every ancestral vector, scale counter, likelihood,
 // derivative and optimised branch length must be bit-identical to the
-// generic kernels. These tests enforce it on random data.
+// generic kernels. These tests enforce it on random and simulated data.
 
 func bitsEq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
@@ -38,35 +39,54 @@ func kernelPair(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model,
 	return gen, spec
 }
 
-// compareState asserts every inner vector and scale counter matches
-// bit-for-bit between the two engines.
+// compareState asserts every pattern's block and scale counter of every
+// inner vector matches bit-for-bit between the two engines, each read
+// through its own engine's class map, and that the generic engine's
+// maps are the identity (it computes every pattern).
 func compareState(t *testing.T, gen, auto *Engine, tag string) {
 	t.Helper()
+	if gen.precision == PrecisionF32 {
+		compareStateF[float32](t, gen, auto, tag)
+	} else {
+		compareStateF[float64](t, gen, auto, tag)
+	}
+}
+
+// compareStateF is compareState at element type F.
+func compareStateF[F Float](t *testing.T, gen, auto *Engine, tag string) {
+	t.Helper()
+	stride := gen.nCat * gen.nStates
 	for vi := 0; vi < gen.T.NumInner(); vi++ {
 		// Only compare vectors both engines consider valid; stale slots
 		// may legitimately hold garbage.
 		if gen.orient[vi+gen.T.NumTips] == nil || auto.orient[vi+auto.T.NumTips] == nil {
 			continue
 		}
-		xg, err := gen.prov.Vector(vi, false)
+		cg, err := gen.prov.Vector(vi, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xa, err := auto.prov.Vector(vi, false)
+		ca, err := auto.prov.Vector(vi, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range xg {
-			if !bitsEq(xg[j], xa[j]) {
-				t.Fatalf("%s: vector %d[%d]: generic %v (%x) vs %s %v (%x)",
-					tag, vi, j, xg[j], math.Float64bits(xg[j]),
-					auto.KernelName(), xa[j], math.Float64bits(xa[j]))
+		xg, xa := vecView[F](cg, gen.vecLen), vecView[F](ca, auto.vecLen)
+		for j := 0; j < gen.nPat; j++ {
+			bg, ba := int(gen.cls[vi][j]), int(auto.cls[vi][j])
+			if bg != j {
+				t.Fatalf("%s: generic class map %d[%d] = %d, want the identity", tag, vi, j, bg)
 			}
-		}
-		for j := range gen.scales[vi] {
-			if gen.scales[vi][j] != auto.scales[vi][j] {
-				t.Fatalf("%s: scale %d[%d]: generic %d vs %d", tag, vi, j,
-					gen.scales[vi][j], auto.scales[vi][j])
+			for s := 0; s < stride; s++ {
+				g, a := float64(xg[bg*stride+s]), float64(xa[ba*stride+s])
+				if !bitsEq(g, a) {
+					t.Fatalf("%s: vector %d pattern %d [%d]: generic %v (%x) vs %s %v (%x)",
+						tag, vi, j, s, g, math.Float64bits(g),
+						auto.KernelName(), a, math.Float64bits(a))
+				}
+			}
+			if gen.scales[vi][bg] != auto.scales[vi][ba] {
+				t.Fatalf("%s: scale %d pattern %d: generic %d vs %d", tag, vi, j,
+					gen.scales[vi][bg], auto.scales[vi][ba])
 			}
 		}
 	}
@@ -84,17 +104,35 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 		mode  string
 		prec  string
 		want  string // expected specialised kernel name
+		// sim draws the alignment down its tree at the simulator's low
+		// divergence, so most sites repeat below most nodes (random
+		// columns barely repeat above the cherries). The test requires
+		// auto to compute under half the site-newviews.
+		sim bool
+		// overCap requires a node of the first full traversal to pass
+		// the pair-table cap, so the every-pattern-its-own-class path
+		// is exercised.
+		overCap bool
 	}{
-		{bio.DNA, 1, 3, 300, KernelAuto, PrecisionF64, "dna4"},
-		{bio.DNA, 4, 3, 300, KernelAuto, PrecisionF64, "dna4"},
-		{bio.AA, 1, 1, 80, KernelAuto, PrecisionF64, "aa20"},
-		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF64, "aa20"},
-		{bio.DNA, 4, 1, 300, KernelAuto, PrecisionF32, "dna4"},
-		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF32, "aa20"},
+		{bio.DNA, 1, 3, 300, KernelAuto, PrecisionF64, "dna4", false, false},
+		{bio.DNA, 4, 3, 300, KernelAuto, PrecisionF64, "dna4", false, false},
+		{bio.AA, 1, 1, 80, KernelAuto, PrecisionF64, "aa20", false, false},
+		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF64, "aa20", false, false},
+		{bio.DNA, 4, 1, 300, KernelAuto, PrecisionF32, "dna4", false, false},
+		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF32, "aa20", false, false},
+		{bio.DNA, 4, 2, 400, KernelAuto, PrecisionF64, "dna4", true, false},
+		{bio.DNA, 4, 1, 400, KernelAuto, PrecisionF32, "dna4", true, false},
+		{bio.AA, 4, 1, 600, KernelAuto, PrecisionF64, "aa20", false, true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		name := fmt.Sprintf("%v_c%d_%s_%s", tc.dtype, tc.ncat, tc.want, tc.prec)
+		if tc.sim {
+			name += "_sim"
+		}
+		if tc.overCap {
+			name += "_wide"
+		}
 		t.Run(name, func(t *testing.T) {
 			for seed := 0; seed < tc.seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(991*seed + tc.ncat)))
@@ -103,7 +141,17 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pats := randomAlignment(t, names, tc.sites, rng, tc.dtype)
+				var pats *bio.Patterns
+				if tc.sim {
+					ds, err := sim.NewDataset(sim.Config{Taxa: 16, Sites: tc.sites, GammaAlpha: 0.5,
+						Seed: int64(seed + 1), AA: tc.dtype == bio.AA})
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr, pats = ds.Tree, ds.Patterns
+				} else {
+					pats = randomAlignment(t, names, tc.sites, rng, tc.dtype)
+				}
 				m := randomModel(t, rng, tc.dtype, false)
 				if err := m.SetGamma(0.3+1.5*rng.Float64(), tc.ncat); err != nil {
 					t.Fatal(err)
@@ -138,6 +186,16 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 							t.Fatalf("%s edge=%d: lnL generic %.17g vs %s %.17g",
 								tag, ei, lg, auto.KernelName(), la)
 						}
+						if round == 0 && ei == 0 {
+							all := auto.Stats.Newviews * int64(pats.NumPatterns())
+							if tc.sim && 2*auto.Stats.ClassesComputed >= all {
+								t.Fatalf("%s: auto computed %d of %d site-newviews on simulated data, want under half",
+									tag, auto.Stats.ClassesComputed, all)
+							}
+							if tc.overCap && !passesPairCap(auto, auto.T.Edges[0]) {
+								t.Fatalf("%s: no node passed the pair-table cap; widen the case", tag)
+							}
+						}
 					}
 					compareState(t, gen, auto, tag)
 
@@ -170,6 +228,104 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 							tag, og, gen.T.Edges[ei].Length, oa, auto.T.Edges[ei].Length)
 					}
 				}
+			}
+		})
+	}
+}
+
+// passesPairCap reports whether a full traversal toward edge has a node
+// whose children's class counts multiply past the pair table (capped at
+// pairTableCap), read from the class maps e holds after running that
+// traversal.
+func passesPairCap(e *Engine, edge *tree.Edge) bool {
+	for _, s := range tree.FullTraversal(e.T, edge) {
+		_, nl := e.classMap(s.Left)
+		_, nr := e.classMap(s.Right)
+		if nl*nr > len(e.pairGen) {
+			return e.ncls[e.vi(s.Node)] == e.nPat
+		}
+	}
+	return false
+}
+
+// TestSetKernelSwitchMidRun switches one engine auto → generic → auto
+// (and once more) between partial traversals, so each mode's newviews
+// read vectors — and class maps — the other mode wrote, and requires
+// every lnL, Newton optimum, vector block and scale counter to match an
+// engine that ran generic throughout.
+func TestSetKernelSwitchMidRun(t *testing.T) {
+	for _, tc := range []struct {
+		aa   bool
+		prec string
+	}{
+		{false, PrecisionF64},
+		{false, PrecisionF32},
+		{true, PrecisionF64},
+	} {
+		t.Run(fmt.Sprintf("aa=%v_%s", tc.aa, tc.prec), func(t *testing.T) {
+			sites := 400
+			if tc.aa {
+				sites = 120
+			}
+			ds, err := sim.NewDataset(sim.Config{Taxa: 20, Sites: sites, GammaAlpha: 0.6, Seed: 3, AA: tc.aa})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, sw := kernelPair(t, ds.Tree, ds.Patterns, ds.Model, KernelAuto, tc.prec)
+			rng := rand.New(rand.NewSource(12))
+			mixed := false
+			for phase, mode := range []string{KernelAuto, KernelGeneric, KernelAuto, KernelGeneric, KernelAuto} {
+				if err := sw.SetKernel(mode); err != nil {
+					t.Fatal(err)
+				}
+				newviews := sw.Stats.Newviews
+				for op := 0; op < 4; op++ {
+					tag := fmt.Sprintf("phase=%d (%s) op=%d", phase, mode, op)
+					ei := rng.Intn(len(ref.T.Edges))
+					lr, err := ref.LogLikelihoodAt(ref.T.Edges[ei])
+					if err != nil {
+						t.Fatal(err)
+					}
+					ls, err := sw.LogLikelihoodAt(sw.T.Edges[ei])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bitsEq(lr, ls) {
+						t.Fatalf("%s edge=%d: lnL generic %.17g vs switched %.17g", tag, ei, lr, ls)
+					}
+					if op == 3 {
+						or, err := ref.OptimizeBranch(ref.T.Edges[ei])
+						if err != nil {
+							t.Fatal(err)
+						}
+						os, err := sw.OptimizeBranch(sw.T.Edges[ei])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bitsEq(or, os) || !bitsEq(ref.T.Edges[ei].Length, sw.T.Edges[ei].Length) {
+							t.Fatalf("%s: OptimizeBranch generic (%.17g, t=%v) vs switched (%.17g, t=%v)",
+								tag, or, ref.T.Edges[ei].Length, os, sw.T.Edges[ei].Length)
+						}
+					}
+					if tc.prec == PrecisionF32 {
+						compareStateF[float32](t, ref, sw, tag)
+					} else {
+						compareStateF[float64](t, ref, sw, tag)
+					}
+				}
+				// The run must really mix: a generic phase that computed
+				// something while vectors auto classified (fewer classes
+				// than patterns) stayed valid beside them.
+				if mode == KernelGeneric && sw.Stats.Newviews > newviews {
+					for vi := range sw.ncls {
+						if sw.orient[vi+sw.T.NumTips] != nil && sw.ncls[vi] < sw.nPat {
+							mixed = true
+						}
+					}
+				}
+			}
+			if !mixed {
+				t.Fatal("no generic phase ran beside valid auto-classified vectors; the switch test is vacuous")
 			}
 		})
 	}

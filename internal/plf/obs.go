@@ -18,9 +18,10 @@ type engineObs struct {
 	// on gates the time.Now() calls around kernel invocations.
 	on bool
 	// Mirrors of the Stats struct, updated at the same sites.
-	newviews, evaluations, sumTables *obs.Counter
-	newtonIters, recoveries          *obs.Counter
-	pcHits, pcMisses, pcDrops        *obs.Counter
+	newviews, classes, evaluations *obs.Counter
+	sumTables, newtonIters         *obs.Counter
+	recoveries                     *obs.Counter
+	pcHits, pcMisses, pcDrops      *obs.Counter
 	// Per-operation latencies, labelled by the active kernel via the
 	// registry's plf.kernel info key.
 	newviewLat, evalLat, sumTableLat *obs.Histogram
@@ -36,6 +37,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.eobs = engineObs{
 		on:          true,
 		newviews:    reg.Counter("plf.newviews"),
+		classes:     reg.Counter("plf.classes_computed"),
 		evaluations: reg.Counter("plf.evaluations"),
 		sumTables:   reg.Counter("plf.sum_tables"),
 		newtonIters: reg.Counter("plf.newton_iters"),

@@ -40,51 +40,54 @@ func (o Orientation) Invalidate() {
 // (both endpoint vectors end up pointing at each other, ready for
 // evaluation at e). The plan visits children before parents, so
 // executing steps in order satisfies all data dependencies. For two-tip
-// trees the plan is empty. A full traversal is exactly an EdgeTraversal
-// under an all-invalid orientation.
+// trees the plan is empty. A full traversal is exactly an
+// AppendEdgeTraversal under an all-invalid orientation.
 func FullTraversal(t *Tree, e *Edge) []Step {
-	return EdgeTraversal(t, e, NewOrientation(len(t.Nodes)))
+	return AppendEdgeTraversal(nil, e, NewOrientation(len(t.Nodes)))
 }
 
-// EdgeTraversal returns the minimal plan that makes the vectors at both
-// endpoints of e valid and oriented toward each other, as required to
-// evaluate the likelihood at e. Already-valid vectors (per orient) are
-// not recomputed: this is the partial-traversal machinery that gives
-// PLF programs their access locality. Executing the returned steps and
-// then calling ApplyOrientation(orient, steps) brings orient up to date.
-func EdgeTraversal(t *Tree, e *Edge, orient Orientation) []Step {
-	var steps []Step
-	var need func(n, toward *Node)
-	need = func(n, toward *Node) {
-		if n.IsTip() {
-			return
-		}
-		if orient[n.Index] == toward {
-			return // already valid in this direction
-		}
-		var children [2]*Node
-		var edges [2]*Edge
-		k := 0
-		for _, adj := range n.Adj {
-			o := adj.Other(n)
-			if o == toward {
-				continue
-			}
-			children[k] = o
-			edges[k] = adj
-			k++
-		}
-		need(children[0], n)
-		need(children[1], n)
-		steps = append(steps, Step{
-			Node: n, Toward: toward,
-			Left: children[0], Right: children[1],
-			LeftEdge: edges[0], RightEdge: edges[1],
-		})
+// AppendEdgeTraversal appends to dst, and returns, the minimal plan that
+// makes the vectors at both endpoints of e valid and oriented toward
+// each other, as required to evaluate the likelihood at e.
+// Already-valid vectors (per orient) are not recomputed: this is the
+// partial-traversal machinery that gives PLF programs their access
+// locality. Executing the steps and then calling
+// ApplyOrientation(orient, steps) brings orient up to date. A caller
+// that plans repeatedly passes the last plan[:0] and allocates nothing
+// once the buffer is large enough.
+func AppendEdgeTraversal(dst []Step, e *Edge, orient Orientation) []Step {
+	dst = appendNeeded(dst, e.N[0], e.N[1], orient)
+	return appendNeeded(dst, e.N[1], e.N[0], orient)
+}
+
+// appendNeeded appends, in post-order, the steps that make n's vector
+// valid toward toward.
+func appendNeeded(steps []Step, n, toward *Node, orient Orientation) []Step {
+	if n.IsTip() {
+		return steps
 	}
-	need(e.N[0], e.N[1])
-	need(e.N[1], e.N[0])
-	return steps
+	if orient[n.Index] == toward {
+		return steps // already valid in this direction
+	}
+	var children [2]*Node
+	var edges [2]*Edge
+	k := 0
+	for _, adj := range n.Adj {
+		o := adj.Other(n)
+		if o == toward {
+			continue
+		}
+		children[k] = o
+		edges[k] = adj
+		k++
+	}
+	steps = appendNeeded(steps, children[0], n, orient)
+	steps = appendNeeded(steps, children[1], n, orient)
+	return append(steps, Step{
+		Node: n, Toward: toward,
+		Left: children[0], Right: children[1],
+		LeftEdge: edges[0], RightEdge: edges[1],
+	})
 }
 
 // ApplyOrientation records the orientations produced by executing steps.

@@ -88,13 +88,13 @@ func TestEdgeTraversalUsesValidVectors(t *testing.T) {
 	full := FullTraversal(tr, e)
 	ApplyOrientation(orient, full)
 	// Re-requesting the same edge needs no work.
-	if again := EdgeTraversal(tr, e, orient); len(again) != 0 {
+	if again := AppendEdgeTraversal(nil, e, orient); len(again) != 0 {
 		t.Fatalf("redundant traversal emitted %d steps", len(again))
 	}
 	// A different edge needs only the nodes on the path between the two
 	// virtual roots (orientation flips along the path).
 	other := tr.Edges[len(tr.Edges)-1]
-	steps := EdgeTraversal(tr, other, orient)
+	steps := AppendEdgeTraversal(nil, other, orient)
 	if len(steps) == 0 && other != e {
 		// Possible only if other shares both endpoints with e; not the
 		// case for distinct edges of a binary tree.
@@ -118,10 +118,11 @@ func TestEdgeTraversalPropertyAllEdges(t *testing.T) {
 			return false
 		}
 		orient := NewOrientation(len(tr.Nodes))
-		// Walk all edges in order; each plan must validate and leave the
-		// requested edge evaluable.
+		// Walk all edges in order, planning into one reused buffer; each
+		// plan must validate and leave the requested edge evaluable.
+		var steps []Step
 		for _, e := range tr.Edges {
-			steps := EdgeTraversal(tr, e, orient)
+			steps = AppendEdgeTraversal(steps[:0], e, orient)
 			// Validate dependencies by simulation.
 			valid := make(Orientation, len(tr.Nodes))
 			copy(valid, orient)
