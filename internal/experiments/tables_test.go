@@ -58,9 +58,9 @@ var goldenTables = []struct {
 		rows, err := RunFigure5(Figure5Config{Taxa: 32, Widths: []int{64, 1024, 3072}, RAMBytes: 3 << 20, Seed: 3})
 		var out []string
 		for _, r := range rows {
-			out = append(out, fmt.Sprintf("sites=%d footprint=%d faults=%d paging_io=%d lru_io=%d lru_miss=%d rand_io=%d rand_miss=%d lnl=%s",
+			out = append(out, fmt.Sprintf("sites=%d footprint=%d faults=%d paging_io=%d lru_io=%d lru_miss=%d rand_io=%d rand_miss=%d lru_full_io=%d lnl=%s",
 				r.Sites, r.FootprintBytes, r.MajorFaults, r.StandardIO, r.OOCLRUIO, r.OOCLRUMisses,
-				r.OOCRandIO, r.OOCRandMisses, bits(r.LnLOOC)))
+				r.OOCRandIO, r.OOCRandMisses, r.OOCFullIO, bits(r.LnLOOC)))
 		}
 		return out, err
 	}},

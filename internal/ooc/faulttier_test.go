@@ -173,6 +173,64 @@ func TestTieredStoreSpillServesReadsDuringOutage(t *testing.T) {
 	}
 }
 
+// TestTieredPrefixRecords: a record shorter than the vector stays that
+// short through the tier. A spilled dirty victim is held, and charged,
+// at its own length, the drain's PUT and a later remote GET move only
+// its bytes, and it reads back exact.
+func TestTieredPrefixRecords(t *testing.T) {
+	const vecLen, nVec, written, short = 16, 10, 8, 3
+	rem := newFlakyRemote(vecLen)
+	rem.setFailWrites(true)
+	ts, err := NewTieredStore(rem, TieredConfig{
+		NumVectors: nVec, VectorLen: vecLen,
+		CacheDir: t.TempDir(), CacheVectors: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	idle := ts.MemOverheadBytes()
+	for vi := 0; vi < written; vi++ {
+		if err := ts.WriteVector(vi, tierVec(vecLen, vi)[:short]); err != nil {
+			t.Fatalf("write %d during outage: %v", vi, err)
+		}
+	}
+	spilled := int64(written - 2)
+	if grown := ts.MemOverheadBytes() - idle; grown < spilled*short*8 || grown >= spilled*vecLen*8 {
+		t.Errorf("%d spilled %d-float records grew the overhead by %d B; want their bytes, not full vectors",
+			spilled, short, grown)
+	}
+	rem.setFailWrites(false)
+	if err := ts.ReadVector(nVec-1, make([]float64, vecLen)); err != nil {
+		t.Fatal(err)
+	}
+	waitSpillDrained(t, ts)
+	st := ts.Stats()
+	if st.RemoteVectorsWritten < spilled || st.BytesPushed != st.RemoteVectorsWritten*short*8 {
+		t.Errorf("BytesPushed = %d for %d records of %d floats", st.BytesPushed, st.RemoteVectorsWritten, short)
+	}
+	for vi := 0; vi < int(spilled); vi++ {
+		rem.mu.Lock()
+		pushed := len(rem.data[vi])
+		rem.mu.Unlock()
+		if pushed != short {
+			t.Errorf("vector %d: the PUT carried %d floats, want %d", vi, pushed, short)
+		}
+	}
+	dst := make([]float64, short)
+	if err := ts.ReadVector(0, dst); err != nil {
+		t.Fatal(err)
+	}
+	if got := ts.Stats().BytesFetched - st.BytesFetched; got != short*8 {
+		t.Errorf("the GET of a %d-float record fetched %d bytes", short, got)
+	}
+	for i, want := range tierVec(vecLen, 0)[:short] {
+		if dst[i] != want {
+			t.Fatalf("vector 0 [%d] = %v, want %v", i, dst[i], want)
+		}
+	}
+}
+
 // gatedRemote holds the first armed PUT of one vector until a later
 // PUT of it has landed (or a timeout passes, for a tier that orders
 // the two itself).

@@ -44,18 +44,24 @@ import (
 )
 
 // CorruptionError reports that a vector read back from the backing
-// store does not match the checksum recorded when it was last written —
-// a torn write, a flipped bit, or an overwritten region.
+// store does not match the record written last — a torn write, a
+// flipped bit, an overwritten region, or a read of another length.
 type CorruptionError struct {
 	// Vector is the corrupted vector's global index.
 	Vector int
 	// Want is the checksum recorded at write time; Got what the payload
 	// read back hashes to.
 	Want, Got uint32
+	// Len and WantLen are set when the read asked for Len float64s of a
+	// record written WantLen long (and nothing was read).
+	Len, WantLen int
 }
 
 // Error implements error.
 func (e *CorruptionError) Error() string {
+	if e.Len != e.WantLen {
+		return fmt.Sprintf("ooc: vector %d corrupt: read of %d float64s, record is %d", e.Vector, e.Len, e.WantLen)
+	}
 	return fmt.Sprintf("ooc: vector %d corrupt: checksum %08x, want %08x", e.Vector, e.Got, e.Want)
 }
 
@@ -182,11 +188,12 @@ func vectorChecksum(v []float64) uint32 {
 }
 
 // ChecksumStore wraps an inner Store with per-vector CRC-32C
-// verification. The table lives in memory only — 8 bytes per vector,
-// gone with the process, like every vector it describes. Reads of a
-// never-written vector are accepted as-is (a fresh backing file
-// legitimately reads zeros); any other read whose payload does not hash
-// to the recorded checksum returns a *CorruptionError.
+// verification of each record. The table lives in memory only — 8
+// bytes per vector, gone with the process, like every vector it
+// describes. Reads of a never-written vector are accepted as-is (a fresh
+// backing file legitimately reads zeros); any other read that asks for
+// a length other than the last write's, or whose payload does not hash
+// to the recorded checksum, returns a *CorruptionError.
 //
 // Concurrency matches the Store contract: calls on distinct vectors are
 // safe (per-vector state lives at distinct slice indices), concurrent
@@ -194,15 +201,12 @@ func vectorChecksum(v []float64) uint32 {
 type ChecksumStore struct {
 	inner Store
 	n     int
-	// sums[vi] is 0 until vi is first written, then sumRecorded|crc32c.
+	// sums[vi] is 0 until vi is first written, then the record's length
+	// (in float64s, never 0) above bit 32 and its CRC-32C below.
 	sums []uint64
 	// CorruptReads counts reads that failed verification.
 	corruptReads atomic.Int64
 }
-
-// sumRecorded marks a sums entry as set, so a vector whose CRC is 0 is
-// still told apart from one never written.
-const sumRecorded = 1 << 32
 
 // NewChecksumStore wraps an inner store holding numVectors vectors of
 // vecLen float64s. sidecarPath is accepted and ignored: the checksums
@@ -215,15 +219,21 @@ func NewChecksumStore(inner Store, sidecarPath string, numVectors, vecLen int) (
 	return &ChecksumStore{inner: inner, n: numVectors, sums: make([]uint64, numVectors)}, nil
 }
 
-// ReadVector implements Store: read through, then verify.
+// ReadVector implements Store: check the length, read through, then
+// verify.
 func (s *ChecksumStore) ReadVector(vi int, dst []float64) error {
 	if vi < 0 || vi >= s.n {
 		return fmt.Errorf("ooc: checksum store read out of range: %d", vi)
 	}
+	want := s.sums[vi]
+	if want != 0 && len(dst) != s.recordLen(vi) {
+		// A record is only ever read back at the length it was written.
+		s.corruptReads.Add(1)
+		return &CorruptionError{Vector: vi, Want: uint32(want), Len: len(dst), WantLen: s.recordLen(vi)}
+	}
 	if err := s.inner.ReadVector(vi, dst); err != nil {
 		return err
 	}
-	want := s.sums[vi]
 	if want == 0 {
 		// Never written: a fresh backing file reads zeros, which is fine.
 		return nil
@@ -236,8 +246,8 @@ func (s *ChecksumStore) ReadVector(vi int, dst []float64) error {
 }
 
 // WriteVector implements Store: write through, then record the payload's
-// checksum. It is computed from the caller's payload (the write intent),
-// so a torn write underneath is caught by the next read.
+// length and checksum. Both come from the caller's payload (the write
+// intent), so a torn write underneath is caught by the next read.
 func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 	if vi < 0 || vi >= s.n {
 		return fmt.Errorf("ooc: checksum store write out of range: %d", vi)
@@ -245,9 +255,13 @@ func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 	if err := s.inner.WriteVector(vi, src); err != nil {
 		return err
 	}
-	s.sums[vi] = sumRecorded | uint64(vectorChecksum(src))
+	s.sums[vi] = uint64(len(src))<<32 | uint64(vectorChecksum(src))
 	return nil
 }
+
+// recordLen is the length of vector vi's last write (0 if never
+// written).
+func (s *ChecksumStore) recordLen(vi int) int { return int(s.sums[vi] >> 32) }
 
 // CorruptReads returns how many reads failed verification.
 func (s *ChecksumStore) CorruptReads() int64 { return s.corruptReads.Load() }

@@ -168,7 +168,9 @@ func TestChecksumStoreReopen(t *testing.T) {
 // catch, at a short vector and at the three benchmark workloads' vector
 // lengths: bit flips, torn and lost writes, scattered multi-bit rot and
 // misdirected writes each come back as a *CorruptionError naming the
-// vector, and a rewrite heals it.
+// vector, and a rewrite heals it. A prefix record gets the same: a bit
+// flipped or a write torn inside the prefix, and a read of any other
+// length.
 func TestChecksumDetectsDamage(t *testing.T) {
 	for _, vl := range append([]int{16}, checksumVecLens...) {
 		t.Run(fmt.Sprintf("len%d", vl), func(t *testing.T) {
@@ -196,19 +198,27 @@ func TestChecksumDetectsDamage(t *testing.T) {
 			}
 			got := make([]float64, vl)
 			var damaged int64
-			detected := func(vi int, what string, args ...any) {
+			detectedAt := func(vi, length int, what string, args ...any) {
 				t.Helper()
 				damaged++
 				var ce *CorruptionError
-				if err := cs.ReadVector(vi, got); !errors.As(err, &ce) || ce.Vector != vi {
+				if err := cs.ReadVector(vi, got[:length]); !errors.As(err, &ce) || ce.Vector != vi {
 					t.Fatalf("vector %d, %s: read returned %v, want its *CorruptionError", vi, fmt.Sprintf(what, args...), err)
+				}
+			}
+			detected := func(vi int, what string, args ...any) {
+				t.Helper()
+				detectedAt(vi, vl, what, args...)
+			}
+			cleanAt := func(vi, length int) {
+				t.Helper()
+				if err := cs.ReadVector(vi, got[:length]); err != nil {
+					t.Fatalf("vector %d intact: %v", vi, err)
 				}
 			}
 			clean := func(vi int) {
 				t.Helper()
-				if err := cs.ReadVector(vi, got); err != nil {
-					t.Fatalf("vector %d intact: %v", vi, err)
-				}
+				cleanAt(vi, vl)
 			}
 			// The stored copy of vector 1, as the bytes a medium would hold.
 			stored := f64Bytes(inner.data[1])
@@ -282,6 +292,44 @@ func TestChecksumDetectsDamage(t *testing.T) {
 				}
 				clean(vi)
 			}
+
+			// Prefix records: vector 2 rewritten as its first half. The
+			// sum covers the prefix and the length travels with it.
+			short := vl / 2
+			prefix := fresh()[:short]
+			if err := cs.WriteVector(2, prefix); err != nil {
+				t.Fatal(err)
+			}
+			cleanAt(2, short)
+			for _, length := range []int{vl, short - 1, short + 1} {
+				damaged++
+				var ce *CorruptionError
+				if err := cs.ReadVector(2, got[:length]); !errors.As(err, &ce) || ce.Len != length || ce.WantLen != short {
+					t.Fatalf("read of %d floats from a %d-float record returned %v, want a length *CorruptionError", length, short, err)
+				}
+			}
+			cleanAt(2, short)
+			stored = f64Bytes(inner.data[2][:short])
+			for bit := 0; bit < len(stored)*8; bit += step {
+				flip(bit)
+				detectedAt(2, short, "prefix bit %d flipped", bit)
+				flip(bit)
+			}
+			// A torn prefix: only the start of the rewrite landed, over the
+			// old prefix.
+			old = append([]byte(nil), stored...)
+			next = fresh()[:short]
+			if err := cs.WriteVector(2, next); err != nil {
+				t.Fatal(err)
+			}
+			for cut := 0; cut < len(stored); cut += unit {
+				copy(stored[cut:], old[cut:])
+				if !bytes.Equal(stored, f64Bytes(next)) {
+					detectedAt(2, short, "prefix torn at byte %d", cut)
+				}
+				copy(stored, f64Bytes(next))
+			}
+			cleanAt(2, short)
 			if cs.CorruptReads() != damaged {
 				t.Errorf("CorruptReads = %d after %d damaged reads", cs.CorruptReads(), damaged)
 			}

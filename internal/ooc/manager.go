@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oocphylo/internal/obs"
+	"oocphylo/internal/record"
 )
 
 // MinSlots is the paper's hard floor on resident vectors: computing one
@@ -35,7 +36,9 @@ type Stats struct {
 	// SkippedWrites counts write-backs elided because the vector was not
 	// modified since it was faulted in (evictions and Flush alike).
 	SkippedWrites int64
-	// BytesRead and BytesWritten total the store traffic.
+	// BytesRead and BytesWritten total the store traffic: the bytes of
+	// the records moved, which a prefix record makes fewer than Reads or
+	// Writes times the slot width.
 	BytesRead, BytesWritten int64
 }
 
@@ -100,8 +103,12 @@ const fetchQueuePerWorker = 2
 // writeBuffers is the number of spare slot buffers backing asynchronous
 // write-back. An eviction blocks only when all spares are already in
 // the write queue. Each buffer costs VectorLen float64s on top of the
-// Slots budget.
-const writeBuffers = 2
+// Slots budget. With prefix records the writer keeps up on average and
+// what blocks is a burst of cheap newviews near the tips, each evicting
+// a dirty vector; four spares absorb them (on the benchmark's full
+// traversals, 0.9–1.1 s of buffer wait per 100 ops with two, 0.3–0.4 s
+// with four).
+const writeBuffers = 4
 
 // SlotsForFraction returns m = max(MinSlots, round(f*n)) capped at n —
 // the paper's parameterisation of available RAM.
@@ -168,6 +175,10 @@ type Manager struct {
 	// itemvector: RAM address vs file offset; offsets here are implicit,
 	// vector vi lives at file position vi).
 	itemSlot []int
+	// lens[vi] is the length of vector vi's store record: what its last
+	// write-back wrote (see record), VectorLen before the first. Every
+	// read of vi asks the store for exactly that many float64s.
+	lens []int
 	// dirty marks slots written since fault-in; only those are written
 	// back.
 	dirty []bool
@@ -230,6 +241,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		slots:      make([][]float64, cfg.Slots),
 		slotItem:   make([]int, cfg.Slots),
 		itemSlot:   make([]int, cfg.NumVectors),
+		lens:       make([]int, cfg.NumVectors),
 		dirty:      make([]bool, cfg.Slots),
 		prefetched: make([]bool, cfg.Slots),
 	}
@@ -242,6 +254,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	for i := range m.itemSlot {
 		m.itemSlot[i] = -1
+		m.lens[i] = cfg.VectorLen
 	}
 	if cfg.Async {
 		if cfg.IOWorkers < 1 {
@@ -365,7 +378,7 @@ func (m *Manager) joinSlot(s int) error {
 	m.pipeStats.JoinWait += wait
 	if f.err == nil {
 		m.pstats.Reads++
-		m.stats.BytesRead += int64(m.cfg.VectorLen) * 8
+		m.stats.BytesRead += int64(len(f.dst)) * 8
 	}
 	m.spanEvent("ooc.join_wait", f.vi, s, start, wait)
 	return unreadable(f.vi, f.err)
@@ -373,13 +386,13 @@ func (m *Manager) joinSlot(s int) error {
 
 // demandRead reads vi into dst on the compute thread, retrying
 // transient errors per the configured policy. Under the async pipeline
-// it consults the write queue first (read-after-write). What the store
-// still cannot serve comes back as unreadable.
+// a pending write-back buffer serves it first (read-after-write). What
+// the store still cannot serve comes back as unreadable.
 func (m *Manager) demandRead(vi int, dst []float64) error {
+	if m.pipe != nil && m.pipe.readPending(vi, dst) {
+		return nil
+	}
 	return unreadable(vi, m.cfg.Retry.runCtx(m.ctx, &m.retried, func() error {
-		if m.pipe != nil {
-			return m.pipe.readThrough(vi, dst)
-		}
 		return m.cfg.Store.ReadVector(vi, dst)
 	}))
 }
@@ -390,6 +403,17 @@ func (m *Manager) storeWrite(vi int, buf []float64) error {
 	return m.cfg.Retry.runCtx(m.ctx, &m.retried, func() error {
 		return m.cfg.Store.WriteVector(vi, buf)
 	})
+}
+
+// recordOf is the part of slot s a read of vector vi fills: vi's record.
+func (m *Manager) recordOf(vi, s int) []float64 { return m.slots[s][:m.lens[vi]] }
+
+// takeRecord is the part of slot s that vector vi's write-back stores,
+// which becomes vi's record: the prefix the engine stamped into the
+// slot's last word, or the whole slot (package record).
+func (m *Manager) takeRecord(vi, s int) []float64 {
+	m.lens[vi] = record.Len(m.slots[s])
+	return m.recordOf(vi, s)
 }
 
 // Resident reports whether vector vi currently occupies a RAM slot.
@@ -494,7 +518,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	skipRead := write && m.cfg.ReadSkipping
 	if skipRead {
 		m.stats.SkippedReads++
-	} else if err := m.stall(func() error { return m.demandRead(vi, m.slots[slot]) }); err != nil {
+	} else if err := m.stall(func() error { return m.demandRead(vi, m.recordOf(vi, slot)) }); err != nil {
 		if !IsCorruption(err) {
 			return nil, err
 		}
@@ -507,7 +531,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		// treating the fault-in like a skipped read instead of failing.
 	} else {
 		m.stats.Reads++
-		m.stats.BytesRead += int64(m.cfg.VectorLen) * 8
+		m.stats.BytesRead += int64(m.lens[vi]) * 8
 	}
 	m.slotItem[slot] = vi
 	m.itemSlot[vi] = slot
@@ -623,7 +647,7 @@ func (m *Manager) evict(victim, slot int) error {
 				m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
 			}
 		} else {
-			if err := m.stall(func() error { return m.storeWrite(victim, m.slots[slot]) }); err != nil {
+			if err := m.stall(func() error { return m.storeWrite(victim, m.takeRecord(victim, slot)) }); err != nil {
 				return err
 			}
 			if m.mx.on || m.span != nil {
@@ -633,7 +657,7 @@ func (m *Manager) evict(victim, slot int) error {
 			}
 		}
 		m.stats.Writes++
-		m.stats.BytesWritten += int64(m.cfg.VectorLen) * 8
+		m.stats.BytesWritten += int64(m.lens[victim]) * 8
 	} else {
 		m.stats.SkippedWrites++
 	}
@@ -648,9 +672,9 @@ func (m *Manager) evict(victim, slot int) error {
 	return nil
 }
 
-// asyncWriteBack queues the victim's buffer for background write-back
-// and patches a spare buffer into the slot. Blocks only when every
-// spare is already in the write queue.
+// asyncWriteBack queues the victim's record (a prefix of its slot
+// buffer) for background write-back and patches a spare buffer into
+// the slot. Blocks only when every spare is already in the write queue.
 func (m *Manager) asyncWriteBack(victim, slot int) error {
 	// Surface background write errors promptly rather than at the next
 	// barrier.
@@ -665,9 +689,9 @@ func (m *Manager) asyncWriteBack(victim, slot int) error {
 	if err != nil {
 		return fmt.Errorf("ooc: write-back abandoned: %w", err)
 	}
-	buf := m.slots[slot]
+	rec := m.takeRecord(victim, slot)
 	m.slots[slot] = spare
-	m.pipe.enqueueWrite(victim, buf, m.span)
+	m.pipe.enqueueWrite(victim, rec, m.span)
 	m.pipeStats.WritesQueued++
 	return nil
 }
@@ -691,11 +715,11 @@ func (m *Manager) Flush() error {
 			m.stats.SkippedWrites++
 			continue
 		}
-		if err := m.stall(func() error { return m.storeWrite(it, m.slots[s]) }); err != nil {
+		if err := m.stall(func() error { return m.storeWrite(it, m.takeRecord(it, s)) }); err != nil {
 			return err
 		}
 		m.stats.Writes++
-		m.stats.BytesWritten += int64(m.cfg.VectorLen) * 8
+		m.stats.BytesWritten += int64(m.lens[it]) * 8
 		m.dirty[s] = false
 	}
 	return nil

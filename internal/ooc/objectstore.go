@@ -91,7 +91,7 @@ func (s *ObjectStore) ReadRange(ctx context.Context, vi, count int, dst []float6
 		return err
 	}
 	from := int64(vi) * int64(s.vecLen) * 8
-	to := from + int64(count)*int64(s.vecLen)*8 - 1
+	to := from + int64(len(dst))*8 - 1
 	req, err := s.newRequest(ctx, http.MethodGet, "", nil)
 	if err != nil {
 		return err
@@ -103,7 +103,7 @@ func (s *ObjectStore) ReadRange(ctx context.Context, vi, count int, dst []float6
 		child := sp.StartChild("remote.get")
 		child.SetAttr("vi", int64(vi))
 		child.SetAttr("count", int64(count))
-		child.SetAttr("bytes", int64(count)*int64(s.vecLen)*8)
+		child.SetAttr("bytes", int64(len(dst))*8)
 		req.Header.Set("traceparent", child.Traceparent())
 		defer child.End()
 	}
@@ -130,7 +130,7 @@ func (s *ObjectStore) WriteRange(ctx context.Context, vi, count int, src []float
 		return err
 	}
 	from := int64(vi) * int64(s.vecLen) * 8
-	to := from + int64(count)*int64(s.vecLen)*8 - 1
+	to := from + int64(len(src))*8 - 1
 	req, err := s.newRequest(ctx, http.MethodPut, "", encodeVectors(src))
 	if err != nil {
 		return err
@@ -140,7 +140,7 @@ func (s *ObjectStore) WriteRange(ctx context.Context, vi, count int, src []float
 		child := sp.StartChild("remote.put")
 		child.SetAttr("vi", int64(vi))
 		child.SetAttr("count", int64(count))
-		child.SetAttr("bytes", int64(count)*int64(s.vecLen)*8)
+		child.SetAttr("bytes", int64(len(src))*8)
 		req.Header.Set("traceparent", child.Traceparent())
 		defer child.End()
 	}

@@ -83,8 +83,31 @@ func TestObjectStoreRoundTrip(t *testing.T) {
 	if err := s.ReadRange(nil, 4, 3, make([]float64, 12)); err == nil {
 		t.Error("out-of-range ranged read must fail")
 	}
-	if err := s.WriteVector(0, make([]float64, 3)); err == nil {
-		t.Error("short write must fail")
+	if err := s.WriteVector(0, make([]float64, 5)); err == nil {
+		t.Error("oversized write must fail")
+	}
+	if err := s.WriteVector(0, nil); err == nil {
+		t.Error("empty write must fail")
+	}
+	if err := s.WriteRange(nil, 0, 2, make([]float64, 7)); err == nil {
+		t.Error("a short buffer of two vectors must fail")
+	}
+	// A single short record moves its own bytes, no more, and reads back.
+	before := srv.Clock().Bytes()
+	if err := s.WriteVector(5, src[:3]); err != nil {
+		t.Fatal(err)
+	}
+	short := make([]float64, 3)
+	if err := s.ReadVector(5, short); err != nil {
+		t.Fatal(err)
+	}
+	if moved := srv.Clock().Bytes() - before; moved != 2*3*8 {
+		t.Errorf("a 3-float record moved %d bytes, want %d", moved, 2*3*8)
+	}
+	for i := range short {
+		if short[i] != src[i] {
+			t.Errorf("short record pos %d: %v != %v", i, short[i], src[i])
+		}
 	}
 }
 

@@ -24,9 +24,13 @@ package ooc
 // exact order of the synchronous manager, so log-likelihoods are
 // bit-identical and miss accounting is unchanged. Consistency rules:
 //
-//   - Read-after-write: a read of a vector whose write-back is still
-//     queued is served from the queued buffer, never from the stale
-//     store region (readThrough).
+//   - Read-after-write: a read of a vector whose write-back buffer the
+//     compute thread has not taken back as a spare is served from that
+//     buffer (readPending), never from a possibly stale store region.
+//     The buffer stays readable until its reuse, not just until its
+//     write lands, so which reads it serves depends on the order of
+//     evictions alone, never on the writer's timing; a prefetch of such
+//     a vector is served the same way, on the compute thread.
 //   - Write-write: a single writer goroutine drains the queue FIFO, so
 //     two queued writes to the same vector land in issue order.
 //   - Fetch-evict: evicting a slot whose stage-in is in flight first
@@ -61,7 +65,7 @@ type PipelineStats struct {
 	// JoinedFetches counts demand accesses that waited on an in-flight
 	// background fetch instead of issuing their own read.
 	JoinedFetches int64
-	// WriteQueueHits counts reads served from a queued write-back
+	// WriteQueueHits counts reads served from a pending write-back
 	// buffer (the read-after-write consistency path).
 	WriteQueueHits int64
 	// OverlappedBytes totals the bytes moved by background goroutines —
@@ -109,9 +113,11 @@ type fetchReq struct {
 	done chan struct{}
 }
 
-// writeReq is one queued write-back. buf is a former slot buffer; it
-// returns to the spare pool only after the write lands and the request
-// is retired from the pending map, so readers can always copy from it.
+// writeReq is one queued write-back. buf is the vector's record, a
+// prefix of a former slot buffer. After the write lands the request
+// itself goes to the spare pool, and the compute thread retires it from
+// the pending map when it takes the buffer back, so until then readers
+// can always copy from it.
 type writeReq struct {
 	vi  int
 	buf []float64
@@ -128,15 +134,20 @@ type pipeline struct {
 
 	fetchCh chan *fetchReq
 	writeCh chan *writeReq
-	// spares holds the buffers not currently patched into a slot;
-	// exactly cap(spares) buffers circulate, so the writer's return
-	// send can never block.
-	spares chan []float64
+	// spares holds the buffers not currently patched into a slot, each
+	// in the write request that last used it (vi -1 for one never
+	// used); exactly cap(spares) buffers circulate, so the writer's
+	// return send can never block.
+	spares chan *writeReq
 
-	mu        sync.Mutex
-	pending   map[int]*writeReq // vi -> newest queued write
+	// pending maps a vector to its newest write request whose buffer is
+	// not yet back in a slot, and lastWrite is the newest request. Both
+	// belong to the compute thread.
+	pending   map[int]*writeReq
 	lastWrite *writeReq
-	firstErr  error
+
+	mu       sync.Mutex
+	firstErr error
 
 	depth      atomic.Int64
 	depthMax   atomic.Int64
@@ -169,14 +180,14 @@ func newPipeline(store Store, vecLen, workers, queue int, retry RetryPolicy, ret
 		vecLen:  vecLen,
 		fetchCh: make(chan *fetchReq, queue),
 		writeCh: make(chan *writeReq, writeBuffers),
-		spares:  make(chan []float64, writeBuffers),
+		spares:  make(chan *writeReq, writeBuffers),
 		pending: make(map[int]*writeReq),
 		retry:   retry,
 		retried: retried,
 	}
 	p.writerLane = int64(workers + 1)
 	for i := 0; i < writeBuffers; i++ {
-		p.spares <- make([]float64, vecLen)
+		p.spares <- &writeReq{vi: -1, buf: make([]float64, vecLen)}
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -205,8 +216,10 @@ func (p *pipeline) fetchWorker(lane int64) {
 		if timed {
 			start = time.Now()
 		}
+		// The manager queues no fetch of a vector with a pending write, so
+		// the store holds its newest record.
 		req.err = p.retry.run(p.retried, func() error {
-			return p.readThrough(req.vi, req.dst)
+			return p.store.ReadVector(req.vi, req.dst)
 		})
 		// A fetch error is delivered to the compute thread via the
 		// join, which decides whether it is fatal (it may instead
@@ -249,15 +262,9 @@ func (p *pipeline) writeWorker() {
 			p.writeLat.Observe(dur.Seconds())
 			emitTransfer(req.span, "pipe.write_back", p.writerLane, req.vi, start, dur)
 		}
-		p.mu.Lock()
-		// Retire only if no newer write superseded this one.
-		if p.pending[req.vi] == req {
-			delete(p.pending, req.vi)
-		}
-		p.mu.Unlock()
 		p.qdepth.Set(p.depth.Add(-1))
 		close(req.done)
-		p.spares <- req.buf
+		p.spares <- req
 	}
 }
 
@@ -269,20 +276,16 @@ func emitTransfer(sp *obs.Span, name string, lane int64, vi int, start time.Time
 	}
 }
 
-// readThrough reads vector vi honouring read-after-write consistency:
-// a vector still in the write queue is served from its queued buffer,
-// never from the (stale) store region. Safe from both fetch workers
-// and the compute thread's demand path.
-func (p *pipeline) readThrough(vi int, dst []float64) error {
-	p.mu.Lock()
-	if w, ok := p.pending[vi]; ok {
+// readPending serves a read of vector vi from its pending write-back
+// buffer, if it has one, and reports whether it did. Compute thread
+// only.
+func (p *pipeline) readPending(vi int, dst []float64) bool {
+	w, ok := p.pending[vi]
+	if ok {
 		copy(dst, w.buf)
-		p.mu.Unlock()
 		p.wqHits.Add(1)
-		return nil
 	}
-	p.mu.Unlock()
-	return p.store.ReadVector(vi, dst)
+	return ok
 }
 
 // enqueueFetch queues a background stage-in of vi into dst, traced
@@ -310,48 +313,54 @@ func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64, sp *
 	}
 }
 
-// enqueueWrite queues buf as the newest content of vector vi, traced
-// under sp. The caller has already removed buf from the slot array.
+// enqueueWrite queues buf as the newest record of vector vi, traced
+// under sp. The caller has already removed buf's slot buffer from the
+// slot array.
 func (p *pipeline) enqueueWrite(vi int, buf []float64, sp *obs.Span) {
 	req := &writeReq{vi: vi, buf: buf, span: sp, done: make(chan struct{})}
-	p.mu.Lock()
 	p.pending[vi] = req
 	p.lastWrite = req
-	p.mu.Unlock()
 	p.bumpDepth()
 	p.writeCh <- req
 }
 
-// acquireSpare blocks until a spare buffer is available. A non-nil
+// acquireSpare blocks until a spare buffer is available and retires the
+// write that last used it from the pending map. The writer is FIFO, so
+// spares come back in the order their writes were queued, and which
+// write a given eviction retires does not depend on timing. A non-nil
 // cancelled ctx aborts the wait (a spare that is ready is still
 // preferred over the cancellation, keeping evictions deterministic
 // under light load).
 func (p *pipeline) acquireSpare(ctx context.Context) ([]float64, error) {
-	if ctx == nil {
-		return <-p.spares, nil
-	}
+	var r *writeReq
 	select {
-	case b := <-p.spares:
-		return b, nil
+	case r = <-p.spares:
 	default:
+		if ctx == nil {
+			r = <-p.spares
+			break
+		}
+		select {
+		case r = <-p.spares:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	select {
-	case b := <-p.spares:
-		return b, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if p.pending[r.vi] == r {
+		delete(p.pending, r.vi)
 	}
+	return r.buf[:p.vecLen], nil
 }
 
 // barrier blocks until every write queued so far has reached the
-// store, then reports the first background error (if any).
+// store, then reports the first background error (if any). The pending
+// buffers are forgotten: the store holds what they hold, and Flush may
+// now write a newer record of their vectors past the queue.
 func (p *pipeline) barrier() error {
-	p.mu.Lock()
-	last := p.lastWrite
-	p.mu.Unlock()
-	if last != nil {
-		<-last.done
+	if p.lastWrite != nil {
+		<-p.lastWrite.done
 	}
+	clear(p.pending)
 	return p.err()
 }
 

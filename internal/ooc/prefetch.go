@@ -58,12 +58,14 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	// the replacement policy so recency-aware strategies do not pick
 	// the staged vector as the very next victim.
 	m.cfg.Strategy.Touch(vi)
-	if m.pipe == nil {
+	// A vector with a pending write-back is staged from that buffer here
+	// (demandRead), as a synchronous manager would read it.
+	if m.pipe == nil || m.pipe.pending[vi] != nil {
 		var ps time.Time
 		if m.span != nil {
 			ps = time.Now()
 		}
-		if err := m.stall(func() error { return m.demandRead(vi, m.slots[slot]) }); err != nil {
+		if err := m.stall(func() error { return m.demandRead(vi, m.recordOf(vi, slot)) }); err != nil {
 			if IsCorruption(err) {
 				m.pipeStats.CorruptReads++
 			}
@@ -73,7 +75,7 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 		// stage-in must not leave Reads/BytesRead overcounting. The
 		// async path mirrors this by accounting at join time (joinSlot).
 		m.pstats.Reads++
-		m.stats.BytesRead += int64(m.cfg.VectorLen) * 8
+		m.stats.BytesRead += int64(m.lens[vi]) * 8
 		if m.span != nil {
 			m.spanEvent("ooc.prefetch", vi, slot, ps, time.Since(ps))
 		}
@@ -88,7 +90,7 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	// context is cancelled during that wait the prefetch is simply
 	// skipped — the slot stays empty and unmapped.
 	start := time.Now()
-	req, err := m.pipe.enqueueFetch(m.ctx, vi, m.slots[slot], m.span)
+	req, err := m.pipe.enqueueFetch(m.ctx, vi, m.recordOf(vi, slot), m.span)
 	wait := time.Since(start)
 	m.pipeStats.StallTime += wait
 	if err != nil {

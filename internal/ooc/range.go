@@ -94,7 +94,8 @@ func StoreDegraded(s Store) bool {
 
 // RangeStore is a Store that can also move count adjacent vectors
 // [vi, vi+count) in a single ranged request. dst/src hold the vectors
-// back to back (count * vecLen float64s). Implementations honour ctx
+// back to back (count * vecLen float64s), or for count 1 one record of
+// up to vecLen, which moves only its own bytes. Implementations honour ctx
 // cancellation where the transport allows it; a nil ctx means
 // context.Background(). The Store concurrency contract carries over:
 // concurrent ranged calls are safe when their vector ranges are
@@ -125,12 +126,13 @@ func SyncStore(s Store) error {
 	return nil
 }
 
-// checkRange validates a ranged call against a store's geometry.
+// checkRange validates a ranged call against a store's geometry: count
+// whole vectors, or a single record of 1 to vecLen float64s.
 func checkRange(n, vecLen, vi, count, bufLen int, op string) error {
 	if count < 1 || vi < 0 || vi+count > n {
 		return fmt.Errorf("ooc: ranged %s [%d,%d) out of range (n=%d)", op, vi, vi+count, n)
 	}
-	if bufLen != count*vecLen {
+	if bufLen != count*vecLen && (count != 1 || bufLen < 1 || bufLen > vecLen) {
 		return fmt.Errorf("ooc: ranged %s buffer %d floats, want %d", op, bufLen, count*vecLen)
 	}
 	return nil
@@ -139,6 +141,7 @@ func checkRange(n, vecLen, vi, count, bufLen int, op string) error {
 // ReadRangeOf performs a ranged read against any Store: natively when
 // the store is a RangeStore, else as a per-vector loop. The loop
 // fallback checks ctx between vectors so slow stores stay cancellable.
+// A single vector may be a record shorter than vecLen.
 func ReadRangeOf(ctx context.Context, s Store, vecLen, vi, count int, dst []float64) error {
 	if rs, ok := s.(RangeStore); ok {
 		return rs.ReadRange(ctx, vi, count, dst)
@@ -147,7 +150,7 @@ func ReadRangeOf(ctx context.Context, s Store, vecLen, vi, count int, dst []floa
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if err := s.ReadVector(vi+i, dst[i*vecLen:(i+1)*vecLen]); err != nil {
+		if err := s.ReadVector(vi+i, dst[i*vecLen:min((i+1)*vecLen, len(dst))]); err != nil {
 			return err
 		}
 	}
@@ -163,7 +166,7 @@ func WriteRangeOf(ctx context.Context, s Store, vecLen, vi, count int, src []flo
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if err := s.WriteVector(vi+i, src[i*vecLen:(i+1)*vecLen]); err != nil {
+		if err := s.WriteVector(vi+i, src[i*vecLen:min((i+1)*vecLen, len(src))]); err != nil {
 			return err
 		}
 	}

@@ -29,6 +29,13 @@ import (
 // occupies the fixed region [vi*vecLen, (vi+1)*vecLen) in float64 units
 // (the paper's single binary file with per-node offsets).
 //
+// A vector's record is what its last write wrote, and a write may cover
+// only a prefix of the region: 1 to vecLen float64s from its start (the
+// Manager writes the prefix the engine stamped, see package record). A
+// read asks for the length last written; what a read of any other
+// length returns is undefined, except that ChecksumStore refuses it with
+// a *CorruptionError.
+//
 // Every Store in this package is safe for concurrent calls that touch
 // distinct vectors (and for concurrent reads of the same vector) — the
 // contract the asynchronous pipeline relies on. Callers must not issue
@@ -75,14 +82,23 @@ func NewMemStore(numVectors, vecLen int) *MemStore {
 	return s
 }
 
+// checkRecord validates one record against a store's geometry: vi in
+// [0, n) and a length of 1 to vecLen float64s.
+func checkRecord(store, op string, n, vecLen, vi, length int) error {
+	if vi < 0 || vi >= n {
+		return fmt.Errorf("ooc: %s %s out of range: %d", store, op, vi)
+	}
+	if length < 1 || length > vecLen {
+		return fmt.Errorf("ooc: %s %s size %d, want 1..%d", store, op, length, vecLen)
+	}
+	return nil
+}
+
 // ReadVector implements Store. Never-written vectors read as zeros,
 // like a freshly created binary file.
 func (s *MemStore) ReadVector(vi int, dst []float64) error {
-	if vi < 0 || vi >= len(s.data) {
-		return fmt.Errorf("ooc: memstore read out of range: %d", vi)
-	}
-	if len(dst) != s.vecLen {
-		return fmt.Errorf("ooc: memstore read size %d, want %d", len(dst), s.vecLen)
+	if err := checkRecord("memstore", "read", len(s.data), s.vecLen, vi, len(dst)); err != nil {
+		return err
 	}
 	if s.data[vi] == nil {
 		for i := range dst {
@@ -96,11 +112,8 @@ func (s *MemStore) ReadVector(vi int, dst []float64) error {
 
 // WriteVector implements Store.
 func (s *MemStore) WriteVector(vi int, src []float64) error {
-	if vi < 0 || vi >= len(s.data) {
-		return fmt.Errorf("ooc: memstore write out of range: %d", vi)
-	}
-	if len(src) != s.vecLen {
-		return fmt.Errorf("ooc: memstore write size %d, want %d", len(src), s.vecLen)
+	if err := checkRecord("memstore", "write", len(s.data), s.vecLen, vi, len(src)); err != nil {
+		return err
 	}
 	if s.data[vi] == nil {
 		s.data[vi] = make([]float64, s.vecLen)
@@ -148,11 +161,8 @@ func NewFileStore(path string, numVectors, vecLen int) (*FileStore, error) {
 
 // ReadVector implements Store via a single positioned read.
 func (s *FileStore) ReadVector(vi int, dst []float64) error {
-	if vi < 0 || vi >= s.n {
-		return fmt.Errorf("ooc: filestore read out of range: %d", vi)
-	}
-	if len(dst) != s.vecLen {
-		return fmt.Errorf("ooc: filestore read size %d, want %d", len(dst), s.vecLen)
+	if err := checkRecord("filestore", "read", s.n, s.vecLen, vi, len(dst)); err != nil {
+		return err
 	}
 	off := int64(vi) * int64(s.vecLen) * 8
 	if hostLittleEndian {
@@ -165,7 +175,7 @@ func (s *FileStore) ReadVector(vi int, dst []float64) error {
 	}
 	bp := s.codecs.Get().(*[]byte)
 	defer s.codecs.Put(bp)
-	buf := *bp
+	buf := (*bp)[:len(dst)*8]
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return fmt.Errorf("ooc: reading vector %d: %w", vi, err)
 	}
@@ -177,11 +187,8 @@ func (s *FileStore) ReadVector(vi int, dst []float64) error {
 
 // WriteVector implements Store via a single positioned write.
 func (s *FileStore) WriteVector(vi int, src []float64) error {
-	if vi < 0 || vi >= s.n {
-		return fmt.Errorf("ooc: filestore write out of range: %d", vi)
-	}
-	if len(src) != s.vecLen {
-		return fmt.Errorf("ooc: filestore write size %d, want %d", len(src), s.vecLen)
+	if err := checkRecord("filestore", "write", s.n, s.vecLen, vi, len(src)); err != nil {
+		return err
 	}
 	off := int64(vi) * int64(s.vecLen) * 8
 	if hostLittleEndian {
@@ -192,7 +199,7 @@ func (s *FileStore) WriteVector(vi int, src []float64) error {
 	}
 	bp := s.codecs.Get().(*[]byte)
 	defer s.codecs.Put(bp)
-	buf := *bp
+	buf := (*bp)[:len(src)*8]
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}

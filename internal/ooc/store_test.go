@@ -47,11 +47,21 @@ func TestMemStoreErrors(t *testing.T) {
 	if err := s.WriteVector(-1, buf); err == nil {
 		t.Error("negative write must fail")
 	}
-	if err := s.ReadVector(0, make([]float64, 2)); err == nil {
-		t.Error("wrong size read must fail")
+	if err := s.ReadVector(0, make([]float64, 4)); err == nil {
+		t.Error("oversized read must fail")
 	}
 	if err := s.WriteVector(0, make([]float64, 4)); err == nil {
-		t.Error("wrong size write must fail")
+		t.Error("oversized write must fail")
+	}
+	if err := s.WriteVector(0, nil); err == nil {
+		t.Error("empty write must fail")
+	}
+	// A record may be a prefix of the vector's region.
+	if err := s.WriteVector(1, []float64{7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadVector(1, buf[:2]); err != nil || buf[0] != 7 || buf[1] != 8 {
+		t.Errorf("short record read back %v, err %v", buf[:2], err)
 	}
 }
 
@@ -110,8 +120,11 @@ func TestFileStoreErrors(t *testing.T) {
 	if err := s.ReadVector(5, buf); err == nil {
 		t.Error("out of range must fail")
 	}
-	if err := s.WriteVector(0, make([]float64, 2)); err == nil {
-		t.Error("short write must fail")
+	if err := s.WriteVector(0, make([]float64, 4)); err == nil {
+		t.Error("oversized write must fail")
+	}
+	if err := s.ReadVector(0, nil); err == nil {
+		t.Error("empty read must fail")
 	}
 	if _, err := NewFileStore(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), 2, 3); err == nil {
 		t.Error("uncreatable path must fail")

@@ -321,11 +321,8 @@ func (s *TieredStore) Stats() TierStats {
 // first, then one remote GET on the calling goroutine straight into
 // dst.
 func (s *TieredStore) ReadVector(vi int, dst []float64) error {
-	if vi < 0 || vi >= s.cfg.NumVectors {
-		return fmt.Errorf("ooc: tiered store read out of range: %d", vi)
-	}
-	if len(dst) != s.cfg.VectorLen {
-		return fmt.Errorf("ooc: tiered store read size %d, want %d", len(dst), s.cfg.VectorLen)
+	if err := checkRecord("tiered store", "read", s.cfg.NumVectors, s.cfg.VectorLen, vi, len(dst)); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	if slot, ok := s.slotOf[vi]; ok {
@@ -384,11 +381,8 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 // lands dirty in the cache tier and reaches the remote tier when it is
 // evicted.
 func (s *TieredStore) WriteVector(vi int, src []float64) error {
-	if vi < 0 || vi >= s.cfg.NumVectors {
-		return fmt.Errorf("ooc: tiered store write out of range: %d", vi)
-	}
-	if len(src) != s.cfg.VectorLen {
-		return fmt.Errorf("ooc: tiered store write size %d, want %d", len(src), s.cfg.VectorLen)
+	if err := checkRecord("tiered store", "write", s.cfg.NumVectors, s.cfg.VectorLen, vi, len(src)); err != nil {
+		return err
 	}
 	return s.admit(vi, src, true)
 }
@@ -423,14 +417,17 @@ func (s *TieredStore) FetchCost(vi int) (time.Duration, bool) {
 
 // MemOverheadBytes estimates the tier's heap footprint beyond the
 // manager's slot pool: placement map and per-slot metadata, and the
-// float64 buffer each pending write-back holds — in flight or spilled.
-// A read holds none — it lands in the caller's slot — so an idle tier's
-// charge does not depend on VectorLen. Watchdog and Resize subtract it
-// from the memory budget.
+// record each pending write-back holds — in flight or spilled. A read
+// holds none — it lands in the caller's slot — so an idle tier's charge
+// does not depend on VectorLen. Watchdog and Resize subtract it from
+// the memory budget.
 func (s *TieredStore) MemOverheadBytes() int64 {
 	const mapEntry = 48 // rough per-entry cost of a map[int]int
 	s.mu.Lock()
-	n := int64(len(s.slotOf))*mapEntry + int64(len(s.pend))*(mapEntry+int64(s.cfg.VectorLen)*8)
+	n := int64(len(s.slotOf)) * mapEntry
+	for _, w := range s.pend {
+		n += mapEntry + int64(len(w.buf))*8
+	}
 	s.mu.Unlock()
 	return n + int64(s.cfg.CacheVectors)*(8+8+1) // viOf, stamp, dirty
 }
@@ -580,17 +577,16 @@ func (s *TieredStore) drainSpill() {
 	}
 }
 
-// ProbeRemote issues one guarded single-vector read and discards the
-// data. Degraded mode deliberately stops touching the remote tier,
-// which also starves the breaker of the probe traffic it needs to
-// notice recovery; health loops call this to keep probing. No-op when
-// the breaker is closed.
+// ProbeRemote issues one guarded read of a one-word record and discards
+// it. Degraded mode deliberately stops touching the remote tier, which
+// also starves the breaker of the probe traffic it needs to notice
+// recovery; health loops call this to keep probing. No-op when the
+// breaker is closed.
 func (s *TieredStore) ProbeRemote(ctx context.Context) error {
 	if !s.Degraded() {
 		return nil
 	}
-	buf := make([]float64, s.cfg.VectorLen)
-	return s.remoteCall(ctx, true, 0, buf)
+	return s.remoteCall(ctx, true, 0, make([]float64, 1))
 }
 
 func (s *TieredStore) noteErr(err error) {
@@ -656,7 +652,9 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 		}
 		vvi := s.viOf[victim]
 		if s.dirty[victim] {
-			wbuf := make([]float64, s.cfg.VectorLen)
+			// The cache's checksum table keeps each slot's record length:
+			// the victim's PUT moves that record and no more.
+			wbuf := make([]float64, s.cache.recordLen(victim))
 			if err := s.cache.ReadVector(victim, wbuf); err != nil {
 				// Never push bytes known to be corrupt: the victim stays
 				// dirty and cached, and the caller gets the error.

@@ -10,6 +10,7 @@ import (
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
 	"oocphylo/internal/obs"
+	"oocphylo/internal/record"
 	"oocphylo/internal/tree"
 )
 
@@ -99,9 +100,11 @@ type Engine struct {
 	// class count. The vector is held class-major: block c (nCat·k
 	// entries) of its slot and scales[vi][c] belong to class c, computed
 	// once at the class's first pattern; the slot's tail past ncls[vi]
-	// blocks is never read. A node's class at a site is the id of its
-	// children's (class, class) pair there, so sites with equal classes
-	// have bit-equal entries by construction. The map is rebuilt by the
+	// blocks is never read, and when ncls[vi] < nPat its last word
+	// carries the length of the store record, those blocks (package
+	// record). A node's class at a site is the id of its children's
+	// (class, class) pair there, so sites with equal classes have
+	// bit-equal entries by construction. The map is rebuilt by the
 	// newview that revalidates the node and, like scales, stays in RAM.
 	cls  [][]int32
 	ncls []int
@@ -608,10 +611,26 @@ func newviewF[F Float](e *Engine, cs *compute[F], s *tree.Step) error {
 	e.eobs.classes.Add(int64(len(a.cl)))
 	cs.kern.prepareNewview(e, cs, a)
 	e.parallelFor(len(a.cl), cs.nvBody)
+	if n := len(a.cl); n < e.nPat {
+		// The class blocks are all of the vector a store needs to keep:
+		// mark the slot (buf, the parent's) as a record of that prefix.
+		record.Stamp(buf, e.recordLen(n))
+	}
 	if e.eobs.on {
 		e.eobs.newviewLat.Observe(time.Since(nvStart).Seconds())
 	}
 	return nil
+}
+
+// recordLen is the carrier length of a vector's first ncls class blocks:
+// its store record. With ncls below the pattern count it never reaches
+// the slot's last word, where record.Stamp puts the length.
+func (e *Engine) recordLen(ncls int) int {
+	n := ncls * e.nCat * e.nStates
+	if e.c32 != nil {
+		return (n + 1) / 2
+	}
+	return n
 }
 
 // pairTableCap bounds classify's direct pair table (entries, 8 bytes

@@ -248,21 +248,61 @@ func passesPairCap(e *Engine, edge *tree.Edge) bool {
 	return false
 }
 
+// asyncEngine builds an engine over a small async manager (f = 0.3,
+// prefetching) above ChecksumStore(MemStore). The checksum layer is
+// returned: it refuses a record read at any length but its own, so a
+// test can require that none was.
+func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model, prec string) (*Engine, *ooc.Manager, *ooc.ChecksumStore) {
+	t.Helper()
+	cl, err := CarrierLength(m, pats.NumPatterns(), prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tr.NumInner()
+	cs, err := ooc.NewChecksumStore(ooc.NewMemStore(n, cl), "", n, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := ooc.NewManager(ooc.Config{
+		NumVectors: n, VectorLen: cl, Slots: ooc.SlotsForFraction(0.3, n),
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: cs, Async: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewWithPrecision(tr, pats, m, mgr, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.EnablePrefetch(true)
+	t.Cleanup(func() { e.Close(); mgr.Close() })
+	return e, mgr, cs
+}
+
 // TestSetKernelSwitchMidRun switches one engine auto → generic → auto
 // (and once more) between partial traversals, so each mode's newviews
 // read vectors — and class maps — the other mode wrote, and requires
 // every lnL, Newton optimum, vector block and scale counter to match an
-// engine that ran generic throughout.
+// engine that ran generic throughout. The ooc rows run the switched
+// engine out of core, so records written under one mode — prefixes
+// under auto, full width under generic — are read back under the other.
 func TestSetKernelSwitchMidRun(t *testing.T) {
 	for _, tc := range []struct {
 		aa   bool
 		prec string
+		ooc  bool
 	}{
-		{false, PrecisionF64},
-		{false, PrecisionF32},
-		{true, PrecisionF64},
+		{false, PrecisionF64, false},
+		{false, PrecisionF32, false},
+		{true, PrecisionF64, false},
+		{false, PrecisionF64, true},
+		{false, PrecisionF32, true},
 	} {
-		t.Run(fmt.Sprintf("aa=%v_%s", tc.aa, tc.prec), func(t *testing.T) {
+		name := fmt.Sprintf("aa=%v_%s", tc.aa, tc.prec)
+		if tc.ooc {
+			name += "_ooc"
+		}
+		t.Run(name, func(t *testing.T) {
 			sites := 400
 			if tc.aa {
 				sites = 120
@@ -272,6 +312,11 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref, sw := kernelPair(t, ds.Tree, ds.Patterns, ds.Model, KernelAuto, tc.prec)
+			var mgr *ooc.Manager
+			var cs *ooc.ChecksumStore
+			if tc.ooc {
+				sw, mgr, cs = asyncEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model, tc.prec)
+			}
 			rng := rand.New(rand.NewSource(12))
 			mixed := false
 			for phase, mode := range []string{KernelAuto, KernelGeneric, KernelAuto, KernelGeneric, KernelAuto} {
@@ -326,6 +371,18 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 			}
 			if !mixed {
 				t.Fatal("no generic phase ran beside valid auto-classified vectors; the switch test is vacuous")
+			}
+			if tc.ooc {
+				if err := mgr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				st, carrier := mgr.Stats(), int64(mgr.VectorLen())*8
+				if cs.CorruptReads() != 0 || sw.Stats.Recoveries != 0 {
+					t.Errorf("%d reads failed verification, %d recoveries", cs.CorruptReads(), sw.Stats.Recoveries)
+				}
+				if st.Reads == 0 || st.BytesWritten >= st.Writes*carrier {
+					t.Errorf("want records read back and some shorter than the slot: %+v", st)
+				}
 			}
 		})
 	}

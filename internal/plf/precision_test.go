@@ -1,12 +1,15 @@
 package plf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
+	"oocphylo/internal/record"
+	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
 
@@ -75,6 +78,66 @@ func TestVecViewPacking(t *testing.T) {
 	d := vecView[float64](carrier, 3)
 	if &d[0] != &carrier[0] || len(d) != 3 {
 		t.Fatal("f64 view must alias the carrier")
+	}
+}
+
+// TestPrefixMarkerNeverInFullVector: whatever a slot held before (here a
+// stale record marker in every slot), after a traversal each vector
+// decodes as exactly its record, ncls class blocks, and a vector that
+// computed every pattern — all of them under generic — decodes as full
+// width, at f64 and f32, DNA and protein. The f32 rows also give every
+// full vector's last word a stale marker's high half, standing in for
+// the 4 padding bytes of an odd-length vector: it still decodes full.
+func TestPrefixMarkerNeverInFullVector(t *testing.T) {
+	for _, dtype := range []bio.DataType{bio.DNA, bio.AA} {
+		for _, prec := range []string{PrecisionF64, PrecisionF32} {
+			for _, mode := range []string{KernelAuto, KernelGeneric} {
+				t.Run(fmt.Sprintf("%v_%s_%s", dtype, prec, mode), func(t *testing.T) {
+					ds, err := sim.NewDataset(sim.Config{Taxa: 20, Sites: 300, GammaAlpha: 0.5, Seed: 4, AA: dtype == bio.AA})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := newEngineP(t, ds.Tree, ds.Patterns, ds.Model, prec)
+					if err := e.SetKernel(mode); err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(8))
+					var stale float64
+					for vi := 0; vi < e.T.NumInner(); vi++ {
+						v, _ := e.prov.Vector(vi, true)
+						record.Stamp(v, 1+rng.Intn(len(v)-1))
+						stale = v[len(v)-1]
+					}
+					if _, err := e.LogLikelihood(); err != nil {
+						t.Fatal(err)
+					}
+					short, full := 0, 0
+					for vi := 0; vi < e.T.NumInner(); vi++ {
+						v, _ := e.prov.Vector(vi, false)
+						want := e.recordLen(e.ncls[vi])
+						if e.ncls[vi] == e.nPat {
+							want, full = e.carrierLen, full+1
+						} else {
+							short++
+						}
+						if got := record.Len(v); got != want {
+							t.Fatalf("vector %d (%d of %d classes) decodes as %d words, want %d",
+								vi, e.ncls[vi], e.nPat, got, want)
+						}
+						if e.ncls[vi] == e.nPat && prec == PrecisionF32 {
+							last := math.Float64bits(v[len(v)-1])
+							padded := last&(1<<32-1) | math.Float64bits(stale)&^(1<<32-1)
+							if got := record.Len([]float64{0, math.Float64frombits(padded)}); got != 2 {
+								t.Fatalf("vector %d: a full f32 word beside stale padding decodes as a %d-word record", vi, got)
+							}
+						}
+					}
+					if (mode == KernelAuto) != (short > 0) {
+						t.Fatalf("%s: %d short and %d full vectors", mode, short, full)
+					}
+				})
+			}
+		}
 	}
 }
 
