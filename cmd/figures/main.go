@@ -9,8 +9,8 @@
 //	            the §5 prefetch-thread future work)
 //	-fig kernels  generic vs DNA-specialised compute kernels + P cache
 //	              (not in the paper; compute-side ablation)
-//	-fig protein  generic vs aa20 protein kernels plus the f32 precision
-//	              trade (not in the paper; throughput round 2 ablation)
+//	-fig protein  generic vs aa20 protein kernels (not in the paper;
+//	              throughput round 2 ablation)
 //	-fig resize  miss-rate trajectory as a LIVE pool is halved mid-run,
 //	             four strategies (not in the paper; the runtime
 //	             resource governor's ablation)
@@ -147,7 +147,7 @@ func run(args []string) error {
 		fmt.Fprintln(out)
 	}
 	if want("protein") {
-		fmt.Fprintln(out, "== Protein ablation: generic vs aa20 kernels, f64 vs f32 ==")
+		fmt.Fprintln(out, "== Protein ablation: generic vs aa20 kernels ==")
 		pcfg := experiments.KernelAblationConfig{Seed: *seed, AA: true}
 		if *full {
 			pcfg.Taxa, pcfg.Sites = 128, 2000
@@ -157,15 +157,6 @@ func run(args []string) error {
 			return err
 		}
 		experiments.WriteKernelAblationTable(out, res, pcfg)
-		prcfg := experiments.PrecisionAblationConfig{Seed: *seed}
-		if *full {
-			prcfg.Taxa, prcfg.Sites = 128, 4000
-		}
-		pres, err := experiments.RunPrecisionAblation(prcfg)
-		if err != nil {
-			return err
-		}
-		experiments.WritePrecisionAblationTable(out, pres, prcfg)
 		fmt.Fprintln(out)
 	}
 	if want("resize") {

@@ -39,7 +39,6 @@ func bindSpec(fs *flag.FlagSet) *specFlags {
 	fs.StringVar(&c.Strategy, "strategy", "lru", "replacement strategy: random, lru, lfu, topological")
 	fs.IntVar(&c.Workers, "threads", 1, "PLF kernel worker goroutines (results are identical for any value)")
 	fs.StringVar(&c.Kernel, "kernel", plf.KernelAuto, "PLF compute kernels: auto (specialised where available) or generic; results are bit-identical either way")
-	fs.StringVar(&c.Precision, "precision", plf.PrecisionF64, "compute precision: f64 (default) or f32 (halves vector memory and store bandwidth; results are bit-identical within a precision, approximate across)")
 	return f
 }
 

@@ -16,8 +16,8 @@ import (
 // defaults of run, serve and client create against testdata/flags.golden,
 // captured from the commit before the flags moved into shared binders
 // (a flag deleted since is deleted from the golden in the same diff).
-// The one difference: client create now shows -kernel/-precision as
-// auto/f64, which is what the empty strings it used to show meant.
+// The one difference: client create now shows -kernel as auto, which is
+// what the empty string it used to show meant.
 func TestFlagSurfaceUnchanged(t *testing.T) {
 	golden, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
@@ -28,7 +28,6 @@ func TestFlagSurfaceUnchanged(t *testing.T) {
 		t.Fatal("golden has no client create section")
 	}
 	create = strings.Replace(create, "kernel=\n", "kernel=auto\n", 1)
-	create = strings.Replace(create, "precision=\n", "precision=f64\n", 1)
 	want := before + "## client create\n" + create
 
 	runFS, _, _, _ := runFlags()

@@ -216,9 +216,6 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	if spec.Precision == plf.PrecisionF32 {
-		fmt.Fprintf(out, "Precision: float32 compute (%d B per ancestral vector, half of f64)\n", sz.VecBytes)
-	}
 	r, err := analysis.Open(spec, *how, in, sz, sz.Quota)
 	if err != nil {
 		return err

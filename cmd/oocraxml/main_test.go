@@ -183,13 +183,13 @@ func TestFASTAInput(t *testing.T) {
 	}
 }
 
-// TestCheckpointAndResume checkpoints an out-of-core f64 search over an
+// TestCheckpointAndResume checkpoints an out-of-core search over an
 // explicit, verified -backing file and resumes it. A run leaves the
 // backing file and the checkpoint on disk and nothing else; a resume
 // reads none of the old vectors, so (as further inputs) a checkpoint
-// still carrying PR 22's "store" block resumes, and resuming at f32 over
-// the f64 run's backing file is just an f32 run — bit-identical to the
-// same resume over a fresh temp file.
+// still carrying PR 22's "store" block resumes, and resuming over the
+// first run's backing file, whose stale vectors have the resume's own
+// geometry, is bit-identical to the same resume over a fresh temp file.
 func TestCheckpointAndResume(t *testing.T) {
 	phy, _ := writeTestData(t)
 	dir := t.TempDir()
@@ -248,20 +248,20 @@ func TestCheckpointAndResume(t *testing.T) {
 		t.Error("resumed run did not complete")
 	}
 
-	f32 := []string{"-s", phy, "-rounds", "6", "-precision", "f32", "-L", "2500", "-lnl-bits", "-checkpoint"}
-	over, err := capture(t, append(f32, ckpt, "-resume", ckpt, "-backing", backing, "-verify-store")...)
+	again := []string{"-s", phy, "-rounds", "6", "-L", "5000", "-lnl-bits", "-checkpoint"}
+	over, err := capture(t, append(again, ckpt, "-resume", ckpt, "-backing", backing, "-verify-store")...)
 	if err != nil {
-		t.Fatalf("f32 resume over the f64 run's backing file: %v\n%s", err, over)
+		t.Fatalf("resume over the first run's backing file: %v\n%s", err, over)
 	}
-	fresh, err := capture(t, append(f32, ckpt2, "-resume", ckpt2)...)
+	fresh, err := capture(t, append(again, ckpt2, "-resume", ckpt2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(over, "Out-of-core:") || !strings.Contains(over, "Search:") {
-		t.Errorf("f32 resume did no out-of-core search:\n%s", over)
+		t.Errorf("resume did no out-of-core search:\n%s", over)
 	}
 	if ob, fb := lnlBitsLine(over), lnlBitsLine(fresh); ob == "" || ob != fb {
-		t.Errorf("f32 resume over f64 leftovers %q, over a fresh file %q", ob, fb)
+		t.Errorf("resume over leftovers %q, over a fresh file %q", ob, fb)
 	}
 	lastLine := func(s string) string {
 		lines := strings.Split(strings.TrimSpace(s), "\n")

@@ -457,7 +457,7 @@ func TestBuildSizeOpenErrors(t *testing.T) {
 // names, and never the matrix path.
 func TestSpecWire(t *testing.T) {
 	want := "name alignment path format data_type model - kappa alpha cats pinv uniform_freqs " +
-		"newick tree_path start_tree seed mem_limit strategy workers kernel precision"
+		"newick tree_path start_tree seed mem_limit strategy workers kernel"
 	var got []string
 	typ := reflect.TypeOf(Spec{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -12,8 +12,7 @@ import (
 // allocated — what the daemon's admission control decides on.
 type Sizing struct {
 	// NumVectors is n, one ancestral vector per inner node; VecLen its
-	// payload in float64 carrier units at the spec's precision, VecBytes
-	// the same in bytes.
+	// length in float64s, VecBytes the same in bytes.
 	NumVectors, VecLen int
 	VecBytes           int64
 	// Need is the all-in-RAM footprint n·VecBytes. OutOfCore reports a
@@ -30,10 +29,7 @@ func Size(spec Spec, in *Inputs) (Sizing, error) {
 	if tips, taxa := in.Tree.NumTips, in.Patterns.NumTaxa(); tips != taxa {
 		return Sizing{}, fmt.Errorf("analysis: tree has %d tips, alignment %d taxa", tips, taxa)
 	}
-	vecLen, err := plf.CarrierLength(in.Model, in.Patterns.NumPatterns(), spec.Precision)
-	if err != nil {
-		return Sizing{}, err
-	}
+	vecLen := plf.VectorLength(in.Model, in.Patterns.NumPatterns())
 	sz := Sizing{NumVectors: in.Tree.NumInner(), VecLen: vecLen, VecBytes: int64(vecLen) * 8}
 	sz.Need = int64(sz.NumVectors) * sz.VecBytes
 	sz.Quota = sz.Need
@@ -109,7 +105,7 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 		prov = plf.NewInMemoryProvider(n, sz.VecLen)
 	}
 
-	r.Engine, err = plf.NewWithPrecision(in.Tree, in.Patterns, in.Model, prov, spec.Precision)
+	r.Engine, err = plf.New(in.Tree, in.Patterns, in.Model, prov)
 	if err != nil {
 		return r, err
 	}

@@ -76,11 +76,9 @@ type Spec struct {
 	Strategy string `json:"strategy,omitempty"`
 
 	// Workers sets the PLF kernel worker goroutines (default 1; results
-	// are identical for any value). Kernel and Precision default to
-	// auto / f64.
-	Workers   int    `json:"workers,omitempty"`
-	Kernel    string `json:"kernel,omitempty"`
-	Precision string `json:"precision,omitempty"`
+	// are identical for any value). Kernel defaults to auto.
+	Workers int    `json:"workers,omitempty"`
+	Kernel  string `json:"kernel,omitempty"`
 }
 
 // Fill applies the defaults in place to a spec that arrived as a

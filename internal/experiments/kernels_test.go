@@ -40,3 +40,23 @@ func TestKernelAblationSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestRunKernelAblationAA runs the protein kernel ablation at toy scale.
+func TestRunKernelAblationAA(t *testing.T) {
+	cfg := KernelAblationConfig{Taxa: 12, Sites: 120, Seed: 5, Traversals: 2, AA: true}
+	res, err := RunKernelAblation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kernel != "aa20" {
+		t.Fatalf("protein ablation ran kernel %q, want aa20", res.Kernel)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("want 3 phase rows, got %d", len(res.Rows))
+	}
+	var sb strings.Builder
+	WriteKernelAblationTable(&sb, res, cfg)
+	if !strings.Contains(sb.String(), "protein") || !strings.Contains(sb.String(), "aa20") {
+		t.Fatalf("table must name the protein dataset and kernel:\n%s", sb.String())
+	}
+}

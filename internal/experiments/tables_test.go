@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"oocphylo/internal/analysis"
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
-	"oocphylo/internal/plf"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/tables.golden from this run")
@@ -116,15 +114,6 @@ var goldenTables = []struct {
 		}
 		return []string{fmt.Sprintf("slots=%d low=%d resizes=%d fixed=%+v oscillating=%+v lnl=%s",
 			r.Slots, r.Low, r.Resizes, r.FixedStats, r.ResizeStats, bits(r.ResizeLnL))}, nil
-	}},
-	{"precision", func() ([]string, error) {
-		r, err := RunPrecisionAblation(PrecisionAblationConfig{Taxa: 24, Sites: 400, Seed: 9, Workers: 2})
-		if err != nil {
-			return nil, err
-		}
-		return []string{fmt.Sprintf("lnl64=%s lnl32=%s lnl32async=%s opt64=%s opt32=%s bytes64=%d bytes32=%d kernel=%s",
-			bits(r.LnL64), bits(r.LnL32), bits(r.LnL32Async), bits(r.Opt64), bits(r.Opt32),
-			r.VecBytes64, r.VecBytes32, r.Kernel)}, nil
 	}},
 	{"tiers", func() ([]string, error) {
 		rows, err := tierRows(false)
@@ -246,9 +235,6 @@ func init() {
 		sz := r.Sizing
 		if (r.Manager != nil) != sz.OutOfCore {
 			fail("manager = %v but out-of-core = %v", r.Manager != nil, sz.OutOfCore)
-		}
-		if r.Engine.Precision() != cmp.Or(a.Precision, plf.PrecisionF64) {
-			fail("engine precision %q", r.Engine.Precision())
 		}
 		if a.Registry != nil {
 			// The kernel is chosen before the engine is instrumented.

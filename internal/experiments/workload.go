@@ -69,16 +69,16 @@ type arm struct {
 	Strategy string
 	Seed     int64
 
-	Precision, Kernel string
-	Workers           int
+	Kernel  string
+	Workers int
 
 	NoReadSkipping           bool
 	Prefetch, Async          bool
 	IOWorkers, PrefetchDepth int
 	Retries                  int
 
-	// Stack is the store; Open supplies geometry and precision. The
-	// zero value is a temp file.
+	// Stack is the store; Open supplies its geometry. The zero value is
+	// a temp file.
 	Stack    ooc.StackSpec
 	Registry *obs.Registry
 }
@@ -90,7 +90,7 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 	in := &analysis.Inputs{Patterns: w.data.Patterns, Model: w.data.Model, Tree: w.tree.Clone()}
 	spec := analysis.Spec{
 		Strategy: a.Strategy, Seed: a.Seed,
-		Workers: a.Workers, Kernel: a.Kernel, Precision: a.Precision,
+		Workers: a.Workers, Kernel: a.Kernel,
 	}
 	if spec.Seed == 0 {
 		spec.Seed = w.seed + 1

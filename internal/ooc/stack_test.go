@@ -32,7 +32,7 @@ func openFilesUnder(dir string) []string {
 
 // TestOpenStack is the builder's table: {local file, remote loopback} ×
 // {Verify on, off} × {nothing on disk, a previous stack's leftovers,
-// leftovers written at the other precision — half the vector length}.
+// leftovers written at another geometry — half the vector length}.
 // It pins the chain shape, that leftovers change nothing — the stack
 // opens fresh and cold over them, at whatever geometry it is asked for
 // — that only the vector/cache file is ever created,
@@ -42,7 +42,7 @@ func TestOpenStack(t *testing.T) {
 	const n, vecLen = 6, 5
 	for _, medium := range []string{"local", "remote"} {
 		for _, verify := range []bool{true, false} {
-			for _, scenario := range []string{"fresh", "leftover", "precision mismatch"} {
+			for _, scenario := range []string{"fresh", "leftover", "geometry mismatch"} {
 				isRemote, leftover := medium == "remote", scenario != "fresh"
 				t.Run(fmt.Sprintf("%s/verify=%v/%s", medium, verify, scenario), func(t *testing.T) {
 					dir := t.TempDir()
@@ -75,8 +75,8 @@ func TestOpenStack(t *testing.T) {
 							spec.Path = kept
 						}
 						was := spec
-						if scenario == "precision mismatch" {
-							was.VectorLen = (vecLen + 1) / 2 // an f32 run's carrier
+						if scenario == "geometry mismatch" {
+							was.VectorLen = (vecLen + 1) / 2
 						}
 						prev, err := OpenStack(was)
 						if err != nil {

@@ -41,8 +41,8 @@ import (
 
 // TieredConfig configures a TieredStore.
 type TieredConfig struct {
-	// NumVectors and VectorLen fix the store geometry (float64 carrier
-	// units, like every other Store).
+	// NumVectors and VectorLen fix the store geometry (in float64s,
+	// like every other Store).
 	NumVectors, VectorLen int
 	// CacheDir holds the cache file. Created if missing.
 	CacheDir string

@@ -18,17 +18,8 @@ import (
 // lengths — may allocate; that is cache population, not per-call
 // garbage.)
 func TestHotPathAllocs(t *testing.T) {
-	cases := []struct {
-		dtype bio.DataType
-		prec  string
-	}{
-		{bio.DNA, PrecisionF64},
-		{bio.AA, PrecisionF64},
-		{bio.AA, PrecisionF32},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("%v_%s", tc.dtype, tc.prec), func(t *testing.T) {
+	for _, dtype := range []bio.DataType{bio.DNA, bio.AA} {
+		t.Run(fmt.Sprintf("%v_f64", dtype), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
 			names := tipNames(16)
 			tr, err := tree.RandomTopology(names, rng, 0.02, 0.5)
@@ -36,12 +27,12 @@ func TestHotPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			sites := 500
-			if tc.dtype == bio.AA {
+			if dtype == bio.AA {
 				sites = 150
 			}
-			pats := randomAlignment(t, names, sites, rng, tc.dtype)
-			m := randomModel(t, rng, tc.dtype, true)
-			e := newEngineP(t, tr, pats, m, tc.prec)
+			pats := randomAlignment(t, names, sites, rng, dtype)
+			m := randomModel(t, rng, dtype, true)
+			e := newEngine(t, tr, pats, m)
 			edge := e.T.Edges[0]
 
 			// Warm every path once: traversal, evaluation, sum table,

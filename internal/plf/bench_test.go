@@ -88,18 +88,14 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // derivBenchRows are the model shapes the derivative path specialises
-// on: state count (the width of the exponential tables) and sum-table
-// element type.
+// on: state count, the width of the exponential tables.
 var derivBenchRows = []struct {
 	name        string
 	aa          bool
-	prec        string
 	taxa, sites int
 }{
-	{"DNA_f64", false, PrecisionF64, 64, 500},
-	{"DNA_f32", false, PrecisionF32, 64, 500},
-	{"AA_f64", true, PrecisionF64, 32, 150},
-	{"AA_f32", true, PrecisionF32, 32, 150},
+	{"DNA_f64", false, 64, 500},
+	{"AA_f64", true, 32, 150},
 }
 
 // derivBenchSetup builds an engine on data simulated down its own tree
@@ -107,13 +103,13 @@ var derivBenchRows = []struct {
 // alignment would not do here: with no signal every branch's optimum
 // runs to the length cap and Newton spends its whole iteration budget,
 // which no search does.
-func derivBenchSetup(b *testing.B, aa bool, prec string, taxa, sites int) (*Engine, *tree.Edge) {
+func derivBenchSetup(b *testing.B, aa bool, taxa, sites int) (*Engine, *tree.Edge) {
 	b.Helper()
 	ds, err := sim.NewDataset(sim.Config{Taxa: taxa, Sites: sites, GammaAlpha: 0.7, Seed: 7, AA: aa})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := newEngineP(b, ds.Tree, ds.Patterns, ds.Model, prec)
+	e := newEngine(b, ds.Tree, ds.Patterns, ds.Model)
 	edge := ds.Tree.Edges[6]
 	if err := e.prepareSumTable(edge); err != nil {
 		b.Fatal(err)
@@ -128,7 +124,7 @@ func derivBenchSetup(b *testing.B, aa bool, prec string, taxa, sites int) (*Engi
 func BenchmarkOptimizeBranch(b *testing.B) {
 	for _, r := range derivBenchRows {
 		b.Run(r.name, func(b *testing.B) {
-			e, edge := derivBenchSetup(b, r.aa, r.prec, r.taxa, r.sites)
+			e, edge := derivBenchSetup(b, r.aa, r.taxa, r.sites)
 			start := edge.Length / 3
 			iters := e.Stats.NewtonIters
 			b.ReportAllocs()
@@ -155,7 +151,7 @@ func BenchmarkSumTableValues(b *testing.B) {
 				name = r.name + "/derivs"
 			}
 			b.Run(name, func(b *testing.B) {
-				e, _ := derivBenchSetup(b, r.aa, r.prec, r.taxa, r.sites)
+				e, _ := derivBenchSetup(b, r.aa, r.taxa, r.sites)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -63,12 +63,8 @@ func outageRig(t *testing.T, seed int64, taxa int) (*tree.Tree, *Engine, *outage
 	}
 	pats := randomAlignment(t, names, 60, rng, 0)
 	m := randomModel(t, rng, 0, true)
-	cl, err := CarrierLength(m, pats.NumPatterns(), PrecisionF64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	prov := &outageProvider{
-		InMemoryProvider: NewInMemoryProvider(tr.NumInner(), cl),
+		InMemoryProvider: NewInMemoryProvider(tr.NumInner(), VectorLength(m, pats.NumPatterns())),
 		cost:             map[int]time.Duration{},
 		failOnce:         map[int]bool{},
 	}
@@ -170,9 +166,9 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 	t.Run("async", func(t *testing.T) {
 		tr, e, _ := outageRig(t, 37, 16)
 		n := tr.NumInner()
-		store := &flakyStore{Store: ooc.NewMemStore(n, e.vecLen), failOnce: map[int]bool{}}
+		store := &flakyStore{Store: ooc.NewMemStore(n, e.prov.VectorLen()), failOnce: map[int]bool{}}
 		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: e.vecLen, Slots: 4,
+			NumVectors: n, VectorLen: e.prov.VectorLen(), Slots: 4,
 			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store, Async: true,
 		})
 		if err != nil {

@@ -38,23 +38,11 @@ import (
 // same float64 expressions evaluated once instead of nPat times, summed
 // per pattern in one fixed order (categories outer, states inner), and
 // deriv_test.go pins it against a per-pattern-exp oracle.
-//
-// In f32 mode the sum table itself is float32 (it scales with nPat like
-// a vector), but the exponentials and every Newton-side term run in
-// float64 on widened table entries — the same tail-precision rule the
-// evaluate kernels follow.
 
 // buildSumTable fills the compute's sumTab for edge and records the
 // combined scale counters in e.sumTabSc. Both endpoint vectors must be
 // valid toward each other (call Traverse first).
 func (e *Engine) buildSumTable(edge *tree.Edge) error {
-	if e.c32 != nil {
-		return buildSumTableF(e, e.c32, edge)
-	}
-	return buildSumTableF(e, e.c64, edge)
-}
-
-func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 	e.Stats.SumTables++
 	e.eobs.sumTables.Inc()
 	timed := e.eobs.on || e.span != nil
@@ -62,14 +50,12 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 	if timed {
 		stStart = time.Now()
 	}
-	cs.syncModel(e)
-	a := &cs.sa
-	*a = sumArgs[F]{nm: len(e.maskList)}
+	a := &e.c.sa
+	*a = sumArgs{nm: len(e.maskList)}
 	p, q := edge.N[0], edge.N[1]
 	a.cp, _ = e.classMap(p)
 	a.cq, _ = e.classMap(q)
 	a.tipP, a.tipQ = p.IsTip(), q.IsTip()
-	var buf []float64
 	var err error
 	if !p.IsTip() {
 		np := 0
@@ -77,11 +63,10 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 			e.pinsL[0] = e.vi(q)
 			np = 1
 		}
-		buf, err = e.prov.Vector(e.vi(p), false, e.pinsL[:np]...)
+		a.xp, err = e.prov.Vector(e.vi(p), false, e.pinsL[:np]...)
 		if err != nil {
 			return err
 		}
-		a.xp = vecView[F](buf, e.vecLen)
 	}
 	if !q.IsTip() {
 		np := 0
@@ -89,11 +74,10 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 			e.pinsR[0] = e.vi(p)
 			np = 1
 		}
-		buf, err = e.prov.Vector(e.vi(q), false, e.pinsR[:np]...)
+		a.xq, err = e.prov.Vector(e.vi(q), false, e.pinsR[:np]...)
 		if err != nil {
 			return err
 		}
-		a.xq = vecView[F](buf, e.vecLen)
 	}
 	for i := range e.sumTabSc {
 		e.sumTabSc[i] = 0
@@ -111,7 +95,7 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 		}
 	}
 
-	e.parallelFor(e.nPat, cs.saBody)
+	e.parallelFor(e.nPat, e.c.saBody)
 	if timed {
 		dur := time.Since(stStart)
 		e.eobs.sumTableLat.Observe(dur.Seconds())
@@ -129,13 +113,7 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 // pass skips the per-pattern logarithm and lnl comes back 0; d1 and d2
 // are the same bits either way.
 func (e *Engine) sumTableValues(t float64, wantLnL bool) (lnl, d1, d2 float64) {
-	if e.c32 != nil {
-		return sumTableValuesF(e, e.c32, t, wantLnL)
-	}
-	return sumTableValuesF(e, e.c64, t, wantLnL)
-}
-
-func sumTableValuesF[F Float](e *Engine, cs *compute[F], t float64, wantLnL bool) (lnl, d1, d2 float64) {
+	cs := e.c
 	cs.svLnL = wantLnL || e.M.PInv > 0
 	k := e.nStates
 	if len(cs.svExp) != e.nCat*k || len(cs.svLR) != e.nCat*k {
@@ -160,10 +138,9 @@ func sumTableValuesF[F Float](e *Engine, cs *compute[F], t float64, wantLnL bool
 
 // sumTableTerms fills the per-pattern (lnL, d1, d2) terms for patterns
 // [lo, hi) from the pass's exponential tables — the parallelFor body of
-// sumTableValues, pre-bound on the compute as svBody. Sum-table entries
-// widen to float64 before the exponential-weighted accumulation, so
-// only the table itself carries reduced precision in f32 mode.
-func sumTableTerms[F Float](e *Engine, cs *compute[F], lo, hi int) {
+// sumTableValues, pre-bound on the compute as svBody.
+func sumTableTerms(e *Engine, lo, hi int) {
+	cs := e.c
 	ck := e.nCat * e.nStates
 	catW := 1.0 / float64(e.nCat)
 	terms := e.siteBuf
@@ -172,7 +149,7 @@ func sumTableTerms[F Float](e *Engine, cs *compute[F], lo, hi int) {
 		tab := cs.sumTab[i*ck : (i+1)*ck]
 		var f, fp, fpp float64
 		for j, lr := range lrs {
-			a := float64(tab[j]) * ex[j]
+			a := tab[j] * ex[j]
 			f += a
 			fp += a * lr
 			fpp += a * lr * lr
@@ -190,7 +167,7 @@ func sumTableTerms[F Float](e *Engine, cs *compute[F], lo, hi int) {
 		// posterior weight q (1 when the mixture is off).
 		q, ln := 1.0, 0.0
 		if cs.svLnL {
-			lnGamma := math.Log(f) - float64(e.sumTabSc[i])*cs.logScale
+			lnGamma := math.Log(f) - float64(e.sumTabSc[i])*logScaleFactor
 			q = gammaWeight(lnGamma, e.M.PInv, e.linv[i])
 			ln = mixInvariant(lnGamma, e.M.PInv, e.linv[i])
 		}

@@ -200,13 +200,6 @@ func TestOptimizeBranchClampsAtBounds(t *testing.T) {
 // pattern, the log-likelihood term always computed — kept test-only as
 // the bit-identity reference for sumTableValues.
 func oracleSumTableValues(e *Engine, t float64) (lnl, d1, d2 float64) {
-	if e.c32 != nil {
-		return oracleSumTableValuesF(e, e.c32, t)
-	}
-	return oracleSumTableValuesF(e, e.c64, t)
-}
-
-func oracleSumTableValuesF[F Float](e *Engine, cs *compute[F], t float64) (lnl, d1, d2 float64) {
 	k, C := e.nStates, e.nCat
 	rates := e.M.Rates
 	eval := e.M.Eval
@@ -220,10 +213,10 @@ func oracleSumTableValuesF[F Float](e *Engine, cs *compute[F], t float64) (lnl, 
 			for kk := 0; kk < k; kk++ {
 				expbuf[kk] = math.Exp(eval[kk] * r * t)
 			}
-			tab := cs.sumTab[base+c*k : base+(c+1)*k]
+			tab := e.c.sumTab[base+c*k : base+(c+1)*k]
 			for kk := 0; kk < k; kk++ {
 				lr := eval[kk] * r
-				a := float64(tab[kk]) * expbuf[kk]
+				a := tab[kk] * expbuf[kk]
 				f += a
 				fp += a * lr
 				fpp += a * lr * lr
@@ -236,7 +229,7 @@ func oracleSumTableValuesF[F Float](e *Engine, cs *compute[F], t float64) (lnl, 
 			f = math.SmallestNonzeroFloat64
 		}
 		w := e.weights[i]
-		lnGamma := math.Log(f) - float64(e.sumTabSc[i])*cs.logScale
+		lnGamma := math.Log(f) - float64(e.sumTabSc[i])*logScaleFactor
 		gp, gpp := fp/f, fpp/f
 		q := gammaWeight(lnGamma, e.M.PInv, e.linv[i])
 		lnl += w * mixInvariant(lnGamma, e.M.PInv, e.linv[i])
@@ -284,21 +277,17 @@ func TestDerivativePassBitIdenticalToOracle(t *testing.T) {
 	cases := []struct {
 		name    string
 		dtype   bio.DataType
-		prec    string
 		cats    int
 		pinv    float64
 		workers int
 	}{
-		{"DNA_G4", bio.DNA, PrecisionF64, 4, -1, 1},
-		{"DNA_G4_workers3", bio.DNA, PrecisionF64, 4, -1, 3},
-		{"DNA_G1", bio.DNA, PrecisionF64, 1, -1, 1},
-		{"DNA_G4_f32", bio.DNA, PrecisionF32, 4, -1, 1},
-		{"DNA_G4_I0", bio.DNA, PrecisionF64, 4, 0, 1},
-		{"DNA_G4_I0.2", bio.DNA, PrecisionF64, 4, 0.2, 1},
-		{"DNA_G4_I0.2_workers3", bio.DNA, PrecisionF64, 4, 0.2, 3},
-		{"DNA_G1_I0.2_f32", bio.DNA, PrecisionF32, 1, 0.2, 1},
-		{"AA_G4", bio.AA, PrecisionF64, 4, -1, 1},
-		{"AA_G4_f32_workers3", bio.AA, PrecisionF32, 4, -1, 3},
+		{"DNA_G4", bio.DNA, 4, -1, 1},
+		{"DNA_G4_workers3", bio.DNA, 4, -1, 3},
+		{"DNA_G1", bio.DNA, 1, -1, 1},
+		{"DNA_G4_I0", bio.DNA, 4, 0, 1},
+		{"DNA_G4_I0.2", bio.DNA, 4, 0.2, 1},
+		{"DNA_G4_I0.2_workers3", bio.DNA, 4, 0.2, 3},
+		{"AA_G4", bio.AA, 4, -1, 1},
 	}
 	bits := math.Float64bits
 	for _, tc := range cases {
@@ -340,7 +329,7 @@ func TestDerivativePassBitIdenticalToOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			e := newEngineP(t, tr, pats, m, tc.prec)
+			e := newEngine(t, tr, pats, m)
 			e.SetWorkers(tc.workers)
 			defer e.SetWorkers(1)
 
@@ -405,9 +394,9 @@ func TestSumTableValuesBeyond32States(t *testing.T) {
 	e := &Engine{M: m, nPat: nPat, nCat: nCat, nStates: k, workers: 1,
 		weights: []float64{1, 2, 1, 3, 1}, linv: make([]float64, nPat),
 		sumTabSc: make([]int32, nPat), siteBuf: make([]float64, 3*nPat)}
-	e.c64 = newCompute[float64](e)
-	for i := range e.c64.sumTab {
-		e.c64.sumTab[i] = rng.Float64()
+	e.c = newCompute(e)
+	for i := range e.c.sumTab {
+		e.c.sumTab[i] = rng.Float64()
 	}
 	wl, w1, w2 := oracleSumTableValues(e, 0.3)
 	gl, g1, g2 := e.sumTableValues(0.3, true)

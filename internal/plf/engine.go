@@ -17,8 +17,7 @@ import (
 // Scaling constants (RAxML's scheme): whenever every entry of a
 // pattern's block drops below minLikelihood the block is multiplied by
 // 2^256 and the pattern's scale counter is incremented; the evaluation
-// subtracts counter*ln(2^256) per pattern. These are the float64
-// constants; the float32 mode uses 2^±64 (see precision.go).
+// subtracts counter*ln(2^256) per pattern.
 const (
 	scalingExponent = 256
 	logScaleFactor  = scalingExponent * 0.6931471805599453 // ln(2^256)
@@ -81,13 +80,7 @@ type Engine struct {
 	plan []tree.Step
 
 	nPat, nCat, nStates int
-	// vecLen is the logical ancestral-vector length (elements of the
-	// compute precision); carrierLen is the provider-page length in
-	// float64s — equal for f64, halved (rounded up) for f32, where two
-	// float32s ride in each carrier slot (see precision.go).
-	vecLen     int
-	carrierLen int
-	weights    []float64
+	weights             []float64
 
 	// maskList enumerates the distinct tip masks in the alignment;
 	// tipCode[tip][pattern] indexes into it, and is the tip's class map
@@ -140,17 +133,13 @@ type Engine struct {
 	workers int
 	pool    *workerPool
 
-	// precision is PrecisionF64 or PrecisionF32. Exactly one of c64/c32
-	// is non-nil and owns every precision-typed piece of engine state:
-	// the active kernel set, the P-matrix cache, converted model
-	// constants and all numeric scratch (see compute.go). kernelMode
-	// names the configured mode (see SetKernel).
-	precision  string
-	c64        *compute[float64]
-	c32        *compute[float32]
+	// c owns the active kernel set, the P-matrix cache and all numeric
+	// scratch (see compute.go). kernelMode names the configured mode (see
+	// SetKernel).
+	c          *compute
 	kernelMode string
 
-	// Precision-independent scratch, reused across steps.
+	// Scratch, reused across steps.
 	sumTabSc []int32   // nPat combined scale counters for the sum table
 	siteBuf  []float64 // nPat*3 per-pattern values for deterministic reductions
 	// Fixed-size pin scratch: demand fetches pin at most two vectors
@@ -185,52 +174,33 @@ type Engine struct {
 
 // VectorLength returns the number of elements per ancestral vector for
 // an alignment with nPat patterns under model m — the paper's page size
-// w (in compute elements rather than bytes). For the float64 default
-// this is also the provider carrier length; see CarrierLength for f32.
+// w (in float64 elements rather than bytes).
 func VectorLength(m *model.Model, nPat int) int {
 	return nPat * m.Cats() * m.States
 }
 
-// New builds a float64 engine. The provider must have been sized with
+// New builds an engine. The provider must have been sized with
 // NumVectors() == t.NumInner() and VectorLen() == VectorLength(m, pats).
 func New(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov VectorProvider) (*Engine, error) {
-	return NewWithPrecision(t, pats, m, prov, PrecisionF64)
-}
-
-// NewWithPrecision builds an engine computing in the given precision
-// (PrecisionF64 or PrecisionF32; "" means f64). The provider must have
-// been sized with NumVectors() == t.NumInner() and VectorLen() ==
-// CarrierLength(m, pats.NumPatterns(), precision).
-func NewWithPrecision(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov VectorProvider, precision string) (*Engine, error) {
 	if t.NumTips != pats.NumTaxa() {
 		return nil, fmt.Errorf("plf: tree has %d tips, alignment has %d taxa", t.NumTips, pats.NumTaxa())
 	}
 	if m.States != pats.Alphabet.States {
 		return nil, fmt.Errorf("plf: model has %d states, alignment %d", m.States, pats.Alphabet.States)
 	}
-	if precision == "" {
-		precision = PrecisionF64
-	}
 	e := &Engine{
 		T: t, M: m, P: pats,
-		prov:      prov,
-		orient:    tree.NewOrientation(len(t.Nodes)),
-		nPat:      pats.NumPatterns(),
-		nCat:      m.Cats(),
-		nStates:   m.States,
-		precision: precision,
+		prov:    prov,
+		orient:  tree.NewOrientation(len(t.Nodes)),
+		nPat:    pats.NumPatterns(),
+		nCat:    m.Cats(),
+		nStates: m.States,
 	}
-	e.vecLen = e.nPat * e.nCat * e.nStates
-	cl, err := CarrierLength(m, e.nPat, precision)
-	if err != nil {
-		return nil, err
-	}
-	e.carrierLen = cl
 	if prov.NumVectors() < t.NumInner() {
 		return nil, fmt.Errorf("plf: provider holds %d vectors, tree needs %d", prov.NumVectors(), t.NumInner())
 	}
-	if prov.VectorLen() != e.carrierLen {
-		return nil, fmt.Errorf("plf: provider vector length %d, engine needs %d (%s carrier)", prov.VectorLen(), e.carrierLen, precision)
+	if n := VectorLength(m, e.nPat); prov.VectorLen() != n {
+		return nil, fmt.Errorf("plf: provider vector length %d, engine needs %d", prov.VectorLen(), n)
 	}
 	e.weights = make([]float64, e.nPat)
 	for i, w := range pats.Weights {
@@ -307,11 +277,7 @@ func NewWithPrecision(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov Vec
 	}
 	e.sumTabSc = make([]int32, e.nPat)
 	e.siteBuf = make([]float64, e.nPat*3)
-	if precision == PrecisionF32 {
-		e.c32 = newCompute[float32](e)
-	} else {
-		e.c64 = newCompute[float64](e)
-	}
+	e.c = newCompute(e)
 	e.fdfFn = func(t float64) (float64, float64) {
 		e.Stats.NewtonIters++
 		e.eobs.newtonIters.Inc()
@@ -334,10 +300,6 @@ func NewWithPrecision(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov Vec
 	return e, nil
 }
 
-// Precision returns the engine's compute precision (PrecisionF64 or
-// PrecisionF32).
-func (e *Engine) Precision() string { return e.precision }
-
 // Orient exposes the orientation (validity) state of the ancestral
 // vectors. Search drivers invalidate entries after topology edits whose
 // neighborhood keeps stale-but-pointer-consistent vectors (see package
@@ -357,17 +319,17 @@ func (e *Engine) vi(n *tree.Node) int { return n.Index - e.T.NumTips }
 // buildTipSum fills dst[cat][maskID][s] = sum_j P_cat[s][j] * ind[j]:
 // the per-category transition-weighted tip indicator lookup table
 // (RAxML's tipVector precomputation).
-func buildTipSum[F Float](e *Engine, cs *compute[F], dst, pmats []F) {
+func buildTipSum(e *Engine, dst, pmats []float64) {
 	k := e.nStates
 	k2 := k * k
 	nm := len(e.maskList)
 	for c := 0; c < e.nCat; c++ {
 		p := pmats[c*k2 : (c+1)*k2]
 		for mi := 0; mi < nm; mi++ {
-			ind := cs.tipInd[mi*k : (mi+1)*k]
+			ind := e.tipInd[mi*k : (mi+1)*k]
 			out := dst[(c*nm+mi)*k : (c*nm+mi+1)*k]
 			for s := 0; s < k; s++ {
-				acc := F(0)
+				acc := 0.0
 				row := p[s*k : (s+1)*k]
 				for j := 0; j < k; j++ {
 					acc += row[j] * ind[j]
@@ -532,32 +494,25 @@ func (e *Engine) prefetchInputs(pf prefetchProvider, steps []tree.Step, cur, nex
 // happens here on the calling goroutine; the per-pattern arithmetic is
 // delegated to the active kernel set.
 func (e *Engine) newview(s *tree.Step) error {
-	if e.c32 != nil {
-		return newviewF(e, e.c32, s)
-	}
-	return newviewF(e, e.c64, s)
-}
-
-func newviewF[F Float](e *Engine, cs *compute[F], s *tree.Step) error {
 	e.Stats.Newviews++
 	e.eobs.newviews.Inc()
 	var nvStart time.Time
 	if e.eobs.on {
 		nvStart = time.Now()
 	}
+	cs := e.c
 	a := &cs.nv
-	*a = nvArgs[F]{nm: len(e.maskList)}
-	var entL, entR *pcEntry[F]
-	a.pmL, entL = pmatsFor(e, cs, s.LeftEdge.Length, cs.pL)
-	a.pmR, entR = pmatsFor(e, cs, s.RightEdge.Length, cs.pR)
+	*a = nvArgs{nm: len(e.maskList)}
+	var entL, entR *pcEntry
+	a.pmL, entL = pmatsFor(e, s.LeftEdge.Length, cs.pL)
+	a.pmR, entR = pmatsFor(e, s.RightEdge.Length, cs.pR)
 
 	leftTip, rightTip := s.Left.IsTip(), s.Right.IsTip()
 	a.tipL, a.tipR = leftTip, rightTip
 	pvi := e.vi(s.Node)
-	var buf []float64
 	var err error
 	if leftTip {
-		a.tsL = tipSumFor(e, cs, entL, a.pmL, cs.tipSumL)
+		a.tsL = tipSumFor(e, entL, a.pmL, cs.tipSumL)
 	} else {
 		lvi := e.vi(s.Left)
 		e.pinsL[0] = pvi
@@ -566,15 +521,14 @@ func newviewF[F Float](e *Engine, cs *compute[F], s *tree.Step) error {
 			e.pinsL[1] = e.vi(s.Right)
 			np = 2
 		}
-		buf, err = e.prov.Vector(lvi, false, e.pinsL[:np]...)
+		a.xl, err = e.prov.Vector(lvi, false, e.pinsL[:np]...)
 		if err != nil {
 			return err
 		}
-		a.xl = vecView[F](buf, e.vecLen)
 		a.scl = e.scales[lvi]
 	}
 	if rightTip {
-		a.tsR = tipSumFor(e, cs, entR, a.pmR, cs.tipSumR)
+		a.tsR = tipSumFor(e, entR, a.pmR, cs.tipSumR)
 	} else {
 		rvi := e.vi(s.Right)
 		e.pinsR[0] = pvi
@@ -583,11 +537,10 @@ func newviewF[F Float](e *Engine, cs *compute[F], s *tree.Step) error {
 			e.pinsR[1] = e.vi(s.Left)
 			np = 2
 		}
-		buf, err = e.prov.Vector(rvi, false, e.pinsR[:np]...)
+		a.xr, err = e.prov.Vector(rvi, false, e.pinsR[:np]...)
 		if err != nil {
 			return err
 		}
-		a.xr = vecView[F](buf, e.vecLen)
 		a.scr = e.scales[rvi]
 	}
 	np := 0
@@ -599,22 +552,21 @@ func newviewF[F Float](e *Engine, cs *compute[F], s *tree.Step) error {
 		e.pinsP[np] = e.vi(s.Right)
 		np++
 	}
-	buf, err = e.prov.Vector(pvi, true, e.pinsP[:np]...)
+	a.xp, err = e.prov.Vector(pvi, true, e.pinsP[:np]...)
 	if err != nil {
 		return err
 	}
-	a.xp = vecView[F](buf, e.vecLen)
 	a.scp = e.scales[pvi]
 
 	a.cl, a.cr = e.classify(pvi, s.Left, s.Right)
 	e.Stats.ClassesComputed += int64(len(a.cl))
 	e.eobs.classes.Add(int64(len(a.cl)))
-	cs.kern.prepareNewview(e, cs, a)
+	cs.kern.prepareNewview(e, a)
 	e.parallelFor(len(a.cl), cs.nvBody)
 	if n := len(a.cl); n < e.nPat {
 		// The class blocks are all of the vector a store needs to keep:
-		// mark the slot (buf, the parent's) as a record of that prefix.
-		record.Stamp(buf, e.recordLen(n))
+		// mark the parent's slot as a record of that prefix.
+		record.Stamp(a.xp, e.recordLen(n))
 	}
 	if e.eobs.on {
 		e.eobs.newviewLat.Observe(time.Since(nvStart).Seconds())
@@ -622,16 +574,10 @@ func newviewF[F Float](e *Engine, cs *compute[F], s *tree.Step) error {
 	return nil
 }
 
-// recordLen is the carrier length of a vector's first ncls class blocks:
-// its store record. With ncls below the pattern count it never reaches
-// the slot's last word, where record.Stamp puts the length.
-func (e *Engine) recordLen(ncls int) int {
-	n := ncls * e.nCat * e.nStates
-	if e.c32 != nil {
-		return (n + 1) / 2
-	}
-	return n
-}
+// recordLen is the length of a vector's first ncls class blocks: its
+// store record. With ncls below the pattern count it never reaches the
+// slot's last word, where record.Stamp puts the length.
+func (e *Engine) recordLen(ncls int) int { return ncls * e.nCat * e.nStates }
 
 // pairTableCap bounds classify's direct pair table (entries, 8 bytes
 // each: 2 MiB). A node whose children's class counts multiply past the
@@ -842,38 +788,30 @@ func gammaWeight(lnGamma, p, linv float64) float64 {
 // resolution happens here; the per-pattern arithmetic is delegated to
 // the active kernel set.
 func (e *Engine) evaluate(edge *tree.Edge) (float64, error) {
-	if e.c32 != nil {
-		return evaluateF(e, e.c32, edge)
-	}
-	return evaluateF(e, e.c64, edge)
-}
-
-func evaluateF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) (float64, error) {
 	e.Stats.Evaluations++
 	e.eobs.evaluations.Inc()
 	var evStart time.Time
 	if e.eobs.on {
 		evStart = time.Now()
 	}
-	cs.syncModel(e)
+	cs := e.c
 	a := &cs.ev
-	*a = evArgs[F]{nm: len(e.maskList)}
+	*a = evArgs{nm: len(e.maskList)}
 	p, q := edge.N[0], edge.N[1]
 	// Prefer the tip on the q side so the P matrix is applied across the
 	// edge onto q's data.
 	if p.IsTip() && !q.IsTip() {
 		p, q = q, p
 	}
-	var entQ *pcEntry[F]
-	a.pmQ, entQ = pmatsFor(e, cs, edge.Length, cs.pR)
+	var entQ *pcEntry
+	a.pmQ, entQ = pmatsFor(e, edge.Length, cs.pR)
 
 	a.cp, _ = e.classMap(p)
 	a.cq, _ = e.classMap(q)
 	a.tipP, a.tipQ = p.IsTip(), q.IsTip()
-	var buf []float64
 	var err error
 	if q.IsTip() {
-		a.tsQ = tipSumFor(e, cs, entQ, a.pmQ, cs.tipSumR)
+		a.tsQ = tipSumFor(e, entQ, a.pmQ, cs.tipSumR)
 	} else {
 		qvi := e.vi(q)
 		np := 0
@@ -881,11 +819,10 @@ func evaluateF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) (float64, er
 			e.pinsR[0] = e.vi(p)
 			np = 1
 		}
-		buf, err = e.prov.Vector(qvi, false, e.pinsR[:np]...)
+		a.xq, err = e.prov.Vector(qvi, false, e.pinsR[:np]...)
 		if err != nil {
 			return 0, err
 		}
-		a.xq = vecView[F](buf, e.vecLen)
 		a.scq = e.scales[qvi]
 	}
 	if !p.IsTip() {
@@ -895,11 +832,10 @@ func evaluateF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) (float64, er
 			e.pinsL[0] = e.vi(q)
 			np = 1
 		}
-		buf, err = e.prov.Vector(pvi, false, e.pinsL[:np]...)
+		a.xp, err = e.prov.Vector(pvi, false, e.pinsL[:np]...)
 		if err != nil {
 			return 0, err
 		}
-		a.xp = vecView[F](buf, e.vecLen)
 		a.scp = e.scales[pvi]
 	}
 

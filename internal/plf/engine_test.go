@@ -1,6 +1,7 @@
 package plf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
 	"oocphylo/internal/obs"
+	"oocphylo/internal/record"
 	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
@@ -57,19 +59,8 @@ func tipNames(n int) []string {
 
 func newEngine(tb testing.TB, t *tree.Tree, pats *bio.Patterns, m *model.Model) *Engine {
 	tb.Helper()
-	return newEngineP(tb, t, pats, m, PrecisionF64)
-}
-
-// newEngineP builds an in-memory engine at the given compute precision,
-// sizing the provider to the carrier length.
-func newEngineP(tb testing.TB, t *tree.Tree, pats *bio.Patterns, m *model.Model, prec string) *Engine {
-	tb.Helper()
-	cl, err := CarrierLength(m, pats.NumPatterns(), prec)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	prov := NewInMemoryProvider(t.NumInner(), cl)
-	e, err := NewWithPrecision(t, pats, m, prov, prec)
+	prov := NewInMemoryProvider(t.NumInner(), VectorLength(m, pats.NumPatterns()))
+	e, err := New(t, pats, m, prov)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -467,6 +458,53 @@ func TestStatsCounters(t *testing.T) {
 		}
 		if v := reg.Counter("plf.classes_computed").Value(); v != got {
 			t.Errorf("%s: registry plf.classes_computed = %d, Stats %d", mode, v, got)
+		}
+	}
+}
+
+// TestPrefixMarkerNeverInFullVector: whatever a slot held before (here a
+// stale record marker in every slot), after a traversal each vector
+// decodes as exactly its record, ncls class blocks, and a vector that
+// computed every pattern — all of them under generic — decodes as full
+// width, DNA and protein.
+func TestPrefixMarkerNeverInFullVector(t *testing.T) {
+	for _, dtype := range []bio.DataType{bio.DNA, bio.AA} {
+		for _, mode := range []string{KernelAuto, KernelGeneric} {
+			t.Run(fmt.Sprintf("%v_f64_%s", dtype, mode), func(t *testing.T) {
+				ds, err := sim.NewDataset(sim.Config{Taxa: 20, Sites: 300, GammaAlpha: 0.5, Seed: 4, AA: dtype == bio.AA})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := newEngine(t, ds.Tree, ds.Patterns, ds.Model)
+				if err := e.SetKernel(mode); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(8))
+				for vi := 0; vi < e.T.NumInner(); vi++ {
+					v, _ := e.prov.Vector(vi, true)
+					record.Stamp(v, 1+rng.Intn(len(v)-1))
+				}
+				if _, err := e.LogLikelihood(); err != nil {
+					t.Fatal(err)
+				}
+				short, full := 0, 0
+				for vi := 0; vi < e.T.NumInner(); vi++ {
+					v, _ := e.prov.Vector(vi, false)
+					want := e.recordLen(e.ncls[vi])
+					if e.ncls[vi] == e.nPat {
+						want, full = len(v), full+1
+					} else {
+						short++
+					}
+					if got := record.Len(v); got != want {
+						t.Fatalf("vector %d (%d of %d classes) decodes as %d words, want %d",
+							vi, e.ncls[vi], e.nPat, got, want)
+					}
+				}
+				if (mode == KernelAuto) != (short > 0) {
+					t.Fatalf("%s: %d short and %d full vectors", mode, short, full)
+				}
+			})
 		}
 	}
 }

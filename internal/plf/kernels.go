@@ -25,10 +25,6 @@ import (
 // KernelGeneric every pattern is its own class, so the generic run is
 // repeat-free — every site computed — and bit-identity with it proves
 // the sharing exact.
-//
-// Every set is generic over the compute element type F (float32 or
-// float64); the bit-exactness contract is per precision — see
-// precision.go for the cross-precision semantics.
 
 // Kernel mode names accepted by SetKernel and the oocraxml -kernel flag.
 const (
@@ -47,14 +43,14 @@ const (
 // class-block kernels. Output class c is computed from cl[c] and cr[c]:
 // for a tip child (tipL/tipR) its mask code into the tip-sum table, for
 // an inner child the index of its block and scale counter.
-type nvArgs[F Float] struct {
-	xl, xr, xp    []F
+type nvArgs struct {
+	xl, xr, xp    []float64
 	scl, scr, scp []int32
 	cl, cr        []int32
 	tipL, tipR    bool
-	pmL, pmR      []F // nCat × k² transition matrices
-	tsL, tsR      []F // nCat × nm × k tip-sum tables (tip children)
-	prodTT        []F // nm × nm × nCat × k tip-pair products (tip×tip)
+	pmL, pmR      []float64 // nCat × k² transition matrices
+	tsL, tsR      []float64 // nCat × nm × k tip-sum tables (tip children)
+	prodTT        []float64 // nm × nm × nCat × k tip-pair products (tip×tip)
 	nm            int
 }
 
@@ -62,23 +58,22 @@ type nvArgs[F Float] struct {
 // endpoint whose data the P matrix is applied across; cp/cq are the
 // endpoints' class maps (per pattern: a tip's mask code, an inner
 // vector's block index); contrib receives the per-pattern weighted
-// log-likelihood terms (always float64: the logarithmic tail runs in
-// double precision in every mode).
-type evArgs[F Float] struct {
-	xp, xq     []F
+// log-likelihood terms.
+type evArgs struct {
+	xp, xq     []float64
 	scp, scq   []int32
 	cp, cq     []int32
 	tipP, tipQ bool
-	pmQ        []F
-	tsQ        []F
+	pmQ        []float64
+	tsQ        []float64
 	contrib    []float64
 	nm         int
 }
 
 // sumArgs carries the resolved endpoint data of one sum-table build,
 // class maps as in evArgs.
-type sumArgs[F Float] struct {
-	xp, xq     []F
+type sumArgs struct {
+	xp, xq     []float64
 	cp, cq     []int32
 	tipP, tipQ bool
 	nm         int
@@ -89,29 +84,29 @@ type sumArgs[F Float] struct {
 // [lo, hi); none may touch state outside that block (the parallelFor
 // contract). prepareNewview runs once per newview call before the
 // fan-out, for call-wide precomputation.
-type kernelSet[F Float] interface {
+type kernelSet interface {
 	name() string
-	prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F])
-	newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int)
-	evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int)
-	sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi int)
+	prepareNewview(e *Engine, a *nvArgs)
+	newview(e *Engine, a *nvArgs, lo, hi int)
+	evaluate(e *Engine, a *evArgs, lo, hi int)
+	sumTable(e *Engine, a *sumArgs, lo, hi int)
 }
 
 // selectKernelSet resolves a kernel mode for a model with nStates
 // states. nCat-specific fast paths are chosen inside the returned set
 // per call, so the set itself depends only on the state count.
-func selectKernelSet[F Float](mode string, nStates int) (kernelSet[F], error) {
+func selectKernelSet(mode string, nStates int) (kernelSet, error) {
 	switch mode {
 	case KernelAuto:
 		switch nStates {
 		case 4:
-			return dnaKernels[F]{}, nil
+			return dnaKernels{}, nil
 		case 20:
-			return aaKernels[F]{}, nil
+			return aaKernels{}, nil
 		}
-		return genericKernels[F]{}, nil
+		return genericKernels{}, nil
 	case KernelGeneric:
-		return genericKernels[F]{}, nil
+		return genericKernels{}, nil
 	}
 	return nil, fmt.Errorf("plf: unknown kernel mode %q (want %q or %q)",
 		mode, KernelAuto, KernelGeneric)
@@ -124,23 +119,16 @@ func selectKernelSet[F Float](mode string, nStates int) (kernelSet[F], error) {
 // tests enforce bit-identical vectors and likelihoods between modes, and
 // vectors one mode computed stay readable by the other.
 func (e *Engine) SetKernel(mode string) error {
-	if e.c32 != nil {
-		return setKernel(e, e.c32, mode)
-	}
-	return setKernel(e, e.c64, mode)
-}
-
-func setKernel[F Float](e *Engine, cs *compute[F], mode string) error {
-	ks, err := selectKernelSet[F](mode, e.nStates)
+	ks, err := selectKernelSet(mode, e.nStates)
 	if err != nil {
 		return err
 	}
-	cs.kern = ks
+	e.c.kern = ks
 	e.kernelMode = mode
 	if mode == KernelGeneric {
-		cs.pcache = nil
-	} else if cs.pcache == nil {
-		cs.pcache = newPCache[F]()
+		e.c.pcache = nil
+	} else if e.c.pcache == nil {
+		e.c.pcache = newPCache()
 	}
 	return nil
 }
@@ -151,34 +139,24 @@ func (e *Engine) KernelMode() string { return e.kernelMode }
 // KernelName reports which kernel set is actually active ("dna4",
 // "aa20" or "generic") — under KernelAuto this depends on
 // the model's state count.
-func (e *Engine) KernelName() string {
-	if e.c32 != nil {
-		return e.c32.kern.name()
-	}
-	return e.c64.kern.name()
-}
+func (e *Engine) KernelName() string { return e.c.kern.name() }
 
 // pcacheEnabled reports whether the transition-matrix cache is active
 // (always false under KernelGeneric).
-func (e *Engine) pcacheEnabled() bool {
-	if e.c32 != nil {
-		return e.c32.pcache != nil
-	}
-	return e.c64.pcache != nil
-}
+func (e *Engine) pcacheEnabled() bool { return e.c.pcache != nil }
 
 // genericKernels holds the fully generic k-state × c-category loops:
 // correct for every model, and the accumulation-order reference every
 // specialised kernel must reproduce bit-for-bit.
-type genericKernels[F Float] struct{}
+type genericKernels struct{}
 
-func (genericKernels[F]) name() string                                    { return "generic" }
-func (genericKernels[F]) prepareNewview(*Engine, *compute[F], *nvArgs[F]) {}
+func (genericKernels) name() string                    { return "generic" }
+func (genericKernels) prepareNewview(*Engine, *nvArgs) {}
 
-func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
+func (genericKernels) newview(e *Engine, a *nvArgs, lo, hi int) {
 	k, C, nm := e.nStates, e.nCat, a.nm
 	k2 := k * k
-	var la, ra [32]F // k <= 32; fixed scratch avoids allocation
+	var la, ra [32]float64 // k <= 32; fixed scratch avoids allocation
 	for i := lo; i < hi; i++ {
 		l, r := int(a.cl[i]), int(a.cr[i])
 		var cnt int32
@@ -190,7 +168,7 @@ func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi
 		}
 		base := i * C * k
 		lb, rb := l*C*k, r*C*k
-		blockMax := F(0)
+		blockMax := 0.0
 		for c := 0; c < C; c++ {
 			// Left factor per state.
 			if a.tipL {
@@ -200,7 +178,7 @@ func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi
 				src := a.xl[lb+c*k : lb+(c+1)*k]
 				p := a.pmL[c*k2 : (c+1)*k2]
 				for s := 0; s < k; s++ {
-					acc := F(0)
+					acc := 0.0
 					row := p[s*k : (s+1)*k]
 					for j := 0; j < k; j++ {
 						acc += row[j] * src[j]
@@ -215,7 +193,7 @@ func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi
 				src := a.xr[rb+c*k : rb+(c+1)*k]
 				p := a.pmR[c*k2 : (c+1)*k2]
 				for s := 0; s < k; s++ {
-					acc := F(0)
+					acc := 0.0
 					row := p[s*k : (s+1)*k]
 					for j := 0; j < k; j++ {
 						acc += row[j] * src[j]
@@ -232,31 +210,22 @@ func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi
 				}
 			}
 		}
-		if blockMax < cs.minLik {
+		if blockMax < minLikelihood {
 			for j := base; j < base+C*k; j++ {
-				a.xp[j] *= cs.scaleFac
+				a.xp[j] *= scaleFactor
 			}
 			cnt++
-		}
-		// f32 denormal flush, identical to the scaleTail pass the
-		// specialised kernels run (no-op in f64 mode where flush is 0).
-		if cs.flush != 0 {
-			for j := base; j < base+C*k; j++ {
-				if a.xp[j] < cs.flush {
-					a.xp[j] = 0
-				}
-			}
 		}
 		a.scp[i] = cnt
 	}
 }
 
-func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int) {
+func (genericKernels) evaluate(e *Engine, a *evArgs, lo, hi int) {
 	k, C, nm := e.nStates, e.nCat, a.nm
 	k2 := k * k
-	freqs := cs.freqs
-	catW := F(1) / F(C)
-	var ra [32]F
+	freqs := e.M.Freqs
+	catW := 1 / float64(C)
+	var ra [32]float64
 	for i := lo; i < hi; i++ {
 		p, q := int(a.cp[i]), int(a.cq[i])
 		var cnt int32
@@ -267,7 +236,7 @@ func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, h
 			cnt += a.scq[q]
 		}
 		pb, qb := p*C*k, q*C*k
-		site := F(0)
+		site := 0.0
 		for c := 0; c < C; c++ {
 			// Right factor: (P x_q) per state, or tip lookup.
 			if a.tipQ {
@@ -277,7 +246,7 @@ func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, h
 				src := a.xq[qb+c*k : qb+(c+1)*k]
 				pm := a.pmQ[c*k2 : (c+1)*k2]
 				for s := 0; s < k; s++ {
-					acc := F(0)
+					acc := 0.0
 					row := pm[s*k : (s+1)*k]
 					for j := 0; j < k; j++ {
 						acc += row[j] * src[j]
@@ -285,9 +254,9 @@ func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, h
 					ra[s] = acc
 				}
 			}
-			f := F(0)
+			f := 0.0
 			if a.tipP {
-				ind := cs.tipInd[p*k : (p+1)*k]
+				ind := e.tipInd[p*k : (p+1)*k]
 				for s := 0; s < k; s++ {
 					f += freqs[s] * ind[s] * ra[s]
 				}
@@ -300,7 +269,7 @@ func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, h
 			site += f
 		}
 		site *= catW
-		a.contrib[i] = siteTerm(e, cs, i, site, cnt)
+		a.contrib[i] = siteTerm(e, i, site, cnt)
 	}
 }
 
@@ -308,36 +277,32 @@ func (genericKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, h
 // log-likelihood contribution: underflow clamp, scale-counter
 // correction, optional +I mixture, pattern weight. Shared by every
 // evaluate kernel so the tail arithmetic is identical by construction.
-// The tail always runs in float64: in f32 mode the site value widens
-// once here, and the logarithm, scale correction and mixture never
-// accumulate single-precision error.
-func siteTerm[F Float](e *Engine, cs *compute[F], i int, site F, cnt int32) float64 {
-	s := float64(site)
+func siteTerm(e *Engine, i int, s float64, cnt int32) float64 {
 	if s <= 0 {
 		// Fully underflowed pattern: clamp to the smallest
 		// positive double so the search can continue.
 		s = math.SmallestNonzeroFloat64
 	}
-	lnSite := math.Log(s) - float64(cnt)*cs.logScale
+	lnSite := math.Log(s) - float64(cnt)*logScaleFactor
 	if p := e.M.PInv; p > 0 {
 		lnSite = mixInvariant(lnSite, p, e.linv[i])
 	}
 	return e.weights[i] * lnSite
 }
 
-func (genericKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi int) {
+func (genericKernels) sumTable(e *Engine, a *sumArgs, lo, hi int) {
 	k, C := e.nStates, e.nCat
-	freqs := cs.freqs
-	evec, ievec := cs.evec, cs.ievec
-	var left, right [32]F
+	freqs := e.M.Freqs
+	evec, ievec := e.M.Evec, e.M.Ievec
+	var left, right [32]float64
 	for i := lo; i < hi; i++ {
 		p, q := int(a.cp[i]), int(a.cq[i])
 		base, pb, qb := i*C*k, p*C*k, q*C*k
 		for c := 0; c < C; c++ {
 			// left_k = sum_s pi_s x_p[s] V[s][k]
-			var lsrc []F
+			var lsrc []float64
 			if a.tipP {
-				lsrc = cs.tipInd[p*k : (p+1)*k]
+				lsrc = e.tipInd[p*k : (p+1)*k]
 			} else {
 				lsrc = a.xp[pb+c*k : pb+(c+1)*k]
 			}
@@ -355,21 +320,21 @@ func (genericKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, 
 				}
 			}
 			// right_k = sum_j V^-1[k][j] x_q[j]
-			var rsrc []F
+			var rsrc []float64
 			if a.tipQ {
-				rsrc = cs.tipInd[q*k : (q+1)*k]
+				rsrc = e.tipInd[q*k : (q+1)*k]
 			} else {
 				rsrc = a.xq[qb+c*k : qb+(c+1)*k]
 			}
 			for kk := 0; kk < k; kk++ {
-				acc := F(0)
+				acc := 0.0
 				row := ievec[kk*k : (kk+1)*k]
 				for j := 0; j < k; j++ {
 					acc += row[j] * rsrc[j]
 				}
 				right[kk] = acc
 			}
-			dst := cs.sumTab[base+c*k : base+(c+1)*k]
+			dst := e.c.sumTab[base+c*k : base+(c+1)*k]
 			for kk := 0; kk < k; kk++ {
 				dst[kk] = left[kk] * right[kk]
 			}
@@ -379,25 +344,13 @@ func (genericKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, 
 
 // scaleTail applies the per-pattern scaling rule to one C·k block:
 // identical comparisons and multiplications to the generic tail.
-// Shared by every specialised newview kernel. The flush pass (f32 only;
-// flush is 0 in f64 mode and entries are non-negative, so it never
-// fires there) zeroes entries so far below the scaling floor that they
-// are beneath float32 resolution of the dominant states — without it,
-// improbable-state entries drift into the float32 denormal range and
-// every operation touching them takes a microcode assist.
-func scaleTail[F Float](dst []F, scp []int32, i int, cnt int32, blockMax, minLik, scaleFac, flush F) {
-	if blockMax < minLik {
+// Shared by every specialised newview kernel.
+func scaleTail(dst []float64, scp []int32, i int, cnt int32, blockMax float64) {
+	if blockMax < minLikelihood {
 		for j := range dst {
-			dst[j] *= scaleFac
+			dst[j] *= scaleFactor
 		}
 		cnt++
-	}
-	if flush != 0 {
-		for j := range dst {
-			if dst[j] < flush {
-				dst[j] = 0
-			}
-		}
 	}
 	scp[i] = cnt
 }

@@ -10,7 +10,7 @@ package plf
 // their add latencies. Interleaving independent chains reassociates
 // nothing — each accumulator's value history is bit-for-bit the generic
 // one — which is how the speedup coexists with the paper's §4.1
-// exactness criterion. Array-pointer casts ((*[400]F], (*[20]F)) hoist
+// exactness criterion. Array-pointer casts ((*[400]float64), (*[20]float64)) hoist
 // the bounds checks the generic slice indexing pays per element.
 //
 // aaKernels hard-codes k=20 so the s/j trip counts are compile-time
@@ -26,9 +26,9 @@ package plf
 const prodTTMaxEntries = 1 << 21
 
 // prepareProdTT builds the tip×tip mask-pair product table
-// prod[((ml*nm+mr)*C+c)*k+s] = tsL[c,ml,s]·tsR[c,mr,s] into cs.prodTT,
+// prod[((ml*nm+mr)*C+c)*k+s] = tsL[c,ml,s]·tsR[c,mr,s] into e.c.prodTT,
 // or leaves a.prodTT nil when the table would exceed prodTTMaxEntries.
-func prepareProdTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k int) {
+func prepareProdTT(e *Engine, a *nvArgs, k int) {
 	if !a.tipL || !a.tipR {
 		return
 	}
@@ -38,10 +38,10 @@ func prepareProdTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k int) {
 	if need > prodTTMaxEntries {
 		return
 	}
-	if cap(cs.prodTT) < need {
-		cs.prodTT = make([]F, need)
+	if cap(e.c.prodTT) < need {
+		e.c.prodTT = make([]float64, need)
 	}
-	prod := cs.prodTT[:need]
+	prod := e.c.prodTT[:need]
 	for ml := 0; ml < nm; ml++ {
 		for mr := 0; mr < nm; mr++ {
 			for c := 0; c < C; c++ {
@@ -60,7 +60,7 @@ func prepareProdTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k int) {
 // newviewTT handles the tip×tip newview case for any k: a table copy
 // per pattern when prepareProdTT built the table, otherwise the direct
 // per-pattern products (identical multiplies, identical order).
-func newviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k, lo, hi int) {
+func newviewTT(e *Engine, a *nvArgs, k, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	stride := C * k
 	xp, scp := a.xp, a.scp
@@ -70,13 +70,13 @@ func newviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k, lo, hi int) 
 			dst := xp[i*stride : i*stride+stride]
 			pair := (int(cl[i])*nm + int(cr[i])) * stride
 			copy(dst, prod[pair:pair+stride])
-			blockMax := F(0)
+			blockMax := 0.0
 			for _, v := range dst {
 				if v > blockMax {
 					blockMax = v
 				}
 			}
-			scaleTail(dst, scp, i, 0, blockMax, cs.minLik, cs.scaleFac, cs.flush)
+			scaleTail(dst, scp, i, 0, blockMax)
 		}
 		return
 	}
@@ -84,7 +84,7 @@ func newviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k, lo, hi int) 
 	for i := lo; i < hi; i++ {
 		base := i * stride
 		ml, mr := int(cl[i])*k, int(cr[i])*k
-		blockMax := F(0)
+		blockMax := 0.0
 		for c := 0; c < C; c++ {
 			l := tsL[c*nm*k+ml:][:k]
 			r := tsR[c*nm*k+mr:][:k]
@@ -97,31 +97,31 @@ func newviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], k, lo, hi int) 
 				}
 			}
 		}
-		scaleTail(xp[base:base+stride], scp, i, 0, blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, 0, blockMax)
 	}
 }
 
 // ---------------------------------------------------------------------
 // aaKernels: k = 20 hard-coded.
 
-type aaKernels[F Float] struct{}
+type aaKernels struct{}
 
-func (aaKernels[F]) name() string { return "aa20" }
+func (aaKernels) name() string { return "aa20" }
 
-func (aaKernels[F]) prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F]) {
-	prepareProdTT(e, cs, a, 20)
+func (aaKernels) prepareNewview(e *Engine, a *nvArgs) {
+	prepareProdTT(e, a, 20)
 }
 
-func (aaKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
+func (aaKernels) newview(e *Engine, a *nvArgs, lo, hi int) {
 	switch {
 	case a.tipL && a.tipR:
-		newviewTT(e, cs, a, 20, lo, hi)
+		newviewTT(e, a, 20, lo, hi)
 	case a.tipL:
-		aaNewviewTI(e, cs, a, a.cl, a.tsL, a.cr, a.xr, a.pmR, a.scr, lo, hi)
+		aaNewviewTI(e, a, a.cl, a.tsL, a.cr, a.xr, a.pmR, a.scr, lo, hi)
 	case a.tipR:
-		aaNewviewTI(e, cs, a, a.cr, a.tsR, a.cl, a.xl, a.pmL, a.scl, lo, hi)
+		aaNewviewTI(e, a, a.cr, a.tsR, a.cl, a.xl, a.pmL, a.scl, lo, hi)
 	default:
-		aaNewviewII(e, cs, a, lo, hi)
+		aaNewviewII(e, a, lo, hi)
 	}
 }
 
@@ -130,13 +130,13 @@ func (aaKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int)
 // zero-initialised += chain over ascending j — the generic per-state
 // accumulation verbatim — and tb·acc for the generic's acc·tb
 // (right-tip case) is exact because IEEE multiplication is commutative.
-func aaMatVecTip[F Float](p *[400]F, src, tb, dst *[20]F, blockMax F) F {
+func aaMatVecTip(p *[400]float64, src, tb, dst *[20]float64, blockMax float64) float64 {
 	for s := 0; s < 20; s += 4 {
 		r0 := p[s*20 : s*20+20]
 		r1 := p[s*20+20 : s*20+40]
 		r2 := p[s*20+40 : s*20+60]
 		r3 := p[s*20+60 : s*20+80]
-		var a0, a1, a2, a3 F
+		var a0, a1, a2, a3 float64
 		for j := 0; j < 20; j++ {
 			xj := src[j]
 			a0 += r0[j] * xj
@@ -171,7 +171,7 @@ func aaMatVecTip[F Float](p *[400]F, src, tb, dst *[20]F, blockMax F) F {
 // aaNewviewTI: one tip child (mask codes tc + tip-sum table ts), one
 // inner child (blocks xc of vector x across matrices pm, with scales
 // sc).
-func aaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], tc []int32, ts []F, xc []int32, x, pm []F, sc []int32, lo, hi int) {
+func aaNewviewTI(e *Engine, a *nvArgs, tc []int32, ts []float64, xc []int32, x, pm []float64, sc []int32, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	const k = 20
 	stride := C * k
@@ -180,24 +180,24 @@ func aaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], tc []int32, t
 		base := i * stride
 		xb := int(xc[i]) * stride
 		mi := int(tc[i]) * k
-		blockMax := F(0)
+		blockMax := 0.0
 		for c := 0; c < C; c++ {
 			o := c * k
 			blockMax = aaMatVecTip(
-				(*[400]F)(pm[c*400:]),
-				(*[20]F)(x[xb+o:]),
-				(*[20]F)(ts[c*nm*k+mi:]),
-				(*[20]F)(xp[base+o:]),
+				(*[400]float64)(pm[c*400:]),
+				(*[20]float64)(x[xb+o:]),
+				(*[20]float64)(ts[c*nm*k+mi:]),
+				(*[20]float64)(xp[base+o:]),
 				blockMax)
 		}
-		scaleTail(xp[base:base+stride], scp, i, sc[xc[i]], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, sc[xc[i]], blockMax)
 	}
 }
 
 // aaNewviewIICat computes one 20-state category block of the
 // inner×inner case, interleaving eight accumulation chains (four left,
 // four right) per pass.
-func aaNewviewIICat[F Float](pl, pr *[400]F, l, r, dst *[20]F, blockMax F) F {
+func aaNewviewIICat(pl, pr *[400]float64, l, r, dst *[20]float64, blockMax float64) float64 {
 	for s := 0; s < 20; s += 4 {
 		pl0 := pl[s*20 : s*20+20]
 		pl1 := pl[s*20+20 : s*20+40]
@@ -207,7 +207,7 @@ func aaNewviewIICat[F Float](pl, pr *[400]F, l, r, dst *[20]F, blockMax F) F {
 		pr1 := pr[s*20+20 : s*20+40]
 		pr2 := pr[s*20+40 : s*20+60]
 		pr3 := pr[s*20+60 : s*20+80]
-		var la0, la1, la2, la3, ra0, ra1, ra2, ra3 F
+		var la0, la1, la2, la3, ra0, ra1, ra2, ra3 float64
 		for j := 0; j < 20; j++ {
 			lj := l[j]
 			rj := r[j]
@@ -245,7 +245,7 @@ func aaNewviewIICat[F Float](pl, pr *[400]F, l, r, dst *[20]F, blockMax F) F {
 }
 
 // aaNewviewII: both children inner.
-func aaNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
+func aaNewviewII(e *Engine, a *nvArgs, lo, hi int) {
 	C := e.nCat
 	const k = 20
 	stride := C * k
@@ -256,27 +256,27 @@ func aaNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		l, r := int(cl[i]), int(cr[i])
 		base, lb, rb := i*stride, l*stride, r*stride
-		blockMax := F(0)
+		blockMax := 0.0
 		for c := 0; c < C; c++ {
 			o := c * k
 			blockMax = aaNewviewIICat(
-				(*[400]F)(pmL[c*400:]), (*[400]F)(pmR[c*400:]),
-				(*[20]F)(xl[lb+o:]), (*[20]F)(xr[rb+o:]), (*[20]F)(xp[base+o:]),
+				(*[400]float64)(pmL[c*400:]), (*[400]float64)(pmR[c*400:]),
+				(*[20]float64)(xl[lb+o:]), (*[20]float64)(xr[rb+o:]), (*[20]float64)(xp[base+o:]),
 				blockMax)
 		}
-		scaleTail(xp[base:base+stride], scp, i, scl[l]+scr[r], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, scl[l]+scr[r], blockMax)
 	}
 }
 
 // aaMatVec fills dst = P·src for one 20-state block (the evaluate
 // kernel's right factor), four chains per pass.
-func aaMatVec[F Float](p *[400]F, src, dst *[20]F) {
+func aaMatVec(p *[400]float64, src, dst *[20]float64) {
 	for s := 0; s < 20; s += 4 {
 		r0 := p[s*20 : s*20+20]
 		r1 := p[s*20+20 : s*20+40]
 		r2 := p[s*20+40 : s*20+60]
 		r3 := p[s*20+60 : s*20+80]
-		var a0, a1, a2, a3 F
+		var a0, a1, a2, a3 float64
 		for j := 0; j < 20; j++ {
 			xj := src[j]
 			a0 += r0[j] * xj
@@ -291,14 +291,14 @@ func aaMatVec[F Float](p *[400]F, src, dst *[20]F) {
 	}
 }
 
-func (aaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int) {
+func (aaKernels) evaluate(e *Engine, a *evArgs, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	const k = 20
 	stride := C * k
-	freqs := (*[20]F)(cs.freqs)
-	catW := F(1) / F(C)
+	freqs := (*[20]float64)(e.M.Freqs)
+	catW := 1 / float64(C)
 	contrib := a.contrib
-	var ra [20]F
+	var ra [20]float64
 	for i := lo; i < hi; i++ {
 		p, q := int(a.cp[i]), int(a.cq[i])
 		var cnt int32
@@ -309,25 +309,25 @@ func (aaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int
 			cnt += a.scq[q]
 		}
 		pb, qb := p*stride, q*stride
-		site := F(0)
+		site := 0.0
 		for c := 0; c < C; c++ {
 			o := c * k
 			if a.tipQ {
 				copy(ra[:], a.tsQ[c*nm*k+q*k:][:k])
 			} else {
-				aaMatVec((*[400]F)(a.pmQ[c*400:]), (*[20]F)(a.xq[qb+o:]), &ra)
+				aaMatVec((*[400]float64)(a.pmQ[c*400:]), (*[20]float64)(a.xq[qb+o:]), &ra)
 			}
 			// The site sum is ONE accumulation chain in the generic
 			// kernel, so it stays a single sequential chain here — only
 			// the independent matrix-vector chains above are interleaved.
-			f := F(0)
+			f := 0.0
 			if a.tipP {
-				ind := (*[20]F)(cs.tipInd[p*k:])
+				ind := (*[20]float64)(e.tipInd[p*k:])
 				for s := 0; s < k; s++ {
 					f += freqs[s] * ind[s] * ra[s]
 				}
 			} else {
-				src := (*[20]F)(a.xp[pb+o:])
+				src := (*[20]float64)(a.xp[pb+o:])
 				for s := 0; s < k; s++ {
 					f += freqs[s] * src[s] * ra[s]
 				}
@@ -335,31 +335,31 @@ func (aaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int
 			site += f
 		}
 		site *= catW
-		contrib[i] = siteTerm(e, cs, i, site, cnt)
+		contrib[i] = siteTerm(e, i, site, cnt)
 	}
 }
 
-func (aaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi int) {
+func (aaKernels) sumTable(e *Engine, a *sumArgs, lo, hi int) {
 	C := e.nCat
 	const k = 20
 	stride := C * k
-	freqs := (*[20]F)(cs.freqs)
-	ev := cs.evec
-	iv := cs.ievec
+	freqs := (*[20]float64)(e.M.Freqs)
+	ev := e.M.Evec
+	iv := e.M.Ievec
 	xp, xq := a.xp, a.xq
 	cp, cq := a.cp, a.cq
-	sumTab := cs.sumTab
-	var left [20]F
+	sumTab := e.c.sumTab
+	var left [20]float64
 	for i := lo; i < hi; i++ {
 		p, q := int(cp[i]), int(cq[i])
 		base, pb, qb := i*stride, p*stride, q*stride
 		for c := 0; c < C; c++ {
 			o := c * k
-			var ls *[20]F
+			var ls *[20]float64
 			if a.tipP {
-				ls = (*[20]F)(cs.tipInd[p*k:])
+				ls = (*[20]float64)(e.tipInd[p*k:])
 			} else {
-				ls = (*[20]F)(xp[pb+o:])
+				ls = (*[20]float64)(xp[pb+o:])
 			}
 			// left_k = sum_s pi_s x_p[s] V[s][k]: outer loop over s in
 			// ascending order with the generic w == 0 skip; the inner
@@ -372,7 +372,7 @@ func (aaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi in
 				if w == 0 {
 					continue
 				}
-				row := (*[20]F)(ev[s*k:])
+				row := (*[20]float64)(ev[s*k:])
 				for kk := 0; kk < k; kk += 4 {
 					left[kk] += w * row[kk]
 					left[kk+1] += w * row[kk+1]
@@ -380,21 +380,21 @@ func (aaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi in
 					left[kk+3] += w * row[kk+3]
 				}
 			}
-			var rs *[20]F
+			var rs *[20]float64
 			if a.tipQ {
-				rs = (*[20]F)(cs.tipInd[q*k:])
+				rs = (*[20]float64)(e.tipInd[q*k:])
 			} else {
-				rs = (*[20]F)(xq[qb+o:])
+				rs = (*[20]float64)(xq[qb+o:])
 			}
 			// right_k = sum_j V^-1[k][j] x_q[j]: four zero-initialised
 			// chains per pass, ascending j.
-			dst := (*[20]F)(sumTab[base+o:])
+			dst := (*[20]float64)(sumTab[base+o:])
 			for kk := 0; kk < k; kk += 4 {
 				r0 := iv[kk*20 : kk*20+20]
 				r1 := iv[kk*20+20 : kk*20+40]
 				r2 := iv[kk*20+40 : kk*20+60]
 				r3 := iv[kk*20+60 : kk*20+80]
-				var a0, a1, a2, a3 F
+				var a0, a1, a2, a3 float64
 				for j := 0; j < k; j++ {
 					xj := rs[j]
 					a0 += r0[j] * xj

@@ -104,8 +104,8 @@ func BenchmarkSumTableDNA4(b *testing.B) {
 }
 
 // benchSetupAA20 builds the protein-ablation engine: 64 taxa, GTR-class
-// k=20 model with Γ4 rates, at the given kernel mode and precision.
-func benchSetupAA20(b *testing.B, mode, prec string) (*Engine, *tree.Tree) {
+// k=20 model with Γ4 rates, at the given kernel mode.
+func benchSetupAA20(b *testing.B, mode string) (*Engine, *tree.Tree) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(11))
 	names := tipNames(64)
@@ -121,12 +121,8 @@ func benchSetupAA20(b *testing.B, mode, prec string) (*Engine, *tree.Tree) {
 	if err := m.SetGamma(0.7, 4); err != nil {
 		b.Fatal(err)
 	}
-	cl, err := CarrierLength(m, pats.NumPatterns(), prec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prov := NewInMemoryProvider(tr.NumInner(), cl)
-	e, err := NewWithPrecision(tr, pats, m, prov, prec)
+	prov := NewInMemoryProvider(tr.NumInner(), VectorLength(m, pats.NumPatterns()))
+	e, err := New(tr, pats, m, prov)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,17 +132,12 @@ func benchSetupAA20(b *testing.B, mode, prec string) (*Engine, *tree.Tree) {
 	return e, tr
 }
 
-// BenchmarkNewviewAA20 measures protein full traversals per kernel mode
-// and precision; the acceptance criterion compares auto (the aa20 set)
-// against generic at f64.
+// BenchmarkNewviewAA20 measures protein full traversals per kernel mode;
+// the acceptance criterion compares auto (the aa20 set) against generic.
 func BenchmarkNewviewAA20(b *testing.B) {
-	for _, bc := range []struct{ mode, prec string }{
-		{KernelGeneric, PrecisionF64},
-		{KernelAuto, PrecisionF64},
-		{KernelAuto, PrecisionF32},
-	} {
-		b.Run(bc.mode+"_"+bc.prec, func(b *testing.B) {
-			e, tr := benchSetupAA20(b, bc.mode, bc.prec)
+	for _, mode := range []string{KernelGeneric, KernelAuto} {
+		b.Run(mode+"_f64", func(b *testing.B) {
+			e, tr := benchSetupAA20(b, mode)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -162,13 +153,9 @@ func BenchmarkNewviewAA20(b *testing.B) {
 
 // BenchmarkEvaluateAA20 measures the protein evaluate kernel alone.
 func BenchmarkEvaluateAA20(b *testing.B) {
-	for _, bc := range []struct{ mode, prec string }{
-		{KernelGeneric, PrecisionF64},
-		{KernelAuto, PrecisionF64},
-		{KernelAuto, PrecisionF32},
-	} {
-		b.Run(bc.mode+"_"+bc.prec, func(b *testing.B) {
-			e, tr := benchSetupAA20(b, bc.mode, bc.prec)
+	for _, mode := range []string{KernelGeneric, KernelAuto} {
+		b.Run(mode+"_f64", func(b *testing.B) {
+			e, tr := benchSetupAA20(b, mode)
 			if _, err := e.LogLikelihood(); err != nil {
 				b.Fatal(err)
 			}
@@ -185,13 +172,9 @@ func BenchmarkEvaluateAA20(b *testing.B) {
 
 // BenchmarkSumTableAA20 measures the protein derivative sum-table kernel.
 func BenchmarkSumTableAA20(b *testing.B) {
-	for _, bc := range []struct{ mode, prec string }{
-		{KernelGeneric, PrecisionF64},
-		{KernelAuto, PrecisionF64},
-		{KernelAuto, PrecisionF32},
-	} {
-		b.Run(bc.mode+"_"+bc.prec, func(b *testing.B) {
-			e, tr := benchSetupAA20(b, bc.mode, bc.prec)
+	for _, mode := range []string{KernelGeneric, KernelAuto} {
+		b.Run(mode+"_f64", func(b *testing.B) {
+			e, tr := benchSetupAA20(b, mode)
 			if _, err := e.LogLikelihood(); err != nil {
 				b.Fatal(err)
 			}

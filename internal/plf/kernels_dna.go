@@ -9,7 +9,7 @@ package plf
 //
 // Exactness: every function below performs the generic kernel's
 // floating-point operations in the generic kernel's order, so outputs
-// are bit-identical for any kernel choice (per precision). Two
+// are bit-identical for any kernel choice. Two
 // properties make the shorter unrolled expressions safe:
 //
 //   - a0+a1+a2+a3 associates as ((a0+a1)+a2)+a3, which differs from the
@@ -27,9 +27,9 @@ package plf
 // The differential fuzz tests (kernels_test.go) enforce both claims on
 // random inputs, per vector and per likelihood.
 
-type dnaKernels[F Float] struct{}
+type dnaKernels struct{}
 
-func (dnaKernels[F]) name() string { return "dna4" }
+func (dnaKernels) name() string { return "dna4" }
 
 // prepareNewview builds the tip×tip product table
 //
@@ -39,23 +39,23 @@ func (dnaKernels[F]) name() string { return "dna4" }
 // copy. nm ≤ 16 for DNA (distinct observed masks), so the table is at
 // most C·16·16·4 elements and costs O(nm²·C·4) multiplies per call —
 // amortised over the nPat-pattern loop it replaces.
-func (dnaKernels[F]) prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F]) {
+func (dnaKernels) prepareNewview(e *Engine, a *nvArgs) {
 	if !a.tipL || !a.tipR {
 		return
 	}
 	C, nm := e.nCat, a.nm
 	stride := C * 4
 	need := nm * nm * stride
-	if cap(cs.prodTT) < need {
-		cs.prodTT = make([]F, need)
+	if cap(e.c.prodTT) < need {
+		e.c.prodTT = make([]float64, need)
 	}
-	prod := cs.prodTT[:need]
+	prod := e.c.prodTT[:need]
 	for ml := 0; ml < nm; ml++ {
 		for mr := 0; mr < nm; mr++ {
 			for c := 0; c < C; c++ {
-				l := (*[4]F)(a.tsL[(c*nm+ml)*4:])
-				r := (*[4]F)(a.tsR[(c*nm+mr)*4:])
-				dst := (*[4]F)(prod[(ml*nm+mr)*stride+c*4:])
+				l := (*[4]float64)(a.tsL[(c*nm+ml)*4:])
+				r := (*[4]float64)(a.tsR[(c*nm+mr)*4:])
+				dst := (*[4]float64)(prod[(ml*nm+mr)*stride+c*4:])
 				dst[0] = l[0] * r[0]
 				dst[1] = l[1] * r[1]
 				dst[2] = l[2] * r[2]
@@ -66,26 +66,26 @@ func (dnaKernels[F]) prepareNewview(e *Engine, cs *compute[F], a *nvArgs[F]) {
 	a.prodTT = prod
 }
 
-func (dnaKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
+func (dnaKernels) newview(e *Engine, a *nvArgs, lo, hi int) {
 	switch {
 	case a.tipL && a.tipR:
-		dnaNewviewTT(e, cs, a, lo, hi)
+		dnaNewviewTT(e, a, lo, hi)
 	case a.tipL:
-		dnaNewviewTI(e, cs, a, a.cl, a.tsL, a.cr, a.xr, a.pmR, a.scr, lo, hi)
+		dnaNewviewTI(e, a, a.cl, a.tsL, a.cr, a.xr, a.pmR, a.scr, lo, hi)
 	case a.tipR:
-		dnaNewviewTI(e, cs, a, a.cr, a.tsR, a.cl, a.xl, a.pmL, a.scl, lo, hi)
+		dnaNewviewTI(e, a, a.cr, a.tsR, a.cl, a.xl, a.pmL, a.scl, lo, hi)
 	default:
 		if e.nCat == 4 {
-			dnaNewviewII4(cs, a, lo, hi)
+			dnaNewviewII4(a, lo, hi)
 		} else {
-			dnaNewviewII(e, cs, a, lo, hi)
+			dnaNewviewII(e, a, lo, hi)
 		}
 	}
 }
 
 // dnaNewviewTT: both children are tips; the whole per-pattern inner
 // loop is one copy from the mask-pair product table plus the max scan.
-func dnaNewviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
+func dnaNewviewTT(e *Engine, a *nvArgs, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	stride := C * 4
 	prod, xp, scp := a.prodTT, a.xp, a.scp
@@ -94,20 +94,20 @@ func dnaNewviewTT[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) 
 		dst := xp[i*stride : i*stride+stride]
 		pair := (int(cl[i])*nm + int(cr[i])) * stride
 		copy(dst, prod[pair:pair+stride])
-		blockMax := F(0)
+		blockMax := 0.0
 		for _, v := range dst {
 			if v > blockMax {
 				blockMax = v
 			}
 		}
-		scaleTail(dst, scp, i, 0, blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(dst, scp, i, 0, blockMax)
 	}
 }
 
 // dnaNewviewTI: one tip child (mask codes tc + tip-sum table ts) and
 // one inner child (blocks xc of vector x across matrices pm, with
 // scales sc).
-func dnaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], tc []int32, ts []F, xc []int32, x, pm []F, sc []int32, lo, hi int) {
+func dnaNewviewTI(e *Engine, a *nvArgs, tc []int32, ts []float64, xc []int32, x, pm []float64, sc []int32, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	stride := C * 4
 	xp, scp := a.xp, a.scp
@@ -115,18 +115,18 @@ func dnaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], tc []int32, 
 		base := i * stride
 		xb := int(xc[i]) * stride
 		mi := int(tc[i]) * 4
-		blockMax := F(0)
+		blockMax := 0.0
 		for c := 0; c < C; c++ {
 			o := base + c*4
-			src := (*[4]F)(x[xb+c*4:])
-			p := (*[16]F)(pm[c*16:])
-			tb := (*[4]F)(ts[c*nm*4+mi:])
+			src := (*[4]float64)(x[xb+c*4:])
+			p := (*[16]float64)(pm[c*16:])
+			tb := (*[4]float64)(ts[c*nm*4+mi:])
 			x0, x1, x2, x3 := src[0], src[1], src[2], src[3]
 			r0 := p[0]*x0 + p[1]*x1 + p[2]*x2 + p[3]*x3
 			r1 := p[4]*x0 + p[5]*x1 + p[6]*x2 + p[7]*x3
 			r2 := p[8]*x0 + p[9]*x1 + p[10]*x2 + p[11]*x3
 			r3 := p[12]*x0 + p[13]*x1 + p[14]*x2 + p[15]*x3
-			dst := (*[4]F)(xp[o:])
+			dst := (*[4]float64)(xp[o:])
 			v0 := tb[0] * r0
 			dst[0] = v0
 			if v0 > blockMax {
@@ -148,13 +148,13 @@ func dnaNewviewTI[F Float](e *Engine, cs *compute[F], a *nvArgs[F], tc []int32, 
 				blockMax = v3
 			}
 		}
-		scaleTail(xp[base:base+stride], scp, i, sc[xc[i]], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, sc[xc[i]], blockMax)
 	}
 }
 
 // dnaNewviewIICat computes one category block of the inner×inner case:
 // dst = (pl · l) ⊙ (pr · r), returning the updated block maximum.
-func dnaNewviewIICat[F Float](pl, pr *[16]F, l, r, dst *[4]F, blockMax F) F {
+func dnaNewviewIICat(pl, pr *[16]float64, l, r, dst *[4]float64, blockMax float64) float64 {
 	l0, l1, l2, l3 := l[0], l[1], l[2], l[3]
 	r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
 	la0 := pl[0]*l0 + pl[1]*l1 + pl[2]*l2 + pl[3]*l3
@@ -189,7 +189,7 @@ func dnaNewviewIICat[F Float](pl, pr *[16]F, l, r, dst *[4]F, blockMax F) F {
 }
 
 // dnaNewviewII: both children inner, any category count.
-func dnaNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {
+func dnaNewviewII(e *Engine, a *nvArgs, lo, hi int) {
 	C := e.nCat
 	stride := C * 4
 	xl, xr, xp := a.xl, a.xr, a.xp
@@ -199,51 +199,51 @@ func dnaNewviewII[F Float](e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) 
 	for i := lo; i < hi; i++ {
 		l, r := int(cl[i]), int(cr[i])
 		base, lb, rb := i*stride, l*stride, r*stride
-		blockMax := F(0)
+		blockMax := 0.0
 		for c := 0; c < C; c++ {
 			o := c * 4
 			blockMax = dnaNewviewIICat(
-				(*[16]F)(pmL[c*16:]), (*[16]F)(pmR[c*16:]),
-				(*[4]F)(xl[lb+o:]), (*[4]F)(xr[rb+o:]), (*[4]F)(xp[base+o:]),
+				(*[16]float64)(pmL[c*16:]), (*[16]float64)(pmR[c*16:]),
+				(*[4]float64)(xl[lb+o:]), (*[4]float64)(xr[rb+o:]), (*[4]float64)(xp[base+o:]),
 				blockMax)
 		}
-		scaleTail(xp[base:base+stride], scp, i, scl[l]+scr[r], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		scaleTail(xp[base:base+stride], scp, i, scl[l]+scr[r], blockMax)
 	}
 }
 
 // dnaNewviewII4: the c=4 fast path — category loop unrolled, one
 // bounds check per pattern on each vector.
-func dnaNewviewII4[F Float](cs *compute[F], a *nvArgs[F], lo, hi int) {
+func dnaNewviewII4(a *nvArgs, lo, hi int) {
 	xl, xr, xp := a.xl, a.xr, a.xp
 	scl, scr, scp := a.scl, a.scr, a.scp
 	cl, cr := a.cl, a.cr
-	pl0 := (*[16]F)(a.pmL[0:])
-	pl1 := (*[16]F)(a.pmL[16:])
-	pl2 := (*[16]F)(a.pmL[32:])
-	pl3 := (*[16]F)(a.pmL[48:])
-	pr0 := (*[16]F)(a.pmR[0:])
-	pr1 := (*[16]F)(a.pmR[16:])
-	pr2 := (*[16]F)(a.pmR[32:])
-	pr3 := (*[16]F)(a.pmR[48:])
+	pl0 := (*[16]float64)(a.pmL[0:])
+	pl1 := (*[16]float64)(a.pmL[16:])
+	pl2 := (*[16]float64)(a.pmL[32:])
+	pl3 := (*[16]float64)(a.pmL[48:])
+	pr0 := (*[16]float64)(a.pmR[0:])
+	pr1 := (*[16]float64)(a.pmR[16:])
+	pr2 := (*[16]float64)(a.pmR[32:])
+	pr3 := (*[16]float64)(a.pmR[48:])
 	for i := lo; i < hi; i++ {
 		lc, rc := int(cl[i]), int(cr[i])
 		l := xl[lc*16 : lc*16+16]
 		r := xr[rc*16 : rc*16+16]
 		dst := xp[i*16 : i*16+16]
-		blockMax := dnaNewviewIICat(pl0, pr0, (*[4]F)(l[0:]), (*[4]F)(r[0:]), (*[4]F)(dst[0:]), F(0))
-		blockMax = dnaNewviewIICat(pl1, pr1, (*[4]F)(l[4:]), (*[4]F)(r[4:]), (*[4]F)(dst[4:]), blockMax)
-		blockMax = dnaNewviewIICat(pl2, pr2, (*[4]F)(l[8:]), (*[4]F)(r[8:]), (*[4]F)(dst[8:]), blockMax)
-		blockMax = dnaNewviewIICat(pl3, pr3, (*[4]F)(l[12:]), (*[4]F)(r[12:]), (*[4]F)(dst[12:]), blockMax)
-		scaleTail(dst, scp, i, scl[lc]+scr[rc], blockMax, cs.minLik, cs.scaleFac, cs.flush)
+		blockMax := dnaNewviewIICat(pl0, pr0, (*[4]float64)(l[0:]), (*[4]float64)(r[0:]), (*[4]float64)(dst[0:]), 0.0)
+		blockMax = dnaNewviewIICat(pl1, pr1, (*[4]float64)(l[4:]), (*[4]float64)(r[4:]), (*[4]float64)(dst[4:]), blockMax)
+		blockMax = dnaNewviewIICat(pl2, pr2, (*[4]float64)(l[8:]), (*[4]float64)(r[8:]), (*[4]float64)(dst[8:]), blockMax)
+		blockMax = dnaNewviewIICat(pl3, pr3, (*[4]float64)(l[12:]), (*[4]float64)(r[12:]), (*[4]float64)(dst[12:]), blockMax)
+		scaleTail(dst, scp, i, scl[lc]+scr[rc], blockMax)
 	}
 }
 
-func (dnaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi int) {
+func (dnaKernels) evaluate(e *Engine, a *evArgs, lo, hi int) {
 	C, nm := e.nCat, a.nm
 	stride := C * 4
-	freqs := cs.freqs
+	freqs := e.M.Freqs
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	catW := F(1) / F(C)
+	catW := 1 / float64(C)
 	xp, xq := a.xp, a.xq
 	scp, scq := a.scp, a.scq
 	cp, cq := a.cp, a.cq
@@ -258,62 +258,62 @@ func (dnaKernels[F]) evaluate(e *Engine, cs *compute[F], a *evArgs[F], lo, hi in
 			cnt += scq[q]
 		}
 		pb, qb := p*stride, q*stride
-		site := F(0)
+		site := 0.0
 		for c := 0; c < C; c++ {
 			o := c * 4
-			var r0, r1, r2, r3 F
+			var r0, r1, r2, r3 float64
 			if a.tipQ {
-				tb := (*[4]F)(a.tsQ[c*nm*4+q*4:])
+				tb := (*[4]float64)(a.tsQ[c*nm*4+q*4:])
 				r0, r1, r2, r3 = tb[0], tb[1], tb[2], tb[3]
 			} else {
-				src := (*[4]F)(xq[qb+o:])
-				p := (*[16]F)(a.pmQ[c*16:])
+				src := (*[4]float64)(xq[qb+o:])
+				p := (*[16]float64)(a.pmQ[c*16:])
 				x0, x1, x2, x3 := src[0], src[1], src[2], src[3]
 				r0 = p[0]*x0 + p[1]*x1 + p[2]*x2 + p[3]*x3
 				r1 = p[4]*x0 + p[5]*x1 + p[6]*x2 + p[7]*x3
 				r2 = p[8]*x0 + p[9]*x1 + p[10]*x2 + p[11]*x3
 				r3 = p[12]*x0 + p[13]*x1 + p[14]*x2 + p[15]*x3
 			}
-			var f F
+			var f float64
 			if a.tipP {
-				ind := (*[4]F)(cs.tipInd[p*4:])
+				ind := (*[4]float64)(e.tipInd[p*4:])
 				f = f0*ind[0]*r0 + f1*ind[1]*r1 + f2*ind[2]*r2 + f3*ind[3]*r3
 			} else {
-				src := (*[4]F)(xp[pb+o:])
+				src := (*[4]float64)(xp[pb+o:])
 				f = f0*src[0]*r0 + f1*src[1]*r1 + f2*src[2]*r2 + f3*src[3]*r3
 			}
 			site += f
 		}
 		site *= catW
-		contrib[i] = siteTerm(e, cs, i, site, cnt)
+		contrib[i] = siteTerm(e, i, site, cnt)
 	}
 }
 
-func (dnaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi int) {
+func (dnaKernels) sumTable(e *Engine, a *sumArgs, lo, hi int) {
 	C := e.nCat
 	stride := C * 4
-	freqs := cs.freqs
+	freqs := e.M.Freqs
 	fr0, fr1, fr2, fr3 := freqs[0], freqs[1], freqs[2], freqs[3]
-	ev := (*[16]F)(cs.evec)
-	iv := (*[16]F)(cs.ievec)
+	ev := (*[16]float64)(e.M.Evec)
+	iv := (*[16]float64)(e.M.Ievec)
 	xp, xq := a.xp, a.xq
 	cp, cq := a.cp, a.cq
-	sumTab := cs.sumTab
+	sumTab := e.c.sumTab
 	for i := lo; i < hi; i++ {
 		p, q := int(cp[i]), int(cq[i])
 		base, pb, qb := i*stride, p*stride, q*stride
 		for c := 0; c < C; c++ {
 			o := c * 4
-			var ls *[4]F
+			var ls *[4]float64
 			if a.tipP {
-				ls = (*[4]F)(cs.tipInd[p*4:])
+				ls = (*[4]float64)(e.tipInd[p*4:])
 			} else {
-				ls = (*[4]F)(xp[pb+o:])
+				ls = (*[4]float64)(xp[pb+o:])
 			}
 			// left_k = sum_s pi_s x_p[s] V[s][k], ascending s, preserving
 			// the generic kernel's w == 0 skip (eigenvectors can be
 			// negative, so accumulation starts at an explicit 0.0).
-			var L0, L1, L2, L3 F
+			var L0, L1, L2, L3 float64
 			if w := fr0 * ls[0]; w != 0 {
 				L0 += w * ev[0]
 				L1 += w * ev[1]
@@ -338,36 +338,36 @@ func (dnaKernels[F]) sumTable(e *Engine, cs *compute[F], a *sumArgs[F], lo, hi i
 				L2 += w * ev[14]
 				L3 += w * ev[15]
 			}
-			var rs *[4]F
+			var rs *[4]float64
 			if a.tipQ {
-				rs = (*[4]F)(cs.tipInd[q*4:])
+				rs = (*[4]float64)(e.tipInd[q*4:])
 			} else {
-				rs = (*[4]F)(xq[qb+o:])
+				rs = (*[4]float64)(xq[qb+o:])
 			}
 			x0, x1, x2, x3 := rs[0], rs[1], rs[2], rs[3]
 			// right_k = sum_j V^-1[k][j] x_q[j]; the ievec rows carry
 			// negative entries so each sum keeps its leading 0.0 term.
-			R0 := F(0)
+			R0 := 0.0
 			R0 += iv[0] * x0
 			R0 += iv[1] * x1
 			R0 += iv[2] * x2
 			R0 += iv[3] * x3
-			R1 := F(0)
+			R1 := 0.0
 			R1 += iv[4] * x0
 			R1 += iv[5] * x1
 			R1 += iv[6] * x2
 			R1 += iv[7] * x3
-			R2 := F(0)
+			R2 := 0.0
 			R2 += iv[8] * x0
 			R2 += iv[9] * x1
 			R2 += iv[10] * x2
 			R2 += iv[11] * x3
-			R3 := F(0)
+			R3 := 0.0
 			R3 += iv[12] * x0
 			R3 += iv[13] * x1
 			R3 += iv[14] * x2
 			R3 += iv[15] * x3
-			dst := (*[4]F)(sumTab[base+o:])
+			dst := (*[4]float64)(sumTab[base+o:])
 			dst[0] = L0 * R0
 			dst[1] = L1 * R1
 			dst[2] = L2 * R2

@@ -24,15 +24,15 @@ func bitsEq(a, b float64) bool {
 }
 
 // kernelPair builds two engines over independent topology clones and
-// providers at the given compute precision: one forced to the generic
-// kernels (the reference op order), one on the requested mode.
-func kernelPair(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model, mode, prec string) (gen, spec *Engine) {
+// providers: one forced to the generic kernels (the reference op order),
+// one on the requested mode.
+func kernelPair(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model, mode string) (gen, spec *Engine) {
 	t.Helper()
-	gen = newEngineP(t, tr.Clone(), pats, m, prec)
+	gen = newEngine(t, tr.Clone(), pats, m)
 	if err := gen.SetKernel(KernelGeneric); err != nil {
 		t.Fatal(err)
 	}
-	spec = newEngineP(t, tr.Clone(), pats, m, prec)
+	spec = newEngine(t, tr.Clone(), pats, m)
 	if err := spec.SetKernel(mode); err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +45,6 @@ func kernelPair(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model,
 // maps are the identity (it computes every pattern).
 func compareState(t *testing.T, gen, auto *Engine, tag string) {
 	t.Helper()
-	if gen.precision == PrecisionF32 {
-		compareStateF[float32](t, gen, auto, tag)
-	} else {
-		compareStateF[float64](t, gen, auto, tag)
-	}
-}
-
-// compareStateF is compareState at element type F.
-func compareStateF[F Float](t *testing.T, gen, auto *Engine, tag string) {
-	t.Helper()
 	stride := gen.nCat * gen.nStates
 	for vi := 0; vi < gen.T.NumInner(); vi++ {
 		// Only compare vectors both engines consider valid; stale slots
@@ -62,22 +52,21 @@ func compareStateF[F Float](t *testing.T, gen, auto *Engine, tag string) {
 		if gen.orient[vi+gen.T.NumTips] == nil || auto.orient[vi+auto.T.NumTips] == nil {
 			continue
 		}
-		cg, err := gen.prov.Vector(vi, false)
+		xg, err := gen.prov.Vector(vi, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, err := auto.prov.Vector(vi, false)
+		xa, err := auto.prov.Vector(vi, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xg, xa := vecView[F](cg, gen.vecLen), vecView[F](ca, auto.vecLen)
 		for j := 0; j < gen.nPat; j++ {
 			bg, ba := int(gen.cls[vi][j]), int(auto.cls[vi][j])
 			if bg != j {
 				t.Fatalf("%s: generic class map %d[%d] = %d, want the identity", tag, vi, j, bg)
 			}
 			for s := 0; s < stride; s++ {
-				g, a := float64(xg[bg*stride+s]), float64(xa[ba*stride+s])
+				g, a := xg[bg*stride+s], xa[ba*stride+s]
 				if !bitsEq(g, a) {
 					t.Fatalf("%s: vector %d pattern %d [%d]: generic %v (%x) vs %s %v (%x)",
 						tag, vi, j, s, g, math.Float64bits(g),
@@ -102,7 +91,6 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 		seeds int
 		sites int
 		mode  string
-		prec  string
 		want  string // expected specialised kernel name
 		// sim draws the alignment down its tree at the simulator's low
 		// divergence, so most sites repeat below most nodes (random
@@ -114,19 +102,16 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 		// is exercised.
 		overCap bool
 	}{
-		{bio.DNA, 1, 3, 300, KernelAuto, PrecisionF64, "dna4", false, false},
-		{bio.DNA, 4, 3, 300, KernelAuto, PrecisionF64, "dna4", false, false},
-		{bio.AA, 1, 1, 80, KernelAuto, PrecisionF64, "aa20", false, false},
-		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF64, "aa20", false, false},
-		{bio.DNA, 4, 1, 300, KernelAuto, PrecisionF32, "dna4", false, false},
-		{bio.AA, 4, 1, 80, KernelAuto, PrecisionF32, "aa20", false, false},
-		{bio.DNA, 4, 2, 400, KernelAuto, PrecisionF64, "dna4", true, false},
-		{bio.DNA, 4, 1, 400, KernelAuto, PrecisionF32, "dna4", true, false},
-		{bio.AA, 4, 1, 600, KernelAuto, PrecisionF64, "aa20", false, true},
+		{bio.DNA, 1, 3, 300, KernelAuto, "dna4", false, false},
+		{bio.DNA, 4, 3, 300, KernelAuto, "dna4", false, false},
+		{bio.AA, 1, 1, 80, KernelAuto, "aa20", false, false},
+		{bio.AA, 4, 1, 80, KernelAuto, "aa20", false, false},
+		{bio.DNA, 4, 2, 400, KernelAuto, "dna4", true, false},
+		{bio.AA, 4, 1, 600, KernelAuto, "aa20", false, true},
 	}
 	for _, tc := range cases {
 		tc := tc
-		name := fmt.Sprintf("%v_c%d_%s_%s", tc.dtype, tc.ncat, tc.want, tc.prec)
+		name := fmt.Sprintf("%v_c%d_%s_f64", tc.dtype, tc.ncat, tc.want)
 		if tc.sim {
 			name += "_sim"
 		}
@@ -156,7 +141,7 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 				if err := m.SetGamma(0.3+1.5*rng.Float64(), tc.ncat); err != nil {
 					t.Fatal(err)
 				}
-				gen, auto := kernelPair(t, tr, pats, m, tc.mode, tc.prec)
+				gen, auto := kernelPair(t, tr, pats, m, tc.mode)
 				if auto.KernelName() != tc.want {
 					t.Fatalf("mode %s selected kernel %q, want %q", tc.mode, auto.KernelName(), tc.want)
 				}
@@ -252,12 +237,9 @@ func passesPairCap(e *Engine, edge *tree.Edge) bool {
 // prefetching) above ChecksumStore(MemStore). The checksum layer is
 // returned: it refuses a record read at any length but its own, so a
 // test can require that none was.
-func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model, prec string) (*Engine, *ooc.Manager, *ooc.ChecksumStore) {
+func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) (*Engine, *ooc.Manager, *ooc.ChecksumStore) {
 	t.Helper()
-	cl, err := CarrierLength(m, pats.NumPatterns(), prec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := VectorLength(m, pats.NumPatterns())
 	n := tr.NumInner()
 	cs, err := ooc.NewChecksumStore(ooc.NewMemStore(n, cl), "", n, cl)
 	if err != nil {
@@ -270,7 +252,7 @@ func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewWithPrecision(tr, pats, m, mgr, prec)
+	e, err := New(tr, pats, m, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,17 +270,14 @@ func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model
 // under auto, full width under generic — are read back under the other.
 func TestSetKernelSwitchMidRun(t *testing.T) {
 	for _, tc := range []struct {
-		aa   bool
-		prec string
-		ooc  bool
+		aa  bool
+		ooc bool
 	}{
-		{false, PrecisionF64, false},
-		{false, PrecisionF32, false},
-		{true, PrecisionF64, false},
-		{false, PrecisionF64, true},
-		{false, PrecisionF32, true},
+		{false, false},
+		{true, false},
+		{false, true},
 	} {
-		name := fmt.Sprintf("aa=%v_%s", tc.aa, tc.prec)
+		name := fmt.Sprintf("aa=%v_f64", tc.aa)
 		if tc.ooc {
 			name += "_ooc"
 		}
@@ -311,11 +290,11 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, sw := kernelPair(t, ds.Tree, ds.Patterns, ds.Model, KernelAuto, tc.prec)
+			ref, sw := kernelPair(t, ds.Tree, ds.Patterns, ds.Model, KernelAuto)
 			var mgr *ooc.Manager
 			var cs *ooc.ChecksumStore
 			if tc.ooc {
-				sw, mgr, cs = asyncEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model, tc.prec)
+				sw, mgr, cs = asyncEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model)
 			}
 			rng := rand.New(rand.NewSource(12))
 			mixed := false
@@ -352,11 +331,7 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 								tag, or, ref.T.Edges[ei].Length, os, sw.T.Edges[ei].Length)
 						}
 					}
-					if tc.prec == PrecisionF32 {
-						compareStateF[float32](t, ref, sw, tag)
-					} else {
-						compareStateF[float64](t, ref, sw, tag)
-					}
+					compareState(t, ref, sw, tag)
 				}
 				// The run must really mix: a generic phase that computed
 				// something while vectors auto classified (fewer classes
@@ -376,11 +351,11 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 				if err := mgr.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				st, carrier := mgr.Stats(), int64(mgr.VectorLen())*8
+				st, slot := mgr.Stats(), int64(mgr.VectorLen())*8
 				if cs.CorruptReads() != 0 || sw.Stats.Recoveries != 0 {
 					t.Errorf("%d reads failed verification, %d recoveries", cs.CorruptReads(), sw.Stats.Recoveries)
 				}
-				if st.Reads == 0 || st.BytesWritten >= st.Writes*carrier {
+				if st.Reads == 0 || st.BytesWritten >= st.Writes*slot {
 					t.Errorf("want records read back and some shorter than the slot: %+v", st)
 				}
 			}
@@ -402,7 +377,7 @@ func TestKernelDifferentialInvariant(t *testing.T) {
 	if err := m.SetInvariant(0.3); err != nil {
 		t.Fatal(err)
 	}
-	gen, auto := kernelPair(t, tr, pats, m, KernelAuto, PrecisionF64)
+	gen, auto := kernelPair(t, tr, pats, m, KernelAuto)
 	lg, err := gen.LogLikelihood()
 	if err != nil {
 		t.Fatal(err)
@@ -419,23 +394,18 @@ func TestKernelDifferentialInvariant(t *testing.T) {
 // TestKernelDifferentialOOC runs the specialised kernels over
 // synchronous and asynchronous out-of-core managers with multiple
 // workers (exercising the worker pool under -race) and requires the
-// same bits the in-memory generic reference produces — per data type
-// and per compute precision. The f32 rows double as the end-to-end
-// proof that f32 sync and f32 async runs are bit-identical.
+// same bits the in-memory generic reference produces, per data type.
 func TestKernelDifferentialOOC(t *testing.T) {
 	cases := []struct {
 		dtype bio.DataType
 		sites int
-		prec  string
 	}{
-		{bio.DNA, 1500, PrecisionF64},
-		{bio.AA, 400, PrecisionF64},
-		{bio.DNA, 1500, PrecisionF32},
-		{bio.AA, 400, PrecisionF32},
+		{bio.DNA, 1500},
+		{bio.AA, 400},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("%v_%s", tc.dtype, tc.prec), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%v_f64", tc.dtype), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			names := tipNames(20)
 			tr, err := tree.RandomTopology(names, rng, 0.02, 0.5)
@@ -459,16 +429,13 @@ func TestKernelDifferentialOOC(t *testing.T) {
 				return lnl, opt, edge.Length
 			}
 
-			ref := newEngineP(t, tr.Clone(), pats, m, tc.prec)
+			ref := newEngine(t, tr.Clone(), pats, m)
 			if err := ref.SetKernel(KernelGeneric); err != nil {
 				t.Fatal(err)
 			}
 			wantLnl, wantOpt, wantLen := run(ref)
 
-			vecLen, err := CarrierLength(m, pats.NumPatterns(), tc.prec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			vecLen := VectorLength(m, pats.NumPatterns())
 			n := tr.NumInner()
 			for _, async := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
@@ -484,7 +451,7 @@ func TestKernelDifferentialOOC(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e, err := NewWithPrecision(tr.Clone(), pats, m, mgr, tc.prec)
+					e, err := New(tr.Clone(), pats, m, mgr)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -561,7 +528,7 @@ func TestKernelAutoSelection(t *testing.T) {
 	// auto specialises exactly the two alphabets internal/bio has; every
 	// other state count runs the generic loops.
 	for k, want := range map[int]string{2: "generic", 4: "dna4", 5: "generic", 20: "aa20", 61: "generic"} {
-		ks, err := selectKernelSet[float64](KernelAuto, k)
+		ks, err := selectKernelSet(KernelAuto, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,6 @@ import "math"
 // KernelGeneric so the legacy baseline stays byte-for-byte intact.
 // PMatrices is deterministic in (model, t), so a cached matrix is
 // bit-identical to a rebuilt one and the cache cannot perturb results.
-// The cache lives on the precision-typed compute state: in f32 mode it
-// stores converted matrices, so the double→single rounding happens once
-// per distinct branch length, not once per step.
 
 // pcacheCap bounds the entry count. A full cache is dropped wholesale:
 // O(1), and the small working set of a search round refills in a few
@@ -26,44 +23,30 @@ const pcacheCap = 512
 // pcEntry is one cached branch length: the per-category transition
 // matrices and, built lazily on first tip use, the tip-sum table
 // derived from them.
-type pcEntry[F Float] struct {
-	pmats  []F // nCat × k²
-	tipSum []F // nCat × nm × k, nil until needed
+type pcEntry struct {
+	pmats  []float64 // nCat × k²
+	tipSum []float64 // nCat × nm × k, nil until needed
 }
 
 // pcache maps branch-length bit patterns to entries built under one
 // model version.
-type pcache[F Float] struct {
-	entries map[uint64]*pcEntry[F]
+type pcache struct {
+	entries map[uint64]*pcEntry
 	version uint64
 }
 
-func newPCache[F Float]() *pcache[F] {
-	return &pcache[F]{entries: make(map[uint64]*pcEntry[F], 64)}
-}
-
-// fillPmats computes the per-category transition matrices for branch
-// length t into dst in precision F: directly for float64, staged
-// through the compute's float64 scratch and converted for float32.
-func fillPmats[F Float](e *Engine, cs *compute[F], dst []F, t float64) {
-	if d, ok := any(dst).([]float64); ok {
-		e.M.PMatrices(d, t)
-		return
-	}
-	e.M.PMatrices(cs.pTmp, t)
-	for i, v := range cs.pTmp {
-		dst[i] = F(v)
-	}
+func newPCache() *pcache {
+	return &pcache{entries: make(map[uint64]*pcEntry, 64)}
 }
 
 // pmatsFor returns the transition matrices for branch length t: from
 // the cache when enabled (allocating and filling a new entry on miss),
 // otherwise by filling scratch exactly as the legacy path did. The
 // returned entry is nil when the cache is off.
-func pmatsFor[F Float](e *Engine, cs *compute[F], t float64, scratch []F) ([]F, *pcEntry[F]) {
-	c := cs.pcache
+func pmatsFor(e *Engine, t float64, scratch []float64) ([]float64, *pcEntry) {
+	c := e.c.pcache
 	if c == nil {
-		fillPmats(e, cs, scratch, t)
+		e.M.PMatrices(scratch, t)
 		return scratch, nil
 	}
 	if v := e.M.Version(); c.version != v {
@@ -81,7 +64,7 @@ func pmatsFor[F Float](e *Engine, cs *compute[F], t float64, scratch []F) ([]F, 
 		t = 0
 	}
 	if math.IsInf(t, 0) || math.IsNaN(t) {
-		fillPmats(e, cs, scratch, t)
+		e.M.PMatrices(scratch, t)
 		return scratch, nil
 	}
 	key := math.Float64bits(t)
@@ -97,22 +80,22 @@ func pmatsFor[F Float](e *Engine, cs *compute[F], t float64, scratch []F) ([]F, 
 		e.Stats.PCacheDrops++
 		e.eobs.pcDrops.Inc()
 	}
-	ent := &pcEntry[F]{pmats: make([]F, e.nCat*e.nStates*e.nStates)}
-	fillPmats(e, cs, ent.pmats, t)
+	ent := &pcEntry{pmats: make([]float64, e.nCat*e.nStates*e.nStates)}
+	e.M.PMatrices(ent.pmats, t)
 	c.entries[key] = ent
 	return ent.pmats, ent
 }
 
 // tipSumFor returns the tip-sum table for the given matrices, cached on
 // ent when available, otherwise built into scratch (legacy path).
-func tipSumFor[F Float](e *Engine, cs *compute[F], ent *pcEntry[F], pmats, scratch []F) []F {
+func tipSumFor(e *Engine, ent *pcEntry, pmats, scratch []float64) []float64 {
 	if ent == nil {
-		buildTipSum(e, cs, scratch, pmats)
+		buildTipSum(e, scratch, pmats)
 		return scratch
 	}
 	if ent.tipSum == nil {
-		ts := make([]F, e.nCat*len(e.maskList)*e.nStates)
-		buildTipSum(e, cs, ts, ent.pmats)
+		ts := make([]float64, e.nCat*len(e.maskList)*e.nStates)
+		buildTipSum(e, ts, ent.pmats)
 		ent.tipSum = ts
 	}
 	return ent.tipSum

@@ -7,23 +7,18 @@
 // the out-of-core manager writes it at eviction and reads exactly it
 // back. The engine knows the length and the manager does not, and the
 // only thing that passes between them is the slot itself. So the engine
-// stamps the length into the slot's last carrier word, which a prefix
-// never reaches, and the manager decodes it at write-back.
+// stamps the length into the slot's last word, which a prefix never
+// reaches, and the manager decodes it at write-back.
 //
-// The marker is a float64 NaN whose two 32-bit halves are each a
-// float32 NaN. A full vector carries data in that word: a finite
-// float64 entry, a pair of finite float32 entries, or a finite float32
-// entry beside the 4 padding bytes of an odd-length float32 vector. None
-// of these can equal the marker, whatever the padding holds, because the
-// marker's low half is not a finite float32. So a full vector never
-// decodes as a prefix.
+// The marker is a float64 NaN. A full vector carries data in that word,
+// a finite likelihood entry, which can never equal it. So a full vector
+// never decodes as a prefix.
 package record
 
 import "math"
 
-// The marker word: high half 0x7FF8_0000 | n>>22 (a quiet float64 NaN,
-// also a float32 NaN), low half 0x7FC0_0000 | n&(2²²−1) (a quiet
-// float32 NaN), so lengths below 2⁴¹ carrier words fit.
+// The marker word: high half 0x7FF8_0000 | n>>22 (a quiet float64 NaN),
+// low half 0x7FC0_0000 | n&(2²²−1), so lengths below 2⁴¹ words fit.
 const (
 	tag     = 0x7FF8_0000_7FC0_0000
 	tagMask = 0xFFF8_0000_FFC0_0000
@@ -32,7 +27,7 @@ const (
 	hiMask  = 1<<19 - 1
 )
 
-// Stamp marks v as a record of its first n carrier words by writing the
+// Stamp marks v as a record of its first n words by writing the
 // marker into v's last word. It requires 0 < n < len(v).
 func Stamp(v []float64, n int) {
 	u := uint64(n)

@@ -15,7 +15,6 @@ import (
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
-	"oocphylo/internal/plf"
 )
 
 // TestServiceRemoteStoreParkRevive pins the tiered-storage revive
@@ -211,56 +210,6 @@ func TestServiceRemoteStoreNamespace(t *testing.T) {
 	}
 	if got := rsrv.Size("plf.ns.vec"); got <= 0 {
 		t.Fatalf("namespaced remote object empty after park: %d bytes", got)
-	}
-}
-
-// TestServiceRemoteReviveAtOtherPrecision: nothing of a parked session's
-// vectors is reinterpreted on revive — they are recomputed — so a
-// session parked at f64 and revived at f32 is just an f32 run: it
-// answers, bit-identically to a fresh f32 session over the same tree.
-func TestServiceRemoteReviveAtOtherPrecision(t *testing.T) {
-	dir := t.TempDir()
-	alnPath, _, need := writeTestAlignment(t, dir, 20, 300, 23)
-	rsrv, err := remote.NewServer(remote.ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsrv.Close()
-	srv := newTestServer(t, ServerConfig{DataDir: filepath.Join(dir, "data"), StoreURL: "remote://" + rsrv.Addr()})
-	cfg := baseSession("prec", alnPath)
-	cfg.MemLimit = need / 4 // out of core at f32's half-size vectors too
-	ses, err := srv.CreateSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil {
-		t.Fatal(err)
-	}
-	newick, err := ses.Tree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.ParkSession("prec"); err != nil {
-		t.Fatal(err)
-	}
-
-	ses.cfg.Precision = plf.PrecisionF32 // the session is parked: nothing reads cfg until the revive below
-	got, err := ses.Evaluate(EvalSpec{Edge: 1})
-	if err != nil {
-		t.Fatalf("revive at the other precision: %v", err)
-	}
-	fresh := baseSession("fresh32", alnPath)
-	fresh.MemLimit, fresh.Precision, fresh.Newick = cfg.MemLimit, plf.PrecisionF32, newick
-	fses, err := srv.CreateSession(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fses.Evaluate(EvalSpec{Edge: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LnLBits != want.LnLBits {
-		t.Errorf("f64 park revived at f32: %s, fresh f32 session: %s", got.LnLBits, want.LnLBits)
 	}
 }
 

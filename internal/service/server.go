@@ -675,9 +675,15 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorReply{Error: err.Error()})
 }
 
+// handleCreate decodes strictly: a misspelt or retired field would
+// otherwise leave its setting silently at the default (a misspelt
+// mem_limit is an in-RAM run), so it is a 400 naming the field. The
+// other request decoders, and adoptParked's, stay lenient.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg SessionConfig
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		s.writeErr(w, fmt.Errorf("service: bad session config: %w", err))
 		return
 	}

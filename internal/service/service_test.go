@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +16,7 @@ import (
 
 	"oocphylo/internal/analysis"
 	"oocphylo/internal/bio"
+	"oocphylo/internal/checkpoint"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
@@ -46,11 +50,7 @@ func writeTestAlignment(t *testing.T, dir string, taxa, sites int, seed int64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecLen, err := plf.CarrierLength(in.Model, pats.NumPatterns(), plf.PrecisionF64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecBytes = int64(vecLen) * 8
+	vecBytes = int64(plf.VectorLength(in.Model, pats.NumPatterns())) * 8
 	need = int64(d.Tree.NumInner()) * vecBytes
 	return path, vecBytes, need
 }
@@ -300,6 +300,87 @@ func TestServiceRestartAdoptsParkedSessions(t *testing.T) {
 	}
 	if after.LnLBits != before.LnLBits {
 		t.Errorf("restart changed the likelihood: %s -> %s", before.LnLBits, after.LnLBits)
+	}
+}
+
+// TestServiceCreateRejectsUnknownFields: a session document with a
+// field the daemon does not know — a misspelt key, or the retired
+// "precision" — is refused with a 400 that names it, instead of
+// running with that setting at its default. A session parked by an
+// older binary whose stored config still carries "precision" revives.
+func TestServiceCreateRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, _, need := writeTestAlignment(t, dir, 9, 250, 5)
+	srv1, err := NewServer(ServerConfig{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv1.Handler())
+	defer hs.Close()
+	create := func(doc string) (int, string) {
+		resp, err := http.Post(hs.URL+"/v1/sessions", "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	doc := func(name, extra string) string {
+		return fmt.Sprintf(`{"name":%q,"path":%q,"model":"GTR","alpha":1,"cats":4%s}`, name, alnPath, extra)
+	}
+	for _, field := range []string{"mem_limt", "precision"} {
+		code, body := create(doc("bad", fmt.Sprintf(`,%q:%d`, field, need/2)))
+		if code != http.StatusBadRequest || !strings.Contains(body, field) {
+			t.Errorf("unknown field %q: %d %s, want 400 naming it", field, code, body)
+		}
+	}
+	if _, ok := srv1.Session("bad"); ok {
+		t.Fatal("a refused document created a session")
+	}
+	if code, body := create(doc("keep", fmt.Sprintf(`,"mem_limit":%d`, need/2))); code != http.StatusCreated {
+		t.Fatalf("well-formed document: %d %s", code, body)
+	}
+	ses, _ := srv1.Session("keep")
+	before, err := ses.Evaluate(EvalSpec{Edge: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv1.Close(); err != nil { // Close parks everything
+		t.Fatalf("close: %v", err)
+	}
+
+	// Rewrite the parked config as an older binary stored it.
+	path := filepath.Join(dir, "keep.ckpt")
+	ck, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored map[string]any
+	if err := json.Unmarshal([]byte(ck.Meta["service.config"]), &stored); err != nil {
+		t.Fatal(err)
+	}
+	stored["precision"] = "f64"
+	old, err := json.Marshal(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Meta["service.config"] = string(old)
+	if err := checkpoint.Save(path, ck); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := newTestServer(t, ServerConfig{DataDir: dir})
+	ses2, ok := srv2.Session("keep")
+	if !ok {
+		t.Fatal("session parked with a retired field not adopted")
+	}
+	after, err := ses2.Evaluate(EvalSpec{Edge: 0})
+	if err != nil {
+		t.Fatalf("evaluate after restart: %v", err)
+	}
+	if after.LnLBits != before.LnLBits {
+		t.Errorf("revive changed the likelihood: %s -> %s", before.LnLBits, after.LnLBits)
 	}
 }
 
