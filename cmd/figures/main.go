@@ -126,11 +126,11 @@ func run(args []string) error {
 		if *full {
 			acfg.Taxa, acfg.Sites = 256, 2048
 		}
-		rows, err := experiments.RunAsyncAblation(acfg)
+		row, err := experiments.RunAsyncAblation(acfg)
 		if err != nil {
 			return err
 		}
-		experiments.WriteAsyncAblationTable(out, rows, acfg)
+		experiments.WriteAsyncAblationTable(out, row, acfg)
 		fmt.Fprintln(out)
 	}
 	if want("kernels") {

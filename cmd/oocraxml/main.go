@@ -2,7 +2,11 @@
 // alignment (relaxed PHYLIP or FASTA) and runs a Maximum-Likelihood
 // analysis whose ancestral probability vectors live either fully in RAM
 // (the standard implementation) or behind the out-of-core manager with
-// a hard memory limit — the paper's -L flag.
+// a hard memory limit — the paper's -L flag. An out-of-core run moves
+// its vector I/O onto background goroutines, staging the traversal
+// plan's next reads one step ahead (the paper's §5 prefetch thread);
+// -L pays for the pipeline's spare write buffers before it buys slots,
+// and the answer is bit-identical to the paper's synchronous manager.
 //
 // Modes (-f, following the paper's modified RAxML):
 //
@@ -32,7 +36,7 @@
 // instruments every layer. -http ADDR additionally serves the live
 // debug endpoint while the run is in flight:
 //
-//	oocraxml -s data.phy -f z -k 100 -L 50000000 -async -http 127.0.0.1:8080 -stats
+//	oocraxml -s data.phy -f z -k 100 -L 50000000 -http 127.0.0.1:8080 -stats
 //	curl localhost:8080/debug/vars    # JSON metrics snapshot
 //	curl localhost:8080/debug/report  # the same report -stats prints
 //	curl localhost:8080/debug/trace   # Chrome trace: compute and I/O worker lanes
@@ -119,10 +123,6 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.BoolVar(&how.NoReadSkipping, "no-read-skipping", false, "disable the read-skipping optimisation")
 	fs.IntVar(&o.sprRadius, "radius", 5, "lazy-SPR rearrangement radius")
 	fs.IntVar(&o.rounds, "rounds", 10, "maximum SPR improvement rounds")
-	fs.BoolVar(&how.Prefetch, "prefetch", false, "enable plan-driven vector prefetching (out-of-core runs)")
-	fs.BoolVar(&how.Async, "async", false, "run out-of-core I/O on background goroutines (implies -prefetch); results are bit-identical to synchronous runs")
-	fs.IntVar(&how.IOWorkers, "io-workers", 2, "background fetch goroutines for -async")
-	fs.IntVar(&how.PrefetchDepth, "prefetch-depth", 1, "traversal-plan steps to stage ahead (depth > 1 pays off with -async)")
 	fs.BoolVar(&o.optModel, "optimize-model", false, "also optimise GTR exchangeabilities (search/evaluate modes)")
 	fs.IntVar(&o.bootstraps, "bootstrap", 0, "bootstrap replicates; annotates the result tree with support values")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable checkpoint here after every search round")
@@ -499,15 +499,6 @@ func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *a
 	slots := r.Manager.Slots()
 	fmt.Fprintf(out, "Out-of-core: %d of %d vectors in RAM (%.1f%%), strategy %s, %s\n",
 		slots, n, 100*float64(slots)/float64(n), r.Strategy.Name(), where)
-	if how.Async {
-		// Report the effective values: the manager and engine clamp
-		// non-positive worker counts and depths to their defaults.
-		workers := how.IOWorkers
-		if workers <= 0 {
-			workers = 2
-		}
-		fmt.Fprintf(out, "Async pipeline: %d fetch workers, prefetch depth %d\n", workers, max(how.PrefetchDepth, 1))
-	}
 	if how.Stack.Verify {
 		fmt.Fprintf(out, "Integrity: per-vector CRC-32C verified on every read, %d I/O retries\n", how.Retries)
 	}

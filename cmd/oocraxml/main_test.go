@@ -71,7 +71,7 @@ func TestSearchModeInMemory(t *testing.T) {
 func TestTraversalModeOutOfCore(t *testing.T) {
 	phy, nwk := writeTestData(t)
 	out, err := capture(t, "-s", phy, "-t", nwk, "-f", "z", "-k", "3",
-		"-L", "5000", "-strategy", "random", "-stats", "-prefetch")
+		"-L", "5000", "-strategy", "random", "-stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +360,12 @@ func lnlLine(t *testing.T, out string) string {
 func TestReportFlagConsolidated(t *testing.T) {
 	phy, nwk := writeTestData(t)
 	out, err := capture(t, "-s", phy, "-t", nwk, "-f", "z", "-k", "2",
-		"-L", "5000", "-strategy", "lru", "-async", "-stats")
+		"-L", "5000", "-strategy", "lru", "-stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The consolidated report keeps the legacy headline lines and adds
-	// the per-layer registry sections, pipeline included for -async.
+	// the per-layer registry sections, the pipeline's included.
 	for _, want := range []string{
 		"Engine:", "Kernels:", "Out-of-core:",
 		"[likelihood engine]", "[out-of-core manager]", "[async I/O pipeline]",
@@ -399,7 +399,7 @@ func TestHTTPFlag(t *testing.T) {
 }
 
 // TestHTTPEndpointLive curls /debug/vars and /debug/trace while an
-// async run is in flight: the server comes up before the alignment
+// out-of-core run is in flight: the server comes up before the alignment
 // loads, so polling from a second goroutine observes it as long as the
 // workload runs for a few milliseconds. The trace must show the run's
 // fault-ins on the compute row and background fetches on a worker's
@@ -416,7 +416,7 @@ func TestHTTPEndpointLive(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"-s", phy, "-t", nwk, "-f", "z", "-k", "2000",
-			"-L", fmt.Sprint(memLimit), "-strategy", "lru", "-async", "-http", "127.0.0.1:0"}, f)
+			"-L", fmt.Sprint(memLimit), "-strategy", "lru", "-http", "127.0.0.1:0"}, f)
 	}()
 	get := func(url string) []byte {
 		resp, err := http.Get(url)

@@ -46,10 +46,7 @@ func run(skip, prefetch, async bool, workload string) (ooc.Stats, ooc.PipelineSt
 	if err != nil {
 		log.Fatal(err)
 	}
-	if prefetch {
-		engine.EnablePrefetch(true)
-		engine.SetPrefetchDepth(2)
-	}
+	engine.EnablePrefetch(prefetch)
 	var lnl float64
 	switch workload {
 	case "traversals":

@@ -59,9 +59,10 @@ func openFilesUnder(dir string) []string {
 // TestOpen is the seam's table: where the vectors live × whether the
 // run is fresh or resumed from a checkpoint over the files an earlier
 // run left (a caller-built Base medium — the experiments' MemStore and
-// SimStore, opened async here — is fresh only: it does not outlive its
-// process). It pins the provider kind, the slot count the grant buys
-// (store overhead charged), the watchdog, that a resume opens fresh
+// SimStore, opened Sync here — is fresh only: it does not outlive its
+// process). It pins the provider kind, the manager (pipelined by
+// default, not under Sync), the slot count the grant buys (store
+// overhead and spare buffers charged), the watchdog, that a resume opens fresh
 // stores over the leftovers and lands bit-identical, that only the
 // vector/cache file and the checkpoint ever exist, and
 // that Close releases every file and removes exactly the temps the run
@@ -101,15 +102,21 @@ func TestOpen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The default is the product's pipelined manager; a Base
+				// medium is opened Sync, as the paper-faithful arms open it.
+				opts.Sync = base
+				var spares int64
 				if medium != "ram" {
 					full, err := Size(spec, in)
 					if err != nil {
 						t.Fatal(err)
 					}
-					spec.MemLimit = 5*full.VecBytes + full.VecBytes/2
+					if !opts.Sync {
+						spares = ooc.PipelineBytes(full.VecLen)
+					}
+					spec.MemLimit = 5*full.VecBytes + full.VecBytes/2 + spares
 					if base {
 						opts.Stack.Base = ooc.NewMemStore(full.NumVectors, full.VecLen)
-						opts.Async = true
 					}
 					if medium == "sim" {
 						opts.Stack.Base = ooc.NewSimStore(opts.Stack.Base, iosim.HDD(), &simClock)
@@ -173,8 +180,9 @@ func TestOpen(t *testing.T) {
 					// Every store keeps only a few bytes per vector (the
 					// checksum table; a tier's placement maps — it owns no
 					// vector-sized buffer), so under any medium the quota
-					// buys its five vectors.
-					if ov := r.Manager.MemOverheadBytes(); ov >= sz.VecBytes/2 || r.Manager.Slots() != 5 {
+					// buys its five vectors once the pipeline's spare
+					// buffers are paid for.
+					if ov := r.Manager.MemOverheadBytes() - spares; ov < 0 || ov >= sz.VecBytes/2 || r.Manager.Slots() != 5 {
 						t.Errorf("%d slots with %d B store overhead, want 5", r.Manager.Slots(), ov)
 					}
 				}
@@ -185,12 +193,15 @@ func TestOpen(t *testing.T) {
 				if resumed && math.Float64bits(lnl) != wantBits {
 					t.Errorf("resumed lnL %016x, checkpointed run %016x", math.Float64bits(lnl), wantBits)
 				}
-				if base {
-					// Async implies prefetch, and Base is the medium the
-					// vectors actually went to.
-					if pf := r.Manager.PrefetchStats(); !r.Manager.PipelineStats().Enabled || pf.Issued == 0 {
-						t.Errorf("async run staged nothing: %+v", pf)
+				if hasMgr {
+					// Pipelined means one-step prefetch; Sync stages nothing.
+					pf, on := r.Manager.PrefetchStats(), r.Manager.PipelineStats().Enabled
+					if on == opts.Sync || (pf.Issued > 0) == opts.Sync {
+						t.Errorf("sync %t: pipeline enabled %t, prefetch %+v", opts.Sync, on, pf)
 					}
+				}
+				if base {
+					// Base is the medium the vectors actually went to.
 					if w := r.Manager.Stats().Writes; w == 0 || (medium == "sim") != (simClock.Elapsed() > 0) {
 						t.Errorf("%d write-backs, simulated device time %v", w, simClock.Elapsed())
 					}
@@ -368,12 +379,12 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 		opts   Options
 		strict bool
 	}{
-		{"sync", Options{}, true},
-		{"async+prefetch", Options{Async: true, PrefetchDepth: 3}, true},
-		{"sync+faults", Options{Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
-		{"async+prefetch+faults", Options{Async: true, PrefetchDepth: 3, Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
-		{"sync, no read skipping", Options{NoReadSkipping: true}, false},
-		{"async+prefetch, no read skipping", Options{NoReadSkipping: true, Async: true, PrefetchDepth: 3}, false},
+		{"sync", Options{Sync: true}, true},
+		{"async+prefetch", Options{}, true},
+		{"sync+faults", Options{Sync: true, Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
+		{"async+prefetch+faults", Options{Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
+		{"sync, no read skipping", Options{Sync: true, NoReadSkipping: true}, false},
+		{"async+prefetch, no read skipping", Options{NoReadSkipping: true}, false},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			guard := newGuardStore(full.NumVectors, full.VecLen, arm.strict)
@@ -396,6 +407,57 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenChargesPipelineToQuota: -L holds for the whole manager. A
+// pipelined run opened above the MinSlots floor keeps its slot pool,
+// its spare write buffers and its store's heap inside the quota, buys
+// every slot that fits, and reports the same charge to Resize.
+func TestOpenChargesPipelineToQuota(t *testing.T) {
+	spec := testSpec(t, 24, 300, 11)
+	_, pats, err := Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Build(spec, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Size(spec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, verify := range []bool{false, true} {
+		spec.MemLimit = full.Need / 2
+		sz, err := Size(spec, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(spec, Options{Stack: ooc.StackSpec{Verify: verify}}, in, sz, sz.Quota)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := r.Manager
+		overhead := ooc.PipelineBytes(sz.VecLen) + ooc.StoreMemOverhead(r.Stack.Store)
+		used := int64(m.Slots())*sz.VecBytes + overhead
+		switch {
+		case !m.PipelineStats().Enabled || m.Slots() <= ooc.MinSlots:
+			t.Errorf("verify %t: want a pipelined run above the floor, got %d slots", verify, m.Slots())
+		case used > sz.Quota:
+			t.Errorf("verify %t: %d slots of %d B + %d B overhead = %d B > quota %d B",
+				verify, m.Slots(), sz.VecBytes, overhead, used, sz.Quota)
+		case used+sz.VecBytes <= sz.Quota:
+			t.Errorf("verify %t: %d B of the quota left unused, a whole vector", verify, sz.Quota-used)
+		case m.MemOverheadBytes() != overhead:
+			t.Errorf("verify %t: manager reports %d B overhead, Open charged %d B", verify, m.MemOverheadBytes(), overhead)
+		}
+		if changed, err := r.Resize(sz.Quota); changed || err != nil {
+			t.Errorf("verify %t: resizing to the grant Open used moved the pool (%v)", verify, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

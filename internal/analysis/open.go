@@ -87,11 +87,18 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 			return r, err
 		}
 		r.Stack = st
+		// The grant pays for the store's heap and the pipeline's spare
+		// buffers first, the same charge Manager.MemOverheadBytes reports
+		// to Resize and the watchdog once the manager exists.
+		overhead := ooc.StoreMemOverhead(st.Store)
+		if !opts.Sync {
+			overhead += ooc.PipelineBytes(sz.VecLen)
+		}
 		r.Manager, err = ooc.NewManager(ooc.Config{
 			NumVectors: n, VectorLen: sz.VecLen,
-			Slots:    ooc.SlotsForBytes(grant, ooc.StoreMemOverhead(st.Store), sz.VecBytes, n),
+			Slots:    ooc.SlotsForBytes(grant, overhead, sz.VecBytes, n),
 			Strategy: strat, ReadSkipping: !opts.NoReadSkipping, Store: st.Store,
-			Async: opts.Async, IOWorkers: opts.IOWorkers,
+			Async: !opts.Sync,
 			Retry: ooc.RetryPolicy{Max: opts.Retries},
 		})
 		if err != nil {
@@ -119,8 +126,7 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 	}
 	r.Engine.Instrument(opts.Registry)
 	r.Engine.SetWorkers(spec.Workers)
-	r.Engine.EnablePrefetch(opts.Prefetch || opts.Async)
-	r.Engine.SetPrefetchDepth(opts.PrefetchDepth)
+	r.Engine.EnablePrefetch(!opts.Sync)
 
 	if opts.MemBudget > 0 && r.Manager != nil {
 		// The pool as granted is the regrow ceiling; Check runs at the
@@ -135,10 +141,9 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 	return r, nil
 }
 
-// Resize moves an out-of-core run's slot pool to what grant bytes buy,
-// and the watchdog's regrow ceiling with it. It reports whether the
-// pool changed. Like every engine call it belongs on the goroutine that
-// drives the engine, between operations.
+// Resize moves an out-of-core run's slot pool to what grant bytes buy.
+// It reports whether the pool changed. Like every engine call it
+// belongs on the goroutine that drives the engine, between operations.
 func (r *Run) Resize(grant int64) (bool, error) {
 	if r.Manager == nil {
 		return false, nil
@@ -149,9 +154,6 @@ func (r *Run) Resize(grant int64) (bool, error) {
 	}
 	if err := r.Manager.Resize(target); err != nil {
 		return false, err
-	}
-	if r.Watchdog != nil {
-		r.Watchdog.SetMaxSlots(target)
 	}
 	return true, nil
 }

@@ -13,8 +13,9 @@
 // live here once: bytes → slots (ooc.SlotsForBytes, store overhead
 // charged), the replacement strategy is built before the fits-in-RAM
 // decision so a mistyped name always fails, the kernel is chosen before
-// the engine is instrumented, async implies prefetch, and Close tears
-// down engine → manager → store stack.
+// the engine is instrumented, an out-of-core run is pipelined with
+// one-step prefetch and its spare write buffers are charged before the
+// slots, and Close tears down engine → manager → store stack.
 package analysis
 
 import (
@@ -119,19 +120,17 @@ func (c *Spec) Fill() {
 type Options struct {
 	// NoReadSkipping disables §3.4's write-intent read elision.
 	NoReadSkipping bool
-	// Prefetch stages the traversal plan's reads PrefetchDepth steps
-	// ahead. Async moves out-of-core I/O onto IOWorkers background
-	// goroutines and implies Prefetch: without staged reads there is
-	// nothing to overlap.
-	Prefetch      bool
-	Async         bool
-	IOWorkers     int
-	PrefetchDepth int
+	// Sync runs the paper's synchronous manager without prefetch, for
+	// arms whose store counters must repeat in a fixed order. The zero
+	// value is what ships: out-of-core I/O on the async pipeline, the
+	// traversal plan's next reads staged one step ahead.
+	Sync bool
 	// Retries bounds the backoff retries of a transient store I/O error.
 	Retries int
 	// MemBudget, when > 0, arms a watchdog that steps an out-of-core
 	// slot pool down and up to hold the process heap near this many
-	// bytes, never regrowing past the grant.
+	// bytes, never regrowing past the grant. A one-shot run's knob: a
+	// daemon session's memory is the governor's grant instead.
 	MemBudget int64
 	// Stack is the store an out-of-core run opens: medium and paths,
 	// cache tier, verification, fault injection. Open supplies the

@@ -14,12 +14,14 @@ import (
 // Async ablation — the paper's §5 prefetch-thread future work measured.
 // The same Figure-5-style workload (k full tree traversals, the access
 // pattern with the least locality) runs over a SimStore that sleeps for
-// its modelled transfer time, once with the synchronous manager and
-// once with the asynchronous pipeline, at several prefetch depths. The
-// harness enforces the tentpole's correctness bar on every pair — bit
-// identical log-likelihoods and identical miss counts — and reports the
-// compute-thread stall time both ways, which is the quantity the
-// pipeline exists to shrink.
+// its modelled transfer time, once with the pipeline every product run
+// uses and once with the synchronous manager, both staging the plan's
+// next step. The pipelined arm pays for its spare write buffers out of
+// its quota, and the synchronous arm gets the resident slots that leaves.
+// The harness enforces the correctness bar — bit-identical
+// log-likelihoods and identical manager and prefetch counters — and
+// reports the compute-thread stall time both ways, which is the quantity
+// the pipeline exists to shrink.
 
 // AsyncAblationConfig describes the sync-versus-async experiment.
 type AsyncAblationConfig struct {
@@ -33,8 +35,6 @@ type AsyncAblationConfig struct {
 	// transfer time into real sleeping so overlap is observable.
 	Device   iosim.Device
 	Realtime float64
-	// Depths are the prefetch depths to sweep (default {1, 2, 4}).
-	Depths []int
 }
 
 func (c *AsyncAblationConfig) fill() {
@@ -52,22 +52,20 @@ func (c *AsyncAblationConfig) fill() {
 	}
 	if c.Device.Name == "" {
 		// A fast-SSD-like device: enough latency for stalls to dominate
-		// the sync run, small enough that the sweep stays quick.
+		// the sync run, small enough that the pair stays quick.
 		c.Device = iosim.Device{Name: "nvme", Latency: 150 * time.Microsecond, Bandwidth: 2e9}
 	}
 	if c.Realtime == 0 {
 		c.Realtime = 1
 	}
-	if len(c.Depths) == 0 {
-		c.Depths = []int{1, 2, 4}
-	}
 }
 
-// AsyncAblationRow is one prefetch depth of the ablation: the same
-// workload synchronous versus pipelined.
+// AsyncAblationRow is the ablation's result: the same workload
+// synchronous versus pipelined.
 type AsyncAblationRow struct {
-	// Depth is the engine's prefetch depth for both runs.
-	Depth int
+	// Slots is the resident-slot count of both runs: what the quota buys
+	// once the pipeline's spare buffers are paid for.
+	Slots int
 	// SyncStall and AsyncStall are the compute-thread I/O stall times.
 	SyncStall, AsyncStall time.Duration
 	// SyncWall and AsyncWall are the measured wall-clock times.
@@ -93,19 +91,17 @@ func (r AsyncAblationRow) StallReduction() float64 {
 	return 1 - float64(r.AsyncStall)/float64(r.SyncStall)
 }
 
-// asyncAblationRun executes the full-traversal workload once and
-// returns the closed run for its counters; wall runs to the end of
-// Close, when the pipeline has drained.
-func asyncAblationRun(cfg AsyncAblationConfig, w *workload, depth int, async bool) (lnl float64, wall time.Duration, r *analysis.Run, err error) {
+// asyncAblationRun executes the full-traversal workload once under a,
+// with prefetch on, and returns the closed run for its counters; wall
+// runs to the end of Close, when the pipeline has drained.
+func asyncAblationRun(cfg AsyncAblationConfig, w *workload, a arm) (lnl float64, wall time.Duration, r *analysis.Run, err error) {
 	var clock iosim.Clock
 	store := ooc.NewSimStore(w.memStore(), cfg.Device, &clock)
 	store.Realtime = cfg.Realtime
+	a.Stack = ooc.StackSpec{Base: store}
 	var start time.Time
-	r, err = w.run(arm{
-		Fraction: pagingFraction, Prefetch: true, PrefetchDepth: depth,
-		Async: async, IOWorkers: ioWorkers,
-		Stack: ooc.StackSpec{Base: store},
-	}, func(r *analysis.Run) (err error) {
+	r, err = w.run(a, func(r *analysis.Run) (err error) {
+		r.Engine.EnablePrefetch(true)
 		start = time.Now()
 		lnl, _, err = fullTraversalWorkload(r.Engine, cfg.Traversals)
 		return err
@@ -113,62 +109,56 @@ func asyncAblationRun(cfg AsyncAblationConfig, w *workload, depth int, async boo
 	return lnl, time.Since(start), r, err
 }
 
-// RunAsyncAblation sweeps the configured prefetch depths, running each
-// workload synchronously and with the async pipeline, and fails if any
-// pair violates the bit-identical-likelihood / identical-miss-count
-// correctness bar.
-func RunAsyncAblation(cfg AsyncAblationConfig) ([]AsyncAblationRow, error) {
+// RunAsyncAblation runs the workload pipelined, then synchronously over
+// the same resident slots, and fails if the pair violates the
+// bit-identical-likelihood / identical-counter correctness bar.
+func RunAsyncAblation(cfg AsyncAblationConfig) (AsyncAblationRow, error) {
 	cfg.fill()
 	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, false)
 	if err != nil {
-		return nil, err
+		return AsyncAblationRow{}, err
 	}
-	var out []AsyncAblationRow
-	for _, depth := range cfg.Depths {
-		sLnL, sWall, s, err := asyncAblationRun(cfg, w, depth, false)
-		if err != nil {
-			return nil, fmt.Errorf("sync depth %d: %w", depth, err)
-		}
-		aLnL, aWall, a, err := asyncAblationRun(cfg, w, depth, true)
-		if err != nil {
-			return nil, fmt.Errorf("async depth %d: %w", depth, err)
-		}
-		if sLnL != aLnL {
-			return nil, fmt.Errorf("depth %d: likelihood diverged: sync %v, async %v", depth, sLnL, aLnL)
-		}
-		stats, pf := a.Manager.Stats(), a.Manager.PrefetchStats()
-		if ss := s.Manager.Stats(); ss != stats {
-			return nil, fmt.Errorf("depth %d: manager counters diverged: sync %+v, async %+v", depth, ss, stats)
-		}
-		if spf := s.Manager.PrefetchStats(); spf != pf {
-			return nil, fmt.Errorf("depth %d: prefetch counters diverged: sync %+v, async %+v", depth, spf, pf)
-		}
-		out = append(out, AsyncAblationRow{
-			Depth:     depth,
-			SyncStall: s.Manager.PipelineStats().StallTime, AsyncStall: a.Manager.PipelineStats().StallTime,
-			SyncWall: sWall, AsyncWall: aWall,
-			Misses: stats.Misses, Reads: stats.Reads,
-			Prefetch: pf,
-			Pipeline: a.Manager.PipelineStats(),
-			LnL:      aLnL,
-		})
+	aLnL, aWall, a, err := asyncAblationRun(cfg, w, arm{Fraction: pagingFraction, Async: true})
+	if err != nil {
+		return AsyncAblationRow{}, fmt.Errorf("async: %w", err)
 	}
-	return out, nil
+	slots := a.Manager.Slots()
+	sLnL, sWall, s, err := asyncAblationRun(cfg, w, arm{Bytes: int64(slots) * a.Sizing.VecBytes})
+	if err != nil {
+		return AsyncAblationRow{}, fmt.Errorf("sync: %w", err)
+	}
+	if sLnL != aLnL {
+		return AsyncAblationRow{}, fmt.Errorf("likelihood diverged: sync %v, async %v", sLnL, aLnL)
+	}
+	stats, pf := a.Manager.Stats(), a.Manager.PrefetchStats()
+	if ss := s.Manager.Stats(); ss != stats {
+		return AsyncAblationRow{}, fmt.Errorf("manager counters diverged: sync %+v, async %+v", ss, stats)
+	}
+	if spf := s.Manager.PrefetchStats(); spf != pf {
+		return AsyncAblationRow{}, fmt.Errorf("prefetch counters diverged: sync %+v, async %+v", spf, pf)
+	}
+	return AsyncAblationRow{
+		Slots:     slots,
+		SyncStall: s.Manager.PipelineStats().StallTime, AsyncStall: a.Manager.PipelineStats().StallTime,
+		SyncWall: sWall, AsyncWall: aWall,
+		Misses: stats.Misses, Reads: stats.Reads,
+		Prefetch: pf,
+		Pipeline: a.Manager.PipelineStats(),
+		LnL:      aLnL,
+	}, nil
 }
 
 // WriteAsyncAblationTable renders the ablation as text.
-func WriteAsyncAblationTable(w io.Writer, rows []AsyncAblationRow, cfg AsyncAblationConfig) {
+func WriteAsyncAblationTable(w io.Writer, r AsyncAblationRow, cfg AsyncAblationConfig) {
 	cfg.fill()
-	fmt.Fprintf(w, "Async ablation: %d full traversals, %d taxa × %d sites, f=%.2f, device %s, %d workers\n",
-		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction, cfg.Device.Name, ioWorkers)
+	fmt.Fprintf(w, "Async ablation: %d full traversals, %d taxa × %d sites, f=%.2f, device %s\n",
+		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction, cfg.Device.Name)
 	fmt.Fprintf(w, "%6s %12s %12s %8s %12s %12s %8s %8s %8s %8s %14s\n",
-		"depth", "sync-stall", "async-stall", "hidden", "sync-wall", "async-wall", "misses", "pf-reads", "pf-hits", "joined", "lnL")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%6d %12v %12v %7.1f%% %12v %12v %8d %8d %8d %8d %14.2f\n",
-			r.Depth,
-			r.SyncStall.Round(time.Millisecond), r.AsyncStall.Round(time.Millisecond),
-			100*r.StallReduction(),
-			r.SyncWall.Round(time.Millisecond), r.AsyncWall.Round(time.Millisecond),
-			r.Misses, r.Prefetch.Reads, r.Prefetch.Hits, r.Pipeline.JoinedFetches, r.LnL)
-	}
+		"slots", "sync-stall", "async-stall", "hidden", "sync-wall", "async-wall", "misses", "pf-reads", "pf-hits", "joined", "lnL")
+	fmt.Fprintf(w, "%6d %12v %12v %7.1f%% %12v %12v %8d %8d %8d %8d %14.2f\n",
+		r.Slots,
+		r.SyncStall.Round(time.Millisecond), r.AsyncStall.Round(time.Millisecond),
+		100*r.StallReduction(),
+		r.SyncWall.Round(time.Millisecond), r.AsyncWall.Round(time.Millisecond),
+		r.Misses, r.Prefetch.Reads, r.Prefetch.Hits, r.Pipeline.JoinedFetches, r.LnL)
 }

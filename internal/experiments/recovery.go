@@ -89,10 +89,12 @@ type RecoveryRow struct {
 // closed run for its counters.
 func runRecoveryWorkload(cfg RecoveryConfig, w *workload, async bool, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
 	r, err = w.run(arm{
-		Fraction: pagingFraction, Prefetch: true, PrefetchDepth: 1,
-		Async: async, IOWorkers: ioWorkers, Retries: cfg.Retries,
+		Fraction: pagingFraction, Async: async, Retries: cfg.Retries,
 		Stack: ooc.StackSpec{Base: w.memStore(), Verify: true, Fault: faults},
 	}, func(r *analysis.Run) (err error) {
+		// Both flavours stage the plan's next step, as the pipelined one
+		// does by default.
+		r.Engine.EnablePrefetch(true)
 		lnl, err = edgeSweepWorkload(r.Engine, cfg.Traversals)
 		return err
 	})

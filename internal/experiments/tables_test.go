@@ -63,17 +63,12 @@ var goldenTables = []struct {
 		return out, err
 	}},
 	{"async", func() ([]string, error) {
-		rows, err := RunAsyncAblation(AsyncAblationConfig{
+		r, err := RunAsyncAblation(AsyncAblationConfig{
 			Taxa: 24, Sites: 64, Seed: 5, Traversals: 2, Realtime: -1,
 			Device: iosim.Device{Name: "test", Latency: time.Microsecond, Bandwidth: 1e9},
-			Depths: []int{1, 3},
 		})
-		var out []string
-		for _, r := range rows {
-			out = append(out, fmt.Sprintf("depth=%d misses=%d reads=%d prefetch=%+v lnl=%s",
-				r.Depth, r.Misses, r.Reads, r.Prefetch, bits(r.LnL)))
-		}
-		return out, err
+		return []string{fmt.Sprintf("slots=%d misses=%d reads=%d prefetch=%+v lnl=%s",
+			r.Slots, r.Misses, r.Reads, r.Prefetch, bits(r.LnL))}, err
 	}},
 	{"recovery", func() ([]string, error) {
 		rows, err := RunRecoveryAblation(RecoveryConfig{
@@ -247,10 +242,16 @@ func init() {
 			armLog.kinds["ram"]++
 			return
 		}
-		// The -L rule: the quota buys slots after the store's heap is charged.
-		if want := ooc.SlotsForBytes(sz.Quota, ooc.StoreMemOverhead(r.Stack.Store), sz.VecBytes, sz.NumVectors); r.Manager.Slots() != want {
+		// The -L rule: the quota buys slots after the store's heap and,
+		// under the pipeline, its spare buffers are charged.
+		overhead := ooc.StoreMemOverhead(r.Stack.Store)
+		if a.Async {
+			overhead += ooc.PipelineBytes(sz.VecLen)
+		}
+		if want := ooc.SlotsForBytes(sz.Quota, overhead, sz.VecBytes, sz.NumVectors); r.Manager.Slots() != want {
 			fail("%d slots, -L %d buys %d", r.Manager.Slots(), sz.Quota, want)
 		}
+		// Pipeline enabled == !Sync, and an arm opens Sync: !Async.
 		if got := r.Manager.PipelineStats().Enabled; got != a.Async {
 			fail("pipeline enabled = %v", got)
 		}

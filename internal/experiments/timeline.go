@@ -85,7 +85,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	root := col.StartTrace("timeline")
 	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
 	r, err := w.run(arm{
-		Fraction: pagingFraction, Async: true, IOWorkers: ioWorkers, Retries: 8,
+		Fraction: pagingFraction, Async: true, Retries: 8,
 		Stack: stack, Registry: reg,
 	}, func(r *analysis.Run) (err error) {
 		r.SetSpan(root)
@@ -163,7 +163,7 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 	}
 	run := func(obsArm int) (lnl float64, wall time.Duration, err error) {
 		a := arm{
-			Fraction: pagingFraction, Async: true, IOWorkers: ioWorkers,
+			Fraction: pagingFraction, Async: true,
 			Stack: ooc.StackSpec{Base: w.memStore()},
 		}
 		if obsArm >= obsArmOn {
@@ -229,8 +229,8 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 // WriteTimelineSummary renders the run's headline numbers.
 func WriteTimelineSummary(w io.Writer, cfg TimelineConfig, res TimelineResult) {
 	cfg.fill()
-	fmt.Fprintf(w, "# Timeline trace: %d taxa, %d sites, f=%.2f, %d fetch workers, faults=%v\n",
-		cfg.Taxa, cfg.Sites, pagingFraction, ioWorkers, cfg.WithFaults)
+	fmt.Fprintf(w, "# Timeline trace: %d taxa, %d sites, f=%.2f, faults=%v\n",
+		cfg.Taxa, cfg.Sites, pagingFraction, cfg.WithFaults)
 	fmt.Fprintf(w, "final lnL      %.6f\n", res.LnL)
 	fmt.Fprintf(w, "trace spans    %d held (dropped %d)\n", res.Spans, res.Dropped)
 	fmt.Fprintf(w, "recoveries     %d\n", res.Recoveries)

@@ -23,15 +23,10 @@ type workload struct {
 	tree *tree.Tree
 }
 
-// Shared by the traversal ablations (async, recovery, timeline, obs
-// overhead).
-const (
-	// pagingFraction is their memory fraction f: tight enough that every
-	// traversal pages.
-	pagingFraction = 0.25
-	// ioWorkers is the async arms' fetch-goroutine count.
-	ioWorkers = 2
-)
+// pagingFraction is the memory fraction f of the traversal ablations
+// (async, recovery, timeline, obs overhead): tight enough that every
+// traversal pages.
+const pagingFraction = 0.25
 
 // gammaAlpha is the rate heterogeneity every dataset is simulated with
 // (Γ4, like the paper's runs).
@@ -72,10 +67,13 @@ type arm struct {
 	Kernel  string
 	Workers int
 
-	NoReadSkipping           bool
-	Prefetch, Async          bool
-	IOWorkers, PrefetchDepth int
-	Retries                  int
+	NoReadSkipping bool
+	// Async opens what the product runs: the pipelined manager with
+	// one-step prefetch. Without it an arm runs the paper's synchronous
+	// manager, whose store counters repeat in a fixed order, and stages
+	// nothing unless its body enables prefetch.
+	Async   bool
+	Retries int
 
 	// Stack is the store; Open supplies its geometry. The zero value is
 	// a temp file.
@@ -110,9 +108,7 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 		}
 	}
 	r, err := analysis.Open(spec, analysis.Options{
-		NoReadSkipping: a.NoReadSkipping,
-		Prefetch:       a.Prefetch, Async: a.Async,
-		IOWorkers: a.IOWorkers, PrefetchDepth: a.PrefetchDepth,
+		NoReadSkipping: a.NoReadSkipping, Sync: !a.Async,
 		Retries: a.Retries, Stack: a.Stack,
 		Registry: a.Registry,
 	}, in, sz, sz.Quota)

@@ -14,8 +14,7 @@ import (
 // edge, branch optimisation, full traversal) once and returns every
 // observable: the likelihood trace endpoint, optimised branch lengths,
 // and all manager counters.
-func asyncCase(t *testing.T, strategyName string, f float64, readSkip, async bool,
-	depth int) (float64, []float64, ooc.Stats, ooc.PrefetchStats) {
+func asyncCase(t *testing.T, strategyName string, f float64, readSkip, async bool) (float64, []float64, ooc.Stats, ooc.PrefetchStats) {
 	t.Helper()
 	const n, sites, seed = 24, 120, 99
 	tr, pats, mdl := buildCase(t, n, sites, seed)
@@ -27,7 +26,7 @@ func asyncCase(t *testing.T, strategyName string, f float64, readSkip, async boo
 		Strategy:     strategyFor(strategyName, inner, tr, seed),
 		ReadSkipping: readSkip,
 		Store:        ooc.NewMemStore(inner, vecLen),
-		Async:        async, IOWorkers: 2,
+		Async:        async,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +36,6 @@ func asyncCase(t *testing.T, strategyName string, f float64, readSkip, async boo
 		t.Fatal(err)
 	}
 	e.EnablePrefetch(true)
-	e.SetPrefetchDepth(depth)
 	lnl, lens := workload(t, e, tr)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -58,8 +56,8 @@ func TestAsyncEquivalenceAllStrategies(t *testing.T) {
 				name += "/skip"
 			}
 			t.Run(name, func(t *testing.T) {
-				sLnL, sLens, sStats, sPf := asyncCase(t, strategyName, 0.25, readSkip, false, 2)
-				aLnL, aLens, aStats, aPf := asyncCase(t, strategyName, 0.25, readSkip, true, 2)
+				sLnL, sLens, sStats, sPf := asyncCase(t, strategyName, 0.25, readSkip, false)
+				aLnL, aLens, aStats, aPf := asyncCase(t, strategyName, 0.25, readSkip, true)
 				if sLnL != aLnL {
 					t.Errorf("likelihood diverged: sync %v, async %v", sLnL, aLnL)
 				}
@@ -103,7 +101,6 @@ func sprTrace(t *testing.T, async bool) (search.Result, ooc.Stats) {
 		t.Fatal(err)
 	}
 	e.EnablePrefetch(true)
-	e.SetPrefetchDepth(2)
 	res, err := search.New(e, search.Options{SPRRadius: 4, MaxRounds: 2}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +150,7 @@ func TestAsyncPipelineOnRealFiles(t *testing.T) {
 			Strategy:     ooc.NewLRU(inner),
 			ReadSkipping: true,
 			Store:        store,
-			Async:        async, IOWorkers: 3,
+			Async:        async,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +160,6 @@ func TestAsyncPipelineOnRealFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.EnablePrefetch(true)
-		e.SetPrefetchDepth(3)
 		lnl, lens := workload(t, e, tr)
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)

@@ -108,8 +108,8 @@ func BenchmarkStrategyPickVictim(b *testing.B) {
 // BenchmarkAsyncPipeline prices the backing store like the Figure-5
 // device model (SimStore sleeping for its modelled transfer time) and
 // runs full tree traversals — the least-local access pattern — with the
-// synchronous manager and with the async pipeline at several prefetch
-// depths. The stall-ns/op metric is the compute thread's measured I/O
+// synchronous manager and with the async pipeline, both with one-step
+// prefetch. The stall-ns/op metric is the compute thread's measured I/O
 // wait per traversal; the pipeline's job is to shrink it while leaving
 // the likelihood and miss counters untouched.
 func BenchmarkAsyncPipeline(b *testing.B) {
@@ -121,7 +121,7 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	dev := iosim.Device{Name: "nvme", Latency: 150 * time.Microsecond, Bandwidth: 2e9}
-	bench := func(b *testing.B, async bool, depth int) {
+	bench := func(b *testing.B, async bool) {
 		tr := d.Tree.Clone()
 		n := tr.NumInner()
 		vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
@@ -134,7 +134,7 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 			Strategy:     NewLRU(n),
 			ReadSkipping: true,
 			Store:        store,
-			Async:        async, IOWorkers: 2,
+			Async:        async,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -144,7 +144,6 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.EnablePrefetch(true)
-		e.SetPrefetchDepth(depth)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := e.FullTraversal(tr.Edges[0]); err != nil {
@@ -161,10 +160,8 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("sync", func(b *testing.B) { bench(b, false, 1) })
-	for _, depth := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("async-d%d", depth), func(b *testing.B) { bench(b, true, depth) })
-	}
+	b.Run("sync", func(b *testing.B) { bench(b, false) })
+	b.Run("async", func(b *testing.B) { bench(b, true) })
 }
 
 func BenchmarkFileStoreRoundTrip(b *testing.B) {

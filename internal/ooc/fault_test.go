@@ -247,7 +247,7 @@ func TestFaultAsyncFailedJoinNotLedgered(t *testing.T) {
 	fs := NewFaultStore(base, FaultConfig{Seed: 8, PReadErr: 1, MaxReadErrs: 1})
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-		ReadSkipping: true, Store: fs, Async: true, IOWorkers: 1,
+		ReadSkipping: true, Store: fs, Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestFaultAsyncEvictDropsFailedStageIn(t *testing.T) {
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
 		ReadSkipping: true,
-		Store:        fs, Async: true, IOWorkers: 1,
+		Store:        fs, Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,9 +85,6 @@ type Config struct {
 	// safe for concurrent use on distinct vectors (all stores in this
 	// package are). Close the manager to drain the pipeline.
 	Async bool
-	// IOWorkers is the number of background fetch goroutines servicing
-	// the prefetch queue (default 2). Only used when Async is set.
-	IOWorkers int
 
 	// Retry governs re-issuing store operations that fail with a
 	// transient error (ErrTransientIO) — capped exponential backoff on
@@ -96,9 +93,14 @@ type Config struct {
 	Retry RetryPolicy
 }
 
-// fetchQueuePerWorker bounds the prefetches waiting for a fetch worker
-// at this many per worker; Prefetch blocks when the queue is full.
-const fetchQueuePerWorker = 2
+// fetchWorkers is the number of background fetch goroutines. The
+// engine stages one plan step ahead, and a step reads at most its two
+// children, so two workers serve a step's stage-ins side by side.
+const fetchWorkers = 2
+
+// fetchQueue bounds the prefetches waiting for a fetch worker;
+// Prefetch blocks when the queue is full.
+const fetchQueue = 2 * fetchWorkers
 
 // writeBuffers is the number of spare slot buffers backing asynchronous
 // write-back. An eviction blocks only when all spares are already in
@@ -109,6 +111,13 @@ const fetchQueuePerWorker = 2
 // traversals, 0.9–1.1 s of buffer wait per 100 ops with two, 0.3–0.4 s
 // with four).
 const writeBuffers = 4
+
+// PipelineBytes is the heap the async pipeline keeps beside the slot
+// pool: its spare write buffers, each vecLen float64s. A pipelined run
+// whose pool is sized from a byte limit pays for them before it buys
+// slots (the paper's -L holds for the whole manager); at the MinSlots
+// floor they come on top, as the floor itself may overrun a tiny limit.
+func PipelineBytes(vecLen int) int64 { return writeBuffers * int64(vecLen) * 8 }
 
 // SlotsForFraction returns m = max(MinSlots, round(f*n)) capped at n —
 // the paper's parameterisation of available RAM.
@@ -217,9 +226,10 @@ type Manager struct {
 // three-vector working set never does under m >= MinSlots.
 var ErrAllPinned = errors.New("ooc: all resident vectors are pinned; cannot evict")
 
-// NewManager validates cfg and allocates the slot pool. Exactly
-// Slots*VectorLen float64s of vector memory are allocated, enforcing
-// the paper's -L style memory limitation.
+// NewManager validates cfg and allocates the slot pool: Slots*VectorLen
+// float64s of vector memory, plus PipelineBytes under Config.Async.
+// MemOverheadBytes reports that extra with the store's, so a caller
+// enforcing the paper's -L charges both before it sizes Slots.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.NumVectors < 0 || cfg.VectorLen <= 0 {
 		return nil, fmt.Errorf("ooc: invalid geometry: %d vectors of %d", cfg.NumVectors, cfg.VectorLen)
@@ -257,11 +267,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.lens[i] = cfg.VectorLen
 	}
 	if cfg.Async {
-		if cfg.IOWorkers < 1 {
-			cfg.IOWorkers = 2
-		}
-		m.cfg = cfg
-		m.pipe = newPipeline(cfg.Store, cfg.VectorLen, cfg.IOWorkers, fetchQueuePerWorker*cfg.IOWorkers, cfg.Retry, &m.retried)
+		m.pipe = newPipeline(cfg.Store, cfg.VectorLen, cfg.Retry, &m.retried)
 		m.inflight = make([]*fetchReq, cfg.Slots)
 		m.pipeStats.Enabled = true
 	}
@@ -384,6 +390,33 @@ func (m *Manager) joinSlot(s int) error {
 	return unreadable(f.vi, f.err)
 }
 
+// joinOrDrop joins slot s's stage-in, if any, and on failure drops the
+// slot: its buffer holds garbage, so the vector must not stay resident,
+// as a failed synchronous prefetch leaves its slot empty. demanded says
+// the join is Vector's, whose caller wanted the staged vector; any other
+// drop is an eviction or a shrink, which would have written the garbage
+// back over the store's authoritative copy, and is ledgered as such.
+func (m *Manager) joinOrDrop(s int, demanded bool) error {
+	err := m.joinSlot(s)
+	if err == nil {
+		return nil
+	}
+	if IsCorruption(err) {
+		m.pipeStats.CorruptReads++
+	}
+	if !demanded {
+		m.pipeStats.DroppedWritebacks++
+		if m.prefetched[s] {
+			m.pstats.Wasted++
+		}
+	}
+	m.itemSlot[m.slotItem[s]] = -1
+	m.slotItem[s] = -1
+	m.dirty[s] = false
+	m.prefetched[s] = false
+	return err
+}
+
 // demandRead reads vi into dst on the compute thread, retrying
 // transient errors per the configured policy. Under the async pipeline
 // a pending write-back buffer serves it first (read-after-write). What
@@ -442,13 +475,19 @@ func (m *Manager) Degraded() bool {
 	return StoreDegraded(m.cfg.Store)
 }
 
-// MemOverheadBytes reports heap the backing store holds on the
-// manager's behalf — cache-tier indexes and in-flight remote buffers —
-// so budget-aware callers (the Watchdog, Resize policies) can charge it
-// against the same soft budget as the slot pool. Zero for plain
-// file/memory stores.
+// MemOverheadBytes reports the heap held beside the slot pool — what
+// the backing store keeps on the manager's behalf (cache-tier indexes,
+// in-flight remote buffers) and, under Config.Async, the pipeline's
+// spare buffers (PipelineBytes) — so budget-aware callers (the
+// Watchdog, Resize policies) can charge it against the same budget as
+// the slot pool. Zero for a synchronous manager over a plain file or
+// memory store.
 func (m *Manager) MemOverheadBytes() int64 {
-	return StoreMemOverhead(m.cfg.Store)
+	ov := StoreMemOverhead(m.cfg.Store)
+	if m.cfg.Async {
+		ov += PipelineBytes(m.cfg.VectorLen)
+	}
+	return ov
 }
 
 // Vector implements plf.VectorProvider: the paper's getxvector(). It
@@ -471,17 +510,8 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 			// rather than re-reading (this wait is the residue of
 			// latency the pipeline could not hide).
 			m.pipeStats.JoinedFetches++
-			if err := m.joinSlot(s); err != nil {
-				// The background read failed; unmap so the vector is
-				// not resident with garbage, mirroring a failed
-				// synchronous prefetch (which leaves the slot empty).
+			if err := m.joinOrDrop(s, true); err != nil {
 				// A failed join must not be ledgered as a hit.
-				m.itemSlot[vi] = -1
-				m.slotItem[s] = -1
-				m.prefetched[s] = false
-				if IsCorruption(err) {
-					m.pipeStats.CorruptReads++
-				}
 				if !write || !IsCorruption(err) {
 					return nil, err
 				}
@@ -606,29 +636,13 @@ func (m *Manager) pickVictim(requested int, pinned []int) (victim, slot int, err
 // the writer goroutine and a spare buffer is patched into the slot, so
 // the call returns without waiting for the store.
 func (m *Manager) evict(victim, slot int) error {
-	if m.pipe != nil && m.inflight[slot] != nil {
-		// The victim's own stage-in is still in flight; its buffer
-		// cannot be written back or reused until the read completes.
-		if err := m.joinSlot(slot); err != nil {
-			// The stage-in never delivered valid data, so the buffer
-			// holds garbage: writing it back would clobber the store's
-			// authoritative copy. Drop the slot instead — a later
-			// demand access faults the vector in again and surfaces
-			// the error to the caller if it persists.
-			if IsCorruption(err) {
-				m.pipeStats.CorruptReads++
-			}
-			m.pipeStats.DroppedWritebacks++
-			m.mx.evictions.Inc()
-			m.itemSlot[victim] = -1
-			m.slotItem[slot] = -1
-			m.dirty[slot] = false
-			if m.prefetched[slot] {
-				m.prefetched[slot] = false
-				m.pstats.Wasted++
-			}
-			return nil
-		}
+	// The victim's own stage-in may still be in flight; its buffer
+	// cannot be written back or reused until the read completes, and a
+	// failed one is dropped instead — a later demand access faults the
+	// vector in again and surfaces the error if it persists.
+	if m.pipe != nil && m.joinOrDrop(slot, false) != nil {
+		m.mx.evictions.Inc()
+		return nil
 	}
 	// A clean slot's content matches the store (it was faulted in by a
 	// read and never modified), so its write-back is skipped.

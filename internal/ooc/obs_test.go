@@ -16,7 +16,7 @@ func asyncObsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registr
 		NumVectors: n, VectorLen: vecLen, Slots: slots,
 		Strategy: NewLRU(n), ReadSkipping: true,
 		Store: NewMemStore(n, vecLen),
-		Async: true, IOWorkers: 2,
+		Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,6 +42,11 @@ package ooc
 //
 // The Manager remains single-caller: the pipeline adds goroutines
 // *inside* the manager, not concurrency on its API.
+//
+// Every out-of-core run the product opens (analysis.Open: the CLI and
+// each daemon session) is pipelined. The synchronous manager stays as
+// the tests' reference and as the manager of the paper-faithful
+// experiment arms, whose store counters must repeat in a fixed order.
 
 import (
 	"context"
@@ -166,30 +171,30 @@ type pipeline struct {
 	fetchLat *obs.Histogram
 	writeLat *obs.Histogram
 	qdepth   *obs.Gauge
-	// writerLane is the write-back goroutine's obs.LaneAttr. The compute
-	// thread is lane 0 and fetch workers are lanes 1..workers.
-	writerLane int64
 
 	wg   sync.WaitGroup
 	stop sync.Once
 }
 
-func newPipeline(store Store, vecLen, workers, queue int, retry RetryPolicy, retried *atomic.Int64) *pipeline {
+// writerLane is the write-back goroutine's obs.LaneAttr. The compute
+// thread is lane 0 and fetch workers are lanes 1..fetchWorkers.
+const writerLane = fetchWorkers + 1
+
+func newPipeline(store Store, vecLen int, retry RetryPolicy, retried *atomic.Int64) *pipeline {
 	p := &pipeline{
 		store:   store,
 		vecLen:  vecLen,
-		fetchCh: make(chan *fetchReq, queue),
+		fetchCh: make(chan *fetchReq, fetchQueue),
 		writeCh: make(chan *writeReq, writeBuffers),
 		spares:  make(chan *writeReq, writeBuffers),
 		pending: make(map[int]*writeReq),
 		retry:   retry,
 		retried: retried,
 	}
-	p.writerLane = int64(workers + 1)
 	for i := 0; i < writeBuffers; i++ {
 		p.spares <- &writeReq{vi: -1, buf: make([]float64, vecLen)}
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < fetchWorkers; i++ {
 		p.wg.Add(1)
 		go p.fetchWorker(int64(i + 1))
 	}
@@ -260,7 +265,7 @@ func (p *pipeline) writeWorker() {
 		if timed {
 			dur := time.Since(start)
 			p.writeLat.Observe(dur.Seconds())
-			emitTransfer(req.span, "pipe.write_back", p.writerLane, req.vi, start, dur)
+			emitTransfer(req.span, "pipe.write_back", writerLane, req.vi, start, dur)
 		}
 		p.qdepth.Set(p.depth.Add(-1))
 		close(req.done)

@@ -46,7 +46,7 @@ func TestAsyncFlushBarrierAndReadAfterWrite(t *testing.T) {
 	m, err := NewManager(Config{
 		NumVectors: 4, VectorLen: vecLen, Slots: 3,
 		Strategy: NewLRU(4), Store: gate,
-		Async: true, IOWorkers: 1,
+		Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 					m, err := NewManager(Config{
 						NumVectors: n, VectorLen: vecLen, Slots: slots,
 						Strategy: newStrategy(), ReadSkipping: true,
-						Store: store, Async: async, IOWorkers: 3,
+						Store: store, Async: async,
 					})
 					if err != nil {
 						t.Fatal(err)

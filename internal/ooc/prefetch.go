@@ -6,7 +6,7 @@ import "time"
 // pre-fetching can be deployed by means of a prefetch thread"). The
 // traversal plan makes the next vector accesses perfectly predictable,
 // so the likelihood engine can ask the manager to stage the next
-// steps' inputs while the current step computes. Synchronous managers
+// step's inputs while the current step computes. Synchronous managers
 // execute the stage-in on the calling goroutine (the counters then
 // separate blocking demand misses from prefetch-staged reads); with
 // Config.Async the stage-in is handed to a background fetch worker and

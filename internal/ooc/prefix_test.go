@@ -81,7 +81,7 @@ func TestPrefixRecords(t *testing.T) {
 			rec := &recStore{Store: cs}
 			m, err := NewManager(Config{
 				NumVectors: n, VectorLen: vecLen, Slots: slots, Strategy: NewLRU(n),
-				ReadSkipping: true, Store: rec, Async: async, IOWorkers: 1,
+				ReadSkipping: true, Store: rec, Async: async,
 			})
 			if err != nil {
 				t.Fatal(err)

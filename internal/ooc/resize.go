@@ -151,28 +151,10 @@ func (m *Manager) shrink(target int, pinned []int) error {
 	// slot indices, and a background worker must never be left writing
 	// into a buffer whose slot is about to be dropped or remapped. A
 	// failed stage-in leaves garbage, so the mapping is dropped rather
-	// than kept (mirroring a failed synchronous prefetch).
+	// than kept.
 	if m.pipe != nil {
 		for s := range m.inflight {
-			if m.inflight[s] == nil {
-				continue
-			}
-			it := m.slotItem[s]
-			if err := m.joinSlot(s); err != nil {
-				if IsCorruption(err) {
-					m.pipeStats.CorruptReads++
-				}
-				m.pipeStats.DroppedWritebacks++
-				if it >= 0 {
-					m.itemSlot[it] = -1
-				}
-				m.slotItem[s] = -1
-				m.dirty[s] = false
-				if m.prefetched[s] {
-					m.prefetched[s] = false
-					m.pstats.Wasted++
-				}
-			}
+			_ = m.joinOrDrop(s, false)
 		}
 	}
 	// Evict until the surviving residents fit in target slots.

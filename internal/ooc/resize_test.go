@@ -143,7 +143,6 @@ func TestResizeWithAsyncPipeline(t *testing.T) {
 		ReadSkipping: true,
 		Store:        NewMemStore(n, vl),
 		Async:        true,
-		IOWorkers:    3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ type Watchdog struct {
 
 // NewWatchdog validates cfg and binds a watchdog to mgr. The manager's
 // current slot count becomes the regrow ceiling (the watchdog never
-// grows beyond what the operator granted; see SetMaxSlots).
+// grows beyond what the operator granted).
 func NewWatchdog(mgr *Manager, cfg WatchdogConfig) (*Watchdog, error) {
 	if mgr == nil {
 		return nil, errors.New("ooc: watchdog needs a manager")
@@ -92,13 +92,6 @@ func NewWatchdog(mgr *Manager, cfg WatchdogConfig) (*Watchdog, error) {
 		cfg.ReadMem = runtime.ReadMemStats
 	}
 	return &Watchdog{mgr: mgr, cfg: cfg, maxSlots: max(mgr.Slots(), MinSlots)}, nil
-}
-
-// SetMaxSlots moves the regrow ceiling, for an operator grant that
-// changed under a live watchdog. Like Check, it must be called from the
-// manager's API goroutine.
-func (w *Watchdog) SetMaxSlots(n int) {
-	w.maxSlots = max(n, MinSlots)
 }
 
 // Check is the safe-point hook: every CheckEvery-th call samples the

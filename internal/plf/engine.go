@@ -125,9 +125,6 @@ type Engine struct {
 	// prefetch enables plan-driven staging of the next step's inputs
 	// when the provider supports it (see EnablePrefetch).
 	prefetch bool
-	// prefetchDepth is how many future plan steps to stage inputs for
-	// (see SetPrefetchDepth); values < 1 behave as 1.
-	prefetchDepth int
 	// workers is the PLF kernel fan-out (see SetWorkers); pool is the
 	// persistent goroutine pool serving it when workers > 1.
 	workers int
@@ -353,20 +350,6 @@ type prefetchProvider interface {
 // A no-op when the provider cannot prefetch.
 func (e *Engine) EnablePrefetch(on bool) { e.prefetch = on }
 
-// SetPrefetchDepth controls how far ahead of the current plan step the
-// engine stages read inputs: depth d prefetches the inputs of steps
-// i+1..i+d while step i computes. Depth 1 (the default; values < 1 are
-// clamped to 1) reproduces the historical one-step lookahead. Deeper
-// lookahead only pays off with Config.Async managers, where multiple
-// fetch workers can fill the queue concurrently; a synchronous manager
-// would execute every staged read on the compute thread anyway.
-func (e *Engine) SetPrefetchDepth(d int) {
-	if d < 1 {
-		d = 1
-	}
-	e.prefetchDepth = d
-}
-
 // SetContext attaches ctx to the engine: traversals abort with an
 // error wrapping ctx.Err() at the next step boundary once ctx is
 // cancelled — no vector is left half-computed, so a cancelled run can
@@ -424,10 +407,6 @@ func (e *Engine) atSafePoint() error {
 // order, then records the resulting orientations.
 func (e *Engine) Execute(steps []tree.Step) error {
 	pf, canPrefetch := e.prov.(prefetchProvider)
-	depth := e.prefetchDepth
-	if depth < 1 {
-		depth = 1
-	}
 	var spanStart time.Time
 	if e.span != nil && len(steps) > 0 {
 		spanStart = time.Now()
@@ -436,10 +415,8 @@ func (e *Engine) Execute(steps []tree.Step) error {
 		if err := e.atSafePoint(); err != nil {
 			return err
 		}
-		if e.prefetch && canPrefetch {
-			for j := i + 1; j <= i+depth && j < len(steps); j++ {
-				e.prefetchInputs(pf, steps, i, j)
-			}
+		if e.prefetch && canPrefetch && i+1 < len(steps) {
+			e.prefetchInputs(pf, &steps[i], &steps[i+1])
 		}
 		if err := e.newview(&steps[i]); err != nil {
 			return err
@@ -453,35 +430,25 @@ func (e *Engine) Execute(steps []tree.Step) error {
 	return nil
 }
 
-// prefetchInputs stages the inner read inputs of steps[next], pinning
-// steps[cur]'s working set so the staging cannot evict what the
+// prefetchInputs stages the inner read inputs of next, the step after
+// cur, pinning cur's working set so the staging cannot evict what the
 // imminent step needs. Prefetch errors are advisory and ignored; a
 // failed prefetch simply leaves the demand access to fault normally.
-func (e *Engine) prefetchInputs(pf prefetchProvider, steps []tree.Step, cur, next int) {
+func (e *Engine) prefetchInputs(pf prefetchProvider, cur, next *tree.Step) {
 	pins := &e.pinsPF
 	np := 0
-	for _, n := range []*tree.Node{steps[cur].Node, steps[cur].Left, steps[cur].Right} {
+	for _, n := range []*tree.Node{cur.Node, cur.Left, cur.Right} {
 		if !n.IsTip() {
 			pins[np] = e.vi(n)
 			np++
 		}
 	}
-	for _, child := range []*tree.Node{steps[next].Left, steps[next].Right} {
-		if child.IsTip() {
-			continue
-		}
-		// A child recomputed by an intervening step (post-order: cur.Node
-		// is commonly next's child) is about to be overwritten before
-		// steps[next] reads it — staging the stale copy would be wasted
-		// I/O and, under read skipping, a wasted slot.
-		written := false
-		for k := cur; k < next; k++ {
-			if steps[k].Node == child {
-				written = true
-				break
-			}
-		}
-		if written {
+	for _, child := range []*tree.Node{next.Left, next.Right} {
+		// A child cur recomputes (post-order: cur.Node is commonly next's
+		// child) is about to be overwritten before next reads it — staging
+		// the stale copy would be wasted I/O and, under read skipping, a
+		// wasted slot.
+		if child.IsTip() || child == cur.Node {
 			continue
 		}
 		_ = pf.Prefetch(e.vi(child), pins[:np]...)

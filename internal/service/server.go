@@ -15,11 +15,10 @@ package service
 // recurrence's working set), so its floor is 3·w and everything above
 // that is elastic. The governor hands each active OOC session a grant
 // share = quota·avail/Σquota of whatever budget the in-core tenants
-// left over, enforced through ooc.Manager.Resize at engine safe
-// points — the same live-resize machinery PR 6 added, now driven by
-// tenancy instead of a heap watchdog (the watchdog still runs per
-// session, arbitrating the global SOFT heap budget from inside
-// whichever tenant is computing).
+// left over, enforced through ooc.Manager.Resize between operations —
+// the live-resize machinery the CLI's heap watchdog also drives. A
+// session arms no watchdog: the budget counts vector bytes, not the
+// process heap, so the grant is a session's one memory controller.
 
 import (
 	"context"
@@ -35,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/checkpoint"
 	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
@@ -260,12 +260,21 @@ func (s *Server) adoptParked() error {
 // shares computes the grant for every active session under MemBudget:
 // in-core sessions take their full need off the top (their floor IS
 // their need); OOC sessions split what is left in proportion to their
-// quotas, clamped below by the MinSlots floor. Callers hold no locks.
-func (s *Server) shares(all []*Session) map[*Session]int64 {
+// quotas, clamped below by the MinSlots floor. cand, when not nil, is a
+// session about to activate, which memShape does not report yet: it
+// counts as active with the shape sz. Callers hold no locks.
+func (s *Server) shares(all []*Session, cand *Session, sz analysis.Sizing) map[*Session]int64 {
+	shape := func(ses *Session) (active, outOfCore bool, quota, need, vecBytes int64) {
+		if ses == cand {
+			return true, sz.OutOfCore, sz.Quota, sz.Need, sz.VecBytes
+		}
+		active, outOfCore, quota, need, vecBytes, _ = ses.memShape()
+		return
+	}
 	grants := make(map[*Session]int64, len(all))
 	if s.cfg.MemBudget <= 0 {
 		for _, ses := range all {
-			_, _, quota, need, _, _ := ses.memShape()
+			_, _, quota, need, _ := shape(ses)
 			if quota > need {
 				quota = need
 			}
@@ -277,7 +286,7 @@ func (s *Server) shares(all []*Session) map[*Session]int64 {
 	var oocs []*Session
 	var sumQ int64
 	for _, ses := range all {
-		active, outOfCore, quota, need, _, _ := ses.memShape()
+		active, outOfCore, quota, need, _ := shape(ses)
 		if !active {
 			continue
 		}
@@ -293,7 +302,7 @@ func (s *Server) shares(all []*Session) map[*Session]int64 {
 		avail = 0
 	}
 	for _, ses := range oocs {
-		_, _, quota, need, vecBytes, _ := ses.memShape()
+		_, _, quota, need, vecBytes := shape(ses)
 		grant := quota
 		if sumQ > avail {
 			grant = quota * avail / sumQ // proportional squeeze
@@ -314,14 +323,14 @@ func (s *Server) shares(all []*Session) map[*Session]int64 {
 // or revive): its FLOOR must fit beside the floors of every currently
 // active session. Returns the initial grant. Called from the
 // candidate's loop goroutine.
-func (s *Server) admit(cand *Session, outOfCore bool, quota, vecBytes int64) (int64, error) {
+func (s *Server) admit(cand *Session, sz analysis.Sizing) (int64, error) {
 	if s.cfg.MemBudget <= 0 {
 		s.mxAdmitted.Inc()
-		return quota, nil
+		return sz.Quota, nil
 	}
-	floor := quota // in-core: all or nothing
-	if outOfCore {
-		floor = int64(ooc.MinSlots) * vecBytes
+	floor := sz.Quota // in-core: all or nothing
+	if sz.OutOfCore {
+		floor = int64(ooc.MinSlots) * sz.VecBytes
 	}
 	s.mu.Lock()
 	others := make([]*Session, 0, len(s.sessions))
@@ -353,34 +362,7 @@ func (s *Server) admit(cand *Session, outOfCore bool, quota, vecBytes int64) (in
 	// Initial grant: the candidate's proportional share given everyone
 	// active. The squeeze of the OTHERS happens in the rebalance the
 	// caller triggers once it is live.
-	grants := s.shares(append(others, cand))
-	if g, ok := grants[cand]; ok && g > 0 {
-		return g, nil
-	}
-	// cand not active yet in memShape terms: compute its share directly.
-	var avail, sumQ int64 = s.cfg.MemBudget, quota
-	for ses, g := range grants {
-		a, oc, q, _, _, _ := ses.memShape()
-		if !a {
-			continue
-		}
-		if oc {
-			sumQ += q
-		} else {
-			avail -= g
-		}
-	}
-	if avail < 0 {
-		avail = 0
-	}
-	grant := quota
-	if outOfCore && sumQ > avail {
-		grant = quota * avail / sumQ
-		if grant < floor {
-			grant = floor
-		}
-	}
-	return grant, nil
+	return s.shares(append(others, cand), cand, sz)[cand], nil
 }
 
 // rebalance recomputes every active session's grant and dispatches the
@@ -398,7 +380,7 @@ func (s *Server) rebalance() {
 		all = append(all, ses)
 	}
 	s.mu.Unlock()
-	grants := s.shares(all)
+	grants := s.shares(all, nil, analysis.Sizing{})
 	for ses, grant := range grants {
 		active, outOfCore, _, _, _, _ := ses.memShape()
 		if !active || !outOfCore {

@@ -424,7 +424,10 @@ func TestServiceAdmissionControl(t *testing.T) {
 // incumbent.
 func TestServiceMultiTenantSqueeze(t *testing.T) {
 	dir := t.TempDir()
-	alnPath, vecBytes, need := writeTestAlignment(t, dir, 12, 300, 17)
+	// 24 taxa: half the footprint must buy slots above the MinSlots floor
+	// after the pipeline's spare buffers are charged, or there is nothing
+	// to squeeze.
+	alnPath, vecBytes, need := writeTestAlignment(t, dir, 24, 300, 17)
 
 	quota := need / 2 // each tenant asks for half its in-core footprint
 	if quota < int64(ooc.MinSlots+2)*vecBytes {
@@ -482,6 +485,38 @@ func TestServiceMultiTenantSqueeze(t *testing.T) {
 	}
 	if ra.LnLBits != rb.LnLBits {
 		t.Errorf("squeezed tenants disagree: %s vs %s", ra.LnLBits, rb.LnLBits)
+	}
+}
+
+// TestServiceGrantIsTheOnlyMemoryController: the daemon's budget
+// counts vector bytes, not the process heap, so nothing but the grant
+// may size a session's pool. A session whose grant fills the budget
+// keeps, through many full passes, exactly the slots that grant buys.
+func TestServiceGrantIsTheOnlyMemoryController(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, vecBytes, need := writeTestAlignment(t, dir, 24, 600, 29)
+	srv := newTestServer(t, ServerConfig{DataDir: dir, MemBudget: need / 2})
+	cfg := baseSession("solo", alnPath)
+	cfg.MemLimit = need / 2
+	ses, err := srv.CreateSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ses.infoSnapshot()
+	ses.mu.Lock()
+	mgr, n := ses.manager(), ses.size.NumVectors
+	ses.mu.Unlock()
+	if want := ooc.SlotsForBytes(before.GrantBytes, mgr.MemOverheadBytes(), vecBytes, n); before.Slots != want || want <= ooc.MinSlots {
+		t.Fatalf("grant %d B opened %d slots, buys %d (want above the floor)", before.GrantBytes, before.Slots, want)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := ses.Newview(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := ses.infoSnapshot(); after.Slots != before.Slots || after.GrantBytes != before.GrantBytes {
+		t.Errorf("40 full passes moved the pool: %d slots under a %d B grant, was %d under %d B",
+			after.Slots, after.GrantBytes, before.Slots, before.GrantBytes)
 	}
 }
 

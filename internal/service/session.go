@@ -104,7 +104,7 @@ type Session struct {
 // no registry).
 type sessionMetrics struct {
 	evals, batches, parks, revives, resizes *obs.Counter
-	wdFailures, oocMisses, oocRequests      *obs.Counter
+	oocMisses, oocRequests                  *obs.Counter
 	slots, parked                           *obs.Gauge
 	lnl                                     *obs.FloatGauge
 }
@@ -131,7 +131,6 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 		parks:       reg.Counter(p + "parks"),
 		revives:     reg.Counter(p + "revives"),
 		resizes:     reg.Counter(p + "resizes"),
-		wdFailures:  reg.Counter(p + "watchdog_failures"),
 		oocMisses:   reg.Counter(p + "ooc_misses"),
 		oocRequests: reg.Counter(p + "ooc_requests"),
 		slots:       reg.Gauge(p + "slots"),
@@ -200,9 +199,6 @@ func (s *Session) publish() {
 		st := mgr.Stats()
 		s.mx.oocRequests.Set(st.Requests)
 		s.mx.oocMisses.Set(st.Misses)
-		if wd := s.run.Watchdog; wd != nil {
-			s.mx.wdFailures.Set(wd.Stats().Failures)
-		}
 	} else {
 		s.mx.slots.Set(0)
 	}
@@ -304,19 +300,14 @@ func (s *Session) bringUp(in *analysis.Inputs) error {
 	if err != nil {
 		return err
 	}
-	grant, err := s.srv.admit(s, sz.OutOfCore, sz.Quota, sz.VecBytes)
+	grant, err := s.srv.admit(s, sz)
 	if err != nil {
 		return err
 	}
-	run, err := analysis.Open(s.cfg, analysis.Options{
-		Retries: 3,
-		// The watchdog arbitrates the GLOBAL soft heap budget from inside
-		// whichever session is computing: overshoot observed at this
-		// session's safe points sheds this session's slots first, bounded
-		// below by the floor and above by the governor's grant.
-		MemBudget: s.srv.cfg.MemBudget,
-		Stack:     s.stackSpec(),
-	}, in, sz, grant)
+	// No watchdog: the daemon's budget counts vector bytes, not the
+	// process heap, and the governor's grant is the session's one memory
+	// controller.
+	run, err := analysis.Open(s.cfg, analysis.Options{Retries: 3, Stack: s.stackSpec()}, in, sz, grant)
 	if err != nil {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}
@@ -484,8 +475,11 @@ func (s *Session) close(remove bool) {
 // the pass, Run.SetSpan points the engine/manager/tier at that
 // request's span (the tier loads it atomically per remote request, so
 // the hand-off is race-free), and the before/after movement of the layer counters becomes the
-// request's cost ledger — exact attribution, because this loop is the
-// only goroutine advancing them.
+// request's cost ledger. This loop is the only goroutine driving the
+// engine, but the pipeline's writer pushes a dirty victim when it gets
+// to it: a write-back PUT is counted in the slice of whichever request
+// it lands in, while its pipe.write_back span stays parented to the
+// evicting request.
 func (s *Session) execBatch(batch []*evalJob) {
 	err := s.do(func() error {
 		if err := s.ensureLive(); err != nil {
@@ -574,8 +568,8 @@ func (s *Session) execBatch(batch []*evalJob) {
 }
 
 // costSnapshot captures the monotonic layer counters cost attribution
-// differences around one request (loop goroutine: nothing else advances
-// them while it holds the engine).
+// differences around one request (loop goroutine; see execBatch for the
+// write-backs the pipeline advances them with).
 type costSnapshot struct {
 	mgr     ooc.Stats
 	tier    ooc.TierStats
@@ -747,8 +741,7 @@ func (s *Session) Tree() (string, error) {
 }
 
 // resizeTo is the governor's enforcement hook: resize the live pool to
-// what the grant buys (the watchdog's regrow ceiling follows it).
-// Parked/in-core sessions ignore the call.
+// what the grant buys. Parked/in-core sessions ignore the call.
 func (s *Session) resizeTo(grant int64) {
 	_ = s.do(func() error {
 		if s.run == nil {
