@@ -5,8 +5,9 @@
 // a hard memory limit — the paper's -L flag. An out-of-core run moves
 // its vector I/O onto background goroutines, staging the traversal
 // plan's next reads one step ahead (the paper's §5 prefetch thread);
-// -L pays for the pipeline's spare write buffers before it buys slots,
-// and the answer is bit-identical to the paper's synchronous manager.
+// -L pays for the records the writer may hold before it buys slots
+// (their bytes hold records, not widths), and the answer is
+// bit-identical to the paper's synchronous manager.
 //
 // Modes (-f, following the paper's modified RAxML):
 //
@@ -497,7 +498,7 @@ func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *a
 		where = "remote store " + how.Stack.URL
 	}
 	slots := r.Manager.Slots()
-	fmt.Fprintf(out, "Out-of-core: %d of %d vectors in RAM (%.1f%%), strategy %s, %s\n",
+	fmt.Fprintf(out, "Out-of-core: %d of %d vectors' bytes in RAM (%.1f%%), strategy %s, %s\n",
 		slots, n, 100*float64(slots)/float64(n), r.Strategy.Name(), where)
 	if how.Stack.Verify {
 		fmt.Fprintf(out, "Integrity: per-vector CRC-32C verified on every read, %d I/O retries\n", how.Retries)

@@ -173,6 +173,10 @@ func TestKillResumeSoak(t *testing.T) {
 	bin := soakBinary(t)
 	dir := t.TempDir()
 	phy, nwk, memLimit := soakDataset(t, dir, 128, 240)
+	// The pool holds records, a quarter of the full width on this data:
+	// at half the quota, after the pipeline's share, roughly a third of
+	// them fit in RAM and the run keeps paging.
+	memLimit /= 2
 
 	// Uninterrupted baseline.
 	baseCkpt := filepath.Join(dir, "base.ckpt")

@@ -46,6 +46,11 @@ func run(skip, prefetch, async bool, workload string) (ooc.Stats, ooc.PipelineSt
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The paper's full-width records, so the pool is its m slots and
+	// pages as in §3.4 (records of this data fit a quarter's bytes).
+	if err := engine.SetKernel(plf.KernelGeneric); err != nil {
+		log.Fatal(err)
+	}
 	engine.EnablePrefetch(prefetch)
 	var lnl float64
 	switch workload {

@@ -461,6 +461,56 @@ func TestOpenChargesPipelineToQuota(t *testing.T) {
 	}
 }
 
+// TestOpenHoldsRecordsInQuota: on an auto-kernel run the pool holds
+// records, so more vectors stay resident than it has slots, and after
+// every manager call it holds no more than Slots × VecBytes.
+func TestOpenHoldsRecordsInQuota(t *testing.T) {
+	spec := testSpec(t, 24, 300, 11)
+	_, pats, err := Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Build(spec, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Size(spec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.MemLimit = full.Need / 3
+	sz, err := Size(spec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(spec, Options{}, in, sz, sz.Quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	m := r.Manager
+	for i := 0; i < len(r.Engine.T.Edges); i += 3 {
+		if _, err := r.Engine.LogLikelihoodAt(r.Engine.T.Edges[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := 0
+	for vi := 0; vi < sz.NumVectors; vi++ {
+		if m.Resident(vi) {
+			resident++
+		}
+	}
+	_, peak := m.HeldBytes()
+	switch budget := int64(m.Slots()) * sz.VecBytes; {
+	case m.Stats().Writes == 0:
+		t.Errorf("the run never evicted a dirty vector: %+v", m.Stats())
+	case resident <= m.Slots():
+		t.Errorf("%d vectors resident in %d slots' bytes: the pool holds widths", resident, m.Slots())
+	case peak > budget:
+		t.Errorf("the pool held %d B at its peak, over its %d B budget", peak, budget)
+	}
+}
+
 // TestBuildSizeOpenErrors pins which step rejects which mistake.
 func TestBuildSizeOpenErrors(t *testing.T) {
 	base := testSpec(t, 8, 120, 3)

@@ -8,6 +8,7 @@ import (
 	"oocphylo/internal/analysis"
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
+	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
 )
 
@@ -99,6 +100,7 @@ func asyncAblationRun(cfg AsyncAblationConfig, w *workload, a arm) (lnl float64,
 	store := ooc.NewSimStore(w.memStore(), cfg.Device, &clock)
 	store.Realtime = cfg.Realtime
 	a.Stack = ooc.StackSpec{Base: store}
+	a.Kernel = plf.KernelGeneric // full-width records: every traversal pages
 	var start time.Time
 	r, err = w.run(a, func(r *analysis.Run) (err error) {
 		r.Engine.EnablePrefetch(true)

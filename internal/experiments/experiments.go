@@ -90,11 +90,14 @@ func newSearchWorkload(cfg SearchWorkloadConfig) (*workload, error) {
 
 // runSearchWorkload runs the standard tree-search workload out of core
 // at memory fraction f over an in-RAM store and returns the counters.
+// Under the generic kernels every record is full width, so the pool is
+// the paper's m slots and the rates are the paper's quantity.
 func runSearchWorkload(w *workload, cfg SearchWorkloadConfig, strategyName string, f float64, readSkip bool) (MissRateResult, error) {
 	res := MissRateResult{Strategy: strategyName, F: f}
 	r, err := w.run(arm{
 		Fraction: f, Strategy: strategyName, NoReadSkipping: !readSkip,
-		Stack: ooc.StackSpec{Base: w.memStore()},
+		Kernel: plf.KernelGeneric,
+		Stack:  ooc.StackSpec{Base: w.memStore()},
 	}, func(r *analysis.Run) (err error) {
 		res.LnL, err = searchWorkload(r.Engine, cfg)
 		return err

@@ -25,7 +25,8 @@ type workload struct {
 
 // pagingFraction is the memory fraction f of the traversal ablations
 // (async, recovery, timeline, obs overhead): tight enough that every
-// traversal pages.
+// traversal pages, full-width slots under the async ablation's generic
+// kernels and records at the default sizes of the others.
 const pagingFraction = 0.25
 
 // gammaAlpha is the rate heterogeneity every dataset is simulated with

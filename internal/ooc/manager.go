@@ -4,17 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"oocphylo/internal/obs"
 	"oocphylo/internal/record"
 )
 
-// MinSlots is the paper's hard floor on resident vectors: computing one
-// ancestral vector needs it and its two children in RAM simultaneously
-// (§3.2, "we must ensure that m >= 3").
+// MinSlots is the paper's floor (§3.2, "we must ensure that m >= 3"):
+// one newview needs its vector and two children resident, so the pool
+// has room for three full-width buffers.
 const MinSlots = 3
 
 // Stats holds the manager's access counters — the quantities plotted in
@@ -66,9 +68,10 @@ type Config struct {
 	// VectorLen is the per-vector payload length in float64s (the
 	// paper's slot width w, in doubles).
 	VectorLen int
-	// Slots is m, the number of RAM slots. Values above NumVectors are
-	// capped (f = 1 holds everything in RAM); values below MinSlots
-	// (when NumVectors allows) are rejected.
+	// Slots is m: the pool holds Slots × VectorLen float64s of records
+	// (see Manager). Values above NumVectors are capped (f = 1 holds
+	// everything in RAM); values below MinSlots (when NumVectors allows)
+	// are rejected.
 	Slots int
 	// Strategy is the replacement policy; required.
 	Strategy Strategy
@@ -102,21 +105,21 @@ const fetchWorkers = 2
 // Prefetch blocks when the queue is full.
 const fetchQueue = 2 * fetchWorkers
 
-// writeBuffers is the number of spare slot buffers backing asynchronous
-// write-back. An eviction blocks only when all spares are already in
-// the write queue. Each buffer costs VectorLen float64s on top of the
-// Slots budget. With prefix records the writer keeps up on average and
-// what blocks is a burst of cheap newviews near the tips, each evicting
-// a dirty vector; four spares absorb them (on the benchmark's full
-// traversals, 0.9–1.1 s of buffer wait per 100 ops with two, 0.3–0.4 s
-// with four).
+// writeBuffers is how many full widths of evicted records, each in its
+// own buffer, the asynchronous writer may hold outside the pool; an
+// eviction blocks only when the records queued leave no room for its
+// own. With prefix records the writer keeps up on average; what blocks
+// is a burst of cheap newviews near the tips, each evicting a dirty
+// vector, and four widths absorb it (on the benchmark's full traversals,
+// 0.9–1.1 s of buffer wait per 100 ops with two, 0.3–0.4 s with four).
 const writeBuffers = 4
 
 // PipelineBytes is the heap the async pipeline keeps beside the slot
-// pool: its spare write buffers, each vecLen float64s. A pipelined run
-// whose pool is sized from a byte limit pays for them before it buys
-// slots (the paper's -L holds for the whole manager); at the MinSlots
-// floor they come on top, as the floor itself may overrun a tiny limit.
+// pool: the records queued for the writer, at most writeBuffers × vecLen
+// float64s. A pipelined run whose pool is sized from a byte limit pays
+// for them before it buys slots (the paper's -L holds for the whole
+// manager); at the MinSlots floor they come on top, as the floor itself
+// may overrun a tiny limit.
 func PipelineBytes(vecLen int) int64 { return writeBuffers * int64(vecLen) * 8 }
 
 // SlotsForFraction returns m = max(MinSlots, round(f*n)) capped at n —
@@ -150,15 +153,22 @@ func SlotsForBytes(grant, overhead, vecBytes int64, n int) int {
 }
 
 // Manager is the out-of-core ancestral-vector manager: it implements
-// the plf.VectorProvider contract over a bounded set of RAM slots and a
-// backing Store. Vector/Prefetch/Flush/Close must come from a single
-// caller (as the likelihood engine guarantees); with Config.Async the
-// manager runs I/O goroutines internally, but all bookkeeping still
-// happens on the single calling goroutine. The stats snapshots
-// (Stats/PrefetchStats/PipelineStats) MAY be read from any goroutine —
-// the debug endpoint samples them mid-run — so every public method
-// takes the stats mutex, making each counter group a consistent
+// the plf.VectorProvider contract over a RAM pool of Slots × VectorLen
+// float64s and a backing Store. Vector/Prefetch/Flush/Close must come
+// from a single caller (as the likelihood engine guarantees); with
+// Config.Async the manager runs I/O goroutines internally, but all
+// bookkeeping still happens on the single calling goroutine. The stats
+// snapshots (Stats/PrefetchStats/PipelineStats) MAY be read from any
+// goroutine — the debug endpoint samples them mid-run — so every public
+// method takes the stats mutex, making each counter group a consistent
 // snapshot rather than a torn read.
+//
+// The pool is a byte budget, the paper's -L: it holds records, not
+// widths. A resident is charged its buffer's capacity — its record (see
+// package record), or a full width while a write-intent access owns it
+// — and the strategy evicts until the incoming charge fits (see settle
+// and take). Under -kernel generic every record is full width: the pool
+// is the paper's m slots, every decision the fixed-slot manager's.
 type Manager struct {
 	cfg Config
 
@@ -176,43 +186,56 @@ type Manager struct {
 	// Guarded by mu like the rest of the demand path.
 	span *obs.Span
 
-	// slots holds the m vector-wide RAM buffers.
-	slots [][]float64
-	// slotItem maps slot -> resident item, -1 if empty.
+	// nslots is m; budget is nslots × VectorLen float64s.
+	nslots, budget int
+	// slots is the resident table: entry s holds vector slotItem[s]
+	// (-1 if empty) in buffer slots[s]. Filling the lowest empty entry
+	// first keeps the order candidates reach the strategy in the
+	// fixed-slot manager's.
+	slots    [][]float64
 	slotItem []int
-	// itemSlot maps item -> slot, -1 if on "disk" (the paper's
+	// itemSlot maps item -> entry, -1 if on "disk" (the paper's
 	// itemvector: RAM address vs file offset; offsets here are implicit,
 	// vector vi lives at file position vi).
 	itemSlot []int
-	// lens[vi] is the length of vector vi's store record: what its last
-	// write-back wrote (see record), VectorLen before the first. Every
-	// read of vi asks the store for exactly that many float64s.
+	// lens[vi] is the length of vector vi's record, VectorLen before
+	// its first settle or write-back. A read of vi fills a buffer of
+	// that length.
 	lens []int
-	// dirty marks slots written since fault-in; only those are written
-	// back.
+	// dirty marks entries written since fault-in; only those are
+	// written back.
 	dirty []bool
-	// prefetched marks slots staged by Prefetch and not yet demanded.
+	// prefetched marks entries staged by Prefetch and not yet demanded.
 	prefetched []bool
+	// wide lists the vectors a write-intent access left unsettled.
+	wide []int
+	// held is the capacity of the resident buffers; free holds released
+	// buffers, oldest first, freeLen theirs: held+freeLen ≤ budget after
+	// every call, heldMax its peak. recycled holds, per capacity, those
+	// given up (a sync.Pool alone loses them at each GC and under -race).
+	held, freeLen, heldMax int
+	free                   [][]float64
+	recycled               map[int]*sync.Pool
 	// candidates is scratch for building the evictable set per miss.
 	candidates []int
-	slotOf     []int // parallel scratch: slot of each candidate
+	slotOf     []int // parallel scratch: entry of each candidate
 
 	stats  Stats
 	pstats PrefetchStats
 	rstats ResizeStats
 
 	// ctx, when set via SetContext, aborts the blocking edges of the
-	// I/O path (retry backoff, full fetch queue, spare-buffer waits).
+	// I/O path (retry backoff, full fetch queue, waits for the writer).
 	// Store operations themselves always run to completion, so
 	// cancellation can never leave a torn vector on disk.
 	ctx context.Context
 	// closing latches once Close has been entered; Resize refuses to
-	// restructure the slot pool from then on.
+	// change the budget from then on.
 	closing atomic.Bool
 
 	// pipe is the async I/O pipeline (nil when running synchronously).
-	pipe *pipeline
-	// inflight tracks, per slot, the background fetch still filling it.
+	// inflight tracks, per entry, the background fetch still filling it.
+	pipe      *pipeline
 	inflight  []*fetchReq
 	pipeStats PipelineStats
 	// retried counts transient-error retries; shared with the pipeline
@@ -226,10 +249,10 @@ type Manager struct {
 // three-vector working set never does under m >= MinSlots.
 var ErrAllPinned = errors.New("ooc: all resident vectors are pinned; cannot evict")
 
-// NewManager validates cfg and allocates the slot pool: Slots*VectorLen
-// float64s of vector memory, plus PipelineBytes under Config.Async.
-// MemOverheadBytes reports that extra with the store's, so a caller
-// enforcing the paper's -L charges both before it sizes Slots.
+// NewManager validates cfg and sets up an empty pool of Slots ×
+// VectorLen float64s, filled as vectors move in; under Config.Async
+// the writer may hold PipelineBytes more. MemOverheadBytes reports that
+// with the store's heap, so a caller enforcing -L charges both first.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.NumVectors < 0 || cfg.VectorLen <= 0 {
 		return nil, fmt.Errorf("ooc: invalid geometry: %d vectors of %d", cfg.NumVectors, cfg.VectorLen)
@@ -246,29 +269,26 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err := validateSlots(cfg.Slots, cfg.NumVectors, 0); err != nil {
 		return nil, err
 	}
+	n := cfg.NumVectors // the table never holds more entries
 	m := &Manager{
 		cfg:        cfg,
-		slots:      make([][]float64, cfg.Slots),
-		slotItem:   make([]int, cfg.Slots),
-		itemSlot:   make([]int, cfg.NumVectors),
-		lens:       make([]int, cfg.NumVectors),
-		dirty:      make([]bool, cfg.Slots),
-		prefetched: make([]bool, cfg.Slots),
-	}
-	// One allocation per slot (not a single contiguous slab) so that
-	// Resize can genuinely release memory on shrink: a dropped slot's
-	// buffer becomes garbage the moment nothing references it.
-	for i := range m.slots {
-		m.slots[i] = make([]float64, cfg.VectorLen)
-		m.slotItem[i] = -1
+		nslots:     cfg.Slots,
+		budget:     cfg.Slots * cfg.VectorLen,
+		slots:      make([][]float64, 0, n),
+		slotItem:   make([]int, 0, n),
+		itemSlot:   make([]int, n),
+		lens:       make([]int, n),
+		dirty:      make([]bool, 0, n),
+		prefetched: make([]bool, 0, n),
+		recycled:   make(map[int]*sync.Pool),
 	}
 	for i := range m.itemSlot {
 		m.itemSlot[i] = -1
 		m.lens[i] = cfg.VectorLen
 	}
 	if cfg.Async {
-		m.pipe = newPipeline(cfg.Store, cfg.VectorLen, cfg.Retry, &m.retried)
-		m.inflight = make([]*fetchReq, cfg.Slots)
+		m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen, cfg.Retry, &m.retried)
+		m.inflight = make([]*fetchReq, 0, n)
 		m.pipeStats.Enabled = true
 	}
 	return m, nil
@@ -280,17 +300,27 @@ func (m *Manager) NumVectors() int { return m.cfg.NumVectors }
 // VectorLen implements plf.VectorProvider.
 func (m *Manager) VectorLen() int { return m.cfg.VectorLen }
 
-// Slots returns m, the resident-vector capacity. Safe from any
-// goroutine (the slot pool can change size at runtime via Resize).
+// Slots returns m: the pool holds Slots() × VectorLen() float64s. Safe
+// from any goroutine (Resize changes it at runtime).
 func (m *Manager) Slots() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.slots)
+	return m.nslots
 }
 
+// HeldBytes reports the bytes of the pool's residents and free list,
+// now and at its peak after any call (noteHeld): at most the budget.
+func (m *Manager) HeldBytes() (now, peak int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return int64(m.held+m.freeLen) * 8, int64(m.heldMax) * 8
+}
+
+func (m *Manager) noteHeld() { m.heldMax = max(m.heldMax, m.held+m.freeLen) }
+
 // SetContext attaches ctx to the manager's blocking I/O edges: retry
-// backoff sleeps, waits on a full fetch queue and waits for a spare
-// write-back buffer all abort with an error wrapping ctx.Err() once
+// backoff sleeps, waits on a full fetch queue and waits for queued
+// write-backs to land all abort with an error wrapping ctx.Err() once
 // ctx is cancelled. Individual store reads/writes still run to
 // completion — cancellation stops at operation boundaries, so the
 // backing file never holds a torn vector — and Flush/Close remain
@@ -364,13 +394,13 @@ func unreadable(vi int, err error) error {
 	return err
 }
 
-// joinSlot waits for the background fetch still filling slot s (if
+// joinSlot waits for the background fetch still filling entry s (if
 // any) and returns its error, under the same rule as a demand read. The
-// wait is charged as stall time. A
-// successful join is where a background prefetch lands in the ledgers:
-// Reads/BytesRead must reflect fetches that completed, not fetches that
-// were merely enqueued, so that a failed fetch leaves the counters
-// exactly as a failed synchronous prefetch would.
+// wait is charged as stall time. A successful join is where a
+// background prefetch lands in the ledgers: Reads/BytesRead must
+// reflect fetches that completed, not fetches that were merely
+// enqueued, so that a failed fetch leaves the counters exactly as a
+// failed synchronous prefetch would.
 func (m *Manager) joinSlot(s int) error {
 	f := m.inflight[s]
 	if f == nil {
@@ -380,20 +410,22 @@ func (m *Manager) joinSlot(s int) error {
 	start := time.Now()
 	<-f.done
 	wait := time.Since(start)
+	vi, n, ferr := f.vi, len(f.dst), f.err
+	m.pipe.putFetch(f)
 	m.pipeStats.StallTime += wait
 	m.pipeStats.JoinWait += wait
-	if f.err == nil {
+	if ferr == nil {
 		m.pstats.Reads++
-		m.stats.BytesRead += int64(len(f.dst)) * 8
+		m.stats.BytesRead += int64(n) * 8
 	}
-	m.spanEvent("ooc.join_wait", f.vi, s, start, wait)
-	return unreadable(f.vi, f.err)
+	m.spanEvent("ooc.join_wait", vi, s, start, wait)
+	return unreadable(vi, ferr)
 }
 
-// joinOrDrop joins slot s's stage-in, if any, and on failure drops the
-// slot: its buffer holds garbage, so the vector must not stay resident,
-// as a failed synchronous prefetch leaves its slot empty. demanded says
-// the join is Vector's, whose caller wanted the staged vector; any other
+// joinOrDrop joins entry s's stage-in, if any, and on failure drops the
+// vector: its buffer holds garbage, so it must not stay resident, as a
+// failed synchronous prefetch leaves no resident. demanded says the
+// join is Vector's, whose caller wanted the staged vector; any other
 // drop is an eviction or a shrink, which would have written the garbage
 // back over the store's authoritative copy, and is ledgered as such.
 func (m *Manager) joinOrDrop(s int, demanded bool) error {
@@ -410,17 +442,14 @@ func (m *Manager) joinOrDrop(s int, demanded bool) error {
 			m.pstats.Wasted++
 		}
 	}
-	m.itemSlot[m.slotItem[s]] = -1
-	m.slotItem[s] = -1
-	m.dirty[s] = false
-	m.prefetched[s] = false
+	m.release(m.unmap(s))
 	return err
 }
 
 // demandRead reads vi into dst on the compute thread, retrying
 // transient errors per the configured policy. Under the async pipeline
-// a pending write-back buffer serves it first (read-after-write). What
-// the store still cannot serve comes back as unreadable.
+// a record still with the writer serves it first (read-after-write).
+// What the store still cannot serve comes back as unreadable.
 func (m *Manager) demandRead(vi int, dst []float64) error {
 	if m.pipe != nil && m.pipe.readPending(vi, dst) {
 		return nil
@@ -438,28 +467,152 @@ func (m *Manager) storeWrite(vi int, buf []float64) error {
 	})
 }
 
-// recordOf is the part of slot s a read of vector vi fills: vi's record.
-func (m *Manager) recordOf(vi, s int) []float64 { return m.slots[s][:m.lens[vi]] }
-
-// takeRecord is the part of slot s that vector vi's write-back stores,
-// which becomes vi's record: the prefix the engine stamped into the
-// slot's last word, or the whole slot (package record).
+// takeRecord is the part of entry s that vector vi's write-back stores,
+// which becomes vi's record: the prefix the engine stamped into a wide
+// buffer's last word, or the whole buffer (package record).
 func (m *Manager) takeRecord(vi, s int) []float64 {
 	m.lens[vi] = record.Len(m.slots[s])
-	return m.recordOf(vi, s)
+	return m.slots[s][:m.lens[vi]]
 }
 
-// Resident reports whether vector vi currently occupies a RAM slot.
+// take returns an uncharged buffer of n float64s: a free one of that
+// capacity, else (the oldest free ones going until it fits the budget)
+// a recycled one, else a new one. Records recur at the same lengths, so
+// a pool that thrashes still rarely allocates.
+func (m *Manager) take(n int) []float64 {
+	for i := len(m.free) - 1; i >= 0; i-- {
+		if b := m.free[i]; cap(b) == n {
+			m.freeLen -= n
+			m.free = slices.Delete(m.free, i, i+1)
+			return b
+		}
+	}
+	m.trim(n)
+	if p := m.recycled[n]; p != nil {
+		if x := p.Get(); x != nil {
+			return unsafe.Slice(x.(*float64), n)
+		}
+	}
+	return make([]float64, n)
+}
+
+// release puts an uncharged buffer on the free list, then trims it.
+func (m *Manager) release(b []float64) {
+	m.free = append(m.free, b[:cap(b)])
+	m.freeLen += cap(b)
+	m.trim(0)
+}
+
+// trim recycles the oldest free buffers until extra more fit.
+func (m *Manager) trim(extra int) {
+	k := 0
+	for ; k < len(m.free) && m.held+m.freeLen+extra > m.budget; k++ {
+		m.freeLen -= cap(m.free[k])
+		m.recycle(m.free[k])
+	}
+	m.free = slices.Delete(m.free, 0, k)
+}
+
+// recycle gives b up to a sync.Pool, where the garbage collector frees
+// it unless a take of its capacity comes first.
+func (m *Manager) recycle(b []float64) {
+	p := m.recycled[cap(b)]
+	if p == nil {
+		p = new(sync.Pool)
+		m.recycled[cap(b)] = p
+	}
+	p.Put(unsafe.SliceData(b))
+}
+
+// place charges buf as vi's in the lowest empty (or a new) entry.
+func (m *Manager) place(vi int, buf []float64) int {
+	s := slices.Index(m.slotItem, -1)
+	if s < 0 {
+		s = len(m.slots)
+		m.slots, m.slotItem = append(m.slots, nil), append(m.slotItem, -1)
+		m.dirty, m.prefetched = append(m.dirty, false), append(m.prefetched, false)
+		if m.pipe != nil {
+			m.inflight = append(m.inflight, nil)
+		}
+	}
+	m.slots[s], m.slotItem[s], m.itemSlot[vi] = buf, vi, s
+	m.held += cap(buf)
+	return s
+}
+
+// unmap empties entry s and returns its buffer, no longer charged.
+func (m *Manager) unmap(s int) []float64 {
+	vi, buf := m.slotItem[s], m.slots[s]
+	m.itemSlot[vi] = -1
+	m.slotItem[s] = -1
+	m.slots[s] = nil
+	m.dirty[s] = false
+	m.prefetched[s] = false
+	m.held -= cap(buf)
+	m.wide = slices.DeleteFunc(m.wide, func(u int) bool { return u == vi })
+	return buf
+}
+
+// settleWide settles the wide vectors whose slices the call ends: all
+// it neither pins nor, when keep, names as vi.
+func (m *Manager) settleWide(vi int, keep bool, pinned []int) {
+	k := 0
+	for _, u := range m.wide {
+		if (keep && u == vi) || slices.Contains(pinned, u) {
+			m.wide[k] = u
+			k++
+		} else {
+			m.settle(u)
+		}
+	}
+	m.wide = m.wide[:k]
+}
+
+// settle moves the record u's last write stamped (package record) from
+// its wide buffer into a buffer of its length; a full-width one stays.
+func (m *Manager) settle(u int) {
+	s := m.itemSlot[u]
+	buf := m.slots[s]
+	n := record.Len(buf)
+	m.lens[u] = n
+	if n == cap(buf) {
+		return
+	}
+	m.held -= cap(buf)
+	m.slots[s] = m.take(n)
+	copy(m.slots[s], buf)
+	m.held += n
+	m.release(buf)
+}
+
+// widen swaps resident vi's record (about to be overwritten) in entry s
+// for the full-width buffer a write-intent access reserves.
+func (m *Manager) widen(vi, s int, pinned []int) error {
+	old := m.slots[s]
+	if cap(old) == m.cfg.VectorLen {
+		return nil
+	}
+	if err := m.makeRoom(m.cfg.VectorLen-cap(old), vi, pinned); err != nil {
+		return err
+	}
+	m.held -= cap(old)
+	m.release(old)
+	m.slots[s] = m.take(m.cfg.VectorLen)
+	m.held += m.cfg.VectorLen
+	return nil
+}
+
+// Resident reports whether vector vi is currently in the RAM pool.
 func (m *Manager) Resident(vi int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return vi >= 0 && vi < len(m.itemSlot) && m.itemSlot[vi] >= 0
 }
 
-// FetchCost implements FetchCoster over the slot pool: a resident
-// vector is local; anything else is whatever the backing store says
-// (local for stores with no remote tier). The engine's degraded-mode
-// planner consults this to find the reads it must recompute instead.
+// FetchCost implements FetchCoster over the pool: a resident vector is
+// local; anything else is whatever the backing store says (local for
+// stores with no remote tier). The engine's degraded-mode planner
+// consults this to find the reads it must recompute instead.
 func (m *Manager) FetchCost(vi int) (time.Duration, bool) {
 	if m.Resident(vi) {
 		return 0, false
@@ -475,13 +628,13 @@ func (m *Manager) Degraded() bool {
 	return StoreDegraded(m.cfg.Store)
 }
 
-// MemOverheadBytes reports the heap held beside the slot pool — what
-// the backing store keeps on the manager's behalf (cache-tier indexes,
-// in-flight remote buffers) and, under Config.Async, the pipeline's
-// spare buffers (PipelineBytes) — so budget-aware callers (the
+// MemOverheadBytes reports the heap held beside the pool — what the
+// backing store keeps on the manager's behalf (cache-tier indexes,
+// in-flight remote buffers) and, under Config.Async, the records queued
+// for the writer (PipelineBytes) — so budget-aware callers (the
 // Watchdog, Resize policies) can charge it against the same budget as
-// the slot pool. Zero for a synchronous manager over a plain file or
-// memory store.
+// the pool. Zero for a synchronous manager over a plain file or memory
+// store.
 func (m *Manager) MemOverheadBytes() int64 {
 	ov := StoreMemOverhead(m.cfg.Store)
 	if m.cfg.Async {
@@ -493,14 +646,17 @@ func (m *Manager) MemOverheadBytes() int64 {
 // Vector implements plf.VectorProvider: the paper's getxvector(). It
 // returns the RAM address of vector vi, swapping it in if necessary.
 // write declares that the caller overwrites the entire vector before
-// reading it, enabling read skipping; pinned lists vector indices that
-// must not be evicted by this call.
+// reading it, enabling read skipping, and gets a full-width buffer; a
+// read gets vi's record, which may be shorter. pinned lists vector
+// indices that must not be evicted (or moved) by this call.
 func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	if vi < 0 || vi >= m.cfg.NumVectors {
 		return nil, fmt.Errorf("ooc: vector index %d out of range [0, %d)", vi, m.cfg.NumVectors)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.noteHeld()
+	m.settleWide(vi, write, pinned)
 	m.stats.Requests++
 	m.cfg.Strategy.Touch(vi)
 	if s := m.itemSlot[vi]; s >= 0 {
@@ -517,8 +673,8 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 				}
 				// Write-intent access to a corrupt staged copy: the
 				// caller overwrites the whole payload anyway, so fall
-				// through to the miss path (the slot just freed is
-				// available) instead of failing the computation.
+				// through to the miss path instead of failing the
+				// computation.
 				joinFailed = true
 			}
 		}
@@ -530,6 +686,10 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 			}
 			if write {
 				m.dirty[s] = true
+				if err := m.widen(vi, s, pinned); err != nil {
+					return nil, err
+				}
+				m.markWide(vi)
 			}
 			return m.slots[s], nil
 		}
@@ -540,20 +700,24 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		missStart = time.Now()
 	}
 
-	slot, err := m.freeSlot(vi, pinned)
-	if err != nil {
+	n := m.lens[vi]
+	if write {
+		n = m.cfg.VectorLen
+	}
+	if err := m.makeRoom(n, vi, pinned); err != nil {
 		return nil, err
 	}
+	buf := m.take(n)
 	// Swap in.
 	skipRead := write && m.cfg.ReadSkipping
 	if skipRead {
 		m.stats.SkippedReads++
-	} else if err := m.stall(func() error { return m.demandRead(vi, m.recordOf(vi, slot)) }); err != nil {
-		if !IsCorruption(err) {
-			return nil, err
+	} else if err := m.stall(func() error { return m.demandRead(vi, buf[:m.lens[vi]]) }); err != nil {
+		if IsCorruption(err) {
+			m.pipeStats.CorruptReads++
 		}
-		m.pipeStats.CorruptReads++
-		if !write {
+		if !write || !IsCorruption(err) {
+			m.release(buf)
 			return nil, err
 		}
 		// The stored payload is corrupt, but the caller promised to
@@ -563,62 +727,54 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		m.stats.Reads++
 		m.stats.BytesRead += int64(m.lens[vi]) * 8
 	}
-	m.slotItem[slot] = vi
-	m.itemSlot[vi] = slot
+	slot := m.place(vi, buf)
 	m.dirty[slot] = write
-	m.prefetched[slot] = false
+	if write {
+		m.markWide(vi)
+	}
 	if m.mx.on || m.span != nil {
 		dur := time.Since(missStart)
 		m.mx.faultIn.Observe(dur.Seconds())
 		m.spanEvent("ooc.fault_in", vi, slot, missStart, dur)
 	}
-	return m.slots[slot], nil
+	return buf, nil
 }
 
-// freeSlot returns an empty slot, evicting a victim if none is free.
-func (m *Manager) freeSlot(requested int, pinned []int) (int, error) {
-	for s, it := range m.slotItem {
-		if it < 0 {
-			if m.slots[s] == nil {
-				// A slot added by a grow is allocated on first use, so
-				// growing the pool never pays for memory it does not need.
-				m.slots[s] = make([]float64, m.cfg.VectorLen)
-			}
-			return s, nil
+func (m *Manager) markWide(vi int) {
+	if !slices.Contains(m.wide, vi) {
+		m.wide = append(m.wide, vi)
+	}
+}
+
+// makeRoom evicts the strategy's victims, never requested or a pinned
+// vector, until n more float64s fit the budget beside the residents.
+func (m *Manager) makeRoom(n, requested int, pinned []int) error {
+	for m.held+n > m.budget {
+		victim, slot, err := m.pickVictim(requested, pinned)
+		if err != nil {
+			return err
+		}
+		if err := m.evict(victim, slot); err != nil {
+			return err
 		}
 	}
-	victim, slot, err := m.pickVictim(requested, pinned)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.evict(victim, slot); err != nil {
-		return 0, err
-	}
-	return slot, nil
+	return nil
 }
 
 // pickVictim chooses an evictable resident via the replacement
-// strategy: the candidate set is every resident item minus pins.
-// requested is the incoming item the eviction makes room for, or -1
-// when the pool itself is shrinking (Resize). Callers hold m.mu.
+// strategy: the candidate set is every resident item minus requested
+// and pins, in table order. requested is the item the eviction makes
+// room for, or -1 when the pool itself is shrinking (Resize). Callers
+// hold m.mu.
 func (m *Manager) pickVictim(requested int, pinned []int) (victim, slot int, err error) {
 	m.candidates = m.candidates[:0]
 	m.slotOf = m.slotOf[:0]
 	for s, it := range m.slotItem {
-		if it < 0 {
+		if it < 0 || it == requested || slices.Contains(pinned, it) {
 			continue
 		}
-		isPinned := false
-		for _, p := range pinned {
-			if p == it {
-				isPinned = true
-				break
-			}
-		}
-		if !isPinned {
-			m.candidates = append(m.candidates, it)
-			m.slotOf = append(m.slotOf, s)
-		}
+		m.candidates = append(m.candidates, it)
+		m.slotOf = append(m.slotOf, s)
 	}
 	if len(m.candidates) == 0 {
 		return -1, -1, ErrAllPinned
@@ -632,9 +788,9 @@ func (m *Manager) pickVictim(requested int, pinned []int) (victim, slot int, err
 }
 
 // evict writes the victim back if it was modified since fault-in and
-// releases its slot. Under the async pipeline the write is queued to
-// the writer goroutine and a spare buffer is patched into the slot, so
-// the call returns without waiting for the store.
+// frees its entry. Under the async pipeline the record's own buffer is
+// queued to the writer, so the call returns without waiting for the
+// store; a synchronous write-back frees the buffer for reuse.
 func (m *Manager) evict(victim, slot int) error {
 	// The victim's own stage-in may still be in flight; its buffer
 	// cannot be written back or reused until the read completes, and a
@@ -644,24 +800,28 @@ func (m *Manager) evict(victim, slot int) error {
 		m.mx.evictions.Inc()
 		return nil
 	}
-	// A clean slot's content matches the store (it was faulted in by a
+	// A clean entry's content matches the store (it was faulted in by a
 	// read and never modified), so its write-back is skipped.
+	queued := false
 	if m.dirty[slot] {
 		var ws time.Time
 		if m.span != nil || (m.mx.on && m.pipe == nil) {
 			ws = time.Now()
 		}
+		rec := m.takeRecord(victim, slot)
 		if m.pipe != nil {
-			if err := m.asyncWriteBack(victim, slot); err != nil {
+			if err := m.asyncWriteBack(victim, rec); err != nil {
 				return err
 			}
+			queued = true
 			if m.span != nil {
-				// Async: the span covers only the hand-off (spare wait);
-				// the store write itself is the writer's pipe.write_back.
+				// Async: the span covers only the hand-off (waiting for
+				// the writer); the store write itself is the writer's
+				// pipe.write_back.
 				m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
 			}
 		} else {
-			if err := m.stall(func() error { return m.storeWrite(victim, m.takeRecord(victim, slot)) }); err != nil {
+			if err := m.stall(func() error { return m.storeWrite(victim, rec) }); err != nil {
 				return err
 			}
 			if m.mx.on || m.span != nil {
@@ -676,38 +836,49 @@ func (m *Manager) evict(victim, slot int) error {
 		m.stats.SkippedWrites++
 	}
 	m.mx.evictions.Inc()
-	m.itemSlot[victim] = -1
-	m.slotItem[slot] = -1
-	m.dirty[slot] = false
 	if m.prefetched[slot] {
-		m.prefetched[slot] = false
 		m.pstats.Wasted++
 	}
+	if buf := m.unmap(slot); !queued {
+		m.release(buf)
+	}
+	m.releaseReturned()
 	return nil
 }
 
-// asyncWriteBack queues the victim's record (a prefix of its slot
-// buffer) for background write-back and patches a spare buffer into
-// the slot. Blocks only when every spare is already in the write queue.
-func (m *Manager) asyncWriteBack(victim, slot int) error {
+// asyncWriteBack hands the victim's record, buffer and all, to the
+// writer, first taking queued writes back until it fits beside the rest
+// (their buffers go to the free list after the victim has left, see
+// releaseReturned).
+func (m *Manager) asyncWriteBack(victim int, rec []float64) error {
 	// Surface background write errors promptly rather than at the next
 	// barrier.
 	if err := m.pipe.err(); err != nil {
 		return err
 	}
 	start := time.Now()
-	spare, err := m.pipe.acquireSpare(m.ctx)
+	err := m.pipe.reclaimFor(m.ctx, cap(rec))
 	wait := time.Since(start)
 	m.pipeStats.StallTime += wait
 	m.pipeStats.BufferWait += wait
 	if err != nil {
 		return fmt.Errorf("ooc: write-back abandoned: %w", err)
 	}
-	rec := m.takeRecord(victim, slot)
-	m.slots[slot] = spare
 	m.pipe.enqueueWrite(victim, rec, m.span)
 	m.pipeStats.WritesQueued++
 	return nil
+}
+
+// releaseReturned frees the buffers of the writes taken back.
+func (m *Manager) releaseReturned() {
+	if m.pipe == nil {
+		return
+	}
+	for _, b := range m.pipe.returned {
+		m.release(b)
+	}
+	clear(m.pipe.returned)
+	m.pipe.returned = m.pipe.returned[:0]
 }
 
 // Flush writes every modified resident vector to the store (used before
@@ -718,6 +889,7 @@ func (m *Manager) asyncWriteBack(victim, slot int) error {
 func (m *Manager) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.noteHeld()
 	if err := m.drainPipeline(); err != nil {
 		return err
 	}
@@ -729,7 +901,8 @@ func (m *Manager) Flush() error {
 			m.stats.SkippedWrites++
 			continue
 		}
-		if err := m.stall(func() error { return m.storeWrite(it, m.takeRecord(it, s)) }); err != nil {
+		rec := m.takeRecord(it, s)
+		if err := m.stall(func() error { return m.storeWrite(it, rec) }); err != nil {
 			return err
 		}
 		m.stats.Writes++
@@ -754,6 +927,7 @@ func (m *Manager) drainPipeline() error {
 	if err := m.stall(m.pipe.barrier); err != nil && first == nil {
 		first = err
 	}
+	m.releaseReturned()
 	return first
 }
 
@@ -782,28 +956,35 @@ func (m *Manager) Close() error {
 	return first
 }
 
-// CheckInvariants validates the item/slot mapping consistency; tests
-// call it after randomised operation sequences.
+// CheckInvariants validates the item/entry mapping and the pool's
+// charge; tests call it after randomised operation sequences.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seen := make(map[int]int)
+	held, free := 0, 0
 	for s, it := range m.slotItem {
-		if it < 0 {
-			continue
-		}
-		if prev, dup := seen[it]; dup {
-			return fmt.Errorf("ooc: item %d resident in slots %d and %d", it, prev, s)
-		}
-		seen[it] = s
-		if m.itemSlot[it] != s {
-			return fmt.Errorf("ooc: slot %d holds item %d but itemSlot says %d", s, it, m.itemSlot[it])
+		switch {
+		case it < 0:
+		case m.itemSlot[it] != s:
+			return fmt.Errorf("ooc: entry %d holds item %d but itemSlot says %d", s, it, m.itemSlot[it])
+		case slices.Contains(m.wide, it) && cap(m.slots[s]) != m.cfg.VectorLen,
+			!slices.Contains(m.wide, it) && len(m.slots[s]) != m.lens[it]:
+			return fmt.Errorf("ooc: vector %d holds %d float64s of a %d-float record", it, len(m.slots[s]), m.lens[it])
+		default:
+			held += cap(m.slots[s])
 		}
 	}
 	for it, s := range m.itemSlot {
-		if s >= 0 && m.slotItem[s] != it {
-			return fmt.Errorf("ooc: itemSlot[%d]=%d but slotItem[%d]=%d", it, s, s, m.slotItem[s])
+		if s >= 0 && (s >= len(m.slotItem) || m.slotItem[s] != it) {
+			return fmt.Errorf("ooc: itemSlot[%d]=%d does not hold it", it, s)
 		}
+	}
+	for _, b := range m.free {
+		free += cap(b)
+	}
+	if held != m.held || free != m.freeLen || held+free > m.budget {
+		return fmt.Errorf("ooc: %d held and %d free (ledger %d, %d) against a budget of %d",
+			held, free, m.held, m.freeLen, m.budget)
 	}
 	return nil
 }

@@ -66,10 +66,10 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 		evictions:  reg.Counter("ooc.evictions_" + strings.ToLower(m.cfg.Strategy.Name())),
 		slots:      reg.Gauge("ooc.slots"),
 	}
-	m.mx.slots.Set(int64(len(m.slots)))
+	m.mx.slots.Set(int64(m.nslots))
 	reg.SetInfo("ooc.strategy", m.cfg.Strategy.Name())
 	reg.SetInfo("ooc.geometry", fmt.Sprintf("%d slots / %d vectors x %d doubles",
-		len(m.slots), m.cfg.NumVectors, m.cfg.VectorLen))
+		m.nslots, m.cfg.NumVectors, m.cfg.VectorLen))
 	if m.pipe != nil {
 		m.pipe.instrument(reg)
 	}

@@ -13,10 +13,11 @@ package ooc
 //     are identical to the synchronous manager; only the byte transfer
 //     overlaps compute. A demand access that arrives before the fetch
 //     completes joins the in-flight read instead of re-issuing it.
-//   - Evictions hand the victim's buffer to a single write-back
-//     goroutine and patch a spare buffer from a small pool into the
-//     slot, returning immediately. The compute thread blocks only when
-//     every spare is already in the write queue.
+//   - Evictions hand the victim's record — its own buffer, which the
+//     writer now owns — to a single write-back goroutine and return
+//     immediately. The compute thread blocks only when the records
+//     still queued leave no room for this one within PipelineBytes;
+//     it then takes buffers back, oldest write first, into the pool.
 //
 // Correctness bar: the pipeline may change WHEN I/O happens, never
 // WHAT is computed. All slot mapping, eviction choices, strategy
@@ -25,12 +26,14 @@ package ooc
 // bit-identical and miss accounting is unchanged. Consistency rules:
 //
 //   - Read-after-write: a read of a vector whose write-back buffer the
-//     compute thread has not taken back as a spare is served from that
-//     buffer (readPending), never from a possibly stale store region.
-//     The buffer stays readable until its reuse, not just until its
-//     write lands, so which reads it serves depends on the order of
-//     evictions alone, never on the writer's timing; a prefetch of such
-//     a vector is served the same way, on the compute thread.
+//     compute thread has not taken back is served from that buffer
+//     (readPending), never from a possibly stale store region. The
+//     buffer stays readable until it is taken back, not just until its
+//     write lands, and it is taken back only when the queued bytes
+//     demand it or at a barrier, so which reads it serves depends on the
+//     order and sizes of evictions alone, never on the writer's timing;
+//     a prefetch of such a vector is served the same way, on the compute
+//     thread.
 //   - Write-write: a single writer goroutine drains the queue FIFO, so
 //     two queued writes to the same vector land in issue order.
 //   - Fetch-evict: evicting a slot whose stage-in is in flight first
@@ -50,6 +53,7 @@ package ooc
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,13 +83,14 @@ type PipelineStats struct {
 	OverlappedBytes int64
 	// StallTime is the total time the compute thread spent blocked on
 	// I/O: synchronous store calls on the demand path, waits for
-	// in-flight fetches (JoinWait), waits for a spare write-back buffer
+	// in-flight fetches (JoinWait), waits for queued write-backs to land
 	// (BufferWait) and Flush/Close barriers. The synchronous manager
 	// fills this too, so sync-vs-async stall is directly comparable.
 	StallTime time.Duration
 	// JoinWait is the portion of StallTime spent joining fetches.
 	JoinWait time.Duration
-	// BufferWait is the portion spent waiting for a spare buffer.
+	// BufferWait is the portion spent waiting for queued writes to
+	// land so an evicted record fits beside them.
 	BufferWait time.Duration
 	// QueueDepthMax is the high-water mark of simultaneously queued
 	// background operations (fetches + writes).
@@ -105,9 +110,9 @@ type PipelineStats struct {
 }
 
 // fetchReq is one background stage-in: the worker fills dst with
-// vector vi and closes done. The slot owning dst is reserved by the
+// vector vi and signals done. The entry owning dst is reserved by the
 // compute thread before the request is queued and is not touched again
-// until the request is joined.
+// until the request is joined and recycled.
 type fetchReq struct {
 	vi  int
 	dst []float64
@@ -115,14 +120,12 @@ type fetchReq struct {
 	// span is emitted under it (nil when untraced).
 	span *obs.Span
 	err  error
-	done chan struct{}
+	done chan struct{} // one signal per use (capacity 1)
 }
 
-// writeReq is one queued write-back. buf is the vector's record, a
-// prefix of a former slot buffer. After the write lands the request
-// itself goes to the spare pool, and the compute thread retires it from
-// the pending map when it takes the buffer back, so until then readers
-// can always copy from it.
+// writeReq is one queued write-back. buf is the vector's record, in
+// its pool buffer, which readers can copy from until the compute thread
+// takes the request back (reclaimOldest).
 type writeReq struct {
 	vi  int
 	buf []float64
@@ -134,22 +137,22 @@ type writeReq struct {
 // pipeline owns the background goroutines and the queues between them
 // and the compute thread.
 type pipeline struct {
-	store  Store
-	vecLen int
+	store Store
 
 	fetchCh chan *fetchReq
 	writeCh chan *writeReq
-	// spares holds the buffers not currently patched into a slot, each
-	// in the write request that last used it (vi -1 for one never
-	// used); exactly cap(spares) buffers circulate, so the writer's
-	// return send can never block.
-	spares chan *writeReq
 
-	// pending maps a vector to its newest write request whose buffer is
-	// not yet back in a slot, and lastWrite is the newest request. Both
-	// belong to the compute thread.
-	pending   map[int]*writeReq
-	lastWrite *writeReq
+	// The rest of the block is the compute thread's. queue holds the
+	// writes not taken back, oldest first; queued is their capacity in
+	// float64s. pending maps a vector to its newest queued write.
+	// returned holds taken-back buffers for the manager's free list;
+	// fetchFree and writeFree hold requests for reuse.
+	queue            []*writeReq
+	queued, capacity int
+	pending          map[int]*writeReq
+	returned         [][]float64
+	fetchFree        []*fetchReq
+	writeFree        []*writeReq
 
 	mu       sync.Mutex
 	firstErr error
@@ -180,19 +183,20 @@ type pipeline struct {
 // thread is lane 0 and fetch workers are lanes 1..fetchWorkers.
 const writerLane = fetchWorkers + 1
 
-func newPipeline(store Store, vecLen int, retry RetryPolicy, retried *atomic.Int64) *pipeline {
+// writeQueue bounds the channel to the writer; the byte cap
+// (capacity) is what normally bounds the queue.
+const writeQueue = 64
+
+// newPipeline starts the workers; the writer holds capacity float64s.
+func newPipeline(store Store, capacity int, retry RetryPolicy, retried *atomic.Int64) *pipeline {
 	p := &pipeline{
-		store:   store,
-		vecLen:  vecLen,
-		fetchCh: make(chan *fetchReq, fetchQueue),
-		writeCh: make(chan *writeReq, writeBuffers),
-		spares:  make(chan *writeReq, writeBuffers),
-		pending: make(map[int]*writeReq),
-		retry:   retry,
-		retried: retried,
-	}
-	for i := 0; i < writeBuffers; i++ {
-		p.spares <- &writeReq{vi: -1, buf: make([]float64, vecLen)}
+		store:    store,
+		fetchCh:  make(chan *fetchReq, fetchQueue),
+		writeCh:  make(chan *writeReq, writeQueue),
+		capacity: capacity,
+		pending:  make(map[int]*writeReq),
+		retry:    retry,
+		retried:  retried,
 	}
 	for i := 0; i < fetchWorkers; i++ {
 		p.wg.Add(1)
@@ -240,7 +244,7 @@ func (p *pipeline) fetchWorker(lane int64) {
 			emitTransfer(req.span, "pipe.fetch", lane, req.vi, start, dur)
 		}
 		p.qdepth.Set(p.depth.Add(-1))
-		close(req.done)
+		req.done <- struct{}{}
 	}
 }
 
@@ -268,8 +272,7 @@ func (p *pipeline) writeWorker() {
 			emitTransfer(req.span, "pipe.write_back", writerLane, req.vi, start, dur)
 		}
 		p.qdepth.Set(p.depth.Add(-1))
-		close(req.done)
-		p.spares <- req
+		req.done <- struct{}{}
 	}
 }
 
@@ -298,7 +301,8 @@ func (p *pipeline) readPending(vi int, dst []float64) bool {
 // cancelled ctx aborts that wait and returns ctx's error with no
 // request queued.
 func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64, sp *obs.Span) (*fetchReq, error) {
-	req := &fetchReq{vi: vi, dst: dst, span: sp, done: make(chan struct{})}
+	req := reuse(&p.fetchFree, func() *fetchReq { return &fetchReq{done: make(chan struct{}, 1)} })
+	req.vi, req.dst, req.span = vi, dst, sp
 	p.bumpDepth()
 	if ctx == nil {
 		p.fetchCh <- req
@@ -314,58 +318,88 @@ func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64, sp *
 		return req, nil
 	case <-ctx.Done():
 		p.qdepth.Set(p.depth.Add(-1))
+		p.putFetch(req)
 		return nil, ctx.Err()
 	}
 }
 
-// enqueueWrite queues buf as the newest record of vector vi, traced
-// under sp. The caller has already removed buf's slot buffer from the
-// slot array.
+// reuse pops a request from free, or makes one.
+func reuse[T any](free *[]*T, mk func() *T) *T {
+	if k := len(*free); k > 0 {
+		r := (*free)[k-1]
+		*free = (*free)[:k-1]
+		return r
+	}
+	return mk()
+}
+
+// putFetch recycles a joined (or never queued) fetch request.
+func (p *pipeline) putFetch(req *fetchReq) {
+	req.dst, req.span, req.err = nil, nil, nil
+	p.fetchFree = append(p.fetchFree, req)
+}
+
+// enqueueWrite queues buf, which the writer owns from here on, as the
+// newest record of vector vi, traced under sp (after reclaimFor).
 func (p *pipeline) enqueueWrite(vi int, buf []float64, sp *obs.Span) {
-	req := &writeReq{vi: vi, buf: buf, span: sp, done: make(chan struct{})}
+	req := reuse(&p.writeFree, func() *writeReq { return &writeReq{done: make(chan struct{}, 1)} })
+	req.vi, req.buf, req.span = vi, buf, sp
 	p.pending[vi] = req
-	p.lastWrite = req
+	p.queue = append(p.queue, req)
+	p.queued += cap(buf)
 	p.bumpDepth()
 	p.writeCh <- req
 }
 
-// acquireSpare blocks until a spare buffer is available and retires the
-// write that last used it from the pending map. The writer is FIFO, so
-// spares come back in the order their writes were queued, and which
-// write a given eviction retires does not depend on timing. A non-nil
-// cancelled ctx aborts the wait (a spare that is ready is still
-// preferred over the cancellation, keeping evictions deterministic
-// under light load).
-func (p *pipeline) acquireSpare(ctx context.Context) ([]float64, error) {
-	var r *writeReq
+// reclaimFor takes queued writes back, oldest first, until n more
+// float64s fit within capacity: which ones depends on the evictions
+// alone, never on timing. A cancelled ctx aborts a wait (a write that
+// has landed is still taken back first, keeping evictions deterministic).
+func (p *pipeline) reclaimFor(ctx context.Context, n int) error {
+	for len(p.queue) > 0 && p.queued+n > p.capacity {
+		if err := p.reclaimOldest(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reclaimOldest waits for the oldest queued write to land, retires it
+// from the pending map and moves its buffer to returned.
+func (p *pipeline) reclaimOldest(ctx context.Context) error {
+	w := p.queue[0]
+	var cancel <-chan struct{} // nil, so never ready, without a ctx
+	if ctx != nil {
+		cancel = ctx.Done()
+	}
 	select {
-	case r = <-p.spares:
+	case <-w.done:
 	default:
-		if ctx == nil {
-			r = <-p.spares
-			break
-		}
 		select {
-		case r = <-p.spares:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case <-w.done:
+		case <-cancel:
+			return ctx.Err()
 		}
 	}
-	if p.pending[r.vi] == r {
-		delete(p.pending, r.vi)
+	p.queue = slices.Delete(p.queue, 0, 1)
+	p.queued -= cap(w.buf)
+	if p.pending[w.vi] == w {
+		delete(p.pending, w.vi)
 	}
-	return r.buf[:p.vecLen], nil
+	p.returned = append(p.returned, w.buf)
+	w.buf, w.span = nil, nil
+	p.writeFree = append(p.writeFree, w)
+	return nil
 }
 
 // barrier blocks until every write queued so far has reached the
-// store, then reports the first background error (if any). The pending
-// buffers are forgotten: the store holds what they hold, and Flush may
-// now write a newer record of their vectors past the queue.
+// store, takes every buffer back, then reports the first background
+// error (if any). The store now holds what the buffers held, and Flush
+// may write a newer record of their vectors past the queue.
 func (p *pipeline) barrier() error {
-	if p.lastWrite != nil {
-		<-p.lastWrite.done
+	for len(p.queue) > 0 {
+		_ = p.reclaimOldest(nil)
 	}
-	clear(p.pending)
 	return p.err()
 }
 

@@ -25,7 +25,7 @@ type PrefetchStats struct {
 	Wasted int64
 }
 
-// Prefetch stages vector vi into a slot without counting a demand miss.
+// Prefetch stages vector vi into the pool without counting a demand miss.
 // pinned has the same meaning as in Vector. A resident vi is a no-op.
 // Prefetched data is always read from the store (the engine prefetches
 // read-intent inputs only; write-intent targets are cheaper via read
@@ -42,18 +42,20 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.noteHeld()
+	m.settleWide(vi, true, pinned)
 	m.pstats.Issued++
 	if m.itemSlot[vi] >= 0 {
 		return nil // already resident (possibly still in flight)
 	}
-	slot, err := m.freeSlot(vi, pinned)
-	if err != nil {
-		// No evictable slot (everything pinned): skip the prefetch.
+	if err := m.makeRoom(m.lens[vi], vi, pinned); err != nil {
+		// No evictable vector (everything pinned): skip the prefetch.
 		if err == ErrAllPinned {
 			return nil
 		}
 		return err
 	}
+	buf := m.take(m.lens[vi])
 	// The stage-in is definitely happening: register the access with
 	// the replacement policy so recency-aware strategies do not pick
 	// the staged vector as the very next victim.
@@ -65,40 +67,38 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 		if m.span != nil {
 			ps = time.Now()
 		}
-		if err := m.stall(func() error { return m.demandRead(vi, m.recordOf(vi, slot)) }); err != nil {
+		if err := m.stall(func() error { return m.demandRead(vi, buf) }); err != nil {
 			if IsCorruption(err) {
 				m.pipeStats.CorruptReads++
 			}
+			m.release(buf)
 			return err
 		}
 		// Ledger the read only once it has actually succeeded: a failed
 		// stage-in must not leave Reads/BytesRead overcounting. The
 		// async path mirrors this by accounting at join time (joinSlot).
 		m.pstats.Reads++
-		m.stats.BytesRead += int64(m.lens[vi]) * 8
+		m.stats.BytesRead += int64(len(buf)) * 8
+		slot := m.place(vi, buf)
+		m.prefetched[slot] = true
 		if m.span != nil {
 			m.spanEvent("ooc.prefetch", vi, slot, ps, time.Since(ps))
 		}
-		m.slotItem[slot] = vi
-		m.itemSlot[vi] = slot
-		m.dirty[slot] = false
-		m.prefetched[slot] = true
 		return nil
 	}
 	// Queue the read to a background worker; the wait below is felt
 	// only when the bounded fetch queue is full. If the manager's
 	// context is cancelled during that wait the prefetch is simply
-	// skipped — the slot stays empty and unmapped.
+	// skipped — the buffer goes back and nothing is mapped.
 	start := time.Now()
-	req, err := m.pipe.enqueueFetch(m.ctx, vi, m.recordOf(vi, slot), m.span)
+	req, err := m.pipe.enqueueFetch(m.ctx, vi, buf, m.span)
 	wait := time.Since(start)
 	m.pipeStats.StallTime += wait
 	if err != nil {
+		m.release(buf)
 		return nil
 	}
-	m.slotItem[slot] = vi
-	m.itemSlot[vi] = slot
-	m.dirty[slot] = false
+	slot := m.place(vi, buf)
 	m.prefetched[slot] = true
 	m.inflight[slot] = req
 	m.pipeStats.FetchesQueued++

@@ -29,7 +29,9 @@ import "fmt"
 //
 // The returned slice remains valid until any subsequent Vector call
 // whose index differs — exactly the lifetime a single pruning step or
-// evaluation needs under the m >= 3 slot minimum.
+// evaluation needs under the m >= 3 slot minimum. A write-intent slice
+// is VectorLen() long; a read slice may be shorter, the vector's record
+// (package record): every entry the engine reads of it.
 type VectorProvider interface {
 	Vector(vi int, write bool, pinned ...int) ([]float64, error)
 	// NumVectors returns how many vectors the provider holds.

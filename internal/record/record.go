@@ -8,7 +8,7 @@
 // back. The engine knows the length and the manager does not, and the
 // only thing that passes between them is the slot itself. So the engine
 // stamps the length into the slot's last word, which a prefix never
-// reaches, and the manager decodes it at write-back.
+// reaches, and the manager decodes it to settle or write back the record.
 //
 // The marker is a float64 NaN. A full vector carries data in that word,
 // a finite likelihood entry, which can never equal it. So a full vector

@@ -15,6 +15,7 @@ import (
 	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
+	"oocphylo/internal/plf"
 )
 
 // TestServiceRemoteStoreParkRevive pins the tiered-storage revive
@@ -308,6 +309,9 @@ func TestServiceRegistryDoesNotLeak(t *testing.T) {
 
 	cfg := baseSession("leaky", alnPath)
 	cfg.MemLimit = need / 2
+	// Generic kernels keep every record full width, so half the vectors
+	// fit the pool (see the root walk below).
+	cfg.Kernel = plf.KernelGeneric
 	ses, err := srv.CreateSession(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc/remote"
+	"oocphylo/internal/plf"
 )
 
 // TestServiceTracedEvaluateEndToEnd is the tentpole's acceptance test:
@@ -43,6 +44,9 @@ func TestServiceTracedEvaluateEndToEnd(t *testing.T) {
 	c := NewClient(hs.URL)
 	cfg := baseSession("tr", alnPath)
 	cfg.MemLimit = need / 2
+	// Generic kernels keep every record full width, so half the vectors
+	// fit the pool and evaluates keep faulting through the starved cache.
+	cfg.Kernel = plf.KernelGeneric
 	if _, err := c.CreateSession(cfg); err != nil {
 		t.Fatal(err)
 	}
