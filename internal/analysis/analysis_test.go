@@ -9,9 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/checkpoint"
@@ -243,19 +241,22 @@ func TestOpen(t *testing.T) {
 // pre-filled with NaN, as if an earlier process had left garbage in
 // every vector, that knows which vectors THIS run has written through
 // it. A read of any other vector is foreign: counted, and in strict
-// mode refused. It can also pose as a tier whose remote is down.
+// mode refused. It can also pose as a tier whose remote is down: then
+// it serves only the vectors written since it went down, as a tier's
+// cache would, and refuses every other read as circuit-open.
 type guardStore struct {
 	*ooc.MemStore
-	strict   bool
-	degraded atomic.Bool
+	strict bool
 
 	mu      sync.Mutex // the async pipeline's workers call in concurrently
 	written []bool
 	foreign int
+	down    bool
+	local   []bool // written while down
 }
 
 func newGuardStore(n, vecLen int, strict bool) *guardStore {
-	g := &guardStore{MemStore: ooc.NewMemStore(n, vecLen), strict: strict, written: make([]bool, n)}
+	g := &guardStore{MemStore: ooc.NewMemStore(n, vecLen), strict: strict, written: make([]bool, n), local: make([]bool, n)}
 	garbage := make([]float64, vecLen)
 	for i := range garbage {
 		garbage[i] = math.NaN()
@@ -272,9 +273,13 @@ func (g *guardStore) ReadVector(vi int, dst []float64) error {
 	if !mine {
 		g.foreign++
 	}
+	refused := g.down && !g.local[vi]
 	g.mu.Unlock()
 	if !mine && g.strict {
 		return fmt.Errorf("test: read of vector %d, which this run never wrote", vi)
+	}
+	if refused {
+		return fmt.Errorf("test: vector %d: %w", vi, ooc.ErrCircuitOpen)
 	}
 	return g.MemStore.ReadVector(vi, dst)
 }
@@ -282,18 +287,24 @@ func (g *guardStore) ReadVector(vi int, dst []float64) error {
 func (g *guardStore) WriteVector(vi int, src []float64) error {
 	g.mu.Lock()
 	g.written[vi] = true
+	g.local[vi] = g.down
 	g.mu.Unlock()
 	return g.MemStore.WriteVector(vi, src)
 }
 
-func (g *guardStore) Degraded() bool                      { return g.degraded.Load() }
-func (g *guardStore) FetchCost(int) (time.Duration, bool) { return 0, true }
+// setDown takes the pretend remote away or brings it back.
+func (g *guardStore) setDown(down bool) {
+	g.mu.Lock()
+	g.down = down
+	clear(g.local)
+	g.mu.Unlock()
+}
 
 // TestRunReadsOnlyWhatItWrote pins the invariant the store stack's one
 // rule rests on: an engine never reads a vector before it has written
 // it, so nothing a store held when it was opened can reach a
-// likelihood. Full traversals, partial traversals to every edge, a
-// degraded-mode replan and an SPR search run over a guardStore — sync
+// likelihood. Full traversals, partial traversals to every edge,
+// passes through a remote outage and an SPR search run over a guardStore — sync
 // and async+prefetch, clean and under injected faults with recovery —
 // with zero foreign reads and every likelihood bit-identical to RAM.
 // With read skipping off the write-intent fault-ins do read the NaN
@@ -346,18 +357,19 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 		for _, edge := range e.T.Edges {
 			note(e.LogLikelihoodAt(edge))
 		}
+		recovered := e.Stats.Recoveries
 		if guard != nil {
-			// The remote goes away: the planner recomputes every valid
-			// vector that is not resident instead of reading it.
-			guard.degraded.Store(true)
+			// The remote goes away: every read of a vector not written
+			// since fails, and the engine recomputes it instead.
+			guard.setDown(true)
 		}
 		for i := len(e.T.Edges) - 1; i >= 0; i -= 3 {
 			note(e.LogLikelihoodAt(e.T.Edges[i]))
 		}
 		if guard != nil {
-			guard.degraded.Store(false)
-			if e.Stats.DegradedRecomputes == 0 {
-				t.Error("degraded mode replanned nothing")
+			guard.setDown(false)
+			if e.Stats.Recoveries == recovered {
+				t.Error("the outage refused no read the engine had to recover")
 			}
 		}
 		sr, err := search.New(e, search.Options{SPRRadius: 3, MaxRounds: 1}).Run()

@@ -8,10 +8,10 @@ package experiments
 // mid-body truncations, 503 bursts, corrupt payloads, and a scheduled
 // partition that flaps the remote up and down for whole request
 // windows. The fault-tolerance stack underneath the engine — jittered
-// retries, per-request deadlines, the circuit breaker,
-// degraded-mode recompute, and the in-memory spill of write-backs the
-// remote refused — must turn all of that into nothing more than extra
-// local compute: the soak FAILS unless the chaotic run finishes with
+// retries, per-request deadlines, the circuit breaker, the engine's
+// recompute of every read that fails, and the in-memory spill of
+// write-backs the remote refused — must turn all of that into nothing
+// more than extra local compute: the soak FAILS unless the chaotic run finishes with
 // bit-identical likelihood and the breaker actually tripped (the chaos
 // was real).
 
@@ -79,10 +79,10 @@ type ChaosSoakResult struct {
 	// Tier is the chaotic arm's tier counter snapshot (breaker trips,
 	// spill traffic, retries).
 	Tier ooc.TierStats
-	// Recoveries counts engine-level read recoveries (unreadable or
-	// corrupt vectors converted to recomputes); DegradedRecomputes the
-	// plan-time conversions degraded mode forced.
-	Recoveries, DegradedRecomputes int64
+	// Recoveries counts engine-level read recoveries: unreadable
+	// (circuit open, retries exhausted) or corrupt vectors converted to
+	// recomputes.
+	Recoveries int64
 }
 
 // RunChaosSoak runs both arms and enforces the acceptance conditions.
@@ -152,7 +152,6 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		}
 		res.ChaosElapsed = time.Since(t0)
 		res.Recoveries = r.Engine.Stats.Recoveries
-		res.DegradedRecomputes = r.Engine.Stats.DegradedRecomputes
 
 		// Recovery phase: lift every fault and probe until the breaker
 		// recloses (the workload has stopped, so nothing else feeds the
@@ -191,8 +190,8 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 // ProbeChaosRecovery drives a degraded tier back to closed: called
 // after Chaos.Disable, it probes until the breaker recloses or ctx
 // expires. The soak's search traffic usually does this on its own (any
-// dirty write-back doubles as a probe); this helper is for tests that
-// stop the workload while the breaker is still open.
+// remote read or dirty write-back doubles as a probe); this helper is
+// for tests that stop the workload while the breaker is still open.
 func ProbeChaosRecovery(ctx context.Context, ts *ooc.TieredStore) error {
 	for ts.Degraded() {
 		if err := ctx.Err(); err != nil {
@@ -221,6 +220,5 @@ func WriteChaosTable(wr io.Writer, res *ChaosSoakResult, cfg ChaosSoakConfig) {
 		t.RemoteErrors, t.RemoteRetries, t.BreakerOpens, t.ShortCircuits)
 	fmt.Fprintf(wr, "  spill: %d absorbed, %d served, %d replayed\n",
 		t.SpillAppends, t.SpillHits, t.SpillReplayed)
-	fmt.Fprintf(wr, "  engine: %d read recoveries, %d degraded-mode recomputes\n",
-		res.Recoveries, res.DegradedRecomputes)
+	fmt.Fprintf(wr, "  engine: %d read recoveries\n", res.Recoveries)
 }

@@ -46,8 +46,8 @@ func TestChaosSoak(t *testing.T) {
 	if res.Tier.ShortCircuits == 0 {
 		t.Errorf("breaker opened %d times but short-circuited nothing", res.Tier.BreakerOpens)
 	}
-	if res.Recoveries == 0 && res.DegradedRecomputes == 0 {
-		t.Error("engine reports no recoveries and no degraded recomputes — the faults never reached it")
+	if res.Recoveries == 0 {
+		t.Error("engine reports no read recoveries — the faults never reached it")
 	}
 	var sb strings.Builder
 	WriteChaosTable(&sb, res, cfg)

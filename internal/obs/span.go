@@ -137,8 +137,10 @@ type Cost struct {
 	BytesRemote int64 `json:"bytes_remote,omitempty"`
 	// BytesPushed: dirty write-back bytes pushed to the remote store.
 	BytesPushed int64 `json:"bytes_pushed,omitempty"`
-	// Recomputes counts vectors degraded mode rebuilt locally instead
-	// of fetching; Newviews the ancestral vectors computed.
+	// Recomputes counts vectors the engine rebuilt because a read of
+	// them failed — corrupt, or unreadable while the remote tier is
+	// down (plf.Stats.Recoveries); Newviews the ancestral vectors
+	// computed, those rebuilds' newviews included.
 	Recomputes int64 `json:"recomputes,omitempty"`
 	Newviews   int64 `json:"newviews,omitempty"`
 	// PCacheHits counts P-matrix cache hits.

@@ -3,10 +3,12 @@ package ooc
 // Circuit breaker for the remote tier. A partitioned or flapping
 // object store must not stall engine passes: once the backend has
 // failed often enough in a row, further requests are refused locally
-// (fast) instead of burning a deadline each, and the engine's planner
-// — seeing Degraded() — answers from cache + recompute. After a
-// cooldown one probe request is let through; its outcome decides
-// whether the circuit closes again or stays open for another round.
+// (fast) instead of burning a deadline each: a refused read fails with
+// ErrCircuitOpen and the engine recomputes the vector, a refused
+// write-back waits in memory. After a cooldown one probe request is let
+// through — usually the next demand read, which then pays up to one
+// RemoteDeadline — and its outcome decides whether the circuit closes
+// again or stays open for another round.
 //
 // States:
 //
@@ -31,8 +33,8 @@ import (
 // ErrCircuitOpen marks a remote request refused locally because the
 // backend's circuit breaker is open. It is NOT transient: retrying in
 // place would just spin against the breaker — the caller should fall
-// back to degraded mode (recompute, in-memory spill) and let the
-// half-open probe discover recovery.
+// back (recompute, in-memory spill) and let the half-open probe
+// discover recovery.
 var ErrCircuitOpen = errors.New("remote circuit open")
 
 // IsCircuitOpen reports whether err is (or wraps) ErrCircuitOpen.

@@ -189,7 +189,7 @@ func TestBreakerOnTransition(t *testing.T) {
 	b.Allow()
 	b.Failure() // closed -> open
 	clk.advance(time.Second)
-	b.Allow() // open -> half-open
+	b.Allow()   // open -> half-open
 	b.Success() // half-open -> closed
 	want := []string{"closed->open", "open->half-open", "half-open->closed"}
 	mu.Lock()
@@ -206,7 +206,8 @@ func TestBreakerOnTransition(t *testing.T) {
 
 func TestErrCircuitOpenIsNotTransient(t *testing.T) {
 	// Retrying against an open breaker would just spin; the error must
-	// route callers to degraded mode instead of the retry loop.
+	// route callers to their fallback (recompute, spill) instead of the
+	// retry loop.
 	err := fmt.Errorf("ooc: remote read [0,1): %w", ErrCircuitOpen)
 	if !IsCircuitOpen(err) {
 		t.Error("wrapped ErrCircuitOpen not detected")

@@ -394,6 +394,15 @@ func unreadable(vi int, err error) error {
 	return err
 }
 
+// bytesLost reports whether a failed read says the stored bytes cannot
+// be had: corrupt, or unreadable under the rule above. A write-intent
+// access overwrites them unseen, so for it such a read counts as
+// skipped instead of failing the computation.
+func bytesLost(err error) bool {
+	var re *VectorReadError
+	return IsCorruption(err) || errors.As(err, &re)
+}
+
 // joinSlot waits for the background fetch still filling entry s (if
 // any) and returns its error, under the same rule as a demand read. The
 // wait is charged as stall time. A successful join is where a
@@ -609,31 +618,12 @@ func (m *Manager) Resident(vi int) bool {
 	return vi >= 0 && vi < len(m.itemSlot) && m.itemSlot[vi] >= 0
 }
 
-// FetchCost implements FetchCoster over the pool: a resident vector is
-// local; anything else is whatever the backing store says (local for
-// stores with no remote tier). The engine's degraded-mode planner
-// consults this to find the reads it must recompute instead.
-func (m *Manager) FetchCost(vi int) (time.Duration, bool) {
-	if m.Resident(vi) {
-		return 0, false
-	}
-	return StoreFetchCost(m.cfg.Store, vi)
-}
-
-// Degraded reports whether the backing store's remote tier is
-// temporarily unavailable (circuit breaker open). The engine's planner
-// matches this structurally and flips to recompute-preferred while it
-// holds, so passes keep completing from cache + local compute.
-func (m *Manager) Degraded() bool {
-	return StoreDegraded(m.cfg.Store)
-}
-
 // MemOverheadBytes reports the heap held beside the pool — what the
 // backing store keeps on the manager's behalf (cache-tier indexes,
 // in-flight remote buffers) and, under Config.Async, the records queued
 // for the writer (PipelineBytes) — so budget-aware callers (the
-// Watchdog, Resize policies) can charge it against the same budget as
-// the pool. Zero for a synchronous manager over a plain file or memory
+// Watchdog, analysis.Open's sizing) can charge it against the same
+// budget as the pool. Zero for a synchronous manager over a plain file or memory
 // store.
 func (m *Manager) MemOverheadBytes() int64 {
 	ov := StoreMemOverhead(m.cfg.Store)
@@ -668,13 +658,11 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 			m.pipeStats.JoinedFetches++
 			if err := m.joinOrDrop(s, true); err != nil {
 				// A failed join must not be ledgered as a hit.
-				if !write || !IsCorruption(err) {
+				if !write || !bytesLost(err) {
 					return nil, err
 				}
-				// Write-intent access to a corrupt staged copy: the
-				// caller overwrites the whole payload anyway, so fall
-				// through to the miss path instead of failing the
-				// computation.
+				// Write-intent access to a lost staged copy: fall
+				// through to the miss path (see bytesLost).
 				joinFailed = true
 			}
 		}
@@ -716,13 +704,12 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		if IsCorruption(err) {
 			m.pipeStats.CorruptReads++
 		}
-		if !write || !IsCorruption(err) {
+		if !write || !bytesLost(err) {
 			m.release(buf)
 			return nil, err
 		}
-		// The stored payload is corrupt, but the caller promised to
-		// overwrite the entire vector before reading it: recover by
-		// treating the fault-in like a skipped read instead of failing.
+		// The stored payload is lost, but the caller promised to
+		// overwrite the entire vector before reading it (bytesLost).
 	} else {
 		m.stats.Reads++
 		m.stats.BytesRead += int64(m.lens[vi]) * 8

@@ -15,10 +15,9 @@ import (
 )
 
 // FetchCoster reports whether a demand read of vector vi is "remote" —
-// not servable from a local tier. Only the bool is consulted (the plf
-// engine's degraded-mode planner matches this method structurally and
-// recomputes remote reads while the tier is unavailable); implementers
-// return a zero duration.
+// not servable from a local tier. No store in this module implements it
+// any more: it and StoreFetchCost stay only because the benchmark
+// harness's traced provider and store forward them.
 type FetchCoster interface {
 	FetchCost(vi int) (time.Duration, bool)
 }
@@ -57,7 +56,7 @@ func storeAs[T any](s Store) (T, bool) {
 }
 
 // StoreFetchCost queries the first FetchCoster down s's Unwrap chain,
-// reporting (0, false) — local — when there is none.
+// reporting (0, false) — local — when there is none (see FetchCoster).
 func StoreFetchCost(s Store, vi int) (time.Duration, bool) {
 	if fc, ok := storeAs[FetchCoster](s); ok {
 		return fc.FetchCost(vi)
@@ -75,10 +74,11 @@ func StoreMemOverhead(s Store) int64 {
 }
 
 // Degrader is implemented by stores that can report their remote
-// backend as temporarily unavailable (circuit breaker open). While
-// degraded, the plf engine's planner turns every valid-but-remote read
-// into a local recompute, and the service layer reports not-ready on
-// /readyz.
+// backend as temporarily unavailable (circuit breaker open);
+// TieredStore is the one. Nothing in this module queries it through the
+// interface — the service asks TieredStore directly for /readyz —
+// so it and StoreDegraded stay only because the benchmark harness's
+// traced provider and store forward them.
 type Degrader interface {
 	Degraded() bool
 }

@@ -123,7 +123,8 @@ type TierStats struct {
 	SpillReplayed int64
 	SpillDepth    int64
 	// Degraded reports the breaker not closed: the remote tier is
-	// presumed unavailable and the engine answers from cache+recompute.
+	// presumed unavailable, and reads it would serve fail until the
+	// engine recomputes them.
 	Degraded bool
 }
 
@@ -251,9 +252,8 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 func (s *TieredStore) Breaker() *Breaker { return s.breaker }
 
 // Degraded implements Degrader: true while the breaker is anything but
-// closed — the remote tier is presumed unavailable, the engine planner
-// flips valid-but-remote reads into local recomputes, and the service
-// layer reports not-ready.
+// closed — the remote tier is presumed unavailable, and the service
+// layer reports not-ready and may shed load.
 func (s *TieredStore) Degraded() bool {
 	return s.breaker != nil && s.breaker.State() != BreakerClosed
 }
@@ -401,18 +401,6 @@ func (s *TieredStore) Close() error {
 		first = err
 	}
 	return first
-}
-
-// FetchCost implements FetchCoster: a cached or pending vector is
-// local; anything else is a remote round trip.
-func (s *TieredStore) FetchCost(vi int) (time.Duration, bool) {
-	s.mu.Lock()
-	_, cached := s.slotOf[vi]
-	if !cached {
-		_, cached = s.pend[vi]
-	}
-	s.mu.Unlock()
-	return 0, !cached
 }
 
 // MemOverheadBytes estimates the tier's heap footprint beyond the
@@ -578,10 +566,9 @@ func (s *TieredStore) drainSpill() {
 }
 
 // ProbeRemote issues one guarded read of a one-word record and discards
-// it. Degraded mode deliberately stops touching the remote tier, which
-// also starves the breaker of the probe traffic it needs to notice
-// recovery; health loops call this to keep probing. No-op when the
-// breaker is closed.
+// it. A busy workload's next remote read or write-back is the breaker's
+// half-open probe; an idle one sends none, so health loops call this to
+// notice recovery without traffic. No-op when the breaker is closed.
 func (s *TieredStore) ProbeRemote(ctx context.Context) error {
 	if !s.Degraded() {
 		return nil

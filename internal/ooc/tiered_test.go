@@ -77,31 +77,38 @@ func TestTieredStoreRemoteRoundTrip(t *testing.T) {
 }
 
 func TestTieredStoreFetchCost(t *testing.T) {
+	// The tier keeps where a vector lives to itself: no layer of the
+	// chain prices a fetch, so a cached and an uncached vector both
+	// report local, and both read back through the wrapper.
 	const n, vecLen = 10, 4
 	ts, _, _ := newTierFixture(t, n, vecLen, 2, iosim.Device{})
 	defer ts.Close()
-	if err := ts.WriteVector(1, tierVec(vecLen, 1)); err != nil {
-		t.Fatal(err)
+	for _, vi := range []int{1, 7} {
+		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if d, rem := ts.FetchCost(1); rem || d != 0 {
-		t.Errorf("cached vector FetchCost = (%v, %v), want (0, local)", d, rem)
+	for vi := 2; vi < 5; vi++ { // push 7 out of the 2-slot cache
+		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, rem := ts.FetchCost(7); !rem {
-		t.Error("uncached vector FetchCost reports local, want remote")
-	}
-	// The answer forwards through a ChecksumStore wrapper.
 	dir := t.TempDir()
-	fs, err := NewFileStore(filepath.Join(dir, "x.vec"), n, vecLen)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cs, err := NewChecksumStore(ts, filepath.Join(dir, "x.sum"), n, vecLen)
-	_ = fs
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, rem := StoreFetchCost(cs, 7); !rem {
-		t.Error("wrapped FetchCost reports local, want the tier's remote")
+	buf := make([]float64, vecLen)
+	for _, vi := range []int{4, 7} {
+		if d, rem := StoreFetchCost(cs, vi); rem || d != 0 {
+			t.Errorf("vector %d: StoreFetchCost = (%v, %v), want (0, local)", vi, d, rem)
+		}
+		if err := ts.ReadVector(vi, buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := tierVec(vecLen, vi); buf[0] != want[0] || buf[vecLen-1] != want[vecLen-1] {
+			t.Errorf("vector %d read back %v, want %v", vi, buf, want)
+		}
 	}
 	if cs.MemOverheadBytes() <= ts.MemOverheadBytes() {
 		t.Error("checksum wrapper must add its table overhead to the inner store's")

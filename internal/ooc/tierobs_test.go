@@ -65,9 +65,8 @@ func TestInstrumentTieredStore(t *testing.T) {
 	}
 }
 
-// TestManagerTierBudget exercises the manager-level tier hooks:
-// FetchCost distinguishes resident/cached/remote, and MemOverheadBytes
-// feeds the watchdog's effective budget.
+// TestManagerTierBudget exercises the manager-level tier hook:
+// MemOverheadBytes feeds the watchdog's effective budget.
 func TestManagerTierBudget(t *testing.T) {
 	const n, vecLen = 16, 8
 	ts, _, _ := newTierFixture(t, n, vecLen, 8, iosim.Device{})
@@ -91,23 +90,6 @@ func TestManagerTierBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resident vectors are local; non-resident ones are the tier's view
-	// (cached → local, otherwise remote).
-	var resident, absent int
-	for vi := 0; vi < n; vi++ {
-		d, rem := m.FetchCost(vi)
-		if m.Resident(vi) {
-			resident++
-			if rem || d != 0 {
-				t.Errorf("resident vector %d FetchCost = (%v, %v)", vi, d, rem)
-			}
-		} else {
-			absent++
-		}
-	}
-	if resident == 0 || absent == 0 {
-		t.Fatalf("expected a mix of resident and evicted vectors: %d/%d", resident, absent)
-	}
 	if m.MemOverheadBytes() <= 0 {
 		t.Error("a tiered store must report cache-tier overhead")
 	}

@@ -21,9 +21,9 @@ func (c *capStore) Degraded() bool                      { return true }
 // TestCapabilitiesCrossWrappers is the wrapper × capability table: every
 // wrapper store must let FetchCost, MemOverheadBytes and Degraded of
 // the store beneath it through, alone and stacked in OpenStack's
-// order. Degraded is the row with teeth: a fault-injected or
-// crashpoint-armed tier must still report its open breaker, or the
-// planner never flips to recompute.
+// order. MemOverheadBytes is the row runs depend on: a wrapper that hid
+// a tier's heap would let -L overcommit. FetchCost and Degraded are
+// forwarded by the benchmark harness's traced store.
 func TestCapabilitiesCrossWrappers(t *testing.T) {
 	const n, vecLen = 4, 3
 	checksum := func(inner Store) Store {

@@ -178,23 +178,9 @@ func sumTableTerms(e *Engine, lo, hi int) {
 }
 
 // prepareSumTable runs the traversal and builds the sum table for
-// edge, healing corrupt endpoint reads the same way LogLikelihoodAt
-// does: invalidate the corrupt node, re-plan, recompute.
+// edge, recovering unreadable endpoint vectors as traverseThen does.
 func (e *Engine) prepareSumTable(edge *tree.Edge) error {
-	budget := e.recoveryBudget()
-	attempts := 0
-	for {
-		if err := e.Traverse(edge); err != nil {
-			return err
-		}
-		err := e.buildSumTable(edge)
-		if err == nil {
-			return nil
-		}
-		if !e.recoverCorruption(err, &attempts, budget) {
-			return err
-		}
-	}
+	return e.traverseThen(edge, func() error { return e.buildSumTable(edge) })
 }
 
 // OptimizeBranch Newton-optimises the length of edge, leaving both

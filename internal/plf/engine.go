@@ -53,12 +53,6 @@ type Stats struct {
 	// of its children, so corruption costs extra newviews, not the
 	// run).
 	Recoveries int64
-	// DegradedRecomputes counts valid vectors recomputed locally
-	// instead of fetched because the provider's remote tier was
-	// unavailable (circuit breaker open): valid-but-remote reads are
-	// converted to recomputes unconditionally to keep the engine
-	// answering bit-identically from cache plus recompute.
-	DegradedRecomputes int64
 	// PCacheHits / PCacheMisses count branch-length transition-matrix
 	// cache lookups (see pcache.go); PCacheDrops counts wholesale
 	// resets after the cache filled. All zero under KernelGeneric,
@@ -75,7 +69,7 @@ type Engine struct {
 
 	prov   VectorProvider
 	orient tree.Orientation
-	// plan is planTraversal's step buffer, reused so a warm traversal
+	// plan is traverseThen's step buffer, reused so a warm traversal
 	// allocates nothing.
 	plan []tree.Step
 
@@ -618,8 +612,7 @@ func corruptionVector(err error) (int, bool) {
 	// An unreadable vector (transient I/O out of retries, remote
 	// circuit open — any error with a FailedVector() int method, e.g.
 	// *ooc.VectorReadError) recovers the same way: the bytes are gone
-	// for now, but the recompute identity re-derives them exactly. In
-	// degraded mode the replan then avoids every other remote read too.
+	// for now, but the recompute identity re-derives them exactly.
 	var fe interface{ FailedVector() int }
 	if errors.As(err, &fe) {
 		return fe.FailedVector(), true
@@ -627,21 +620,17 @@ func corruptionVector(err error) (int, bool) {
 	return -1, false
 }
 
-// recoverCorruption turns a corrupt-vector read into a recompute: the
-// node owning the vector is marked invalid so the next traversal plan
-// rebuilds it from its children (which recurses if a child is itself
-// corrupt or invalid). Returns false when err is not a corruption, the
-// vector is out of range, or the attempt budget is exhausted — the
-// caller then surfaces err as fatal. The budget bounds pathological
-// stores that corrupt every read: each recovery invalidates at least
-// one node and a clean recompute re-validates it, so a healthy store
-// converges well within 2·inner+8 attempts.
-func (e *Engine) recoverCorruption(err error, attempts *int, budget int) bool {
+// recoverCorruption turns a corrupt or unreadable vector read into a
+// recompute: the node owning the vector is marked invalid so the next
+// traversal plan rebuilds it from its children (which recurses if a
+// child is itself corrupt, unreadable or invalid). Returns false when
+// err names no vector or the vector is out of range — the caller then
+// surfaces err as fatal.
+func (e *Engine) recoverCorruption(err error) bool {
 	vi, ok := corruptionVector(err)
-	if !ok || vi < 0 || vi >= e.T.NumInner() || *attempts >= budget {
+	if !ok || vi < 0 || vi >= e.T.NumInner() {
 		return false
 	}
-	*attempts++
 	e.orient[vi+e.T.NumTips] = nil
 	e.Stats.Recoveries++
 	e.eobs.recoveries.Inc()
@@ -653,28 +642,38 @@ func (e *Engine) recoverCorruption(err error, attempts *int, budget int) bool {
 	return true
 }
 
-// recoveryBudget is the per-call cap on corruption recoveries.
+// recoveryBudget is the per-call cap on recoveries. It bounds
+// pathological stores that corrupt every read: each recovery
+// invalidates at least one node and a clean recompute re-validates it,
+// so a healthy store converges well within 2·inner+8 attempts.
 func (e *Engine) recoveryBudget() int { return 2*e.T.NumInner() + 8 }
 
-// Traverse makes the vectors at both endpoints of edge valid and
-// oriented toward each other, doing only the work the current
-// orientation state requires. A corrupt vector surfaced during the
-// traversal is self-healed: the node is invalidated and the plan is
-// rebuilt, recomputing the lost subtree instead of failing the run.
-func (e *Engine) Traverse(edge *tree.Edge) error {
+// traverseThen runs the partial traversal edge needs, then read (nil
+// for none), which reads the two endpoint vectors. This is the engine's
+// one recovery loop: a vector that is corrupt, or unreadable (retries
+// exhausted, remote circuit open), in either phase is invalidated and
+// the plan rebuilt, recomputing the lost subtree from its children
+// instead of failing the call. The engine never asks where a vector
+// lives; a store that cannot serve one says so by failing the read.
+func (e *Engine) traverseThen(edge *tree.Edge, read func() error) error {
 	budget := e.recoveryBudget()
-	attempts := 0
-	for {
-		steps := e.planTraversal(edge)
-		err := e.Execute(steps)
-		if err == nil {
-			return nil
+	for attempts := 0; ; attempts++ {
+		e.plan = tree.AppendEdgeTraversal(e.plan[:0], edge, e.orient)
+		err := e.Execute(e.plan)
+		if err == nil && read != nil {
+			err = read()
 		}
-		if !e.recoverCorruption(err, &attempts, budget) {
+		if err == nil || attempts >= budget || !e.recoverCorruption(err) {
 			return err
 		}
 	}
 }
+
+// Traverse makes the vectors at both endpoints of edge valid and
+// oriented toward each other, doing only the work the current
+// orientation state requires, and recovering unreadable vectors as
+// traverseThen does.
+func (e *Engine) Traverse(edge *tree.Edge) error { return e.traverseThen(edge, nil) }
 
 // FullTraversal recomputes every ancestral vector oriented toward edge,
 // regardless of current validity (the paper's -f z workload building
@@ -685,32 +684,27 @@ func (e *Engine) FullTraversal(edge *tree.Edge) error {
 }
 
 // LogLikelihoodAt returns the log-likelihood evaluated at the given
-// branch, running whatever partial traversal is needed first. Like
-// Traverse, it recovers from corrupt-vector reads (here: an endpoint
-// vector read by the evaluation itself) by recomputing.
+// branch, running whatever partial traversal is needed first. An
+// endpoint vector the evaluation cannot read is recomputed like any
+// other (see traverseThen).
 func (e *Engine) LogLikelihoodAt(edge *tree.Edge) (float64, error) {
 	var spanStart time.Time
 	if e.span != nil {
 		spanStart = time.Now()
 	}
-	budget := e.recoveryBudget()
-	attempts := 0
-	for {
-		if err := e.Traverse(edge); err != nil {
-			return 0, err
-		}
-		lnl, err := e.evaluate(edge)
-		if err == nil {
-			if e.span != nil {
-				e.span.EmitChild("plf.evaluate", spanStart, time.Since(spanStart),
-					obs.Attr{Key: "edge", Int: int64(edge.Index)})
-			}
-			return lnl, nil
-		}
-		if !e.recoverCorruption(err, &attempts, budget) {
-			return 0, err
-		}
+	var lnl float64
+	err := e.traverseThen(edge, func() (err error) {
+		lnl, err = e.evaluate(edge)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
+	if e.span != nil {
+		e.span.EmitChild("plf.evaluate", spanStart, time.Since(spanStart),
+			obs.Attr{Key: "edge", Int: int64(edge.Index)})
+	}
+	return lnl, nil
 }
 
 // LogLikelihood evaluates at the tree's first branch.

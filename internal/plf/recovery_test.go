@@ -1,9 +1,12 @@
 package plf
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
@@ -179,5 +182,219 @@ func TestFaultRecoveryBudgetExhausts(t *testing.T) {
 	// proves termination; cross-check the counters moved.
 	if e.Stats.Recoveries == 0 && !sawError {
 		t.Error("no recoveries and no error despite repeated corruption")
+	}
+}
+
+// outageProvider stands in for a store riding out a network outage:
+// one-shot read failures carrying the failed vector index.
+type outageProvider struct {
+	*InMemoryProvider
+	failOnce map[int]bool // vi -> fail the next non-write access
+	failures int
+}
+
+// unreadableError mimics ooc.VectorReadError without importing ooc —
+// the engine matches the FailedVector method structurally.
+type unreadableError struct{ vi int }
+
+func (e *unreadableError) Error() string {
+	return fmt.Sprintf("test: vector %d unreadable", e.vi)
+}
+func (e *unreadableError) FailedVector() int { return e.vi }
+
+func (p *outageProvider) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
+	if !write && p.failOnce[vi] {
+		delete(p.failOnce, vi)
+		p.failures++
+		return nil, &unreadableError{vi: vi}
+	}
+	return p.InMemoryProvider.Vector(vi, write, pinned...)
+}
+
+func outageRig(t *testing.T, seed int64, taxa int) (*tree.Tree, *Engine, *outageProvider) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	names := tipNames(taxa)
+	tr, err := tree.RandomTopology(names, rng, 0.02, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := randomAlignment(t, names, 60, rng, 0)
+	m := randomModel(t, rng, 0, true)
+	prov := &outageProvider{
+		InMemoryProvider: NewInMemoryProvider(tr.NumInner(), VectorLength(m, pats.NumPatterns())),
+		failOnce:         map[int]bool{},
+	}
+	e, err := New(tr, pats, m, prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, e, prov
+}
+
+// flakyStore fails the next read of each marked vector once, the way a
+// tiered store does while its circuit is open, and counts the reads
+// that reach it. Reads arrive from the manager's fetch workers, hence
+// the lock.
+type flakyStore struct {
+	ooc.Store
+	mu       sync.Mutex
+	failOnce map[int]bool
+	failures int
+	reads    int
+}
+
+func (s *flakyStore) ReadVector(vi int, dst []float64) error {
+	s.mu.Lock()
+	s.reads++
+	fail := s.failOnce[vi]
+	if fail {
+		delete(s.failOnce, vi)
+		s.failures++
+	}
+	s.mu.Unlock()
+	if fail {
+		return fmt.Errorf("test: vector %d: %w", vi, ooc.ErrCircuitOpen)
+	}
+	return s.Store.ReadVector(vi, dst)
+}
+
+func (s *flakyStore) counts() (reads, failures int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reads, s.failures
+}
+
+// TestUnreadableVectorRecoveredMidPass covers the breaker tripping (or
+// retries exhausting) in the middle of a pass: reads failing with a
+// FailedVector error are invalidated and recomputed from their
+// children, and the evaluation still lands bit-identical. The sync row
+// fails each read at its own step through a scripted provider; the
+// async row runs a real out-of-core manager whose fetch workers stage
+// the plan's reads, so a failed read surfaces at the join — inside the
+// parent's newview — and must come back under the same rule. The
+// breaker-open row is an outage that lasts the whole pass: the same
+// rule, and no planner, must absorb it with no GET leaving.
+func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
+	t.Run("sync", func(t *testing.T) {
+		tr, e, prov := outageRig(t, 37, 16)
+		edge := tr.Edges[len(tr.Edges)/3]
+		failAll := func() {
+			// Every inner vector's next read fails exactly once — the
+			// worst mid-pass outage the recovery budget must absorb
+			// (recomputes ground at tips, which are always local).
+			for vi := 0; vi < tr.NumInner(); vi++ {
+				prov.failOnce[vi] = true
+			}
+		}
+		checkUnreadableRecovered(t, e, edge, edge, failAll, func() int { return prov.failures })
+	})
+	t.Run("async", func(t *testing.T) {
+		tr, e, _ := outageRig(t, 37, 16)
+		n := tr.NumInner()
+		store := &flakyStore{Store: ooc.NewMemStore(n, e.prov.VectorLen()), failOnce: map[int]bool{}}
+		mgr, err := ooc.NewManager(ooc.Config{
+			NumVectors: n, VectorLen: e.prov.VectorLen(), Slots: 4,
+			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store, Async: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		if e, err = New(tr, e.P, e.M, mgr); err != nil {
+			t.Fatal(err)
+		}
+		e.EnablePrefetch(true)
+		failAll := func() {
+			store.mu.Lock()
+			for vi := 0; vi < n; vi++ {
+				store.failOnce[vi] = true
+			}
+			store.mu.Unlock()
+		}
+		failures := func() int {
+			_, f := store.counts()
+			return f
+		}
+		// Four slots over fourteen vectors: hopping to the far edge and
+		// back re-reads evicted subtree roots from the store.
+		checkUnreadableRecovered(t, e, tr.Edges[0], tr.Edges[len(tr.Edges)-1], failAll, failures)
+		if mgr.PipelineStats().JoinedFetches == 0 {
+			t.Error("no demand access joined a staged read: the async path was not exercised")
+		}
+	})
+	t.Run("breaker open", func(t *testing.T) {
+		// A persistent outage: a real tier whose breaker stays open for
+		// the whole pass, so every read it cannot serve from its cache
+		// or spill short-circuits until the engine rewrites the vector.
+		tr, e, _ := outageRig(t, 37, 16)
+		n, vecLen := tr.NumInner(), e.prov.VectorLen()
+		remote := &flakyStore{Store: ooc.NewMemStore(n, vecLen)}
+		ts, err := ooc.NewTieredStore(remote, ooc.TieredConfig{
+			NumVectors: n, VectorLen: vecLen, CacheDir: t.TempDir(), CacheVectors: 2,
+			Breaker: ooc.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ts.Close()
+		mgr, err := ooc.NewManager(ooc.Config{
+			NumVectors: n, VectorLen: vecLen, Slots: 4,
+			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: ts, Async: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		if e, err = New(tr, e.P, e.M, mgr); err != nil {
+			t.Fatal(err)
+		}
+		e.EnablePrefetch(true)
+		var gets int
+		openBreaker := func() {
+			ts.Breaker().Failure() // one failure trips a threshold of 1
+			gets, _ = remote.counts()
+		}
+		shortCircuits := func() int { return int(ts.Stats().ShortCircuits) }
+		checkUnreadableRecovered(t, e, tr.Edges[0], tr.Edges[len(tr.Edges)-1], openBreaker, shortCircuits)
+		if !ts.Stats().Degraded {
+			t.Error("the breaker closed during the pass: the outage was not persistent")
+		}
+		// TierStats.RemoteReads counts the tier's misses, refused ones
+		// too; the backend's own count is the GETs that left.
+		if now, _ := remote.counts(); now != gets {
+			t.Errorf("%d remote GETs while the breaker was open", now-gets)
+		}
+		t.Logf("recoveries %d, short-circuits %d", e.Stats.Recoveries, ts.Stats().ShortCircuits)
+	})
+}
+
+// checkUnreadableRecovered evaluates at edge, moves the engine away to
+// via, arms the outage and evaluates at edge again.
+func checkUnreadableRecovered(t *testing.T, e *Engine, edge, via *tree.Edge, failAll func(), failures func() int) {
+	t.Helper()
+	want, err := e.LogLikelihoodAt(edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LogLikelihoodAt(via); err != nil {
+		t.Fatal(err)
+	}
+	failAll()
+	got, err := e.LogLikelihoodAt(edge)
+	if err != nil {
+		t.Fatalf("pass failed despite recovery path: %v", err)
+	}
+	if got != want {
+		t.Fatalf("recovered likelihood %v != clean %v (must be bit-identical)", got, want)
+	}
+	if failures() == 0 {
+		t.Fatal("injection never fired — the pass read nothing")
+	}
+	if e.Stats.Recoveries == 0 {
+		t.Error("reads failed but Stats.Recoveries == 0")
+	}
+	if e.Stats.Recoveries > int64(e.recoveryBudget()) {
+		t.Errorf("%d recoveries, over the per-call budget %d", e.Stats.Recoveries, e.recoveryBudget())
 	}
 }

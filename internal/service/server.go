@@ -552,9 +552,9 @@ func (s *Server) Close() error {
 func (s *Server) Handler() http.Handler {
 	mux := obs.NewMux(s.reg, s.spans, s.slo)
 	// /healthz is pure liveness: the process is up and serving. /readyz
-	// additionally asks whether the daemon can serve at full fidelity —
+	// additionally asks whether the daemon can serve at full speed —
 	// a session whose remote tier is circuit-open still ANSWERS
-	// (degraded mode recomputes instead of fetching, refused write-backs
+	// (the engine recomputes what it cannot read, refused write-backs
 	// wait in memory), but a load balancer should prefer a replica whose
 	// remote tier is healthy.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -801,15 +801,15 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 type readyReply struct {
 	Ready bool `json:"ready"`
 	// Degraded lists sessions whose remote tier is circuit-open. They
-	// still answer (cache + recompute + spill), at reduced fidelity.
+	// still answer bit-identically (cache + recompute + spill), slower.
 	Degraded []string `json:"degraded,omitempty"`
 }
 
 // handleReady answers /readyz: 200 while every session's remote tier is
 // healthy (or local), 503 + Retry-After while any is degraded. Each
-// poll also nudges the degraded tiers with a bounded probe — a fully
-// degraded workload goes local and would otherwise starve the breaker
-// of the traffic it needs to half-open and detect recovery.
+// poll also nudges the degraded tiers with a bounded probe: a busy
+// session's next remote read is its breaker's half-open probe, but an
+// idle one sends none and would stay not-ready after the remote heals.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	list := make([]*Session, 0, len(s.sessions))

@@ -210,3 +210,15 @@ func TestServiceTraceHeaders(t *testing.T) {
 		t.Errorf("X-OOC-Cost %+v != reply cost %+v", hdrCost, *rep.Cost)
 	}
 }
+
+// TestCostSnapshotSubCountsRecoveries pins the ledger's recompute
+// column to the engine's read recoveries: a request that rebuilt a
+// corrupt vector, or one unreadable while the remote tier was down,
+// must not report recomputes=0.
+func TestCostSnapshotSubCountsRecoveries(t *testing.T) {
+	before := costSnapshot{eng: plf.Stats{Recoveries: 2, Newviews: 10}}
+	after := costSnapshot{eng: plf.Stats{Recoveries: 5, Newviews: 19}}
+	if c := after.sub(before); c.Recomputes != 3 || c.Newviews != 9 {
+		t.Errorf("cost = %+v, want recomputes 3 and newviews 9", c)
+	}
+}
