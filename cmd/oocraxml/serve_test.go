@@ -96,7 +96,7 @@ var lnlBitsRe = regexp.MustCompile(`Log likelihood bits: ([0-9a-f]{16})`)
 func TestServeDifferentialAgainstOneShot(t *testing.T) {
 	phy, _ := writeTestData(t)
 	dataDir := t.TempDir()
-	addr, done, outPath := startDaemon(t, dataDir, "-batch-wait", "30ms")
+	addr, done, outPath := startDaemon(t, dataDir)
 
 	if _, err := client(t, "create", "-addr", addr, "-name", "smoke", "-s", phy, "-a", "1"); err != nil {
 		t.Fatalf("client create: %v", err)

@@ -3,14 +3,15 @@ package experiments
 // Batching ablation — the service daemon's throughput claim, measured.
 // N concurrent evaluate requests against one session can be answered
 // two ways: as N independent engine passes (what N separate one-shot
-// CLI runs pay — each rebuilds every ancestral vector on its path), or
-// coalesced by the daemon's batcher into a single pass whose first
-// request pays the traversal and whose remaining N-1 requests ride on
-// the now-valid vectors. The PLF is deterministic per (tree, model,
-// pattern) triple, so both arms return bit-identical likelihoods; the
-// ablation quantifies the wall-clock side of that equivalence, the
-// same way the resize and async ablations bound THEIR "free in exact
-// arithmetic" claims.
+// CLI runs pay — each rebuilds every ancestral vector on its path, so
+// the arm forces Full), or by the daemon's batcher, which runs whatever
+// queued while the engine was busy as its next pass. There the cold
+// first request pays the traversal and the rest find the ancestral
+// vectors still valid, whether they ride its pass or the next one. The
+// PLF is deterministic per (tree, model, pattern) triple, so both arms
+// return bit-identical likelihoods; the ablation quantifies the
+// wall-clock side of that equivalence, the same way the resize and
+// async ablations bound THEIR "free in exact arithmetic" claims.
 
 import (
 	"fmt"
@@ -62,8 +63,8 @@ type BatchingAblationResult struct {
 	// CoalescedExec is the summed engine-execution time of the batches
 	// the N concurrent requests coalesced into.
 	CoalescedExec time.Duration
-	// CoalescedBatches counts those batches (1 when every request rode
-	// one pass).
+	// CoalescedBatches counts those batches: typically 2, the cold
+	// first request alone and the rest queued behind it.
 	CoalescedBatches int
 	// Speedup is IndependentExec / CoalescedExec.
 	Speedup float64
@@ -97,12 +98,7 @@ func RunBatchingAblation(cfg BatchingAblationConfig) (*BatchingAblationResult, e
 		return nil, err
 	}
 
-	srv, err := service.NewServer(service.ServerConfig{
-		DataDir: cfg.DataDir,
-		// MaxBatch = N and a generous window: the concurrent arm's
-		// requests are all in flight together, so they coalesce fully.
-		Batch: service.BatcherConfig{MaxBatch: cfg.Requests, MaxWait: 100 * time.Millisecond},
-	})
+	srv, err := service.NewServer(service.ServerConfig{DataDir: cfg.DataDir})
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestBatchingAblation is the tentpole's throughput acceptance: N ≥ 8
-// concurrent requests coalesced into shared engine passes must beat N
-// independent fresh passes in engine execution time, at bit-identical
-// likelihoods. The speedup bound is deliberately loose (the mechanism
+// concurrent requests batched as they queue (the cold first alone, the
+// rest behind it) must beat N independent fresh passes in engine
+// execution time, at bit-identical likelihoods. The speedup bound is deliberately loose (the mechanism
 // saves N-1 full traversals, so the real ratio is far higher); the
 // bit-identity check is exact.
 func TestBatchingAblation(t *testing.T) {

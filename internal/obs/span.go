@@ -146,7 +146,8 @@ type Cost struct {
 	// PCacheHits counts P-matrix cache hits.
 	PCacheHits int64 `json:"pcache_hits,omitempty"`
 	// WaitMicros/ExecMicros is the batcher split: time from enqueue to
-	// batch execution start, and the request's serialized execution span.
+	// batch execution start (queued behind the pass in flight), and the
+	// request's serialized execution span.
 	WaitMicros int64 `json:"wait_us,omitempty"`
 	ExecMicros int64 `json:"exec_us,omitempty"`
 }

@@ -2,26 +2,29 @@ package service
 
 // Coalescing request batcher — the amortisation layer of the daemon.
 // The paper evaluates one PLF stream per process; under concurrent
-// clients the dominant per-request costs (P-matrix construction, the
-// partial traversal toward the evaluation edge, OOC stage-ins) are
-// SHARED between requests against the same session: once one request
-// has paid for a traversal, every other request in the same engine pass
-// rides on the now-valid ancestral vectors and the warm P cache. The
-// batcher makes that sharing systematic: concurrent evaluates are
-// collected into a batch (up to MaxBatch requests, or until MaxWait
-// after the first), then executed as ONE engine pass on the session's
-// loop goroutine. Results are bit-identical to running each request as
-// its own fresh pass — vector reuse changes what is recomputed, never
-// what is computed (the invariant every OOC layer of this repo is built
-// on) — so coalescing is purely a throughput lever.
+// clients every request runs on the session's one loop goroutine, so
+// they queue behind each other anyway. The batcher turns that queue
+// into batches in the style of group commit: it blocks for a request,
+// takes every other submission already waiting (up to maxBatch), and
+// runs them at once as ONE engine pass. Requests that arrive while a
+// pass runs queue behind it and form the next batch. No clock decides
+// a flush, so a lone request never waits for company; a request that
+// finds the loop idle only yields the processor once, so a burst's
+// other submitters, already runnable, can join it. Nothing is lost
+// by cutting a batch early: the ancestral vectors one pass validates
+// stay valid for the next, as in the paper's incremental traversal.
+// Results are bit-identical to running each request as its own fresh
+// pass — vector reuse changes what is recomputed, never what is
+// computed (the invariant every OOC layer of this repo is built on).
 //
-// Every request carries a timing ledger (queue wait, batch execution
-// span, batch sequence number and size) so clients and the /debug
-// endpoint can see what coalescing actually did to their latency.
+// Every request carries a timing ledger (time queued behind the pass
+// in flight, batch execution span, batch sequence number and size) so
+// clients and the /debug endpoint can see what queueing cost them.
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"time"
 
 	"oocphylo/internal/obs"
@@ -31,32 +34,10 @@ import (
 // loop has been torn down (deleted, or the daemon is shutting down).
 var ErrSessionClosed = errors.New("service: session closed")
 
-// Defaults for BatcherConfig.
-const (
-	DefaultMaxBatch = 16
-	DefaultMaxWait  = 2 * time.Millisecond
-)
-
-// BatcherConfig sizes the flush loop.
-type BatcherConfig struct {
-	// MaxBatch flushes a batch as soon as it holds this many requests
-	// (default DefaultMaxBatch).
-	MaxBatch int
-	// MaxWait flushes whatever has been collected this long after the
-	// FIRST request of the batch arrived (default DefaultMaxWait). The
-	// wait bounds the latency a lone request pays for the chance of
-	// being coalesced.
-	MaxWait time.Duration
-}
-
-func (c *BatcherConfig) fill() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = DefaultMaxWait
-	}
-}
+// maxBatch caps one batch. Evaluates cost nothing extra for riding
+// apart, so the cap only bounds how long a park, optimise or resize job
+// waits behind one pass.
+const maxBatch = 16
 
 // evalJob is one enqueued evaluate request plus its reply path. span,
 // when non-nil, is the server-side request span: the executor parents
@@ -75,7 +56,7 @@ type evalJob struct {
 // hands each batch to exec as a unit. exec must fill every job's res/err
 // (the batcher closes each job's done channel after exec returns).
 type Batcher struct {
-	cfg    BatcherConfig
+	limit  int
 	submit chan *evalJob
 	exec   func([]*evalJob)
 	quit   chan struct{}
@@ -85,11 +66,10 @@ type Batcher struct {
 	seq int64
 }
 
-// newBatcher starts the flush loop.
-func newBatcher(cfg BatcherConfig, exec func([]*evalJob)) *Batcher {
-	cfg.fill()
+// newBatcher starts the flush loop with batches of at most limit jobs.
+func newBatcher(limit int, exec func([]*evalJob)) *Batcher {
 	b := &Batcher{
-		cfg:    cfg,
+		limit:  limit,
 		submit: make(chan *evalJob),
 		exec:   exec,
 		quit:   make(chan struct{}),
@@ -140,35 +120,40 @@ func (b *Batcher) Close() {
 	<-b.done
 }
 
-// loop is the size + max-wait flush loop: block for the first request,
-// then collect until the batch is full or the deadline set by that
-// first arrival expires, then execute the batch as one engine pass.
-// The submit channel is unbuffered, so a successful Submit send is a
-// rendezvous: every accepted job is part of exactly one flushed batch
-// and is always replied to.
+// loop is the group-commit flush loop: take the first request (after
+// one yield if the loop was idle), take every submission already
+// waiting (up to limit) without blocking, and execute the batch as one
+// engine pass at once. The submit channel is unbuffered, so a
+// successful Submit send is a rendezvous: every accepted job is part
+// of exactly one flushed batch and is always replied to.
 func (b *Batcher) loop() {
 	defer close(b.done)
 	for {
 		var first *evalJob
 		select {
-		case first = <-b.submit:
-		case <-b.quit:
-			return
+		case first = <-b.submit: // queued behind the last pass
+		default:
+			select {
+			case first = <-b.submit:
+			case <-b.quit:
+				return
+			}
+			// The loop was idle, so this may be the first of a burst
+			// whose other submitters are runnable but not yet at the
+			// channel: let them reach it. With nothing else runnable
+			// this returns at once.
+			runtime.Gosched()
 		}
-		batch := append(make([]*evalJob, 0, b.cfg.MaxBatch), first)
-		timer := time.NewTimer(b.cfg.MaxWait)
-	collect:
-		for len(batch) < b.cfg.MaxBatch {
+		batch := append(make([]*evalJob, 0, b.limit), first)
+	drain:
+		for len(batch) < b.limit {
 			select {
 			case j := <-b.submit:
 				batch = append(batch, j)
-			case <-timer.C:
-				break collect
-			case <-b.quit:
-				break collect
+			default:
+				break drain
 			}
 		}
-		timer.Stop()
 		b.seq++
 		b.flush(batch)
 		select {

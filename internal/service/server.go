@@ -51,8 +51,6 @@ type ServerConfig struct {
 	// whose floor does not fit; the governor squeezes elastic OOC pools
 	// to keep the sum of grants under it.
 	MemBudget int64
-	// Batch configures every session's coalescing batcher.
-	Batch BatcherConfig
 	// IdleTimeout parks sessions with no request for this long
 	// (0 = never). Parking frees their RAM; the next request revives
 	// them from the checkpoint.
@@ -139,7 +137,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("service: invalid store URL %q (want remote://host:port or remote://host:port/namespace): %w", cfg.StoreURL, err)
 		}
 	}
-	cfg.Batch.fill()
 	s := &Server{
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),

@@ -86,7 +86,7 @@ func baseSession(name, alnPath string) SessionConfig {
 func TestServiceDifferentialBatchedVsOneShot(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, _, _ := writeTestAlignment(t, dir, 10, 300, 7)
-	srv := newTestServer(t, ServerConfig{DataDir: dir, Batch: BatcherConfig{MaxBatch: 8, MaxWait: 20 * time.Millisecond}})
+	srv := newTestServer(t, ServerConfig{DataDir: dir})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	c := NewClient(hs.URL)

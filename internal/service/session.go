@@ -139,7 +139,7 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 	}
 	reg.AddPublisher(p, s.publish)
 	go s.loop()
-	s.batcher = newBatcher(srv.cfg.Batch, s.execBatch)
+	s.batcher = newBatcher(maxBatch, s.execBatch)
 	return s
 }
 

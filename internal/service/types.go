@@ -57,7 +57,8 @@ type EvalSpec struct {
 }
 
 // EvalReply is the evaluate response: the likelihood plus the
-// per-request timing ledger describing what batching did to it.
+// per-request timing ledger describing what queueing and batching did
+// to it.
 type EvalReply struct {
 	Session string  `json:"session,omitempty"`
 	Edge    int     `json:"edge"`
@@ -69,9 +70,9 @@ type EvalReply struct {
 	// this request rode in; BatchSize the number of requests in it.
 	Batch     int64 `json:"batch"`
 	BatchSize int   `json:"batch_size"`
-	// WaitMicros is the time from enqueue to batch execution start
-	// (queueing + coalescing window); ExecMicros the execution span of
-	// the whole batch.
+	// WaitMicros is the time from enqueue to batch execution start,
+	// i.e. queued behind the pass in flight; ExecMicros the execution
+	// span of the whole batch.
 	WaitMicros int64 `json:"wait_us"`
 	ExecMicros int64 `json:"exec_us"`
 	// TraceID is set when the request carried a W3C traceparent header:
