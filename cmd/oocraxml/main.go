@@ -21,13 +21,14 @@
 //	oocraxml -s data.phy -m HKY -a 0.8
 //	oocraxml -s data.phy -t start.nwk -f z -k 5 -L 1000000000 -strategy lru
 //	oocraxml -s data.fasta -fasta -f e -t tree.nwk -L 50000000 -strategy topological -stats
-//	oocraxml -s data.phy -f z -L 50000000 -backing vecs.bin -verify-store -io-retries 5
+//	oocraxml -s data.phy -f z -L 50000000 -backing vecs.bin -verify-store
 //
 // With -verify-store, every vector read from the backing file is
 // verified against the CRC-32C recorded (in memory) when this run wrote
 // it; a corrupt vector is recomputed from its children instead of
-// failing the run. -io-retries bounds the exponential-backoff retries
-// for transient I/O errors. A run reads only vectors it wrote: -backing
+// failing the run, and so is one the store cannot read (a remote store
+// re-issues a failed request first, under its own retry budget). A
+// write error ends the run. A run reads only vectors it wrote: -backing
 // and -cache-dir say where the files go, every run truncates them, and
 // -resume restores tree, model and search position from the checkpoint
 // and recomputes the vectors.
@@ -132,7 +133,6 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.Int64Var(&how.MemBudget, "mem-budget", 0, "soft heap budget in bytes: a watchdog shrinks/grows the out-of-core slot pool at engine safe points to stay under it (0 = off)")
 	fs.Int64Var(&how.Stack.CrashAfter, "crashpoint", 0, "TESTING: kill the process (exit 3) at the N-th backing-store vector I/O")
 	fs.BoolVar(&how.Stack.Verify, "verify-store", false, "checksum every vector written to the store and verify every read against it (corrupt vectors are recomputed, not fatal)")
-	fs.IntVar(&how.Retries, "io-retries", 3, "retries with exponential backoff for transient backing-store I/O errors")
 	fs.StringVar(&o.outTree, "w", "", "write the result tree to this file (default stdout)")
 	fs.BoolVar(&o.printStats, "stats", false, "print the consolidated per-layer statistics report")
 	fs.StringVar(&o.httpAddr, "http", "", "serve the live /debug endpoint (vars, report, trace, pprof) on this address, e.g. :8080 or 127.0.0.1:0")
@@ -500,9 +500,6 @@ func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *a
 	slots := r.Manager.Slots()
 	fmt.Fprintf(out, "Out-of-core: %d of %d vectors' bytes in RAM (%.1f%%), strategy %s, %s\n",
 		slots, n, 100*float64(slots)/float64(n), r.Strategy.Name(), where)
-	if how.Stack.Verify {
-		fmt.Fprintf(out, "Integrity: per-vector CRC-32C verified on every read, %d I/O retries\n", how.Retries)
-	}
 }
 
 // runBootstrap infers o.bootstraps replicate trees (parsimony stepwise-

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"oocphylo/internal/analysis"
 	"oocphylo/internal/iosim"
+	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
 )
 
@@ -100,5 +103,60 @@ func TestRemoteStoreRerunOverCacheDir(t *testing.T) {
 	}
 	if fb, sb := lnlBitsLine(first), lnlBitsLine(starved); fb != sb {
 		t.Errorf("starved cache changed the likelihood:\n%q\n%q", fb, sb)
+	}
+}
+
+// TestRemoteRefusedReadOneRetryBudget: the tier's RemoteRetry is the
+// one retry budget a run over -store remote:// has. A read the remote
+// refuses costs exactly RemoteRetry.Max+1 attempts — nothing above the
+// tier re-issues it — so one refused read leaves the breaker closed,
+// and the manager hands the engine an unreadable vector to recompute.
+func TestRemoteRefusedReadOneRetryBudget(t *testing.T) {
+	phy, nwk := writeTestData(t)
+	rsrv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	fs, _, sf, how := runFlags()
+	if err := fs.Parse([]string{"-s", phy, "-t", nwk, "-m", "JC", "-a", "0", "-L", "1200",
+		"-store", "remote://" + rsrv.Addr() + "/vecs"}); err != nil {
+		t.Fatal(err)
+	}
+	spec := sf.resolve()
+	_, pats, err := analysis.Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := analysis.Build(spec, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz, err := analysis.Size(spec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := analysis.Open(spec, *how, in, sz, sz.Quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Manager == nil || r.Stack.Tier == nil {
+		t.Fatal("the run is not out of core over a tier")
+	}
+
+	rsrv.Close() // the remote goes dark; vector 0 was never cached
+	_, err = r.Manager.Vector(0, false)
+	var re *ooc.VectorReadError
+	if !errors.As(err, &re) || re.Vi != 0 {
+		t.Fatalf("refused read returned %v, want vector 0 unreadable", err)
+	}
+	st := r.Stack.Tier.Stats()
+	if want := int64(r.Stack.Spec.RemoteRetry.Max + 1); st.RemoteErrors != want || st.RemoteRetries != want-1 {
+		t.Errorf("one refused read made %d attempts (%d retries), want %d", st.RemoteErrors, st.RemoteRetries, want)
+	}
+	if st.ShortCircuits != 0 || st.BreakerOpens != 0 || st.BreakerState != "closed" {
+		t.Errorf("one refused read moved the breaker: %d opens, %d short circuits, %s",
+			st.BreakerOpens, st.ShortCircuits, st.BreakerState)
 	}
 }

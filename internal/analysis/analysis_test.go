@@ -83,7 +83,7 @@ func TestOpen(t *testing.T) {
 
 				spec := testSpec(t, 12, 300, 7)
 				var simClock iosim.Clock
-				opts := Options{Retries: 3, MemBudget: 1 << 40, Stack: ooc.StackSpec{Verify: true}}
+				opts := Options{MemBudget: 1 << 40, Stack: ooc.StackSpec{Verify: true}}
 				if medium == "remote" {
 					srv, err := remote.NewServer(remote.ServerConfig{})
 					if err != nil {
@@ -382,7 +382,6 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 	faults := &ooc.FaultConfig{
 		Seed:     17,
 		PReadErr: 0.05, MaxReadErrs: 6,
-		PWriteErr: 0.05, MaxWriteErrs: 6,
 		PTornWrite: 0.05, MaxTornWrites: 4,
 		PBitFlip: 0.25, MaxBitFlips: 4,
 	}
@@ -393,8 +392,8 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 	}{
 		{"sync", Options{Sync: true}, true},
 		{"async+prefetch", Options{}, true},
-		{"sync+faults", Options{Sync: true, Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
-		{"async+prefetch+faults", Options{Retries: 8, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
+		{"sync+faults", Options{Sync: true, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
+		{"async+prefetch+faults", Options{Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
 		{"sync, no read skipping", Options{Sync: true, NoReadSkipping: true}, false},
 		{"async+prefetch, no read skipping", Options{NoReadSkipping: true}, false},
 	} {

@@ -99,7 +99,6 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 			Slots:    ooc.SlotsForBytes(grant, overhead, sz.VecBytes, n),
 			Strategy: strat, ReadSkipping: !opts.NoReadSkipping, Store: st.Store,
 			Async: !opts.Sync,
-			Retry: ooc.RetryPolicy{Max: opts.Retries},
 		})
 		if err != nil {
 			return r, err

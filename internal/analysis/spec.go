@@ -125,8 +125,6 @@ type Options struct {
 	// value is what ships: out-of-core I/O on the async pipeline, the
 	// traversal plan's next reads staged one step ahead.
 	Sync bool
-	// Retries bounds the backoff retries of a transient store I/O error.
-	Retries int
 	// MemBudget, when > 0, arms a watchdog that steps an out-of-core
 	// slot pool down and up to hold the process heap near this many
 	// bytes, never regrowing past the grant. A one-shot run's knob: a

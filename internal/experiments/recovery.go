@@ -12,12 +12,12 @@ import (
 // Recovery ablation — the integrity tentpole's acceptance experiment.
 // The same full-traversal workload runs twice per manager flavour: once
 // over a clean store and once over a FaultStore injecting transient
-// EIO, torn writes and bit flips underneath the ChecksumStore. The
+// read EIO, torn writes and bit flips underneath the ChecksumStore. The
 // harness enforces the bar the fault-tolerance layer promises: the
 // faulted run must finish with the bit-identical final log-likelihood
-// of the clean run — corruption is converted into retries and extra
-// newviews (the LvD recompute-vs-store tradeoff turned into a repair
-// mechanism), never into a different answer or a failed run.
+// of the clean run — an unreadable or corrupt vector is converted into
+// extra newviews (the LvD recompute-vs-store tradeoff turned into a
+// repair mechanism), never into a different answer or a failed run.
 
 // RecoveryConfig describes the clean-versus-faulted experiment.
 type RecoveryConfig struct {
@@ -29,11 +29,6 @@ type RecoveryConfig struct {
 	Traversals int
 	// Faults is the injection plan for the faulted runs.
 	Faults ooc.FaultConfig
-	// Retries configures the manager's transient-error retry budget. It
-	// must exceed the largest per-category fault cap so an injected EIO
-	// burst can never outlast the retry loop (the caps make recovery
-	// equivalence deterministic rather than merely probable).
-	Retries int
 }
 
 func (c *RecoveryConfig) fill() {
@@ -50,16 +45,12 @@ func (c *RecoveryConfig) fill() {
 		c.Faults = ooc.FaultConfig{
 			Seed:     c.Seed + 99,
 			PReadErr: 0.05, MaxReadErrs: 6,
-			PWriteErr: 0.05, MaxWriteErrs: 6,
 			PTornWrite: 0.05, MaxTornWrites: 4,
 			// Bit flips only fire on reads that actually reach the store;
 			// async scheduling jitters the die sequence, so the probability
 			// is set high enough that every interleaving draws a flip.
 			PBitFlip: 0.25, MaxBitFlips: 4,
 		}
-	}
-	if c.Retries == 0 {
-		c.Retries = 8
 	}
 }
 
@@ -72,12 +63,13 @@ type RecoveryRow struct {
 	LnL float64
 	// Faults is what the fault store actually injected.
 	Faults ooc.FaultStats
-	// Retries, CorruptReads and DroppedWritebacks are the faulted run's
-	// pipeline integrity counters.
-	Retries, CorruptReads, DroppedWritebacks int64
+	// CorruptReads and DroppedWritebacks are the faulted run's pipeline
+	// integrity counters.
+	CorruptReads, DroppedWritebacks int64
 	// Detected is the checksum layer's failed-verification count.
 	Detected int64
-	// Recoveries is how many corrupt vectors the engine recomputed.
+	// Recoveries is how many unreadable or corrupt vectors the engine
+	// recomputed.
 	Recoveries int64
 	// ExtraNewviews is the recompute overhead: faulted minus clean
 	// newview count.
@@ -89,7 +81,7 @@ type RecoveryRow struct {
 // closed run for its counters.
 func runRecoveryWorkload(cfg RecoveryConfig, w *workload, async bool, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
 	r, err = w.run(arm{
-		Fraction: pagingFraction, Async: async, Retries: cfg.Retries,
+		Fraction: pagingFraction, Async: async,
 		Stack: ooc.StackSpec{Base: w.memStore(), Verify: true, Fault: faults},
 	}, func(r *analysis.Run) (err error) {
 		// Both flavours stage the plan's next step, as the pipelined one
@@ -126,10 +118,10 @@ func RunRecoveryAblation(cfg RecoveryConfig) ([]RecoveryRow, error) {
 		}
 		pipe := faulted.Manager.PipelineStats()
 		out = append(out, RecoveryRow{
-			Async:   async,
-			LnL:     lnl,
-			Faults:  faulted.Stack.Fault.Stats(),
-			Retries: pipe.Retries, CorruptReads: pipe.CorruptReads,
+			Async:             async,
+			LnL:               lnl,
+			Faults:            faulted.Stack.Fault.Stats(),
+			CorruptReads:      pipe.CorruptReads,
 			DroppedWritebacks: pipe.DroppedWritebacks,
 			Detected:          faulted.Stack.Checksum.CorruptReads(),
 			Recoveries:        faulted.Engine.Stats.Recoveries,
@@ -142,17 +134,17 @@ func RunRecoveryAblation(cfg RecoveryConfig) ([]RecoveryRow, error) {
 // WriteRecoveryTable renders the ablation as text.
 func WriteRecoveryTable(w io.Writer, rows []RecoveryRow, cfg RecoveryConfig) {
 	cfg.fill()
-	fmt.Fprintf(w, "Recovery ablation: %d full traversals, %d taxa × %d sites, f=%.2f, retries %d\n",
-		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction, cfg.Retries)
-	fmt.Fprintf(w, "%6s %5s %5s %5s %5s %8s %8s %8s %10s %8s %14s\n",
-		"mode", "eio-r", "eio-w", "torn", "flips", "retries", "corrupt", "dropped", "recovered", "+nv", "lnL")
+	fmt.Fprintf(w, "Recovery ablation: %d full traversals, %d taxa × %d sites, f=%.2f\n",
+		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction)
+	fmt.Fprintf(w, "%6s %5s %5s %5s %8s %8s %10s %8s %14s\n",
+		"mode", "eio-r", "torn", "flips", "corrupt", "dropped", "recovered", "+nv", "lnL")
 	for _, r := range rows {
 		mode := "sync"
 		if r.Async {
 			mode = "async"
 		}
-		fmt.Fprintf(w, "%6s %5d %5d %5d %5d %8d %8d %8d %10d %8d %14.2f\n",
-			mode, r.Faults.ReadErrs, r.Faults.WriteErrs, r.Faults.TornWrites, r.Faults.BitFlips,
-			r.Retries, r.CorruptReads, r.DroppedWritebacks, r.Recoveries, r.ExtraNewviews, r.LnL)
+		fmt.Fprintf(w, "%6s %5d %5d %5d %8d %8d %10d %8d %14.2f\n",
+			mode, r.Faults.ReadErrs, r.Faults.TornWrites, r.Faults.BitFlips,
+			r.CorruptReads, r.DroppedWritebacks, r.Recoveries, r.ExtraNewviews, r.LnL)
 	}
 }

@@ -76,18 +76,16 @@ var goldenTables = []struct {
 			Faults: ooc.FaultConfig{
 				Seed:     5 * 131,
 				PReadErr: 0.10, MaxReadErrs: 6,
-				PWriteErr: 0.10, MaxWriteErrs: 6,
 				PTornWrite: 0.10, MaxTornWrites: 4,
 				PBitFlip: 0.25, MaxBitFlips: 4,
 			},
-			Retries: 8,
 		})
 		var out []string
 		for _, r := range rows {
 			row := fmt.Sprintf("async=%v lnl=%s", r.Async, bits(r.LnL))
 			if !r.Async {
-				row += fmt.Sprintf(" faults=%+v retries=%d corrupt=%d dropped=%d detected=%d recovered=%d extra_newviews=%d",
-					r.Faults, r.Retries, r.CorruptReads, r.DroppedWritebacks, r.Detected, r.Recoveries, r.ExtraNewviews)
+				row += fmt.Sprintf(" faults=%+v corrupt=%d dropped=%d detected=%d recovered=%d extra_newviews=%d",
+					r.Faults, r.CorruptReads, r.DroppedWritebacks, r.Detected, r.Recoveries, r.ExtraNewviews)
 			}
 			out = append(out, row)
 		}

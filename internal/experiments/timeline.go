@@ -85,7 +85,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	root := col.StartTrace("timeline")
 	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
 	r, err := w.run(arm{
-		Fraction: pagingFraction, Async: true, Retries: 8,
+		Fraction: pagingFraction, Async: true,
 		Stack: stack, Registry: reg,
 	}, func(r *analysis.Run) (err error) {
 		r.SetSpan(root)

@@ -73,8 +73,7 @@ type arm struct {
 	// one-step prefetch. Without it an arm runs the paper's synchronous
 	// manager, whose store counters repeat in a fixed order, and stages
 	// nothing unless its body enables prefetch.
-	Async   bool
-	Retries int
+	Async bool
 
 	// Stack is the store; Open supplies its geometry. The zero value is
 	// a temp file.
@@ -110,7 +109,7 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 	}
 	r, err := analysis.Open(spec, analysis.Options{
 		NoReadSkipping: a.NoReadSkipping, Sync: !a.Async,
-		Retries: a.Retries, Stack: a.Stack,
+		Stack:    a.Stack,
 		Registry: a.Registry,
 	}, in, sz, sz.Quota)
 	if err == nil && opened != nil {

@@ -41,11 +41,11 @@ var ErrCircuitOpen = errors.New("remote circuit open")
 func IsCircuitOpen(err error) bool { return errors.Is(err, ErrCircuitOpen) }
 
 // VectorReadError marks a demand read the backing store could not
-// serve right now: transient I/O that exhausted its retries, or a
-// remote circuit held open. It exposes the vector index so an engine
-// that can re-derive the vector from local inputs (the PLF recompute
-// identity) converts the failure into extra compute instead of a
-// failed pass.
+// serve right now: a transient I/O error (over a remote, one the tier's
+// RemoteRetry did not absorb), or a remote circuit held open. It
+// exposes the vector index so an engine that can re-derive the vector
+// from local inputs (the PLF recompute identity) converts the failure
+// into extra compute instead of a failed pass.
 type VectorReadError struct {
 	Vi  int
 	Err error
@@ -84,12 +84,11 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes a Breaker. The zero value gets defaults from
-// fill(); a TieredStore only builds a breaker when Threshold > 0, so
-// plain configs keep the pre-breaker behavior.
+// BreakerConfig tunes a Breaker. Zero fields get defaults from fill().
 type BreakerConfig struct {
 	// Threshold is the consecutive-failure count that trips the
-	// circuit (default 5 when a breaker is requested).
+	// circuit (default 5, above one read's RemoteRetry budget, so a
+	// single refused read does not trip it alone).
 	Threshold int
 	// Cooldown is how long the circuit stays open before admitting a
 	// half-open probe (default 500ms).

@@ -2,15 +2,19 @@ package ooc
 
 // Deterministic seeded fault injection. FaultStore wraps any Store and
 // injects the failure modes a long out-of-core run must survive:
-// transient EIO (the op fails but a retry succeeds), torn writes (the
-// write reports success but only a prefix of the payload reaches the
-// medium), and bit flips on the read path (the medium is fine but the
-// transfer is not). Tests and the soak harness layer it UNDER a
-// ChecksumStore, so silent corruption is detected on read-back and the
-// recovery machinery above (manager retries, engine recompute) can be
-// exercised end to end:
+// transient read EIO (the read fails, the medium is fine), torn writes
+// (the write reports success but only a prefix of the payload reaches
+// the medium), and bit flips on the read path (the medium is fine but
+// the transfer is not). Tests and the soak harness layer it UNDER a
+// ChecksumStore, so silent corruption is detected on read-back, and
+// every fault ends in the one recovery there is, the engine's
+// recompute of the vector it could not read:
 //
-//	Manager (retries) → ChecksumStore (verifies) → FaultStore (injects) → FileStore/MemStore
+//	Manager (unreadable → recompute) → ChecksumStore (verifies) → FaultStore (injects) → FileStore/MemStore
+//
+// There is no injected write EIO: a write error is fatal to a run, and
+// no production store returns a transient one (the remote tier spills a
+// refused PUT instead).
 //
 // All randomness comes from one seeded source behind a mutex, so a
 // fixed seed yields a reproducible fault sequence for a deterministic
@@ -30,25 +34,25 @@ import (
 type FaultConfig struct {
 	// Seed fixes the fault sequence.
 	Seed int64
-	// PReadErr and PWriteErr inject transient EIO (wrapped in
-	// ErrTransientIO) on reads and writes.
-	PReadErr, PWriteErr float64
+	// PReadErr injects transient EIO (wrapped in ErrTransientIO) on
+	// reads.
+	PReadErr float64
 	// PTornWrite makes a write land partially while reporting success.
 	PTornWrite float64
 	// PBitFlip flips one bit of a read's payload after the transfer.
 	PBitFlip float64
 	// Caps on the number of injections per category.
-	MaxReadErrs, MaxWriteErrs, MaxTornWrites, MaxBitFlips int64
+	MaxReadErrs, MaxTornWrites, MaxBitFlips int64
 }
 
 // FaultStats counts the faults actually injected.
 type FaultStats struct {
-	ReadErrs, WriteErrs, TornWrites, BitFlips int64
+	ReadErrs, TornWrites, BitFlips int64
 }
 
 // Total returns the total number of injected faults.
 func (s FaultStats) Total() int64 {
-	return s.ReadErrs + s.WriteErrs + s.TornWrites + s.BitFlips
+	return s.ReadErrs + s.TornWrites + s.BitFlips
 }
 
 // FaultStore injects faults in front of an inner Store. Safe for the
@@ -112,16 +116,11 @@ func (s *FaultStore) ReadVector(vi int, dst []float64) error {
 	return nil
 }
 
-// WriteVector implements Store: maybe a transient EIO before the write,
-// maybe a torn write — the prefix lands, the tail never reaches the
-// medium, and the call still reports success (exactly the silent
-// failure a checksum layer exists to catch).
+// WriteVector implements Store: maybe a torn write — the prefix lands,
+// the tail never reaches the medium, and the call still reports success
+// (exactly the silent failure a checksum layer exists to catch).
 func (s *FaultStore) WriteVector(vi int, src []float64) error {
 	s.mu.Lock()
-	if s.roll(s.cfg.PWriteErr, s.cfg.MaxWriteErrs, &s.stats.WriteErrs) {
-		s.mu.Unlock()
-		return fmt.Errorf("ooc: injected EIO writing vector %d: %w", vi, ErrTransientIO)
-	}
 	torn := -1
 	if len(src) > 1 && s.roll(s.cfg.PTornWrite, s.cfg.MaxTornWrites, &s.stats.TornWrites) {
 		// Keep at least one element, lose at least one.

@@ -3,11 +3,7 @@ package ooc
 import (
 	"path/filepath"
 	"testing"
-	"time"
 )
-
-// faultRetry is a fast backoff for tests.
-var faultRetry = RetryPolicy{Max: 4, Base: time.Microsecond, Cap: 10 * time.Microsecond}
 
 func TestFaultStoreDeterministic(t *testing.T) {
 	// The same seed over the same operation sequence must inject the
@@ -54,69 +50,6 @@ func TestFaultStoreCapsBound(t *testing.T) {
 	if total := fs.Stats().Total(); total != 0 {
 		t.Errorf("injected %d faults with no caps set", total)
 	}
-}
-
-func TestFaultManagerRetriesTransientRead(t *testing.T) {
-	n, vl := 6, 4
-	base := NewMemStore(n, vl)
-	want := []float64{9, 8, 7, 6}
-	if err := base.WriteVector(0, want); err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFaultStore(base, FaultConfig{Seed: 2, PReadErr: 1, MaxReadErrs: 2})
-	m, err := NewManager(Config{
-		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-		Store: fs, Retry: faultRetry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	v, err := m.Vector(0, false)
-	if err != nil {
-		t.Fatalf("demand read with retries: %v", err)
-	}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("got %v, want %v", v, want)
-		}
-	}
-	if r := m.PipelineStats().Retries; r != 2 {
-		t.Errorf("Retries = %d, want 2 (both injected EIOs retried)", r)
-	}
-}
-
-func TestFaultManagerRetriesTransientWrite(t *testing.T) {
-	n, vl := 6, 4
-	base := NewMemStore(n, vl)
-	fs := NewFaultStore(base, FaultConfig{Seed: 3, PWriteErr: 1, MaxWriteErrs: 2})
-	m, err := NewManager(Config{
-		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-		ReadSkipping: true, Store: fs, Retry: faultRetry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.Vector(0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(v, []float64{1, 2, 3, 4})
-	// Flush forces the dirty slot through the (faulty) write path.
-	if err := m.Flush(); err != nil {
-		t.Fatalf("flush with retries: %v", err)
-	}
-	if r := m.PipelineStats().Retries; r != 2 {
-		t.Errorf("Retries = %d, want 2", r)
-	}
-	got := make([]float64, vl)
-	if err := base.ReadVector(0, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[3] != 4 {
-		t.Errorf("write never landed: %v", got)
-	}
-	m.Close()
 }
 
 func TestFaultTornWriteCaughtByChecksum(t *testing.T) {

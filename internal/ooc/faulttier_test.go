@@ -100,6 +100,10 @@ func waitSpillDrained(t *testing.T, ts *TieredStore) {
 	}
 }
 
+// neverTrips is a breaker threshold no test reaches, for tests whose
+// subject is an outage met request by request.
+var neverTrips = BreakerConfig{Threshold: 1 << 30}
+
 // TestTieredStoreSpillServesReadsDuringOutage: during a permanent PUT
 // outage every dirty eviction lands in the in-memory spill set (no
 // error, no lost bytes), reads of spilled vectors return the newest
@@ -113,6 +117,7 @@ func TestTieredStoreSpillServesReadsDuringOutage(t *testing.T) {
 	ts, err := NewTieredStore(rem, TieredConfig{
 		NumVectors: nVec, VectorLen: vecLen,
 		CacheDir: t.TempDir(), CacheVectors: 2,
+		Breaker: neverTrips,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +186,7 @@ func TestTieredPrefixRecords(t *testing.T) {
 	ts, err := NewTieredStore(rem, TieredConfig{
 		NumVectors: nVec, VectorLen: vecLen,
 		CacheDir: t.TempDir(), CacheVectors: 2,
+		Breaker: neverTrips,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +439,7 @@ func TestRetryPolicyRetriesTransient(t *testing.T) {
 	rp := RetryPolicy{Max: 3, Base: time.Microsecond, Rand: func() float64 { return 0.5 }}
 	var counter atomic.Int64
 	calls := 0
-	err := rp.run(&counter, func() error {
+	err := rp.runCtx(nil, &counter, func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("flap: %w", ErrTransientIO)
@@ -445,7 +451,7 @@ func TestRetryPolicyRetriesTransient(t *testing.T) {
 	}
 	// Non-transient errors are not retried.
 	calls = 0
-	err = rp.run(&counter, func() error {
+	err = rp.runCtx(nil, &counter, func() error {
 		calls++
 		return fmt.Errorf("fatal: %w", ErrCircuitOpen)
 	})

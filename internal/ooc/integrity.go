@@ -5,7 +5,7 @@ package ooc
 // version can be deployed to essentially infer trees on datasets of
 // arbitrary size" (§4.3) implies runs long enough that disk faults,
 // torn writes and bit rot are expected events, not exceptions. This
-// file adds the two pieces the store stack needs to survive them:
+// file adds what the store stack needs to detect them:
 //
 //   - ChecksumStore wraps any Store with an in-memory per-vector
 //     CRC-32C table. Every read is verified against the checksum
@@ -14,16 +14,17 @@ package ooc
 //     The table lives and dies with the process: a process reads only
 //     vectors it wrote, so there is nothing to persist.
 //
-//   - RetryPolicy implements capped exponential backoff for transient
-//     I/O errors (ErrTransientIO), used by the manager's synchronous
-//     demand path and the async pipeline workers alike.
+//   - ErrTransientIO marks a read that failed but may succeed later.
+//     The manager re-issues nothing: such a read is unreadable, like
+//     one refused by an open breaker. Only the remote tier, whose
+//     failures are a network's, re-issues a request (RemoteRetry).
 //
-// Crucially, corruption need not abort a run: the LvD framing of
-// likelihood computation as a recompute-vs-store tradeoff (Bryant et
-// al.) means any ancestral vector is recomputable from its children,
-// so the likelihood engine turns a *CorruptionError into a partial
-// re-traversal (see plf.Engine) — extra compute instead of a failed
-// run. That is also why a 32-bit code is enough: the sum only has to
+// Crucially, neither need abort a run: the LvD framing of likelihood
+// computation as a recompute-vs-store tradeoff (Bryant et al.) means
+// any ancestral vector is recomputable from its children, so the
+// likelihood engine turns a *CorruptionError or an unreadable vector
+// into a partial re-traversal (see plf.Engine) — extra compute instead
+// of a failed run. A write error stays fatal. That is also why a 32-bit code is enough: the sum only has to
 // detect, never to repair, and CRC-32C (Castagnoli) is the code the CPU
 // computes itself (SSE4.2 / ARMv8 CRC instructions behind hash/crc32),
 // so a verified read or write costs memory bandwidth, not a core. It
@@ -76,18 +77,20 @@ func IsCorruption(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// ErrTransientIO marks an I/O failure believed to be transient — worth
-// re-issuing rather than aborting. FaultStore wraps its injected EIO
-// errors with it; real-device store implementations can do the same.
+// ErrTransientIO marks an I/O failure believed to be transient: the
+// remote tier re-issues it within RemoteRetry, and a read that still
+// fails is unreadable, recomputed by the engine, not fatal. The object
+// store wraps transport and 5xx errors with it, FaultStore its injected
+// read EIO.
 var ErrTransientIO = errors.New("transient I/O error")
 
-// IsTransient reports whether err is worth retrying.
+// IsTransient reports whether err is (or wraps) ErrTransientIO.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransientIO) }
 
-// RetryPolicy caps the retry loop applied to transient store errors:
-// up to Max re-issues with full-jitter exponential backoff starting at
-// Base and capped at Cap. The zero value disables retries (first error
-// wins).
+// RetryPolicy caps the remote tier's retry loop (TieredConfig.
+// RemoteRetry) for transient errors: up to Max re-issues with
+// full-jitter exponential backoff starting at Base and capped at Cap.
+// The zero value disables retries (first error wins).
 type RetryPolicy struct {
 	// Max is the number of re-issues after the initial attempt.
 	Max int
@@ -120,17 +123,12 @@ func (rp RetryPolicy) jittered(d time.Duration) time.Duration {
 	return j
 }
 
-// run executes op, re-issuing it per the policy while the error is
-// transient. Every retry taken is added to counter (shared between the
-// compute thread and pipeline workers, hence atomic).
-func (rp RetryPolicy) run(counter *atomic.Int64, op func() error) error {
-	return rp.runCtx(nil, counter, op)
-}
-
-// runCtx is run with cooperative cancellation: a non-nil ctx aborts
-// the backoff sleeps once cancelled. op itself is never interrupted —
-// the first attempt always runs to completion, so a cancelled context
-// degrades the policy to "no retries" rather than "no I/O".
+// runCtx executes op, re-issuing it per the policy while the error is
+// transient. Every retry taken is added to counter (the tier's callers
+// run concurrently, hence atomic). A non-nil ctx aborts the backoff
+// sleeps once cancelled. op itself is never interrupted — the first
+// attempt always runs to completion, so a cancelled context degrades
+// the policy to "no retries" rather than "no I/O".
 func (rp RetryPolicy) runCtx(ctx context.Context, counter *atomic.Int64, op func() error) error {
 	err := op()
 	delay := rp.Base

@@ -341,7 +341,7 @@ func TestRetryPolicyTransient(t *testing.T) {
 	rp := RetryPolicy{Max: 5, Base: time.Microsecond, Cap: 10 * time.Microsecond}
 	var counter atomic.Int64
 	fails := 3
-	err := rp.run(&counter, func() error {
+	err := rp.runCtx(nil, &counter, func() error {
 		if fails > 0 {
 			fails--
 			return fmt.Errorf("boom: %w", ErrTransientIO)
@@ -358,7 +358,7 @@ func TestRetryPolicyTransient(t *testing.T) {
 	counter.Store(0)
 	calls := 0
 	perm := errors.New("permanent")
-	if err := rp.run(&counter, func() error { calls++; return perm }); !errors.Is(err, perm) {
+	if err := rp.runCtx(nil, &counter, func() error { calls++; return perm }); !errors.Is(err, perm) {
 		t.Fatalf("got %v, want permanent error", err)
 	}
 	if calls != 1 || counter.Load() != 0 {
@@ -366,7 +366,7 @@ func TestRetryPolicyTransient(t *testing.T) {
 	}
 	// Exhausted budget surfaces the transient error.
 	always := fmt.Errorf("still down: %w", ErrTransientIO)
-	if err := rp.run(nil, func() error { return always }); !IsTransient(err) {
+	if err := rp.runCtx(nil, nil, func() error { return always }); !IsTransient(err) {
 		t.Fatalf("got %v, want transient after exhaustion", err)
 	}
 }

@@ -88,12 +88,6 @@ type Config struct {
 	// safe for concurrent use on distinct vectors (all stores in this
 	// package are). Close the manager to drain the pipeline.
 	Async bool
-
-	// Retry governs re-issuing store operations that fail with a
-	// transient error (ErrTransientIO) — capped exponential backoff on
-	// the synchronous demand path and in the async pipeline workers
-	// alike. The zero value disables retries.
-	Retry RetryPolicy
 }
 
 // fetchWorkers is the number of background fetch goroutines. The
@@ -225,9 +219,9 @@ type Manager struct {
 	rstats ResizeStats
 
 	// ctx, when set via SetContext, aborts the blocking edges of the
-	// I/O path (retry backoff, full fetch queue, waits for the writer).
-	// Store operations themselves always run to completion, so
-	// cancellation can never leave a torn vector on disk.
+	// I/O path (full fetch queue, waits for the writer). Store
+	// operations themselves always run to completion, so cancellation
+	// can never leave a torn vector on disk.
 	ctx context.Context
 	// closing latches once Close has been entered; Resize refuses to
 	// change the budget from then on.
@@ -238,9 +232,6 @@ type Manager struct {
 	pipe      *pipeline
 	inflight  []*fetchReq
 	pipeStats PipelineStats
-	// retried counts transient-error retries; shared with the pipeline
-	// workers, hence atomic.
-	retried atomic.Int64
 }
 
 // ErrAllPinned is returned when a miss cannot find an evictable slot
@@ -287,7 +278,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.lens[i] = cfg.VectorLen
 	}
 	if cfg.Async {
-		m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen, cfg.Retry, &m.retried)
+		m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen)
 		m.inflight = make([]*fetchReq, 0, n)
 		m.pipeStats.Enabled = true
 	}
@@ -318,13 +309,13 @@ func (m *Manager) HeldBytes() (now, peak int64) {
 
 func (m *Manager) noteHeld() { m.heldMax = max(m.heldMax, m.held+m.freeLen) }
 
-// SetContext attaches ctx to the manager's blocking I/O edges: retry
-// backoff sleeps, waits on a full fetch queue and waits for queued
-// write-backs to land all abort with an error wrapping ctx.Err() once
-// ctx is cancelled. Individual store reads/writes still run to
-// completion — cancellation stops at operation boundaries, so the
-// backing file never holds a torn vector — and Flush/Close remain
-// usable after cancellation to persist residents for a checkpoint.
+// SetContext attaches ctx to the manager's blocking I/O edges: waits
+// on a full fetch queue and waits for queued write-backs to land abort
+// with an error wrapping ctx.Err() once ctx is cancelled. Individual
+// store reads/writes still run to completion — cancellation stops at
+// operation boundaries, so the backing file never holds a torn vector
+// — and Flush/Close remain usable after cancellation to persist
+// residents for a checkpoint.
 // Must be called from the single API goroutine; nil restores the
 // default (never cancelled).
 func (m *Manager) SetContext(ctx context.Context) {
@@ -364,7 +355,6 @@ func (m *Manager) PipelineStats() PipelineStats {
 // pipelineStatsLocked assembles the snapshot; callers hold m.mu.
 func (m *Manager) pipelineStatsLocked() PipelineStats {
 	ps := m.pipeStats
-	ps.Retries = m.retried.Load()
 	if m.pipe != nil {
 		ps.OverlappedBytes = m.pipe.overlapped.Load()
 		ps.WriteQueueHits = m.pipe.wqHits.Load()
@@ -383,10 +373,10 @@ func (m *Manager) stall(f func() error) error {
 }
 
 // unreadable applies the one rule for a read the store cannot serve
-// right now — retries exhausted on transient I/O, or the remote circuit
-// open: the error is wrapped in a VectorReadError so the engine can
-// recompute vector vi instead of failing the pass. Anything else (nil
-// included) passes through.
+// right now — a transient I/O error, or the remote circuit open: the
+// error is wrapped in a VectorReadError so the engine can recompute
+// vector vi instead of failing the pass. Anything else (nil included)
+// passes through.
 func unreadable(vi int, err error) error {
 	if err != nil && (IsTransient(err) || IsCircuitOpen(err)) {
 		return &VectorReadError{Vi: vi, Err: err}
@@ -455,25 +445,15 @@ func (m *Manager) joinOrDrop(s int, demanded bool) error {
 	return err
 }
 
-// demandRead reads vi into dst on the compute thread, retrying
-// transient errors per the configured policy. Under the async pipeline
-// a record still with the writer serves it first (read-after-write).
-// What the store still cannot serve comes back as unreadable.
+// demandRead reads vi into dst on the compute thread. Under the async
+// pipeline a record still with the writer serves it first
+// (read-after-write). What the store cannot serve comes back as
+// unreadable.
 func (m *Manager) demandRead(vi int, dst []float64) error {
 	if m.pipe != nil && m.pipe.readPending(vi, dst) {
 		return nil
 	}
-	return unreadable(vi, m.cfg.Retry.runCtx(m.ctx, &m.retried, func() error {
-		return m.cfg.Store.ReadVector(vi, dst)
-	}))
-}
-
-// storeWrite writes buf as vector vi on the compute thread, retrying
-// transient errors per the configured policy.
-func (m *Manager) storeWrite(vi int, buf []float64) error {
-	return m.cfg.Retry.runCtx(m.ctx, &m.retried, func() error {
-		return m.cfg.Store.WriteVector(vi, buf)
-	})
+	return unreadable(vi, m.cfg.Store.ReadVector(vi, dst))
 }
 
 // takeRecord is the part of entry s that vector vi's write-back stores,
@@ -808,7 +788,7 @@ func (m *Manager) evict(victim, slot int) error {
 				m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
 			}
 		} else {
-			if err := m.stall(func() error { return m.storeWrite(victim, rec) }); err != nil {
+			if err := m.stall(func() error { return m.cfg.Store.WriteVector(victim, rec) }); err != nil {
 				return err
 			}
 			if m.mx.on || m.span != nil {
@@ -889,7 +869,7 @@ func (m *Manager) Flush() error {
 			continue
 		}
 		rec := m.takeRecord(it, s)
-		if err := m.stall(func() error { return m.storeWrite(it, rec) }); err != nil {
+		if err := m.stall(func() error { return m.cfg.Store.WriteVector(it, rec) }); err != nil {
 			return err
 		}
 		m.stats.Writes++

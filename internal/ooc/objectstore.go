@@ -43,7 +43,7 @@ func ParseRemoteURL(raw string) (endpoint string, err error) {
 // ranged requests. Requests for distinct vector ranges may run
 // concurrently (the http.Client pools connections), matching the Store
 // contract. Transport and 5xx errors are wrapped with ErrTransientIO
-// so the manager's RetryPolicy re-issues them.
+// so the tier's RemoteRetry re-issues them.
 type ObjectStore struct {
 	endpoint string
 	n        int
@@ -209,7 +209,7 @@ func encodeVectors(src []float64) io.Reader {
 }
 
 // httpErr classifies an HTTP error status: 5xx are transient (the
-// retry policy re-issues them), 4xx are protocol/geometry bugs and
+// tier's RemoteRetry re-issues them), 4xx are protocol/geometry bugs and
 // fail fast.
 func (s *ObjectStore) httpErr(op string, vi, count, code int) error {
 	if code >= 500 {

@@ -88,7 +88,7 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 		writes, skippedWrites, bytesRead, bytesWrite *obs.Counter
 		pfIssued, pfReads, pfHits, pfWasted          *obs.Counter
 		fetchesQ, writesQ, joined, wqHits            *obs.Counter
-		overlapped, depthMax, retries                *obs.Counter
+		overlapped, depthMax                         *obs.Counter
 		corrupt, dropped                             *obs.Counter
 		grows, shrinks, resizeEvict                  *obs.Counter
 		stall, joinWait, bufWait                     *obs.FloatGauge
@@ -113,7 +113,6 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 		wqHits:        reg.Counter("pipe.write_queue_hits"),
 		overlapped:    reg.Counter("pipe.overlapped_bytes"),
 		depthMax:      reg.Counter("pipe.queue_depth_max"),
-		retries:       reg.Counter("ooc.retries"),
 		corrupt:       reg.Counter("ooc.corrupt_reads"),
 		dropped:       reg.Counter("ooc.dropped_writebacks"),
 		grows:         reg.Counter("ooc.resize_grows"),
@@ -150,7 +149,6 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 		c.wqHits.Set(ps.WriteQueueHits)
 		c.overlapped.Set(ps.OverlappedBytes)
 		c.depthMax.Set(ps.QueueDepthMax)
-		c.retries.Set(ps.Retries)
 		c.corrupt.Set(ps.CorruptReads)
 		c.dropped.Set(ps.DroppedWritebacks)
 		c.stall.Set(ps.StallTime.Seconds())
@@ -242,18 +240,13 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		c.spillDepth.Set(st.SpillDepth)
 		// Breaker position as a numeric gauge (0 closed, 1 open,
 		// 2 half-open) so dashboards can alert on transitions.
-		if b := ts.Breaker(); b != nil {
-			c.breakerState.Set(int64(b.State()))
-		}
+		c.breakerState.Set(int64(ts.Breaker().State()))
 		if st.Degraded {
 			c.degraded.Set(1)
 		} else {
 			c.degraded.Set(0)
 		}
 	})
-	if ts.Breaker() != nil {
-		reg.SetInfo(prefix+"breaker", "enabled")
-	}
 	h := reg.Histogram(prefix+"remote_seconds", nil)
 	ts.ObserveRemoteLatency(h.Observe)
 }

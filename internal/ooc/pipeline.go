@@ -95,9 +95,6 @@ type PipelineStats struct {
 	// QueueDepthMax is the high-water mark of simultaneously queued
 	// background operations (fetches + writes).
 	QueueDepthMax int64
-	// Retries counts transient-I/O retries taken by the manager's
-	// retry policy, across the sync demand path and both worker kinds.
-	Retries int64
 	// CorruptReads counts checksum-verification failures surfaced to
 	// the manager (each one either aborted the access or triggered a
 	// recompute upstream).
@@ -162,9 +159,6 @@ type pipeline struct {
 	overlapped atomic.Int64
 	wqHits     atomic.Int64
 
-	retry   RetryPolicy
-	retried *atomic.Int64
-
 	// Observability instruments; all nil (and on false) when
 	// uninstrumented. Written once by instrument() on the compute thread
 	// BEFORE the first request is enqueued; workers read them only while
@@ -188,15 +182,13 @@ const writerLane = fetchWorkers + 1
 const writeQueue = 64
 
 // newPipeline starts the workers; the writer holds capacity float64s.
-func newPipeline(store Store, capacity int, retry RetryPolicy, retried *atomic.Int64) *pipeline {
+func newPipeline(store Store, capacity int) *pipeline {
 	p := &pipeline{
 		store:    store,
 		fetchCh:  make(chan *fetchReq, fetchQueue),
 		writeCh:  make(chan *writeReq, writeQueue),
 		capacity: capacity,
 		pending:  make(map[int]*writeReq),
-		retry:    retry,
-		retried:  retried,
 	}
 	for i := 0; i < fetchWorkers; i++ {
 		p.wg.Add(1)
@@ -227,9 +219,7 @@ func (p *pipeline) fetchWorker(lane int64) {
 		}
 		// The manager queues no fetch of a vector with a pending write, so
 		// the store holds its newest record.
-		req.err = p.retry.run(p.retried, func() error {
-			return p.store.ReadVector(req.vi, req.dst)
-		})
+		req.err = p.store.ReadVector(req.vi, req.dst)
 		// A fetch error is delivered to the compute thread via the
 		// join, which decides whether it is fatal (it may instead
 		// trigger a recompute for a corrupt vector) — it must NOT
@@ -256,9 +246,7 @@ func (p *pipeline) writeWorker() {
 		if timed {
 			start = time.Now()
 		}
-		err := p.retry.run(p.retried, func() error {
-			return p.store.WriteVector(req.vi, req.buf)
-		})
+		err := p.store.WriteVector(req.vi, req.buf)
 		if err != nil {
 			// Unlike fetches, a lost write-back has no joiner to
 			// report to: the sticky error is the only escalation path.

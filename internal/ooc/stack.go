@@ -26,8 +26,8 @@ type StackSpec struct {
 	// TieredConfig carries the geometry (NumVectors, VectorLen) of every
 	// stack and the cache-tier settings of a URL stack. There, an empty
 	// CacheDir means a temp dir removed by Close, zero CacheVectors is
-	// derived from CacheBytes, and zero RemoteRetry / Breaker take the
-	// production defaults {Max: 3} / {Threshold: 5}.
+	// derived from CacheBytes, a zero RemoteRetry takes the production
+	// default {Max: 3}, and zero Breaker fields take BreakerConfig's.
 	TieredConfig
 	// URL (remote://host:port/object) keeps the vectors in an object
 	// store behind a local write-back cache tier. The object is created
@@ -154,9 +154,6 @@ func (st *Stack) fillDefaults() error {
 		}
 		if spec.RemoteRetry.Max == 0 {
 			spec.RemoteRetry.Max = 3
-		}
-		if spec.Breaker.Threshold == 0 {
-			spec.Breaker.Threshold = 5
 		}
 		return spec.TieredConfig.fill()
 	case spec.Base == nil && spec.Path == "":

@@ -29,6 +29,7 @@ package ooc
 // charged for it.
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,13 +58,12 @@ type TieredConfig struct {
 	// hung engine pass.
 	RemoteDeadline time.Duration
 	// RemoteRetry re-issues failed remote attempts with full-jitter
-	// backoff — a budget distinct from the manager's disk RetryPolicy,
-	// so network tuning never loosens local-disk handling. The zero
-	// value disables remote retries.
+	// backoff. It is the run's one retry budget: nothing above the tier
+	// re-issues a store call, so a read still refused after it is the
+	// engine's to recompute. The zero value disables remote retries.
 	RemoteRetry RetryPolicy
-	// Breaker configures the per-backend circuit breaker. A breaker is
-	// installed only when Breaker.Threshold > 0; without one the tier
-	// keeps the pre-breaker fail-per-request behavior.
+	// Breaker configures the per-backend circuit breaker every tier
+	// has; zero fields take BreakerConfig's defaults.
 	Breaker BreakerConfig
 }
 
@@ -108,7 +108,7 @@ type TierStats struct {
 	// budget paid for them.
 	RemoteErrors, RemoteRetries int64
 	// BreakerState renders the circuit breaker position ("closed",
-	// "open", "half-open"; "" when no breaker is configured).
+	// "open", "half-open").
 	// BreakerOpens counts trips, ShortCircuits requests refused
 	// locally while open.
 	BreakerState  string
@@ -180,7 +180,7 @@ type TieredStore struct {
 	// surfaced by Close.
 	firstErr error
 
-	// breaker (nil unless configured) guards every remote request.
+	// breaker guards every remote request.
 	breaker       *Breaker
 	retriedRemote atomic.Int64
 	drainBusy     atomic.Bool
@@ -219,13 +219,14 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		return nil, fmt.Errorf("ooc: creating cache dir: %w", err)
 	}
 	s := &TieredStore{
-		remote: remote,
-		cfg:    cfg,
-		slotOf: make(map[int]int),
-		viOf:   make([]int, cfg.CacheVectors),
-		stamp:  make([]int64, cfg.CacheVectors),
-		dirty:  make([]bool, cfg.CacheVectors),
-		pend:   make(map[int]*pendWB),
+		remote:  remote,
+		cfg:     cfg,
+		breaker: NewBreaker(cfg.Breaker),
+		slotOf:  make(map[int]int),
+		viOf:    make([]int, cfg.CacheVectors),
+		stamp:   make([]int64, cfg.CacheVectors),
+		dirty:   make([]bool, cfg.CacheVectors),
+		pend:    make(map[int]*pendWB),
 	}
 	for slot := cfg.CacheVectors - 1; slot >= 0; slot-- {
 		s.viOf[slot] = -1
@@ -240,22 +241,19 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		return nil, err
 	}
 	s.cache = cache.Checksum
-	if cfg.Breaker.Threshold > 0 {
-		s.breaker = NewBreaker(cfg.Breaker)
-		s.breaker.OnTransition(s.noteBreakerTransition)
-	}
+	s.breaker.OnTransition(s.noteBreakerTransition)
 	return s, nil
 }
 
-// Breaker exposes the remote tier's circuit breaker (nil when not
-// configured), for instrumentation and tests.
+// Breaker exposes the remote tier's circuit breaker, for
+// instrumentation and tests.
 func (s *TieredStore) Breaker() *Breaker { return s.breaker }
 
 // Degraded implements Degrader: true while the breaker is anything but
 // closed — the remote tier is presumed unavailable, and the service
 // layer reports not-ready and may shed load.
 func (s *TieredStore) Degraded() bool {
-	return s.breaker != nil && s.breaker.State() != BreakerClosed
+	return s.breaker.State() != BreakerClosed
 }
 
 // noteBreakerTransition records breaker state changes as zero-width
@@ -288,7 +286,8 @@ func (s *TieredStore) ObserveRemoteLatency(fn func(seconds float64)) {
 
 // Stats snapshots the tier counters.
 func (s *TieredStore) Stats() TierStats {
-	ts := TierStats{
+	bs, state := s.breaker.Stats(), s.breaker.State()
+	return TierStats{
 		CacheHits:            s.st.cacheHits.Load(),
 		CacheMisses:          s.st.cacheMisses.Load(),
 		RemoteReads:          s.st.remoteReads.Load(),
@@ -306,15 +305,11 @@ func (s *TieredStore) Stats() TierStats {
 		SpillAppends:         s.st.spillAppends.Load(),
 		SpillReplayed:        s.st.spillReplayed.Load(),
 		SpillDepth:           s.st.spillDepth.Load(),
+		BreakerState:         state.String(),
+		BreakerOpens:         bs.Opens,
+		ShortCircuits:        bs.ShortCircuits,
+		Degraded:             state != BreakerClosed,
 	}
-	if s.breaker != nil {
-		bs := s.breaker.Stats()
-		ts.BreakerState = s.breaker.State().String()
-		ts.BreakerOpens = bs.Opens
-		ts.ShortCircuits = bs.ShortCircuits
-		ts.Degraded = s.Degraded()
-	}
-	return ts
 }
 
 // ReadVector implements Store: cache tier and pending write-backs
@@ -328,7 +323,7 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 	if slot, ok := s.slotOf[vi]; ok {
 		s.now++
 		s.stamp[slot] = s.now
-		err := s.cache.ReadVector(slot, dst)
+		err := s.cacheRead(slot, vi, dst)
 		wasDirty := s.dirty[slot]
 		if err != nil && IsCorruption(err) && !wasDirty {
 			// Clean cached copy rotted locally: drop it and refetch the
@@ -455,7 +450,7 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 		opName = "read"
 	}
 	op := func() error {
-		if s.breaker != nil && !s.breaker.Allow() {
+		if !s.breaker.Allow() {
 			return fmt.Errorf("ooc: remote %s %d: %w", opName, vi, ErrCircuitOpen)
 		}
 		actx := ctx
@@ -474,17 +469,15 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 			cancel()
 		}
 		s.remoteObserved(time.Since(start))
-		if s.breaker != nil {
-			switch {
-			case err == nil:
-				s.breaker.Success()
-			case ctx.Err() != nil:
-				// The CALLER's context ended — says nothing about the
-				// backend; release the probe slot without judging it.
-				s.breaker.Cancelled()
-			default:
-				s.breaker.Failure()
-			}
+		switch {
+		case err == nil:
+			s.breaker.Success()
+		case ctx.Err() != nil:
+			// The CALLER's context ended — says nothing about the
+			// backend; release the probe slot without judging it.
+			s.breaker.Cancelled()
+		default:
+			s.breaker.Failure()
 		}
 		if err != nil {
 			s.st.remoteErrors.Add(1)
@@ -576,6 +569,19 @@ func (s *TieredStore) ProbeRemote(ctx context.Context) error {
 	return s.remoteCall(ctx, true, 0, make([]float64, 1))
 }
 
+// cacheRead reads the record in cache slot into dst. The cache's
+// checksum table is indexed by slot, so a corrupt record is reported as
+// vi, the vector the slot holds: that is the vector to recompute.
+// Caller holds mu.
+func (s *TieredStore) cacheRead(slot, vi int, dst []float64) error {
+	err := s.cache.ReadVector(slot, dst)
+	var ce *CorruptionError
+	if errors.As(err, &ce) {
+		ce.Vector = vi
+	}
+	return err
+}
+
 func (s *TieredStore) noteErr(err error) {
 	s.mu.Lock()
 	if s.firstErr == nil {
@@ -642,7 +648,7 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 			// The cache's checksum table keeps each slot's record length:
 			// the victim's PUT moves that record and no more.
 			wbuf := make([]float64, s.cache.recordLen(victim))
-			if err := s.cache.ReadVector(victim, wbuf); err != nil {
+			if err := s.cacheRead(victim, vvi, wbuf); err != nil {
 				// Never push bytes known to be corrupt: the victim stays
 				// dirty and cached, and the caller gets the error.
 				s.mu.Unlock()

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -254,6 +255,39 @@ func TestTieredSyncDoesNotPushCorruptDirty(t *testing.T) {
 	}
 	if want := tierVec(vecLen, 0); buf[0] != want[0] || buf[vecLen-1] != want[vecLen-1] {
 		t.Errorf("remote vector 0 = %v, want generation 0 (%v)", buf, want)
+	}
+}
+
+// TestTieredCorruptCacheSlotNamesVector: the cache tier's checksum
+// table is indexed by cache slot, but the engine recomputes by vector.
+// A rotted dirty record must be reported as the vector the slot holds
+// — on a read of it, and on the admission that tries to evict it —
+// or the engine would invalidate the wrong vector.
+func TestTieredCorruptCacheSlotNamesVector(t *testing.T) {
+	const n, vecLen = 10, 4
+	dir := t.TempDir()
+	ts, err := NewTieredStore(NewMemStore(n, vecLen), TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	if err := ts.WriteVector(7, tierVec(vecLen, 7)); err != nil {
+		t.Fatal(err)
+	}
+	flipCacheBit(t, ts, dir, 7, vecLen)
+	corrupt := func(err error) int {
+		var ce interface{ CorruptVector() int }
+		if !errors.As(err, &ce) {
+			t.Fatalf("got %v, want a corruption error", err)
+		}
+		return ce.CorruptVector()
+	}
+	buf := make([]float64, vecLen)
+	if vi := corrupt(ts.ReadVector(7, buf)); vi != 7 {
+		t.Errorf("reading rotted vector 7 reported vector %d corrupt", vi)
+	}
+	if vi := corrupt(ts.WriteVector(3, tierVec(vecLen, 3))); vi != 7 {
+		t.Errorf("evicting rotted vector 7 reported vector %d corrupt", vi)
 	}
 }
 

@@ -609,8 +609,8 @@ func corruptionVector(err error) (int, bool) {
 	if errors.As(err, &ce) {
 		return ce.CorruptVector(), true
 	}
-	// An unreadable vector (transient I/O out of retries, remote
-	// circuit open — any error with a FailedVector() int method, e.g.
+	// An unreadable vector (transient I/O, remote circuit open — any
+	// error with a FailedVector() int method, e.g.
 	// *ooc.VectorReadError) recovers the same way: the bytes are gone
 	// for now, but the recompute identity re-derives them exactly.
 	var fe interface{ FailedVector() int }
@@ -650,8 +650,8 @@ func (e *Engine) recoveryBudget() int { return 2*e.T.NumInner() + 8 }
 
 // traverseThen runs the partial traversal edge needs, then read (nil
 // for none), which reads the two endpoint vectors. This is the engine's
-// one recovery loop: a vector that is corrupt, or unreadable (retries
-// exhausted, remote circuit open), in either phase is invalidated and
+// one recovery loop: a vector that is corrupt, or unreadable (transient
+// I/O, remote circuit open), in either phase is invalidated and
 // the plan rebuilt, recomputing the lost subtree from its children
 // instead of failing the call. The engine never asks where a vector
 // lives; a store that cannot serve one says so by failing the read.

@@ -307,7 +307,7 @@ func (s *Session) bringUp(in *analysis.Inputs) error {
 	// No watchdog: the daemon's budget counts vector bytes, not the
 	// process heap, and the governor's grant is the session's one memory
 	// controller.
-	run, err := analysis.Open(s.cfg, analysis.Options{Retries: 3, Stack: s.stackSpec()}, in, sz, grant)
+	run, err := analysis.Open(s.cfg, analysis.Options{Stack: s.stackSpec()}, in, sz, grant)
 	if err != nil {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}
