@@ -130,7 +130,6 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable checkpoint here after every search round")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", 0, "minimum time between -checkpoint writes (0 = checkpoint every round)")
 	fs.StringVar(&o.resume, "resume", "", "resume tree, model parameters and search progress from this checkpoint (vectors are recomputed, never reloaded)")
-	fs.Int64Var(&how.MemBudget, "mem-budget", 0, "soft heap budget in bytes: a watchdog shrinks/grows the out-of-core slot pool at engine safe points to stay under it (0 = off)")
 	fs.Int64Var(&how.Stack.CrashAfter, "crashpoint", 0, "TESTING: kill the process (exit 3) at the N-th backing-store vector I/O")
 	fs.BoolVar(&how.Stack.Verify, "verify-store", false, "checksum every vector written to the store and verify every read against it (corrupt vectors are recomputed, not fatal)")
 	fs.StringVar(&o.outTree, "w", "", "write the result tree to this file (default stdout)")
@@ -224,10 +223,7 @@ func run(args []string, out *os.File) error {
 	defer r.Close()
 	r.SetSpan(root)
 	printProvider(out, spec, how, r)
-	e, wd := r.Engine, r.Watchdog
-	if wd != nil {
-		fmt.Fprintf(out, "Memory watchdog: soft heap budget %d B over %d slots\n", how.MemBudget, r.Manager.Slots())
-	}
+	e := r.Engine
 	if o.mode != "s" {
 		// Engine-level cancellation aborts traversals between plan steps.
 		// Mode s instead checks the context itself at tree-consistent
@@ -386,11 +382,6 @@ func run(args []string, out *os.File) error {
 		fmt.Fprintf(out, "Log likelihood bits: %s\n", service.FormatLnLBits(lnl))
 	}
 	fmt.Fprintf(out, "Elapsed: %v\n", elapsed.Round(time.Millisecond))
-	if wd != nil {
-		ws := wd.Stats()
-		fmt.Fprintf(out, "Watchdog: %d samples, %d shrinks, %d grows; %d slots and %d B heap at last sample\n",
-			ws.Samples, ws.Shrinks, ws.Grows, ws.Slots, ws.LastHeap)
-	}
 	if o.printStats {
 		writeReport(out, reg, r.Manager != nil)
 	}

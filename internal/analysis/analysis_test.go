@@ -60,8 +60,8 @@ func openFilesUnder(dir string) []string {
 // SimStore, opened Sync here — is fresh only: it does not outlive its
 // process). It pins the provider kind, the manager (pipelined by
 // default, not under Sync), the slot count the grant buys (store
-// overhead and spare buffers charged), the watchdog, that a resume opens fresh
-// stores over the leftovers and lands bit-identical, that only the
+// overhead and spare buffers charged), that a resume opens fresh stores
+// over the leftovers and lands bit-identical, that only the
 // vector/cache file and the checkpoint ever exist, and
 // that Close releases every file and removes exactly the temps the run
 // created.
@@ -83,7 +83,7 @@ func TestOpen(t *testing.T) {
 
 				spec := testSpec(t, 12, 300, 7)
 				var simClock iosim.Clock
-				opts := Options{MemBudget: 1 << 40, Stack: ooc.StackSpec{Verify: true}}
+				opts := Options{Stack: ooc.StackSpec{Verify: true}}
 				if medium == "remote" {
 					srv, err := remote.NewServer(remote.ServerConfig{})
 					if err != nil {
@@ -167,9 +167,9 @@ func TestOpen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hasMgr, hasTier, hasWd := r.Manager != nil, r.Stack.Tier != nil, r.Watchdog != nil
-				if hasMgr != sz.OutOfCore || hasWd != sz.OutOfCore || hasTier != (medium == "remote") {
-					t.Fatalf("manager %t, tier %t, watchdog %t", hasMgr, hasTier, hasWd)
+				hasMgr, hasTier := r.Manager != nil, r.Stack.Tier != nil
+				if hasMgr != sz.OutOfCore || hasTier != (medium == "remote") {
+					t.Fatalf("manager %t, tier %t", hasMgr, hasTier)
 				}
 				if (r.Stack.Store != nil) != sz.OutOfCore {
 					t.Errorf("store stack open = %t, want %t", r.Stack.Store != nil, sz.OutOfCore)

@@ -44,14 +44,12 @@ func Size(spec Spec, in *Inputs) (Sizing, error) {
 	return sz, nil
 }
 
-// Run is a live analysis. Manager and Watchdog are nil for an in-RAM
-// run; Stack is never nil (empty in RAM), so its typed layers can be
+// Run is a live analysis. Manager is nil for an in-RAM run; Stack is never nil (empty in RAM), so its typed layers can be
 // asked for without a guard. The fields are fixed from Open to Close.
 type Run struct {
 	Engine   *plf.Engine
 	Manager  *ooc.Manager
 	Stack    *ooc.Stack
-	Watchdog *ooc.Watchdog
 	Strategy ooc.Strategy
 	Sizing   Sizing
 }
@@ -89,7 +87,7 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 		r.Stack = st
 		// The grant pays for the store's heap and the pipeline's spare
 		// buffers first, the same charge Manager.MemOverheadBytes reports
-		// to Resize and the watchdog once the manager exists.
+		// to Resize once the manager exists.
 		overhead := ooc.StoreMemOverhead(st.Store)
 		if !opts.Sync {
 			overhead += ooc.PipelineBytes(sz.VecLen)
@@ -126,17 +124,6 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 	r.Engine.Instrument(opts.Registry)
 	r.Engine.SetWorkers(spec.Workers)
 	r.Engine.EnablePrefetch(!opts.Sync)
-
-	if opts.MemBudget > 0 && r.Manager != nil {
-		// The pool as granted is the regrow ceiling; Check runs at the
-		// engine's safe points, where no vector address is held.
-		r.Watchdog, err = ooc.NewWatchdog(r.Manager, ooc.WatchdogConfig{SoftBudget: opts.MemBudget})
-		if err != nil {
-			return r, err
-		}
-		wd := r.Watchdog
-		r.Engine.SetSafePoint(func() error { return wd.Check() })
-	}
 	return r, nil
 }
 

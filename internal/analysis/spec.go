@@ -125,11 +125,6 @@ type Options struct {
 	// value is what ships: out-of-core I/O on the async pipeline, the
 	// traversal plan's next reads staged one step ahead.
 	Sync bool
-	// MemBudget, when > 0, arms a watchdog that steps an out-of-core
-	// slot pool down and up to hold the process heap near this many
-	// bytes, never regrowing past the grant. A one-shot run's knob: a
-	// daemon session's memory is the governor's grant instead.
-	MemBudget int64
 	// Stack is the store an out-of-core run opens: medium and paths,
 	// cache tier, verification, fault injection. Open supplies the
 	// geometry.

@@ -28,6 +28,10 @@ import (
 // loop at State.Round with fresh counters).
 const FormatVersion = 2
 
+// maxCats bounds a restored Γ category count. No analysis comes near
+// it; it caps what a hostile file can make Restore allocate.
+const maxCats = 256
+
 // SearchProgress carries the search-loop position needed for exact
 // resume: everything search.Progress tracks beyond the tree and model
 // themselves. Absent (nil) in v1 checkpoints and in checkpoints of
@@ -105,9 +109,20 @@ func Capture(t *tree.Tree, m *model.Model, lnl float64, round int) *State {
 
 // Restore rebuilds the tree and model from the snapshot. Both the
 // current version and the v1 schema (a strict subset) are accepted.
+// A checkpoint is outside input (-resume, a daemon's parked sessions),
+// so the model's shape is checked before anything is sized by it.
 func (st *State) Restore() (*tree.Tree, *model.Model, error) {
 	if st.Version != 1 && st.Version != FormatVersion {
 		return nil, nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", st.Version, FormatVersion)
+	}
+	if st.States != 4 && st.States != 20 {
+		return nil, nil, fmt.Errorf("checkpoint: %d states; the alphabets have 4 (DNA) or 20 (AA)", st.States)
+	}
+	if len(st.Freqs) != st.States {
+		return nil, nil, fmt.Errorf("checkpoint: %d frequencies for %d states", len(st.Freqs), st.States)
+	}
+	if st.Cats > maxCats {
+		return nil, nil, fmt.Errorf("checkpoint: %d rate categories (at most %d)", st.Cats, maxCats)
 	}
 	t, err := tree.ParseNewick(st.Newick)
 	if err != nil {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -124,18 +125,35 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestRestoreValidation: a checkpoint is outside input, so a bad
+// version, tree or model is an error, and a state count no alphabet
+// has, a frequency vector of the wrong length or an absurd category
+// count is rejected before anything is sized by it.
 func TestRestoreValidation(t *testing.T) {
-	st := &State{Version: 99}
-	if _, _, err := st.Restore(); err == nil {
-		t.Error("wrong version must fail")
-	}
-	st = &State{Version: FormatVersion, Newick: "((", States: 4, Freqs: []float64{1, 1, 1, 1}, Cats: 1}
-	if _, _, err := st.Restore(); err == nil {
-		t.Error("bad newick must fail")
-	}
-	st = &State{Version: FormatVersion, Newick: "(a:1,b:1,c:1);", States: 4, Freqs: []float64{1, -1, 1, 1}, Cats: 1}
-	if _, _, err := st.Restore(); err == nil {
-		t.Error("bad frequencies must fail")
+	for _, tc := range []struct {
+		name string
+		json string
+	}{
+		{"version 99", `{"version":99}`},
+		{"bad newick", `{"version":2,"newick":"((","states":4,"freqs":[1,1,1,1],"cats":1}`},
+		{"negative freq", `{"version":2,"newick":"(a:1,b:1,c:1);","states":4,"freqs":[1,-1,1,1],"cats":1}`},
+		{"states 4e9", `{"version":2,"newick":"(a:1,b:1,c:1);","states":4000000000,"freqs":[0.25,0.25,0.25,0.25]}`},
+		{"states 2^40", `{"version":2,"newick":"(a:1,b:1,c:1);","states":1099511627776,"freqs":[0.25,0.25,0.25,0.25]}`},
+		{"states 0", `{"version":2,"newick":"(a:1,b:1,c:1);","states":0,"freqs":[]}`},
+		{"states negative", `{"version":2,"newick":"(a:1,b:1,c:1);","states":-4,"freqs":[0.25,0.25,0.25,0.25]}`},
+		{"states 5", `{"version":2,"newick":"(a:1,b:1,c:1);","states":5,"freqs":[0.2,0.2,0.2,0.2,0.2]}`},
+		{"freqs short", `{"version":2,"newick":"(a:1,b:1,c:1);","states":20,"freqs":[0.25,0.25,0.25,0.25]}`},
+		{"cats 2^40", `{"version":2,"newick":"(a:1,b:1,c:1);","states":4,"freqs":[0.25,0.25,0.25,0.25],"cats":1099511627776,"alpha_inf":true}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st State
+			if err := json.Unmarshal([]byte(tc.json), &st); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := st.Restore(); err == nil {
+				t.Errorf("Restore accepted %s", tc.json)
+			}
+		})
 	}
 }
 

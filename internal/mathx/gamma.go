@@ -209,6 +209,10 @@ func Chi2Quantile(p, df float64) float64 {
 	if x <= 0 || df < 0.2 {
 		// Small-df fallback: x ≈ (p Γ(a+1))^{1/a} * 2.
 		x = 2 * math.Exp((math.Log(p)+LnGamma(a+1))/a)
+		if x == 0 {
+			// The quantile underflows; Newton could not leave zero.
+			return 0
+		}
 	}
 	lnGa := LnGamma(a)
 	for i := 0; i < 100; i++ {

@@ -275,3 +275,25 @@ func TestDiscreteGammaRatesErrors(t *testing.T) {
 		t.Error("ncat=0 must error")
 	}
 }
+
+// TestDiscreteGammaTinyAlphaTerminates: a shape so small its quantiles
+// underflow to zero (a hostile checkpoint or -a can carry one) must
+// return finite rates with mean one, not spin in the Newton step.
+func TestDiscreteGammaTinyAlphaTerminates(t *testing.T) {
+	for _, alpha := range []float64{1e-300, 1e-30} {
+		rates, err := DiscreteGammaRates(alpha, 4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for _, r := range rates {
+			if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+				t.Fatalf("alpha=%g: rate %v", alpha, r)
+			}
+			sum += r
+		}
+		if !almostEqual(sum/4, 1, 1e-9) {
+			t.Errorf("alpha=%g: mean rate %v, want 1", alpha, sum/4)
+		}
+	}
+}

@@ -107,7 +107,7 @@ var neverTrips = BreakerConfig{Threshold: 1 << 30}
 // TestTieredStoreSpillServesReadsDuringOutage: during a permanent PUT
 // outage every dirty eviction lands in the in-memory spill set (no
 // error, no lost bytes), reads of spilled vectors return the newest
-// bytes without a remote GET, and the watchdog is charged for them.
+// bytes without a remote GET, and MemOverheadBytes charges for them.
 // Once the remote heals, the first successful request starts a drain
 // that empties the set, and a later miss GETs the newest bytes.
 func TestTieredStoreSpillServesReadsDuringOutage(t *testing.T) {

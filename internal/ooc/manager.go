@@ -257,7 +257,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Slots > cfg.NumVectors {
 		cfg.Slots = cfg.NumVectors
 	}
-	if err := validateSlots(cfg.Slots, cfg.NumVectors, 0); err != nil {
+	if err := validateSlots(cfg.Slots, cfg.NumVectors); err != nil {
 		return nil, err
 	}
 	n := cfg.NumVectors // the table never holds more entries
@@ -601,10 +601,10 @@ func (m *Manager) Resident(vi int) bool {
 // MemOverheadBytes reports the heap held beside the pool — what the
 // backing store keeps on the manager's behalf (cache-tier indexes,
 // in-flight remote buffers) and, under Config.Async, the records queued
-// for the writer (PipelineBytes) — so budget-aware callers (the
-// Watchdog, analysis.Open's sizing) can charge it against the same
-// budget as the pool. Zero for a synchronous manager over a plain file or memory
-// store.
+// for the writer (PipelineBytes) — so a resize to a byte grant
+// (analysis.Run.Resize) charges it against the same budget as the pool,
+// as analysis.Open's sizing does. Zero for a synchronous manager over a
+// plain file or memory store.
 func (m *Manager) MemOverheadBytes() int64 {
 	ov := StoreMemOverhead(m.cfg.Store)
 	if m.cfg.Async {

@@ -23,15 +23,15 @@ func (o modelOp) String() string {
 	case "flush":
 		return "flush"
 	case "resize":
-		return fmt.Sprintf("resize(%d, pins %v)", o.n, o.pins)
+		return fmt.Sprintf("resize(%d)", o.n)
 	case "write":
 		return fmt.Sprintf("write(%d, len %d, pins %v)", o.vi, o.n, o.pins)
 	}
 	return fmt.Sprintf("%s(%d, pins %v)", o.kind, o.vi, o.pins)
 }
 
-// TestManagerModel runs seeded sequences of demand reads, writes,
-// prefetches, resizes and flushes, with pins, against a model of what
+// TestManagerModel runs seeded sequences of demand reads, writes and
+// prefetches with pins, resizes and flushes, against a model of what
 // each vector holds. Every write stamps a drawn record length, full
 // width included. After every call: a read returns the last write's
 // record at its length, a vector pinned while resident is still
@@ -73,7 +73,8 @@ func modelOps(seed int64, n, vecLen, steps int) []modelOp {
 		case r == 0:
 			o.kind = "flush"
 		case r == 1:
-			o.kind, o.n = "resize", MinSlots+rng.Intn(5)
+			// A resize names and pins no vector.
+			o.kind, o.n, o.vi, o.pins = "resize", MinSlots+rng.Intn(5), -1, nil
 		case r < 5 && written[o.vi]:
 			o.kind = "prefetch"
 		case r < 12 && written[o.vi]:
@@ -138,9 +139,7 @@ func runModel(ops []modelOp, n, vecLen int, async bool) (int, error) {
 		case "flush":
 			err = m.Flush()
 		case "resize":
-			if err = m.Resize(o.n, pins...); err != nil && len(pins) >= o.n {
-				err = nil // a pool too small for its pins is refused
-			}
+			err = m.Resize(o.n)
 		case "prefetch":
 			err = m.Prefetch(o.vi, pins...)
 		case "get":

@@ -203,7 +203,7 @@ func TestPrefixRecords(t *testing.T) {
 				fill(vi)
 			}
 			writes := m.Stats().Writes
-			if err := m.Resize(slots-1, n-1); err != nil {
+			if err := m.Resize(slots - 1); err != nil {
 				t.Fatal(err)
 			}
 			if m.Stats().Writes == writes {

@@ -23,9 +23,9 @@ type FetchCoster interface {
 }
 
 // MemOverheader reports heap bytes a store holds beyond the manager's
-// slot pool (cache indexes, in-flight transfer buffers). Watchdog and
-// Resize subtract it from the memory budget so -mem-budget stays
-// honest when a cache tier sits under the slots.
+// slot pool (cache indexes, in-flight transfer buffers). Sizing a pool
+// from a byte budget (-L, a daemon session's grant) subtracts it first,
+// so the budget stays honest when a cache tier sits under the slots.
 type MemOverheader interface {
 	MemOverheadBytes() int64
 }

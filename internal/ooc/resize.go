@@ -12,9 +12,8 @@ package ooc
 //     ledgers and strategy state all behave exactly as if the evicted
 //     vectors had lost a normal replacement decision — until the
 //     residents fit, then drops free buffers until the free list fits
-//     too. Pinned vectors are never chosen; in-flight async stage-ins
-//     are drained first so no worker is left filling a buffer the pool
-//     gives up.
+//     too. In-flight async stage-ins are drained first so no worker is
+//     left filling a buffer the pool gives up.
 //   - Grow only raises the budget: buffers are allocated as vectors
 //     move in, so raising the ceiling is free until the space is used.
 //
@@ -31,40 +30,28 @@ import (
 // the pipeline is (being) torn down and the pool geometry is frozen.
 var ErrManagerClosing = errors.New("ooc: Resize rejected: Close in flight")
 
-// SlotBoundsError is the typed rejection for a slot count that
-// violates the manager's invariants — m >= MinSlots whenever the
-// vector count allows (§3.2's floor), and m strictly greater than the
-// number of pinned vectors so at least one slot can still turn over.
-// Both Manager construction and Resize report it.
+// SlotBoundsError is the typed rejection for a slot count below the
+// manager's floor: m >= MinSlots whenever the vector count allows
+// (§3.2's floor). Both Manager construction and Resize report it.
 type SlotBoundsError struct {
 	// Slots is the offending requested slot count.
 	Slots int
 	// NumVectors is n, the managed vector count.
 	NumVectors int
-	// Pinned is the number of vectors that must stay resident across
-	// the request (always 0 at construction).
-	Pinned int
 }
 
 // Error implements error.
 func (e *SlotBoundsError) Error() string {
-	if e.Pinned > 0 && e.Slots <= e.Pinned {
-		return fmt.Sprintf("ooc: %d slots cannot hold %d pinned vectors plus a free slot (need m > pinned)",
-			e.Slots, e.Pinned)
-	}
 	return fmt.Sprintf("ooc: %d slots for %d vectors; need at least %d (m >= 3)",
 		e.Slots, e.NumVectors, MinSlots)
 }
 
-// validateSlots is the single home of the slot-count invariants,
-// shared by NewManager (pinned = 0) and Resize. slots is assumed to be
-// already capped at numVectors.
-func validateSlots(slots, numVectors, pinned int) error {
+// validateSlots is the single home of the slot-count invariant, shared
+// by NewManager and Resize. slots is assumed to be already capped at
+// numVectors.
+func validateSlots(slots, numVectors int) error {
 	if slots < MinSlots && slots < numVectors {
-		return &SlotBoundsError{Slots: slots, NumVectors: numVectors, Pinned: pinned}
-	}
-	if pinned > 0 && slots <= pinned {
-		return &SlotBoundsError{Slots: slots, NumVectors: numVectors, Pinned: pinned}
+		return &SlotBoundsError{Slots: slots, NumVectors: numVectors}
 	}
 	return nil
 }
@@ -87,17 +74,15 @@ func (m *Manager) ResizeStats() ResizeStats {
 
 // Resize grows or shrinks the live pool to slots × VectorLen float64s.
 // Values above NumVectors are capped (as at construction); values below
-// MinSlots, or not exceeding the pinned count, are rejected with a
-// *SlotBoundsError. pinned lists vector indices that must survive a
-// shrink resident (the engine passes its current working set).
+// MinSlots are rejected with a *SlotBoundsError.
 //
 // Shrinking drains in-flight asynchronous stage-ins, settles the wide
-// vectors not pinned, evicts the strategy's victims until the residents
-// fit, then trims the free list. Growing raises the budget. Must be
+// vectors, evicts the strategy's victims until the residents fit, then
+// trims the free list. Growing raises the budget. Must be
 // called from the single API goroutine (between operations, never
 // concurrently with them); returns ErrManagerClosing once Close has
 // been entered.
-func (m *Manager) Resize(slots int, pinned ...int) error {
+func (m *Manager) Resize(slots int) error {
 	if m.closing.Load() {
 		return ErrManagerClosing
 	}
@@ -107,7 +92,7 @@ func (m *Manager) Resize(slots int, pinned ...int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	defer m.noteHeld()
-	if err := validateSlots(slots, m.cfg.NumVectors, len(pinned)); err != nil {
+	if err := validateSlots(slots, m.cfg.NumVectors); err != nil {
 		return err
 	}
 	switch {
@@ -124,9 +109,9 @@ func (m *Manager) Resize(slots int, pinned ...int) error {
 				_ = m.joinOrDrop(s, false)
 			}
 		}
-		m.settleWide(-1, false, pinned)
+		m.settleWide(-1, false, nil)
 		for m.held > slots*m.cfg.VectorLen {
-			victim, slot, err := m.pickVictim(-1, pinned)
+			victim, slot, err := m.pickVictim(-1, nil)
 			if err == nil {
 				err = m.evict(victim, slot)
 			}

@@ -78,10 +78,6 @@ func TestResizeBounds(t *testing.T) {
 	if err := m.Resize(2); !errors.As(err, &sbe) {
 		t.Fatalf("Resize(2) = %v, want *SlotBoundsError", err)
 	}
-	// m must stay strictly above the pinned count.
-	if err := m.Resize(4, 1, 2, 3, 4); !errors.As(err, &sbe) {
-		t.Fatalf("Resize(4) with 4 pins = %v, want *SlotBoundsError", err)
-	}
 	// Requests above n are capped, not rejected.
 	if err := m.Resize(n + 50); err != nil {
 		t.Fatalf("Resize above n: %v", err)
@@ -98,23 +94,35 @@ func TestResizeBounds(t *testing.T) {
 	}
 }
 
+// TestResizeShrinkRespectsPins: Resize itself takes no pins (it runs
+// between operations), but a pool shrunk to the floor must still serve
+// a newview's working set — two pinned children plus the output — even
+// when the children are the strategy's first victims.
 func TestResizeShrinkRespectsPins(t *testing.T) {
 	n := 12
 	m := testManager(t, n, 4, 6, NewLRU(n), false)
 	defer m.Close()
 	fillVectors(t, m, n, 4)
-	// Make vectors 0 and 1 resident, then shrink with them pinned.
-	for _, vi := range []int{0, 1} {
+	if err := m.Resize(MinSlots); err != nil {
+		t.Fatal(err)
+	}
+	// 0 becomes the LRU resident, then 1, then 2.
+	for _, vi := range []int{0, 1, 2} {
 		if _, err := m.Vector(vi, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Resize(3, 0, 1); err != nil {
+	out, err := m.Vector(5, true, 0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Resident(0) || !m.Resident(1) {
-		t.Error("pinned vectors evicted by shrink")
+		t.Error("pinned vectors evicted from the shrunk pool")
 	}
+	for j := range out {
+		out[j] = float64(5*1000 + j)
+	}
+	checkVectors(t, m, n, 4)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +223,6 @@ func TestSlotBoundsErrorMessages(t *testing.T) {
 		want string
 	}{
 		{SlotBoundsError{Slots: 2, NumVectors: 10}, "m >= 3"},
-		{SlotBoundsError{Slots: 4, NumVectors: 10, Pinned: 4}, "m > pinned"},
 	} {
 		if msg := tc.err.Error(); !strings.Contains(msg, tc.want) {
 			t.Errorf("%+v message %q lacks %q", tc.err, msg, tc.want)

@@ -25,8 +25,8 @@ package ooc
 // bytes sit in one in-memory map (pend) from the moment its slot is
 // promised away until a PUT of them lands — the eviction's own PUT, or,
 // when the remote refused it, a background drain after the next
-// successful remote call. Reads are served from there; the watchdog is
-// charged for it.
+// successful remote call. Reads are served from there; a resize to a
+// byte grant is charged for it (MemOverheadBytes).
 import (
 	"context"
 	"errors"
@@ -402,8 +402,8 @@ func (s *TieredStore) Close() error {
 // manager's slot pool: placement map and per-slot metadata, and the
 // record each pending write-back holds — in flight or spilled. A read
 // holds none — it lands in the caller's slot — so an idle tier's charge
-// does not depend on VectorLen. Watchdog and Resize subtract it from
-// the memory budget.
+// does not depend on VectorLen. Sizing a pool from a byte budget
+// subtracts it first.
 func (s *TieredStore) MemOverheadBytes() int64 {
 	const mapEntry = 48 // rough per-entry cost of a map[int]int
 	s.mu.Lock()

@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -66,7 +65,8 @@ func TestInstrumentTieredStore(t *testing.T) {
 }
 
 // TestManagerTierBudget exercises the manager-level tier hook:
-// MemOverheadBytes feeds the watchdog's effective budget.
+// MemOverheadBytes reports the cache tier's heap, which a resize to a
+// byte grant charges first.
 func TestManagerTierBudget(t *testing.T) {
 	const n, vecLen = 16, 8
 	ts, _, _ := newTierFixture(t, n, vecLen, 8, iosim.Device{})
@@ -92,27 +92,6 @@ func TestManagerTierBudget(t *testing.T) {
 
 	if m.MemOverheadBytes() <= 0 {
 		t.Error("a tiered store must report cache-tier overhead")
-	}
-
-	// The watchdog charges that overhead against its soft budget: with
-	// budget - overhead pushed below HeapAlloc, a shrink fires even
-	// though HeapAlloc alone sits under SoftBudget.
-	overhead := m.MemOverheadBytes()
-	wd, err := NewWatchdog(m, WatchdogConfig{
-		SoftBudget: overhead + 1000,
-		CheckEvery: 1,
-		ReadMem: func(ms *runtime.MemStats) {
-			ms.HeapAlloc = 1500 // > budget-overhead, < budget
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wd.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if ws := wd.Stats(); ws.Shrinks != 1 {
-		t.Errorf("watchdog ignored store overhead: %+v", ws)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)

@@ -158,7 +158,7 @@ type Engine struct {
 
 	// ctx, when set, cancels traversals at the next step boundary (see
 	// SetContext); safePoint, when set, runs between newview calls —
-	// the resource governor's hook (see SetSafePoint).
+	// a caller's hook (see SetSafePoint).
 	ctx       context.Context
 	safePoint func() error
 }
@@ -376,8 +376,8 @@ func (e *Engine) Span() *obs.Span { return e.span }
 
 // SetSafePoint installs fn to run before every newview call — the
 // point where the engine holds no vector address, so the hook may
-// restructure the provider (the memory watchdog resizes the slot pool
-// here). A non-nil error from fn aborts the traversal. nil removes
+// restructure the provider (resize the slot pool, say) or observe
+// progress. A non-nil error from fn aborts the traversal. nil removes
 // the hook.
 func (e *Engine) SetSafePoint(fn func() error) { e.safePoint = fn }
 

@@ -15,10 +15,9 @@ package service
 // recurrence's working set), so its floor is 3·w and everything above
 // that is elastic. The governor hands each active OOC session a grant
 // share = quota·avail/Σquota of whatever budget the in-core tenants
-// left over, enforced through ooc.Manager.Resize between operations —
-// the live-resize machinery the CLI's heap watchdog also drives. A
-// session arms no watchdog: the budget counts vector bytes, not the
-// process heap, so the grant is a session's one memory controller.
+// left over, enforced through ooc.Manager.Resize between operations.
+// The budget counts vector bytes, not the process heap, so the grant is
+// a session's one memory controller.
 
 import (
 	"context"
