@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +58,38 @@ func TestRemoteStoreFlagMatchesLocal(t *testing.T) {
 	}
 	if got := rsrv.Size("vecs"); got <= 0 {
 		t.Errorf("remote object empty after run: %d bytes", got)
+	}
+}
+
+// TestRemoteStoreVerifiedWithoutFlag: a -store remote:// run is
+// verified without -verify-store. Over a remote that corrupts some GETs
+// it prints the clean run's likelihood bits: each corrupt GET fails its
+// checksum and the engine recomputes that vector.
+func TestRemoteStoreVerifiedWithoutFlag(t *testing.T) {
+	phy, nwk, memLimit := soakDataset(t, t.TempDir(), 24, 200)
+	chaos := iosim.NewChaos(iosim.ChaosConfig{Seed: 3, CorruptProb: 0.05, MaxFaults: 6})
+	rsrv, err := remote.NewServer(remote.ServerConfig{Chaos: chaos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	args := []string{"-s", phy, "-t", nwk, "-f", "e", "-m", "HKY", "-a", "0.8",
+		"-L", fmt.Sprint(memLimit), "-lnl-bits"}
+	clean, err := capture(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := capture(t, append(args, "-stats", "-store", "remote://"+rsrv.Addr()+"/vecs", "-cache-bytes", "1")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb, gb := lnlBitsLine(clean), lnlBitsLine(got); cb == "" || cb != gb {
+		t.Errorf("corrupt GETs changed the likelihood:\n%q\n%q", cb, gb)
+	}
+	for _, line := range strings.Split(got, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "corrupt_reads" && f[1] == "0" {
+			t.Errorf("no corrupt GET reached the manager (%+v):\n%s", chaos.Stats(), got)
+		}
 	}
 }
 

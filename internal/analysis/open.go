@@ -102,7 +102,6 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 			return r, err
 		}
 		r.Manager.Instrument(opts.Registry)
-		ooc.InstrumentChecksumStore(opts.Registry, st.Checksum)
 		ooc.InstrumentTieredStore(opts.Registry, st.Tier)
 		prov = r.Manager
 	} else {

@@ -66,8 +66,6 @@ type RecoveryRow struct {
 	// CorruptReads and DroppedWritebacks are the faulted run's pipeline
 	// integrity counters.
 	CorruptReads, DroppedWritebacks int64
-	// Detected is the checksum layer's failed-verification count.
-	Detected int64
 	// Recoveries is how many unreadable or corrupt vectors the engine
 	// recomputed.
 	Recoveries int64
@@ -123,7 +121,6 @@ func RunRecoveryAblation(cfg RecoveryConfig) ([]RecoveryRow, error) {
 			Faults:            faulted.Stack.Fault.Stats(),
 			CorruptReads:      pipe.CorruptReads,
 			DroppedWritebacks: pipe.DroppedWritebacks,
-			Detected:          faulted.Stack.Checksum.CorruptReads(),
 			Recoveries:        faulted.Engine.Stats.Recoveries,
 			ExtraNewviews:     faulted.Engine.Stats.Newviews - clean.Engine.Stats.Newviews,
 		})

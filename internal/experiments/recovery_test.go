@@ -56,15 +56,15 @@ func TestFaultRecoveryEquivalence(t *testing.T) {
 				if r.Faults.BitFlips == 0 {
 					t.Errorf("%s: no bit flip injected: %+v", mode, r.Faults)
 				}
-				if r.Detected == 0 {
-					t.Errorf("%s: corruption injected but checksum layer detected none", mode)
+				if r.CorruptReads == 0 {
+					t.Errorf("%s: corruption injected but the manager saw no corrupt read", mode)
 				}
 				// An injected EIO is an unreadable vector, which only a
 				// recompute answers: there is no retry to absorb it.
 				if r.Faults.ReadErrs > 0 && r.Recoveries == 0 {
 					t.Errorf("%s: %d EIOs injected but the engine recovered nothing", mode, r.Faults.ReadErrs)
 				}
-				if r.Detected > 0 && r.Recoveries == 0 {
+				if r.CorruptReads > 0 && r.Recoveries == 0 {
 					t.Errorf("%s: corruption detected but the engine recovered nothing", mode)
 				}
 				if r.ExtraNewviews < 0 {

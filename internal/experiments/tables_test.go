@@ -84,8 +84,8 @@ var goldenTables = []struct {
 		for _, r := range rows {
 			row := fmt.Sprintf("async=%v lnl=%s", r.Async, bits(r.LnL))
 			if !r.Async {
-				row += fmt.Sprintf(" faults=%+v corrupt=%d dropped=%d detected=%d recovered=%d extra_newviews=%d",
-					r.Faults, r.CorruptReads, r.DroppedWritebacks, r.Detected, r.Recoveries, r.ExtraNewviews)
+				row += fmt.Sprintf(" faults=%+v corrupt=%d dropped=%d recovered=%d extra_newviews=%d",
+					r.Faults, r.CorruptReads, r.DroppedWritebacks, r.Recoveries, r.ExtraNewviews)
 			}
 			out = append(out, row)
 		}

@@ -41,11 +41,11 @@ var ErrCircuitOpen = errors.New("remote circuit open")
 func IsCircuitOpen(err error) bool { return errors.Is(err, ErrCircuitOpen) }
 
 // VectorReadError marks a demand read the backing store could not
-// serve right now: a transient I/O error (over a remote, one the tier's
-// RemoteRetry did not absorb), or a remote circuit held open. It
-// exposes the vector index so an engine that can re-derive the vector
-// from local inputs (the PLF recompute identity) converts the failure
-// into extra compute instead of a failed pass.
+// serve: a corrupt record, a transient I/O error (over a remote, one
+// the tier's RemoteRetry did not absorb), or a remote circuit held
+// open. It exposes the vector index so an engine that can re-derive
+// the vector from local inputs (the PLF recompute identity) converts
+// the failure into extra compute instead of a failed pass.
 type VectorReadError struct {
 	Vi  int
 	Err error
@@ -58,8 +58,7 @@ func (e *VectorReadError) Error() string {
 func (e *VectorReadError) Unwrap() error { return e.Err }
 
 // FailedVector implements the structural interface the engine's
-// read-recovery path matches (mirroring CorruptVector on
-// *CorruptionError).
+// read-recovery path matches, so plf need not import this package.
 func (e *VectorReadError) FailedVector() int { return e.Vi }
 
 // BreakerState is a circuit breaker's current position.

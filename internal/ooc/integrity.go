@@ -66,11 +66,6 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("ooc: vector %d corrupt: checksum %08x, want %08x", e.Vector, e.Got, e.Want)
 }
 
-// CorruptVector returns the corrupted vector's index. The method (not
-// the concrete type) is what the likelihood engine's recovery path
-// matches on, so plf need not import this package.
-func (e *CorruptionError) CorruptVector() int { return e.Vector }
-
 // IsCorruption reports whether err is (or wraps) a *CorruptionError.
 func IsCorruption(err error) bool {
 	var ce *CorruptionError
@@ -202,8 +197,6 @@ type ChecksumStore struct {
 	// sums[vi] is 0 until vi is first written, then the record's length
 	// (in float64s, never 0) above bit 32 and its CRC-32C below.
 	sums []uint64
-	// CorruptReads counts reads that failed verification.
-	corruptReads atomic.Int64
 }
 
 // NewChecksumStore wraps an inner store holding numVectors vectors of
@@ -226,7 +219,6 @@ func (s *ChecksumStore) ReadVector(vi int, dst []float64) error {
 	want := s.sums[vi]
 	if want != 0 && len(dst) != s.recordLen(vi) {
 		// A record is only ever read back at the length it was written.
-		s.corruptReads.Add(1)
 		return &CorruptionError{Vector: vi, Want: uint32(want), Len: len(dst), WantLen: s.recordLen(vi)}
 	}
 	if err := s.inner.ReadVector(vi, dst); err != nil {
@@ -237,7 +229,6 @@ func (s *ChecksumStore) ReadVector(vi int, dst []float64) error {
 		return nil
 	}
 	if got := vectorChecksum(dst); got != uint32(want) {
-		s.corruptReads.Add(1)
 		return &CorruptionError{Vector: vi, Want: uint32(want), Got: got}
 	}
 	return nil
@@ -260,9 +251,6 @@ func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 // recordLen is the length of vector vi's last write (0 if never
 // written).
 func (s *ChecksumStore) recordLen(vi int) int { return int(s.sums[vi] >> 32) }
-
-// CorruptReads returns how many reads failed verification.
-func (s *ChecksumStore) CorruptReads() int64 { return s.corruptReads.Load() }
 
 // MemOverheadBytes reports the checksum table (8 bytes per vector) plus
 // whatever the inner store tracks.

@@ -52,9 +52,6 @@ func TestChecksumStoreRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if cs.CorruptReads() != 0 {
-		t.Errorf("corrupt reads on clean store: %d", cs.CorruptReads())
-	}
 }
 
 func TestChecksumStoreNeverWrittenReadsZeros(t *testing.T) {
@@ -96,14 +93,8 @@ func TestChecksumStoreDetectsCorruption(t *testing.T) {
 	if ce.Vector != 1 {
 		t.Errorf("corruption reported for vector %d, want 1", ce.Vector)
 	}
-	if ce.CorruptVector() != 1 {
-		t.Errorf("CorruptVector() = %d, want 1", ce.CorruptVector())
-	}
 	if !IsCorruption(err) || IsCorruption(errors.New("x")) {
 		t.Error("IsCorruption misclassifies")
-	}
-	if cs.CorruptReads() != 1 {
-		t.Errorf("CorruptReads = %d, want 1", cs.CorruptReads())
 	}
 	// A rewrite heals the vector.
 	fillVec(buf, 1)
@@ -197,10 +188,8 @@ func TestChecksumDetectsDamage(t *testing.T) {
 				}
 			}
 			got := make([]float64, vl)
-			var damaged int64
 			detectedAt := func(vi, length int, what string, args ...any) {
 				t.Helper()
-				damaged++
 				var ce *CorruptionError
 				if err := cs.ReadVector(vi, got[:length]); !errors.As(err, &ce) || ce.Vector != vi {
 					t.Fatalf("vector %d, %s: read returned %v, want its *CorruptionError", vi, fmt.Sprintf(what, args...), err)
@@ -302,7 +291,6 @@ func TestChecksumDetectsDamage(t *testing.T) {
 			}
 			cleanAt(2, short)
 			for _, length := range []int{vl, short - 1, short + 1} {
-				damaged++
 				var ce *CorruptionError
 				if err := cs.ReadVector(2, got[:length]); !errors.As(err, &ce) || ce.Len != length || ce.WantLen != short {
 					t.Fatalf("read of %d floats from a %d-float record returned %v, want a length *CorruptionError", length, short, err)
@@ -330,9 +318,6 @@ func TestChecksumDetectsDamage(t *testing.T) {
 				copy(stored, f64Bytes(next))
 			}
 			cleanAt(2, short)
-			if cs.CorruptReads() != damaged {
-				t.Errorf("CorruptReads = %d after %d damaged reads", cs.CorruptReads(), damaged)
-			}
 		})
 	}
 }

@@ -372,25 +372,25 @@ func (m *Manager) stall(f func() error) error {
 	return err
 }
 
-// unreadable applies the one rule for a read the store cannot serve
-// right now — a transient I/O error, or the remote circuit open: the
+// unreadable applies the one rule for a read the store cannot serve —
+// corrupt bytes, a transient I/O error, or the remote circuit open: the
 // error is wrapped in a VectorReadError so the engine can recompute
 // vector vi instead of failing the pass. Anything else (nil included)
 // passes through.
 func unreadable(vi int, err error) error {
-	if err != nil && (IsTransient(err) || IsCircuitOpen(err)) {
+	if err != nil && (IsCorruption(err) || IsTransient(err) || IsCircuitOpen(err)) {
 		return &VectorReadError{Vi: vi, Err: err}
 	}
 	return err
 }
 
 // bytesLost reports whether a failed read says the stored bytes cannot
-// be had: corrupt, or unreadable under the rule above. A write-intent
-// access overwrites them unseen, so for it such a read counts as
-// skipped instead of failing the computation.
+// be had, under the rule above. A write-intent access overwrites them
+// unseen, so for it such a read counts as skipped instead of failing
+// the computation.
 func bytesLost(err error) bool {
 	var re *VectorReadError
-	return IsCorruption(err) || errors.As(err, &re)
+	return errors.As(err, &re)
 }
 
 // joinSlot waits for the background fetch still filling entry s (if

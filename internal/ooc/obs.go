@@ -250,14 +250,3 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 	h := reg.Histogram(prefix+"remote_seconds", nil)
 	ts.ObserveRemoteLatency(h.Observe)
 }
-
-// InstrumentChecksumStore mirrors a checksum store's verification
-// counter into the registry (the store sits below the manager and has
-// no reference to it).
-func InstrumentChecksumStore(reg *obs.Registry, cs *ChecksumStore) {
-	if reg == nil || cs == nil {
-		return
-	}
-	c := reg.Counter("ooc.checksum_corrupt_reads")
-	reg.AddPublisher("ooc.checksum_corrupt_reads", func() { c.Set(cs.CorruptReads()) })
-}

@@ -239,8 +239,8 @@ func TestPrefixRecords(t *testing.T) {
 			if rec.short == 0 || rec.full == 0 {
 				t.Errorf("%d short and %d full records written; want both", rec.short, rec.full)
 			}
-			if cs.CorruptReads() != 0 {
-				t.Errorf("%d reads failed verification", cs.CorruptReads())
+			if cr := m.PipelineStats().CorruptReads; cr != 0 {
+				t.Errorf("%d reads failed verification", cr)
 			}
 		})
 	}

@@ -4,8 +4,12 @@ package ooc
 // caller (CLI, service sessions, experiments) describes what it wants
 // in a StackSpec and OpenStack builds the chain in one fixed order:
 //
-//	Crash → Checksum → Fault → Tiered{cache, pend, breaker} → Object
-//	                         └──────────────────────────────────→ File | Base
+//	Crash → Checksum → Fault → Tiered{cache file, pend, breaker} → Object
+//	                         └──────────────────────────────────────→ File | Base
+//
+// The one Checksum is the stack's integrity check. A URL stack always
+// has it: the tier below checks nothing, so a rotted cache slot and a
+// corrupt GET are both caught there, by vector.
 //
 // The rule is LvD's, any vector is recomputable, taken to its end: a
 // process reads only vectors it wrote. Every open creates fresh stores
@@ -41,7 +45,8 @@ type StackSpec struct {
 	// CacheBytes bounds the cache tier when CacheVectors is zero
 	// (0 = room for every vector; floored at one vector).
 	CacheBytes int64
-	// Verify wraps the stack in a ChecksumStore.
+	// Verify wraps a local stack (Path or Base) in a ChecksumStore; a
+	// URL stack always has one.
 	Verify bool
 	// Fault injects seeded faults below the checksum layer, where they
 	// are detected; CrashAfter > 0 kills the process at that vector
@@ -69,7 +74,8 @@ func (spec StackSpec) Remove() error {
 
 // Stack is an opened store stack. Store is the outermost layer — what a
 // Manager is configured with; the typed fields point at the layers
-// callers talk to directly and are nil when the layer is absent.
+// callers talk to directly and are nil when the layer is absent
+// (Checksum never is for a URL stack).
 type Stack struct {
 	Store    Store
 	Checksum *ChecksumStore
@@ -120,7 +126,7 @@ func OpenStack(spec StackSpec) (st *Stack, err error) {
 		st.Fault = NewFaultStore(st.Store, *spec.Fault)
 		st.Store = st.Fault
 	}
-	if spec.Verify {
+	if spec.Verify || spec.URL != "" {
 		if st.Checksum, err = NewChecksumStore(st.Store, "", n, vecLen); err != nil {
 			return st, err
 		}

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc/remote"
 )
 
@@ -33,7 +35,8 @@ func openFilesUnder(dir string) []string {
 // TestOpenStack is the builder's table: {local file, remote loopback} ×
 // {Verify on, off} × {nothing on disk, a previous stack's leftovers,
 // leftovers written at another geometry — half the vector length}.
-// It pins the chain shape, that leftovers change nothing — the stack
+// It pins the chain shape (a remote stack is verified whether or not
+// the spec asks), that leftovers change nothing — the stack
 // opens fresh and cold over them, at whatever geometry it is asked for
 // — that only the vector/cache file is ever created,
 // and that Close releases every file and removes exactly the temp paths
@@ -105,8 +108,9 @@ func TestOpenStack(t *testing.T) {
 						}
 						s = u.Unwrap()
 					}
+					verified := verify || isRemote
 					want := []string{"*ooc.CrashStore"}
-					if verify {
+					if verified {
 						want = append(want, "*ooc.ChecksumStore")
 					}
 					if isRemote {
@@ -117,7 +121,7 @@ func TestOpenStack(t *testing.T) {
 					if !reflect.DeepEqual(chain, want) {
 						t.Errorf("chain = %v, want %v", chain, want)
 					}
-					if (st.Checksum != nil) != verify || (st.Tier != nil) != isRemote || (st.Remote != nil) != isRemote || st.Fault != nil {
+					if (st.Checksum != nil) != verified || (st.Tier != nil) != isRemote || (st.Remote != nil) != isRemote || st.Fault != nil {
 						t.Errorf("layers: checksum %v tier %v remote %v fault %v", st.Checksum != nil, st.Tier != nil, st.Remote != nil, st.Fault != nil)
 					}
 					if notes := strings.Join(st.Notes, "\n"); isRemote != strings.HasPrefix(notes, "Cache tier:") || strings.Contains(notes, "\n") {
@@ -173,6 +177,116 @@ func TestOpenStack(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flipCacheBit rots the cached copy of vector vi on disk, behind the
+// stack's checksum layer.
+func flipCacheBit(t *testing.T, ts *TieredStore, dir string, vi, vecLen int) {
+	t.Helper()
+	ts.mu.Lock()
+	slot, ok := ts.slotOf[vi]
+	ts.mu.Unlock()
+	if !ok {
+		t.Fatalf("vector %d is not cached", vi)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "cache.vec"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	off := int64(slot)*int64(vecLen)*8 + 3
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestURLStackVerifiesCorruptGET: a URL stack opened without Verify is
+// verified all the same. A GET whose payload the network corrupted
+// comes back as a *CorruptionError naming the vector, not as the
+// flipped bytes the tier would otherwise cache and serve.
+func TestURLStackVerifiesCorruptGET(t *testing.T) {
+	const n, vecLen = 4, 5
+	chaos := iosim.NewChaos(iosim.ChaosConfig{Seed: 1, CorruptProb: 1})
+	chaos.Disable()
+	srv, err := remote.NewServer(remote.ServerConfig{Chaos: chaos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	st, err := OpenStack(StackSpec{
+		TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen, CacheVectors: 1},
+		URL:          srv.ObjectURL("obj"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// Vector 2 reaches the remote as the one-slot cache's dirty victim.
+	for _, vi := range []int{2, 3} {
+		if err := st.Store.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := st.Tier.Stats().RemoteWrites; w != 1 {
+		t.Fatalf("%d remote writes, want vector 2's eviction", w)
+	}
+	// Armed only now: the chaos turns a corrupt PUT into a dropped one.
+	chaos.Enable()
+	buf := make([]float64, vecLen)
+	err = st.Store.ReadVector(2, buf)
+	if ce := (*CorruptionError)(nil); !errors.As(err, &ce) || ce.Vector != 2 {
+		t.Fatalf("read of vector 2 over a corrupting GET = %v (err %v), want vector 2's *CorruptionError", buf, err)
+	}
+}
+
+// TestURLStackCorruptCacheSlotNamesVector: the cache file is indexed by
+// slot, the stack's checksum table by vector. A rotted cache slot is
+// reported as the vector the slot held — on a read of it, and on the
+// read-back once the tier pushed the rotted record as a dirty victim —
+// or the engine would recompute the wrong vector.
+func TestURLStackCorruptCacheSlotNamesVector(t *testing.T) {
+	const n, vecLen = 10, 4
+	srv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dir := t.TempDir()
+	st, err := OpenStack(StackSpec{
+		TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 1},
+		URL:          srv.ObjectURL("obj"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Store.WriteVector(7, tierVec(vecLen, 7)); err != nil {
+		t.Fatal(err)
+	}
+	flipCacheBit(t, st.Tier, dir, 7, vecLen)
+	buf := make([]float64, vecLen)
+	corrupt := func(when string) {
+		t.Helper()
+		err := st.Store.ReadVector(7, buf)
+		if ce := (*CorruptionError)(nil); !errors.As(err, &ce) || ce.Vector != 7 {
+			t.Errorf("%s: read of rotted vector 7 returned %v, want vector 7's *CorruptionError", when, err)
+		}
+	}
+	corrupt("cached")
+	// Writing vector 3 evicts dirty vector 7: the tier pushes the rotted
+	// record as it stands, and the read-back GETs it.
+	if err := st.Store.WriteVector(3, tierVec(vecLen, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if w := st.Tier.Stats().RemoteWrites; w != 1 {
+		t.Fatalf("%d remote writes, want vector 7's eviction", w)
+	}
+	corrupt("pushed")
 }
 
 // settledGoroutines returns the process's goroutine count once it has

@@ -6,9 +6,9 @@ package ooc
 //	RAM slots (ooc.Manager)
 //	   │ miss / write-back
 //	   ▼
-//	local write-back cache  — bounded, CRC-32C-checked FileStore in
-//	   │                      CacheDir; LRU; a dirty victim is PUT to
-//	   │ miss / dirty evict   the remote tier BEFORE its slot is reused
+//	local write-back cache  — bounded FileStore in CacheDir; LRU; a
+//	   │                      dirty victim is PUT to the remote tier
+//	   │ miss / dirty evict   BEFORE its slot is reused
 //	   ▼
 //	remote backend          — any Store, one vector per request
 //
@@ -18,6 +18,10 @@ package ooc
 // pipeline's I/O workers), and the manager above already joins a demand
 // read to an in-flight prefetch of the same vector, so the tier never
 // sees two reads of one vector and keeps no dedup layer of its own.
+//
+// The tier checks nothing it moves: the stack's one ChecksumStore sits
+// above it, indexed by vector, and catches a rotted cache slot or a
+// corrupt GET alike (OpenStack always verifies a URL stack).
 //
 // Read-your-writes is the tier's one promise, and only for the run that
 // wrote: the cache starts cold, Close discards, and nothing is pushed
@@ -29,7 +33,6 @@ package ooc
 // byte grant is charged for it (MemOverheadBytes).
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -164,11 +167,12 @@ type TieredStore struct {
 	// and the cache store's I/O — and pend. Cache I/O is local and fast;
 	// remote I/O never runs under mu.
 	mu     sync.Mutex
-	cache  *ChecksumStore
+	cache  *FileStore
 	slotOf map[int]int // vi -> cache slot
 	viOf   []int       // slot -> vi (-1 = free)
 	stamp  []int64     // slot -> recency
 	dirty  []bool      // slot -> modified since last remote push
+	rlen   []int       // slot -> record length, what a dirty victim's PUT moves
 	now    int64
 	free   []int
 	// pend holds the vectors whose newest bytes are not yet on the
@@ -226,21 +230,17 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		viOf:    make([]int, cfg.CacheVectors),
 		stamp:   make([]int64, cfg.CacheVectors),
 		dirty:   make([]bool, cfg.CacheVectors),
+		rlen:    make([]int, cfg.CacheVectors),
 		pend:    make(map[int]*pendWB),
 	}
 	for slot := cfg.CacheVectors - 1; slot >= 0; slot-- {
 		s.viOf[slot] = -1
 		s.free = append(s.free, slot)
 	}
-	cache, err := OpenStack(StackSpec{
-		TieredConfig: TieredConfig{NumVectors: cfg.CacheVectors, VectorLen: cfg.VectorLen},
-		Path:         filepath.Join(cfg.CacheDir, "cache.vec"),
-		Verify:       true,
-	})
-	if err != nil {
+	var err error
+	if s.cache, err = NewFileStore(filepath.Join(cfg.CacheDir, "cache.vec"), cfg.CacheVectors, cfg.VectorLen); err != nil {
 		return nil, err
 	}
-	s.cache = cache.Checksum
 	s.breaker.OnTransition(s.noteBreakerTransition)
 	return s, nil
 }
@@ -323,22 +323,13 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 	if slot, ok := s.slotOf[vi]; ok {
 		s.now++
 		s.stamp[slot] = s.now
-		err := s.cacheRead(slot, vi, dst)
-		wasDirty := s.dirty[slot]
-		if err != nil && IsCorruption(err) && !wasDirty {
-			// Clean cached copy rotted locally: drop it and refetch the
-			// authoritative remote copy instead of failing the read.
-			delete(s.slotOf, vi)
-			s.viOf[slot] = -1
-			s.free = append(s.free, slot)
-		} else {
-			s.mu.Unlock()
-			if err == nil {
-				s.st.cacheHits.Add(1)
-				s.st.bytesCache.Add(int64(len(dst)) * 8)
-			}
-			return err
+		err := s.cache.ReadVector(slot, dst)
+		s.mu.Unlock()
+		if err == nil {
+			s.st.cacheHits.Add(1)
+			s.st.bytesCache.Add(int64(len(dst)) * 8)
 		}
+		return err
 	}
 	if w, ok := s.pend[vi]; ok {
 		// The remote copy is stale until a PUT of w.buf lands.
@@ -399,7 +390,8 @@ func (s *TieredStore) Close() error {
 }
 
 // MemOverheadBytes estimates the tier's heap footprint beyond the
-// manager's slot pool: placement map and per-slot metadata, and the
+// manager's slot pool: placement map and per-slot metadata (vector,
+// recency, dirty flag, record length), and the
 // record each pending write-back holds — in flight or spilled. A read
 // holds none — it lands in the caller's slot — so an idle tier's charge
 // does not depend on VectorLen. Sizing a pool from a byte budget
@@ -412,7 +404,7 @@ func (s *TieredStore) MemOverheadBytes() int64 {
 		n += mapEntry + int64(len(w.buf))*8
 	}
 	s.mu.Unlock()
-	return n + int64(s.cfg.CacheVectors)*(8+8+1) // viOf, stamp, dirty
+	return n + int64(s.cfg.CacheVectors)*(8+8+1+8) // viOf, stamp, dirty, rlen
 }
 
 // tracedCall is remoteCall under a child of the active request span
@@ -569,19 +561,6 @@ func (s *TieredStore) ProbeRemote(ctx context.Context) error {
 	return s.remoteCall(ctx, true, 0, make([]float64, 1))
 }
 
-// cacheRead reads the record in cache slot into dst. The cache's
-// checksum table is indexed by slot, so a corrupt record is reported as
-// vi, the vector the slot holds: that is the vector to recompute.
-// Caller holds mu.
-func (s *TieredStore) cacheRead(slot, vi int, dst []float64) error {
-	err := s.cache.ReadVector(slot, dst)
-	var ce *CorruptionError
-	if errors.As(err, &ce) {
-		ce.Vector = vi
-	}
-	return err
-}
-
 func (s *TieredStore) noteErr(err error) {
 	s.mu.Lock()
 	if s.firstErr == nil {
@@ -619,6 +598,7 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 		if err == nil {
 			s.now++
 			s.stamp[slot] = s.now
+			s.rlen[slot] = len(data)
 			if markDirty {
 				s.dirty[slot] = true
 			}
@@ -645,12 +625,8 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 		}
 		vvi := s.viOf[victim]
 		if s.dirty[victim] {
-			// The cache's checksum table keeps each slot's record length:
-			// the victim's PUT moves that record and no more.
-			wbuf := make([]float64, s.cache.recordLen(victim))
-			if err := s.cacheRead(victim, vvi, wbuf); err != nil {
-				// Never push bytes known to be corrupt: the victim stays
-				// dirty and cached, and the caller gets the error.
+			wbuf := make([]float64, s.rlen[victim])
+			if err := s.cache.ReadVector(victim, wbuf); err != nil {
 				s.mu.Unlock()
 				return fmt.Errorf("ooc: evicting dirty vector %d: %w", vvi, err)
 			}
@@ -673,6 +649,7 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 		s.now++
 		s.stamp[slot] = s.now
 		s.dirty[slot] = markDirty
+		s.rlen[slot] = len(data)
 	}
 	s.mu.Unlock()
 

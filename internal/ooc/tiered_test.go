@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -182,151 +181,6 @@ func TestTieredStoreDirtyEvictionSurvivesCacheLoss(t *testing.T) {
 		if buf[0] != float64(vi*1000) {
 			t.Errorf("evicted vector %d not durable remote: %v", vi, buf[0])
 		}
-	}
-}
-
-// flipCacheBit rots the cached copy of vector vi on disk, below the
-// cache tier's checksum layer.
-func flipCacheBit(t *testing.T, ts *TieredStore, dir string, vi, vecLen int) {
-	t.Helper()
-	ts.mu.Lock()
-	slot, ok := ts.slotOf[vi]
-	ts.mu.Unlock()
-	if !ok {
-		t.Fatalf("vector %d is not cached", vi)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "cache.vec"), os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var b [1]byte
-	off := int64(slot)*int64(vecLen)*8 + 3
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x10
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTieredSyncDoesNotPushCorruptDirty: a dirty cached vector that
-// fails verification must never become the authoritative remote copy.
-// Eviction is the tier's only push: the rotted victim is not PUT, the
-// admission that needed its slot returns the corruption, the victim
-// stays dirty, and the remote object keeps its previous bytes.
-func TestTieredSyncDoesNotPushCorruptDirty(t *testing.T) {
-	const n, vecLen = 6, 4
-	rem := NewMemStore(n, vecLen)
-	dir := t.TempDir()
-	ts, err := NewTieredStore(rem, TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	// Generation 0 of vector 0 reaches the remote by eviction.
-	for _, vi := range []int{0, 1, 2} {
-		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Generation 100 of vector 0 is cached dirty, becomes the LRU
-	// victim, and rots.
-	if err := ts.WriteVector(0, tierVec(vecLen, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.WriteVector(3, tierVec(vecLen, 3)); err != nil {
-		t.Fatal(err)
-	}
-	flipCacheBit(t, ts, dir, 0, vecLen)
-	pushed := ts.Stats().RemoteWrites
-	for try := 0; try < 2; try++ {
-		if err := ts.WriteVector(4, tierVec(vecLen, 4)); !IsCorruption(err) {
-			t.Fatalf("try %d: evicting a rotted dirty vector returned %v, want a corruption error", try, err)
-		}
-	}
-	if got := ts.Stats().RemoteWrites; got != pushed {
-		t.Errorf("%d remote writes after the rot, want none", got-pushed)
-	}
-	buf := make([]float64, vecLen)
-	if err := rem.ReadVector(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if want := tierVec(vecLen, 0); buf[0] != want[0] || buf[vecLen-1] != want[vecLen-1] {
-		t.Errorf("remote vector 0 = %v, want generation 0 (%v)", buf, want)
-	}
-}
-
-// TestTieredCorruptCacheSlotNamesVector: the cache tier's checksum
-// table is indexed by cache slot, but the engine recomputes by vector.
-// A rotted dirty record must be reported as the vector the slot holds
-// — on a read of it, and on the admission that tries to evict it —
-// or the engine would invalidate the wrong vector.
-func TestTieredCorruptCacheSlotNamesVector(t *testing.T) {
-	const n, vecLen = 10, 4
-	dir := t.TempDir()
-	ts, err := NewTieredStore(NewMemStore(n, vecLen), TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	if err := ts.WriteVector(7, tierVec(vecLen, 7)); err != nil {
-		t.Fatal(err)
-	}
-	flipCacheBit(t, ts, dir, 7, vecLen)
-	corrupt := func(err error) int {
-		var ce interface{ CorruptVector() int }
-		if !errors.As(err, &ce) {
-			t.Fatalf("got %v, want a corruption error", err)
-		}
-		return ce.CorruptVector()
-	}
-	buf := make([]float64, vecLen)
-	if vi := corrupt(ts.ReadVector(7, buf)); vi != 7 {
-		t.Errorf("reading rotted vector 7 reported vector %d corrupt", vi)
-	}
-	if vi := corrupt(ts.WriteVector(3, tierVec(vecLen, 3))); vi != 7 {
-		t.Errorf("evicting rotted vector 7 reported vector %d corrupt", vi)
-	}
-}
-
-// TestTieredStoreRefetchesCorruptCleanCopy: a CLEAN cached copy that
-// rots is dropped and re-read from the authoritative remote copy
-// instead of failing the read.
-func TestTieredStoreRefetchesCorruptCleanCopy(t *testing.T) {
-	const n, vecLen = 4, 4
-	rem := NewMemStore(n, vecLen)
-	dir := t.TempDir()
-	ts, err := NewTieredStore(rem, TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	// Evict vector 2 dirty, then re-fetch it: the cached copy is clean.
-	want := tierVec(vecLen, 2)
-	buf := make([]float64, vecLen)
-	if err := ts.WriteVector(2, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.WriteVector(3, tierVec(vecLen, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.ReadVector(2, buf); err != nil {
-		t.Fatal(err)
-	}
-	before := ts.Stats()
-	flipCacheBit(t, ts, dir, 2, vecLen)
-	if err := ts.ReadVector(2, buf); err != nil {
-		t.Fatalf("read of a rotted clean copy: %v", err)
-	}
-	for i := range want {
-		if buf[i] != want[i] {
-			t.Fatalf("pos %d: %v != %v", i, buf[i], want[i])
-		}
-	}
-	if st := ts.Stats(); st.RemoteReads-before.RemoteReads != 1 || st.CacheMisses-before.CacheMisses != 1 {
-		t.Errorf("want exactly one refetch: %+v -> %+v", before, st)
 	}
 }
 

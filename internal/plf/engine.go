@@ -599,20 +599,13 @@ func (e *Engine) classify(pvi int, l, r *tree.Node) (cl, cr []int32) {
 	return e.repL[:n], e.repR[:n]
 }
 
-// corruptionVector extracts the vector index from a corruption error
-// reported by the provider's integrity layer. Matching is structural
-// (any error with a CorruptVector() int method, e.g.
-// *ooc.CorruptionError) so the engine does not depend on a concrete
-// store implementation.
-func corruptionVector(err error) (int, bool) {
-	var ce interface{ CorruptVector() int }
-	if errors.As(err, &ce) {
-		return ce.CorruptVector(), true
-	}
-	// An unreadable vector (transient I/O, remote circuit open — any
-	// error with a FailedVector() int method, e.g.
-	// *ooc.VectorReadError) recovers the same way: the bytes are gone
-	// for now, but the recompute identity re-derives them exactly.
+// failedVector extracts the vector index from an unreadable-vector
+// error (corrupt, transient I/O, remote circuit open). Matching is
+// structural — any error with a FailedVector() int method, e.g.
+// *ooc.VectorReadError — so the engine does not depend on a concrete
+// store implementation: the bytes are gone, but the recompute identity
+// re-derives them exactly.
+func failedVector(err error) (int, bool) {
 	var fe interface{ FailedVector() int }
 	if errors.As(err, &fe) {
 		return fe.FailedVector(), true
@@ -627,7 +620,7 @@ func corruptionVector(err error) (int, bool) {
 // err names no vector or the vector is out of range — the caller then
 // surfaces err as fatal.
 func (e *Engine) recoverCorruption(err error) bool {
-	vi, ok := corruptionVector(err)
+	vi, ok := failedVector(err)
 	if !ok || vi < 0 || vi >= e.T.NumInner() {
 		return false
 	}

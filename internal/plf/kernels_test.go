@@ -234,10 +234,10 @@ func passesPairCap(e *Engine, edge *tree.Edge) bool {
 }
 
 // asyncEngine builds an engine over a small async manager (f = 0.3,
-// prefetching) above ChecksumStore(MemStore). The checksum layer is
-// returned: it refuses a record read at any length but its own, so a
-// test can require that none was.
-func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) (*Engine, *ooc.Manager, *ooc.ChecksumStore) {
+// prefetching) above ChecksumStore(MemStore). The checksum layer
+// refuses a record read at any length but its own, and the manager
+// counts each refusal, so a test can require that none was.
+func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) (*Engine, *ooc.Manager) {
 	t.Helper()
 	cl := VectorLength(m, pats.NumPatterns())
 	n := tr.NumInner()
@@ -258,7 +258,7 @@ func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model
 	}
 	e.EnablePrefetch(true)
 	t.Cleanup(func() { e.Close(); mgr.Close() })
-	return e, mgr, cs
+	return e, mgr
 }
 
 // TestSetKernelSwitchMidRun switches one engine auto → generic → auto
@@ -292,9 +292,8 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 			}
 			ref, sw := kernelPair(t, ds.Tree, ds.Patterns, ds.Model, KernelAuto)
 			var mgr *ooc.Manager
-			var cs *ooc.ChecksumStore
 			if tc.ooc {
-				sw, mgr, cs = asyncEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model)
+				sw, mgr = asyncEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model)
 			}
 			rng := rand.New(rand.NewSource(12))
 			mixed := false
@@ -352,8 +351,8 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				st, slot := mgr.Stats(), int64(mgr.VectorLen())*8
-				if cs.CorruptReads() != 0 || sw.Stats.Recoveries != 0 {
-					t.Errorf("%d reads failed verification, %d recoveries", cs.CorruptReads(), sw.Stats.Recoveries)
+				if cr := mgr.PipelineStats().CorruptReads; cr != 0 || sw.Stats.Recoveries != 0 {
+					t.Errorf("%d reads failed verification, %d recoveries", cr, sw.Stats.Recoveries)
 				}
 				if st.Reads == 0 || st.BytesWritten >= st.Writes*slot {
 					t.Errorf("want records read back and some shorter than the slot: %+v", st)

@@ -3,6 +3,7 @@ package plf
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
 	"oocphylo/internal/ooc"
+	"oocphylo/internal/ooc/remote"
 	"oocphylo/internal/tree"
 )
 
@@ -274,7 +276,9 @@ func (s *flakyStore) counts() (reads, failures int) {
 // the plan's reads, so a failed read surfaces at the join — inside the
 // parent's newview — and must come back under the same rule. The
 // breaker-open row is an outage that lasts the whole pass: the same
-// rule, and no planner, must absorb it with no GET leaving.
+// rule, and no planner, must absorb it with no GET leaving. The
+// rotted-cache row corrupts every cache slot under a URL stack: the
+// stack's checksum names each vector and the same rule recomputes it.
 func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 	t.Run("sync", func(t *testing.T) {
 		tr, e, prov := outageRig(t, 37, 16)
@@ -366,6 +370,65 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 			t.Errorf("%d remote GETs while the breaker was open", now-gets)
 		}
 		t.Logf("recoveries %d, short-circuits %d", e.Stats.Recoveries, ts.Stats().ShortCircuits)
+	})
+	t.Run("rotted cache", func(t *testing.T) {
+		// A URL stack opened without Verify: the tier checks nothing, so
+		// a rotted cache slot is caught by the stack's one checksum
+		// table, by vector, and recomputed like any unreadable vector.
+		tr, e, _ := outageRig(t, 37, 16)
+		n, vecLen := tr.NumInner(), e.prov.VectorLen()
+		srv, err := remote.NewServer(remote.ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cacheVectors := n // every stored vector stays cached, so rots
+		dir := t.TempDir()
+		st, err := ooc.OpenStack(ooc.StackSpec{
+			TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: cacheVectors},
+			URL:          srv.ObjectURL("vecs"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		mgr, err := ooc.NewManager(ooc.Config{
+			NumVectors: n, VectorLen: vecLen, Slots: 4,
+			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store, Async: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		if e, err = New(tr, e.P, e.M, mgr); err != nil {
+			t.Fatal(err)
+		}
+		e.EnablePrefetch(true)
+		rot := func() {
+			// Settle the write-back pipeline, then flip a bit in the first
+			// word, inside every record however short, of each cache slot.
+			if err := mgr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, "cache.vec"), os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var b [1]byte
+			for slot := 0; slot < cacheVectors; slot++ {
+				off := int64(slot)*int64(vecLen)*8 + 3
+				if _, err := f.ReadAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+				b[0] ^= 0x10
+				if _, err := f.WriteAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		corrupt := func() int { return int(mgr.PipelineStats().CorruptReads) }
+		checkUnreadableRecovered(t, e, tr.Edges[0], tr.Edges[len(tr.Edges)-1], rot, corrupt)
 	})
 }
 

@@ -127,15 +127,15 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 // taxonomy: remote-tier conditions are 503 + Retry-After (retryable),
 // a closed session is 409, everything else 400.
 func TestWriteErrMapping(t *testing.T) {
-	srv := newTestServer(t, ServerConfig{DataDir: t.TempDir(), RetryAfter: 3 * time.Second})
+	srv := newTestServer(t, ServerConfig{DataDir: t.TempDir()})
 	cases := []struct {
 		err        error
 		status     int
 		retryAfter string
 	}{
-		{fmt.Errorf("read: %w", ooc.ErrCircuitOpen), http.StatusServiceUnavailable, "3"},
-		{fmt.Errorf("read: %w", ooc.ErrTransientIO), http.StatusServiceUnavailable, "3"},
-		{fmt.Errorf("evaluate: %w", context.DeadlineExceeded), http.StatusServiceUnavailable, "3"},
+		{fmt.Errorf("read: %w", ooc.ErrCircuitOpen), http.StatusServiceUnavailable, "1"},
+		{fmt.Errorf("read: %w", ooc.ErrTransientIO), http.StatusServiceUnavailable, "1"},
+		{fmt.Errorf("evaluate: %w", context.DeadlineExceeded), http.StatusServiceUnavailable, "1"},
 		{ErrSessionClosed, http.StatusConflict, ""},
 		{errors.New("bad spec"), http.StatusBadRequest, ""},
 	}
@@ -180,7 +180,6 @@ func TestServiceReadyzDegradedCycle(t *testing.T) {
 		CacheBytes:     4 * vecBytes, // tiny cache: evictions go remote
 		RemoteDeadline: 100 * time.Millisecond,
 		ShedDepth:      1,
-		RetryAfter:     2 * time.Second,
 	})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -241,8 +240,8 @@ func TestServiceReadyzDegradedCycle(t *testing.T) {
 	if !strings.Contains(body, "wan") {
 		t.Errorf("/readyz body does not name the degraded session: %s", body)
 	}
-	if retryAfter != "2" {
-		t.Errorf("/readyz Retry-After = %q, want 2", retryAfter)
+	if retryAfter != "1" {
+		t.Errorf("/readyz Retry-After = %q, want 1", retryAfter)
 	}
 	if code, _, _ := get("/healthz"); code != http.StatusOK {
 		t.Errorf("/healthz during partition: HTTP %d (liveness must not follow readiness)", code)

@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -72,8 +71,6 @@ type ServerConfig struct {
 	// RequestTimeout bounds one /v1 request end-to-end; expiry maps to
 	// 503 + Retry-After (0 = no deadline).
 	RequestTimeout time.Duration
-	// RetryAfter is the hint written on 503 responses (default 1s).
-	RetryAfter time.Duration
 	// ShedDepth is the spill high-water mark: while a session's remote
 	// tier is degraded (circuit open) AND it holds at least this many
 	// refused dirty victims in memory, new evaluates for it are shed
@@ -626,14 +623,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// retryAfterSeconds renders the configured 503 hint (minimum 1s).
-func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint, in seconds, on every 503.
+const retryAfter = "1"
 
 // writeErr maps service errors onto HTTP statuses: admission → 503
 // (retryable once a tenant parks), remote-tier failures — circuit
@@ -646,7 +637,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	case IsAdmissionError(err), ooc.IsCircuitOpen(err), ooc.IsTransient(err),
 		errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 	case err == ErrSessionClosed:
 		status = http.StatusConflict
 	}
@@ -712,7 +703,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if shed, depth := s.shouldShed(ses); shed {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: fmt.Sprintf(
 			"service: session %q shedding load: remote tier degraded with %d vectors spilled (retry after breaker recovery)",
 			ses.name, depth)})
@@ -831,7 +822,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(rep.Degraded)
 	rep.Ready = len(rep.Degraded) == 0
 	if !rep.Ready {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, rep)
 		return
 	}
