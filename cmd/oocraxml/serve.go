@@ -116,7 +116,7 @@ func clientFlags(op string) (fs *flag.FlagSet, addr, name *string) {
 
 func runClient(args []string, out *os.File) error {
 	if len(args) == 0 {
-		return fmt.Errorf("client: need an operation: create, list, info, eval, newview, optimize, park, delete, tree")
+		return fmt.Errorf("client: need an operation: create, list, info, eval, optimize, park, delete, tree")
 	}
 	op, rest := args[0], args[1:]
 	fs, addr, name := clientFlags(op)
@@ -183,7 +183,7 @@ func runClient(args []string, out *os.File) error {
 		length := fs.Float64("length", -1, "hypothetical branch length (< 0 = the edge's current length)")
 		full := fs.Bool("full", false, "force a fresh full engine pass before evaluating")
 		count := fs.Int("n", 1, "number of evaluate requests to issue")
-		concurrent := fs.Bool("concurrent", false, "issue the -n requests concurrently (rides the coalescing batcher)")
+		concurrent := fs.Bool("concurrent", false, "issue the -n requests concurrently (they ride the session's batches)")
 		trace := fs.Bool("trace", false, "send a W3C traceparent per request and print the daemon's trace id + cost ledger (inspect with GET /debug/trace/{id})")
 		if err := fs.Parse(rest); err != nil {
 			return err
@@ -224,22 +224,9 @@ func runClient(args []string, out *os.File) error {
 				fmt.Fprintf(out, "Trace: %s\n", rep.TraceID)
 			}
 			if rep.Cost != nil {
-				fmt.Fprintf(out, "Cost: %s\n", rep.Cost.Header())
+				fmt.Fprintf(out, "Cost: %s\n", rep.Cost)
 			}
 		}
-		return nil
-
-	case "newview":
-		edge := fs.Int("edge", 0, "tree edge index to evaluate at")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		rep, err := service.NewClient(*addr).Newview(*name, *edge)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "Log likelihood: %.6f\n", rep.LnL)
-		fmt.Fprintf(out, "Log likelihood bits: %s\n", rep.LnLBits)
 		return nil
 
 	case "optimize":

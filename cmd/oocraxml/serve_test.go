@@ -87,8 +87,8 @@ func client(t *testing.T, args ...string) (string, error) {
 var lnlBitsRe = regexp.MustCompile(`Log likelihood bits: ([0-9a-f]{16})`)
 
 // TestServeDifferentialAgainstOneShot is the daemon smoke: start the
-// daemon, create a session, fire concurrent evaluates through the
-// coalescing batcher, and assert every reply is bit-for-bit identical
+// daemon, create a session, fire concurrent evaluates that the session
+// loop batches, and assert every reply is bit-for-bit identical
 // to a one-shot CLI run over the session's own tree. Then SIGTERM the
 // daemon (graceful exit, resumable checkpoint on disk), restart it over
 // the same data directory and assert the adopted session still answers
@@ -125,7 +125,7 @@ func TestServeDifferentialAgainstOneShot(t *testing.T) {
 	}
 	refBits := m[1]
 
-	// Concurrent evaluates through the batcher.
+	// Concurrent evaluates, batched by the session loop.
 	evalOut, err := client(t, "eval", "-addr", addr, "-name", "smoke", "-edge", "0", "-n", "6", "-concurrent")
 	if err != nil {
 		t.Fatalf("client eval: %v", err)

@@ -4,7 +4,7 @@ package experiments
 // N concurrent evaluate requests against one session can be answered
 // two ways: as N independent engine passes (what N separate one-shot
 // CLI runs pay — each rebuilds every ancestral vector on its path, so
-// the arm forces Full), or by the daemon's batcher, which runs whatever
+// the arm forces Full), or by the daemon's session loop, which runs whatever
 // queued while the engine was busy as its next pass. There the cold
 // first request pays the traversal and the rest find the ancestral
 // vectors still valid, whether they ride its pass or the next one. The

@@ -17,9 +17,9 @@ import (
 // Request-scoped distributed tracing. A Span is one timed operation in
 // one request's Trace; spans propagate across HTTP hops via the W3C
 // traceparent header (client → daemon /v1/* → remote object store), so
-// a single trace follows a request through the session loop, the
-// coalescing batcher, the likelihood engine, the out-of-core manager
-// and the tiered store's cache and remote requests.
+// a single trace follows a request through the session loop and its
+// batch, the likelihood engine, the out-of-core manager and the tiered
+// store's cache and remote requests.
 //
 // Spans are also the package's one event model below the request: a
 // one-shot run attaches a run-long root span and every layer's fault-in,
@@ -145,7 +145,7 @@ type Cost struct {
 	Newviews   int64 `json:"newviews,omitempty"`
 	// PCacheHits counts P-matrix cache hits.
 	PCacheHits int64 `json:"pcache_hits,omitempty"`
-	// WaitMicros/ExecMicros is the batcher split: time from enqueue to
+	// WaitMicros/ExecMicros is the batching split: time from enqueue to
 	// batch execution start (queued behind the pass in flight), and the
 	// request's serialized execution span.
 	WaitMicros int64 `json:"wait_us,omitempty"`
@@ -171,62 +171,11 @@ func (c Cost) Add(d Cost) Cost {
 // IsZero reports whether every field is zero.
 func (c Cost) IsZero() bool { return c == Cost{} }
 
-// Header renders the compact k=v form carried in the X-OOC-Cost
-// response header.
-func (c Cost) Header() string {
+// String renders the compact k=v form the CLI prints on its Cost: line.
+func (c Cost) String() string {
 	return fmt.Sprintf("faults=%d;local_reads=%d;bytes_local=%d;remote_gets=%d;bytes_remote=%d;bytes_pushed=%d;recomputes=%d;newviews=%d;pcache_hits=%d;wait_us=%d;exec_us=%d",
 		c.VectorsFaulted, c.LocalReads, c.BytesLocal, c.RemoteGets, c.BytesRemote,
 		c.BytesPushed, c.Recomputes, c.Newviews, c.PCacheHits, c.WaitMicros, c.ExecMicros)
-}
-
-// ParseCostHeader parses the X-OOC-Cost header form. Unknown keys are
-// ignored; a malformed pair fails the parse.
-func ParseCostHeader(v string) (Cost, bool) {
-	var c Cost
-	if v == "" {
-		return c, false
-	}
-	fields := map[string]*int64{
-		"faults": &c.VectorsFaulted, "local_reads": &c.LocalReads,
-		"bytes_local": &c.BytesLocal, "remote_gets": &c.RemoteGets,
-		"bytes_remote": &c.BytesRemote, "bytes_pushed": &c.BytesPushed,
-		"recomputes": &c.Recomputes, "newviews": &c.Newviews,
-		"pcache_hits": &c.PCacheHits, "wait_us": &c.WaitMicros, "exec_us": &c.ExecMicros,
-	}
-	for _, pair := range splitSemis(v) {
-		eq := -1
-		for i := 0; i < len(pair); i++ {
-			if pair[i] == '=' {
-				eq = i
-				break
-			}
-		}
-		if eq <= 0 {
-			return Cost{}, false
-		}
-		var n int64
-		if _, err := fmt.Sscanf(pair[eq+1:], "%d", &n); err != nil {
-			return Cost{}, false
-		}
-		if p, ok := fields[pair[:eq]]; ok {
-			*p = n
-		}
-	}
-	return c, true
-}
-
-func splitSemis(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ';' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // CostLedger is the mutable per-trace accumulator. The root span owns

@@ -12,8 +12,9 @@ package search
 // The orders here depend only on topology and tip names, both of
 // which survive a Newick round-trip exactly: the traversal anchors at
 // the lexicographically smallest tip and, at every node, descends
-// subtrees in order of their smallest contained tip name. Identical
-// trees yield identical orders no matter how they were built.
+// subtrees in order of their smallest contained tip name — the anchor
+// and key tree.Canonicalize uses (tree.Anchor, tree.MinTipToward).
+// Identical trees yield identical orders no matter how they were built.
 
 import (
 	"sort"
@@ -21,41 +22,10 @@ import (
 	"oocphylo/internal/tree"
 )
 
-// canonicalAnchor returns the tip with the lexicographically smallest
-// name — the traversal root every canonical order hangs off.
-func canonicalAnchor(t *tree.Tree) *tree.Node {
-	best := t.Nodes[0]
-	for i := 1; i < t.NumTips; i++ {
-		if t.Nodes[i].Name < best.Name {
-			best = t.Nodes[i]
-		}
-	}
-	return best
-}
-
 // anchorEdge returns the canonical anchor tip's pendant branch: the
 // index-independent stand-in for "evaluate the likelihood somewhere".
 func anchorEdge(t *tree.Tree) *tree.Edge {
-	return canonicalAnchor(t).Adj[0]
-}
-
-// minTipFrom returns the smallest tip name in the subtree containing n
-// when the edge towards from is cut.
-func minTipFrom(n, from *tree.Node, numTips int) string {
-	if n.Index < numTips {
-		return n.Name
-	}
-	best := ""
-	for _, e := range n.Adj {
-		o := e.Other(n)
-		if o == from {
-			continue
-		}
-		if m := minTipFrom(o, n, numTips); best == "" || m < best {
-			best = m
-		}
-	}
-	return best
+	return tree.Anchor(t).Adj[0]
 }
 
 // canonicalOrder walks the tree from the canonical anchor, descending
@@ -82,7 +52,7 @@ func canonicalOrder(t *tree.Tree) ([]*tree.Edge, []*tree.Node) {
 			if o == from {
 				continue
 			}
-			steps = append(steps, step{e, o, minTipFrom(o, n, t.NumTips)})
+			steps = append(steps, step{e, o, tree.MinTipToward(o, n, t.NumTips)})
 		}
 		sort.Slice(steps, func(i, j int) bool { return steps[i].key < steps[j].key })
 		for _, s := range steps {
@@ -90,31 +60,6 @@ func canonicalOrder(t *tree.Tree) ([]*tree.Edge, []*tree.Node) {
 			walk(s.o, n)
 		}
 	}
-	walk(canonicalAnchor(t), nil)
+	walk(tree.Anchor(t), nil)
 	return edges, inner
-}
-
-// canonicalNeighbors returns n's neighbors ordered by the smallest tip
-// name of the subtree behind each — computed fresh so mid-sweep
-// topology edits are reflected identically in every run that reached
-// the same tree.
-func canonicalNeighbors(t *tree.Tree, n *tree.Node) []*tree.Node {
-	out := make([]*tree.Node, 0, len(n.Adj))
-	for _, e := range n.Adj {
-		out = append(out, e.Other(n))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return minTipFrom(out[i], n, t.NumTips) < minTipFrom(out[j], n, t.NumTips)
-	})
-	return out
-}
-
-// canonicalAdjEdges returns n's adjacent branches in canonical
-// neighbor order, for the sequential polish after an applied move.
-func canonicalAdjEdges(t *tree.Tree, n *tree.Node) []*tree.Edge {
-	out := append([]*tree.Edge(nil), n.Adj...)
-	sort.Slice(out, func(i, j int) bool {
-		return minTipFrom(out[i].Other(n), n, t.NumTips) < minTipFrom(out[j].Other(n), n, t.NumTips)
-	})
-	return out
 }

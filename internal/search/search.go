@@ -387,7 +387,7 @@ func (s *Searcher) sprRound(ctx context.Context, lnl float64, res *Result) (bool
 			// Fresh lookup each iteration: an applied move changes u's
 			// neighbor set, and the canonical order tracks the current
 			// tree (identically in every run that reached it).
-			v := canonicalNeighbors(t, u)[side]
+			v := tree.CanonicalAdj(t, u)[side].Other(u)
 			better, newLnl, err := s.tryMoveSubtree(u, v, lnl)
 			if err != nil {
 				return improvedAny, lnl, err
@@ -518,7 +518,7 @@ func (s *Searcher) tryMoveSubtree(u, v *tree.Node, lnl float64) (moveOutcome, fl
 	// The polish is a sequential coordinate ascent over u's three
 	// branches: canonical order, or a resumed run polishes in a
 	// different sequence and lands on different branch lengths.
-	for _, adj := range canonicalAdjEdges(t, u) {
+	for _, adj := range tree.CanonicalAdj(t, u) {
 		newLnl, err = e.OptimizeBranch(adj)
 		if err != nil {
 			return out, lnl, err

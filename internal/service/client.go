@@ -38,9 +38,9 @@ type Client struct {
 
 // SetTrace toggles distributed tracing: when on, every request carries
 // a freshly minted W3C traceparent header, so the daemon records a full
-// server-side trace (session loop → batcher → engine → manager → tiered
-// store → remote object store) and returns the trace id and cost ledger
-// in the evaluate reply and the X-OOC-Trace / X-OOC-Cost headers.
+// server-side trace (session loop → engine → manager → tiered store →
+// remote object store) and returns the trace id and cost ledger in the
+// evaluate reply (the trace id also in the X-OOC-Trace header).
 func (c *Client) SetTrace(on bool) { c.trace = on }
 
 // NewClient targets a daemon at addr ("host:port" or a full URL).
@@ -74,7 +74,7 @@ func (c *Client) do(method, path string, in, out any) error {
 // doIdem is do with an explicit idempotency verdict. A daemon sheds
 // load and surfaces remote-tier outages as 503 + Retry-After; for
 // requests that are pure reads of the likelihood function (every GET,
-// plus evaluate/newview — recomputation changes nothing), the client
+// plus evaluate — recomputation changes nothing), the client
 // honors the hint and retries inside its budget. Transport failures
 // (connection drop before a response) are retried on the same terms.
 func (c *Client) doIdem(method, path string, in, out any, idempotent bool) error {
@@ -177,21 +177,13 @@ func (c *Client) DeleteSession(name string) error {
 	return c.do(http.MethodDelete, "/v1/sessions/"+name, nil, nil)
 }
 
-// Evaluate submits one evaluate request (rides the coalescing
-// batcher). Evaluates are pure — the same spec recomputes the same
+// Evaluate submits one evaluate request (rides the session loop's
+// batches). Evaluates are pure — the same spec recomputes the same
 // bits — so a 503 (load shed, remote-tier outage) is retried inside
 // the client's budget, honoring the daemon's Retry-After hint.
 func (c *Client) Evaluate(name string, spec EvalSpec) (EvalReply, error) {
 	var rep EvalReply
 	err := c.doIdem(http.MethodPost, "/v1/sessions/"+name+"/evaluate", spec, &rep, true)
-	return rep, err
-}
-
-// Newview forces a fresh full pass and evaluates at the given edge.
-// Pure like Evaluate, so retried on the same terms.
-func (c *Client) Newview(name string, edge int) (EvalReply, error) {
-	var rep EvalReply
-	err := c.doIdem(http.MethodPost, "/v1/sessions/"+name+"/newview", EvalSpec{Edge: edge}, &rep, true)
 	return rep, err
 }
 

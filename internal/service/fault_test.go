@@ -179,7 +179,6 @@ func TestServiceReadyzDegradedCycle(t *testing.T) {
 		StoreURL:       "remote://" + rsrv.Addr(),
 		CacheBytes:     4 * vecBytes, // tiny cache: evictions go remote
 		RemoteDeadline: 100 * time.Millisecond,
-		ShedDepth:      1,
 	})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -221,11 +220,10 @@ func TestServiceReadyzDegradedCycle(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for edge := 2; ; edge++ {
-		if _, err := ses.Evaluate(EvalSpec{Edge: edge%8 + 1}); err != nil {
+		if _, err := ses.Evaluate(EvalSpec{Edge: edge%8 + 1, Full: true}); err != nil {
 			t.Fatalf("evaluate during partition: %v", err)
 		}
-		_, degraded, depth := ses.tierHealth()
-		if degraded && depth >= 1 {
+		if shed, _ := shouldShed(ses); shed {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -401,9 +401,11 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestServiceGoroutinesReturnToBaseline: a remote-backed session's
-// goroutines (loop, batcher, pipeline — the tier brings none) are gone
-// once it is deleted, and the daemon's once it is closed.
+// TestServiceGoroutinesReturnToBaseline: a live in-RAM session runs
+// exactly one goroutine, its loop, which batches its evaluates itself;
+// a remote-backed session's goroutines (loop, pipeline — the tier
+// brings none) are gone once it is deleted, and the daemon's once it
+// is closed.
 func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, _, need := writeTestAlignment(t, dir, 12, 300, 17)
@@ -419,9 +421,9 @@ func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
 	}
 	defer srv.Close()
 	idle := settledGoroutines()
-	session := func(name string) {
+	session := func(name string, memLimit int64) {
 		cfg := baseSession(name, alnPath)
-		cfg.MemLimit = need / 2
+		cfg.MemLimit = memLimit
 		ses, err := srv.CreateSession(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -430,7 +432,14 @@ func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	session("gone")
+	session("ram", 0)
+	if got := settledGoroutines() - idle; got != 1 {
+		t.Errorf("a live in-RAM session runs %d goroutines, want 1 (its loop)", got)
+	}
+	if err := srv.DeleteSession("ram"); err != nil {
+		t.Fatal(err)
+	}
+	session("gone", need/2)
 	if live := settledGoroutines(); live <= idle {
 		t.Fatalf("%d goroutines with a live session, %d without: the check below checks nothing", live, idle)
 	}
@@ -440,7 +449,7 @@ func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
 	if got := settledGoroutines(); got > idle {
 		t.Errorf("%d goroutines after DeleteSession, %d before the session", got, idle)
 	}
-	session("parked-by-close")
+	session("parked-by-close", need/2)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

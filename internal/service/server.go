@@ -71,12 +71,6 @@ type ServerConfig struct {
 	// RequestTimeout bounds one /v1 request end-to-end; expiry maps to
 	// 503 + Retry-After (0 = no deadline).
 	RequestTimeout time.Duration
-	// ShedDepth is the spill high-water mark: while a session's remote
-	// tier is degraded (circuit open) AND it holds at least this many
-	// refused dirty victims in memory, new evaluates for it are shed
-	// with 503 + Retry-After instead of piling on more dirty state.
-	// 0 = half the session's vector count.
-	ShedDepth int
 }
 
 // admissionError is a quota rejection — mapped to 503, because the
@@ -492,7 +486,6 @@ func (s *Server) DeleteSession(name string) error {
 	if !ok {
 		return fmt.Errorf("service: no session %q", name)
 	}
-	ses.batcher.Close()
 	ses.close(true)
 	s.reg.Remove(metricsPrefix(name))
 	s.rebalance()
@@ -508,8 +501,9 @@ func (s *Server) ParkSession(name string) error {
 	return ses.do(ses.park)
 }
 
-// Close parks every session (so all of them are resumable from disk)
-// and stops the daemon. Idempotent.
+// Close parks and closes every session (so all of them are resumable
+// from disk, and none revives before the process exits) and stops the
+// daemon. Idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -526,11 +520,9 @@ func (s *Server) Close() error {
 	<-s.reaperDone
 	var firstErr error
 	for _, ses := range list {
-		ses.batcher.Close()
-		if err := ses.do(ses.park); err != nil && firstErr == nil {
+		if err := ses.close(false); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		ses.close(false)
 	}
 	return firstErr
 }
@@ -563,7 +555,6 @@ func (s *Server) Handler() http.Handler {
 	v1("GET /v1/sessions/{name}", s.handleInfo)
 	v1("DELETE /v1/sessions/{name}", s.handleDelete)
 	v1("POST /v1/sessions/{name}/evaluate", s.handleEvaluate)
-	v1("POST /v1/sessions/{name}/newview", s.handleNewview)
 	v1("POST /v1/sessions/{name}/optimize", s.handleOptimize)
 	v1("POST /v1/sessions/{name}/park", s.handlePark)
 	v1("GET /v1/sessions/{name}/tree", s.handleTree)
@@ -574,7 +565,7 @@ func (s *Server) Handler() http.Handler {
 // counters and the request-latency histogram — the SLO inputs — and a
 // request carrying a traceparent header additionally gets a server-side
 // root span, its trace id echoed in the X-OOC-Trace response header,
-// under which the handler chain (batcher, engine, manager, tiered
+// under which the handler chain (session loop, engine, manager, tiered
 // store, remote client) parents everything it records. An untraced
 // request pays one header lookup.
 func (s *Server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
@@ -702,7 +693,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, fmt.Errorf("service: bad evaluate spec: %w", err))
 		return
 	}
-	if shed, depth := s.shouldShed(ses); shed {
+	if shed, depth := shouldShed(ses); shed {
 		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: fmt.Sprintf(
 			"service: session %q shedding load: remote tier degraded with %d vectors spilled (retry after breaker recovery)",
@@ -710,27 +701,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := ses.EvaluateCtx(r.Context(), spec, obs.SpanFromContext(r.Context()))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if rep.Cost != nil {
-		w.Header().Set("X-OOC-Cost", rep.Cost.Header())
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (s *Server) handleNewview(w http.ResponseWriter, r *http.Request) {
-	ses, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	var spec EvalSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		s.writeErr(w, fmt.Errorf("service: bad newview spec: %w", err))
-		return
-	}
-	rep, err := ses.Newview(spec.Edge)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -829,23 +799,17 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// shouldShed decides whether an evaluate for ses must be refused:
-// only while the session's remote tier is degraded AND its spill depth
-// is past the high-water mark — degraded alone is fine (that is what
-// recompute and the spill are for); deep spill on top of an outage
-// means memory is absorbing unbounded dirty state.
-func (s *Server) shouldShed(ses *Session) (bool, int64) {
+// shouldShed decides whether an evaluate for ses must be refused with
+// 503 + Retry-After: only while the session's remote tier is degraded
+// AND it holds refused dirty victims for at least half its vectors in
+// memory — degraded alone is fine (that is what recompute and the
+// spill are for); deep spill on top of an outage means memory is
+// absorbing unbounded dirty state.
+func shouldShed(ses *Session) (bool, int64) {
 	hasTier, degraded, depth := ses.tierHealth()
 	if !hasTier || !degraded {
 		return false, 0
 	}
-	hw := int64(s.cfg.ShedDepth)
-	if hw <= 0 {
-		_, _, _, _, _, n := ses.memShape()
-		hw = int64(n) / 2
-		if hw < 1 {
-			hw = 1
-		}
-	}
-	return depth >= hw, depth
+	_, _, _, _, _, n := ses.memShape()
+	return depth >= max(int64(n)/2, 1), depth
 }

@@ -79,7 +79,7 @@ func baseSession(name, alnPath string) SessionConfig {
 }
 
 // TestServiceDifferentialBatchedVsOneShot is the tentpole's acceptance
-// test: N concurrent evaluates through the coalescing batcher must be
+// test: N concurrent evaluates batched by the session loop must be
 // bit-for-bit identical to a fresh one-shot pass over the same session
 // config. Run under -race this also exercises the loop-goroutine
 // serialisation.
@@ -96,9 +96,9 @@ func TestServiceDifferentialBatchedVsOneShot(t *testing.T) {
 	if _, err := c.CreateSession(baseSession("ref", alnPath)); err != nil {
 		t.Fatalf("create ref: %v", err)
 	}
-	ref, err := c.Newview("ref", 0)
+	ref, err := c.Evaluate("ref", EvalSpec{Edge: 0, Full: true})
 	if err != nil {
-		t.Fatalf("newview ref: %v", err)
+		t.Fatalf("full evaluate ref: %v", err)
 	}
 	if ref.LnL >= 0 {
 		t.Fatalf("reference lnL %v is not a log likelihood", ref.LnL)
@@ -189,6 +189,43 @@ func TestServiceHypotheticalLengthAndFull(t *testing.T) {
 	}
 	if again.LnLBits != cur.LnLBits {
 		t.Errorf("tree perturbed by hypothetical evaluate: %s != %s", again.LnLBits, cur.LnLBits)
+	}
+}
+
+// TestServiceEvaluateLengthRange: a hypothetical length outside
+// [tree.MinBranchLength, tree.MaxBranchLength] is a 400 that names the
+// range, not a likelihood at a length no optimiser would reach (a
+// negative one), nor a 200 whose +Inf body does not encode.
+func TestServiceEvaluateLengthRange(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, _, _ := writeTestAlignment(t, dir, 12, 200, 13)
+	srv := newTestServer(t, ServerConfig{DataDir: dir})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	if _, err := NewClient(hs.URL).CreateSession(baseSession("len", alnPath)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		length string
+		want   int
+	}{
+		{"-5", http.StatusBadRequest},
+		{"1.797e308", http.StatusBadRequest},
+		{"0.42", http.StatusOK},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/sessions/len/evaluate", "application/json",
+			strings.NewReader(`{"edge":1,"length":`+tc.length+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("length %s: HTTP %d %s, want %d", tc.length, resp.StatusCode, body, tc.want)
+		}
+		if tc.want == http.StatusBadRequest && !strings.Contains(string(body), "[1e-06, 100]") {
+			t.Errorf("length %s: error %s does not name the range [1e-06, 100]", tc.length, body)
+		}
 	}
 }
 
@@ -510,7 +547,7 @@ func TestServiceGrantIsTheOnlyMemoryController(t *testing.T) {
 		t.Fatalf("grant %d B opened %d slots, buys %d (want above the floor)", before.GrantBytes, before.Slots, want)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := ses.Newview(0); err != nil {
+		if _, err := ses.Evaluate(EvalSpec{Edge: 0, Full: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

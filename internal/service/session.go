@@ -4,10 +4,12 @@ package service
 // to a PLF engine, all engine work serialised on a single loop
 // goroutine (the ooc manager and plf engine are single-API-goroutine
 // subsystems; the loop IS that goroutine for the session's lifetime).
-// The batcher, HTTP handlers, idle reaper and governor all talk to the
-// engine exclusively through do(), so batches, optimise jobs, parks,
-// revives and quota resizes interleave at operation boundaries — the
-// same safe points the governance layer was built around.
+// Evaluates reach it on their own channel and ride batches the loop
+// gathers itself; the HTTP handlers, idle reaper and governor send
+// every other piece of engine work through do(), so batches, optimise
+// jobs, parks, revives and quota resizes interleave at operation
+// boundaries — the same safe points the governance layer was built
+// around.
 //
 // A session has three states: active (engine live), parked (engine torn
 // down, exact-resume checkpoint on disk) and closed.
@@ -19,9 +21,11 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -55,10 +59,32 @@ func (st sessionState) String() string {
 	}
 }
 
+// ErrSessionClosed is returned for requests that reach a session whose
+// loop has been torn down (deleted, or the daemon is shutting down).
+var ErrSessionClosed = errors.New("service: session closed")
+
+// maxBatch caps one batch. Evaluates cost nothing extra for riding
+// apart, so the cap only bounds how long a park, optimise or resize job
+// waits behind one pass.
+const maxBatch = 16
+
 // job is one unit of work for the session loop.
 type job struct {
 	fn   func() error
 	done chan error
+}
+
+// evalJob is one evaluate request plus its reply path. span, when
+// non-nil, is the server-side request span: execBatch parents its
+// engine/store spans under it and fills its cost ledger.
+type evalJob struct {
+	spec EvalSpec
+	span *obs.Span
+	enq  time.Time
+	// res/err are filled on the loop goroutine; done is closed after.
+	res  EvalReply
+	err  error
+	done chan struct{}
 }
 
 // Session is one named tenant. Mutable fields shared with other
@@ -70,8 +96,11 @@ type Session struct {
 	cfg  SessionConfig
 	srv  *Server
 
-	jobs chan job
-	quit chan struct{}
+	jobs   chan job
+	submit chan *evalJob
+	quit   chan struct{}
+	// seq numbers the loop's batches (loop goroutine only).
+	seq int64
 
 	alnPath  string // persisted alignment (phylip) for restart revives
 	ckptPath string // park checkpoint
@@ -95,8 +124,7 @@ type Session struct {
 	pats *bio.Patterns
 	run  *analysis.Run
 
-	batcher *Batcher
-	mx      sessionMetrics
+	mx sessionMetrics
 }
 
 // sessionMetrics are the per-session instruments on the /debug
@@ -109,14 +137,15 @@ type sessionMetrics struct {
 	lnl                                     *obs.FloatGauge
 }
 
-// newSession wires the loop and batcher; the engine is built by the
-// first build/ensureLive job.
+// newSession starts the loop; the engine is built by the first
+// build/ensureLive job.
 func newSession(srv *Server, cfg SessionConfig) *Session {
 	s := &Session{
 		name:     cfg.Name,
 		cfg:      cfg,
 		srv:      srv,
-		jobs:     make(chan job), // unbuffered: a successful send is a rendezvous with the loop
+		jobs:     make(chan job),      // unbuffered: a successful send is a rendezvous with the loop
+		submit:   make(chan *evalJob), // unbuffered too
 		quit:     make(chan struct{}),
 		alnPath:  filepath.Join(srv.cfg.DataDir, cfg.Name+".aln"),
 		ckptPath: filepath.Join(srv.cfg.DataDir, cfg.Name+".ckpt"),
@@ -139,7 +168,6 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 	}
 	reg.AddPublisher(p, s.publish)
 	go s.loop()
-	s.batcher = newBatcher(maxBatch, s.execBatch)
 	return s
 }
 
@@ -147,14 +175,64 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 // exports; DeleteSession removes what is under it.
 func metricsPrefix(session string) string { return "svc.session." + session + "." }
 
-// loop runs jobs one at a time until quit.
+// loop runs jobs one at a time until quit, and is the batcher: under
+// concurrent clients every request runs here, so they queue behind each
+// other anyway, and the loop turns that queue into batches in the style
+// of group commit. It takes one evaluate, every other evaluate already
+// waiting (up to maxBatch), and runs them at once as ONE engine pass.
+// Requests that arrive while a pass or job runs queue behind it and
+// form the next batch. No clock decides a batch, so a lone request
+// never waits for company; a request that finds the loop idle only
+// yields the processor once, so a burst's other submitters, already
+// runnable, can join it. Nothing is lost by cutting a batch early: the
+// ancestral vectors one pass validates stay valid for the next, as in
+// the paper's incremental traversal. Results are bit-identical to
+// running each request as its own fresh pass — vector reuse changes
+// what is recomputed, never what is computed (the invariant every OOC
+// layer of this repo is built on).
+//
+// The channels are unbuffered, so an accepted evaluate is a rendezvous:
+// it rides exactly one batch and is always answered.
 func (s *Session) loop() {
 	for {
+		var first *evalJob
 		select {
-		case j := <-s.jobs:
+		case j := <-s.jobs: // queued behind the last batch or job
 			j.done <- j.fn()
-		case <-s.quit:
-			return
+			continue
+		case first = <-s.submit:
+		default:
+			select {
+			case j := <-s.jobs:
+				j.done <- j.fn()
+				continue
+			case first = <-s.submit:
+				// The loop was idle, so this may be the first of a
+				// burst whose other submitters are runnable but not
+				// yet at the channel: let them reach it. With nothing
+				// else runnable this returns at once.
+				runtime.Gosched()
+			case <-s.quit:
+				return
+			}
+		}
+		batch := append(make([]*evalJob, 0, maxBatch), first)
+	gather:
+		for len(batch) < maxBatch {
+			select {
+			case j := <-s.submit:
+				batch = append(batch, j)
+			default:
+				break gather
+			}
+		}
+		s.seq++
+		s.execBatch(batch)
+		for _, j := range batch {
+			if j.res == (EvalReply{}) && j.err == nil {
+				j.err = errors.New("service: batch left the request unanswered")
+			}
+			close(j.done)
 		}
 	}
 }
@@ -438,16 +516,22 @@ func (s *Session) shutdownEngine() {
 	s.mu.Unlock()
 }
 
-// close tears the session down for good. remove also deletes its
-// on-disk files. Called from the server with the batcher already
-// drained.
-func (s *Session) close(remove bool) {
-	_ = s.do(func() error {
+// close tears the session down for good in one loop job: it parks the
+// session (remove deletes its on-disk files instead), releases the
+// engine and marks the session closed, so a request the loop takes
+// afterwards answers ErrSessionClosed and cannot revive it. Returns the
+// park's error.
+func (s *Session) close(remove bool) error {
+	err := s.do(func() error {
+		var err error
+		if !remove {
+			err = s.park()
+		}
 		s.shutdownEngine()
 		s.mu.Lock()
 		s.state = stateClosed
 		s.mu.Unlock()
-		return nil
+		return err
 	})
 	close(s.quit)
 	if remove {
@@ -455,15 +539,16 @@ func (s *Session) close(remove bool) {
 		os.Remove(s.ckptPath)
 		s.stackSpec().Remove()
 	}
+	return err
 }
 
 // ---------------------------------------------------------------------
 // Jobs.
 
-// execBatch is the batcher's executor: ONE engine pass over the whole
-// batch, on the loop goroutine. The first request pays whatever
-// traversal its edge needs; later requests reuse every ancestral vector
-// that is still valid — bit-identical to fresh passes, just cheaper.
+// execBatch runs one batch the loop gathered as ONE engine pass, on the
+// loop goroutine. The first request pays whatever traversal its edge
+// needs; later requests reuse every ancestral vector that is still
+// valid — bit-identical to fresh passes, just cheaper.
 //
 // Tracing: the batch runs under one shared engine-pass span, parented
 // in the first traced request's trace (a span cannot have parents in
@@ -478,90 +563,82 @@ func (s *Session) close(remove bool) {
 // it lands in, while its pipe.write_back span stays parented to the
 // evicting request.
 func (s *Session) execBatch(batch []*evalJob) {
-	err := s.do(func() error {
-		if err := s.ensureLive(); err != nil {
-			return err
-		}
-		seq := s.batcher.seq
-		var pass *obs.Span
+	if err := s.ensureLive(); err != nil {
 		for _, j := range batch {
-			if j.span != nil {
-				pass = j.span.StartChild("svc.engine_pass")
-				pass.SetAttr("batch", seq)
-				pass.SetAttr("size", int64(len(batch)))
-				break
-			}
+			j.err = err
 		}
-		execStart := time.Now()
-		for _, j := range batch {
-			var before costSnapshot
-			if pass != nil {
-				s.run.SetSpan(j.span)
-			}
-			if j.span != nil {
-				j.span.EmitChild("svc.batch_wait", j.enq, execStart.Sub(j.enq))
-				before = s.costSnapshot()
-			}
-			lnl, jerr := s.evalOne(j.spec)
-			var cost *obs.Cost
-			if j.span != nil {
-				delta := s.costSnapshot().sub(before)
-				delta.WaitMicros = execStart.Sub(j.enq).Microseconds()
-				j.span.AddCost(delta)
-				if pass != nil && j.span.TraceID() != pass.TraceID() {
-					j.span.LinkTo(pass)
-				}
-				c := delta
-				cost = &c
-			}
-			if jerr != nil {
-				j.err = jerr
-				continue
-			}
-			j.res = EvalReply{
-				Session:    s.name,
-				Edge:       j.spec.Edge,
-				LnL:        lnl,
-				LnLBits:    FormatLnLBits(lnl),
-				Batch:      seq,
-				BatchSize:  len(batch),
-				WaitMicros: execStart.Sub(j.enq).Microseconds(),
-				Cost:       cost,
-			}
-			if j.span != nil {
-				j.res.TraceID = j.span.TraceID().String()
-			}
+		return
+	}
+	var pass *obs.Span
+	for _, j := range batch {
+		if j.span != nil {
+			pass = j.span.StartChild("svc.engine_pass")
+			pass.SetAttr("batch", s.seq)
+			pass.SetAttr("size", int64(len(batch)))
+			break
 		}
+	}
+	execStart := time.Now()
+	for _, j := range batch {
+		var before costSnapshot
 		if pass != nil {
-			s.run.SetSpan(nil)
-			pass.End()
+			s.run.SetSpan(j.span)
 		}
-		exec := time.Since(execStart).Microseconds()
-		for _, j := range batch {
-			if j.span != nil {
-				j.span.AddCost(obs.Cost{ExecMicros: exec})
-			}
-			if j.err == nil {
-				j.res.ExecMicros = exec
-				if j.res.Cost != nil {
-					j.res.Cost.ExecMicros = exec
-				}
-			}
+		if j.span != nil {
+			j.span.EmitChild("svc.batch_wait", j.enq, execStart.Sub(j.enq))
+			before = s.costSnapshot()
 		}
-		s.mu.Lock()
-		s.batches++
-		s.evals += int64(len(batch))
-		s.mu.Unlock()
-		s.srv.noteBatch(len(batch), execStart, exec)
-		return nil
-	})
-	if err != nil {
-		for _, j := range batch {
-			if j.err == nil && j.res == (EvalReply{}) {
-				j.err = err
+		lnl, jerr := s.evalOne(j.spec)
+		var cost *obs.Cost
+		if j.span != nil {
+			delta := s.costSnapshot().sub(before)
+			delta.WaitMicros = execStart.Sub(j.enq).Microseconds()
+			j.span.AddCost(delta)
+			if pass != nil && j.span.TraceID() != pass.TraceID() {
+				j.span.LinkTo(pass)
+			}
+			c := delta
+			cost = &c
+		}
+		if jerr != nil {
+			j.err = jerr
+			continue
+		}
+		j.res = EvalReply{
+			Session:    s.name,
+			Edge:       j.spec.Edge,
+			LnL:        lnl,
+			LnLBits:    FormatLnLBits(lnl),
+			Batch:      s.seq,
+			BatchSize:  len(batch),
+			WaitMicros: execStart.Sub(j.enq).Microseconds(),
+			Cost:       cost,
+		}
+		if j.span != nil {
+			j.res.TraceID = j.span.TraceID().String()
+		}
+	}
+	if pass != nil {
+		s.run.SetSpan(nil)
+		pass.End()
+	}
+	exec := time.Since(execStart).Microseconds()
+	for _, j := range batch {
+		if j.span != nil {
+			j.span.AddCost(obs.Cost{ExecMicros: exec})
+		}
+		if j.err == nil {
+			j.res.ExecMicros = exec
+			if j.res.Cost != nil {
+				j.res.Cost.ExecMicros = exec
 			}
 		}
 	}
+	s.mu.Lock()
+	s.batches++
+	s.evals += int64(len(batch))
+	s.mu.Unlock()
+	s.srv.noteBatch(len(batch), execStart, exec)
 }
 
 // costSnapshot captures the monotonic layer counters cost attribution
@@ -619,6 +696,9 @@ func (s *Session) evalOne(spec EvalSpec) (float64, error) {
 	if spec.Edge < 0 || spec.Edge >= len(eng.T.Edges) {
 		return 0, fmt.Errorf("service: edge %d out of range [0,%d)", spec.Edge, len(eng.T.Edges))
 	}
+	if l := spec.Length; l != nil && !(*l >= tree.MinBranchLength && *l <= tree.MaxBranchLength) {
+		return 0, fmt.Errorf("service: length %g outside [%g, %g]", *l, tree.MinBranchLength, tree.MaxBranchLength)
+	}
 	edge := eng.T.Edges[spec.Edge]
 	if spec.Full {
 		eng.InvalidateAll()
@@ -635,20 +715,35 @@ func (s *Session) evalOne(spec EvalSpec) (float64, error) {
 	return lnl, err
 }
 
-// Evaluate submits one request through the coalescing batcher.
+// Evaluate submits one request to the loop, which batches it with
+// whatever else is waiting.
 func (s *Session) Evaluate(spec EvalSpec) (EvalReply, error) {
 	return s.EvaluateCtx(context.Background(), spec, nil)
 }
 
 // EvaluateCtx is Evaluate under a server-side request span and the
-// request's context: the batch executor parents its engine/store spans
-// beneath sp and fills the reply's trace id and cost ledger, and when
-// the server enforces a request deadline, a batch stuck behind a
-// struggling remote tier stops blocking the HTTP handler at that
-// deadline.
+// request's context: execBatch parents its engine/store spans beneath
+// sp and fills the reply's trace id and cost ledger. When ctx expires
+// before the reply, the caller gets ctx.Err() at once; the request
+// itself still runs with its batch (evaluates are pure, so the orphaned
+// result is simply dropped) — the deadline bounds the CALLER's wait,
+// which is what an HTTP request timeout means.
 func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) (EvalReply, error) {
 	s.touch()
-	return s.batcher.SubmitCtx(ctx, spec, sp)
+	j := &evalJob{spec: spec, span: sp, enq: time.Now(), done: make(chan struct{})}
+	select {
+	case s.submit <- j:
+	case <-s.quit:
+		return EvalReply{}, ErrSessionClosed
+	case <-ctx.Done():
+		return EvalReply{}, ctx.Err()
+	}
+	select {
+	case <-j.done:
+		return j.res, j.err
+	case <-ctx.Done():
+		return EvalReply{}, ctx.Err()
+	}
 }
 
 // tierHealth reports the remote-tier condition for readiness and load
@@ -673,25 +768,6 @@ func (s *Session) tierStore() *ooc.TieredStore {
 		return nil
 	}
 	return s.run.Stack.Tier
-}
-
-// Newview forces a fresh full engine pass (invalidate + complete
-// traversal) and returns the likelihood at the given edge.
-func (s *Session) Newview(edgeIdx int) (EvalReply, error) {
-	s.touch()
-	var rep EvalReply
-	err := s.do(func() error {
-		if err := s.ensureLive(); err != nil {
-			return err
-		}
-		lnl, err := s.evalOne(EvalSpec{Edge: edgeIdx, Full: true})
-		if err != nil {
-			return err
-		}
-		rep = EvalReply{Session: s.name, Edge: edgeIdx, LnL: lnl, LnLBits: FormatLnLBits(lnl), BatchSize: 1}
-		return nil
-	})
-	return rep, err
 }
 
 // Optimize smooths every branch length on the session tree.

@@ -160,8 +160,8 @@ func TestServiceTracedEvaluateEndToEnd(t *testing.T) {
 }
 
 // TestServiceTraceHeaders pins the wire format: a raw request with a
-// minted traceparent gets X-OOC-Trace echoing the trace id and an
-// X-OOC-Cost header that parses back to exactly the JSON reply's cost.
+// minted traceparent gets X-OOC-Trace echoing the trace id, and its
+// cost ledger travels once, in the JSON reply.
 func TestServiceTraceHeaders(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, _, _ := writeTestAlignment(t, dir, 10, 200, 29)
@@ -202,12 +202,8 @@ func TestServiceTraceHeaders(t *testing.T) {
 	if rep.Cost == nil {
 		t.Fatal("traced reply has no cost")
 	}
-	hdrCost, ok := obs.ParseCostHeader(resp.Header.Get("X-OOC-Cost"))
-	if !ok {
-		t.Fatalf("X-OOC-Cost %q does not parse", resp.Header.Get("X-OOC-Cost"))
-	}
-	if hdrCost != *rep.Cost {
-		t.Errorf("X-OOC-Cost %+v != reply cost %+v", hdrCost, *rep.Cost)
+	if got := resp.Header.Get("X-OOC-Cost"); got != "" {
+		t.Errorf("cost ledger copied into an X-OOC-Cost header %q", got)
 	}
 }
 

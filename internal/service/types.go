@@ -46,7 +46,8 @@ type EvalSpec struct {
 	Edge int `json:"edge"`
 	// Length, when set, evaluates the sum table at this hypothetical
 	// branch length instead of the edge's current one (the tree is not
-	// modified).
+	// modified). It must lie in [tree.MinBranchLength,
+	// tree.MaxBranchLength].
 	Length *float64 `json:"length,omitempty"`
 	// Full forces a fresh full engine pass (invalidate + complete
 	// traversal) before evaluating — what a one-shot CLI run pays. The
@@ -79,8 +80,7 @@ type EvalReply struct {
 	// the 32-hex id under which the daemon recorded the request's spans
 	// (GET /debug/trace/{id} replays them). Cost is this request's
 	// resource ledger — counter deltas attributed to exactly this
-	// request by the serialized session loop, the same numbers the
-	// X-OOC-Cost response header carries.
+	// request by the serialized session loop.
 	TraceID string    `json:"trace_id,omitempty"`
 	Cost    *obs.Cost `json:"cost,omitempty"`
 }

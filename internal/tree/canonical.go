@@ -29,12 +29,6 @@ func Canonicalize(t *Tree) {
 	if t.NumTips == 0 {
 		return
 	}
-	anchor := t.Nodes[0]
-	for i := 1; i < t.NumTips; i++ {
-		if t.Nodes[i].Name < anchor.Name {
-			anchor = t.Nodes[i]
-		}
-	}
 	var walk func(n, from *Node)
 	walk = func(n, from *Node) {
 		sort.SliceStable(n.Adj, func(i, j int) bool {
@@ -45,7 +39,7 @@ func Canonicalize(t *Tree) {
 			if oj == from {
 				return false
 			}
-			return minTipToward(oi, n, t.NumTips) < minTipToward(oj, n, t.NumTips)
+			return MinTipToward(oi, n, t.NumTips) < MinTipToward(oj, n, t.NumTips)
 		})
 		for _, e := range n.Adj {
 			o := e.Other(n)
@@ -58,12 +52,36 @@ func Canonicalize(t *Tree) {
 			walk(o, n)
 		}
 	}
-	walk(anchor, nil)
+	walk(Anchor(t), nil)
 }
 
-// minTipToward returns the lexicographically smallest tip name in the
-// subtree containing n when the edge toward from is cut.
-func minTipToward(n, from *Node, numTips int) string {
+// Anchor returns the tip with the lexicographically smallest name: the
+// root of the canonical form and of every canonical traversal order.
+func Anchor(t *Tree) *Node {
+	best := t.Nodes[0]
+	for i := 1; i < t.NumTips; i++ {
+		if t.Nodes[i].Name < best.Name {
+			best = t.Nodes[i]
+		}
+	}
+	return best
+}
+
+// CanonicalAdj returns n's adjacent edges ordered by the smallest tip
+// name behind each, computed fresh, so a topology edit is reflected
+// identically in every run that reached the same tree.
+func CanonicalAdj(t *Tree, n *Node) []*Edge {
+	out := append([]*Edge(nil), n.Adj...)
+	sort.Slice(out, func(i, j int) bool {
+		return MinTipToward(out[i].Other(n), n, t.NumTips) < MinTipToward(out[j].Other(n), n, t.NumTips)
+	})
+	return out
+}
+
+// MinTipToward returns the lexicographically smallest tip name in the
+// subtree containing n when the edge toward from is cut: the key of
+// every canonical order.
+func MinTipToward(n, from *Node, numTips int) string {
 	if n.Index < numTips {
 		return n.Name
 	}
@@ -73,7 +91,7 @@ func minTipToward(n, from *Node, numTips int) string {
 		if o == from {
 			continue
 		}
-		if m := minTipToward(o, n, numTips); best == "" || m < best {
+		if m := MinTipToward(o, n, numTips); best == "" || m < best {
 			best = m
 		}
 	}
