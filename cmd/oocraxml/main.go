@@ -149,6 +149,9 @@ func run(args []string, out *os.File) error {
 		fs.Usage()
 		return fmt.Errorf("an alignment (-s) is required")
 	}
+	if err := spec.Check(); err != nil {
+		return err
+	}
 
 	// Cooperative cancellation: SIGINT/SIGTERM cancel ctx and the run
 	// stops at the next safe boundary — mode s additionally writes a

@@ -158,7 +158,9 @@ func TestCLIErrors(t *testing.T) {
 		{"-s", phy, "-t", "/does/not/exist.nwk"},
 		{"-s", phy, "-L", "100"}, // limit below 3 slots
 		{"-s", phy, "-L", "20000", "-strategy", "bogus"},
-		{"-s", phy, "-t", nwk, "-aa"}, // AA alphabet on DNA data fails parse
+		{"-s", phy, "-t", nwk, "-aa"},        // AA alphabet on DNA data fails parse
+		{"-s", phy, "-c", "300", "-a", "1"},  // a checkpoint of it could not be restored
+		{"-s", phy, "-threads", "100000000"}, // past analysis.MaxWorkers
 	}
 	for _, args := range cases {
 		if _, err := capture(t, args...); err == nil {

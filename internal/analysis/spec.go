@@ -19,9 +19,17 @@
 package analysis
 
 import (
+	"fmt"
+
+	"oocphylo/internal/model"
 	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
 )
+
+// MaxWorkers caps Spec.Workers. Each worker is a goroutine the engine
+// starts at open, and a pass splits its patterns among them, so far
+// past a machine's cores more only cost memory.
+const MaxWorkers = 256
 
 // Spec describes what an analysis is: data, model, tree, memory quota.
 // It is the daemon's session-creation document (service.SessionConfig
@@ -76,8 +84,9 @@ type Spec struct {
 	// (default), lfu, topological).
 	Strategy string `json:"strategy,omitempty"`
 
-	// Workers sets the PLF kernel worker goroutines (default 1; results
-	// are identical for any value). Kernel defaults to auto.
+	// Workers sets the PLF kernel worker goroutines (default 1, at most
+	// MaxWorkers; results are identical for any value). Kernel defaults
+	// to auto.
 	Workers int    `json:"workers,omitempty"`
 	Kernel  string `json:"kernel,omitempty"`
 }
@@ -112,6 +121,20 @@ func (c *Spec) Fill() {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
+}
+
+// Check rejects the numbers in a spec that would size something past
+// its bound, so a caller runs it before anything is allocated: Γ
+// categories past model.MaxGammaCats (their checkpoint could never be
+// restored) and Workers past MaxWorkers.
+func (c *Spec) Check() error {
+	if c.Cats > model.MaxGammaCats {
+		return fmt.Errorf("analysis: %d gamma rate categories (at most %d)", c.Cats, model.MaxGammaCats)
+	}
+	if c.Workers > MaxWorkers {
+		return fmt.Errorf("analysis: %d workers (at most %d)", c.Workers, MaxWorkers)
+	}
+	return nil
 }
 
 // Options describes how a run behaves. None of it changes a likelihood

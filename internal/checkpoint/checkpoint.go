@@ -28,10 +28,6 @@ import (
 // loop at State.Round with fresh counters).
 const FormatVersion = 2
 
-// maxCats bounds a restored Γ category count. No analysis comes near
-// it; it caps what a hostile file can make Restore allocate.
-const maxCats = 256
-
 // SearchProgress carries the search-loop position needed for exact
 // resume: everything search.Progress tracks beyond the tree and model
 // themselves. Absent (nil) in v1 checkpoints and in checkpoints of
@@ -121,8 +117,8 @@ func (st *State) Restore() (*tree.Tree, *model.Model, error) {
 	if len(st.Freqs) != st.States {
 		return nil, nil, fmt.Errorf("checkpoint: %d frequencies for %d states", len(st.Freqs), st.States)
 	}
-	if st.Cats > maxCats {
-		return nil, nil, fmt.Errorf("checkpoint: %d rate categories (at most %d)", st.Cats, maxCats)
+	if st.Cats > model.MaxGammaCats {
+		return nil, nil, fmt.Errorf("checkpoint: %d rate categories (at most %d)", st.Cats, model.MaxGammaCats)
 	}
 	t, err := tree.ParseNewick(st.Newick)
 	if err != nil {

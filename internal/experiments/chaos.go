@@ -9,11 +9,11 @@ package experiments
 // partition that flaps the remote up and down for whole request
 // windows. The fault-tolerance stack underneath the engine — jittered
 // retries, per-request deadlines, the circuit breaker, the engine's
-// recompute of every read that fails, and the in-memory spill of
+// recompute of every read that fails, and the cache file holding the
 // write-backs the remote refused — must turn all of that into nothing
-// more than extra local compute: the soak FAILS unless the chaotic run finishes with
-// bit-identical likelihood and the breaker actually tripped (the chaos
-// was real).
+// more than extra local compute: the soak FAILS unless the chaotic run
+// finishes with bit-identical likelihood and the breaker actually
+// tripped (the chaos was real).
 
 import (
 	"context"
@@ -77,7 +77,7 @@ type ChaosSoakResult struct {
 	// Chaos counts what the fault injector actually did.
 	Chaos iosim.ChaosStats
 	// Tier is the chaotic arm's tier counter snapshot (breaker trips,
-	// spill traffic, retries).
+	// refused write-backs, retries).
 	Tier ooc.TierStats
 	// Recoveries counts engine-level read recoveries: unreadable
 	// (circuit open, retries exhausted) or corrupt vectors converted to
@@ -120,8 +120,9 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	// The tier retries from its spill drain and its callers'
-	// goroutines at once, so the seeded jitter source is locked.
+	// The tier retries on its callers' goroutines, several at once
+	// (the pipeline's I/O workers), so the seeded jitter source is
+	// locked.
 	var jitterMu sync.Mutex
 	jitterSrc := rand.New(rand.NewSource(cfg.Workload.Seed + 7))
 	jitter := func() float64 {
@@ -218,7 +219,7 @@ func WriteChaosTable(wr io.Writer, res *ChaosSoakResult, cfg ChaosSoakConfig) {
 	t := res.Tier
 	fmt.Fprintf(wr, "  survived: %d remote errors, %d retries, %d breaker opens, %d short-circuits\n",
 		t.RemoteErrors, t.RemoteRetries, t.BreakerOpens, t.ShortCircuits)
-	fmt.Fprintf(wr, "  spill: %d absorbed, %d served, %d replayed\n",
-		t.SpillAppends, t.SpillHits, t.SpillReplayed)
+	fmt.Fprintf(wr, "  overflow: %d write-backs refused and kept in the cache file, %d still there at the end\n",
+		t.DirtyWritebacks-t.RemoteVectorsWritten, t.Overflow)
 	fmt.Fprintf(wr, "  engine: %d read recoveries\n", res.Recoveries)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // smallChaosConfig keeps the soak fast enough for the unit suite while
-// still forcing partitions, breaker trips and spill traffic. The
+// still forcing partitions, breaker trips and refused write-backs. The
 // stall duration stays above the deadline so stalls become timeouts.
 func smallChaosConfig() ChaosSoakConfig {
 	return ChaosSoakConfig{
@@ -51,7 +51,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	var sb strings.Builder
 	WriteChaosTable(&sb, res, cfg)
-	for _, want := range []string{"bit-identical", "breaker opens", "spill:"} {
+	for _, want := range []string{"bit-identical", "breaker opens", "overflow:"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, sb.String())
 		}

@@ -247,14 +247,20 @@ func newHKYLike(freqs []float64, kappa float64, name string) (*Model, error) {
 	return m, nil
 }
 
+// MaxGammaCats bounds the discrete-Gamma category count. No analysis
+// comes near it; it caps what outside input (a session spec, a
+// checkpoint) can make a model allocate, and every model within it can
+// be checkpointed and restored.
+const MaxGammaCats = 256
+
 // SetGamma installs a discrete-Gamma rate heterogeneity model with the
 // given shape alpha and category count. ncat == 1 restores homogeneity.
 // alpha == +Inf is the α→∞ limit of the Gamma: every category rate is
 // exactly 1 (rate homogeneity spread over ncat categories), a state
 // the checkpoint layer round-trips explicitly.
 func (m *Model) SetGamma(alpha float64, ncat int) error {
-	if ncat < 1 {
-		return fmt.Errorf("model: gamma categories %d < 1", ncat)
+	if ncat < 1 || ncat > MaxGammaCats {
+		return fmt.Errorf("model: %d gamma categories (want 1 to %d)", ncat, MaxGammaCats)
 	}
 	if math.IsInf(alpha, 1) {
 		rates := make([]float64, ncat)

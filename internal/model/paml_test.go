@@ -117,3 +117,28 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// FuzzReadPAML: for any input ReadPAML either errors or returns a model
+// whose transition matrices are finite at short, medium and long
+// branches. It must never panic or hang. The committed corpus holds a
+// truncated file, token garbage, and files of huge, tiny, zero and
+// negative entries.
+func FuzzReadPAML(f *testing.F) {
+	valid, _, _ := syntheticPAML()
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, body string) {
+		m, err := ReadPAML(strings.NewReader(body), "")
+		if err != nil {
+			return
+		}
+		p := make([]float64, len(m.Rates)*m.States*m.States)
+		for _, bl := range []float64{1e-6, 0.1, 10} {
+			m.PMatrices(p, bl)
+			for i, v := range p {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("P(%g)[%d] = %v", bl, i, v)
+				}
+			}
+		}
+	})
+}

@@ -257,23 +257,26 @@ func (r *Registry) SetInfo(key, value string) {
 // be called from any goroutine, concurrently with instrumentation).
 //
 // prefix is the name prefix of the instruments f sets. It is the
-// publisher's identity: registering under a prefix already taken
-// replaces the earlier function (a revived session's new store takes
-// over from the closed one instead of being published beside it), and
+// publisher's identity: registering under a prefix already taken runs
+// the earlier function once more, so its instruments hold its final
+// values, then replaces it (a revived session's new store takes over
+// from the closed one instead of being published beside it), and
 // Remove drops it with its instruments.
 func (r *Registry) AddPublisher(prefix string, f func()) {
 	if r == nil || f == nil {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.publishers {
-		if r.publishers[i].prefix == prefix {
-			r.publishers[i].f = f
-			return
-		}
+	i := slices.IndexFunc(r.publishers, func(p publisher) bool { return p.prefix == prefix })
+	if i < 0 {
+		r.publishers = append(r.publishers, publisher{prefix, f})
+		r.mu.Unlock()
+		return
 	}
-	r.publishers = append(r.publishers, publisher{prefix, f})
+	last := r.publishers[i].f
+	r.publishers[i].f = f
+	r.mu.Unlock()
+	last()
 }
 
 // Remove drops every instrument and info key named under prefix and

@@ -69,8 +69,9 @@ func TestSnapshotAndPublishers(t *testing.T) {
 }
 
 // TestPublisherReplaceAndRemove pins a publisher's identity to its
-// prefix: re-registering replaces, and Remove takes the publishers and
-// names under a prefix — and nothing beside them — out of the registry.
+// prefix: re-registering runs the earlier publisher one last time and
+// replaces it, and Remove takes the publishers and names under a
+// prefix — and nothing beside them — out of the registry.
 func TestPublisherReplaceAndRemove(t *testing.T) {
 	r := NewRegistry()
 	ran := map[string]int{}
@@ -84,8 +85,11 @@ func TestPublisherReplaceAndRemove(t *testing.T) {
 	r.Histogram("svc.session.a.tier.seconds", nil).Observe(1)
 	r.SetInfo("svc.session.a.tier.breaker", "enabled")
 	r.FloatGauge("svc.session.ab.lnl").Set(-1)
+	if ran["stale"] != 1 || ran["live"] != 0 {
+		t.Fatalf("a replaced publisher must run once, at its replacement: %v", ran)
+	}
 	r.Snapshot()
-	if ran["stale"] != 0 || ran["live"] != 1 {
+	if ran["stale"] != 1 || ran["live"] != 1 {
 		t.Fatalf("same-prefix publisher not replaced: %v", ran)
 	}
 

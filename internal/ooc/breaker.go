@@ -33,8 +33,8 @@ import (
 // ErrCircuitOpen marks a remote request refused locally because the
 // backend's circuit breaker is open. It is NOT transient: retrying in
 // place would just spin against the breaker — the caller should fall
-// back (recompute, in-memory spill) and let the half-open probe
-// discover recovery.
+// back (recompute a refused read, keep a refused write-back in the
+// cache file) and let the half-open probe discover recovery.
 var ErrCircuitOpen = errors.New("remote circuit open")
 
 // IsCircuitOpen reports whether err is (or wraps) ErrCircuitOpen.

@@ -206,7 +206,7 @@ func TestBreakerOnTransition(t *testing.T) {
 
 func TestErrCircuitOpenIsNotTransient(t *testing.T) {
 	// Retrying against an open breaker would just spin; the error must
-	// route callers to their fallback (recompute, spill) instead of the
+	// route callers to their fallback (recompute, cache overflow) instead of the
 	// retry loop.
 	err := fmt.Errorf("ooc: remote read [0,1): %w", ErrCircuitOpen)
 	if !IsCircuitOpen(err) {

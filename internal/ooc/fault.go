@@ -13,8 +13,8 @@ package ooc
 //	Manager (unreadable → recompute) → ChecksumStore (verifies) → FaultStore (injects) → FileStore/MemStore
 //
 // There is no injected write EIO: a write error is fatal to a run, and
-// no production store returns a transient one (the remote tier spills a
-// refused PUT instead).
+// no production store returns a transient one (the remote tier keeps a
+// refused PUT's bytes in its cache file instead).
 //
 // All randomness comes from one seeded source behind a mutex, so a
 // fixed seed yields a reproducible fault sequence for a deterministic

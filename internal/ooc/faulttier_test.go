@@ -1,9 +1,10 @@
 package ooc
 
 // Fault-path tests for the tiered store: dirty evictions surviving a
-// permanent remote PUT outage in the in-memory spill set, the drain's
-// ordering against newer pushes, breaker trips and recovery, and the
-// full-jitter retry policy.
+// permanent remote PUT outage in the cache file past its bound, their
+// push once the remote heals, the ordering of a write against an
+// in-flight PUT, breaker trips and recovery, and the full-jitter retry
+// policy.
 
 import (
 	"context"
@@ -87,42 +88,50 @@ func (r *flakyRemote) WriteVector(vi int, src []float64) error {
 	return nil
 }
 
-// waitSpillDrained polls until the background drain has emptied the
-// spill set.
-func waitSpillDrained(t *testing.T, ts *TieredStore) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for ts.Stats().SpillDepth != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("spill never drained: %+v", ts.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // neverTrips is a breaker threshold no test reaches, for tests whose
 // subject is an outage met request by request.
 var neverTrips = BreakerConfig{Threshold: 1 << 30}
 
-// TestTieredStoreSpillServesReadsDuringOutage: during a permanent PUT
-// outage every dirty eviction lands in the in-memory spill set (no
-// error, no lost bytes), reads of spilled vectors return the newest
-// bytes without a remote GET, and MemOverheadBytes charges for them.
-// Once the remote heals, the first successful request starts a drain
-// that empties the set, and a later miss GETs the newest bytes.
-func TestTieredStoreSpillServesReadsDuringOutage(t *testing.T) {
-	const vecLen, nVec, written = 4, 10, 8
-	rem := newFlakyRemote(vecLen)
+// refuseWrites opens a tier over rem with every PUT refused and writes
+// vectors 0..written-1 (recLen floats each) through it.
+func refuseWrites(t *testing.T, rem *flakyRemote, nVec, cached, written, recLen int) *TieredStore {
+	t.Helper()
 	rem.setFailWrites(true)
 	ts, err := NewTieredStore(rem, TieredConfig{
-		NumVectors: nVec, VectorLen: vecLen,
-		CacheDir: t.TempDir(), CacheVectors: 2,
+		NumVectors: nVec, VectorLen: rem.vecLen,
+		CacheDir: t.TempDir(), CacheVectors: cached,
 		Breaker: neverTrips,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ts.Close()
+	t.Cleanup(func() { ts.Close() })
+	for vi := 0; vi < written; vi++ {
+		if err := ts.WriteVector(vi, tierVec(rem.vecLen, vi)[:recLen]); err != nil {
+			t.Fatalf("write %d during outage: %v", vi, err)
+		}
+	}
+	return ts
+}
+
+// residents counts the vectors the tier's cache holds.
+func residents(ts *TieredStore) int {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return len(ts.slotOf)
+}
+
+// TestTieredOverflowServesReadsDuringOutage: during a permanent PUT
+// outage every dirty victim goes back into the cache file past the
+// bound (no error, no lost bytes), and reads return the newest bytes
+// without a remote GET. RAM holds none of them: the overhead grows by
+// placement and slot metadata only, never by a record, and the tier
+// starts no goroutine.
+func TestTieredOverflowServesReadsDuringOutage(t *testing.T) {
+	const vecLen, nVec, written, cached = 512, 10, 8, 2
+	rem := newFlakyRemote(vecLen)
+	base := settledGoroutines()
+	ts := refuseWrites(t, rem, nVec, cached, 0, vecLen)
 	idle := ts.MemOverheadBytes()
 	for vi := 0; vi < written; vi++ {
 		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
@@ -130,89 +139,97 @@ func TestTieredStoreSpillServesReadsDuringOutage(t *testing.T) {
 		}
 	}
 	st := ts.Stats()
-	if st.SpillAppends != written-2 || st.SpillDepth != written-2 {
-		t.Fatalf("want the %d dirty victims spilled: %+v", written-2, st)
+	if st.Overflow != written-cached || st.RemoteVectorsWritten != 0 {
+		t.Fatalf("want the %d refused victims overflowed: %+v", written-cached, st)
 	}
-	if grown, want := ts.MemOverheadBytes()-idle, st.SpillDepth*vecLen*8; grown < want {
-		t.Errorf("overhead grew by %d B, want at least the %d B spilled", grown, want)
+	// Per cached vector, at most a placement-map entry and one slot's
+	// metadata; one record is 4 KiB.
+	if grown, meta := ts.MemOverheadBytes()-idle, int64(written*80); grown > meta {
+		t.Errorf("overhead grew by %d B for %d cached vectors, want metadata only (<= %d B)", grown, written, meta)
 	}
 
 	reads := rem.reads.Load()
 	dst := make([]float64, vecLen)
-	for vi := 0; vi < written-2; vi++ {
+	for vi := 0; vi < written; vi++ {
 		if err := ts.ReadVector(vi, dst); err != nil {
 			t.Fatal(err)
 		}
 		if want := tierVec(vecLen, vi); dst[0] != want[0] || dst[vecLen-1] != want[vecLen-1] {
-			t.Fatalf("spilled vector %d read %v, want %v", vi, dst, want)
+			t.Fatalf("vector %d read %v, want %v", vi, dst[:2], want[:2])
 		}
 	}
 	if got := rem.reads.Load() - reads; got != 0 {
-		t.Errorf("reads of spilled vectors issued %d remote GETs, want 0", got)
+		t.Errorf("reads of refused vectors issued %d remote GETs, want 0", got)
 	}
-	if got := ts.Stats().SpillHits; got != written-2 {
-		t.Errorf("SpillHits = %d, want %d", got, written-2)
+	if got := settledGoroutines(); got > base {
+		t.Errorf("%d goroutines after the outage, %d before the tier opened", got, base)
+	}
+}
+
+// TestTieredOverflowPushedAfterHeal: once the remote takes PUTs again,
+// an overflowed vector rewritten and then evicted PUTs its newest bytes,
+// every other refused vector reaches the remote too, and admissions
+// bring the cache back to its bound.
+func TestTieredOverflowPushedAfterHeal(t *testing.T) {
+	const vecLen, nVec, written, cached = 4, 16, 8, 2
+	rem := newFlakyRemote(vecLen)
+	ts := refuseWrites(t, rem, nVec, cached, written, vecLen)
+	if got := residents(ts); got != written {
+		t.Fatalf("%d vectors cached after the outage, want all %d written", got, written)
 	}
 
-	// Heal: the next successful remote request (a miss) starts a drain.
 	rem.setFailWrites(false)
-	if err := ts.ReadVector(nVec-1, dst); err != nil {
+	newest := tierVec(vecLen, 100)
+	if err := ts.WriteVector(0, newest); err != nil {
 		t.Fatal(err)
 	}
-	waitSpillDrained(t, ts)
-	if st := ts.Stats(); st.SpillReplayed != written-2 {
-		t.Errorf("SpillReplayed = %d, want %d", st.SpillReplayed, written-2)
+	dst := make([]float64, vecLen)
+	for vi := written; vi < nVec; vi++ { // misses: each admission evicts
+		if err := ts.ReadVector(vi, dst); err != nil {
+			t.Fatal(err)
+		}
 	}
-	reads = rem.reads.Load()
+	if got := residents(ts); got > cached {
+		t.Errorf("%d vectors cached after %d admissions, want <= %d", got, nVec-written, cached)
+	}
+	if st := ts.Stats(); st.Overflow != 0 {
+		t.Errorf("Overflow = %d after the heal, want 0", st.Overflow)
+	}
+	if got := rem.get(0); got[0] != newest[0] || got[vecLen-1] != newest[vecLen-1] {
+		t.Errorf("remote holds %v for vector 0, want the newest bytes %v", got, newest)
+	}
+	for vi := 1; vi < written; vi++ {
+		if got, want := rem.get(vi), tierVec(vecLen, vi); got[0] != want[0] {
+			t.Errorf("remote holds %v for vector %d, want %v", got, vi, want)
+		}
+	}
 	if err := ts.ReadVector(0, dst); err != nil {
 		t.Fatal(err)
 	}
-	if rem.reads.Load() != reads+1 {
-		t.Error("a drained vector must be a remote miss")
-	}
-	if want := tierVec(vecLen, 0); dst[0] != want[0] || dst[vecLen-1] != want[vecLen-1] {
-		t.Errorf("drained vector 0 read %v from the remote, want %v", dst, want)
+	if dst[0] != newest[0] {
+		t.Errorf("vector 0 read back %v from the remote, want %v", dst, newest)
 	}
 }
 
 // TestTieredPrefixRecords: a record shorter than the vector stays that
-// short through the tier. A spilled dirty victim is held, and charged,
-// at its own length, the drain's PUT and a later remote GET move only
-// its bytes, and it reads back exact.
+// short through the tier. A refused victim overflows into the cache at
+// its own length, the PUT that later pushes it and a remote GET move
+// only its bytes, and it reads back exact.
 func TestTieredPrefixRecords(t *testing.T) {
-	const vecLen, nVec, written, short = 16, 10, 8, 3
+	const vecLen, nVec, written, cached, short = 16, 16, 8, 2, 3
 	rem := newFlakyRemote(vecLen)
-	rem.setFailWrites(true)
-	ts, err := NewTieredStore(rem, TieredConfig{
-		NumVectors: nVec, VectorLen: vecLen,
-		CacheDir: t.TempDir(), CacheVectors: 2,
-		Breaker: neverTrips,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	idle := ts.MemOverheadBytes()
-	for vi := 0; vi < written; vi++ {
-		if err := ts.WriteVector(vi, tierVec(vecLen, vi)[:short]); err != nil {
-			t.Fatalf("write %d during outage: %v", vi, err)
+	ts := refuseWrites(t, rem, nVec, cached, written, short)
+	rem.setFailWrites(false)
+	for vi := written; vi < nVec; vi++ {
+		if err := ts.ReadVector(vi, make([]float64, vecLen)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	spilled := int64(written - 2)
-	if grown := ts.MemOverheadBytes() - idle; grown < spilled*short*8 || grown >= spilled*vecLen*8 {
-		t.Errorf("%d spilled %d-float records grew the overhead by %d B; want their bytes, not full vectors",
-			spilled, short, grown)
-	}
-	rem.setFailWrites(false)
-	if err := ts.ReadVector(nVec-1, make([]float64, vecLen)); err != nil {
-		t.Fatal(err)
-	}
-	waitSpillDrained(t, ts)
 	st := ts.Stats()
-	if st.RemoteVectorsWritten < spilled || st.BytesPushed != st.RemoteVectorsWritten*short*8 {
+	if st.RemoteVectorsWritten < written || st.BytesPushed != st.RemoteVectorsWritten*short*8 {
 		t.Errorf("BytesPushed = %d for %d records of %d floats", st.BytesPushed, st.RemoteVectorsWritten, short)
 	}
-	for vi := 0; vi < int(spilled); vi++ {
+	for vi := 0; vi < written; vi++ {
 		rem.mu.Lock()
 		pushed := len(rem.data[vi])
 		rem.mu.Unlock()
@@ -265,12 +282,13 @@ func (g *gatedRemote) WriteVector(vi int, src []float64) error {
 	return g.flakyRemote.WriteVector(vi, src)
 }
 
-// TestTieredDrainDoesNotOverwriteNewerPush: a drain PUTting a spilled
-// vector's old bytes must not land after an eviction PUT of newer
-// bytes of the same vector. The remote holds the drain's PUT until the
-// eviction's has landed; the tier must not let the eviction's start
-// before the drain's is done.
-func TestTieredDrainDoesNotOverwriteNewerPush(t *testing.T) {
+// TestTieredWriteWaitsOutInFlightPush: a write of a vector whose
+// eviction PUT is in flight waits for that PUT, so the older bytes can
+// never land after a later PUT of the newer ones. The remote holds the
+// first PUT until a second PUT of the vector has landed (or a timeout
+// passes); the tier must not let the second start before the first is
+// done.
+func TestTieredWriteWaitsOutInFlightPush(t *testing.T) {
 	const vecLen, nVec, v = 4, 8, 0
 	rem := &gatedRemote{
 		flakyRemote: newFlakyRemote(vecLen), vi: v,
@@ -285,32 +303,18 @@ func TestTieredDrainDoesNotOverwriteNewerPush(t *testing.T) {
 	}
 	defer ts.Close()
 	old, newest := tierVec(vecLen, 100), tierVec(vecLen, 200)
-
-	// Spill v's old bytes: its eviction PUT is refused.
-	rem.setFailWrites(true)
-	for _, w := range []struct {
-		vi  int
-		buf []float64
-	}{{v, old}, {1, tierVec(vecLen, 1)}} {
-		if err := ts.WriteVector(w.vi, w.buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := ts.Stats().SpillDepth; d != 1 {
-		t.Fatalf("spill depth %d, want 1", d)
-	}
-
-	// Heal; a miss starts the drain, whose PUT of v is held.
-	rem.setFailWrites(false)
-	rem.armed.Store(true)
-	dst := make([]float64, vecLen)
-	if err := ts.ReadVector(2, dst); err != nil {
+	if err := ts.WriteVector(v, old); err != nil {
 		t.Fatal(err)
 	}
+
+	// Evict v: its PUT of the old bytes is held.
+	rem.armed.Store(true)
+	evicting := make(chan error, 1)
+	go func() { evicting <- ts.WriteVector(1, tierVec(vecLen, 1)) }()
 	select {
 	case <-rem.started:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the drain never PUT the spilled vector")
+		t.Fatal("the eviction never PUT vector v")
 	}
 
 	// Rewrite v, then evict it dirty: the eviction PUT carries the
@@ -322,11 +326,14 @@ func TestTieredDrainDoesNotOverwriteNewerPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-rem.held
-	waitSpillDrained(t, ts)
+	if err := <-evicting; err != nil {
+		t.Fatal(err)
+	}
 
 	if got := rem.get(v); got[0] != newest[0] {
 		t.Errorf("remote holds %v for vector %d, want the newest bytes %v", got, v, newest)
 	}
+	dst := make([]float64, vecLen)
 	if err := ts.ReadVector(v, dst); err != nil {
 		t.Fatal(err)
 	}

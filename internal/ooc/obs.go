@@ -27,6 +27,7 @@ package ooc
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"oocphylo/internal/obs"
@@ -167,7 +168,7 @@ func (m *Manager) spanEvent(name string, vi, slot int, start time.Time, dur time
 
 // InstrumentTieredStore exports a tiered store's per-tier counters and
 // remote latency to the registry. Counters (hits, misses, bytes per
-// tier, evictions, spilled write-backs) follow the mirrored
+// tier, evictions, overflowed vectors) follow the mirrored
 // pattern — a publisher copies the TierStats snapshot on every debug
 // scrape. Remote request latency is a native histogram fed per request
 // from the miss and write-back paths, so the debug endpoint reports
@@ -178,7 +179,10 @@ func InstrumentTieredStore(reg *obs.Registry, ts *TieredStore) {
 
 // InstrumentTieredStoreAs is InstrumentTieredStore with a caller-chosen
 // name prefix, so hosts with several tiered stores (one per service
-// session) keep their counters apart.
+// session) keep their counters apart. The publisher adds what each
+// counter gained since it last ran, so a store instrumented under a
+// prefix an earlier store used carries on from that store's totals;
+// instrument each store once.
 func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) {
 	if reg == nil || ts == nil {
 		return
@@ -190,9 +194,7 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		evictions, dirtyWB                                *obs.Counter
 		remoteErrors, remoteRetries                       *obs.Counter
 		breakerOpens, shortCircuits                       *obs.Counter
-		spillHits, spillAppends, spillReplayed            *obs.Counter
-		spillDepth, degraded                              *obs.Gauge
-		breakerState                                      *obs.Gauge
+		overflow, degraded, breakerState                  *obs.Gauge
 	}
 	c := mirrors{
 		cacheHits:     reg.Counter(prefix + "cache_hits"),
@@ -210,34 +212,33 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 		remoteRetries: reg.Counter(prefix + "remote_retries"),
 		breakerOpens:  reg.Counter(prefix + "breaker_opens"),
 		shortCircuits: reg.Counter(prefix + "short_circuits"),
-		spillHits:     reg.Counter(prefix + "spill_hits"),
-		spillAppends:  reg.Counter(prefix + "spill_appends"),
-		spillReplayed: reg.Counter(prefix + "spill_replayed"),
-		spillDepth:    reg.Gauge(prefix + "spill_depth"),
+		overflow:      reg.Gauge(prefix + "overflow"),
 		breakerState:  reg.Gauge(prefix + "breaker_state"),
 		degraded:      reg.Gauge(prefix + "degraded"),
 	}
+	var mu sync.Mutex
+	var last TierStats // what the counters already hold of ts
 	reg.AddPublisher(prefix, func() {
+		mu.Lock()
+		defer mu.Unlock()
 		st := ts.Stats()
-		c.cacheHits.Set(st.CacheHits)
-		c.cacheMisses.Set(st.CacheMisses)
-		c.remoteReads.Set(st.RemoteReads)
-		c.remoteWrites.Set(st.RemoteWrites)
-		c.remoteVecsR.Set(st.RemoteVectorsRead)
-		c.remoteVecsW.Set(st.RemoteVectorsWritten)
-		c.bytesCache.Set(st.BytesFromCache)
-		c.bytesFetched.Set(st.BytesFetched)
-		c.bytesPushed.Set(st.BytesPushed)
-		c.evictions.Set(st.Evictions)
-		c.dirtyWB.Set(st.DirtyWritebacks)
-		c.remoteErrors.Set(st.RemoteErrors)
-		c.remoteRetries.Set(st.RemoteRetries)
-		c.breakerOpens.Set(st.BreakerOpens)
-		c.shortCircuits.Set(st.ShortCircuits)
-		c.spillHits.Set(st.SpillHits)
-		c.spillAppends.Set(st.SpillAppends)
-		c.spillReplayed.Set(st.SpillReplayed)
-		c.spillDepth.Set(st.SpillDepth)
+		c.cacheHits.Add(st.CacheHits - last.CacheHits)
+		c.cacheMisses.Add(st.CacheMisses - last.CacheMisses)
+		c.remoteReads.Add(st.RemoteReads - last.RemoteReads)
+		c.remoteWrites.Add(st.RemoteWrites - last.RemoteWrites)
+		c.remoteVecsR.Add(st.RemoteVectorsRead - last.RemoteVectorsRead)
+		c.remoteVecsW.Add(st.RemoteVectorsWritten - last.RemoteVectorsWritten)
+		c.bytesCache.Add(st.BytesFromCache - last.BytesFromCache)
+		c.bytesFetched.Add(st.BytesFetched - last.BytesFetched)
+		c.bytesPushed.Add(st.BytesPushed - last.BytesPushed)
+		c.evictions.Add(st.Evictions - last.Evictions)
+		c.dirtyWB.Add(st.DirtyWritebacks - last.DirtyWritebacks)
+		c.remoteErrors.Add(st.RemoteErrors - last.RemoteErrors)
+		c.remoteRetries.Add(st.RemoteRetries - last.RemoteRetries)
+		c.breakerOpens.Add(st.BreakerOpens - last.BreakerOpens)
+		c.shortCircuits.Add(st.ShortCircuits - last.ShortCircuits)
+		last = st
+		c.overflow.Set(st.Overflow)
 		// Breaker position as a numeric gauge (0 closed, 1 open,
 		// 2 half-open) so dashboards can alert on transitions.
 		c.breakerState.Set(int64(ts.Breaker().State()))

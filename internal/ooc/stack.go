@@ -43,7 +43,8 @@ type StackSpec struct {
 	// Base is a caller-built medium (the experiments' MemStore).
 	Base Store
 	// CacheBytes bounds the cache tier when CacheVectors is zero
-	// (0 = room for every vector; floored at one vector).
+	// (0 = room for every vector; floored at one vector), while the
+	// remote accepts writes (see TieredConfig.CacheVectors).
 	CacheBytes int64
 	// Verify wraps a local stack (Path or Base) in a ChecksumStore; a
 	// URL stack always has one.

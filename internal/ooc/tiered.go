@@ -6,9 +6,9 @@ package ooc
 //	RAM slots (ooc.Manager)
 //	   │ miss / write-back
 //	   ▼
-//	local write-back cache  — bounded FileStore in CacheDir; LRU; a
-//	   │                      dirty victim is PUT to the remote tier
-//	   │ miss / dirty evict   BEFORE its slot is reused
+//	local write-back cache  — FileStore in CacheDir; LRU; a dirty
+//	   │                      victim is PUT to the remote tier when
+//	   │ miss / dirty evict   its slot is reused
 //	   ▼
 //	remote backend          — any Store, one vector per request
 //
@@ -26,11 +26,13 @@ package ooc
 // Read-your-writes is the tier's one promise, and only for the run that
 // wrote: the cache starts cold, Close discards, and nothing is pushed
 // that no reader of this process would fetch. A dirty victim's newest
-// bytes sit in one in-memory map (pend) from the moment its slot is
-// promised away until a PUT of them lands — the eviction's own PUT, or,
-// when the remote refused it, a background drain after the next
-// successful remote call. Reads are served from there; a resize to a
-// byte grant is charged for it (MemOverheadBytes).
+// bytes sit in one in-memory map (pend) only while its PUT is in
+// flight, and reads are served from there. A victim the remote refuses
+// goes back into the cache file, dirty, in a slot past CacheVectors:
+// the file has a slot for every vector and is sparse, so a slot costs
+// no disk until it is used. A later admission evicts it again, and once
+// the remote takes PUTs the cache shrinks back to its bound. RAM holds
+// the PUTs in flight and nothing else.
 import (
 	"context"
 	"fmt"
@@ -50,7 +52,9 @@ type TieredConfig struct {
 	NumVectors, VectorLen int
 	// CacheDir holds the cache file. Created if missing.
 	CacheDir string
-	// CacheVectors bounds the cache tier (in vectors, >= 1).
+	// CacheVectors bounds the cache tier (in vectors, >= 1) while the
+	// remote accepts writes. What it refuses stays in the cache file
+	// past the bound: at most every vector, as in a local backing file.
 	CacheVectors int
 
 	// --- Network fault tolerance (the remote tier treated as an
@@ -117,42 +121,25 @@ type TierStats struct {
 	BreakerState  string
 	BreakerOpens  int64
 	ShortCircuits int64
-	// SpillHits counts reads served from spilled victims (dirty
-	// evictions the remote refused, held in memory); SpillAppends the
-	// victims spilled; SpillReplayed those a drain later PUT; SpillDepth
-	// the victims currently held.
-	SpillHits     int64
-	SpillAppends  int64
-	SpillReplayed int64
-	SpillDepth    int64
+	// Overflow counts the vectors the cache holds past CacheVectors:
+	// dirty victims the remote refused, kept on local disk until a later
+	// admission pushes them.
+	Overflow int64
 	// Degraded reports the breaker not closed: the remote tier is
 	// presumed unavailable, and reads it would serve fail until the
 	// engine recomputes them.
 	Degraded bool
 }
 
-// pendWB holds a dirty victim's newest bytes until a PUT of them lands
-// on the remote tier. Reads of the vector are served from buf. done is
-// open exactly while a PUT of buf is in flight — the eviction's own or
-// a drain's, which re-arms it — so a writer of the vector waits on it
-// and remote writes of one vector never overlap.
+// pendWB holds a dirty victim's newest bytes while a PUT of them is in
+// flight. Reads of the vector are served from buf. done closes when the
+// PUT has ended, so a writer of the vector waits on it and remote writes
+// of one vector never overlap.
 type pendWB struct {
-	vi   int
-	buf  []float64
-	done chan struct{}
-	// spilled is set once the eviction's own PUT failed; the entry then
-	// waits for a drain.
-	spilled bool
-}
-
-// pushing reports whether a PUT of w.buf is in flight (caller holds mu).
-func (w *pendWB) pushing() bool {
-	select {
-	case <-w.done:
-		return false
-	default:
-		return true
-	}
+	vi    int
+	buf   []float64
+	stamp int64 // the victim's recency, kept if the remote refuses it
+	done  chan struct{}
 }
 
 // TieredStore implements Store over a local write-back cache backed by
@@ -169,15 +156,16 @@ type TieredStore struct {
 	mu     sync.Mutex
 	cache  *FileStore
 	slotOf map[int]int // vi -> cache slot
-	viOf   []int       // slot -> vi (-1 = free)
-	stamp  []int64     // slot -> recency
-	dirty  []bool      // slot -> modified since last remote push
-	rlen   []int       // slot -> record length, what a dirty victim's PUT moves
-	now    int64
-	free   []int
-	// pend holds the vectors whose newest bytes are not yet on the
-	// remote tier: dirty victims with a PUT in flight, and spilled ones
-	// the remote refused. A vector is never both cached and pending.
+	// Per-slot metadata, CacheVectors long until a refused victim
+	// overflows into a slot past the bound.
+	viOf  []int   // slot -> vi (-1 = free)
+	stamp []int64 // slot -> recency
+	dirty []bool  // slot -> modified since last remote push
+	rlen  []int   // slot -> record length, what a dirty victim's PUT moves
+	now   int64
+	free  []int
+	// pend holds the dirty victims with a PUT in flight. A vector is
+	// never both cached and pending.
 	pend map[int]*pendWB
 	// firstErr latches the first write-back failure met while admitting
 	// a vector whose read succeeded (the reader gets its data);
@@ -187,9 +175,6 @@ type TieredStore struct {
 	// breaker guards every remote request.
 	breaker       *Breaker
 	retriedRemote atomic.Int64
-	drainBusy     atomic.Bool
-	closing       atomic.Bool
-	bg            sync.WaitGroup
 
 	// remoteLatObs mirrors per-request remote latency into a registry
 	// histogram when instrumented (nil otherwise).
@@ -207,14 +192,12 @@ type TieredStore struct {
 		bytesPushed                atomic.Int64
 		evictions, dirtyWritebacks atomic.Int64
 		remoteErrors               atomic.Int64
-		spillHits, spillAppends    atomic.Int64
-		spillReplayed, spillDepth  atomic.Int64
 	}
 }
 
 // NewTieredStore opens a tiered store over remote with a fresh, cold
-// cache file in CacheDir. The remote store is NOT closed by Close — the
-// caller owns it (it may be shared).
+// cache file in CacheDir, sized (sparse) for every vector. The remote
+// store is NOT closed by Close — the caller owns it (it may be shared).
 func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -238,7 +221,7 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		s.free = append(s.free, slot)
 	}
 	var err error
-	if s.cache, err = NewFileStore(filepath.Join(cfg.CacheDir, "cache.vec"), cfg.CacheVectors, cfg.VectorLen); err != nil {
+	if s.cache, err = NewFileStore(filepath.Join(cfg.CacheDir, "cache.vec"), cfg.NumVectors, cfg.VectorLen); err != nil {
 		return nil, err
 	}
 	s.breaker.OnTransition(s.noteBreakerTransition)
@@ -251,7 +234,7 @@ func (s *TieredStore) Breaker() *Breaker { return s.breaker }
 
 // Degraded implements Degrader: true while the breaker is anything but
 // closed — the remote tier is presumed unavailable, and the service
-// layer reports not-ready and may shed load.
+// layer reports not-ready.
 func (s *TieredStore) Degraded() bool {
 	return s.breaker.State() != BreakerClosed
 }
@@ -287,6 +270,9 @@ func (s *TieredStore) ObserveRemoteLatency(fn func(seconds float64)) {
 // Stats snapshots the tier counters.
 func (s *TieredStore) Stats() TierStats {
 	bs, state := s.breaker.Stats(), s.breaker.State()
+	s.mu.Lock()
+	overflow := max(len(s.slotOf)-s.cfg.CacheVectors, 0)
+	s.mu.Unlock()
 	return TierStats{
 		CacheHits:            s.st.cacheHits.Load(),
 		CacheMisses:          s.st.cacheMisses.Load(),
@@ -301,10 +287,7 @@ func (s *TieredStore) Stats() TierStats {
 		DirtyWritebacks:      s.st.dirtyWritebacks.Load(),
 		RemoteErrors:         s.st.remoteErrors.Load(),
 		RemoteRetries:        s.retriedRemote.Load(),
-		SpillHits:            s.st.spillHits.Load(),
-		SpillAppends:         s.st.spillAppends.Load(),
-		SpillReplayed:        s.st.spillReplayed.Load(),
-		SpillDepth:           s.st.spillDepth.Load(),
+		Overflow:             int64(overflow),
 		BreakerState:         state.String(),
 		BreakerOpens:         bs.Opens,
 		ShortCircuits:        bs.ShortCircuits,
@@ -334,13 +317,8 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 	if w, ok := s.pend[vi]; ok {
 		// The remote copy is stale until a PUT of w.buf lands.
 		copy(dst, w.buf)
-		spilled := w.spilled
 		s.mu.Unlock()
-		if spilled {
-			s.st.spillHits.Add(1)
-		} else {
-			s.st.cacheHits.Add(1)
-		}
+		s.st.cacheHits.Add(1)
 		s.st.bytesCache.Add(int64(len(dst)) * 8)
 		return nil
 	}
@@ -373,13 +351,10 @@ func (s *TieredStore) WriteVector(vi int, src []float64) error {
 	return s.admit(vi, src, true)
 }
 
-// Close waits out a running background drain and closes the cache,
-// discarding whatever was never pushed: nothing after this process
-// reads it. It issues no remote request. The remote store stays open —
-// the caller owns it.
+// Close closes the cache, discarding whatever was never pushed: nothing
+// after this process reads it. It issues no remote request. The remote
+// store stays open — the caller owns it.
 func (s *TieredStore) Close() error {
-	s.closing.Store(true)
-	s.bg.Wait()
 	s.mu.Lock()
 	first := s.firstErr
 	s.mu.Unlock()
@@ -391,20 +366,20 @@ func (s *TieredStore) Close() error {
 
 // MemOverheadBytes estimates the tier's heap footprint beyond the
 // manager's slot pool: placement map and per-slot metadata (vector,
-// recency, dirty flag, record length), and the
-// record each pending write-back holds — in flight or spilled. A read
-// holds none — it lands in the caller's slot — so an idle tier's charge
-// does not depend on VectorLen. Sizing a pool from a byte budget
-// subtracts it first.
+// recency, dirty flag, record length), and the record each PUT in
+// flight holds. A read holds none — it lands in the caller's slot — and
+// a refused victim waits on disk, so no charge but the PUTs in flight
+// depends on VectorLen. Sizing a pool from a byte budget subtracts it
+// first.
 func (s *TieredStore) MemOverheadBytes() int64 {
 	const mapEntry = 48 // rough per-entry cost of a map[int]int
 	s.mu.Lock()
-	n := int64(len(s.slotOf)) * mapEntry
+	defer s.mu.Unlock()
+	n := int64(len(s.slotOf))*mapEntry + int64(len(s.viOf))*(8+8+1+8) // viOf, stamp, dirty, rlen
 	for _, w := range s.pend {
 		n += mapEntry + int64(len(w.buf))*8
 	}
-	s.mu.Unlock()
-	return n + int64(s.cfg.CacheVectors)*(8+8+1+8) // viOf, stamp, dirty, rlen
+	return n
 }
 
 // tracedCall is remoteCall under a child of the active request span
@@ -476,78 +451,7 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 		}
 		return err
 	}
-	err := s.cfg.RemoteRetry.runCtx(ctx, &s.retriedRemote, op)
-	if err == nil {
-		s.maybeDrain()
-	}
-	return err
-}
-
-// push PUTs a pending write-back's bytes to the remote tier.
-func (s *TieredStore) push(name string, w *pendWB) error {
-	err := s.tracedCall(name, false, w.vi, w.buf)
-	if err == nil {
-		s.st.remoteWrites.Add(1)
-		s.st.remoteVecsW.Add(1)
-		s.st.bytesPushed.Add(int64(len(w.buf)) * 8)
-	}
-	return err
-}
-
-// maybeDrain kicks off a background drain of the spilled write-backs
-// when there are some and no drain is already running. Called after
-// every successful remote request — the cheapest possible "the network
-// is back" signal.
-func (s *TieredStore) maybeDrain() {
-	if s.closing.Load() || s.st.spillDepth.Load() == 0 {
-		return
-	}
-	if !s.drainBusy.CompareAndSwap(false, true) {
-		return
-	}
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		defer s.drainBusy.Store(false)
-		s.drainSpill()
-	}()
-}
-
-// drainSpill PUTs spilled write-backs to the remote tier one at a time
-// until none is left, Close begins, or a PUT fails (the next successful
-// remote request retries). While a PUT is in flight its entry's done
-// channel is re-armed, so a concurrent WriteVector of the vector waits
-// for it exactly as for an eviction's PUT.
-func (s *TieredStore) drainSpill() {
-	for !s.closing.Load() {
-		s.mu.Lock()
-		var w *pendWB
-		for _, e := range s.pend {
-			if !e.pushing() {
-				w = e
-				break
-			}
-		}
-		if w == nil {
-			s.mu.Unlock()
-			return
-		}
-		w.done = make(chan struct{})
-		s.mu.Unlock()
-
-		err := s.push("tier.spill_replay", w)
-		s.mu.Lock()
-		if err == nil {
-			delete(s.pend, w.vi)
-			s.st.spillDepth.Add(-1)
-			s.st.spillReplayed.Add(1)
-		}
-		close(w.done)
-		s.mu.Unlock()
-		if err != nil {
-			return
-		}
-	}
+	return s.cfg.RemoteRetry.runCtx(ctx, &s.retriedRemote, op)
 }
 
 // ProbeRemote issues one guarded read of a one-word record and discards
@@ -569,27 +473,20 @@ func (s *TieredStore) noteErr(err error) {
 	s.mu.Unlock()
 }
 
-// admit installs data as vector vi in the cache tier, evicting an LRU
-// victim when full. A dirty victim is copied into pend under the lock
-// and pushed to the remote tier after it is released — readers consult
-// pend, so the slot's new content never hides the victim's newest
-// bytes. A victim the remote refuses stays in pend, spilled, for a
-// later drain.
+// admit installs data as vector vi in the cache tier. At the bound it
+// evicts the LRU vector first, and a second one while refused victims
+// hold the cache past the bound, so the cache shrinks back once the
+// remote takes PUTs again. A dirty victim is copied into pend under the
+// lock and pushed after it is released — readers consult pend, so the
+// slot's new content never hides the victim's newest bytes.
 func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 	s.mu.Lock()
 	if markDirty {
-		// This write supersedes any pending copy of vi: wait out a PUT
-		// of it in flight, so remote writes of one vector stay ordered,
-		// then drop the spilled bytes.
+		// This write supersedes the bytes of a PUT of vi in flight: wait
+		// it out, so remote writes of one vector stay ordered.
 		for w := s.pend[vi]; w != nil; w = s.pend[vi] {
-			if !w.pushing() {
-				delete(s.pend, vi)
-				s.st.spillDepth.Add(-1)
-				break
-			}
-			done := w.done
 			s.mu.Unlock()
-			<-done
+			<-w.done
 			s.mu.Lock()
 		}
 	}
@@ -606,65 +503,97 @@ func (s *TieredStore) admit(vi int, data []float64, markDirty bool) error {
 		s.mu.Unlock()
 		return err
 	}
-	var evicted *pendWB
+	var evicted []*pendWB
+	var err error
+	for n := 0; n < 2 && err == nil && len(s.slotOf) >= s.cfg.CacheVectors; n++ {
+		var w *pendWB
+		if w, err = s.evictLRU(); w != nil {
+			evicted = append(evicted, w)
+		}
+	}
+	if err == nil {
+		s.now++
+		err = s.place(vi, data, markDirty, s.now)
+	}
+	s.mu.Unlock()
+
+	for _, w := range evicted {
+		if werr := s.writeBack(w); err == nil {
+			err = werr
+		}
+	}
+	return err
+}
+
+// evictLRU frees the least recently used slot and returns the pending
+// write-back of its vector, nil when it was clean (caller holds mu).
+func (s *TieredStore) evictLRU() (*pendWB, error) {
+	victim, oldest := -1, int64(1<<62)
+	for sl, st := range s.stamp {
+		if s.viOf[sl] >= 0 && st < oldest {
+			victim, oldest = sl, st
+		}
+	}
+	vvi := s.viOf[victim]
+	var w *pendWB
+	if s.dirty[victim] {
+		w = &pendWB{vi: vvi, buf: make([]float64, s.rlen[victim]), stamp: oldest, done: make(chan struct{})}
+		if err := s.cache.ReadVector(victim, w.buf); err != nil {
+			return nil, fmt.Errorf("ooc: evicting dirty vector %d: %w", vvi, err)
+		}
+		s.pend[vvi] = w
+		s.st.dirtyWritebacks.Add(1)
+	}
+	delete(s.slotOf, vvi)
+	s.viOf[victim], s.dirty[victim] = -1, false
+	s.free = append(s.free, victim)
+	s.st.evictions.Add(1)
+	return w, nil
+}
+
+// place writes data into a free slot as vector vi (caller holds mu).
+// The per-slot metadata grows by one slot when none is free; the cache
+// file has a slot for every vector and vi holds none yet, so one is
+// always there to take.
+func (s *TieredStore) place(vi int, data []float64, dirty bool, stamp int64) error {
 	var slot int
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		// LRU victim.
-		victim, oldest := -1, int64(1<<62)
-		for sl, st := range s.stamp {
-			if s.viOf[sl] >= 0 && st < oldest {
-				victim, oldest = sl, st
-			}
-		}
-		if victim < 0 {
-			s.mu.Unlock()
-			return fmt.Errorf("ooc: tiered store cache has no evictable slot")
-		}
-		vvi := s.viOf[victim]
-		if s.dirty[victim] {
-			wbuf := make([]float64, s.rlen[victim])
-			if err := s.cache.ReadVector(victim, wbuf); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("ooc: evicting dirty vector %d: %w", vvi, err)
-			}
-			evicted = &pendWB{vi: vvi, buf: wbuf, done: make(chan struct{})}
-			s.pend[vvi] = evicted
-			s.st.dirtyWritebacks.Add(1)
-		}
-		delete(s.slotOf, vvi)
-		s.dirty[victim] = false
-		s.st.evictions.Add(1)
-		slot = victim
+		slot = len(s.viOf)
+		s.viOf = append(s.viOf, -1)
+		s.stamp = append(s.stamp, 0)
+		s.dirty = append(s.dirty, false)
+		s.rlen = append(s.rlen, 0)
 	}
-	err := s.cache.WriteVector(slot, data)
-	if err != nil {
-		s.viOf[slot] = -1
+	if err := s.cache.WriteVector(slot, data); err != nil {
 		s.free = append(s.free, slot)
-	} else {
-		s.viOf[slot] = vi
-		s.slotOf[vi] = slot
-		s.now++
-		s.stamp[slot] = s.now
-		s.dirty[slot] = markDirty
-		s.rlen[slot] = len(data)
+		return err
 	}
-	s.mu.Unlock()
+	s.viOf[slot], s.slotOf[vi] = vi, slot
+	s.stamp[slot], s.dirty[slot], s.rlen[slot] = stamp, dirty, len(data)
+	return nil
+}
 
-	if evicted != nil {
-		perr := s.push("tier.remote_put", evicted)
-		s.mu.Lock()
-		if perr == nil {
-			delete(s.pend, evicted.vi)
-		} else {
-			evicted.spilled = true
-			s.st.spillAppends.Add(1)
-			s.st.spillDepth.Add(1)
-		}
-		close(evicted.done)
-		s.mu.Unlock()
+// writeBack PUTs an evicted dirty victim to the remote tier. A victim
+// the remote refuses goes back into the cache, dirty and as old as it
+// was, in a free slot past the bound; an error is returned only when
+// the cache cannot take it back.
+func (s *TieredStore) writeBack(w *pendWB) error {
+	err := s.tracedCall("tier.remote_put", false, w.vi, w.buf)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.pend, w.vi)
+	close(w.done)
+	if err == nil {
+		s.st.remoteWrites.Add(1)
+		s.st.remoteVecsW.Add(1)
+		s.st.bytesPushed.Add(int64(len(w.buf)) * 8)
+		return nil
 	}
-	return err
+	if err := s.place(w.vi, w.buf, true, w.stamp); err != nil {
+		return fmt.Errorf("ooc: keeping vector %d the remote refused: %w", w.vi, err)
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,15 +185,30 @@ func TestTieredStoreDirtyEvictionSurvivesCacheLoss(t *testing.T) {
 	}
 }
 
+// putOutage is a remote whose PUTs fail while down is set.
+type putOutage struct {
+	Store
+	down atomic.Bool
+}
+
+func (p *putOutage) WriteVector(vi int, src []float64) error {
+	if p.down.Load() {
+		return fmt.Errorf("put outage, vector %d: %w", vi, ErrTransientIO)
+	}
+	return p.Store.WriteVector(vi, src)
+}
+
 // TestTieredStoreModel searches instead of scripting: three goroutines
 // run seeded random write / read / re-read sequences on disjoint
 // vectors over a cache far smaller than the working set and a
 // latency-injected loopback remote, interleaved (while quiesced) with
-// Close and (cold) reopen over the same remote object, and every read
-// is checked against a plain map. A reopened tier is a new incarnation
-// that reads only what it wrote, so the model resets with it.
-// Properties: read-your-writes through eviction and write-back; a miss
-// is exactly one remote request; and Close issues no remote request.
+// Close and (cold) reopen over the same remote object and with remote
+// PUT outages, and every read is checked against a plain map. A
+// reopened tier is a new incarnation that reads only what it wrote, so
+// the model resets with it. Properties: read-your-writes through
+// eviction, write-back and overflow; a miss is exactly one remote
+// request; a quiesced tier holds no record in RAM; and Close issues no
+// remote request.
 func TestTieredStoreModel(t *testing.T) {
 	const n, vecLen, cacheVecs, workers, rounds, steps = 24, 8, 5, 3, 12, 40
 	srv, err := remote.NewServer(remote.ServerConfig{
@@ -206,9 +222,13 @@ func TestTieredStoreModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: t.TempDir(), CacheVectors: cacheVecs}
+	rem := &putOutage{Store: obj}
+	cfg := TieredConfig{
+		NumVectors: n, VectorLen: vecLen, CacheDir: t.TempDir(), CacheVectors: cacheVecs,
+		Breaker: neverTrips, // reads stay served through a PUT outage
+	}
 	open := func() *TieredStore {
-		ts, err := NewTieredStore(obj, cfg)
+		ts, err := NewTieredStore(rem, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +266,9 @@ func TestTieredStoreModel(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(22))
 	ts, model := open(), make(map[int][]float64)
+	overflowed := false
 	for round := 0; round < rounds; round++ {
+		rem.down.Store(rng.Intn(2) == 0)
 		var wg sync.WaitGroup
 		for g := 0; g < workers; g++ {
 			wg.Add(1)
@@ -288,10 +310,20 @@ func TestTieredStoreModel(t *testing.T) {
 		if t.Failed() {
 			return
 		}
+		ts.mu.Lock()
+		held := len(ts.pend)
+		ts.mu.Unlock()
+		if held != 0 {
+			t.Fatalf("round %d: a quiesced tier holds %d records in RAM", round, held)
+		}
+		overflowed = overflowed || ts.Stats().Overflow > 0
 		if rng.Intn(3) == 0 {
 			closeSilently(ts)
 			ts, model = open(), make(map[int][]float64)
 		}
 	}
 	closeSilently(ts)
+	if !overflowed {
+		t.Error("no PUT outage overflowed the cache")
+	}
 }

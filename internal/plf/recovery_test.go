@@ -330,7 +330,7 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 	t.Run("breaker open", func(t *testing.T) {
 		// A persistent outage: a real tier whose breaker stays open for
 		// the whole pass, so every read it cannot serve from its cache
-		// or spill short-circuits until the engine rewrites the vector.
+		// short-circuits until the engine rewrites the vector.
 		tr, e, _ := outageRig(t, 37, 16)
 		n, vecLen := tr.NumInner(), e.prov.VectorLen()
 		remote := &flakyStore{Store: ooc.NewMemStore(n, vecLen)}

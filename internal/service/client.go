@@ -71,12 +71,12 @@ func (c *Client) do(method, path string, in, out any) error {
 	return c.doIdem(method, path, in, out, method == http.MethodGet)
 }
 
-// doIdem is do with an explicit idempotency verdict. A daemon sheds
-// load and surfaces remote-tier outages as 503 + Retry-After; for
-// requests that are pure reads of the likelihood function (every GET,
-// plus evaluate — recomputation changes nothing), the client
-// honors the hint and retries inside its budget. Transport failures
-// (connection drop before a response) are retried on the same terms.
+// doIdem is do with an explicit idempotency verdict. A daemon surfaces
+// remote-tier outages as 503 + Retry-After; for requests that are pure
+// reads of the likelihood function (every GET, plus evaluate —
+// recomputation changes nothing), the client honors the hint and
+// retries inside its budget. Transport failures (connection drop
+// before a response) are retried on the same terms.
 func (c *Client) doIdem(method, path string, in, out any, idempotent bool) error {
 	var last error
 	for attempt := 0; ; attempt++ {
@@ -179,7 +179,7 @@ func (c *Client) DeleteSession(name string) error {
 
 // Evaluate submits one evaluate request (rides the session loop's
 // batches). Evaluates are pure — the same spec recomputes the same
-// bits — so a 503 (load shed, remote-tier outage) is retried inside
+// bits — so a 503 (a remote-tier outage) is retried inside
 // the client's budget, honoring the daemon's Retry-After hint.
 func (c *Client) Evaluate(name string, spec EvalSpec) (EvalReply, error) {
 	var rep EvalReply

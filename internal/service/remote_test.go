@@ -382,6 +382,69 @@ func TestServiceRegistryDoesNotLeak(t *testing.T) {
 	}
 }
 
+// TestServiceCountersSurvivePark: a session's counters are monotonic
+// across park/revive. A revive opens a fresh manager and, over a
+// remote, a fresh tier, whose own counts start at zero; the session's
+// exported counters carry the parked incarnation's totals forward.
+func TestServiceCountersSurvivePark(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, vecBytes, need := writeTestAlignment(t, dir, 12, 300, 17)
+	rsrv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsrv.Close()
+	for _, medium := range []string{"local", "remote"} {
+		t.Run(medium, func(t *testing.T) {
+			scfg := ServerConfig{DataDir: t.TempDir()}
+			if medium == "remote" {
+				scfg.StoreURL, scfg.CacheBytes = "remote://"+rsrv.Addr(), 4*vecBytes
+			}
+			srv := newTestServer(t, scfg)
+			cfg := baseSession("mono", alnPath)
+			cfg.MemLimit = need / 2
+			cfg.Kernel = plf.KernelGeneric // full-width records: the walk evicts
+			ses, err := srv.CreateSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for edge := 0; edge < 2*12-3; edge++ {
+				if _, err := ses.Evaluate(EvalSpec{Edge: edge}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			counters := func() map[string]int64 {
+				under := map[string]int64{}
+				for k, v := range srv.reg.Snapshot().Counters {
+					if strings.HasPrefix(k, metricsPrefix("mono")) {
+						under[k] = v
+					}
+				}
+				return under
+			}
+			before := counters()
+			if before[metricsPrefix("mono")+"ooc_requests"] == 0 {
+				t.Fatal("the session never went out of core")
+			}
+			if medium == "remote" && before[metricsPrefix("mono")+"tier.evictions"] == 0 {
+				t.Fatal("the tier never evicted")
+			}
+			if err := srv.ParkSession("mono"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ses.Evaluate(EvalSpec{Edge: 1}); err != nil { // revives
+				t.Fatal(err)
+			}
+			after := counters()
+			for name, was := range before {
+				if after[name] < was {
+					t.Errorf("%s went back from %d to %d across park/revive", name, was, after[name])
+				}
+			}
+		})
+	}
+}
+
 // settledGoroutines returns the process's goroutine count once it has
 // stopped moving: idle HTTP keep-alive connections (which hold
 // goroutines at both ends of the loopback object server) are closed,

@@ -58,8 +58,9 @@ type ServerConfig struct {
 	// cache in DataDir (<name>.cache/). Each session uses the object
 	// <name>.vec.
 	StoreURL string
-	// CacheBytes bounds each session's local cache tier (0 = size the
-	// cache to hold every vector).
+	// CacheBytes bounds each session's local cache tier while the
+	// remote accepts writes (0 = size the cache to hold every vector);
+	// what the remote refuses stays in the cache file past it.
 	CacheBytes int64
 	// RemoteLanes is accepted and ignored: the tier has no lanes (a miss
 	// is one GET on the caller's goroutine), but bench/serve.go, which
@@ -429,6 +430,9 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 	if !validName(cfg.Name) {
 		return nil, fmt.Errorf("service: invalid session name %q (letters, digits, '.', '_', '-'; max 64)", cfg.Name)
 	}
+	if err := cfg.Check(); err != nil {
+		return nil, fmt.Errorf("service: session %q: %w", cfg.Name, err)
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -693,13 +697,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, fmt.Errorf("service: bad evaluate spec: %w", err))
 		return
 	}
-	if shed, depth := shouldShed(ses); shed {
-		w.Header().Set("Retry-After", retryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: fmt.Sprintf(
-			"service: session %q shedding load: remote tier degraded with %d vectors spilled (retry after breaker recovery)",
-			ses.name, depth)})
-		return
-	}
 	rep, err := ses.EvaluateCtx(r.Context(), spec, obs.SpanFromContext(r.Context()))
 	if err != nil {
 		s.writeErr(w, err)
@@ -752,13 +749,14 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------------
-// Readiness and load shedding.
+// Readiness.
 
 // readyReply is the /readyz document.
 type readyReply struct {
 	Ready bool `json:"ready"`
 	// Degraded lists sessions whose remote tier is circuit-open. They
-	// still answer bit-identically (cache + recompute + spill), slower.
+	// still answer bit-identically (cache + recompute), slower, and what
+	// the remote refuses waits in the session's cache file.
 	Degraded []string `json:"degraded,omitempty"`
 }
 
@@ -776,18 +774,16 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	var rep readyReply
 	for _, ses := range list {
-		hasTier, degraded, _ := ses.tierHealth()
-		if !hasTier || !degraded {
+		tier := ses.tierStore()
+		if tier == nil || !tier.Degraded() {
 			continue
 		}
 		rep.Degraded = append(rep.Degraded, ses.name)
-		if tier := ses.tierStore(); tier != nil {
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				_ = tier.ProbeRemote(ctx)
-			}()
-		}
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_ = tier.ProbeRemote(ctx)
+		}()
 	}
 	sort.Strings(rep.Degraded)
 	rep.Ready = len(rep.Degraded) == 0
@@ -797,19 +793,4 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// shouldShed decides whether an evaluate for ses must be refused with
-// 503 + Retry-After: only while the session's remote tier is degraded
-// AND it holds refused dirty victims for at least half its vectors in
-// memory — degraded alone is fine (that is what recompute and the
-// spill are for); deep spill on top of an outage means memory is
-// absorbing unbounded dirty state.
-func shouldShed(ses *Session) (bool, int64) {
-	hasTier, degraded, depth := ses.tierHealth()
-	if !hasTier || !degraded {
-		return false, 0
-	}
-	_, _, _, _, _, n := ses.memShape()
-	return depth >= max(int64(n)/2, 1), depth
 }

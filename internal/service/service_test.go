@@ -17,6 +17,7 @@ import (
 	"oocphylo/internal/analysis"
 	"oocphylo/internal/bio"
 	"oocphylo/internal/checkpoint"
+	"oocphylo/internal/model"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
@@ -590,6 +591,55 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "dup.aln")); !os.IsNotExist(err) {
 		t.Error("delete left the session alignment behind")
+	}
+}
+
+// TestServiceCreateBounds: a create whose Γ categories could never be
+// restored from the session's own park checkpoint, or whose workers
+// would each start a goroutine past any machine's cores, is a 400
+// before anything is built. A session at the category bound parks and
+// revives bit-identically.
+func TestServiceCreateBounds(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, _, _ := writeTestAlignment(t, dir, 8, 150, 29)
+	srv := newTestServer(t, ServerConfig{DataDir: dir})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	for _, extra := range []string{`"cats":300`, `"cats":4,"workers":100000000`} {
+		doc := fmt.Sprintf(`{"name":"wide","path":%q,"alpha":1,%s}`, alnPath, extra)
+		resp, err := http.Post(hs.URL+"/v1/sessions", "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create with %s: HTTP %d %s, want 400", extra, resp.StatusCode, body)
+		}
+	}
+	if infos := srv.Sessions(); len(infos) != 0 {
+		t.Fatalf("a refused create left sessions behind: %+v", infos)
+	}
+
+	c := NewClient(hs.URL)
+	cfg := baseSession("wide", alnPath)
+	cfg.Cats = model.MaxGammaCats
+	if _, err := c.CreateSession(cfg); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.Evaluate("wide", EvalSpec{Edge: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Park("wide"); err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.Evaluate("wide", EvalSpec{Edge: 1})
+	if err != nil {
+		t.Fatalf("revive at %d categories: %v", cfg.Cats, err)
+	}
+	if after.LnLBits != before.LnLBits {
+		t.Errorf("revive changed the likelihood: %s -> %s", before.LnLBits, after.LnLBits)
 	}
 }
 

@@ -118,6 +118,9 @@ type Session struct {
 	evals, batches int64
 	parks, revives int64
 	resizes        int64
+	// the manager counters of the parked incarnations, which publish
+	// carries forward
+	oocRequests, oocMisses int64
 
 	// engine state: owned by the loop goroutine, the pointers written
 	// under mu for the metrics publisher. run is nil while parked.
@@ -272,14 +275,16 @@ func (s *Session) publish() {
 	} else {
 		s.mx.parked.Set(0)
 	}
+	requests, misses := s.oocRequests, s.oocMisses
 	if mgr := s.manager(); mgr != nil {
 		s.mx.slots.Set(int64(mgr.Slots()))
 		st := mgr.Stats()
-		s.mx.oocRequests.Set(st.Requests)
-		s.mx.oocMisses.Set(st.Misses)
+		requests, misses = requests+st.Requests, misses+st.Misses
 	} else {
 		s.mx.slots.Set(0)
 	}
+	s.mx.oocRequests.Set(requests)
+	s.mx.oocMisses.Set(misses)
 }
 
 // manager returns the live out-of-core manager, nil in-core or parked.
@@ -512,6 +517,11 @@ func (s *Session) shutdownEngine() {
 	}
 	s.run.Close()
 	s.mu.Lock()
+	if mgr := s.manager(); mgr != nil {
+		st := mgr.Stats()
+		s.oocRequests += st.Requests
+		s.oocMisses += st.Misses
+	}
 	s.run = nil
 	s.mu.Unlock()
 }
@@ -744,19 +754,6 @@ func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) 
 	case <-ctx.Done():
 		return EvalReply{}, ctx.Err()
 	}
-}
-
-// tierHealth reports the remote-tier condition for readiness and load
-// shedding: whether the session runs a tiered store at all, whether its
-// circuit breaker is open (degraded), and how many dirty victims the
-// remote refused are held in memory (the spill depth).
-func (s *Session) tierHealth() (hasTier, degraded bool, spillDepth int64) {
-	tier := s.tierStore()
-	if tier == nil {
-		return false, false, 0
-	}
-	st := tier.Stats()
-	return true, st.Degraded, st.SpillDepth
 }
 
 // tierStore returns the live tiered store (nil for local sessions or
