@@ -122,7 +122,6 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.StringVar(&how.Stack.Path, "backing", "", "backing file for out-of-core vectors, created or truncated (default: temp file, removed on exit)")
 	bindStore(fs, &how.Stack, "vector store URL: remote://host:port/object keeps out-of-core vectors on an object store behind a local write-back cache (default: the -backing file)")
 	fs.StringVar(&how.Stack.CacheDir, "cache-dir", "", "local write-back cache directory for -store remote:// (default: temp dir, removed on exit); the cache starts cold on every run")
-	fs.BoolVar(&how.NoReadSkipping, "no-read-skipping", false, "disable the read-skipping optimisation")
 	fs.IntVar(&o.sprRadius, "radius", 5, "lazy-SPR rearrangement radius")
 	fs.IntVar(&o.rounds, "rounds", 10, "maximum SPR improvement rounds")
 	fs.BoolVar(&o.optModel, "optimize-model", false, "also optimise GTR exchangeabilities (search/evaluate modes)")

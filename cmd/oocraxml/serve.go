@@ -43,7 +43,7 @@ func serveFlags() (*flag.FlagSet, *string, *service.ServerConfig, *ooc.StackSpec
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	fs.StringVar(&cfg.DataDir, "data", "oocraxml-data", "data directory: per-session alignments, checkpoints and out-of-core backing files")
 	fs.Int64Var(&cfg.MemBudget, "server-budget", 0, "global ancestral-vector budget in bytes across all active sessions (0 = unlimited); admission rejects sessions whose memory floor does not fit, and out-of-core slot pools are squeezed proportionally")
-	fs.DurationVar(&cfg.IdleTimeout, "idle-park", 0, "park sessions with no request for this long (0 = never)")
+	fs.DurationVar(&cfg.IdleTimeout, "idle-park", 0, "park sessions with no request for this long (0 = never; at least 1ms)")
 	bindStore(fs, store, "remote object-store endpoint (remote://host:port, or remote://host:port/namespace to share one server between daemons): out-of-core sessions keep their vectors there behind a per-session write-back cache in -data")
 	fs.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "end-to-end deadline per /v1 request (0 = none); expiry answers 503 + Retry-After")
 	return fs, addr, cfg, store

@@ -90,24 +90,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// CountBelow returns the number of observations in buckets whose upper
-// bound is <= limit. Exact when limit coincides with a bucket bound
-// (SLO latency thresholds should be chosen from the bucket layout);
-// otherwise it undercounts by at most one bucket.
-func (h *Histogram) CountBelow(limit float64) int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i, b := range h.bounds {
-		if b > limit {
-			break
-		}
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Quantile estimates the q-quantile (q in [0, 1]) by linear
 // interpolation inside the bucket containing the target rank: the
 // bucket's observations are assumed uniform between its lower and upper
@@ -205,16 +187,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		P90:   h.Quantile(0.90),
 		P99:   h.Quantile(0.99),
 	}
+	// Every bucket, empty or not: an exposition must carry each bound
+	// on every scrape for a rule over one of them to see a series.
 	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
 		ub := math.Inf(1)
 		if i < len(h.bounds) {
 			ub = h.bounds[i]
 		}
-		s.Buckets = append(s.Buckets, BucketCount{UpperBound: ub, Count: n})
+		s.Buckets = append(s.Buckets, BucketCount{UpperBound: ub, Count: h.counts[i].Load()})
 	}
 	return s
 }

@@ -17,16 +17,15 @@ import (
 //	/debug/report      the consolidated text report (same as -stats)
 //	/debug/trace       Chrome trace_event JSON of the collected spans
 //	/debug/trace/{id}  one finished trace's spans + cost ledger (JSON)
-//	/debug/slo         SLO burn-rate report (JSON; ?format=text)
 //	/debug/pprof/      the standard net/http/pprof handlers
 //
 // The handlers only read atomic instruments and locked snapshots, so
 // they are safe to hit while a run is in flight — that is the point.
 
-// NewMux returns an http.ServeMux with the debug routes mounted. Every
+// NewMux returns an http.ServeMux with the debug routes mounted. Either
 // argument may be nil: reg and col then serve empty documents, and
-// /debug/trace/{id} and /debug/slo answer 404.
-func NewMux(reg *Registry, col *SpanCollector, slo *SLOEvaluator) *http.ServeMux {
+// /debug/trace/{id} answers 404.
+func NewMux(reg *Registry, col *SpanCollector) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -69,21 +68,6 @@ func NewMux(reg *Registry, col *SpanCollector, slo *SLOEvaluator) *http.ServeMux
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		if slo == nil {
-			http.Error(w, `{"error":"no SLOs configured"}`, http.StatusNotFound)
-			return
-		}
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			slo.WriteText(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := slo.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -100,7 +84,6 @@ func NewMux(reg *Registry, col *SpanCollector, slo *SLOEvaluator) *http.ServeMux
 			"/debug/report      consolidated text report\n"+
 			"/debug/trace       Chrome trace_event JSON (load in chrome://tracing)\n"+
 			"/debug/trace/{id}  one trace's spans + cost ledger (JSON)\n"+
-			"/debug/slo         SLO burn-rate report (JSON; ?format=text)\n"+
 			"/debug/pprof/      Go profiling\n")
 	})
 	return mux
@@ -115,7 +98,7 @@ func Serve(addr string, reg *Registry, col *SpanCollector) (boundAddr string, sh
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: NewMux(reg, col, nil), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: NewMux(reg, col), ReadHeaderTimeout: 5 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	shutdown = func() error {

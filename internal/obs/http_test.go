@@ -73,7 +73,7 @@ func TestServeEndpoints(t *testing.T) {
 // answer 200 with an empty (but well-formed) document, because the CLI
 // wires the endpoint unconditionally and only sometimes has a registry.
 func TestNewMuxNilInstruments(t *testing.T) {
-	srv := httptest.NewServer(NewMux(nil, nil, nil))
+	srv := httptest.NewServer(NewMux(nil, nil))
 	defer srv.Close()
 
 	get := func(path string) []byte {

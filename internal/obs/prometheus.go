@@ -93,8 +93,8 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		n := promName(k)
 		h := s.Histograms[k]
 		fmt.Fprintf(bw, "# HELP %s Histogram %s.\n# TYPE %s histogram\n", n, k, n)
-		// Snapshot buckets are per-bucket counts over occupied buckets
-		// only; cumulate and always close with the +Inf bucket == count.
+		// Snapshot buckets are per-bucket counts, one per bound;
+		// cumulate and close with the +Inf bucket == count.
 		var cum int64
 		for _, b := range h.Buckets {
 			if math.IsInf(b.UpperBound, 1) {

@@ -29,7 +29,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ooc.reads").Add(42)
 	reg.Gauge("svc.sessions").Set(3)
-	reg.FloatGauge("slo.latency.good_ratio").Set(0.997)
+	reg.FloatGauge("pipe.stall_seconds").Set(0.997)
 	h := reg.Histogram("svc.request_seconds", []float64{0.1, 0.5, 1})
 	h.Observe(0.05)
 	h.Observe(0.3)
@@ -47,8 +47,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"ooc_reads_total 42",
 		"# TYPE svc_sessions gauge",
 		"svc_sessions 3",
-		"slo_latency_good_ratio 0.997",
+		"pipe_stall_seconds 0.997",
 		"# TYPE svc_request_seconds histogram",
+		`svc_request_seconds_bucket{le="1"} 2`, // empty, still exported
 		`svc_request_seconds_bucket{le="+Inf"} 3`,
 		"svc_request_seconds_count 3",
 		`run_mode="quoted \"value\""`,

@@ -15,7 +15,7 @@ import (
 
 // sectionOrder pins the known layers to a stable, narrative order;
 // unknown prefixes follow alphabetically.
-var sectionOrder = []string{"plf", "ooc", "pipe", "search", "svc", "slo", "obs"}
+var sectionOrder = []string{"plf", "ooc", "pipe", "search", "svc", "obs"}
 
 // sectionTitles maps prefixes to human headings.
 var sectionTitles = map[string]string{
@@ -24,7 +24,6 @@ var sectionTitles = map[string]string{
 	"pipe":   "async I/O pipeline",
 	"search": "tree search",
 	"svc":    "PLF service",
-	"slo":    "SLO burn rates",
 	"obs":    "observability health",
 }
 

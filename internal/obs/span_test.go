@@ -310,11 +310,10 @@ func TestConcurrentScrapeSpansAndDrain(t *testing.T) {
 	reg := NewRegistry()
 	col := NewSpanCollector(8)
 	RegisterSpanMetrics(reg, col)
-	evaluator := NewSLOEvaluator(nil)
+	// The daemon's SLIs: a request counter and the request-latency
+	// histogram, written by the workers while the scrapers read them.
 	reqs := reg.Counter("svc.http.requests")
-	errs := reg.Counter("svc.http.errors")
-	evaluator.Add(SLO{Name: "availability", Objective: 0.999, SLI: ErrorSLI(errs, reqs)})
-	evaluator.Publish(reg)
+	lat := reg.Histogram("svc.request_seconds", []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -336,6 +335,7 @@ func TestConcurrentScrapeSpansAndDrain(t *testing.T) {
 				sp.EmitChild("ooc.fault_in", time.Now(), time.Microsecond, Attr{Key: LaneAttr, Int: int64(i % 8)})
 				sp.End()
 				reqs.Inc()
+				lat.Observe(0.3)
 			}
 		}(g)
 	}
@@ -367,7 +367,9 @@ func TestConcurrentScrapeSpansAndDrain(t *testing.T) {
 	if err := WritePrometheus(&buf, reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "obs_spans_total") {
-		t.Error("Prometheus exposition missing obs_spans_total")
+	for _, want := range []string{"obs_spans_total", "svc_http_requests_total", `svc_request_seconds_bucket{le="0.5"}`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("Prometheus exposition missing %s", want)
+		}
 	}
 }

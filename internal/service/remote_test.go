@@ -512,7 +512,7 @@ func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
 	if got := settledGoroutines(); got > idle {
 		t.Errorf("%d goroutines after DeleteSession, %d before the session", got, idle)
 	}
-	session("parked-by-close", need/2)
+	session("parked_by_close", need/2)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

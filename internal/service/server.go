@@ -50,8 +50,8 @@ type ServerConfig struct {
 	// to keep the sum of grants under it.
 	MemBudget int64
 	// IdleTimeout parks sessions with no request for this long
-	// (0 = never). Parking frees their RAM; the next request revives
-	// them from the checkpoint.
+	// (0 = never; otherwise at least 1 ms). Parking frees their RAM;
+	// the next request revives them from the checkpoint.
 	IdleTimeout time.Duration
 	// StoreURL, when set (remote://host:port), puts every out-of-core
 	// session's vectors on that object store behind a local write-back
@@ -74,6 +74,10 @@ type ServerConfig struct {
 	RequestTimeout time.Duration
 }
 
+// minIdleTimeout is the shortest IdleTimeout NewServer accepts. The
+// reaper looks for idle sessions every IdleTimeout/4.
+const minIdleTimeout = time.Millisecond
+
 // admissionError is a quota rejection — mapped to 503, because the
 // condition clears when other tenants park or shrink.
 type admissionError struct{ msg string }
@@ -91,7 +95,6 @@ type Server struct {
 	cfg   ServerConfig
 	reg   *obs.Registry
 	spans *obs.SpanCollector
-	slo   *obs.SLOEvaluator
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -117,6 +120,9 @@ type Server struct {
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("service: DataDir is required")
+	}
+	if cfg.IdleTimeout > 0 && cfg.IdleTimeout < minIdleTimeout {
+		return nil, fmt.Errorf("service: idle timeout %v is below %v", cfg.IdleTimeout, minIdleTimeout)
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
@@ -154,17 +160,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.reg.AddPublisher("svc.", s.publish)
 	obs.RegisterSpanMetrics(s.reg, s.spans)
 
-	// The daemon's SLOs: request availability (non-5xx ratio) and
-	// latency (requests answered inside 500 ms — a bucket bound of the
-	// request histogram, so the SLI is exact). Publish comes after every
-	// Add, per the evaluator's pre-resolution contract.
-	s.slo = obs.NewSLOEvaluator(nil)
-	s.slo.Add(obs.SLO{Name: "availability", Objective: 0.999,
-		SLI: obs.ErrorSLI(s.mxHTTPErrs, s.mxHTTPReqs)})
-	s.slo.Add(obs.SLO{Name: "latency", Objective: 0.99,
-		SLI: obs.LatencySLI(s.mxReqSeconds, 0.5)})
-	s.slo.Publish(s.reg)
-
 	if err := s.adoptParked(); err != nil {
 		return nil, err
 	}
@@ -181,9 +176,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Spans exposes the server's span collector (tests and the traced CI
 // smoke inspect recorded traces through it).
 func (s *Server) Spans() *obs.SpanCollector { return s.spans }
-
-// SLO exposes the burn-rate evaluator behind /debug/slo.
-func (s *Server) SLO() *obs.SLOEvaluator { return s.slo }
 
 // publish mirrors the live tenancy picture into the gauges.
 func (s *Server) publish() {
@@ -428,7 +420,7 @@ func (s *Server) reaper() {
 func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 	cfg.Fill()
 	if !validName(cfg.Name) {
-		return nil, fmt.Errorf("service: invalid session name %q (letters, digits, '.', '_', '-'; max 64)", cfg.Name)
+		return nil, fmt.Errorf("service: invalid session name %q (letters, digits, '_'; max 64)", cfg.Name)
 	}
 	if err := cfg.Check(); err != nil {
 		return nil, fmt.Errorf("service: session %q: %w", cfg.Name, err)
@@ -451,6 +443,7 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 		delete(s.sessions, cfg.Name)
 		s.mu.Unlock()
 		ses.close(true)
+		s.reg.Remove(metricsPrefix(cfg.Name))
 		return nil, err
 	}
 	s.rebalance()
@@ -536,16 +529,16 @@ func (s *Server) Close() error {
 
 // Handler mounts the service routes onto the observability mux, so one
 // listener serves /v1/* and /debug/*. Every /v1 route runs under the
-// traced middleware: always metered (the SLO inputs), and span-recorded
+// traced middleware: always metered (the exported SLIs), and span-recorded
 // when the request carries a W3C traceparent header.
 func (s *Server) Handler() http.Handler {
-	mux := obs.NewMux(s.reg, s.spans, s.slo)
+	mux := obs.NewMux(s.reg, s.spans)
 	// /healthz is pure liveness: the process is up and serving. /readyz
 	// additionally asks whether the daemon can serve at full speed —
 	// a session whose remote tier is circuit-open still ANSWERS
 	// (the engine recomputes what it cannot read, refused write-backs
-	// wait in memory), but a load balancer should prefer a replica whose
-	// remote tier is healthy.
+	// stay in the cache file), but a load balancer should prefer a
+	// replica whose remote tier is healthy.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"ok":true}`)
@@ -566,7 +559,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // traced wraps one /v1 route. Every request lands in the svc.http.*
-// counters and the request-latency histogram — the SLO inputs — and a
+// counters and the request-latency histogram — the exported SLIs — and a
 // request carrying a traceparent header additionally gets a server-side
 // root span, its trace id echoed in the X-OOC-Trace response header,
 // under which the handler chain (session loop, engine, manager, tiered

@@ -445,6 +445,18 @@ func TestServiceAdmissionControl(t *testing.T) {
 	if srv.mxRejected.Value() == 0 {
 		t.Error("svc.rejected counter not incremented")
 	}
+	// The refused session leaves no instruments behind.
+	snap := srv.reg.Snapshot()
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, metricsPrefix("second")) {
+			t.Errorf("refused create left %s in the registry", name)
+		}
+	}
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, metricsPrefix("second")) {
+			t.Errorf("refused create left %s in the registry", name)
+		}
+	}
 
 	// Park the incumbent: its floor drops to zero, the rejected config
 	// now fits.
@@ -640,6 +652,113 @@ func TestServiceCreateBounds(t *testing.T) {
 	}
 	if after.LnLBits != before.LnLBits {
 		t.Errorf("revive changed the likelihood: %s -> %s", before.LnLBits, after.LnLBits)
+	}
+}
+
+// TestServiceSessionMetricsDoNotCollide: one session's metrics never
+// alias another's. A name that another's metric prefix is a prefix of
+// ("a." of "a.b.") lost its counters when the other was deleted, and
+// names that export alike ("x-1" and "x_1") emitted every family twice,
+// which a Prometheus parser rejects. Such names are refused with a 400.
+func TestServiceSessionMetricsDoNotCollide(t *testing.T) {
+	dir := t.TempDir()
+	alnPath, _, _ := writeTestAlignment(t, dir, 8, 150, 31)
+	srv := newTestServer(t, ServerConfig{DataDir: dir})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	c := NewClient(hs.URL)
+	var live []string
+	for _, name := range []string{"a", "a.b", "a_b", "x-1", "x_1"} {
+		doc, err := json.Marshal(baseSession(name, alnPath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/sessions", "application/json", bytes.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusCreated:
+			live = append(live, name)
+			if _, err := c.Evaluate(name, EvalSpec{}); err != nil {
+				t.Fatal(err)
+			}
+		case http.StatusBadRequest:
+		default:
+			t.Fatalf("create %q: HTTP %d %s, want 201 or 400", name, resp.StatusCode, body)
+		}
+	}
+	if len(live) == 0 || live[0] != "a" {
+		t.Fatalf("sessions created: %v, want \"a\" among them", live)
+	}
+	if err := c.DeleteSession("a"); err != nil {
+		t.Fatal(err)
+	}
+
+	var snap struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(get("/debug/vars"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range live[1:] {
+		if n, ok := snap.Counters[metricsPrefix(name)+"evals"]; !ok || n != 1 {
+			t.Errorf("after deleting \"a\", session %q exports evals=%d (present %v), want 1", name, n, ok)
+		}
+	}
+
+	families := map[string]bool{}
+	for _, line := range strings.Split(string(get("/debug/metrics")), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			f, _, _ = strings.Cut(f, " ")
+			if families[f] {
+				t.Errorf("metric family %s appears twice in /debug/metrics", f)
+			}
+			families[f] = true
+		}
+	}
+}
+
+// TestServiceIdleTimeout: an idle timeout below minIdleTimeout is
+// refused (a 3 ns one gave the reaper a zero tick, which panicked in
+// its goroutine), and at the floor the reaper parks an idle session,
+// which the next evaluate revives.
+func TestServiceIdleTimeout(t *testing.T) {
+	dir := t.TempDir()
+	if srv, err := NewServer(ServerConfig{DataDir: dir, IdleTimeout: 3}); err == nil {
+		srv.Close()
+		t.Fatal("NewServer accepted a 3 ns idle timeout")
+	}
+	alnPath, _, _ := writeTestAlignment(t, dir, 8, 150, 37)
+	srv := newTestServer(t, ServerConfig{DataDir: dir, IdleTimeout: minIdleTimeout})
+	ses, err := srv.CreateSession(baseSession("idle", alnPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ses.infoSnapshot().State != "parked"; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reaper never parked the idle session")
+		}
+	}
+	if _, err := ses.Evaluate(EvalSpec{}); err != nil {
+		t.Fatalf("evaluate after an idle park: %v", err)
+	}
+	if info := ses.infoSnapshot(); info.Parks == 0 || info.Revives == 0 {
+		t.Errorf("parks=%d revives=%d, want both above 0", info.Parks, info.Revives)
 	}
 }
 

@@ -112,12 +112,9 @@ type Session struct {
 	// the run it was computed for, so a parked session still reports it
 	size  analysis.Sizing
 	grant int64 // what the governor currently allows
-	// activity ledger (survives park/revive)
-	lnl            float64
-	round          int
-	evals, batches int64
-	parks, revives int64
-	resizes        int64
+	// search position (survives park/revive)
+	lnl   float64
+	round int
 	// the manager counters of the parked incarnations, which publish
 	// carries forward
 	oocRequests, oocMisses int64
@@ -131,8 +128,9 @@ type Session struct {
 }
 
 // sessionMetrics are the per-session instruments on the /debug
-// endpoint, pre-resolved at registration (nil-safe when the server has
-// no registry).
+// endpoint, pre-resolved at registration. The activity counters are
+// incremented in place and read back by infoSnapshot; the rest are set
+// by publish.
 type sessionMetrics struct {
 	evals, batches, parks, revives, resizes *obs.Counter
 	oocMisses, oocRequests                  *obs.Counter
@@ -259,16 +257,11 @@ func (s *Session) touch() {
 	s.mu.Unlock()
 }
 
-// publish mirrors the session's ledger into its /debug instruments.
-// Runs on registry Snapshot from any goroutine.
+// publish mirrors the session's gauges and manager counters into its
+// /debug instruments. Runs on registry Snapshot from any goroutine.
 func (s *Session) publish() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mx.evals.Set(s.evals)
-	s.mx.batches.Set(s.batches)
-	s.mx.parks.Set(s.parks)
-	s.mx.revives.Set(s.revives)
-	s.mx.resizes.Set(s.resizes)
 	s.mx.lnl.Set(s.lnl)
 	if s.state == stateParked {
 		s.mx.parked.Set(1)
@@ -308,10 +301,10 @@ func (s *Session) infoSnapshot() SessionInfo {
 		GrantBytes: s.grant,
 		LnL:        s.lnl,
 		LnLBits:    FormatLnLBits(s.lnl),
-		Evals:      s.evals,
-		Batches:    s.batches,
-		Parks:      s.parks,
-		Revives:    s.revives,
+		Evals:      s.mx.evals.Value(),
+		Batches:    s.mx.batches.Value(),
+		Parks:      s.mx.parks.Value(),
+		Revives:    s.mx.revives.Value(),
 		LastUsed:   s.lastUsed,
 	}
 	if s.pats != nil {
@@ -468,8 +461,8 @@ func (s *Session) ensureLive() error {
 	}
 	s.mu.Lock()
 	s.lnl, s.round = ck.LnL, ck.Round
-	s.revives++
 	s.mu.Unlock()
+	s.mx.revives.Inc()
 	s.srv.noteRevive()
 	s.srv.rebalance()
 	return nil
@@ -503,8 +496,8 @@ func (s *Session) park() error {
 	s.shutdownEngine()
 	s.mu.Lock()
 	s.state = stateParked
-	s.parks++
 	s.mu.Unlock()
+	s.mx.parks.Inc()
 	s.srv.notePark()
 	s.srv.rebalance()
 	return nil
@@ -644,10 +637,8 @@ func (s *Session) execBatch(batch []*evalJob) {
 			}
 		}
 	}
-	s.mu.Lock()
-	s.batches++
-	s.evals += int64(len(batch))
-	s.mu.Unlock()
+	s.mx.batches.Inc()
+	s.mx.evals.Add(int64(len(batch)))
 	s.srv.noteBatch(len(batch), execStart, exec)
 }
 
@@ -823,11 +814,9 @@ func (s *Session) resizeTo(grant int64) {
 		}
 		s.mu.Lock()
 		s.grant = grant
-		if resized {
-			s.resizes++
-		}
 		s.mu.Unlock()
 		if resized {
+			s.mx.resizes.Inc()
 			s.srv.noteResize()
 		}
 		return nil

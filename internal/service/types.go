@@ -23,20 +23,22 @@ import (
 // evaluates bit-identically to a one-shot run.
 type SessionConfig = analysis.Spec
 
-// validName reports whether name is safe to use in URLs and filenames.
+// validName reports whether name is safe to use in URLs, filenames and
+// metric names: letters, digits and '_', at most 64. A '.' would make
+// one session's metrics prefix another's ("a." of "a.b."), and a '-'
+// exports as '_', so "x-1" and "x_1" would emit the same families.
 func validName(name string) bool {
 	if name == "" || len(name) > 64 {
 		return false
 	}
 	for _, r := range name {
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
 		default:
 			return false
 		}
 	}
-	return name != "." && name != ".."
+	return true
 }
 
 // EvalSpec is one evaluate request against a session.
