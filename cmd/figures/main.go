@@ -14,9 +14,6 @@
 //	-fig resize  miss-rate trajectory as a LIVE pool is halved mid-run,
 //	             four strategies (not in the paper; the runtime
 //	             resource governor's ablation)
-//	-fig batching  service daemon's request coalescing: N concurrent
-//	               evaluates in shared engine passes vs N independent
-//	               passes, bit-identical lnL (not in the paper)
 //	-fig tiers  tiered vector storage: local FileStore baseline vs
 //	            cold / warm arms over a remote object store behind a
 //	            write-back cache, per injected RTT; bit-identical lnL
@@ -50,7 +47,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, async, kernels, protein, resize, batching, tiers or all")
+	fig := fs.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, async, kernels, protein, resize, tiers or all")
 	taxa := fs.Int("taxa", 0, "taxa for figures 2-4 (0 = scaled default; paper: 1288 or 1908)")
 	sites := fs.Int("sites", 0, "sites for figures 2-4 (0 = scaled default; paper: 1200 or 1424)")
 	f5taxa := fs.Int("f5taxa", 0, "taxa for figure 5 (0 = scaled default; paper: 8192)")
@@ -179,24 +176,6 @@ func run(args []string) error {
 			ov.ResizeTime.Round(time.Millisecond), 100*ov.Overhead())
 		fmt.Fprintln(out)
 	}
-	if want("batching") {
-		fmt.Fprintln(out, "== Batching ablation: coalesced vs independent service evaluates ==")
-		dir, err := os.MkdirTemp("", "oocraxml-batching")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		bcfg := experiments.BatchingAblationConfig{Seed: *seed, DataDir: dir}
-		if *full {
-			bcfg.Taxa, bcfg.Sites, bcfg.Requests = 128, 1200, 16
-		}
-		bres, err := experiments.RunBatchingAblation(bcfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteBatchingTable(out, bres)
-		fmt.Fprintln(out)
-	}
 	if want("tiers") {
 		fmt.Fprintln(out, "== Tier ablation: remote object store + local write-back cache ==")
 		tcfg := experiments.TierAblationConfig{
@@ -235,7 +214,7 @@ func run(args []string) error {
 		fmt.Fprintf(out, "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
 		return nil
 	}
-	if !want("2") && !want("3") && !want("4") && !want("5") && !want("async") && !want("kernels") && !want("protein") && !want("resize") && !want("batching") && !want("tiers") {
+	if !want("2") && !want("3") && !want("4") && !want("5") && !want("async") && !want("kernels") && !want("protein") && !want("resize") && !want("tiers") {
 		return fmt.Errorf("unknown figure %q", *fig)
 	}
 	return nil

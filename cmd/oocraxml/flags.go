@@ -60,5 +60,5 @@ func (f *specFlags) resolve() analysis.Spec {
 func bindStore(fs *flag.FlagSet, st *ooc.StackSpec, storeHelp string) {
 	fs.StringVar(&st.URL, "store", "", storeHelp)
 	fs.Int64Var(&st.CacheBytes, "cache-bytes", 0, "byte budget for the local cache tier with -store while the remote accepts writes; what it refuses stays on local disk, at most every vector (0 = room for every vector)")
-	fs.DurationVar(&st.RemoteDeadline, "remote-deadline", 0, "deadline per remote request attempt with -store (0 = none); expiries are retried with jittered backoff, then trip the circuit breaker into degraded (cache+recompute) mode")
+	fs.DurationVar(&st.RemoteDeadline, "remote-deadline", 0, "deadline per remote request attempt with -store (0 = 10s); expiries are retried with jittered backoff, then trip the circuit breaker into degraded (cache+recompute) mode")
 }

@@ -12,6 +12,7 @@
 // Modes (-f, following the paper's modified RAxML):
 //
 //	s   ML tree search with lazy SPR (default)
+//	n   ML tree search with NNI
 //	e   evaluate: branch lengths and Γ shape on a fixed topology
 //	z   k full tree traversals on a fixed topology (the paper's §4.3
 //	    worst-case workload; see -k)
@@ -21,11 +22,11 @@
 //	oocraxml -s data.phy -m HKY -a 0.8
 //	oocraxml -s data.phy -t start.nwk -f z -k 5 -L 1000000000 -strategy lru
 //	oocraxml -s data.fasta -fasta -f e -t tree.nwk -L 50000000 -strategy topological -stats
-//	oocraxml -s data.phy -f z -L 50000000 -backing vecs.bin -verify-store
+//	oocraxml -s data.phy -f z -L 50000000 -backing vecs.bin
 //
-// With -verify-store, or always with a remote -store, every vector read
-// back is verified against the CRC-32C recorded (in memory) when this
-// run wrote it; a corrupt vector is recomputed from its children instead of
+// Every vector read back, from the -backing file or a remote -store, is
+// verified against the CRC-32C recorded (in memory) when this run wrote
+// it; a corrupt vector is recomputed from its children instead of
 // failing the run, and so is one the store cannot read (a remote store
 // re-issues a failed request first, under its own retry budget). A
 // write error ends the run. A run reads only vectors it wrote: -backing
@@ -130,7 +131,6 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", 0, "minimum time between -checkpoint writes (0 = checkpoint every round)")
 	fs.StringVar(&o.resume, "resume", "", "resume tree, model parameters and search progress from this checkpoint (vectors are recomputed, never reloaded)")
 	fs.Int64Var(&how.Stack.CrashAfter, "crashpoint", 0, "TESTING: kill the process (exit 3) at the N-th backing-store vector I/O")
-	fs.BoolVar(&how.Stack.Verify, "verify-store", false, "checksum every vector written to the backing file and verify every read against it (corrupt vectors are recomputed, not fatal); a remote -store is always verified")
 	fs.StringVar(&o.outTree, "w", "", "write the result tree to this file (default stdout)")
 	fs.BoolVar(&o.printStats, "stats", false, "print the consolidated per-layer statistics report")
 	fs.StringVar(&o.httpAddr, "http", "", "serve the live /debug endpoint (vars, report, trace, pprof) on this address, e.g. :8080 or 127.0.0.1:0")

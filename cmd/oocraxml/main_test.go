@@ -200,7 +200,7 @@ func TestCheckpointAndResume(t *testing.T) {
 	// and write the checkpoint.
 	out, err := capture(t, "-s", phy, "-m", "HKY", "-a", "0.8", "-rounds", "3",
 		"-start", "random", "-seed", "1", "-checkpoint", ckpt,
-		"-L", "5000", "-backing", backing, "-verify-store")
+		"-L", "5000", "-backing", backing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCheckpointAndResume(t *testing.T) {
 	}
 
 	again := []string{"-s", phy, "-rounds", "6", "-L", "5000", "-lnl-bits", "-checkpoint"}
-	over, err := capture(t, append(again, ckpt, "-resume", ckpt, "-backing", backing, "-verify-store")...)
+	over, err := capture(t, append(again, ckpt, "-resume", ckpt, "-backing", backing)...)
 	if err != nil {
 		t.Fatalf("resume over the first run's backing file: %v\n%s", err, over)
 	}

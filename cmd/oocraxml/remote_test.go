@@ -62,7 +62,7 @@ func TestRemoteStoreFlagMatchesLocal(t *testing.T) {
 }
 
 // TestRemoteStoreVerifiedWithoutFlag: a -store remote:// run is
-// verified without -verify-store. Over a remote that corrupts some GETs
+// verified without a flag. Over a remote that corrupts some GETs
 // it prints the clean run's likelihood bits: each corrupt GET fails its
 // checksum and the engine recomputes that vector.
 func TestRemoteStoreVerifiedWithoutFlag(t *testing.T) {
@@ -93,8 +93,8 @@ func TestRemoteStoreVerifiedWithoutFlag(t *testing.T) {
 	}
 }
 
-// TestRemoteStoreRerunOverCacheDir reruns over a persistent -cache-dir
-// with -verify-store: the second run starts cold over what the first
+// TestRemoteStoreRerunOverCacheDir reruns over a persistent -cache-dir:
+// the second run starts cold over what the first
 // left, matches it bit-for-bit, and the directory holds the cache file
 // — nothing else. A starved -cache-bytes run over the
 // same object must match too.
@@ -109,7 +109,7 @@ func TestRemoteStoreRerunOverCacheDir(t *testing.T) {
 	url := "remote://" + rsrv.Addr() + "/rerun"
 
 	args := []string{"-s", phy, "-t", nwk, "-f", "e", "-m", "JC", "-a", "0",
-		"-L", "1200", "-lnl-bits", "-verify-store",
+		"-L", "1200", "-lnl-bits",
 		"-store", url, "-cache-dir", cacheDir}
 	first, err := capture(t, args...)
 	if err != nil {

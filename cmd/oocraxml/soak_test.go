@@ -96,7 +96,7 @@ func soakArgs(phy, nwk string, memLimit int64, backing, ckpt, outTree string) []
 	return []string{
 		"-s", phy, "-t", nwk, "-m", "HKY", "-a", "0.8",
 		"-rounds", "3", "-radius", "2",
-		"-L", fmt.Sprint(memLimit), "-strategy", "lru", "-verify-store",
+		"-L", fmt.Sprint(memLimit), "-strategy", "lru",
 		"-backing", backing, "-checkpoint", ckpt, "-w", outTree,
 	}
 }

@@ -59,7 +59,7 @@ func openFilesUnder(dir string) []string {
 // run left (a caller-built Base medium — the experiments' MemStore and
 // SimStore, opened Sync here — is fresh only: it does not outlive its
 // process). It pins the provider kind, the manager (pipelined by
-// default, not under Sync), the slot count the grant buys (store
+// default, not under Sync), a verified store stack, the slot count the grant buys (store
 // overhead and spare buffers charged), that a resume opens fresh stores
 // over the leftovers and lands bit-identical, that only the
 // vector/cache file and the checkpoint ever exist, and
@@ -83,7 +83,7 @@ func TestOpen(t *testing.T) {
 
 				spec := testSpec(t, 12, 300, 7)
 				var simClock iosim.Clock
-				opts := Options{Stack: ooc.StackSpec{Verify: true}}
+				var opts Options
 				if medium == "remote" {
 					srv, err := remote.NewServer(remote.ServerConfig{})
 					if err != nil {
@@ -171,13 +171,13 @@ func TestOpen(t *testing.T) {
 				if hasMgr != sz.OutOfCore || hasTier != (medium == "remote") {
 					t.Fatalf("manager %t, tier %t", hasMgr, hasTier)
 				}
-				if (r.Stack.Store != nil) != sz.OutOfCore {
-					t.Errorf("store stack open = %t, want %t", r.Stack.Store != nil, sz.OutOfCore)
+				if (r.Stack.Store != nil) != sz.OutOfCore || (r.Stack.Checksum != nil) != sz.OutOfCore {
+					t.Errorf("store stack open = %t, verified = %t, want %t", r.Stack.Store != nil, r.Stack.Checksum != nil, sz.OutOfCore)
 				}
 				if hasMgr {
-					// Every store keeps only a few bytes per vector (the
-					// checksum table; a tier's placement maps — it owns no
-					// vector-sized buffer), so under any medium the quota
+					// A store keeps at most a few bytes per vector (a
+					// tier's placement maps — it owns no vector-sized
+					// buffer), so under any medium the quota
 					// buys its five vectors once the pipeline's spare
 					// buffers are paid for.
 					if ov := r.Manager.MemOverheadBytes() - spares; ov < 0 || ov >= sz.VecBytes/2 || r.Manager.Slots() != 5 {
@@ -392,8 +392,8 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 	}{
 		{"sync", Options{Sync: true}, true},
 		{"async+prefetch", Options{}, true},
-		{"sync+faults", Options{Sync: true, Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
-		{"async+prefetch+faults", Options{Stack: ooc.StackSpec{Verify: true, Fault: faults}}, true},
+		{"sync+faults", Options{Sync: true, Stack: ooc.StackSpec{Fault: faults}}, true},
+		{"async+prefetch+faults", Options{Stack: ooc.StackSpec{Fault: faults}}, true},
 		{"sync, no read skipping", Options{Sync: true, NoReadSkipping: true}, false},
 		{"async+prefetch, no read skipping", Options{NoReadSkipping: true}, false},
 	} {
@@ -423,8 +423,9 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 
 // TestOpenChargesPipelineToQuota: -L holds for the whole manager. A
 // pipelined run opened above the MinSlots floor keeps its slot pool,
-// its spare write buffers and its store's heap inside the quota, buys
-// every slot that fits, and reports the same charge to Resize.
+// its spare write buffers and its store's heap (none for a local file,
+// the cache tier's maps over a remote) inside the quota, buys every
+// slot that fits, and reports the same charge to Resize.
 func TestOpenChargesPipelineToQuota(t *testing.T) {
 	spec := testSpec(t, 24, 300, 11)
 	_, pats, err := Load(spec)
@@ -439,13 +440,22 @@ func TestOpenChargesPipelineToQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, verify := range []bool{false, true} {
+	srv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, medium := range []string{"local", "remote"} {
 		spec.MemLimit = full.Need / 2
 		sz, err := Size(spec, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Open(spec, Options{Stack: ooc.StackSpec{Verify: verify}}, in, sz, sz.Quota)
+		var opts Options
+		if medium == "remote" {
+			opts.Stack.URL = srv.ObjectURL("obj")
+		}
+		r, err := Open(spec, opts, in, sz, sz.Quota)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,17 +464,17 @@ func TestOpenChargesPipelineToQuota(t *testing.T) {
 		used := int64(m.Slots())*sz.VecBytes + overhead
 		switch {
 		case !m.PipelineStats().Enabled || m.Slots() <= ooc.MinSlots:
-			t.Errorf("verify %t: want a pipelined run above the floor, got %d slots", verify, m.Slots())
+			t.Errorf("%s: want a pipelined run above the floor, got %d slots", medium, m.Slots())
 		case used > sz.Quota:
-			t.Errorf("verify %t: %d slots of %d B + %d B overhead = %d B > quota %d B",
-				verify, m.Slots(), sz.VecBytes, overhead, used, sz.Quota)
+			t.Errorf("%s: %d slots of %d B + %d B overhead = %d B > quota %d B",
+				medium, m.Slots(), sz.VecBytes, overhead, used, sz.Quota)
 		case used+sz.VecBytes <= sz.Quota:
-			t.Errorf("verify %t: %d B of the quota left unused, a whole vector", verify, sz.Quota-used)
+			t.Errorf("%s: %d B of the quota left unused, a whole vector", medium, sz.Quota-used)
 		case m.MemOverheadBytes() != overhead:
-			t.Errorf("verify %t: manager reports %d B overhead, Open charged %d B", verify, m.MemOverheadBytes(), overhead)
+			t.Errorf("%s: manager reports %d B overhead, Open charged %d B", medium, m.MemOverheadBytes(), overhead)
 		}
 		if changed, err := r.Resize(sz.Quota); changed || err != nil {
-			t.Errorf("verify %t: resizing to the grant Open used moved the pool (%v)", verify, err)
+			t.Errorf("%s: resizing to the grant Open used moved the pool (%v)", medium, err)
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)

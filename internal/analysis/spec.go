@@ -37,8 +37,8 @@ const MaxWorkers = 256
 // analysis flags bind into.
 type Spec struct {
 	// Name identifies a daemon session in URLs and on the /debug
-	// endpoint. Letters, digits, '.', '_' and '-' only (it names files
-	// on disk). Unused by one-shot runs.
+	// endpoint. At most 64 letters, digits and '_' (it names files on
+	// disk and metric families). Unused by one-shot runs.
 	Name string `json:"name"`
 
 	// Alignment is the inline alignment text; Path is a file instead
@@ -149,8 +149,7 @@ type Options struct {
 	// traversal plan's next reads staged one step ahead.
 	Sync bool
 	// Stack is the store an out-of-core run opens: medium and paths,
-	// cache tier, verification, fault injection. Open supplies the
-	// geometry.
+	// cache tier, fault injection. Open supplies the geometry.
 	Stack ooc.StackSpec
 	// Registry, when set, instruments the engine, the manager and the
 	// store layers under their one-run-per-process names.

@@ -140,7 +140,7 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 				RemoteRetry:    ooc.RetryPolicy{Max: 2, Rand: jitter},
 				Breaker:        chaosBreaker,
 			},
-			URL: srv.ObjectURL("soak"), Verify: true,
+			URL: srv.ObjectURL("soak"),
 		},
 	}, func(r *analysis.Run) (err error) {
 		chaos.Enable()

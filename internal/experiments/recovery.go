@@ -80,7 +80,7 @@ type RecoveryRow struct {
 func runRecoveryWorkload(cfg RecoveryConfig, w *workload, async bool, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
 	r, err = w.run(arm{
 		Fraction: pagingFraction, Async: async,
-		Stack: ooc.StackSpec{Base: w.memStore(), Verify: true, Fault: faults},
+		Stack: ooc.StackSpec{Base: w.memStore(), Fault: faults},
 	}, func(r *analysis.Run) (err error) {
 		// Both flavours stage the plan's next step, as the pipelined one
 		// does by default.

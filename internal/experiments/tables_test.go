@@ -249,13 +249,16 @@ func init() {
 		if want := ooc.SlotsForBytes(sz.Quota, overhead, sz.VecBytes, sz.NumVectors); r.Manager.Slots() != want {
 			fail("%d slots, -L %d buys %d", r.Manager.Slots(), sz.Quota, want)
 		}
+		if r.Stack.Checksum == nil {
+			fail("store stack is not verified")
+		}
 		// Pipeline enabled == !Sync, and an arm opens Sync: !Async.
 		if got := r.Manager.PipelineStats().Enabled; got != a.Async {
 			fail("pipeline enabled = %v", got)
 		}
 		for kind, is := range map[string]bool{
 			"async": a.Async, "base": a.Stack.Base != nil, "file": a.Stack.Base == nil && a.Stack.URL == "",
-			"remote": r.Stack.Tier != nil, "verified": r.Stack.Checksum != nil, "faulted": r.Stack.Fault != nil,
+			"remote": r.Stack.Tier != nil, "faulted": r.Stack.Fault != nil,
 		} {
 			if is {
 				armLog.kinds[kind]++
@@ -276,7 +279,7 @@ func TestArmsAreShippable(t *testing.T) {
 	for _, v := range armLog.violations {
 		t.Error(v)
 	}
-	for _, kind := range []string{"ram", "base", "file", "remote", "verified", "faulted", "async", "instrumented"} {
+	for _, kind := range []string{"ram", "base", "file", "remote", "faulted", "async", "instrumented"} {
 		if armLog.kinds[kind] == 0 {
 			t.Errorf("no %s arm was opened; saw %v", kind, armLog.kinds)
 		}

@@ -72,7 +72,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	if err != nil {
 		return res, err
 	}
-	stack := ooc.StackSpec{Base: w.memStore(), Verify: true}
+	stack := ooc.StackSpec{Base: w.memStore()}
 	if cfg.WithFaults {
 		stack.Fault = &ooc.FaultConfig{
 			Seed:     cfg.Seed + 99,

@@ -183,10 +183,12 @@ func vectorChecksum(v []float64) uint32 {
 // ChecksumStore wraps an inner Store with per-vector CRC-32C
 // verification of each record. The table lives in memory only — 8
 // bytes per vector, gone with the process, like every vector it
-// describes. Reads of a never-written vector are accepted as-is (a fresh
-// backing file legitimately reads zeros); any other read that asks for
-// a length other than the last write's, or whose payload does not hash
-// to the recorded checksum, returns a *CorruptionError.
+// describes; like the manager's own per-vector index it is O(n)
+// bookkeeping, not charged to -L. Reads of a never-written vector are
+// accepted as-is (a fresh backing file legitimately reads zeros); any
+// other read that asks for a length other than the last write's, or
+// whose payload does not hash to the recorded checksum, returns a
+// *CorruptionError.
 //
 // Concurrency matches the Store contract: calls on distinct vectors are
 // safe (per-vector state lives at distinct slice indices), concurrent
@@ -251,12 +253,6 @@ func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
 // recordLen is the length of vector vi's last write (0 if never
 // written).
 func (s *ChecksumStore) recordLen(vi int) int { return int(s.sums[vi] >> 32) }
-
-// MemOverheadBytes reports the checksum table (8 bytes per vector) plus
-// whatever the inner store tracks.
-func (s *ChecksumStore) MemOverheadBytes() int64 {
-	return int64(s.n)*8 + StoreMemOverhead(s.inner)
-}
 
 // Unwrap implements Unwrapper.
 func (s *ChecksumStore) Unwrap() Store { return s.inner }

@@ -52,8 +52,9 @@ type ObjectStore struct {
 }
 
 // NewObjectStore creates (truncating) the remote object for numVectors
-// vectors of vecLen float64s and returns a store over it.
-func NewObjectStore(rawURL string, numVectors, vecLen int) (*ObjectStore, error) {
+// vectors of vecLen float64s and returns a store over it. ctx bounds
+// the create request.
+func NewObjectStore(ctx context.Context, rawURL string, numVectors, vecLen int) (*ObjectStore, error) {
 	endpoint, err := ParseRemoteURL(rawURL)
 	if err != nil {
 		return nil, err
@@ -62,8 +63,7 @@ func NewObjectStore(rawURL string, numVectors, vecLen int) (*ObjectStore, error)
 		return nil, fmt.Errorf("ooc: remote store geometry %dx%d invalid", numVectors, vecLen)
 	}
 	s := &ObjectStore{endpoint: endpoint, n: numVectors, vecLen: vecLen, client: &http.Client{}}
-	req, err := http.NewRequest(http.MethodPut,
-		s.endpoint+"?truncate="+strconv.FormatInt(s.size(), 10), nil)
+	req, err := s.newRequest(ctx, http.MethodPut, "?truncate="+strconv.FormatInt(s.size(), 10), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func TestObjectStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	s, err := NewObjectStore(srv.ObjectURL("v"), 6, 4)
+	s, err := NewObjectStore(context.Background(), srv.ObjectURL("v"), 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestObjectStoreTransientErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewObjectStore(srv.ObjectURL("t"), 2, 2)
+	s, err := NewObjectStore(context.Background(), srv.ObjectURL("t"), 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestObjectStoreContextCancelMidGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	s, err := NewObjectStore(srv.ObjectURL("cancel"), 8, 4)
+	s, err := NewObjectStore(context.Background(), srv.ObjectURL("cancel"), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestObjectStoreDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	s, err := NewObjectStore(srv.ObjectURL("deadline"), 4, 4)
+	s, err := NewObjectStore(context.Background(), srv.ObjectURL("deadline"), 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

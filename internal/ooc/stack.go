@@ -7,9 +7,10 @@ package ooc
 //	Crash → Checksum → Fault → Tiered{cache file, pend, breaker} → Object
 //	                         └──────────────────────────────────────→ File | Base
 //
-// The one Checksum is the stack's integrity check. A URL stack always
-// has it: the tier below checks nothing, so a rotted cache slot and a
-// corrupt GET are both caught there, by vector.
+// The one Checksum is the stack's integrity check, and every stack has
+// it: the layers below check nothing, so a flipped bit in the backing
+// file, a rotted cache slot and a corrupt GET are all caught there, by
+// vector.
 //
 // The rule is LvD's, any vector is recomputable, taken to its end: a
 // process reads only vectors it wrote. Every open creates fresh stores
@@ -20,6 +21,7 @@ package ooc
 // each vector before its first read.
 
 import (
+	"context"
 	"fmt"
 	"os"
 )
@@ -46,9 +48,6 @@ type StackSpec struct {
 	// (0 = room for every vector; floored at one vector), while the
 	// remote accepts writes (see TieredConfig.CacheVectors).
 	CacheBytes int64
-	// Verify wraps a local stack (Path or Base) in a ChecksumStore; a
-	// URL stack always has one.
-	Verify bool
 	// Fault injects seeded faults below the checksum layer, where they
 	// are detected; CrashAfter > 0 kills the process at that vector
 	// I/O, above every layer, so neither data nor checksum lands.
@@ -76,7 +75,7 @@ func (spec StackSpec) Remove() error {
 // Stack is an opened store stack. Store is the outermost layer — what a
 // Manager is configured with; the typed fields point at the layers
 // callers talk to directly and are nil when the layer is absent
-// (Checksum never is for a URL stack).
+// (Checksum never is).
 type Stack struct {
 	Store    Store
 	Checksum *ChecksumStore
@@ -108,7 +107,11 @@ func OpenStack(spec StackSpec) (st *Stack, err error) {
 	n, vecLen := spec.NumVectors, spec.VectorLen
 	switch {
 	case spec.URL != "":
-		if st.Remote, err = NewObjectStore(spec.URL, n, vecLen); err != nil {
+		// The create is one remote request, bounded like every other.
+		ctx, cancel := context.WithTimeout(context.Background(), spec.RemoteDeadline)
+		st.Remote, err = NewObjectStore(ctx, spec.URL, n, vecLen)
+		cancel()
+		if err != nil {
 			return st, fmt.Errorf("remote store %s: %w", spec.URL, err)
 		}
 		if st.Tier, err = NewTieredStore(st.Remote, spec.TieredConfig); err != nil {
@@ -127,12 +130,10 @@ func OpenStack(spec StackSpec) (st *Stack, err error) {
 		st.Fault = NewFaultStore(st.Store, *spec.Fault)
 		st.Store = st.Fault
 	}
-	if spec.Verify || spec.URL != "" {
-		if st.Checksum, err = NewChecksumStore(st.Store, "", n, vecLen); err != nil {
-			return st, err
-		}
-		st.Store = st.Checksum
+	if st.Checksum, err = NewChecksumStore(st.Store, "", n, vecLen); err != nil {
+		return st, err
 	}
+	st.Store = st.Checksum
 	if spec.CrashAfter > 0 {
 		st.Store = NewCrashStore(st.Store, spec.CrashAfter)
 	}

@@ -3,6 +3,7 @@ package ooc
 import (
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -33,10 +34,11 @@ func openFilesUnder(dir string) []string {
 }
 
 // TestOpenStack is the builder's table: {local file, remote loopback} ×
-// {Verify on, off} × {nothing on disk, a previous stack's leftovers,
-// leftovers written at another geometry — half the vector length}.
-// It pins the chain shape (a remote stack is verified whether or not
-// the spec asks), that leftovers change nothing — the stack
+// {verify=true: a vector rotted behind the checksum layer, verify=false:
+// none} × {nothing on disk, a previous stack's leftovers, leftovers
+// written at another geometry — half the vector length}. It pins the
+// chain shape (every stack is verified, so the rotted vector reads as
+// corruption with no flag asking), that leftovers change nothing — the stack
 // opens fresh and cold over them, at whatever geometry it is asked for
 // — that only the vector/cache file is ever created,
 // and that Close releases every file and removes exactly the temp paths
@@ -56,7 +58,7 @@ func TestOpenStack(t *testing.T) {
 					t.Setenv("TMPDIR", tmp)
 					spec := StackSpec{
 						TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen},
-						Verify:       verify, CrashAfter: 1 << 40,
+						CrashAfter:   1 << 40,
 					}
 					if isRemote {
 						srv, err := remote.NewServer(remote.ServerConfig{})
@@ -108,11 +110,7 @@ func TestOpenStack(t *testing.T) {
 						}
 						s = u.Unwrap()
 					}
-					verified := verify || isRemote
-					want := []string{"*ooc.CrashStore"}
-					if verified {
-						want = append(want, "*ooc.ChecksumStore")
-					}
+					want := []string{"*ooc.CrashStore", "*ooc.ChecksumStore"}
 					if isRemote {
 						want = append(want, "*ooc.TieredStore")
 					} else {
@@ -121,7 +119,7 @@ func TestOpenStack(t *testing.T) {
 					if !reflect.DeepEqual(chain, want) {
 						t.Errorf("chain = %v, want %v", chain, want)
 					}
-					if (st.Checksum != nil) != verified || (st.Tier != nil) != isRemote || (st.Remote != nil) != isRemote || st.Fault != nil {
+					if st.Checksum == nil || (st.Tier != nil) != isRemote || (st.Remote != nil) != isRemote || st.Fault != nil {
 						t.Errorf("layers: checksum %v tier %v remote %v fault %v", st.Checksum != nil, st.Tier != nil, st.Remote != nil, st.Fault != nil)
 					}
 					if notes := strings.Join(st.Notes, "\n"); isRemote != strings.HasPrefix(notes, "Cache tier:") || strings.Contains(notes, "\n") {
@@ -146,6 +144,16 @@ func TestOpenStack(t *testing.T) {
 					}
 					if err := st.Store.ReadVector(1, got); err != nil || !reflect.DeepEqual(got, tierVec(vecLen, 77)) {
 						t.Errorf("round trip through the stack = %v (err %v)", got, err)
+					}
+					if verify {
+						// Rot vector 1 under the checksum layer: the stack
+						// must refuse it, not hand it back as data.
+						if err := st.Checksum.Unwrap().WriteVector(1, tierVec(vecLen, 78)); err != nil {
+							t.Fatal(err)
+						}
+						if err := st.Store.ReadVector(1, got); !IsCorruption(err) {
+							t.Errorf("vector rotted behind the checksum layer: read err %v, want corruption", err)
+						}
 					}
 
 					if err := st.Close(); err != nil {
@@ -205,8 +213,7 @@ func flipCacheBit(t *testing.T, ts *TieredStore, dir string, vi, vecLen int) {
 	}
 }
 
-// TestURLStackVerifiesCorruptGET: a URL stack opened without Verify is
-// verified all the same. A GET whose payload the network corrupted
+// TestURLStackVerifiesCorruptGET: a GET whose payload the network corrupted
 // comes back as a *CorruptionError naming the vector, not as the
 // flipped bytes the tier would otherwise cache and serve.
 func TestURLStackVerifiesCorruptGET(t *testing.T) {
@@ -289,6 +296,56 @@ func TestURLStackCorruptCacheSlotNamesVector(t *testing.T) {
 	corrupt("pushed")
 }
 
+// TestURLStackOpenStalledRemote: an object server that accepts the
+// connection and never answers fails the open within the remote
+// deadline, as it fails any other remote attempt; it does not hang the
+// run or the daemon session that opens the stack.
+func TestURLStackOpenStalledRemote(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var held []net.Conn // only the accept goroutine touches it until it exits
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	defer func() {
+		ln.Close()
+		<-accepted
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	opened := make(chan error, 1)
+	go func() {
+		st, err := OpenStack(StackSpec{
+			TieredConfig: TieredConfig{NumVectors: 4, VectorLen: 3, RemoteDeadline: 50 * time.Millisecond},
+			URL:          "remote://" + ln.Addr().String() + "/obj",
+		})
+		if err == nil {
+			st.Close()
+		}
+		opened <- err
+	}()
+	select {
+	case err := <-opened:
+		if err == nil {
+			t.Fatal("a stack opened over a server that never answered")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OpenStack hung on a stalled object server")
+	}
+}
+
 // settledGoroutines returns the process's goroutine count once it has
 // stopped moving. Idle HTTP keep-alive connections hold goroutines at
 // both ends of a loopback object server and exiting goroutines take a
@@ -321,7 +378,7 @@ func TestTieredStackStartsNoGoroutine(t *testing.T) {
 	base := settledGoroutines()
 	st, err := OpenStack(StackSpec{
 		TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen, CacheVectors: 1},
-		URL:          srv.ObjectURL("obj"), Verify: true,
+		URL:          srv.ObjectURL("obj"),
 	})
 	if err != nil {
 		t.Fatal(err)

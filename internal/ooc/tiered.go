@@ -21,7 +21,7 @@ package ooc
 //
 // The tier checks nothing it moves: the stack's one ChecksumStore sits
 // above it, indexed by vector, and catches a rotted cache slot or a
-// corrupt GET alike (OpenStack always verifies a URL stack).
+// corrupt GET alike (OpenStack verifies every stack).
 //
 // Read-your-writes is the tier's one promise, and only for the run that
 // wrote: the cache starts cold, Close discards, and nothing is pushed
@@ -60,7 +60,7 @@ type TieredConfig struct {
 	// --- Network fault tolerance (the remote tier treated as an
 	// unreliable network service, not a slow disk) ---
 
-	// RemoteDeadline bounds each remote request attempt (0 = none). A
+	// RemoteDeadline bounds each remote request attempt (0 = 10s). A
 	// stalled backend then costs one deadline per attempt instead of a
 	// hung engine pass.
 	RemoteDeadline time.Duration
@@ -74,7 +74,17 @@ type TieredConfig struct {
 	Breaker BreakerConfig
 }
 
+// defaultRemoteDeadline is far above one vector's transfer at the
+// paper's widths, so only a stalled backend ever reaches it.
+const defaultRemoteDeadline = 10 * time.Second
+
 func (c *TieredConfig) fill() error {
+	switch {
+	case c.RemoteDeadline < 0:
+		return fmt.Errorf("ooc: remote deadline %v < 0", c.RemoteDeadline)
+	case c.RemoteDeadline == 0:
+		c.RemoteDeadline = defaultRemoteDeadline
+	}
 	if c.NumVectors < 1 || c.VectorLen < 1 {
 		return fmt.Errorf("ooc: tiered store geometry %dx%d invalid", c.NumVectors, c.VectorLen)
 	}
@@ -420,11 +430,7 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 		if !s.breaker.Allow() {
 			return fmt.Errorf("ooc: remote %s %d: %w", opName, vi, ErrCircuitOpen)
 		}
-		actx := ctx
-		cancel := context.CancelFunc(nil)
-		if s.cfg.RemoteDeadline > 0 {
-			actx, cancel = context.WithTimeout(ctx, s.cfg.RemoteDeadline)
-		}
+		actx, cancel := context.WithTimeout(ctx, s.cfg.RemoteDeadline)
 		start := time.Now()
 		var err error
 		if read {
@@ -432,9 +438,7 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 		} else {
 			err = WriteRangeOf(actx, s.remote, s.cfg.VectorLen, vi, 1, buf)
 		}
-		if cancel != nil {
-			cancel()
-		}
+		cancel()
 		s.remoteObserved(time.Since(start))
 		switch {
 		case err == nil:

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -22,7 +23,7 @@ func newTierFixture(t *testing.T, n, vecLen, cacheVecs int, dev iosim.Device) (*
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	obj, err := NewObjectStore(srv.ObjectURL("vec"), n, vecLen)
+	obj, err := NewObjectStore(context.Background(), srv.ObjectURL("vec"), n, vecLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestTieredStoreFetchCost(t *testing.T) {
 			t.Errorf("vector %d read back %v, want %v", vi, buf, want)
 		}
 	}
-	if cs.MemOverheadBytes() <= ts.MemOverheadBytes() {
-		t.Error("checksum wrapper must add its table overhead to the inner store's")
+	if got, want := StoreMemOverhead(cs), ts.MemOverheadBytes(); got != want {
+		t.Errorf("checksum wrapper reports %d B overhead, want the tier's %d B: its table is not charged to -L", got, want)
 	}
 }
 
@@ -156,7 +157,7 @@ func TestTieredStoreDirtyEvictionSurvivesCacheLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	obj, err := NewObjectStore(srv.ObjectURL("cl"), n, vecLen)
+	obj, err := NewObjectStore(context.Background(), srv.ObjectURL("cl"), n, vecLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +199,73 @@ func (p *putOutage) WriteVector(vi int, src []float64) error {
 	return p.Store.WriteVector(vi, src)
 }
 
+// deadlineProbe is a remote that records whether each ranged request's
+// context carried a deadline, and how far off it was.
+type deadlineProbe struct {
+	*MemStore
+	mu   sync.Mutex
+	left []time.Duration // < 0 for a request with no deadline
+}
+
+func (p *deadlineProbe) note(ctx context.Context) {
+	left := time.Duration(-1)
+	if d, ok := ctx.Deadline(); ok {
+		left = time.Until(d)
+	}
+	p.mu.Lock()
+	p.left = append(p.left, left)
+	p.mu.Unlock()
+}
+
+func (p *deadlineProbe) ReadRange(ctx context.Context, vi, count int, dst []float64) error {
+	p.note(ctx)
+	return p.MemStore.ReadVector(vi, dst)
+}
+
+func (p *deadlineProbe) WriteRange(ctx context.Context, vi, count int, src []float64) error {
+	p.note(ctx)
+	return p.MemStore.WriteVector(vi, src)
+}
+
+// TestTieredRemoteDeadlineDefault: a tier configured with no deadline
+// still bounds every remote attempt, so a backend that accepts a request
+// and never answers costs a deadline, not a hung engine pass. A
+// negative deadline is refused.
+func TestTieredRemoteDeadlineDefault(t *testing.T) {
+	const n, vecLen = 4, 3
+	probe := &deadlineProbe{MemStore: NewMemStore(n, vecLen)}
+	ts, err := NewTieredStore(probe, TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: t.TempDir(), CacheVectors: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	// Vector 1 evicts dirty vector 0 (a PUT); reading 0 back evicts
+	// dirty vector 1 (a PUT) and GETs 0.
+	for _, vi := range []int{0, 1} {
+		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ts.ReadVector(0, make([]float64, vecLen)); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.left) != 3 {
+		t.Fatalf("%d remote requests, want two PUTs and a GET", len(probe.left))
+	}
+	for i, left := range probe.left {
+		switch {
+		case left < 0:
+			t.Errorf("remote request %d has no deadline", i)
+		case left == 0 || left > defaultRemoteDeadline:
+			t.Errorf("remote request %d: deadline %v away, want within (0, %v]", i, left, defaultRemoteDeadline)
+		}
+	}
+	cfg := TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: t.TempDir(), CacheVectors: 1, RemoteDeadline: -time.Second}
+	if _, err := NewTieredStore(probe, cfg); err == nil {
+		t.Error("a negative deadline must fail, not expire every attempt")
+	}
+}
+
 // TestTieredStoreModel searches instead of scripting: three goroutines
 // run seeded random write / read / re-read sequences on disjoint
 // vectors over a cache far smaller than the working set and a
@@ -218,7 +286,7 @@ func TestTieredStoreModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	obj, err := NewObjectStore(srv.ObjectURL("model"), n, vecLen)
+	obj, err := NewObjectStore(context.Background(), srv.ObjectURL("model"), n, vecLen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ func (c *capStore) Degraded() bool                      { return true }
 // TestCapabilitiesCrossWrappers is the wrapper × capability table: every
 // wrapper store must let FetchCost, MemOverheadBytes and Degraded of
 // the store beneath it through, alone and stacked in OpenStack's
-// order. MemOverheadBytes is the row runs depend on: a wrapper that hid
-// a tier's heap would let -L overcommit. FetchCost and Degraded are
+// order, adding nothing of its own. MemOverheadBytes is the row runs
+// depend on: a wrapper that hid a tier's heap would let -L overcommit. FetchCost and Degraded are
 // forwarded by the benchmark harness's traced store.
 func TestCapabilitiesCrossWrappers(t *testing.T) {
 	const n, vecLen = 4, 3
@@ -37,16 +37,14 @@ func TestCapabilitiesCrossWrappers(t *testing.T) {
 	wrappers := []struct {
 		name string
 		wrap func(Store) Store
-		// own is the overhead the wrapper itself contributes.
-		own int64
 	}{
-		{"Sim", func(s Store) Store { return NewSimStore(s, iosim.Device{}, &clock) }, 0},
-		{"Fault", func(s Store) Store { return NewFaultStore(s, FaultConfig{}) }, 0},
-		{"Crash", func(s Store) Store { return NewCrashStore(s, 0) }, 0},
-		{"Checksum", checksum, 8 * n},
+		{"Sim", func(s Store) Store { return NewSimStore(s, iosim.Device{}, &clock) }},
+		{"Fault", func(s Store) Store { return NewFaultStore(s, FaultConfig{}) }},
+		{"Crash", func(s Store) Store { return NewCrashStore(s, 0) }},
+		{"Checksum", checksum},
 		{"Crash(Checksum(Fault))", func(s Store) Store {
 			return NewCrashStore(checksum(NewFaultStore(s, FaultConfig{})), 0)
-		}, 8 * n},
+		}},
 	}
 	for _, w := range wrappers {
 		t.Run(w.name, func(t *testing.T) {
@@ -56,8 +54,8 @@ func TestCapabilitiesCrossWrappers(t *testing.T) {
 			if d, remote := StoreFetchCost(s, 1); d != 7*time.Millisecond || !remote {
 				t.Errorf("FetchCost = (%v, %v), want the inner store's (7ms, true)", d, remote)
 			}
-			if got := StoreMemOverhead(s); got != 1000+w.own {
-				t.Errorf("MemOverhead = %d, want %d", got, 1000+w.own)
+			if got := StoreMemOverhead(s); got != 1000 {
+				t.Errorf("MemOverhead = %d, want the inner store's 1000", got)
 			}
 			if !StoreDegraded(s) {
 				t.Error("Degraded did not cross the wrapper")

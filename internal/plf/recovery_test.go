@@ -277,8 +277,9 @@ func (s *flakyStore) counts() (reads, failures int) {
 // parent's newview — and must come back under the same rule. The
 // breaker-open row is an outage that lasts the whole pass: the same
 // rule, and no planner, must absorb it with no GET leaving. The
-// rotted-cache row corrupts every cache slot under a URL stack: the
-// stack's checksum names each vector and the same rule recomputes it.
+// rotted-cache and rotted-backing-file rows corrupt every vector in the
+// file under a stack opened with no options: the stack's checksum names
+// each vector and the same rule recomputes it.
 func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 	t.Run("sync", func(t *testing.T) {
 		tr, e, prov := outageRig(t, 37, 16)
@@ -371,65 +372,80 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 		}
 		t.Logf("recoveries %d, short-circuits %d", e.Stats.Recoveries, ts.Stats().ShortCircuits)
 	})
-	t.Run("rotted cache", func(t *testing.T) {
-		// A URL stack opened without Verify: the tier checks nothing, so
-		// a rotted cache slot is caught by the stack's one checksum
-		// table, by vector, and recomputed like any unreadable vector.
-		tr, e, _ := outageRig(t, 37, 16)
-		n, vecLen := tr.NumInner(), e.prov.VectorLen()
+	// A stack opened with no options: the medium checks nothing, so a
+	// rotted byte in the tier's cache file or in a local backing file is
+	// caught by the stack's one checksum table, by vector, and
+	// recomputed like any unreadable vector.
+	for _, medium := range []string{"rotted cache", "rotted backing file"} {
+		t.Run(medium, func(t *testing.T) {
+			checkRotRecovered(t, medium == "rotted cache")
+		})
+	}
+}
+
+// checkRotRecovered opens a stack with no options over a remote (or a
+// local backing file), then flips a bit in the first word of every
+// vector the file holds between two passes at one edge.
+func checkRotRecovered(t *testing.T, overRemote bool) {
+	tr, e, _ := outageRig(t, 37, 16)
+	n, vecLen := tr.NumInner(), e.prov.VectorLen()
+	dir := t.TempDir()
+	spec := ooc.StackSpec{TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen}}
+	file := filepath.Join(dir, "v.bin")
+	if overRemote {
 		srv, err := remote.NewServer(remote.ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		cacheVectors := n // every stored vector stays cached, so rots
-		dir := t.TempDir()
-		st, err := ooc.OpenStack(ooc.StackSpec{
-			TieredConfig: ooc.TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: cacheVectors},
-			URL:          srv.ObjectURL("vecs"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		mgr, err := ooc.NewManager(ooc.Config{
-			NumVectors: n, VectorLen: vecLen, Slots: 4,
-			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store, Async: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mgr.Close()
-		if e, err = New(tr, e.P, e.M, mgr); err != nil {
-			t.Fatal(err)
-		}
-		e.EnablePrefetch(true)
-		rot := func() {
-			// Settle the write-back pipeline, then flip a bit in the first
-			// word, inside every record however short, of each cache slot.
-			if err := mgr.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			f, err := os.OpenFile(filepath.Join(dir, "cache.vec"), os.O_RDWR, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			var b [1]byte
-			for slot := 0; slot < cacheVectors; slot++ {
-				off := int64(slot)*int64(vecLen)*8 + 3
-				if _, err := f.ReadAt(b[:], off); err != nil {
-					t.Fatal(err)
-				}
-				b[0] ^= 0x10
-				if _, err := f.WriteAt(b[:], off); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		corrupt := func() int { return int(mgr.PipelineStats().CorruptReads) }
-		checkUnreadableRecovered(t, e, tr.Edges[0], tr.Edges[len(tr.Edges)-1], rot, corrupt)
+		// Every stored vector stays cached, so every one rots.
+		spec.URL, spec.CacheDir, spec.CacheVectors = srv.ObjectURL("vecs"), dir, n
+		file = filepath.Join(dir, "cache.vec")
+	} else {
+		spec.Path = file
+	}
+	st, err := ooc.OpenStack(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr, err := ooc.NewManager(ooc.Config{
+		NumVectors: n, VectorLen: vecLen, Slots: 4,
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store, Async: true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	if e, err = New(tr, e.P, e.M, mgr); err != nil {
+		t.Fatal(err)
+	}
+	e.EnablePrefetch(true)
+	rot := func() {
+		// Settle the write-back pipeline, then flip a bit in the first
+		// word, inside every record however short, of each vector slot.
+		if err := mgr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(file, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var b [1]byte
+		for slot := 0; slot < n; slot++ {
+			off := int64(slot)*int64(vecLen)*8 + 3
+			if _, err := f.ReadAt(b[:], off); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0x10
+			if _, err := f.WriteAt(b[:], off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	corrupt := func() int { return int(mgr.PipelineStats().CorruptReads) }
+	checkUnreadableRecovered(t, e, tr.Edges[0], tr.Edges[len(tr.Edges)-1], rot, corrupt)
 }
 
 // checkUnreadableRecovered evaluates at edge, moves the engine away to

@@ -67,7 +67,7 @@ type ServerConfig struct {
 	// the PRs it judges do not edit, still sets it.
 	RemoteLanes int
 	// RemoteDeadline bounds each remote store request attempt; retries
-	// get a fresh deadline (0 = none). Only meaningful with StoreURL.
+	// get a fresh deadline (0 = 10s). Only meaningful with StoreURL.
 	RemoteDeadline time.Duration
 	// RequestTimeout bounds one /v1 request end-to-end; expiry maps to
 	// 503 + Retry-After (0 = no deadline).

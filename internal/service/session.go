@@ -397,14 +397,14 @@ func (s *Session) bringUp(in *analysis.Inputs) error {
 	return nil
 }
 
-// stackSpec describes the session's checksummed store stack: the
+// stackSpec describes the session's store stack: the
 // backing file under DataDir, or — when the daemon has a StoreURL — the
 // session's remote object behind a write-back cache under
 // DataDir/<name>.cache. Opening and deleting the session's store both
 // start from this one description.
 func (s *Session) stackSpec() ooc.StackSpec {
 	cfg := s.srv.cfg
-	spec := ooc.StackSpec{Path: filepath.Join(cfg.DataDir, s.name+".vec"), Verify: true}
+	spec := ooc.StackSpec{Path: filepath.Join(cfg.DataDir, s.name+".vec")}
 	if cfg.StoreURL != "" {
 		spec.URL = sessionObjectURL(cfg.StoreURL, s.name)
 		spec.CacheDir = filepath.Join(cfg.DataDir, s.name+".cache")
