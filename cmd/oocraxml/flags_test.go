@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -97,7 +98,7 @@ func TestOneSpecThreeDoors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := analysis.Open(spec, analysis.Options{}, in, sz, sz.Quota)
+	r, err := analysis.Open(context.Background(), spec, analysis.Options{}, in, sz, sz.Quota)
 	if err != nil {
 		t.Fatal(err)
 	}

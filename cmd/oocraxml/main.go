@@ -218,8 +218,12 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	r, err := analysis.Open(spec, *how, in, sz, sz.Quota)
+	r, err := analysis.Open(ctx, spec, *how, in, sz, sz.Quota)
 	if err != nil {
+		if ctx.Err() != nil {
+			fmt.Fprintf(out, "Interrupted: %v\n", err)
+			return nil
+		}
 		return err
 	}
 	defer r.Close()
@@ -227,11 +231,12 @@ func run(args []string, out *os.File) error {
 	printProvider(out, spec, how, r)
 	e := r.Engine
 	if o.mode != "s" {
-		// Engine-level cancellation aborts traversals between plan steps.
-		// Mode s instead checks the context itself at tree-consistent
-		// boundaries: an engine-level abort could fire mid-SPR-surgery,
-		// where the topology is not in a checkpointable state.
-		e.SetContext(ctx)
+		// Run-level cancellation aborts traversals between plan steps and
+		// the remote tier's attempts in flight. Mode s instead checks the
+		// context itself at tree-consistent boundaries: an engine-level
+		// abort could fire mid-SPR-surgery, where the topology is not in a
+		// checkpointable state.
+		r.SetContext(ctx)
 	}
 
 	start := time.Now()

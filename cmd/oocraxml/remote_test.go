@@ -1,11 +1,15 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -169,7 +173,7 @@ func TestRemoteRefusedReadOneRetryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := analysis.Open(spec, *how, in, sz, sz.Quota)
+	r, err := analysis.Open(context.Background(), spec, *how, in, sz, sz.Quota)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +195,65 @@ func TestRemoteRefusedReadOneRetryBudget(t *testing.T) {
 	if st.ShortCircuits != 0 || st.BreakerOpens != 0 || st.BreakerState != "closed" {
 		t.Errorf("one refused read moved the breaker: %d opens, %d short circuits, %s",
 			st.BreakerOpens, st.ShortCircuits, st.BreakerState)
+	}
+}
+
+// TestRemoteStoreSIGTERMDuringStalledOpen: SIGTERM reaches a run whose
+// remote store accepts the object-creating request and never answers.
+// The run is interrupted, not failed: it exits 0 at once instead of
+// waiting out the remote deadline.
+func TestRemoteStoreSIGTERMDuringStalledOpen(t *testing.T) {
+	bin := soakBinary(t)
+	dir := t.TempDir()
+	phy, nwk, memLimit := soakDataset(t, dir, 24, 200)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn // only the accept goroutine touches it until it exits
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	defer func() {
+		ln.Close()
+		<-accepted
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+
+	cmd := exec.Command(bin, "-s", phy, "-t", nwk, "-f", "z", "-k", "1",
+		"-L", fmt.Sprint(memLimit), "-store", "remote://"+ln.Addr().String()+"/vecs")
+	var out strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	time.Sleep(time.Second)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("run exited with %v after SIGTERM, want 0:\n%s", err, out.String())
+		}
+	case <-time.After(2 * time.Second):
+		cmd.Process.Kill()
+		<-exited
+		t.Fatalf("run still going 2 s after SIGTERM:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "Interrupted") {
+		t.Errorf("run did not report the interrupt:\n%s", out.String())
 	}
 }

@@ -183,7 +183,7 @@ func runClient(args []string, out *os.File) error {
 		length := fs.Float64("length", -1, "hypothetical branch length (< 0 = the edge's current length)")
 		full := fs.Bool("full", false, "force a fresh full engine pass before evaluating")
 		count := fs.Int("n", 1, "number of evaluate requests to issue")
-		concurrent := fs.Bool("concurrent", false, "issue the -n requests concurrently (they ride the session's batches)")
+		concurrent := fs.Bool("concurrent", false, "issue the -n requests concurrently (they take the session in turn)")
 		trace := fs.Bool("trace", false, "send a W3C traceparent per request and print the daemon's trace id + cost ledger (inspect with GET /debug/trace/{id})")
 		if err := fs.Parse(rest); err != nil {
 			return err
@@ -218,8 +218,7 @@ func runClient(args []string, out *os.File) error {
 			}
 			fmt.Fprintf(out, "Log likelihood: %.6f\n", rep.LnL)
 			fmt.Fprintf(out, "Log likelihood bits: %s\n", rep.LnLBits)
-			fmt.Fprintf(out, "Batch: seq=%d size=%d wait_us=%d exec_us=%d\n",
-				rep.Batch, rep.BatchSize, rep.WaitMicros, rep.ExecMicros)
+			fmt.Fprintf(out, "Timing: wait_us=%d exec_us=%d\n", rep.WaitMicros, rep.ExecMicros)
 			if rep.TraceID != "" {
 				fmt.Fprintf(out, "Trace: %s\n", rep.TraceID)
 			}
@@ -287,8 +286,7 @@ func printSessionInfo(out *os.File, info service.SessionInfo) {
 		mode = fmt.Sprintf("out-of-core, %d slots", info.Slots)
 	}
 	fmt.Fprintf(out, "Vectors: %s (quota %d B, grant %d B)\n", mode, info.QuotaBytes, info.GrantBytes)
-	fmt.Fprintf(out, "Activity: %d evals in %d batches, %d parks, %d revives\n",
-		info.Evals, info.Batches, info.Parks, info.Revives)
+	fmt.Fprintf(out, "Activity: %d evals, %d parks, %d revives\n", info.Evals, info.Parks, info.Revives)
 	if info.Evals > 0 {
 		fmt.Fprintf(out, "Log likelihood: %.6f\n", info.LnL)
 		fmt.Fprintf(out, "Log likelihood bits: %s\n", info.LnLBits)

@@ -87,8 +87,8 @@ func client(t *testing.T, args ...string) (string, error) {
 var lnlBitsRe = regexp.MustCompile(`Log likelihood bits: ([0-9a-f]{16})`)
 
 // TestServeDifferentialAgainstOneShot is the daemon smoke: start the
-// daemon, create a session, fire concurrent evaluates that the session
-// loop batches, and assert every reply is bit-for-bit identical
+// daemon, create a session, fire concurrent evaluates that take the
+// session in turn, and assert every reply is bit-for-bit identical
 // to a one-shot CLI run over the session's own tree. Then SIGTERM the
 // daemon (graceful exit, resumable checkpoint on disk), restart it over
 // the same data directory and assert the adopted session still answers
@@ -125,7 +125,7 @@ func TestServeDifferentialAgainstOneShot(t *testing.T) {
 	}
 	refBits := m[1]
 
-	// Concurrent evaluates, batched by the session loop.
+	// Concurrent evaluates, each taking the session in turn.
 	evalOut, err := client(t, "eval", "-addr", addr, "-name", "smoke", "-edge", "0", "-n", "6", "-concurrent")
 	if err != nil {
 		t.Fatalf("client eval: %v", err)
@@ -139,11 +139,11 @@ func TestServeDifferentialAgainstOneShot(t *testing.T) {
 			t.Errorf("concurrent evaluate %d: bits %s != one-shot CLI %s\n%s", i, b[1], refBits, evalOut)
 		}
 	}
-	if !regexp.MustCompile(`Batch: seq=\d+ size=\d+ wait_us=\d+ exec_us=\d+`).MatchString(evalOut) {
-		t.Errorf("eval output carries no batching ledger:\n%s", evalOut)
+	if !regexp.MustCompile(`Timing: wait_us=\d+ exec_us=\d+`).MatchString(evalOut) {
+		t.Errorf("eval output carries no timing ledger:\n%s", evalOut)
 	}
 
-	// The /debug endpoint serves the per-session admission/batching
+	// The /debug endpoint serves the per-session admission/activity
 	// counters next to the service routes.
 	varsOut, err := client(t, "info", "-addr", addr, "-name", "smoke")
 	if err != nil || !strings.Contains(varsOut, "6 evals") {

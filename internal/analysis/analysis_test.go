@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -137,7 +138,7 @@ func TestOpen(t *testing.T) {
 					if medium == "remote" {
 						opts.Stack.CacheDir = filepath.Join(dir, "cache")
 					}
-					prev, err := Open(spec, opts, in, sz, sz.Quota)
+					prev, err := Open(context.Background(), spec, opts, in, sz, sz.Quota)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -163,7 +164,7 @@ func TestOpen(t *testing.T) {
 					in = &Inputs{Patterns: pats, Model: rm, Tree: rt}
 				}
 
-				r, err := Open(spec, opts, in, sz, sz.Quota)
+				r, err := Open(context.Background(), spec, opts, in, sz, sz.Quota)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -336,7 +337,7 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 			}
 			opts.Stack.Base = guard
 		}
-		if r, err = Open(spec, opts, in, sz, sz.Quota); err != nil {
+		if r, err = Open(context.Background(), spec, opts, in, sz, sz.Quota); err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
@@ -455,7 +456,7 @@ func TestOpenChargesPipelineToQuota(t *testing.T) {
 		if medium == "remote" {
 			opts.Stack.URL = srv.ObjectURL("obj")
 		}
-		r, err := Open(spec, opts, in, sz, sz.Quota)
+		r, err := Open(context.Background(), spec, opts, in, sz, sz.Quota)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +505,7 @@ func TestOpenHoldsRecordsInQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(spec, Options{}, in, sz, sz.Quota)
+	r, err := Open(context.Background(), spec, Options{}, in, sz, sz.Quota)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +579,7 @@ func TestBuildSizeOpenErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, err := Open(spec, Options{}, in, sz, sz.Quota); err == nil {
+			if r, err := Open(context.Background(), spec, Options{}, in, sz, sz.Quota); err == nil {
 				r.Close()
 				t.Fatal("Open accepted it")
 			}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 
 	"oocphylo/internal/obs"
@@ -59,8 +60,10 @@ type Run struct {
 // grant bytes buy over the store stack opts.Stack describes, created
 // fresh. A resume differs only in where in came from (a checkpoint's
 // Restore): the engine starts all-invalid and recomputes every vector
-// before reading it. On error nothing is left open.
-func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, err error) {
+// before reading it. ctx bounds the open (a remote store's create);
+// the run's own work takes its context from SetContext. On error nothing
+// is left open.
+func Open(ctx context.Context, spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, err error) {
 	n := sz.NumVectors
 	// Built before the fits-in-RAM decision, so a mistyped name fails
 	// even when the data happens to fit.
@@ -81,7 +84,7 @@ func Open(spec Spec, opts Options, in *Inputs, sz Sizing, grant int64) (r *Run, 
 		stack := opts.Stack
 		stack.NumVectors, stack.VectorLen = n, sz.VecLen
 		var st *ooc.Stack
-		if st, err = ooc.OpenStack(stack); err != nil {
+		if st, err = ooc.OpenStack(ctx, stack); err != nil {
 			return r, err
 		}
 		r.Stack = st
@@ -151,6 +154,17 @@ func (r *Run) SetSpan(sp *obs.Span) {
 	r.Engine.SetSpan(sp)
 	if r.Stack.Tier != nil {
 		r.Stack.Tier.SetSpan(sp)
+	}
+}
+
+// SetContext bounds the run's work by ctx: the engine stops at its next
+// step boundary once ctx ends (see plf.Engine.SetContext), and the
+// tiered store's remote attempts end with it. nil detaches. Like every
+// engine call it belongs on the goroutine that drives the engine.
+func (r *Run) SetContext(ctx context.Context) {
+	r.Engine.SetContext(ctx)
+	if r.Stack.Tier != nil {
+		r.Stack.Tier.SetContext(ctx)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -107,7 +108,7 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 			return nil, err
 		}
 	}
-	r, err := analysis.Open(spec, analysis.Options{
+	r, err := analysis.Open(context.Background(), spec, analysis.Options{
 		NoReadSkipping: a.NoReadSkipping, Sync: !a.Async,
 		Stack:    a.Stack,
 		Registry: a.Registry,

@@ -17,9 +17,9 @@ import (
 // Request-scoped distributed tracing. A Span is one timed operation in
 // one request's Trace; spans propagate across HTTP hops via the W3C
 // traceparent header (client → daemon /v1/* → remote object store), so
-// a single trace follows a request through the session loop and its
-// batch, the likelihood engine, the out-of-core manager and the tiered
-// store's cache and remote requests.
+// a single trace follows a request through its wait for the session,
+// the likelihood engine, the out-of-core manager and the tiered store's
+// cache and remote requests.
 //
 // Spans are also the package's one event model below the request: a
 // one-shot run attaches a run-long root span and every layer's fault-in,
@@ -122,8 +122,8 @@ func NewTraceparent() (header, traceID string) {
 
 // Cost is a request's resource ledger: what one evaluate paid across
 // the engine, the out-of-core manager and the tiered store. Values are
-// deltas attributed to exactly one request (the session loop is
-// serialized, so counter deltas around one request are exact).
+// deltas attributed to exactly one request (a request holds its session
+// while it drives the engine, so counter deltas around it are exact).
 type Cost struct {
 	// VectorsFaulted counts demand misses the manager staged in.
 	VectorsFaulted int64 `json:"vectors_faulted,omitempty"`
@@ -145,9 +145,9 @@ type Cost struct {
 	Newviews   int64 `json:"newviews,omitempty"`
 	// PCacheHits counts P-matrix cache hits.
 	PCacheHits int64 `json:"pcache_hits,omitempty"`
-	// WaitMicros/ExecMicros is the batching split: time from enqueue to
-	// batch execution start (queued behind the pass in flight), and the
-	// request's serialized execution span.
+	// WaitMicros/ExecMicros split the request's time in the daemon: the
+	// wait for its session (held by the requests ahead of it), and its
+	// own engine time.
 	WaitMicros int64 `json:"wait_us,omitempty"`
 	ExecMicros int64 `json:"exec_us,omitempty"`
 }
@@ -226,7 +226,6 @@ type Span struct {
 
 	mu    sync.Mutex
 	attrs []Attr
-	links []SpanID
 	ended bool
 }
 
@@ -283,18 +282,6 @@ func (sp *Span) SetAttrStr(key, v string) {
 	sp.mu.Unlock()
 }
 
-// LinkTo records a flow link from this span to other (rendered as a
-// Chrome trace flow arrow — e.g. a batched request pointing at the
-// shared engine-pass span that executed it).
-func (sp *Span) LinkTo(other *Span) {
-	if sp == nil || other == nil {
-		return
-	}
-	sp.mu.Lock()
-	sp.links = append(sp.links, other.id)
-	sp.mu.Unlock()
-}
-
 // EmitChild records an already-finished child span in one call — the
 // shape layer code wants when it learns an operation's duration only
 // after the fact (the manager's fault-in path, the engine's kernels).
@@ -341,10 +328,6 @@ func (sp *Span) End() {
 	}
 	sp.ended = true
 	attrs := sp.attrs
-	links := make([]string, len(sp.links))
-	for i, l := range sp.links {
-		links[i] = l.String()
-	}
 	sp.mu.Unlock()
 	sp.col.add(sp.trace, SpanRecord{
 		SpanID: sp.id.String(),
@@ -353,7 +336,6 @@ func (sp *Span) End() {
 		Start:  sp.start.UnixNano(),
 		Dur:    end.Sub(sp.start).Nanoseconds(),
 		Attrs:  attrs,
-		Links:  links,
 	})
 }
 
@@ -391,10 +373,9 @@ type SpanRecord struct {
 	Parent string `json:"parent_span_id,omitempty"`
 	Name   string `json:"name"`
 	// Start is Unix nanoseconds; Dur the span length in nanoseconds.
-	Start int64    `json:"start_unix_nano"`
-	Dur   int64    `json:"dur_nanos"`
-	Attrs []Attr   `json:"attrs,omitempty"`
-	Links []string `json:"links,omitempty"`
+	Start int64  `json:"start_unix_nano"`
+	Dur   int64  `json:"dur_nanos"`
+	Attrs []Attr `json:"attrs,omitempty"`
 }
 
 // traceRecord is one trace's finished spans plus its shared ledger.
@@ -607,9 +588,7 @@ const LaneAttr = "lane"
 // JSON (the "JSON Object Format": {"traceEvents": [...]}) loadable in
 // chrome://tracing and Perfetto. Each (trace, lane) pair is its own
 // row with thread_name metadata, so a run's compute lane and its I/O
-// worker lanes sit one above the other. Span links become flow arrows
-// ("s"/"f" events) — a batched request's row points at the shared
-// engine-pass span that executed it. col may be nil.
+// worker lanes sit one above the other. col may be nil.
 func WriteChromeTrace(w io.Writer, col *SpanCollector) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
@@ -630,8 +609,8 @@ func spanLane(s SpanRecord) int64 {
 	return 0
 }
 
-// writeChromeSpans emits the collected spans, their rows and their flow
-// arrows into an open traceEvents array.
+// writeChromeSpans emits the collected spans and their rows into an
+// open traceEvents array.
 func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer) {
 	c.mu.Lock()
 	recs := make([]*traceRecord, 0, len(c.traces))
@@ -673,18 +652,6 @@ func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer) {
 		tid[r] = i
 	}
 
-	// Index span id → (row, ts) for flow arrow endpoints.
-	type spanPos struct {
-		tid int
-		ts  float64
-	}
-	pos := make(map[string]spanPos)
-	for i, rec := range recs {
-		for _, s := range rec.spans {
-			pos[s.SpanID] = spanPos{tid: tid[row{i, spanLane(s)}], ts: float64(s.Start-epoch) / 1e3}
-		}
-	}
-
 	first := true
 	emit := func(format string, args ...any) {
 		if !first {
@@ -701,10 +668,8 @@ func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer) {
 		}
 		emit("\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%q}}", i, name)
 	}
-	flowID := 0
-	for _, rec := range recs {
+	for i, rec := range recs {
 		for _, s := range rec.spans {
-			p := pos[s.SpanID]
 			var args []byte
 			args = append(args, fmt.Sprintf("{\"span_id\":%q,\"trace_id\":%q", s.SpanID, rec.id.String())...)
 			if s.Parent != "" {
@@ -719,18 +684,7 @@ func (c *SpanCollector) writeChromeSpans(bw *bufio.Writer) {
 			}
 			args = append(args, '}')
 			emit("\n{\"name\":%q,\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}",
-				s.Name, p.tid, p.ts, float64(s.Dur)/1e3, args)
-			for _, link := range s.Links {
-				dst, ok := pos[link]
-				if !ok {
-					continue
-				}
-				flowID++
-				emit("\n{\"name\":\"batch\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
-					flowID, p.tid, p.ts)
-				emit("\n{\"name\":\"batch\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
-					flowID, dst.tid, dst.ts)
-			}
+				s.Name, tid[row{i, spanLane(s)}], float64(s.Start-epoch)/1e3, float64(s.Dur)/1e3, args)
 		}
 	}
 }

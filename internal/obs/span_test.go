@@ -60,7 +60,6 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	sp.SetAttr("k", 1)
 	sp.SetAttrStr("k", "v")
 	sp.AddCost(Cost{Newviews: 1})
-	sp.LinkTo(nil)
 	sp.EmitChild("x", time.Now(), time.Millisecond)
 	sp.End()
 	if child := sp.StartChild("c"); child != nil {
@@ -261,45 +260,6 @@ func TestStartRemoteChildContinuesTrace(t *testing.T) {
 	sp2 := col.StartRemoteChild("http", "garbage")
 	if sp2 == nil || sp2.TraceID().IsZero() {
 		t.Fatal("malformed traceparent did not start a fresh trace")
-	}
-}
-
-func TestWriteChromeTraceSpansAndFlows(t *testing.T) {
-	col := NewSpanCollector(8)
-	a := col.StartTrace("request-a")
-	pass := a.StartChild("engine_pass")
-	b := col.StartTrace("request-b")
-	b.LinkTo(pass)
-	pass.End()
-	a.End()
-	b.End()
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, col); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace not valid JSON: %v\n%s", err, buf.String())
-	}
-	var spans, flowS, flowF int
-	for _, ev := range doc.TraceEvents {
-		switch ev["ph"] {
-		case "X":
-			spans++
-		case "s":
-			flowS++
-		case "f":
-			flowF++
-		}
-	}
-	if spans != 3 {
-		t.Errorf("chrome trace has %d complete spans, want 3", spans)
-	}
-	if flowS != 1 || flowF != 1 {
-		t.Errorf("flow events s=%d f=%d, want 1/1 (the LinkTo arrow)", flowS, flowF)
 	}
 }
 

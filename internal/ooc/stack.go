@@ -90,9 +90,11 @@ type Stack struct {
 	temps []string
 }
 
-// OpenStack builds the stack spec describes. On error nothing is left
-// open and no temp file is left behind.
-func OpenStack(spec StackSpec) (st *Stack, err error) {
+// OpenStack builds the stack spec describes. ctx bounds the open: a URL
+// stack's object-creating request runs under it, each attempt of it
+// under RemoteDeadline too. On error nothing is left open and no temp
+// file is left behind.
+func OpenStack(ctx context.Context, spec StackSpec) (st *Stack, err error) {
 	st = &Stack{Spec: spec}
 	defer func() {
 		if err != nil {
@@ -108,8 +110,8 @@ func OpenStack(spec StackSpec) (st *Stack, err error) {
 	switch {
 	case spec.URL != "":
 		// The create is one remote request, bounded like every other.
-		ctx, cancel := context.WithTimeout(context.Background(), spec.RemoteDeadline)
-		st.Remote, err = NewObjectStore(ctx, spec.URL, n, vecLen)
+		octx, cancel := context.WithTimeout(ctx, spec.RemoteDeadline)
+		st.Remote, err = NewObjectStore(octx, spec.URL, n, vecLen)
 		cancel()
 		if err != nil {
 			return st, fmt.Errorf("remote store %s: %w", spec.URL, err)

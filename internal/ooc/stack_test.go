@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -83,7 +84,7 @@ func TestOpenStack(t *testing.T) {
 						if scenario == "geometry mismatch" {
 							was.VectorLen = (vecLen + 1) / 2
 						}
-						prev, err := OpenStack(was)
+						prev, err := OpenStack(context.Background(), was)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -97,7 +98,7 @@ func TestOpenStack(t *testing.T) {
 						}
 					}
 
-					st, err := OpenStack(spec)
+					st, err := OpenStack(context.Background(), spec)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -225,7 +226,7 @@ func TestURLStackVerifiesCorruptGET(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	st, err := OpenStack(StackSpec{
+	st, err := OpenStack(context.Background(), StackSpec{
 		TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen, CacheVectors: 1},
 		URL:          srv.ObjectURL("obj"),
 	})
@@ -264,7 +265,7 @@ func TestURLStackCorruptCacheSlotNamesVector(t *testing.T) {
 	}
 	defer srv.Close()
 	dir := t.TempDir()
-	st, err := OpenStack(StackSpec{
+	st, err := OpenStack(context.Background(), StackSpec{
 		TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: dir, CacheVectors: 1},
 		URL:          srv.ObjectURL("obj"),
 	})
@@ -327,7 +328,7 @@ func TestURLStackOpenStalledRemote(t *testing.T) {
 	}()
 	opened := make(chan error, 1)
 	go func() {
-		st, err := OpenStack(StackSpec{
+		st, err := OpenStack(context.Background(), StackSpec{
 			TieredConfig: TieredConfig{NumVectors: 4, VectorLen: 3, RemoteDeadline: 50 * time.Millisecond},
 			URL:          "remote://" + ln.Addr().String() + "/obj",
 		})
@@ -376,7 +377,7 @@ func TestTieredStackStartsNoGoroutine(t *testing.T) {
 	}
 	defer srv.Close()
 	base := settledGoroutines()
-	st, err := OpenStack(StackSpec{
+	st, err := OpenStack(context.Background(), StackSpec{
 		TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen, CacheVectors: 1},
 		URL:          srv.ObjectURL("obj"),
 	})

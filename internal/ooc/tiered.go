@@ -190,9 +190,12 @@ type TieredStore struct {
 	// histogram when instrumented (nil otherwise).
 	remoteLatObs atomic.Pointer[func(seconds float64)]
 	// span is the request-scoped tracing span tier activity is currently
-	// attributed to (nil when untraced). The pipeline's I/O workers read
-	// it concurrently with the session loop setting it, hence atomic.
+	// attributed to (nil when untraced), and ctx the context every remote
+	// attempt derives from (nil: none). The pipeline's I/O workers read
+	// them concurrently with the engine's goroutine setting them, hence
+	// atomic.
 	span atomic.Pointer[obs.Span]
+	ctx  atomic.Pointer[context.Context]
 
 	st struct {
 		cacheHits, cacheMisses     atomic.Int64
@@ -261,10 +264,23 @@ func (s *TieredStore) noteBreakerTransition(from, to BreakerState) {
 }
 
 // SetSpan attributes subsequent tier activity (remote fetch/write-back
-// spans) to the given request span; nil detaches. Safe to call from
-// the session loop while I/O workers are in flight — each remote
-// request is parented under the span current when it is issued.
+// spans) to the given request span; nil detaches. Safe to call while
+// I/O workers are in flight — each remote request is parented under the
+// span current when it is issued.
 func (s *TieredStore) SetSpan(sp *obs.Span) { s.span.Store(sp) }
+
+// SetContext bounds subsequent remote attempts by ctx as well as by
+// RemoteDeadline; nil detaches. Each attempt derives from the context
+// current when it is issued, the same hand-off as SetSpan. An attempt
+// that ctx ends fails like any refused one: a read is the engine's to
+// recompute, a dirty victim stays in the cache file.
+func (s *TieredStore) SetContext(ctx context.Context) {
+	if ctx == nil {
+		s.ctx.Store(nil)
+		return
+	}
+	s.ctx.Store(&ctx)
+}
 
 // currentSpan returns the active request span (nil when untraced).
 func (s *TieredStore) currentSpan() *obs.Span { return s.span.Load() }
@@ -397,6 +413,9 @@ func (s *TieredStore) MemOverheadBytes() int64 {
 // paid for, with the vector as attributes.
 func (s *TieredStore) tracedCall(name string, read bool, vi int, buf []float64) error {
 	ctx := context.Background()
+	if c := s.ctx.Load(); c != nil {
+		ctx = *c
+	}
 	var span *obs.Span
 	if sp := s.currentSpan(); sp != nil {
 		span = sp.StartChild(name)

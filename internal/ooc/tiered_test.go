@@ -266,6 +266,60 @@ func TestTieredRemoteDeadlineDefault(t *testing.T) {
 	}
 }
 
+// stallStore is a remote that never answers: each request ends only
+// with its context, reported the way ObjectStore reports a transport
+// error, as transient.
+type stallStore struct{ *MemStore }
+
+func (stallStore) ReadRange(ctx context.Context, vi, count int, dst []float64) error {
+	<-ctx.Done()
+	return fmt.Errorf("stalled read: %w (%v)", ErrTransientIO, ctx.Err())
+}
+
+func (stallStore) WriteRange(ctx context.Context, vi, count int, src []float64) error {
+	<-ctx.Done()
+	return fmt.Errorf("stalled write: %w (%v)", ErrTransientIO, ctx.Err())
+}
+
+// TestTieredContextEndsAttempts: the context SetContext attaches ends a
+// remote attempt in flight, well inside the remote deadline, and the
+// attempt counts as refused: the evicted dirty victim stays in the
+// cache file and its write returns nil; a read fails as unreadable
+// (transient), for the engine to recompute. The breaker does not judge
+// the backend by a caller's cancellation.
+func TestTieredContextEndsAttempts(t *testing.T) {
+	const n, vecLen = 4, 3
+	ts, err := NewTieredStore(stallStore{NewMemStore(n, vecLen)},
+		TieredConfig{NumVectors: n, VectorLen: vecLen, CacheDir: t.TempDir(), CacheVectors: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	ts.SetContext(ctx)
+	timer := time.AfterFunc(50*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	for _, vi := range []int{0, 1} { // vector 1 evicts dirty vector 0: a PUT
+		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
+			t.Fatalf("write %d: %v", vi, err)
+		}
+	}
+	if took := time.Since(start); took > defaultRemoteDeadline/2 {
+		t.Fatalf("the stalled PUT took %v: the context did not end it", took)
+	}
+	got := make([]float64, vecLen)
+	if err := ts.ReadVector(0, got); err != nil || got[0] != tierVec(vecLen, 0)[0] {
+		t.Errorf("refused victim 0 read back %v, %v; want it from the cache file", got, err)
+	}
+	if err := ts.ReadVector(2, got); !IsTransient(err) {
+		t.Errorf("read under an ended context: %v, want a transient error", err)
+	}
+	if st := ts.Stats(); st.RemoteWrites != 0 || st.Degraded {
+		t.Errorf("stats %+v: want no remote write landed and the breaker closed", st)
+	}
+}
+
 // TestTieredStoreModel searches instead of scripting: three goroutines
 // run seeded random write / read / re-read sequences on disjoint
 // vectors over a cache far smaller than the working set and a

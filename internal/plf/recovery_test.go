@@ -1,6 +1,7 @@
 package plf
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -404,7 +405,7 @@ func checkRotRecovered(t *testing.T, overRemote bool) {
 	} else {
 		spec.Path = file
 	}
-	st, err := ooc.OpenStack(spec)
+	st, err := ooc.OpenStack(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

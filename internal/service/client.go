@@ -38,7 +38,7 @@ type Client struct {
 
 // SetTrace toggles distributed tracing: when on, every request carries
 // a freshly minted W3C traceparent header, so the daemon records a full
-// server-side trace (session loop → engine → manager → tiered store →
+// server-side trace (session → engine → manager → tiered store →
 // remote object store) and returns the trace id and cost ledger in the
 // evaluate reply (the trace id also in the X-OOC-Trace header).
 func (c *Client) SetTrace(on bool) { c.trace = on }
@@ -177,10 +177,10 @@ func (c *Client) DeleteSession(name string) error {
 	return c.do(http.MethodDelete, "/v1/sessions/"+name, nil, nil)
 }
 
-// Evaluate submits one evaluate request (rides the session loop's
-// batches). Evaluates are pure — the same spec recomputes the same
-// bits — so a 503 (a remote-tier outage) is retried inside
-// the client's budget, honoring the daemon's Retry-After hint.
+// Evaluate submits one evaluate request. Evaluates are pure — the same
+// spec recomputes the same bits — so a 503 (a remote-tier outage, a
+// request timeout) is retried inside the client's budget, honoring the
+// daemon's Retry-After hint.
 func (c *Client) Evaluate(name string, spec EvalSpec) (EvalReply, error) {
 	var rep EvalReply
 	err := c.doIdem(http.MethodPost, "/v1/sessions/"+name+"/evaluate", spec, &rep, true)

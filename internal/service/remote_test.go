@@ -464,11 +464,10 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestServiceGoroutinesReturnToBaseline: a live in-RAM session runs
-// exactly one goroutine, its loop, which batches its evaluates itself;
-// a remote-backed session's goroutines (loop, pipeline — the tier
-// brings none) are gone once it is deleted, and the daemon's once it
-// is closed.
+// TestServiceGoroutinesReturnToBaseline: a live in-RAM session runs no
+// goroutine (a request runs on its caller's); a remote-backed session's
+// goroutines (its pipeline — the tier brings none) are gone once it is
+// deleted, and the daemon's once it is closed.
 func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, _, need := writeTestAlignment(t, dir, 12, 300, 17)
@@ -496,8 +495,8 @@ func TestServiceGoroutinesReturnToBaseline(t *testing.T) {
 		}
 	}
 	session("ram", 0)
-	if got := settledGoroutines() - idle; got != 1 {
-		t.Errorf("a live in-RAM session runs %d goroutines, want 1 (its loop)", got)
+	if got := settledGoroutines() - idle; got != 0 {
+		t.Errorf("a live in-RAM session runs %d goroutines, want 0", got)
 	}
 	if err := srv.DeleteSession("ram"); err != nil {
 		t.Fatal(err)

@@ -101,15 +101,13 @@ type Server struct {
 	closed   bool
 
 	// global admission/throughput ledger (the /debug svc.* section)
-	mxAdmitted, mxRejected   *obs.Counter
-	mxParks, mxRevives       *obs.Counter
-	mxResizes, mxBatches     *obs.Counter
-	mxEvals                  *obs.Counter
-	mxHTTPReqs, mxHTTPErrs   *obs.Counter
-	mxSessions, mxActive     *obs.Gauge
-	mxGranted                *obs.Gauge
-	mxBatchSize, mxBatchExec *obs.Histogram
-	mxReqSeconds             *obs.Histogram
+	mxAdmitted, mxRejected *obs.Counter
+	mxParks, mxRevives     *obs.Counter
+	mxResizes, mxEvals     *obs.Counter
+	mxHTTPReqs, mxHTTPErrs *obs.Counter
+	mxSessions, mxActive   *obs.Gauge
+	mxGranted              *obs.Gauge
+	mxReqSeconds           *obs.Histogram
 
 	reaperQuit chan struct{}
 	reaperDone chan struct{}
@@ -145,13 +143,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.mxParks = s.reg.Counter("svc.parks")
 	s.mxRevives = s.reg.Counter("svc.revives")
 	s.mxResizes = s.reg.Counter("svc.resizes")
-	s.mxBatches = s.reg.Counter("svc.batches")
 	s.mxEvals = s.reg.Counter("svc.evals")
 	s.mxSessions = s.reg.Gauge("svc.sessions")
 	s.mxActive = s.reg.Gauge("svc.active")
 	s.mxGranted = s.reg.Gauge("svc.granted_bytes")
-	s.mxBatchSize = s.reg.Histogram("svc.batch.size", []float64{1, 2, 4, 8, 16, 32, 64})
-	s.mxBatchExec = s.reg.Histogram("svc.batch.exec_seconds", nil)
 	s.mxHTTPReqs = s.reg.Counter("svc.http.requests")
 	s.mxHTTPErrs = s.reg.Counter("svc.http.errors")
 	s.mxReqSeconds = s.reg.Histogram("svc.request_seconds",
@@ -301,8 +296,8 @@ func (s *Server) shares(all []*Session, cand *Session, sz analysis.Sizing) map[*
 
 // admit is the admission check for a session about to activate (create
 // or revive): its FLOOR must fit beside the floors of every currently
-// active session. Returns the initial grant. Called from the
-// candidate's loop goroutine.
+// active session. Returns the initial grant. Called holding the
+// candidate session.
 func (s *Server) admit(cand *Session, sz analysis.Sizing) (int64, error) {
 	if s.cfg.MemBudget <= 0 {
 		s.mxAdmitted.Inc()
@@ -346,9 +341,9 @@ func (s *Server) admit(cand *Session, sz analysis.Sizing) (int64, error) {
 }
 
 // rebalance recomputes every active session's grant and dispatches the
-// resizes. Asynchronous by design: it is called from session loop jobs
-// (park, revive), and resizeTo goes through the target session's loop —
-// a synchronous call from loop A to loop A would deadlock.
+// resizes. Asynchronous by design: it is called by the holder of a
+// session (park, revive), and resizeTo takes the target session — a
+// synchronous call from the holder of A to A would deadlock.
 func (s *Server) rebalance() {
 	s.mu.Lock()
 	if s.closed {
@@ -374,13 +369,6 @@ func (s *Server) notePark()   { s.mxParks.Inc() }
 func (s *Server) noteRevive() { s.mxRevives.Inc() }
 func (s *Server) noteResize() { s.mxResizes.Inc() }
 
-func (s *Server) noteBatch(size int, start time.Time, execMicros int64) {
-	s.mxBatches.Inc()
-	s.mxEvals.Add(int64(size))
-	s.mxBatchSize.Observe(float64(size))
-	s.mxBatchExec.Observe(float64(execMicros) / 1e6)
-}
-
 // reaper parks sessions idle past IdleTimeout.
 func (s *Server) reaper() {
 	defer close(s.reaperDone)
@@ -405,7 +393,7 @@ func (s *Server) reaper() {
 			}
 			s.mu.Unlock()
 			for _, ses := range idle {
-				_ = ses.do(ses.park)
+				_ = ses.do(context.Background(), ses.park)
 			}
 		case <-s.reaperQuit:
 			return
@@ -438,7 +426,7 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 	s.sessions[cfg.Name] = ses
 	s.mu.Unlock()
 
-	if err := ses.do(ses.build); err != nil {
+	if err := ses.do(context.Background(), ses.build); err != nil {
 		s.mu.Lock()
 		delete(s.sessions, cfg.Name)
 		s.mu.Unlock()
@@ -495,7 +483,7 @@ func (s *Server) ParkSession(name string) error {
 	if !ok {
 		return fmt.Errorf("service: no session %q", name)
 	}
-	return ses.do(ses.park)
+	return ses.do(context.Background(), ses.park)
 }
 
 // Close parks and closes every session (so all of them are resumable
@@ -562,7 +550,7 @@ func (s *Server) Handler() http.Handler {
 // counters and the request-latency histogram — the exported SLIs — and a
 // request carrying a traceparent header additionally gets a server-side
 // root span, its trace id echoed in the X-OOC-Trace response header,
-// under which the handler chain (session loop, engine, manager, tiered
+// under which the handler chain (session, engine, manager, tiered
 // store, remote client) parents everything it records. An untraced
 // request pays one header lookup.
 func (s *Server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
@@ -616,9 +604,10 @@ const retryAfter = "1"
 
 // writeErr maps service errors onto HTTP statuses: admission → 503
 // (retryable once a tenant parks), remote-tier failures — circuit
-// open, transient I/O, a request deadline that expired while the tier
-// was struggling — → 503 + Retry-After (the condition clears when the
-// breaker recloses), closed → 409, the rest → 400.
+// open, transient I/O — and an expired request deadline (waiting for a
+// busy session, or mid-pass) → 503 + Retry-After (the condition clears
+// when the breaker recloses or the session frees), closed → 409, the
+// rest → 400.
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
@@ -708,7 +697,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, fmt.Errorf("service: bad optimize spec: %w", err))
 		return
 	}
-	rep, err := ses.Optimize(spec)
+	rep, err := ses.Optimize(r.Context(), spec)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -721,7 +710,7 @@ func (s *Server) handlePark(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := ses.do(ses.park); err != nil {
+	if err := ses.do(r.Context(), ses.park); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -733,7 +722,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nwk, err := ses.Tree()
+	nwk, err := ses.Tree(r.Context())
 	if err != nil {
 		s.writeErr(w, err)
 		return

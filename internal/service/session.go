@@ -1,13 +1,11 @@
 package service
 
 // Session — one tenant of the daemon: an alignment + model + tree bound
-// to a PLF engine, all engine work serialised on a single loop
-// goroutine (the ooc manager and plf engine are single-API-goroutine
-// subsystems; the loop IS that goroutine for the session's lifetime).
-// Evaluates reach it on their own channel and ride batches the loop
-// gathers itself; the HTTP handlers, idle reaper and governor send
-// every other piece of engine work through do(), so batches, optimise
-// jobs, parks, revives and quota resizes interleave at operation
+// to a PLF engine. The ooc manager and plf engine each have one API
+// goroutine at a time, so a session is a lock: every piece of engine
+// work (an HTTP request's, the idle reaper's park, the governor's
+// resize) takes the session, runs on its caller's goroutine and gives
+// it back, and the next waiter takes it. Work interleaves at operation
 // boundaries — the same safe points the governance layer was built
 // around.
 //
@@ -59,48 +57,23 @@ func (st sessionState) String() string {
 	}
 }
 
-// ErrSessionClosed is returned for requests that reach a session whose
-// loop has been torn down (deleted, or the daemon is shutting down).
+// ErrSessionClosed is returned for requests that reach a session that
+// has been torn down (deleted, or the daemon is shutting down).
 var ErrSessionClosed = errors.New("service: session closed")
-
-// maxBatch caps one batch. Evaluates cost nothing extra for riding
-// apart, so the cap only bounds how long a park, optimise or resize job
-// waits behind one pass.
-const maxBatch = 16
-
-// job is one unit of work for the session loop.
-type job struct {
-	fn   func() error
-	done chan error
-}
-
-// evalJob is one evaluate request plus its reply path. span, when
-// non-nil, is the server-side request span: execBatch parents its
-// engine/store spans under it and fills its cost ledger.
-type evalJob struct {
-	spec EvalSpec
-	span *obs.Span
-	enq  time.Time
-	// res/err are filled on the loop goroutine; done is closed after.
-	res  EvalReply
-	err  error
-	done chan struct{}
-}
 
 // Session is one named tenant. Mutable fields shared with other
 // goroutines (state, ledgers, the engine pointers the metrics publisher
-// reads) are guarded by mu; the engine itself is only ever TOUCHED from
-// the loop goroutine.
+// reads) are guarded by mu; the engine itself is only ever TOUCHED by
+// the holder of sem.
 type Session struct {
 	name string
 	cfg  SessionConfig
 	srv  *Server
 
-	jobs   chan job
-	submit chan *evalJob
-	quit   chan struct{}
-	// seq numbers the loop's batches (loop goroutine only).
-	seq int64
+	// sem is the session itself, a one-slot semaphore: whoever has sent
+	// into it drives the engine until it receives the token back.
+	// Blocked senders are served in arrival order.
+	sem chan struct{}
 
 	alnPath  string // persisted alignment (phylip) for restart revives
 	ckptPath string // park checkpoint
@@ -119,7 +92,7 @@ type Session struct {
 	// carries forward
 	oocRequests, oocMisses int64
 
-	// engine state: owned by the loop goroutine, the pointers written
+	// engine state: owned by the holder of sem, the pointers written
 	// under mu for the metrics publisher. run is nil while parked.
 	pats *bio.Patterns
 	run  *analysis.Run
@@ -132,22 +105,20 @@ type Session struct {
 // incremented in place and read back by infoSnapshot; the rest are set
 // by publish.
 type sessionMetrics struct {
-	evals, batches, parks, revives, resizes *obs.Counter
-	oocMisses, oocRequests                  *obs.Counter
-	slots, parked                           *obs.Gauge
-	lnl                                     *obs.FloatGauge
+	evals, parks, revives, resizes *obs.Counter
+	oocMisses, oocRequests         *obs.Counter
+	slots, parked                  *obs.Gauge
+	lnl                            *obs.FloatGauge
 }
 
-// newSession starts the loop; the engine is built by the first
-// build/ensureLive job.
+// newSession registers the session's instruments; the engine is built
+// by the first build or ensureLive.
 func newSession(srv *Server, cfg SessionConfig) *Session {
 	s := &Session{
 		name:     cfg.Name,
 		cfg:      cfg,
 		srv:      srv,
-		jobs:     make(chan job),      // unbuffered: a successful send is a rendezvous with the loop
-		submit:   make(chan *evalJob), // unbuffered too
-		quit:     make(chan struct{}),
+		sem:      make(chan struct{}, 1),
 		alnPath:  filepath.Join(srv.cfg.DataDir, cfg.Name+".aln"),
 		ckptPath: filepath.Join(srv.cfg.DataDir, cfg.Name+".ckpt"),
 		lastUsed: time.Now(),
@@ -157,7 +128,6 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 	p := metricsPrefix(cfg.Name)
 	s.mx = sessionMetrics{
 		evals:       reg.Counter(p + "evals"),
-		batches:     reg.Counter(p + "batches"),
 		parks:       reg.Counter(p + "parks"),
 		revives:     reg.Counter(p + "revives"),
 		resizes:     reg.Counter(p + "resizes"),
@@ -168,7 +138,6 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 		lnl:         reg.FloatGauge(p + "lnl"),
 	}
 	reg.AddPublisher(p, s.publish)
-	go s.loop()
 	return s
 }
 
@@ -176,78 +145,43 @@ func newSession(srv *Server, cfg SessionConfig) *Session {
 // exports; DeleteSession removes what is under it.
 func metricsPrefix(session string) string { return "svc.session." + session + "." }
 
-// loop runs jobs one at a time until quit, and is the batcher: under
-// concurrent clients every request runs here, so they queue behind each
-// other anyway, and the loop turns that queue into batches in the style
-// of group commit. It takes one evaluate, every other evaluate already
-// waiting (up to maxBatch), and runs them at once as ONE engine pass.
-// Requests that arrive while a pass or job runs queue behind it and
-// form the next batch. No clock decides a batch, so a lone request
-// never waits for company; a request that finds the loop idle only
-// yields the processor once, so a burst's other submitters, already
-// runnable, can join it. Nothing is lost by cutting a batch early: the
-// ancestral vectors one pass validates stay valid for the next, as in
-// the paper's incremental traversal. Results are bit-identical to
-// running each request as its own fresh pass — vector reuse changes
-// what is recomputed, never what is computed (the invariant every OOC
-// layer of this repo is built on).
-//
-// The channels are unbuffered, so an accepted evaluate is a rendezvous:
-// it rides exactly one batch and is always answered.
-func (s *Session) loop() {
-	for {
-		var first *evalJob
-		select {
-		case j := <-s.jobs: // queued behind the last batch or job
-			j.done <- j.fn()
-			continue
-		case first = <-s.submit:
-		default:
-			select {
-			case j := <-s.jobs:
-				j.done <- j.fn()
-				continue
-			case first = <-s.submit:
-				// The loop was idle, so this may be the first of a
-				// burst whose other submitters are runnable but not
-				// yet at the channel: let them reach it. With nothing
-				// else runnable this returns at once.
-				runtime.Gosched()
-			case <-s.quit:
-				return
-			}
-		}
-		batch := append(make([]*evalJob, 0, maxBatch), first)
-	gather:
-		for len(batch) < maxBatch {
-			select {
-			case j := <-s.submit:
-				batch = append(batch, j)
-			default:
-				break gather
-			}
-		}
-		s.seq++
-		s.execBatch(batch)
-		for _, j := range batch {
-			if j.res == (EvalReply{}) && j.err == nil {
-				j.err = errors.New("service: batch left the request unanswered")
-			}
-			close(j.done)
-		}
+// acquire takes the session, waiting under ctx behind whoever holds it.
+// A closed session is not taken: ErrSessionClosed.
+func (s *Session) acquire(ctx context.Context) error {
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	s.mu.Lock()
+	closed := s.state == stateClosed
+	s.mu.Unlock()
+	if closed {
+		s.release()
+		return ErrSessionClosed
+	}
+	return nil
+}
+
+// release gives the session back to the next waiter. When one took it,
+// the releaser also gives up its processor, so the waiter drives the
+// engine at once on this CPU instead of after a wake-up on another:
+// the engine is the session's bottleneck, and the releaser has only its
+// reply left to write.
+func (s *Session) release() {
+	<-s.sem
+	if len(s.sem) == 1 {
+		runtime.Gosched()
 	}
 }
 
-// do runs fn on the loop goroutine and returns its error. Returns
-// ErrSessionClosed when the loop is gone.
-func (s *Session) do(fn func() error) error {
-	j := job{fn: fn, done: make(chan error, 1)}
-	select {
-	case s.jobs <- j:
-		return <-j.done
-	case <-s.quit:
-		return ErrSessionClosed
+// do runs fn while holding the session, taken under ctx.
+func (s *Session) do(ctx context.Context, fn func() error) error {
+	if err := s.acquire(ctx); err != nil {
+		return err
 	}
+	defer s.release()
+	return fn()
 }
 
 // touch stamps the idle-reaper clock.
@@ -281,7 +215,7 @@ func (s *Session) publish() {
 }
 
 // manager returns the live out-of-core manager, nil in-core or parked.
-// Callers hold mu or run on the loop goroutine.
+// Callers hold mu or the session.
 func (s *Session) manager() *ooc.Manager {
 	if s.run == nil {
 		return nil
@@ -302,7 +236,6 @@ func (s *Session) infoSnapshot() SessionInfo {
 		LnL:        s.lnl,
 		LnLBits:    FormatLnLBits(s.lnl),
 		Evals:      s.mx.evals.Value(),
-		Batches:    s.mx.batches.Value(),
 		Parks:      s.mx.parks.Value(),
 		Revives:    s.mx.revives.Value(),
 		LastUsed:   s.lastUsed,
@@ -331,7 +264,7 @@ func (s *Session) memShape() (active, outOfCore bool, quota, need, vecBytes int6
 // bringUp, which runs the shared analysis.Size → admit → analysis.Open.
 
 // build loads the alignment, constructs model and starting tree, and
-// brings the engine up. Runs on the loop goroutine at create time.
+// brings the engine up. Runs holding the session, at create time.
 func (s *Session) build() error {
 	aln, pats, err := analysis.Load(s.cfg)
 	if err != nil {
@@ -364,14 +297,14 @@ func (s *Session) build() error {
 	if err != nil {
 		return err
 	}
-	return s.bringUp(in)
+	return s.bringUp(context.Background(), in)
 }
 
 // bringUp sizes the vector set, asks the governor for admission, opens
 // the run over a fresh store and activates the session. A revive enters
 // here exactly like a create: its engine recomputes every vector before
-// reading it.
-func (s *Session) bringUp(in *analysis.Inputs) error {
+// reading it. ctx bounds the store's open.
+func (s *Session) bringUp(ctx context.Context, in *analysis.Inputs) error {
 	sz, err := analysis.Size(s.cfg, in)
 	if err != nil {
 		return err
@@ -380,7 +313,7 @@ func (s *Session) bringUp(in *analysis.Inputs) error {
 	if err != nil {
 		return err
 	}
-	run, err := analysis.Open(s.cfg, analysis.Options{Stack: s.stackSpec()}, in, sz, grant)
+	run, err := analysis.Open(ctx, s.cfg, analysis.Options{Stack: s.stackSpec()}, in, sz, grant)
 	if err != nil {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}
@@ -427,9 +360,10 @@ func sessionObjectURL(storeURL, name string) string {
 	return base + "/" + name + ".vec"
 }
 
-// ensureLive revives a parked session from its checkpoint. Runs on the
-// loop goroutine; a no-op when the session is already active.
-func (s *Session) ensureLive() error {
+// ensureLive revives a parked session from its checkpoint, its store
+// opened under ctx. Runs holding the session; a no-op when the session
+// is already active.
+func (s *Session) ensureLive(ctx context.Context) error {
 	s.mu.Lock()
 	st := s.state
 	s.mu.Unlock()
@@ -456,7 +390,7 @@ func (s *Session) ensureLive() error {
 			return fmt.Errorf("service: session %q alignment: %w", s.name, err)
 		}
 	}
-	if err := s.bringUp(&analysis.Inputs{Patterns: pats, Model: m, Tree: t}); err != nil {
+	if err := s.bringUp(ctx, &analysis.Inputs{Patterns: pats, Model: m, Tree: t}); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -468,8 +402,8 @@ func (s *Session) ensureLive() error {
 	return nil
 }
 
-// park checkpoints the session and tears the engine down. Runs on the
-// loop goroutine; a no-op unless active. The checkpoint carries the
+// park checkpoints the session and tears the engine down. Runs holding
+// the session; a no-op unless active. The checkpoint carries the
 // session config, so a restarted daemon can rebuild the session from
 // disk alone.
 func (s *Session) park() error {
@@ -503,7 +437,7 @@ func (s *Session) park() error {
 	return nil
 }
 
-// shutdownEngine releases every live resource. Loop goroutine only.
+// shutdownEngine releases every live resource. Runs holding the session.
 func (s *Session) shutdownEngine() {
 	if s.run == nil {
 		return
@@ -519,13 +453,13 @@ func (s *Session) shutdownEngine() {
 	s.mu.Unlock()
 }
 
-// close tears the session down for good in one loop job: it parks the
+// close tears the session down for good while holding it: it parks the
 // session (remove deletes its on-disk files instead), releases the
-// engine and marks the session closed, so a request the loop takes
-// afterwards answers ErrSessionClosed and cannot revive it. Returns the
-// park's error.
+// engine and marks the session closed, so a request that takes the
+// session afterwards answers ErrSessionClosed and cannot revive it.
+// Returns the park's error.
 func (s *Session) close(remove bool) error {
-	err := s.do(func() error {
+	err := s.do(context.Background(), func() error {
 		var err error
 		if !remove {
 			err = s.park()
@@ -536,7 +470,6 @@ func (s *Session) close(remove bool) error {
 		s.mu.Unlock()
 		return err
 	})
-	close(s.quit)
 	if remove {
 		os.Remove(s.alnPath)
 		os.Remove(s.ckptPath)
@@ -546,105 +479,13 @@ func (s *Session) close(remove bool) error {
 }
 
 // ---------------------------------------------------------------------
-// Jobs.
-
-// execBatch runs one batch the loop gathered as ONE engine pass, on the
-// loop goroutine. The first request pays whatever traversal its edge
-// needs; later requests reuse every ancestral vector that is still
-// valid — bit-identical to fresh passes, just cheaper.
-//
-// Tracing: the batch runs under one shared engine-pass span, parented
-// in the first traced request's trace (a span cannot have parents in
-// two traces, so the other traced requests record flow LINKS to it —
-// the Chrome export draws the arrows). Around each request's slice of
-// the pass, Run.SetSpan points the engine/manager/tier at that
-// request's span (the tier loads it atomically per remote request, so
-// the hand-off is race-free), and the before/after movement of the layer counters becomes the
-// request's cost ledger. This loop is the only goroutine driving the
-// engine, but the pipeline's writer pushes a dirty victim when it gets
-// to it: a write-back PUT is counted in the slice of whichever request
-// it lands in, while its pipe.write_back span stays parented to the
-// evicting request.
-func (s *Session) execBatch(batch []*evalJob) {
-	if err := s.ensureLive(); err != nil {
-		for _, j := range batch {
-			j.err = err
-		}
-		return
-	}
-	var pass *obs.Span
-	for _, j := range batch {
-		if j.span != nil {
-			pass = j.span.StartChild("svc.engine_pass")
-			pass.SetAttr("batch", s.seq)
-			pass.SetAttr("size", int64(len(batch)))
-			break
-		}
-	}
-	execStart := time.Now()
-	for _, j := range batch {
-		var before costSnapshot
-		if pass != nil {
-			s.run.SetSpan(j.span)
-		}
-		if j.span != nil {
-			j.span.EmitChild("svc.batch_wait", j.enq, execStart.Sub(j.enq))
-			before = s.costSnapshot()
-		}
-		lnl, jerr := s.evalOne(j.spec)
-		var cost *obs.Cost
-		if j.span != nil {
-			delta := s.costSnapshot().sub(before)
-			delta.WaitMicros = execStart.Sub(j.enq).Microseconds()
-			j.span.AddCost(delta)
-			if pass != nil && j.span.TraceID() != pass.TraceID() {
-				j.span.LinkTo(pass)
-			}
-			c := delta
-			cost = &c
-		}
-		if jerr != nil {
-			j.err = jerr
-			continue
-		}
-		j.res = EvalReply{
-			Session:    s.name,
-			Edge:       j.spec.Edge,
-			LnL:        lnl,
-			LnLBits:    FormatLnLBits(lnl),
-			Batch:      s.seq,
-			BatchSize:  len(batch),
-			WaitMicros: execStart.Sub(j.enq).Microseconds(),
-			Cost:       cost,
-		}
-		if j.span != nil {
-			j.res.TraceID = j.span.TraceID().String()
-		}
-	}
-	if pass != nil {
-		s.run.SetSpan(nil)
-		pass.End()
-	}
-	exec := time.Since(execStart).Microseconds()
-	for _, j := range batch {
-		if j.span != nil {
-			j.span.AddCost(obs.Cost{ExecMicros: exec})
-		}
-		if j.err == nil {
-			j.res.ExecMicros = exec
-			if j.res.Cost != nil {
-				j.res.Cost.ExecMicros = exec
-			}
-		}
-	}
-	s.mx.batches.Inc()
-	s.mx.evals.Add(int64(len(batch)))
-	s.srv.noteBatch(len(batch), execStart, exec)
-}
+// Requests.
 
 // costSnapshot captures the monotonic layer counters cost attribution
-// differences around one request (loop goroutine; see execBatch for the
-// write-backs the pipeline advances them with).
+// differences around one request, taken while holding the session. The
+// pipeline's writer pushes a dirty victim when it gets to it, so a
+// write-back PUT is counted in whichever request it lands in, while its
+// pipe.write_back span stays parented to the evicting request.
 type costSnapshot struct {
 	mgr     ooc.Stats
 	tier    ooc.TierStats
@@ -691,7 +532,7 @@ func (after costSnapshot) sub(before costSnapshot) obs.Cost {
 	return c
 }
 
-// evalOne answers one evaluate spec. Loop goroutine, engine live.
+// evalOne answers one evaluate spec. Holding the session, engine live.
 func (s *Session) evalOne(spec EvalSpec) (float64, error) {
 	eng := s.run.Engine
 	if spec.Edge < 0 || spec.Edge >= len(eng.T.Edges) {
@@ -716,35 +557,71 @@ func (s *Session) evalOne(spec EvalSpec) (float64, error) {
 	return lnl, err
 }
 
-// Evaluate submits one request to the loop, which batches it with
-// whatever else is waiting.
+// Evaluate answers one evaluate request.
 func (s *Session) Evaluate(spec EvalSpec) (EvalReply, error) {
 	return s.EvaluateCtx(context.Background(), spec, nil)
 }
 
-// EvaluateCtx is Evaluate under a server-side request span and the
-// request's context: execBatch parents its engine/store spans beneath
-// sp and fills the reply's trace id and cost ledger. When ctx expires
-// before the reply, the caller gets ctx.Err() at once; the request
-// itself still runs with its batch (evaluates are pure, so the orphaned
-// result is simply dropped) — the deadline bounds the CALLER's wait,
-// which is what an HTTP request timeout means.
+// EvaluateCtx is Evaluate under the request's context and server-side
+// span. The request waits for the session under ctx (span
+// svc.queue_wait), then runs the engine itself: evaluates change no
+// tree, so the run also stops at ctx's deadline, leaving only vectors
+// the next request recomputes. Only the deadline: the pipeline may
+// still be pushing this request's write-backs after it has answered,
+// and ending them with the request would only push them again later.
+// When sp is non-nil the engine and store spans are parented beneath it,
+// and the movement of the layer counters over the request becomes the
+// reply's cost ledger.
 func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) (EvalReply, error) {
 	s.touch()
-	j := &evalJob{spec: spec, span: sp, enq: time.Now(), done: make(chan struct{})}
-	select {
-	case s.submit <- j:
-	case <-s.quit:
-		return EvalReply{}, ErrSessionClosed
-	case <-ctx.Done():
-		return EvalReply{}, ctx.Err()
+	enq := time.Now()
+	if err := s.acquire(ctx); err != nil {
+		return EvalReply{}, err
 	}
-	select {
-	case <-j.done:
-		return j.res, j.err
-	case <-ctx.Done():
-		return EvalReply{}, ctx.Err()
+	defer s.release()
+	start := time.Now()
+	sp.EmitChild("svc.queue_wait", enq, start.Sub(enq))
+	if err := s.ensureLive(ctx); err != nil {
+		return EvalReply{}, err
 	}
+	var before costSnapshot
+	if sp != nil {
+		before = s.costSnapshot()
+	}
+	var runCtx context.Context // nil: no deadline bounds the run
+	if d, ok := ctx.Deadline(); ok {
+		var stop context.CancelFunc
+		runCtx, stop = context.WithDeadline(context.WithoutCancel(ctx), d)
+		_ = stop // its own timer ends runCtx at d; stop on return would end the write-backs in flight
+	}
+	s.run.SetSpan(sp)
+	s.run.SetContext(runCtx)
+	lnl, err := s.evalOne(spec)
+	s.run.SetContext(nil)
+	s.run.SetSpan(nil)
+	exec := time.Since(start)
+	s.mx.evals.Inc()
+	s.srv.mxEvals.Inc()
+	if err != nil {
+		return EvalReply{}, err
+	}
+	rep := EvalReply{
+		Session:    s.name,
+		Edge:       spec.Edge,
+		LnL:        lnl,
+		LnLBits:    FormatLnLBits(lnl),
+		BatchSize:  1,
+		WaitMicros: start.Sub(enq).Microseconds(),
+		ExecMicros: exec.Microseconds(),
+	}
+	if sp != nil {
+		cost := s.costSnapshot().sub(before)
+		cost.WaitMicros, cost.ExecMicros = rep.WaitMicros, rep.ExecMicros
+		sp.AddCost(cost)
+		rep.TraceID = sp.TraceID().String()
+		rep.Cost = &cost
+	}
+	return rep, nil
 }
 
 // tierStore returns the live tiered store (nil for local sessions or
@@ -758,8 +635,10 @@ func (s *Session) tierStore() *ooc.TieredStore {
 	return s.run.Stack.Tier
 }
 
-// Optimize smooths every branch length on the session tree.
-func (s *Session) Optimize(spec OptimizeSpec) (OptimizeReply, error) {
+// Optimize smooths every branch length on the session tree. ctx bounds
+// the wait for the session and a revive; once it holds the session the
+// smoothing runs to completion, so the tree is never left half-moved.
+func (s *Session) Optimize(ctx context.Context, spec OptimizeSpec) (OptimizeReply, error) {
 	s.touch()
 	if spec.Passes <= 0 {
 		spec.Passes = 2
@@ -768,8 +647,8 @@ func (s *Session) Optimize(spec OptimizeSpec) (OptimizeReply, error) {
 		spec.Eps = 1e-3
 	}
 	var rep OptimizeReply
-	err := s.do(func() error {
-		if err := s.ensureLive(); err != nil {
+	err := s.do(ctx, func() error {
+		if err := s.ensureLive(ctx); err != nil {
 			return err
 		}
 		lnl, err := search.New(s.run.Engine, search.Options{}).SmoothBranches(spec.Passes, spec.Eps)
@@ -787,12 +666,12 @@ func (s *Session) Optimize(spec OptimizeSpec) (OptimizeReply, error) {
 	return rep, err
 }
 
-// Tree returns the current Newick (loop goroutine: the tree mutates
-// only there).
-func (s *Session) Tree() (string, error) {
+// Tree returns the current Newick, read holding the session (the tree
+// mutates only there); ctx bounds the wait and a revive.
+func (s *Session) Tree(ctx context.Context) (string, error) {
 	var nwk string
-	err := s.do(func() error {
-		if err := s.ensureLive(); err != nil {
+	err := s.do(ctx, func() error {
+		if err := s.ensureLive(ctx); err != nil {
 			return err
 		}
 		nwk = tree.WriteNewick(s.run.Engine.T)
@@ -802,9 +681,10 @@ func (s *Session) Tree() (string, error) {
 }
 
 // resizeTo is the governor's enforcement hook: resize the live pool to
-// what the grant buys. Parked/in-core sessions ignore the call.
+// what the grant buys. Parked/in-core sessions ignore the call. It
+// waits for the session however long it is held: the grant must land.
 func (s *Session) resizeTo(grant int64) {
-	_ = s.do(func() error {
+	_ = s.do(context.Background(), func() error {
 		if s.run == nil {
 			return nil
 		}

@@ -15,8 +15,8 @@ import (
 // TestServiceTracedEvaluateEndToEnd is the tentpole's acceptance test:
 // one traced client evaluate against a daemon backed by a starved tiered
 // cache over a loopback object store must yield a single trace spanning
-// HTTP handler → engine pass → PLF kernels → OOC manager → tiered cache
-// → remote object HTTP, with a cost ledger that agrees with the store
+// HTTP handler → PLF kernels → OOC manager → tiered cache → remote
+// object HTTP, with a cost ledger that agrees with the store
 // counters — while untraced requests on the same wire carry no trace
 // fields at all and answer bit-identically.
 func TestServiceTracedEvaluateEndToEnd(t *testing.T) {
@@ -127,13 +127,25 @@ func TestServiceTracedEvaluateEndToEnd(t *testing.T) {
 		t.Errorf("trace ledger %+v != reply cost %+v", view.Cost, *rich.Cost)
 	}
 	names := map[string]bool{}
+	parent := map[string]string{} // span name → parent span id
+	var root string
 	for _, s := range view.Spans {
 		names[s.Name] = true
+		parent[s.Name] = s.Parent
+		if s.Name == "http POST /v1/sessions/{name}/evaluate" {
+			root = s.SpanID
+		}
+	}
+	// The request runs the engine itself: its engine and wait spans are
+	// children of the request span, with no pass span between.
+	for _, name := range []string{"svc.queue_wait", "plf.evaluate"} {
+		if parent[name] != root {
+			t.Errorf("span %s has parent %q, want the request span %q", name, parent[name], root)
+		}
 	}
 	for _, want := range []string{
 		"http POST /v1/sessions/{name}/evaluate",
-		"svc.engine_pass",
-		"svc.batch_wait",
+		"svc.queue_wait",
 		"plf.evaluate",
 		"ooc.fault_in",
 		"tier.remote_get",

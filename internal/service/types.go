@@ -53,15 +53,13 @@ type EvalSpec struct {
 	Length *float64 `json:"length,omitempty"`
 	// Full forces a fresh full engine pass (invalidate + complete
 	// traversal) before evaluating — what a one-shot CLI run pays. The
-	// default reuses valid ancestral vectors from earlier requests in
-	// the batch/session, which is the entire point of coalescing;
-	// results are bit-identical either way.
+	// default reuses the ancestral vectors earlier requests on the
+	// session left valid; results are bit-identical either way.
 	Full bool `json:"full,omitempty"`
 }
 
 // EvalReply is the evaluate response: the likelihood plus the
-// per-request timing ledger describing what queueing and batching did
-// to it.
+// request's timing ledger.
 type EvalReply struct {
 	Session string  `json:"session,omitempty"`
 	Edge    int     `json:"edge"`
@@ -69,20 +67,19 @@ type EvalReply struct {
 	// LnLBits is math.Float64bits(LnL) in hex — the bit-for-bit
 	// comparison token (JSON float round-trips are not trusted).
 	LnLBits string `json:"lnl_bits"`
-	// Batch is the session-wide sequence number of the coalesced batch
-	// this request rode in; BatchSize the number of requests in it.
-	Batch     int64 `json:"batch"`
-	BatchSize int   `json:"batch_size"`
-	// WaitMicros is the time from enqueue to batch execution start,
-	// i.e. queued behind the pass in flight; ExecMicros the execution
-	// span of the whole batch.
+	// BatchSize is always 1: every request runs on its own. It is kept
+	// only because bench/serve.go reads it.
+	BatchSize int `json:"batch_size"`
+	// WaitMicros is the time spent waiting for the session, held by the
+	// requests ahead of this one; ExecMicros this request's own engine
+	// time, a revive included.
 	WaitMicros int64 `json:"wait_us"`
 	ExecMicros int64 `json:"exec_us"`
 	// TraceID is set when the request carried a W3C traceparent header:
 	// the 32-hex id under which the daemon recorded the request's spans
 	// (GET /debug/trace/{id} replays them). Cost is this request's
-	// resource ledger — counter deltas attributed to exactly this
-	// request by the serialized session loop.
+	// resource ledger — the counter deltas over the time it held the
+	// session.
 	TraceID string    `json:"trace_id,omitempty"`
 	Cost    *obs.Cost `json:"cost,omitempty"`
 }
@@ -128,10 +125,9 @@ type SessionInfo struct {
 	// first evaluate); LnLBits its bit pattern.
 	LnL     float64 `json:"lnl"`
 	LnLBits string  `json:"lnl_bits"`
-	// Evals, Batches, Parks, Revives count the session's lifetime
-	// activity (they survive park/revive cycles, not daemon restarts).
+	// Evals, Parks, Revives count the session's lifetime activity (they
+	// survive park/revive cycles, not daemon restarts).
 	Evals   int64 `json:"evals"`
-	Batches int64 `json:"batches"`
 	Parks   int64 `json:"parks"`
 	Revives int64 `json:"revives"`
 	// LastUsed is the last request touch (the idle reaper's clock).
