@@ -90,7 +90,7 @@ func TestOneSpecThreeDoors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := analysis.Build(spec, pats)
+	in, err := analysis.Build(context.Background(), spec, pats)
 	if err != nil {
 		t.Fatal(err)
 	}

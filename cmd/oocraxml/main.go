@@ -64,13 +64,9 @@ import (
 	"time"
 
 	"oocphylo/internal/analysis"
-	"oocphylo/internal/bio"
-	"oocphylo/internal/bootstrap"
 	"oocphylo/internal/checkpoint"
-	"oocphylo/internal/model"
 	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
-	"oocphylo/internal/plf"
 	"oocphylo/internal/search"
 	"oocphylo/internal/service"
 	"oocphylo/internal/tree"
@@ -104,7 +100,6 @@ type options struct {
 	outTree    string
 	printStats bool
 	optModel   bool
-	bootstraps int
 	checkpoint string
 	resume     string
 	ckptEvery  time.Duration
@@ -126,7 +121,6 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.IntVar(&o.sprRadius, "radius", 5, "lazy-SPR rearrangement radius")
 	fs.IntVar(&o.rounds, "rounds", 10, "maximum SPR improvement rounds")
 	fs.BoolVar(&o.optModel, "optimize-model", false, "also optimise GTR exchangeabilities (search/evaluate modes)")
-	fs.IntVar(&o.bootstraps, "bootstrap", 0, "bootstrap replicates; annotates the result tree with support values")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable checkpoint here after every search round")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", 0, "minimum time between -checkpoint writes (0 = checkpoint every round)")
 	fs.StringVar(&o.resume, "resume", "", "resume tree, model parameters and search progress from this checkpoint (vectors are recomputed, never reloaded)")
@@ -204,7 +198,11 @@ func run(args []string, out *os.File) error {
 		}
 		in = &analysis.Inputs{Patterns: pats, Model: m, Tree: t}
 		fmt.Fprintf(out, "Resumed from %s (round %d, lnL %.4f)\n", o.resume, resumeState.Round, resumeState.LnL)
-	} else if in, err = analysis.Build(spec, pats); err != nil {
+	} else if in, err = analysis.Build(ctx, spec, pats); err != nil {
+		if ctx.Err() != nil {
+			fmt.Fprintf(out, "Interrupted: %v\n", err)
+			return nil
+		}
 		return err
 	}
 	t, m := in.Tree, in.Model
@@ -393,15 +391,8 @@ func run(args []string, out *os.File) error {
 		writeReport(out, reg, r.Manager != nil)
 	}
 
-	newick := tree.WriteNewick(t)
-	if o.bootstraps > 0 && (o.mode == "s" || o.mode == "n" || o.mode == "e") {
-		annotated, err := runBootstrap(o, spec, pats, m, t, out)
-		if err != nil {
-			return err
-		}
-		newick = annotated
-	}
 	if o.mode == "s" || o.mode == "n" || o.mode == "e" {
+		newick := tree.WriteNewick(t)
 		if o.outTree != "" {
 			if err := os.WriteFile(o.outTree, []byte(newick+"\n"), 0o644); err != nil {
 				return err
@@ -498,45 +489,4 @@ func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *a
 	slots := r.Manager.Slots()
 	fmt.Fprintf(out, "Out-of-core: %d of %d vectors' bytes in RAM (%.1f%%), strategy %s, %s\n",
 		slots, n, 100*float64(slots)/float64(n), r.Strategy.Name(), where)
-}
-
-// runBootstrap infers o.bootstraps replicate trees (parsimony stepwise-
-// addition starting tree, branch smoothing, one lazy-SPR round per
-// replicate) and returns the main tree's Newick annotated with
-// bipartition support percentages.
-func runBootstrap(o *options, spec analysis.Spec, pats *bio.Patterns, m *model.Model, ref *tree.Tree, out *os.File) (string, error) {
-	fmt.Fprintf(out, "Running %d bootstrap replicates...\n", o.bootstraps)
-	infer := func(rep int, sample *bio.Patterns) (*tree.Tree, error) {
-		start, err := analysis.StartTree("parsimony", sample, spec.Seed+int64(rep))
-		if err != nil {
-			return nil, err
-		}
-		prov := plf.NewInMemoryProvider(start.NumInner(), plf.VectorLength(m, sample.NumPatterns()))
-		e, err := plf.New(start, sample, m.Clone(), prov)
-		if err != nil {
-			return nil, err
-		}
-		e.SetWorkers(spec.Workers)
-		if _, err := search.New(e, search.Options{SPRRadius: o.sprRadius, MaxRounds: 1}).Run(); err != nil {
-			return nil, err
-		}
-		return e.T, nil
-	}
-	trees, err := bootstrap.Run(pats, o.bootstraps, spec.Seed+777, infer)
-	if err != nil {
-		return "", err
-	}
-	sup, err := bootstrap.Support(ref, trees)
-	if err != nil {
-		return "", err
-	}
-	mean := 0.0
-	for _, s := range sup {
-		mean += s
-	}
-	if len(sup) > 0 {
-		mean /= float64(len(sup))
-	}
-	fmt.Fprintf(out, "Mean bipartition support: %.1f%%\n", 100*mean)
-	return bootstrap.NewickWithSupport(ref, sup), nil
 }

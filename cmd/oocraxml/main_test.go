@@ -122,17 +122,6 @@ func TestStartTreeKinds(t *testing.T) {
 	}
 }
 
-func TestBootstrapAnnotation(t *testing.T) {
-	phy, _ := writeTestData(t)
-	out, err := capture(t, "-s", phy, "-m", "JC", "-a", "0", "-rounds", "1", "-bootstrap", "3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "bootstrap replicates") || !strings.Contains(out, "Mean bipartition support") {
-		t.Errorf("bootstrap output incomplete:\n%s", out)
-	}
-}
-
 func TestWriteTreeToFile(t *testing.T) {
 	phy, nwk := writeTestData(t)
 	treeOut := filepath.Join(t.TempDir(), "result.nwk")

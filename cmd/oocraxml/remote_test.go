@@ -9,7 +9,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -165,7 +164,7 @@ func TestRemoteRefusedReadOneRetryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := analysis.Build(spec, pats)
+	in, err := analysis.Build(context.Background(), spec, pats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,30 +229,6 @@ func TestRemoteStoreSIGTERMDuringStalledOpen(t *testing.T) {
 		}
 	}()
 
-	cmd := exec.Command(bin, "-s", phy, "-t", nwk, "-f", "z", "-k", "1",
-		"-L", fmt.Sprint(memLimit), "-store", "remote://"+ln.Addr().String()+"/vecs")
-	var out strings.Builder
-	cmd.Stdout, cmd.Stderr = &out, &out
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	time.Sleep(time.Second)
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("run exited with %v after SIGTERM, want 0:\n%s", err, out.String())
-		}
-	case <-time.After(2 * time.Second):
-		cmd.Process.Kill()
-		<-exited
-		t.Fatalf("run still going 2 s after SIGTERM:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "Interrupted") {
-		t.Errorf("run did not report the interrupt:\n%s", out.String())
-	}
+	sigtermAfterOneSecond(t, exec.Command(bin, "-s", phy, "-t", nwk, "-f", "z", "-k", "1",
+		"-L", fmt.Sprint(memLimit), "-store", "remote://"+ln.Addr().String()+"/vecs"))
 }

@@ -32,6 +32,16 @@ var (
 	soakBinErr  error
 )
 
+// TestMain removes the directory soakBinary built into, so a test
+// process leaves no binary behind.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if soakBinPath != "" {
+		os.RemoveAll(filepath.Dir(soakBinPath))
+	}
+	os.Exit(code)
+}
+
 // soakBinary builds the oocraxml binary once per test process.
 func soakBinary(t *testing.T) string {
 	t.Helper()
@@ -311,4 +321,54 @@ func TestSIGTERMWritesResumableCheckpoint(t *testing.T) {
 	if !strings.Contains(string(output), "interrupted") && !strings.Contains(string(output), "Interrupted") {
 		t.Logf("note: SIGTERM run output did not mention interruption (may have finished first):\n%s", output)
 	}
+}
+
+// TestSIGTERMDuringStartTree: SIGTERM reaches start-tree construction.
+// Over 3 000 taxa, stepwise addition and neighbor joining each take far
+// longer than the test waits, so a run that ignored the signal until
+// its tree was built would still be going 2 s later. The run never
+// gets as far as printing its model.
+func TestSIGTERMDuringStartTree(t *testing.T) {
+	bin := soakBinary(t)
+	phy, _, _ := soakDataset(t, t.TempDir(), 3000, 200)
+	for _, kind := range []string{"parsimony", "nj"} {
+		t.Run(kind, func(t *testing.T) {
+			out := sigtermAfterOneSecond(t, exec.Command(bin, "-s", phy, "-start", kind, "-f", "z", "-k", "1", "-m", "JC", "-a", "0"))
+			if strings.Contains(out, "Model:") {
+				t.Errorf("run got past its start tree:\n%s", out)
+			}
+		})
+	}
+}
+
+// sigtermAfterOneSecond starts cmd, sends it SIGTERM a second later and
+// requires it to be interrupted, not failed: it must exit 0 within 2 s
+// more and report the interrupt. It returns the run's output.
+func sigtermAfterOneSecond(t *testing.T, cmd *exec.Cmd) string {
+	t.Helper()
+	var out strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	time.Sleep(time.Second)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("run exited with %v after SIGTERM, want 0:\n%s", err, out.String())
+		}
+	case <-time.After(2 * time.Second):
+		cmd.Process.Kill()
+		<-exited
+		t.Fatalf("run still going 2 s after SIGTERM:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "Interrupted") {
+		t.Errorf("run did not report the interrupt:\n%s", out.String())
+	}
+	return out.String()
 }

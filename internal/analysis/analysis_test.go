@@ -97,7 +97,7 @@ func TestOpen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				in, err := Build(spec, pats)
+				in, err := Build(context.Background(), spec, pats)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,7 +321,7 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 	// arm builds its own inputs: the search rearranges the tree.
 	drive := func(t *testing.T, memFraction float64, opts Options, guard *guardStore) (bits []uint64, r *Run) {
 		t.Helper()
-		in, err := Build(spec, pats)
+		in, err := Build(context.Background(), spec, pats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +433,7 @@ func TestOpenChargesPipelineToQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := Build(spec, pats)
+	in, err := Build(context.Background(), spec, pats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestOpenHoldsRecordsInQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := Build(spec, pats)
+	in, err := Build(context.Background(), spec, pats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestBuildSizeOpenErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in, err := Build(spec, pats)
+			in, err := Build(context.Background(), spec, pats)
 			if c.step == "build" {
 				if err == nil {
 					t.Fatal("Build accepted it")

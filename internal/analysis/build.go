@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -61,13 +62,14 @@ func Load(spec Spec) (*bio.Alignment, *bio.Patterns, error) {
 	return aln, pats, nil
 }
 
-// Build constructs the spec's model and starting tree over pats.
-func Build(spec Spec, pats *bio.Patterns) (*Inputs, error) {
+// Build constructs the spec's model and starting tree over pats. A
+// parsimony or NJ start gives up with ctx's error once ctx is done.
+func Build(ctx context.Context, spec Spec, pats *bio.Patterns) (*Inputs, error) {
 	m, err := newModel(spec, pats)
 	if err != nil {
 		return nil, err
 	}
-	t, err := newTree(spec, pats)
+	t, err := newTree(ctx, spec, pats)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +134,7 @@ func newModel(spec Spec, pats *bio.Patterns) (*model.Model, error) {
 
 // newTree parses the spec's Newick (inline or file) or constructs the
 // starting topology it names.
-func newTree(spec Spec, pats *bio.Patterns) (*tree.Tree, error) {
+func newTree(ctx context.Context, spec Spec, pats *bio.Patterns) (*tree.Tree, error) {
 	newick := spec.Newick
 	if newick == "" && spec.TreePath != "" {
 		data, err := os.ReadFile(spec.TreePath)
@@ -142,20 +144,20 @@ func newTree(spec Spec, pats *bio.Patterns) (*tree.Tree, error) {
 		newick = string(data)
 	}
 	if newick == "" {
-		return StartTree(spec.StartTree, pats, spec.Seed)
+		return startTree(ctx, spec.StartTree, pats, spec.Seed)
 	}
 	return tree.ParseNewick(newick)
 }
 
-// StartTree constructs a starting topology: randomised-stepwise-
+// startTree constructs a starting topology: randomised-stepwise-
 // addition parsimony (RAxML's default), neighbor joining on JC
 // distances, or a random topology.
-func StartTree(kind string, pats *bio.Patterns, seed int64) (*tree.Tree, error) {
+func startTree(ctx context.Context, kind string, pats *bio.Patterns, seed int64) (*tree.Tree, error) {
 	switch strings.ToLower(kind) {
 	case "parsimony", "mp":
-		return parsimony.StepwiseAddition(pats, rand.New(rand.NewSource(seed)))
+		return parsimony.StepwiseAddition(ctx, pats, rand.New(rand.NewSource(seed)))
 	case "nj":
-		return distance.NJTree(pats)
+		return distance.NJTree(ctx, pats)
 	case "random", "rand":
 		return tree.RandomTopology(pats.Names, rand.New(rand.NewSource(seed)), 0.05, 0.15)
 	}

@@ -13,12 +13,11 @@
 package distance
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"oocphylo/internal/bio"
-	"oocphylo/internal/model"
-	"oocphylo/internal/plf"
 	"oocphylo/internal/tree"
 )
 
@@ -76,8 +75,9 @@ func (m *Matrix) Check() error {
 // fraction p over comparable (both-unambiguous) sites,
 // d = -3/4·ln(1 - 4p/3). Saturated or incomparable pairs are capped at
 // maxDistance. Works for DNA; for k-state data the generalised formula
-// d = -(k-1)/k · ln(1 - k·p/(k-1)) is used.
-func JC(pats *bio.Patterns) (*Matrix, error) {
+// d = -(k-1)/k · ln(1 - k·p/(k-1)) is used. ctx is checked once per
+// row, and a done ctx ends the computation with its error.
+func JC(ctx context.Context, pats *bio.Patterns) (*Matrix, error) {
 	n := pats.NumTaxa()
 	if n < 2 {
 		return nil, fmt.Errorf("distance: need at least 2 taxa, got %d", n)
@@ -85,6 +85,9 @@ func JC(pats *bio.Patterns) (*Matrix, error) {
 	k := float64(pats.Alphabet.States)
 	m := &Matrix{Names: append([]string(nil), pats.Names...), D: make([]float64, n*n)}
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for j := i + 1; j < n; j++ {
 			var diff, comp float64
 			for p, w := range pats.Weights {
@@ -117,67 +120,13 @@ func JC(pats *bio.Patterns) (*Matrix, error) {
 	return m, nil
 }
 
-// ML computes maximum-likelihood pairwise distances under an arbitrary
-// model by Newton-optimising the two-taxon likelihood for every pair —
-// exact but O(n²) engine constructions; intended for moderate n.
-func ML(pats *bio.Patterns, mdl *model.Model) (*Matrix, error) {
-	n := pats.NumTaxa()
-	if n < 2 {
-		return nil, fmt.Errorf("distance: need at least 2 taxa, got %d", n)
-	}
-	m := &Matrix{Names: append([]string(nil), pats.Names...), D: make([]float64, n*n)}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d, err := mlPairDistance(pats, mdl, i, j)
-			if err != nil {
-				return nil, fmt.Errorf("distance: pair (%s, %s): %w", pats.Names[i], pats.Names[j], err)
-			}
-			m.set(i, j, d)
-		}
-	}
-	return m, nil
-}
-
-func mlPairDistance(pats *bio.Patterns, mdl *model.Model, i, j int) (float64, error) {
-	// Build a two-taxon sub-alignment (re-compressed to merge patterns
-	// that coincide once other taxa are dropped).
-	sub := bio.NewAlignment(pats.Alphabet)
-	expand := func(row int) []bio.StateMask {
-		out := make([]bio.StateMask, 0, pats.TotalSites())
-		for p, w := range pats.Weights {
-			for r := 0; r < w; r++ {
-				out = append(out, pats.Columns[row][p])
-			}
-		}
-		return out
-	}
-	if err := sub.AddEncoded(pats.Names[i], expand(i)); err != nil {
-		return 0, err
-	}
-	if err := sub.AddEncoded(pats.Names[j], expand(j)); err != nil {
-		return 0, err
-	}
-	spats, err := bio.Compress(sub)
-	if err != nil {
-		return 0, err
-	}
-	pair := tree.NewPair(pats.Names[i], pats.Names[j], 0.1)
-	prov := plf.NewInMemoryProvider(0, plf.VectorLength(mdl, spats.NumPatterns()))
-	e, err := plf.New(pair, spats, mdl, prov)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := e.OptimizeBranch(pair.Edges[0]); err != nil {
-		return 0, err
-	}
-	return pair.Edges[0].Length, nil
-}
-
 // NeighborJoining reconstructs an unrooted binary tree from a distance
 // matrix. Negative branch-length estimates (possible with NJ) are
 // clamped to tree.MinBranchLength. For an additive (tree-metric) input
-// the true topology is recovered exactly.
-func NeighborJoining(m *Matrix) (*tree.Tree, error) {
+// the true topology is recovered exactly. It is cubic in the taxa;
+// ctx is checked once per join, and a done ctx ends the reconstruction
+// with its error.
+func NeighborJoining(ctx context.Context, m *Matrix) (*tree.Tree, error) {
 	if err := m.Check(); err != nil {
 		return nil, err
 	}
@@ -218,6 +167,9 @@ func NeighborJoining(m *Matrix) (*tree.Tree, error) {
 
 	r := len(act)
 	for r > 3 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Row sums.
 		sums := make([]float64, r)
 		for a := 0; a < r; a++ {
@@ -295,10 +247,10 @@ func quote(name string) string {
 }
 
 // NJTree is the one-call convenience: JC distances then NJ.
-func NJTree(pats *bio.Patterns) (*tree.Tree, error) {
-	m, err := JC(pats)
+func NJTree(ctx context.Context, pats *bio.Patterns) (*tree.Tree, error) {
+	m, err := JC(ctx, pats)
 	if err != nil {
 		return nil, err
 	}
-	return NeighborJoining(m)
+	return NeighborJoining(ctx, m)
 }

@@ -1,13 +1,14 @@
 package distance
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"oocphylo/internal/bio"
-	"oocphylo/internal/model"
 	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
@@ -35,7 +36,7 @@ func TestJCAnalytic(t *testing.T) {
 		"a": "AAAAAAAAAA",
 		"b": "AAAAAAAAAC",
 	})
-	m, err := JC(p)
+	m, err := JC(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestJCSaturationAndGaps(t *testing.T) {
 		"a": "AAAA",
 		"b": "CCCC",
 	})
-	m, err := JC(p)
+	m, err := JC(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestJCSaturationAndGaps(t *testing.T) {
 		"a": "AA--",
 		"b": "--AA",
 	})
-	m2, err := JC(p2)
+	m2, err := JC(context.Background(), p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,28 +82,21 @@ func TestJCSaturationAndGaps(t *testing.T) {
 		"a": "ACGTACGT",
 		"b": "ACGTACGT",
 	})
-	m3, _ := JC(p3)
+	m3, _ := JC(context.Background(), p3)
 	if m3.At(0, 1) != 0 {
 		t.Errorf("identical pair distance = %v", m3.At(0, 1))
 	}
 }
 
-func TestMLPairMatchesJCUnderJCModel(t *testing.T) {
-	p := patsFrom(t, map[string]string{
-		"a": "AAAAAAAAAAAAAAAAAAAC",
-		"b": "AAAAAAAAAAAAAAAACCCC",
-	})
-	jc, err := JC(p)
+func TestNJTreeStopsOnDoneContext(t *testing.T) {
+	d, err := sim.NewDataset(sim.Config{Taxa: 8, Sites: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdl, _ := model.NewJC(4)
-	ml, err := ML(p, mdl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(jc.At(0, 1)-ml.At(0, 1)) > 1e-5 {
-		t.Errorf("ML and analytic JC disagree: %v vs %v", ml.At(0, 1), jc.At(0, 1))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := NJTree(ctx, d.Patterns); !errors.Is(err, context.Canceled) {
+		t.Errorf("a done context must end the build with its error, got %v", err)
 	}
 }
 
@@ -156,7 +150,7 @@ func TestNeighborJoiningRecoversAdditiveTreesProperty(t *testing.T) {
 			return false
 		}
 		m := additiveMatrix(truth)
-		got, err := NeighborJoining(m)
+		got, err := NeighborJoining(context.Background(), m)
 		if err != nil {
 			return false
 		}
@@ -176,7 +170,7 @@ func TestNeighborJoiningRecoversAdditiveTreesProperty(t *testing.T) {
 
 func TestNeighborJoiningSmallCases(t *testing.T) {
 	m2 := &Matrix{Names: []string{"x", "y"}, D: []float64{0, 0.3, 0.3, 0}}
-	tr, err := NeighborJoining(m2)
+	tr, err := NeighborJoining(context.Background(), m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +179,7 @@ func TestNeighborJoiningSmallCases(t *testing.T) {
 	}
 	m3 := &Matrix{Names: []string{"x", "y", "z"},
 		D: []float64{0, 0.3, 0.5, 0.3, 0, 0.4, 0.5, 0.4, 0}}
-	tr3, err := NeighborJoining(m3)
+	tr3, err := NeighborJoining(context.Background(), m3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +198,15 @@ func TestNeighborJoiningSmallCases(t *testing.T) {
 
 func TestNeighborJoiningRejectsBadMatrices(t *testing.T) {
 	bad := &Matrix{Names: []string{"a", "b"}, D: []float64{0, 1, 2, 0}} // asymmetric
-	if _, err := NeighborJoining(bad); err == nil {
+	if _, err := NeighborJoining(context.Background(), bad); err == nil {
 		t.Error("asymmetric matrix must fail")
 	}
 	neg := &Matrix{Names: []string{"a", "b"}, D: []float64{0, -1, -1, 0}}
-	if _, err := NeighborJoining(neg); err == nil {
+	if _, err := NeighborJoining(context.Background(), neg); err == nil {
 		t.Error("negative distances must fail")
 	}
 	diag := &Matrix{Names: []string{"a", "b"}, D: []float64{1, 0, 0, 0}}
-	if _, err := NeighborJoining(diag); err == nil {
+	if _, err := NeighborJoining(context.Background(), diag); err == nil {
 		t.Error("nonzero diagonal must fail")
 	}
 }
@@ -222,7 +216,7 @@ func TestNJTreeOnSimulatedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NJTree(d.Patterns)
+	got, err := NJTree(context.Background(), d.Patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +235,7 @@ func TestNJHandlesAwkwardNames(t *testing.T) {
 	_ = a.AddString("plain", "TTGTACGTAC")
 	_ = a.AddString("x:y", "ACGTACGTTT")
 	p, _ := bio.Compress(a)
-	tr, err := NJTree(p)
+	tr, err := NJTree(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

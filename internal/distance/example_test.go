@@ -1,6 +1,7 @@
 package distance_test
 
 import (
+	"context"
 	"fmt"
 
 	"oocphylo/internal/bio"
@@ -19,7 +20,7 @@ func ExampleNeighborJoining() {
 			0.7, 0.8, 0.5, 0.0,
 		},
 	}
-	t, err := distance.NeighborJoining(m)
+	t, err := distance.NeighborJoining(context.Background(), m)
 	if err != nil {
 		panic(err)
 	}
@@ -38,7 +39,7 @@ func ExampleJC() {
 	_ = aln.AddString("s1", "AAAAAAAAAA")
 	_ = aln.AddString("s2", "AAAAAAAAAC") // 10% observed divergence
 	pats, _ := bio.Compress(aln)
-	m, err := distance.JC(pats)
+	m, err := distance.JC(context.Background(), pats)
 	if err != nil {
 		panic(err)
 	}

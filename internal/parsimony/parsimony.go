@@ -7,6 +7,7 @@
 package parsimony
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -98,7 +99,10 @@ func tipRows(t *tree.Tree, pats *bio.Patterns) ([]int, error) {
 // cost, estimated per branch from bidirectional Fitch sets (the
 // standard quick-add heuristic). Branch lengths are uniform
 // placeholders for the ML optimiser to refine. Deterministic given rng.
-func StepwiseAddition(pats *bio.Patterns, rng *rand.Rand) (*tree.Tree, error) {
+// Each insertion costs a pass over the tree, so the whole is quadratic
+// in the taxa; ctx is checked once per inserted taxon, and a done ctx
+// ends the build with its error.
+func StepwiseAddition(ctx context.Context, pats *bio.Patterns, rng *rand.Rand) (*tree.Tree, error) {
 	n := pats.NumTaxa()
 	if n < 2 {
 		return nil, fmt.Errorf("parsimony: need at least 2 taxa, got %d", n)
@@ -113,6 +117,9 @@ func StepwiseAddition(pats *bio.Patterns, rng *rand.Rand) (*tree.Tree, error) {
 
 	nPat := pats.NumPatterns()
 	for k := 3; k < n; k++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		row := order[k]
 		down, up, err := directedSets(t, pats, nPat)
 		if err != nil {

@@ -1,6 +1,8 @@
 package parsimony
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -128,7 +130,7 @@ func TestStepwiseAdditionBuildsValidTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := StepwiseAddition(d.Patterns, rand.New(rand.NewSource(1)))
+	tr, err := StepwiseAddition(context.Background(), d.Patterns, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestStepwiseAdditionBeatsRandomTopologies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := StepwiseAddition(d.Patterns, rand.New(rand.NewSource(2)))
+	sw, err := StepwiseAddition(context.Background(), d.Patterns, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,18 +191,18 @@ func TestStepwiseAdditionDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := StepwiseAddition(d.Patterns, rand.New(rand.NewSource(7)))
+	a, err := StepwiseAddition(context.Background(), d.Patterns, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := StepwiseAddition(d.Patterns, rand.New(rand.NewSource(7)))
+	b, err := StepwiseAddition(context.Background(), d.Patterns, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tree.RFDistance(a, b) != 0 {
 		t.Error("same seed must give the same tree")
 	}
-	c, err := StepwiseAddition(d.Patterns, rand.New(rand.NewSource(8)))
+	c, err := StepwiseAddition(context.Background(), d.Patterns, rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestStepwiseAdditionDeterministicGivenSeed(t *testing.T) {
 
 func TestStepwiseAdditionSmall(t *testing.T) {
 	p := pats(t, [][2]string{{"a", "ACGT"}, {"b", "ACGA"}})
-	tr, err := StepwiseAddition(p, rand.New(rand.NewSource(1)))
+	tr, err := StepwiseAddition(context.Background(), p, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +219,17 @@ func TestStepwiseAdditionSmall(t *testing.T) {
 		t.Error("two-taxon stepwise wrong")
 	}
 	one := pats(t, [][2]string{{"a", "ACGT"}})
-	if _, err := StepwiseAddition(one, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := StepwiseAddition(context.Background(), one, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("one taxon must fail")
+	}
+}
+
+func TestStepwiseAdditionStopsOnDoneContext(t *testing.T) {
+	p := pats(t, [][2]string{{"a", "ACGT"}, {"b", "ACGA"}, {"c", "ACTT"}, {"d", "GCGT"}})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := StepwiseAddition(ctx, p, rand.New(rand.NewSource(1))); !errors.Is(err, context.Canceled) {
+		t.Errorf("a done context must end the build with its error, got %v", err)
 	}
 }
 
@@ -242,7 +253,7 @@ func BenchmarkStepwiseAddition(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := StepwiseAddition(d.Patterns, rand.New(rand.NewSource(int64(i)))); err != nil {
+		if _, err := StepwiseAddition(context.Background(), d.Patterns, rand.New(rand.NewSource(int64(i)))); err != nil {
 			b.Fatal(err)
 		}
 	}

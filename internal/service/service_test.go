@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,7 +48,7 @@ func writeTestAlignment(t *testing.T, dir string, taxa, sites int, seed int64) (
 	}
 	cfg := SessionConfig{Model: "GTR", Alpha: 1, Cats: 4}
 	cfg.Fill()
-	in, err := analysis.Build(cfg, pats)
+	in, err := analysis.Build(context.Background(), cfg, pats)
 	if err != nil {
 		t.Fatal(err)
 	}

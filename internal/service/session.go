@@ -283,7 +283,7 @@ func (s *Session) build() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	in, err := analysis.Build(s.cfg, pats)
+	in, err := analysis.Build(context.Background(), s.cfg, pats)
 	if err != nil {
 		return err
 	}
