@@ -66,8 +66,8 @@ func TestRemoteStoreFlagMatchesLocal(t *testing.T) {
 
 // TestRemoteStoreVerifiedWithoutFlag: a -store remote:// run is
 // verified without a flag. Over a remote that corrupts some GETs
-// it prints the clean run's likelihood bits: each corrupt GET fails its
-// checksum and the engine recomputes that vector.
+// it prints the clean run's likelihood bits: each corrupt GET fails the
+// manager's checksum and the engine recomputes that vector.
 func TestRemoteStoreVerifiedWithoutFlag(t *testing.T) {
 	phy, nwk, memLimit := soakDataset(t, t.TempDir(), 24, 200)
 	chaos := iosim.NewChaos(iosim.ChaosConfig{Seed: 3, CorruptProb: 0.05, MaxFaults: 6})

@@ -172,8 +172,8 @@ func TestOpen(t *testing.T) {
 				if hasMgr != sz.OutOfCore || hasTier != (medium == "remote") {
 					t.Fatalf("manager %t, tier %t", hasMgr, hasTier)
 				}
-				if (r.Stack.Store != nil) != sz.OutOfCore || (r.Stack.Checksum != nil) != sz.OutOfCore {
-					t.Errorf("store stack open = %t, verified = %t, want %t", r.Stack.Store != nil, r.Stack.Checksum != nil, sz.OutOfCore)
+				if (r.Stack.Store != nil) != sz.OutOfCore {
+					t.Errorf("store stack open = %t, want %t", r.Stack.Store != nil, sz.OutOfCore)
 				}
 				if hasMgr {
 					// A store keeps at most a few bytes per vector (a

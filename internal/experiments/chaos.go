@@ -105,11 +105,11 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	res.LnL = clean.LnL
 	res.CleanElapsed = clean.Elapsed
 
-	// Chaotic arm: loopback remote behind the fault injector, full
-	// fault-tolerance stack, and an OUTER checksum layer — the cache
-	// tier trusts what it admits, so a corrupt GET body is only caught
-	// by checksums ABOVE the tier, where the engine's recovery path
-	// turns it into a recompute.
+	// Chaotic arm: loopback remote behind the fault injector and the
+	// full fault-tolerance stack — the cache tier trusts what it
+	// admits, so a corrupt GET body is only caught by the manager ABOVE
+	// the tier, which checks every vector it reads, and the engine's
+	// recovery path turns it into a recompute.
 	chaos := iosim.NewChaos(cfg.Chaos)
 	chaos.Disable() // hold fire while the stack comes up
 	srv, err := remote.NewServer(remote.ServerConfig{

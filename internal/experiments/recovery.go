@@ -12,7 +12,8 @@ import (
 // Recovery ablation — the integrity tentpole's acceptance experiment.
 // The same full-traversal workload runs twice per manager flavour: once
 // over a clean store and once over a FaultStore injecting transient
-// read EIO, torn writes and bit flips underneath the ChecksumStore. The
+// read EIO, torn writes and bit flips underneath the manager, which
+// checks every vector it reads. The
 // harness enforces the bar the fault-tolerance layer promises: the
 // faulted run must finish with the bit-identical final log-likelihood
 // of the clean run — an unreadable or corrupt vector is converted into
@@ -46,9 +47,9 @@ func (c *RecoveryConfig) fill() {
 			Seed:     c.Seed + 99,
 			PReadErr: 0.05, MaxReadErrs: 6,
 			PTornWrite: 0.05, MaxTornWrites: 4,
-			// Bit flips only fire on reads that actually reach the store;
-			// async scheduling jitters the die sequence, so the probability
-			// is set high enough that every interleaving draws a flip.
+			// Bit flips only fire on reads that actually reach the store,
+			// and the arm holds f·n slots and reads little, so the
+			// probability is set high enough that each arm draws a flip.
 			PBitFlip: 0.25, MaxBitFlips: 4,
 		}
 	}
@@ -75,8 +76,8 @@ type RecoveryRow struct {
 }
 
 // runRecoveryWorkload executes the edge-sweep workload once over
-// Manager → ChecksumStore → [FaultStore →] MemStore and returns the
-// closed run for its counters.
+// Manager → [FaultStore →] MemStore and returns the closed run for its
+// counters.
 func runRecoveryWorkload(cfg RecoveryConfig, w *workload, async bool, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
 	r, err = w.run(arm{
 		Fraction: pagingFraction, Async: async,

@@ -46,11 +46,10 @@ func TestFaultRecoveryEquivalence(t *testing.T) {
 				if r.Async {
 					mode = "async"
 				}
-				// The acceptance criterion names all three fault kinds. The
-				// synchronous arm's dice fall in a fixed order; the async
-				// arm's follow its fetch workers' interleaving, which may
-				// draw no read EIO at all.
-				if !r.Async && r.Faults.ReadErrs == 0 {
+				// The acceptance criterion names all three fault kinds, in
+				// both arms: a die depends on its vector's own calls, not
+				// on how the async arm's fetch workers interleave.
+				if r.Faults.ReadErrs == 0 {
 					t.Errorf("%s: no read EIO injected: %+v", mode, r.Faults)
 				}
 				if r.Faults.TornWrites == 0 {

@@ -249,9 +249,6 @@ func init() {
 		if want := ooc.SlotsForBytes(sz.Quota, overhead, sz.VecBytes, sz.NumVectors); r.Manager.Slots() != want {
 			fail("%d slots, -L %d buys %d", r.Manager.Slots(), sz.Quota, want)
 		}
-		if r.Stack.Checksum == nil {
-			fail("store stack is not verified")
-		}
 		// Pipeline enabled == !Sync, and an arm opens Sync: !Async.
 		if got := r.Manager.PipelineStats().Enabled; got != a.Async {
 			fail("pipeline enabled = %v", got)

@@ -12,7 +12,7 @@ import (
 )
 
 // Timeline figure — the observability layer's acceptance experiment. A
-// real out-of-core run (async pipeline, checksummed store, optional
+// real out-of-core run (async pipeline, checked reads, optional
 // fault injection) executes fully instrumented under one run-long root
 // span, and the collected spans are exported as Chrome trace_event
 // JSON: the compute lane and the I/O worker lanes side by side show

@@ -32,7 +32,7 @@ const (
 	FaultError
 	// FaultCorrupt flips one byte of the response body (GET only —
 	// stored objects are never mutated; write paths degrade it to
-	// FaultDrop).
+	// FaultDrop). The out-of-core manager's checksum catches it.
 	FaultCorrupt
 )
 

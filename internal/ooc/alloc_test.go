@@ -30,14 +30,10 @@ func TestWarmTraversalAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cs, err := NewChecksumStore(file, "", n, vecLen)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cs.Close()
+				defer file.Close()
 				m, err := NewManager(Config{
 					NumVectors: n, VectorLen: vecLen, Slots: SlotsForFraction(0.25, n),
-					Strategy: NewLRU(n), ReadSkipping: true, Store: cs, Async: async,
+					Strategy: NewLRU(n), ReadSkipping: true, Store: file, Async: async,
 				})
 				if err != nil {
 					t.Fatal(err)

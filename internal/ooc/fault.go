@@ -5,25 +5,26 @@ package ooc
 // transient read EIO (the read fails, the medium is fine), torn writes
 // (the write reports success but only a prefix of the payload reaches
 // the medium), and bit flips on the read path (the medium is fine but
-// the transfer is not). Tests and the soak harness layer it UNDER a
-// ChecksumStore, so silent corruption is detected on read-back, and
-// every fault ends in the one recovery there is, the engine's
-// recompute of the vector it could not read:
+// the transfer is not). Tests and the soak harness layer it under a
+// Manager, which checks every vector it reads against the checksum it
+// recorded, so silent corruption is detected on read-back, and every
+// fault ends in the one recovery there is, the engine's recompute of
+// the vector it could not read:
 //
-//	Manager (unreadable → recompute) → ChecksumStore (verifies) → FaultStore (injects) → FileStore/MemStore
+//	Manager (checks; unreadable → recompute) → FaultStore (injects) → FileStore/MemStore
 //
 // There is no injected write EIO: a write error is fatal to a run, and
 // no production store returns a transient one (the remote tier keeps a
 // refused PUT's bytes in its cache file instead).
 //
-// All randomness comes from one seeded source behind a mutex, so a
-// fixed seed yields a reproducible fault sequence for a deterministic
-// (synchronous) operation order.
+// Every die is a pure function of the seed, the vector, its call
+// ordinal (reads and writes counted together) and the fault kind, so
+// below the (global) caps a vector's faults follow its own calls, never
+// how the async pipeline's workers interleave distinct vectors.
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 )
 
@@ -56,20 +57,42 @@ func (s FaultStats) Total() int64 {
 }
 
 // FaultStore injects faults in front of an inner Store. Safe for the
-// concurrent distinct-vector calls the async pipeline issues (the fault
-// dice share one locked source).
+// concurrent distinct-vector calls the async pipeline issues (the call
+// ordinals and the caps' counters share one lock).
 type FaultStore struct {
 	inner Store
+	cfg   FaultConfig
 
 	mu    sync.Mutex
-	cfg   FaultConfig
-	rng   *rand.Rand
+	calls map[int]uint64 // per vector, the calls made so far
 	stats FaultStats
 }
 
 // NewFaultStore wraps inner with the given fault plan.
 func NewFaultStore(inner Store, cfg FaultConfig) *FaultStore {
-	return &FaultStore{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &FaultStore{inner: inner, cfg: cfg, calls: make(map[int]uint64)}
+}
+
+// The dice a call can roll, one per decision.
+const (
+	dieReadErr uint64 = iota + 1
+	dieFlip
+	dieFlipAt
+	dieTorn
+	dieTornAt
+)
+
+// splitmix64 is SplitMix64's output function, a bijective mixer.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// die is the draw of die k on vector vi's call number ord.
+func (s *FaultStore) die(vi int, ord, k uint64) uint64 {
+	return splitmix64(splitmix64(splitmix64(splitmix64(uint64(s.cfg.Seed))^uint64(vi))^ord) ^ k)
 }
 
 // Stats returns a snapshot of the injected-fault counters.
@@ -79,13 +102,13 @@ func (s *FaultStore) Stats() FaultStats {
 	return s.stats
 }
 
-// roll decides one fault category under s.mu: fire with probability p
-// unless the cap is exhausted.
-func (s *FaultStore) roll(p float64, cap int64, counter *int64) bool {
+// roll decides one fault category under s.mu from die k of vector vi's
+// call ord: fire with probability p unless the cap is exhausted.
+func (s *FaultStore) roll(vi int, ord, k uint64, p float64, cap int64, counter *int64) bool {
 	if p <= 0 || cap <= 0 || *counter >= cap {
 		return false
 	}
-	if s.rng.Float64() >= p {
+	if float64(s.die(vi, ord, k)>>11)/(1<<53) >= p {
 		return false
 	}
 	*counter++
@@ -96,15 +119,17 @@ func (s *FaultStore) roll(p float64, cap int64, counter *int64) bool {
 // transfer, maybe one flipped bit after a successful one.
 func (s *FaultStore) ReadVector(vi int, dst []float64) error {
 	s.mu.Lock()
-	if s.roll(s.cfg.PReadErr, s.cfg.MaxReadErrs, &s.stats.ReadErrs) {
+	ord := s.calls[vi]
+	s.calls[vi]++
+	if s.roll(vi, ord, dieReadErr, s.cfg.PReadErr, s.cfg.MaxReadErrs, &s.stats.ReadErrs) {
 		s.mu.Unlock()
 		return fmt.Errorf("ooc: injected EIO reading vector %d: %w", vi, ErrTransientIO)
 	}
 	flip := -1
 	var bit uint
-	if len(dst) > 0 && s.roll(s.cfg.PBitFlip, s.cfg.MaxBitFlips, &s.stats.BitFlips) {
-		flip = s.rng.Intn(len(dst))
-		bit = uint(s.rng.Intn(64))
+	if len(dst) > 0 && s.roll(vi, ord, dieFlip, s.cfg.PBitFlip, s.cfg.MaxBitFlips, &s.stats.BitFlips) {
+		at := s.die(vi, ord, dieFlipAt)
+		flip, bit = int(at%uint64(len(dst))), uint(at>>58)
 	}
 	s.mu.Unlock()
 	if err := s.inner.ReadVector(vi, dst); err != nil {
@@ -118,13 +143,15 @@ func (s *FaultStore) ReadVector(vi int, dst []float64) error {
 
 // WriteVector implements Store: maybe a torn write — the prefix lands,
 // the tail never reaches the medium, and the call still reports success
-// (exactly the silent failure a checksum layer exists to catch).
+// (exactly the silent failure the manager's checksum exists to catch).
 func (s *FaultStore) WriteVector(vi int, src []float64) error {
 	s.mu.Lock()
+	ord := s.calls[vi]
+	s.calls[vi]++
 	torn := -1
-	if len(src) > 1 && s.roll(s.cfg.PTornWrite, s.cfg.MaxTornWrites, &s.stats.TornWrites) {
+	if len(src) > 1 && s.roll(vi, ord, dieTorn, s.cfg.PTornWrite, s.cfg.MaxTornWrites, &s.stats.TornWrites) {
 		// Keep at least one element, lose at least one.
-		torn = 1 + s.rng.Intn(len(src)-1)
+		torn = 1 + int(s.die(vi, ord, dieTornAt)%uint64(len(src)-1))
 	}
 	s.mu.Unlock()
 	if torn < 0 {

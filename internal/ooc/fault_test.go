@@ -1,8 +1,10 @@
 package ooc
 
 import (
-	"path/filepath"
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 )
 
 func TestFaultStoreDeterministic(t *testing.T) {
@@ -38,6 +40,67 @@ func TestFaultStoreDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultStoreDiceFollowVectorHistory: below the caps, the faults a
+// vector sees depend on its own calls alone. Two FaultStores see the
+// same per-vector call histories in two global orders, as the async
+// pipeline's workers may issue them, and must inject the same faults at
+// the same calls.
+func TestFaultStoreDiceFollowVectorHistory(t *testing.T) {
+	const n, vl, calls = 8, 16, 24
+	cfg := FaultConfig{
+		Seed:     11,
+		PReadErr: 0.2, MaxReadErrs: 1000,
+		PTornWrite: 0.3, MaxTornWrites: 1000,
+		PBitFlip: 0.3, MaxBitFlips: 1000,
+	}
+	// Call c of vector vi writes on even c and reads on odd c; each call
+	// leaves what the medium holds after a write, or what a read returned.
+	run := func(order [][2]int) (map[[2]int]string, FaultStats) {
+		inner := NewMemStore(n, vl)
+		fs := NewFaultStore(inner, cfg)
+		seen := make(map[[2]int]string)
+		v := make([]float64, vl)
+		for _, call := range order {
+			vi, c := call[0], call[1]
+			fillVec(v, vi*calls+c)
+			if c%2 == 0 {
+				if err := fs.WriteVector(vi, v); err != nil {
+					t.Fatal(err)
+				}
+				seen[call] = fmt.Sprint(inner.data[vi])
+			} else {
+				err := fs.ReadVector(vi, v)
+				seen[call] = fmt.Sprint(v, err)
+			}
+		}
+		return seen, fs.Stats()
+	}
+	var byVector, interleaved [][2]int
+	for vi := 0; vi < n; vi++ {
+		for c := 0; c < calls; c++ {
+			byVector = append(byVector, [2]int{vi, c})
+		}
+	}
+	for c := 0; c < calls; c++ {
+		for vi := n - 1; vi >= 0; vi-- {
+			interleaved = append(interleaved, [2]int{vi, c})
+		}
+	}
+	a, sa := run(byVector)
+	b, sb := run(interleaved)
+	if sa != sb {
+		t.Errorf("faults injected: %+v in one order, %+v in the other", sa, sb)
+	}
+	if sa.ReadErrs == 0 || sa.TornWrites == 0 || sa.BitFlips == 0 {
+		t.Errorf("want every fault kind injected: %+v", sa)
+	}
+	for call, got := range a {
+		if b[call] != got {
+			t.Errorf("vector %d call %d: %s in one order, %s in the other", call[0], call[1], got, b[call])
+		}
+	}
+}
+
 func TestFaultStoreCapsBound(t *testing.T) {
 	// A category without a cap must never fire, no matter the probability.
 	fs := NewFaultStore(NewMemStore(4, 4), FaultConfig{Seed: 1, PReadErr: 1})
@@ -55,30 +118,26 @@ func TestFaultStoreCapsBound(t *testing.T) {
 func TestFaultTornWriteCaughtByChecksum(t *testing.T) {
 	n, vl := 2, 8
 	fs := NewFaultStore(NewMemStore(n, vl), FaultConfig{Seed: 5, PTornWrite: 1, MaxTornWrites: 1})
-	cs, err := NewChecksumStore(fs, filepath.Join(t.TempDir(), "v.sum"), n, vl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
+	cs := newChecked(t, fs, n, vl)
 	buf := make([]float64, vl)
 	fillVec(buf, 1)
 	// The torn write reports success...
-	if err := cs.WriteVector(1, buf); err != nil {
+	if err := cs.put(1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if fs.Stats().TornWrites != 1 {
 		t.Fatal("torn write was not injected")
 	}
-	// ...but the next read must catch the mismatch.
+	// ...but the manager's next read must catch the mismatch.
 	got := make([]float64, vl)
-	if err := cs.ReadVector(1, got); !IsCorruption(err) {
+	if err := cs.get(1, got); !IsCorruption(err) {
 		t.Fatalf("torn write not detected: %v", err)
 	}
 	// Rewriting (cap exhausted) heals it.
-	if err := cs.WriteVector(1, buf); err != nil {
+	if err := cs.put(1, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.ReadVector(1, got); err != nil {
+	if err := cs.get(1, got); err != nil {
 		t.Fatalf("read after heal: %v", err)
 	}
 }
@@ -86,22 +145,18 @@ func TestFaultTornWriteCaughtByChecksum(t *testing.T) {
 func TestFaultBitFlipCaughtByChecksum(t *testing.T) {
 	n, vl := 2, 8
 	fs := NewFaultStore(NewMemStore(n, vl), FaultConfig{Seed: 6, PBitFlip: 1, MaxBitFlips: 1})
-	cs, err := NewChecksumStore(fs, filepath.Join(t.TempDir(), "v.sum"), n, vl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
+	cs := newChecked(t, fs, n, vl)
 	buf := make([]float64, vl)
 	fillVec(buf, 0)
-	if err := cs.WriteVector(0, buf); err != nil {
+	if err := cs.put(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, vl)
-	if err := cs.ReadVector(0, got); !IsCorruption(err) {
+	if err := cs.get(0, got); !IsCorruption(err) {
 		t.Fatalf("bit flip not detected: %v", err)
 	}
 	// The flip hit the transfer, not the medium: the next read is clean.
-	if err := cs.ReadVector(0, got); err != nil {
+	if err := cs.get(0, got); err != nil {
 		t.Fatalf("read after transfer flip: %v", err)
 	}
 }
@@ -113,13 +168,9 @@ func TestFaultCorruptReadWithWriteIntentIsSkipped(t *testing.T) {
 	// read skipping enabled.
 	n, vl := 6, 4
 	inner := NewMemStore(n, vl)
-	cs, err := NewChecksumStore(inner, filepath.Join(t.TempDir(), "v.sum"), n, vl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-		ReadSkipping: false, Store: cs,
+		ReadSkipping: false, Store: inner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +216,6 @@ func TestFaultCorruptReadWithWriteIntentIsSkipped(t *testing.T) {
 		t.Errorf("CorruptReads = %d, want 2 (one fatal, one swallowed)", cr)
 	}
 	m.Close()
-	cs.Close()
 }
 
 func TestFaultAsyncFailedJoinNotLedgered(t *testing.T) {
@@ -265,5 +315,67 @@ func TestFaultAsyncEvictDropsFailedStageIn(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("store copy clobbered by dropped write-back: %v, want %v", got, want)
 		}
+	}
+}
+
+// TestFaultTornWritePendingThenCaught: a torn write-back whose buffer
+// the writer still holds serves reads of its vector from that buffer,
+// so they are whole and nothing is reported corrupt; the first read
+// after reclaimOldest took the buffer back (here at Flush's barrier)
+// goes to the store, and the manager's check reports the tear.
+func TestFaultTornWritePendingThenCaught(t *testing.T) {
+	const n, vl = 8, 4
+	fs := NewFaultStore(NewMemStore(n, vl), FaultConfig{Seed: 3, PTornWrite: 1, MaxTornWrites: 1})
+	m, err := NewManager(Config{
+		NumVectors: n, VectorLen: vl, Slots: MinSlots, Strategy: NewLRU(n),
+		ReadSkipping: true, Store: fs, Async: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	want := []float64{1, 2, 3, 4}
+	write := func(vi int) {
+		t.Helper()
+		v, err := m.Vector(vi, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(v, want)
+	}
+	// Vector 0's eviction is the first write-back, and it tears.
+	for vi := 0; vi <= MinSlots; vi++ {
+		write(vi)
+	}
+	// Let the writer reach the store, so the medium holds the tear.
+	for deadline := time.Now().Add(5 * time.Second); fs.Stats().TornWrites == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if m.Resident(0) || fs.Stats().TornWrites != 1 {
+		t.Fatalf("vector 0 resident %v, %d torn writes; want it evicted by a torn write", m.Resident(0), fs.Stats().TornWrites)
+	}
+	got, err := m.Vector(0, false)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("read of vector 0 while its write is pending = %v, %v; want %v", got, err, want)
+	}
+	if ps := m.PipelineStats(); ps.CorruptReads != 0 || ps.WriteQueueHits != 1 {
+		t.Fatalf("pending read: %d corrupt reads, %d write-queue hits; want 0 and 1", ps.CorruptReads, ps.WriteQueueHits)
+	}
+	// Evict vector 0 again (clean: no second write-back), then take
+	// every queued buffer back.
+	for vi := MinSlots + 1; vi < n; vi++ {
+		write(vi)
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Resident(0) {
+		t.Fatal("vector 0 still resident")
+	}
+	if _, err := m.Vector(0, false); !IsCorruption(err) {
+		t.Fatalf("read of vector 0 after its buffer was taken back: %v, want corruption", err)
+	}
+	if cr := m.PipelineStats().CorruptReads; cr != 1 {
+		t.Errorf("CorruptReads = %d, want 1", cr)
 	}
 }

@@ -5,14 +5,15 @@ package ooc
 // version can be deployed to essentially infer trees on datasets of
 // arbitrary size" (§4.3) implies runs long enough that disk faults,
 // torn writes and bit rot are expected events, not exceptions. This
-// file adds what the store stack needs to detect them:
+// file holds what the manager needs to detect them:
 //
-//   - ChecksumStore wraps any Store with an in-memory per-vector
-//     CRC-32C table. Every read is verified against the checksum
-//     recorded at write time; a mismatch surfaces as a typed
-//     *CorruptionError instead of silently poisoning the likelihood.
-//     The table lives and dies with the process: a process reads only
-//     vectors it wrote, so there is nothing to persist.
+//   - The manager keeps one table entry per vector (vecEntry, in
+//     manager.go): its record's length and the CRC-32C of the copy the
+//     store holds. Every read from the store is checked against it; a
+//     mismatch surfaces as a typed *CorruptionError instead of silently
+//     poisoning the likelihood. The table lives and dies with the
+//     process: a process reads only vectors it wrote, so there is
+//     nothing to persist.
 //
 //   - ErrTransientIO marks a read that failed but may succeed later.
 //     The manager re-issues nothing: such a read is unreadable, like
@@ -46,23 +47,17 @@ import (
 
 // CorruptionError reports that a vector read back from the backing
 // store does not match the record written last — a torn write, a
-// flipped bit, an overwritten region, or a read of another length.
+// flipped bit or an overwritten region.
 type CorruptionError struct {
 	// Vector is the corrupted vector's global index.
 	Vector int
 	// Want is the checksum recorded at write time; Got what the payload
 	// read back hashes to.
 	Want, Got uint32
-	// Len and WantLen are set when the read asked for Len float64s of a
-	// record written WantLen long (and nothing was read).
-	Len, WantLen int
 }
 
 // Error implements error.
 func (e *CorruptionError) Error() string {
-	if e.Len != e.WantLen {
-		return fmt.Sprintf("ooc: vector %d corrupt: read of %d float64s, record is %d", e.Vector, e.Len, e.WantLen)
-	}
 	return fmt.Sprintf("ooc: vector %d corrupt: checksum %08x, want %08x", e.Vector, e.Got, e.Want)
 }
 
@@ -180,82 +175,9 @@ func vectorChecksum(v []float64) uint32 {
 	return sum
 }
 
-// ChecksumStore wraps an inner Store with per-vector CRC-32C
-// verification of each record. The table lives in memory only — 8
-// bytes per vector, gone with the process, like every vector it
-// describes; like the manager's own per-vector index it is O(n)
-// bookkeeping, not charged to -L. Reads of a never-written vector are
-// accepted as-is (a fresh backing file legitimately reads zeros); any
-// other read that asks for a length other than the last write's, or
-// whose payload does not hash to the recorded checksum, returns a
-// *CorruptionError.
-//
-// Concurrency matches the Store contract: calls on distinct vectors are
-// safe (per-vector state lives at distinct slice indices), concurrent
-// operations on the same vector are the caller's bug.
-type ChecksumStore struct {
-	inner Store
-	n     int
-	// sums[vi] is 0 until vi is first written, then the record's length
-	// (in float64s, never 0) above bit 32 and its CRC-32C below.
-	sums []uint64
-}
-
-// NewChecksumStore wraps an inner store holding numVectors vectors of
-// vecLen float64s. sidecarPath is accepted and ignored: the checksums
-// were once mirrored to a file there, and bench/workloads.go still
-// passes one.
-func NewChecksumStore(inner Store, sidecarPath string, numVectors, vecLen int) (*ChecksumStore, error) {
-	if numVectors < 0 || vecLen <= 0 {
-		return nil, fmt.Errorf("ooc: invalid checksum store geometry: %d vectors of %d", numVectors, vecLen)
-	}
-	return &ChecksumStore{inner: inner, n: numVectors, sums: make([]uint64, numVectors)}, nil
-}
-
-// ReadVector implements Store: check the length, read through, then
-// verify.
-func (s *ChecksumStore) ReadVector(vi int, dst []float64) error {
-	if vi < 0 || vi >= s.n {
-		return fmt.Errorf("ooc: checksum store read out of range: %d", vi)
-	}
-	want := s.sums[vi]
-	if want != 0 && len(dst) != s.recordLen(vi) {
-		// A record is only ever read back at the length it was written.
-		return &CorruptionError{Vector: vi, Want: uint32(want), Len: len(dst), WantLen: s.recordLen(vi)}
-	}
-	if err := s.inner.ReadVector(vi, dst); err != nil {
-		return err
-	}
-	if want == 0 {
-		// Never written: a fresh backing file reads zeros, which is fine.
-		return nil
-	}
-	if got := vectorChecksum(dst); got != uint32(want) {
-		return &CorruptionError{Vector: vi, Want: uint32(want), Got: got}
-	}
-	return nil
-}
-
-// WriteVector implements Store: write through, then record the payload's
-// length and checksum. Both come from the caller's payload (the write
-// intent), so a torn write underneath is caught by the next read.
-func (s *ChecksumStore) WriteVector(vi int, src []float64) error {
-	if vi < 0 || vi >= s.n {
-		return fmt.Errorf("ooc: checksum store write out of range: %d", vi)
-	}
-	if err := s.inner.WriteVector(vi, src); err != nil {
-		return err
-	}
-	s.sums[vi] = uint64(len(src))<<32 | uint64(vectorChecksum(src))
-	return nil
-}
-
-// recordLen is the length of vector vi's last write (0 if never
-// written).
-func (s *ChecksumStore) recordLen(vi int) int { return int(s.sums[vi] >> 32) }
-
-// Unwrap implements Unwrapper.
-func (s *ChecksumStore) Unwrap() Store { return s.inner }
-
-// Close implements Store.
-func (s *ChecksumStore) Close() error { return s.inner.Close() }
+// NewChecksumStore returns inner. The manager checks every vector it
+// reads against its own table (see vecEntry), so there is no checksum
+// layer to build; the function stays for bench/workloads.go, which
+// still calls it, until the benchmark opens its stack through
+// analysis.Open.
+func NewChecksumStore(inner Store, _ string, _, _ int) (Store, error) { return inner, nil }

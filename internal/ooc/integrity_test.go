@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,149 +18,82 @@ func fillVec(v []float64, vi int) {
 	}
 }
 
-func newTestChecksumStore(t *testing.T, n, vecLen int) (*ChecksumStore, string) {
+// checked drives the manager's two checked store paths by hand: put is
+// a synchronous write-back (writeBack, as eviction and Flush do), get a
+// demand read (demandRead) at the length the manager recorded. Nothing
+// else touches the manager, so no vector is ever resident.
+type checked struct{ m *Manager }
+
+func newChecked(t *testing.T, s Store, n, vecLen int) checked {
 	t.Helper()
-	side := filepath.Join(t.TempDir(), "vectors.sum")
-	cs, err := NewChecksumStore(NewMemStore(n, vecLen), side, n, vecLen)
+	m, err := NewManager(Config{NumVectors: n, VectorLen: vecLen, Slots: n, Strategy: NewLRU(n), Store: s})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cs, side
+	return checked{m}
 }
 
-func TestChecksumStoreRoundTrip(t *testing.T) {
-	n, vl := 8, 16
-	cs, _ := newTestChecksumStore(t, n, vl)
-	defer cs.Close()
-	buf := make([]float64, vl)
-	for vi := 0; vi < n; vi++ {
-		fillVec(buf, vi)
-		if err := cs.WriteVector(vi, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]float64, vl)
-	for vi := 0; vi < n; vi++ {
-		if err := cs.ReadVector(vi, got); err != nil {
-			t.Fatalf("vector %d: %v", vi, err)
-		}
-		fillVec(buf, vi)
-		for i := range buf {
-			if got[i] != buf[i] {
-				t.Fatalf("vector %d element %d: got %v want %v", vi, i, got[i], buf[i])
-			}
-		}
-	}
+func (c checked) put(vi int, src []float64) error { return c.m.writeBack(vi, src) }
+
+func (c checked) get(vi int, dst []float64) error {
+	return c.m.demandRead(vi, dst[:c.m.table[vi].length()])
 }
 
-func TestChecksumStoreNeverWrittenReadsZeros(t *testing.T) {
-	cs, _ := newTestChecksumStore(t, 4, 8)
-	defer cs.Close()
-	got := make([]float64, 8)
-	// A fresh backing store legitimately reads zeros: generation 0 must
-	// not be treated as corruption.
-	if err := cs.ReadVector(2, got); err != nil {
-		t.Fatalf("never-written read: %v", err)
-	}
-}
-
-func TestChecksumStoreDetectsCorruption(t *testing.T) {
-	n, vl := 4, 8
-	inner := NewMemStore(n, vl)
-	side := filepath.Join(t.TempDir(), "v.sum")
-	cs, err := NewChecksumStore(inner, side, n, vl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
-	buf := make([]float64, vl)
-	fillVec(buf, 1)
-	if err := cs.WriteVector(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the stored copy behind the checksum layer's back.
-	buf[3] += 0.5
-	if err := inner.WriteVector(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, vl)
-	err = cs.ReadVector(1, got)
-	var ce *CorruptionError
-	if !errors.As(err, &ce) {
-		t.Fatalf("read of corrupted vector: got %v, want *CorruptionError", err)
-	}
-	if ce.Vector != 1 {
-		t.Errorf("corruption reported for vector %d, want 1", ce.Vector)
-	}
-	if !IsCorruption(err) || IsCorruption(errors.New("x")) {
-		t.Error("IsCorruption misclassifies")
-	}
-	// A rewrite heals the vector.
-	fillVec(buf, 1)
-	if err := cs.WriteVector(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.ReadVector(1, got); err != nil {
-		t.Fatalf("read after heal: %v", err)
-	}
-}
-
-// TestChecksumStoreReopen pins what is left of reopening: a second
-// ChecksumStore over a medium an earlier one wrote starts with empty
-// tables, so the old bytes read as never-written (accepted, unverified)
-// until this store writes them, and nothing is written at sidecarPath.
-func TestChecksumStoreReopen(t *testing.T) {
+// TestManagerTableStartsEmpty pins what a fresh table accepts: a
+// manager over a medium it has not written reads every vector as-is (a
+// fresh backing store reads zeros; a second manager over leftovers an
+// earlier one wrote judges none of them, rotted or not), and checks a
+// vector from its first write-back on. NewChecksumStore adds no layer.
+func TestManagerTableStartsEmpty(t *testing.T) {
 	n, vl := 6, 10
 	inner := NewMemStore(n, vl)
-	side := filepath.Join(t.TempDir(), "v.sum")
-	cs, err := NewChecksumStore(inner, side, n, vl)
-	if err != nil {
-		t.Fatal(err)
+	if s, err := NewChecksumStore(inner, "v.sum", n, vl); s != Store(inner) || err != nil {
+		t.Fatalf("NewChecksumStore = %T, %v; want its argument", s, err)
+	}
+	got := make([]float64, vl)
+	first := newChecked(t, inner, n, vl)
+	if err := first.get(2, got); err != nil || got[0] != 0 {
+		t.Fatalf("never-written read = %v, %v; want zeros", got, err)
 	}
 	buf := make([]float64, vl)
 	for vi := 0; vi < n; vi++ {
 		fillVec(buf, vi)
-		if err := cs.WriteVector(vi, buf); err != nil {
+		if err := first.put(vi, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(side); !os.IsNotExist(err) {
-		t.Errorf("sidecar path %s exists (stat err %v); the tables are memory-only", side, err)
+	for vi := 0; vi < n; vi++ {
+		fillVec(buf, vi)
+		if err := first.get(vi, got); err != nil || !slices.Equal(got, buf) {
+			t.Fatalf("vector %d round trip = %v, %v; want %v", vi, got, err, buf)
+		}
 	}
 
-	cs2, err := NewChecksumStore(inner, side, n, vl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs2.Close()
-	// Rot a leftover vector behind the new store's back: with no recorded
-	// checksum it is not this store's to judge.
+	second := newChecked(t, inner, n, vl)
+	// Rot a leftover vector: with no recorded checksum it is not this
+	// manager's to judge.
 	inner.data[3][0]++
-	got := make([]float64, vl)
-	if err := cs2.ReadVector(3, got); err != nil {
-		t.Fatalf("never-written vector after reopen: %v", err)
+	if err := second.get(3, got); err != nil {
+		t.Fatalf("leftover vector: %v", err)
 	}
-	// Once written through the new store the vector is verified again.
+	// Once written back by this manager the vector is checked again.
 	fillVec(buf, 3)
-	if err := cs2.WriteVector(3, buf); err != nil {
+	if err := second.put(3, buf); err != nil {
 		t.Fatal(err)
 	}
 	inner.data[3][0]++
-	if err := cs2.ReadVector(3, got); !IsCorruption(err) {
-		t.Fatalf("rotted vector written by this store: got %v, want corruption", err)
+	if err := second.get(3, got); !IsCorruption(err) {
+		t.Fatalf("rotted vector this manager wrote: got %v, want corruption", err)
 	}
 }
 
-// TestChecksumDetectsDamage pins what the 32-bit sum is trusted to
-// catch, at a short vector and at the three benchmark workloads' vector
-// lengths: bit flips, torn and lost writes, scattered multi-bit rot and
-// misdirected writes each come back as a *CorruptionError naming the
-// vector, and a rewrite heals it. A prefix record gets the same: a bit
-// flipped or a write torn inside the prefix, and a read of any other
-// length.
+// TestChecksumDetectsDamage pins what the manager's 32-bit sum is
+// trusted to catch, at a short vector and at the three benchmark
+// workloads' vector lengths: bit flips, torn and lost writes, scattered
+// multi-bit rot and misdirected writes each come back from a demand
+// read as a *CorruptionError naming the vector, and a rewrite heals it.
+// A prefix record gets the same: a bit flipped or a write torn inside
+// the prefix.
 func TestChecksumDetectsDamage(t *testing.T) {
 	for _, vl := range append([]int{16}, checksumVecLens...) {
 		t.Run(fmt.Sprintf("len%d", vl), func(t *testing.T) {
@@ -169,11 +101,7 @@ func TestChecksumDetectsDamage(t *testing.T) {
 			const n = 3
 			rng := rand.New(rand.NewSource(int64(vl)))
 			inner := NewMemStore(n, vl)
-			cs, err := NewChecksumStore(inner, "", n, vl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cs.Close()
+			cs := newChecked(t, inner, n, vl)
 			fresh := func() []float64 {
 				v := make([]float64, vl)
 				for i := range v {
@@ -183,31 +111,26 @@ func TestChecksumDetectsDamage(t *testing.T) {
 			}
 			vecs := [n][]float64{fresh(), fresh(), fresh()}
 			for vi, v := range vecs {
-				if err := cs.WriteVector(vi, v); err != nil {
+				if err := cs.put(vi, v); err != nil {
 					t.Fatal(err)
 				}
 			}
 			got := make([]float64, vl)
-			detectedAt := func(vi, length int, what string, args ...any) {
-				t.Helper()
-				var ce *CorruptionError
-				if err := cs.ReadVector(vi, got[:length]); !errors.As(err, &ce) || ce.Vector != vi {
-					t.Fatalf("vector %d, %s: read returned %v, want its *CorruptionError", vi, fmt.Sprintf(what, args...), err)
-				}
-			}
 			detected := func(vi int, what string, args ...any) {
 				t.Helper()
-				detectedAt(vi, vl, what, args...)
-			}
-			cleanAt := func(vi, length int) {
-				t.Helper()
-				if err := cs.ReadVector(vi, got[:length]); err != nil {
-					t.Fatalf("vector %d intact: %v", vi, err)
+				var ce *CorruptionError
+				if err := cs.get(vi, got); !errors.As(err, &ce) || ce.Vector != vi || !IsCorruption(err) {
+					t.Fatalf("vector %d, %s: read returned %v, want its *CorruptionError", vi, fmt.Sprintf(what, args...), err)
 				}
 			}
 			clean := func(vi int) {
 				t.Helper()
-				cleanAt(vi, vl)
+				if err := cs.get(vi, got); err != nil {
+					t.Fatalf("vector %d intact: %v", vi, err)
+				}
+			}
+			if IsCorruption(errors.New("x")) {
+				t.Fatal("IsCorruption misclassifies a plain error")
 			}
 			// The stored copy of vector 1, as the bytes a medium would hold.
 			stored := f64Bytes(inner.data[1])
@@ -250,7 +173,7 @@ func TestChecksumDetectsDamage(t *testing.T) {
 			// boundary of the short vector, every 128 bytes of a long one.
 			old := append([]byte(nil), stored...)
 			next := fresh()
-			if err := cs.WriteVector(1, next); err != nil {
+			if err := cs.put(1, next); err != nil {
 				t.Fatal(err)
 			}
 			clean(1)
@@ -276,48 +199,41 @@ func TestChecksumDetectsDamage(t *testing.T) {
 			detected(1, "swapped with vector 0")
 			clean(2)
 			for vi := 0; vi < 2; vi++ {
-				if err := cs.WriteVector(vi, vecs[vi]); err != nil {
+				if err := cs.put(vi, vecs[vi]); err != nil {
 					t.Fatal(err)
 				}
 				clean(vi)
 			}
 
 			// Prefix records: vector 2 rewritten as its first half. The
-			// sum covers the prefix and the length travels with it.
+			// sum covers the prefix, which is what the manager reads back.
 			short := vl / 2
 			prefix := fresh()[:short]
-			if err := cs.WriteVector(2, prefix); err != nil {
+			if err := cs.put(2, prefix); err != nil {
 				t.Fatal(err)
 			}
-			cleanAt(2, short)
-			for _, length := range []int{vl, short - 1, short + 1} {
-				var ce *CorruptionError
-				if err := cs.ReadVector(2, got[:length]); !errors.As(err, &ce) || ce.Len != length || ce.WantLen != short {
-					t.Fatalf("read of %d floats from a %d-float record returned %v, want a length *CorruptionError", length, short, err)
-				}
-			}
-			cleanAt(2, short)
+			clean(2)
 			stored = f64Bytes(inner.data[2][:short])
 			for bit := 0; bit < len(stored)*8; bit += step {
 				flip(bit)
-				detectedAt(2, short, "prefix bit %d flipped", bit)
+				detected(2, "prefix bit %d flipped", bit)
 				flip(bit)
 			}
 			// A torn prefix: only the start of the rewrite landed, over the
 			// old prefix.
 			old = append([]byte(nil), stored...)
 			next = fresh()[:short]
-			if err := cs.WriteVector(2, next); err != nil {
+			if err := cs.put(2, next); err != nil {
 				t.Fatal(err)
 			}
 			for cut := 0; cut < len(stored); cut += unit {
 				copy(stored[cut:], old[cut:])
 				if !bytes.Equal(stored, f64Bytes(next)) {
-					detectedAt(2, short, "prefix torn at byte %d", cut)
+					detected(2, "prefix torn at byte %d", cut)
 				}
 				copy(stored, f64Bytes(next))
 			}
-			cleanAt(2, short)
+			clean(2)
 		})
 	}
 }

@@ -146,6 +146,33 @@ func SlotsForBytes(grant, overhead, vecBytes int64, n int) int {
 	return int(m)
 }
 
+// vecEntry is the manager's table entry for one vector, 8 bytes: n is the
+// length of its record in float64s (VectorLen before its first settle
+// or write-back) and sum the CRC-32C of the copy the store holds. The
+// stored bit of n is set once a write-back of the vector has been
+// recorded; until then a read is taken as-is (a fresh medium reads
+// zeros). The manager reads a vector only at the length it recorded,
+// so a record of another length is never read.
+type vecEntry struct{ n, sum uint32 }
+
+// stored marks, in vecEntry.n, that the store holds a copy of the vector.
+const stored = 1 << 31
+
+// length is the record's length in float64s.
+func (e vecEntry) length() int { return int(e.n &^ stored) }
+
+// readChecked reads vector vi from s into dst and checks it against
+// vi's entry e.
+func readChecked(s Store, vi int, dst []float64, e vecEntry) error {
+	if err := s.ReadVector(vi, dst); err != nil || e.n&stored == 0 {
+		return err
+	}
+	if got := vectorChecksum(dst); got != e.sum {
+		return &CorruptionError{Vector: vi, Want: e.sum, Got: got}
+	}
+	return nil
+}
+
 // Manager is the out-of-core ancestral-vector manager: it implements
 // the plf.VectorProvider contract over a RAM pool of Slots × VectorLen
 // float64s and a backing Store. Vector/Prefetch/Flush/Close must come
@@ -192,10 +219,10 @@ type Manager struct {
 	// itemvector: RAM address vs file offset; offsets here are implicit,
 	// vector vi lives at file position vi).
 	itemSlot []int
-	// lens[vi] is the length of vector vi's record, VectorLen before
-	// its first settle or write-back. A read of vi fills a buffer of
-	// that length.
-	lens []int
+	// table[vi] is vector vi's entry: its record's length, which a read
+	// of vi fills, and the checksum every read of it from the store is
+	// checked against (see vecEntry). Only the compute thread touches it.
+	table []vecEntry
 	// dirty marks entries written since fault-in; only those are
 	// written back.
 	dirty []bool
@@ -245,7 +272,7 @@ var ErrAllPinned = errors.New("ooc: all resident vectors are pinned; cannot evic
 // the writer may hold PipelineBytes more. MemOverheadBytes reports that
 // with the store's heap, so a caller enforcing -L charges both first.
 func NewManager(cfg Config) (*Manager, error) {
-	if cfg.NumVectors < 0 || cfg.VectorLen <= 0 {
+	if cfg.NumVectors < 0 || cfg.VectorLen <= 0 || cfg.VectorLen >= stored {
 		return nil, fmt.Errorf("ooc: invalid geometry: %d vectors of %d", cfg.NumVectors, cfg.VectorLen)
 	}
 	if cfg.Store == nil {
@@ -268,17 +295,17 @@ func NewManager(cfg Config) (*Manager, error) {
 		slots:      make([][]float64, 0, n),
 		slotItem:   make([]int, 0, n),
 		itemSlot:   make([]int, n),
-		lens:       make([]int, n),
+		table:      make([]vecEntry, n),
 		dirty:      make([]bool, 0, n),
 		prefetched: make([]bool, 0, n),
 		recycled:   make(map[int]*sync.Pool),
 	}
 	for i := range m.itemSlot {
 		m.itemSlot[i] = -1
-		m.lens[i] = cfg.VectorLen
+		m.table[i].n = uint32(cfg.VectorLen)
 	}
 	if cfg.Async {
-		m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen)
+		m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen, m.table)
 		m.inflight = make([]*fetchReq, 0, n)
 		m.pipeStats.Enabled = true
 	}
@@ -445,23 +472,42 @@ func (m *Manager) joinOrDrop(s int, demanded bool) error {
 	return err
 }
 
-// demandRead reads vi into dst on the compute thread. Under the async
-// pipeline a record still with the writer serves it first
-// (read-after-write). What the store cannot serve comes back as
-// unreadable.
+// demandRead reads vi into dst on the compute thread and checks it
+// against vi's entry, counting a mismatch. Under the async pipeline a
+// record still with the writer serves it first (read-after-write).
+// What the store cannot serve comes back as unreadable.
 func (m *Manager) demandRead(vi int, dst []float64) error {
 	if m.pipe != nil && m.pipe.readPending(vi, dst) {
 		return nil
 	}
-	return unreadable(vi, m.cfg.Store.ReadVector(vi, dst))
+	err := readChecked(m.cfg.Store, vi, dst, m.table[vi])
+	if err != nil && IsCorruption(err) {
+		m.pipeStats.CorruptReads++
+	}
+	return unreadable(vi, err)
 }
 
 // takeRecord is the part of entry s that vector vi's write-back stores,
 // which becomes vi's record: the prefix the engine stamped into a wide
 // buffer's last word, or the whole buffer (package record).
 func (m *Manager) takeRecord(vi, s int) []float64 {
-	m.lens[vi] = record.Len(m.slots[s])
-	return m.slots[s][:m.lens[vi]]
+	n := record.Len(m.slots[s])
+	m.setLen(vi, n)
+	return m.slots[s][:n]
+}
+
+// setLen records n as the length of vi's record, keeping its checksum.
+func (m *Manager) setLen(vi, n int) { m.table[vi].n = m.table[vi].n&stored | uint32(n) }
+
+// writeBack stores rec as vi's record on the compute thread, then
+// records its entry: the checksum is the payload's, the write's intent,
+// so a torn write underneath is caught by the next read.
+func (m *Manager) writeBack(vi int, rec []float64) error {
+	if err := m.cfg.Store.WriteVector(vi, rec); err != nil {
+		return err
+	}
+	m.table[vi] = vecEntry{n: uint32(len(rec)) | stored, sum: vectorChecksum(rec)}
+	return nil
 }
 
 // take returns an uncharged buffer of n float64s: a free one of that
@@ -563,7 +609,7 @@ func (m *Manager) settle(u int) {
 	s := m.itemSlot[u]
 	buf := m.slots[s]
 	n := record.Len(buf)
-	m.lens[u] = n
+	m.setLen(u, n)
 	if n == cap(buf) {
 		return
 	}
@@ -668,7 +714,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		missStart = time.Now()
 	}
 
-	n := m.lens[vi]
+	n := m.table[vi].length()
 	if write {
 		n = m.cfg.VectorLen
 	}
@@ -680,10 +726,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	skipRead := write && m.cfg.ReadSkipping
 	if skipRead {
 		m.stats.SkippedReads++
-	} else if err := m.stall(func() error { return m.demandRead(vi, buf[:m.lens[vi]]) }); err != nil {
-		if IsCorruption(err) {
-			m.pipeStats.CorruptReads++
-		}
+	} else if err := m.stall(func() error { return m.demandRead(vi, buf[:m.table[vi].length()]) }); err != nil {
 		if !write || !bytesLost(err) {
 			m.release(buf)
 			return nil, err
@@ -692,7 +735,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		// overwrite the entire vector before reading it (bytesLost).
 	} else {
 		m.stats.Reads++
-		m.stats.BytesRead += int64(m.lens[vi]) * 8
+		m.stats.BytesRead += int64(m.table[vi].length()) * 8
 	}
 	slot := m.place(vi, buf)
 	m.dirty[slot] = write
@@ -788,7 +831,7 @@ func (m *Manager) evict(victim, slot int) error {
 				m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
 			}
 		} else {
-			if err := m.stall(func() error { return m.cfg.Store.WriteVector(victim, rec) }); err != nil {
+			if err := m.stall(func() error { return m.writeBack(victim, rec) }); err != nil {
 				return err
 			}
 			if m.mx.on || m.span != nil {
@@ -798,7 +841,7 @@ func (m *Manager) evict(victim, slot int) error {
 			}
 		}
 		m.stats.Writes++
-		m.stats.BytesWritten += int64(m.lens[victim]) * 8
+		m.stats.BytesWritten += int64(len(rec)) * 8
 	} else {
 		m.stats.SkippedWrites++
 	}
@@ -869,11 +912,11 @@ func (m *Manager) Flush() error {
 			continue
 		}
 		rec := m.takeRecord(it, s)
-		if err := m.stall(func() error { return m.cfg.Store.WriteVector(it, rec) }); err != nil {
+		if err := m.stall(func() error { return m.writeBack(it, rec) }); err != nil {
 			return err
 		}
 		m.stats.Writes++
-		m.stats.BytesWritten += int64(m.lens[it]) * 8
+		m.stats.BytesWritten += int64(len(rec)) * 8
 		m.dirty[s] = false
 	}
 	return nil
@@ -935,8 +978,8 @@ func (m *Manager) CheckInvariants() error {
 		case m.itemSlot[it] != s:
 			return fmt.Errorf("ooc: entry %d holds item %d but itemSlot says %d", s, it, m.itemSlot[it])
 		case slices.Contains(m.wide, it) && cap(m.slots[s]) != m.cfg.VectorLen,
-			!slices.Contains(m.wide, it) && len(m.slots[s]) != m.lens[it]:
-			return fmt.Errorf("ooc: vector %d holds %d float64s of a %d-float record", it, len(m.slots[s]), m.lens[it])
+			!slices.Contains(m.wide, it) && len(m.slots[s]) != m.table[it].length():
+			return fmt.Errorf("ooc: vector %d holds %d float64s of a %d-float record", it, len(m.slots[s]), m.table[it].length())
 		default:
 			held += cap(m.slots[s])
 		}

@@ -36,9 +36,9 @@ func (o modelOp) String() string {
 // width included. After every call: a read returns the last write's
 // record at its length, a vector pinned while resident is still
 // resident and its slice unmoved, and the pool holds no more than its
-// budget. Sync and async, over ChecksumStore(MemStore), which refuses a
-// read at any other length than the record stored. A failure prints the
-// seed and the shortest prefix of the sequence that fails.
+// budget. Sync and async, over a MemStore, every read checked against
+// the manager's table. A failure prints the seed and the shortest
+// prefix of the sequence that fails.
 func TestManagerModel(t *testing.T) {
 	const n, vecLen, seqs, steps = 14, 24, 40, 300
 	for _, async := range []bool{false, true} {
@@ -94,14 +94,9 @@ func modelOps(seed int64, n, vecLen, steps int) []modelOp {
 // runModel replays ops on a fresh manager and returns the index of the
 // first op after which the manager disagrees with the model.
 func runModel(ops []modelOp, n, vecLen int, async bool) (int, error) {
-	cs, err := NewChecksumStore(NewMemStore(n, vecLen), "", n, vecLen)
-	if err != nil {
-		return 0, err
-	}
-	defer cs.Close()
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vecLen, Slots: 5, Strategy: NewLRU(n),
-		ReadSkipping: true, Store: cs, Async: async,
+		ReadSkipping: true, Store: NewMemStore(n, vecLen), Async: async,
 	})
 	if err != nil {
 		return 0, err

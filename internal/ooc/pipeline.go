@@ -107,12 +107,14 @@ type PipelineStats struct {
 }
 
 // fetchReq is one background stage-in: the worker fills dst with
-// vector vi and signals done. The entry owning dst is reserved by the
-// compute thread before the request is queued and is not touched again
-// until the request is joined and recycled.
+// vector vi, checks it against want, vi's table entry at enqueue, and
+// signals done. The entry owning dst is reserved by the compute thread
+// before the request is queued and is not touched again until the
+// request is joined and recycled.
 type fetchReq struct {
-	vi  int
-	dst []float64
+	vi   int
+	dst  []float64
+	want vecEntry
 	// span is the manager's span at enqueue; the worker's pipe.fetch
 	// span is emitted under it (nil when untraced).
 	span *obs.Span
@@ -122,10 +124,12 @@ type fetchReq struct {
 
 // writeReq is one queued write-back. buf is the vector's record, in
 // its pool buffer, which readers can copy from until the compute thread
-// takes the request back (reclaimOldest).
+// takes the request back (reclaimOldest); the writer hashes it into sum
+// before it signals done.
 type writeReq struct {
 	vi  int
 	buf []float64
+	sum uint32
 	// span, as in fetchReq, parents the writer's pipe.write_back span.
 	span *obs.Span
 	done chan struct{}
@@ -135,6 +139,7 @@ type writeReq struct {
 // and the compute thread.
 type pipeline struct {
 	store Store
+	table []vecEntry // the manager's, written by reclaimOldest
 
 	fetchCh chan *fetchReq
 	writeCh chan *writeReq
@@ -182,9 +187,10 @@ const writerLane = fetchWorkers + 1
 const writeQueue = 64
 
 // newPipeline starts the workers; the writer holds capacity float64s.
-func newPipeline(store Store, capacity int) *pipeline {
+func newPipeline(store Store, capacity int, table []vecEntry) *pipeline {
 	p := &pipeline{
 		store:    store,
+		table:    table,
 		fetchCh:  make(chan *fetchReq, fetchQueue),
 		writeCh:  make(chan *writeReq, writeQueue),
 		capacity: capacity,
@@ -219,7 +225,7 @@ func (p *pipeline) fetchWorker(lane int64) {
 		}
 		// The manager queues no fetch of a vector with a pending write, so
 		// the store holds its newest record.
-		req.err = p.store.ReadVector(req.vi, req.dst)
+		req.err = readChecked(p.store, req.vi, req.dst, req.want)
 		// A fetch error is delivered to the compute thread via the
 		// join, which decides whether it is fatal (it may instead
 		// trigger a recompute for a corrupt vector) — it must NOT
@@ -247,6 +253,7 @@ func (p *pipeline) writeWorker() {
 			start = time.Now()
 		}
 		err := p.store.WriteVector(req.vi, req.buf)
+		req.sum = vectorChecksum(req.buf) // the intent's, as in writeBack
 		if err != nil {
 			// Unlike fetches, a lost write-back has no joiner to
 			// report to: the sticky error is the only escalation path.
@@ -284,13 +291,13 @@ func (p *pipeline) readPending(vi int, dst []float64) bool {
 	return ok
 }
 
-// enqueueFetch queues a background stage-in of vi into dst, traced
-// under sp. Blocks only when the bounded fetch queue is full; a non-nil
-// cancelled ctx aborts that wait and returns ctx's error with no
-// request queued.
-func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64, sp *obs.Span) (*fetchReq, error) {
+// enqueueFetch queues a background stage-in of vi into dst, checked
+// against want and traced under sp. Blocks only when the bounded fetch
+// queue is full; a non-nil cancelled ctx aborts that wait and returns
+// ctx's error with no request queued.
+func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64, want vecEntry, sp *obs.Span) (*fetchReq, error) {
 	req := reuse(&p.fetchFree, func() *fetchReq { return &fetchReq{done: make(chan struct{}, 1)} })
-	req.vi, req.dst, req.span = vi, dst, sp
+	req.vi, req.dst, req.want, req.span = vi, dst, want, sp
 	p.bumpDepth()
 	if ctx == nil {
 		p.fetchCh <- req
@@ -353,7 +360,9 @@ func (p *pipeline) reclaimFor(ctx context.Context, n int) error {
 }
 
 // reclaimOldest waits for the oldest queued write to land, retires it
-// from the pending map and moves its buffer to returned.
+// from the pending map, recording its checksum in the table if it is
+// its vector's newest (the length was recorded at eviction), and moves
+// its buffer to returned.
 func (p *pipeline) reclaimOldest(ctx context.Context) error {
 	w := p.queue[0]
 	var cancel <-chan struct{} // nil, so never ready, without a ctx
@@ -373,6 +382,8 @@ func (p *pipeline) reclaimOldest(ctx context.Context) error {
 	p.queued -= cap(w.buf)
 	if p.pending[w.vi] == w {
 		delete(p.pending, w.vi)
+		e := &p.table[w.vi]
+		e.n, e.sum = e.n|stored, w.sum
 	}
 	p.returned = append(p.returned, w.buf)
 	w.buf, w.span = nil, nil

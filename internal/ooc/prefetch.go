@@ -48,14 +48,14 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	if m.itemSlot[vi] >= 0 {
 		return nil // already resident (possibly still in flight)
 	}
-	if err := m.makeRoom(m.lens[vi], vi, pinned); err != nil {
+	if err := m.makeRoom(m.table[vi].length(), vi, pinned); err != nil {
 		// No evictable vector (everything pinned): skip the prefetch.
 		if err == ErrAllPinned {
 			return nil
 		}
 		return err
 	}
-	buf := m.take(m.lens[vi])
+	buf := m.take(m.table[vi].length())
 	// The stage-in is definitely happening: register the access with
 	// the replacement policy so recency-aware strategies do not pick
 	// the staged vector as the very next victim.
@@ -68,9 +68,6 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 			ps = time.Now()
 		}
 		if err := m.stall(func() error { return m.demandRead(vi, buf) }); err != nil {
-			if IsCorruption(err) {
-				m.pipeStats.CorruptReads++
-			}
 			m.release(buf)
 			return err
 		}
@@ -91,7 +88,7 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	// context is cancelled during that wait the prefetch is simply
 	// skipped — the buffer goes back and nothing is mapped.
 	start := time.Now()
-	req, err := m.pipe.enqueueFetch(m.ctx, vi, buf, m.span)
+	req, err := m.pipe.enqueueFetch(m.ctx, vi, buf, m.table[vi], m.span)
 	wait := time.Since(start)
 	m.pipeStats.StallTime += wait
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"oocphylo/internal/record"
 )
 
-// recStore sits between the manager and ChecksumStore. Every record the
+// recStore sits between the manager and its FileStore. Every record the
 // test writes names its own length in its first word, so recStore can
 // check each write-back moves exactly that record, whenever the
 // pipeline gets to it. hold/release park writes to keep one queued.
@@ -59,13 +59,13 @@ func (r *recStore) WriteVector(vi int, src []float64) error {
 }
 
 // TestPrefixRecords runs vectors whose slots carry records of varying
-// length (and full vectors with no marker) through a manager over
-// ChecksumStore(FileStore), sync and async, along every path a record
-// travels: eviction and demand read, a joined prefetch, a read served
-// from a queued write-back, a Resize shrink and Flush. Every record
-// reads back bit-exact at its own length (the checksum layer refuses any
-// other), each write-back moves exactly its record, and BytesWritten is
-// the sum of the records written.
+// length (and full vectors with no marker) through a manager over a
+// FileStore, sync and async, along every path a record travels:
+// eviction and demand read, a joined prefetch, a read served from a
+// queued write-back, a Resize shrink and Flush. Every record reads back
+// bit-exact at its own length (and passes the manager's checksum), each
+// write-back moves exactly its record, and BytesWritten is the sum of
+// the records written.
 func TestPrefixRecords(t *testing.T) {
 	const n, vecLen, slots = 12, 16, 4
 	for _, async := range []bool{false, true} {
@@ -74,12 +74,8 @@ func TestPrefixRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := NewChecksumStore(file, "", n, vecLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cs.Close()
-			rec := &recStore{Store: cs, vecLen: vecLen}
+			defer file.Close()
+			rec := &recStore{Store: file, vecLen: vecLen}
 			m, err := NewManager(Config{
 				NumVectors: n, VectorLen: vecLen, Slots: slots, Strategy: NewLRU(n),
 				ReadSkipping: true, Store: rec, Async: async,
@@ -220,10 +216,11 @@ func TestPrefixRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The store holds every vector's newest record.
+			// The store holds every vector's newest record, under the
+			// checksum the manager recorded.
 			for vi := 0; vi < n; vi++ {
 				v := make([]float64, length(vi))
-				if err := cs.ReadVector(vi, v); err != nil {
+				if err := m.demandRead(vi, v); err != nil {
 					t.Fatalf("stored vector %d: %v", vi, err)
 				}
 				check("store", vi, v)

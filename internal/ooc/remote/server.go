@@ -233,7 +233,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, name string, 
 		panic(http.ErrAbortHandler)
 	case iosim.FaultCorrupt:
 		// Flip one bit of the served copy (never the stored object);
-		// the checksum layer above the tiered store catches it.
+		// the manager above the tiered store checks the vector it
+		// reads and catches it.
 		if len(buf) > 0 {
 			buf[0] ^= 0x01
 		}

@@ -4,20 +4,20 @@ package ooc
 // caller (CLI, service sessions, experiments) describes what it wants
 // in a StackSpec and OpenStack builds the chain in one fixed order:
 //
-//	Crash → Checksum → Fault → Tiered{cache file, pend, breaker} → Object
-//	                         └──────────────────────────────────────→ File | Base
+//	Crash → Fault → Tiered{cache file, pend, breaker} → Object
+//	              └──────────────────────────────────────→ File | Base
 //
-// The one Checksum is the stack's integrity check, and every stack has
-// it: the layers below check nothing, so a flipped bit in the backing
-// file, a rotted cache slot and a corrupt GET are all caught there, by
-// vector.
+// No layer checks what it moves: the manager above the stack checks
+// every vector it reads against its own table (see vecEntry), so a
+// flipped bit in the backing file, a rotted cache slot and a corrupt
+// GET are all caught there, by vector.
 //
 // The rule is LvD's, any vector is recomputable, taken to its end: a
 // process reads only vectors it wrote. Every open creates fresh stores
-// (file truncated, remote object sized, checksum tables empty, cache
-// tier cold) and Close discards what the run never pushed; nothing a
-// previous process left is validated, because nothing of it is ever
-// read — a resumed or revived engine starts all-invalid and recomputes
+// (file truncated, remote object sized, cache tier cold; the manager's
+// table starts empty) and Close discards what the run never pushed;
+// nothing a previous process left is validated, because nothing of it
+// is ever read — a resumed or revived engine starts all-invalid and recomputes
 // each vector before its first read.
 
 import (
@@ -48,9 +48,9 @@ type StackSpec struct {
 	// (0 = room for every vector; floored at one vector), while the
 	// remote accepts writes (see TieredConfig.CacheVectors).
 	CacheBytes int64
-	// Fault injects seeded faults below the checksum layer, where they
-	// are detected; CrashAfter > 0 kills the process at that vector
-	// I/O, above every layer, so neither data nor checksum lands.
+	// Fault injects seeded faults under the manager, which detects
+	// them; CrashAfter > 0 kills the process at that vector I/O, above
+	// every layer, so the write never lands.
 	Fault      *FaultConfig
 	CrashAfter int64
 }
@@ -74,14 +74,12 @@ func (spec StackSpec) Remove() error {
 
 // Stack is an opened store stack. Store is the outermost layer — what a
 // Manager is configured with; the typed fields point at the layers
-// callers talk to directly and are nil when the layer is absent
-// (Checksum never is).
+// callers talk to directly and are nil when the layer is absent.
 type Stack struct {
-	Store    Store
-	Checksum *ChecksumStore
-	Fault    *FaultStore
-	Tier     *TieredStore
-	Remote   *ObjectStore
+	Store  Store
+	Fault  *FaultStore
+	Tier   *TieredStore
+	Remote *ObjectStore
 	// Spec is the spec as opened, defaults (paths, cache size) filled in.
 	Spec StackSpec
 	// Notes are human-readable lines about what was opened, in order.
@@ -132,10 +130,6 @@ func OpenStack(ctx context.Context, spec StackSpec) (st *Stack, err error) {
 		st.Fault = NewFaultStore(st.Store, *spec.Fault)
 		st.Store = st.Fault
 	}
-	if st.Checksum, err = NewChecksumStore(st.Store, "", n, vecLen); err != nil {
-		return st, err
-	}
-	st.Store = st.Checksum
 	if spec.CrashAfter > 0 {
 		st.Store = NewCrashStore(st.Store, spec.CrashAfter)
 	}

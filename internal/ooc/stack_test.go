@@ -35,11 +35,11 @@ func openFilesUnder(dir string) []string {
 }
 
 // TestOpenStack is the builder's table: {local file, remote loopback} ×
-// {verify=true: a vector rotted behind the checksum layer, verify=false:
-// none} × {nothing on disk, a previous stack's leftovers, leftovers
-// written at another geometry — half the vector length}. It pins the
-// chain shape (every stack is verified, so the rotted vector reads as
-// corruption with no flag asking), that leftovers change nothing — the stack
+// {verify=true: a vector rotted under the manager, verify=false: none}
+// × {nothing on disk, a previous stack's leftovers, leftovers written at
+// another geometry — half the vector length}. It pins the chain shape
+// (no layer checks; the manager over any stack does, so the rotted
+// vector reads as corruption with no flag asking), that leftovers change nothing — the stack
 // opens fresh and cold over them, at whatever geometry it is asked for
 // — that only the vector/cache file is ever created,
 // and that Close releases every file and removes exactly the temp paths
@@ -111,7 +111,7 @@ func TestOpenStack(t *testing.T) {
 						}
 						s = u.Unwrap()
 					}
-					want := []string{"*ooc.CrashStore", "*ooc.ChecksumStore"}
+					want := []string{"*ooc.CrashStore"}
 					if isRemote {
 						want = append(want, "*ooc.TieredStore")
 					} else {
@@ -120,8 +120,8 @@ func TestOpenStack(t *testing.T) {
 					if !reflect.DeepEqual(chain, want) {
 						t.Errorf("chain = %v, want %v", chain, want)
 					}
-					if st.Checksum == nil || (st.Tier != nil) != isRemote || (st.Remote != nil) != isRemote || st.Fault != nil {
-						t.Errorf("layers: checksum %v tier %v remote %v fault %v", st.Checksum != nil, st.Tier != nil, st.Remote != nil, st.Fault != nil)
+					if (st.Tier != nil) != isRemote || (st.Remote != nil) != isRemote || st.Fault != nil {
+						t.Errorf("layers: tier %v remote %v fault %v", st.Tier != nil, st.Remote != nil, st.Fault != nil)
 					}
 					if notes := strings.Join(st.Notes, "\n"); isRemote != strings.HasPrefix(notes, "Cache tier:") || strings.Contains(notes, "\n") {
 						t.Errorf("notes = %q, want the cache tier's line over a remote and nothing else", notes)
@@ -147,13 +147,17 @@ func TestOpenStack(t *testing.T) {
 						t.Errorf("round trip through the stack = %v (err %v)", got, err)
 					}
 					if verify {
-						// Rot vector 1 under the checksum layer: the stack
-						// must refuse it, not hand it back as data.
-						if err := st.Checksum.Unwrap().WriteVector(1, tierVec(vecLen, 78)); err != nil {
+						// Rot vector 1 under the manager: its read must
+						// refuse it, not hand it back as data.
+						c := newChecked(t, st.Store, n, vecLen)
+						if err := c.put(1, tierVec(vecLen, 79)); err != nil {
 							t.Fatal(err)
 						}
-						if err := st.Store.ReadVector(1, got); !IsCorruption(err) {
-							t.Errorf("vector rotted behind the checksum layer: read err %v, want corruption", err)
+						if err := st.Store.WriteVector(1, tierVec(vecLen, 78)); err != nil {
+							t.Fatal(err)
+						}
+						if err := c.get(1, got); !IsCorruption(err) {
+							t.Errorf("vector rotted under the manager: read err %v, want corruption", err)
 						}
 					}
 
@@ -188,8 +192,8 @@ func TestOpenStack(t *testing.T) {
 	}
 }
 
-// flipCacheBit rots the cached copy of vector vi on disk, behind the
-// stack's checksum layer.
+// flipCacheBit rots the cached copy of vector vi on disk, under the
+// manager.
 func flipCacheBit(t *testing.T, ts *TieredStore, dir string, vi, vecLen int) {
 	t.Helper()
 	ts.mu.Lock()
@@ -214,9 +218,10 @@ func flipCacheBit(t *testing.T, ts *TieredStore, dir string, vi, vecLen int) {
 	}
 }
 
-// TestURLStackVerifiesCorruptGET: a GET whose payload the network corrupted
-// comes back as a *CorruptionError naming the vector, not as the
-// flipped bytes the tier would otherwise cache and serve.
+// TestURLStackVerifiesCorruptGET: a GET whose payload the network
+// corrupted comes back from the manager's read as a *CorruptionError
+// naming the vector, not as the flipped bytes the tier would otherwise
+// cache and serve.
 func TestURLStackVerifiesCorruptGET(t *testing.T) {
 	const n, vecLen = 4, 5
 	chaos := iosim.NewChaos(iosim.ChaosConfig{Seed: 1, CorruptProb: 1})
@@ -234,9 +239,10 @@ func TestURLStackVerifiesCorruptGET(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	c := newChecked(t, st.Store, n, vecLen)
 	// Vector 2 reaches the remote as the one-slot cache's dirty victim.
 	for _, vi := range []int{2, 3} {
-		if err := st.Store.WriteVector(vi, tierVec(vecLen, vi)); err != nil {
+		if err := c.put(vi, tierVec(vecLen, vi)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,14 +252,14 @@ func TestURLStackVerifiesCorruptGET(t *testing.T) {
 	// Armed only now: the chaos turns a corrupt PUT into a dropped one.
 	chaos.Enable()
 	buf := make([]float64, vecLen)
-	err = st.Store.ReadVector(2, buf)
+	err = c.get(2, buf)
 	if ce := (*CorruptionError)(nil); !errors.As(err, &ce) || ce.Vector != 2 {
 		t.Fatalf("read of vector 2 over a corrupting GET = %v (err %v), want vector 2's *CorruptionError", buf, err)
 	}
 }
 
 // TestURLStackCorruptCacheSlotNamesVector: the cache file is indexed by
-// slot, the stack's checksum table by vector. A rotted cache slot is
+// slot, the manager's table by vector. A rotted cache slot is
 // reported as the vector the slot held — on a read of it, and on the
 // read-back once the tier pushed the rotted record as a dirty victim —
 // or the engine would recompute the wrong vector.
@@ -273,14 +279,15 @@ func TestURLStackCorruptCacheSlotNamesVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Store.WriteVector(7, tierVec(vecLen, 7)); err != nil {
+	c := newChecked(t, st.Store, n, vecLen)
+	if err := c.put(7, tierVec(vecLen, 7)); err != nil {
 		t.Fatal(err)
 	}
 	flipCacheBit(t, st.Tier, dir, 7, vecLen)
 	buf := make([]float64, vecLen)
 	corrupt := func(when string) {
 		t.Helper()
-		err := st.Store.ReadVector(7, buf)
+		err := c.get(7, buf)
 		if ce := (*CorruptionError)(nil); !errors.As(err, &ce) || ce.Vector != 7 {
 			t.Errorf("%s: read of rotted vector 7 returned %v, want vector 7's *CorruptionError", when, err)
 		}
@@ -288,7 +295,7 @@ func TestURLStackCorruptCacheSlotNamesVector(t *testing.T) {
 	corrupt("cached")
 	// Writing vector 3 evicts dirty vector 7: the tier pushes the rotted
 	// record as it stands, and the read-back GETs it.
-	if err := st.Store.WriteVector(3, tierVec(vecLen, 3)); err != nil {
+	if err := c.put(3, tierVec(vecLen, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if w := st.Tier.Stats().RemoteWrites; w != 1 {

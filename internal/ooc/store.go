@@ -33,8 +33,8 @@ import (
 // only a prefix of the region: 1 to vecLen float64s from its start (the
 // Manager writes the prefix the engine stamped, see package record). A
 // read asks for the length last written; what a read of any other
-// length returns is undefined, except that ChecksumStore refuses it with
-// a *CorruptionError.
+// length returns is undefined. The manager reads a vector only at the
+// length it recorded, and checks what it reads (see vecEntry).
 //
 // Every Store in this package is safe for concurrent calls that touch
 // distinct vectors (and for concurrent reads of the same vector) — the

@@ -19,9 +19,9 @@ package ooc
 // read to an in-flight prefetch of the same vector, so the tier never
 // sees two reads of one vector and keeps no dedup layer of its own.
 //
-// The tier checks nothing it moves: the stack's one ChecksumStore sits
-// above it, indexed by vector, and catches a rotted cache slot or a
-// corrupt GET alike (OpenStack verifies every stack).
+// The tier checks nothing it moves: the manager above the stack checks
+// every vector it reads against its table, indexed by vector, and
+// catches a rotted cache slot or a corrupt GET alike.
 //
 // Read-your-writes is the tier's one promise, and only for the run that
 // wrote: the cache starts cold, Close discards, and nothing is pushed

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,14 +94,9 @@ func TestTieredStoreFetchCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dir := t.TempDir()
-	cs, err := NewChecksumStore(ts, filepath.Join(dir, "x.sum"), n, vecLen)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]float64, vecLen)
 	for _, vi := range []int{4, 7} {
-		if d, rem := StoreFetchCost(cs, vi); rem || d != 0 {
+		if d, rem := StoreFetchCost(ts, vi); rem || d != 0 {
 			t.Errorf("vector %d: StoreFetchCost = (%v, %v), want (0, local)", vi, d, rem)
 		}
 		if err := ts.ReadVector(vi, buf); err != nil {
@@ -112,8 +106,12 @@ func TestTieredStoreFetchCost(t *testing.T) {
 			t.Errorf("vector %d read back %v, want %v", vi, buf, want)
 		}
 	}
-	if got, want := StoreMemOverhead(cs), ts.MemOverheadBytes(); got != want {
-		t.Errorf("checksum wrapper reports %d B overhead, want the tier's %d B: its table is not charged to -L", got, want)
+	m, err := NewManager(Config{NumVectors: n, VectorLen: vecLen, Slots: MinSlots, Strategy: NewLRU(n), Store: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.MemOverheadBytes(), ts.MemOverheadBytes(); got != want {
+		t.Errorf("manager reports %d B overhead, want the tier's %d B: its checksum table is not charged to -L", got, want)
 	}
 }
 

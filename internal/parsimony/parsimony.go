@@ -116,15 +116,21 @@ func StepwiseAddition(ctx context.Context, pats *bio.Patterns, rng *rand.Rand) (
 		[3]float64{tree.DefaultBranchLength, tree.DefaultBranchLength, tree.DefaultBranchLength})
 
 	nPat := pats.NumPatterns()
+	// Tip ti is taxon order[ti]: the triplet's tips are order[0..2], and
+	// GraftTip gives the tip it adds the next tip index. The buffers are
+	// sized for the finished tree's 2n−3 edges.
+	nE := 2*n - 3
+	ds := &directed{
+		down: make([]bio.StateMask, nE*nPat),
+		up:   make([]bio.StateMask, nE*nPat),
+		done: make([]bool, 2*nE),
+	}
 	for k := 3; k < n; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		row := order[k]
-		down, up, err := directedSets(t, pats, nPat)
-		if err != nil {
-			return nil, err
-		}
+		down, up := ds.sets(t, pats, order[:k], nPat)
 		mask := pats.Columns[row]
 		bestEdge, bestCost := -1, math.MaxInt
 		for _, e := range t.Edges {
@@ -157,22 +163,27 @@ func StepwiseAddition(ctx context.Context, pats *bio.Patterns, rng *rand.Rand) (
 	return t, t.Check()
 }
 
-// directedSets computes, for every edge e = {N[0], N[1]}, the Fitch set
-// of the subtree behind N[0] (down) and behind N[1] (up), i.e. the two
-// state sets that meet across e. Tips' sets are their masks.
-func directedSets(t *tree.Tree, pats *bio.Patterns, nPat int) (down, up []bio.StateMask, err error) {
-	rows, err := tipRows(t, pats)
-	if err != nil {
-		return nil, nil, err
-	}
+// directed holds the two directed Fitch sets of every edge, reused by
+// each insertion of a stepwise addition.
+type directed struct {
+	down, up []bio.StateMask
+	// done[2·e+1] marks edge e's down set computed, done[2·e] its up
+	// set.
+	done []bool
+}
+
+// sets computes, for every edge e = {N[0], N[1]}, the Fitch set of the
+// subtree behind N[0] (down) and behind N[1] (up), i.e. the two state
+// sets that meet across e. Tip ti's set is row rows[ti]'s masks.
+func (d *directed) sets(t *tree.Tree, pats *bio.Patterns, rows []int, nPat int) (down, up []bio.StateMask) {
 	nE := len(t.Edges)
-	down = make([]bio.StateMask, nE*nPat)
-	up = make([]bio.StateMask, nE*nPat)
+	down, up = d.down[:nE*nPat], d.up[:nE*nPat]
+	done := d.done[:2*nE]
+	clear(done)
 
 	// setBehind(v, via) = Fitch set of the subtree containing v when
 	// edge `via` is removed, written into out.
-	var fill func(v *tree.Node, via *tree.Edge, out []bio.StateMask)
-	fill = func(v *tree.Node, via *tree.Edge, out []bio.StateMask) {
+	fill := func(v *tree.Node, via *tree.Edge, out []bio.StateMask) {
 		if v.IsTip() {
 			copy(out, pats.Columns[rows[v.Index]])
 			return
@@ -200,25 +211,16 @@ func directedSets(t *tree.Tree, pats *bio.Patterns, nPat int) (down, up []bio.St
 		}
 	}
 	// Memoised recursion: compute each directed set once, children first.
-	var compute func(v *tree.Node, via *tree.Edge) []bio.StateMask
-	computed := make(map[int64]bool, 2*nE)
-	key := func(e *tree.Edge, towardN0 bool) int64 {
-		k := int64(e.Index) << 1
-		if towardN0 {
-			k |= 1
-		}
-		return k
-	}
-	compute = func(v *tree.Node, via *tree.Edge) []bio.StateMask {
-		var out []bio.StateMask
+	var compute func(v *tree.Node, via *tree.Edge)
+	compute = func(v *tree.Node, via *tree.Edge) {
+		k := 2 * via.Index
+		out := up[via.Index*nPat : (via.Index+1)*nPat]
 		if via.N[0] == v {
+			k++
 			out = down[via.Index*nPat : (via.Index+1)*nPat]
-		} else {
-			out = up[via.Index*nPat : (via.Index+1)*nPat]
 		}
-		k := key(via, via.N[0] == v)
-		if computed[k] {
-			return out
+		if done[k] {
+			return
 		}
 		// Ensure children are computed first.
 		if !v.IsTip() {
@@ -229,14 +231,13 @@ func directedSets(t *tree.Tree, pats *bio.Patterns, nPat int) (down, up []bio.St
 			}
 		}
 		fill(v, via, out)
-		computed[k] = true
-		return out
+		done[k] = true
 	}
 	for _, e := range t.Edges {
 		compute(e.N[0], e)
 		compute(e.N[1], e)
 	}
-	return down, up, nil
+	return down, up
 }
 
 // childSet fetches the already-computed directed set for the subtree

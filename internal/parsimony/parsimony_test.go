@@ -2,7 +2,9 @@ package parsimony
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -207,6 +209,36 @@ func TestStepwiseAdditionDeterministicGivenSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = c // different seed may or may not differ; only validity matters
+}
+
+// TestStepwiseAdditionTreesPinned pins the start trees, by the SHA-256
+// of their Newick, at two sizes and two seeds: the trees the quadratic
+// build made before it reused its buffers and looked tips up by
+// insertion order.
+func TestStepwiseAdditionTreesPinned(t *testing.T) {
+	for _, c := range []struct {
+		taxa, sites int
+		seed        int64
+		sha256      string
+	}{
+		{40, 150, 1, "03366d94d244f9879eecc9d0eadf601581e6f1c2e844b1626d7216c7aa6a8a5b"},
+		{40, 150, 2, "295029f6de26bdce301d6e346983452afdb6fce9108bcdb0d50b1323df92b4ca"},
+		{120, 300, 1, "701fe677d5351bd4f54da505625093d6b5f2feb4379fc5306760833c542fec07"},
+		{120, 300, 2, "f146e6202f14e265bb74f6d79d250d6f0bb2a0bafcc639fd7bd2b2e7c7d34fe1"},
+	} {
+		d, err := sim.NewDataset(sim.Config{Taxa: c.taxa, Sites: c.sites, GammaAlpha: 1, Seed: int64(c.taxa)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := StepwiseAddition(context.Background(), d.Patterns, rand.New(rand.NewSource(c.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nwk := tree.WriteNewick(tr)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(nwk))); got != c.sha256 {
+			t.Errorf("%d taxa × %d sites, seed %d: tree %s hashes to %s, want %s", c.taxa, c.sites, c.seed, nwk, got, c.sha256)
+		}
+	}
 }
 
 func TestStepwiseAdditionSmall(t *testing.T) {

@@ -234,20 +234,16 @@ func passesPairCap(e *Engine, edge *tree.Edge) bool {
 }
 
 // asyncEngine builds an engine over a small async manager (f = 0.3,
-// prefetching) above ChecksumStore(MemStore). The checksum layer
-// refuses a record read at any length but its own, and the manager
-// counts each refusal, so a test can require that none was.
+// prefetching) above a MemStore. The manager checks every record it
+// reads against the checksum it recorded and counts each refusal, so a
+// test can require that none was.
 func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) (*Engine, *ooc.Manager) {
 	t.Helper()
 	cl := VectorLength(m, pats.NumPatterns())
 	n := tr.NumInner()
-	cs, err := ooc.NewChecksumStore(ooc.NewMemStore(n, cl), "", n, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: cl, Slots: ooc.SlotsForFraction(0.3, n),
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: cs, Async: true,
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: ooc.NewMemStore(n, cl), Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,9 @@ import (
 	"oocphylo/internal/tree"
 )
 
-// corruptionRig is an engine over Manager → ChecksumStore → MemStore,
-// with the raw MemStore exposed so tests can corrupt vectors behind the
-// integrity layer's back.
+// corruptionRig is an engine over Manager → MemStore, with the
+// MemStore exposed so tests can corrupt vectors behind the manager's
+// back.
 type corruptionRig struct {
 	e     *Engine
 	mgr   *ooc.Manager
@@ -45,13 +45,9 @@ func newCorruptionRig(t *testing.T, taxa, sites, slots int, seed int64) *corrupt
 	vecLen := VectorLength(m, pats.NumPatterns())
 	n := tr.NumInner()
 	inner := ooc.NewMemStore(n, vecLen)
-	cs, err := ooc.NewChecksumStore(inner, filepath.Join(t.TempDir(), "v.sum"), n, vecLen)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: vecLen, Slots: slots,
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: cs,
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: inner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +56,7 @@ func newCorruptionRig(t *testing.T, taxa, sites, slots int, seed int64) *corrupt
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mgr.Close(); cs.Close() })
+	t.Cleanup(func() { mgr.Close() })
 	return &corruptionRig{e: e, mgr: mgr, inner: inner}
 }
 
@@ -375,7 +371,7 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 	})
 	// A stack opened with no options: the medium checks nothing, so a
 	// rotted byte in the tier's cache file or in a local backing file is
-	// caught by the stack's one checksum table, by vector, and
+	// caught by the manager's checksum table, by vector, and
 	// recomputed like any unreadable vector.
 	for _, medium := range []string{"rotted cache", "rotted backing file"} {
 		t.Run(medium, func(t *testing.T) {
