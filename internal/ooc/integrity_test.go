@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -39,22 +41,54 @@ func (c checked) get(vi int, dst []float64) error {
 	return c.m.demandRead(vi, dst[:c.m.table[vi].length()])
 }
 
-// TestManagerTableStartsEmpty pins what a fresh table accepts: a
-// manager over a medium it has not written reads every vector as-is (a
-// fresh backing store reads zeros; a second manager over leftovers an
-// earlier one wrote judges none of them, rotted or not), and checks a
-// vector from its first write-back on. NewChecksumStore adds no layer.
-func TestManagerTableStartsEmpty(t *testing.T) {
-	n, vl := 6, 10
-	inner := NewMemStore(n, vl)
-	if s, err := NewChecksumStore(inner, "v.sum", n, vl); s != Store(inner) || err != nil {
-		t.Fatalf("NewChecksumStore = %T, %v; want its argument", s, err)
+// TestChecksumStoreRoundTrip pins the manager's checked round trip:
+// every vector written back reads back bit-for-bit through the check.
+func TestChecksumStoreRoundTrip(t *testing.T) {
+	n, vl := 8, 16
+	cs := newChecked(t, NewMemStore(n, vl), n, vl)
+	buf := make([]float64, vl)
+	for vi := 0; vi < n; vi++ {
+		fillVec(buf, vi)
+		if err := cs.put(vi, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := make([]float64, vl)
-	first := newChecked(t, inner, n, vl)
-	if err := first.get(2, got); err != nil || got[0] != 0 {
+	for vi := 0; vi < n; vi++ {
+		fillVec(buf, vi)
+		if err := cs.get(vi, got); err != nil || !slices.Equal(got, buf) {
+			t.Fatalf("vector %d round trip = %v, %v; want %v", vi, got, err, buf)
+		}
+	}
+}
+
+// TestChecksumStoreNeverWrittenReadsZeros pins that a fresh backing
+// store legitimately reads zeros: a vector the manager never wrote back
+// has no recorded checksum and is not treated as corruption.
+func TestChecksumStoreNeverWrittenReadsZeros(t *testing.T) {
+	cs := newChecked(t, NewMemStore(4, 8), 4, 8)
+	got := make([]float64, 8)
+	if err := cs.get(2, got); err != nil || got[0] != 0 {
 		t.Fatalf("never-written read = %v, %v; want zeros", got, err)
 	}
+}
+
+// TestChecksumStoreReopen pins what is left of reopening: a second
+// manager over leftovers an earlier one wrote starts with an empty
+// table, so the old bytes read as-is (accepted, unjudged, rotted or
+// not) until this manager writes them back. NewChecksumStore adds no
+// layer and writes nothing at its sidecar path.
+func TestChecksumStoreReopen(t *testing.T) {
+	n, vl := 6, 10
+	inner := NewMemStore(n, vl)
+	side := filepath.Join(t.TempDir(), "v.sum")
+	if s, err := NewChecksumStore(inner, side, n, vl); s != Store(inner) || err != nil {
+		t.Fatalf("NewChecksumStore = %T, %v; want its argument", s, err)
+	}
+	if _, err := os.Stat(side); !os.IsNotExist(err) {
+		t.Errorf("sidecar path %s exists (stat err %v); nothing is written there", side, err)
+	}
+	first := newChecked(t, inner, n, vl)
 	buf := make([]float64, vl)
 	for vi := 0; vi < n; vi++ {
 		fillVec(buf, vi)
@@ -62,17 +96,12 @@ func TestManagerTableStartsEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for vi := 0; vi < n; vi++ {
-		fillVec(buf, vi)
-		if err := first.get(vi, got); err != nil || !slices.Equal(got, buf) {
-			t.Fatalf("vector %d round trip = %v, %v; want %v", vi, got, err, buf)
-		}
-	}
 
 	second := newChecked(t, inner, n, vl)
 	// Rot a leftover vector: with no recorded checksum it is not this
 	// manager's to judge.
 	inner.data[3][0]++
+	got := make([]float64, vl)
 	if err := second.get(3, got); err != nil {
 		t.Fatalf("leftover vector: %v", err)
 	}
