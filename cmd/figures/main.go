@@ -5,8 +5,6 @@
 //	-fig 3    read rates with read skipping, same runs
 //	-fig 4    Random strategy, f halved down to five slots
 //	-fig 5    five full traversals: paging baseline vs out-of-core
-//	-fig async  sync vs async pipeline stall ablation (not in the paper;
-//	            the §5 prefetch-thread future work)
 //	-fig kernels  generic vs DNA-specialised compute kernels + P cache
 //	              (not in the paper; compute-side ablation)
 //	-fig protein  generic vs aa20 protein kernels (not in the paper;
@@ -47,7 +45,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, async, kernels, protein, resize, tiers or all")
+	fig := fs.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, kernels, protein, resize, tiers or all")
 	taxa := fs.Int("taxa", 0, "taxa for figures 2-4 (0 = scaled default; paper: 1288 or 1908)")
 	sites := fs.Int("sites", 0, "sites for figures 2-4 (0 = scaled default; paper: 1200 or 1424)")
 	f5taxa := fs.Int("f5taxa", 0, "taxa for figure 5 (0 = scaled default; paper: 8192)")
@@ -115,19 +113,6 @@ func run(args []string) error {
 			return err
 		}
 		experiments.WriteFigure5Table(out, rows, f5)
-		fmt.Fprintln(out)
-	}
-	if want("async") {
-		fmt.Fprintln(out, "== Async ablation: compute-thread stall, sync vs pipelined I/O ==")
-		acfg := experiments.AsyncAblationConfig{Seed: *seed}
-		if *full {
-			acfg.Taxa, acfg.Sites = 256, 2048
-		}
-		row, err := experiments.RunAsyncAblation(acfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAsyncAblationTable(out, row, acfg)
 		fmt.Fprintln(out)
 	}
 	if want("kernels") {
@@ -214,7 +199,7 @@ func run(args []string) error {
 		fmt.Fprintf(out, "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
 		return nil
 	}
-	if !want("2") && !want("3") && !want("4") && !want("5") && !want("async") && !want("kernels") && !want("protein") && !want("resize") && !want("tiers") {
+	if !want("2") && !want("3") && !want("4") && !want("5") && !want("kernels") && !want("protein") && !want("resize") && !want("tiers") {
 		return fmt.Errorf("unknown figure %q", *fig)
 	}
 	return nil

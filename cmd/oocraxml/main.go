@@ -7,7 +7,7 @@
 // plan's next reads one step ahead (the paper's §5 prefetch thread);
 // -L pays for the records the writer may hold before it buys slots
 // (their bytes hold records, not widths), and the answer is
-// bit-identical to the paper's synchronous manager.
+// bit-identical to the in-RAM run's.
 //
 // Modes (-f, following the paper's modified RAxML):
 //

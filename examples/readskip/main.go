@@ -6,10 +6,10 @@
 // workload (a mix of reads and writes, where the paper reports >50% of
 // reads eliminated).
 //
-// A final section re-runs the traversal workload with the asynchronous
-// I/O pipeline (paper §5 future work) and shows that moving the same
-// reads and write-backs onto background goroutines leaves the
-// likelihood and every miss counter untouched.
+// A final section re-runs the traversal workload with plan-driven
+// prefetch (paper §5 future work): the manager's fetch workers stage
+// the next step's reads in the background, and the likelihood is
+// untouched.
 package main
 
 import (
@@ -22,7 +22,7 @@ import (
 	"oocphylo/internal/sim"
 )
 
-func run(skip, prefetch, async bool, workload string) (ooc.Stats, ooc.PipelineStats, float64) {
+func run(skip, prefetch bool, workload string) (ooc.Stats, ooc.PrefetchStats, ooc.PipelineStats, float64) {
 	dataset, err := sim.NewDataset(sim.Config{Taxa: 64, Sites: 400, GammaAlpha: 0.9, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
@@ -37,7 +37,6 @@ func run(skip, prefetch, async bool, workload string) (ooc.Stats, ooc.PipelineSt
 		Strategy:     ooc.NewLRU(n),
 		ReadSkipping: skip,
 		Store:        ooc.NewMemStore(n, vecLen),
-		Async:        async,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -71,13 +70,13 @@ func run(skip, prefetch, async bool, workload string) (ooc.Stats, ooc.PipelineSt
 	if err := manager.Close(); err != nil {
 		log.Fatal(err)
 	}
-	return manager.Stats(), manager.PipelineStats(), lnl
+	return manager.Stats(), manager.PrefetchStats(), manager.PipelineStats(), lnl
 }
 
 func main() {
 	for _, workload := range []string{"traversals", "smoothing"} {
-		plain, _, lnlA := run(false, false, false, workload)
-		skipped, _, lnlB := run(true, false, false, workload)
+		plain, _, _, lnlA := run(false, false, workload)
+		skipped, _, _, lnlB := run(true, false, workload)
 		if lnlA != lnlB {
 			log.Fatalf("%s: read skipping changed the likelihood (%v vs %v)!", workload, lnlA, lnlB)
 		}
@@ -92,19 +91,16 @@ func main() {
 			saved, plain.Reads, 100*float64(saved)/float64(plain.Reads), lnlA)
 	}
 
-	// Async pipeline: same traversal workload with plan-driven prefetch,
-	// I/O on background goroutines in the second run. The decisions stay
-	// on the compute thread either way, so the counters and the
-	// likelihood must not move at all.
-	syncStats, _, lnlSync := run(true, true, false, "traversals")
-	asyncStats, pipe, lnlAsync := run(true, true, true, "traversals")
-	if lnlSync != lnlAsync {
-		log.Fatalf("async pipeline changed the likelihood (%v vs %v)!", lnlSync, lnlAsync)
+	// Prefetch: the same traversal workload with the plan's next reads
+	// staged by the manager's fetch workers. Only when the bytes move
+	// changes, so the likelihood must not move at all.
+	_, _, _, lnlDemand := run(true, false, "traversals")
+	staged, pf, pipe, lnlStaged := run(true, true, "traversals")
+	if lnlDemand != lnlStaged {
+		log.Fatalf("prefetch changed the likelihood (%v vs %v)!", lnlDemand, lnlStaged)
 	}
-	if syncStats != asyncStats {
-		log.Fatalf("async pipeline changed the manager counters!\n sync %+v\nasync %+v", syncStats, asyncStats)
-	}
-	fmt.Printf("async        %d fetches + %d writes moved to background goroutines\n",
-		pipe.FetchesQueued, pipe.WritesQueued)
-	fmt.Printf("             counters identical, lnL unchanged (%.2f)\n", lnlAsync)
+	fmt.Printf("prefetch     %d stage-ins issued, %d read by background fetches, %d demand misses left\n",
+		pf.Issued, pipe.FetchesQueued, staged.Misses)
+	fmt.Printf("             %d write-backs on the writer goroutine, lnL unchanged (%.2f)\n",
+		pipe.WritesQueued, lnlStaged)
 }

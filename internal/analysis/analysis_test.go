@@ -58,10 +58,10 @@ func openFilesUnder(dir string) []string {
 // TestOpen is the seam's table: where the vectors live × whether the
 // run is fresh or resumed from a checkpoint over the files an earlier
 // run left (a caller-built Base medium — the experiments' MemStore and
-// SimStore, opened Sync here — is fresh only: it does not outlive its
-// process). It pins the provider kind, the manager (pipelined by
-// default, not under Sync), a verified store stack, the slot count the grant buys (store
-// overhead and spare buffers charged), that a resume opens fresh stores
+// SimStore — is fresh only: it does not outlive its process). It pins
+// the provider kind, the pipelined manager staging one step ahead, the
+// slot count the grant buys (store overhead and spare buffers
+// charged), that a resume opens fresh stores
 // over the leftovers and lands bit-identical, that only the
 // vector/cache file and the checkpoint ever exist, and
 // that Close releases every file and removes exactly the temps the run
@@ -101,18 +101,13 @@ func TestOpen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The default is the product's pipelined manager; a Base
-				// medium is opened Sync, as the paper-faithful arms open it.
-				opts.Sync = base
 				var spares int64
 				if medium != "ram" {
 					full, err := Size(spec, in)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !opts.Sync {
-						spares = ooc.PipelineBytes(full.VecLen)
-					}
+					spares = ooc.PipelineBytes(full.VecLen)
 					spec.MemLimit = 5*full.VecBytes + full.VecBytes/2 + spares
 					if base {
 						opts.Stack.Base = ooc.NewMemStore(full.NumVectors, full.VecLen)
@@ -193,20 +188,20 @@ func TestOpen(t *testing.T) {
 					t.Errorf("resumed lnL %016x, checkpointed run %016x", math.Float64bits(lnl), wantBits)
 				}
 				if hasMgr {
-					// Pipelined means one-step prefetch; Sync stages nothing.
-					pf, on := r.Manager.PrefetchStats(), r.Manager.PipelineStats().Enabled
-					if on == opts.Sync || (pf.Issued > 0) == opts.Sync {
-						t.Errorf("sync %t: pipeline enabled %t, prefetch %+v", opts.Sync, on, pf)
-					}
-				}
-				if base {
-					// Base is the medium the vectors actually went to.
-					if w := r.Manager.Stats().Writes; w == 0 || (medium == "sim") != (simClock.Elapsed() > 0) {
-						t.Errorf("%d write-backs, simulated device time %v", w, simClock.Elapsed())
+					// Every out-of-core run stages one step ahead.
+					if pf := r.Manager.PrefetchStats(); pf.Issued == 0 {
+						t.Errorf("prefetch %+v", pf)
 					}
 				}
 				if err := r.Close(); err != nil {
 					t.Fatal(err)
+				}
+				if base {
+					// Base is the medium the vectors actually went to (Close
+					// has drained the writer).
+					if w := r.Manager.Stats().Writes; w == 0 || (medium == "sim") != (simClock.Elapsed() > 0) {
+						t.Errorf("%d write-backs, simulated device time %v", w, simClock.Elapsed())
+					}
 				}
 				if open := openFilesUnder(dir); len(open) != 0 {
 					t.Errorf("Close left files open: %v", open)
@@ -305,9 +300,11 @@ func (g *guardStore) setDown(down bool) {
 // rule rests on: an engine never reads a vector before it has written
 // it, so nothing a store held when it was opened can reach a
 // likelihood. Full traversals, partial traversals to every edge,
-// passes through a remote outage and an SPR search run over a guardStore — sync
-// and async+prefetch, clean and under injected faults with recovery —
-// with zero foreign reads and every likelihood bit-identical to RAM.
+// passes through a remote outage and an SPR search run over a
+// guardStore — with and without the plan's next reads staged ahead
+// ("sync" names the paper's arm, which stages nothing; every manager is
+// pipelined), clean and under injected faults with recovery — with zero
+// foreign reads and every likelihood bit-identical to RAM.
 // With read skipping off the write-intent fault-ins do read the NaN
 // garbage; it is overwritten unseen, so that arm asserts bit-identity
 // alone.
@@ -319,7 +316,7 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 	}
 	// drive returns the bit pattern of every likelihood it computes. Each
 	// arm builds its own inputs: the search rearranges the tree.
-	drive := func(t *testing.T, memFraction float64, opts Options, guard *guardStore) (bits []uint64, r *Run) {
+	drive := func(t *testing.T, memFraction float64, opts Options, stage bool, guard *guardStore) (bits []uint64, r *Run) {
 		t.Helper()
 		in, err := Build(context.Background(), spec, pats)
 		if err != nil {
@@ -342,6 +339,7 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 		}
 		defer r.Close()
 		e := r.Engine
+		e.EnablePrefetch(stage)
 		note := func(lnl float64, err error) {
 			t.Helper()
 			if err != nil {
@@ -378,7 +376,7 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 		return bits, r
 	}
 
-	want, ram := drive(t, 0, Options{}, nil)
+	want, ram := drive(t, 0, Options{}, true, nil)
 	full := ram.Sizing
 	faults := &ooc.FaultConfig{
 		Seed:     17,
@@ -389,18 +387,19 @@ func TestRunReadsOnlyWhatItWrote(t *testing.T) {
 	for _, arm := range []struct {
 		name   string
 		opts   Options
+		stage  bool
 		strict bool
 	}{
-		{"sync", Options{Sync: true}, true},
-		{"async+prefetch", Options{}, true},
-		{"sync+faults", Options{Sync: true, Stack: ooc.StackSpec{Fault: faults}}, true},
-		{"async+prefetch+faults", Options{Stack: ooc.StackSpec{Fault: faults}}, true},
-		{"sync, no read skipping", Options{Sync: true, NoReadSkipping: true}, false},
-		{"async+prefetch, no read skipping", Options{NoReadSkipping: true}, false},
+		{"sync", Options{}, false, true},
+		{"async+prefetch", Options{}, true, true},
+		{"sync+faults", Options{Stack: ooc.StackSpec{Fault: faults}}, false, true},
+		{"async+prefetch+faults", Options{Stack: ooc.StackSpec{Fault: faults}}, true, true},
+		{"sync, no read skipping", Options{NoReadSkipping: true}, false, false},
+		{"async+prefetch, no read skipping", Options{NoReadSkipping: true}, true, false},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			guard := newGuardStore(full.NumVectors, full.VecLen, arm.strict)
-			got, r := drive(t, 0.25, arm.opts, guard)
+			got, r := drive(t, 0.25, arm.opts, arm.stage, guard)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("likelihoods differ from the in-RAM run:\n got %x\nwant %x", got, want)
 			}

@@ -91,15 +91,11 @@ func Open(ctx context.Context, spec Spec, opts Options, in *Inputs, sz Sizing, g
 		// The grant pays for the store's heap and the pipeline's spare
 		// buffers first, the same charge Manager.MemOverheadBytes reports
 		// to Resize once the manager exists.
-		overhead := ooc.StoreMemOverhead(st.Store)
-		if !opts.Sync {
-			overhead += ooc.PipelineBytes(sz.VecLen)
-		}
+		overhead := ooc.StoreMemOverhead(st.Store) + ooc.PipelineBytes(sz.VecLen)
 		r.Manager, err = ooc.NewManager(ooc.Config{
 			NumVectors: n, VectorLen: sz.VecLen,
 			Slots:    ooc.SlotsForBytes(grant, overhead, sz.VecBytes, n),
 			Strategy: strat, ReadSkipping: !opts.NoReadSkipping, Store: st.Store,
-			Async: !opts.Sync,
 		})
 		if err != nil {
 			return r, err
@@ -125,7 +121,7 @@ func Open(ctx context.Context, spec Spec, opts Options, in *Inputs, sz Sizing, g
 	}
 	r.Engine.Instrument(opts.Registry)
 	r.Engine.SetWorkers(spec.Workers)
-	r.Engine.EnablePrefetch(!opts.Sync)
+	r.Engine.EnablePrefetch(true)
 	return r, nil
 }
 

@@ -143,11 +143,6 @@ func (c *Spec) Check() error {
 type Options struct {
 	// NoReadSkipping disables §3.4's write-intent read elision.
 	NoReadSkipping bool
-	// Sync runs the paper's synchronous manager without prefetch, for
-	// arms whose store counters must repeat in a fixed order. The zero
-	// value is what ships: out-of-core I/O on the async pipeline, the
-	// traversal plan's next reads staged one step ahead.
-	Sync bool
 	// Stack is the store an out-of-core run opens: medium and paths,
 	// cache tier, fault injection. Open supplies the geometry.
 	Stack ooc.StackSpec

@@ -98,7 +98,7 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 	res := &ChaosSoakResult{}
 
 	// Clean arm: plain local backing file, the reference bits.
-	clean, err := runTierArm(w, cfg.Workload, ooc.StackSpec{}, false)
+	clean, err := runTierArm(w, cfg.Workload, ooc.StackSpec{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: clean arm: %w", err)
 	}

@@ -10,11 +10,10 @@ import (
 )
 
 // Recovery ablation — the integrity tentpole's acceptance experiment.
-// The same full-traversal workload runs twice per manager flavour: once
-// over a clean store and once over a FaultStore injecting transient
-// read EIO, torn writes and bit flips underneath the manager, which
-// checks every vector it reads. The
-// harness enforces the bar the fault-tolerance layer promises: the
+// The same full-traversal workload runs twice: once over a clean store
+// and once over a FaultStore injecting transient read EIO, torn writes
+// and bit flips underneath the manager, which checks every vector it
+// reads. The harness enforces the bar the fault-tolerance layer promises: the
 // faulted run must finish with the bit-identical final log-likelihood
 // of the clean run — an unreadable or corrupt vector is converted into
 // extra newviews (the LvD recompute-vs-store tradeoff turned into a
@@ -55,11 +54,9 @@ func (c *RecoveryConfig) fill() {
 	}
 }
 
-// RecoveryRow is one manager flavour of the ablation: the workload
-// clean versus faulted.
+// RecoveryRow is the ablation's result: the workload clean versus
+// faulted.
 type RecoveryRow struct {
-	// Async reports which manager flavour the row describes.
-	Async bool
 	// LnL is the (identical) final log-likelihood of both runs.
 	LnL float64
 	// Faults is what the fault store actually injected.
@@ -76,73 +73,58 @@ type RecoveryRow struct {
 }
 
 // runRecoveryWorkload executes the edge-sweep workload once over
-// Manager → [FaultStore →] MemStore and returns the closed run for its
-// counters.
-func runRecoveryWorkload(cfg RecoveryConfig, w *workload, async bool, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
+// Manager → [FaultStore →] MemStore, staging the plan's next step as
+// the product does, and returns the closed run for its counters.
+func runRecoveryWorkload(cfg RecoveryConfig, w *workload, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
 	r, err = w.run(arm{
-		Fraction: pagingFraction, Async: async,
+		Fraction: pagingFraction, Prefetch: true,
 		Stack: ooc.StackSpec{Base: w.memStore(), Fault: faults},
 	}, func(r *analysis.Run) (err error) {
-		// Both flavours stage the plan's next step, as the pipelined one
-		// does by default.
-		r.Engine.EnablePrefetch(true)
 		lnl, err = edgeSweepWorkload(r.Engine, cfg.Traversals)
 		return err
 	})
 	return lnl, r, err
 }
 
-// RunRecoveryAblation runs the workload clean and faulted for both the
-// synchronous and the asynchronous manager, failing if any faulted run
-// does not reproduce its clean run's log-likelihood bit for bit.
-func RunRecoveryAblation(cfg RecoveryConfig) ([]RecoveryRow, error) {
+// RunRecoveryAblation runs the workload clean and faulted, failing if
+// the faulted run does not reproduce the clean run's log-likelihood bit
+// for bit.
+func RunRecoveryAblation(cfg RecoveryConfig) (RecoveryRow, error) {
 	cfg.fill()
 	w, err := newWorkload(sim.Config{Taxa: cfg.Taxa, Sites: cfg.Sites, Seed: cfg.Seed}, false)
 	if err != nil {
-		return nil, err
+		return RecoveryRow{}, err
 	}
-	var out []RecoveryRow
-	for _, async := range []bool{false, true} {
-		cleanLnL, clean, err := runRecoveryWorkload(cfg, w, async, nil)
-		if err != nil {
-			return nil, fmt.Errorf("clean async=%v: %w", async, err)
-		}
-		lnl, faulted, err := runRecoveryWorkload(cfg, w, async, &cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("faulted async=%v: %w", async, err)
-		}
-		if cleanLnL != lnl {
-			return nil, fmt.Errorf("async=%v: recovery changed the answer: clean lnL %v, faulted %v",
-				async, cleanLnL, lnl)
-		}
-		pipe := faulted.Manager.PipelineStats()
-		out = append(out, RecoveryRow{
-			Async:             async,
-			LnL:               lnl,
-			Faults:            faulted.Stack.Fault.Stats(),
-			CorruptReads:      pipe.CorruptReads,
-			DroppedWritebacks: pipe.DroppedWritebacks,
-			Recoveries:        faulted.Engine.Stats.Recoveries,
-			ExtraNewviews:     faulted.Engine.Stats.Newviews - clean.Engine.Stats.Newviews,
-		})
+	cleanLnL, clean, err := runRecoveryWorkload(cfg, w, nil)
+	if err != nil {
+		return RecoveryRow{}, fmt.Errorf("clean: %w", err)
 	}
-	return out, nil
+	lnl, faulted, err := runRecoveryWorkload(cfg, w, &cfg.Faults)
+	if err != nil {
+		return RecoveryRow{}, fmt.Errorf("faulted: %w", err)
+	}
+	if cleanLnL != lnl {
+		return RecoveryRow{}, fmt.Errorf("recovery changed the answer: clean lnL %v, faulted %v", cleanLnL, lnl)
+	}
+	pipe := faulted.Manager.PipelineStats()
+	return RecoveryRow{
+		LnL:               lnl,
+		Faults:            faulted.Stack.Fault.Stats(),
+		CorruptReads:      pipe.CorruptReads,
+		DroppedWritebacks: pipe.DroppedWritebacks,
+		Recoveries:        faulted.Engine.Stats.Recoveries,
+		ExtraNewviews:     faulted.Engine.Stats.Newviews - clean.Engine.Stats.Newviews,
+	}, nil
 }
 
 // WriteRecoveryTable renders the ablation as text.
-func WriteRecoveryTable(w io.Writer, rows []RecoveryRow, cfg RecoveryConfig) {
+func WriteRecoveryTable(w io.Writer, r RecoveryRow, cfg RecoveryConfig) {
 	cfg.fill()
 	fmt.Fprintf(w, "Recovery ablation: %d full traversals, %d taxa × %d sites, f=%.2f\n",
 		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction)
-	fmt.Fprintf(w, "%6s %5s %5s %5s %8s %8s %10s %8s %14s\n",
-		"mode", "eio-r", "torn", "flips", "corrupt", "dropped", "recovered", "+nv", "lnL")
-	for _, r := range rows {
-		mode := "sync"
-		if r.Async {
-			mode = "async"
-		}
-		fmt.Fprintf(w, "%6s %5d %5d %5d %8d %8d %10d %8d %14.2f\n",
-			mode, r.Faults.ReadErrs, r.Faults.TornWrites, r.Faults.BitFlips,
-			r.CorruptReads, r.DroppedWritebacks, r.Recoveries, r.ExtraNewviews, r.LnL)
-	}
+	fmt.Fprintf(w, "%5s %5s %5s %8s %8s %10s %8s %14s\n",
+		"eio-r", "torn", "flips", "corrupt", "dropped", "recovered", "+nv", "lnL")
+	fmt.Fprintf(w, "%5d %5d %5d %8d %8d %10d %8d %14.2f\n",
+		r.Faults.ReadErrs, r.Faults.TornWrites, r.Faults.BitFlips,
+		r.CorruptReads, r.DroppedWritebacks, r.Recoveries, r.ExtraNewviews, r.LnL)
 }

@@ -107,7 +107,7 @@ func RunResizeAblation(cfg ResizeAblationConfig) ([]ResizePhaseRow, error) {
 		}, func(r *analysis.Run) error {
 			var prev ooc.Stats
 			for phase, slots := range sched {
-				if _, err := r.Resize(int64(slots) * r.Sizing.VecBytes); err != nil {
+				if _, err := r.Resize(slotGrant(r, slots)); err != nil {
 					return fmt.Errorf("%s phase %d: %w", name, phase, err)
 				}
 				lnl, _, err := fullTraversalWorkload(r.Engine, cfg.TraversalsPerPhase)
@@ -193,7 +193,7 @@ func RunResizeOverhead(cfg ResizeAblationConfig, traversals int) (*ResizeOverhea
 					// itself always runs at full width, so any extra time is
 					// the resize machinery plus the re-faults it caused.
 					for _, m := range []int{res.Low, res.Slots} {
-						if _, err = r.Resize(int64(m) * r.Sizing.VecBytes); err != nil {
+						if _, err = r.Resize(slotGrant(r, m)); err != nil {
 							return err
 						}
 						res.Resizes++

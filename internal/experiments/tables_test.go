@@ -9,10 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"oocphylo/internal/analysis"
-	"oocphylo/internal/iosim"
 	"oocphylo/internal/ooc"
 )
 
@@ -22,20 +20,12 @@ const goldenPath = "testdata/tables.golden"
 
 func bits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
 
-// tierCounts are the tier counters a synchronous manager drives in a
-// fixed order; the rest of TierStats (bytes follow from these, retries
-// from the clock) is left out.
-func tierCounts(t ooc.TierStats) string {
-	return fmt.Sprintf("hit=%d miss=%d rreq=%d rvec=%d wvec=%d evict=%d dirty=%d",
-		t.CacheHits, t.CacheMisses, t.RemoteReads, t.RemoteVectorsRead,
-		t.RemoteVectorsWritten, t.Evictions, t.DirtyWritebacks)
-}
-
 // goldenTables lists every experiment at its test-scale configuration
 // with the columns that do not depend on the clock or on goroutine
-// scheduling: likelihood bit patterns and, where one goroutine drives
-// the store, its counters. An arm whose I/O order is scheduled (async
-// over a fault injector, the chaos soak) contributes its lnL only.
+// scheduling: likelihood bit patterns and, where no staged read or
+// writer timing reaches them, the I/O counters. An arm whose I/O order
+// is scheduled (prefetch over a fault injector or a cache tier, the
+// chaos soak) contributes its lnL only.
 var goldenTables = []struct {
 	name string
 	rows func() ([]string, error)
@@ -62,16 +52,8 @@ var goldenTables = []struct {
 		}
 		return out, err
 	}},
-	{"async", func() ([]string, error) {
-		r, err := RunAsyncAblation(AsyncAblationConfig{
-			Taxa: 24, Sites: 64, Seed: 5, Traversals: 2, Realtime: -1,
-			Device: iosim.Device{Name: "test", Latency: time.Microsecond, Bandwidth: 1e9},
-		})
-		return []string{fmt.Sprintf("slots=%d misses=%d reads=%d prefetch=%+v lnl=%s",
-			r.Slots, r.Misses, r.Reads, r.Prefetch, bits(r.LnL))}, err
-	}},
 	{"recovery", func() ([]string, error) {
-		rows, err := RunRecoveryAblation(RecoveryConfig{
+		r, err := RunRecoveryAblation(RecoveryConfig{
 			Taxa: 24, Sites: 64, Seed: 5, Traversals: 2,
 			Faults: ooc.FaultConfig{
 				Seed:     5 * 131,
@@ -80,16 +62,9 @@ var goldenTables = []struct {
 				PBitFlip: 0.25, MaxBitFlips: 4,
 			},
 		})
-		var out []string
-		for _, r := range rows {
-			row := fmt.Sprintf("async=%v lnl=%s", r.Async, bits(r.LnL))
-			if !r.Async {
-				row += fmt.Sprintf(" faults=%+v corrupt=%d dropped=%d recovered=%d extra_newviews=%d",
-					r.Faults, r.CorruptReads, r.DroppedWritebacks, r.Recoveries, r.ExtraNewviews)
-			}
-			out = append(out, row)
-		}
-		return out, err
+		// "async=true" is the label the row was recorded under; its
+		// staged reads schedule the counters, so only the lnL is pinned.
+		return []string{fmt.Sprintf("async=true lnl=%s", bits(r.LnL))}, err
 	}},
 	{"resize", func() ([]string, error) {
 		rows, err := RunResizeAblation(ResizeAblationConfig{Taxa: 24, Sites: 120, Seed: 3, TraversalsPerPhase: 1})
@@ -108,17 +83,8 @@ var goldenTables = []struct {
 		return []string{fmt.Sprintf("slots=%d low=%d resizes=%d fixed=%+v oscillating=%+v lnl=%s",
 			r.Slots, r.Low, r.Resizes, r.FixedStats, r.ResizeStats, bits(r.ResizeLnL))}, nil
 	}},
-	{"tiers", func() ([]string, error) {
-		rows, err := tierRows(false)
-		var out []string
-		for _, r := range rows {
-			out = append(out, fmt.Sprintf("%s slots=%d manager=%+v tier=[%s] lnl=%s",
-				r.Arm, r.Slots, r.Manager, tierCounts(r.Tier), bits(r.LnL)))
-		}
-		return out, err
-	}},
 	{"tiers-async", func() ([]string, error) {
-		rows, err := tierRows(true)
+		rows, err := tierRows()
 		var out []string
 		for _, r := range rows {
 			out = append(out, fmt.Sprintf("%s lnl=%s", r.Arm, bits(r.LnL)))
@@ -159,9 +125,9 @@ func missRateRows(res []MissRateResult) []string {
 
 // runGoldenTables runs every experiment once, for both tests below.
 var runGoldenTables = sync.OnceValues(func() (string, error) {
-	// The tier ablations wait on injected round trips, not on the CPU:
-	// the async one runs beside everything up to the row that needs it.
-	go tierRows(true)
+	// The tier ablation waits on injected round trips, not on the CPU:
+	// it runs beside everything up to the row that needs it.
+	go tierRows()
 	var got strings.Builder
 	for _, tc := range goldenTables {
 		rows, err := tc.rows()
@@ -240,21 +206,18 @@ func init() {
 			armLog.kinds["ram"]++
 			return
 		}
-		// The -L rule: the quota buys slots after the store's heap and,
-		// under the pipeline, its spare buffers are charged.
-		overhead := ooc.StoreMemOverhead(r.Stack.Store)
-		if a.Async {
-			overhead += ooc.PipelineBytes(sz.VecLen)
+		// The -L rule: the grant buys slots after the store's heap and
+		// the pipeline's spare buffers are charged; a paper arm's grant
+		// is its quota with those buffers on top (arm.Prefetch).
+		grant := sz.Quota
+		if !a.Prefetch {
+			grant += ooc.PipelineBytes(sz.VecLen)
 		}
-		if want := ooc.SlotsForBytes(sz.Quota, overhead, sz.VecBytes, sz.NumVectors); r.Manager.Slots() != want {
-			fail("%d slots, -L %d buys %d", r.Manager.Slots(), sz.Quota, want)
-		}
-		// Pipeline enabled == !Sync, and an arm opens Sync: !Async.
-		if got := r.Manager.PipelineStats().Enabled; got != a.Async {
-			fail("pipeline enabled = %v", got)
+		if want := ooc.SlotsForBytes(grant, r.Manager.MemOverheadBytes(), sz.VecBytes, sz.NumVectors); r.Manager.Slots() != want {
+			fail("%d slots, -L %d buys %d", r.Manager.Slots(), grant, want)
 		}
 		for kind, is := range map[string]bool{
-			"async": a.Async, "base": a.Stack.Base != nil, "file": a.Stack.Base == nil && a.Stack.URL == "",
+			"prefetch": a.Prefetch, "paper": !a.Prefetch, "base": a.Stack.Base != nil, "file": a.Stack.Base == nil && a.Stack.URL == "",
 			"remote": r.Stack.Tier != nil, "faulted": r.Stack.Fault != nil,
 		} {
 			if is {
@@ -266,7 +229,7 @@ func init() {
 
 // TestArmsAreShippable walks every arm the experiments opened and holds
 // the run it got to what oocraxml builds from the equivalent flags (the
-// prefetch-with-async and store-medium rules are analysis.TestOpen's).
+// prefetch and store-medium rules are analysis.TestOpen's).
 func TestArmsAreShippable(t *testing.T) {
 	if _, err := runGoldenTables(); err != nil {
 		t.Fatal(err)
@@ -276,7 +239,7 @@ func TestArmsAreShippable(t *testing.T) {
 	for _, v := range armLog.violations {
 		t.Error(v)
 	}
-	for _, kind := range []string{"ram", "base", "file", "remote", "faulted", "async", "instrumented"} {
+	for _, kind := range []string{"ram", "base", "file", "remote", "faulted", "prefetch", "paper", "instrumented"} {
 		if armLog.kinds[kind] == 0 {
 			t.Errorf("no %s arm was opened; saw %v", kind, armLog.kinds)
 		}

@@ -30,9 +30,6 @@ type TierAblationConfig struct {
 	// RTTs is the injected remote round-trip sweep (default 1, 10,
 	// 50 ms).
 	RTTs []time.Duration
-	// Async runs the manager's background I/O pipeline (the results
-	// must not change either way).
-	Async bool
 }
 
 // Fixed by the ablation's design (shared with the chaos soak).
@@ -83,9 +80,9 @@ type TierAblationRow struct {
 // ablation's memory fraction and returns the measurement: the manager's
 // counters and, over a remote stack, the tier's, both read once the
 // search's dirty vectors are flushed.
-func runTierArm(w *workload, cfg SearchWorkloadConfig, stack ooc.StackSpec, async bool) (TierAblationRow, error) {
+func runTierArm(w *workload, cfg SearchWorkloadConfig, stack ooc.StackSpec) (TierAblationRow, error) {
 	var row TierAblationRow
-	_, err := w.run(arm{Fraction: tierMemFraction, Async: async, Stack: stack}, func(r *analysis.Run) (err error) {
+	_, err := w.run(arm{Fraction: tierMemFraction, Prefetch: true, Stack: stack}, func(r *analysis.Run) (err error) {
 		t0 := time.Now()
 		if row.LnL, err = searchWorkload(r.Engine, cfg); err != nil {
 			return err
@@ -133,7 +130,7 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 	}
 
 	// Local baseline, once (the RTT sweep does not touch it).
-	local, err := runTierArm(w, cfg.Workload, ooc.StackSpec{}, cfg.Async)
+	local, err := runTierArm(w, cfg.Workload, ooc.StackSpec{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: local arm: %w", err)
 	}
@@ -155,7 +152,7 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 					CacheVectors: cacheVectors(cacheFrac, w.tree.NumInner()),
 				},
 				URL: srv.ObjectURL(state),
-			}, cfg.Async)
+			})
 			if err != nil {
 				return row, fmt.Errorf("experiments: %s arm at %v: %w", name, rtt, err)
 			}
@@ -195,8 +192,8 @@ func RunTierAblation(cfg TierAblationConfig) ([]TierAblationRow, error) {
 // WriteTierTable renders the ablation rows.
 func WriteTierTable(w io.Writer, rows []TierAblationRow, cfg TierAblationConfig) {
 	cfg.fill()
-	fmt.Fprintf(w, "Tiered storage ablation: %d taxa, %d sites, f=%.2f, async=%v\n",
-		cfg.Workload.Taxa, cfg.Workload.Sites, tierMemFraction, cfg.Async)
+	fmt.Fprintf(w, "Tiered storage ablation: %d taxa, %d sites, f=%.2f\n",
+		cfg.Workload.Taxa, cfg.Workload.Sites, tierMemFraction)
 	fmt.Fprintf(w, "%-10s %8s %6s %10s %9s %9s %9s %7s\n",
 		"arm", "rtt", "slots", "elapsed", "cacheHit", "cacheMiss", "remVecRd", "local%")
 	var base time.Duration

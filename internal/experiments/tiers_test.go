@@ -18,31 +18,16 @@ func smallTierConfig() TierAblationConfig {
 	}
 }
 
-// tierRows runs the ablation once per manager flavour for every test
-// that reads its rows (the arms are latency-bound: seconds, not
-// milliseconds).
-var tierRowsOnce = [2]func() ([]TierAblationRow, error){
-	sync.OnceValues(func() ([]TierAblationRow, error) { return RunTierAblation(smallTierConfig()) }),
-	sync.OnceValues(func() ([]TierAblationRow, error) {
-		cfg := smallTierConfig()
-		cfg.Async = true
-		return RunTierAblation(cfg)
-	}),
-}
-
-func tierRows(async bool) ([]TierAblationRow, error) {
-	if async {
-		return tierRowsOnce[1]()
-	}
-	return tierRowsOnce[0]()
-}
+// tierRows runs the ablation once for every test that reads its rows
+// (the arms are latency-bound: seconds, not milliseconds).
+var tierRows = sync.OnceValues(func() ([]TierAblationRow, error) { return RunTierAblation(smallTierConfig()) })
 
 // TestTierAblationArms runs the full three-arm ablation at one injected
 // RTT. RunTierAblation itself enforces the acceptance counters: every
 // arm bit-identical to the local FileStore baseline and the full arm
 // serving >= 70% of read demand without a remote trip.
 func TestTierAblationArms(t *testing.T) {
-	rows, err := tierRows(false)
+	rows, err := tierRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +56,4 @@ func TestTierAblationArms(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", sb.String())
-}
-
-// TestTierAblationAsyncPipeline is the differential arm of the suite:
-// the async I/O pipeline over the tiered stack must be bit-identical
-// too (RunTierAblation compares against the async local baseline).
-func TestTierAblationAsyncPipeline(t *testing.T) {
-	if _, err := tierRows(true); err != nil {
-		t.Fatal(err)
-	}
 }

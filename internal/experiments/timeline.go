@@ -85,7 +85,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	root := col.StartTrace("timeline")
 	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
 	r, err := w.run(arm{
-		Fraction: pagingFraction, Async: true,
+		Fraction: pagingFraction, Prefetch: true,
 		Stack: stack, Registry: reg,
 	}, func(r *analysis.Run) (err error) {
 		r.SetSpan(root)
@@ -163,7 +163,7 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 	}
 	run := func(obsArm int) (lnl float64, wall time.Duration, err error) {
 		a := arm{
-			Fraction: pagingFraction, Async: true,
+			Fraction: pagingFraction, Prefetch: true,
 			Stack: ooc.StackSpec{Base: w.memStore()},
 		}
 		if obsArm >= obsArmOn {

@@ -25,9 +25,8 @@ type workload struct {
 }
 
 // pagingFraction is the memory fraction f of the traversal ablations
-// (async, recovery, timeline, obs overhead): tight enough that every
-// traversal pages, full-width slots under the async ablation's generic
-// kernels and records at the default sizes of the others.
+// (recovery, timeline, obs overhead): tight enough that every traversal
+// pages.
 const pagingFraction = 0.25
 
 // gammaAlpha is the rate heterogeneity every dataset is simulated with
@@ -53,8 +52,8 @@ func newWorkload(cfg sim.Config, randomStart bool) (*workload, error) {
 }
 
 // arm is one configuration of a workload, stated the way an oocraxml
-// user states it: a RAM quota, a replacement strategy, a store, a
-// pipeline. Anything an arm cannot say here the product cannot run.
+// user states it: a RAM quota, a replacement strategy, a store.
+// Anything an arm cannot say here the product cannot run.
 type arm struct {
 	// Fraction is the paper's f: the quota is round(f·n) vectors' worth
 	// of bytes. Bytes states the quota itself, like -L. Both zero (or a
@@ -70,11 +69,13 @@ type arm struct {
 	Workers int
 
 	NoReadSkipping bool
-	// Async opens what the product runs: the pipelined manager with
-	// one-step prefetch. Without it an arm runs the paper's synchronous
-	// manager, whose store counters repeat in a fixed order, and stages
-	// nothing unless its body enables prefetch.
-	Async bool
+	// Prefetch opens what the product runs: the traversal plan's next
+	// reads staged one step ahead, the writer's buffers paid from the
+	// quota. Without it an arm is one of the paper's: nothing is staged
+	// unless its body enables prefetch, and the quota buys its slots
+	// with the writer's buffers on top (PipelineBytes), so the pool is
+	// the paper's m and the store counters repeat in a fixed order.
+	Prefetch bool
 
 	// Stack is the store; Open supplies its geometry. The zero value is
 	// a temp file.
@@ -108,15 +109,29 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 			return nil, err
 		}
 	}
+	grant := sz.Quota
+	if !a.Prefetch {
+		grant += ooc.PipelineBytes(sz.VecLen)
+	}
 	r, err := analysis.Open(context.Background(), spec, analysis.Options{
-		NoReadSkipping: a.NoReadSkipping, Sync: !a.Async,
-		Stack:    a.Stack,
-		Registry: a.Registry,
-	}, in, sz, sz.Quota)
-	if err == nil && opened != nil {
+		NoReadSkipping: a.NoReadSkipping,
+		Stack:          a.Stack,
+		Registry:       a.Registry,
+	}, in, sz, grant)
+	if err != nil {
+		return nil, err
+	}
+	r.Engine.EnablePrefetch(a.Prefetch)
+	if opened != nil {
 		opened(a, r)
 	}
-	return r, err
+	return r, nil
+}
+
+// slotGrant is the grant that buys a paper arm's live pool exactly
+// slots vectors (see arm.Prefetch).
+func slotGrant(r *analysis.Run, slots int) int64 {
+	return int64(slots)*r.Sizing.VecBytes + ooc.PipelineBytes(r.Sizing.VecLen)
 }
 
 // opened, when a test sets it, is shown every run open brings to life.

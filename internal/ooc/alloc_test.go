@@ -11,8 +11,9 @@ import (
 
 // TestWarmTraversalAllocs pins the out-of-core half of the hot path's
 // recycling contract (plf's TestHotPathAllocs is the engine's half): a
-// warm full traversal at f = 0.25 with prefetch, over the checksummed
-// file stack, allocates nothing with either manager. The pipeline
+// warm full traversal at f = 0.25 over a file, its reads staged by the
+// fetch workers (async) or all demand reads on the compute thread,
+// allocates nothing. The pipeline
 // recycles its fetch and write requests, and the pool recycles the
 // buffers it gives up. Under the generic kernels every record is full
 // width, so the pool pages and every transfer kind runs.
@@ -33,7 +34,7 @@ func TestWarmTraversalAllocs(t *testing.T) {
 				defer file.Close()
 				m, err := NewManager(Config{
 					NumVectors: n, VectorLen: vecLen, Slots: SlotsForFraction(0.25, n),
-					Strategy: NewLRU(n), ReadSkipping: true, Store: file, Async: async,
+					Strategy: NewLRU(n), ReadSkipping: true, Store: file,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -48,7 +49,7 @@ func TestWarmTraversalAllocs(t *testing.T) {
 				if err := e.SetKernel(kernel); err != nil {
 					t.Fatal(err)
 				}
-				e.EnablePrefetch(true)
+				e.EnablePrefetch(async)
 				traverse := func() {
 					if err := e.FullTraversal(tr.Edges[0]); err != nil {
 						t.Fatal(err)

@@ -10,23 +10,32 @@ import (
 	"oocphylo/internal/search"
 )
 
+// The pipeline may change WHEN I/O happens, never WHAT is computed. The
+// equivalence tests below run each workload twice, once over a store
+// that answers at once (the "sync" arm) and once over the same store
+// made to lag (the "async" arm, ooc.Lagging), and demand identical
+// likelihoods and counters.
+
 // asyncCase runs the standard mixed workload (likelihoods at every
-// edge, branch optimisation, full traversal) once and returns every
-// observable: the likelihood trace endpoint, optimised branch lengths,
-// and all manager counters.
-func asyncCase(t *testing.T, strategyName string, f float64, readSkip, async bool) (float64, []float64, ooc.Stats, ooc.PrefetchStats) {
+// edge, branch optimisation, full traversal) once, over a lagging store
+// when lag is set, and returns every observable: the likelihood trace
+// endpoint, optimised branch lengths, and all manager counters.
+func asyncCase(t *testing.T, strategyName string, f float64, readSkip, lag bool) (float64, []float64, ooc.Stats, ooc.PrefetchStats) {
 	t.Helper()
 	const n, sites, seed = 24, 120, 99
 	tr, pats, mdl := buildCase(t, n, sites, seed)
 	inner := tr.NumInner()
 	vecLen := plf.VectorLength(mdl, pats.NumPatterns())
+	var store ooc.Store = ooc.NewMemStore(inner, vecLen)
+	if lag {
+		store = ooc.Lagging(store)
+	}
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: inner, VectorLen: vecLen,
 		Slots:        ooc.SlotsForFraction(f, inner),
 		Strategy:     strategyFor(strategyName, inner, tr, seed),
 		ReadSkipping: readSkip,
-		Store:        ooc.NewMemStore(inner, vecLen),
-		Async:        async,
+		Store:        store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +52,10 @@ func asyncCase(t *testing.T, strategyName string, f float64, readSkip, async boo
 	return lnl, lens, mgr.Stats(), mgr.PrefetchStats()
 }
 
-// TestAsyncEquivalenceAllStrategies is the tentpole's correctness bar:
-// for every replacement strategy × read-skipping combination, turning
-// the async pipeline on must leave the log-likelihood bit-identical and
-// every miss/read/write counter unchanged. The pipeline may change WHEN
-// I/O happens, never WHAT is computed.
+// TestAsyncEquivalenceAllStrategies is the pipeline's correctness bar:
+// for every replacement strategy × read-skipping combination, a lagging
+// store must leave the log-likelihood bit-identical and every
+// miss/read/write and prefetch counter unchanged.
 func TestAsyncEquivalenceAllStrategies(t *testing.T) {
 	for _, strategyName := range []string{"RAND", "LRU", "LFU", "Topological"} {
 		for _, readSkip := range []bool{false, true} {
@@ -77,21 +85,25 @@ func TestAsyncEquivalenceAllStrategies(t *testing.T) {
 	}
 }
 
-// sprTrace runs a short SPR search and returns the full recorded
-// likelihood trace (start, per-round implicit in Result) plus counters.
-func sprTrace(t *testing.T, async bool) (search.Result, ooc.Stats) {
+// sprTrace runs a short SPR search, over a lagging store when lag is
+// set, and returns the full recorded likelihood trace (start, per-round
+// implicit in Result) plus counters.
+func sprTrace(t *testing.T, lag bool) (search.Result, ooc.Stats) {
 	t.Helper()
 	const n, sites, seed = 16, 96, 7
 	tr, pats, mdl := buildCase(t, n, sites, seed)
 	inner := tr.NumInner()
 	vecLen := plf.VectorLength(mdl, pats.NumPatterns())
+	var store ooc.Store = ooc.NewMemStore(inner, vecLen)
+	if lag {
+		store = ooc.Lagging(store)
+	}
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: inner, VectorLen: vecLen,
 		Slots:        ooc.SlotsForFraction(0.3, inner),
 		Strategy:     ooc.NewLRU(inner),
 		ReadSkipping: true,
-		Store:        ooc.NewMemStore(inner, vecLen),
-		Async:        async,
+		Store:        store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,9 +125,9 @@ func sprTrace(t *testing.T, async bool) (search.Result, ooc.Stats) {
 
 // TestAsyncEquivalenceSPRSearch replays an SPR tree-search workload —
 // the paper's evaluation workload, with its long recorded trace of
-// likelihood evaluations — sync and async, and demands an identical
-// search trajectory (same moves accepted, same likelihoods) and
-// identical Stats.Misses.
+// likelihood evaluations — over a prompt and a lagging store, and
+// demands an identical search trajectory (same moves accepted, same
+// likelihoods) and identical Stats.
 func TestAsyncEquivalenceSPRSearch(t *testing.T) {
 	sRes, sStats := sprTrace(t, false)
 	aRes, aStats := sprTrace(t, true)
@@ -130,12 +142,12 @@ func TestAsyncEquivalenceSPRSearch(t *testing.T) {
 	}
 }
 
-// TestAsyncPipelineOnRealFiles is the -race integration test required
-// by the issue: the full pipeline (worker goroutines, write-back queue,
-// joins) over an actual on-disk FileStore, verified against a
-// synchronous run of the same workload.
+// TestAsyncPipelineOnRealFiles is the -race integration test of the
+// full pipeline (worker goroutines, write-back queue, joins) over an
+// actual on-disk FileStore: a run whose file lags must match a run over
+// the bare file.
 func TestAsyncPipelineOnRealFiles(t *testing.T) {
-	run := func(async bool) (float64, []float64, ooc.Stats) {
+	run := func(lag bool) (float64, []float64, ooc.Stats) {
 		const n, sites, seed = 20, 100, 31
 		tr, pats, mdl := buildCase(t, n, sites, seed)
 		inner := tr.NumInner()
@@ -144,13 +156,16 @@ func TestAsyncPipelineOnRealFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var st ooc.Store = store
+		if lag {
+			st = ooc.Lagging(store)
+		}
 		mgr, err := ooc.NewManager(ooc.Config{
 			NumVectors: inner, VectorLen: vecLen,
 			Slots:        ooc.SlotsForFraction(0.25, inner),
 			Strategy:     ooc.NewLRU(inner),
 			ReadSkipping: true,
-			Store:        store,
-			Async:        async,
+			Store:        st,
 		})
 		if err != nil {
 			t.Fatal(err)

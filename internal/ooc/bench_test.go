@@ -105,36 +105,50 @@ func BenchmarkStrategyPickVictim(b *testing.B) {
 	})
 }
 
+// sleepStore sleeps for each transfer's modelled time on dev, so a
+// wall-clock benchmark sees genuine compute/I/O overlap.
+type sleepStore struct {
+	Store
+	dev iosim.Device
+}
+
+func (s sleepStore) ReadVector(vi int, dst []float64) error {
+	time.Sleep(s.dev.TransferTime(int64(len(dst)) * 8))
+	return s.Store.ReadVector(vi, dst)
+}
+
+func (s sleepStore) WriteVector(vi int, src []float64) error {
+	time.Sleep(s.dev.TransferTime(int64(len(src)) * 8))
+	return s.Store.WriteVector(vi, src)
+}
+
 // BenchmarkAsyncPipeline prices the backing store like the Figure-5
-// device model (SimStore sleeping for its modelled transfer time) and
-// runs full tree traversals — the least-local access pattern — with the
-// synchronous manager and with the async pipeline, both with one-step
-// prefetch. The stall-ns/op metric is the compute thread's measured I/O
-// wait per traversal; the pipeline's job is to shrink it while leaving
-// the likelihood and miss counters untouched.
+// device model (sleepStore) and
+// runs full tree traversals — the least-local access pattern — with
+// every read a demand read on the compute thread and with one-step
+// prefetch staging them on the fetch workers. The stall-ns/op metric is
+// the compute thread's measured I/O wait per traversal; staging's job
+// is to shrink it while leaving the likelihood untouched.
 func BenchmarkAsyncPipeline(b *testing.B) {
-	// Dimensions match the internal/experiments ablation defaults: per-step
-	// compute must be comparable to one vector transfer for overlap to be
-	// visible (compute grows with patterns×k², transfer with patterns×k).
+	// Per-step compute must be comparable to one vector transfer for
+	// overlap to be visible (compute grows with patterns×k², transfer
+	// with patterns×k).
 	d, err := sim.NewDataset(sim.Config{Taxa: 128, Sites: 1024, GammaAlpha: 0.8, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
 	dev := iosim.Device{Name: "nvme", Latency: 150 * time.Microsecond, Bandwidth: 2e9}
-	bench := func(b *testing.B, async bool) {
+	bench := func(b *testing.B, stage bool) {
 		tr := d.Tree.Clone()
 		n := tr.NumInner()
 		vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
-		var clock iosim.Clock
-		store := NewSimStore(NewMemStore(n, vecLen), dev, &clock)
-		store.Realtime = 1
+		store := sleepStore{NewMemStore(n, vecLen), dev}
 		m, err := NewManager(Config{
 			NumVectors: n, VectorLen: vecLen,
 			Slots:        SlotsForFraction(0.25, n),
 			Strategy:     NewLRU(n),
 			ReadSkipping: true,
 			Store:        store,
-			Async:        async,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -143,7 +157,11 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e.EnablePrefetch(true)
+		// Full-width records, so the pool is the paper's m slots and pages.
+		if err := e.SetKernel(plf.KernelGeneric); err != nil {
+			b.Fatal(err)
+		}
+		e.EnablePrefetch(stage)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := e.FullTraversal(tr.Edges[0]); err != nil {
@@ -160,8 +178,8 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("sync", func(b *testing.B) { bench(b, false) })
-	b.Run("async", func(b *testing.B) { bench(b, true) })
+	b.Run("demand", func(b *testing.B) { bench(b, false) })
+	b.Run("prefetch", func(b *testing.B) { bench(b, true) })
 }
 
 func BenchmarkFileStoreRoundTrip(b *testing.B) {

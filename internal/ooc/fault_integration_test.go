@@ -13,9 +13,10 @@ import (
 
 // TestFaultTransientReadRecomputed: the manager re-issues nothing. An
 // injected read EIO reaches the engine as an unreadable vector, which
-// it recomputes from the vector's children, on the synchronous and
-// the asynchronous manager alike, and the answer stays bit-identical
-// to a clean run's.
+// it recomputes from the vector's children, whether the read was a
+// demand read on the compute thread (sync: nothing staged) or a fetch
+// worker's stage-in (async: one-step prefetch), and the answer stays
+// bit-identical to a clean run's.
 func TestFaultTransientReadRecomputed(t *testing.T) {
 	run := func(t *testing.T, async bool, faults *ooc.FaultConfig) (float64, []float64, ooc.FaultStats, int64) {
 		t.Helper()
@@ -33,7 +34,7 @@ func TestFaultTransientReadRecomputed(t *testing.T) {
 			NumVectors: inner, VectorLen: vecLen,
 			Slots:    ooc.SlotsForFraction(0.25, inner),
 			Strategy: ooc.NewLRU(inner), ReadSkipping: true,
-			Store: store, Async: async,
+			Store: store,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +43,7 @@ func TestFaultTransientReadRecomputed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.EnablePrefetch(true)
+		e.EnablePrefetch(async)
 		lnl, lens := workload(t, e, tr)
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)
@@ -118,7 +119,7 @@ func TestFaultPrefetchFlipCaughtByFetchWorker(t *testing.T) {
 	store := &flipFetched{Store: ooc.NewMemStore(inner, vecLen)}
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: inner, VectorLen: vecLen, Slots: 4,
-		Strategy: ooc.NewLRU(inner), ReadSkipping: true, Store: store, Async: true,
+		Strategy: ooc.NewLRU(inner), ReadSkipping: true, Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -230,7 +230,7 @@ func TestFaultAsyncFailedJoinNotLedgered(t *testing.T) {
 	fs := NewFaultStore(base, FaultConfig{Seed: 8, PReadErr: 1, MaxReadErrs: 1})
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-		ReadSkipping: true, Store: fs, Async: true,
+		ReadSkipping: true, Store: fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestFaultAsyncEvictDropsFailedStageIn(t *testing.T) {
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
 		ReadSkipping: true,
-		Store:        fs, Async: true,
+		Store:        fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,6 +318,60 @@ func TestFaultAsyncEvictDropsFailedStageIn(t *testing.T) {
 	}
 }
 
+// TestFaultBarrierDropsFailedPrefetch: a barrier (Flush or Close) that
+// joins a prefetch whose background read failed drops the vector, as an
+// eviction does, and does not return the advisory prefetch's error; the
+// next demand access misses and reads the stored copy.
+func TestFaultBarrierDropsFailedPrefetch(t *testing.T) {
+	for _, barrier := range []string{"flush", "close"} {
+		t.Run(barrier, func(t *testing.T) {
+			n, vl := 8, 4
+			base := NewMemStore(n, vl)
+			want := []float64{4, 3, 2, 1}
+			if err := base.WriteVector(0, want); err != nil {
+				t.Fatal(err)
+			}
+			fs := NewFaultStore(base, FaultConfig{Seed: 8, PReadErr: 1, MaxReadErrs: 1})
+			m, err := NewManager(Config{
+				NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
+				ReadSkipping: true, Store: fs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if err := m.Prefetch(0); err != nil { // the background read fails
+				t.Fatal(err)
+			}
+			if barrier == "close" {
+				if err := m.Close(); err != nil {
+					t.Fatalf("Close returned the prefetch's error: %v", err)
+				}
+				if m.Resident(0) {
+					t.Error("Close left the failed stage-in resident")
+				}
+				return
+			}
+			if err := m.Flush(); err != nil {
+				t.Fatalf("Flush returned the prefetch's error: %v", err)
+			}
+			if m.Resident(0) {
+				t.Fatal("Flush left the failed stage-in resident")
+			}
+			v, err := m.Vector(0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(v, want) {
+				t.Errorf("vector 0 = %v, want %v", v, want)
+			}
+			if st := m.Stats(); st.Misses != 1 || st.Hits != 0 || st.Reads != 1 {
+				t.Errorf("the read after the barrier was not a miss: %+v", st)
+			}
+		})
+	}
+}
+
 // TestFaultTornWritePendingThenCaught: a torn write-back whose buffer
 // the writer still holds serves reads of its vector from that buffer,
 // so they are whole and nothing is reported corrupt; the first read
@@ -328,7 +382,7 @@ func TestFaultTornWritePendingThenCaught(t *testing.T) {
 	fs := NewFaultStore(NewMemStore(n, vl), FaultConfig{Seed: 3, PTornWrite: 1, MaxTornWrites: 1})
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vl, Slots: MinSlots, Strategy: NewLRU(n),
-		ReadSkipping: true, Store: fs, Async: true,
+		ReadSkipping: true, Store: fs,
 	})
 	if err != nil {
 		t.Fatal(err)

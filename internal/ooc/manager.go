@@ -80,13 +80,9 @@ type Config struct {
 	// Store is the backing storage; required.
 	Store Store
 
-	// Async enables the background I/O pipeline (see pipeline.go):
-	// prefetches are serviced by worker goroutines and evictions hand
-	// their victim buffer to a write-back goroutine instead of
-	// blocking. Results are bit-identical to the synchronous manager;
-	// only the overlap of I/O with compute changes. The Store must be
-	// safe for concurrent use on distinct vectors (all stores in this
-	// package are). Close the manager to drain the pipeline.
+	// Async is ignored: every manager runs the background I/O pipeline
+	// (see pipeline.go). It stays for callers that still set it, the
+	// benchmark harness among them.
 	Async bool
 }
 
@@ -100,7 +96,7 @@ const fetchWorkers = 2
 const fetchQueue = 2 * fetchWorkers
 
 // writeBuffers is how many full widths of evicted records, each in its
-// own buffer, the asynchronous writer may hold outside the pool; an
+// own buffer, the writer may hold outside the pool; an
 // eviction blocks only when the records queued leave no room for its
 // own. With prefix records the writer keeps up on average; what blocks
 // is a burst of cheap newviews near the tips, each evicting a dirty
@@ -108,12 +104,12 @@ const fetchQueue = 2 * fetchWorkers
 // 0.9–1.1 s of buffer wait per 100 ops with two, 0.3–0.4 s with four).
 const writeBuffers = 4
 
-// PipelineBytes is the heap the async pipeline keeps beside the slot
-// pool: the records queued for the writer, at most writeBuffers × vecLen
-// float64s. A pipelined run whose pool is sized from a byte limit pays
-// for them before it buys slots (the paper's -L holds for the whole
-// manager); at the MinSlots floor they come on top, as the floor itself
-// may overrun a tiny limit.
+// PipelineBytes is the heap the pipeline keeps beside the slot pool:
+// the records queued for the writer, at most writeBuffers × vecLen
+// float64s. A run whose pool is sized from a byte limit pays for them
+// before it buys slots (the paper's -L holds for the whole manager); at
+// the MinSlots floor they come on top, as the floor itself may overrun
+// a tiny limit.
 func PipelineBytes(vecLen int) int64 { return writeBuffers * int64(vecLen) * 8 }
 
 // SlotsForFraction returns m = max(MinSlots, round(f*n)) capped at n —
@@ -176,8 +172,8 @@ func readChecked(s Store, vi int, dst []float64, e vecEntry) error {
 // Manager is the out-of-core ancestral-vector manager: it implements
 // the plf.VectorProvider contract over a RAM pool of Slots × VectorLen
 // float64s and a backing Store. Vector/Prefetch/Flush/Close must come
-// from a single caller (as the likelihood engine guarantees); with
-// Config.Async the manager runs I/O goroutines internally, but all
+// from a single caller (as the likelihood engine guarantees); the
+// manager runs I/O goroutines internally (see pipeline.go), but all
 // bookkeeping still happens on the single calling goroutine. The stats
 // snapshots (Stats/PrefetchStats/PipelineStats) MAY be read from any
 // goroutine — the debug endpoint samples them mid-run — so every public
@@ -250,12 +246,12 @@ type Manager struct {
 	// operations themselves always run to completion, so cancellation
 	// can never leave a torn vector on disk.
 	ctx context.Context
-	// closing latches once Close has been entered; Resize refuses to
-	// change the budget from then on.
+	// closing latches once Close has been entered; every operation but
+	// the stats getters returns ErrManagerClosing from then on.
 	closing atomic.Bool
 
-	// pipe is the async I/O pipeline (nil when running synchronously).
-	// inflight tracks, per entry, the background fetch still filling it.
+	// pipe is the background I/O pipeline. inflight tracks, per entry,
+	// the background fetch still filling it.
 	pipe      *pipeline
 	inflight  []*fetchReq
 	pipeStats PipelineStats
@@ -267,10 +263,11 @@ type Manager struct {
 // three-vector working set never does under m >= MinSlots.
 var ErrAllPinned = errors.New("ooc: all resident vectors are pinned; cannot evict")
 
-// NewManager validates cfg and sets up an empty pool of Slots ×
-// VectorLen float64s, filled as vectors move in; under Config.Async
-// the writer may hold PipelineBytes more. MemOverheadBytes reports that
+// NewManager validates cfg, sets up an empty pool of Slots × VectorLen
+// float64s, filled as vectors move in, and starts the pipeline, whose
+// writer may hold PipelineBytes more. MemOverheadBytes reports that
 // with the store's heap, so a caller enforcing -L charges both first.
+// Close the manager to drain the pipeline and stop its goroutines.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.NumVectors < 0 || cfg.VectorLen <= 0 || cfg.VectorLen >= stored {
 		return nil, fmt.Errorf("ooc: invalid geometry: %d vectors of %d", cfg.NumVectors, cfg.VectorLen)
@@ -298,17 +295,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		table:      make([]vecEntry, n),
 		dirty:      make([]bool, 0, n),
 		prefetched: make([]bool, 0, n),
+		inflight:   make([]*fetchReq, 0, n),
 		recycled:   make(map[int]*sync.Pool),
+		pipeStats:  PipelineStats{Enabled: true},
 	}
 	for i := range m.itemSlot {
 		m.itemSlot[i] = -1
 		m.table[i].n = uint32(cfg.VectorLen)
 	}
-	if cfg.Async {
-		m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen, m.table)
-		m.inflight = make([]*fetchReq, 0, n)
-		m.pipeStats.Enabled = true
-	}
+	m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen, m.table)
 	return m, nil
 }
 
@@ -369,10 +364,8 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// PipelineStats returns a snapshot of the I/O pipeline counters. The
-// synchronous manager fills StallTime too (demand-path store calls),
-// so sync and async stall are directly comparable. Safe from any
-// goroutine.
+// PipelineStats returns a snapshot of the I/O pipeline counters. Safe
+// from any goroutine, before and after Close.
 func (m *Manager) PipelineStats() PipelineStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -382,11 +375,9 @@ func (m *Manager) PipelineStats() PipelineStats {
 // pipelineStatsLocked assembles the snapshot; callers hold m.mu.
 func (m *Manager) pipelineStatsLocked() PipelineStats {
 	ps := m.pipeStats
-	if m.pipe != nil {
-		ps.OverlappedBytes = m.pipe.overlapped.Load()
-		ps.WriteQueueHits = m.pipe.wqHits.Load()
-		ps.QueueDepthMax = m.pipe.depthMax.Load()
-	}
+	ps.OverlappedBytes = m.pipe.overlapped.Load()
+	ps.WriteQueueHits = m.pipe.wqHits.Load()
+	ps.QueueDepthMax = m.pipe.depthMax.Load()
 	return ps
 }
 
@@ -425,8 +416,7 @@ func bytesLost(err error) bool {
 // wait is charged as stall time. A successful join is where a
 // background prefetch lands in the ledgers: Reads/BytesRead must
 // reflect fetches that completed, not fetches that were merely
-// enqueued, so that a failed fetch leaves the counters exactly as a
-// failed synchronous prefetch would.
+// enqueued, so a failed fetch leaves no read counted.
 func (m *Manager) joinSlot(s int) error {
 	f := m.inflight[s]
 	if f == nil {
@@ -449,11 +439,11 @@ func (m *Manager) joinSlot(s int) error {
 }
 
 // joinOrDrop joins entry s's stage-in, if any, and on failure drops the
-// vector: its buffer holds garbage, so it must not stay resident, as a
-// failed synchronous prefetch leaves no resident. demanded says the
-// join is Vector's, whose caller wanted the staged vector; any other
-// drop is an eviction or a shrink, which would have written the garbage
-// back over the store's authoritative copy, and is ledgered as such.
+// vector: its buffer holds garbage, so it must not stay resident.
+// demanded says the join is Vector's, whose caller wanted the staged
+// vector; any other drop is an eviction, a shrink or a barrier, which
+// would have written the garbage back over the store's authoritative
+// copy or served it later as a hit, and is ledgered as such.
 func (m *Manager) joinOrDrop(s int, demanded bool) error {
 	err := m.joinSlot(s)
 	if err == nil {
@@ -473,11 +463,11 @@ func (m *Manager) joinOrDrop(s int, demanded bool) error {
 }
 
 // demandRead reads vi into dst on the compute thread and checks it
-// against vi's entry, counting a mismatch. Under the async pipeline a
-// record still with the writer serves it first (read-after-write).
-// What the store cannot serve comes back as unreadable.
+// against vi's entry, counting a mismatch. A record still with the
+// writer serves it first (read-after-write). What the store cannot
+// serve comes back as unreadable.
 func (m *Manager) demandRead(vi int, dst []float64) error {
-	if m.pipe != nil && m.pipe.readPending(vi, dst) {
+	if m.pipe.readPending(vi, dst) {
 		return nil
 	}
 	err := readChecked(m.cfg.Store, vi, dst, m.table[vi])
@@ -499,8 +489,8 @@ func (m *Manager) takeRecord(vi, s int) []float64 {
 // setLen records n as the length of vi's record, keeping its checksum.
 func (m *Manager) setLen(vi, n int) { m.table[vi].n = m.table[vi].n&stored | uint32(n) }
 
-// writeBack stores rec as vi's record on the compute thread, then
-// records its entry: the checksum is the payload's, the write's intent,
+// writeBack stores rec as vi's record on the compute thread (Flush's
+// write of a resident), then records its entry: the checksum is the payload's, the write's intent,
 // so a torn write underneath is caught by the next read.
 func (m *Manager) writeBack(vi int, rec []float64) error {
 	if err := m.cfg.Store.WriteVector(vi, rec); err != nil {
@@ -566,9 +556,7 @@ func (m *Manager) place(vi int, buf []float64) int {
 		s = len(m.slots)
 		m.slots, m.slotItem = append(m.slots, nil), append(m.slotItem, -1)
 		m.dirty, m.prefetched = append(m.dirty, false), append(m.prefetched, false)
-		if m.pipe != nil {
-			m.inflight = append(m.inflight, nil)
-		}
+		m.inflight = append(m.inflight, nil)
 	}
 	m.slots[s], m.slotItem[s], m.itemSlot[vi] = buf, vi, s
 	m.held += cap(buf)
@@ -646,17 +634,12 @@ func (m *Manager) Resident(vi int) bool {
 
 // MemOverheadBytes reports the heap held beside the pool — what the
 // backing store keeps on the manager's behalf (cache-tier indexes,
-// in-flight remote buffers) and, under Config.Async, the records queued
-// for the writer (PipelineBytes) — so a resize to a byte grant
-// (analysis.Run.Resize) charges it against the same budget as the pool,
-// as analysis.Open's sizing does. Zero for a synchronous manager over a
-// plain file or memory store.
+// in-flight remote buffers) and the records queued for the writer
+// (PipelineBytes) — so a resize to a byte grant (analysis.Run.Resize)
+// charges it against the same budget as the pool, as analysis.Open's
+// sizing does.
 func (m *Manager) MemOverheadBytes() int64 {
-	ov := StoreMemOverhead(m.cfg.Store)
-	if m.cfg.Async {
-		ov += PipelineBytes(m.cfg.VectorLen)
-	}
-	return ov
+	return StoreMemOverhead(m.cfg.Store) + PipelineBytes(m.cfg.VectorLen)
 }
 
 // Vector implements plf.VectorProvider: the paper's getxvector(). It
@@ -671,13 +654,16 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closing.Load() {
+		return nil, ErrManagerClosing
+	}
 	defer m.noteHeld()
 	m.settleWide(vi, write, pinned)
 	m.stats.Requests++
 	m.cfg.Strategy.Touch(vi)
 	if s := m.itemSlot[vi]; s >= 0 {
 		joinFailed := false
-		if m.pipe != nil && m.inflight[s] != nil {
+		if m.inflight[s] != nil {
 			// The prefetch that staged vi is still in flight: join it
 			// rather than re-reading (this wait is the residue of
 			// latency the pipeline could not hide).
@@ -798,47 +784,34 @@ func (m *Manager) pickVictim(requested int, pinned []int) (victim, slot int, err
 }
 
 // evict writes the victim back if it was modified since fault-in and
-// frees its entry. Under the async pipeline the record's own buffer is
-// queued to the writer, so the call returns without waiting for the
-// store; a synchronous write-back frees the buffer for reuse.
+// frees its entry. The record's own buffer is queued to the writer, so
+// the call returns without waiting for the store.
 func (m *Manager) evict(victim, slot int) error {
 	// The victim's own stage-in may still be in flight; its buffer
 	// cannot be written back or reused until the read completes, and a
 	// failed one is dropped instead — a later demand access faults the
 	// vector in again and surfaces the error if it persists.
-	if m.pipe != nil && m.joinOrDrop(slot, false) != nil {
+	if m.joinOrDrop(slot, false) != nil {
 		m.mx.evictions.Inc()
 		return nil
 	}
 	// A clean entry's content matches the store (it was faulted in by a
 	// read and never modified), so its write-back is skipped.
-	queued := false
-	if m.dirty[slot] {
+	queued := m.dirty[slot]
+	if queued {
 		var ws time.Time
-		if m.span != nil || (m.mx.on && m.pipe == nil) {
+		if m.span != nil {
 			ws = time.Now()
 		}
 		rec := m.takeRecord(victim, slot)
-		if m.pipe != nil {
-			if err := m.asyncWriteBack(victim, rec); err != nil {
-				return err
-			}
-			queued = true
-			if m.span != nil {
-				// Async: the span covers only the hand-off (waiting for
-				// the writer); the store write itself is the writer's
-				// pipe.write_back.
-				m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
-			}
-		} else {
-			if err := m.stall(func() error { return m.writeBack(victim, rec) }); err != nil {
-				return err
-			}
-			if m.mx.on || m.span != nil {
-				dur := time.Since(ws)
-				m.mx.evictWrite.Observe(dur.Seconds())
-				m.spanEvent("ooc.evict", victim, slot, ws, dur)
-			}
+		if err := m.queueWriteBack(victim, rec); err != nil {
+			return err
+		}
+		if m.span != nil {
+			// The span covers only the hand-off (waiting for the
+			// writer); the store write itself is the writer's
+			// pipe.write_back.
+			m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
 		}
 		m.stats.Writes++
 		m.stats.BytesWritten += int64(len(rec)) * 8
@@ -856,11 +829,11 @@ func (m *Manager) evict(victim, slot int) error {
 	return nil
 }
 
-// asyncWriteBack hands the victim's record, buffer and all, to the
+// queueWriteBack hands the victim's record, buffer and all, to the
 // writer, first taking queued writes back until it fits beside the rest
 // (their buffers go to the free list after the victim has left, see
 // releaseReturned).
-func (m *Manager) asyncWriteBack(victim int, rec []float64) error {
+func (m *Manager) queueWriteBack(victim int, rec []float64) error {
 	// Surface background write errors promptly rather than at the next
 	// barrier.
 	if err := m.pipe.err(); err != nil {
@@ -881,9 +854,6 @@ func (m *Manager) asyncWriteBack(victim int, rec []float64) error {
 
 // releaseReturned frees the buffers of the writes taken back.
 func (m *Manager) releaseReturned() {
-	if m.pipe == nil {
-		return
-	}
 	for _, b := range m.pipe.returned {
 		m.release(b)
 	}
@@ -892,13 +862,16 @@ func (m *Manager) releaseReturned() {
 }
 
 // Flush writes every modified resident vector to the store (used before
-// closing or when handing the store to another consumer). Under the async
-// pipeline it is a full barrier: every in-flight fetch is joined and
-// the write queue is drained first, so queued (older) write-backs land
-// before the resident (newest) data below.
+// closing or when handing the store to another consumer). It is a full
+// barrier: every in-flight fetch is joined and the write queue is
+// drained first, so queued (older) write-backs land before the resident
+// (newest) data below.
 func (m *Manager) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closing.Load() {
+		return ErrManagerClosing
+	}
 	defer m.noteHeld()
 	if err := m.drainPipeline(); err != nil {
 		return err
@@ -922,48 +895,39 @@ func (m *Manager) Flush() error {
 	return nil
 }
 
-// drainPipeline joins every in-flight fetch and waits for the write
-// queue to empty. A no-op for synchronous managers.
-func (m *Manager) drainPipeline() error {
-	if m.pipe == nil {
-		return nil
-	}
-	var first error
+// dropFailedStageIns joins every in-flight stage-in and drops the
+// vectors whose read failed (joinOrDrop). A prefetch is advisory, so
+// its error is not returned: a later demand access faults the vector in
+// again and surfaces the error if it persists.
+func (m *Manager) dropFailedStageIns() {
 	for s := range m.inflight {
-		if err := m.joinSlot(s); err != nil && first == nil {
-			first = err
-		}
+		_ = m.joinOrDrop(s, false)
 	}
-	if err := m.stall(m.pipe.barrier); err != nil && first == nil {
-		first = err
-	}
-	m.releaseReturned()
-	return first
 }
 
-// Close drains the asynchronous pipeline and stops its goroutines: all
-// queued write-backs reach the store (so the backing file is exactly
-// as a synchronous run would have left it) and in-flight fetches
-// complete. Resident vectors are NOT written back — call Flush first
-// to checkpoint them. After Close the manager keeps working, but
-// synchronously, and Resize is rejected from the first Close call
-// onwards. For synchronous managers Close only latches that flag.
+// drainPipeline joins every in-flight fetch and waits for the write
+// queue to empty, returning the writer's first error.
+func (m *Manager) drainPipeline() error {
+	m.dropFailedStageIns()
+	err := m.stall(m.pipe.barrier)
+	m.releaseReturned()
+	return err
+}
+
+// Close drains the pipeline and stops its goroutines: all queued
+// write-backs reach the store and in-flight fetches complete. Resident
+// vectors are NOT written back — call Flush first to checkpoint them.
+// From the first Close call onwards Vector, Prefetch, Flush and Resize
+// return ErrManagerClosing; the stats getters keep answering.
 func (m *Manager) Close() error {
 	m.closing.Store(true)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.pipe == nil {
-		return nil
+	err := m.drainPipeline()
+	if serr := m.stall(m.pipe.shutdown); err == nil {
+		err = serr
 	}
-	first := m.drainPipeline()
-	if err := m.stall(m.pipe.shutdown); err != nil && first == nil {
-		first = err
-	}
-	// Preserve the background counters past the pipeline's death.
-	m.pipeStats = m.pipelineStatsLocked()
-	m.pipe = nil
-	m.inflight = nil
-	return first
+	return err
 }
 
 // CheckInvariants validates the item/entry mapping and the pool's

@@ -22,6 +22,7 @@ func testManager(t *testing.T, n, vecLen, slots int, strat Strategy, readSkip bo
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { m.Close() })
 	return m
 }
 
@@ -153,7 +154,8 @@ func TestReadSkipping(t *testing.T) {
 // TestWriteBackDirtySkipsCleanEvictions pins the one write-back rule —
 // a vector reaches the store iff it was modified since it was faulted
 // in — on each of the three paths that can write one back: eviction,
-// Resize shrink and Flush, sync and async.
+// Resize shrink and Flush, with every access a demand access (sync) or
+// staged by a prefetch first (async).
 func TestWriteBackDirtySkipsCleanEvictions(t *testing.T) {
 	const n, vl = 10, 4
 	for _, async := range []bool{false, true} {
@@ -168,7 +170,7 @@ func TestWriteBackDirtySkipsCleanEvictions(t *testing.T) {
 				}
 				m, err := NewManager(Config{
 					NumVectors: n, VectorLen: vl, Slots: 4,
-					Strategy: NewLRU(n), Store: store, Async: async,
+					Strategy: NewLRU(n), Store: store,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -178,6 +180,11 @@ func TestWriteBackDirtySkipsCleanEvictions(t *testing.T) {
 				// modifies the vector, which is what makes it dirty.
 				get := func(vi int, intent bool) {
 					t.Helper()
+					if async {
+						if err := m.Prefetch(vi); err != nil {
+							t.Fatal(err)
+						}
+					}
 					v, err := m.Vector(vi, intent)
 					if err != nil {
 						t.Fatal(err)

@@ -1,10 +1,12 @@
 package ooc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"oocphylo/internal/record"
@@ -12,7 +14,7 @@ import (
 
 // modelOp is one call of a manager model sequence.
 type modelOp struct {
-	kind string // get, write, prefetch, resize, flush
+	kind string // get, write, prefetch, refuse, resize, flush
 	vi   int
 	n    int // the record length a write stamps; the slot count of a resize
 	pins []int
@@ -26,34 +28,62 @@ func (o modelOp) String() string {
 		return fmt.Sprintf("resize(%d)", o.n)
 	case "write":
 		return fmt.Sprintf("write(%d, len %d, pins %v)", o.vi, o.n, o.pins)
+	case "refuse":
+		return fmt.Sprintf("refuse(%d)", o.vi)
 	}
 	return fmt.Sprintf("%s(%d, pins %v)", o.kind, o.vi, o.pins)
 }
 
 // TestManagerModel runs seeded sequences of demand reads, writes and
-// prefetches with pins, resizes and flushes, against a model of what
-// each vector holds. Every write stamps a drawn record length, full
-// width included. After every call: a read returns the last write's
-// record at its length, a vector pinned while resident is still
-// resident and its slice unmoved, and the pool holds no more than its
-// budget. Sync and async, over a MemStore, every read checked against
-// the manager's table. A failure prints the seed and the shortest
-// prefix of the sequence that fails.
+// prefetches with pins, resizes, flushes and refused reads, against a
+// model of what each vector holds. Every write stamps a drawn record
+// length, full width included; a refusal makes the next store read of
+// its vector fail transiently. After every call: a read returns the
+// last write's record at its length, or — once per refusal, on the
+// refused vector — a *VectorReadError; a prefetch, a write, a resize or
+// a flush returns no error (a refused stage-in is advisory and is
+// dropped); a vector pinned while resident is still resident and its
+// slice unmoved; and the pool holds no more than its budget. Over a
+// MemStore, every read checked against the manager's table. A failure
+// prints the seed and the shortest prefix of the sequence that fails.
 func TestManagerModel(t *testing.T) {
-	const n, vecLen, seqs, steps = 14, 24, 40, 300
-	for _, async := range []bool{false, true} {
-		for seed := int64(1); seed <= seqs; seed++ {
-			ops := modelOps(seed, n, vecLen, steps)
-			at, err := runModel(ops, n, vecLen, async)
-			if err != nil {
-				var b strings.Builder
-				for i, o := range ops[:at+1] {
-					fmt.Fprintf(&b, "\n  %3d %v", i, o)
-				}
-				t.Fatalf("async=%v seed %d: op %d: %v\nshortest failing prefix:%s", async, seed, at, err, b.String())
+	const n, vecLen, seqs, steps = 14, 24, 80, 300
+	for seed := int64(1); seed <= seqs; seed++ {
+		ops := modelOps(seed, n, vecLen, steps)
+		at, err := runModel(ops, n, vecLen)
+		if err != nil {
+			var b strings.Builder
+			for i, o := range ops[:at+1] {
+				fmt.Fprintf(&b, "\n  %3d %v", i, o)
 			}
+			t.Fatalf("seed %d: op %d: %v\nshortest failing prefix:%s", seed, at, err, b.String())
 		}
 	}
+}
+
+// refusingStore fails the next read of each vector refuse armed with a
+// transient error, whichever goroutine issues it.
+type refusingStore struct {
+	Store
+	mu    sync.Mutex
+	armed map[int]bool
+}
+
+func (s *refusingStore) refuse(vi int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.armed[vi] = true
+}
+
+func (s *refusingStore) ReadVector(vi int, dst []float64) error {
+	s.mu.Lock()
+	refused := s.armed[vi]
+	delete(s.armed, vi)
+	s.mu.Unlock()
+	if refused {
+		return fmt.Errorf("read of vector %d refused: %w", vi, ErrTransientIO)
+	}
+	return s.Store.ReadVector(vi, dst)
 }
 
 // modelOps draws a sequence: pins are vector indices the run pins only
@@ -71,10 +101,13 @@ func modelOps(seed int64, n, vecLen, steps int) []modelOp {
 		}
 		switch r := rng.Intn(20); {
 		case r == 0:
-			o.kind = "flush"
+			// A flush names and pins no vector: its barrier may drop one.
+			o.kind, o.vi, o.pins = "flush", -1, nil
 		case r == 1:
 			// A resize names and pins no vector.
 			o.kind, o.n, o.vi, o.pins = "resize", MinSlots+rng.Intn(5), -1, nil
+		case r == 2:
+			o.kind, o.pins = "refuse", nil
 		case r < 5 && written[o.vi]:
 			o.kind = "prefetch"
 		case r < 12 && written[o.vi]:
@@ -93,16 +126,19 @@ func modelOps(seed int64, n, vecLen, steps int) []modelOp {
 
 // runModel replays ops on a fresh manager and returns the index of the
 // first op after which the manager disagrees with the model.
-func runModel(ops []modelOp, n, vecLen int, async bool) (int, error) {
+func runModel(ops []modelOp, n, vecLen int) (int, error) {
+	store := &refusingStore{Store: NewMemStore(n, vecLen), armed: map[int]bool{}}
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vecLen, Slots: 5, Strategy: NewLRU(n),
-		ReadSkipping: true, Store: NewMemStore(n, vecLen), Async: async,
+		ReadSkipping: true, Store: store,
 	})
 	if err != nil {
 		return 0, err
 	}
 	defer m.Close()
 	gen, length := make([]int, n), make([]int, n)
+	// mayFail marks the vectors a refusal may still fail a read of.
+	mayFail := make([]bool, n)
 	val := func(vi, i int) float64 { return float64(vi*100000 + gen[vi]*100 + i) }
 	// live holds the slices still in their lifetime: a later call that
 	// neither names nor pins a vector ends its slice's.
@@ -137,9 +173,18 @@ func runModel(ops []modelOp, n, vecLen int, async bool) (int, error) {
 			err = m.Resize(o.n)
 		case "prefetch":
 			err = m.Prefetch(o.vi, pins...)
+		case "refuse":
+			store.refuse(o.vi)
+			mayFail[o.vi] = true
 		case "get":
 			var v []float64
-			if v, err = m.Vector(o.vi, false, pins...); err == nil {
+			v, err = m.Vector(o.vi, false, pins...)
+			var re *VectorReadError
+			if errors.As(err, &re) && re.Vi == o.vi && IsTransient(err) && mayFail[o.vi] {
+				mayFail[o.vi], err = false, nil
+				break
+			}
+			if err == nil {
 				if len(v) != length[o.vi] {
 					err = fmt.Errorf("read %d floats of a %d-float record", len(v), length[o.vi])
 				} else {

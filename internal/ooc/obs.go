@@ -1,6 +1,6 @@
 package ooc
 
-// Observability wiring for the out-of-core manager and its async
+// Observability wiring for the out-of-core manager and its I/O
 // pipeline. Instrument attaches registry instruments; an
 // uninstrumented manager holds nil instruments, so every obs call on
 // the hot path degrades to a nil-check no-op and no clock is read.
@@ -10,9 +10,9 @@ package ooc
 //
 // Two kinds of signals are exported:
 //
-//   - Native: quantities only observable in the act — fault-in /
-//     eviction / background-I/O latencies (histograms) and live queue
-//     depth (gauge).
+//   - Native: quantities only observable in the act — fault-in and
+//     background-I/O latencies (histograms) and live queue depth
+//     (gauge).
 //   - Mirrored: the Stats/PrefetchStats/PipelineStats counters the
 //     manager maintains anyway. A registry publisher copies them into
 //     counters on every snapshot, so they are live on the debug
@@ -41,9 +41,6 @@ type managerObs struct {
 	// faultIn observes the full demand-miss path: slot selection,
 	// eviction and the store read (or its skip).
 	faultIn *obs.Histogram
-	// evictWrite observes synchronous eviction write-backs (the async
-	// pipeline's write latency lands in pipe.write_back_seconds).
-	evictWrite *obs.Histogram
 	// evictions counts evictions under the configured strategy (the
 	// instrument name carries the strategy, e.g. "ooc.evictions_lru").
 	evictions *obs.Counter
@@ -61,19 +58,16 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 		return
 	}
 	m.mx = managerObs{
-		on:         true,
-		faultIn:    reg.Histogram("ooc.fault_in_seconds", nil),
-		evictWrite: reg.Histogram("ooc.evict_write_seconds", nil),
-		evictions:  reg.Counter("ooc.evictions_" + strings.ToLower(m.cfg.Strategy.Name())),
-		slots:      reg.Gauge("ooc.slots"),
+		on:        true,
+		faultIn:   reg.Histogram("ooc.fault_in_seconds", nil),
+		evictions: reg.Counter("ooc.evictions_" + strings.ToLower(m.cfg.Strategy.Name())),
+		slots:     reg.Gauge("ooc.slots"),
 	}
 	m.mx.slots.Set(int64(m.nslots))
 	reg.SetInfo("ooc.strategy", m.cfg.Strategy.Name())
 	reg.SetInfo("ooc.geometry", fmt.Sprintf("%d slots / %d vectors x %d doubles",
 		m.nslots, m.cfg.NumVectors, m.cfg.VectorLen))
-	if m.pipe != nil {
-		m.pipe.instrument(reg)
-	}
+	m.pipe.instrument(reg)
 	m.addStatsPublisher(reg)
 }
 

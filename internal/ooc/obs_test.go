@@ -8,15 +8,14 @@ import (
 	"oocphylo/internal/obs"
 )
 
-// asyncObsManager builds an instrumented async manager over a MemStore,
+// obsManager builds an instrumented manager over a MemStore,
 // traced under a root span whose collector it returns.
-func asyncObsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registry, *obs.SpanCollector) {
+func obsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registry, *obs.SpanCollector) {
 	t.Helper()
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vecLen, Slots: slots,
 		Strategy: NewLRU(n), ReadSkipping: true,
 		Store: NewMemStore(n, vecLen),
-		Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +33,7 @@ func asyncObsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registr
 // mutex, this was a data race on the counter structs (run with -race).
 func TestStatsConcurrentSnapshot(t *testing.T) {
 	const n, vecLen, slots = 32, 64, 4
-	m, reg, _ := asyncObsManager(t, n, vecLen, slots)
+	m, reg, _ := obsManager(t, n, vecLen, slots)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -89,7 +88,7 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 // (fault-in histogram) and the attached span saw the workload.
 func TestInstrumentMirrorsCounters(t *testing.T) {
 	const n, vecLen, slots = 16, 32, 4
-	m, reg, col := asyncObsManager(t, n, vecLen, slots)
+	m, reg, col := obsManager(t, n, vecLen, slots)
 	root := m.span
 	for vi := 0; vi < n; vi++ {
 		if _, err := m.Vector(vi, false); err != nil {

@@ -1,16 +1,16 @@
 package ooc
 
-// The asynchronous I/O pipeline — the paper's §5 future work ("we will
-// assess if pre-fetching can be deployed by means of a prefetch
-// thread") made real. The synchronous manager interleaves compute and
-// I/O on one thread: every demand miss blocks on Store.ReadVector and
-// every eviction blocks on Store.WriteVector. The pipeline moves both
-// off the compute thread:
+// The I/O pipeline — the paper's §5 future work ("we will assess if
+// pre-fetching can be deployed by means of a prefetch thread") made
+// real. The paper's manager interleaves compute and I/O on one thread:
+// every demand miss blocks on Store.ReadVector and every eviction
+// blocks on Store.WriteVector. The pipeline moves both off the compute
+// thread; demand reads and Flush's writes of residents stay on it:
 //
 //   - Prefetch stage-ins are executed by a pool of fetch worker
 //     goroutines fed from a bounded queue. The slot is mapped (and the
-//     replacement strategy updated) synchronously, so all *decisions*
-//     are identical to the synchronous manager; only the byte transfer
+//     replacement strategy updated) on the compute thread, so every
+//     *decision* is made there in call order; only the byte transfer
 //     overlaps compute. A demand access that arrives before the fetch
 //     completes joins the in-flight read instead of re-issuing it.
 //   - Evictions hand the victim's record — its own buffer, which the
@@ -21,9 +21,9 @@ package ooc
 //
 // Correctness bar: the pipeline may change WHEN I/O happens, never
 // WHAT is computed. All slot mapping, eviction choices, strategy
-// bookkeeping and Stats counters run on the compute goroutine in the
-// exact order of the synchronous manager, so log-likelihoods are
-// bit-identical and miss accounting is unchanged. Consistency rules:
+// bookkeeping and Stats counters run on the compute goroutine, so
+// log-likelihoods and miss accounting do not depend on the workers'
+// timing. Consistency rules:
 //
 //   - Read-after-write: a read of a vector whose write-back buffer the
 //     compute thread has not taken back is served from that buffer
@@ -39,17 +39,12 @@ package ooc
 //   - Fetch-evict: evicting a slot whose stage-in is in flight first
 //     joins the fetch, so a buffer is never written back (or reused)
 //     while a worker is still filling it.
-//   - Flush/Close barrier: Flush joins every in-flight fetch and
-//     drains the write queue before writing residents, so the store
-//     ends in exactly the state a synchronous run would leave.
+//   - Flush/Close barrier: Flush joins every in-flight fetch, dropping
+//     the vectors whose read failed, and drains the write queue before
+//     writing residents, so older write-backs land before newer ones.
 //
 // The Manager remains single-caller: the pipeline adds goroutines
 // *inside* the manager, not concurrency on its API.
-//
-// Every out-of-core run the product opens (analysis.Open: the CLI and
-// each daemon session) is pipelined. The synchronous manager stays as
-// the tests' reference and as the manager of the paper-faithful
-// experiment arms, whose store counters must repeat in a fixed order.
 
 import (
 	"context"
@@ -61,12 +56,13 @@ import (
 	"oocphylo/internal/obs"
 )
 
-// PipelineStats counts the asynchronous pipeline's activity. All
+// PipelineStats counts the pipeline's activity. All
 // quantities are maintained on the compute thread or read atomically;
 // read them via Manager.PipelineStats after the workload (they are a
 // snapshot, not synchronized with in-flight work).
 type PipelineStats struct {
-	// Enabled reports whether the manager ran with the async pipeline.
+	// Enabled is always true: every manager is pipelined. It stays for
+	// callers that still read it, the benchmark harness among them.
 	Enabled bool
 	// FetchesQueued and WritesQueued count background operations
 	// handed to the workers.
@@ -77,15 +73,13 @@ type PipelineStats struct {
 	// WriteQueueHits counts reads served from a pending write-back
 	// buffer (the read-after-write consistency path).
 	WriteQueueHits int64
-	// OverlappedBytes totals the bytes moved by background goroutines —
-	// I/O that a synchronous manager would have charged to the compute
-	// thread.
+	// OverlappedBytes totals the bytes moved by background goroutines
+	// rather than on the compute thread.
 	OverlappedBytes int64
 	// StallTime is the total time the compute thread spent blocked on
-	// I/O: synchronous store calls on the demand path, waits for
-	// in-flight fetches (JoinWait), waits for queued write-backs to land
-	// (BufferWait) and Flush/Close barriers. The synchronous manager
-	// fills this too, so sync-vs-async stall is directly comparable.
+	// I/O: store calls on the demand path, waits for in-flight fetches
+	// (JoinWait), waits for queued write-backs to land (BufferWait) and
+	// Flush/Close barriers.
 	StallTime time.Duration
 	// JoinWait is the portion of StallTime spent joining fetches.
 	JoinWait time.Duration

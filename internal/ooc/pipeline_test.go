@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,32 @@ func (g *gateStore) WriteVector(vi int, src []float64) error {
 
 func (g *gateStore) Close() error { return g.inner.Close() }
 
+// lagStore delays every transfer: one vector in eight sleeps, the rest
+// yield the processor, so the fetch workers and the writer finish late
+// and out of order relative to the work the compute thread queued.
+type lagStore struct{ Store }
+
+// lagging wraps store in a lagStore.
+func lagging(store Store) Store { return lagStore{store} }
+
+func (s lagStore) lag(vi int) {
+	if vi%8 == 0 {
+		time.Sleep(20 * time.Microsecond)
+	} else {
+		runtime.Gosched()
+	}
+}
+
+func (s lagStore) ReadVector(vi int, dst []float64) error {
+	s.lag(vi)
+	return s.Store.ReadVector(vi, dst)
+}
+
+func (s lagStore) WriteVector(vi int, src []float64) error {
+	s.lag(vi)
+	return s.Store.WriteVector(vi, src)
+}
+
 // TestAsyncFlushBarrierAndReadAfterWrite drives the two consistency
 // rules the pipeline promises: a demand read of a vector whose
 // write-back is still queued is served from the queued buffer (never
@@ -46,7 +73,6 @@ func TestAsyncFlushBarrierAndReadAfterWrite(t *testing.T) {
 	m, err := NewManager(Config{
 		NumVectors: 4, VectorLen: vecLen, Slots: 3,
 		Strategy: NewLRU(4), Store: gate,
-		Async: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +179,7 @@ func TestAsyncBackgroundWriteErrorSurfaces(t *testing.T) {
 	fs := &failStore{Store: NewMemStore(4, vecLen), failWrites: true}
 	m, err := NewManager(Config{
 		NumVectors: 4, VectorLen: vecLen, Slots: 3,
-		Strategy: NewLRU(4), Store: fs, Async: true,
+		Strategy: NewLRU(4), Store: fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +203,7 @@ func TestAsyncFailedPrefetchUnmapsVector(t *testing.T) {
 	fs := &failStore{Store: NewMemStore(8, vecLen), failReads: true}
 	m, err := NewManager(Config{
 		NumVectors: 8, VectorLen: vecLen, Slots: 3,
-		Strategy: NewLRU(8), Store: fs, Async: true,
+		Strategy: NewLRU(8), Store: fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +225,8 @@ func TestAsyncFailedPrefetchUnmapsVector(t *testing.T) {
 
 // TestAsyncMatchesSyncRandomizedOps runs an identical randomised
 // operation sequence (reads, read-skipped writes, prefetches) against a
-// synchronous and an asynchronous manager and demands identical
+// manager over a store that answers at once (sync) and one over the
+// same store made to lag (async, see lagging), and demands identical
 // observable behaviour throughout: every read returns the shadow-model
 // contents, every counter matches, and the flushed stores agree. The wb
 // axis is whether the workload produces write-backs at all: wb=0 only
@@ -233,6 +260,7 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 					}
 				}
 				run := func(async bool) (*MemStore, Stats, PrefetchStats) {
+					var lag Store
 					store := NewMemStore(n, vecLen)
 					shadow := make([][]float64, n)
 					if wb == 0 {
@@ -246,10 +274,14 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 							}
 						}
 					}
+					lag = store
+					if async {
+						lag = lagging(store)
+					}
 					m, err := NewManager(Config{
 						NumVectors: n, VectorLen: vecLen, Slots: slots,
 						Strategy: newStrategy(), ReadSkipping: true,
-						Store: store, Async: async,
+						Store: lag,
 					})
 					if err != nil {
 						t.Fatal(err)

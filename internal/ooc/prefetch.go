@@ -6,12 +6,10 @@ import "time"
 // pre-fetching can be deployed by means of a prefetch thread"). The
 // traversal plan makes the next vector accesses perfectly predictable,
 // so the likelihood engine can ask the manager to stage the next
-// step's inputs while the current step computes. Synchronous managers
-// execute the stage-in on the calling goroutine (the counters then
-// separate blocking demand misses from prefetch-staged reads); with
-// Config.Async the stage-in is handed to a background fetch worker and
-// genuinely overlaps compute — the demand access joins the in-flight
-// read if it arrives before the fetch completes (see pipeline.go).
+// step's inputs while the current step computes. The stage-in is
+// handed to a background fetch worker and overlaps compute — the demand
+// access joins the in-flight read if it arrives before the fetch
+// completes (see pipeline.go).
 
 // PrefetchStats extends the manager counters with prefetch accounting.
 type PrefetchStats struct {
@@ -42,6 +40,9 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closing.Load() {
+		return ErrManagerClosing
+	}
 	defer m.noteHeld()
 	m.settleWide(vi, true, pinned)
 	m.pstats.Issued++
@@ -60,34 +61,22 @@ func (m *Manager) Prefetch(vi int, pinned ...int) error {
 	// the replacement policy so recency-aware strategies do not pick
 	// the staged vector as the very next victim.
 	m.cfg.Strategy.Touch(vi)
-	// A vector with a pending write-back is staged from that buffer here
-	// (demandRead), as a synchronous manager would read it.
-	if m.pipe == nil || m.pipe.pending[vi] != nil {
-		var ps time.Time
-		if m.span != nil {
-			ps = time.Now()
-		}
-		if err := m.stall(func() error { return m.demandRead(vi, buf) }); err != nil {
-			m.release(buf)
-			return err
-		}
-		// Ledger the read only once it has actually succeeded: a failed
-		// stage-in must not leave Reads/BytesRead overcounting. The
-		// async path mirrors this by accounting at join time (joinSlot).
+	start := time.Now()
+	// A vector with a pending write-back is staged from that buffer on
+	// the compute thread, and the read is ledgered at once; a background
+	// fetch is ledgered when it is joined (joinSlot).
+	if m.pipe.readPending(vi, buf) {
 		m.pstats.Reads++
 		m.stats.BytesRead += int64(len(buf)) * 8
 		slot := m.place(vi, buf)
 		m.prefetched[slot] = true
-		if m.span != nil {
-			m.spanEvent("ooc.prefetch", vi, slot, ps, time.Since(ps))
-		}
+		m.spanEvent("ooc.prefetch", vi, slot, start, time.Since(start))
 		return nil
 	}
 	// Queue the read to a background worker; the wait below is felt
 	// only when the bounded fetch queue is full. If the manager's
 	// context is cancelled during that wait the prefetch is simply
 	// skipped — the buffer goes back and nothing is mapped.
-	start := time.Now()
 	req, err := m.pipe.enqueueFetch(m.ctx, vi, buf, m.table[vi], m.span)
 	wait := time.Since(start)
 	m.pipeStats.StallTime += wait

@@ -60,7 +60,8 @@ func (r *recStore) WriteVector(vi int, src []float64) error {
 
 // TestPrefixRecords runs vectors whose slots carry records of varying
 // length (and full vectors with no marker) through a manager over a
-// FileStore, sync and async, along every path a record travels:
+// FileStore, with the writer free to land (sync) or held while a queued
+// write-back is read (async), along every path a record travels:
 // eviction and demand read, a joined prefetch, a read served from a
 // queued write-back, a Resize shrink and Flush. Every record reads back
 // bit-exact at its own length (and passes the manager's checksum), each
@@ -78,7 +79,7 @@ func TestPrefixRecords(t *testing.T) {
 			rec := &recStore{Store: file, vecLen: vecLen}
 			m, err := NewManager(Config{
 				NumVectors: n, VectorLen: vecLen, Slots: slots, Strategy: NewLRU(n),
-				ReadSkipping: true, Store: rec, Async: async,
+				ReadSkipping: true, Store: rec,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -139,7 +140,7 @@ func TestPrefixRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			read("joined prefetch", 0)
-			if ps := m.PipelineStats(); async && ps.JoinedFetches == 0 {
+			if ps := m.PipelineStats(); ps.JoinedFetches == 0 {
 				t.Errorf("the prefetch was never joined: %+v", ps)
 			}
 
@@ -178,10 +179,10 @@ func TestPrefixRecords(t *testing.T) {
 			}
 			pushOut()
 			read("read-through", 5)
+			if ps := m.PipelineStats(); ps.WriteQueueHits == 0 {
+				t.Errorf("vector 5 was not read from the write queue: %+v", ps)
+			}
 			if async {
-				if ps := m.PipelineStats(); ps.WriteQueueHits == 0 {
-					t.Errorf("vector 5 was not read from the write queue: %+v", ps)
-				}
 				rec.release()
 			}
 			// Rewritten and flushed past the queue, then pushed out clean:

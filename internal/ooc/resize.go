@@ -12,8 +12,8 @@ package ooc
 //     ledgers and strategy state all behave exactly as if the evicted
 //     vectors had lost a normal replacement decision — until the
 //     residents fit, then drops free buffers until the free list fits
-//     too. In-flight async stage-ins are drained first so no worker is
-//     left filling a buffer the pool gives up.
+//     too. In-flight stage-ins are drained first so no worker is left
+//     filling a buffer the pool gives up.
 //   - Grow only raises the budget: buffers are allocated as vectors
 //     move in, so raising the ceiling is free until the space is used.
 //
@@ -26,9 +26,9 @@ import (
 	"fmt"
 )
 
-// ErrManagerClosing is returned by Resize once Close has been entered:
-// the pipeline is (being) torn down and the pool geometry is frozen.
-var ErrManagerClosing = errors.New("ooc: Resize rejected: Close in flight")
+// ErrManagerClosing is returned by Vector, Prefetch, Flush and Resize
+// once Close has been entered: the pipeline is (being) torn down.
+var ErrManagerClosing = errors.New("ooc: manager closed")
 
 // SlotBoundsError is the typed rejection for a slot count below the
 // manager's floor: m >= MinSlots whenever the vector count allows
@@ -76,7 +76,7 @@ func (m *Manager) ResizeStats() ResizeStats {
 // Values above NumVectors are capped (as at construction); values below
 // MinSlots are rejected with a *SlotBoundsError.
 //
-// Shrinking drains in-flight asynchronous stage-ins, settles the wide
+// Shrinking drains in-flight stage-ins, settles the wide
 // vectors, evicts the strategy's victims until the residents fit, then
 // trims the free list. Growing raises the budget. Must be
 // called from the single API goroutine (between operations, never
@@ -102,13 +102,8 @@ func (m *Manager) Resize(slots int) error {
 		m.rstats.Grows++
 	default:
 		// Drain in-flight stage-ins first: a worker must never be left
-		// filling a buffer the pool gives up. A failed stage-in leaves
-		// garbage, so the vector is dropped rather than kept.
-		if m.pipe != nil {
-			for s := range m.inflight {
-				_ = m.joinOrDrop(s, false)
-			}
-		}
+		// filling a buffer the pool gives up.
+		m.dropFailedStageIns()
 		m.settleWide(-1, false, nil)
 		for m.held > slots*m.cfg.VectorLen {
 			victim, slot, err := m.pickVictim(-1, nil)

@@ -128,13 +128,32 @@ func TestResizeShrinkRespectsPins(t *testing.T) {
 	}
 }
 
+// TestResizeRejectedAfterClose: once Close has drained the pipeline and
+// stopped its goroutines, every operation returns ErrManagerClosing and
+// the stats getters still answer.
 func TestResizeRejectedAfterClose(t *testing.T) {
 	m := testManager(t, 8, 4, 4, NewLRU(8), false)
+	if _, err := m.Vector(1, true); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Resize(6); !errors.Is(err, ErrManagerClosing) {
-		t.Fatalf("Resize after Close = %v, want ErrManagerClosing", err)
+	for name, op := range map[string]func() error{
+		"Vector":   func() error { _, err := m.Vector(2, false); return err },
+		"Prefetch": func() error { return m.Prefetch(3) },
+		"Flush":    m.Flush,
+		"Resize":   func() error { return m.Resize(6) },
+	} {
+		if err := op(); !errors.Is(err, ErrManagerClosing) {
+			t.Errorf("%s after Close = %v, want ErrManagerClosing", name, err)
+		}
+	}
+	if st := m.Stats(); st.Requests != 1 || st.Misses != 1 {
+		t.Errorf("Stats after Close = %+v, want the one request made before it", st)
+	}
+	if ps := m.PipelineStats(); !ps.Enabled {
+		t.Errorf("PipelineStats after Close = %+v", ps)
 	}
 }
 
@@ -150,7 +169,6 @@ func TestResizeWithAsyncPipeline(t *testing.T) {
 		Strategy:     NewLRU(n),
 		ReadSkipping: true,
 		Store:        NewMemStore(n, vl),
-		Async:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"time"
 	"unsafe"
 
 	"oocphylo/internal/iosim"
@@ -214,18 +213,11 @@ func (s *FileStore) Close() error { return s.f.Close() }
 
 // SimStore wraps a Store and charges every transfer to a simulated
 // device clock. It is how the benchmark harness prices out-of-core I/O
-// without moving real gigabytes. With Realtime > 0 each transfer also
-// sleeps Realtime × the device's transfer time, so wall-clock
-// experiments (BenchmarkAsyncPipeline) observe genuine compute/I/O
-// overlap instead of mere ledger entries.
+// without moving real gigabytes.
 type SimStore struct {
 	Inner  Store
 	Device iosim.Device
 	Clock  *iosim.Clock
-	// Realtime scales simulated transfer time into real sleeping:
-	// 0 (default) only charges the clock, 1 sleeps the full simulated
-	// duration, 0.1 a tenth of it.
-	Realtime float64
 }
 
 // NewSimStore wraps inner with accounting on clock for device dev.
@@ -233,12 +225,7 @@ func NewSimStore(inner Store, dev iosim.Device, clock *iosim.Clock) *SimStore {
 	return &SimStore{Inner: inner, Device: dev, Clock: clock}
 }
 
-func (s *SimStore) charge(bytes int64) {
-	s.Clock.Charge(s.Device, bytes)
-	if s.Realtime > 0 {
-		time.Sleep(time.Duration(s.Realtime * float64(s.Device.TransferTime(bytes))))
-	}
-}
+func (s *SimStore) charge(bytes int64) { s.Clock.Charge(s.Device, bytes) }
 
 // ReadVector implements Store.
 func (s *SimStore) ReadVector(vi int, dst []float64) error {

@@ -110,8 +110,9 @@ func TestTieredStoreFetchCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.MemOverheadBytes(), ts.MemOverheadBytes(); got != want {
-		t.Errorf("manager reports %d B overhead, want the tier's %d B: its checksum table is not charged to -L", got, want)
+	defer m.Close()
+	if got, want := m.MemOverheadBytes(), ts.MemOverheadBytes()+PipelineBytes(vecLen); got != want {
+		t.Errorf("manager reports %d B overhead, want the tier's %d B and the writer's: its checksum table is not charged to -L", got, want)
 	}
 }
 

@@ -233,17 +233,17 @@ func passesPairCap(e *Engine, edge *tree.Edge) bool {
 	return false
 }
 
-// asyncEngine builds an engine over a small async manager (f = 0.3,
+// oocEngine builds an engine over a small out-of-core manager (f = 0.3,
 // prefetching) above a MemStore. The manager checks every record it
 // reads against the checksum it recorded and counts each refusal, so a
 // test can require that none was.
-func asyncEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) (*Engine, *ooc.Manager) {
+func oocEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) (*Engine, *ooc.Manager) {
 	t.Helper()
 	cl := VectorLength(m, pats.NumPatterns())
 	n := tr.NumInner()
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: cl, Slots: ooc.SlotsForFraction(0.3, n),
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: ooc.NewMemStore(n, cl), Async: true,
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: ooc.NewMemStore(n, cl),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 			ref, sw := kernelPair(t, ds.Tree, ds.Patterns, ds.Model, KernelAuto)
 			var mgr *ooc.Manager
 			if tc.ooc {
-				sw, mgr = asyncEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model)
+				sw, mgr = oocEngine(t, ds.Tree.Clone(), ds.Patterns, ds.Model)
 			}
 			rng := rand.New(rand.NewSource(12))
 			mixed := false
@@ -386,9 +386,9 @@ func TestKernelDifferentialInvariant(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialOOC runs the specialised kernels over
-// synchronous and asynchronous out-of-core managers with multiple
-// workers (exercising the worker pool under -race) and requires the
+// TestKernelDifferentialOOC runs the specialised kernels over an
+// out-of-core manager, with and without the plan's reads staged ahead,
+// with multiple workers (exercising the worker pool under -race) and requires the
 // same bits the in-memory generic reference produces, per data type.
 func TestKernelDifferentialOOC(t *testing.T) {
 	cases := []struct {
@@ -432,16 +432,15 @@ func TestKernelDifferentialOOC(t *testing.T) {
 
 			vecLen := VectorLength(m, pats.NumPatterns())
 			n := tr.NumInner()
-			for _, async := range []bool{false, true} {
+			for _, stage := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("async=%v workers=%d", async, workers)
+					name := fmt.Sprintf("prefetch=%v workers=%d", stage, workers)
 					mgr, err := ooc.NewManager(ooc.Config{
 						NumVectors: n, VectorLen: vecLen,
 						Slots:        ooc.SlotsForFraction(0.4, n),
 						Strategy:     ooc.NewLRU(n),
 						ReadSkipping: true,
 						Store:        ooc.NewMemStore(n, vecLen),
-						Async:        async,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -450,7 +449,7 @@ func TestKernelDifferentialOOC(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e.EnablePrefetch(true)
+					e.EnablePrefetch(stage)
 					e.SetWorkers(workers)
 					lnl, opt, length := run(e)
 					e.Close()

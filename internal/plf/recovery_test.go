@@ -62,8 +62,13 @@ func newCorruptionRig(t *testing.T, taxa, sites, slots int, seed int64) *corrupt
 
 // corruptNonResident flips data in every vector that is written to the
 // store but not currently resident in RAM, returning how many it hit.
+// A Flush first lands the queued write-backs, so the writer goroutine
+// is idle while the store is edited behind the manager's back.
 func (r *corruptionRig) corruptNonResident(t *testing.T) int {
 	t.Helper()
+	if err := r.mgr.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	n := r.mgr.NumVectors()
 	buf := make([]float64, r.mgr.VectorLen())
 	hit := 0
@@ -297,7 +302,7 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 		store := &flakyStore{Store: ooc.NewMemStore(n, e.prov.VectorLen()), failOnce: map[int]bool{}}
 		mgr, err := ooc.NewManager(ooc.Config{
 			NumVectors: n, VectorLen: e.prov.VectorLen(), Slots: 4,
-			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store, Async: true,
+			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: store,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -342,7 +347,7 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 		defer ts.Close()
 		mgr, err := ooc.NewManager(ooc.Config{
 			NumVectors: n, VectorLen: vecLen, Slots: 4,
-			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: ts, Async: true,
+			Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: ts,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -408,7 +413,7 @@ func checkRotRecovered(t *testing.T, overRemote bool) {
 	defer st.Close()
 	mgr, err := ooc.NewManager(ooc.Config{
 		NumVectors: n, VectorLen: vecLen, Slots: 4,
-		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store, Async: true,
+		Strategy: ooc.NewLRU(n), ReadSkipping: true, Store: st.Store,
 	})
 	if err != nil {
 		t.Fatal(err)
