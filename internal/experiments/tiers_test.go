@@ -57,3 +57,26 @@ func TestTierAblationArms(t *testing.T) {
 	}
 	t.Logf("\n%s", sb.String())
 }
+
+// TestTierAblationAsyncPipeline is the differential arm of the suite:
+// every manager runs the async I/O pipeline, and over the tiered stack
+// it must stay bit-identical to the local FileStore baseline while
+// actually moving vectors through the store.
+func TestTierAblationAsyncPipeline(t *testing.T) {
+	rows, err := tierRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rows[0]
+	if base.Arm != "local" {
+		t.Fatalf("first row is %q, want the local baseline", base.Arm)
+	}
+	for _, r := range rows {
+		if r.LnL != base.LnL {
+			t.Errorf("%s arm diverged: %.10f != %.10f", r.Arm, r.LnL, base.LnL)
+		}
+		if r.Manager.Misses == 0 || r.Manager.Writes == 0 {
+			t.Errorf("%s arm never swapped through the pipeline: %+v", r.Arm, r.Manager)
+		}
+	}
+}
