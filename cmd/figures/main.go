@@ -17,7 +17,7 @@
 //	            write-back cache, per injected RTT; bit-identical lnL
 //	            (not in the paper)
 //	-fig timeline  Chrome trace of a fully instrumented run (compute +
-//	               I/O worker lanes); explicit only — it writes the
+//	               writer lanes); explicit only — it writes the
 //	               trace JSON to -trace-out, not stdout
 //	-fig all  everything except timeline (default)
 //

@@ -2,11 +2,10 @@
 // alignment (relaxed PHYLIP or FASTA) and runs a Maximum-Likelihood
 // analysis whose ancestral probability vectors live either fully in RAM
 // (the standard implementation) or behind the out-of-core manager with
-// a hard memory limit — the paper's -L flag. An out-of-core run moves
-// its vector I/O onto background goroutines, staging the traversal
-// plan's next reads one step ahead (the paper's §5 prefetch thread);
-// -L pays for the records the writer may hold before it buys slots
-// (their bytes hold records, not widths), and the answer is
+// a hard memory limit — the paper's -L flag. An out-of-core run reads
+// each vector on demand and hands its write-backs to one background
+// writer; -L pays for the records the writer may hold before it buys
+// slots (their bytes hold records, not widths), and the answer is
 // bit-identical to the in-RAM run's.
 //
 // Modes (-f, following the paper's modified RAxML):
@@ -42,14 +41,14 @@
 //	oocraxml -s data.phy -f z -k 100 -L 50000000 -http 127.0.0.1:8080 -stats
 //	curl localhost:8080/debug/vars    # JSON metrics snapshot
 //	curl localhost:8080/debug/report  # the same report -stats prints
-//	curl localhost:8080/debug/trace   # Chrome trace: compute and I/O worker lanes
+//	curl localhost:8080/debug/trace   # Chrome trace: compute and writer lanes
 //
-// The trace is the run's spans under one run-long root span: fault-ins,
-// evictions, prefetches and join-waits on the compute lane, pipe.fetch
-// and pipe.write_back on one lane per I/O worker, per-traversal
-// plf.newviews/plf.evaluate, sum tables, recovery markers, search
-// rounds and — over -store remote:// — tier.remote_get/put. Past the
-// collector's per-trace cap the oldest spans are overwritten.
+// The trace is the run's spans under one run-long root span: fault-ins
+// and evictions on the compute lane, pipe.write_back on the writer's
+// lane, per-traversal plf.newviews/plf.evaluate, sum tables, recovery
+// markers, search rounds and — over -store remote:// —
+// tier.remote_get/put. Past the collector's per-trace cap the oldest
+// spans are overwritten.
 package main
 
 import (

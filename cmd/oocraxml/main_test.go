@@ -360,7 +360,7 @@ func TestReportFlagConsolidated(t *testing.T) {
 	for _, want := range []string{
 		"Engine:", "Kernels:", "Out-of-core:",
 		"[likelihood engine]", "[out-of-core manager]", "[async I/O pipeline]",
-		"fault_in_seconds", "fetches_queued",
+		"fault_in_seconds", "writes_queued",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -393,11 +393,10 @@ func TestHTTPFlag(t *testing.T) {
 // out-of-core run is in flight: the server comes up before the alignment
 // loads, so polling from a second goroutine observes it as long as the
 // workload runs for a few milliseconds. The trace must show the run's
-// fault-ins on the compute row and background fetches on a worker's
-// row. If the run wins the race anyway the test skips — the mux
+// fault-ins on the compute row and write-backs on the writer's row. If the run wins the race anyway the test skips — the mux
 // round-trips are covered deterministically in internal/obs.
 func TestHTTPEndpointLive(t *testing.T) {
-	// Large enough that traversals stage reads through the fetch workers.
+	// Large enough that traversals evict dirty vectors to the writer.
 	phy, nwk, memLimit := soakDataset(t, t.TempDir(), 24, 64)
 	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
@@ -447,7 +446,7 @@ func TestHTTPEndpointLive(t *testing.T) {
 						spanRows[name] = append(spanRows[name], tid)
 					}
 				}
-				if len(spanRows["ooc.fault_in"]) > 0 && len(spanRows["pipe.fetch"]) > 0 {
+				if len(spanRows["ooc.fault_in"]) > 0 && len(spanRows["pipe.write_back"]) > 0 {
 					break
 				}
 			}
@@ -471,17 +470,17 @@ func TestHTTPEndpointLive(t *testing.T) {
 	if _, ok := doc["counters"]; !ok {
 		t.Errorf("/debug/vars missing counters: %s", vars)
 	}
-	if len(spanRows["ooc.fault_in"]) == 0 || len(spanRows["pipe.fetch"]) == 0 {
-		t.Fatalf("/debug/trace lacks ooc.fault_in or pipe.fetch spans: %v", rows)
+	if len(spanRows["ooc.fault_in"]) == 0 || len(spanRows["pipe.write_back"]) == 0 {
+		t.Fatalf("/debug/trace lacks ooc.fault_in or pipe.write_back spans: %v", rows)
 	}
 	for _, tid := range spanRows["ooc.fault_in"] {
 		if strings.Contains(rows[tid], " lane ") {
 			t.Errorf("ooc.fault_in drawn on %q, want the compute row", rows[tid])
 		}
 	}
-	for _, tid := range spanRows["pipe.fetch"] {
+	for _, tid := range spanRows["pipe.write_back"] {
 		if !strings.Contains(rows[tid], " lane ") {
-			t.Errorf("pipe.fetch drawn on %q, want an I/O worker's row", rows[tid])
+			t.Errorf("pipe.write_back drawn on %q, want the writer's row", rows[tid])
 		}
 	}
 	if err := <-done; err != nil {

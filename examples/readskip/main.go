@@ -5,11 +5,6 @@
 // access is a write: nearly all reads vanish) and for a branch-smoothing
 // workload (a mix of reads and writes, where the paper reports >50% of
 // reads eliminated).
-//
-// A final section re-runs the traversal workload with plan-driven
-// prefetch (paper §5 future work): the manager's fetch workers stage
-// the next step's reads in the background, and the likelihood is
-// untouched.
 package main
 
 import (
@@ -22,7 +17,7 @@ import (
 	"oocphylo/internal/sim"
 )
 
-func run(skip, prefetch bool, workload string) (ooc.Stats, ooc.PrefetchStats, ooc.PipelineStats, float64) {
+func run(skip bool, workload string) (ooc.Stats, float64) {
 	dataset, err := sim.NewDataset(sim.Config{Taxa: 64, Sites: 400, GammaAlpha: 0.9, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
@@ -50,7 +45,6 @@ func run(skip, prefetch bool, workload string) (ooc.Stats, ooc.PrefetchStats, oo
 	if err := engine.SetKernel(plf.KernelGeneric); err != nil {
 		log.Fatal(err)
 	}
-	engine.EnablePrefetch(prefetch)
 	var lnl float64
 	switch workload {
 	case "traversals":
@@ -70,13 +64,13 @@ func run(skip, prefetch bool, workload string) (ooc.Stats, ooc.PrefetchStats, oo
 	if err := manager.Close(); err != nil {
 		log.Fatal(err)
 	}
-	return manager.Stats(), manager.PrefetchStats(), manager.PipelineStats(), lnl
+	return manager.Stats(), lnl
 }
 
 func main() {
 	for _, workload := range []string{"traversals", "smoothing"} {
-		plain, _, _, lnlA := run(false, false, workload)
-		skipped, _, _, lnlB := run(true, false, workload)
+		plain, lnlA := run(false, workload)
+		skipped, lnlB := run(true, workload)
 		if lnlA != lnlB {
 			log.Fatalf("%s: read skipping changed the likelihood (%v vs %v)!", workload, lnlA, lnlB)
 		}
@@ -90,17 +84,4 @@ func main() {
 		fmt.Printf("             reads eliminated: %d of %d (%.1f%%), lnL unchanged (%.2f)\n\n",
 			saved, plain.Reads, 100*float64(saved)/float64(plain.Reads), lnlA)
 	}
-
-	// Prefetch: the same traversal workload with the plan's next reads
-	// staged by the manager's fetch workers. Only when the bytes move
-	// changes, so the likelihood must not move at all.
-	_, _, _, lnlDemand := run(true, false, "traversals")
-	staged, pf, pipe, lnlStaged := run(true, true, "traversals")
-	if lnlDemand != lnlStaged {
-		log.Fatalf("prefetch changed the likelihood (%v vs %v)!", lnlDemand, lnlStaged)
-	}
-	fmt.Printf("prefetch     %d stage-ins issued, %d read by background fetches, %d demand misses left\n",
-		pf.Issued, pipe.FetchesQueued, staged.Misses)
-	fmt.Printf("             %d write-backs on the writer goroutine, lnL unchanged (%.2f)\n",
-		pipe.WritesQueued, lnlStaged)
 }

@@ -121,7 +121,6 @@ func Open(ctx context.Context, spec Spec, opts Options, in *Inputs, sz Sizing, g
 	}
 	r.Engine.Instrument(opts.Registry)
 	r.Engine.SetWorkers(spec.Workers)
-	r.Engine.EnablePrefetch(true)
 	return r, nil
 }
 

@@ -13,9 +13,9 @@
 // live here once: bytes → slots (ooc.SlotsForBytes, store overhead
 // charged), the replacement strategy is built before the fits-in-RAM
 // decision so a mistyped name always fails, the kernel is chosen before
-// the engine is instrumented, an out-of-core run is pipelined with
-// one-step prefetch and its spare write buffers are charged before the
-// slots, and Close tears down engine → manager → store stack.
+// the engine is instrumented, an out-of-core run reads on demand and
+// writes back from one writer goroutine whose spare buffers are charged
+// before the slots, and Close tears down engine → manager → store stack.
 package analysis
 
 import (

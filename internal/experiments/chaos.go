@@ -120,9 +120,9 @@ func RunChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	// The tier retries on its callers' goroutines, several at once
-	// (the pipeline's I/O workers), so the seeded jitter source is
-	// locked.
+	// The tier retries on its callers' goroutines, two at once (the
+	// compute thread's reads and the writer's write-backs), so the
+	// seeded jitter source is locked.
 	var jitterMu sync.Mutex
 	jitterSrc := rand.New(rand.NewSource(cfg.Workload.Seed + 7))
 	jitter := func() float64 {

@@ -61,9 +61,9 @@ type RecoveryRow struct {
 	LnL float64
 	// Faults is what the fault store actually injected.
 	Faults ooc.FaultStats
-	// CorruptReads and DroppedWritebacks are the faulted run's pipeline
-	// integrity counters.
-	CorruptReads, DroppedWritebacks int64
+	// CorruptReads is the faulted run's count of reads that failed the
+	// manager's check.
+	CorruptReads int64
 	// Recoveries is how many unreadable or corrupt vectors the engine
 	// recomputed.
 	Recoveries int64
@@ -73,13 +73,10 @@ type RecoveryRow struct {
 }
 
 // runRecoveryWorkload executes the edge-sweep workload once over
-// Manager → [FaultStore →] MemStore, staging the plan's next step as
-// the product does, and returns the closed run for its counters.
+// Manager → [FaultStore →] MemStore and returns the closed run for its
+// counters.
 func runRecoveryWorkload(cfg RecoveryConfig, w *workload, faults *ooc.FaultConfig) (lnl float64, r *analysis.Run, err error) {
-	r, err = w.run(arm{
-		Fraction: pagingFraction, Prefetch: true,
-		Stack: ooc.StackSpec{Base: w.memStore(), Fault: faults},
-	}, func(r *analysis.Run) (err error) {
+	r, err = w.run(arm{Fraction: pagingFraction, Stack: ooc.StackSpec{Base: w.memStore(), Fault: faults}}, func(r *analysis.Run) (err error) {
 		lnl, err = edgeSweepWorkload(r.Engine, cfg.Traversals)
 		return err
 	})
@@ -106,14 +103,12 @@ func RunRecoveryAblation(cfg RecoveryConfig) (RecoveryRow, error) {
 	if cleanLnL != lnl {
 		return RecoveryRow{}, fmt.Errorf("recovery changed the answer: clean lnL %v, faulted %v", cleanLnL, lnl)
 	}
-	pipe := faulted.Manager.PipelineStats()
 	return RecoveryRow{
-		LnL:               lnl,
-		Faults:            faulted.Stack.Fault.Stats(),
-		CorruptReads:      pipe.CorruptReads,
-		DroppedWritebacks: pipe.DroppedWritebacks,
-		Recoveries:        faulted.Engine.Stats.Recoveries,
-		ExtraNewviews:     faulted.Engine.Stats.Newviews - clean.Engine.Stats.Newviews,
+		LnL:           lnl,
+		Faults:        faulted.Stack.Fault.Stats(),
+		CorruptReads:  faulted.Manager.PipelineStats().CorruptReads,
+		Recoveries:    faulted.Engine.Stats.Recoveries,
+		ExtraNewviews: faulted.Engine.Stats.Newviews - clean.Engine.Stats.Newviews,
 	}, nil
 }
 
@@ -122,9 +117,9 @@ func WriteRecoveryTable(w io.Writer, r RecoveryRow, cfg RecoveryConfig) {
 	cfg.fill()
 	fmt.Fprintf(w, "Recovery ablation: %d full traversals, %d taxa × %d sites, f=%.2f\n",
 		cfg.Traversals, cfg.Taxa, cfg.Sites, pagingFraction)
-	fmt.Fprintf(w, "%5s %5s %5s %8s %8s %10s %8s %14s\n",
-		"eio-r", "torn", "flips", "corrupt", "dropped", "recovered", "+nv", "lnL")
-	fmt.Fprintf(w, "%5d %5d %5d %8d %8d %10d %8d %14.2f\n",
+	fmt.Fprintf(w, "%5s %5s %5s %8s %10s %8s %14s\n",
+		"eio-r", "torn", "flips", "corrupt", "recovered", "+nv", "lnL")
+	fmt.Fprintf(w, "%5d %5d %5d %8d %10d %8d %14.2f\n",
 		r.Faults.ReadErrs, r.Faults.TornWrites, r.Faults.BitFlips,
-		r.CorruptReads, r.DroppedWritebacks, r.Recoveries, r.ExtraNewviews, r.LnL)
+		r.CorruptReads, r.Recoveries, r.ExtraNewviews, r.LnL)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,11 +19,11 @@ import (
 func TestFaultRecoveryEquivalence(t *testing.T) {
 	for _, seed := range []int64{5, 23, 71} {
 		seed := seed
-		t.Run("seed"+string(rune('0'+seed%10)), func(t *testing.T) {
-			// PReadErr is high enough that every seed draws a read EIO:
-			// the arm holds f·n slots and reads little.
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			// PReadErr and three traversals are enough that every seed
+			// draws a read EIO: the arm holds f·n slots and reads little.
 			cfg := RecoveryConfig{
-				Taxa: 24, Sites: 64, Seed: seed, Traversals: 2,
+				Taxa: 24, Sites: 64, Seed: seed, Traversals: 3,
 				Faults: ooc.FaultConfig{
 					Seed:     seed * 131,
 					PReadErr: 0.20, MaxReadErrs: 6,
@@ -35,8 +36,8 @@ func TestFaultRecoveryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The acceptance criterion names all three fault kinds: a die
-			// depends on its vector's own calls, not on how the fetch
-			// workers interleave.
+			// depends on its vector's own calls, not on the writer's
+			// timing.
 			if r.Faults.ReadErrs == 0 {
 				t.Errorf("no read EIO injected: %+v", r.Faults)
 			}

@@ -22,10 +22,9 @@ func bits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
 
 // goldenTables lists every experiment at its test-scale configuration
 // with the columns that do not depend on the clock or on goroutine
-// scheduling: likelihood bit patterns and, where no staged read or
-// writer timing reaches them, the I/O counters. An arm whose I/O order
-// is scheduled (prefetch over a fault injector or a cache tier, the
-// chaos soak) contributes its lnL only.
+// scheduling: likelihood bit patterns and, for the paper's arms, the
+// I/O counters. The rest (recovery, tiers, chaos, timeline,
+// obs-overhead) contribute their lnL only.
 var goldenTables = []struct {
 	name string
 	rows func() ([]string, error)
@@ -62,8 +61,8 @@ var goldenTables = []struct {
 				PBitFlip: 0.25, MaxBitFlips: 4,
 			},
 		})
-		// "async=true" is the label the row was recorded under; its
-		// staged reads schedule the counters, so only the lnL is pinned.
+		// "async=true" is the label the row was recorded under; only
+		// the lnL is pinned.
 		return []string{fmt.Sprintf("async=true lnl=%s", bits(r.LnL))}, err
 	}},
 	{"resize", func() ([]string, error) {
@@ -207,17 +206,14 @@ func init() {
 			return
 		}
 		// The -L rule: the grant buys slots after the store's heap and
-		// the pipeline's spare buffers are charged; a paper arm's grant
-		// is its quota with those buffers on top (arm.Prefetch).
-		grant := sz.Quota
-		if !a.Prefetch {
-			grant += ooc.PipelineBytes(sz.VecLen)
-		}
+		// the pipeline's spare buffers are charged; an arm's grant is its
+		// quota with those buffers on top.
+		grant := sz.Quota + ooc.PipelineBytes(sz.VecLen)
 		if want := ooc.SlotsForBytes(grant, r.Manager.MemOverheadBytes(), sz.VecBytes, sz.NumVectors); r.Manager.Slots() != want {
 			fail("%d slots, -L %d buys %d", r.Manager.Slots(), grant, want)
 		}
 		for kind, is := range map[string]bool{
-			"prefetch": a.Prefetch, "paper": !a.Prefetch, "base": a.Stack.Base != nil, "file": a.Stack.Base == nil && a.Stack.URL == "",
+			"base": a.Stack.Base != nil, "file": a.Stack.Base == nil && a.Stack.URL == "",
 			"remote": r.Stack.Tier != nil, "faulted": r.Stack.Fault != nil,
 		} {
 			if is {
@@ -229,7 +225,7 @@ func init() {
 
 // TestArmsAreShippable walks every arm the experiments opened and holds
 // the run it got to what oocraxml builds from the equivalent flags (the
-// prefetch and store-medium rules are analysis.TestOpen's).
+// store-medium rules are analysis.TestOpen's).
 func TestArmsAreShippable(t *testing.T) {
 	if _, err := runGoldenTables(); err != nil {
 		t.Fatal(err)
@@ -239,7 +235,7 @@ func TestArmsAreShippable(t *testing.T) {
 	for _, v := range armLog.violations {
 		t.Error(v)
 	}
-	for _, kind := range []string{"ram", "base", "file", "remote", "faulted", "prefetch", "paper", "instrumented"} {
+	for _, kind := range []string{"ram", "base", "file", "remote", "faulted", "instrumented"} {
 		if armLog.kinds[kind] == 0 {
 			t.Errorf("no %s arm was opened; saw %v", kind, armLog.kinds)
 		}

@@ -82,7 +82,7 @@ type TierAblationRow struct {
 // search's dirty vectors are flushed.
 func runTierArm(w *workload, cfg SearchWorkloadConfig, stack ooc.StackSpec) (TierAblationRow, error) {
 	var row TierAblationRow
-	_, err := w.run(arm{Fraction: tierMemFraction, Prefetch: true, Stack: stack}, func(r *analysis.Run) (err error) {
+	_, err := w.run(arm{Fraction: tierMemFraction, Stack: stack}, func(r *analysis.Run) (err error) {
 		t0 := time.Now()
 		if row.LnL, err = searchWorkload(r.Engine, cfg); err != nil {
 			return err

@@ -12,13 +12,12 @@ import (
 )
 
 // Timeline figure — the observability layer's acceptance experiment. A
-// real out-of-core run (async pipeline, checked reads, optional
+// real out-of-core run (write-back pipeline, checked reads, optional
 // fault injection) executes fully instrumented under one run-long root
 // span, and the collected spans are exported as Chrome trace_event
-// JSON: the compute lane and the I/O worker lanes side by side show
-// prefetch overlap, join-wait residue, background write-backs and (when
-// faults are on) the recovery markers followed by their recompute
-// storms.
+// JSON: the compute lane and the writer's lane side by side show demand
+// fault-ins, background write-backs and (when faults are on) the
+// recovery markers followed by their recompute storms.
 
 // TimelineConfig describes the traced run.
 type TimelineConfig struct {
@@ -84,10 +83,7 @@ func RunTimeline(cfg TimelineConfig, traceW io.Writer) (TimelineResult, error) {
 	col := obs.NewSpanCollector(4)
 	root := col.StartTrace("timeline")
 	reg.SetInfo("run.workload", fmt.Sprintf("edge sweep, %d taxa, %d rounds", cfg.Taxa, cfg.Rounds))
-	r, err := w.run(arm{
-		Fraction: pagingFraction, Prefetch: true,
-		Stack: stack, Registry: reg,
-	}, func(r *analysis.Run) (err error) {
+	r, err := w.run(arm{Fraction: pagingFraction, Stack: stack, Registry: reg}, func(r *analysis.Run) (err error) {
 		r.SetSpan(root)
 		res.LnL, err = edgeSweepWorkload(r.Engine, cfg.Rounds)
 		return err
@@ -162,10 +158,7 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 		return res, err
 	}
 	run := func(obsArm int) (lnl float64, wall time.Duration, err error) {
-		a := arm{
-			Fraction: pagingFraction, Prefetch: true,
-			Stack: ooc.StackSpec{Base: w.memStore()},
-		}
+		a := arm{Fraction: pagingFraction, Stack: ooc.StackSpec{Base: w.memStore()}}
 		if obsArm >= obsArmOn {
 			a.Registry = obs.NewRegistry()
 		}

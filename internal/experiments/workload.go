@@ -69,13 +69,6 @@ type arm struct {
 	Workers int
 
 	NoReadSkipping bool
-	// Prefetch opens what the product runs: the traversal plan's next
-	// reads staged one step ahead, the writer's buffers paid from the
-	// quota. Without it an arm is one of the paper's: nothing is staged
-	// unless its body enables prefetch, and the quota buys its slots
-	// with the writer's buffers on top (PipelineBytes), so the pool is
-	// the paper's m and the store counters repeat in a fixed order.
-	Prefetch bool
 
 	// Stack is the store; Open supplies its geometry. The zero value is
 	// a temp file.
@@ -109,27 +102,24 @@ func (w *workload) open(a arm) (*analysis.Run, error) {
 			return nil, err
 		}
 	}
-	grant := sz.Quota
-	if !a.Prefetch {
-		grant += ooc.PipelineBytes(sz.VecLen)
-	}
+	// The quota buys the paper's m slots with the writer's buffers on
+	// top (PipelineBytes), so the store counters repeat in a fixed order.
 	r, err := analysis.Open(context.Background(), spec, analysis.Options{
 		NoReadSkipping: a.NoReadSkipping,
 		Stack:          a.Stack,
 		Registry:       a.Registry,
-	}, in, sz, grant)
+	}, in, sz, sz.Quota+ooc.PipelineBytes(sz.VecLen))
 	if err != nil {
 		return nil, err
 	}
-	r.Engine.EnablePrefetch(a.Prefetch)
 	if opened != nil {
 		opened(a, r)
 	}
 	return r, nil
 }
 
-// slotGrant is the grant that buys a paper arm's live pool exactly
-// slots vectors (see arm.Prefetch).
+// slotGrant is the grant that buys an arm's live pool exactly slots
+// vectors, as open's does.
 func slotGrant(r *analysis.Run, slots int) int64 {
 	return int64(slots)*r.Sizing.VecBytes + ooc.PipelineBytes(r.Sizing.VecLen)
 }

@@ -56,8 +56,8 @@ func (d Device) TransferTime(bytes int64) time.Duration {
 // Clock accumulates simulated time. It is the single ledger a workload
 // charges all modelled I/O against; compute time measured on the real
 // clock can be added by the harness to form a total elapsed estimate.
-// Charging is mutex-protected because the async pipeline's I/O workers
-// charge the same clock concurrently.
+// Charging is mutex-protected because the manager's writer goroutine
+// charges the same clock concurrently with the compute thread.
 type Clock struct {
 	mu      sync.Mutex
 	elapsed time.Duration

@@ -581,7 +581,8 @@ func (c *SpanCollector) Trace(id string) (TraceView, bool) {
 
 // LaneAttr is the span attribute naming the timeline row a span is
 // drawn on within its trace: the compute goroutine's spans carry none
-// (lane 0), a background I/O worker's carry its own lane number.
+// (lane 0), a background goroutine's (the manager's writer) carry its
+// own lane number.
 const LaneAttr = "lane"
 
 // WriteChromeTrace writes every collected span as Chrome trace_event

@@ -11,10 +11,9 @@ import (
 
 // TestWarmTraversalAllocs pins the out-of-core half of the hot path's
 // recycling contract (plf's TestHotPathAllocs is the engine's half): a
-// warm full traversal at f = 0.25 over a file, its reads staged by the
-// fetch workers (async) or all demand reads on the compute thread,
-// allocates nothing. The pipeline
-// recycles its fetch and write requests, and the pool recycles the
+// warm full traversal at f = 0.25 over a file that answers at once
+// (sync) or is made to lag (async, see lagging) allocates nothing. The
+// pipeline recycles its write requests, and the pool recycles the
 // buffers it gives up. Under the generic kernels every record is full
 // width, so the pool pages and every transfer kind runs.
 func TestWarmTraversalAllocs(t *testing.T) {
@@ -32,9 +31,13 @@ func TestWarmTraversalAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer file.Close()
+				var store Store = file
+				if async {
+					store = lagging(file)
+				}
 				m, err := NewManager(Config{
 					NumVectors: n, VectorLen: vecLen, Slots: SlotsForFraction(0.25, n),
-					Strategy: NewLRU(n), ReadSkipping: true, Store: file,
+					Strategy: NewLRU(n), ReadSkipping: true, Store: store,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -49,7 +52,6 @@ func TestWarmTraversalAllocs(t *testing.T) {
 				if err := e.SetKernel(kernel); err != nil {
 					t.Fatal(err)
 				}
-				e.EnablePrefetch(async)
 				traverse := func() {
 					if err := e.FullTraversal(tr.Edges[0]); err != nil {
 						t.Fatal(err)

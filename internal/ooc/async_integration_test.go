@@ -20,7 +20,7 @@ import (
 // edge, branch optimisation, full traversal) once, over a lagging store
 // when lag is set, and returns every observable: the likelihood trace
 // endpoint, optimised branch lengths, and all manager counters.
-func asyncCase(t *testing.T, strategyName string, f float64, readSkip, lag bool) (float64, []float64, ooc.Stats, ooc.PrefetchStats) {
+func asyncCase(t *testing.T, strategyName string, f float64, readSkip, lag bool) (float64, []float64, ooc.Stats) {
 	t.Helper()
 	const n, sites, seed = 24, 120, 99
 	tr, pats, mdl := buildCase(t, n, sites, seed)
@@ -44,18 +44,17 @@ func asyncCase(t *testing.T, strategyName string, f float64, readSkip, lag bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnablePrefetch(true)
 	lnl, lens := workload(t, e, tr)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return lnl, lens, mgr.Stats(), mgr.PrefetchStats()
+	return lnl, lens, mgr.Stats()
 }
 
 // TestAsyncEquivalenceAllStrategies is the pipeline's correctness bar:
 // for every replacement strategy × read-skipping combination, a lagging
 // store must leave the log-likelihood bit-identical and every
-// miss/read/write and prefetch counter unchanged.
+// miss/read/write counter unchanged.
 func TestAsyncEquivalenceAllStrategies(t *testing.T) {
 	for _, strategyName := range []string{"RAND", "LRU", "LFU", "Topological"} {
 		for _, readSkip := range []bool{false, true} {
@@ -64,8 +63,8 @@ func TestAsyncEquivalenceAllStrategies(t *testing.T) {
 				name += "/skip"
 			}
 			t.Run(name, func(t *testing.T) {
-				sLnL, sLens, sStats, sPf := asyncCase(t, strategyName, 0.25, readSkip, false)
-				aLnL, aLens, aStats, aPf := asyncCase(t, strategyName, 0.25, readSkip, true)
+				sLnL, sLens, sStats := asyncCase(t, strategyName, 0.25, readSkip, false)
+				aLnL, aLens, aStats := asyncCase(t, strategyName, 0.25, readSkip, true)
 				if sLnL != aLnL {
 					t.Errorf("likelihood diverged: sync %v, async %v", sLnL, aLnL)
 				}
@@ -76,9 +75,6 @@ func TestAsyncEquivalenceAllStrategies(t *testing.T) {
 				}
 				if sStats != aStats {
 					t.Errorf("manager counters diverged:\n sync %+v\nasync %+v", sStats, aStats)
-				}
-				if sPf != aPf {
-					t.Errorf("prefetch counters diverged:\n sync %+v\nasync %+v", sPf, aPf)
 				}
 			})
 		}
@@ -112,7 +108,6 @@ func sprTrace(t *testing.T, lag bool) (search.Result, ooc.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnablePrefetch(true)
 	res, err := search.New(e, search.Options{SPRRadius: 4, MaxRounds: 2}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +138,7 @@ func TestAsyncEquivalenceSPRSearch(t *testing.T) {
 }
 
 // TestAsyncPipelineOnRealFiles is the -race integration test of the
-// full pipeline (worker goroutines, write-back queue, joins) over an
+// full pipeline (the writer goroutine and its queue) over an
 // actual on-disk FileStore: a run whose file lags must match a run over
 // the bare file.
 func TestAsyncPipelineOnRealFiles(t *testing.T) {
@@ -174,7 +169,6 @@ func TestAsyncPipelineOnRealFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.EnablePrefetch(true)
 		lnl, lens := workload(t, e, tr)
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)

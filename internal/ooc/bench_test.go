@@ -123,22 +123,21 @@ func (s sleepStore) WriteVector(vi int, src []float64) error {
 }
 
 // BenchmarkAsyncPipeline prices the backing store like the Figure-5
-// device model (sleepStore) and
-// runs full tree traversals — the least-local access pattern — with
-// every read a demand read on the compute thread and with one-step
-// prefetch staging them on the fetch workers. The stall-ns/op metric is
-// the compute thread's measured I/O wait per traversal; staging's job
-// is to shrink it while leaving the likelihood untouched.
+// device model (sleepStore) and runs full tree traversals — the
+// least-local access pattern — with every read a demand read on the
+// compute thread and every eviction's write on the writer. The
+// stall-ns/op metric is the compute thread's measured I/O wait per
+// traversal: the demand reads and the waits for the writer.
 func BenchmarkAsyncPipeline(b *testing.B) {
 	// Per-step compute must be comparable to one vector transfer for
-	// overlap to be visible (compute grows with patterns×k², transfer
-	// with patterns×k).
+	// the writer's overlap to be visible (compute grows with
+	// patterns×k², transfer with patterns×k).
 	d, err := sim.NewDataset(sim.Config{Taxa: 128, Sites: 1024, GammaAlpha: 0.8, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
 	dev := iosim.Device{Name: "nvme", Latency: 150 * time.Microsecond, Bandwidth: 2e9}
-	bench := func(b *testing.B, stage bool) {
+	b.Run("demand", func(b *testing.B) {
 		tr := d.Tree.Clone()
 		n := tr.NumInner()
 		vecLen := plf.VectorLength(d.Model, d.Patterns.NumPatterns())
@@ -161,7 +160,6 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		if err := e.SetKernel(plf.KernelGeneric); err != nil {
 			b.Fatal(err)
 		}
-		e.EnablePrefetch(stage)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := e.FullTraversal(tr.Edges[0]); err != nil {
@@ -177,9 +175,7 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		if err := m.Close(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.Run("demand", func(b *testing.B) { bench(b, false) })
-	b.Run("prefetch", func(b *testing.B) { bench(b, true) })
+	})
 }
 
 func BenchmarkFileStoreRoundTrip(b *testing.B) {

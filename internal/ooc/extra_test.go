@@ -6,83 +6,6 @@ import (
 	"oocphylo/internal/iosim"
 )
 
-func TestPrefetchStagesAndCounts(t *testing.T) {
-	m := testManager(t, 10, 4, 4, NewLRU(10), true)
-	// Stage vector 7.
-	if err := m.Prefetch(7); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Resident(7) {
-		t.Fatal("prefetch did not stage the vector")
-	}
-	if ps := m.PrefetchStats(); ps.Issued != 1 {
-		t.Errorf("prefetch stats: %+v", ps)
-	}
-	// The demand access is a hit, joins the staged read (which is when
-	// it is counted) and credits the prefetch.
-	before := m.Stats().Misses
-	if _, err := m.Vector(7, false); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().Misses != before {
-		t.Error("prefetched access should not miss")
-	}
-	if ps := m.PrefetchStats(); ps.Reads != 1 || ps.Hits != 1 {
-		t.Errorf("prefetch read or hit not credited: %+v", ps)
-	}
-	// Prefetching a resident vector is a free no-op.
-	if err := m.Prefetch(7); err != nil {
-		t.Fatal(err)
-	}
-	if ps := m.PrefetchStats(); ps.Reads != 1 {
-		t.Errorf("resident prefetch must not read: %+v", ps)
-	}
-	// Out-of-range prefetch is advisory, never an error.
-	if err := m.Prefetch(99); err != nil {
-		t.Error("advisory prefetch must not fail on bad index")
-	}
-}
-
-func TestPrefetchWastedCounting(t *testing.T) {
-	m := testManager(t, 10, 4, 3, NewLRU(10), true)
-	if err := m.Prefetch(5); err != nil {
-		t.Fatal(err)
-	}
-	// Three demand faults push 5 out before it is ever used.
-	for vi := 0; vi < 3; vi++ {
-		if _, err := m.Vector(vi, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Resident(5) {
-		t.Fatal("vector 5 should have been evicted")
-	}
-	if ps := m.PrefetchStats(); ps.Wasted != 1 {
-		t.Errorf("wasted prefetch not counted: %+v", ps)
-	}
-}
-
-func TestPrefetchRespectsPins(t *testing.T) {
-	m := testManager(t, 10, 3, 3, NewLRU(10), true)
-	for vi := 0; vi < 3; vi++ {
-		if _, err := m.Vector(vi, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All three residents pinned: the prefetch must silently skip.
-	if err := m.Prefetch(8, 0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if m.Resident(8) {
-		t.Error("prefetch must not evict pinned vectors")
-	}
-	for vi := 0; vi < 3; vi++ {
-		if !m.Resident(vi) {
-			t.Error("pinned vector lost")
-		}
-	}
-}
-
 func TestTieredStoreCacheAndWriteBack(t *testing.T) {
 	remote := NewMemStore(10, 4)
 	ts, err := NewTieredStore(remote, TieredConfig{

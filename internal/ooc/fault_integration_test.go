@@ -1,10 +1,6 @@
 package ooc_test
 
 import (
-	"bytes"
-	"math"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"oocphylo/internal/ooc"
@@ -13,10 +9,9 @@ import (
 
 // TestFaultTransientReadRecomputed: the manager re-issues nothing. An
 // injected read EIO reaches the engine as an unreadable vector, which
-// it recomputes from the vector's children, whether the read was a
-// demand read on the compute thread (sync: nothing staged) or a fetch
-// worker's stage-in (async: one-step prefetch), and the answer stays
-// bit-identical to a clean run's.
+// it recomputes from the vector's children, over a store that answers
+// at once (sync) or one made to lag (async, ooc.Lagging), and the
+// answer stays bit-identical to a clean run's.
 func TestFaultTransientReadRecomputed(t *testing.T) {
 	run := func(t *testing.T, async bool, faults *ooc.FaultConfig) (float64, []float64, ooc.FaultStats, int64) {
 		t.Helper()
@@ -25,6 +20,9 @@ func TestFaultTransientReadRecomputed(t *testing.T) {
 		inner := tr.NumInner()
 		vecLen := plf.VectorLength(mdl, pats.NumPatterns())
 		var store ooc.Store = ooc.NewMemStore(inner, vecLen)
+		if async {
+			store = ooc.Lagging(store)
+		}
 		var fs *ooc.FaultStore
 		if faults != nil {
 			fs = ooc.NewFaultStore(store, *faults)
@@ -43,7 +41,6 @@ func TestFaultTransientReadRecomputed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.EnablePrefetch(async)
 		lnl, lens := workload(t, e, tr)
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)
@@ -77,83 +74,5 @@ func TestFaultTransientReadRecomputed(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// flipFetched flips one bit of the first read a fetch worker makes once
-// armed: below the manager, in a prefetch's transfer.
-type flipFetched struct {
-	ooc.Store
-	armed atomic.Bool
-	flips atomic.Int32
-}
-
-func (s *flipFetched) ReadVector(vi int, dst []float64) error {
-	if err := s.Store.ReadVector(vi, dst); err != nil {
-		return err
-	}
-	if s.armed.Load() && onFetchWorker() && s.armed.CompareAndSwap(true, false) {
-		dst[0] = math.Float64frombits(math.Float64bits(dst[0]) ^ 1)
-		s.flips.Add(1)
-	}
-	return nil
-}
-
-// onFetchWorker reports whether the caller is one of the pipeline's
-// fetch workers.
-func onFetchWorker() bool {
-	buf := make([]byte, 1<<12)
-	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("fetchWorker"))
-}
-
-// TestFaultPrefetchFlipCaughtByFetchWorker: a bit flipped under the
-// manager in a prefetch's read is caught by the fetch worker's check;
-// the demand access that joins the fetch reports it, the manager counts
-// one corrupt read, and the engine recomputes the vector, so the
-// likelihood is bit-identical to the clean pass's.
-func TestFaultPrefetchFlipCaughtByFetchWorker(t *testing.T) {
-	const n, sites, seed = 24, 120, 31
-	tr, pats, mdl := buildCase(t, n, sites, seed)
-	inner := tr.NumInner()
-	vecLen := plf.VectorLength(mdl, pats.NumPatterns())
-	store := &flipFetched{Store: ooc.NewMemStore(inner, vecLen)}
-	mgr, err := ooc.NewManager(ooc.Config{
-		NumVectors: inner, VectorLen: vecLen, Slots: 4,
-		Strategy: ooc.NewLRU(inner), ReadSkipping: true, Store: store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	e, err := plf.New(tr, pats, mdl, mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.EnablePrefetch(true)
-	edge, via := tr.Edges[0], tr.Edges[len(tr.Edges)-1]
-	want, err := e.LogLikelihoodAt(edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.LogLikelihoodAt(via); err != nil {
-		t.Fatal(err)
-	}
-	before := mgr.PipelineStats().CorruptReads
-	store.armed.Store(true)
-	got, err := e.LogLikelihoodAt(edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.flips.Load() != 1 {
-		t.Fatal("no fetch worker read the store: the pass prefetched nothing")
-	}
-	if cr := mgr.PipelineStats().CorruptReads - before; cr != 1 {
-		t.Errorf("%d corrupt reads counted, want the one flipped fetch", cr)
-	}
-	if e.Stats.Recoveries == 0 {
-		t.Error("the engine recomputed nothing")
-	}
-	if got != want {
-		t.Errorf("lnL %x after the flipped fetch, want %x", got, want)
 	}
 }

@@ -218,9 +218,10 @@ func TestFaultCorruptReadWithWriteIntentIsSkipped(t *testing.T) {
 	m.Close()
 }
 
+// TestFaultAsyncFailedJoinNotLedgered: a demand read that fails must
+// not leave the hit or read ledgers counting an access that never
+// delivered data, nor the vector mapped.
 func TestFaultAsyncFailedJoinNotLedgered(t *testing.T) {
-	// A prefetch whose background fetch fails must not leave the hit or
-	// read ledgers counting an access that never delivered data.
 	n, vl := 8, 4
 	base := NewMemStore(n, vl)
 	want := []float64{4, 3, 2, 1}
@@ -235,140 +236,28 @@ func TestFaultAsyncFailedJoinNotLedgered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Prefetch(0); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := m.Vector(0, false); err == nil {
-		t.Fatal("join of failed fetch reported success")
+		t.Fatal("a failed read reported success")
 	}
-	st, pf := m.Stats(), m.PrefetchStats()
-	if st.Hits != 0 {
-		t.Errorf("failed join ledgered a hit: %+v", st)
+	if st := m.Stats(); st.Hits != 0 || st.Reads != 0 || st.BytesRead != 0 {
+		t.Errorf("failed read ledgered a hit or a read: %+v", st)
 	}
-	if pf.Reads != 0 || st.BytesRead != 0 {
-		t.Errorf("failed fetch ledgered a read: pf=%+v bytes=%d", pf, st.BytesRead)
+	if m.Resident(0) {
+		t.Error("vector 0 stayed mapped after its read failed")
 	}
 	// The demand path works once the fault budget is exhausted.
 	v, err := m.Vector(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("got %v, want %v", v, want)
-		}
+	if !slices.Equal(v, want) {
+		t.Fatalf("got %v, want %v", v, want)
 	}
-	st, pf = m.Stats(), m.PrefetchStats()
-	if st.Reads != 1 || st.BytesRead != int64(vl)*8 {
-		t.Errorf("successful demand read not ledgered: %+v", st)
-	}
-	if pf.Reads != 0 {
-		t.Errorf("demand read ledgered as prefetch: %+v", pf)
+	if st := m.Stats(); st.Misses != 2 || st.Reads != 1 || st.BytesRead != int64(vl)*8 {
+		t.Errorf("successful demand read not ledgered once: %+v", st)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFaultAsyncEvictDropsFailedStageIn(t *testing.T) {
-	// Evicting a slot whose stage-in failed must drop the buffer, not
-	// write garbage over the store's authoritative copy.
-	n, vl := 8, 4
-	base := NewMemStore(n, vl)
-	want := []float64{11, 12, 13, 14}
-	if err := base.WriteVector(0, want); err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFaultStore(base, FaultConfig{Seed: 9, PReadErr: 1, MaxReadErrs: 1})
-	m, err := NewManager(Config{
-		NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-		ReadSkipping: true,
-		Store:        fs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Prefetch(0); err != nil { // background fetch fails
-		t.Fatal(err)
-	}
-	// Fill the remaining slots, then one more: vector 0's slot is the
-	// LRU victim and its failed stage-in must be dropped on eviction.
-	for vi := 1; vi <= 3; vi++ {
-		if _, err := m.Vector(vi, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Resident(0) {
-		t.Fatal("vector 0 still resident after eviction pressure")
-	}
-	if d := m.PipelineStats().DroppedWritebacks; d != 1 {
-		t.Errorf("DroppedWritebacks = %d, want 1", d)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, vl)
-	if err := base.ReadVector(0, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("store copy clobbered by dropped write-back: %v, want %v", got, want)
-		}
-	}
-}
-
-// TestFaultBarrierDropsFailedPrefetch: a barrier (Flush or Close) that
-// joins a prefetch whose background read failed drops the vector, as an
-// eviction does, and does not return the advisory prefetch's error; the
-// next demand access misses and reads the stored copy.
-func TestFaultBarrierDropsFailedPrefetch(t *testing.T) {
-	for _, barrier := range []string{"flush", "close"} {
-		t.Run(barrier, func(t *testing.T) {
-			n, vl := 8, 4
-			base := NewMemStore(n, vl)
-			want := []float64{4, 3, 2, 1}
-			if err := base.WriteVector(0, want); err != nil {
-				t.Fatal(err)
-			}
-			fs := NewFaultStore(base, FaultConfig{Seed: 8, PReadErr: 1, MaxReadErrs: 1})
-			m, err := NewManager(Config{
-				NumVectors: n, VectorLen: vl, Slots: 3, Strategy: NewLRU(n),
-				ReadSkipping: true, Store: fs,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			if err := m.Prefetch(0); err != nil { // the background read fails
-				t.Fatal(err)
-			}
-			if barrier == "close" {
-				if err := m.Close(); err != nil {
-					t.Fatalf("Close returned the prefetch's error: %v", err)
-				}
-				if m.Resident(0) {
-					t.Error("Close left the failed stage-in resident")
-				}
-				return
-			}
-			if err := m.Flush(); err != nil {
-				t.Fatalf("Flush returned the prefetch's error: %v", err)
-			}
-			if m.Resident(0) {
-				t.Fatal("Flush left the failed stage-in resident")
-			}
-			v, err := m.Vector(0, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(v, want) {
-				t.Errorf("vector 0 = %v, want %v", v, want)
-			}
-			if st := m.Stats(); st.Misses != 1 || st.Hits != 0 || st.Reads != 1 {
-				t.Errorf("the read after the barrier was not a miss: %+v", st)
-			}
-		})
 	}
 }
 

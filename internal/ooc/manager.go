@@ -86,15 +86,6 @@ type Config struct {
 	Async bool
 }
 
-// fetchWorkers is the number of background fetch goroutines. The
-// engine stages one plan step ahead, and a step reads at most its two
-// children, so two workers serve a step's stage-ins side by side.
-const fetchWorkers = 2
-
-// fetchQueue bounds the prefetches waiting for a fetch worker;
-// Prefetch blocks when the queue is full.
-const fetchQueue = 2 * fetchWorkers
-
 // writeBuffers is how many full widths of evicted records, each in its
 // own buffer, the writer may hold outside the pool; an
 // eviction blocks only when the records queued leave no room for its
@@ -171,11 +162,11 @@ func readChecked(s Store, vi int, dst []float64, e vecEntry) error {
 
 // Manager is the out-of-core ancestral-vector manager: it implements
 // the plf.VectorProvider contract over a RAM pool of Slots × VectorLen
-// float64s and a backing Store. Vector/Prefetch/Flush/Close must come
-// from a single caller (as the likelihood engine guarantees); the
-// manager runs I/O goroutines internally (see pipeline.go), but all
+// float64s and a backing Store. Vector/Flush/Close must come from a
+// single caller (as the likelihood engine guarantees); the manager runs
+// one write-back goroutine internally (see pipeline.go), but all
 // bookkeeping still happens on the single calling goroutine. The stats
-// snapshots (Stats/PrefetchStats/PipelineStats) MAY be read from any
+// snapshots (Stats/PipelineStats/ResizeStats) MAY be read from any
 // goroutine — the debug endpoint samples them mid-run — so every public
 // method takes the stats mutex, making each counter group a consistent
 // snapshot rather than a torn read.
@@ -222,8 +213,6 @@ type Manager struct {
 	// dirty marks entries written since fault-in; only those are
 	// written back.
 	dirty []bool
-	// prefetched marks entries staged by Prefetch and not yet demanded.
-	prefetched []bool
 	// wide lists the vectors a write-intent access left unsettled.
 	wide []int
 	// held is the capacity of the resident buffers; free holds released
@@ -238,22 +227,19 @@ type Manager struct {
 	slotOf     []int // parallel scratch: entry of each candidate
 
 	stats  Stats
-	pstats PrefetchStats
 	rstats ResizeStats
 
-	// ctx, when set via SetContext, aborts the blocking edges of the
-	// I/O path (full fetch queue, waits for the writer). Store
-	// operations themselves always run to completion, so cancellation
-	// can never leave a torn vector on disk.
+	// ctx, when set via SetContext, aborts the blocking edge of the
+	// I/O path, waits for the writer. Store operations themselves always
+	// run to completion, so cancellation can never leave a torn vector
+	// on disk.
 	ctx context.Context
 	// closing latches once Close has been entered; every operation but
 	// the stats getters returns ErrManagerClosing from then on.
 	closing atomic.Bool
 
-	// pipe is the background I/O pipeline. inflight tracks, per entry,
-	// the background fetch still filling it.
+	// pipe is the write-back pipeline.
 	pipe      *pipeline
-	inflight  []*fetchReq
 	pipeStats PipelineStats
 }
 
@@ -267,7 +253,7 @@ var ErrAllPinned = errors.New("ooc: all resident vectors are pinned; cannot evic
 // float64s, filled as vectors move in, and starts the pipeline, whose
 // writer may hold PipelineBytes more. MemOverheadBytes reports that
 // with the store's heap, so a caller enforcing -L charges both first.
-// Close the manager to drain the pipeline and stop its goroutines.
+// Close the manager to drain the pipeline and stop its writer.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.NumVectors < 0 || cfg.VectorLen <= 0 || cfg.VectorLen >= stored {
 		return nil, fmt.Errorf("ooc: invalid geometry: %d vectors of %d", cfg.NumVectors, cfg.VectorLen)
@@ -286,18 +272,16 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	n := cfg.NumVectors // the table never holds more entries
 	m := &Manager{
-		cfg:        cfg,
-		nslots:     cfg.Slots,
-		budget:     cfg.Slots * cfg.VectorLen,
-		slots:      make([][]float64, 0, n),
-		slotItem:   make([]int, 0, n),
-		itemSlot:   make([]int, n),
-		table:      make([]vecEntry, n),
-		dirty:      make([]bool, 0, n),
-		prefetched: make([]bool, 0, n),
-		inflight:   make([]*fetchReq, 0, n),
-		recycled:   make(map[int]*sync.Pool),
-		pipeStats:  PipelineStats{Enabled: true},
+		cfg:       cfg,
+		nslots:    cfg.Slots,
+		budget:    cfg.Slots * cfg.VectorLen,
+		slots:     make([][]float64, 0, n),
+		slotItem:  make([]int, 0, n),
+		itemSlot:  make([]int, n),
+		table:     make([]vecEntry, n),
+		dirty:     make([]bool, 0, n),
+		recycled:  make(map[int]*sync.Pool),
+		pipeStats: PipelineStats{Enabled: true},
 	}
 	for i := range m.itemSlot {
 		m.itemSlot[i] = -1
@@ -331,13 +315,12 @@ func (m *Manager) HeldBytes() (now, peak int64) {
 
 func (m *Manager) noteHeld() { m.heldMax = max(m.heldMax, m.held+m.freeLen) }
 
-// SetContext attaches ctx to the manager's blocking I/O edges: waits
-// on a full fetch queue and waits for queued write-backs to land abort
-// with an error wrapping ctx.Err() once ctx is cancelled. Individual
-// store reads/writes still run to completion — cancellation stops at
-// operation boundaries, so the backing file never holds a torn vector
-// — and Flush/Close remain usable after cancellation to persist
-// residents for a checkpoint.
+// SetContext attaches ctx to the manager's blocking I/O edge: a wait
+// for queued write-backs to land aborts with an error wrapping
+// ctx.Err() once ctx is cancelled. Individual store reads/writes still
+// run to completion — cancellation stops at operation boundaries, so
+// the backing file never holds a torn vector — and Flush/Close remain
+// usable after cancellation to persist residents for a checkpoint.
 // Must be called from the single API goroutine; nil restores the
 // default (never cancelled).
 func (m *Manager) SetContext(ctx context.Context) {
@@ -346,10 +329,10 @@ func (m *Manager) SetContext(ctx context.Context) {
 	m.ctx = ctx
 }
 
-// SetSpan attributes subsequent activity (fault-in, eviction,
-// prefetch and join-wait child spans, and the pipeline transfers queued
-// meanwhile) to the given span; nil detaches. Callers set it around one
-// request's serialized work, the same discipline as SetContext.
+// SetSpan attributes subsequent activity (fault-in and eviction child
+// spans, and the write-backs queued meanwhile) to the given span; nil
+// detaches. Callers set it around one request's serialized work, the
+// same discipline as SetContext.
 func (m *Manager) SetSpan(sp *obs.Span) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -409,57 +392,6 @@ func unreadable(vi int, err error) error {
 func bytesLost(err error) bool {
 	var re *VectorReadError
 	return errors.As(err, &re)
-}
-
-// joinSlot waits for the background fetch still filling entry s (if
-// any) and returns its error, under the same rule as a demand read. The
-// wait is charged as stall time. A successful join is where a
-// background prefetch lands in the ledgers: Reads/BytesRead must
-// reflect fetches that completed, not fetches that were merely
-// enqueued, so a failed fetch leaves no read counted.
-func (m *Manager) joinSlot(s int) error {
-	f := m.inflight[s]
-	if f == nil {
-		return nil
-	}
-	m.inflight[s] = nil
-	start := time.Now()
-	<-f.done
-	wait := time.Since(start)
-	vi, n, ferr := f.vi, len(f.dst), f.err
-	m.pipe.putFetch(f)
-	m.pipeStats.StallTime += wait
-	m.pipeStats.JoinWait += wait
-	if ferr == nil {
-		m.pstats.Reads++
-		m.stats.BytesRead += int64(n) * 8
-	}
-	m.spanEvent("ooc.join_wait", vi, s, start, wait)
-	return unreadable(vi, ferr)
-}
-
-// joinOrDrop joins entry s's stage-in, if any, and on failure drops the
-// vector: its buffer holds garbage, so it must not stay resident.
-// demanded says the join is Vector's, whose caller wanted the staged
-// vector; any other drop is an eviction, a shrink or a barrier, which
-// would have written the garbage back over the store's authoritative
-// copy or served it later as a hit, and is ledgered as such.
-func (m *Manager) joinOrDrop(s int, demanded bool) error {
-	err := m.joinSlot(s)
-	if err == nil {
-		return nil
-	}
-	if IsCorruption(err) {
-		m.pipeStats.CorruptReads++
-	}
-	if !demanded {
-		m.pipeStats.DroppedWritebacks++
-		if m.prefetched[s] {
-			m.pstats.Wasted++
-		}
-	}
-	m.release(m.unmap(s))
-	return err
 }
 
 // demandRead reads vi into dst on the compute thread and checks it
@@ -555,8 +487,7 @@ func (m *Manager) place(vi int, buf []float64) int {
 	if s < 0 {
 		s = len(m.slots)
 		m.slots, m.slotItem = append(m.slots, nil), append(m.slotItem, -1)
-		m.dirty, m.prefetched = append(m.dirty, false), append(m.prefetched, false)
-		m.inflight = append(m.inflight, nil)
+		m.dirty = append(m.dirty, false)
 	}
 	m.slots[s], m.slotItem[s], m.itemSlot[vi] = buf, vi, s
 	m.held += cap(buf)
@@ -570,7 +501,6 @@ func (m *Manager) unmap(s int) []float64 {
 	m.slotItem[s] = -1
 	m.slots[s] = nil
 	m.dirty[s] = false
-	m.prefetched[s] = false
 	m.held -= cap(buf)
 	m.wide = slices.DeleteFunc(m.wide, func(u int) bool { return u == vi })
 	return buf
@@ -662,37 +592,15 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	m.stats.Requests++
 	m.cfg.Strategy.Touch(vi)
 	if s := m.itemSlot[vi]; s >= 0 {
-		joinFailed := false
-		if m.inflight[s] != nil {
-			// The prefetch that staged vi is still in flight: join it
-			// rather than re-reading (this wait is the residue of
-			// latency the pipeline could not hide).
-			m.pipeStats.JoinedFetches++
-			if err := m.joinOrDrop(s, true); err != nil {
-				// A failed join must not be ledgered as a hit.
-				if !write || !bytesLost(err) {
-					return nil, err
-				}
-				// Write-intent access to a lost staged copy: fall
-				// through to the miss path (see bytesLost).
-				joinFailed = true
+		m.stats.Hits++
+		if write {
+			m.dirty[s] = true
+			if err := m.widen(vi, s, pinned); err != nil {
+				return nil, err
 			}
+			m.markWide(vi)
 		}
-		if !joinFailed {
-			m.stats.Hits++
-			if m.prefetched[s] {
-				m.prefetched[s] = false
-				m.pstats.Hits++
-			}
-			if write {
-				m.dirty[s] = true
-				if err := m.widen(vi, s, pinned); err != nil {
-					return nil, err
-				}
-				m.markWide(vi)
-			}
-			return m.slots[s], nil
-		}
+		return m.slots[s], nil
 	}
 	m.stats.Misses++
 	var missStart time.Time
@@ -787,14 +695,6 @@ func (m *Manager) pickVictim(requested int, pinned []int) (victim, slot int, err
 // frees its entry. The record's own buffer is queued to the writer, so
 // the call returns without waiting for the store.
 func (m *Manager) evict(victim, slot int) error {
-	// The victim's own stage-in may still be in flight; its buffer
-	// cannot be written back or reused until the read completes, and a
-	// failed one is dropped instead — a later demand access faults the
-	// vector in again and surfaces the error if it persists.
-	if m.joinOrDrop(slot, false) != nil {
-		m.mx.evictions.Inc()
-		return nil
-	}
 	// A clean entry's content matches the store (it was faulted in by a
 	// read and never modified), so its write-back is skipped.
 	queued := m.dirty[slot]
@@ -819,9 +719,6 @@ func (m *Manager) evict(victim, slot int) error {
 		m.stats.SkippedWrites++
 	}
 	m.mx.evictions.Inc()
-	if m.prefetched[slot] {
-		m.pstats.Wasted++
-	}
 	if buf := m.unmap(slot); !queued {
 		m.release(buf)
 	}
@@ -863,9 +760,8 @@ func (m *Manager) releaseReturned() {
 
 // Flush writes every modified resident vector to the store (used before
 // closing or when handing the store to another consumer). It is a full
-// barrier: every in-flight fetch is joined and the write queue is
-// drained first, so queued (older) write-backs land before the resident
-// (newest) data below.
+// barrier: the write queue is drained first, so queued (older)
+// write-backs land before the resident (newest) data below.
 func (m *Manager) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -895,30 +791,19 @@ func (m *Manager) Flush() error {
 	return nil
 }
 
-// dropFailedStageIns joins every in-flight stage-in and drops the
-// vectors whose read failed (joinOrDrop). A prefetch is advisory, so
-// its error is not returned: a later demand access faults the vector in
-// again and surfaces the error if it persists.
-func (m *Manager) dropFailedStageIns() {
-	for s := range m.inflight {
-		_ = m.joinOrDrop(s, false)
-	}
-}
-
-// drainPipeline joins every in-flight fetch and waits for the write
-// queue to empty, returning the writer's first error.
+// drainPipeline waits for the write queue to empty, returning the
+// writer's first error.
 func (m *Manager) drainPipeline() error {
-	m.dropFailedStageIns()
 	err := m.stall(m.pipe.barrier)
 	m.releaseReturned()
 	return err
 }
 
-// Close drains the pipeline and stops its goroutines: all queued
-// write-backs reach the store and in-flight fetches complete. Resident
-// vectors are NOT written back — call Flush first to checkpoint them.
-// From the first Close call onwards Vector, Prefetch, Flush and Resize
-// return ErrManagerClosing; the stats getters keep answering.
+// Close drains the pipeline and stops its writer: all queued
+// write-backs reach the store. Resident vectors are NOT written back —
+// call Flush first to checkpoint them. From the first Close call
+// onwards Vector, Flush and Resize return ErrManagerClosing; the stats
+// getters keep answering.
 func (m *Manager) Close() error {
 	m.closing.Store(true)
 	m.mu.Lock()

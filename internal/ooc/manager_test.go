@@ -154,8 +154,8 @@ func TestReadSkipping(t *testing.T) {
 // TestWriteBackDirtySkipsCleanEvictions pins the one write-back rule —
 // a vector reaches the store iff it was modified since it was faulted
 // in — on each of the three paths that can write one back: eviction,
-// Resize shrink and Flush, with every access a demand access (sync) or
-// staged by a prefetch first (async).
+// Resize shrink and Flush, over a store that answers at once (sync) or
+// one made to lag (async, see lagging), so the writer finishes late.
 func TestWriteBackDirtySkipsCleanEvictions(t *testing.T) {
 	const n, vl = 10, 4
 	for _, async := range []bool{false, true} {
@@ -168,9 +168,13 @@ func TestWriteBackDirtySkipsCleanEvictions(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				var st Store = store
+				if async {
+					st = lagging(store)
+				}
 				m, err := NewManager(Config{
 					NumVectors: n, VectorLen: vl, Slots: 4,
-					Strategy: NewLRU(n), Store: store,
+					Strategy: NewLRU(n), Store: st,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -180,11 +184,6 @@ func TestWriteBackDirtySkipsCleanEvictions(t *testing.T) {
 				// modifies the vector, which is what makes it dirty.
 				get := func(vi int, intent bool) {
 					t.Helper()
-					if async {
-						if err := m.Prefetch(vi); err != nil {
-							t.Fatal(err)
-						}
-					}
 					v, err := m.Vector(vi, intent)
 					if err != nil {
 						t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 
 // modelOp is one call of a manager model sequence.
 type modelOp struct {
-	kind string // get, write, prefetch, refuse, resize, flush
+	kind string // get, write, refuse, tear, resize, flush
 	vi   int
 	n    int // the record length a write stamps; the slot count of a resize
 	pins []int
@@ -28,24 +28,28 @@ func (o modelOp) String() string {
 		return fmt.Sprintf("resize(%d)", o.n)
 	case "write":
 		return fmt.Sprintf("write(%d, len %d, pins %v)", o.vi, o.n, o.pins)
-	case "refuse":
-		return fmt.Sprintf("refuse(%d)", o.vi)
+	case "refuse", "tear":
+		return fmt.Sprintf("%s(%d)", o.kind, o.vi)
 	}
 	return fmt.Sprintf("%s(%d, pins %v)", o.kind, o.vi, o.pins)
 }
 
-// TestManagerModel runs seeded sequences of demand reads, writes and
-// prefetches with pins, resizes, flushes and refused reads, against a
+// TestManagerModel runs seeded sequences of demand reads and writes
+// with pins, resizes, flushes, refused reads and torn writes, against a
 // model of what each vector holds. Every write stamps a drawn record
 // length, full width included; a refusal makes the next store read of
-// its vector fail transiently. After every call: a read returns the
-// last write's record at its length, or — once per refusal, on the
-// refused vector — a *VectorReadError; a prefetch, a write, a resize or
-// a flush returns no error (a refused stage-in is advisory and is
-// dropped); a vector pinned while resident is still resident and its
-// slice unmoved; and the pool holds no more than its budget. Over a
-// MemStore, every read checked against the manager's table. A failure
-// prints the seed and the shortest prefix of the sequence that fails.
+// its vector fail transiently, and a tear makes the next store write of
+// its vector land torn. After every call: a read returns the last
+// write's record at its length, or — once per refusal, on the refused
+// vector — a transient *VectorReadError, or — on a vector whose stored
+// copy is torn and which is not resident — a corruption
+// *VectorReadError, which it must return if the writer holds no record
+// of the vector either, and keeps returning until a write-intent access
+// rewrites it; a write, a resize or a flush returns no error; a vector
+// pinned while resident is still resident and its slice unmoved; and
+// the pool holds no more than its budget. Over a MemStore, every read
+// checked against the manager's table. A failure prints the seed and
+// the shortest prefix of the sequence that fails.
 func TestManagerModel(t *testing.T) {
 	const n, vecLen, seqs, steps = 14, 24, 80, 300
 	for seed := int64(1); seed <= seqs; seed++ {
@@ -61,29 +65,58 @@ func TestManagerModel(t *testing.T) {
 	}
 }
 
-// refusingStore fails the next read of each vector refuse armed with a
-// transient error, whichever goroutine issues it.
-type refusingStore struct {
+// modelStore fails the next read of each vector refuse armed with a
+// transient error, and lands the next write of each vector tear armed
+// torn: its second half never reaches the store, which reads zeros
+// there. torn marks the vectors whose stored copy is such a write.
+type modelStore struct {
 	Store
-	mu    sync.Mutex
-	armed map[int]bool
+	mu                   sync.Mutex
+	refused, tears, torn map[int]bool
 }
 
-func (s *refusingStore) refuse(vi int) {
+func newModelStore(n, vecLen int) *modelStore {
+	return &modelStore{Store: NewMemStore(n, vecLen), refused: map[int]bool{}, tears: map[int]bool{}, torn: map[int]bool{}}
+}
+
+func (s *modelStore) refuse(vi int) { s.arm(s.refused, vi) }
+func (s *modelStore) tear(vi int)   { s.arm(s.tears, vi) }
+
+func (s *modelStore) arm(m map[int]bool, vi int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.armed[vi] = true
+	m[vi] = true
 }
 
-func (s *refusingStore) ReadVector(vi int, dst []float64) error {
+// isTorn reports whether vi's stored copy is a torn write.
+func (s *modelStore) isTorn(vi int) bool {
 	s.mu.Lock()
-	refused := s.armed[vi]
-	delete(s.armed, vi)
+	defer s.mu.Unlock()
+	return s.torn[vi]
+}
+
+func (s *modelStore) ReadVector(vi int, dst []float64) error {
+	s.mu.Lock()
+	refused := s.refused[vi]
+	delete(s.refused, vi)
 	s.mu.Unlock()
 	if refused {
 		return fmt.Errorf("read of vector %d refused: %w", vi, ErrTransientIO)
 	}
 	return s.Store.ReadVector(vi, dst)
+}
+
+func (s *modelStore) WriteVector(vi int, src []float64) error {
+	s.mu.Lock()
+	tear := s.tears[vi]
+	delete(s.tears, vi)
+	s.torn[vi] = tear
+	s.mu.Unlock()
+	if tear {
+		src = slices.Clone(src)
+		clear(src[len(src)/2:])
+	}
+	return s.Store.WriteVector(vi, src)
 }
 
 // modelOps draws a sequence: pins are vector indices the run pins only
@@ -108,8 +141,8 @@ func modelOps(seed int64, n, vecLen, steps int) []modelOp {
 			o.kind, o.n, o.vi, o.pins = "resize", MinSlots+rng.Intn(5), -1, nil
 		case r == 2:
 			o.kind, o.pins = "refuse", nil
-		case r < 5 && written[o.vi]:
-			o.kind = "prefetch"
+		case r == 3:
+			o.kind, o.pins = "tear", nil
 		case r < 12 && written[o.vi]:
 			o.kind = "get"
 		default:
@@ -127,7 +160,7 @@ func modelOps(seed int64, n, vecLen, steps int) []modelOp {
 // runModel replays ops on a fresh manager and returns the index of the
 // first op after which the manager disagrees with the model.
 func runModel(ops []modelOp, n, vecLen int) (int, error) {
-	store := &refusingStore{Store: NewMemStore(n, vecLen), armed: map[int]bool{}}
+	store := newModelStore(n, vecLen)
 	m, err := NewManager(Config{
 		NumVectors: n, VectorLen: vecLen, Slots: 5, Strategy: NewLRU(n),
 		ReadSkipping: true, Store: store,
@@ -171,18 +204,29 @@ func runModel(ops []modelOp, n, vecLen int) (int, error) {
 			err = m.Flush()
 		case "resize":
 			err = m.Resize(o.n)
-		case "prefetch":
-			err = m.Prefetch(o.vi, pins...)
 		case "refuse":
 			store.refuse(o.vi)
 			mayFail[o.vi] = true
+		case "tear":
+			store.tear(o.vi)
 		case "get":
+			// A read of a torn copy fails unless vi is resident or the
+			// writer still holds its record, which serves it whole.
+			resident, pending := m.Resident(o.vi), m.pipe.pending[o.vi] != nil
 			var v []float64
 			v, err = m.Vector(o.vi, false, pins...)
 			var re *VectorReadError
 			if errors.As(err, &re) && re.Vi == o.vi && IsTransient(err) && mayFail[o.vi] {
 				mayFail[o.vi], err = false, nil
 				break
+			}
+			torn := !resident && store.isTorn(o.vi)
+			if errors.As(err, &re) && re.Vi == o.vi && IsCorruption(err) && torn {
+				err = nil
+				break
+			}
+			if err == nil && torn && !pending {
+				err = errors.New("a read of a torn copy returned no error")
 			}
 			if err == nil {
 				if len(v) != length[o.vi] {

@@ -1,28 +1,27 @@
 package ooc
 
-// Observability wiring for the out-of-core manager and its I/O
+// Observability wiring for the out-of-core manager and its write-back
 // pipeline. Instrument attaches registry instruments; an
 // uninstrumented manager holds nil instruments, so every obs call on
 // the hot path degrades to a nil-check no-op and no clock is read.
 // Vector-lifecycle events are spans under whatever span SetSpan
-// attached (spanEvent below, emitTransfer), independent of the
-// registry.
+// attached (spanEvent below, the writer's pipe.write_back), independent
+// of the registry.
 //
 // Two kinds of signals are exported:
 //
 //   - Native: quantities only observable in the act — fault-in and
-//     background-I/O latencies (histograms) and live queue depth
-//     (gauge).
-//   - Mirrored: the Stats/PrefetchStats/PipelineStats counters the
+//     write-back latencies (histograms) and live queue depth (gauge).
+//   - Mirrored: the Stats/PipelineStats/ResizeStats counters the
 //     manager maintains anyway. A registry publisher copies them into
 //     counters on every snapshot, so they are live on the debug
 //     endpoint at zero hot-path cost. The snapshot getters take the
 //     stats mutex, so a mid-operation snapshot can never tear a
 //     counter group (see Manager.mu).
 //
-// Call Instrument before issuing any manager operation: pipeline
-// workers pick the instruments up through the happens-before edge of
-// the first request enqueue.
+// Call Instrument before issuing any manager operation: the writer
+// picks the instruments up through the happens-before edge of the first
+// request enqueue.
 
 import (
 	"fmt"
@@ -49,7 +48,7 @@ type managerObs struct {
 }
 
 // Instrument attaches reg to the manager (nil is a no-op). Must be
-// called before the first Vector/Prefetch/Flush operation and at most
+// called before the first Vector/Flush operation and at most
 // once; later calls are ignored.
 func (m *Manager) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
@@ -81,12 +80,10 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 	type mirrors struct {
 		requests, hits, misses, reads, skippedReads  *obs.Counter
 		writes, skippedWrites, bytesRead, bytesWrite *obs.Counter
-		pfIssued, pfReads, pfHits, pfWasted          *obs.Counter
-		fetchesQ, writesQ, joined, wqHits            *obs.Counter
-		overlapped, depthMax                         *obs.Counter
-		corrupt, dropped                             *obs.Counter
+		writesQ, wqHits, overlapped, depthMax        *obs.Counter
+		corrupt                                      *obs.Counter
 		grows, shrinks, resizeEvict                  *obs.Counter
-		stall, joinWait, bufWait                     *obs.FloatGauge
+		stall, bufWait                               *obs.FloatGauge
 	}
 	c := mirrors{
 		requests:      reg.Counter("ooc.requests"),
@@ -98,28 +95,19 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 		skippedWrites: reg.Counter("ooc.skipped_writes"),
 		bytesRead:     reg.Counter("ooc.bytes_read"),
 		bytesWrite:    reg.Counter("ooc.bytes_written"),
-		pfIssued:      reg.Counter("ooc.prefetch_issued"),
-		pfReads:       reg.Counter("ooc.prefetch_reads"),
-		pfHits:        reg.Counter("ooc.prefetch_hits"),
-		pfWasted:      reg.Counter("ooc.prefetch_wasted"),
-		fetchesQ:      reg.Counter("pipe.fetches_queued"),
 		writesQ:       reg.Counter("pipe.writes_queued"),
-		joined:        reg.Counter("pipe.joined_fetches"),
 		wqHits:        reg.Counter("pipe.write_queue_hits"),
 		overlapped:    reg.Counter("pipe.overlapped_bytes"),
 		depthMax:      reg.Counter("pipe.queue_depth_max"),
 		corrupt:       reg.Counter("ooc.corrupt_reads"),
-		dropped:       reg.Counter("ooc.dropped_writebacks"),
 		grows:         reg.Counter("ooc.resize_grows"),
 		shrinks:       reg.Counter("ooc.resize_shrinks"),
 		resizeEvict:   reg.Counter("ooc.resize_evictions"),
 		stall:         reg.FloatGauge("pipe.stall_seconds"),
-		joinWait:      reg.FloatGauge("pipe.join_wait_seconds"),
 		bufWait:       reg.FloatGauge("pipe.buffer_wait_seconds"),
 	}
 	reg.AddPublisher("ooc.", func() {
 		st := m.Stats()
-		pf := m.PrefetchStats()
 		ps := m.PipelineStats()
 		rs := m.ResizeStats()
 		c.grows.Set(rs.Grows)
@@ -134,20 +122,12 @@ func (m *Manager) addStatsPublisher(reg *obs.Registry) {
 		c.skippedWrites.Set(st.SkippedWrites)
 		c.bytesRead.Set(st.BytesRead)
 		c.bytesWrite.Set(st.BytesWritten)
-		c.pfIssued.Set(pf.Issued)
-		c.pfReads.Set(pf.Reads)
-		c.pfHits.Set(pf.Hits)
-		c.pfWasted.Set(pf.Wasted)
-		c.fetchesQ.Set(ps.FetchesQueued)
 		c.writesQ.Set(ps.WritesQueued)
-		c.joined.Set(ps.JoinedFetches)
 		c.wqHits.Set(ps.WriteQueueHits)
 		c.overlapped.Set(ps.OverlappedBytes)
 		c.depthMax.Set(ps.QueueDepthMax)
 		c.corrupt.Set(ps.CorruptReads)
-		c.dropped.Set(ps.DroppedWritebacks)
 		c.stall.Set(ps.StallTime.Seconds())
-		c.joinWait.Set(ps.JoinWait.Seconds())
 		c.bufWait.Set(ps.BufferWait.Seconds())
 	})
 }

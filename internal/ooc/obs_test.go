@@ -28,7 +28,7 @@ func obsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registry, *o
 }
 
 // TestStatsConcurrentSnapshot is the torn-read regression test: the
-// debug endpoint samples Stats/PipelineStats/PrefetchStats from its own
+// debug endpoint samples Stats/PipelineStats/ResizeStats from its own
 // goroutine while the compute thread runs the manager. Before the stats
 // mutex, this was a data race on the counter structs (run with -race).
 func TestStatsConcurrentSnapshot(t *testing.T) {
@@ -51,7 +51,7 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 					return
 				}
 				_ = m.PipelineStats()
-				_ = m.PrefetchStats()
+				_ = m.ResizeStats()
 				_ = m.Resident(0)
 				// A registry snapshot drives the publisher through the
 				// same getters, as /debug/vars does.
@@ -62,7 +62,6 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 
 	for round := 0; round < 50; round++ {
 		for vi := 0; vi < n; vi++ {
-			_ = m.Prefetch((vi + 3) % n)
 			buf, err := m.Vector(vi, vi%2 == 0)
 			if err != nil {
 				t.Fatal(err)
@@ -91,10 +90,9 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	m, reg, col := obsManager(t, n, vecLen, slots)
 	root := m.span
 	for vi := 0; vi < n; vi++ {
-		if _, err := m.Vector(vi, false); err != nil {
+		if _, err := m.Vector(vi, true); err != nil {
 			t.Fatal(err)
 		}
-		_ = m.Prefetch((vi + 1) % n)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -109,8 +107,8 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 		t.Errorf("ooc.misses=%d, Stats().Misses=%d", got, st.Misses)
 	}
 	ps := m.PipelineStats()
-	if got := s.Counters["pipe.fetches_queued"]; got != ps.FetchesQueued {
-		t.Errorf("pipe.fetches_queued=%d, want %d", got, ps.FetchesQueued)
+	if got := s.Counters["pipe.writes_queued"]; got != ps.WritesQueued || got == 0 {
+		t.Errorf("pipe.writes_queued=%d, want %d (> 0)", got, ps.WritesQueued)
 	}
 	if s.Info["ooc.strategy"] != "LRU" {
 		t.Errorf("ooc.strategy info = %q, want LRU", s.Info["ooc.strategy"])
@@ -123,8 +121,8 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	if !ok {
 		t.Fatal("root trace missing from the collector")
 	}
-	// The workload must have produced fault-in and prefetch spans on the
-	// compute lane and at least one background fetch span on a worker's.
+	// The workload must have produced fault-in and eviction spans on the
+	// compute lane and at least one write-back span on the writer's.
 	names := map[string]int{}
 	for _, s := range view.Spans {
 		lane := int64(0)
@@ -138,7 +136,7 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 		}
 		names[s.Name]++
 	}
-	if names["ooc.fault_in"] == 0 || names["ooc.prefetch"] == 0 || names["pipe.fetch"] == 0 {
+	if names["ooc.fault_in"] == 0 || names["ooc.evict"] == 0 || names["pipe.write_back"] == 0 {
 		t.Errorf("missing spans: %v", names)
 	}
 }

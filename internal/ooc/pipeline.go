@@ -1,28 +1,20 @@
 package ooc
 
-// The I/O pipeline — the paper's §5 future work ("we will assess if
-// pre-fetching can be deployed by means of a prefetch thread") made
-// real. The paper's manager interleaves compute and I/O on one thread:
-// every demand miss blocks on Store.ReadVector and every eviction
-// blocks on Store.WriteVector. The pipeline moves both off the compute
-// thread; demand reads and Flush's writes of residents stay on it:
+// The write-back pipeline. The paper's manager interleaves compute and
+// I/O on one thread: every demand miss blocks on Store.ReadVector and
+// every eviction blocks on Store.WriteVector. The pipeline moves the
+// evictions' writes off the compute thread; demand reads and Flush's
+// writes of residents stay on it. An eviction hands the victim's
+// record — its own buffer, which the writer now owns — to a single
+// write-back goroutine and returns at once. The compute thread blocks
+// only when the records still queued leave no room for this one within
+// PipelineBytes; it then takes buffers back, oldest write first, into
+// the pool.
 //
-//   - Prefetch stage-ins are executed by a pool of fetch worker
-//     goroutines fed from a bounded queue. The slot is mapped (and the
-//     replacement strategy updated) on the compute thread, so every
-//     *decision* is made there in call order; only the byte transfer
-//     overlaps compute. A demand access that arrives before the fetch
-//     completes joins the in-flight read instead of re-issuing it.
-//   - Evictions hand the victim's record — its own buffer, which the
-//     writer now owns — to a single write-back goroutine and return
-//     immediately. The compute thread blocks only when the records
-//     still queued leave no room for this one within PipelineBytes;
-//     it then takes buffers back, oldest write first, into the pool.
-//
-// Correctness bar: the pipeline may change WHEN I/O happens, never
+// Correctness bar: the pipeline may change WHEN a write lands, never
 // WHAT is computed. All slot mapping, eviction choices, strategy
 // bookkeeping and Stats counters run on the compute goroutine, so
-// log-likelihoods and miss accounting do not depend on the workers'
+// log-likelihoods and miss accounting do not depend on the writer's
 // timing. Consistency rules:
 //
 //   - Read-after-write: a read of a vector whose write-back buffer the
@@ -31,19 +23,13 @@ package ooc
 //     buffer stays readable until it is taken back, not just until its
 //     write lands, and it is taken back only when the queued bytes
 //     demand it or at a barrier, so which reads it serves depends on the
-//     order and sizes of evictions alone, never on the writer's timing;
-//     a prefetch of such a vector is served the same way, on the compute
-//     thread.
+//     order and sizes of evictions alone, never on the writer's timing.
 //   - Write-write: a single writer goroutine drains the queue FIFO, so
 //     two queued writes to the same vector land in issue order.
-//   - Fetch-evict: evicting a slot whose stage-in is in flight first
-//     joins the fetch, so a buffer is never written back (or reused)
-//     while a worker is still filling it.
-//   - Flush/Close barrier: Flush joins every in-flight fetch, dropping
-//     the vectors whose read failed, and drains the write queue before
-//     writing residents, so older write-backs land before newer ones.
+//   - Flush/Close barrier: Flush drains the write queue before writing
+//     residents, so older write-backs land before newer ones.
 //
-// The Manager remains single-caller: the pipeline adds goroutines
+// The Manager remains single-caller: the pipeline adds one goroutine
 // *inside* the manager, not concurrency on its API.
 
 import (
@@ -64,56 +50,32 @@ type PipelineStats struct {
 	// Enabled is always true: every manager is pipelined. It stays for
 	// callers that still read it, the benchmark harness among them.
 	Enabled bool
-	// FetchesQueued and WritesQueued count background operations
-	// handed to the workers.
-	FetchesQueued, WritesQueued int64
-	// JoinedFetches counts demand accesses that waited on an in-flight
-	// background fetch instead of issuing their own read.
-	JoinedFetches int64
+	// WritesQueued counts write-backs handed to the writer.
+	WritesQueued int64
 	// WriteQueueHits counts reads served from a pending write-back
 	// buffer (the read-after-write consistency path).
 	WriteQueueHits int64
-	// OverlappedBytes totals the bytes moved by background goroutines
-	// rather than on the compute thread.
+	// OverlappedBytes totals the bytes the writer moved rather than the
+	// compute thread.
 	OverlappedBytes int64
 	// StallTime is the total time the compute thread spent blocked on
-	// I/O: store calls on the demand path, waits for in-flight fetches
-	// (JoinWait), waits for queued write-backs to land (BufferWait) and
-	// Flush/Close barriers.
+	// I/O: store calls on the demand path, waits for queued write-backs
+	// to land (BufferWait) and Flush/Close barriers.
 	StallTime time.Duration
-	// JoinWait is the portion of StallTime spent joining fetches.
+	// JoinWait is always 0: no read runs off the compute thread, so
+	// nothing is joined. It stays for callers that still read it, the
+	// benchmark harness among them.
 	JoinWait time.Duration
 	// BufferWait is the portion spent waiting for queued writes to
 	// land so an evicted record fits beside them.
 	BufferWait time.Duration
 	// QueueDepthMax is the high-water mark of simultaneously queued
-	// background operations (fetches + writes).
+	// write-backs.
 	QueueDepthMax int64
 	// CorruptReads counts checksum-verification failures surfaced to
 	// the manager (each one either aborted the access or triggered a
 	// recompute upstream).
 	CorruptReads int64
-	// DroppedWritebacks counts evictions that discarded the slot
-	// instead of writing it back because the victim's stage-in never
-	// delivered valid data (writing the buffer back would have
-	// clobbered the store's authoritative copy).
-	DroppedWritebacks int64
-}
-
-// fetchReq is one background stage-in: the worker fills dst with
-// vector vi, checks it against want, vi's table entry at enqueue, and
-// signals done. The entry owning dst is reserved by the compute thread
-// before the request is queued and is not touched again until the
-// request is joined and recycled.
-type fetchReq struct {
-	vi   int
-	dst  []float64
-	want vecEntry
-	// span is the manager's span at enqueue; the worker's pipe.fetch
-	// span is emitted under it (nil when untraced).
-	span *obs.Span
-	err  error
-	done chan struct{} // one signal per use (capacity 1)
 }
 
 // writeReq is one queued write-back. buf is the vector's record, in
@@ -124,30 +86,29 @@ type writeReq struct {
 	vi  int
 	buf []float64
 	sum uint32
-	// span, as in fetchReq, parents the writer's pipe.write_back span.
+	// span is the manager's span at enqueue; the writer's
+	// pipe.write_back span is emitted under it (nil when untraced).
 	span *obs.Span
 	done chan struct{}
 }
 
-// pipeline owns the background goroutines and the queues between them
-// and the compute thread.
+// pipeline owns the writer goroutine and the queue between it and the
+// compute thread.
 type pipeline struct {
 	store Store
 	table []vecEntry // the manager's, written by reclaimOldest
 
-	fetchCh chan *fetchReq
 	writeCh chan *writeReq
 
 	// The rest of the block is the compute thread's. queue holds the
 	// writes not taken back, oldest first; queued is their capacity in
 	// float64s. pending maps a vector to its newest queued write.
 	// returned holds taken-back buffers for the manager's free list;
-	// fetchFree and writeFree hold requests for reuse.
+	// writeFree holds requests for reuse.
 	queue            []*writeReq
 	queued, capacity int
 	pending          map[int]*writeReq
 	returned         [][]float64
-	fetchFree        []*fetchReq
 	writeFree        []*writeReq
 
 	mu       sync.Mutex
@@ -160,11 +121,10 @@ type pipeline struct {
 
 	// Observability instruments; all nil (and on false) when
 	// uninstrumented. Written once by instrument() on the compute thread
-	// BEFORE the first request is enqueued; workers read them only while
-	// servicing a request, so the channel send/receive provides the
-	// happens-before edge.
+	// BEFORE the first request is enqueued; the writer reads them only
+	// while servicing a request, so the channel send/receive provides
+	// the happens-before edge.
 	on       bool
-	fetchLat *obs.Histogram
 	writeLat *obs.Histogram
 	qdepth   *obs.Gauge
 
@@ -172,27 +132,22 @@ type pipeline struct {
 	stop sync.Once
 }
 
-// writerLane is the write-back goroutine's obs.LaneAttr. The compute
-// thread is lane 0 and fetch workers are lanes 1..fetchWorkers.
-const writerLane = fetchWorkers + 1
+// writerLane is the write-back goroutine's obs.LaneAttr; the compute
+// thread is lane 0.
+const writerLane = 1
 
 // writeQueue bounds the channel to the writer; the byte cap
 // (capacity) is what normally bounds the queue.
 const writeQueue = 64
 
-// newPipeline starts the workers; the writer holds capacity float64s.
+// newPipeline starts the writer, which holds capacity float64s.
 func newPipeline(store Store, capacity int, table []vecEntry) *pipeline {
 	p := &pipeline{
 		store:    store,
 		table:    table,
-		fetchCh:  make(chan *fetchReq, fetchQueue),
 		writeCh:  make(chan *writeReq, writeQueue),
 		capacity: capacity,
 		pending:  make(map[int]*writeReq),
-	}
-	for i := 0; i < fetchWorkers; i++ {
-		p.wg.Add(1)
-		go p.fetchWorker(int64(i + 1))
 	}
 	p.wg.Add(1)
 	go p.writeWorker()
@@ -200,42 +155,12 @@ func newPipeline(store Store, capacity int, table []vecEntry) *pipeline {
 }
 
 // instrument attaches registry instruments. Must run on the compute
-// thread before any request is enqueued (the workers pick the fields up
+// thread before any request is enqueued (the writer picks the fields up
 // through the enqueue's happens-before edge).
 func (p *pipeline) instrument(reg *obs.Registry) {
 	p.on = true
-	p.fetchLat = reg.Histogram("pipe.fetch_seconds", nil)
 	p.writeLat = reg.Histogram("pipe.write_back_seconds", nil)
 	p.qdepth = reg.Gauge("pipe.queue_depth")
-}
-
-func (p *pipeline) fetchWorker(lane int64) {
-	defer p.wg.Done()
-	for req := range p.fetchCh {
-		timed := p.on || req.span != nil
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		// The manager queues no fetch of a vector with a pending write, so
-		// the store holds its newest record.
-		req.err = readChecked(p.store, req.vi, req.dst, req.want)
-		// A fetch error is delivered to the compute thread via the
-		// join, which decides whether it is fatal (it may instead
-		// trigger a recompute for a corrupt vector) — it must NOT
-		// poison the pipeline's sticky firstErr, or one recovered
-		// corruption would fail every later write-back barrier.
-		if req.err == nil {
-			p.overlapped.Add(int64(len(req.dst)) * 8)
-		}
-		if timed {
-			dur := time.Since(start)
-			p.fetchLat.Observe(dur.Seconds())
-			emitTransfer(req.span, "pipe.fetch", lane, req.vi, start, dur)
-		}
-		p.qdepth.Set(p.depth.Add(-1))
-		req.done <- struct{}{}
-	}
 }
 
 func (p *pipeline) writeWorker() {
@@ -249,8 +174,8 @@ func (p *pipeline) writeWorker() {
 		err := p.store.WriteVector(req.vi, req.buf)
 		req.sum = vectorChecksum(req.buf) // the intent's, as in writeBack
 		if err != nil {
-			// Unlike fetches, a lost write-back has no joiner to
-			// report to: the sticky error is the only escalation path.
+			// A lost write-back has no caller to report to: the sticky
+			// error is the only escalation path.
 			p.noteErr(err)
 		} else {
 			p.overlapped.Add(int64(len(req.buf)) * 8)
@@ -258,18 +183,12 @@ func (p *pipeline) writeWorker() {
 		if timed {
 			dur := time.Since(start)
 			p.writeLat.Observe(dur.Seconds())
-			emitTransfer(req.span, "pipe.write_back", writerLane, req.vi, start, dur)
+			if req.span != nil {
+				req.span.EmitChild("pipe.write_back", start, dur, obs.Attr{Key: obs.LaneAttr, Int: writerLane}, obs.Attr{Key: "vid", Int: int64(req.vi)})
+			}
 		}
 		p.qdepth.Set(p.depth.Add(-1))
 		req.done <- struct{}{}
-	}
-}
-
-// emitTransfer records one worker-side transfer as a child of sp on its
-// lane; a no-op when untraced.
-func emitTransfer(sp *obs.Span, name string, lane int64, vi int, start time.Time, dur time.Duration) {
-	if sp != nil {
-		sp.EmitChild(name, start, dur, obs.Attr{Key: obs.LaneAttr, Int: lane}, obs.Attr{Key: "vid", Int: int64(vi)})
 	}
 }
 
@@ -285,53 +204,15 @@ func (p *pipeline) readPending(vi int, dst []float64) bool {
 	return ok
 }
 
-// enqueueFetch queues a background stage-in of vi into dst, checked
-// against want and traced under sp. Blocks only when the bounded fetch
-// queue is full; a non-nil cancelled ctx aborts that wait and returns
-// ctx's error with no request queued.
-func (p *pipeline) enqueueFetch(ctx context.Context, vi int, dst []float64, want vecEntry, sp *obs.Span) (*fetchReq, error) {
-	req := reuse(&p.fetchFree, func() *fetchReq { return &fetchReq{done: make(chan struct{}, 1)} })
-	req.vi, req.dst, req.want, req.span = vi, dst, want, sp
-	p.bumpDepth()
-	if ctx == nil {
-		p.fetchCh <- req
-		return req, nil
-	}
-	select {
-	case p.fetchCh <- req:
-		return req, nil
-	default:
-	}
-	select {
-	case p.fetchCh <- req:
-		return req, nil
-	case <-ctx.Done():
-		p.qdepth.Set(p.depth.Add(-1))
-		p.putFetch(req)
-		return nil, ctx.Err()
-	}
-}
-
-// reuse pops a request from free, or makes one.
-func reuse[T any](free *[]*T, mk func() *T) *T {
-	if k := len(*free); k > 0 {
-		r := (*free)[k-1]
-		*free = (*free)[:k-1]
-		return r
-	}
-	return mk()
-}
-
-// putFetch recycles a joined (or never queued) fetch request.
-func (p *pipeline) putFetch(req *fetchReq) {
-	req.dst, req.span, req.err = nil, nil, nil
-	p.fetchFree = append(p.fetchFree, req)
-}
-
 // enqueueWrite queues buf, which the writer owns from here on, as the
 // newest record of vector vi, traced under sp (after reclaimFor).
 func (p *pipeline) enqueueWrite(vi int, buf []float64, sp *obs.Span) {
-	req := reuse(&p.writeFree, func() *writeReq { return &writeReq{done: make(chan struct{}, 1)} })
+	var req *writeReq
+	if k := len(p.writeFree); k > 0 {
+		req, p.writeFree = p.writeFree[k-1], p.writeFree[:k-1]
+	} else {
+		req = &writeReq{done: make(chan struct{}, 1)}
+	}
 	req.vi, req.buf, req.span = vi, buf, sp
 	p.pending[vi] = req
 	p.queue = append(p.queue, req)
@@ -396,12 +277,9 @@ func (p *pipeline) barrier() error {
 	return p.err()
 }
 
-// shutdown stops all workers after draining both queues.
+// shutdown stops the writer after draining its queue.
 func (p *pipeline) shutdown() error {
-	p.stop.Do(func() {
-		close(p.fetchCh)
-		close(p.writeCh)
-	})
+	p.stop.Do(func() { close(p.writeCh) })
 	p.wg.Wait()
 	return p.err()
 }

@@ -37,8 +37,8 @@ func (g *gateStore) WriteVector(vi int, src []float64) error {
 func (g *gateStore) Close() error { return g.inner.Close() }
 
 // lagStore delays every transfer: one vector in eight sleeps, the rest
-// yield the processor, so the fetch workers and the writer finish late
-// and out of order relative to the work the compute thread queued.
+// yield the processor, so the writer finishes late relative to the work
+// the compute thread queued.
 type lagStore struct{ Store }
 
 // lagging wraps store in a lagStore.
@@ -198,6 +198,9 @@ func TestAsyncBackgroundWriteErrorSurfaces(t *testing.T) {
 	m.Close()
 }
 
+// TestAsyncFailedPrefetchUnmapsVector: a store error on a demand read
+// is returned as it is, and leaves the vector unmapped and the pool
+// consistent.
 func TestAsyncFailedPrefetchUnmapsVector(t *testing.T) {
 	const vecLen = 4
 	fs := &failStore{Store: NewMemStore(8, vecLen), failReads: true}
@@ -208,14 +211,13 @@ func TestAsyncFailedPrefetchUnmapsVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Prefetch(5); err != nil {
-		t.Fatalf("prefetch enqueue should not fail: %v", err)
-	}
-	if _, err := m.Vector(5, false); err == nil {
-		t.Fatal("joining a failed background fetch must report the error")
+	_, err = m.Vector(5, false)
+	var re *VectorReadError
+	if err == nil || errors.As(err, &re) {
+		t.Fatalf("a failed read returned %v, want the store's own error", err)
 	}
 	if m.Resident(5) {
-		t.Error("vector 5 remained resident with garbage after a failed fetch")
+		t.Error("vector 5 remained resident with garbage after a failed read")
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -224,13 +226,13 @@ func TestAsyncFailedPrefetchUnmapsVector(t *testing.T) {
 }
 
 // TestAsyncMatchesSyncRandomizedOps runs an identical randomised
-// operation sequence (reads, read-skipped writes, prefetches) against a
+// operation sequence (reads and read-skipped writes) against a
 // manager over a store that answers at once (sync) and one over the
 // same store made to lag (async, see lagging), and demands identical
 // observable behaviour throughout: every read returns the shadow-model
 // contents, every counter matches, and the flushed stores agree. The wb
 // axis is whether the workload produces write-backs at all: wb=0 only
-// reads and prefetches a pre-seeded store, so every eviction is clean
+// reads a pre-seeded store, so every eviction is clean
 // and nothing may be written; wb=1 mixes in read-skipped writes.
 func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 	const n, vecLen, slots, ops = 32, 16, 8, 3000
@@ -259,7 +261,7 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 						return NewRandom(rand.New(rand.NewSource(1234)))
 					}
 				}
-				run := func(async bool) (*MemStore, Stats, PrefetchStats) {
+				run := func(async bool) (*MemStore, Stats) {
 					var lag Store
 					store := NewMemStore(n, vecLen)
 					shadow := make([][]float64, n)
@@ -294,10 +296,6 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 							kind = 3 // read
 						}
 						switch kind {
-						case 0:
-							if err := m.Prefetch(vi, rng.Intn(n)); err != nil {
-								t.Fatal(err)
-							}
 						case 1, 2:
 							buf, err := m.Vector(vi, true)
 							if err != nil {
@@ -338,15 +336,12 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 					if err := m.CheckInvariants(); err != nil {
 						t.Fatal(err)
 					}
-					return store, m.Stats(), m.PrefetchStats()
+					return store, m.Stats()
 				}
-				syncStore, syncStats, syncPf := run(false)
-				asyncStore, asyncStats, asyncPf := run(true)
+				syncStore, syncStats := run(false)
+				asyncStore, asyncStats := run(true)
 				if syncStats != asyncStats {
 					t.Errorf("counters diverged:\n sync %+v\nasync %+v", syncStats, asyncStats)
-				}
-				if syncPf != asyncPf {
-					t.Errorf("prefetch counters diverged:\n sync %+v\nasync %+v", syncPf, asyncPf)
 				}
 				if wrote := syncStats.Writes > 0; wrote != (wb == 1) || syncStats.SkippedWrites == 0 {
 					t.Errorf("wb=%d: %d writes, %d skipped", wb, syncStats.Writes, syncStats.SkippedWrites)
@@ -369,56 +364,6 @@ func TestAsyncMatchesSyncRandomizedOps(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-func TestPrefetchSkippedDoesNotTouchStrategy(t *testing.T) {
-	// The satellite fix: a prefetch skipped because the vector is
-	// resident (or because everything is pinned) must leave LRU state
-	// untouched, or skipped prefetches would reorder future evictions.
-	const n, vecLen = 8, 4
-	m, err := NewManager(Config{
-		NumVectors: n, VectorLen: vecLen, Slots: 3,
-		Strategy: NewLRU(n), Store: NewMemStore(n, vecLen),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for vi := 0; vi < 3; vi++ {
-		if _, err := m.Vector(vi, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Vector 0 is the LRU victim. A skipped prefetch of 0 (resident)
-	// must not refresh its recency.
-	if err := m.Prefetch(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Vector(3, true); err != nil {
-		t.Fatal(err)
-	}
-	if m.Resident(0) {
-		t.Error("resident-skip prefetch refreshed LRU recency: vector 0 survived eviction")
-	}
-	// An all-pinned skip must not register the requested vector either:
-	// after the skip, vector 4 must still fault as a plain cold miss and
-	// the LRU order of residents must be unchanged.
-	for vi := 1; vi < 4; vi++ {
-		if _, err := m.Vector(vi, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Prefetch(4, 1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if m.Resident(4) {
-		t.Error("ErrAllPinned prefetch staged a vector anyway")
-	}
-	if _, err := m.Vector(4, false); err != nil {
-		t.Fatal(err)
-	}
-	if m.Resident(1) {
-		t.Error("LRU victim after skipped prefetch should have been 1")
 	}
 }
 

@@ -1,19 +1,20 @@
 package ooc_test
 
 import (
+	"math"
 	"testing"
 
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 )
 
-// TestPrefetchIntegration verifies the §5 future-work prefetcher end to
-// end: plan-driven prefetching must not change any result, and on a
-// full-traversal workload it must convert a substantial share of
-// blocking demand misses into prefetch hits (misses a prefetch thread
-// would overlap with compute).
+// TestPrefetchIntegration pins plf.Engine.EnablePrefetch as the no-op
+// it is (the benchmark harness still calls it): over the out-of-core
+// manager, a full-traversal workload with it on and off gives the same
+// likelihood bits and the same manager counters, every read a demand
+// read.
 func TestPrefetchIntegration(t *testing.T) {
-	run := func(prefetch bool) (float64, ooc.Stats, ooc.PrefetchStats) {
+	run := func(prefetch bool) (float64, ooc.Stats) {
 		tr, pats, m := buildCase(t, 32, 120, 17)
 		vecLen := plf.VectorLength(m, pats.NumPatterns())
 		mgr, err := ooc.NewManager(ooc.Config{
@@ -21,14 +22,14 @@ func TestPrefetchIntegration(t *testing.T) {
 			VectorLen:  vecLen,
 			Slots:      ooc.SlotsForFraction(0.25, tr.NumInner()),
 			Strategy:   ooc.NewLRU(tr.NumInner()),
-			// Read skipping off so every demand miss costs a read — the
-			// cleanest view of what prefetching converts.
+			// Read skipping off so every demand miss costs a read.
 			ReadSkipping: false,
 			Store:        ooc.NewMemStore(tr.NumInner(), vecLen),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer mgr.Close()
 		e, err := plf.New(tr, pats, m, mgr)
 		if err != nil {
 			t.Fatal(err)
@@ -44,25 +45,19 @@ func TestPrefetchIntegration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return lnl, mgr.Stats(), mgr.PrefetchStats()
+		return lnl, mgr.Stats()
 	}
 
-	plainLnl, plainStats, _ := run(false)
-	pfLnl, pfStats, pf := run(true)
-
-	if plainLnl != pfLnl {
-		t.Fatalf("prefetching changed the likelihood: %v vs %v", plainLnl, pfLnl)
+	offLnl, off := run(false)
+	onLnl, on := run(true)
+	if math.Float64bits(offLnl) != math.Float64bits(onLnl) {
+		t.Fatalf("EnablePrefetch changed the likelihood: %v vs %v", offLnl, onLnl)
 	}
-	if pf.Issued == 0 || pf.Hits == 0 {
-		t.Fatalf("prefetcher idle: %+v", pf)
+	if on != off {
+		t.Errorf("EnablePrefetch moved a counter:\n off %+v\n on  %+v", off, on)
 	}
-	if pfStats.Misses >= plainStats.Misses {
-		t.Errorf("prefetching should reduce demand misses: %d vs %d",
-			pfStats.Misses, plainStats.Misses)
-	}
-	// Accounting ties out: hits + wasted + still-resident = issued reads.
-	if pf.Hits+pf.Wasted > pf.Reads {
-		t.Errorf("prefetch accounting inconsistent: %+v", pf)
+	if on.Reads == 0 || on.Reads != on.Misses {
+		t.Errorf("want every miss a demand read: %+v", on)
 	}
 }
 

@@ -62,11 +62,11 @@ func (r *recStore) WriteVector(vi int, src []float64) error {
 // length (and full vectors with no marker) through a manager over a
 // FileStore, with the writer free to land (sync) or held while a queued
 // write-back is read (async), along every path a record travels:
-// eviction and demand read, a joined prefetch, a read served from a
-// queued write-back, a Resize shrink and Flush. Every record reads back
-// bit-exact at its own length (and passes the manager's checksum), each
-// write-back moves exactly its record, and BytesWritten is the sum of
-// the records written.
+// eviction and demand read, a read served from a queued write-back, a
+// Resize shrink and Flush. Every record reads back bit-exact at its own
+// length (and passes the manager's checksum), each write-back moves
+// exactly its record, and BytesWritten is the sum of the records
+// written.
 func TestPrefixRecords(t *testing.T) {
 	const n, vecLen, slots = 12, 16, 4
 	for _, async := range []bool{false, true} {
@@ -133,15 +133,6 @@ func TestPrefixRecords(t *testing.T) {
 			}
 			for vi := 0; vi < n; vi++ {
 				read("demand read", vi)
-			}
-
-			// A prefetch of an evicted vector, joined by the demand read.
-			if err := m.Prefetch(0); err != nil {
-				t.Fatal(err)
-			}
-			read("joined prefetch", 0)
-			if ps := m.PipelineStats(); ps.JoinedFetches == 0 {
-				t.Errorf("the prefetch was never joined: %+v", ps)
 			}
 
 			// A new generation, so every vector's record length moves.

@@ -12,8 +12,7 @@ package ooc
 //     ledgers and strategy state all behave exactly as if the evicted
 //     vectors had lost a normal replacement decision — until the
 //     residents fit, then drops free buffers until the free list fits
-//     too. In-flight stage-ins are drained first so no worker is left
-//     filling a buffer the pool gives up.
+//     too.
 //   - Grow only raises the budget: buffers are allocated as vectors
 //     move in, so raising the ceiling is free until the space is used.
 //
@@ -26,8 +25,8 @@ import (
 	"fmt"
 )
 
-// ErrManagerClosing is returned by Vector, Prefetch, Flush and Resize
-// once Close has been entered: the pipeline is (being) torn down.
+// ErrManagerClosing is returned by Vector, Flush and Resize once Close
+// has been entered: the pipeline is (being) torn down.
 var ErrManagerClosing = errors.New("ooc: manager closed")
 
 // SlotBoundsError is the typed rejection for a slot count below the
@@ -76,12 +75,11 @@ func (m *Manager) ResizeStats() ResizeStats {
 // Values above NumVectors are capped (as at construction); values below
 // MinSlots are rejected with a *SlotBoundsError.
 //
-// Shrinking drains in-flight stage-ins, settles the wide
-// vectors, evicts the strategy's victims until the residents fit, then
-// trims the free list. Growing raises the budget. Must be
-// called from the single API goroutine (between operations, never
-// concurrently with them); returns ErrManagerClosing once Close has
-// been entered.
+// Shrinking settles the wide vectors, evicts the strategy's victims
+// until the residents fit, then trims the free list. Growing raises the
+// budget. Must be called from the single API goroutine (between
+// operations, never concurrently with them); returns ErrManagerClosing
+// once Close has been entered.
 func (m *Manager) Resize(slots int) error {
 	if m.closing.Load() {
 		return ErrManagerClosing
@@ -101,9 +99,6 @@ func (m *Manager) Resize(slots int) error {
 	case slots > m.nslots:
 		m.rstats.Grows++
 	default:
-		// Drain in-flight stage-ins first: a worker must never be left
-		// filling a buffer the pool gives up.
-		m.dropFailedStageIns()
 		m.settleWide(-1, false, nil)
 		for m.held > slots*m.cfg.VectorLen {
 			victim, slot, err := m.pickVictim(-1, nil)

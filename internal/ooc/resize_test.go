@@ -140,10 +140,9 @@ func TestResizeRejectedAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, op := range map[string]func() error{
-		"Vector":   func() error { _, err := m.Vector(2, false); return err },
-		"Prefetch": func() error { return m.Prefetch(3) },
-		"Flush":    m.Flush,
-		"Resize":   func() error { return m.Resize(6) },
+		"Vector": func() error { _, err := m.Vector(2, false); return err },
+		"Flush":  m.Flush,
+		"Resize": func() error { return m.Resize(6) },
 	} {
 		if err := op(); !errors.Is(err, ErrManagerClosing) {
 			t.Errorf("%s after Close = %v, want ErrManagerClosing", name, err)
@@ -158,8 +157,8 @@ func TestResizeRejectedAfterClose(t *testing.T) {
 }
 
 func TestResizeWithAsyncPipeline(t *testing.T) {
-	// Shrinking while async stage-ins are in flight must drain them and
-	// leave a consistent pool; the interleaved Prefetch/Vector/Resize
+	// Shrinking while write-backs to a lagging store are still queued
+	// must leave a consistent pool; the interleaved Vector/Resize
 	// sequence runs under -race in CI.
 	n, vl := 24, 8
 	m, err := NewManager(Config{
@@ -168,7 +167,7 @@ func TestResizeWithAsyncPipeline(t *testing.T) {
 		Slots:        10,
 		Strategy:     NewLRU(n),
 		ReadSkipping: true,
-		Store:        NewMemStore(n, vl),
+		Store:        lagging(NewMemStore(n, vl)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,11 +175,15 @@ func TestResizeWithAsyncPipeline(t *testing.T) {
 	defer m.Close()
 	fillVectors(t, m, n, vl)
 	for cycle := 0; cycle < 6; cycle++ {
-		// Queue a burst of async stage-ins, then resize immediately so
-		// some are still in flight.
+		// Dirty every third vector, evicting others to the writer, then
+		// resize at once so some write-backs are still queued.
 		for vi := 0; vi < n; vi += 3 {
-			if err := m.Prefetch(vi); err != nil {
+			v, err := m.Vector(vi, true)
+			if err != nil {
 				t.Fatal(err)
+			}
+			for j := range v {
+				v[j] = float64(vi*1000 + j)
 			}
 		}
 		target := 4 + (cycle%3)*6 // 4, 10, 16, 4, ...

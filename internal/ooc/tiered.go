@@ -14,10 +14,11 @@ package ooc
 //
 // A miss is one GET on the caller's goroutine, straight into the
 // caller's buffer: the tier starts no goroutine at open and owns no
-// fetch buffer. Concurrency is what the callers bring (the async
-// pipeline's I/O workers), and the manager above already joins a demand
-// read to an in-flight prefetch of the same vector, so the tier never
-// sees two reads of one vector and keeps no dedup layer of its own.
+// fetch buffer. Concurrency is what the callers bring: the manager above
+// reads on its compute thread and writes back from its one writer, and
+// a read of a vector whose write-back is still queued is served from
+// the manager's buffer, so the tier never sees two reads of one vector
+// at once and keeps no dedup layer of its own.
 //
 // The tier checks nothing it moves: the manager above the stack checks
 // every vector it reads against its table, indexed by vector, and
@@ -191,8 +192,8 @@ type TieredStore struct {
 	remoteLatObs atomic.Pointer[func(seconds float64)]
 	// span is the request-scoped tracing span tier activity is currently
 	// attributed to (nil when untraced), and ctx the context every remote
-	// attempt derives from (nil: none). The pipeline's I/O workers read
-	// them concurrently with the engine's goroutine setting them, hence
+	// attempt derives from (nil: none). The manager's writer reads them
+	// concurrently with the engine's goroutine setting them, hence
 	// atomic.
 	span atomic.Pointer[obs.Span]
 	ctx  atomic.Pointer[context.Context]
@@ -265,8 +266,8 @@ func (s *TieredStore) noteBreakerTransition(from, to BreakerState) {
 
 // SetSpan attributes subsequent tier activity (remote fetch/write-back
 // spans) to the given request span; nil detaches. Safe to call while
-// I/O workers are in flight — each remote request is parented under the
-// span current when it is issued.
+// the manager's writer is in flight — each remote request is parented
+// under the span current when it is issued.
 func (s *TieredStore) SetSpan(sp *obs.Span) { s.span.Store(sp) }
 
 // SetContext bounds subsequent remote attempts by ctx as well as by

@@ -116,9 +116,6 @@ type Engine struct {
 	// taxon at that pattern (zero when the pattern cannot be constant).
 	linv []float64
 
-	// prefetch enables plan-driven staging of the next step's inputs
-	// when the provider supports it (see EnablePrefetch).
-	prefetch bool
 	// workers is the PLF kernel fan-out (see SetWorkers); pool is the
 	// persistent goroutine pool serving it when workers > 1.
 	workers int
@@ -133,12 +130,10 @@ type Engine struct {
 	// Scratch, reused across steps.
 	sumTabSc []int32   // nPat combined scale counters for the sum table
 	siteBuf  []float64 // nPat*3 per-pattern values for deterministic reductions
-	// Fixed-size pin scratch: demand fetches pin at most two vectors
-	// and prefetch at most three, so the slices handed to the provider
-	// can be views of these engine-owned arrays instead of per-call
-	// heap allocations.
+	// Fixed-size pin scratch: demand fetches pin at most two vectors,
+	// so the slices handed to the provider can be views of these
+	// engine-owned arrays instead of per-call heap allocations.
 	pinsL, pinsR, pinsP [2]int
-	pinsPF              [3]int
 	// fdfFn is the Newton objective OptimizeBranch hands to the solver,
 	// bound once here so branch optimisation allocates nothing per call.
 	fdfFn func(t float64) (d1, d2 float64)
@@ -331,18 +326,9 @@ func buildTipSum(e *Engine, dst, pmats []float64) {
 	}
 }
 
-// prefetchProvider is satisfied by vector providers that can stage a
-// vector ahead of its demand access (ooc.Manager).
-type prefetchProvider interface {
-	Prefetch(vi int, pinned ...int) error
-}
-
-// EnablePrefetch turns plan-driven prefetching on or off: while a
-// Felsenstein step computes, the next step's read inputs are staged
-// (the paper's §5 prefetch-thread future work; the provider counts how
-// many blocking misses the staging converts into prefetch hits).
-// A no-op when the provider cannot prefetch.
-func (e *Engine) EnablePrefetch(on bool) { e.prefetch = on }
+// EnablePrefetch does nothing: every vector is read on demand. It
+// stays for callers that still call it, the benchmark harness among them.
+func (e *Engine) EnablePrefetch(bool) {}
 
 // SetContext attaches ctx to the engine: traversals abort with an
 // error wrapping ctx.Err() at the next step boundary once ctx is
@@ -400,7 +386,6 @@ func (e *Engine) atSafePoint() error {
 // Execute runs a traversal plan: one Felsenstein step per entry, in
 // order, then records the resulting orientations.
 func (e *Engine) Execute(steps []tree.Step) error {
-	pf, canPrefetch := e.prov.(prefetchProvider)
 	var spanStart time.Time
 	if e.span != nil && len(steps) > 0 {
 		spanStart = time.Now()
@@ -408,9 +393,6 @@ func (e *Engine) Execute(steps []tree.Step) error {
 	for i := range steps {
 		if err := e.atSafePoint(); err != nil {
 			return err
-		}
-		if e.prefetch && canPrefetch && i+1 < len(steps) {
-			e.prefetchInputs(pf, &steps[i], &steps[i+1])
 		}
 		if err := e.newview(&steps[i]); err != nil {
 			return err
@@ -422,31 +404,6 @@ func (e *Engine) Execute(steps []tree.Step) error {
 			obs.Attr{Key: "steps", Int: int64(len(steps))})
 	}
 	return nil
-}
-
-// prefetchInputs stages the inner read inputs of next, the step after
-// cur, pinning cur's working set so the staging cannot evict what the
-// imminent step needs. Prefetch errors are advisory and ignored; a
-// failed prefetch simply leaves the demand access to fault normally.
-func (e *Engine) prefetchInputs(pf prefetchProvider, cur, next *tree.Step) {
-	pins := &e.pinsPF
-	np := 0
-	for _, n := range []*tree.Node{cur.Node, cur.Left, cur.Right} {
-		if !n.IsTip() {
-			pins[np] = e.vi(n)
-			np++
-		}
-	}
-	for _, child := range []*tree.Node{next.Left, next.Right} {
-		// A child cur recomputes (post-order: cur.Node is commonly next's
-		// child) is about to be overwritten before next reads it — staging
-		// the stale copy would be wasted I/O and, under read skipping, a
-		// wasted slot.
-		if child.IsTip() || child == cur.Node {
-			continue
-		}
-		_ = pf.Prefetch(e.vi(child), pins[:np]...)
-	}
 }
 
 // newview computes the ancestral vector at s.Node from its two children

@@ -233,8 +233,8 @@ func passesPairCap(e *Engine, edge *tree.Edge) bool {
 	return false
 }
 
-// oocEngine builds an engine over a small out-of-core manager (f = 0.3,
-// prefetching) above a MemStore. The manager checks every record it
+// oocEngine builds an engine over a small out-of-core manager (f = 0.3)
+// above a MemStore. The manager checks every record it
 // reads against the checksum it recorded and counts each refusal, so a
 // test can require that none was.
 func oocEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) (*Engine, *ooc.Manager) {
@@ -252,7 +252,6 @@ func oocEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnablePrefetch(true)
 	t.Cleanup(func() { e.Close(); mgr.Close() })
 	return e, mgr
 }
@@ -387,9 +386,9 @@ func TestKernelDifferentialInvariant(t *testing.T) {
 }
 
 // TestKernelDifferentialOOC runs the specialised kernels over an
-// out-of-core manager, with and without the plan's reads staged ahead,
-// with multiple workers (exercising the worker pool under -race) and requires the
-// same bits the in-memory generic reference produces, per data type.
+// out-of-core manager, with one worker and with several (exercising the
+// worker pool under -race), and requires the same bits the in-memory
+// generic reference produces, per data type.
 func TestKernelDifferentialOOC(t *testing.T) {
 	cases := []struct {
 		dtype bio.DataType
@@ -432,34 +431,30 @@ func TestKernelDifferentialOOC(t *testing.T) {
 
 			vecLen := VectorLength(m, pats.NumPatterns())
 			n := tr.NumInner()
-			for _, stage := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("prefetch=%v workers=%d", stage, workers)
-					mgr, err := ooc.NewManager(ooc.Config{
-						NumVectors: n, VectorLen: vecLen,
-						Slots:        ooc.SlotsForFraction(0.4, n),
-						Strategy:     ooc.NewLRU(n),
-						ReadSkipping: true,
-						Store:        ooc.NewMemStore(n, vecLen),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					e, err := New(tr.Clone(), pats, m, mgr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					e.EnablePrefetch(stage)
-					e.SetWorkers(workers)
-					lnl, opt, length := run(e)
-					e.Close()
-					if err := mgr.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if !bitsEq(lnl, wantLnl) || !bitsEq(opt, wantOpt) || !bitsEq(length, wantLen) {
-						t.Fatalf("%s: (%.17g, %.17g, %v) differs from generic in-memory (%.17g, %.17g, %v)",
-							name, lnl, opt, length, wantLnl, wantOpt, wantLen)
-					}
+			for _, workers := range []int{1, 4} {
+				mgr, err := ooc.NewManager(ooc.Config{
+					NumVectors: n, VectorLen: vecLen,
+					Slots:        ooc.SlotsForFraction(0.4, n),
+					Strategy:     ooc.NewLRU(n),
+					ReadSkipping: true,
+					Store:        ooc.NewMemStore(n, vecLen),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(tr.Clone(), pats, m, mgr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetWorkers(workers)
+				lnl, opt, length := run(e)
+				e.Close()
+				if err := mgr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !bitsEq(lnl, wantLnl) || !bitsEq(opt, wantOpt) || !bitsEq(length, wantLen) {
+					t.Fatalf("workers=%d: (%.17g, %.17g, %v) differs from generic in-memory (%.17g, %.17g, %v)",
+						workers, lnl, opt, length, wantLnl, wantOpt, wantLen)
 				}
 			}
 		})

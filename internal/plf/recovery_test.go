@@ -238,8 +238,7 @@ func outageRig(t *testing.T, seed int64, taxa int) (*tree.Tree, *Engine, *outage
 
 // flakyStore fails the next read of each marked vector once, the way a
 // tiered store does while its circuit is open, and counts the reads
-// that reach it. Reads arrive from the manager's fetch workers, hence
-// the lock.
+// that reach it. The lock keeps it safe whichever goroutine reads.
 type flakyStore struct {
 	ooc.Store
 	mu       sync.Mutex
@@ -274,9 +273,10 @@ func (s *flakyStore) counts() (reads, failures int) {
 // FailedVector error are invalidated and recomputed from their
 // children, and the evaluation still lands bit-identical. The sync row
 // fails each read at its own step through a scripted provider; the
-// async row runs a real out-of-core manager whose fetch workers stage
-// the plan's reads, so a failed read surfaces at the join — inside the
-// parent's newview — and must come back under the same rule. The
+// async row runs a real out-of-core manager, its write-backs on the
+// writer goroutine, so a failed read surfaces on the manager's demand
+// path — inside the parent's newview — and must come back under the
+// same rule. The
 // breaker-open row is an outage that lasts the whole pass: the same
 // rule, and no planner, must absorb it with no GET leaving. The
 // rotted-cache and rotted-backing-file rows corrupt every vector in the
@@ -311,7 +311,6 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 		if e, err = New(tr, e.P, e.M, mgr); err != nil {
 			t.Fatal(err)
 		}
-		e.EnablePrefetch(true)
 		failAll := func() {
 			store.mu.Lock()
 			for vi := 0; vi < n; vi++ {
@@ -326,9 +325,6 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 		// Four slots over fourteen vectors: hopping to the far edge and
 		// back re-reads evicted subtree roots from the store.
 		checkUnreadableRecovered(t, e, tr.Edges[0], tr.Edges[len(tr.Edges)-1], failAll, failures)
-		if mgr.PipelineStats().JoinedFetches == 0 {
-			t.Error("no demand access joined a staged read: the async path was not exercised")
-		}
 	})
 	t.Run("breaker open", func(t *testing.T) {
 		// A persistent outage: a real tier whose breaker stays open for
@@ -356,7 +352,6 @@ func TestUnreadableVectorRecoveredMidPass(t *testing.T) {
 		if e, err = New(tr, e.P, e.M, mgr); err != nil {
 			t.Fatal(err)
 		}
-		e.EnablePrefetch(true)
 		var gets int
 		openBreaker := func() {
 			ts.Breaker().Failure() // one failure trips a threshold of 1
@@ -422,7 +417,6 @@ func checkRotRecovered(t *testing.T, overRemote bool) {
 	if e, err = New(tr, e.P, e.M, mgr); err != nil {
 		t.Fatal(err)
 	}
-	e.EnablePrefetch(true)
 	rot := func() {
 		// Settle the write-back pipeline, then flip a bit in the first
 		// word, inside every record however short, of each vector slot.
