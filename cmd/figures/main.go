@@ -16,9 +16,12 @@
 //	            cold / warm arms over a remote object store behind a
 //	            write-back cache, per injected RTT; bit-identical lnL
 //	            (not in the paper)
-//	-fig timeline  Chrome trace of a fully instrumented run (compute +
-//	               writer lanes); explicit only — it writes the
-//	               trace JSON to -trace-out, not stdout
+//	-fig timeline  recovery ablation: an edge sweep clean, then over a
+//	               store injecting read EIO, torn writes and bit
+//	               flips (bit-identical lnL); prints its table and the
+//	               faulted run's registry report and writes that run's
+//	               Chrome trace (compute + writer lanes, recovery
+//	               markers) to -trace-out; explicit only
 //	-fig all  everything except timeline (default)
 //
 // Default dimensions are CI-scaled; pass -full for the paper's own
@@ -53,7 +56,6 @@ func run(args []string) error {
 	rounds := fs.Int("rounds", 0, "SPR rounds for the search workload (0 = default)")
 	full := fs.Bool("full", false, "use the paper's dimensions (slow)")
 	traceOut := fs.String("trace-out", "TRACE_timeline.json", "Chrome trace output path for -fig timeline")
-	faults := fs.Bool("faults", true, "inject I/O faults in -fig timeline so recovery markers appear")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -180,22 +182,20 @@ func run(args []string) error {
 		experiments.WriteTierTable(out, rows, tcfg)
 	}
 	if *fig == "timeline" {
-		fmt.Fprintln(out, "== Timeline: Chrome trace of an instrumented out-of-core run ==")
-		tcfg := experiments.TimelineConfig{
-			Taxa: *taxa, Sites: *sites, Seed: *seed, WithFaults: *faults,
-		}
+		fmt.Fprintln(out, "== Timeline: recovery ablation, the faulted run traced ==")
+		rcfg := experiments.RecoveryConfig{Taxa: *taxa, Sites: *sites, Seed: *seed}
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			return err
 		}
-		res, err := experiments.RunTimeline(tcfg, f)
+		res, err := experiments.RunRecoveryAblation(rcfg, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return err
 		}
-		experiments.WriteTimelineSummary(out, tcfg, res)
+		experiments.WriteRecoveryTable(out, res, rcfg)
 		fmt.Fprintf(out, "trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
 		return nil
 	}

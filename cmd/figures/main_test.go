@@ -79,7 +79,7 @@ func TestFiguresTimelineTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Timeline trace", "final lnL", "[out-of-core manager]", "trace written to"} {
+	for _, want := range []string{"Recovery ablation", "recovered", "[out-of-core manager]", "trace written to"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline output missing %q:\n%s", want, out)
 		}

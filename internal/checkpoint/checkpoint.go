@@ -153,7 +153,8 @@ func (st *State) Restore() (*tree.Tree, *model.Model, error) {
 	return t, m, nil
 }
 
-// Save writes the checkpoint atomically.
+// Save writes the checkpoint atomically and durably: the temp file is
+// synced, renamed over path, and the directory synced after the rename.
 func Save(path string, st *State) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
@@ -182,6 +183,19 @@ func Save(path string, st *State) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("checkpoint: committing: %w", err)
+	}
+	// The rename is atomic but lives in the directory: until the
+	// directory is synced, a power cut may leave no checkpoint at all.
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: syncing directory: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: syncing directory: %w", err)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"strings"
@@ -23,8 +22,9 @@ func bits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
 // goldenTables lists every experiment at its test-scale configuration
 // with the columns that do not depend on the clock or on goroutine
 // scheduling: likelihood bit patterns and, for the paper's arms, the
-// I/O counters. The rest (recovery, tiers, chaos, timeline,
-// obs-overhead) contribute their lnL only.
+// I/O counters, for the recovery ablation its fault and repair counters
+// too (each fault die follows its vector's own calls). The rest (tiers,
+// chaos, obs-overhead) contribute their lnL only.
 var goldenTables = []struct {
 	name string
 	rows func() ([]string, error)
@@ -52,18 +52,16 @@ var goldenTables = []struct {
 		return out, err
 	}},
 	{"recovery", func() ([]string, error) {
-		r, err := RunRecoveryAblation(RecoveryConfig{
-			Taxa: 24, Sites: 64, Seed: 5, Traversals: 2,
-			Faults: ooc.FaultConfig{
-				Seed:     5 * 131,
-				PReadErr: 0.10, MaxReadErrs: 6,
-				PTornWrite: 0.10, MaxTornWrites: 4,
-				PBitFlip: 0.25, MaxBitFlips: 4,
-			},
-		})
-		// "async=true" is the label the row was recorded under; only
-		// the lnL is pinned.
-		return []string{fmt.Sprintf("async=true lnl=%s", bits(r.LnL))}, err
+		var out []string
+		for _, cfg := range []RecoveryConfig{{Taxa: 24, Sites: 64, Seed: 5, Rounds: 2}, {Taxa: 24, Sites: 96, Rounds: 1}} {
+			r, err := RunRecoveryAblation(cfg, nil)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, fmt.Sprintf("taxa=%d sites=%d seed=%d rounds=%d faults=%+v corrupt=%d recovered=%d extra_newviews=%d lnl=%s",
+				cfg.Taxa, cfg.Sites, cfg.Seed, cfg.Rounds, r.Faults, r.CorruptReads, r.Recoveries, r.ExtraNewviews, bits(r.LnL)))
+		}
+		return out, nil
 	}},
 	{"resize", func() ([]string, error) {
 		rows, err := RunResizeAblation(ResizeAblationConfig{Taxa: 24, Sites: 120, Seed: 3, TraversalsPerPhase: 1})
@@ -96,17 +94,6 @@ var goldenTables = []struct {
 			return nil, err
 		}
 		return []string{fmt.Sprintf("lnl=%s", bits(r.LnL))}, nil
-	}},
-	{"timeline", func() ([]string, error) {
-		var out []string
-		for _, faults := range []bool{false, true} {
-			r, err := RunTimeline(TimelineConfig{Taxa: 24, Sites: 96, Rounds: 1, WithFaults: faults}, io.Discard)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, fmt.Sprintf("faults=%v lnl=%s", faults, bits(r.LnL)))
-		}
-		return out, nil
 	}},
 	{"obs-overhead", func() ([]string, error) {
 		r, err := RunObsOverhead(16, 64, 1, 1, 7)

@@ -25,8 +25,8 @@ type workload struct {
 }
 
 // pagingFraction is the memory fraction f of the traversal ablations
-// (recovery, timeline, obs overhead): tight enough that every traversal
-// pages.
+// (recovery and its timeline, obs overhead): tight enough that every
+// traversal pages.
 const pagingFraction = 0.25
 
 // gammaAlpha is the rate heterogeneity every dataset is simulated with

@@ -14,7 +14,7 @@ import (
 
 // modelOp is one call of a manager model sequence.
 type modelOp struct {
-	kind string // get, write, refuse, tear, resize, flush
+	kind string // get, write, refuse, tear, failWrite, resize, flush
 	vi   int
 	n    int // the record length a write stamps; the slot count of a resize
 	pins []int
@@ -28,24 +28,29 @@ func (o modelOp) String() string {
 		return fmt.Sprintf("resize(%d)", o.n)
 	case "write":
 		return fmt.Sprintf("write(%d, len %d, pins %v)", o.vi, o.n, o.pins)
-	case "refuse", "tear":
+	case "refuse", "tear", "failWrite":
 		return fmt.Sprintf("%s(%d)", o.kind, o.vi)
 	}
 	return fmt.Sprintf("%s(%d, pins %v)", o.kind, o.vi, o.pins)
 }
 
 // TestManagerModel runs seeded sequences of demand reads and writes
-// with pins, resizes, flushes, refused reads and torn writes, against a
-// model of what each vector holds. Every write stamps a drawn record
-// length, full width included; a refusal makes the next store read of
-// its vector fail transiently, and a tear makes the next store write of
-// its vector land torn. After every call: a read returns the last
-// write's record at its length, or — once per refusal, on the refused
-// vector — a transient *VectorReadError, or — on a vector whose stored
-// copy is torn and which is not resident — a corruption
+// with pins, resizes, flushes, refused reads, torn writes and lost
+// writes, against a model of what each vector holds. Every write stamps
+// a drawn record length, full width included; a refusal makes the next
+// store read of its vector fail transiently, a tear makes the next
+// store write of its vector land torn, and a failWrite makes it fail
+// for good, leaving the old copy. After every call: a read returns the
+// last write's record at its length, or — once per refusal, on the
+// refused vector — a transient *VectorReadError, or — on a vector whose
+// stored copy is torn or lost and which is not resident — a corruption
 // *VectorReadError, which it must return if the writer holds no record
 // of the vector either, and keeps returning until a write-intent access
-// rewrites it; a write, a resize or a flush returns no error; a vector
+// rewrites it; a lost write surfaces as an error from the first Vector
+// call that would queue a write-back once the writer has seen it, or
+// from Flush or Close, whichever comes first, which ends the sequence,
+// and no call reports one that never happened; otherwise a write, a
+// resize or a flush returns no error; a vector
 // pinned while resident is still resident and its slice unmoved; and
 // the pool holds no more than its budget. Over a MemStore, every read
 // checked against the manager's table. A failure prints the seed and
@@ -66,21 +71,31 @@ func TestManagerModel(t *testing.T) {
 }
 
 // modelStore fails the next read of each vector refuse armed with a
-// transient error, and lands the next write of each vector tear armed
-// torn: its second half never reaches the store, which reads zeros
-// there. torn marks the vectors whose stored copy is such a write.
+// transient error, lands the next write of each vector tear armed torn
+// (its second half never reaches the store, which reads zeros there),
+// and fails the next write of each vector failWrite armed with
+// errWriteLost, writing nothing. torn marks the vectors whose stored
+// copy is a torn write, lost those whose last write failed; failed
+// counts the failed writes.
 type modelStore struct {
 	Store
-	mu                   sync.Mutex
-	refused, tears, torn map[int]bool
+	mu                                sync.Mutex
+	refused, tears, torn, fails, lost map[int]bool
+	failed                            int
 }
+
+// errWriteLost is the model store's failed write: not transient, so
+// nothing may retry it away.
+var errWriteLost = errors.New("write lost")
 
 func newModelStore(n, vecLen int) *modelStore {
-	return &modelStore{Store: NewMemStore(n, vecLen), refused: map[int]bool{}, tears: map[int]bool{}, torn: map[int]bool{}}
+	return &modelStore{Store: NewMemStore(n, vecLen), refused: map[int]bool{}, tears: map[int]bool{},
+		torn: map[int]bool{}, fails: map[int]bool{}, lost: map[int]bool{}}
 }
 
-func (s *modelStore) refuse(vi int) { s.arm(s.refused, vi) }
-func (s *modelStore) tear(vi int)   { s.arm(s.tears, vi) }
+func (s *modelStore) refuse(vi int)    { s.arm(s.refused, vi) }
+func (s *modelStore) tear(vi int)      { s.arm(s.tears, vi) }
+func (s *modelStore) failWrite(vi int) { s.arm(s.fails, vi) }
 
 func (s *modelStore) arm(m map[int]bool, vi int) {
 	s.mu.Lock()
@@ -88,11 +103,19 @@ func (s *modelStore) arm(m map[int]bool, vi int) {
 	m[vi] = true
 }
 
-// isTorn reports whether vi's stored copy is a torn write.
-func (s *modelStore) isTorn(vi int) bool {
+// damaged reports whether vi's stored copy is a torn write or older
+// than its last, failed, write.
+func (s *modelStore) damaged(vi int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.torn[vi]
+	return s.torn[vi] || s.lost[vi]
+}
+
+// failures reports how many writes have failed.
+func (s *modelStore) failures() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
 }
 
 func (s *modelStore) ReadVector(vi int, dst []float64) error {
@@ -108,9 +131,16 @@ func (s *modelStore) ReadVector(vi int, dst []float64) error {
 
 func (s *modelStore) WriteVector(vi int, src []float64) error {
 	s.mu.Lock()
+	if s.fails[vi] {
+		delete(s.fails, vi)
+		s.lost[vi] = true
+		s.failed++
+		s.mu.Unlock()
+		return fmt.Errorf("write of vector %d: %w", vi, errWriteLost)
+	}
 	tear := s.tears[vi]
 	delete(s.tears, vi)
-	s.torn[vi] = tear
+	s.torn[vi], s.lost[vi] = tear, false
 	s.mu.Unlock()
 	if tear {
 		src = slices.Clone(src)
@@ -143,6 +173,10 @@ func modelOps(seed int64, n, vecLen, steps int) []modelOp {
 			o.kind, o.pins = "refuse", nil
 		case r == 3:
 			o.kind, o.pins = "tear", nil
+		case r == 4 && seed%4 == 0:
+			// A lost write ends its sequence, so only every fourth draws
+			// one.
+			o.kind, o.pins = "failWrite", nil
 		case r < 12 && written[o.vi]:
 			o.kind = "get"
 		default:
@@ -176,6 +210,10 @@ func runModel(ops []modelOp, n, vecLen int) (int, error) {
 	// live holds the slices still in their lifetime: a later call that
 	// neither names nor pins a vector ends its slice's.
 	live := make(map[int][]float64)
+	// A lost write-back is fatal: the first call to report one ends the
+	// sequence. fatal tells such a report from one of a write that never
+	// failed.
+	fatal := func() bool { return errors.Is(err, errWriteLost) && store.failures() > 0 }
 	check := func(vi int, v []float64) error {
 		if len(v) < length[vi] {
 			return fmt.Errorf("vector %d: %d floats of a %d-float record", vi, len(v), length[vi])
@@ -199,9 +237,14 @@ func runModel(ops []modelOp, n, vecLen int) (int, error) {
 				delete(live, u)
 			}
 		}
+		// Once the writer has seen a lost write, no call may queue
+		// another write-back.
+		writerFailed, queued := m.pipe.err() != nil, m.PipelineStats().WritesQueued
 		switch o.kind {
 		case "flush":
-			err = m.Flush()
+			if err = m.Flush(); err == nil && store.failures() > 0 {
+				err = errors.New("Flush returned no error after a lost write-back")
+			}
 		case "resize":
 			err = m.Resize(o.n)
 		case "refuse":
@@ -209,9 +252,11 @@ func runModel(ops []modelOp, n, vecLen int) (int, error) {
 			mayFail[o.vi] = true
 		case "tear":
 			store.tear(o.vi)
+		case "failWrite":
+			store.failWrite(o.vi)
 		case "get":
-			// A read of a torn copy fails unless vi is resident or the
-			// writer still holds its record, which serves it whole.
+			// A read of a torn or lost copy fails unless vi is resident or
+			// the writer still holds its record, which serves it whole.
 			resident, pending := m.Resident(o.vi), m.pipe.pending[o.vi] != nil
 			var v []float64
 			v, err = m.Vector(o.vi, false, pins...)
@@ -220,7 +265,7 @@ func runModel(ops []modelOp, n, vecLen int) (int, error) {
 				mayFail[o.vi], err = false, nil
 				break
 			}
-			torn := !resident && store.isTorn(o.vi)
+			torn := !resident && store.damaged(o.vi)
 			if errors.As(err, &re) && re.Vi == o.vi && IsCorruption(err) && torn {
 				err = nil
 				break
@@ -254,6 +299,12 @@ func runModel(ops []modelOp, n, vecLen int) (int, error) {
 				live[o.vi] = v
 			}
 		}
+		if fatal() {
+			return at, nil
+		}
+		if err == nil && writerFailed && m.PipelineStats().WritesQueued > queued {
+			err = errors.New("a write-back was queued after the writer lost one")
+		}
 		if err != nil {
 			return at, err
 		}
@@ -274,5 +325,10 @@ func runModel(ops []modelOp, n, vecLen int) (int, error) {
 			return at, fmt.Errorf("the pool holds %d bytes of a %d-byte budget", now, m.Slots()*vecLen*8)
 		}
 	}
-	return len(ops) - 1, nil
+	if err = m.Close(); err == nil && store.failures() > 0 {
+		err = errors.New("Close returned no error after a lost write-back")
+	} else if fatal() {
+		err = nil
+	}
+	return len(ops) - 1, err
 }
