@@ -48,7 +48,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, kernels, protein, resize, tiers or all")
+	fig := fs.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, kernels, protein, resize, tiers, timeline, or all (every one but timeline)")
 	taxa := fs.Int("taxa", 0, "taxa for figures 2-4 (0 = scaled default; paper: 1288 or 1908)")
 	sites := fs.Int("sites", 0, "sites for figures 2-4 (0 = scaled default; paper: 1200 or 1424)")
 	f5taxa := fs.Int("f5taxa", 0, "taxa for figure 5 (0 = scaled default; paper: 8192)")

@@ -135,3 +135,27 @@ func TestFiguresFig3And4Tiny(t *testing.T) {
 		t.Errorf("figure 4 output malformed:\n%s", out)
 	}
 }
+
+// TestFiguresUsageNamesTimeline: -h lists every figure -fig accepts,
+// timeline (the one all leaves out) included.
+func TestFiguresUsageNamesTimeline(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "usage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"})
+	os.Stderr = old
+	if err == nil {
+		t.Fatal("-h must end the run")
+	}
+	usage, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(usage), "timeline, or all") {
+		t.Fatalf("-fig usage leaves out timeline:\n%s", usage)
+	}
+}

@@ -10,6 +10,8 @@ type compute struct {
 
 	// Scratch buffers, reused across steps.
 	pL, pR  []float64 // nCat × k² transition matrices (cache-off path)
+	ptL     []float64 // nCat × k² transposed matrices (dna4's assembly)
+	ptR     []float64
 	tipSumL []float64 // nCat × nm × k (cache-off path)
 	tipSumR []float64
 	prodTT  []float64 // tip×tip mask-pair product table (lazily sized)
@@ -43,6 +45,8 @@ func newCompute(e *Engine) *compute {
 	k2 := e.nStates * e.nStates
 	cs.pL = make([]float64, e.nCat*k2)
 	cs.pR = make([]float64, e.nCat*k2)
+	cs.ptL = make([]float64, e.nCat*k2)
+	cs.ptR = make([]float64, e.nCat*k2)
 	cs.tipSumL = make([]float64, e.nCat*len(e.maskList)*e.nStates)
 	cs.tipSumR = make([]float64, e.nCat*len(e.maskList)*e.nStates)
 	cs.sumTab = make([]float64, e.nPat*e.nCat*e.nStates)

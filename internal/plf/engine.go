@@ -33,6 +33,10 @@ var (
 type Stats struct {
 	// Newviews is the number of ancestral-vector (re)computations.
 	Newviews int64
+	// ClassMapsBuilt counts the newviews that built their node's class
+	// map; the others reused the map of the node's last build (see
+	// classify). Every newview under KernelGeneric builds one.
+	ClassMapsBuilt int64
 	// ClassesComputed sums, over those newviews, the site classes each
 	// one computed: one per distinct (left-class, right-class) pair of
 	// the node's patterns, or every pattern under KernelGeneric and at
@@ -91,8 +95,9 @@ type Engine struct {
 	// carries the length of the store record, those blocks (package
 	// record). A node's class at a site is the id of its children's
 	// (class, class) pair there, so sites with equal classes have
-	// bit-equal entries by construction. The map is rebuilt by the
-	// newview that revalidates the node and, like scales, stays in RAM.
+	// bit-equal entries by construction. The newview that revalidates
+	// the node builds or reuses the map (see classify); like scales, it
+	// stays in RAM.
 	cls  [][]int32
 	ncls []int
 	// pairGen/pairID are classify's direct (left-class, right-class)
@@ -104,6 +109,18 @@ type Engine struct {
 	pairID     []int32
 	gen        uint32
 	repL, repR []int32
+	// A class map depends only on the children's maps, so a newview
+	// reuses node vi's map when its children are the nodes of the map's
+	// last build and neither child's map was built since. clsGen[vi] is
+	// that build's generation (from builds, which only grows; a tip's is
+	// 0, for a tip's map never changes) and clsKids[vi] its children's
+	// node indices, {-1, -1} when the build left nothing to reuse (under
+	// KernelGeneric or past the pair-table cap). nodeRepL/nodeRepR[vi]
+	// keep the build's representatives, ncls[vi] entries each.
+	clsGen             []uint64
+	clsKids            [][2]int32
+	builds             uint64
+	nodeRepL, nodeRepR [][]int32
 
 	// scales[vi][class] holds the per-class scaling counters for inner
 	// vector vi (indexed like its blocks, through cls). Counters are 4
@@ -239,6 +256,13 @@ func New(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov VectorProvider) 
 	}
 	e.repL = make([]int32, e.nPat)
 	e.repR = make([]int32, e.nPat)
+	e.clsGen = make([]uint64, t.NumInner())
+	e.clsKids = make([][2]int32, t.NumInner())
+	for i := range e.clsKids {
+		e.clsKids[i] = [2]int32{-1, -1}
+	}
+	e.nodeRepL = make([][]int32, t.NumInner())
+	e.nodeRepR = make([][]int32, t.NumInner())
 	// Class counts are at most max(masks, patterns), so the pair table
 	// never needs more entries than that squared.
 	n := max(len(e.maskList), e.nPat)
@@ -517,14 +541,35 @@ func (e *Engine) classMap(n *tree.Node) ([]int32, int) {
 	return e.cls[vi], e.ncls[vi]
 }
 
-// classify rebuilds inner vector pvi's class map from its children l
-// and r and returns, per class to compute, the children's classes its
-// block is computed from (a tip child's mask code, an inner child's
-// block index). Classes are numbered in order of first pattern.
-// KernelGeneric classifies with the identity map — every pattern its
-// own class, computed from the children's maps directly — which keeps
-// it the repeat-free arithmetic every other mode must match bit-for-bit.
+// classGen is node n's class-map build generation: 0 for a tip.
+func (e *Engine) classGen(n *tree.Node) uint64 {
+	if n.IsTip() {
+		return 0
+	}
+	return e.clsGen[e.vi(n)]
+}
+
+// classify makes inner vector pvi's class map the one its children l
+// and r give it and returns, per class to compute, the children's
+// classes its block is computed from (a tip child's mask code, an inner
+// child's block index). Classes are numbered in order of first pattern.
+// The map of the last build is kept when l and r are the children it
+// was built from and neither has been rebuilt since (see clsGen); else
+// it is rebuilt through the pair table. KernelGeneric classifies with
+// the identity map and never reuses one — every pattern its own class,
+// computed from the children's maps directly — which keeps it the
+// repeat-free arithmetic every other mode must match bit-for-bit.
 func (e *Engine) classify(pvi int, l, r *tree.Node) (cl, cr []int32) {
+	kids := [2]int32{int32(l.Index), int32(r.Index)}
+	if g := e.clsGen[pvi]; e.kernelMode != KernelGeneric && e.clsKids[pvi] == kids &&
+		e.classGen(l) < g && e.classGen(r) < g {
+		return e.nodeRepL[pvi], e.nodeRepR[pvi]
+	}
+	e.Stats.ClassMapsBuilt++
+	e.eobs.classMaps.Inc()
+	e.builds++
+	e.clsGen[pvi] = e.builds
+	e.clsKids[pvi] = [2]int32{-1, -1}
 	ml, nl := e.classMap(l)
 	mr, nr := e.classMap(r)
 	out := e.cls[pvi]
@@ -553,7 +598,22 @@ func (e *Engine) classify(pvi int, l, r *tree.Node) (cl, cr []int32) {
 		out[i] = id[key]
 	}
 	e.ncls[pvi] = int(n)
-	return e.repL[:n], e.repR[:n]
+	e.clsKids[pvi] = kids
+	e.nodeRepL[pvi] = resized(e.nodeRepL[pvi], int(n))
+	e.nodeRepR[pvi] = resized(e.nodeRepR[pvi], int(n))
+	copy(e.nodeRepL[pvi], e.repL)
+	copy(e.nodeRepR[pvi], e.repR)
+	return e.nodeRepL[pvi], e.nodeRepR[pvi]
+}
+
+// resized returns s[:n], in a new array of exactly n entries when s
+// cannot hold them: a node's representative lists grow only to its
+// largest class count.
+func resized(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // failedVector extracts the vector index from an unreadable-vector

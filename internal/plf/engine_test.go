@@ -459,6 +459,22 @@ func TestStatsCounters(t *testing.T) {
 		if v := reg.Counter("plf.classes_computed").Value(); v != got {
 			t.Errorf("%s: registry plf.classes_computed = %d, Stats %d", mode, v, got)
 		}
+		// Maps: generic builds one per newview; auto builds one per
+		// newview of the first traversal, and a second traversal toward
+		// the same edge reuses every map it built.
+		built, newviews := e.Stats.ClassMapsBuilt, e.Stats.Newviews
+		if mode == KernelGeneric && built != newviews {
+			t.Errorf("generic: %d class maps built in %d newviews, want one each", built, newviews)
+		}
+		if v := reg.Counter("plf.class_maps_built").Value(); v != built {
+			t.Errorf("%s: registry plf.class_maps_built = %d, Stats %d", mode, v, built)
+		}
+		if err := e.FullTraversal(e.T.Edges[7]); err != nil {
+			t.Fatal(err)
+		}
+		if mode == KernelAuto && e.Stats.ClassMapsBuilt != built {
+			t.Errorf("auto: a repeated full traversal built %d class maps, want 0", e.Stats.ClassMapsBuilt-built)
+		}
 	}
 }
 

@@ -49,6 +49,7 @@ type nvArgs struct {
 	cl, cr        []int32
 	tipL, tipR    bool
 	pmL, pmR      []float64 // nCat × k² transition matrices
+	ptL, ptR      []float64 // the same transposed, for dna4's assembly (inner children)
 	tsL, tsR      []float64 // nCat × nm × k tip-sum tables (tip children)
 	prodTT        []float64 // nm × nm × nCat × k tip-pair products (tip×tip)
 	nm            int
@@ -100,7 +101,7 @@ func selectKernelSet(mode string, nStates int) (kernelSet, error) {
 	case KernelAuto:
 		switch nStates {
 		case 4:
-			return dnaKernels{}, nil
+			return dnaKernels{avx2: hasAVX2}, nil
 		case 20:
 			return aaKernels{}, nil
 		}
@@ -128,7 +129,7 @@ func (e *Engine) SetKernel(mode string) error {
 	if mode == KernelGeneric {
 		e.c.pcache = nil
 	} else if e.c.pcache == nil {
-		e.c.pcache = newPCache()
+		e.c.pcache = newPCache(len(e.T.Edges))
 	}
 	return nil
 }

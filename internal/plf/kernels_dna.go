@@ -26,8 +26,21 @@ package plf
 //
 // The differential fuzz tests (kernels_test.go) enforce both claims on
 // random inputs, per vector and per likelihood.
+//
+// On an amd64 CPU with AVX2 the inner×inner and tip×inner newviews run
+// in assembly (kernels_dna_amd64.s), four parent states per
+// instruction, with the same operations in the same order. The pure-Go
+// bodies stay: they run on every other CPU and GOARCH, and the tests
+// hold the assembly to them bit for bit.
 
-type dnaKernels struct{}
+// hasAVX2 is the run-time CPU probe's answer, read once at start-up.
+var hasAVX2 = cpuAVX2()
+
+type dnaKernels struct {
+	// avx2 selects the assembly newview bodies; dnaKernels{} is the
+	// pure-Go set (the tests' oracle).
+	avx2 bool
+}
 
 func (dnaKernels) name() string { return "dna4" }
 
@@ -39,7 +52,18 @@ func (dnaKernels) name() string { return "dna4" }
 // copy. nm ≤ 16 for DNA (distinct observed masks), so the table is at
 // most C·16·16·4 elements and costs O(nm²·C·4) multiplies per call —
 // amortised over the nPat-pattern loop it replaces.
-func (dnaKernels) prepareNewview(e *Engine, a *nvArgs) {
+//
+// The assembly bodies read each inner child's matrices transposed
+// (see transposeP).
+func (k dnaKernels) prepareNewview(e *Engine, a *nvArgs) {
+	if k.avx2 {
+		if !a.tipL {
+			a.ptL = transposeP(e.c.ptL, a.pmL, e.nCat)
+		}
+		if !a.tipR {
+			a.ptR = transposeP(e.c.ptR, a.pmR, e.nCat)
+		}
+	}
 	if !a.tipL || !a.tipR {
 		return
 	}
@@ -66,19 +90,102 @@ func (dnaKernels) prepareNewview(e *Engine, a *nvArgs) {
 	a.prodTT = prod
 }
 
-func (dnaKernels) newview(e *Engine, a *nvArgs, lo, hi int) {
+func (k dnaKernels) newview(e *Engine, a *nvArgs, lo, hi int) {
 	switch {
 	case a.tipL && a.tipR:
 		dnaNewviewTT(e, a, lo, hi)
+	case a.tipL && k.avx2:
+		dnaNewviewTIAVX2(e, a, a.cl, a.tsL, a.cr, a.xr, a.ptR, a.scr, lo, hi)
 	case a.tipL:
 		dnaNewviewTI(e, a, a.cl, a.tsL, a.cr, a.xr, a.pmR, a.scr, lo, hi)
+	case a.tipR && k.avx2:
+		dnaNewviewTIAVX2(e, a, a.cr, a.tsR, a.cl, a.xl, a.ptL, a.scl, lo, hi)
 	case a.tipR:
 		dnaNewviewTI(e, a, a.cr, a.tsR, a.cl, a.xl, a.pmL, a.scl, lo, hi)
+	case k.avx2:
+		dnaNewviewIIAVX2(e, a, lo, hi)
+	case e.nCat == 4:
+		dnaNewviewII4(a, lo, hi)
 	default:
-		if e.nCat == 4 {
-			dnaNewviewII4(a, lo, hi)
-		} else {
-			dnaNewviewII(e, a, lo, hi)
+		dnaNewviewII(e, a, lo, hi)
+	}
+}
+
+// transposeP writes the nCat 4×4 matrices pm column-major into dst:
+// dst[c·16 + j·4 + s] = pm[c·16 + s·4 + j], so column j of category c
+// is four contiguous entries, one per parent state.
+func transposeP(dst, pm []float64, nCat int) []float64 {
+	dst = dst[:nCat*16]
+	for c := 0; c < nCat; c++ {
+		p := (*[16]float64)(pm[c*16:])
+		t := (*[16]float64)(dst[c*16:])
+		for s := 0; s < 4; s++ {
+			for j := 0; j < 4; j++ {
+				t[j*4+s] = p[s*4+j]
+			}
+		}
+	}
+	return dst
+}
+
+// avx2Chunk is how many patterns one assembly call computes. Their
+// scale counters and block maxima travel in arrays of this size on the
+// caller's stack, so concurrent parallelFor bodies share no scratch.
+const avx2Chunk = 64
+
+// dnaNewviewIIAVX2 is dnaNewviewII in assembly, any category count.
+// The Go side checks every index the assembly follows: each class's
+// children's blocks against the children's vectors (a vector may be
+// read back as just its record), and the output range.
+func dnaNewviewIIAVX2(e *Engine, a *nvArgs, lo, hi int) {
+	stride := e.nCat * 4
+	nl, nr := uint32(len(a.xl)/stride), uint32(len(a.xr)/stride)
+	if len(a.xp) < hi*stride || len(a.ptL) < e.nCat*16 || len(a.ptR) < e.nCat*16 {
+		panic("plf: newview operands shorter than the classes computed")
+	}
+	var cnt [avx2Chunk]int32
+	var bm [avx2Chunk]float64
+	for c0 := lo; c0 < hi; c0 += avx2Chunk {
+		n := min(avx2Chunk, hi-c0)
+		for j := 0; j < n; j++ {
+			l, r := a.cl[c0+j], a.cr[c0+j]
+			if uint32(l) >= nl || uint32(r) >= nr {
+				panic("plf: class outside its child's vector")
+			}
+			cnt[j] = a.scl[l] + a.scr[r]
+		}
+		newviewIIAVX2(a.xp, a.xl, a.xr, a.ptL, a.ptR, a.cl, a.cr, bm[:n], c0, e.nCat)
+		for j := 0; j < n; j++ {
+			i := c0 + j
+			scaleTail(a.xp[i*stride:i*stride+stride], a.scp, i, cnt[j], bm[j])
+		}
+	}
+}
+
+// dnaNewviewTIAVX2 is dnaNewviewTI in assembly, any category count,
+// with the inner child's matrices transposed in pt.
+func dnaNewviewTIAVX2(e *Engine, a *nvArgs, tc []int32, ts []float64, xc []int32, x, pt []float64, sc []int32, lo, hi int) {
+	C, nm := e.nCat, a.nm
+	stride := C * 4
+	nx := uint32(len(x) / stride)
+	if len(a.xp) < hi*stride || len(pt) < C*16 || len(ts) < C*nm*4 {
+		panic("plf: newview operands shorter than the classes computed")
+	}
+	var cnt [avx2Chunk]int32
+	var bm [avx2Chunk]float64
+	for c0 := lo; c0 < hi; c0 += avx2Chunk {
+		n := min(avx2Chunk, hi-c0)
+		for j := 0; j < n; j++ {
+			m, c := tc[c0+j], xc[c0+j]
+			if uint32(m) >= uint32(nm) || uint32(c) >= nx {
+				panic("plf: class outside its child's vector")
+			}
+			cnt[j] = sc[c]
+		}
+		newviewTIAVX2(a.xp, x, pt, ts, tc, xc, bm[:n], c0, C, nm)
+		for j := 0; j < n; j++ {
+			i := c0 + j
+			scaleTail(a.xp[i*stride:i*stride+stride], a.scp, i, cnt[j], bm[j])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,13 +102,22 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 		// the pair-table cap, so the every-pattern-its-own-class path
 		// is exercised.
 		overCap bool
+		// taxa replaces the 10-taxon random tree. scaling requires a
+		// pattern's block to have dropped below 2^-256 (a scale counter
+		// above zero), which random columns do on a deep enough tree.
+		taxa    int
+		scaling bool
+		// workers fans every engine's kernels out (0 and 1 run one).
+		workers int
 	}{
-		{bio.DNA, 1, 3, 300, KernelAuto, "dna4", false, false},
-		{bio.DNA, 4, 3, 300, KernelAuto, "dna4", false, false},
-		{bio.AA, 1, 1, 80, KernelAuto, "aa20", false, false},
-		{bio.AA, 4, 1, 80, KernelAuto, "aa20", false, false},
-		{bio.DNA, 4, 2, 400, KernelAuto, "dna4", true, false},
-		{bio.AA, 4, 1, 600, KernelAuto, "aa20", false, true},
+		{dtype: bio.DNA, ncat: 1, seeds: 3, sites: 300, mode: KernelAuto, want: "dna4"},
+		{dtype: bio.DNA, ncat: 4, seeds: 3, sites: 300, mode: KernelAuto, want: "dna4"},
+		{dtype: bio.AA, ncat: 1, seeds: 1, sites: 80, mode: KernelAuto, want: "aa20"},
+		{dtype: bio.AA, ncat: 4, seeds: 1, sites: 80, mode: KernelAuto, want: "aa20"},
+		{dtype: bio.DNA, ncat: 4, seeds: 2, sites: 400, mode: KernelAuto, want: "dna4", sim: true},
+		{dtype: bio.AA, ncat: 4, seeds: 1, sites: 600, mode: KernelAuto, want: "aa20", overCap: true},
+		{dtype: bio.DNA, ncat: 4, seeds: 1, sites: 60, mode: KernelAuto, want: "dna4", taxa: 150, scaling: true},
+		{dtype: bio.DNA, ncat: 3, seeds: 1, sites: 1500, mode: KernelAuto, want: "dna4", workers: 3},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -118,10 +128,16 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 		if tc.overCap {
 			name += "_wide"
 		}
+		if tc.scaling {
+			name += "_scaled"
+		}
+		if tc.workers > 1 {
+			name += fmt.Sprintf("_workers%d", tc.workers)
+		}
 		t.Run(name, func(t *testing.T) {
 			for seed := 0; seed < tc.seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(991*seed + tc.ncat)))
-				names := tipNames(10)
+				names := tipNames(max(tc.taxa, 10))
 				tr, err := tree.RandomTopology(names, rng, 0.01, 0.8)
 				if err != nil {
 					t.Fatal(err)
@@ -145,31 +161,42 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 				if auto.KernelName() != tc.want {
 					t.Fatalf("mode %s selected kernel %q, want %q", tc.mode, auto.KernelName(), tc.want)
 				}
+				specs := kernelSets(t, tr, pats, m, auto)
+				for _, e := range append(specs, gen) {
+					e.SetWorkers(tc.workers)
+					t.Cleanup(e.Close)
+				}
 
 				for round := 0; round < 3; round++ {
 					tag := fmt.Sprintf("seed=%d round=%d", seed, round)
-					// Same fresh random branch lengths on both clones,
+					// Same fresh random branch lengths on every clone,
 					// including lengths tiny enough to trigger scaling.
 					for ei := range gen.T.Edges {
 						l := math.Exp(rng.Float64()*8-6) * 0.1
 						gen.T.Edges[ei].Length = l
-						auto.T.Edges[ei].Length = l
+						for _, e := range specs {
+							e.T.Edges[ei].Length = l
+						}
 					}
 					gen.InvalidateAll()
-					auto.InvalidateAll()
+					for _, e := range specs {
+						e.InvalidateAll()
+					}
 
 					for _, ei := range []int{0, rng.Intn(len(gen.T.Edges))} {
 						lg, err := gen.LogLikelihoodAt(gen.T.Edges[ei])
 						if err != nil {
 							t.Fatal(err)
 						}
-						la, err := auto.LogLikelihoodAt(auto.T.Edges[ei])
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bitsEq(lg, la) {
-							t.Fatalf("%s edge=%d: lnL generic %.17g vs %s %.17g",
-								tag, ei, lg, auto.KernelName(), la)
+						for _, e := range specs {
+							la, err := e.LogLikelihoodAt(e.T.Edges[ei])
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !bitsEq(lg, la) {
+								t.Fatalf("%s edge=%d: lnL generic %.17g vs %s %.17g",
+									tag, ei, lg, setLabel(e.c.kern), la)
+							}
 						}
 						if round == 0 && ei == 0 {
 							all := auto.Stats.Newviews * int64(pats.NumPatterns())
@@ -180,9 +207,17 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 							if tc.overCap && !passesPairCap(auto, auto.T.Edges[0]) {
 								t.Fatalf("%s: no node passed the pair-table cap; widen the case", tag)
 							}
+							if tc.scaling && !scaled(gen) {
+								t.Fatalf("%s: no pattern was scaled; deepen the case", tag)
+							}
+							if tc.workers > 1 && slices.Max(auto.ncls) < tc.workers*minPatternsPerWorker {
+								t.Fatalf("%s: no newview had enough classes to fan out; widen the case", tag)
+							}
 						}
 					}
-					compareState(t, gen, auto, tag)
+					for _, e := range specs {
+						compareState(t, gen, e, tag+" "+setLabel(e.c.kern))
+					}
 
 					// Derivative machinery: the sum table must agree at an
 					// arbitrary probe length, and Newton must land on the
@@ -193,29 +228,204 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					da, err := auto.EvaluateAtLength(auto.T.Edges[ei], probe)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bitsEq(dg, da) {
-						t.Fatalf("%s: sum-table lnL(%v) generic %.17g vs %.17g", tag, probe, dg, da)
-					}
 					og, err := gen.OptimizeBranch(gen.T.Edges[ei])
 					if err != nil {
 						t.Fatal(err)
 					}
-					oa, err := auto.OptimizeBranch(auto.T.Edges[ei])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bitsEq(og, oa) || !bitsEq(gen.T.Edges[ei].Length, auto.T.Edges[ei].Length) {
-						t.Fatalf("%s: OptimizeBranch generic (%.17g, t=%v) vs (%.17g, t=%v)",
-							tag, og, gen.T.Edges[ei].Length, oa, auto.T.Edges[ei].Length)
+					for _, e := range specs {
+						da, err := e.EvaluateAtLength(e.T.Edges[ei], probe)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bitsEq(dg, da) {
+							t.Fatalf("%s: sum-table lnL(%v) generic %.17g vs %s %.17g", tag, probe, dg, setLabel(e.c.kern), da)
+						}
+						oa, err := e.OptimizeBranch(e.T.Edges[ei])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bitsEq(og, oa) || !bitsEq(gen.T.Edges[ei].Length, e.T.Edges[ei].Length) {
+							t.Fatalf("%s: OptimizeBranch generic (%.17g, t=%v) vs %s (%.17g, t=%v)",
+								tag, og, gen.T.Edges[ei].Length, setLabel(e.c.kern), oa, e.T.Edges[ei].Length)
+						}
 					}
 				}
 			}
 		})
 	}
+	t.Run("DNA_newview_direct", testDNANewviewDirect)
+}
+
+// testDNANewviewDirect runs the newview bodies — generic, pure-Go dna4
+// and, on an AVX2 CPU, assembly dna4 — on crafted operands: child
+// blocks of zeros, blocks small enough that the output falls below
+// 2^-256 (some with a NaN), ordinary ones, and transition matrices with
+// zero entries; in
+// every tip-ness case, at one category and several, over two ranges so
+// the assembly starts mid-vector. Every output word and scale counter
+// must agree.
+func testDNANewviewDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := tipNames(6)
+	pats := randomAlignment(t, names, 40, rng, bio.DNA)
+	tr, err := tree.RandomTopology(names, rng, 0.05, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []kernelSet{genericKernels{}, dnaKernels{}}
+	if hasAVX2 {
+		sets = append(sets, dnaKernels{avx2: true})
+	} else {
+		t.Log("no AVX2 on this CPU: the assembly dna4 newview is not exercised")
+	}
+	for _, ncat := range []int{1, 4, 5} {
+		m := randomModel(t, rng, bio.DNA, false)
+		if err := m.SetGamma(0.7, ncat); err != nil {
+			t.Fatal(err)
+		}
+		e := newEngine(t, tr, pats, m)
+		nm, stride := len(e.maskList), ncat*4
+		block := func(dst []float64) {
+			kind := rng.Intn(5)
+			for j := range dst {
+				switch {
+				case kind == 0 || rng.Intn(5) == 0:
+					dst[j] = 0
+				case kind <= 2:
+					dst[j] = math.Ldexp(rng.Float64(), -130-rng.Intn(20))
+				default:
+					dst[j] = rng.Float64()
+				}
+			}
+			if kind == 2 {
+				// A NaN must not hide the rest of the block from the
+				// scaling test, as the scalar v > blockMax skips it.
+				dst[rng.Intn(len(dst))] = math.NaN()
+			}
+		}
+		scaledOut := 0
+		for trial := 0; trial < 24; trial++ {
+			tipL, tipR := trial%4 == 1 || trial%4 == 3, trial%4 >= 2
+			n := 70 + rng.Intn(30)
+			a := nvArgs{tipL: tipL, tipR: tipR, nm: nm}
+			side := func(tip bool) (x []float64, sc, cl []int32, pm, ts []float64) {
+				pm = make([]float64, ncat*16)
+				for j := range pm {
+					if rng.Intn(5) > 0 {
+						pm[j] = rng.Float64()
+					}
+				}
+				nc := nm
+				if !tip {
+					nc = 1 + rng.Intn(40)
+					x = make([]float64, nc*stride)
+					sc = make([]int32, nc)
+					for c := 0; c < nc; c++ {
+						block(x[c*stride : (c+1)*stride])
+						sc[c] = int32(rng.Intn(3))
+					}
+				} else {
+					ts = make([]float64, ncat*nm*4)
+					buildTipSum(e, ts, pm)
+				}
+				cl = make([]int32, n)
+				for i := range cl {
+					cl[i] = int32(rng.Intn(nc))
+				}
+				return x, sc, cl, pm, ts
+			}
+			a.xl, a.scl, a.cl, a.pmL, a.tsL = side(tipL)
+			a.xr, a.scr, a.cr, a.pmR, a.tsR = side(tipR)
+			var want []float64
+			var wantSc []int32
+			for _, ks := range sets {
+				b := a
+				b.xp, b.scp = make([]float64, n*stride), make([]int32, n)
+				e.c.kern = ks
+				ks.prepareNewview(e, &b)
+				mid := rng.Intn(n)
+				ks.newview(e, &b, 0, mid)
+				ks.newview(e, &b, mid, n)
+				if want == nil {
+					want, wantSc = b.xp, b.scp
+					for i, c := range wantSc {
+						var in int32
+						if !tipL {
+							in += a.scl[a.cl[i]]
+						}
+						if !tipR {
+							in += a.scr[a.cr[i]]
+						}
+						if c > in {
+							scaledOut++
+						}
+					}
+					continue
+				}
+				for j := range want {
+					if !bitsEq(want[j], b.xp[j]) {
+						t.Fatalf("c=%d trial %d (tips %v/%v) word %d: generic %v vs %s %v",
+							ncat, trial, tipL, tipR, j, want[j], setLabel(ks), b.xp[j])
+					}
+				}
+				if !slices.Equal(wantSc, b.scp) {
+					t.Fatalf("c=%d trial %d (tips %v/%v): scale counters generic %v vs %s %v",
+						ncat, trial, tipL, tipR, wantSc, setLabel(ks), b.scp)
+				}
+			}
+		}
+		if scaledOut == 0 {
+			t.Fatalf("c=%d: no output block was scaled", ncat)
+		}
+	}
+}
+
+// setLabel names a kernel set, telling dna4's two bodies apart.
+func setLabel(ks kernelSet) string {
+	if k, ok := ks.(dnaKernels); ok {
+		if k.avx2 {
+			return "dna4 (AVX2)"
+		}
+		return "dna4 (pure Go)"
+	}
+	return ks.name()
+}
+
+// kernelSets returns the specialised engines a differential test holds
+// to the generic one: auto itself, and for dna4 a clone on the pure-Go
+// bodies, so that on an AVX2 CPU generic, pure-Go dna4 and assembly
+// dna4 are compared with each other.
+func kernelSets(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model, auto *Engine) []*Engine {
+	t.Helper()
+	if auto.KernelName() != "dna4" {
+		return []*Engine{auto}
+	}
+	pure := newEngine(t, tr.Clone(), pats, m)
+	usePureGoDNA(pure)
+	if !hasAVX2 {
+		t.Log("no AVX2 on this CPU: the assembly dna4 newview is not exercised")
+		return []*Engine{pure}
+	}
+	return []*Engine{auto, pure}
+}
+
+// usePureGoDNA is the test hook that puts e on dna4's pure-Go bodies,
+// the oracle the assembly is held to.
+func usePureGoDNA(e *Engine) { e.c.kern = dnaKernels{} }
+
+// scaled reports whether any valid vector of e holds a scaled class.
+func scaled(e *Engine) bool {
+	for vi, sc := range e.scales {
+		if e.orient[vi+e.T.NumTips] == nil {
+			continue
+		}
+		for _, c := range sc[:e.ncls[vi]] {
+			if c > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // passesPairCap reports whether a full traversal toward edge has a node
@@ -260,7 +470,8 @@ func oocEngine(t *testing.T, tr *tree.Tree, pats *bio.Patterns, m *model.Model) 
 // (and once more) between partial traversals, so each mode's newviews
 // read vectors — and class maps — the other mode wrote, and requires
 // every lnL, Newton optimum, vector block and scale counter to match an
-// engine that ran generic throughout. The ooc rows run the switched
+// engine that ran generic throughout, and every valid class map to be
+// a fresh build's (a map generic built is never reused under auto). The ooc rows run the switched
 // engine out of core, so records written under one mode — prefixes
 // under auto, full width under generic — are read back under the other.
 func TestSetKernelSwitchMidRun(t *testing.T) {
@@ -326,6 +537,7 @@ func TestSetKernelSwitchMidRun(t *testing.T) {
 						}
 					}
 					compareState(t, ref, sw, tag)
+					checkClassMaps(t, sw, true, tag)
 				}
 				// The run must really mix: a generic phase that computed
 				// something while vectors auto classified (fewer classes
@@ -492,6 +704,9 @@ func TestKernelAutoSelection(t *testing.T) {
 	e := newEngine(t, tr, dna, mDNA)
 	if e.KernelMode() != KernelAuto || e.KernelName() != "dna4" {
 		t.Fatalf("DNA engine: mode %q kernel %q", e.KernelMode(), e.KernelName())
+	}
+	if want := (dnaKernels{avx2: hasAVX2}); e.c.kern != kernelSet(want) {
+		t.Fatalf("auto DNA kernel set %#v, want %#v: the assembly runs iff the CPU has AVX2", e.c.kern, want)
 	}
 	if err := e.SetKernel(KernelGeneric); err != nil {
 		t.Fatal(err)

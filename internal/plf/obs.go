@@ -19,6 +19,7 @@ type engineObs struct {
 	on bool
 	// Mirrors of the Stats struct, updated at the same sites.
 	newviews, classes, evaluations *obs.Counter
+	classMaps                      *obs.Counter
 	sumTables, newtonIters         *obs.Counter
 	recoveries                     *obs.Counter
 	pcHits, pcMisses, pcDrops      *obs.Counter
@@ -38,6 +39,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		on:          true,
 		newviews:    reg.Counter("plf.newviews"),
 		classes:     reg.Counter("plf.classes_computed"),
+		classMaps:   reg.Counter("plf.class_maps_built"),
 		evaluations: reg.Counter("plf.evaluations"),
 		sumTables:   reg.Counter("plf.sum_tables"),
 		newtonIters: reg.Counter("plf.newton_iters"),

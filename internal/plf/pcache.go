@@ -13,12 +13,15 @@ import "math"
 // PMatrices is deterministic in (model, t), so a cached matrix is
 // bit-identical to a rebuilt one and the cache cannot perturb results.
 
-// pcacheCap bounds the entry count. A full cache is dropped wholesale:
-// O(1), and the small working set of a search round refills in a few
-// steps. Newton branch optimisation is the only producer of unbounded
-// distinct lengths, and it touches matrices through the sum table, not
-// the cache.
-const pcacheCap = 512
+// pcacheMinCap is the least entry bound. A cache holds
+// max(pcacheMinCap, 2·edges) entries, so one full traversal's lengths
+// fit with room for as many more (a search's trial lengths): a cache
+// smaller than the tree emptied itself every cap misses and a full
+// traversal hit it one time in six. A full cache is dropped wholesale:
+// O(1), and the working set refills in a few steps. Newton branch
+// optimisation is the only producer of unbounded distinct lengths, and
+// it touches matrices through the sum table, not the cache.
+const pcacheMinCap = 512
 
 // pcEntry is one cached branch length: the per-category transition
 // matrices and, built lazily on first tip use, the tip-sum table
@@ -33,10 +36,12 @@ type pcEntry struct {
 type pcache struct {
 	entries map[uint64]*pcEntry
 	version uint64
+	cap     int
 }
 
-func newPCache() *pcache {
-	return &pcache{entries: make(map[uint64]*pcEntry, 64)}
+// newPCache returns an empty cache sized for a tree with edges branches.
+func newPCache(edges int) *pcache {
+	return &pcache{entries: make(map[uint64]*pcEntry, 64), cap: max(pcacheMinCap, 2*edges)}
 }
 
 // pmatsFor returns the transition matrices for branch length t: from
@@ -75,7 +80,7 @@ func pmatsFor(e *Engine, t float64, scratch []float64) ([]float64, *pcEntry) {
 	}
 	e.Stats.PCacheMisses++
 	e.eobs.pcMisses.Inc()
-	if len(c.entries) >= pcacheCap {
+	if len(c.entries) >= c.cap {
 		clear(c.entries)
 		e.Stats.PCacheDrops++
 		e.eobs.pcDrops.Inc()

@@ -138,7 +138,8 @@ func TestPCacheDropWhenFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge, gedge := tr.Edges[0], gen.T.Edges[0]
-	for i := 0; i < pcacheCap+64; i++ {
+	n := e.c.pcache.cap + 64
+	for i := 0; i < n; i++ {
 		l := 0.001 + float64(i)*1e-5
 		edge.Length, gedge.Length = l, l
 		got, err := e.evaluate(edge)
@@ -154,7 +155,7 @@ func TestPCacheDropWhenFull(t *testing.T) {
 		}
 	}
 	if e.Stats.PCacheDrops == 0 {
-		t.Fatalf("expected at least one wholesale drop after %d distinct lengths", pcacheCap+64)
+		t.Fatalf("expected at least one wholesale drop after %d distinct lengths", n)
 	}
 }
 
@@ -233,5 +234,32 @@ func TestPCacheNonFiniteBypass(t *testing.T) {
 	if e.Stats.PCacheHits != hits || e.Stats.PCacheMisses != misses {
 		t.Errorf("non-finite lengths touched the cache: hits %d -> %d, misses %d -> %d",
 			hits, e.Stats.PCacheHits, misses, e.Stats.PCacheMisses)
+	}
+}
+
+// TestPCacheHoldsTheTree: the cache is sized to the tree, so on a tree
+// with more edges than the least cap a second full traversal finds
+// every branch length cached and nothing is dropped.
+func TestPCacheHoldsTheTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	names := tipNames(400)
+	tr, err := tree.RandomTopology(names, rng, 0.01, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Edges) <= pcacheMinCap {
+		t.Fatalf("%d edges: the tree must outgrow the least cap", len(tr.Edges))
+	}
+	e := newEngine(t, tr, randomAlignment(t, names, 20, rng, bio.DNA), randomModel(t, rng, bio.DNA, true))
+	if err := e.FullTraversal(tr.Edges[0]); err != nil {
+		t.Fatal(err)
+	}
+	misses := e.Stats.PCacheMisses
+	if err := e.FullTraversal(tr.Edges[0]); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats.PCacheMisses != misses || e.Stats.PCacheDrops != 0 {
+		t.Fatalf("second traversal: %d misses, %d drops; want 0 and 0 (cap %d, %d edges)",
+			e.Stats.PCacheMisses-misses, e.Stats.PCacheDrops, e.c.pcache.cap, len(tr.Edges))
 	}
 }
