@@ -65,7 +65,6 @@ import (
 	"oocphylo/internal/analysis"
 	"oocphylo/internal/checkpoint"
 	"oocphylo/internal/obs"
-	"oocphylo/internal/ooc"
 	"oocphylo/internal/search"
 	"oocphylo/internal/service"
 	"oocphylo/internal/tree"
@@ -104,6 +103,7 @@ type options struct {
 	ckptEvery  time.Duration
 	httpAddr   string
 	lnlBits    bool
+	crashpoint string
 }
 
 // runFlags declares the one-shot flag set.
@@ -123,7 +123,7 @@ func runFlags() (*flag.FlagSet, *options, *specFlags, *analysis.Options) {
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable checkpoint here after every search round")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", 0, "minimum time between -checkpoint writes (0 = checkpoint every round)")
 	fs.StringVar(&o.resume, "resume", "", "resume tree, model parameters and search progress from this checkpoint (vectors are recomputed, never reloaded)")
-	fs.Int64Var(&how.Stack.CrashAfter, "crashpoint", 0, "TESTING: kill the process (exit 3) at the N-th backing-store vector I/O")
+	fs.StringVar(&o.crashpoint, "crashpoint", "", "TESTING: kill the process (exit 3) at boundary b of the k-th -checkpoint save, given as k:b (b: 1 temp file created, 2 written, 3 fsynced, 4 closed, 5 renamed over the checkpoint, 6 directory fsynced)")
 	fs.StringVar(&o.outTree, "w", "", "write the result tree to this file (default stdout)")
 	fs.BoolVar(&o.printStats, "stats", false, "print the consolidated per-layer statistics report")
 	fs.StringVar(&o.httpAddr, "http", "", "serve the live /debug endpoint (vars, report, trace, pprof) on this address, e.g. :8080 or 127.0.0.1:0")
@@ -140,6 +140,17 @@ func run(args []string, out *os.File) error {
 	if spec.Path == "" {
 		fs.Usage()
 		return fmt.Errorf("an alignment (-s) is required")
+	}
+	if o.crashpoint != "" {
+		k, b, err := checkpoint.ParseCrash(o.crashpoint)
+		if err == nil && (o.checkpoint == "" || o.mode != "s") {
+			err = fmt.Errorf("-crashpoint fires inside a -checkpoint save, which only -f s makes")
+		}
+		if err != nil {
+			fs.Usage()
+			return err
+		}
+		checkpoint.ArmCrash(k, b)
 	}
 	if err := spec.Check(); err != nil {
 		return err
@@ -477,9 +488,6 @@ func printProvider(out *os.File, spec analysis.Spec, how *analysis.Options, r *a
 	}
 	for _, note := range r.Stack.Notes {
 		fmt.Fprintln(out, note)
-	}
-	if how.Stack.CrashAfter > 0 {
-		fmt.Fprintf(out, "Crashpoint armed: exit %d at vector I/O #%d\n", ooc.CrashExitCode, how.Stack.CrashAfter)
 	}
 	where := "backing file " + r.Stack.Spec.Path
 	if how.Stack.URL != "" {

@@ -158,6 +158,37 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCrashpointRejected: a -crashpoint that could never fire is a
+// usage error before any work: a malformed k:b, a save ordinal below 1,
+// a boundary outside Save's six, or no checkpoint save to fire in.
+func TestCrashpointRejected(t *testing.T) {
+	phy, _ := writeTestData(t)
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"not a pair", []string{"-crashpoint", "20000", "-checkpoint", ckpt}},
+		{"not numbers", []string{"-crashpoint", "a:b", "-checkpoint", ckpt}},
+		{"three fields", []string{"-crashpoint", "1:2:3", "-checkpoint", ckpt}},
+		{"save 0", []string{"-crashpoint", "0:1", "-checkpoint", ckpt}},
+		{"boundary 0", []string{"-crashpoint", "1:0", "-checkpoint", ckpt}},
+		{"boundary 7", []string{"-crashpoint", "1:7", "-checkpoint", ckpt}},
+		{"no -checkpoint", []string{"-crashpoint", "1:1"}},
+		{"not a search", []string{"-crashpoint", "1:1", "-checkpoint", ckpt, "-f", "z"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := capture(t, append([]string{"-s", phy}, tc.args...)...)
+			if err == nil || out != "" {
+				t.Errorf("%v: err = %v, output %q; want a usage error before any work", tc.args, err, out)
+			}
+		})
+	}
+	if _, err := os.Stat(ckpt); err == nil {
+		t.Error("a rejected run wrote a checkpoint")
+	}
+}
+
 func TestFASTAInput(t *testing.T) {
 	dir := t.TempDir()
 	fa := filepath.Join(dir, "d.fa")

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,17 +15,16 @@ import (
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/checkpoint"
-	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 	"oocphylo/internal/sim"
 	"oocphylo/internal/tree"
 )
 
 // The kill/resume soak: the on-disk half of the crash-consistency
-// guarantee. It runs a real oocraxml binary as a subprocess, kills it at
-// deterministic vector-I/O counts via -crashpoint, resumes from the
-// last checkpoint each time, and requires the surviving chain to land
-// on exactly the likelihood and tree of an uninterrupted baseline.
+// guarantee. It runs a real oocraxml binary as a subprocess, kills it
+// inside checkpoint.Save via -crashpoint, resumes from whatever
+// checkpoint the kill left, and requires the surviving chain to land on
+// exactly the likelihood and tree of an uninterrupted baseline.
 
 var (
 	soakBinOnce sync.Once
@@ -66,8 +66,8 @@ func soakBinary(t *testing.T) string {
 	return soakBinPath
 }
 
-// soakDataset writes a 128-taxon simulated alignment and its true tree
-// to dir and returns the file paths plus a -L value sized so roughly a
+// soakDataset writes a simulated alignment of taxa × sites and its true
+// tree to dir and returns the file paths plus a -L value sized so roughly a
 // quarter of the ancestral vectors fit in RAM.
 func soakDataset(t *testing.T, dir string, taxa, sites int) (phy, nwk string, memLimit int64) {
 	t.Helper()
@@ -176,83 +176,148 @@ func treeFingerprint(t *testing.T, path string) string {
 	return b.String()
 }
 
+// TestKillResumeSoak kills the run inside checkpoint.Save, the one
+// durable write it makes: at every boundary of a process's first two
+// saves, and at two seeded boundaries of its third or fourth. A run
+// saves after each improving round and once at completion, and a
+// resumed process only what is left, so a kill the rest of the run
+// never reaches ends its chain instead: that process finishes cleanly,
+// its result is checked against the baseline, and the kill is retried
+// from a fresh start. Every chain's survivor must match the baseline
+// bit for bit, and the chain directory never holds more than the
+// checkpoint's one temp file.
 func TestKillResumeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess soak skipped in -short mode")
 	}
+	const seed = 77
 	bin := soakBinary(t)
 	dir := t.TempDir()
-	phy, nwk, memLimit := soakDataset(t, dir, 128, 240)
+	phy, nwk, memLimit := soakDataset(t, dir, 32, 240)
 	// The pool holds records, a quarter of the full width on this data:
-	// at half the quota, after the pipeline's share, roughly a third of
-	// them fit in RAM and the run keeps paging.
+	// at half the quota, after the pipeline's share, a few of them fit
+	// in RAM and the run keeps paging.
 	memLimit /= 2
+	// A random start improves in each of the three rounds, so a fresh
+	// run saves four times.
+	start := filepath.Join(dir, "random.nwk")
+	truth, err := os.ReadFile(nwk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tree.ParseNewick(strings.TrimSpace(string(truth)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	if tr, err = tree.RandomTopology(tr.TipNames(), rng, 0.02, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(start, []byte(tree.WriteNewick(tr)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	// Uninterrupted baseline.
 	baseCkpt := filepath.Join(dir, "base.ckpt")
 	baseTree := filepath.Join(dir, "base.nwk")
-	code, out := soakRun(t, bin, soakArgs(phy, nwk, memLimit,
+	code, out := soakRun(t, bin, soakArgs(phy, start, memLimit,
 		filepath.Join(dir, "base.bin"), baseCkpt, baseTree))
-	if code != 0 {
-		t.Fatalf("baseline exited %d:\n%s", code, out)
+	if code != 0 || !strings.Contains(out, "Out-of-core:") {
+		t.Fatalf("baseline exited %d, or ran in RAM:\n%s", code, out)
 	}
-
-	// Crash/resume chain: the same run, killed at a deterministic,
-	// per-cycle-doubling vector-I/O count, resumed from the latest
-	// checkpoint after every kill.
-	const seed, minCrashes = 77, 5
-	chainCkpt := filepath.Join(dir, "chain.ckpt")
-	chainTree := filepath.Join(dir, "chain.nwk")
-	chainBack := filepath.Join(dir, "chain.bin")
-	crashes := 0
-	for cycle := 0; crashes < minCrashes; cycle++ {
-		if cycle > minCrashes+3 {
-			t.Fatalf("only %d crashes after %d cycles: crashpoints outgrew the run's I/O volume", crashes, cycle)
-		}
-		args := soakArgs(phy, nwk, memLimit, chainBack, chainCkpt, chainTree)
-		args = append(args, "-crashpoint", fmt.Sprint(ooc.CrashPoint(seed, cycle, 400, 300)))
-		if _, err := os.Stat(chainCkpt); err == nil {
-			args = append(args, "-resume", chainCkpt)
-		}
-		code, out := soakRun(t, bin, args)
-		switch code {
-		case ooc.CrashExitCode:
-			crashes++
-		case 0:
-			t.Fatalf("cycle %d finished before its crashpoint fired:\n%s", cycle, out)
-		default:
-			t.Fatalf("cycle %d exited %d, want %d or 0:\n%s", cycle, code, ooc.CrashExitCode, out)
-		}
-	}
-
-	// Final clean run: resume with no crashpoint, must complete.
-	args := soakArgs(phy, nwk, memLimit, chainBack, chainCkpt, chainTree)
-	if _, err := os.Stat(chainCkpt); err == nil {
-		args = append(args, "-resume", chainCkpt)
-	}
-	code, out = soakRun(t, bin, args)
-	if code != 0 {
-		t.Fatalf("final resume exited %d:\n%s", code, out)
-	}
-
-	// The survivor must match the baseline bit for bit: likelihood via
-	// the completion checkpoints (exact float64 round-trip through
-	// JSON), topology and branch lengths via canonical fingerprints.
 	stBase, err := checkpoint.Load(baseCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stChain, err := checkpoint.Load(chainCkpt)
-	if err != nil {
+
+	// The kills, in order: the seeded later ones first, so the cheap
+	// first-save kills land on a nearly finished chain.
+	type kill struct{ save, boundary int }
+	var kills []kill
+	for range 2 {
+		kills = append(kills, kill{3 + rng.Intn(2), 1 + rng.Intn(int(checkpoint.DirSynced))})
+	}
+	for save := 1; save <= 2; save++ {
+		for b := 1; b <= int(checkpoint.DirSynced); b++ {
+			kills = append(kills, kill{save, b})
+		}
+	}
+
+	chainDir := filepath.Join(dir, "chain")
+	if err := os.Mkdir(chainDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(stChain.LnL) != math.Float64bits(stBase.LnL) {
-		t.Errorf("after %d crash/resume cycles lnL %.17g != baseline %.17g", crashes, stChain.LnL, stBase.LnL)
+	chainCkpt := filepath.Join(chainDir, "chain.ckpt")
+	chainTree := filepath.Join(chainDir, "chain.nwk")
+	chainBack := filepath.Join(chainDir, "chain.bin")
+	// runChain runs one process of the chain, resuming if a checkpoint
+	// is there, and reports whether it did.
+	runChain := func(extra ...string) (code int, out string, resumed bool) {
+		args := soakArgs(phy, start, memLimit, chainBack, chainCkpt, chainTree)
+		if _, err := os.Stat(chainCkpt); err == nil {
+			args, resumed = append(args, "-resume", chainCkpt), true
+		}
+		code, out = soakRun(t, bin, append(args, extra...))
+		ents, err := os.ReadDir(chainDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			switch e.Name() {
+			case "chain.ckpt", "chain.ckpt.tmp", "chain.bin", "chain.nwk":
+			default:
+				t.Errorf("chain directory holds a stray %s", e.Name())
+			}
+		}
+		return code, out, resumed
 	}
-	if got, want := treeFingerprint(t, chainTree), treeFingerprint(t, baseTree); got != want {
-		t.Errorf("after %d crash/resume cycles the result tree differs from baseline", crashes)
+	// survivor checks a finished chain against the baseline: likelihood
+	// via the completion checkpoints (exact float64 round-trip through
+	// JSON), topology and branch lengths via canonical fingerprints.
+	chains, longest, crashes := 0, 0, 0
+	survivor := func() {
+		st, err := checkpoint.Load(chainCkpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(st.LnL) != math.Float64bits(stBase.LnL) {
+			t.Errorf("chain %d: after %d kills lnL %.17g != baseline %.17g", chains+1, crashes, st.LnL, stBase.LnL)
+		}
+		if got, want := treeFingerprint(t, chainTree), treeFingerprint(t, baseTree); got != want {
+			t.Errorf("chain %d: after %d kills the result tree differs from baseline", chains+1, crashes)
+		}
+		t.Logf("chain %d: %d kills, survivor matches the baseline", chains+1, crashes)
+		chains, longest, crashes = chains+1, max(longest, crashes), 0
+		if err := os.Remove(chainCkpt); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Logf("soak: %d seeded crashes, final lnL %.6f matches baseline", crashes, stChain.LnL)
+	total := 0
+	for len(kills) > 0 {
+		k := kills[0]
+		code, out, resumed := runChain("-crashpoint", fmt.Sprintf("%d:%d", k.save, k.boundary))
+		switch {
+		case code == checkpoint.CrashExitCode:
+			t.Logf("killed at save %d, boundary %d", k.save, k.boundary)
+			kills = kills[1:]
+			crashes++
+			total++
+		case code == 0 && resumed:
+			survivor()
+		case code == 0:
+			t.Fatalf("a fresh run finished before save %d:\n%s", k.save, out)
+		default:
+			t.Fatalf("kill at save %d, boundary %d: exited %d, want %d or 0:\n%s",
+				k.save, k.boundary, code, checkpoint.CrashExitCode, out)
+		}
+	}
+	if code, out, _ := runChain(); code != 0 {
+		t.Fatalf("final resume exited %d:\n%s", code, out)
+	}
+	survivor()
+	if longest < 5 {
+		t.Errorf("the longest chain survived %d kills, want at least 5", longest)
+	}
+	t.Logf("soak: %d kills over %d chains, every survivor's lnL %.6f matches the baseline", total, chains, stBase.LnL)
 }
 
 func TestSIGTERMWritesResumableCheckpoint(t *testing.T) {

@@ -8,6 +8,8 @@
 //
 // Checkpoints are JSON documents written atomically (temp file +
 // rename), so a crash mid-write never corrupts the previous checkpoint.
+// Save is the one durable write a run makes, so it is where the
+// kill/resume soak kills: see ArmCrash.
 package checkpoint
 
 import (
@@ -16,6 +18,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync/atomic"
 
 	"oocphylo/internal/model"
 	"oocphylo/internal/tree"
@@ -153,40 +158,47 @@ func (st *State) Restore() (*tree.Tree, *model.Model, error) {
 	return t, m, nil
 }
 
-// Save writes the checkpoint atomically and durably: the temp file is
-// synced, renamed over path, and the directory synced after the rename.
+// Save writes the checkpoint atomically and durably: the temp file
+// path+".tmp" is synced, renamed over path, and the directory synced
+// after the rename. A crash leaves at most that one temp file, which the
+// next Save of path replaces. No two Saves of one path may run at once.
 func Save(path string, st *State) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
+	at := crashHook()
+	tmpName := path + ".tmp"
+	tmp, err := os.OpenFile(tmpName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
-	tmpName := tmp.Name()
+	at(Created)
 	if _, err := tmp.Write(append(data, '\n')); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("checkpoint: writing: %w", err)
 	}
+	at(Written)
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("checkpoint: syncing: %w", err)
 	}
+	at(Synced)
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
 		return err
 	}
+	at(Closed)
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("checkpoint: committing: %w", err)
 	}
+	at(Renamed)
 	// The rename is atomic but lives in the directory: until the
 	// directory is synced, a power cut may leave no checkpoint at all.
-	d, err := os.Open(dir)
+	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return fmt.Errorf("checkpoint: syncing directory: %w", err)
 	}
@@ -197,7 +209,68 @@ func Save(path string, st *State) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: syncing directory: %w", err)
 	}
+	at(DirSynced)
 	return nil
+}
+
+// CrashExitCode is the exit status of a fired crash: distinct from
+// success (0) and failure (1), so a harness can tell a scheduled kill
+// from an error.
+const CrashExitCode = 3
+
+// Boundary is a step of Save after which an armed crash can fire.
+// Before Renamed a crash leaves the previous checkpoint in place; from
+// Renamed on, the new one.
+type Boundary int
+
+// Save's boundaries, in order.
+const (
+	Created   Boundary = iota + 1 // temp file created (empty)
+	Written                       // temp file written
+	Synced                        // temp file fsynced
+	Closed                        // temp file closed
+	Renamed                       // temp file renamed over the checkpoint
+	DirSynced                     // directory fsynced: the save is complete
+)
+
+var (
+	saves     atomic.Int64 // Saves begun since ArmCrash
+	crashSave atomic.Int64 // the armed Save's ordinal; 0 = disarmed
+	crashAt   atomic.Int64 // the armed Boundary
+	crashExit = func() { os.Exit(CrashExitCode) }
+)
+
+// ParseCrash parses "k:b": boundary b of the k-th Save.
+func ParseCrash(s string) (k int, b Boundary, err error) {
+	ks, bs, _ := strings.Cut(s, ":")
+	k, kerr := strconv.Atoi(ks)
+	bi, berr := strconv.Atoi(bs)
+	if kerr != nil || berr != nil || k < 1 || bi < int(Created) || bi > int(DirSynced) {
+		return 0, 0, fmt.Errorf("checkpoint: crash %q is not k:b with a save k >= 1 and a boundary b from 1 to %d", s, DirSynced)
+	}
+	return k, Boundary(bi), nil
+}
+
+// ArmCrash makes the process exit with CrashExitCode at boundary b of
+// the k-th Save from now, counting every Save the process makes (a
+// CLI run's rounds, a daemon's parks). k <= 0 disarms.
+func ArmCrash(k int, b Boundary) {
+	crashSave.Store(0)
+	saves.Store(0)
+	crashAt.Store(int64(b))
+	crashSave.Store(int64(k))
+}
+
+// crashHook numbers a Save that is beginning and returns the function
+// it calls at each boundary.
+func crashHook() func(Boundary) {
+	armed := saves.Add(1) == crashSave.Load()
+	b := Boundary(crashAt.Load())
+	return func(at Boundary) {
+		if armed && at == b {
+			crashExit()
+		}
+	}
 }
 
 // Load reads a checkpoint.

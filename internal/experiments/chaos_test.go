@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -60,13 +61,14 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestChaosSoakDeterministicInjection pins the chaos policy itself:
-// the same seed and request order must yield the same fault sequence.
+// the same seed and requests must yield the same fault sequence.
 func TestChaosSoakDeterministicInjection(t *testing.T) {
 	mix := iosim.ChaosConfig{Seed: 3, DropProb: 0.2, ErrorProb: 0.2, CorruptProb: 0.1}
 	a, b := iosim.NewChaos(mix), iosim.NewChaos(mix)
 	for i := 0; i < 500; i++ {
-		fa, _ := a.Next()
-		fb, _ := b.Next()
+		span := fmt.Sprintf("bytes=%d-%d", i%7*100, i%7*100+99)
+		fa, _ := a.Next("GET", "vecs", span)
+		fb, _ := b.Next("GET", "vecs", span)
 		if fa != fb {
 			t.Fatalf("request %d: %v != %v with identical seeds", i, fa, fb)
 		}

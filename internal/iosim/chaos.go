@@ -5,12 +5,14 @@ package iosim
 // object server consults one Chaos per request and applies the fault
 // it dictates: drop the connection, stall before serving, truncate the
 // body mid-flight, answer 503, flip a byte of the payload, or — while
-// partitioned — refuse everything. Decisions come from a seeded PRNG
-// plus a request-ordinal flap schedule, so a chaos soak replays the
-// same fault mix for a given seed without any wall-clock coupling.
+// partitioned — refuse everything. Each verdict is a Die keyed by the
+// request — its method, object and byte range — and that key's own
+// ordinal, so a request draws the same fault whenever it comes: how the
+// compute thread's GETs and the writer's PUTs interleave moves no
+// verdict. Only the partition flap schedule counts requests globally.
 
 import (
-	"math/rand"
+	"hash/fnv"
 	"sync"
 	"time"
 )
@@ -26,13 +28,13 @@ const (
 	// FaultStall sleeps before serving (to trip client deadlines).
 	FaultStall
 	// FaultTruncate sends roughly half the response body, then drops
-	// the connection (GET only; write paths degrade it to FaultDrop).
+	// the connection (GET only).
 	FaultTruncate
 	// FaultError answers 503 Service Unavailable.
 	FaultError
 	// FaultCorrupt flips one byte of the response body (GET only —
-	// stored objects are never mutated; write paths degrade it to
-	// FaultDrop). The out-of-core manager's checksum catches it.
+	// stored objects are never mutated). The out-of-core manager's
+	// checksum catches it.
 	FaultCorrupt
 )
 
@@ -57,10 +59,12 @@ func (f Fault) String() string {
 
 // ChaosConfig parameterises a Chaos policy. Probabilities are per
 // request and evaluated in order (drop, stall, truncate, error,
-// corrupt) against one uniform draw, so they must sum to <= 1.
+// corrupt) against one uniform draw, so they must sum to <= 1. Only a
+// GET draws truncate and corrupt: on any other request their share of
+// the draw serves it normally.
 type ChaosConfig struct {
-	// Seed fixes the PRNG (same seed + same request order = same
-	// fault sequence).
+	// Seed fixes the dice (same seed + same per-request histories =
+	// same faults).
 	Seed int64
 	// DropProb, StallProb, TruncateProb, ErrorProb and CorruptProb
 	// weight the fault kinds.
@@ -73,9 +77,9 @@ type ChaosConfig struct {
 	// partition), repeating. Zero disables the schedule; SetPartition
 	// still forces partitions manually either way.
 	PartitionEvery, PartitionFor int
-	// MaxFaults caps the total number of injected faults (partitions
-	// excluded); 0 means unlimited. Lets a soak guarantee forward
-	// progress regardless of the probabilities.
+	// MaxFaults caps the injected faults of each kind on each method
+	// (partitions excluded); 0 means unlimited. Lets a soak guarantee
+	// forward progress regardless of the probabilities.
 	MaxFaults int64
 }
 
@@ -92,17 +96,22 @@ type ChaosStats struct {
 	Partitioned int64
 }
 
-// Chaos decides one fault per request. Safe for concurrent use; the
-// decision sequence is deterministic in request order for a fixed
-// seed.
+// Chaos decides one fault per request. Safe for concurrent use; below
+// the caps a request's verdict depends only on the seed and the
+// requests with the same key before it.
 type Chaos struct {
 	mu       sync.Mutex
 	cfg      ChaosConfig
-	rng      *rand.Rand
 	manual   bool // manual partition toggle (SetPartition)
 	disabled bool
-	faults   int64
+	ords     map[string]uint64     // per request key, the requests seen so far
+	faults   map[methodFault]int64 // per method and kind, the faults injected
 	stats    ChaosStats
+}
+
+type methodFault struct {
+	method string
+	fault  Fault
 }
 
 // NewChaos builds a chaos policy from cfg.
@@ -110,7 +119,7 @@ func NewChaos(cfg ChaosConfig) *Chaos {
 	if cfg.Stall <= 0 {
 		cfg.Stall = 5 * time.Millisecond
 	}
-	return &Chaos{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Chaos{cfg: cfg, ords: make(map[string]uint64), faults: make(map[methodFault]int64)}
 }
 
 // SetPartition forces (or lifts) a full partition: while set, every
@@ -154,13 +163,17 @@ func (c *Chaos) Stats() ChaosStats {
 	return s
 }
 
-// Next decides the fault for one request, returning the stall duration
-// alongside (meaningful for FaultStall). FaultDrop doubles as the
-// partition verdict.
-func (c *Chaos) Next() (Fault, time.Duration) {
+// Next decides the fault for one request — method on object, span
+// naming its byte range as the request states it ("" for the whole
+// object) — returning the stall duration alongside (meaningful for
+// FaultStall). FaultDrop doubles as the partition verdict.
+func (c *Chaos) Next(method, object, span string) (Fault, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Requests++
+	key := method + " " + object + " " + span
+	ord := c.ords[key]
+	c.ords[key]++
 	if c.disabled {
 		return FaultNone, 0
 	}
@@ -168,37 +181,32 @@ func (c *Chaos) Next() (Fault, time.Duration) {
 		c.stats.Partitioned++
 		return FaultDrop, 0
 	}
-	if c.cfg.MaxFaults > 0 && c.faults >= c.cfg.MaxFaults {
-		return FaultNone, 0
-	}
-	r := c.rng.Float64()
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	r := float64(Die(c.cfg.Seed, h.Sum64(), ord, 0)>>11) / (1 << 53)
 	for _, fp := range []struct {
 		f Fault
 		p float64
+		n *int64
 	}{
-		{FaultDrop, c.cfg.DropProb},
-		{FaultStall, c.cfg.StallProb},
-		{FaultTruncate, c.cfg.TruncateProb},
-		{FaultError, c.cfg.ErrorProb},
-		{FaultCorrupt, c.cfg.CorruptProb},
+		{FaultDrop, c.cfg.DropProb, &c.stats.Drops},
+		{FaultStall, c.cfg.StallProb, &c.stats.Stalls},
+		{FaultTruncate, c.cfg.TruncateProb, &c.stats.Truncations},
+		{FaultError, c.cfg.ErrorProb, &c.stats.Errors},
+		{FaultCorrupt, c.cfg.CorruptProb, &c.stats.Corruptions},
 	} {
-		if r < fp.p {
-			c.faults++
-			switch fp.f {
-			case FaultDrop:
-				c.stats.Drops++
-			case FaultStall:
-				c.stats.Stalls++
-			case FaultTruncate:
-				c.stats.Truncations++
-			case FaultError:
-				c.stats.Errors++
-			case FaultCorrupt:
-				c.stats.Corruptions++
-			}
-			return fp.f, c.cfg.Stall
+		if r >= fp.p {
+			r -= fp.p
+			continue
 		}
-		r -= fp.p
+		kind := methodFault{method, fp.f}
+		if method != "GET" && (fp.f == FaultTruncate || fp.f == FaultCorrupt) ||
+			c.cfg.MaxFaults > 0 && c.faults[kind] >= c.cfg.MaxFaults {
+			return FaultNone, 0
+		}
+		c.faults[kind]++
+		*fp.n++
+		return fp.f, c.cfg.Stall
 	}
 	return FaultNone, 0
 }
@@ -213,4 +221,21 @@ func (c *Chaos) scheduledPartition() bool {
 	}
 	phase := (c.stats.Requests - 1) % int64(e+f)
 	return phase >= int64(e)
+}
+
+// Die is the draw of die kind on the ord-th event of key under seed: a
+// pure function of its arguments. An injector that keys its dice by
+// what an event is (a vector, a request) and counts ordinals per key
+// therefore draws the same faults for the same per-key histories,
+// however the keys' events interleave.
+func Die(seed int64, key, ord, kind uint64) uint64 {
+	return splitmix64(splitmix64(splitmix64(splitmix64(uint64(seed))^key)^ord) ^ kind)
+}
+
+// splitmix64 is SplitMix64's output function, a bijective mixer.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"oocphylo/internal/iosim"
 )
 
 // FaultConfig parameterises a FaultStore. Probabilities are per
@@ -82,17 +84,9 @@ const (
 	dieTornAt
 )
 
-// splitmix64 is SplitMix64's output function, a bijective mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
 // die is the draw of die k on vector vi's call number ord.
 func (s *FaultStore) die(vi int, ord, k uint64) uint64 {
-	return splitmix64(splitmix64(splitmix64(splitmix64(uint64(s.cfg.Seed))^uint64(vi))^ord) ^ k)
+	return iosim.Die(s.cfg.Seed, uint64(vi), ord, k)
 }
 
 // Stats returns a snapshot of the injected-fault counters.

@@ -31,7 +31,7 @@ type MemOverheader interface {
 }
 
 // Unwrapper is implemented by wrapper stores that add behaviour to one
-// inner Store (injection, simulation, crashpoints). The capability helpers
+// inner Store (fault injection, simulation). The capability helpers
 // below walk the Unwrap chain, so a wrapper forwards nothing: it
 // implements a capability only when it contributes to it, and then
 // queries its inner store through the same helper.

@@ -50,9 +50,9 @@ type ServerConfig struct {
 	// Chaos, when set, is consulted once per request and its verdict
 	// applied: connection drops, pre-serve stalls, mid-body truncation,
 	// 503 bursts, corrupt GET bodies, and full partitions. Stored
-	// objects are never mutated by a fault — write-path truncation and
-	// corruption degrade to a dropped connection before the body is
-	// read, so every byte that lands in an object arrived intact.
+	// objects are never mutated by a fault: only a GET draws truncation
+	// or corruption, so every byte that lands in an object arrived
+	// intact.
 	Chaos *iosim.Chaos
 }
 
@@ -142,7 +142,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	fault := iosim.FaultNone
 	if s.cfg.Chaos != nil {
 		var stall time.Duration
-		fault, stall = s.cfg.Chaos.Next()
+		fault, stall = s.cfg.Chaos.Next(r.Method, name, r.Header.Get("Range")+r.Header.Get("Content-Range"))
 		switch fault {
 		case iosim.FaultDrop:
 			// Partition / connection drop: abort before any response
@@ -154,12 +154,6 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 			return
 		case iosim.FaultStall:
 			time.Sleep(stall)
-		case iosim.FaultTruncate, iosim.FaultCorrupt:
-			if r.Method != http.MethodGet {
-				// Never mangle the write path's stored bytes: degrade
-				// to a drop before the body is consumed.
-				panic(http.ErrAbortHandler)
-			}
 		}
 	}
 	switch r.Method {

@@ -189,8 +189,9 @@ func TestServerChaosInjection(t *testing.T) {
 		cfg  iosim.ChaosConfig
 		// get checks what a faulted GET returned.
 		get func(t *testing.T, body string, code int, err error)
-		// putFails marks kinds whose PUT verdict degrades to a drop.
-		putFails bool
+		// getOnly marks kinds only a GET draws: a PUT under them is
+		// served normally.
+		getOnly bool
 	}{
 		{name: "error", cfg: iosim.ChaosConfig{ErrorProb: 1},
 			get: func(t *testing.T, _ string, code int, _ error) {
@@ -204,7 +205,7 @@ func TestServerChaosInjection(t *testing.T) {
 					t.Error("FaultDrop GET completed")
 				}
 			}},
-		{name: "corrupt", cfg: iosim.ChaosConfig{CorruptProb: 1}, putFails: true,
+		{name: "corrupt", cfg: iosim.ChaosConfig{CorruptProb: 1}, getOnly: true,
 			get: func(t *testing.T, body string, code int, err error) {
 				if err != nil || code != http.StatusPartialContent {
 					t.Fatalf("FaultCorrupt GET: HTTP %d err %v", code, err)
@@ -213,7 +214,7 @@ func TestServerChaosInjection(t *testing.T) {
 					t.Error("FaultCorrupt returned pristine bytes")
 				}
 			}},
-		{name: "truncate", cfg: iosim.ChaosConfig{TruncateProb: 1}, putFails: true,
+		{name: "truncate", cfg: iosim.ChaosConfig{TruncateProb: 1}, getOnly: true,
 			get: func(t *testing.T, body string, _ int, _ error) {
 				if body == payload {
 					t.Error("FaultTruncate returned the full body")
@@ -257,10 +258,16 @@ func TestServerChaosInjection(t *testing.T) {
 			chaos.Enable()
 			body, code, err := get()
 			tc.get(t, body, code, err)
-			// A corrupt or truncate verdict on a PUT degrades to a drop,
-			// so the stored object survives it unscathed.
-			if tc.putFails && put() == http.StatusOK {
-				t.Errorf("faulted PUT succeeded (must degrade to drop)")
+			// A PUT never draws corruption or truncation, so every
+			// byte that lands in an object arrived intact.
+			if tc.getOnly {
+				before := chaos.Stats()
+				if code := put(); code != http.StatusOK {
+					t.Errorf("PUT under a GET-only fault: HTTP %d, want 200", code)
+				}
+				if after := chaos.Stats(); after.Corruptions+after.Truncations != before.Corruptions+before.Truncations {
+					t.Errorf("a PUT drew a GET-only fault: %+v, then %+v", before, after)
+				}
 			}
 			chaos.Disable()
 

@@ -4,8 +4,8 @@ package ooc
 // caller (CLI, service sessions, experiments) describes what it wants
 // in a StackSpec and OpenStack builds the chain in one fixed order:
 //
-//	Crash → Fault → Tiered{cache file, pend, breaker} → Object
-//	              └──────────────────────────────────────→ File | Base
+//	Fault → Tiered{cache file, pend, breaker} → Object
+//	      └──────────────────────────────────────→ File | Base
 //
 // No layer checks what it moves: the manager above the stack checks
 // every vector it reads against its own table (see vecEntry), so a
@@ -49,10 +49,8 @@ type StackSpec struct {
 	// remote accepts writes (see TieredConfig.CacheVectors).
 	CacheBytes int64
 	// Fault injects seeded faults under the manager, which detects
-	// them; CrashAfter > 0 kills the process at that vector I/O, above
-	// every layer, so the write never lands.
-	Fault      *FaultConfig
-	CrashAfter int64
+	// them.
+	Fault *FaultConfig
 }
 
 // Remove deletes what a stack opened from spec keeps on local disk
@@ -129,9 +127,6 @@ func OpenStack(ctx context.Context, spec StackSpec) (st *Stack, err error) {
 	if spec.Fault != nil {
 		st.Fault = NewFaultStore(st.Store, *spec.Fault)
 		st.Store = st.Fault
-	}
-	if spec.CrashAfter > 0 {
-		st.Store = NewCrashStore(st.Store, spec.CrashAfter)
 	}
 	return st, nil
 }

@@ -59,7 +59,6 @@ func TestOpenStack(t *testing.T) {
 					t.Setenv("TMPDIR", tmp)
 					spec := StackSpec{
 						TieredConfig: TieredConfig{NumVectors: n, VectorLen: vecLen},
-						CrashAfter:   1 << 40,
 					}
 					if isRemote {
 						srv, err := remote.NewServer(remote.ServerConfig{})
@@ -111,11 +110,9 @@ func TestOpenStack(t *testing.T) {
 						}
 						s = u.Unwrap()
 					}
-					want := []string{"*ooc.CrashStore"}
+					want := []string{"*ooc.FileStore"}
 					if isRemote {
-						want = append(want, "*ooc.TieredStore")
-					} else {
-						want = append(want, "*ooc.FileStore")
+						want = []string{"*ooc.TieredStore"}
 					}
 					if !reflect.DeepEqual(chain, want) {
 						t.Errorf("chain = %v, want %v", chain, want)

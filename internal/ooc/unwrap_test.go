@@ -19,8 +19,7 @@ func (c *capStore) Degraded() bool                      { return true }
 
 // TestCapabilitiesCrossWrappers is the wrapper × capability table: every
 // wrapper store must let FetchCost, MemOverheadBytes and Degraded of
-// the store beneath it through, alone and stacked in OpenStack's
-// order, adding nothing of its own. NewChecksumStore, which the
+// the store beneath it through, adding nothing of its own. NewChecksumStore, which the
 // benchmark harness still calls, adds no layer at all. MemOverheadBytes is the row runs
 // depend on: a wrapper that hid a tier's heap would let -L overcommit. FetchCost and Degraded are
 // forwarded by the benchmark harness's traced store.
@@ -40,11 +39,7 @@ func TestCapabilitiesCrossWrappers(t *testing.T) {
 	}{
 		{"Sim", func(s Store) Store { return NewSimStore(s, iosim.Device{}, &clock) }},
 		{"Fault", func(s Store) Store { return NewFaultStore(s, FaultConfig{}) }},
-		{"Crash", func(s Store) Store { return NewCrashStore(s, 0) }},
 		{"Checksum", checksum},
-		{"Crash(Fault)", func(s Store) Store {
-			return NewCrashStore(NewFaultStore(s, FaultConfig{}), 0)
-		}},
 	}
 	for _, w := range wrappers {
 		t.Run(w.name, func(t *testing.T) {
