@@ -48,12 +48,11 @@ type Model struct {
 	gen uint64
 }
 
-// Version returns a counter that changes whenever the model's
-// parameters are mutated through its setters (SetGamma,
-// SetExchangeabilities, SetInvariant). Likelihood engines key their
-// branch-length transition-matrix caches on it: a version mismatch
-// means every cached P(rt) may describe a stale rate matrix or rate
-// assignment and must be discarded.
+// Version returns a counter that SetGamma and SetExchangeabilities
+// bump: they change what transition matrices P(rt) are built from. A
+// likelihood engine keys its cached matrices and its ancestral vectors
+// on it; a version mismatch means they may describe a stale rate
+// matrix or rate assignment.
 func (m *Model) Version() uint64 { return m.gen }
 
 // Cats returns the number of discrete rate categories (>= 1).
@@ -147,8 +146,7 @@ func NewGTR(freqs, exch []float64, states int) (*Model, error) {
 
 // SetExchangeabilities re-parameterises the reversible rate matrix with
 // new upper-triangle exchangeabilities, keeping frequencies and the
-// Gamma configuration. Likelihood engines sharing this model must
-// invalidate their ancestral vectors afterwards.
+// Gamma configuration, and bumps Version.
 func (m *Model) SetExchangeabilities(exch []float64) error {
 	rebuilt, err := NewGTR(m.Freqs, exch, m.States)
 	if err != nil {
@@ -257,7 +255,7 @@ const MaxGammaCats = 256
 // given shape alpha and category count. ncat == 1 restores homogeneity.
 // alpha == +Inf is the α→∞ limit of the Gamma: every category rate is
 // exactly 1 (rate homogeneity spread over ncat categories), a state
-// the checkpoint layer round-trips explicitly.
+// the checkpoint layer round-trips explicitly. It bumps Version.
 func (m *Model) SetGamma(alpha float64, ncat int) error {
 	if ncat < 1 || ncat > MaxGammaCats {
 		return fmt.Errorf("model: %d gamma categories (want 1 to %d)", ncat, MaxGammaCats)
@@ -286,13 +284,12 @@ func (m *Model) SetGamma(alpha float64, ncat int) error {
 // site likelihood becomes (1-p)·L_Γ + p·L_inv, where L_inv is the
 // equilibrium probability of the pattern being constant. The discrete
 // rates keep mean one over the variable component (RAxML's convention);
-// p = 0 disables the mixture.
+// p = 0 disables the mixture. p enters no P(rt), so Version stays.
 func (m *Model) SetInvariant(p float64) error {
 	if p < 0 || p >= 1 || math.IsNaN(p) {
 		return fmt.Errorf("model: invariant proportion %v outside [0, 1)", p)
 	}
 	m.PInv = p
-	m.gen++
 	return nil
 }
 

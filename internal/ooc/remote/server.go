@@ -221,9 +221,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, name string, 
 	s.mu.Unlock()
 	switch fault {
 	case iosim.FaultTruncate:
-		// Half the promised Content-Length, then a severed connection:
-		// the client sees io.ErrUnexpectedEOF mid-body.
+		// The status, half the promised Content-Length (flushed, or it
+		// dies in the buffer), then a severed connection: the client
+		// sees io.ErrUnexpectedEOF mid-body.
 		w.Write(buf[:len(buf)/2])
+		http.NewResponseController(w).Flush()
 		panic(http.ErrAbortHandler)
 	case iosim.FaultCorrupt:
 		// Flip one bit of the served copy (never the stored object);

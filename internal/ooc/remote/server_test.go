@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"oocphylo/internal/iosim"
+	"oocphylo/internal/ooc"
 )
 
 func TestServerRangedGetPut(t *testing.T) {
@@ -215,9 +218,10 @@ func TestServerChaosInjection(t *testing.T) {
 				}
 			}},
 		{name: "truncate", cfg: iosim.ChaosConfig{TruncateProb: 1}, getOnly: true,
-			get: func(t *testing.T, body string, _ int, _ error) {
-				if body == payload {
-					t.Error("FaultTruncate returned the full body")
+			get: func(t *testing.T, body string, code int, err error) {
+				if code != http.StatusPartialContent || !errors.Is(err, io.ErrUnexpectedEOF) || body != payload[:len(payload)/2] {
+					t.Errorf("FaultTruncate GET: HTTP %d, body %q, err %v; want 206, %q, then %v",
+						code, body, err, payload[:len(payload)/2], io.ErrUnexpectedEOF)
 				}
 			}},
 	} {
@@ -258,6 +262,21 @@ func TestServerChaosInjection(t *testing.T) {
 			chaos.Enable()
 			body, code, err := get()
 			tc.get(t, body, code, err)
+			if tc.name == "truncate" {
+				// The store's mid-body decode path: one GET, one
+				// truncation, a transient error the tier retries.
+				st, err := ooc.NewObjectStore(context.Background(), "remote://"+s.Addr()+"/chaos", 2, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.ReadVector(0, make([]float64, 1)); !errors.Is(err, ooc.ErrTransientIO) {
+					t.Errorf("ReadVector under truncation: %v, want ErrTransientIO", err)
+				}
+				st.Close()
+				if n := chaos.Stats().Truncations; n != 2 {
+					t.Errorf("%d truncations for the 2 GETs issued", n)
+				}
+			}
 			// A PUT never draws corruption or truncation, so every
 			// byte that lands in an object arrived intact.
 			if tc.getOnly {

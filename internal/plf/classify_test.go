@@ -96,15 +96,9 @@ func TestClassMapReuseExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orient := e.Orient()
-		invalidate := func(nodes ...*tree.Node) {
-			for _, n := range nodes {
-				orient[n.Index] = nil
-			}
-		}
 		merged := p.MergedEdge()
-		invalidate(u, merged.N[0], merged.N[1])
-		snap := slices.Clone(orient)
+		e.Invalidate(u, merged.N[0], merged.N[1])
+		e.MarkOrientation()
 		var last *tree.Edge
 		for _, g := range tree.EdgesWithinRadius(tr, merged, 3) {
 			if g == merged {
@@ -114,7 +108,7 @@ func TestClassMapReuseExact(t *testing.T) {
 			if err := p.Regraft(g); err != nil {
 				t.Fatal(err)
 			}
-			invalidate(u, gx, gy)
+			e.Invalidate(u, gx, gy)
 			if _, err := e.LogLikelihoodAt(pendant); err != nil {
 				t.Fatal(err)
 			}
@@ -122,31 +116,27 @@ func TestClassMapReuseExact(t *testing.T) {
 			if err := p.Ungraft(); err != nil {
 				t.Fatal(err)
 			}
-			invalidate(u, gx, gy)
+			e.Invalidate(u, gx, gy)
 			last = g
 		}
 		if last == nil {
 			if err := p.Restore(); err != nil {
 				t.Fatal(err)
 			}
-			invalidate(u, merged.N[0], merged.N[1])
+			e.Invalidate(u, merged.N[0], merged.N[1])
 			continue
 		}
-		for i := range orient {
-			if orient[i] != snap[i] {
-				orient[i] = nil
-			}
-		}
+		e.InvalidateChangedSinceMark()
 		if moves < 2 {
 			if err := p.Restore(); err != nil {
 				t.Fatal(err)
 			}
-			invalidate(u, merged.N[0], merged.N[1])
+			e.Invalidate(u, merged.N[0], merged.N[1])
 		} else {
 			if err := p.Regraft(last); err != nil {
 				t.Fatal(err)
 			}
-			invalidate(u, last.N[0], last.N[1])
+			e.Invalidate(u, last.N[0], last.N[1])
 		}
 		if _, err := e.LogLikelihoodAt(tr.Edges[rng.Intn(len(tr.Edges))]); err != nil {
 			t.Fatal(err)

@@ -71,8 +71,11 @@ type Engine struct {
 	M *model.Model
 	P *bio.Patterns
 
-	prov   VectorProvider
-	orient tree.Orientation
+	prov VectorProvider
+	// orient is the vectors' validity (see Invalidate), mark its copy
+	// at MarkOrientation, version the M.Version() they were computed at.
+	orient, mark tree.Orientation
+	version      uint64
 	// plan is traverseThen's step buffer, reused so a warm traversal
 	// allocates nothing.
 	plan []tree.Step
@@ -310,18 +313,49 @@ func New(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov VectorProvider) 
 	return e, nil
 }
 
-// Orient exposes the orientation (validity) state of the ancestral
-// vectors. Search drivers invalidate entries after topology edits whose
-// neighborhood keeps stale-but-pointer-consistent vectors (see package
-// search); everything else is maintained automatically.
-func (e *Engine) Orient() tree.Orientation { return e.orient }
-
 // Provider returns the vector provider the engine runs on.
 func (e *Engine) Provider() VectorProvider { return e.prov }
 
+// Invalidate marks the vectors of nodes stale (tips hold none). The
+// engine is the one writer of vector validity: an inner node's
+// orientation names the neighbor its vector points toward, nil when
+// stale, and a pass recomputes just what it needs that is not valid its
+// way. A pass orients what it computed; Invalidate, the mark/rollback
+// pair and an unreadable vector make vectors stale, and so does a model
+// edit (a new M.Version()) at the next pass, with no call of the caller's.
+//
+// A topology edit must invalidate every node whose adjacency set it
+// changed: the planner sees an orientation naming a former neighbor,
+// not a restored neighbor whose siblings changed. An SPR driver calls
+// MarkOrientation after pruning, with every valid vector pointed at the
+// edit site, and InvalidateChangedSinceMark when the move concludes: a
+// vector that still matches the mark excludes the edit region and stays
+// valid; one computed since holds a trial topology.
+func (e *Engine) Invalidate(nodes ...*tree.Node) {
+	for _, n := range nodes {
+		if !n.IsTip() {
+			e.orient[n.Index] = nil
+		}
+	}
+}
+
 // InvalidateAll marks every ancestral vector stale, forcing the next
 // evaluation to run a full traversal.
-func (e *Engine) InvalidateAll() { e.orient.Invalidate() }
+func (e *Engine) InvalidateAll() { e.Invalidate(e.T.Nodes...) }
+
+// MarkOrientation records the validity state for the next
+// InvalidateChangedSinceMark, in a buffer the engine reuses.
+func (e *Engine) MarkOrientation() { e.mark = append(e.mark[:0], e.orient...) }
+
+// InvalidateChangedSinceMark makes stale every vector whose orientation
+// has changed since the last MarkOrientation.
+func (e *Engine) InvalidateChangedSinceMark() {
+	for i, o := range e.mark {
+		if e.orient[i] != o {
+			e.Invalidate(e.T.Nodes[i])
+		}
+	}
+}
 
 // vi converts a tree node to its vector index.
 func (e *Engine) vi(n *tree.Node) int { return n.Index - e.T.NumTips }
@@ -407,9 +441,9 @@ func (e *Engine) atSafePoint() error {
 	return nil
 }
 
-// Execute runs a traversal plan: one Felsenstein step per entry, in
+// execute runs a traversal plan: one Felsenstein step per entry, in
 // order, then records the resulting orientations.
-func (e *Engine) Execute(steps []tree.Step) error {
+func (e *Engine) execute(steps []tree.Step) error {
 	var spanStart time.Time
 	if e.span != nil && len(steps) > 0 {
 		spanStart = time.Now()
@@ -641,7 +675,7 @@ func (e *Engine) recoverCorruption(err error) bool {
 	if !ok || vi < 0 || vi >= e.T.NumInner() {
 		return false
 	}
-	e.orient[vi+e.T.NumTips] = nil
+	e.Invalidate(e.T.Nodes[vi+e.T.NumTips])
 	e.Stats.Recoveries++
 	e.eobs.recoveries.Inc()
 	if e.span != nil {
@@ -665,11 +699,17 @@ func (e *Engine) recoveryBudget() int { return 2*e.T.NumInner() + 8 }
 // the plan rebuilt, recomputing the lost subtree from its children
 // instead of failing the call. The engine never asks where a vector
 // lives; a store that cannot serve one says so by failing the read.
+// Every planned pass starts here, and so does a model edit's
+// invalidation.
 func (e *Engine) traverseThen(edge *tree.Edge, read func() error) error {
+	if v := e.M.Version(); v != e.version {
+		e.InvalidateAll()
+		e.version = v
+	}
 	budget := e.recoveryBudget()
 	for attempts := 0; ; attempts++ {
 		e.plan = tree.AppendEdgeTraversal(e.plan[:0], edge, e.orient)
-		err := e.Execute(e.plan)
+		err := e.execute(e.plan)
 		if err == nil && read != nil {
 			err = read()
 		}
@@ -689,7 +729,7 @@ func (e *Engine) Traverse(edge *tree.Edge) error { return e.traverseThen(edge, n
 // regardless of current validity (the paper's -f z workload building
 // block).
 func (e *Engine) FullTraversal(edge *tree.Edge) error {
-	e.orient.Invalidate()
+	e.InvalidateAll()
 	return e.Traverse(edge)
 }
 

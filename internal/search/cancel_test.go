@@ -202,8 +202,9 @@ func TestResumeBitIdenticalAtRoundBoundary(t *testing.T) {
 }
 
 func TestResumeFromFinalConverges(t *testing.T) {
-	// Resuming from a completion checkpoint re-runs at most one
-	// non-improving sweep and lands on the identical tree — this is
+	// A search that converged (its last round improved nothing) is
+	// finished: resuming its completion position runs no round, tests
+	// no move and lands on the identical tree and likelihood — this is
 	// what makes the soak's "resume after the last crash" step safe
 	// even when the crash landed after search completion.
 	d, err := sim.NewDataset(sim.Config{Taxa: 12, Sites: 250, GammaAlpha: 1, Seed: 11})
@@ -211,19 +212,27 @@ func TestResumeFromFinalConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := makeEngine(t, d, startTree(t, d, 12))
-	res1, err := New(e1, Options{SPRRadius: 5, MaxRounds: 3}).Run()
+	res1, err := New(e1, Options{SPRRadius: 5, MaxRounds: 10}).Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	fin := res1.Final
+	if fin.Round <= fin.LastImproved {
+		t.Fatalf("search stopped at round %d without converging (last improved %d); the test needs a converged run",
+			fin.Round, fin.LastImproved)
 	}
 	rt, err := tree.ParseNewick(tree.WriteNewick(e1.T))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2 := makeEngine(t, d, rt)
-	fin := res1.Final
-	res2, err := New(e2, Options{SPRRadius: 5, MaxRounds: 3, Resume: &fin}).Run()
+	res2, err := New(e2, Options{SPRRadius: 5, MaxRounds: 10, Resume: &fin}).Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res2.Rounds != 0 || res2.TestedMoves != res1.TestedMoves || res2.Final != fin {
+		t.Errorf("resuming a finished search ran %d rounds, %d moves tested (the finished run: %d); Final %+v, want %+v",
+			res2.Rounds, res2.TestedMoves, res1.TestedMoves, res2.Final, fin)
 	}
 	if math.Float64bits(res2.LnL) != math.Float64bits(res1.LnL) {
 		t.Errorf("re-resumed lnL %.17g != original %.17g", res2.LnL, res1.LnL)

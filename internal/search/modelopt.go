@@ -94,7 +94,6 @@ func (s *Searcher) OptimizeExchangeabilities(sweeps int, eps float64) ([]float64
 		if err := m.SetExchangeabilities(exch); err != nil {
 			return nil, 0, err
 		}
-		s.E.InvalidateAll()
 	}
 
 	cur, err := s.E.LogLikelihood()
@@ -106,7 +105,6 @@ func (s *Searcher) OptimizeExchangeabilities(sweeps int, eps float64) ([]float64
 		if err := m.SetExchangeabilities(exch); err != nil {
 			return 0, err
 		}
-		s.E.InvalidateAll()
 		return s.E.LogLikelihood()
 	}
 	for sweep := 0; sweep < sweeps; sweep++ {

@@ -28,7 +28,6 @@ func (s *Searcher) NNIRound(lnl float64) (bool, float64, error) {
 			internal = append(internal, e)
 		}
 	}
-	orient := s.E.Orient()
 	for _, e := range internal {
 		for variant := 0; variant < 2; variant++ {
 			// Point all valid vectors at the edit site, then swap.
@@ -41,8 +40,7 @@ func (s *Searcher) NNIRound(lnl float64) (bool, float64, error) {
 			if err != nil {
 				return false, 0, err
 			}
-			orient[u.Index] = nil
-			orient[v.Index] = nil
+			s.E.Invalidate(u, v)
 			trial, err := s.E.OptimizeBranch(e)
 			if err != nil {
 				return false, 0, err
@@ -54,8 +52,7 @@ func (s *Searcher) NNIRound(lnl float64) (bool, float64, error) {
 			}
 			undo()
 			e.Length = savedLen
-			orient[u.Index] = nil
-			orient[v.Index] = nil
+			s.E.Invalidate(u, v)
 		}
 	}
 	return improved, lnl, nil

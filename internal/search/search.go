@@ -136,9 +136,10 @@ type Result struct {
 	// Alpha is the final Γ shape (NaN when not optimised).
 	Alpha float64
 	// Final is the resumable position at normal completion. Feeding it
-	// back through Options.Resume re-runs at most one non-improving
-	// sweep and converges to the identical tree and likelihood, so a
-	// completion checkpoint is as trustworthy as a round-boundary one.
+	// back through Options.Resume runs no sweep when the search ended
+	// on a non-improving round (Round > LastImproved) and returns the
+	// identical tree and likelihood, so a completion checkpoint is as
+	// trustworthy as a round-boundary one.
 	Final Progress
 }
 
@@ -205,7 +206,6 @@ func (s *Searcher) OptimizeAlpha() (float64, float64, error) {
 		if err := m.SetGamma(alpha, ncat); err != nil {
 			return math.Inf(1)
 		}
-		s.E.InvalidateAll()
 		lnl, err := s.E.LogLikelihoodAt(at)
 		if err != nil {
 			return math.Inf(1)
@@ -224,7 +224,6 @@ func (s *Searcher) OptimizeAlpha() (float64, float64, error) {
 	if err := m.SetGamma(alpha, ncat); err != nil {
 		return 0, 0, err
 	}
-	s.E.InvalidateAll()
 	if _, err := s.E.LogLikelihoodAt(at); err != nil {
 		return 0, 0, err
 	}
@@ -286,7 +285,9 @@ func (s *Searcher) RunCtx(ctx context.Context) (*Result, error) {
 		}
 	}
 	completed := startRound
-	for round := startRound; round < s.Opts.MaxRounds; round++ {
+	// A round runs only after an improving one: a position whose last
+	// round improved nothing, a converged search's Final, runs none.
+	for round := startRound; round < s.Opts.MaxRounds && round <= lastImproved; round++ {
 		if err := ctx.Err(); err != nil {
 			res.LnL = lnl
 			return res, &Interrupted{Progress: s.progress(res, round, lnl, lastImproved), err: err}
@@ -412,11 +413,9 @@ type moveOutcome struct {
 // scans insertion branches within the radius, and either applies the
 // best improving insertion or restores the original topology.
 //
-// Vector-validity discipline (see the engine docs): a traversal is run
-// at the pendant edge before pruning so every valid vector points at
-// the edit site; the junction's own vector is explicitly invalidated
-// after each topology change because it is the one node whose content
-// can go stale while its orientation pointer still looks consistent.
+// Vector validity follows the engine's SPR rule (see plf.Engine
+// Invalidate): traverse to the edit site, prune, invalidate, mark,
+// then roll back to the mark when the move concludes.
 func (s *Searcher) tryMoveSubtree(u, v *tree.Node, lnl float64) (moveOutcome, float64, error) {
 	var out moveOutcome
 	e := s.E
@@ -433,38 +432,10 @@ func (s *Searcher) tryMoveSubtree(u, v *tree.Node, lnl float64) (moveOutcome, fl
 	if err != nil {
 		return out, lnl, err
 	}
-	// Invalidation rule: any node whose adjacency set changes loses its
-	// orientation. A merely stale *pointer* (orientation names a node
-	// that is no longer a neighbor) is caught by the traversal check,
-	// but topology edits can coincidentally restore a neighbor
-	// relationship (e.g. regrafting onto an edge at the old pruning
-	// site) while the node's other children changed — only explicit
-	// invalidation covers that.
-	orient := e.Orient()
-	invalidate := func(nodes ...*tree.Node) {
-		for _, n := range nodes {
-			orient[n.Index] = nil
-		}
-	}
-	invalidate(u, p.MergedEdge().N[0], p.MergedEdge().N[1])
-
-	// Snapshot the orientation state of the pruned tree. Vectors that
-	// still match it when the move concludes were computed pointing at
-	// the edit site, so their subtrees exclude the entire edit region
-	// and they remain valid for both the restored and the rearranged
-	// topology. Vectors recomputed during candidate trials (orientation
-	// differs from the snapshot) carry trial-state contents and must be
-	// invalidated on exit.
-	snap := append(tree.Orientation(nil), orient...)
-	diffInvalidate := func() {
-		for i := range orient {
-			if orient[i] != snap[i] {
-				orient[i] = nil
-			}
-		}
-	}
-
 	merged := p.MergedEdge()
+	e.Invalidate(u, merged.N[0], merged.N[1])
+	e.MarkOrientation()
+
 	pendLen := pendant.Length
 	candidates := tree.EdgesWithinRadius(t, merged, s.Opts.SPRRadius)
 
@@ -478,7 +449,7 @@ func (s *Searcher) tryMoveSubtree(u, v *tree.Node, lnl float64) (moveOutcome, fl
 		if err := p.Regraft(g); err != nil {
 			return out, lnl, err
 		}
-		invalidate(u, gx, gy)
+		e.Invalidate(u, gx, gy)
 		out.tested++
 		// Lazy evaluation: optimise only the insertion (pendant) branch.
 		trial, err := e.OptimizeBranch(pendant)
@@ -493,7 +464,7 @@ func (s *Searcher) tryMoveSubtree(u, v *tree.Node, lnl float64) (moveOutcome, fl
 		if err := p.Ungraft(); err != nil {
 			return out, lnl, err
 		}
-		invalidate(u, gx, gy)
+		e.Invalidate(u, gx, gy)
 	}
 
 	if bestEdge == nil || bestLnl < lnl+s.Opts.Epsilon {
@@ -501,8 +472,8 @@ func (s *Searcher) tryMoveSubtree(u, v *tree.Node, lnl float64) (moveOutcome, fl
 		if err := p.Restore(); err != nil {
 			return out, lnl, err
 		}
-		diffInvalidate()
-		invalidate(u, merged.N[0], merged.N[1])
+		e.InvalidateChangedSinceMark()
+		e.Invalidate(u, merged.N[0], merged.N[1])
 		return out, lnl, nil
 	}
 
@@ -512,8 +483,8 @@ func (s *Searcher) tryMoveSubtree(u, v *tree.Node, lnl float64) (moveOutcome, fl
 	if err := p.Regraft(bestEdge); err != nil {
 		return out, lnl, err
 	}
-	diffInvalidate()
-	invalidate(u, bx, by)
+	e.InvalidateChangedSinceMark()
+	e.Invalidate(u, bx, by)
 	newLnl := bestLnl
 	// The polish is a sequential coordinate ascent over u's three
 	// branches: canonical order, or a resumed run polishes in a

@@ -28,13 +28,6 @@ func NewOrientation(numNodes int) Orientation {
 	return make(Orientation, numNodes)
 }
 
-// Invalidate marks every inner node's vector invalid.
-func (o Orientation) Invalidate() {
-	for i := range o {
-		o[i] = nil
-	}
-}
-
 // FullTraversal returns the post-order plan that recomputes every inner
 // node's vector, oriented toward the virtual root placed on edge e
 // (both endpoint vectors end up pointing at each other, ready for

@@ -179,14 +179,3 @@ func TestNodeDistancesCoverAllNodes(t *testing.T) {
 		}
 	}
 }
-
-func TestOrientationInvalidate(t *testing.T) {
-	o := NewOrientation(5)
-	o[2] = &Node{}
-	o.Invalidate()
-	for _, x := range o {
-		if x != nil {
-			t.Fatal("Invalidate left valid entries")
-		}
-	}
-}
