@@ -235,17 +235,19 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	defer r.Close()
-	r.SetSpan(root)
 	printProvider(out, spec, how, r)
 	e := r.Engine
-	if o.mode != "s" {
-		// Run-level cancellation aborts traversals between plan steps and
-		// the remote tier's attempts in flight. Mode s instead checks the
-		// context itself at tree-consistent boundaries: an engine-level
-		// abort could fire mid-SPR-surgery, where the topology is not in a
-		// checkpointable state.
-		r.SetContext(ctx)
+	// Run-level cancellation aborts traversals between plan steps and
+	// the remote tier's attempts in flight. Mode s instead checks the
+	// context itself at tree-consistent boundaries: an engine-level
+	// abort could fire mid-SPR-surgery, where the topology is not in a
+	// checkpointable state. Either way the run's context carries the
+	// root span.
+	runCtx := ctx
+	if o.mode == "s" {
+		runCtx = context.WithoutCancel(ctx)
 	}
+	r.SetContext(obs.ContextWithSpan(runCtx, root))
 
 	start := time.Now()
 	var lnl float64

@@ -16,6 +16,7 @@ import (
 	"oocphylo/internal/bio"
 	"oocphylo/internal/checkpoint"
 	"oocphylo/internal/iosim"
+	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/ooc/remote"
 	"oocphylo/internal/search"
@@ -481,6 +482,94 @@ func TestOpenChargesPipelineToQuota(t *testing.T) {
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestContextCarriesSpan: the span a run's context carries is the one
+// handle every layer's spans hang from. A run over a remote stack whose
+// pool and cache are both too small for its vectors is given only
+// SetContext; a full traversal and an evaluate must then record the
+// engine's, the manager's, the writer's, the tier's and the object
+// store's spans, each with the root as an ancestor.
+func TestContextCarriesSpan(t *testing.T) {
+	spec := testSpec(t, 24, 300, 11)
+	_, pats, err := Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Build(context.Background(), spec, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Size(spec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := remote.NewServer(remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spec.MemLimit = full.Need / 3
+	sz, err := Size(spec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts Options
+	opts.Stack.URL = srv.ObjectURL("obj")
+	opts.Stack.CacheBytes = 2 * sz.VecBytes
+	r, err := Open(context.Background(), spec, opts, in, sz, sz.Quota)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	col := obs.NewSpanCollector(4)
+	root := col.StartTrace("run")
+	r.SetContext(obs.ContextWithSpan(context.Background(), root))
+	e := r.Engine
+	if err := e.FullTraversal(e.T.Edges[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LogLikelihoodAt(e.T.Edges[len(e.T.Edges)/2]); err != nil {
+		t.Fatal(err)
+	}
+	// Close drains the writer, so every write-back has landed.
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	view, ok := col.Trace(root.TraceID().String())
+	if !ok {
+		t.Fatal("the run's trace is missing")
+	}
+	parent := map[string]string{}
+	for _, s := range view.Spans {
+		parent[s.SpanID] = s.Parent
+	}
+	underRoot := func(id string) bool {
+		for range view.Spans {
+			if id = parent[id]; id == root.ID().String() {
+				return true
+			} else if id == "" {
+				return false
+			}
+		}
+		return false
+	}
+	seen := map[string]bool{}
+	for _, s := range view.Spans {
+		if underRoot(s.SpanID) {
+			seen[s.Name] = true
+		}
+	}
+	for _, name := range []string{
+		"plf.newviews", "plf.evaluate", "ooc.fault_in", "ooc.evict", "pipe.write_back",
+		"tier.remote_get", "tier.remote_put", "remote.get", "remote.put",
+	} {
+		if !seen[name] {
+			t.Errorf("no %s span under the root; recorded under it: %v", name, seen)
 		}
 	}
 }

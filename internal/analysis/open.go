@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"oocphylo/internal/obs"
 	"oocphylo/internal/ooc"
 	"oocphylo/internal/plf"
 )
@@ -101,7 +100,7 @@ func Open(ctx context.Context, spec Spec, opts Options, in *Inputs, sz Sizing, g
 			return r, err
 		}
 		r.Manager.Instrument(opts.Registry)
-		ooc.InstrumentTieredStore(opts.Registry, st.Tier)
+		ooc.InstrumentTieredStore(opts.Registry, st.Tier, "tier.")
 		prov = r.Manager
 	} else {
 		prov = plf.NewInMemoryProvider(n, sz.VecLen)
@@ -141,20 +140,11 @@ func (r *Run) Resize(grant int64) (bool, error) {
 	return true, nil
 }
 
-// SetSpan attributes the run's work to sp: the engine's (and through
-// it the manager's) child spans, and the tiered store's remote requests
-// when the stack has one. nil detaches. Like every engine call it
-// belongs on the goroutine that drives the engine.
-func (r *Run) SetSpan(sp *obs.Span) {
-	r.Engine.SetSpan(sp)
-	if r.Stack.Tier != nil {
-		r.Stack.Tier.SetSpan(sp)
-	}
-}
-
 // SetContext bounds the run's work by ctx: the engine stops at its next
 // step boundary once ctx ends (see plf.Engine.SetContext), and the
-// tiered store's remote attempts end with it. nil detaches. Like every
+// tiered store's remote attempts end with it. The span ctx carries
+// (obs.ContextWithSpan), if any, is the parent of the engine's, the
+// manager's and the tier's child spans. nil detaches both. Like every
 // engine call it belongs on the goroutine that drives the engine.
 func (r *Run) SetContext(ctx context.Context) {
 	r.Engine.SetContext(ctx)

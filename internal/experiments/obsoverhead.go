@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -71,7 +72,7 @@ func RunObsOverhead(taxa, sites, traversals, reps int, seed int64) (ObsOverheadR
 			if obsArm == obsArmSpans {
 				col := obs.NewSpanCollector(8)
 				root := col.StartTrace("workload")
-				r.SetSpan(root)
+				r.SetContext(obs.ContextWithSpan(context.Background(), root))
 				defer func() {
 					root.End()
 					res.SpanCount = col.Total()

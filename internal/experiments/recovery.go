@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -90,7 +91,7 @@ type RecoveryRow struct {
 // untraced), and returns the closed run for its counters.
 func (c RecoveryConfig) sweep(w *workload, a arm, root *obs.Span) (lnl float64, r *analysis.Run, err error) {
 	r, err = w.run(a, func(r *analysis.Run) (err error) {
-		r.SetSpan(root)
+		r.SetContext(obs.ContextWithSpan(context.Background(), root))
 		lnl, err = edgeSweepWorkload(r.Engine, c.Rounds)
 		return err
 	})

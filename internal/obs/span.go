@@ -178,33 +178,6 @@ func (c Cost) String() string {
 		c.BytesPushed, c.Recomputes, c.Newviews, c.PCacheHits, c.WaitMicros, c.ExecMicros)
 }
 
-// CostLedger is the mutable per-trace accumulator. The root span owns
-// one; every child shares it. A nil *CostLedger is a no-op.
-type CostLedger struct {
-	mu sync.Mutex
-	c  Cost
-}
-
-// Add merges d into the ledger.
-func (l *CostLedger) Add(d Cost) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.c = l.c.Add(d)
-	l.mu.Unlock()
-}
-
-// Snapshot returns the accumulated cost.
-func (l *CostLedger) Snapshot() Cost {
-	if l == nil {
-		return Cost{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c
-}
-
 // Attr is one span attribute; Str empty means the value is Int.
 type Attr struct {
 	Key string `json:"key"`
@@ -222,7 +195,6 @@ type Span struct {
 	parent SpanID
 	name   string
 	start  time.Time
-	ledger *CostLedger
 
 	mu    sync.Mutex
 	attrs []Attr
@@ -254,12 +226,18 @@ func (sp *Span) Traceparent() string {
 	return FormatTraceparent(sp.trace, sp.id)
 }
 
-// AddCost merges d into the trace's cost ledger.
+// AddCost adds d to the trace's cost, which Trace serves. A cost
+// landing after its trace was evicted is dropped, as a late span is.
 func (sp *Span) AddCost(d Cost) {
 	if sp == nil {
 		return
 	}
-	sp.ledger.Add(d)
+	c := sp.col
+	c.mu.Lock()
+	if rec, ok := c.traces[sp.trace]; ok {
+		rec.cost = rec.cost.Add(d)
+	}
+	c.mu.Unlock()
 }
 
 // SetAttr records an integer attribute.
@@ -299,7 +277,7 @@ func (sp *Span) EmitChild(name string, start time.Time, dur time.Duration, attrs
 	})
 }
 
-// StartChild starts a child span sharing the trace id and cost ledger.
+// StartChild starts a child span sharing the trace id.
 func (sp *Span) StartChild(name string) *Span {
 	if sp == nil {
 		return nil
@@ -311,7 +289,6 @@ func (sp *Span) StartChild(name string) *Span {
 		parent: sp.id,
 		name:   name,
 		start:  time.Now(),
-		ledger: sp.ledger,
 	}
 }
 
@@ -378,14 +355,15 @@ type SpanRecord struct {
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// traceRecord is one trace's finished spans plus its shared ledger.
-// Once spans reaches the cap it is a ring whose oldest entry is at head.
+// traceRecord is one trace's finished spans plus its cost, the sum of
+// its spans' AddCost calls. Once spans reaches the cap it is a ring
+// whose oldest entry is at head.
 type traceRecord struct {
-	id     TraceID
-	seq    int // stable row order in the Chrome export
-	spans  []SpanRecord
-	head   int
-	ledger *CostLedger
+	id    TraceID
+	seq   int // stable row order in the Chrome export
+	spans []SpanRecord
+	head  int
+	cost  Cost
 }
 
 // ordered returns a copy of the trace's spans, oldest first.
@@ -436,22 +414,20 @@ func NewSpanCollector(maxTraces int) *SpanCollector {
 	}
 }
 
-// StartTrace starts a new root span in a fresh trace with a fresh cost
-// ledger. Returns nil on a nil collector.
+// StartTrace starts a new root span in a fresh trace. Returns nil on a
+// nil collector.
 func (c *SpanCollector) StartTrace(name string) *Span {
 	if c == nil {
 		return nil
 	}
 	t := NewTraceID()
-	led := &CostLedger{}
-	c.register(t, led)
+	c.register(t)
 	return &Span{
-		col:    c,
-		trace:  t,
-		id:     NewSpanID(),
-		name:   name,
-		start:  time.Now(),
-		ledger: led,
+		col:   c,
+		trace: t,
+		id:    NewSpanID(),
+		name:  name,
+		start: time.Now(),
 	}
 }
 
@@ -467,7 +443,7 @@ func (c *SpanCollector) StartRemoteChild(name, traceparent string) *Span {
 	if !ok {
 		return c.StartTrace(name)
 	}
-	led := c.register(t, nil)
+	c.register(t)
 	return &Span{
 		col:    c,
 		trace:  t,
@@ -475,20 +451,15 @@ func (c *SpanCollector) StartRemoteChild(name, traceparent string) *Span {
 		parent: parent,
 		name:   name,
 		start:  time.Now(),
-		ledger: led,
 	}
 }
 
-// register ensures a trace record exists, returning its ledger. led,
-// when non-nil, is installed for a newly created record.
-func (c *SpanCollector) register(t TraceID, led *CostLedger) *CostLedger {
+// register ensures a trace record exists.
+func (c *SpanCollector) register(t TraceID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rec, ok := c.traces[t]; ok {
-		return rec.ledger
-	}
-	if led == nil {
-		led = &CostLedger{}
+	if _, ok := c.traces[t]; ok {
+		return
 	}
 	for len(c.order) >= c.maxTraces {
 		oldest := c.order[0]
@@ -498,11 +469,9 @@ func (c *SpanCollector) register(t TraceID, led *CostLedger) *CostLedger {
 			delete(c.traces, oldest)
 		}
 	}
-	rec := &traceRecord{id: t, seq: c.nextSeq, ledger: led}
+	c.traces[t] = &traceRecord{id: t, seq: c.nextSeq}
 	c.nextSeq++
-	c.traces[t] = rec
 	c.order = append(c.order, t)
-	return led
 }
 
 // add lands one finished span.
@@ -576,7 +545,7 @@ func (c *SpanCollector) Trace(id string) (TraceView, bool) {
 	}
 	spans := rec.ordered()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	return TraceView{TraceID: t.String(), Cost: rec.ledger.Snapshot(), Spans: spans}, true
+	return TraceView{TraceID: t.String(), Cost: rec.cost, Spans: spans}, true
 }
 
 // LaneAttr is the span attribute naming the timeline row a span is

@@ -37,7 +37,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 }
 
 // TestCostStringAndAdd pins the CLI's Cost: line format and the
-// ledger's field-wise sum.
+// field-wise sum.
 func TestCostStringAndAdd(t *testing.T) {
 	c := Cost{
 		VectorsFaulted: 12, LocalReads: 7, BytesLocal: 8192,
@@ -85,6 +85,11 @@ func TestSpanCollectorLedgerAndLookup(t *testing.T) {
 	child.AddCost(Cost{VectorsFaulted: 1, BytesRemote: 4096})
 	child.End()
 	root.AddCost(Cost{Newviews: 9})
+	root.AddCost(Cost{Newviews: 2, ExecMicros: 40})
+	// A server-side span continuing the trace adds into the same cost.
+	remote := col.StartRemoteChild("svc", root.Traceparent())
+	remote.AddCost(Cost{RemoteGets: 3})
+	remote.End()
 	root.EmitChild("evict", time.Now().Add(-time.Millisecond), time.Millisecond,
 		Attr{Key: "vid", Int: 7})
 	root.End()
@@ -93,12 +98,12 @@ func TestSpanCollectorLedgerAndLookup(t *testing.T) {
 	if !ok {
 		t.Fatalf("trace %s not found", root.TraceID())
 	}
-	if len(view.Spans) != 3 {
-		t.Fatalf("trace has %d spans, want 3 (root, child, emitted)", len(view.Spans))
+	if len(view.Spans) != 4 {
+		t.Fatalf("trace has %d spans, want 4 (root, child, remote child, emitted)", len(view.Spans))
 	}
-	want := Cost{VectorsFaulted: 1, BytesRemote: 4096, Newviews: 9}
+	want := Cost{VectorsFaulted: 1, BytesRemote: 4096, RemoteGets: 3, Newviews: 11, ExecMicros: 40}
 	if view.Cost != want {
-		t.Fatalf("trace ledger %+v, want %+v", view.Cost, want)
+		t.Fatalf("trace cost %+v, want %+v", view.Cost, want)
 	}
 	// The child must point at the root.
 	var foundChild bool
@@ -143,6 +148,11 @@ func TestSpanCollectorEvictionAndDrops(t *testing.T) {
 	first.StartChild("late").End()
 	if col.Dropped() != before+1 {
 		t.Errorf("late span: dropped %d, want %d", col.Dropped(), before+1)
+	}
+	// So is a late cost: it must not bring the evicted trace back.
+	first.AddCost(Cost{Newviews: 1})
+	if _, ok := col.Trace(first.TraceID().String()); ok || col.TraceCount() != 4 {
+		t.Error("a late cost revived an evicted trace")
 	}
 }
 

@@ -189,8 +189,9 @@ type Manager struct {
 	// zero value means uninstrumented: every obs call is a nil-check
 	// no-op and no clock is read.
 	mx managerObs
-	// span, when set via SetSpan, is the request-scoped tracing span
-	// fault-ins and evictions are emitted under (nil when untraced).
+	// span is the request-scoped tracing span SetContext found in its
+	// context; fault-ins and evictions are emitted under it (nil when
+	// untraced).
 	// Guarded by mu like the rest of the demand path.
 	span *obs.Span
 
@@ -322,21 +323,14 @@ func (m *Manager) noteHeld() { m.heldMax = max(m.heldMax, m.held+m.freeLen) }
 // the backing file never holds a torn vector — and Flush/Close remain
 // usable after cancellation to persist residents for a checkpoint.
 // Must be called from the single API goroutine; nil restores the
-// default (never cancelled).
+// default (never cancelled). The span ctx carries, if any, attributes
+// subsequent activity: fault-in and eviction child spans, and the
+// write-backs queued meanwhile.
 func (m *Manager) SetContext(ctx context.Context) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ctx = ctx
-}
-
-// SetSpan attributes subsequent activity (fault-in and eviction child
-// spans, and the write-backs queued meanwhile) to the given span; nil
-// detaches. Callers set it around one request's serialized work, the
-// same discipline as SetContext.
-func (m *Manager) SetSpan(sp *obs.Span) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.span = sp
+	m.span = obs.SpanFromContext(ctx)
 }
 
 // Stats returns a copy of the access counters. Safe from any

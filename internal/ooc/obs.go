@@ -4,9 +4,9 @@ package ooc
 // pipeline. Instrument attaches registry instruments; an
 // uninstrumented manager holds nil instruments, so every obs call on
 // the hot path degrades to a nil-check no-op and no clock is read.
-// Vector-lifecycle events are spans under whatever span SetSpan
-// attached (spanEvent below, the writer's pipe.write_back), independent
-// of the registry.
+// Vector-lifecycle events are spans under whatever span SetContext's
+// context carries (spanEvent below, the writer's pipe.write_back),
+// independent of the registry.
 //
 // Two kinds of signals are exported:
 //
@@ -141,23 +141,17 @@ func (m *Manager) spanEvent(name string, vi, slot int, start time.Time, dur time
 }
 
 // InstrumentTieredStore exports a tiered store's per-tier counters and
-// remote latency to the registry. Counters (hits, misses, bytes per
-// tier, evictions, overflowed vectors) follow the mirrored
-// pattern — a publisher copies the TierStats snapshot on every debug
-// scrape. Remote request latency is a native histogram fed per request
-// from the miss and write-back paths, so the debug endpoint reports
-// p50/p90/p99 round-trip times.
-func InstrumentTieredStore(reg *obs.Registry, ts *TieredStore) {
-	InstrumentTieredStoreAs(reg, ts, "tier.")
-}
-
-// InstrumentTieredStoreAs is InstrumentTieredStore with a caller-chosen
-// name prefix, so hosts with several tiered stores (one per service
-// session) keep their counters apart. The publisher adds what each
+// remote latency to the registry under names starting with prefix, so
+// hosts with several tiered stores (one per service session) keep their
+// counters apart. Counters (hits, misses, bytes per tier, evictions,
+// overflowed vectors) follow the mirrored pattern — a publisher copies
+// the TierStats snapshot on every debug scrape, adding what each
 // counter gained since it last ran, so a store instrumented under a
 // prefix an earlier store used carries on from that store's totals;
-// instrument each store once.
-func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) {
+// instrument each store once. Remote request latency is a native
+// histogram fed per request from the miss and write-back paths, so the
+// debug endpoint reports p50/p90/p99 round-trip times.
+func InstrumentTieredStore(reg *obs.Registry, ts *TieredStore, prefix string) {
 	if reg == nil || ts == nil {
 		return
 	}
@@ -222,6 +216,5 @@ func InstrumentTieredStoreAs(reg *obs.Registry, ts *TieredStore, prefix string) 
 			c.degraded.Set(0)
 		}
 	})
-	h := reg.Histogram(prefix+"remote_seconds", nil)
-	ts.ObserveRemoteLatency(h.Observe)
+	ts.remoteLat.Store(reg.Histogram(prefix+"remote_seconds", nil))
 }

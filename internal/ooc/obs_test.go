@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ func obsManager(t *testing.T, n, vecLen, slots int) (*Manager, *obs.Registry, *o
 	reg := obs.NewRegistry()
 	m.Instrument(reg)
 	col := obs.NewSpanCollector(4)
-	m.SetSpan(col.StartTrace("test"))
+	m.SetContext(obs.ContextWithSpan(context.Background(), col.StartTrace("test")))
 	return m, reg, col
 }
 

@@ -187,16 +187,14 @@ type TieredStore struct {
 	breaker       *Breaker
 	retriedRemote atomic.Int64
 
-	// remoteLatObs mirrors per-request remote latency into a registry
-	// histogram when instrumented (nil otherwise).
-	remoteLatObs atomic.Pointer[func(seconds float64)]
-	// span is the request-scoped tracing span tier activity is currently
-	// attributed to (nil when untraced), and ctx the context every remote
-	// attempt derives from (nil: none). The manager's writer reads them
-	// concurrently with the engine's goroutine setting them, hence
-	// atomic.
-	span atomic.Pointer[obs.Span]
-	ctx  atomic.Pointer[context.Context]
+	// remoteLat is the registry histogram every remote round trip's
+	// latency lands in when instrumented (nil otherwise).
+	remoteLat atomic.Pointer[obs.Histogram]
+	// ctx is the context every remote attempt derives from (nil: none),
+	// and the request span it carries is the one tier activity is
+	// attributed to. The manager's writer reads it concurrently with the
+	// engine's goroutine setting it, hence atomic.
+	ctx atomic.Pointer[context.Context]
 
 	st struct {
 		cacheHits, cacheMisses     atomic.Int64
@@ -257,24 +255,20 @@ func (s *TieredStore) Degraded() bool {
 // child spans on the active request span, so a traced evaluate shows
 // exactly when the remote tier tripped open / probed / recovered.
 func (s *TieredStore) noteBreakerTransition(from, to BreakerState) {
-	if sp := s.currentSpan(); sp != nil {
+	if sp := obs.SpanFromContext(s.currentCtx()); sp != nil {
 		ev := sp.StartChild("tier.breaker_" + to.String())
 		ev.SetAttrStr("from", from.String())
 		ev.End()
 	}
 }
 
-// SetSpan attributes subsequent tier activity (remote fetch/write-back
-// spans) to the given request span; nil detaches. Safe to call while
-// the manager's writer is in flight — each remote request is parented
-// under the span current when it is issued.
-func (s *TieredStore) SetSpan(sp *obs.Span) { s.span.Store(sp) }
-
 // SetContext bounds subsequent remote attempts by ctx as well as by
 // RemoteDeadline; nil detaches. Each attempt derives from the context
-// current when it is issued, the same hand-off as SetSpan. An attempt
-// that ctx ends fails like any refused one: a read is the engine's to
-// recompute, a dirty victim stays in the cache file.
+// current when it is issued, and is parented under the span that
+// context carries (none: untraced). Safe to call while the manager's
+// writer is in flight. An attempt that ctx ends fails like any refused
+// one: a read is the engine's to recompute, a dirty victim stays in
+// the cache file.
 func (s *TieredStore) SetContext(ctx context.Context) {
 	if ctx == nil {
 		s.ctx.Store(nil)
@@ -283,15 +277,13 @@ func (s *TieredStore) SetContext(ctx context.Context) {
 	s.ctx.Store(&ctx)
 }
 
-// currentSpan returns the active request span (nil when untraced).
-func (s *TieredStore) currentSpan() *obs.Span { return s.span.Load() }
-
-// ObserveRemoteLatency registers fn to receive every remote request's
-// wall-clock duration in seconds (nil unregisters). Instrumentation
-// uses it to feed a latency histogram without touching the hot path
-// when nothing listens.
-func (s *TieredStore) ObserveRemoteLatency(fn func(seconds float64)) {
-	s.remoteLatObs.Store(&fn)
+// currentCtx returns the context SetContext attached (Background when
+// none).
+func (s *TieredStore) currentCtx() context.Context {
+	if c := s.ctx.Load(); c != nil {
+		return *c
+	}
+	return context.Background()
 }
 
 // Stats snapshots the tier counters.
@@ -413,12 +405,9 @@ func (s *TieredStore) MemOverheadBytes() int64 {
 // (none when untraced), so a traced request shows each round trip it
 // paid for, with the vector as attributes.
 func (s *TieredStore) tracedCall(name string, read bool, vi int, buf []float64) error {
-	ctx := context.Background()
-	if c := s.ctx.Load(); c != nil {
-		ctx = *c
-	}
+	ctx := s.currentCtx()
 	var span *obs.Span
-	if sp := s.currentSpan(); sp != nil {
+	if sp := obs.SpanFromContext(ctx); sp != nil {
 		span = sp.StartChild(name)
 		span.SetAttr("vi", int64(vi))
 		span.SetAttr("bytes", int64(len(buf))*8)
@@ -427,14 +416,6 @@ func (s *TieredStore) tracedCall(name string, read bool, vi int, buf []float64) 
 	err := s.remoteCall(ctx, read, vi, buf)
 	span.End()
 	return err
-}
-
-// remoteObserved charges one remote round trip to the instrumented
-// latency histogram, when one is attached.
-func (s *TieredStore) remoteObserved(d time.Duration) {
-	if fn := s.remoteLatObs.Load(); fn != nil && *fn != nil {
-		(*fn)(d.Seconds())
-	}
 }
 
 // remoteCall is the single guarded gateway for remote I/O of one
@@ -459,7 +440,7 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 			err = WriteRangeOf(actx, s.remote, s.cfg.VectorLen, vi, 1, buf)
 		}
 		cancel()
-		s.remoteObserved(time.Since(start))
+		s.remoteLat.Load().Observe(time.Since(start).Seconds())
 		switch {
 		case err == nil:
 			s.breaker.Success()

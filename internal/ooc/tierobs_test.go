@@ -16,7 +16,7 @@ func TestInstrumentTieredStore(t *testing.T) {
 		iosim.Device{Latency: 2 * time.Millisecond, Bandwidth: 1e9})
 	defer ts.Close()
 	reg := obs.NewRegistry()
-	InstrumentTieredStore(reg, ts)
+	InstrumentTieredStore(reg, ts, "tier.")
 
 	for vi := 0; vi < n; vi++ {
 		if err := ts.WriteVector(vi, tierVec(vecLen, vi)); err != nil {

@@ -166,9 +166,9 @@ type Engine struct {
 	// eobs holds the observability instruments (see obs.go); the zero
 	// value means uninstrumented and costs one nil/bool check per site.
 	eobs engineObs
-	// span, when set via SetSpan, is the request-scoped tracing span
-	// traversal/evaluate child spans are emitted under (nil when
-	// untraced: one nil check per public call, no clock).
+	// span is the request-scoped tracing span SetContext found in its
+	// context; traversal/evaluate child spans are emitted under it (nil
+	// when untraced: one nil check per public call, no clock).
 	span *obs.Span
 
 	// ctx, when set, cancels traversals at the next step boundary (see
@@ -394,27 +394,22 @@ func (e *Engine) EnablePrefetch(bool) {}
 // still flush and checkpoint. The context is forwarded to the vector
 // provider when it supports one (ooc.Manager does), cancelling the
 // blocking edges of the I/O pipeline too. nil restores the default.
+//
+// The span ctx carries (obs.ContextWithSpan) attributes subsequent
+// engine work: each traversal (plf.newviews), LogLikelihoodAt
+// (plf.evaluate), sum table and corruption recovery is a child span
+// under it, and the provider takes it from the same context, so
+// fault-ins and evictions land in the same trace. A context without
+// one, or nil, means untraced.
 func (e *Engine) SetContext(ctx context.Context) {
 	e.ctx = ctx
+	e.span = obs.SpanFromContext(ctx)
 	if p, ok := e.prov.(interface{ SetContext(context.Context) }); ok {
 		p.SetContext(ctx)
 	}
 }
 
-// SetSpan attributes subsequent engine work to the given span: each
-// traversal (plf.newviews), LogLikelihoodAt (plf.evaluate), sum table
-// and corruption recovery is a child span under it, and the span
-// is forwarded to the vector provider when it supports one
-// (ooc.Manager does), so fault-ins and evictions land in the same
-// trace. nil detaches. Same single-goroutine discipline as SetContext.
-func (e *Engine) SetSpan(sp *obs.Span) {
-	e.span = sp
-	if p, ok := e.prov.(interface{ SetSpan(*obs.Span) }); ok {
-		p.SetSpan(sp)
-	}
-}
-
-// Span returns the span SetSpan attached (nil when untraced), so a
+// Span returns the span SetContext found (nil when untraced), so a
 // caller driving the engine can emit its own spans beside the engine's.
 func (e *Engine) Span() *obs.Span { return e.span }
 

@@ -7,8 +7,8 @@ package plf
 // data race. The counters are therefore mirrored natively: every
 // Stats++ site also bumps a nil-safe registry counter, which costs one
 // nil check when uninstrumented and one atomic add when on. Trace
-// events are spans under the one SetSpan attached (engine.go), not
-// registry instruments.
+// events are spans under the span SetContext's context carries
+// (engine.go), not registry instruments.
 
 import "oocphylo/internal/obs"
 

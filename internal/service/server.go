@@ -679,7 +679,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, fmt.Errorf("service: bad evaluate spec: %w", err))
 		return
 	}
-	rep, err := ses.EvaluateCtx(r.Context(), spec, obs.SpanFromContext(r.Context()))
+	rep, err := ses.EvaluateCtx(r.Context(), spec)
 	if err != nil {
 		s.writeErr(w, err)
 		return

@@ -321,7 +321,7 @@ func (s *Session) bringUp(ctx context.Context, in *analysis.Inputs) error {
 	// builds a fresh TieredStore; re-instrumenting finds the same named
 	// instruments (the registry is idempotent by name) and its publisher
 	// replaces the parked incarnation's, releasing the closed store.
-	ooc.InstrumentTieredStoreAs(s.srv.reg, run.Stack.Tier, metricsPrefix(s.name)+"tier.")
+	ooc.InstrumentTieredStore(s.srv.reg, run.Stack.Tier, metricsPrefix(s.name)+"tier.")
 	s.mu.Lock()
 	s.pats, s.run = in.Patterns, run
 	s.size, s.grant = sz, grant
@@ -559,20 +559,21 @@ func (s *Session) evalOne(spec EvalSpec) (float64, error) {
 
 // Evaluate answers one evaluate request.
 func (s *Session) Evaluate(spec EvalSpec) (EvalReply, error) {
-	return s.EvaluateCtx(context.Background(), spec, nil)
+	return s.EvaluateCtx(context.Background(), spec)
 }
 
-// EvaluateCtx is Evaluate under the request's context and server-side
-// span. The request waits for the session under ctx (span
-// svc.queue_wait), then runs the engine itself: evaluates change no
-// tree, so the run also stops at ctx's deadline, leaving only vectors
-// the next request recomputes. Only the deadline: the pipeline may
-// still be pushing this request's write-backs after it has answered,
-// and ending them with the request would only push them again later.
-// When sp is non-nil the engine and store spans are parented beneath it,
-// and the movement of the layer counters over the request becomes the
-// reply's cost ledger.
-func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) (EvalReply, error) {
+// EvaluateCtx is Evaluate under the request's context. The request
+// waits for the session under ctx (span svc.queue_wait), then runs the
+// engine itself: evaluates change no tree, so the run also stops at
+// ctx's deadline, leaving only vectors the next request recomputes.
+// Only the deadline: the pipeline may still be pushing this request's
+// write-backs after it has answered, and ending them with the request
+// would only push them again later. When ctx carries a span
+// (obs.ContextWithSpan) the engine and store spans are parented beneath
+// it, and the movement of the layer counters over the request becomes
+// the reply's cost ledger.
+func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec) (EvalReply, error) {
+	sp := obs.SpanFromContext(ctx)
 	s.touch()
 	enq := time.Now()
 	if err := s.acquire(ctx); err != nil {
@@ -588,17 +589,15 @@ func (s *Session) EvaluateCtx(ctx context.Context, spec EvalSpec, sp *obs.Span) 
 	if sp != nil {
 		before = s.costSnapshot()
 	}
-	var runCtx context.Context // nil: no deadline bounds the run
+	runCtx := context.WithoutCancel(ctx)
 	if d, ok := ctx.Deadline(); ok {
 		var stop context.CancelFunc
-		runCtx, stop = context.WithDeadline(context.WithoutCancel(ctx), d)
+		runCtx, stop = context.WithDeadline(runCtx, d)
 		_ = stop // its own timer ends runCtx at d; stop on return would end the write-backs in flight
 	}
-	s.run.SetSpan(sp)
 	s.run.SetContext(runCtx)
 	lnl, err := s.evalOne(spec)
 	s.run.SetContext(nil)
-	s.run.SetSpan(nil)
 	exec := time.Since(start)
 	s.mx.evals.Inc()
 	s.srv.mxEvals.Inc()
