@@ -191,9 +191,9 @@ func TestRemoteRefusedReadOneRetryBudget(t *testing.T) {
 	if want := int64(r.Stack.Spec.RemoteRetry.Max + 1); st.RemoteErrors != want || st.RemoteRetries != want-1 {
 		t.Errorf("one refused read made %d attempts (%d retries), want %d", st.RemoteErrors, st.RemoteRetries, want)
 	}
-	if st.ShortCircuits != 0 || st.BreakerOpens != 0 || st.BreakerState != "closed" {
-		t.Errorf("one refused read moved the breaker: %d opens, %d short circuits, %s",
-			st.BreakerOpens, st.ShortCircuits, st.BreakerState)
+	if st.ShortCircuits != 0 || st.BreakerOpens != 0 || st.Degraded {
+		t.Errorf("one refused read moved the breaker: %d opens, %d short circuits, degraded %v",
+			st.BreakerOpens, st.ShortCircuits, st.Degraded)
 	}
 }
 

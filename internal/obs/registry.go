@@ -47,9 +47,10 @@ func (c *Counter) Add(n int64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Set overwrites the value. It exists for publisher mirroring (copying
-// a snapshot struct's field into the registry); live instrumentation
-// should use Add/Inc.
+// Set overwrites the value, for a counter that follows a total kept
+// elsewhere: a publisher's copy of a layer's count (the span collector,
+// a service session) or a high-water mark another instrument tracks.
+// Counting should use Add/Inc.
 func (c *Counter) Set(n int64) {
 	if c == nil {
 		return
@@ -249,34 +250,20 @@ func (r *Registry) SetInfo(key, value string) {
 }
 
 // AddPublisher registers a function run at the start of every Snapshot.
-// Publishers mirror externally owned snapshot structs (ooc.Stats and
-// friends) into registry instruments on demand, so cheap counters that
-// are already maintained elsewhere cost nothing on the hot path and are
-// still live on the debug endpoint. Publishers must only touch
+// Publishers mirror totals kept outside the registry (a service
+// session's, the span collector's) into registry instruments on demand,
+// so they are live on the debug endpoint. Publishers must only touch
 // pre-resolved instruments (they run outside the registry lock but may
 // be called from any goroutine, concurrently with instrumentation).
-//
-// prefix is the name prefix of the instruments f sets. It is the
-// publisher's identity: registering under a prefix already taken runs
-// the earlier function once more, so its instruments hold its final
-// values, then replaces it (a revived session's new store takes over
-// from the closed one instead of being published beside it), and
-// Remove drops it with its instruments.
+// prefix is the name prefix of the instruments f sets: Remove drops
+// the publisher with them.
 func (r *Registry) AddPublisher(prefix string, f func()) {
 	if r == nil || f == nil {
 		return
 	}
 	r.mu.Lock()
-	i := slices.IndexFunc(r.publishers, func(p publisher) bool { return p.prefix == prefix })
-	if i < 0 {
-		r.publishers = append(r.publishers, publisher{prefix, f})
-		r.mu.Unlock()
-		return
-	}
-	last := r.publishers[i].f
-	r.publishers[i].f = f
-	r.mu.Unlock()
-	last()
+	defer r.mu.Unlock()
+	r.publishers = append(r.publishers, publisher{prefix, f})
 }
 
 // Remove drops every instrument and info key named under prefix and

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"oocphylo/internal/obs"
 )
 
 // ErrCircuitOpen marks a remote request refused locally because the
@@ -117,15 +119,10 @@ func (c *BreakerConfig) fill() {
 
 // BreakerStats is a snapshot of a breaker's counters.
 type BreakerStats struct {
-	State BreakerState
 	// Opens counts trips (closed→open and half-open→open).
 	Opens int64
 	// ShortCircuits counts requests refused while open.
 	ShortCircuits int64
-	// Successes and Failures count recorded request outcomes.
-	Successes, Failures int64
-	// Transitions counts every state change.
-	Transitions int64
 }
 
 // Breaker is a per-backend circuit breaker. Safe for concurrent use.
@@ -138,7 +135,9 @@ type Breaker struct {
 	okays    int // consecutive successes while half-open
 	probing  bool
 	openedAt time.Time
-	stats    BreakerStats
+	// opens and shortCircuits are BreakerStats' counters; a tiered
+	// store binds them with its own (InstrumentTieredStore).
+	opens, shortCircuits *obs.Counter
 
 	// onTransition (optional) observes state changes; called outside
 	// the breaker's lock, in the goroutine that caused the change.
@@ -148,7 +147,7 @@ type Breaker struct {
 // NewBreaker builds a breaker in the closed state.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg.fill()
-	return &Breaker{cfg: cfg}
+	return &Breaker{cfg: cfg, opens: new(obs.Counter), shortCircuits: new(obs.Counter)}
 }
 
 // OnTransition registers fn to observe every state change (nil
@@ -174,11 +173,7 @@ func (b *Breaker) State() BreakerState {
 
 // Stats snapshots the counters.
 func (b *Breaker) Stats() BreakerStats {
-	b.mu.Lock()
-	s := b.stats
-	s.State = b.state
-	b.mu.Unlock()
-	return s
+	return BreakerStats{Opens: b.opens.Value(), ShortCircuits: b.shortCircuits.Value()}
 }
 
 // Allow reports whether a request may proceed. While open it refuses
@@ -201,19 +196,18 @@ func (b *Breaker) Allow() bool {
 		return true
 	case BreakerOpen:
 		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
-			b.stats.ShortCircuits++
+			b.shortCircuits.Inc()
 			return false
 		}
 		from, to = b.state, BreakerHalfOpen
 		b.state = BreakerHalfOpen
-		b.stats.Transitions++
 		b.okays = 0
 		b.probing = true
 		hook = b.onTransition
 		return true
 	default: // half-open
 		if b.probing {
-			b.stats.ShortCircuits++
+			b.shortCircuits.Inc()
 			return false
 		}
 		b.probing = true
@@ -239,11 +233,6 @@ func (b *Breaker) record(ok bool) {
 	b.mu.Lock()
 	var hook func(from, to BreakerState)
 	var from, to BreakerState
-	if ok {
-		b.stats.Successes++
-	} else {
-		b.stats.Failures++
-	}
 	switch b.state {
 	case BreakerClosed:
 		if ok {
@@ -254,8 +243,7 @@ func (b *Breaker) record(ok bool) {
 				from, to = b.state, BreakerOpen
 				b.state = BreakerOpen
 				b.openedAt = b.cfg.Now()
-				b.stats.Opens++
-				b.stats.Transitions++
+				b.opens.Inc()
 				hook = b.onTransition
 			}
 		}
@@ -267,15 +255,13 @@ func (b *Breaker) record(ok bool) {
 				from, to = b.state, BreakerClosed
 				b.state = BreakerClosed
 				b.fails = 0
-				b.stats.Transitions++
 				hook = b.onTransition
 			}
 		} else {
 			from, to = b.state, BreakerOpen
 			b.state = BreakerOpen
 			b.openedAt = b.cfg.Now()
-			b.stats.Opens++
-			b.stats.Transitions++
+			b.opens.Inc()
 			hook = b.onTransition
 		}
 	case BreakerOpen:

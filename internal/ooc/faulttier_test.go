@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"oocphylo/internal/obs"
 )
 
 // flakyRemote is a Store whose failure modes the test controls. It is
@@ -385,8 +387,8 @@ func TestTieredStoreBreakerDegradesAndRecovers(t *testing.T) {
 	if st.ShortCircuits == 0 || st.BreakerOpens == 0 || !st.Degraded {
 		t.Errorf("stats while open: %+v", st)
 	}
-	if st.BreakerState != "open" {
-		t.Errorf("BreakerState = %q, want open", st.BreakerState)
+	if state := ts.Breaker().State(); state != BreakerOpen {
+		t.Errorf("breaker state = %v, want open", state)
 	}
 
 	// Heal + cooldown: a guarded probe recloses the circuit.
@@ -444,7 +446,7 @@ func TestRetryPolicyFullJitter(t *testing.T) {
 
 func TestRetryPolicyRetriesTransient(t *testing.T) {
 	rp := RetryPolicy{Max: 3, Base: time.Microsecond, Rand: func() float64 { return 0.5 }}
-	var counter atomic.Int64
+	var counter obs.Counter
 	calls := 0
 	err := rp.runCtx(nil, &counter, func() error {
 		calls++
@@ -453,8 +455,8 @@ func TestRetryPolicyRetriesTransient(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil || calls != 3 || counter.Load() != 2 {
-		t.Errorf("err=%v calls=%d retries=%d, want success on 3rd call with 2 retries", err, calls, counter.Load())
+	if err != nil || calls != 3 || counter.Value() != 2 {
+		t.Errorf("err=%v calls=%d retries=%d, want success on 3rd call with 2 retries", err, calls, counter.Value())
 	}
 	// Non-transient errors are not retried.
 	calls = 0

@@ -41,8 +41,9 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
+
+	"oocphylo/internal/obs"
 )
 
 // CorruptionError reports that a vector read back from the backing
@@ -114,12 +115,12 @@ func (rp RetryPolicy) jittered(d time.Duration) time.Duration {
 }
 
 // runCtx executes op, re-issuing it per the policy while the error is
-// transient. Every retry taken is added to counter (the tier's callers
-// run concurrently, hence atomic). A non-nil ctx aborts the backoff
-// sleeps once cancelled. op itself is never interrupted — the first
-// attempt always runs to completion, so a cancelled context degrades
-// the policy to "no retries" rather than "no I/O".
-func (rp RetryPolicy) runCtx(ctx context.Context, counter *atomic.Int64, op func() error) error {
+// transient. Every retry taken is added to counter (nil: none). A
+// non-nil ctx aborts the backoff sleeps once cancelled. op itself is
+// never interrupted — the first attempt always runs to completion, so a
+// cancelled context degrades the policy to "no retries" rather than
+// "no I/O".
+func (rp RetryPolicy) runCtx(ctx context.Context, counter *obs.Counter, op func() error) error {
 	err := op()
 	delay := rp.Base
 	if delay <= 0 {
@@ -144,9 +145,7 @@ func (rp RetryPolicy) runCtx(ctx context.Context, counter *atomic.Int64, op func
 			time.Sleep(sleep)
 		}
 		delay *= 2
-		if counter != nil {
-			counter.Add(1)
-		}
+		counter.Inc()
 		err = op()
 	}
 	return err

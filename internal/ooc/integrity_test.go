@@ -9,9 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"oocphylo/internal/obs"
 )
 
 func fillVec(v []float64, vi int) {
@@ -269,7 +270,7 @@ func TestChecksumDetectsDamage(t *testing.T) {
 
 func TestRetryPolicyTransient(t *testing.T) {
 	rp := RetryPolicy{Max: 5, Base: time.Microsecond, Cap: 10 * time.Microsecond}
-	var counter atomic.Int64
+	var counter obs.Counter
 	fails := 3
 	err := rp.runCtx(nil, &counter, func() error {
 		if fails > 0 {
@@ -281,18 +282,18 @@ func TestRetryPolicyTransient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retries exhausted early: %v", err)
 	}
-	if counter.Load() != 3 {
-		t.Errorf("retry counter = %d, want 3", counter.Load())
+	if counter.Value() != 3 {
+		t.Errorf("retry counter = %d, want 3", counter.Value())
 	}
 	// Permanent errors must not be retried.
-	counter.Store(0)
+	counter.Set(0)
 	calls := 0
 	perm := errors.New("permanent")
 	if err := rp.runCtx(nil, &counter, func() error { calls++; return perm }); !errors.Is(err, perm) {
 		t.Fatalf("got %v, want permanent error", err)
 	}
-	if calls != 1 || counter.Load() != 0 {
-		t.Errorf("permanent error retried: calls=%d counter=%d", calls, counter.Load())
+	if calls != 1 || counter.Value() != 0 {
+		t.Errorf("permanent error retried: calls=%d counter=%d", calls, counter.Value())
 	}
 	// Exhausted budget surfaces the transient error.
 	always := fmt.Errorf("still down: %w", ErrTransientIO)

@@ -168,8 +168,8 @@ func readChecked(s Store, vi int, dst []float64, e vecEntry) error {
 // bookkeeping still happens on the single calling goroutine. The stats
 // snapshots (Stats/PipelineStats/ResizeStats) MAY be read from any
 // goroutine — the debug endpoint samples them mid-run — so every public
-// method takes the stats mutex, making each counter group a consistent
-// snapshot rather than a torn read.
+// method takes the mutex, and each snapshot, read under it, is a
+// consistent one rather than a torn read.
 //
 // The pool is a byte budget, the paper's -L: it holds records, not
 // widths. A resident is charged its buffer's capacity — its record (see
@@ -185,9 +185,11 @@ type Manager struct {
 	// (uncontended: one futex-free lock per request, dwarfed by the
 	// kernel work between requests); snapshot getters hold it briefly.
 	mu sync.Mutex
-	// mx holds the native observability instruments (see obs.go). The
-	// zero value means uninstrumented: every obs call is a nil-check
-	// no-op and no clock is read.
+	// c holds the manager's counts, each one counter (see obs.go); mx
+	// the instruments only a registry gives it. The zero mx means
+	// uninstrumented: every obs call on it is a nil-check no-op and no
+	// clock is read.
+	c  counts
 	mx managerObs
 	// span is the request-scoped tracing span SetContext found in its
 	// context; fault-ins and evictions are emitted under it (nil when
@@ -227,9 +229,6 @@ type Manager struct {
 	candidates []int
 	slotOf     []int // parallel scratch: entry of each candidate
 
-	stats  Stats
-	rstats ResizeStats
-
 	// ctx, when set via SetContext, aborts the blocking edge of the
 	// I/O path, waits for the writer. Store operations themselves always
 	// run to completion, so cancellation can never leave a torn vector
@@ -239,9 +238,10 @@ type Manager struct {
 	// the stats getters returns ErrManagerClosing from then on.
 	closing atomic.Bool
 
-	// pipe is the write-back pipeline.
-	pipe      *pipeline
-	pipeStats PipelineStats
+	// pipe is the write-back pipeline. stallTime and bufferWait total
+	// the compute thread's waits on it (PipelineStats).
+	pipe                  *pipeline
+	stallTime, bufferWait time.Duration
 }
 
 // ErrAllPinned is returned when a miss cannot find an evictable slot
@@ -273,22 +273,24 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	n := cfg.NumVectors // the table never holds more entries
 	m := &Manager{
-		cfg:       cfg,
-		nslots:    cfg.Slots,
-		budget:    cfg.Slots * cfg.VectorLen,
-		slots:     make([][]float64, 0, n),
-		slotItem:  make([]int, 0, n),
-		itemSlot:  make([]int, n),
-		table:     make([]vecEntry, n),
-		dirty:     make([]bool, 0, n),
-		recycled:  make(map[int]*sync.Pool),
-		pipeStats: PipelineStats{Enabled: true},
+		cfg:      cfg,
+		nslots:   cfg.Slots,
+		budget:   cfg.Slots * cfg.VectorLen,
+		slots:    make([][]float64, 0, n),
+		slotItem: make([]int, 0, n),
+		itemSlot: make([]int, n),
+		table:    make([]vecEntry, n),
+		dirty:    make([]bool, 0, n),
+		recycled: make(map[int]*sync.Pool),
 	}
 	for i := range m.itemSlot {
 		m.itemSlot[i] = -1
 		m.table[i].n = uint32(cfg.VectorLen)
 	}
 	m.pipe = newPipeline(cfg.Store, writeBuffers*cfg.VectorLen, m.table)
+	for _, c := range m.counters() {
+		*c.c = new(obs.Counter)
+	}
 	return m, nil
 }
 
@@ -333,29 +335,38 @@ func (m *Manager) SetContext(ctx context.Context) {
 	m.span = obs.SpanFromContext(ctx)
 }
 
-// Stats returns a copy of the access counters. Safe from any
-// goroutine: the mutex guarantees the copy is not torn mid-operation.
+// Stats returns the access counters. Safe from any goroutine: they
+// move only under the mutex, so the copy is not torn mid-operation.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.stats
+	c := &m.c
+	return Stats{
+		Requests: c.requests.Value(), Hits: c.hits.Value(), Misses: c.misses.Value(),
+		Reads: c.reads.Value(), SkippedReads: c.skippedReads.Value(),
+		Writes: c.writes.Value(), SkippedWrites: c.skippedWrites.Value(),
+		BytesRead: c.bytesRead.Value(), BytesWritten: c.bytesWritten.Value(),
+	}
 }
 
-// PipelineStats returns a snapshot of the I/O pipeline counters. Safe
-// from any goroutine, before and after Close.
+// PipelineStats returns the I/O pipeline counters. Safe from any
+// goroutine, before and after Close. The writer counts
+// OverlappedBytes as its writes land, so a snapshot taken mid-run may
+// lag the writes queued; after Close none is in flight.
 func (m *Manager) PipelineStats() PipelineStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.pipelineStatsLocked()
-}
-
-// pipelineStatsLocked assembles the snapshot; callers hold m.mu.
-func (m *Manager) pipelineStatsLocked() PipelineStats {
-	ps := m.pipeStats
-	ps.OverlappedBytes = m.pipe.overlapped.Load()
-	ps.WriteQueueHits = m.pipe.wqHits.Load()
-	ps.QueueDepthMax = m.pipe.depthMax.Load()
-	return ps
+	p := m.pipe
+	return PipelineStats{
+		Enabled:         true,
+		WritesQueued:    m.c.writesQueued.Value(),
+		WriteQueueHits:  p.wqHits.Value(),
+		OverlappedBytes: p.overlapped.Value(),
+		StallTime:       m.stallTime,
+		BufferWait:      m.bufferWait,
+		QueueDepthMax:   p.qdepth.Max(),
+		CorruptReads:    m.c.corruptReads.Value(),
+	}
 }
 
 // stall runs f on the compute thread and charges its duration to the
@@ -363,8 +374,14 @@ func (m *Manager) pipelineStatsLocked() PipelineStats {
 func (m *Manager) stall(f func() error) error {
 	start := time.Now()
 	err := f()
-	m.pipeStats.StallTime += time.Since(start)
+	m.addStall(time.Since(start))
 	return err
+}
+
+// addStall adds d to the stall ledger and its gauge.
+func (m *Manager) addStall(d time.Duration) {
+	m.stallTime += d
+	m.mx.stall.Set(m.stallTime.Seconds())
 }
 
 // unreadable applies the one rule for a read the store cannot serve —
@@ -398,7 +415,7 @@ func (m *Manager) demandRead(vi int, dst []float64) error {
 	}
 	err := readChecked(m.cfg.Store, vi, dst, m.table[vi])
 	if err != nil && IsCorruption(err) {
-		m.pipeStats.CorruptReads++
+		m.c.corruptReads.Inc()
 	}
 	return unreadable(vi, err)
 }
@@ -583,10 +600,10 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	}
 	defer m.noteHeld()
 	m.settleWide(vi, write, pinned)
-	m.stats.Requests++
+	m.c.requests.Inc()
 	m.cfg.Strategy.Touch(vi)
 	if s := m.itemSlot[vi]; s >= 0 {
-		m.stats.Hits++
+		m.c.hits.Inc()
 		if write {
 			m.dirty[s] = true
 			if err := m.widen(vi, s, pinned); err != nil {
@@ -596,7 +613,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		}
 		return m.slots[s], nil
 	}
-	m.stats.Misses++
+	m.c.misses.Inc()
 	var missStart time.Time
 	if m.mx.on || m.span != nil {
 		missStart = time.Now()
@@ -613,7 +630,7 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 	// Swap in.
 	skipRead := write && m.cfg.ReadSkipping
 	if skipRead {
-		m.stats.SkippedReads++
+		m.c.skippedReads.Inc()
 	} else if err := m.stall(func() error { return m.demandRead(vi, buf[:m.table[vi].length()]) }); err != nil {
 		if !write || !bytesLost(err) {
 			m.release(buf)
@@ -622,8 +639,8 @@ func (m *Manager) Vector(vi int, write bool, pinned ...int) ([]float64, error) {
 		// The stored payload is lost, but the caller promised to
 		// overwrite the entire vector before reading it (bytesLost).
 	} else {
-		m.stats.Reads++
-		m.stats.BytesRead += int64(m.table[vi].length()) * 8
+		m.c.reads.Inc()
+		m.c.bytesRead.Add(int64(m.table[vi].length()) * 8)
 	}
 	slot := m.place(vi, buf)
 	m.dirty[slot] = write
@@ -707,10 +724,10 @@ func (m *Manager) evict(victim, slot int) error {
 			// pipe.write_back.
 			m.spanEvent("ooc.evict", victim, slot, ws, time.Since(ws))
 		}
-		m.stats.Writes++
-		m.stats.BytesWritten += int64(len(rec)) * 8
+		m.c.writes.Inc()
+		m.c.bytesWritten.Add(int64(len(rec)) * 8)
 	} else {
-		m.stats.SkippedWrites++
+		m.c.skippedWrites.Inc()
 	}
 	m.mx.evictions.Inc()
 	if buf := m.unmap(slot); !queued {
@@ -733,13 +750,14 @@ func (m *Manager) queueWriteBack(victim int, rec []float64) error {
 	start := time.Now()
 	err := m.pipe.reclaimFor(m.ctx, cap(rec))
 	wait := time.Since(start)
-	m.pipeStats.StallTime += wait
-	m.pipeStats.BufferWait += wait
+	m.addStall(wait)
+	m.bufferWait += wait
+	m.mx.bufWait.Set(m.bufferWait.Seconds())
 	if err != nil {
 		return fmt.Errorf("ooc: write-back abandoned: %w", err)
 	}
 	m.pipe.enqueueWrite(victim, rec, m.span)
-	m.pipeStats.WritesQueued++
+	m.c.writesQueued.Inc()
 	return nil
 }
 
@@ -771,15 +789,15 @@ func (m *Manager) Flush() error {
 			continue
 		}
 		if !m.dirty[s] {
-			m.stats.SkippedWrites++
+			m.c.skippedWrites.Inc()
 			continue
 		}
 		rec := m.takeRecord(it, s)
 		if err := m.stall(func() error { return m.writeBack(it, rec) }); err != nil {
 			return err
 		}
-		m.stats.Writes++
-		m.stats.BytesWritten += int64(len(rec)) * 8
+		m.c.writes.Inc()
+		m.c.bytesWritten.Add(int64(len(rec)) * 8)
 		m.dirty[s] = false
 	}
 	return nil

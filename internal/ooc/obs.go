@@ -1,39 +1,85 @@
 package ooc
 
-// Observability wiring for the out-of-core manager and its write-back
-// pipeline. Instrument attaches registry instruments; an
-// uninstrumented manager holds nil instruments, so every obs call on
-// the hot path degrades to a nil-check no-op and no clock is read.
+// Observability wiring for the out-of-core manager, its write-back
+// pipeline and the tiered store. Every count such a layer keeps is one
+// obs.Counter (a level, one obs.Gauge), allocated when the layer is
+// built, so an uninstrumented layer still counts, and its Stats reads
+// those instruments. Instrument and InstrumentTieredStore bind them to
+// a registry (bindCounter); nothing is copied at scrape time.
+//
+// An instrumented manager also feeds instruments only the registry
+// holds: fault-in and write-back latencies (histograms), evictions per
+// strategy, the slot count and the stall totals in seconds. An
+// uninstrumented one holds nil for them, so each such call on the hot
+// path degrades to a nil-check no-op and no clock is read.
 // Vector-lifecycle events are spans under whatever span SetContext's
 // context carries (spanEvent below, the writer's pipe.write_back),
 // independent of the registry.
 //
-// Two kinds of signals are exported:
-//
-//   - Native: quantities only observable in the act — fault-in and
-//     write-back latencies (histograms) and live queue depth (gauge).
-//   - Mirrored: the Stats/PipelineStats/ResizeStats counters the
-//     manager maintains anyway. A registry publisher copies them into
-//     counters on every snapshot, so they are live on the debug
-//     endpoint at zero hot-path cost. The snapshot getters take the
-//     stats mutex, so a mid-operation snapshot can never tear a
-//     counter group (see Manager.mu).
-//
-// Call Instrument before issuing any manager operation: the writer
-// picks the instruments up through the happens-before edge of the first
-// request enqueue.
+// Bind a layer before its first operation: the rebinding is not
+// synchronised with the layer's own goroutines (the manager's writer
+// picks its instruments up through the happens-before edge of the first
+// request enqueue).
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"oocphylo/internal/obs"
 )
 
-// managerObs holds the manager's native instruments. The zero value
-// (all nil, on=false) is the uninstrumented state.
+// counts are the manager's counters, the one source of Stats,
+// PipelineStats and ResizeStats. They move only under Manager.mu.
+type counts struct {
+	requests, hits, misses, reads, skippedReads    *obs.Counter
+	writes, skippedWrites, bytesRead, bytesWritten *obs.Counter
+	writesQueued, corruptReads                     *obs.Counter
+	grows, shrinks, resizeEvictions                *obs.Counter
+}
+
+// namedCounter is a layer's counter and the name it is exported under.
+type namedCounter struct {
+	name string
+	c    **obs.Counter
+}
+
+// counters lists the manager's counters, its pipeline's among them.
+func (m *Manager) counters() []namedCounter {
+	c, p := &m.c, m.pipe
+	return []namedCounter{
+		{"ooc.requests", &c.requests}, {"ooc.hits", &c.hits}, {"ooc.misses", &c.misses},
+		{"ooc.reads", &c.reads}, {"ooc.skipped_reads", &c.skippedReads},
+		{"ooc.writes", &c.writes}, {"ooc.skipped_writes", &c.skippedWrites},
+		{"ooc.bytes_read", &c.bytesRead}, {"ooc.bytes_written", &c.bytesWritten},
+		{"ooc.corrupt_reads", &c.corruptReads}, {"ooc.resize_grows", &c.grows},
+		{"ooc.resize_shrinks", &c.shrinks}, {"ooc.resize_evictions", &c.resizeEvictions},
+		{"pipe.writes_queued", &c.writesQueued},
+		{"pipe.write_queue_hits", &p.wqHits}, {"pipe.overlapped_bytes", &p.overlapped},
+	}
+}
+
+// bindCounter is the binding rule of every out-of-core count: reg's
+// counter named name takes over *own's count, and the layer counts on
+// it from then on. A layer bound under a name an earlier layer used (a
+// revived session's new tier) thus carries on from that layer's total.
+func bindCounter(reg *obs.Registry, name string, own **obs.Counter) {
+	c := reg.Counter(name)
+	c.Add((*own).Value())
+	*own = c
+}
+
+// bindGauge binds a level by the same rule: reg's gauge named name
+// takes over *own's level and high-water mark.
+func bindGauge(reg *obs.Registry, name string, own **obs.Gauge) {
+	g := reg.Gauge(name)
+	g.Set((*own).Max())
+	g.Set((*own).Value())
+	*own = g
+}
+
+// managerObs holds the instruments only a registry gives the manager.
+// The zero value (all nil, on=false) is the uninstrumented state.
 type managerObs struct {
 	// on gates the time.Now() calls the latency histograms need.
 	on bool
@@ -45,11 +91,15 @@ type managerObs struct {
 	evictions *obs.Counter
 	// slots tracks the live slot-pool size; Resize moves it at runtime.
 	slots *obs.Gauge
+	// stall and bufWait follow PipelineStats' StallTime and BufferWait
+	// in seconds, set where those grow.
+	stall, bufWait *obs.FloatGauge
 }
 
-// Instrument attaches reg to the manager (nil is a no-op). Must be
-// called before the first Vector/Flush operation and at most
-// once; later calls are ignored.
+// Instrument binds the manager's counters to reg (bindCounter: a count
+// made before the call carries over into the registry) and attaches the
+// registry-only instruments; nil is a no-op. Call it before the first
+// Vector/Flush operation and at most once; later calls are ignored.
 func (m *Manager) Instrument(reg *obs.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -61,75 +111,24 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 		faultIn:   reg.Histogram("ooc.fault_in_seconds", nil),
 		evictions: reg.Counter("ooc.evictions_" + strings.ToLower(m.cfg.Strategy.Name())),
 		slots:     reg.Gauge("ooc.slots"),
+		stall:     reg.FloatGauge("pipe.stall_seconds"),
+		bufWait:   reg.FloatGauge("pipe.buffer_wait_seconds"),
 	}
 	m.mx.slots.Set(int64(m.nslots))
+	m.mx.stall.Set(m.stallTime.Seconds())
+	m.mx.bufWait.Set(m.bufferWait.Seconds())
+	for _, c := range m.counters() {
+		bindCounter(reg, c.name, c.c)
+	}
+	p := m.pipe
+	bindGauge(reg, "pipe.queue_depth", &p.qdepth)
+	p.on = true
+	p.writeLat = reg.Histogram("pipe.write_back_seconds", nil)
+	p.depthMax = reg.Counter("pipe.queue_depth_max")
+	p.depthMax.Set(p.qdepth.Max())
 	reg.SetInfo("ooc.strategy", m.cfg.Strategy.Name())
 	reg.SetInfo("ooc.geometry", fmt.Sprintf("%d slots / %d vectors x %d doubles",
 		m.nslots, m.cfg.NumVectors, m.cfg.VectorLen))
-	m.pipe.instrument(reg)
-	m.addStatsPublisher(reg)
-}
-
-// addStatsPublisher mirrors the manager's counter groups into the
-// registry on every snapshot. Counters are pre-resolved here so the
-// publisher itself takes no registry locks.
-func (m *Manager) addStatsPublisher(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	type mirrors struct {
-		requests, hits, misses, reads, skippedReads  *obs.Counter
-		writes, skippedWrites, bytesRead, bytesWrite *obs.Counter
-		writesQ, wqHits, overlapped, depthMax        *obs.Counter
-		corrupt                                      *obs.Counter
-		grows, shrinks, resizeEvict                  *obs.Counter
-		stall, bufWait                               *obs.FloatGauge
-	}
-	c := mirrors{
-		requests:      reg.Counter("ooc.requests"),
-		hits:          reg.Counter("ooc.hits"),
-		misses:        reg.Counter("ooc.misses"),
-		reads:         reg.Counter("ooc.reads"),
-		skippedReads:  reg.Counter("ooc.skipped_reads"),
-		writes:        reg.Counter("ooc.writes"),
-		skippedWrites: reg.Counter("ooc.skipped_writes"),
-		bytesRead:     reg.Counter("ooc.bytes_read"),
-		bytesWrite:    reg.Counter("ooc.bytes_written"),
-		writesQ:       reg.Counter("pipe.writes_queued"),
-		wqHits:        reg.Counter("pipe.write_queue_hits"),
-		overlapped:    reg.Counter("pipe.overlapped_bytes"),
-		depthMax:      reg.Counter("pipe.queue_depth_max"),
-		corrupt:       reg.Counter("ooc.corrupt_reads"),
-		grows:         reg.Counter("ooc.resize_grows"),
-		shrinks:       reg.Counter("ooc.resize_shrinks"),
-		resizeEvict:   reg.Counter("ooc.resize_evictions"),
-		stall:         reg.FloatGauge("pipe.stall_seconds"),
-		bufWait:       reg.FloatGauge("pipe.buffer_wait_seconds"),
-	}
-	reg.AddPublisher("ooc.", func() {
-		st := m.Stats()
-		ps := m.PipelineStats()
-		rs := m.ResizeStats()
-		c.grows.Set(rs.Grows)
-		c.shrinks.Set(rs.Shrinks)
-		c.resizeEvict.Set(rs.Evictions)
-		c.requests.Set(st.Requests)
-		c.hits.Set(st.Hits)
-		c.misses.Set(st.Misses)
-		c.reads.Set(st.Reads)
-		c.skippedReads.Set(st.SkippedReads)
-		c.writes.Set(st.Writes)
-		c.skippedWrites.Set(st.SkippedWrites)
-		c.bytesRead.Set(st.BytesRead)
-		c.bytesWrite.Set(st.BytesWritten)
-		c.writesQ.Set(ps.WritesQueued)
-		c.wqHits.Set(ps.WriteQueueHits)
-		c.overlapped.Set(ps.OverlappedBytes)
-		c.depthMax.Set(ps.QueueDepthMax)
-		c.corrupt.Set(ps.CorruptReads)
-		c.stall.Set(ps.StallTime.Seconds())
-		c.bufWait.Set(ps.BufferWait.Seconds())
-	})
 }
 
 // spanEvent records one compute-thread event on vector vi in slot as a
@@ -140,81 +139,23 @@ func (m *Manager) spanEvent(name string, vi, slot int, start time.Time, dur time
 	}
 }
 
-// InstrumentTieredStore exports a tiered store's per-tier counters and
-// remote latency to the registry under names starting with prefix, so
-// hosts with several tiered stores (one per service session) keep their
-// counters apart. Counters (hits, misses, bytes per tier, evictions,
-// overflowed vectors) follow the mirrored pattern — a publisher copies
-// the TierStats snapshot on every debug scrape, adding what each
-// counter gained since it last ran, so a store instrumented under a
-// prefix an earlier store used carries on from that store's totals;
-// instrument each store once. Remote request latency is a native
-// histogram fed per request from the miss and write-back paths, so the
-// debug endpoint reports p50/p90/p99 round-trip times.
+// InstrumentTieredStore binds a tiered store's counters and gauges to
+// reg under names starting with prefix, so hosts with several tiered
+// stores (one per service session) keep them apart, and gives it the
+// remote latency histogram every round trip lands in. The binding rule
+// is bindCounter's: a store instrumented under a prefix an earlier
+// store used carries on from that store's totals, in the registry and
+// in its own Stats alike. Instrument each store once, before its first
+// operation.
 func InstrumentTieredStore(reg *obs.Registry, ts *TieredStore, prefix string) {
 	if reg == nil || ts == nil {
 		return
 	}
-	type mirrors struct {
-		cacheHits, cacheMisses, remoteReads, remoteWrites *obs.Counter
-		remoteVecsR, remoteVecsW                          *obs.Counter
-		bytesCache, bytesFetched, bytesPushed             *obs.Counter
-		evictions, dirtyWB                                *obs.Counter
-		remoteErrors, remoteRetries                       *obs.Counter
-		breakerOpens, shortCircuits                       *obs.Counter
-		overflow, degraded, breakerState                  *obs.Gauge
+	for _, c := range ts.counters() {
+		bindCounter(reg, prefix+c.name, c.c)
 	}
-	c := mirrors{
-		cacheHits:     reg.Counter(prefix + "cache_hits"),
-		cacheMisses:   reg.Counter(prefix + "cache_misses"),
-		remoteReads:   reg.Counter(prefix + "remote_reads"),
-		remoteWrites:  reg.Counter(prefix + "remote_writes"),
-		remoteVecsR:   reg.Counter(prefix + "remote_vectors_read"),
-		remoteVecsW:   reg.Counter(prefix + "remote_vectors_written"),
-		bytesCache:    reg.Counter(prefix + "bytes_from_cache"),
-		bytesFetched:  reg.Counter(prefix + "bytes_fetched"),
-		bytesPushed:   reg.Counter(prefix + "bytes_pushed"),
-		evictions:     reg.Counter(prefix + "evictions"),
-		dirtyWB:       reg.Counter(prefix + "dirty_writebacks"),
-		remoteErrors:  reg.Counter(prefix + "remote_errors"),
-		remoteRetries: reg.Counter(prefix + "remote_retries"),
-		breakerOpens:  reg.Counter(prefix + "breaker_opens"),
-		shortCircuits: reg.Counter(prefix + "short_circuits"),
-		overflow:      reg.Gauge(prefix + "overflow"),
-		breakerState:  reg.Gauge(prefix + "breaker_state"),
-		degraded:      reg.Gauge(prefix + "degraded"),
-	}
-	var mu sync.Mutex
-	var last TierStats // what the counters already hold of ts
-	reg.AddPublisher(prefix, func() {
-		mu.Lock()
-		defer mu.Unlock()
-		st := ts.Stats()
-		c.cacheHits.Add(st.CacheHits - last.CacheHits)
-		c.cacheMisses.Add(st.CacheMisses - last.CacheMisses)
-		c.remoteReads.Add(st.RemoteReads - last.RemoteReads)
-		c.remoteWrites.Add(st.RemoteWrites - last.RemoteWrites)
-		c.remoteVecsR.Add(st.RemoteVectorsRead - last.RemoteVectorsRead)
-		c.remoteVecsW.Add(st.RemoteVectorsWritten - last.RemoteVectorsWritten)
-		c.bytesCache.Add(st.BytesFromCache - last.BytesFromCache)
-		c.bytesFetched.Add(st.BytesFetched - last.BytesFetched)
-		c.bytesPushed.Add(st.BytesPushed - last.BytesPushed)
-		c.evictions.Add(st.Evictions - last.Evictions)
-		c.dirtyWB.Add(st.DirtyWritebacks - last.DirtyWritebacks)
-		c.remoteErrors.Add(st.RemoteErrors - last.RemoteErrors)
-		c.remoteRetries.Add(st.RemoteRetries - last.RemoteRetries)
-		c.breakerOpens.Add(st.BreakerOpens - last.BreakerOpens)
-		c.shortCircuits.Add(st.ShortCircuits - last.ShortCircuits)
-		last = st
-		c.overflow.Set(st.Overflow)
-		// Breaker position as a numeric gauge (0 closed, 1 open,
-		// 2 half-open) so dashboards can alert on transitions.
-		c.breakerState.Set(int64(ts.Breaker().State()))
-		if st.Degraded {
-			c.degraded.Set(1)
-		} else {
-			c.degraded.Set(0)
-		}
-	})
-	ts.remoteLat.Store(reg.Histogram(prefix+"remote_seconds", nil))
+	bindGauge(reg, prefix+"overflow", &ts.st.overflow)
+	bindGauge(reg, prefix+"breaker_state", &ts.st.breakerState)
+	bindGauge(reg, prefix+"degraded", &ts.st.degraded)
+	ts.st.remoteLat = reg.Histogram(prefix+"remote_seconds", nil)
 }

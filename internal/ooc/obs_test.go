@@ -143,7 +143,8 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 }
 
 // TestInstrumentIdempotent ensures double instrumentation is ignored
-// and an uninstrumented manager works with all-nil instruments.
+// and a count an uninstrumented manager made carries over into the
+// registry it is then bound to.
 func TestInstrumentIdempotent(t *testing.T) {
 	const n, vecLen = 8, 16
 	m, err := NewManager(Config{
@@ -153,7 +154,7 @@ func TestInstrumentIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Uninstrumented: zero-value obs, must be no-ops.
+	// Uninstrumented: the registry-only instruments are nil no-ops.
 	if _, err := m.Vector(0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +165,6 @@ func TestInstrumentIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["ooc.requests"]; got != 2 {
-		t.Errorf("ooc.requests=%d, want 2 (mirrored from Stats)", got)
+		t.Errorf("ooc.requests=%d, want 2 (one before Instrument, one after)", got)
 	}
 }

@@ -36,16 +36,13 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oocphylo/internal/obs"
 )
 
-// PipelineStats counts the pipeline's activity. All
-// quantities are maintained on the compute thread or read atomically;
-// read them via Manager.PipelineStats after the workload (they are a
-// snapshot, not synchronized with in-flight work).
+// PipelineStats counts the pipeline's activity, as Manager.PipelineStats
+// reads it from the manager's and the pipeline's counters.
 type PipelineStats struct {
 	// Enabled is always true: every manager is pipelined. It stays for
 	// callers that still read it, the benchmark harness among them.
@@ -114,19 +111,23 @@ type pipeline struct {
 	mu       sync.Mutex
 	firstErr error
 
-	depth      atomic.Int64
-	depthMax   atomic.Int64
-	overlapped atomic.Int64
-	wqHits     atomic.Int64
+	// wqHits counts reads served from a pending buffer, overlapped the
+	// bytes the writer stored, and qdepth the writes in flight, its
+	// high-water mark PipelineStats.QueueDepthMax. They are never nil
+	// (see Manager.counters).
+	wqHits, overlapped *obs.Counter
+	qdepth             *obs.Gauge
 
-	// Observability instruments; all nil (and on false) when
-	// uninstrumented. Written once by instrument() on the compute thread
-	// BEFORE the first request is enqueued; the writer reads them only
-	// while servicing a request, so the channel send/receive provides
-	// the happens-before edge.
+	// Registry-only instruments; nil (and on false) when
+	// uninstrumented. depthMax exports qdepth's high-water mark under
+	// the counter name it has always had. Like the rebinding of the
+	// counters above, Manager.Instrument writes them on the compute
+	// thread BEFORE the first request is enqueued; the writer reads them
+	// only while servicing a request, so the channel send/receive
+	// provides the happens-before edge.
 	on       bool
 	writeLat *obs.Histogram
-	qdepth   *obs.Gauge
+	depthMax *obs.Counter
 
 	wg   sync.WaitGroup
 	stop sync.Once
@@ -148,19 +149,11 @@ func newPipeline(store Store, capacity int, table []vecEntry) *pipeline {
 		writeCh:  make(chan *writeReq, writeQueue),
 		capacity: capacity,
 		pending:  make(map[int]*writeReq),
+		qdepth:   new(obs.Gauge),
 	}
 	p.wg.Add(1)
 	go p.writeWorker()
 	return p
-}
-
-// instrument attaches registry instruments. Must run on the compute
-// thread before any request is enqueued (the writer picks the fields up
-// through the enqueue's happens-before edge).
-func (p *pipeline) instrument(reg *obs.Registry) {
-	p.on = true
-	p.writeLat = reg.Histogram("pipe.write_back_seconds", nil)
-	p.qdepth = reg.Gauge("pipe.queue_depth")
 }
 
 func (p *pipeline) writeWorker() {
@@ -187,7 +180,7 @@ func (p *pipeline) writeWorker() {
 				req.span.EmitChild("pipe.write_back", start, dur, obs.Attr{Key: obs.LaneAttr, Int: writerLane}, obs.Attr{Key: "vid", Int: int64(req.vi)})
 			}
 		}
-		p.qdepth.Set(p.depth.Add(-1))
+		p.qdepth.Add(-1)
 		req.done <- struct{}{}
 	}
 }
@@ -199,7 +192,7 @@ func (p *pipeline) readPending(vi int, dst []float64) bool {
 	w, ok := p.pending[vi]
 	if ok {
 		copy(dst, w.buf)
-		p.wqHits.Add(1)
+		p.wqHits.Inc()
 	}
 	return ok
 }
@@ -284,15 +277,10 @@ func (p *pipeline) shutdown() error {
 	return p.err()
 }
 
+// bumpDepth counts a write into the queue.
 func (p *pipeline) bumpDepth() {
-	d := p.depth.Add(1)
-	p.qdepth.Set(d)
-	for {
-		max := p.depthMax.Load()
-		if d <= max || p.depthMax.CompareAndSwap(max, d) {
-			return
-		}
-	}
+	p.qdepth.Add(1)
+	p.depthMax.Set(p.qdepth.Max())
 }
 
 func (p *pipeline) noteErr(err error) {

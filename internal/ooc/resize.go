@@ -68,7 +68,7 @@ type ResizeStats struct {
 func (m *Manager) ResizeStats() ResizeStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.rstats
+	return ResizeStats{Grows: m.c.grows.Value(), Shrinks: m.c.shrinks.Value(), Evictions: m.c.resizeEvictions.Value()}
 }
 
 // Resize grows or shrinks the live pool to slots × VectorLen float64s.
@@ -97,7 +97,7 @@ func (m *Manager) Resize(slots int) error {
 	case slots == m.nslots:
 		return nil
 	case slots > m.nslots:
-		m.rstats.Grows++
+		m.c.grows.Inc()
 	default:
 		m.settleWide(-1, false, nil)
 		for m.held > slots*m.cfg.VectorLen {
@@ -108,14 +108,12 @@ func (m *Manager) Resize(slots int) error {
 			if err != nil {
 				return err
 			}
-			m.rstats.Evictions++
+			m.c.resizeEvictions.Inc()
 		}
-		m.rstats.Shrinks++
+		m.c.shrinks.Inc()
 	}
 	m.nslots, m.budget = slots, slots*m.cfg.VectorLen
 	m.trim(0)
-	if m.mx.on {
-		m.mx.slots.Set(int64(slots))
-	}
+	m.mx.slots.Set(int64(slots))
 	return nil
 }

@@ -125,13 +125,9 @@ type TierStats struct {
 	// drops, 5xx); RemoteRetries the re-issues the jittered remote
 	// budget paid for them.
 	RemoteErrors, RemoteRetries int64
-	// BreakerState renders the circuit breaker position ("closed",
-	// "open", "half-open").
 	// BreakerOpens counts trips, ShortCircuits requests refused
 	// locally while open.
-	BreakerState  string
-	BreakerOpens  int64
-	ShortCircuits int64
+	BreakerOpens, ShortCircuits int64
 	// Overflow counts the vectors the cache holds past CacheVectors:
 	// dirty victims the remote refused, kept on local disk until a later
 	// admission pushes them.
@@ -184,26 +180,42 @@ type TieredStore struct {
 	firstErr error
 
 	// breaker guards every remote request.
-	breaker       *Breaker
-	retriedRemote atomic.Int64
+	breaker *Breaker
+	// st holds the tier's instruments (see InstrumentTieredStore).
+	st tierInstruments
 
-	// remoteLat is the registry histogram every remote round trip's
-	// latency lands in when instrumented (nil otherwise).
-	remoteLat atomic.Pointer[obs.Histogram]
 	// ctx is the context every remote attempt derives from (nil: none),
 	// and the request span it carries is the one tier activity is
 	// attributed to. The manager's writer reads it concurrently with the
 	// engine's goroutine setting it, hence atomic.
 	ctx atomic.Pointer[context.Context]
+}
 
-	st struct {
-		cacheHits, cacheMisses     atomic.Int64
-		remoteReads, remoteWrites  atomic.Int64
-		remoteVecsR, remoteVecsW   atomic.Int64
-		bytesCache, bytesFetched   atomic.Int64
-		bytesPushed                atomic.Int64
-		evictions, dirtyWritebacks atomic.Int64
-		remoteErrors               atomic.Int64
+// tierInstruments are the tier's counters and levels, the one source
+// of TierStats, and the histogram of its remote round trips (nil until
+// instrumented). overflow is set wherever the cache's occupancy
+// changes, breakerState and degraded on every breaker transition.
+type tierInstruments struct {
+	cacheHits, cacheMisses, remoteReads, remoteWrites               *obs.Counter
+	remoteVecsR, remoteVecsW, bytesCache, bytesFetched, bytesPushed *obs.Counter
+	evictions, dirtyWritebacks, remoteErrors, remoteRetries         *obs.Counter
+	overflow, breakerState, degraded                                *obs.Gauge
+	remoteLat                                                       *obs.Histogram
+}
+
+// counters lists the tier's counters, its breaker's among them, under
+// their names below InstrumentTieredStore's prefix.
+func (s *TieredStore) counters() []namedCounter {
+	c, b := &s.st, s.breaker
+	return []namedCounter{
+		{"cache_hits", &c.cacheHits}, {"cache_misses", &c.cacheMisses},
+		{"remote_reads", &c.remoteReads}, {"remote_writes", &c.remoteWrites},
+		{"remote_vectors_read", &c.remoteVecsR}, {"remote_vectors_written", &c.remoteVecsW},
+		{"bytes_from_cache", &c.bytesCache}, {"bytes_fetched", &c.bytesFetched},
+		{"bytes_pushed", &c.bytesPushed}, {"evictions", &c.evictions},
+		{"dirty_writebacks", &c.dirtyWritebacks}, {"remote_errors", &c.remoteErrors},
+		{"remote_retries", &c.remoteRetries},
+		{"breaker_opens", &b.opens}, {"short_circuits", &b.shortCircuits},
 	}
 }
 
@@ -227,6 +239,10 @@ func NewTieredStore(remote Store, cfg TieredConfig) (*TieredStore, error) {
 		dirty:   make([]bool, cfg.CacheVectors),
 		rlen:    make([]int, cfg.CacheVectors),
 		pend:    make(map[int]*pendWB),
+		st:      tierInstruments{overflow: new(obs.Gauge), breakerState: new(obs.Gauge), degraded: new(obs.Gauge)},
+	}
+	for _, c := range s.counters() { // the breaker's two anew, also at zero
+		*c.c = new(obs.Counter)
 	}
 	for slot := cfg.CacheVectors - 1; slot >= 0; slot-- {
 		s.viOf[slot] = -1
@@ -251,10 +267,18 @@ func (s *TieredStore) Degraded() bool {
 	return s.breaker.State() != BreakerClosed
 }
 
-// noteBreakerTransition records breaker state changes as zero-width
-// child spans on the active request span, so a traced evaluate shows
-// exactly when the remote tier tripped open / probed / recovered.
+// noteBreakerTransition sets the breaker's gauges (its position: 0
+// closed, 1 open, 2 half-open) on every state change and records the
+// change as a zero-width child span on the active request span, so a
+// traced evaluate shows exactly when the remote tier tripped open /
+// probed / recovered.
 func (s *TieredStore) noteBreakerTransition(from, to BreakerState) {
+	state := s.breaker.State()
+	s.st.breakerState.Set(int64(state))
+	s.st.degraded.Set(0)
+	if state != BreakerClosed {
+		s.st.degraded.Set(1)
+	}
 	if sp := obs.SpanFromContext(s.currentCtx()); sp != nil {
 		ev := sp.StartChild("tier.breaker_" + to.String())
 		ev.SetAttrStr("from", from.String())
@@ -288,29 +312,25 @@ func (s *TieredStore) currentCtx() context.Context {
 
 // Stats snapshots the tier counters.
 func (s *TieredStore) Stats() TierStats {
-	bs, state := s.breaker.Stats(), s.breaker.State()
-	s.mu.Lock()
-	overflow := max(len(s.slotOf)-s.cfg.CacheVectors, 0)
-	s.mu.Unlock()
+	c, bs := &s.st, s.breaker.Stats()
 	return TierStats{
-		CacheHits:            s.st.cacheHits.Load(),
-		CacheMisses:          s.st.cacheMisses.Load(),
-		RemoteReads:          s.st.remoteReads.Load(),
-		RemoteWrites:         s.st.remoteWrites.Load(),
-		RemoteVectorsRead:    s.st.remoteVecsR.Load(),
-		RemoteVectorsWritten: s.st.remoteVecsW.Load(),
-		BytesFromCache:       s.st.bytesCache.Load(),
-		BytesFetched:         s.st.bytesFetched.Load(),
-		BytesPushed:          s.st.bytesPushed.Load(),
-		Evictions:            s.st.evictions.Load(),
-		DirtyWritebacks:      s.st.dirtyWritebacks.Load(),
-		RemoteErrors:         s.st.remoteErrors.Load(),
-		RemoteRetries:        s.retriedRemote.Load(),
-		Overflow:             int64(overflow),
-		BreakerState:         state.String(),
+		CacheHits:            c.cacheHits.Value(),
+		CacheMisses:          c.cacheMisses.Value(),
+		RemoteReads:          c.remoteReads.Value(),
+		RemoteWrites:         c.remoteWrites.Value(),
+		RemoteVectorsRead:    c.remoteVecsR.Value(),
+		RemoteVectorsWritten: c.remoteVecsW.Value(),
+		BytesFromCache:       c.bytesCache.Value(),
+		BytesFetched:         c.bytesFetched.Value(),
+		BytesPushed:          c.bytesPushed.Value(),
+		Evictions:            c.evictions.Value(),
+		DirtyWritebacks:      c.dirtyWritebacks.Value(),
+		RemoteErrors:         c.remoteErrors.Value(),
+		RemoteRetries:        c.remoteRetries.Value(),
+		Overflow:             c.overflow.Value(),
 		BreakerOpens:         bs.Opens,
 		ShortCircuits:        bs.ShortCircuits,
-		Degraded:             state != BreakerClosed,
+		Degraded:             s.Degraded(),
 	}
 }
 
@@ -328,7 +348,7 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 		err := s.cache.ReadVector(slot, dst)
 		s.mu.Unlock()
 		if err == nil {
-			s.st.cacheHits.Add(1)
+			s.st.cacheHits.Inc()
 			s.st.bytesCache.Add(int64(len(dst)) * 8)
 		}
 		return err
@@ -337,19 +357,19 @@ func (s *TieredStore) ReadVector(vi int, dst []float64) error {
 		// The remote copy is stale until a PUT of w.buf lands.
 		copy(dst, w.buf)
 		s.mu.Unlock()
-		s.st.cacheHits.Add(1)
+		s.st.cacheHits.Inc()
 		s.st.bytesCache.Add(int64(len(dst)) * 8)
 		return nil
 	}
 	s.mu.Unlock()
 
-	s.st.cacheMisses.Add(1)
+	s.st.cacheMisses.Inc()
 	err := s.tracedCall("tier.remote_get", true, vi, dst)
-	s.st.remoteReads.Add(1)
+	s.st.remoteReads.Inc()
 	if err != nil {
 		return err
 	}
-	s.st.remoteVecsR.Add(1)
+	s.st.remoteVecsR.Inc()
 	s.st.bytesFetched.Add(int64(len(dst)) * 8)
 	if aerr := s.admit(vi, dst, false); aerr != nil {
 		// The fetch itself succeeded — the reader gets its data; an
@@ -440,7 +460,7 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 			err = WriteRangeOf(actx, s.remote, s.cfg.VectorLen, vi, 1, buf)
 		}
 		cancel()
-		s.remoteLat.Load().Observe(time.Since(start).Seconds())
+		s.st.remoteLat.Observe(time.Since(start).Seconds())
 		switch {
 		case err == nil:
 			s.breaker.Success()
@@ -452,11 +472,11 @@ func (s *TieredStore) remoteCall(ctx context.Context, read bool, vi int, buf []f
 			s.breaker.Failure()
 		}
 		if err != nil {
-			s.st.remoteErrors.Add(1)
+			s.st.remoteErrors.Inc()
 		}
 		return err
 	}
-	return s.cfg.RemoteRetry.runCtx(ctx, &s.retriedRemote, op)
+	return s.cfg.RemoteRetry.runCtx(ctx, s.st.remoteRetries, op)
 }
 
 // ProbeRemote issues one guarded read of a one-word record and discards
@@ -547,12 +567,13 @@ func (s *TieredStore) evictLRU() (*pendWB, error) {
 			return nil, fmt.Errorf("ooc: evicting dirty vector %d: %w", vvi, err)
 		}
 		s.pend[vvi] = w
-		s.st.dirtyWritebacks.Add(1)
+		s.st.dirtyWritebacks.Inc()
 	}
 	delete(s.slotOf, vvi)
+	s.noteOverflow()
 	s.viOf[victim], s.dirty[victim] = -1, false
 	s.free = append(s.free, victim)
-	s.st.evictions.Add(1)
+	s.st.evictions.Inc()
 	return w, nil
 }
 
@@ -577,8 +598,15 @@ func (s *TieredStore) place(vi int, data []float64, dirty bool, stamp int64) err
 		return err
 	}
 	s.viOf[slot], s.slotOf[vi] = vi, slot
+	s.noteOverflow()
 	s.stamp[slot], s.dirty[slot], s.rlen[slot] = stamp, dirty, len(data)
 	return nil
+}
+
+// noteOverflow sets the overflow gauge to the vectors the cache holds
+// past CacheVectors (caller holds mu, after the cache's occupancy moved).
+func (s *TieredStore) noteOverflow() {
+	s.st.overflow.Set(int64(max(len(s.slotOf)-s.cfg.CacheVectors, 0)))
 }
 
 // writeBack PUTs an evicted dirty victim to the remote tier. A victim
@@ -592,8 +620,8 @@ func (s *TieredStore) writeBack(w *pendWB) error {
 	delete(s.pend, w.vi)
 	close(w.done)
 	if err == nil {
-		s.st.remoteWrites.Add(1)
-		s.st.remoteVecsW.Add(1)
+		s.st.remoteWrites.Inc()
+		s.st.remoteVecsW.Inc()
 		s.st.bytesPushed.Add(int64(len(w.buf)) * 8)
 		return nil
 	}

@@ -8,8 +8,8 @@ import (
 	"oocphylo/internal/obs"
 )
 
-// TestInstrumentTieredStore checks that the mirrored tier counters and
-// the native remote-latency histogram land on a registry snapshot.
+// TestInstrumentTieredStore checks that the tier's bound counters and
+// its remote-latency histogram land on a registry snapshot.
 func TestInstrumentTieredStore(t *testing.T) {
 	const n, vecLen = 12, 8
 	ts, _, _ := newTierFixture(t, n, vecLen, 4,

@@ -286,11 +286,11 @@ func TestServiceDeleteRemovesEveryLocalFile(t *testing.T) {
 }
 
 // TestServiceRegistryDoesNotLeak pins the daemon's registry to its live
-// sessions: a revive's freshly instrumented tier replaces the parked
-// incarnation's publisher instead of joining it (which kept every
-// closed TieredStore reachable and polled on every scrape), and a
-// deleted session takes its publishers and every svc.session.<name>.*
-// name with it.
+// sessions: a session registers one publisher, its tier none (a
+// revive's freshly instrumented tier counts on the session's tier.*
+// counters themselves, so nothing keeps a closed TieredStore reachable
+// or polls it on a scrape), and a deleted session takes its publisher
+// and every svc.session.<name>.* name with it.
 func TestServiceRegistryDoesNotLeak(t *testing.T) {
 	dir := t.TempDir()
 	alnPath, _, need := writeTestAlignment(t, dir, 12, 300, 17)
@@ -320,8 +320,8 @@ func TestServiceRegistryDoesNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := publishers()
-	if live != idle+2 {
-		t.Fatalf("%d publishers with one remote session, want %d (session + tier)", live, idle+2)
+	if live != idle+1 {
+		t.Fatalf("%d publishers with one remote session, want %d (the session's)", live, idle+1)
 	}
 	names := func() (under []string) {
 		snap := srv.reg.Snapshot()
@@ -360,15 +360,19 @@ func TestServiceRegistryDoesNotLeak(t *testing.T) {
 	}
 	// Walk the root across the tree: half the vectors fit the pool, so
 	// whatever its exact size the pass evicts, writes back and re-reads
-	// through the revived tier — and only its publisher can show that.
+	// through the revived tier — and only its counting can show that.
+	tierTraffic := func() int64 {
+		c := srv.reg.Snapshot().Counters
+		return c["svc.session.leaky.tier.cache_hits"] + c["svc.session.leaky.tier.cache_misses"] + c["svc.session.leaky.tier.remote_writes"]
+	}
+	before := tierTraffic()
 	for edge := 0; edge < 2*12-3; edge++ {
 		if _, err := ses.Evaluate(EvalSpec{Edge: edge}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := srv.reg.Snapshot().Counters
-	if c["svc.session.leaky.tier.cache_hits"]+c["svc.session.leaky.tier.cache_misses"]+c["svc.session.leaky.tier.remote_writes"] == 0 {
-		t.Error("revived tier's publisher is not the one publishing: no read or write-back counted")
+	if tierTraffic() == before {
+		t.Error("revived tier does not count on the session's counters: no read or write-back counted")
 	}
 
 	if err := srv.DeleteSession("leaky"); err != nil {

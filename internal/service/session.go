@@ -318,9 +318,8 @@ func (s *Session) bringUp(ctx context.Context, in *analysis.Inputs) error {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}
 	// Per-session tier counters on the daemon's /debug/vars. A revive
-	// builds a fresh TieredStore; re-instrumenting finds the same named
-	// instruments (the registry is idempotent by name) and its publisher
-	// replaces the parked incarnation's, releasing the closed store.
+	// builds a fresh TieredStore, which binds to the same named
+	// instruments and counts on from the parked incarnations' totals.
 	ooc.InstrumentTieredStore(s.srv.reg, run.Stack.Tier, metricsPrefix(s.name)+"tier.")
 	s.mu.Lock()
 	s.pats, s.run = in.Patterns, run
